@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-json bench-guard check serve-smoke clean
+.PHONY: build vet test race bench bench-json bench-guard check serve-smoke ledger-smoke clean
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,12 @@ check:
 # stream through comload, assert matches land and SIGTERM drains clean.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# Ledger smoke: one short untraced engine_pricing run of the BENCHMARK.json
+# harness. No thresholds — it fails when offline and engine digests
+# disagree or an operation fails.
+ledger-smoke:
+	bash bench/run.sh --workload engine_pricing --seed 1 --seconds 3 --trace 0
 
 clean:
 	$(GO) clean ./...

@@ -131,8 +131,9 @@ func (c *Collector) ShardStall() {
 }
 
 // PricingStats is the pricing-quoter section of a Report: quote counts
-// by method, acceptance-probability evaluation volume with the fraction
-// answered from the precomputed CDF tables' payment cache, and scratch
+// by method, acceptance-probability volume (ProbEvals: per-worker
+// pr(v', w) evaluations plus Monte-Carlo dichotomy probes answered from
+// the per-quote payment cache; TableHits: the latter alone), and scratch
 // reuse. All zero for runs that never price a cooperative request.
 type PricingStats struct {
 	RevenueQuotes    int64   `json:"revenue_quotes"`

@@ -207,7 +207,11 @@ func (m *BatchCOM) flush(at core.Time) {
 
 		if len(outer) > 0 {
 			e.hadOuter = true
-			e.payment = m.estimatePayment(r, outer)
+			group := m.scratch.Group(len(outer))
+			for k := range outer {
+				group[k] = outer[k].cand.History
+			}
+			e.payment = estimatePayment(m.quoter, r.Value, group, m.rng, m.scratch)
 			if e.payment <= r.Value {
 				e.profitable = true
 				e.probes = len(outer)
@@ -329,22 +333,4 @@ func (m *BatchCOM) commit(e *winEntry, col int) Decision {
 		// requests in the window.
 		return Decision{CoopAttempted: e.hadOuter, Probes: e.probes, Reason: ReasonWindowLost}
 	}
-}
-
-// estimatePayment is DemCOM's Algorithm 2 estimator over the ID-sorted
-// outer candidates (same mcGroupCap truncation, same failure fallback).
-func (m *BatchCOM) estimatePayment(r *core.Request, probes []outerProbe) float64 {
-	group := m.scratch.Group(len(probes))
-	for i := range probes {
-		group[i] = probes[i].cand.History
-	}
-	if len(group) > mcGroupCap {
-		sort.Slice(group, func(i, j int) bool { return group[i].Min() < group[j].Min() })
-		group = group[:mcGroupCap]
-	}
-	est, err := m.quoter.MinOuterPayment(r.Value, group, m.rng, m.scratch)
-	if err != nil {
-		return r.Value * 2
-	}
-	return est
 }

@@ -2,7 +2,6 @@ package online
 
 import (
 	"math/rand"
-	"sort"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/pricing"
@@ -103,7 +102,7 @@ func (m *DemCOM) decide(r *core.Request, sp *trace.Span) Decision {
 
 	// Line 12: estimate the minimum outer payment.
 	t = sp.StageStart()
-	payment := m.estimatePayment(r, cands)
+	payment := m.quote(r, cands)
 	sp.EndStage(trace.StagePricing, t)
 	if payment > r.Value {
 		// Lines 13-14: serving would lose money; reject. The request
@@ -142,16 +141,9 @@ func (m *DemCOM) decide(r *core.Request, sp *trace.Span) Decision {
 	}
 }
 
-// mcGroupCap bounds the candidate group handed to the Monte-Carlo
-// estimator. The minimum outer payment is governed by the cheapest
-// acceptance frontiers; candidates whose history floors are far above
-// the group's minimum almost never flip a sampled instance, so keeping
-// the cap-cheapest candidates leaves the estimate statistically
-// unchanged while bounding per-request cost on dense worker pools (the
-// full candidate set is still probed for actual acceptance afterwards).
-const mcGroupCap = 24
-
-func (m *DemCOM) estimatePayment(r *core.Request, cands []Candidate) float64 {
+// quote returns the outer payment to offer: the Algorithm 2 estimate, or
+// the exact minimum under PaymentOracle.
+func (m *DemCOM) quote(r *core.Request, cands []Candidate) float64 {
 	group := m.scratch.Group(len(cands))
 	for i, c := range cands {
 		group[i] = c.History
@@ -159,15 +151,5 @@ func (m *DemCOM) estimatePayment(r *core.Request, cands []Candidate) float64 {
 	if m.PaymentOracle {
 		return pricing.ExactMinAcceptable(r.Value, group)
 	}
-	if len(group) > mcGroupCap {
-		sort.Slice(group, func(i, j int) bool { return group[i].Min() < group[j].Min() })
-		group = group[:mcGroupCap]
-	}
-	est, err := m.quoter.MinOuterPayment(r.Value, group, m.rng, m.scratch)
-	if err != nil {
-		// Only reachable with invalid configuration; fail safe by
-		// rejecting cooperation (estimate above value).
-		return r.Value * 2
-	}
-	return est
+	return estimatePayment(m.quoter, r.Value, group, m.rng, m.scratch)
 }

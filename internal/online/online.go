@@ -21,7 +21,9 @@
 package online
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/pricing"
@@ -243,6 +245,32 @@ func appendAccepting(dst, cands []Candidate, payment float64, rng *rand.Rand) []
 		}
 	}
 	return dst
+}
+
+// mcGroupCap bounds the candidate group handed to the Monte-Carlo
+// estimator. The minimum outer payment is governed by the cheapest
+// acceptance frontiers; candidates whose history floors are far above
+// the group's minimum almost never flip a sampled instance, so keeping
+// the cap-cheapest candidates leaves the estimate statistically
+// unchanged while bounding per-request cost on dense worker pools (the
+// full candidate set is still probed for actual acceptance afterwards).
+const mcGroupCap = 24
+
+// estimatePayment is the Algorithm 2 minimum outer payment estimate
+// DemCOM and BatchCOM quote from: group (reordered in place) is cut to
+// its mcGroupCap cheapest histories and handed to the quoter.
+func estimatePayment(q *pricing.TableQuoter, value float64, group []*pricing.History, rng *rand.Rand, s *pricing.Scratch) float64 {
+	if len(group) > mcGroupCap {
+		slices.SortFunc(group, func(a, b *pricing.History) int { return cmp.Compare(a.Min(), b.Min()) })
+		group = group[:mcGroupCap]
+	}
+	est, err := q.MinOuterPayment(value, group, rng, s)
+	if err != nil {
+		// Only reachable with invalid configuration; fail safe by
+		// rejecting cooperation (estimate above value).
+		return value * 2
+	}
+	return est
 }
 
 // nearestIndex returns the index of the candidate whose worker is

@@ -123,6 +123,14 @@ func FactoryConfigured(name string, c AlgConfig) (MatcherFactory, error) {
 	}
 }
 
+// SamplesMinPayment reports whether FactoryConfigured's matcher for the
+// named algorithm quotes through pricing's Algorithm 2 estimator, i.e.
+// whether its decisions depend on pricing.SamplerRev. Logs of the other
+// algorithms re-drive identically across sampler revisions.
+func SamplesMinPayment(name string) bool {
+	return name == AlgDemCOM || name == AlgBatchCOM
+}
+
 // FactoryByName returns the factory for a paper algorithm name; stream
 // statistics supply max(v_r) for the threshold algorithms. It returns
 // ok=false for unknown names (including AlgOFF, which is not an online

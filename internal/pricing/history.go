@@ -144,11 +144,12 @@ func (h *History) AcceptProbTable(payment float64) float64 {
 	return h.cdf[k-1]
 }
 
-// Accepts samples the worker's decision for the offered payment: it
-// draws x uniform in [0,1] and accepts iff x <= pr(payment, w)
-// (Algorithm 1, lines 18-19).
+// Accepts samples the worker's decision for the offered payment
+// (Algorithm 1, lines 18-19): it draws x uniform in [0,1) and accepts
+// iff x < pr(payment, w). The comparison is strict because Float64 can
+// return exactly 0, and a worker with pr = 0 must never accept.
 func (h *History) Accepts(payment float64, rng *rand.Rand) bool {
-	return rng.Float64() <= h.AcceptProb(payment)
+	return rng.Float64() < h.AcceptProb(payment)
 }
 
 // Min returns the smallest history value — the lowest payment the worker

@@ -59,14 +59,14 @@ func (mc MonteCarlo) Validate() error {
 // (signalling "reject this request": the caller compares the estimate
 // against value, Algorithm 1 line 13). Otherwise a dichotomy over
 // [0, value] narrows the acceptance frontier of this instance to within
-// Xi*value, resampling worker decisions at every probe exactly as the
-// paper specifies. The result is the mean over instances.
+// Xi*value, resampling the group's decision at every probe (one draw
+// against pr(v', W), see TableQuoter.MinOuterPayment). The result is the
+// mean over instances.
 //
 // The returned estimate is deterministic given rng's state.
 //
 // This entry point predates the Quoter/Scratch API and remains as a
-// shim: it borrows a pooled Scratch and delegates to TableQuoter, whose
-// estimator consumes rng draw for draw identically.
+// shim: it borrows a pooled Scratch and delegates to TableQuoter.
 func (mc MonteCarlo) MinOuterPayment(value float64, group []*History, rng *rand.Rand) (float64, error) {
 	s := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(s)
@@ -74,17 +74,13 @@ func (mc MonteCarlo) MinOuterPayment(value float64, group []*History, rng *rand.
 	return q.MinOuterPayment(value, group, rng, s)
 }
 
-// mcShards is the number of sub-streams the sampling instances split
-// into. It is a fixed constant, not GOMAXPROCS: the shard seeds are part
-// of the deterministic RNG consumption, so tying the count to the
-// machine would make estimates machine-dependent. 8 shards keep the
-// per-shard chunk large enough (24 instances at the default n_s = 192)
-// that goroutine overhead stays well below the sampling work.
-const mcShards = 8
-
-// mcParallelMin is the instance count below which the shards run inline:
-// tiny configurations are dominated by fan-out overhead.
-const mcParallelMin = 64
+// SamplerRev identifies MinOuterPayment's RNG consumption contract for
+// state that outlives the process (the WAL snapshot fingerprint): two
+// binaries with different revisions drive the same seed and events to
+// different DemCOM/BatchCOM decisions. 0 was the per-worker sampler (one
+// draw per worker per probe, on pre-seeded sub-streams); 1 is the group
+// draw (one draw per probe against pr(v', W)).
+const SamplerRev = 1
 
 // groupFloor returns the smallest payment with non-zero group acceptance
 // probability: the minimum history value across the group, or the

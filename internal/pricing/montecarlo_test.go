@@ -144,10 +144,9 @@ func TestMinOuterPaymentDeterministicSeed(t *testing.T) {
 	}
 }
 
-// The sharded estimator must produce bit-identical results regardless of
-// how many cores execute the shards: the sub-RNG seeds are pre-drawn in
-// shard order, so parallelism is an execution detail, not a random
-// stream. The caller's rng must also land in the same state.
+// The estimator must produce bit-identical results on any number of
+// cores, and leave the caller's rng in the same state: it draws from
+// that rng alone, on the calling goroutine.
 func TestMinOuterPaymentGOMAXPROCSInvariant(t *testing.T) {
 	h := MustHistory([]float64{1, 4, 6, 9})
 	run := func(procs int) (est, nextDraw float64) {

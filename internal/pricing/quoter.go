@@ -4,20 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
-
-	"crossmatch/internal/fastrand"
-	"crossmatch/internal/parallel"
 )
 
 // Quoter is the pricing seam the matchers drive: every quote method
 // takes an explicit per-goroutine Scratch so the hot path performs no
 // per-call allocation. One Quoter (and one Scratch) belongs to one
-// matcher goroutine; the Monte-Carlo shards inside MinOuterPayment are
-// the only internal fan-out and use per-shard sub-scratch, so a Quoter
-// never needs locking.
+// matcher goroutine and nothing inside fans out, so a Quoter never needs
+// locking.
 type Quoter interface {
 	// MaxExpectedRevenue computes the exact Definition 4.1 maximizer
 	// (see the package function of the same name).
@@ -38,9 +33,9 @@ type Stats struct {
 	RevenueQuotes    int64 `json:"revenue_quotes"`
 	ThresholdQuotes  int64 `json:"threshold_quotes"`
 	MonteCarloQuotes int64 `json:"monte_carlo_quotes"`
-	// ProbEvals counts acceptance-probability evaluations performed while
-	// quoting; TableHits the subset answered from the per-call payment
-	// cache over the History CDF tables instead of a fresh search.
+	// ProbEvals counts per-worker pr(v', w) evaluations performed while
+	// quoting plus the Monte-Carlo probes answered from the per-quote
+	// payment cache; TableHits counts the latter alone.
 	ProbEvals int64 `json:"prob_evals"`
 	TableHits int64 `json:"table_hits"`
 	// ScratchReuses counts quote calls that arrived with a caller-owned
@@ -109,45 +104,22 @@ type breakpoint struct {
 }
 
 // Scratch is the per-goroutine buffer set of a Quoter. A Scratch must
-// not be copied or shared between goroutines; matchers keep one for the
-// lifetime of a run. The zero value is not usable — call NewScratch.
+// not be shared between goroutines; matchers keep one for the lifetime
+// of a run.
 type Scratch struct {
 	group []*History // candidate-group buffer for matchers (Group)
 	bps   []breakpoint
 	cur   []float64
-	seeds [mcShards]int64
-	shard [mcShards]mcShard
+	// Per-quote Monte-Carlo payment cache: probs[i] is the group
+	// acceptance probability at pays[i]. The dichotomy of Algorithm 2
+	// probes payments on a small dyadic ladder (7 nodes at Xi = 0.1), so
+	// virtually every probe after the first at a payment is a hit.
+	pays  []float64
+	probs []float64
 }
 
-// mcShard is one Monte-Carlo sub-stream's private state: a reusable RNG
-// re-seeded per quote (identical stream to a fresh
-// rand.New(rand.NewSource(seed))) and the per-call payment-probability
-// cache. The dichotomy of Algorithm 2 probes payments on a small dyadic
-// ladder, so virtually every probe after the first at a payment level is
-// a cache hit.
-type mcShard struct {
-	src   fastrand.Source
-	rng   *rand.Rand
-	pays  []float64 // distinct payments probed this call
-	probs []float64 // len(pays) x nw matrix; NaN = not yet evaluated
-	// per-call counters, folded into the quoter after the shards join
-	hits, evals int64
-}
-
-// mcPayCacheCap bounds the payment cache; probes beyond it (unreachable
-// at practical Xi) are evaluated uncached, which stays exact.
-const mcPayCacheCap = 64
-
-// NewScratch returns a ready Scratch. The Monte-Carlo shard RNG state is
-// built once here (~12 KiB per shard) and re-seeded per quote, which is
-// what removes the rand.NewSource construction from the hot path.
-func NewScratch() *Scratch {
-	s := &Scratch{}
-	for i := range s.shard {
-		s.shard[i].rng = rand.New(&s.shard[i].src)
-	}
-	return s
-}
+// NewScratch returns a ready Scratch.
+func NewScratch() *Scratch { return &Scratch{} }
 
 // Group returns the scratch's candidate-group buffer resized to n;
 // matchers fill it instead of allocating a fresh []*History per request.
@@ -169,38 +141,42 @@ func (q *TableQuoter) ensure(s *Scratch) *Scratch {
 	return NewScratch()
 }
 
-// row returns the cached probability row for payment (one entry per
-// group member, NaN where not yet evaluated), or nil when the cache is
-// full and the caller should evaluate uncached.
-func (sc *mcShard) row(payment float64, nw int) []float64 {
-	for i, p := range sc.pays {
-		if p == payment {
-			return sc.probs[i*nw : (i+1)*nw]
+// groupProb evaluates pr(v', W) = 1 - prod_w (1 - pr(v', w)) of
+// Definition 4.1 on the configured evaluation path.
+func (q *TableQuoter) groupProb(payment float64, group []*History) float64 {
+	noneAccepts := 1.0
+	for _, h := range group {
+		noneAccepts *= 1 - q.prob(h, payment)
+		q.stats.ProbEvals++
+		if noneAccepts == 0 {
+			break
 		}
 	}
-	if len(sc.pays) >= mcPayCacheCap {
-		return nil
-	}
-	sc.pays = append(sc.pays, payment)
-	lo := (len(sc.pays) - 1) * nw
-	if cap(sc.probs) < lo+nw {
-		grown := make([]float64, lo+nw)
-		copy(grown, sc.probs)
-		sc.probs = grown
-	}
-	sc.probs = sc.probs[:lo+nw]
-	row := sc.probs[lo : lo+nw]
-	for i := range row {
-		row[i] = math.NaN()
-	}
-	return row
+	return 1 - noneAccepts
 }
 
-// MinOuterPayment implements Quoter: Algorithm 2 with the identical RNG
-// consumption contract of MonteCarlo.MinOuterPayment — the same shard
-// seeds drawn in the same order from rng, the same per-shard instance
-// ranges and draw sequences — so estimates are bit-identical, merely
-// computed without per-call allocation.
+// cachedGroupProb is groupProb through the scratch's per-quote payment
+// cache.
+func (q *TableQuoter) cachedGroupProb(payment float64, group []*History, s *Scratch) float64 {
+	for i, p := range s.pays {
+		if p == payment {
+			q.stats.ProbEvals++
+			q.stats.TableHits++
+			return s.probs[i]
+		}
+	}
+	p := q.groupProb(payment, group)
+	s.pays = append(s.pays, payment)
+	s.probs = append(s.probs, p)
+	return p
+}
+
+// MinOuterPayment implements Quoter: Algorithm 2 with one uniform draw
+// per probe. The paper's probe asks every worker for an independent
+// Bernoulli(pr(v', w)) decision and uses only "did anyone accept"; that
+// event is Bernoulli(pr(v', W)), so drawing it directly gives every
+// instance's v_l exactly the distribution Algorithm 2 specifies while
+// consuming one draw from rng per probe instead of one per worker.
 func (q *TableQuoter) MinOuterPayment(value float64, group []*History, rng *rand.Rand, s *Scratch) (float64, error) {
 	if err := q.MC.Validate(); err != nil {
 		return 0, err
@@ -212,39 +188,7 @@ func (q *TableQuoter) MinOuterPayment(value float64, group []*History, rng *rand
 	if len(group) == 0 {
 		return value + epsilonFor(value), nil
 	}
-	s = q.ensure(s)
-
-	// The seeds are always drawn, in shard order, for the full fixed
-	// shard count — never a machine-dependent one — so the estimate (and
-	// the caller's rng state afterwards) is identical whether the shards
-	// execute serially or across GOMAXPROCS cores.
-	ns := q.MC.Instances()
-	for i := range s.seeds {
-		s.seeds[i] = rng.Int63()
-	}
-	sum := 0.0
-	if ns >= mcParallelMin && runtime.GOMAXPROCS(0) > 1 {
-		sums, err := parallel.Map(0, mcShards, func(shard int) (float64, error) {
-			return q.sampleShard(value, group, shard, ns, s), nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range sums {
-			sum += v
-		}
-	} else {
-		for shard := 0; shard < mcShards; shard++ {
-			sum += q.sampleShard(value, group, shard, ns, s)
-		}
-	}
-	for i := range s.shard {
-		sc := &s.shard[i]
-		q.stats.ProbEvals += sc.evals + sc.hits
-		q.stats.TableHits += sc.hits
-		sc.evals, sc.hits = 0, 0
-	}
-	est := sum / float64(ns)
+	est := q.instanceMean(value, group, rng, q.ensure(s))
 	// No payment below the cheapest value any group member ever accepted
 	// can attract anyone (Definition 3.1 gives it probability zero), so
 	// the minimum outer payment is clamped up to that exact floor. The
@@ -255,65 +199,26 @@ func (q *TableQuoter) MinOuterPayment(value float64, group []*History, rng *rand
 	return est, nil
 }
 
-// sampleShard re-seeds the shard's reusable RNG and runs its slice of
-// the sampling instances, returning the sum of their contributions.
-func (q *TableQuoter) sampleShard(value float64, group []*History, shard, ns int, s *Scratch) float64 {
-	sc := &s.shard[shard]
-	sc.src.Seed(s.seeds[shard])
-	sc.pays = sc.pays[:0]
-	sc.probs = sc.probs[:0]
-	lo, hi := shard*ns/mcShards, (shard+1)*ns/mcShards
-	return q.sampleInstances(value, group, hi-lo, sc)
-}
-
-// sampleInstances runs n independent sampling instances of Algorithm 2
-// against group and returns the sum of their contributions. It mirrors
-// the original estimator draw for draw; only the acceptance-probability
-// evaluations go through the shard's payment cache (probabilities are
-// pure functions of (worker, payment), so caching cannot change bits).
-func (q *TableQuoter) sampleInstances(value float64, group []*History, n int, sc *mcShard) float64 {
-	rng := sc.rng
-	nw := len(group)
-	anyAccepts := func(payment float64) bool {
-		if payment <= 0 {
-			// pr(v', w) = 0 for all workers; the draws still happen.
-			for range group {
-				if rng.Float64() <= 0 {
-					return true
-				}
-			}
-			return false
-		}
-		row := sc.row(payment, nw)
-		for wi, h := range group {
-			var p float64
-			if row == nil {
-				p = q.prob(h, payment)
-				sc.evals++
-			} else if p = row[wi]; p != p { // NaN: not yet evaluated
-				p = q.prob(h, payment)
-				row[wi] = p
-				sc.evals++
-			} else {
-				sc.hits++
-			}
-			if rng.Float64() <= p {
-				return true
-			}
-		}
-		return false
-	}
+// instanceMean runs the n_s sampling instances of Algorithm 2 against a
+// non-empty group and returns the mean of their contributions. A probe
+// accepts on the strict u < P: Float64 is uniform on [0,1), so
+// P(u < P) = P, a zero probability never accepts and P = 1 always does.
+func (q *TableQuoter) instanceMean(value float64, group []*History, rng *rand.Rand, s *Scratch) float64 {
+	s.pays, s.probs = s.pays[:0], s.probs[:0]
+	ns := q.MC.Instances()
 	eps := epsilonFor(value)
+	// Every instance opens with the same probe at the full price.
+	pFull := q.groupProb(value, group)
 	sum := 0.0
-	for i := 0; i < n; i++ {
-		if !anyAccepts(value) {
+	for i := 0; i < ns; i++ {
+		if rng.Float64() >= pFull {
 			sum += value + eps
 			continue
 		}
 		vl, vh := 0.0, value
 		vm := vh / 2
 		for vm-vl > q.MC.Xi*value {
-			if anyAccepts(vm) {
+			if rng.Float64() < q.cachedGroupProb(vm, group, s) {
 				vh = vm
 			} else {
 				vl = vm
@@ -329,7 +234,7 @@ func (q *TableQuoter) sampleInstances(value float64, group []*History, n int, sc
 		// platform offers the least it might get away with.
 		sum += vl
 	}
-	return sum
+	return sum / float64(ns)
 }
 
 // MaxExpectedRevenue implements Quoter: the exact Definition 4.1
@@ -449,19 +354,7 @@ func (q *TableQuoter) ThresholdQuote(value float64, group []*History, u float64,
 		return Quote{}, nil
 	}
 	pay := value * math.Exp(-u)
-	// pr(v', W) per Definition 4.1, on the configured evaluation path.
-	noneAccepts := 1.0
-	p := 0.0
-	if pay > 0 {
-		for _, h := range group {
-			noneAccepts *= 1 - q.prob(h, pay)
-			q.stats.ProbEvals++
-			if noneAccepts == 0 {
-				break
-			}
-		}
-		p = 1 - noneAccepts
-	}
+	p := q.groupProb(pay, group)
 	return Quote{Payment: pay, AcceptProb: p, ExpectedRev: (value - pay) * p}, nil
 }
 

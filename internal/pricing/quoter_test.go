@@ -191,28 +191,34 @@ func TestQuoterStats(t *testing.T) {
 }
 
 // TestQuoterScratchNoAlloc is the point of the redesign: with a
-// caller-owned Scratch, warmed-up quoting allocates nothing.
+// caller-owned Scratch, warmed-up quoting allocates nothing. There is
+// one MinOuterPayment path (no fan-out), so what AllocsPerRun measures
+// here at GOMAXPROCS 1 is what every run executes.
 func TestQuoterScratchNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	q := NewQuoter(DefaultMonteCarlo)
 	s := NewScratch()
-	group := []*History{
-		randHistory(t, rng, 16, 50),
-		randHistory(t, rng, 9, 50),
-		randHistory(t, rng, 30, 50),
+	group := make([]*History, 24)
+	for i := range group {
+		group[i] = randHistory(t, rng, 1+rng.Intn(30), 50)
 	}
 	mcRng := rand.New(rand.NewSource(5))
-	warm := func() {
+	minPay := func() {
 		if _, err := q.MinOuterPayment(35, group, mcRng, s); err != nil {
 			t.Fatal(err)
 		}
+	}
+	minPay()
+	if allocs := testing.AllocsPerRun(20, minPay); allocs != 0 {
+		t.Errorf("warmed MinOuterPayment allocates %v objects per quote, want 0", allocs)
+	}
+	threshold := func() {
 		if _, err := q.ThresholdQuote(35, group, 0.4, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	warm()
-	if allocs := testing.AllocsPerRun(20, warm); allocs != 0 {
-		t.Errorf("warmed quoter allocates %v objects per quote pair, want 0", allocs)
+	if allocs := testing.AllocsPerRun(20, threshold); allocs != 0 {
+		t.Errorf("ThresholdQuote allocates %v objects per quote, want 0", allocs)
 	}
 	// MaxExpectedRevenue is not asserted at zero: its sort.Slice call
 	// allocates a few fixed objects, and the sort is kept because the

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/platform"
+	"crossmatch/internal/pricing"
 	"crossmatch/internal/wal"
 )
 
@@ -210,6 +212,11 @@ func (s *Server) checkSnapshotConfig(snap *wal.Snapshot) error {
 	case snap.Shards > 1 && snap.ShardReachBits != math.Float64bits(s.opts.ShardReach):
 		return fmt.Errorf("serve: wal recovery: snapshot shard reach %v, server %v",
 			math.Float64frombits(snap.ShardReachBits), s.opts.ShardReach)
+	case snap.PricingRev != pricing.SamplerRev && platform.SamplesMinPayment(s.opts.Algorithm):
+		return fmt.Errorf("serve: wal recovery: log written under Monte-Carlo sampler revision %d, this binary runs revision %d: "+
+			"%s draws its payments from that sampler, so the log would re-drive to different decisions; "+
+			"recover it with the binary that wrote it, or start from an empty wal dir",
+			snap.PricingRev, pricing.SamplerRev, s.opts.Algorithm)
 	}
 	return nil
 }
@@ -317,6 +324,7 @@ func (s *Server) writeSnapshot() error {
 		ReplayEvents:  int64(len(s.replayEvs)),
 		Window:        int64(s.opts.Window),
 		BatchDeadline: int64(s.opts.BatchDeadline),
+		PricingRev:    pricing.SamplerRev,
 		Served:        s.ctr.served.Load(),
 		Matched:       s.ctr.matched.Load(),
 		RevenueBits:   math.Float64bits(rev),

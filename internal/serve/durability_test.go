@@ -12,6 +12,8 @@ import (
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
 	"crossmatch/internal/platform"
+	"crossmatch/internal/pricing"
+	"crossmatch/internal/wal"
 )
 
 // TestCollectDecisionsPrefersReadyDecisions is the regression test for
@@ -319,28 +321,88 @@ func TestLogEventSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// logOneWorker runs a live WAL server under opts just long enough to log
+// one worker arrival and close cleanly, leaving a one-record log with its
+// final checkpoint in opts.WALDir.
+func logOneWorker(t *testing.T, opts Options) {
+	t.Helper()
+	srv, err := New(opts)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	if _, d := postJSON(t, ts.Client(), ts.URL+"/v1/workers",
+		`{"id":1,"x":0.5,"y":0.5,"platform":1,"radius":0.4}`); d.Status != StatusOK {
+		t.Fatalf("worker post: %+v", d)
+	}
+	ts.Close()
+	if _, err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // TestRecoveryRejectsConfigMismatch: a WAL written under one engine
 // configuration must not boot a server with another — that would
 // re-drive cleanly but produce silently different matching state.
 func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 	dir := t.TempDir()
-	srv1, err := New(Options{Algorithm: platform.AlgDemCOM, Seed: 1, WALDir: dir})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts1 := httptest.NewServer(srv1.Handler())
-	if _, d := postJSON(t, ts1.Client(), ts1.URL+"/v1/workers",
-		`{"id":1,"x":0.5,"y":0.5,"platform":1,"radius":0.4}`); d.Status != StatusOK {
-		t.Fatalf("worker post: %+v", d)
-	}
-	ts1.Close()
-	if _, err := srv1.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	logOneWorker(t, Options{Algorithm: platform.AlgDemCOM, Seed: 1, WALDir: dir})
 
 	if _, err := New(Options{Algorithm: platform.AlgDemCOM, Seed: 2, WALDir: dir}); err == nil ||
 		!strings.Contains(err.Error(), "seed") {
 		t.Fatalf("restart with a different seed must fail, got %v", err)
+	}
+}
+
+// TestRecoveryPricingRevFingerprint: a snapshot without pricing_rev is
+// what a binary from before the group-draw estimator wrote. DemCOM and
+// BatchCOM decisions depend on the estimator's RNG contract, so such a
+// log must be refused by name instead of dying on a digest mismatch;
+// TOTA and RamCOM never call the estimator and must keep recovering.
+func TestRecoveryPricingRevFingerprint(t *testing.T) {
+	for _, tc := range []struct {
+		alg    string
+		refuse bool
+	}{
+		{platform.AlgDemCOM, true},
+		{platform.AlgBatchCOM, true},
+		{platform.AlgTOTA, false},
+		{platform.AlgRamCOM, false},
+	} {
+		t.Run(tc.alg, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Algorithm: tc.alg, Seed: 1, MaxValue: 10, WALDir: dir}
+			logOneWorker(t, opts)
+
+			snap, err := wal.LatestSnapshot(dir)
+			if err != nil || snap == nil {
+				t.Fatalf("LatestSnapshot: %v, %v", snap, err)
+			}
+			if snap.PricingRev != pricing.SamplerRev {
+				t.Fatalf("snapshot pricing_rev = %d, want %d", snap.PricingRev, pricing.SamplerRev)
+			}
+			snap.PricingRev = 0
+			if err := wal.WriteSnapshot(dir, snap); err != nil {
+				t.Fatalf("WriteSnapshot: %v", err)
+			}
+
+			srv2, err := New(opts)
+			if !tc.refuse {
+				if err != nil {
+					t.Fatalf("%s restart on a revision-0 snapshot must recover, got %v", tc.alg, err)
+				}
+				if rec := srv2.Recovery(); rec.Events != 1 || rec.SnapshotApplied != 1 {
+					t.Fatalf("recovery = %+v, want the one logged event verified", rec)
+				}
+				if _, err := srv2.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "sampler revision 0") {
+				t.Fatalf("%s restart on a revision-0 snapshot must name the sampler revision, got %v", tc.alg, err)
+			}
+		})
 	}
 }
 

@@ -57,6 +57,12 @@ type Snapshot struct {
 	// unsharded servers, so pre-sharding snapshots keep verifying.
 	Shards         int64  `json:"shards,omitempty"`
 	ShardReachBits uint64 `json:"shard_reach_bits,omitempty"`
+	// PricingRev is pricing.SamplerRev of the binary that wrote the log:
+	// the RNG consumption contract of the Algorithm 2 estimator. 0 (no
+	// field at all) is the per-worker sampler of the binaries before the
+	// group draw; a DemCOM/BatchCOM log re-driven under another revision
+	// forks the state.
+	PricingRev int64 `json:"pricing_rev,omitempty"`
 
 	// Digest of the serving counters after Applied records. RevenueBits
 	// is math.Float64bits of the accumulated revenue — compared bit for
