@@ -1,0 +1,125 @@
+package platform
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"crossmatch/internal/core"
+)
+
+// goldenRow is one pinned run: the counters every table reads plus an
+// FNV-1a digest of (request ID, worker ID, payment bits) over the
+// assignments in platform-ascending, insertion order — the same order
+// assertSameResult walks.
+type goldenRow struct {
+	alg      string
+	ticks    core.Time
+	shards   int
+	requests int
+	served   int
+	outer    int
+	recycled int
+	revenue  uint64
+	digest   uint64
+}
+
+// goldenRows were captured at the parent of the one-event-loop refactor
+// (commit 8a2793f, where Run still had its own loop) on
+// feedTestStream(400, 120, 7), Seed 99, BatchCOM window 8. Shards 3 rows
+// exist only where the sharded runtime accepts the configuration.
+var goldenRows = []goldenRow{
+	{"TOTA", 0, 1, 400, 145, 0, 0, 0x40a40281900910af, 0x5e3518490ef17c02},
+	{"TOTA", 0, 3, 400, 107, 0, 0, 0x409e2b9031f2877a, 0xaf0e6a2f65166a61},
+	{"TOTA", 3, 1, 400, 244, 0, 244, 0x40b0e3d0b27c7a66, 0xb93c37ac7359a241},
+	{"Greedy-RT", 0, 1, 400, 135, 0, 0, 0x40a465c4a7485ea0, 0xabf363f18f6469cf},
+	{"Greedy-RT", 0, 3, 400, 73, 0, 0, 0x40992f96a97afefe, 0x2ff66d1bbed754fe},
+	{"Greedy-RT", 3, 1, 400, 226, 0, 226, 0x40b0a14e9b85df05, 0x4b3f42c142e9dc3},
+	{"DemCOM", 0, 1, 400, 173, 28, 0, 0x40a52378a561ea87, 0xd8c7daa8f6fe84da},
+	{"DemCOM", 0, 3, 400, 131, 24, 0, 0x40a10b7ab20c1daa, 0x7b90d6b5d2767e82},
+	{"DemCOM", 3, 1, 400, 265, 20, 265, 0x40b1882d132b994e, 0xce642fe8d491b8cc},
+	{"RamCOM", 0, 1, 400, 215, 77, 0, 0x40a8556ec3ad893a, 0xa6ffa6c6843d533b},
+	{"RamCOM", 0, 3, 400, 184, 94, 0, 0x40a2bb3cab3742a4, 0xe464073c92ef7437},
+	{"RamCOM", 3, 1, 400, 283, 98, 283, 0x40af86bd61dccb00, 0xf5f700aa9d9d3231},
+	{"BatchCOM", 0, 1, 400, 167, 24, 0, 0x40a5337b267240da, 0xde8fc484d1b5a9e1},
+	{"BatchCOM", 3, 1, 400, 254, 13, 254, 0x40b1095584a2893b, 0x8b3d9039c0047d5e},
+}
+
+func goldenOf(t *testing.T, res *Result) goldenRow {
+	t.Helper()
+	var g goldenRow
+	h := fnv.New64a()
+	var buf [24]byte
+	put := func(off int, v uint64) {
+		for i := 0; i < 8; i++ {
+			buf[off+i] = byte(v >> (8 * i))
+		}
+	}
+	pids := make([]core.PlatformID, 0, len(res.Platforms))
+	for pid := range res.Platforms {
+		pids = append(pids, pid)
+	}
+	for i := 1; i < len(pids); i++ {
+		for j := i; j > 0 && pids[j] < pids[j-1]; j-- {
+			pids[j], pids[j-1] = pids[j-1], pids[j]
+		}
+	}
+	for _, pid := range pids {
+		pr := res.Platforms[pid]
+		g.requests += pr.Stats.Requests
+		for _, a := range pr.Matching.Assignments() {
+			put(0, uint64(a.Request.ID))
+			put(8, uint64(a.Worker.ID))
+			put(16, math.Float64bits(a.Payment))
+			h.Write(buf[:])
+		}
+	}
+	g.served = res.TotalServed()
+	g.outer = res.CooperativeServed()
+	g.recycled = res.Recycled
+	g.revenue = math.Float64bits(res.TotalRevenue())
+	g.digest = h.Sum64()
+	return g
+}
+
+func goldenConfig(t *testing.T, stream *core.Stream, row goldenRow) (MatcherFactory, Config) {
+	t.Helper()
+	factory, err := FactoryConfigured(row.alg, AlgConfig{MaxValue: stream.MaxValue(), Window: 8})
+	if err != nil {
+		t.Fatalf("FactoryConfigured(%s): %v", row.alg, err)
+	}
+	return factory, Config{Seed: 99, ServiceTicks: row.ticks, Shards: row.shards}
+}
+
+func (g goldenRow) String() string {
+	return fmt.Sprintf("{%q, %d, %d, %d, %d, %d, %d, %#x, %#x}",
+		g.alg, g.ticks, g.shards, g.requests, g.served, g.outer, g.recycled, g.revenue, g.digest)
+}
+
+// TestGoldenRuns pins the bits of every algorithm × ServiceTicks × Shards
+// combination on one fixed stream. The values predate the refactor that
+// made Run the Engine fed from a stream, so the test is the proof that
+// the refactor moved no decision.
+func TestGoldenRuns(t *testing.T) {
+	stream := feedTestStream(t, 400, 120, 7)
+	for _, want := range goldenRows {
+		t.Run(fmt.Sprintf("%s/ticks%d/shards%d", want.alg, want.ticks, want.shards), func(t *testing.T) {
+			factory, cfg := goldenConfig(t, stream, want)
+			res, err := Run(stream, factory, cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if got := withKey(goldenOf(t, res), want); got != want {
+				t.Fatalf("Run\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
+// withKey copies the row key (alg, ticks, shards) onto a measured row so
+// rows compare with ==.
+func withKey(g, key goldenRow) goldenRow {
+	g.alg, g.ticks, g.shards = key.alg, key.ticks, key.shards
+	return g
+}
