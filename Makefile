@@ -20,8 +20,9 @@ bench:
 # Machine-readable numbers for the table benchmarks and the decision
 # tracer's overhead benchmark (ns/op, B/op, allocs/op + custom units),
 # written to BENCH_$(BENCH_LABEL).json. CI runs this as a smoke — no
-# thresholds.
-BENCH_LABEL ?= PR5
+# thresholds. The default label writes the git-ignored BENCH_smoke.json,
+# so a smoke run never overwrites a committed BENCH_PR<n>.json record.
+BENCH_LABEL ?= smoke
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkTableSequential$$|BenchmarkTableV|BenchmarkTraceOverhead' -benchmem . \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL)

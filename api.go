@@ -201,7 +201,6 @@ type simConfig struct {
 	probeDeadline    time.Duration
 	tracer           *Tracer
 	traceSample      float64
-	pricingScan      bool
 	batchWindow      Time
 	batchDeadline    Time
 	shards           int
@@ -254,7 +253,6 @@ func platformConfig(opts []Option) (platform.Config, error) {
 		ProbeDeadline:     c.probeDeadline,
 		Trace:             c.tracer,
 		TraceSample:       c.traceSample,
-		PricingScan:       c.pricingScan,
 		Shards:            c.shards,
 		ShardReach:        c.shardReach,
 		ShardStallTimeout: c.shardStall,
@@ -357,17 +355,6 @@ func WithBatchDeadline(d Time) Option {
 	return func(c *simConfig) { c.batchDeadline = d }
 }
 
-// WithPricingTables switches the COM matchers' pricing quoter between
-// the precomputed per-history CDF tables (true, the default) and the
-// exact linear scan over raw history values (false). Both paths produce
-// bit-identical quotes — the tables exist purely as a hot-path
-// optimization — so this knob is an A/B guard for benchmarking and
-// verification, not a behavioural switch. The choice is observable in
-// PricingStats.TableHitRate.
-func WithPricingTables(on bool) Option {
-	return func(c *simConfig) { c.pricingScan = !on }
-}
-
 // WithShards partitions the matching state across n spatial shards,
 // each running its own engine goroutine over the city cells the shared
 // rendezvous hash assigns it; boundary-crossing requests and all
@@ -417,36 +404,6 @@ func SimulateContext(ctx context.Context, stream *Stream, algorithm string, opts
 		return nil, err
 	}
 	return platform.RunContext(ctx, stream, factory, cfg)
-}
-
-// SimOptions configures Simulate.
-//
-// Deprecated: use SimulateContext with WithSeed, WithCoopDisabled and
-// WithServiceTicks.
-type SimOptions struct {
-	// Seed drives all randomness; same seed + stream = same result.
-	Seed int64
-	// DisableCoop turns off cross-platform worker sharing, degrading
-	// the COM algorithms to TOTA.
-	DisableCoop bool
-	// ServiceTicks, when positive, returns each worker to its waiting
-	// list that many ticks after an assignment (an engine-level
-	// extension; the paper's model instead encodes returns as fresh
-	// worker arrivals, which the generators produce).
-	ServiceTicks Time
-}
-
-// Simulate runs the named online algorithm over the stream.
-//
-// Deprecated: use SimulateContext, which adds cancellation, functional
-// options and metrics collection. Simulate remains as a thin wrapper
-// and behaves identically for the same inputs.
-func Simulate(stream *Stream, algorithm string, opts SimOptions) (*SimResult, error) {
-	options := []Option{WithSeed(opts.Seed), WithServiceTicks(opts.ServiceTicks)}
-	if opts.DisableCoop {
-		options = append(options, WithCoopDisabled())
-	}
-	return SimulateContext(context.Background(), stream, algorithm, options...)
 }
 
 // Serving seam: the incremental engine behind the live matching

@@ -17,7 +17,7 @@ func TestExampleStreamThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tota, err := Simulate(stream, TOTA, SimOptions{Seed: 1})
+	tota, err := SimulateContext(context.Background(), stream, TOTA, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSimulateUnknownAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Simulate(stream, "Magic", SimOptions{}); err == nil {
+	if _, err := SimulateContext(context.Background(), stream, "Magic"); err == nil {
 		t.Error("unknown algorithm accepted")
 	} else if !strings.Contains(err.Error(), "Magic") {
 		t.Errorf("error does not name the algorithm: %v", err)
@@ -52,7 +52,7 @@ func TestNewStreamPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(s, TOTA, SimOptions{Seed: 1})
+	res, err := SimulateContext(context.Background(), s, TOTA, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestSimulateCOMBeatsTOTAOnCity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tota, err := Simulate(s, TOTA, SimOptions{Seed: 1})
+	tota, err := SimulateContext(context.Background(), s, TOTA, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dem, err := Simulate(s, DemCOM, SimOptions{Seed: 1})
+	dem, err := SimulateContext(context.Background(), s, DemCOM, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,31 +115,12 @@ func TestSimulateCOMBeatsTOTAOnCity(t *testing.T) {
 		t.Errorf("DemCOM %v below TOTA %v", dem.TotalRevenue(), tota.TotalRevenue())
 	}
 	// Coop disabled degrades DemCOM to TOTA exactly.
-	noCoop, err := Simulate(s, DemCOM, SimOptions{Seed: 1, DisableCoop: true})
+	noCoop, err := SimulateContext(context.Background(), s, DemCOM, WithSeed(1), WithCoopDisabled())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noCoop.TotalRevenue() != tota.TotalRevenue() {
 		t.Errorf("DemCOM(no coop) %v != TOTA %v", noCoop.TotalRevenue(), tota.TotalRevenue())
-	}
-}
-
-func TestSimulateContextMatchesSimulate(t *testing.T) {
-	s, err := GenerateSynthetic(300, 60, 1.0, "real", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := Simulate(s, DemCOM, SimOptions{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := SimulateContext(context.Background(), s, DemCOM, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.TotalRevenue() != now.TotalRevenue() || old.TotalServed() != now.TotalServed() {
-		t.Errorf("SimulateContext diverges from Simulate: revenue %v vs %v, served %d vs %d",
-			now.TotalRevenue(), old.TotalRevenue(), now.TotalServed(), old.TotalServed())
 	}
 }
 

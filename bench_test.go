@@ -248,7 +248,7 @@ func BenchmarkDecisionLatency(b *testing.B) {
 		b.Run(alg, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Simulate(stream, alg, SimOptions{Seed: int64(i)}); err != nil {
+				if _, err := SimulateContext(context.Background(), stream, alg, WithSeed(int64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -37,7 +37,7 @@
 // ctx.Err(). Options attach a seed (WithSeed), disable cross-platform
 // cooperation (WithCoopDisabled), model worker return delays
 // (WithServiceTicks) and collect counters and latency histograms
-// (WithMetrics). Simulate and SimOptions remain as deprecated wrappers.
+// (WithMetrics).
 //
 // See examples/ for runnable programs and cmd/combench for the full
 // benchmark harness.

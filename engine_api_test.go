@@ -60,24 +60,42 @@ func TestNewEngineMatchesSimulate(t *testing.T) {
 }
 
 // TestSimulateSourceMatchesSimulate checks the pull-based entry point
-// against the stream-based one.
+// against the stream-based one, assignment by assignment. With
+// WithServiceTicks the recycled workers' IDs are part of the comparison:
+// a stream-backed source carries the stream's max worker ID, so both
+// entry points mint the same IDs.
 func TestSimulateSourceMatchesSimulate(t *testing.T) {
 	stream, err := GenerateSynthetic(150, 100, 1.0, "real", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SimulateContext(context.Background(), stream, RamCOM, WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SimulateSource(context.Background(), stream.Platforms(), RamCOM,
-		stream.MaxValue(), StreamArrivals(stream), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalRevenue() != want.TotalRevenue() || got.TotalServed() != want.TotalServed() {
-		t.Fatalf("source revenue/served %v/%d, simulate %v/%d",
-			got.TotalRevenue(), got.TotalServed(), want.TotalRevenue(), want.TotalServed())
+	for _, ticks := range []Time{0, 3} {
+		opts := []Option{WithSeed(7), WithServiceTicks(ticks)}
+		want, err := SimulateContext(context.Background(), stream, RamCOM, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SimulateSource(context.Background(), stream.Platforms(), RamCOM,
+			stream.MaxValue(), StreamArrivals(stream), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TotalRevenue() != want.TotalRevenue() || got.Recycled != want.Recycled {
+			t.Fatalf("ticks %d: source revenue/recycled %v/%d, simulate %v/%d",
+				ticks, got.TotalRevenue(), got.Recycled, want.TotalRevenue(), want.Recycled)
+		}
+		for pid, wp := range want.Platforms {
+			wa, ga := wp.Matching.Assignments(), got.Platforms[pid].Matching.Assignments()
+			if len(wa) != len(ga) {
+				t.Fatalf("ticks %d platform %d: %d assignments, want %d", ticks, pid, len(ga), len(wa))
+			}
+			for i := range wa {
+				if wa[i].Request.ID != ga[i].Request.ID || wa[i].Worker.ID != ga[i].Worker.ID {
+					t.Fatalf("ticks %d platform %d assignment %d: r%d<-w%d, want r%d<-w%d", ticks, pid, i,
+						ga[i].Request.ID, ga[i].Worker.ID, wa[i].Request.ID, wa[i].Worker.ID)
+				}
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 				continue
 			}
 			for _, a := range algs {
-				run, err := crossmatch.Simulate(stream, a, crossmatch.SimOptions{Seed: seed})
+				run, err := crossmatch.SimulateContext(context.Background(), stream, a, crossmatch.WithSeed(seed))
 				if err != nil {
 					log.Fatal(err)
 				}

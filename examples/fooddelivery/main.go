@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -74,7 +75,7 @@ func main() {
 		len(stream.Requests()), len(stream.Workers()))
 
 	for _, alg := range []string{crossmatch.TOTA, crossmatch.DemCOM, crossmatch.RamCOM} {
-		res, err := crossmatch.Simulate(stream, alg, crossmatch.SimOptions{Seed: 5})
+		res, err := crossmatch.SimulateContext(context.Background(), stream, alg, crossmatch.WithSeed(5))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,8 +84,8 @@ func main() {
 	}
 
 	// With cooperation disabled every platform is on its own.
-	solo, err := crossmatch.Simulate(stream, crossmatch.DemCOM,
-		crossmatch.SimOptions{Seed: 5, DisableCoop: true})
+	solo, err := crossmatch.SimulateContext(context.Background(), stream, crossmatch.DemCOM,
+		crossmatch.WithSeed(5), crossmatch.WithCoopDisabled())
 	if err != nil {
 		log.Fatal(err)
 	}

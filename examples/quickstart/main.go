@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ func main() {
 
 	// Single-platform baseline: platform 1 can only use its own workers
 	// w1, w2, w4; requests r3 and r5 go unserved.
-	tota, err := crossmatch.Simulate(stream, crossmatch.TOTA, crossmatch.SimOptions{Seed: 1})
+	tota, err := crossmatch.SimulateContext(context.Background(), stream, crossmatch.TOTA, crossmatch.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func main() {
 	// Algorithm 1 are random, exactly as in the paper.
 	best := 0.0
 	for seed := int64(0); seed < 10; seed++ {
-		dem, err := crossmatch.Simulate(stream, crossmatch.DemCOM, crossmatch.SimOptions{Seed: seed})
+		dem, err := crossmatch.SimulateContext(context.Background(), stream, crossmatch.DemCOM, crossmatch.WithSeed(seed))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 		len(stream.Requests()), len(stream.Workers()))
 
 	for _, alg := range []string{crossmatch.TOTA, crossmatch.DemCOM, crossmatch.RamCOM} {
-		res, err := crossmatch.Simulate(stream, alg, crossmatch.SimOptions{Seed: 7})
+		res, err := crossmatch.SimulateContext(context.Background(), stream, alg, crossmatch.WithSeed(7))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,24 +2,25 @@
 // online matching: "which waiting workers' service ranges cover this
 // request location?" (the range constraint of Definition 2.6).
 //
-// Three implementations share the Index interface:
+// Three implementations:
 //
-//   - Grid: a uniform hash grid over worker centers. O(1) insert/remove
-//     and near-O(1) covering queries when radii are comparable to the
-//     cell size. The default for all simulations.
-//   - KDTree: a k-d tree over worker centers with per-subtree maximum
-//     radius pruning and lazy deletion. Wins when radii are highly skewed
-//     or the workload is insert-heavy in tight clusters.
-//   - Linear: a brute-force scan used as the correctness oracle in tests
-//     and for tiny instances.
+//   - SlotGrid: a structure-of-arrays uniform hash grid carrying a
+//     caller-assigned slot per entry. The live index: online.Pool runs
+//     every simulation's eligibility scan on it.
+//   - Grid: the same grid over Entry structs, behind the Index
+//     interface. Kept as SlotGrid's order oracle (a covering query must
+//     visit entries in exactly Grid's order) and for the offline graph
+//     builder and workload diagnostics.
+//   - Linear: a brute-force scan behind the Index interface, the
+//     correctness oracle in tests.
 //
-// Indexes are not safe for unsynchronized mixed use, but Covering and
-// Len are strictly read-only on every implementation (Grid keeps its
-// search radius exact instead of recomputing it lazily; KDTree only
-// mutates on Insert/Remove), so any number of concurrent readers is safe
-// while no writer runs. online.Pool builds on that with an RWMutex to
-// serve the concurrent multi-platform runtime; single-threaded callers
-// need no locking at all.
+// Indexes are not safe for unsynchronized mixed use, but covering
+// queries and Len are strictly read-only on every implementation (the
+// grids keep their search radius exact instead of recomputing it
+// lazily), so any number of concurrent readers is safe while no writer
+// runs. online.Pool builds on that with an RWMutex to serve the
+// concurrent multi-platform runtime; single-threaded callers need no
+// locking at all.
 package index
 
 import (

@@ -40,7 +40,6 @@ func makers() map[string]func() Index {
 	return map[string]func() Index{
 		"linear": func() Index { return NewLinear() },
 		"grid":   func() Index { return NewGrid(1.0) },
-		"kdtree": func() Index { return NewKDTree() },
 	}
 }
 
@@ -118,16 +117,14 @@ func TestIndexBoundaryInclusive(t *testing.T) {
 	}
 }
 
-// TestIndexAgainstOracle drives grid and kd-tree through a random
+// TestIndexAgainstOracle drives the grid through a random
 // insert/remove/query workload and compares every query against the
 // linear scan.
 func TestIndexAgainstOracle(t *testing.T) {
 	const ops = 4000
 	rng := rand.New(rand.NewSource(42))
 	oracle := NewLinear()
-	grid := NewGrid(0.7)
-	tree := NewKDTree()
-	under := map[string]Index{"grid": grid, "kdtree": tree}
+	under := map[string]Index{"grid": NewGrid(0.7)}
 
 	var liveIDs []int64
 	nextID := int64(1)
@@ -166,54 +163,6 @@ func TestIndexAgainstOracle(t *testing.T) {
 			if ix.Len() != oracle.Len() {
 				t.Fatalf("op %d: %s.Len = %d, oracle %d", i, name, ix.Len(), oracle.Len())
 			}
-		}
-	}
-}
-
-// TestKDTreeBulkBuildMatchesIncremental checks that a bulk-built tree
-// answers exactly like one built by repeated Insert.
-func TestKDTreeBulkBuildMatchesIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var es []Entry
-	for i := 0; i < 500; i++ {
-		es = append(es, entry(int64(i+1), rng.Float64()*10, rng.Float64()*10, 0.2+rng.Float64()*2))
-	}
-	bulk := BuildKDTree(es)
-	inc := NewKDTree()
-	for _, e := range es {
-		inc.Insert(e)
-	}
-	for i := 0; i < 200; i++ {
-		p := geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-		if !sameIDs(bulk.Covering(nil, p), inc.Covering(nil, p)) {
-			t.Fatalf("bulk and incremental disagree at %v", p)
-		}
-	}
-}
-
-// TestKDTreeRebuildAfterManyRemovals forces the lazy-deletion rebuild
-// path and verifies queries stay correct through it.
-func TestKDTreeRebuildAfterManyRemovals(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	oracle := NewLinear()
-	tree := NewKDTree()
-	for i := 0; i < 300; i++ {
-		e := entry(int64(i+1), rng.Float64()*10, rng.Float64()*10, 0.5+rng.Float64())
-		oracle.Insert(e)
-		tree.Insert(e)
-	}
-	// Remove most entries to trigger rebuilds.
-	for id := int64(1); id <= 280; id++ {
-		oracle.Remove(id)
-		tree.Remove(id)
-	}
-	if tree.Len() != oracle.Len() {
-		t.Fatalf("Len = %d, want %d", tree.Len(), oracle.Len())
-	}
-	for i := 0; i < 100; i++ {
-		p := geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-		if !sameIDs(tree.Covering(nil, p), oracle.Covering(nil, p)) {
-			t.Fatalf("after rebuild, disagreement at %v", p)
 		}
 	}
 }
@@ -288,7 +237,7 @@ func TestSortEntries(t *testing.T) {
 func BenchmarkCovering(b *testing.B) {
 	// Two spatial regimes: uniform, and the hot-spot skew of the city
 	// workloads (90% of entries in a tight cluster) — the regime where
-	// grid cells overflow and the k-d tree's adaptive splits pay off.
+	// grid cells overflow.
 	distributions := map[string]func(rng *rand.Rand) (x, y float64){
 		"uniform": func(rng *rand.Rand) (float64, float64) {
 			return rng.Float64() * 30, rng.Float64() * 30

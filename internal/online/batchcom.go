@@ -110,10 +110,6 @@ func NewBatchCOM(coop CoopView, mc pricing.MonteCarlo, rng *rand.Rand, window, d
 	}
 }
 
-// SetPricingScan switches the quoter between the CDF-table path and the
-// exact-scan A/B reference path; both produce bit-identical quotes.
-func (m *BatchCOM) SetPricingScan(scan bool) { m.quoter.Scan = scan }
-
 // PricingStats exposes the quoter's cumulative counters.
 func (m *BatchCOM) PricingStats() pricing.Stats { return m.quoter.Stats() }
 

@@ -51,11 +51,6 @@ func NewDemCOM(coop CoopView, mc pricing.MonteCarlo, rng *rand.Rand) *DemCOM {
 	}
 }
 
-// SetPricingScan switches the quoter between the CDF-table path (false,
-// the default) and the exact-scan A/B reference path (true). Both paths
-// produce bit-identical quotes; see pricing.TableQuoter.
-func (m *DemCOM) SetPricingScan(scan bool) { m.quoter.Scan = scan }
-
 // PricingStats exposes the quoter's cumulative counters.
 func (m *DemCOM) PricingStats() pricing.Stats { return m.quoter.Stats() }
 

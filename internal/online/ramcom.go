@@ -86,11 +86,6 @@ func NewRamCOM(maxValue float64, coop CoopView, rng *rand.Rand) *RamCOM {
 	}
 }
 
-// SetPricingScan switches the quoter between the CDF-table path (false,
-// the default) and the exact-scan A/B reference path (true). Both paths
-// produce bit-identical quotes; see pricing.TableQuoter.
-func (m *RamCOM) SetPricingScan(scan bool) { m.quoter.Scan = scan }
-
 // PricingStats exposes the quoter's cumulative counters.
 func (m *RamCOM) PricingStats() pricing.Stats { return m.quoter.Stats() }
 

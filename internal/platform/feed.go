@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/metrics"
@@ -88,28 +89,32 @@ func requestDecisionOf(r *core.Request, d online.Decision, at core.Time) Request
 	return rd
 }
 
-// Engine is the incremental counterpart of Run: the same deterministic
-// sequential runtime, fed one arrival event at a time instead of a
-// pre-built stream slice. It is what lets a server drive the matchers
-// from a live socket — events arrive, decisions return synchronously —
-// while a replayed recorded stream reproduces Run bit for bit.
+// Engine is the one event loop of this package: it takes the next
+// arrival, settles what is due, decides, and folds the decision. A
+// server feeds it from a live socket — events arrive, decisions return
+// synchronously — and every stream runtime is a feeder of the same
+// step: Run pulls the stream through RunSource, PlatformParallel gives
+// each platform goroutine its own Engine over the shared runState, and
+// the geo-sharded runtime drives one Engine per shard from its queues.
 //
 // The engine is single-goroutine: exactly one caller (the serving
-// layer's sequencer) may invoke Process and Finish, in event-time
-// order. Feeding the events of a validated stream in order, with
-// SetRecycleBase(max worker ID) when ServiceTicks is in play, yields a
-// Result bit-identical to Run on that stream with the same Config.
+// layer's sequencer, or one feeder) may invoke Process and Finish, in
+// event-time order.
 type Engine struct {
-	s        *runState
+	s *runState
+	// wins is the subset of s.windowed this engine drives: all of them,
+	// except under PlatformParallel, where another platform's matcher
+	// must never be advanced from this goroutine.
+	wins     []windowedEntry
 	recycle  recycleHeap
 	recycled int
 	last     core.Time
 	started  bool
 	finished bool
 	// sh, when non-nil, is the geo-sharded runtime behind this engine
-	// (Config.Shards > 1): events dispatch to per-shard queues and the
-	// fields above stay unused. The façade branches internally so the
-	// serving layer drives both runtimes through one API.
+	// (Config.Shards > 1): validated events dispatch to per-shard queues
+	// and s stays nil — the clock and lifecycle above still apply, the
+	// recycle heap and wins stay empty.
 	sh *shardedEngine
 }
 
@@ -120,22 +125,21 @@ type Engine struct {
 // a-priori max value folded into the factory by the caller.
 func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Engine, error) {
 	if cfg.Shards > 1 {
-		sh, err := newShardedEngine(pids, factory, cfg)
+		if cfg.ShardReach <= 0 {
+			return nil, fmt.Errorf("platform: sharded engine requires ShardReach > 0 (the incremental engine cannot derive it from future arrivals)")
+		}
+		sh, err := newShardedEngine(pids, factory, cfg, cfg.ShardReach)
 		if err != nil {
 			return nil, err
 		}
 		return &Engine{sh: sh}, nil
 	}
-	s, err := newRunStateFor(pids, factory, cfg)
+	s, err := newRunState(pids, factory, cfg, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	// The engine is the run's consume phase from its first event on;
-	// sealing here keeps the hub's lock-free configuration reads safe
-	// and makes late RegisterPlatform fail loudly, exactly like Run.
-	s.hub.seal()
 	s.nextID.Store(RecycleIDBase)
-	return &Engine{s: s}, nil
+	return &Engine{s: s, wins: s.windowed}, nil
 }
 
 // SetRecycleBase seeds the recycled-worker ID allocator: the next
@@ -144,19 +148,14 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 // afterwards it returns an error so a mid-run rebase can never fork the
 // ID sequence away from a replayed run.
 func (e *Engine) SetRecycleBase(base int64) error {
-	if e.sh != nil {
-		// The sharded runtime rejects ServiceTicks, so no recycled worker
-		// is ever minted; accept the call (replay drivers set the base
-		// unconditionally) as long as nothing has been fed.
-		if e.sh.started || e.sh.closed {
-			return fmt.Errorf("platform: SetRecycleBase after the first event; seed the allocator before feeding")
-		}
-		return nil
-	}
 	if e.started || e.finished {
 		return fmt.Errorf("platform: SetRecycleBase after the first event; seed the allocator before feeding")
 	}
-	e.s.nextID.Store(base)
+	// The sharded runtime rejects ServiceTicks, so it never mints a
+	// recycled worker; replay drivers set the base unconditionally.
+	if e.sh == nil {
+		e.s.nextID.Store(base)
+	}
 	return nil
 }
 
@@ -164,78 +163,225 @@ func (e *Engine) SetRecycleBase(base int64) error {
 // platform's waiting list and return the zero RequestDecision; request
 // arrivals are decided immediately (the online constraint) and return
 // the decision. Recycled workers due at or before the event's time are
-// delivered first, exactly as the stream runtime does. Events must be
-// fed in non-decreasing time order; a regression returns an error
-// wrapping ErrTimeRegression, and any call after Finish returns one
-// wrapping ErrEngineClosed.
+// delivered first. Events must be fed in non-decreasing time order; a
+// regression returns an error wrapping ErrTimeRegression, and any call
+// after Finish returns one wrapping ErrEngineClosed. A rejected event
+// leaves the engine exactly where it was.
 func (e *Engine) Process(ev core.Event) (RequestDecision, error) {
-	if e.sh != nil {
-		return e.sh.process(ev)
-	}
-	if e.finished {
-		return RequestDecision{}, fmt.Errorf("platform: %w", ErrEngineClosed)
-	}
-	if e.started && ev.Time < e.last {
-		return RequestDecision{}, fmt.Errorf("platform: %w: event at %d after %d", ErrTimeRegression, ev.Time, e.last)
-	}
-	pid, ok := eventPlatform(ev)
-	if !ok && (ev.Kind == core.WorkerArrival || ev.Kind == core.RequestArrival) {
-		return RequestDecision{}, fmt.Errorf("platform: %s event with nil payload", kindLabel(ev.Kind))
-	}
-	if ok {
-		if _, known := e.s.matchers[pid]; !known {
-			return RequestDecision{}, fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
-		}
-	}
-	e.started = true
-	e.last = ev.Time
-	if err := e.s.settleDue(&e.recycle, &e.recycled, ev.Time, e.s.windowed); err != nil {
+	return e.step(ev, true)
+}
+
+// step is Process with the reply made optional: a feeder that reads the
+// Result and not the per-request decisions passes reply=false, which
+// lets a sharded engine dispatch the next event without waiting for the
+// shard to decide this one. An unsharded engine decides synchronously
+// either way.
+func (e *Engine) step(ev core.Event, reply bool) (RequestDecision, error) {
+	if err := e.check(ev); err != nil {
 		return RequestDecision{}, err
 	}
-	switch ev.Kind {
-	case core.WorkerArrival:
+	if e.sh != nil {
+		e.started, e.last = true, ev.Time
+		return e.sh.dispatch(ev, reply)
+	}
+	return e.apply(ev)
+}
+
+// check validates an event — lifecycle, time order, kind, payload,
+// platform, and under shards the worker's reach — without touching the
+// engine: the clock moves only for events that pass.
+func (e *Engine) check(ev core.Event) error {
+	if e.finished {
+		return fmt.Errorf("platform: %w", ErrEngineClosed)
+	}
+	if e.started && ev.Time < e.last {
+		return fmt.Errorf("platform: %w: event at %d after %d", ErrTimeRegression, ev.Time, e.last)
+	}
+	var pid core.PlatformID
+	switch {
+	case ev.Kind == core.WorkerArrival && ev.Worker != nil:
+		pid = ev.Worker.Platform
+	case ev.Kind == core.RequestArrival && ev.Request != nil:
+		pid = ev.Request.Platform
+	case ev.Kind == core.WorkerArrival:
+		return fmt.Errorf("platform: worker event with nil payload")
+	case ev.Kind == core.RequestArrival:
+		return fmt.Errorf("platform: request event with nil payload")
+	default:
+		return fmt.Errorf("platform: unknown event kind %d", ev.Kind)
+	}
+	s := e.s
+	if sh := e.sh; sh != nil {
+		if err := sh.loadErr(); err != nil {
+			return err
+		}
+		if ev.Kind == core.WorkerArrival && ev.Worker.Radius > sh.reach {
+			return fmt.Errorf("platform: %w: worker %d radius %v > %v", ErrShardReach, ev.Worker.ID, ev.Worker.Radius, sh.reach)
+		}
+		s = sh.engines[0].s
+	}
+	if _, known := s.matchers[pid]; !known {
+		return fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
+	}
+	return nil
+}
+
+// apply is the event loop's body, the only place an arrival reaches a
+// runState: move the clock (settling what that makes due), then deliver
+// the worker or decide the request and fold the decision. The caller has
+// validated ev; the shard loops call it directly on events the façade
+// validated at dispatch.
+func (e *Engine) apply(ev core.Event) (RequestDecision, error) {
+	if err := e.advance(ev.Time); err != nil {
+		return RequestDecision{}, err
+	}
+	if ev.Kind == core.WorkerArrival {
 		// Keep the recycled-ID allocator above every externally supplied
 		// worker ID so live traffic can never collide with a mint.
 		if id := ev.Worker.ID; id > e.s.nextID.Load() {
 			e.s.nextID.Store(id)
 		}
-		if err := e.s.deliver(ev.Worker); err != nil {
+		return RequestDecision{}, e.s.deliver(ev.Worker)
+	}
+	r := ev.Request
+	start := time.Now()
+	d := e.s.matchers[r.Platform].RequestArrives(r)
+	el := time.Since(start)
+	// A Deferred decision means a windowed matcher buffered the request:
+	// nothing is decided yet, and folding the placeholder would count the
+	// request twice — foldWindow books it at flush time.
+	if !d.Deferred {
+		e.s.res.Platforms[r.Platform].addResponse(el)
+		if err := e.fold(r.Platform, d, ev.Time, el); err != nil {
 			return RequestDecision{}, err
 		}
-		return RequestDecision{}, nil
-	case core.RequestArrival:
-		d, reborn, err := e.s.handleRequest(ev)
-		if err != nil {
-			return RequestDecision{}, err
+	}
+	return requestDecisionOf(r, d, ev.Time), nil
+}
+
+// advance moves the clock to t and settles everything due at or before
+// it — the one settleDue call site, behind every clock move (an event,
+// AdvanceTime, the end-of-run drain).
+func (e *Engine) advance(t core.Time) error {
+	e.started, e.last = true, t
+	return e.settleDue(t)
+}
+
+// settleDue settles everything due at or before bound, in virtual-time
+// order: recycled workers re-join their waiting lists and windowed
+// matchers flush their open windows, interleaved by due time (a recycled
+// worker beats a window flushing at the same tick — it was already
+// waiting when the window closed; equal window dues flush in ascending
+// pid order, the wins slice order). Window flushes can mint recycled
+// workers whose re-arrival is still within bound, so the loop keeps
+// settling until nothing is due. BatchCOM's wait ≤ min(window, deadline)
+// is a property of this order. With no windowed matchers it is the plain
+// recycle flush, and with neither (a sharded façade) a no-op.
+func (e *Engine) settleDue(bound core.Time) error {
+	for {
+		recDue := len(e.recycle) > 0 && e.recycle[0].Arrival <= bound
+		winIdx := -1
+		var winAt core.Time
+		for i := range e.wins {
+			if t, open := e.wins[i].m.NextFlush(); open && t <= bound && (winIdx < 0 || t < winAt) {
+				winIdx, winAt = i, t
+			}
 		}
-		if reborn != nil {
-			heap.Push(&e.recycle, reborn)
+		switch {
+		case !recDue && winIdx < 0:
+			return nil
+		case recDue && (winIdx < 0 || e.recycle[0].Arrival <= winAt):
+			w := heap.Pop(&e.recycle).(*core.Worker)
+			if err := e.s.deliver(w); err != nil {
+				return err
+			}
+			e.recycled++
+		default:
+			we := e.wins[winIdx]
+			start := time.Now()
+			wds := we.m.Advance(winAt)
+			el := time.Since(start)
+			if err := e.foldWindow(we.pid, wds, el); err != nil {
+				return err
+			}
 		}
-		return requestDecisionOf(ev.Request, d, ev.Time), nil
-	default:
-		return RequestDecision{}, fmt.Errorf("platform: unknown event kind %d", ev.Kind)
 	}
 }
 
-// kindLabel names an event kind for error text.
-func kindLabel(k core.EventKind) string {
-	if k == core.WorkerArrival {
-		return "worker"
+// foldWindow folds one window flush's decisions. The flush's wall-clock
+// cost is attributed evenly across its decisions so latency aggregates
+// stay comparable with the greedy matchers' per-request observations.
+func (e *Engine) foldWindow(pid core.PlatformID, wds []online.WindowDecision, el time.Duration) error {
+	if len(wds) == 0 {
+		return nil
 	}
-	return "request"
+	e.s.res.Platforms[pid].addResponse(el)
+	share := el / time.Duration(len(wds))
+	for i := range wds {
+		wd := &wds[i]
+		if err := e.fold(pid, wd.Decision, wd.At, share); err != nil {
+			return err
+		}
+		if e.s.onFlush != nil {
+			e.s.onFlush(requestDecisionOf(wd.Request, wd.Decision, wd.At))
+		}
+	}
+	return nil
 }
 
-// eventPlatform extracts the platform an arrival event names, false
-// for malformed events (nil payload, unknown kind) — those fall
-// through to Process's own per-kind handling.
-func eventPlatform(ev core.Event) (core.PlatformID, bool) {
-	switch {
-	case ev.Kind == core.WorkerArrival && ev.Worker != nil:
-		return ev.Worker.Platform, true
-	case ev.Kind == core.RequestArrival && ev.Request != nil:
-		return ev.Request.Platform, true
+// fold books one final decision made at virtual time at: latency, Stats
+// and the metrics funnel, then for a served request the hub release, the
+// Matching and — with ServiceTicks — the recycled worker. It is the only
+// place a decision reaches any of them. Only the goroutine driving pid
+// may call it for that platform.
+func (e *Engine) fold(pid core.PlatformID, d online.Decision, at core.Time, el time.Duration) error {
+	s := e.s
+	pr := s.res.Platforms[pid]
+	pr.Latency.Observe(el)
+	pr.Stats.Observe(d)
+	if mc := s.cfg.Metrics; mc != nil {
+		mc.ObserveLatency(s.labels[pid], el)
+		mc.AddProbes(d.Probes)
+		mc.AddClaimRetries(d.ClaimRetries)
+		if d.CoopAttempted {
+			mc.CoopAttempt()
+		}
+		switch {
+		case d.Served && d.Assignment.Outer:
+			mc.MatchOuter()
+		case d.Served:
+			mc.MatchInner()
+		default:
+			mc.Reject()
+		}
 	}
-	return 0, false
+	if !d.Served {
+		return nil
+	}
+	// Release the hub's per-worker record. For inner assignments this is
+	// the eviction keeping the hub tables bounded; for outer ones Claim
+	// already did it and this is a no-op.
+	s.hub.WorkerAssigned(d.Assignment.Worker.ID)
+	if err := pr.Matching.Add(d.Assignment); err != nil {
+		return fmt.Errorf("platform %d: %w", pid, err)
+	}
+	if s.cfg.ServiceTicks <= 0 {
+		return nil
+	}
+	w := d.Assignment.Worker
+	earned := d.Assignment.Request.Value
+	if d.Assignment.Outer {
+		earned = d.Assignment.Payment
+	}
+	heap.Push(&e.recycle, &core.Worker{
+		ID:       s.nextID.Add(1),
+		Arrival:  at + s.cfg.ServiceTicks,
+		Loc:      d.Assignment.Request.Loc,
+		Radius:   w.Radius,
+		Platform: w.Platform,
+		History:  append(append([]float64(nil), w.History...), earned),
+	})
+	return nil
 }
 
 // AdvanceTime moves the engine's virtual clock to t without feeding an
@@ -247,27 +393,13 @@ func eventPlatform(ev core.Event) (core.PlatformID, bool) {
 // the clock, so later events must arrive at or after t, exactly like an
 // event at t.
 func (e *Engine) AdvanceTime(t core.Time) error {
-	if e.sh != nil {
-		// Nothing to settle: the sharded runtime has no recycled workers
-		// and no windowed matchers. Track the clock for regression checks.
-		if e.sh.closed {
-			return fmt.Errorf("platform: %w", ErrEngineClosed)
-		}
-		if !e.sh.started || t > e.sh.last {
-			e.sh.started = true
-			e.sh.last = t
-		}
-		return nil
-	}
 	if e.finished {
 		return fmt.Errorf("platform: %w", ErrEngineClosed)
 	}
 	if e.started && t <= e.last {
 		return nil
 	}
-	e.started = true
-	e.last = t
-	return e.s.settleDue(&e.recycle, &e.recycled, t, e.s.windowed)
+	return e.advance(t)
 }
 
 // SetDecisionHandler registers the hook receiving every window-flushed
@@ -276,23 +408,17 @@ func (e *Engine) AdvanceTime(t core.Time) error {
 // it before feeding events; the engine reads it without locking from
 // whichever call triggers a flush.
 func (e *Engine) SetDecisionHandler(fn func(RequestDecision)) {
-	if e.sh != nil {
-		// Windowed matchers are rejected with Shards > 1, so no deferred
-		// decision can ever flush; the handler would never fire.
-		return
+	// Windowed matchers are rejected with Shards > 1, so under shards no
+	// deferred decision can ever flush and the handler would never fire.
+	if e.sh == nil {
+		e.s.onFlush = fn
 	}
-	e.s.onFlush = fn
 }
 
 // Windowed reports whether any platform runs a windowed matcher — when
 // false, AdvanceTime can never flush anything and callers may skip
 // clock-driving entirely.
-func (e *Engine) Windowed() bool {
-	if e.sh != nil {
-		return false
-	}
-	return len(e.s.windowed) > 0
-}
+func (e *Engine) Windowed() bool { return len(e.wins) > 0 }
 
 // HasOpenWindow reports whether some windowed matcher is holding
 // buffered requests right now. The serving layer gates its virtual-time
@@ -307,12 +433,9 @@ func (e *Engine) HasOpenWindow() bool {
 // sequencer's virtual clock to tick (and WAL-log the tick) only when
 // the tick would actually flush something.
 func (e *Engine) NextFlush() (core.Time, bool) {
-	if e.sh != nil {
-		return 0, false
-	}
 	due, open := core.Time(0), false
-	for i := range e.s.windowed {
-		if t, ok := e.s.windowed[i].m.NextFlush(); ok && (!open || t < due) {
+	for i := range e.wins {
+		if t, ok := e.wins[i].m.NextFlush(); ok && (!open || t < due) {
 			due, open = t, true
 		}
 	}
@@ -332,25 +455,22 @@ func (e *Engine) ShardStats() []metrics.ShardSnapshot {
 
 // Finish settles everything still pending — recycled workers due after
 // the last event and the final open window, interleaved in virtual-time
-// order (every completed service counts as a re-arrival, mirroring the
-// end-of-stream settle of the batch runtime) — and returns the
-// accumulated Result. The engine is closed afterwards: further Process
-// or Finish calls return an error wrapping ErrEngineClosed.
+// order, so every completed service counts as a re-arrival and every
+// buffered request gets its decision — and returns the accumulated
+// Result. The engine is closed afterwards: further Process or Finish
+// calls return an error wrapping ErrEngineClosed.
 func (e *Engine) Finish() (*Result, error) {
-	if e.sh != nil {
-		return e.sh.finish()
-	}
 	if e.finished {
 		return nil, fmt.Errorf("platform: %w", ErrEngineClosed)
 	}
 	e.finished = true
-	if err := e.s.settleDue(&e.recycle, &e.recycled, core.Time(math.MaxInt64), e.s.windowed); err != nil {
+	if e.sh != nil {
+		return e.sh.finish()
+	}
+	if err := e.advance(core.Time(math.MaxInt64)); err != nil {
 		return nil, err
 	}
-	e.s.res.Recycled = e.recycled
-	e.s.res.Lent = e.s.hub.Lent()
-	e.s.foldPricing()
-	return e.s.res, nil
+	return e.s.finish(e.recycled), nil
 }
 
 // EventSource yields arrival events one at a time — the pull-based
@@ -361,10 +481,14 @@ type EventSource interface {
 	Next(ctx context.Context) (core.Event, error)
 }
 
-// streamSource adapts a pre-built stream to EventSource.
+// streamSource adapts a pre-built stream to EventSource. base is the
+// stream's maximum worker ID: RunSource seeds the recycled-worker
+// allocator with it, which is what makes a stream-backed source
+// reproduce Run under ServiceTicks.
 type streamSource struct {
 	events []core.Event
 	i      int
+	base   int64
 }
 
 func (ss *streamSource) Next(context.Context) (core.Event, error) {
@@ -377,48 +501,72 @@ func (ss *streamSource) Next(context.Context) (core.Event, error) {
 }
 
 // StreamSource returns an EventSource replaying the stream's events in
-// arrival order; RunSource over it reproduces Run on the same stream.
+// arrival order; RunSource over it is Run on the same stream.
 func StreamSource(s *core.Stream) EventSource {
-	return &streamSource{events: s.Events()}
+	return &streamSource{events: s.Events(), base: maxWorkerID(s)}
 }
 
 // RunSource executes an event source against one matcher per platform —
-// Run with arrivals pulled incrementally instead of sliced up front.
-// Cancellation mirrors RunContext: when ctx is canceled the run stops
-// at the next event boundary and returns the partial Result alongside
-// an error wrapping ctx.Err().
+// the sequential runtime behind Run, with arrivals pulled incrementally
+// instead of sliced up front. When ctx is canceled the run stops at the
+// next event boundary, settles what is pending (buffered BatchCOM
+// requests get their flush decision) and returns the partial Result
+// alongside an error wrapping ctx.Err().
 func RunSource(ctx context.Context, pids []core.PlatformID, factory MatcherFactory, src EventSource, cfg Config) (*Result, error) {
 	eng, err := NewEngine(pids, factory, cfg)
 	if err != nil {
 		return nil, err
 	}
+	if ss, ok := src.(*streamSource); ok {
+		if err := eng.SetRecycleBase(ss.base); err != nil {
+			return nil, err
+		}
+	}
+	return eng.run(ctx, src)
+}
+
+// run feeds src dry and finishes. The engine is finished on every path,
+// so a sharded engine's loops never outlive the run.
+func (e *Engine) run(ctx context.Context, src EventSource) (*Result, error) {
+	ferr := e.feed(ctx, src)
+	res, err := e.Finish()
+	if ferr != nil && !canceled(ctx, ferr) {
+		return nil, ferr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, ferr
+}
+
+// feed steps every event src yields into the engine, polling ctx every
+// cancelCheckMask+1 events.
+func (e *Engine) feed(ctx context.Context, src EventSource) error {
 	for i := 0; ; i++ {
 		if i&cancelCheckMask == 0 {
 			if cerr := ctx.Err(); cerr != nil {
-				res, ferr := eng.Finish()
-				if ferr != nil {
-					return nil, ferr
-				}
-				return res, fmt.Errorf("platform: run stopped after %d events: %w", i, cerr)
+				return fmt.Errorf("platform: run stopped after %d events: %w", i, cerr)
 			}
 		}
 		ev, err := src.Next(ctx)
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-				res, ferr := eng.Finish()
-				if ferr != nil {
-					return nil, ferr
-				}
-				return res, fmt.Errorf("platform: run stopped after %d events: %w", i, err)
+			if canceled(ctx, err) {
+				return fmt.Errorf("platform: run stopped after %d events: %w", i, err)
 			}
-			return nil, fmt.Errorf("platform: event source: %w", err)
+			return fmt.Errorf("platform: event source: %w", err)
 		}
-		if _, err := eng.Process(ev); err != nil {
-			return nil, err
+		if _, err := e.step(ev, false); err != nil {
+			return err
 		}
 	}
-	return eng.Finish()
+}
+
+// canceled reports whether err is ctx's own cancellation — the one
+// failure a run answers with a partial Result.
+func canceled(ctx context.Context, err error) bool {
+	cerr := ctx.Err()
+	return cerr != nil && errors.Is(err, cerr)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"crossmatch/internal/core"
@@ -58,43 +59,6 @@ func assertSameResult(t *testing.T, want, got *Result) {
 					pid, i, wa[i].Request.ID, wa[i].Worker.ID, wa[i].Payment, wa[i].Outer,
 					ga[i].Request.ID, ga[i].Worker.ID, ga[i].Payment, ga[i].Outer)
 			}
-		}
-	}
-}
-
-// TestEngineMatchesRun feeds a stream's events through the incremental
-// Engine and asserts the result is bit-identical to the batch Run —
-// with and without worker recycling (which exercises SetRecycleBase).
-func TestEngineMatchesRun(t *testing.T) {
-	stream := feedTestStream(t, 400, 120, 7)
-	for _, alg := range []string{AlgTOTA, AlgDemCOM, AlgRamCOM, AlgBatchCOM} {
-		for _, ticks := range []core.Time{0, 3} {
-			factory, err := FactoryConfigured(alg, AlgConfig{MaxValue: stream.MaxValue(), Window: 8})
-			if err != nil {
-				t.Fatalf("FactoryConfigured(%s): %v", alg, err)
-			}
-			cfg := Config{Seed: 99, ServiceTicks: ticks}
-			want, err := Run(stream, factory, cfg)
-			if err != nil {
-				t.Fatalf("%s ticks=%d: Run: %v", alg, ticks, err)
-			}
-			eng, err := NewEngine(stream.Platforms(), factory, cfg)
-			if err != nil {
-				t.Fatalf("%s ticks=%d: NewEngine: %v", alg, ticks, err)
-			}
-			if err := eng.SetRecycleBase(maxWorkerID(stream)); err != nil {
-				t.Fatalf("SetRecycleBase: %v", err)
-			}
-			for _, ev := range stream.Events() {
-				if _, err := eng.Process(ev); err != nil {
-					t.Fatalf("%s ticks=%d: Process: %v", alg, ticks, err)
-				}
-			}
-			got, err := eng.Finish()
-			if err != nil {
-				t.Fatalf("%s ticks=%d: Finish: %v", alg, ticks, err)
-			}
-			assertSameResult(t, want, got)
 		}
 	}
 }
@@ -237,23 +201,77 @@ func TestEngineUnknownPlatform(t *testing.T) {
 	}
 }
 
-// TestRunSourceMatchesRun: the pull-based runtime over a stream-backed
-// source reproduces the batch run bit for bit.
-func TestRunSourceMatchesRun(t *testing.T) {
-	stream := feedTestStream(t, 350, 110, 13)
-	factory, err := FactoryFor(AlgDemCOM, stream.MaxValue())
-	if err != nil {
-		t.Fatalf("FactoryFor: %v", err)
+// TestEngineRejectedEventLeavesState: an event the engine rejects must
+// not move it. The rejects below all carry a far-future time, so an
+// engine that touched its clock (or settled) before validating would
+// flush the open window, drain the recycle heap and fail every later
+// in-order event with ErrTimeRegression.
+func TestEngineRejectedEventLeavesState(t *testing.T) {
+	stream := feedTestStream(t, 400, 120, 7)
+	far := core.Time(math.MaxInt64 - 1)
+	for _, tc := range []struct {
+		name string
+		alg  string
+		cfg  Config
+	}{
+		{"unsharded", AlgBatchCOM, Config{Seed: 99, ServiceTicks: 3}},
+		{"shards3", AlgTOTA, Config{Seed: 99, Shards: 3, ShardReach: maxWorkerRadius(stream)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			factory, err := FactoryConfigured(tc.alg, AlgConfig{MaxValue: stream.MaxValue(), Window: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewEngine(stream.Platforms(), factory, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Feed until the state a premature settle would destroy exists:
+			// an open window and a pending recycled worker (unsharded).
+			events := stream.Events()
+			i := 0
+			for ; i < len(events)/2 || (tc.cfg.Shards == 0 && (!eng.HasOpenWindow() || len(eng.recycle) == 0)); i++ {
+				if _, err := eng.Process(events[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last := eng.last
+			flushAt, open := eng.NextFlush()
+			pending := len(eng.recycle)
+
+			rejects := []core.Event{
+				{Kind: 9, Time: far},
+				{Kind: core.RequestArrival, Time: far},
+				{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9001, Arrival: far, Radius: 1, Platform: 77}},
+			}
+			if tc.cfg.Shards > 1 {
+				over := core.Event{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9000, Arrival: far, Radius: 50, Platform: 1, History: []float64{1}}}
+				if _, err := eng.Process(over); !errors.Is(err, ErrShardReach) {
+					t.Fatalf("over-reach worker: %v, want ErrShardReach", err)
+				}
+			}
+			for _, ev := range rejects {
+				if _, err := eng.Process(ev); err == nil {
+					t.Fatalf("event %+v accepted", ev)
+				}
+			}
+			if eng.last != last {
+				t.Fatalf("clock moved from %d to %d by rejected events", last, eng.last)
+			}
+			if at, ok := eng.NextFlush(); at != flushAt || ok != open {
+				t.Fatalf("NextFlush %d/%v, want %d/%v", at, ok, flushAt, open)
+			}
+			if len(eng.recycle) != pending {
+				t.Fatalf("recycle heap %d, want %d", len(eng.recycle), pending)
+			}
+			if _, err := eng.Process(events[i]); err != nil {
+				t.Fatalf("next in-order event after rejections: %v", err)
+			}
+			if _, err := eng.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	want, err := Run(stream, factory, Config{Seed: 21})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	got, err := RunSource(context.Background(), stream.Platforms(), factory, StreamSource(stream), Config{Seed: 21})
-	if err != nil {
-		t.Fatalf("RunSource: %v", err)
-	}
-	assertSameResult(t, want, got)
 }
 
 // blockingSource yields a few events then blocks until its context

@@ -1,9 +1,12 @@
 package platform
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"crossmatch/internal/core"
@@ -60,11 +63,7 @@ func goldenOf(t *testing.T, res *Result) goldenRow {
 	for pid := range res.Platforms {
 		pids = append(pids, pid)
 	}
-	for i := 1; i < len(pids); i++ {
-		for j := i; j > 0 && pids[j] < pids[j-1]; j-- {
-			pids[j], pids[j-1] = pids[j-1], pids[j]
-		}
-	}
+	slices.Sort(pids)
 	for _, pid := range pids {
 		pr := res.Platforms[pid]
 		g.requests += pr.Stats.Requests
@@ -97,23 +96,69 @@ func (g goldenRow) String() string {
 		g.alg, g.ticks, g.shards, g.requests, g.served, g.outer, g.recycled, g.revenue, g.digest)
 }
 
+// goldenDrivers are the ways a stream reaches the engine's step. They
+// must all land on the same bits: Run (which derives the shard reach and
+// seeds the recycle allocator itself), RunSource over a stream-backed
+// source, and a hand-fed Engine taking a reply per request the way the
+// serving layer does.
+var goldenDrivers = []struct {
+	name string
+	run  func(*core.Stream, MatcherFactory, Config) (*Result, error)
+}{
+	{"Run", Run},
+	{"RunSource", func(stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
+		cfg.ShardReach = maxWorkerRadius(stream)
+		return RunSource(context.Background(), stream.Platforms(), factory, StreamSource(stream), cfg)
+	}},
+	{"Engine", func(stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
+		cfg.ShardReach = maxWorkerRadius(stream)
+		eng, err := NewEngine(stream.Platforms(), factory, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := eng.SetRecycleBase(maxWorkerID(stream)); err != nil {
+			return nil, err
+		}
+		for _, ev := range stream.Events() {
+			if _, err := eng.Process(ev); err != nil {
+				return nil, err
+			}
+		}
+		if st := eng.ShardStats(); cfg.Shards > 1 && len(st) != cfg.Shards {
+			return nil, fmt.Errorf("ShardStats has %d entries, want %d", len(st), cfg.Shards)
+		}
+		res, err := eng.Finish()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := eng.Process(core.Event{}); !errors.Is(err, ErrEngineClosed) {
+			return nil, fmt.Errorf("Process after Finish: %v, want ErrEngineClosed", err)
+		}
+		return res, nil
+	}},
+}
+
 // TestGoldenRuns pins the bits of every algorithm × ServiceTicks × Shards
-// combination on one fixed stream. The values predate the refactor that
-// made Run the Engine fed from a stream, so the test is the proof that
-// the refactor moved no decision.
+// combination on one fixed stream, through every driver. The values
+// predate the refactor that made Run the Engine fed from a stream, so
+// the test is the proof that the refactor moved no decision — and it
+// replaces the Run ≡ Engine ≡ RunSource parity tests, which after the
+// refactor would compare a path with itself.
 func TestGoldenRuns(t *testing.T) {
 	stream := feedTestStream(t, 400, 120, 7)
 	for _, want := range goldenRows {
-		t.Run(fmt.Sprintf("%s/ticks%d/shards%d", want.alg, want.ticks, want.shards), func(t *testing.T) {
-			factory, cfg := goldenConfig(t, stream, want)
-			res, err := Run(stream, factory, cfg)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if got := withKey(goldenOf(t, res), want); got != want {
-				t.Fatalf("Run\n got %v\nwant %v", got, want)
-			}
-		})
+		for _, drv := range goldenDrivers {
+			t.Run(fmt.Sprintf("%s/ticks%d/shards%d/%s", want.alg, want.ticks, want.shards, drv.name), func(t *testing.T) {
+				factory, cfg := goldenConfig(t, stream, want)
+				res, err := drv.run(stream, factory, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := withKey(goldenOf(t, res), want); got != want {
+					t.Fatalf("\n got %v\nwant %v", got, want)
+				}
+			})
+		}
 	}
 }
 

@@ -9,6 +9,24 @@ import (
 	"crossmatch/internal/pricing"
 )
 
+// runForState runs the stream the way Run does and also hands back the
+// run's state, for tests that inspect the hub and pools afterwards.
+func runForState(t *testing.T, stream *core.Stream, factory MatcherFactory, cfg Config) (*runState, *Result) {
+	t.Helper()
+	eng, err := NewEngine(stream.Platforms(), factory, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetRecycleBase(maxWorkerID(stream)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.run(context.Background(), StreamSource(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.s, res
+}
+
 // hubTableLens reads the sizes of the hub's three per-worker tables.
 func hubTableLens(h *Hub) (owner, histories, claimed int) {
 	h.mu.Lock()
@@ -35,14 +53,7 @@ func TestHubTablesEmptyAfterDrainedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newRunState(stream, TOTAFactory(), Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.runSequential(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, res := runForState(t, stream, TOTAFactory(), Config{Seed: 1})
 	if res.TotalServed() != 2 {
 		t.Fatalf("served %d of 2 requests; stream not drained as designed", res.TotalServed())
 	}
@@ -59,14 +70,8 @@ func TestHubTablesEmptyAfterDrainedRun(t *testing.T) {
 // record, and no record outlives its worker.
 func TestHubTablesStayInSyncOnLongRecycledRun(t *testing.T) {
 	stream := multiStream(t, 3, 600, 90, 19)
-	s, err := newRunState(stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
+	s, _ := runForState(t, stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
 		Config{Seed: 19, ServiceTicks: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.runSequential(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	inPools := map[int64]bool{}
 	for _, pid := range s.pids {
 		s.matchers[pid].(poolHolder).Pool().Each(func(w *core.Worker) bool {

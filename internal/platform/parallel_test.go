@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -260,14 +258,8 @@ func TestHubReleasesAssignedWorkers(t *testing.T) {
 // waiting in the platform pools, not every worker that ever arrived.
 func TestRunReleasesHubRecords(t *testing.T) {
 	stream := multiStream(t, 3, 500, 80, 11)
-	s, err := newRunState(stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
+	s, _ := runForState(t, stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
 		Config{Seed: 11, ServiceTicks: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.runSequential(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	waiting := 0
 	for _, pid := range s.pids {
 		waiting += s.matchers[pid].(poolHolder).Pool().Len()
@@ -298,26 +290,6 @@ func TestRecycleFlushAtEndOfStream(t *testing.T) {
 	}
 	if res.Recycled != 1 {
 		t.Fatalf("Recycled = %d, want 1 (re-arrival after last event must flush)", res.Recycled)
-	}
-}
-
-// TestPlatformParallelCancellation checks the concurrent runtime's
-// cancellation contract: a canceled context stops every platform
-// goroutine, the partial result is returned, and the error wraps
-// context.Canceled with the failing platform named.
-func TestPlatformParallelCancellation(t *testing.T) {
-	stream := multiStream(t, 3, 400, 60, 3)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already canceled: every platform stops at its first poll
-	res, err := RunContext(ctx, stream, TOTAFactory(), Config{Seed: 3, PlatformParallel: true})
-	if err == nil {
-		t.Fatal("canceled parallel run returned no error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
-	}
-	if res == nil {
-		t.Fatal("canceled parallel run returned no partial result")
 	}
 }
 

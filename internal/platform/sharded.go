@@ -10,11 +10,11 @@ package platform
 // touches, with remote claims committed through the target hub's
 // per-worker atomic claim word.
 //
-// Determinism: the dispatcher (the stream partition pass offline, the
-// serving sequencer live) assigns every event a global sequence number;
-// the shard.Coordinator's frontier gates order all cross-shard
-// interaction by those numbers, so with a zero stall timeout repeated
-// runs are bit-identical. The documented merge order is cell-major,
+// Determinism: the dispatcher (the stream feeder offline, the serving
+// sequencer live — both through Engine.step) assigns every event a
+// global sequence number; the shard.Coordinator's frontier gates order
+// all cross-shard interaction by those numbers, so with a zero stall
+// timeout repeated runs are bit-identical. The documented merge order is cell-major,
 // ID-canonical: shard results merge in ascending shard index per
 // platform, and each shard's matching is already in its own event
 // order, so the merged Result is a pure function of (stream, factory,
@@ -98,21 +98,51 @@ type shardCounters struct {
 	degraded  atomic.Int64
 }
 
-// shardedRun is the shared machinery of a sharded run: the partitioner
-// and coordinator, one runState per shard, and the per-shard boundary
-// context the cooperation views read.
-type shardedRun struct {
-	cfg    Config
-	part   *shard.Partitioner
-	co     *shard.Coordinator
-	reach  float64
-	pids   []core.PlatformID
-	states []*runState
+// shardItem is one dispatched event in a shard queue.
+type shardItem struct {
+	seq      int64
+	ev       core.Event
+	targets  []int
+	boundary bool
+	// reply, when non-nil, receives the decision synchronously (a
+	// request the caller waits on); everything else flows
+	// fire-and-forget and surfaces errors on the next step.
+	reply chan shardReply
+}
+
+type shardReply struct {
+	d   RequestDecision
+	err error
+}
+
+// shardedEngine is the geo-sharded runtime behind an Engine façade: the
+// partitioner and coordinator, one unsharded Engine per shard (its own
+// runState: hub, matchers, results) driven by that shard's loop from its
+// queue, and the per-shard boundary context the cooperation views read.
+// The façade validates and sequences events; dispatch deals them to the
+// queues, and each loop gates an event on the coordinator's frontiers
+// and then applies it through the same Engine.apply every other runtime
+// uses.
+type shardedEngine struct {
+	cfg     Config
+	part    *shard.Partitioner
+	co      *shard.Coordinator
+	reach   float64
+	pids    []core.PlatformID
+	engines []*Engine
+	queues  []*shardQueue
 	// cur[s].targets is the granted target set of the boundary event
 	// shard s is currently processing (nil otherwise); only shard s's
 	// goroutine touches its entry while the matcher runs.
 	cur   []struct{ targets []int }
 	stats []shardCounters
+
+	wg      sync.WaitGroup
+	reply   chan shardReply
+	nextSeq int64
+	// tscratch is the dispatcher's target-classification scratch; a
+	// boundary item gets an exact-size copy.
+	tscratch []int
 
 	errMu    sync.Mutex
 	firstErr error
@@ -121,62 +151,74 @@ type shardedRun struct {
 
 // fail records the error of the earliest-sequence failing event and
 // closes the coordinator so every other shard drains out.
-func (sr *shardedRun) fail(seq int64, err error) {
-	sr.errMu.Lock()
-	if sr.firstErr == nil || seq < sr.errSeq {
-		sr.firstErr, sr.errSeq = err, seq
+func (se *shardedEngine) fail(seq int64, err error) {
+	se.errMu.Lock()
+	if se.firstErr == nil || seq < se.errSeq {
+		se.firstErr, se.errSeq = err, seq
 	}
-	sr.errMu.Unlock()
-	sr.co.Close()
+	se.errMu.Unlock()
+	se.co.Close()
 }
 
-func (sr *shardedRun) loadErr() error {
-	sr.errMu.Lock()
-	defer sr.errMu.Unlock()
-	return sr.firstErr
+func (se *shardedEngine) loadErr() error {
+	se.errMu.Lock()
+	defer se.errMu.Unlock()
+	return se.firstErr
 }
 
-func newShardedRun(pids []core.PlatformID, factory MatcherFactory, cfg Config, reach float64) (*shardedRun, error) {
+// newShardedEngine builds the shard states and starts one loop per
+// shard; finish stops them. reach is the eligibility radius boundary
+// crossings are planned for: Config.ShardReach for an incremental
+// engine, the stream's max worker radius when a stream run derives it.
+func newShardedEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config, reach float64) (*shardedEngine, error) {
 	if err := shardUnsupported(cfg); err != nil {
 		return nil, err
 	}
 	n := cfg.Shards
-	sr := &shardedRun{
+	se := &shardedEngine{
 		cfg:   cfg,
 		part:  shard.NewPartitioner(n, index.DefaultCell),
 		reach: reach,
 		pids:  append([]core.PlatformID(nil), pids...),
 		cur:   make([]struct{ targets []int }, n),
 		stats: make([]shardCounters, n),
+		reply: make(chan shardReply, 1),
 	}
-	sr.co = shard.New(n, shard.Options{
+	se.co = shard.New(n, shard.Options{
 		StallTimeout: cfg.ShardStallTimeout,
 		Metrics:      cfg.Metrics,
 	})
 	for i := 0; i < n; i++ {
 		scfg := cfg
 		scfg.Seed = shardSeed(cfg.Seed, i)
-		st, err := newRunStateWith(pids, factory, scfg, sr.viewWrap(i), false)
+		st, err := newRunState(pids, factory, scfg, se.viewWrap(i), false)
 		if err != nil {
 			return nil, err
 		}
 		if len(st.windowed) > 0 {
 			return nil, fmt.Errorf("platform: windowed matcher %q %w", st.windowed[0].m.Name(), ErrShardUnsupported)
 		}
-		st.hub.seal()
-		sr.states = append(sr.states, st)
+		se.engines = append(se.engines, &Engine{s: st})
+		se.queues = append(se.queues, newShardQueue(se.co, i))
 	}
 	cfg.Metrics.RunStarted()
-	return sr, nil
+	for i := range se.engines {
+		se.wg.Add(1)
+		go func(i int) {
+			defer se.wg.Done()
+			se.loop(i)
+		}(i)
+	}
+	return se, nil
 }
 
 // viewWrap splices the cross-shard cooperation view in front of shard
 // i's hub views: local candidates keep flowing from the shard's own
 // hub, and boundary requests additionally see (and claim from) the hubs
 // of their granted target shards.
-func (sr *shardedRun) viewWrap(i int) func(core.PlatformID, online.CoopView) online.CoopView {
+func (se *shardedEngine) viewWrap(i int) func(core.PlatformID, online.CoopView) online.CoopView {
 	return func(pid core.PlatformID, base online.CoopView) online.CoopView {
-		return &shardCoopView{sr: sr, si: i, pid: pid, base: base, remote: map[int64]int{}}
+		return &shardCoopView{se: se, si: i, pid: pid, base: base, remote: map[int64]int{}}
 	}
 }
 
@@ -186,7 +228,7 @@ func (sr *shardedRun) viewWrap(i int) func(core.PlatformID, online.CoopView) onl
 // the goroutine driving the shard and reuses its scratch across
 // requests.
 type shardCoopView struct {
-	sr   *shardedRun
+	se   *shardedEngine
 	si   int
 	pid  core.PlatformID
 	base online.CoopView
@@ -213,7 +255,7 @@ func (v *shardCoopView) EligibleOuter(r *core.Request) []online.Candidate {
 		clear(v.remote)
 	}
 	local := v.base.EligibleOuter(r)
-	targets := v.sr.cur[v.si].targets
+	targets := v.se.cur[v.si].targets
 	if len(targets) == 0 {
 		return local
 	}
@@ -225,7 +267,7 @@ func (v *shardCoopView) EligibleOuter(r *core.Request) []online.Candidate {
 }
 
 func (v *shardCoopView) appendRemote(t int, r *core.Request) {
-	th := v.sr.states[t].hub
+	th := v.se.engines[t].s.hub
 	if th.CoopDisabled {
 		return
 	}
@@ -261,32 +303,30 @@ func (v *shardCoopView) Claim(workerID int64) bool {
 	if !ok {
 		return v.base.Claim(workerID)
 	}
-	cnt := &v.sr.stats[v.si]
-	if v.sr.states[t].hub.claim(v.pid, workerID, v.now, false) {
+	cnt := &v.se.stats[v.si]
+	if v.se.engines[t].s.hub.claim(v.pid, workerID, v.now, false) {
 		cnt.borrows.Add(1)
-		v.sr.cfg.Metrics.CrossShardBorrow()
+		v.se.cfg.Metrics.CrossShardBorrow()
 		return true
 	}
 	cnt.conflicts.Add(1)
 	return false
 }
 
-// shardSnapshots folds the per-shard counters into the metrics shape;
-// queueDepth, when non-nil, supplies live queue depths (engine mode).
-func (sr *shardedRun) shardSnapshots(queueDepth func(int) int64) []metrics.ShardSnapshot {
-	out := make([]metrics.ShardSnapshot, len(sr.states))
+// shardStats folds the live per-shard counters and queue depths into
+// the metrics shape.
+func (se *shardedEngine) shardStats() []metrics.ShardSnapshot {
+	out := make([]metrics.ShardSnapshot, len(se.engines))
 	for i := range out {
-		c := &sr.stats[i]
+		c := &se.stats[i]
 		out[i] = metrics.ShardSnapshot{
 			Shard:          i,
 			Applied:        c.applied.Load(),
+			QueueDepth:     se.queues[i].depth.Load(),
 			BoundaryEvents: c.boundary.Load(),
 			Borrows:        c.borrows.Load(),
 			ClaimConflicts: c.conflicts.Load(),
 			Degraded:       c.degraded.Load(),
-		}
-		if queueDepth != nil {
-			out[i].QueueDepth = queueDepth(i)
 		}
 	}
 	return out
@@ -298,20 +338,20 @@ func (sr *shardedRun) shardSnapshots(queueDepth func(int) int64) []metrics.Shard
 // worker assigned by two shards — impossible under the protocol, but
 // the property the whole design rests on — fails the merge loudly
 // instead of producing an invalid Result.
-func (sr *shardedRun) merge() (*Result, error) {
+func (se *shardedEngine) merge() (*Result, error) {
 	res := &Result{
-		Platforms: make(map[core.PlatformID]*PlatformResult, len(sr.pids)),
-		Lent:      make(map[core.PlatformID]int, len(sr.pids)),
+		Platforms: make(map[core.PlatformID]*PlatformResult, len(se.pids)),
+		Lent:      make(map[core.PlatformID]int, len(se.pids)),
 	}
-	for _, pid := range sr.pids {
+	for _, pid := range se.pids {
 		agg := &PlatformResult{
 			ID:       pid,
-			Name:     sr.states[0].res.Platforms[pid].Name,
+			Name:     se.engines[0].s.res.Platforms[pid].Name,
 			Matching: core.NewMatching(),
-			Latency:  stats.NewReservoir(0, sr.cfg.Seed^int64(pid)),
+			Latency:  stats.NewReservoir(0, se.cfg.Seed^int64(pid)),
 		}
-		for si, st := range sr.states {
-			pr := st.res.Platforms[pid]
+		for si, eng := range se.engines {
+			pr := eng.s.res.Platforms[pid]
 			agg.Stats.Requests += pr.Stats.Requests
 			agg.Stats.Served += pr.Stats.Served
 			agg.Stats.ServedInner += pr.Stats.ServedInner
@@ -333,32 +373,22 @@ func (sr *shardedRun) merge() (*Result, error) {
 		}
 		res.Platforms[pid] = agg
 	}
-	for _, st := range sr.states {
-		for pid, n := range st.hub.Lent() {
+	for _, eng := range se.engines {
+		for pid, n := range eng.s.hub.Lent() {
 			res.Lent[pid] += n
 		}
 	}
 	return res, nil
 }
 
-// foldShardPricing folds every shard's matcher pricing counters; call
-// only after the shard loops have stopped.
-func (sr *shardedRun) foldShardPricing() {
-	for _, st := range sr.states {
-		st.foldPricing()
+// shardEventLoc returns the location that assigns a validated event to
+// a shard — the same key the fleet router partitions by
+// (route.SplitStream).
+func shardEventLoc(ev core.Event) geo.Point {
+	if ev.Kind == core.WorkerArrival {
+		return ev.Worker.Loc
 	}
-}
-
-// shardEventLoc returns the location that assigns an event to a shard —
-// the same key the fleet router partitions by (route.SplitStream).
-func shardEventLoc(ev core.Event) (geo.Point, bool) {
-	switch {
-	case ev.Kind == core.WorkerArrival && ev.Worker != nil:
-		return ev.Worker.Loc, true
-	case ev.Kind == core.RequestArrival && ev.Request != nil:
-		return ev.Request.Loc, true
-	}
-	return geo.Point{}, false
+	return ev.Request.Loc
 }
 
 // maxWorkerRadius scans a stream for the largest worker eligibility
@@ -373,114 +403,9 @@ func maxWorkerRadius(stream *core.Stream) float64 {
 	return r
 }
 
-// shardPlan is one shard's slice of a partitioned stream: the indices
-// of its events in the global stream (the index doubles as the event's
-// global sequence number) and the precomputed boundary subset with its
-// target sets.
-type shardPlan struct {
-	evIdx    []int32
-	bSeqs    []int64
-	bTargets [][]int
-}
-
-// partition deals a stream's events to shards and classifies boundary
-// requests, in one single-goroutine pass (the partitioner is not
-// concurrent-safe, and the pass is what assigns sequence numbers).
-func (sr *shardedRun) partition(stream *core.Stream) ([]shardPlan, error) {
-	events := stream.Events()
-	plans := make([]shardPlan, len(sr.states))
-	counts := make([]int, len(sr.states))
-	for _, ev := range events {
-		loc, ok := shardEventLoc(ev)
-		if !ok {
-			return nil, fmt.Errorf("platform: sharded run: event with nil payload")
-		}
-		counts[sr.part.ShardOf(loc)]++
-	}
-	for s := range plans {
-		plans[s].evIdx = make([]int32, 0, counts[s])
-	}
-	var tscratch []int
-	for i, ev := range events {
-		p, _ := shardEventLoc(ev)
-		s := sr.part.ShardOf(p)
-		pl := &plans[s]
-		pl.evIdx = append(pl.evIdx, int32(i))
-		if ev.Kind == core.RequestArrival && !sr.cfg.DisableCoop {
-			tscratch = sr.part.AppendTargets(tscratch[:0], s, p, sr.reach)
-			if len(tscratch) > 0 {
-				pl.bSeqs = append(pl.bSeqs, int64(i))
-				pl.bTargets = append(pl.bTargets, append([]int(nil), tscratch...))
-			}
-		}
-	}
-	return plans, nil
-}
-
-// bulkLoop drives one shard through its slice of a partitioned stream.
-// Sequence numbers are the global event indices; the loop publishes its
-// progress frontier after each event and resolves its boundary frontier
-// as boundary events commit.
-func (sr *shardedRun) bulkLoop(ctx context.Context, si int, pl shardPlan, events []core.Event) {
-	st := sr.states[si]
-	cnt := &sr.stats[si]
-	bi := 0
-	for k, idx := range pl.evIdx {
-		if k&cancelCheckMask == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				sr.fail(int64(idx), fmt.Errorf("shard %d stopped after %d of %d events: %w", si, k, len(pl.evIdx), cerr))
-				return
-			}
-		}
-		seq := int64(idx)
-		ev := events[idx]
-		if hold := testShardHold; hold != nil {
-			hold(si, seq)
-		}
-		boundary := bi < len(pl.bSeqs) && pl.bSeqs[bi] == seq
-		if boundary {
-			g := sr.co.WaitClaim(si, seq, pl.bTargets[bi], ev.Time)
-			if !g.OK {
-				return
-			}
-			sr.cur[si].targets = g.Targets
-			cnt.boundary.Add(1)
-			if g.Degraded {
-				cnt.degraded.Add(1)
-			}
-		} else if !sr.co.WaitLocal(si, seq) {
-			return
-		}
-		var err error
-		switch ev.Kind {
-		case core.WorkerArrival:
-			err = st.deliver(ev.Worker)
-		case core.RequestArrival:
-			_, _, err = st.handleRequest(ev)
-		}
-		sr.cur[si].targets = nil
-		if boundary {
-			bi++
-			nb := shard.None
-			if bi < len(pl.bSeqs) {
-				nb = pl.bSeqs[bi]
-			}
-			sr.co.SetBoundary(si, nb)
-		}
-		next := shard.None
-		if k+1 < len(pl.evIdx) {
-			next = int64(pl.evIdx[k+1])
-		}
-		sr.co.SetPend(si, next)
-		cnt.applied.Add(1)
-		if err != nil {
-			sr.fail(seq, err)
-			return
-		}
-	}
-}
-
-// runSharded is the bulk (stream) entry point of the sharded runtime.
+// runSharded is the stream feeder of the sharded runtime: derive the
+// reach from the stream, build the sharded engine and feed it without
+// waiting on per-request replies — the shards fold their own decisions.
 func runSharded(ctx context.Context, stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
 	reach := cfg.ShardReach
 	maxR := maxWorkerRadius(stream)
@@ -489,67 +414,11 @@ func runSharded(ctx context.Context, stream *core.Stream, factory MatcherFactory
 	} else if maxR > reach {
 		return nil, fmt.Errorf("platform: %w: stream max %v > %v", ErrShardReach, maxR, cfg.ShardReach)
 	}
-	sr, err := newShardedRun(stream.Platforms(), factory, cfg, reach)
+	sh, err := newShardedEngine(stream.Platforms(), factory, cfg, reach)
 	if err != nil {
 		return nil, err
 	}
-	plans, err := sr.partition(stream)
-	if err != nil {
-		return nil, err
-	}
-	for s := range plans {
-		first, firstB := shard.None, shard.None
-		if len(plans[s].evIdx) > 0 {
-			first = int64(plans[s].evIdx[0])
-		}
-		if len(plans[s].bSeqs) > 0 {
-			firstB = plans[s].bSeqs[0]
-		}
-		sr.co.SetPend(s, first)
-		sr.co.SetBoundary(s, firstB)
-	}
-	events := stream.Events()
-	var wg sync.WaitGroup
-	for s := range sr.states {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sr.bulkLoop(ctx, s, plans[s], events)
-		}(s)
-	}
-	wg.Wait()
-	sr.co.Close()
-	sr.foldShardPricing()
-	cfg.Metrics.RecordShards(sr.shardSnapshots(nil))
-	if err := sr.loadErr(); err != nil {
-		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			// Mirror runSequential's cancellation contract: partial
-			// Result alongside the wrapped context error.
-			res, merr := sr.merge()
-			if merr != nil {
-				return nil, merr
-			}
-			return res, fmt.Errorf("platform: %w", err)
-		}
-		return nil, err
-	}
-	return sr.merge()
-}
-
-// shardItem is one dispatched event in an engine-mode shard queue.
-type shardItem struct {
-	seq      int64
-	ev       core.Event
-	targets  []int
-	boundary bool
-	// reply, when non-nil, receives the decision synchronously (request
-	// arrivals); worker arrivals flow fire-and-forget.
-	reply chan shardReply
-}
-
-type shardReply struct {
-	d   RequestDecision
-	err error
+	return (&Engine{sh: sh}).run(ctx, StreamSource(stream))
 }
 
 // shardQueue is one shard's FIFO dispatch queue. It owns the shard's
@@ -578,8 +447,22 @@ func newShardQueue(co *shard.Coordinator, si int) *shardQueue {
 	return q
 }
 
+// shardQueueBound caps the items a shard queue holds. A dispatcher
+// outrunning a shard blocks in push instead of materializing the rest of
+// the stream as queued items — and a wedged shard back-pressures live
+// arrivals instead of growing without bound. Blocking is deadlock-free:
+// every event ordered before a queued one is itself already queued, so
+// the lowest-sequence event is always runnable and every queue drains.
+const shardQueueBound = 4096
+
 func (q *shardQueue) push(it shardItem) {
 	q.mu.Lock()
+	// The single dispatcher and the shard's single loop are the cond's
+	// only waiters, and never both at once: a queue is not empty and
+	// full together.
+	for len(q.items)-q.head >= shardQueueBound {
+		q.cond.Wait()
+	}
 	wasIdle := q.head == len(q.items) && !q.inflight
 	q.items = append(q.items, it)
 	q.depth.Add(1)
@@ -617,6 +500,7 @@ func (q *shardQueue) pop() (shardItem, bool) {
 	}
 	q.inflight = true
 	q.depth.Add(-1)
+	q.cond.Signal()
 	q.mu.Unlock()
 	return it, true
 }
@@ -648,50 +532,12 @@ func (q *shardQueue) close() {
 	q.mu.Unlock()
 }
 
-// shardedEngine is the incremental (serving) face of the sharded
-// runtime: the Engine façade dispatches events to per-shard queues and
-// the shard loops drive the same gates and views as the bulk path.
-// Worker arrivals are asynchronous (their errors surface on the next
-// Process call); request arrivals block for their decision, during
-// which every other shard keeps consuming its queue.
-type shardedEngine struct {
-	sr      *shardedRun
-	queues  []*shardQueue
-	wg      sync.WaitGroup
-	reply   chan shardReply
-	nextSeq int64
-	last    core.Time
-	started bool
-	closed  bool
-}
-
-func newShardedEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*shardedEngine, error) {
-	if cfg.ShardReach <= 0 {
-		return nil, fmt.Errorf("platform: sharded engine requires ShardReach > 0 (the incremental engine cannot derive it from future arrivals)")
-	}
-	sr, err := newShardedRun(pids, factory, cfg, cfg.ShardReach)
-	if err != nil {
-		return nil, err
-	}
-	se := &shardedEngine{sr: sr, reply: make(chan shardReply, 1)}
-	for s := range sr.states {
-		se.queues = append(se.queues, newShardQueue(sr.co, s))
-	}
-	for s := range sr.states {
-		se.wg.Add(1)
-		go func(s int) {
-			defer se.wg.Done()
-			se.loop(s)
-		}(s)
-	}
-	return se, nil
-}
-
+// loop drives shard si: pop, gate on the coordinator's frontiers, apply
+// through the shard's Engine, publish.
 func (se *shardedEngine) loop(si int) {
-	sr := se.sr
-	st := sr.states[si]
+	eng := se.engines[si]
 	q := se.queues[si]
-	cnt := &sr.stats[si]
+	cnt := &se.stats[si]
 	for {
 		it, ok := q.pop()
 		if !ok {
@@ -702,23 +548,23 @@ func (se *shardedEngine) loop(si int) {
 		}
 		gated := true
 		if it.boundary {
-			g := sr.co.WaitClaim(si, it.seq, it.targets, it.ev.Time)
+			g := se.co.WaitClaim(si, it.seq, it.targets, it.ev.Time)
 			gated = g.OK
 			if gated {
-				sr.cur[si].targets = g.Targets
+				se.cur[si].targets = g.Targets
 				cnt.boundary.Add(1)
 				if g.Degraded {
 					cnt.degraded.Add(1)
 				}
 			}
 		} else {
-			gated = sr.co.WaitLocal(si, it.seq)
+			gated = se.co.WaitLocal(si, it.seq)
 		}
 		if !gated {
 			// Coordinator closed: another shard failed. Drain without
 			// processing so a blocked Process caller gets an answer.
 			if it.reply != nil {
-				err := sr.loadErr()
+				err := se.loadErr()
 				if err == nil {
 					err = fmt.Errorf("platform: %w", ErrEngineClosed)
 				}
@@ -727,112 +573,64 @@ func (se *shardedEngine) loop(si int) {
 			q.complete(it)
 			continue
 		}
-		var rep shardReply
-		switch it.ev.Kind {
-		case core.WorkerArrival:
-			if err := st.deliver(it.ev.Worker); err != nil {
-				sr.fail(it.seq, err)
-			}
-		case core.RequestArrival:
-			d, _, err := st.handleRequest(it.ev)
-			if err != nil {
-				sr.fail(it.seq, err)
-				rep.err = err
-			} else {
-				rep.d = requestDecisionOf(it.ev.Request, d, it.ev.Time)
-			}
+		d, err := eng.apply(it.ev)
+		if err != nil {
+			se.fail(it.seq, err)
 		}
-		sr.cur[si].targets = nil
+		se.cur[si].targets = nil
 		cnt.applied.Add(1)
 		if it.reply != nil {
-			it.reply <- rep
+			it.reply <- shardReply{d: d, err: err}
 		}
 		q.complete(it)
 	}
 }
 
-// process implements Engine.Process for the sharded engine; the caller
-// contract (single sequencer goroutine, non-decreasing times) is the
-// same.
-func (se *shardedEngine) process(ev core.Event) (RequestDecision, error) {
-	if se.closed {
-		return RequestDecision{}, fmt.Errorf("platform: %w", ErrEngineClosed)
-	}
-	if err := se.sr.loadErr(); err != nil {
-		return RequestDecision{}, err
-	}
-	if se.started && ev.Time < se.last {
-		return RequestDecision{}, fmt.Errorf("platform: %w: event at %d after %d", ErrTimeRegression, ev.Time, se.last)
-	}
-	pid, ok := eventPlatform(ev)
-	if !ok && (ev.Kind == core.WorkerArrival || ev.Kind == core.RequestArrival) {
-		return RequestDecision{}, fmt.Errorf("platform: %s event with nil payload", kindLabel(ev.Kind))
-	}
-	if ok {
-		if _, known := se.sr.states[0].matchers[pid]; !known {
-			return RequestDecision{}, fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
+// dispatch sequences a validated event and queues it on the shard
+// owning its cell. With reply set a request blocks for its decision,
+// during which every other shard keeps consuming its queue; otherwise
+// the call returns as soon as the event is queued and its error, if
+// any, surfaces on a later step or at finish.
+func (se *shardedEngine) dispatch(ev core.Event, reply bool) (RequestDecision, error) {
+	loc := shardEventLoc(ev)
+	si := se.part.ShardOf(loc)
+	it := shardItem{seq: se.nextSeq, ev: ev}
+	se.nextSeq++
+	if ev.Kind == core.RequestArrival {
+		if !se.cfg.DisableCoop {
+			se.tscratch = se.part.AppendTargets(se.tscratch[:0], si, loc, se.reach)
+			if len(se.tscratch) > 0 {
+				it.targets = append([]int(nil), se.tscratch...)
+				it.boundary = true
+			}
+		}
+		if reply {
+			it.reply = se.reply
 		}
 	}
-	se.started = true
-	se.last = ev.Time
-	switch ev.Kind {
-	case core.WorkerArrival:
-		if ev.Worker.Radius > se.sr.reach {
-			return RequestDecision{}, fmt.Errorf("platform: %w: worker %d radius %v > %v", ErrShardReach, ev.Worker.ID, ev.Worker.Radius, se.sr.reach)
-		}
-		seq := se.nextSeq
-		se.nextSeq++
-		si := se.sr.part.ShardOf(ev.Worker.Loc)
-		se.queues[si].push(shardItem{seq: seq, ev: ev})
+	se.queues[si].push(it)
+	if it.reply == nil {
 		return RequestDecision{}, nil
-	case core.RequestArrival:
-		seq := se.nextSeq
-		se.nextSeq++
-		si := se.sr.part.ShardOf(ev.Request.Loc)
-		var targets []int
-		if !se.sr.cfg.DisableCoop {
-			targets = se.sr.part.AppendTargets(nil, si, ev.Request.Loc, se.sr.reach)
-		}
-		se.queues[si].push(shardItem{
-			seq: seq, ev: ev,
-			targets:  targets,
-			boundary: len(targets) > 0,
-			reply:    se.reply,
-		})
-		rep := <-se.reply
-		return rep.d, rep.err
-	default:
-		return RequestDecision{}, fmt.Errorf("platform: unknown event kind %d", ev.Kind)
 	}
+	rep := <-se.reply
+	return rep.d, rep.err
 }
 
-// finish drains the queues, stops the loops and merges. Mirrors
-// Engine.Finish semantics (nothing recycled or windowed to settle —
-// both are rejected up front).
+// finish drains the queues, stops the loops and merges. Nothing is
+// recycled or windowed under shards — both are rejected up front — so
+// there is nothing to settle.
 func (se *shardedEngine) finish() (*Result, error) {
-	if se.closed {
-		return nil, fmt.Errorf("platform: %w", ErrEngineClosed)
-	}
-	se.closed = true
 	for _, q := range se.queues {
 		q.close()
 	}
 	se.wg.Wait()
-	se.sr.co.Close()
-	se.sr.foldShardPricing()
-	se.sr.cfg.Metrics.RecordShards(se.shardStats())
-	if err := se.sr.loadErr(); err != nil {
+	se.co.Close()
+	for _, eng := range se.engines {
+		eng.s.foldPricing()
+	}
+	se.cfg.Metrics.RecordShards(se.shardStats())
+	if err := se.loadErr(); err != nil {
 		return nil, err
 	}
-	res, err := se.sr.merge()
-	if err != nil {
-		return nil, err
-	}
-	res.Recycled = 0
-	return res, nil
-}
-
-// shardStats folds the live per-shard counters, including queue depths.
-func (se *shardedEngine) shardStats() []metrics.ShardSnapshot {
-	return se.sr.shardSnapshots(func(i int) int64 { return se.queues[i].depth.Load() })
+	return se.merge()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,52 +84,6 @@ func TestShardedSingleShardMatchesUnsharded(t *testing.T) {
 			t.Fatalf("%s: structurally sharded: %v", alg, err)
 		}
 		assertSameResult(t, want, got)
-	}
-}
-
-// TestShardedEngineMatchesShardedRun: replay parity — feeding a stream
-// through the incremental sharded Engine reproduces the bulk sharded
-// Run bit for bit (same sequence numbers, same boundary classification,
-// same gate order).
-func TestShardedEngineMatchesShardedRun(t *testing.T) {
-	stream := feedTestStream(t, 500, 160, 13)
-	reach := maxWorkerRadius(stream)
-	for _, alg := range []string{AlgDemCOM, AlgRamCOM} {
-		factory, err := FactoryConfigured(alg, AlgConfig{MaxValue: stream.MaxValue()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Seed: 5, Shards: 3, ShardReach: reach}
-		want, err := Run(stream, factory, cfg)
-		if err != nil {
-			t.Fatalf("%s: bulk: %v", alg, err)
-		}
-		eng, err := NewEngine(stream.Platforms(), factory, cfg)
-		if err != nil {
-			t.Fatalf("%s: NewEngine: %v", alg, err)
-		}
-		if err := eng.SetRecycleBase(maxWorkerID(stream)); err != nil {
-			t.Fatalf("SetRecycleBase: %v", err)
-		}
-		if eng.Windowed() {
-			t.Fatalf("%s: sharded engine claims windowed", alg)
-		}
-		for _, ev := range stream.Events() {
-			if _, err := eng.Process(ev); err != nil {
-				t.Fatalf("%s: Process: %v", alg, err)
-			}
-		}
-		if st := eng.ShardStats(); len(st) != 3 {
-			t.Fatalf("%s: ShardStats len %d, want 3", alg, len(st))
-		}
-		got, err := eng.Finish()
-		if err != nil {
-			t.Fatalf("%s: Finish: %v", alg, err)
-		}
-		assertSameResult(t, want, got)
-		if _, err := eng.Process(core.Event{}); !errors.Is(err, ErrEngineClosed) {
-			t.Fatalf("%s: Process after Finish: %v", alg, err)
-		}
 	}
 }
 
@@ -330,21 +285,64 @@ func TestHubClaimConcurrentAccounting(t *testing.T) {
 	}
 }
 
-// TestShardedRunCancellation: a canceled context stops every shard loop
-// and returns the partial result with the wrapped context error,
-// mirroring the unsharded contract.
-func TestShardedRunCancellation(t *testing.T) {
-	stream := feedTestStream(t, 2000, 400, 29)
+// TestShardQueueBackpressure wedges one shard and feeds a stream several
+// queues long: the dispatcher must block once some queue (the wedged
+// shard's, or one gated behind it) holds shardQueueBound items instead
+// of queueing the rest of the stream, and after the shard is released
+// the run must finish on the bits of an unwedged one.
+func TestShardQueueBackpressure(t *testing.T) {
+	stream := feedTestStream(t, 8*shardQueueBound, 2*shardQueueBound, 29)
 	factory, _ := FactoryConfigured(AlgTOTA, AlgConfig{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := RunContext(ctx, stream, factory, Config{Seed: 1, Shards: 4})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	cfg := Config{Seed: 1, Shards: 3, ShardReach: maxWorkerRadius(stream)}
+	want, err := Run(stream, factory, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res == nil {
-		t.Fatal("no partial result returned")
+
+	release := make(chan struct{})
+	testShardHold = func(si int, _ int64) {
+		if si == 0 {
+			<-release
+		}
 	}
+	defer func() { testShardHold = nil }()
+	eng, err := NewEngine(stream.Platforms(), factory, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := make(chan error, 1)
+	go func() {
+		for _, ev := range stream.Events() {
+			if _, err := eng.step(ev, false); err != nil {
+				fed <- err
+				return
+			}
+		}
+		fed <- nil
+	}()
+	for full := false; !full; {
+		select {
+		case err := <-fed:
+			t.Fatalf("feeder finished (%v) with a shard wedged: %+v", err, eng.ShardStats())
+		default:
+			runtime.Gosched()
+		}
+		for _, st := range eng.ShardStats() {
+			if st.QueueDepth > shardQueueBound {
+				t.Fatalf("shard %d queue depth %d over the bound %d", st.Shard, st.QueueDepth, shardQueueBound)
+			}
+			full = full || st.QueueDepth == shardQueueBound
+		}
+	}
+	close(release)
+	if err := <-fed; err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, want, got)
 }
 
 func BenchmarkShardedEngine(b *testing.B) {

@@ -1,11 +1,8 @@
 package platform
 
 import (
-	"container/heap"
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime/pprof"
 	"sync/atomic"
@@ -32,10 +29,6 @@ type poolHolder interface{ Pool() *online.Pool }
 // traceBinder is implemented by matchers that can record per-request
 // decision spans; matchers without it simply run untraced.
 type traceBinder interface{ BindTrace(*trace.Recorder) }
-
-// pricingSwitcher is implemented by matchers whose quoter can A/B the
-// CDF-table path against the exact scan (Config.PricingScan).
-type pricingSwitcher interface{ SetPricingScan(bool) }
 
 // pricingStatsProvider is implemented by matchers that expose their
 // pricing quoter's counters; the run folds them into Config.Metrics.
@@ -64,9 +57,9 @@ type Config struct {
 	// cross-platform claims genuinely race. Results stay valid (every
 	// matching passes Validate, no worker is assigned twice) but are not
 	// bit-reproducible across runs: event interleaving, and therefore
-	// claim outcomes, depends on scheduling. The default (false) keeps
-	// the single-goroutine loop whose results are a pure function of
-	// (stream, factory, Seed).
+	// claim outcomes, depends on scheduling. The default (false) feeds
+	// one Engine on the calling goroutine, whose results are a pure
+	// function of (stream, factory, Seed).
 	PlatformParallel bool
 	// Metrics, when non-nil, receives the run's matching-funnel counters
 	// (inner/outer matches, cooperative attempts, acceptance probes,
@@ -105,23 +98,19 @@ type Config struct {
 	// it, and a negative value disables recording for this run. Only
 	// meaningful together with Trace.
 	TraceSample float64
-	// PricingScan switches the COM matchers' pricing quoter from the
-	// precomputed History CDF-table path (the default) to the exact
-	// sorted-values scan. The two paths produce bit-identical quotes and
-	// therefore identical results; the knob exists to A/B their cost in
-	// one run (crossmatch.WithPricingTables).
-	PricingScan bool
 	// Shards, when > 1, runs the geo-sharded engine: matching state is
 	// partitioned by spatial grid cell (the internal/cells rendezvous
 	// assignment the fleet router also uses), each shard drives its own
-	// matcher instances and hub on its own goroutine, and
-	// boundary-crossing requests go through the async claim protocol of
-	// internal/shard. Results are bit-identical run to run (sequence
-	// barriers order cross-shard work) under the documented cell-major,
-	// ID-canonical merge order, but differ from the unsharded engine's:
-	// inner matching is shard-local and cooperation reaches only the
-	// shards a request's eligibility disk touches. Zero or one keeps the
-	// unsharded runtime, bit-identical to previous releases. Shards > 1
+	// Engine — matcher instances and hub — on its own goroutine from a
+	// bounded queue, and boundary-crossing requests go through the async
+	// claim protocol of internal/shard. A stream run and an incremental
+	// engine are the same runtime: Run feeds the stream through it
+	// without waiting for per-request replies. Results are bit-identical
+	// run to run (sequence barriers order cross-shard work) under the
+	// documented cell-major, ID-canonical merge order, but differ from
+	// the unsharded engine's: inner matching is shard-local and
+	// cooperation reaches only the shards a request's eligibility disk
+	// touches. Zero or one keeps the unsharded runtime. Shards > 1
 	// rejects ServiceTicks, PlatformParallel, Trace and windowed
 	// matchers with ErrShardUnsupported.
 	Shards int
@@ -154,6 +143,15 @@ type PlatformResult struct {
 	// Latency holds the full decision-latency distribution (mean, max
 	// and sampled percentiles).
 	Latency *stats.Reservoir
+}
+
+// addResponse books the wall-clock cost of one matcher call (a request
+// decision or a window flush).
+func (r *PlatformResult) addResponse(el time.Duration) {
+	r.ResponseTotal += el
+	if el > r.ResponseMax {
+		r.ResponseMax = el
+	}
 }
 
 // MeanResponse returns the average decision latency per request.
@@ -269,22 +267,19 @@ func RunContext(ctx context.Context, stream *core.Stream, factory MatcherFactory
 	return runContext(ctx, stream, factory, cfg)
 }
 
+// runContext picks the feeder: every runtime is the Engine's step fed
+// from the stream — in arrival order on this goroutine (RunSource), per
+// platform on one goroutine each (runParallel), or through the shard
+// queues (runSharded).
 func runContext(ctx context.Context, stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
-	if cfg.Shards > 1 {
+	pids := stream.Platforms()
+	switch {
+	case cfg.Shards > 1:
 		return runSharded(ctx, stream, factory, cfg)
+	case cfg.PlatformParallel && len(pids) > 1:
+		return runParallel(ctx, stream, factory, cfg)
 	}
-	s, err := newRunState(stream, factory, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Registration is complete: from here the hub's configuration is
-	// read lock-free by the platform goroutines, so late registration
-	// must fail loudly rather than race.
-	s.hub.seal()
-	if cfg.PlatformParallel && len(s.pids) > 1 {
-		return s.runParallel(ctx)
-	}
-	return s.runSequential(ctx)
+	return RunSource(ctx, pids, factory, StreamSource(stream), cfg)
 }
 
 // runState is one run's shared machinery: the hub, the per-platform
@@ -294,7 +289,6 @@ func runContext(ctx context.Context, stream *core.Stream, factory MatcherFactory
 // goroutine driving that platform.
 type runState struct {
 	cfg      Config
-	stream   *core.Stream
 	hub      *Hub
 	pids     []core.PlatformID
 	matchers map[core.PlatformID]online.Matcher
@@ -310,10 +304,10 @@ type runState struct {
 	// it is folded (the serving layer's hook for answering deferred
 	// requests). Never called for immediate (non-deferred) decisions.
 	onFlush func(RequestDecision)
-	// nextID allocates IDs for recycled workers. Sequentially it counts
-	// up from maxWorkerID+1 in event order exactly as before; in
-	// parallel the IDs are unique but their platform assignment depends
-	// on scheduling.
+	// nextID allocates IDs for recycled workers: the next one is
+	// nextID+1. Stream runs seed it with the stream's max worker ID;
+	// under PlatformParallel the IDs stay unique but their platform
+	// assignment depends on scheduling.
 	nextID atomic.Int64
 }
 
@@ -336,33 +330,16 @@ func (s *runState) windowedFor(pid core.PlatformID) []windowedEntry {
 	return nil
 }
 
-func newRunState(stream *core.Stream, factory MatcherFactory, cfg Config) (*runState, error) {
-	s, err := newRunStateFor(stream.Platforms(), factory, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.stream = stream
-	s.nextID.Store(maxWorkerID(stream))
-	return s, nil
-}
-
-// newRunStateFor builds the run machinery from an explicit platform set
-// instead of a pre-built stream — the seam the incremental Engine (and
-// through it the serving layer) uses, where arrivals are not known up
-// front. The platform order determines per-platform RNG derivation, so
-// callers wanting bit-parity with a stream run must pass
-// stream.Platforms() (ascending IDs).
-func newRunStateFor(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*runState, error) {
-	return newRunStateWith(pids, factory, cfg, nil, true)
-}
-
-// newRunStateWith is newRunStateFor with the two seams the sharded
+// newRunState builds the run machinery for a platform set and seals its
+// hub. The platform order determines per-platform RNG derivation, so
+// callers wanting bit-parity with a stream run pass stream.Platforms()
+// (ascending IDs). The last two parameters are the seams the sharded
 // runtime needs: wrapView, when non-nil, wraps each platform's hub view
 // before the matcher factory sees it (the shard layer splices its
 // cross-shard cooperation view in here), and announce=false suppresses
 // the RunStarted metric so a run building one state per shard counts as
 // one run, not Shards runs.
-func newRunStateWith(pids []core.PlatformID, factory MatcherFactory, cfg Config, wrapView func(core.PlatformID, online.CoopView) online.CoopView, announce bool) (*runState, error) {
+func newRunState(pids []core.PlatformID, factory MatcherFactory, cfg Config, wrapView func(core.PlatformID, online.CoopView) online.CoopView, announce bool) (*runState, error) {
 	if len(pids) == 0 {
 		return nil, fmt.Errorf("platform: no platforms to run")
 	}
@@ -385,9 +362,6 @@ func newRunStateWith(pids []core.PlatformID, factory MatcherFactory, cfg Config,
 			view = wrapView(pid, view)
 		}
 		m := factory(pid, view, rng)
-		if sw, ok := m.(pricingSwitcher); ok {
-			sw.SetPricingScan(cfg.PricingScan)
-		}
 		holder, ok := m.(poolHolder)
 		if !ok {
 			return nil, fmt.Errorf("platform: matcher %q does not expose its pool", m.Name())
@@ -452,6 +426,10 @@ func newRunStateWith(pids []core.PlatformID, factory MatcherFactory, cfg Config,
 			s.labels[pid] = fmt.Sprintf("platform-%d", pid)
 		}
 	}
+	// Registration is complete: from here the hub's configuration is
+	// read lock-free by whichever goroutines drive the matchers, so late
+	// registration must fail loudly rather than race.
+	s.hub.seal()
 	return s, nil
 }
 
@@ -465,238 +443,14 @@ func (s *runState) deliver(w *core.Worker) error {
 	return nil
 }
 
-// handleRequest runs one request through its platform's matcher and
-// folds the decision into results and metrics. It returns the matcher's
-// decision plus the recycled worker to be re-delivered later, if any.
-// Only the goroutine driving e.Request.Platform may call it for that
-// platform.
-func (s *runState) handleRequest(e core.Event) (online.Decision, *core.Worker, error) {
-	r := e.Request
-	pr := s.res.Platforms[r.Platform]
-	m := s.matchers[r.Platform]
-	start := time.Now()
-	d := m.RequestArrives(r)
-	el := time.Since(start)
-	if d.Deferred {
-		// A windowed matcher buffered the request; nothing is decided
-		// yet. Stats, latency and the metrics funnel are all observed at
-		// flush time (foldWindow), so folding the placeholder here would
-		// double-count the request.
-		return d, nil, nil
-	}
-	pr.ResponseTotal += el
-	if el > pr.ResponseMax {
-		pr.ResponseMax = el
-	}
-	pr.Latency.Observe(el)
-	pr.Stats.Observe(d)
-	if mc := s.cfg.Metrics; mc != nil {
-		mc.ObserveLatency(s.labels[r.Platform], el)
-		mc.AddProbes(d.Probes)
-		mc.AddClaimRetries(d.ClaimRetries)
-		if d.CoopAttempted {
-			mc.CoopAttempt()
-		}
-		switch {
-		case d.Served && d.Assignment.Outer:
-			mc.MatchOuter()
-		case d.Served:
-			mc.MatchInner()
-		default:
-			mc.Reject()
-		}
-	}
-	if !d.Served {
-		return d, nil, nil
-	}
-	// Release the hub's per-worker record. For inner assignments this is
-	// the eviction keeping the hub tables bounded; for outer ones Claim
-	// already did it and this is a no-op.
-	s.hub.WorkerAssigned(d.Assignment.Worker.ID)
-	if err := pr.Matching.Add(d.Assignment); err != nil {
-		return d, nil, fmt.Errorf("platform %d: %w", r.Platform, err)
-	}
-	if s.cfg.ServiceTicks <= 0 {
-		return d, nil, nil
-	}
-	w := d.Assignment.Worker
-	earned := d.Assignment.Request.Value
-	if d.Assignment.Outer {
-		earned = d.Assignment.Payment
-	}
-	return d, &core.Worker{
-		ID:       s.nextID.Add(1),
-		Arrival:  e.Time + s.cfg.ServiceTicks,
-		Loc:      d.Assignment.Request.Loc,
-		Radius:   w.Radius,
-		Platform: w.Platform,
-		History:  append(append([]float64(nil), w.History...), earned),
-	}, nil
-}
-
-// settleDue settles everything due at or before bound, in virtual-time
-// order: recycled workers re-join their waiting lists and windowed
-// matchers flush their open windows, interleaved by due time (a recycled
-// worker beats a window flushing at the same tick — it was already
-// waiting when the window closed; equal window dues flush in ascending
-// pid order, the wins slice order). Window flushes can mint recycled
-// workers whose re-arrival is still within bound, so the loop keeps
-// settling until nothing is due. With no windowed matchers this is
-// exactly the old recycle-flush loop.
-func (s *runState) settleDue(recycle *recycleHeap, recycled *int, bound core.Time, wins []windowedEntry) error {
-	for {
-		recDue := len(*recycle) > 0 && (*recycle)[0].Arrival <= bound
-		winIdx := -1
-		var winAt core.Time
-		for i := range wins {
-			if t, open := wins[i].m.NextFlush(); open && t <= bound && (winIdx < 0 || t < winAt) {
-				winIdx, winAt = i, t
-			}
-		}
-		switch {
-		case !recDue && winIdx < 0:
-			return nil
-		case recDue && (winIdx < 0 || (*recycle)[0].Arrival <= winAt):
-			w := heap.Pop(recycle).(*core.Worker)
-			if err := s.deliver(w); err != nil {
-				return err
-			}
-			*recycled++
-		default:
-			we := wins[winIdx]
-			start := time.Now()
-			wds := we.m.Advance(winAt)
-			el := time.Since(start)
-			if err := s.foldWindow(we.pid, wds, el, recycle); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// foldWindow folds one window flush's decisions into results, metrics
-// and the recycle heap — the flush-time counterpart of handleRequest's
-// per-arrival bookkeeping. The flush's wall-clock cost is attributed
-// evenly across its decisions so latency aggregates stay comparable
-// with the greedy matchers' per-request observations.
-func (s *runState) foldWindow(pid core.PlatformID, wds []online.WindowDecision, el time.Duration, recycle *recycleHeap) error {
-	if len(wds) == 0 {
-		return nil
-	}
-	pr := s.res.Platforms[pid]
-	pr.ResponseTotal += el
-	if el > pr.ResponseMax {
-		pr.ResponseMax = el
-	}
-	share := el / time.Duration(len(wds))
-	for i := range wds {
-		wd := &wds[i]
-		d := wd.Decision
-		pr.Latency.Observe(share)
-		pr.Stats.Observe(d)
-		if mc := s.cfg.Metrics; mc != nil {
-			mc.ObserveLatency(s.labels[pid], share)
-			mc.AddProbes(d.Probes)
-			mc.AddClaimRetries(d.ClaimRetries)
-			if d.CoopAttempted {
-				mc.CoopAttempt()
-			}
-			switch {
-			case d.Served && d.Assignment.Outer:
-				mc.MatchOuter()
-			case d.Served:
-				mc.MatchInner()
-			default:
-				mc.Reject()
-			}
-		}
-		if d.Served {
-			s.hub.WorkerAssigned(d.Assignment.Worker.ID)
-			if err := pr.Matching.Add(d.Assignment); err != nil {
-				return fmt.Errorf("platform %d: %w", pid, err)
-			}
-			if s.cfg.ServiceTicks > 0 {
-				w := d.Assignment.Worker
-				earned := d.Assignment.Request.Value
-				if d.Assignment.Outer {
-					earned = d.Assignment.Payment
-				}
-				heap.Push(recycle, &core.Worker{
-					ID:       s.nextID.Add(1),
-					Arrival:  wd.At + s.cfg.ServiceTicks,
-					Loc:      d.Assignment.Request.Loc,
-					Radius:   w.Radius,
-					Platform: w.Platform,
-					History:  append(append([]float64(nil), w.History...), earned),
-				})
-			}
-		}
-		if s.onFlush != nil {
-			s.onFlush(requestDecisionOf(wd.Request, d, wd.At))
-		}
-	}
-	return nil
-}
-
-// consume drives one event sequence to completion: recycled workers and
-// window flushes due before each event are settled first, then the
-// event itself. At end of stream everything still pending — recycled
-// workers after the last event, the final open window — is settled so
-// every completed service counts as a re-arrival and every buffered
-// request gets its decision. wins is the subset of windowed matchers
-// this consumer drives (all of them sequentially; one per goroutine
-// under PlatformParallel). The returned recycled count covers this
-// consumer only; a cancellation error wraps ctx.Err() and is formatted
-// without the "platform:" prefix so callers can add run-level context.
-func (s *runState) consume(ctx context.Context, events []core.Event, total int, wins []windowedEntry) (recycled int, err error) {
-	var recycle recycleHeap
-	for i, e := range events {
-		if i&cancelCheckMask == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return recycled, fmt.Errorf("run stopped after %d of %d events: %w", i, total, cerr)
-			}
-		}
-		if err := s.settleDue(&recycle, &recycled, e.Time, wins); err != nil {
-			return recycled, err
-		}
-		switch e.Kind {
-		case core.WorkerArrival:
-			if err := s.deliver(e.Worker); err != nil {
-				return recycled, err
-			}
-		case core.RequestArrival:
-			_, reborn, err := s.handleRequest(e)
-			if err != nil {
-				return recycled, err
-			}
-			if reborn != nil {
-				heap.Push(&recycle, reborn)
-			}
-		}
-	}
-	if err := s.settleDue(&recycle, &recycled, core.Time(math.MaxInt64), wins); err != nil {
-		return recycled, err
-	}
-	return recycled, nil
-}
-
-// runSequential is the deterministic single-goroutine runtime: all
-// platforms' events interleave in stream order on one goroutine, and the
-// result is a pure function of (stream, factory, Seed).
-func (s *runState) runSequential(ctx context.Context) (*Result, error) {
-	recycled, err := s.consume(ctx, s.stream.Events(), s.stream.Len(), s.windowed)
+// finish completes the Result once every engine over this state has
+// settled: the recycled total, the hub's lending ledger and the pricing
+// counters.
+func (s *runState) finish(recycled int) *Result {
 	s.res.Recycled = recycled
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			s.res.Lent = s.hub.Lent()
-			s.foldPricing()
-			return s.res, fmt.Errorf("platform: %w", err)
-		}
-		return nil, err
-	}
 	s.res.Lent = s.hub.Lent()
 	s.foldPricing()
-	return s.res, nil
+	return s.res
 }
 
 // foldPricing folds every matcher's pricing-quoter counters into the

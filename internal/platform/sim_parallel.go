@@ -3,57 +3,66 @@ package platform
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"crossmatch/internal/core"
 )
 
 // runParallel is the concurrent runtime behind Config.PlatformParallel:
-// every platform consumes its own event sub-stream on its own goroutine,
-// matching the paper's deployment model of independent platform services
-// that share unoccupied workers through the hub. Cross-platform claims
-// genuinely race here — the hub's per-worker claim words and the pools'
-// locks arbitrate them — so results are valid but not bit-reproducible
-// run to run.
+// every platform feeds its own event sub-stream into its own Engine, on
+// its own goroutine, over one shared runState — the paper's deployment
+// model of independent platform services that share unoccupied workers
+// through the hub. Cross-platform claims genuinely race here — the hub's
+// per-worker claim words and the pools' locks arbitrate them — so
+// results are valid but not bit-reproducible run to run.
 //
-// Error handling mirrors runSequential: any platform error cancels the
-// remaining platforms, everything is joined, and the first failing
-// platform (in platform-ID order) decides the returned error. The
-// partially accumulated Result is always returned so cancellation keeps
-// its "stop and keep what you have" contract.
-func (s *runState) runParallel(ctx context.Context) (*Result, error) {
+// Any platform error cancels the remaining platforms, everything is
+// joined, and the first failing platform (in platform-ID order) decides
+// the returned error. Canceled platforms still settle what they hold,
+// and the partially accumulated Result is always returned, so
+// cancellation keeps RunSource's contract.
+func runParallel(ctx context.Context, stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
+	s, err := newRunState(stream.Platforms(), factory, cfg, nil, true)
+	if err != nil {
+		return nil, err
+	}
+	s.nextID.Store(maxWorkerID(stream))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type outcome struct {
-		recycled int
-		err      error
-	}
-	outs := make([]outcome, len(s.pids))
+	engines := make([]*Engine, len(s.pids))
+	errs := make([]error, len(s.pids))
 	var wg sync.WaitGroup
 	for i, pid := range s.pids {
-		sub := s.stream.FilterPlatform(pid)
+		engines[i] = &Engine{s: s, wins: s.windowedFor(pid)}
 		wg.Add(1)
-		go func(i int, pid core.PlatformID, sub *core.Stream) {
+		go func(i int, src EventSource) {
 			defer wg.Done()
-			rec, err := s.consume(ctx, sub.Events(), sub.Len(), s.windowedFor(pid))
-			outs[i] = outcome{recycled: rec, err: err}
+			eng := engines[i]
+			err := eng.feed(ctx, src)
+			if err == nil || canceled(ctx, err) {
+				if serr := eng.advance(core.Time(math.MaxInt64)); serr != nil {
+					err = serr
+				}
+			}
+			errs[i] = err
 			if err != nil {
 				cancel()
 			}
-		}(i, pid, sub)
+		}(i, StreamSource(stream.FilterPlatform(pid)))
 	}
 	wg.Wait()
-	s.foldPricing() // all matcher goroutines have joined
 
-	for _, o := range outs {
-		s.res.Recycled += o.recycled
+	recycled := 0
+	for _, eng := range engines {
+		recycled += eng.recycled
 	}
-	s.res.Lent = s.hub.Lent()
-	for i, o := range outs {
-		if o.err != nil {
-			return s.res, fmt.Errorf("platform: platform %d: %w", s.pids[i], o.err)
+	res := s.finish(recycled)
+	for i, err := range errs {
+		if err != nil {
+			return res, fmt.Errorf("platform %d: %w", s.pids[i], err)
 		}
 	}
-	return s.res, nil
+	return res, nil
 }

@@ -65,15 +65,16 @@ func (s *Stats) Add(o Stats) {
 
 // TableQuoter is the standard Quoter: acceptance probabilities come from
 // the precomputed History CDF tables (bit-identical to the exact scan)
-// unless Scan flips the A/B reference path back on, and every reusable
-// buffer lives in the caller's Scratch.
+// unless Scan selects the reference path, and every reusable buffer
+// lives in the caller's Scratch.
 type TableQuoter struct {
 	// MC configures the Algorithm 2 estimator behind MinOuterPayment.
 	MC MonteCarlo
 	// Scan switches acceptance-probability evaluations from the CDF
 	// tables to the exact sorted-values scan. Results are bit-identical
-	// either way (the tables store the same float64 divisions); the knob
-	// exists so callers can A/B the two paths in one run.
+	// either way (the tables store the same float64 divisions). No run
+	// sets it: it is the reference the parity tests compare the tables
+	// against.
 	Scan bool
 
 	stats Stats

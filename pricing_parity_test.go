@@ -3,37 +3,9 @@ package crossmatch
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 	"time"
 )
-
-// TestTableVPricingPathParity is the benchmark-parity guard of the
-// pricing redesign: on the Table V workload (RDC10+RYC10 at the bench
-// scale), every algorithm's revenue must be bit-identical whether the
-// quoter runs the precomputed CDF-table path (the default) or the exact
-// scan path (WithPricingTables(false)). Run under -race it also
-// exercises the scratch/table plumbing for data races.
-func TestTableVPricingPathParity(t *testing.T) {
-	stream, err := GenerateCity("RDC10+RYC10", benchTableScale, benchSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []string{TOTA, DemCOM, RamCOM} {
-		run := func(tables bool) float64 {
-			res, err := SimulateContext(context.Background(), stream, alg,
-				WithSeed(benchSeed), WithPricingTables(tables))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.TotalRevenue()
-		}
-		tab, scan := run(true), run(false)
-		if math.Float64bits(tab) != math.Float64bits(scan) {
-			t.Errorf("%s: revenue diverges between pricing paths: tables %v vs scan %v", alg, tab, scan)
-		}
-	}
-}
 
 // TestPricingStatsExported checks the run-level pricing counters surface
 // through the public Metrics collector.
