@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"crossmatch/internal/geo"
 )
@@ -50,8 +51,8 @@ func (r *Request) Validate() error {
 		return errors.New("core: nil request")
 	case !r.Loc.IsFinite():
 		return fmt.Errorf("core: request %d: non-finite location %v", r.ID, r.Loc)
-	case r.Value <= 0:
-		return fmt.Errorf("core: request %d: value %v must be positive", r.ID, r.Value)
+	case !(r.Value > 0) || math.IsInf(r.Value, 0): // NaN fails every comparison
+		return fmt.Errorf("core: request %d: value %v must be positive and finite", r.ID, r.Value)
 	case r.Platform == NoPlatform:
 		return fmt.Errorf("core: request %d: missing platform", r.ID)
 	default:
@@ -80,8 +81,8 @@ func (w *Worker) Validate() error {
 		return errors.New("core: nil worker")
 	case !w.Loc.IsFinite():
 		return fmt.Errorf("core: worker %d: non-finite location %v", w.ID, w.Loc)
-	case w.Radius <= 0:
-		return fmt.Errorf("core: worker %d: radius %v must be positive", w.ID, w.Radius)
+	case !(w.Radius > 0) || math.IsInf(w.Radius, 0): // NaN fails every comparison
+		return fmt.Errorf("core: worker %d: radius %v must be positive and finite", w.ID, w.Radius)
 	case w.Platform == NoPlatform:
 		return fmt.Errorf("core: worker %d: missing platform", w.ID)
 	default:

@@ -27,6 +27,8 @@ func TestRequestValidate(t *testing.T) {
 		{"nil", nil, "nil request"},
 		{"zero value", req(1, 0, 1, 1, 0, 1), "must be positive"},
 		{"negative value", req(1, 0, 1, 1, -3, 1), "must be positive"},
+		{"nan value", req(1, 0, 1, 1, math.NaN(), 1), "must be positive and finite"},
+		{"inf value", req(1, 0, 1, 1, math.Inf(1), 1), "must be positive and finite"},
 		{"nan location", &Request{ID: 1, Loc: geo.Point{X: math.NaN()}, Value: 1, Platform: 1}, "non-finite"},
 		{"no platform", req(1, 0, 1, 1, 5, NoPlatform), "missing platform"},
 	}
@@ -48,6 +50,8 @@ func TestWorkerValidate(t *testing.T) {
 		{"nil", nil, "nil worker"},
 		{"zero radius", wrk(1, 0, 1, 1, 0, 1), "must be positive"},
 		{"negative radius", wrk(1, 0, 1, 1, -1, 1), "must be positive"},
+		{"nan radius", wrk(1, 0, 1, 1, math.NaN(), 1), "must be positive and finite"},
+		{"inf radius", wrk(1, 0, 1, 1, math.Inf(1), 1), "must be positive and finite"},
 		{"inf location", &Worker{ID: 1, Loc: geo.Point{Y: math.Inf(1)}, Radius: 1, Platform: 1}, "non-finite"},
 		{"no platform", wrk(1, 0, 1, 1, 2, NoPlatform), "missing platform"},
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"crossmatch/internal/geo"
@@ -15,12 +16,17 @@ import (
 // ascending ID; and the sort is a permutation — nothing dropped,
 // duplicated or mutated. The order must also be a pure function of the
 // event multiset, independent of input shuffling.
+//
+// dups further events repeat the (time, kind, ID) key of an earlier one
+// behind a pointer of their own. Equal keys are where a stable and an
+// unstable sort part ways, so with them in, the build must equal the
+// sort.SliceStable reference below element for element, by pointer.
 func FuzzStreamOrdering(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(7))
-	f.Add(int64(42), uint8(0), uint8(3))
-	f.Add(int64(-9), uint8(40), uint8(40))
-	f.Add(int64(7), uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, nWorkers, nRequests uint8) {
+	f.Add(int64(1), uint8(5), uint8(7), uint8(0))
+	f.Add(int64(42), uint8(0), uint8(3), uint8(2))
+	f.Add(int64(-9), uint8(40), uint8(40), uint8(40))
+	f.Add(int64(7), uint8(1), uint8(0), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, nWorkers, nRequests, dups uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var events []Event
 		id := int64(1)
@@ -46,6 +52,18 @@ func FuzzStreamOrdering(f *testing.F) {
 			events = append(events, Event{Time: r.Arrival, Kind: RequestArrival, Request: r})
 			id++
 		}
+		distinct := len(events)
+		for i := 0; i < int(dups) && distinct > 0; i++ {
+			e := events[rng.Intn(distinct)]
+			if e.Kind == WorkerArrival {
+				cl := *e.Worker
+				e.Worker = &cl
+			} else {
+				cl := *e.Request
+				e.Request = &cl
+			}
+			events = append(events, e)
+		}
 		rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
 
 		s, err := NewStream(events)
@@ -55,6 +73,15 @@ func FuzzStreamOrdering(f *testing.F) {
 		got := s.Events()
 		if len(got) != len(events) {
 			t.Fatalf("stream has %d events, input had %d", len(got), len(events))
+		}
+		want := stableReference(events)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("position %d holds %+v, the stable reference has %+v", i, got[i], want[i])
+			}
+		}
+		if len(events) > distinct {
+			return // the checks below assume distinct IDs
 		}
 		seen := map[int64]bool{}
 		for i, e := range got {
@@ -93,4 +120,21 @@ func FuzzStreamOrdering(f *testing.F) {
 			}
 		}
 	})
+}
+
+// stableReference is the build NewStreamOwned replaced, kept as the
+// oracle: sort.SliceStable by (time, kind, ID) over a copy.
+func stableReference(events []Event) []Event {
+	out := append([]Event(nil), events...)
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		return eventID(a) < eventID(b)
+	})
+	return out
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // EventKind distinguishes worker and request arrivals on the global
@@ -70,6 +71,21 @@ func (e Event) Validate() error {
 // of the COM problem.
 type Stream struct {
 	events []Event
+	// Filled once when the stream is built (see note).
+	platforms []PlatformID // ascending, distinct
+	maxValue  float64
+}
+
+// note folds one event into the stream's platform set and largest
+// request value.
+func (s *Stream) note(e Event) {
+	if e.Kind == RequestArrival {
+		s.maxValue = max(s.maxValue, e.Request.Value)
+	}
+	p := eventPlatform(e)
+	if i, ok := slices.BinarySearch(s.platforms, p); !ok {
+		s.platforms = slices.Insert(s.platforms, i, p)
+	}
 }
 
 // NewStream builds a stream from events, sorting them by time. Ties are
@@ -85,33 +101,73 @@ func NewStream(events []Event) (*Stream, error) {
 // validated and sorted in place, with no defensive copy. For callers
 // that build the slice themselves and never touch it again — the
 // generators, chiefly — this halves the peak event memory of a
-// 10M-event scaling city. The (time, kind, ID) key is a total order
-// over any valid stream, so the in-place sort is deterministic.
+// 10M-event scaling city.
+//
+// The order is the stable sort by (time, kind, ID) for every input,
+// equal keys included, built without reflection: slices.SortFunc over a
+// 16-byte (time, kind, input index) key per event — the index as last
+// tiebreak makes the order total, so the unstable sort is the stable
+// one — then the events move into place along the permutation's cycles.
 func NewStreamOwned(events []Event) (*Stream, error) {
+	s := &Stream{events: events}
+	keys := make([]sortKey, len(events))
 	for i := range events {
 		if err := events[i].Validate(); err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
+		s.note(events[i])
+		keys[i] = sortKey{events[i].Time, uint64(events[i].Kind)<<idxBits | uint64(i)}
 	}
-	s := &Stream{events: events}
-	sort.SliceStable(s.events, func(i, j int) bool {
-		a, b := s.events[i], s.events[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.time != b.time {
+			return cmp.Compare(a.time, b.time)
 		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind // workers first
+		if (a.kindIdx^b.kindIdx)>>idxBits == 0 { // same kind: ID decides before the index
+			if c := cmp.Compare(eventID(events[a.idx()]), eventID(events[b.idx()])); c != 0 {
+				return c
+			}
 		}
-		return eventID(a) < eventID(b)
+		return cmp.Compare(a.kindIdx, b.kindIdx)
 	})
+	// keys[i].idx() is where position i's event sits now. Walk each cycle
+	// once, marking a filled position by pointing its key at itself.
+	for i := range keys {
+		if keys[i].idx() == i {
+			continue
+		}
+		first, j := events[i], i
+		for src := keys[i].idx(); src != i; j, src = src, keys[src].idx() {
+			events[j] = events[src]
+			keys[j].kindIdx = uint64(j)
+		}
+		events[j], keys[j].kindIdx = first, uint64(j)
+	}
 	return s, nil
 }
+
+// sortKey stands in for an event while sorting: its time, and its kind
+// packed above its input index so one compare orders both.
+type sortKey struct {
+	time    Time
+	kindIdx uint64
+}
+
+const idxBits = 56
+
+func (k sortKey) idx() int { return int(k.kindIdx & (1<<idxBits - 1)) }
 
 func eventID(e Event) int64 {
 	if e.Kind == WorkerArrival {
 		return e.Worker.ID
 	}
 	return e.Request.ID
+}
+
+func eventPlatform(e Event) PlatformID {
+	if e.Kind == WorkerArrival {
+		return e.Worker.Platform
+	}
+	return e.Request.Platform
 }
 
 // Merge combines several streams into one global arrival order.
@@ -158,53 +214,24 @@ func (s *Stream) Requests() []*Request {
 // MaxValue returns the largest request value in the stream, or 0 for a
 // stream without requests. RamCOM's threshold theta (Algorithm 3) is
 // derived from it; the paper assumes max(v_r) is known a priori.
-func (s *Stream) MaxValue() float64 {
-	maxV := 0.0
-	for _, e := range s.events {
-		if e.Kind == RequestArrival && e.Request.Value > maxV {
-			maxV = e.Request.Value
-		}
-	}
-	return maxV
-}
+func (s *Stream) MaxValue() float64 { return s.maxValue }
 
 // FilterPlatform returns the sub-stream of events belonging to the given
 // platform.
 func (s *Stream) FilterPlatform(p PlatformID) *Stream {
-	var evs []Event
+	out := &Stream{}
 	for _, e := range s.events {
-		switch e.Kind {
-		case WorkerArrival:
-			if e.Worker.Platform == p {
-				evs = append(evs, e)
-			}
-		case RequestArrival:
-			if e.Request.Platform == p {
-				evs = append(evs, e)
-			}
+		if eventPlatform(e) == p {
+			out.events = append(out.events, e)
+			out.note(e)
 		}
 	}
-	return &Stream{events: evs}
+	return out
 }
 
-// Platforms returns the sorted set of platform IDs present in the stream.
-func (s *Stream) Platforms() []PlatformID {
-	seen := map[PlatformID]bool{}
-	for _, e := range s.events {
-		switch e.Kind {
-		case WorkerArrival:
-			seen[e.Worker.Platform] = true
-		case RequestArrival:
-			seen[e.Request.Platform] = true
-		}
-	}
-	ids := make([]PlatformID, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+// Platforms returns the sorted set of platform IDs present in the
+// stream. The slice is the caller's.
+func (s *Stream) Platforms() []PlatformID { return slices.Clone(s.platforms) }
 
 // WorkerEvents builds worker-arrival events from workers, stamping event
 // times from each worker's Arrival field.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -188,6 +189,34 @@ func TestWorkerAndRequestEvents(t *testing.T) {
 	for i, e := range s.Events() {
 		if e.Kind != want[i] {
 			t.Errorf("event %d = %v, want %v", i, e.Kind, want[i])
+		}
+	}
+}
+
+// BenchmarkNewStream400k is the stream build at the ledger's city400k
+// shape: 40k worker and 360k request arrivals in generator order, ticks
+// uniform over 4 × events. The copy inside the loop is the same 12.8 MB
+// on every side of a comparison.
+func BenchmarkNewStream400k(b *testing.B) {
+	const nWorkers, nRequests = 40_000, 360_000
+	rng := rand.New(rand.NewSource(1))
+	horizon := int64(4 * (nWorkers + nRequests))
+	events := make([]Event, 0, nWorkers+nRequests)
+	for i := 0; i < nWorkers; i++ {
+		w := &Worker{ID: int64(i + 1), Arrival: Time(rng.Int63n(horizon)), Radius: 1, Platform: PlatformID(1 + i%2)}
+		events = append(events, Event{Time: w.Arrival, Kind: WorkerArrival, Worker: w})
+	}
+	for i := 0; i < nRequests; i++ {
+		r := &Request{ID: int64(i + 1), Arrival: Time(rng.Int63n(horizon)), Value: 1 + rng.Float64(), Platform: PlatformID(1 + i%2)}
+		events = append(events, Event{Time: r.Arrival, Kind: RequestArrival, Request: r})
+	}
+	scratch := make([]Event, len(events))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, events)
+		if _, err := NewStreamOwned(scratch); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

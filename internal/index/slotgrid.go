@@ -27,17 +27,72 @@ import (
 // them — the property the deterministic runtime's bit-reproducibility
 // rests on.
 //
-// Like the other indexes, VisitCovering, Slot and Len are strictly
+// Cells are found through a typed directory, not a Go map: an
+// open-addressed table (linear probing, power-of-two size, at most half
+// full) from the packed (cx, cy) to an index into buckets. Buckets are
+// never deleted, so there are no tombstones, and memory is O(cells ever
+// touched) wherever they lie. The bounding box of those cells clamps the
+// ring scan — cells outside it are empty, so Grid's order is kept — and
+// one far-reaching entry cannot make every query walk millions of cells.
+//
+// Like the other indexes, AppendSlots, Slot and Len are strictly
 // read-only, so any number of concurrent readers is safe while no
 // writer runs.
 type SlotGrid struct {
-	cell  float64
-	cells map[cellKey]*slotBucket
-	where map[int64]cellKey
+	cell     float64
+	dir      []dirEntry // len == 1 << (64 - dirShift)
+	dirShift uint8
+	buckets  []slotBucket
+	where    map[int64]int32 // entry ID -> index into buckets
+	// Bounding box of the cells in buckets.
+	minCx, maxCx, minCy, maxCy int32
 	// Sorted multiset of live radii, exactly as in Grid.
 	radVals []float64
 	radCnt  []int
 	n       int
+}
+
+// dirEntry maps a packed cell to its bucket's index plus one; zero is empty.
+type dirEntry struct {
+	key    uint64
+	bucket int32
+}
+
+func packCell(cx, cy int32) uint64 { return uint64(uint32(cx))<<32 | uint64(uint32(cy)) }
+
+// probe returns the directory entry that holds key, or the empty entry
+// where the search for it ends (Fibonacci hashing, linear probing).
+func (g *SlotGrid) probe(key uint64) *dirEntry {
+	for i := int(key * 0x9E3779B97F4A7C15 >> g.dirShift); ; i = (i + 1) & (len(g.dir) - 1) {
+		if e := &g.dir[i]; e.bucket == 0 || e.key == key {
+			return e
+		}
+	}
+}
+
+// touch returns the index of the cell's bucket, adding an empty one for
+// a cell seen for the first time.
+func (g *SlotGrid) touch(cx, cy int32) int32 {
+	key := packCell(cx, cy)
+	e := g.probe(key)
+	if e.bucket != 0 {
+		return e.bucket - 1
+	}
+	if 2*len(g.buckets) >= len(g.dir) { // the new cell would fill it past half
+		old := g.dir
+		g.dir, g.dirShift = make([]dirEntry, 2*len(old)), g.dirShift-1
+		for _, o := range old {
+			if o.bucket != 0 {
+				*g.probe(o.key) = o
+			}
+		}
+		e = g.probe(key)
+	}
+	g.minCx, g.maxCx = min(g.minCx, cx), max(g.maxCx, cx)
+	g.minCy, g.maxCy = min(g.minCy, cy), max(g.maxCy, cy)
+	g.buckets = append(g.buckets, slotBucket{})
+	*e = dirEntry{key: key, bucket: int32(len(g.buckets))}
+	return e.bucket - 1
 }
 
 // slotBucket holds one cell's entries in structure-of-arrays layout.
@@ -64,16 +119,8 @@ func NewSlotGrid(cellSize float64) *SlotGrid {
 		cellSize = DefaultCell
 	}
 	return &SlotGrid{
-		cell:  cellSize,
-		cells: make(map[cellKey]*slotBucket),
-		where: make(map[int64]cellKey),
-	}
-}
-
-func (g *SlotGrid) key(p geo.Point) cellKey {
-	return cellKey{
-		cx: int32(math.Floor(p.X / g.cell)),
-		cy: int32(math.Floor(p.Y / g.cell)),
+		cell: cellSize, dir: make([]dirEntry, 16), dirShift: 60, where: make(map[int64]int32),
+		minCx: math.MaxInt32, maxCx: math.MinInt32, minCy: math.MaxInt32, maxCy: math.MinInt32,
 	}
 }
 
@@ -84,12 +131,8 @@ func (g *SlotGrid) Insert(e Entry, slot int32) {
 	if _, dup := g.where[e.ID]; dup {
 		g.Remove(e.ID)
 	}
-	k := g.key(e.Circle.Center)
-	b := g.cells[k]
-	if b == nil {
-		b = &slotBucket{}
-		g.cells[k] = b
-	}
+	bi := g.touch(CellOf(e.Circle.Center, g.cell))
+	b := &g.buckets[bi]
 	rad := e.Circle.Radius
 	r2 := -1.0
 	if rad >= 0 {
@@ -101,7 +144,7 @@ func (g *SlotGrid) Insert(e Entry, slot int32) {
 	b.ys = append(b.ys, e.Circle.Center.Y)
 	b.r2 = append(b.r2, r2)
 	b.rads = append(b.rads, rad)
-	g.where[e.ID] = k
+	g.where[e.ID] = bi
 	g.addRad(rad)
 	g.n++
 }
@@ -138,11 +181,11 @@ func (g *SlotGrid) removeRad(r float64) {
 // Remove deletes the entry with the given ID, returning the slot it
 // carried and whether it was present.
 func (g *SlotGrid) Remove(id int64) (slot int32, ok bool) {
-	k, ok := g.where[id]
+	bi, ok := g.where[id]
 	if !ok {
 		return 0, false
 	}
-	b := g.cells[k]
+	b := &g.buckets[bi]
 	for i, eid := range b.ids {
 		if eid == id {
 			slot = b.slots[i]
@@ -163,11 +206,10 @@ func (g *SlotGrid) Remove(id int64) (slot int32, ok bool) {
 			break
 		}
 	}
-	// Unlike Grid, an emptied bucket stays in the map: churny cells
-	// (workers leaving and re-arriving at the same spot) reuse its six
-	// arrays' capacity instead of reallocating them, and an empty bucket
-	// costs a covering query nothing it wasn't already paying for the
-	// cell lookup. Memory is bounded by the distinct cells ever touched.
+	// Unlike Grid, an emptied bucket stays: churny cells (workers
+	// leaving and re-arriving at the same spot) reuse its six arrays'
+	// capacity instead of reallocating them, and the directory needs no
+	// tombstones. Memory is bounded by the distinct cells ever touched.
 	delete(g.where, id)
 	g.n--
 	return slot, true
@@ -175,11 +217,11 @@ func (g *SlotGrid) Remove(id int64) (slot int32, ok bool) {
 
 // Slot returns the slot carried by the entry with the given ID.
 func (g *SlotGrid) Slot(id int64) (int32, bool) {
-	k, ok := g.where[id]
+	bi, ok := g.where[id]
 	if !ok {
 		return 0, false
 	}
-	b := g.cells[k]
+	b := &g.buckets[bi]
 	for i, eid := range b.ids {
 		if eid == id {
 			return b.slots[i], true
@@ -199,21 +241,26 @@ func (g *SlotGrid) searchRadius() float64 {
 // AppendSlots appends to dst the slot of every entry whose disk
 // contains p and returns the extended slice, in the same deterministic
 // order Grid.Covering appends entries (ring scan cx-major, bucket order
-// within a cell). Returning slots through a caller-reused buffer keeps
+// within a cell), over the part of the ring inside the bounding box of
+// touched cells. Returning slots through a caller-reused buffer keeps
 // the hot path free of closure captures, which would otherwise escape.
 func (g *SlotGrid) AppendSlots(dst []int32, p geo.Point) []int32 {
 	if g.n == 0 {
 		return dst
 	}
-	r := g.searchRadius()
-	ring := int32(math.Ceil(r / g.cell))
-	c := g.key(p)
-	for cx := c.cx - ring; cx <= c.cx+ring; cx++ {
-		for cy := c.cy - ring; cy <= c.cy+ring; cy++ {
-			b := g.cells[cellKey{cx, cy}]
-			if b == nil {
+	// Clamped in float64, which holds every int32 exactly, so a ring wider
+	// than int32 neither overflows nor leaves the box.
+	ring := math.Ceil(g.searchRadius() / g.cell)
+	pcx, pcy := CellOf(p, g.cell)
+	loX, hiX := int(max(float64(pcx)-ring, float64(g.minCx))), int(min(float64(pcx)+ring, float64(g.maxCx)))
+	loY, hiY := int(max(float64(pcy)-ring, float64(g.minCy))), int(min(float64(pcy)+ring, float64(g.maxCy)))
+	for cx := loX; cx <= hiX; cx++ {
+		for cy := loY; cy <= hiY; cy++ {
+			e := g.probe(packCell(int32(cx), int32(cy)))
+			if e.bucket == 0 {
 				continue
 			}
+			b := &g.buckets[e.bucket-1]
 			xs, ys, r2 := b.xs, b.ys, b.r2
 			for i := range xs {
 				dx, dy := xs[i]-p.X, ys[i]-p.Y

@@ -59,25 +59,29 @@ type Hub struct {
 	// rejected loudly instead of silently corrupting the run.
 	sealed atomic.Bool
 
-	// mu guards the per-worker tables below. Entries exist exactly while
-	// a worker waits: they are deleted when the worker is claimed by a
-	// cooperating platform or assigned by its own (WorkerAssigned), so
-	// long recycled runs no longer grow these maps without bound.
-	mu        sync.Mutex
-	owner     map[int64]core.PlatformID
-	histories map[int64]*pricing.History
-	claimed   map[int64]*atomic.Bool // per-worker claim state word
-	lent      map[core.PlatformID]int
+	// mu guards the tables below. A worker's record exists exactly while
+	// it waits: it is deleted when the worker is claimed by a cooperating
+	// platform or assigned by its own (WorkerAssigned), so long recycled
+	// runs do not grow the map without bound.
+	mu      sync.Mutex
+	workers map[int64]*workerRec
+	lent    map[core.PlatformID]int
+}
+
+// workerRec is everything the hub keeps for one waiting worker: one
+// map entry and one allocation per arrival.
+type workerRec struct {
+	owner   core.PlatformID
+	hist    *pricing.History
+	claimed atomic.Bool // the claim word racing platforms CAS
 }
 
 // NewHub returns an empty hub.
 func NewHub() *Hub {
 	return &Hub{
-		pools:     make(map[core.PlatformID]*online.Pool),
-		owner:     make(map[int64]core.PlatformID),
-		histories: make(map[int64]*pricing.History),
-		claimed:   make(map[int64]*atomic.Bool),
-		lent:      make(map[core.PlatformID]int),
+		pools:   make(map[core.PlatformID]*online.Pool),
+		workers: make(map[int64]*workerRec),
+		lent:    make(map[core.PlatformID]int),
 	}
 }
 
@@ -151,25 +155,21 @@ func (h *Hub) WorkerArrived(w *core.Worker) error {
 	if err != nil {
 		return fmt.Errorf("platform: worker %d: %w", w.ID, err)
 	}
+	rec := &workerRec{owner: w.Platform, hist: hist}
 	h.lockTables()
-	h.owner[w.ID] = w.Platform
-	h.histories[w.ID] = hist
-	h.claimed[w.ID] = new(atomic.Bool)
+	h.workers[w.ID] = rec
 	h.mu.Unlock()
 	return nil
 }
 
-// WorkerAssigned releases the hub's ownership, history and claim state
-// for a worker just assigned by its own platform's matcher (an inner
-// assignment never passes through Claim). Cooperative claims clean up in
-// Claim itself, so calling this for them is a harmless no-op. Without
-// this eviction the per-worker tables grew without bound on long
-// recycled runs.
+// WorkerAssigned releases the hub's record of a worker just assigned by
+// its own platform's matcher (an inner assignment never passes through
+// Claim). Cooperative claims clean up in Claim itself, so calling this
+// for them is a harmless no-op. Without this eviction the table grew
+// without bound on long recycled runs.
 func (h *Hub) WorkerAssigned(workerID int64) {
 	h.lockTables()
-	delete(h.owner, workerID)
-	delete(h.histories, workerID)
-	delete(h.claimed, workerID)
+	delete(h.workers, workerID)
 	h.mu.Unlock()
 }
 
@@ -178,15 +178,18 @@ func (h *Hub) WorkerAssigned(workerID int64) {
 func (h *Hub) TrackedWorkers() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.owner)
+	return len(h.workers)
 }
 
 // HistoryOf returns the acceptance history recorded for a worker.
 func (h *Hub) HistoryOf(workerID int64) (*pricing.History, bool) {
 	h.mu.Lock()
-	hist, ok := h.histories[workerID]
+	rec := h.workers[workerID]
 	h.mu.Unlock()
-	return hist, ok
+	if rec == nil {
+		return nil, false
+	}
+	return rec.hist, true
 }
 
 // ViewFor returns the CoopView platform id uses to see the other
@@ -242,13 +245,13 @@ func (v *hubView) EligibleOuter(r *core.Request) []online.Candidate {
 	}
 	h.lockTables()
 	for _, w := range v.workers {
-		hist := h.histories[w.ID]
-		if hist == nil {
+		rec := h.workers[w.ID]
+		if rec == nil {
 			// Assigned by its owner between the pool scan and now; the
 			// worker is already out of every waiting list.
 			continue
 		}
-		v.cands = append(v.cands, online.Candidate{Worker: w, History: hist})
+		v.cands = append(v.cands, online.Candidate{Worker: w, History: rec.hist})
 	}
 	h.mu.Unlock()
 	return v.cands
@@ -274,10 +277,9 @@ func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaul
 		return false
 	}
 	h.lockTables()
-	owner, ok := h.owner[workerID]
-	word := h.claimed[workerID]
+	rec := h.workers[workerID]
 	h.mu.Unlock()
-	if !ok || word == nil {
+	if rec == nil {
 		// Matchers only claim workers they just sighted through
 		// EligibleOuter, so a missing record means the worker was
 		// assigned — by another platform's claim or its owner's inner
@@ -285,6 +287,7 @@ func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaul
 		h.metrics.ClaimConflict()
 		return false
 	}
+	owner := rec.owner
 	if owner == self {
 		// Semantic refusal, not a race: the coop view never hands out
 		// a platform's own workers.
@@ -296,7 +299,7 @@ func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaul
 		// race — it moves on to the next accepting candidate.
 		return false
 	}
-	if !word.CompareAndSwap(false, true) {
+	if !rec.claimed.CompareAndSwap(false, true) {
 		// Another platform's claim got here first.
 		h.metrics.ClaimConflict()
 		return false
@@ -304,14 +307,12 @@ func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaul
 	pool := h.pools[owner]
 	if pool == nil || !pool.Remove(workerID) {
 		// The owner's inner assignment raced the claim and won; it will
-		// evict the tables via WorkerAssigned.
+		// evict the record via WorkerAssigned.
 		h.metrics.ClaimConflict()
 		return false
 	}
 	h.lockTables()
-	delete(h.owner, workerID)
-	delete(h.histories, workerID)
-	delete(h.claimed, workerID)
+	delete(h.workers, workerID)
 	h.lent[owner]++
 	h.mu.Unlock()
 	return true

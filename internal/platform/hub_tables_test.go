@@ -27,18 +27,9 @@ func runForState(t *testing.T, stream *core.Stream, factory MatcherFactory, cfg 
 	return eng.s, res
 }
 
-// hubTableLens reads the sizes of the hub's three per-worker tables.
-func hubTableLens(h *Hub) (owner, histories, claimed int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.owner), len(h.histories), len(h.claimed)
-}
-
-// TestHubTablesEmptyAfterDrainedRun checks eviction at its strictest:
-// when every worker in the stream ends up assigned, the hub must hold
-// zero records in all three per-worker tables — owner, histories and
-// claim words — not just a matching TrackedWorkers count.
-func TestHubTablesEmptyAfterDrainedRun(t *testing.T) {
+// TestHubEmptyAfterDrainedRun checks eviction at its strictest: when
+// every worker in the stream ends up assigned, the hub holds no record.
+func TestHubEmptyAfterDrainedRun(t *testing.T) {
 	var events []core.Event
 	id := int64(1)
 	for _, pid := range []core.PlatformID{1, 2} {
@@ -57,43 +48,34 @@ func TestHubTablesEmptyAfterDrainedRun(t *testing.T) {
 	if res.TotalServed() != 2 {
 		t.Fatalf("served %d of 2 requests; stream not drained as designed", res.TotalServed())
 	}
-	o, hi, cl := hubTableLens(s.hub)
-	if o != 0 || hi != 0 || cl != 0 {
-		t.Errorf("hub tables not empty after drained run: owner=%d histories=%d claimed=%d", o, hi, cl)
+	if n := s.hub.TrackedWorkers(); n != 0 {
+		t.Errorf("hub holds %d worker records after a drained run, want 0", n)
 	}
 }
 
-// TestHubTablesStayInSyncOnLongRecycledRun is the leak regression for
-// the recycled path: over a long run with worker recycling, the three
-// per-worker tables must stay mutually consistent and track exactly the
-// workers still waiting in the platform pools — every pool worker has a
-// record, and no record outlives its worker.
-func TestHubTablesStayInSyncOnLongRecycledRun(t *testing.T) {
+// TestHubRecordsMatchPoolsOnLongRecycledRun is the leak regression for
+// the recycled path: over a long run with worker recycling, a record
+// exists if and only if the worker still waits in its owner's pool, and
+// it carries the history the matchers price with.
+func TestHubRecordsMatchPoolsOnLongRecycledRun(t *testing.T) {
 	stream := multiStream(t, 3, 600, 90, 19)
 	s, _ := runForState(t, stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
 		Config{Seed: 19, ServiceTicks: 5})
-	inPools := map[int64]bool{}
+	s.hub.mu.Lock()
+	defer s.hub.mu.Unlock()
+	waiting := 0
 	for _, pid := range s.pids {
 		s.matchers[pid].(poolHolder).Pool().Each(func(w *core.Worker) bool {
-			inPools[w.ID] = true
+			waiting++
+			if rec := s.hub.workers[w.ID]; rec == nil {
+				t.Errorf("worker %d waits in platform %d's pool without a hub record", w.ID, pid)
+			} else if rec.owner != pid || rec.hist == nil {
+				t.Errorf("worker %d in platform %d's pool: record has owner %d, history %v", w.ID, pid, rec.owner, rec.hist)
+			}
 			return true
 		})
 	}
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	if len(s.hub.owner) != len(inPools) || len(s.hub.histories) != len(inPools) || len(s.hub.claimed) != len(inPools) {
-		t.Errorf("table sizes owner=%d histories=%d claimed=%d, want %d (workers still waiting in pools)",
-			len(s.hub.owner), len(s.hub.histories), len(s.hub.claimed), len(inPools))
-	}
-	for id := range s.hub.owner {
-		if !inPools[id] {
-			t.Errorf("hub tracks worker %d that is in no pool (leaked record)", id)
-		}
-		if _, ok := s.hub.histories[id]; !ok {
-			t.Errorf("worker %d has an owner record but no history", id)
-		}
-		if _, ok := s.hub.claimed[id]; !ok {
-			t.Errorf("worker %d has an owner record but no claim word", id)
-		}
+	if len(s.hub.workers) != waiting {
+		t.Errorf("hub holds %d records for %d waiting workers (leaked records)", len(s.hub.workers), waiting)
 	}
 }

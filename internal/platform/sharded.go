@@ -283,14 +283,14 @@ func (v *shardCoopView) appendRemote(t int, r *core.Request) {
 	}
 	th.lockTables()
 	for _, w := range v.workers {
-		hist := th.histories[w.ID]
-		if hist == nil {
+		rec := th.workers[w.ID]
+		if rec == nil {
 			// Assigned between the pool scan and now (degraded mode
 			// only); already out of every waiting list.
 			continue
 		}
 		v.remote[w.ID] = t
-		v.cands = append(v.cands, online.Candidate{Worker: w, History: hist})
+		v.cands = append(v.cands, online.Candidate{Worker: w, History: rec.hist})
 	}
 	th.mu.Unlock()
 }

@@ -1,10 +1,11 @@
 package pricing
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -292,7 +293,7 @@ func (q *TableQuoter) MaxExpectedRevenue(value float64, group []*History, s *Scr
 	if len(bps) == 0 {
 		return Quote{}, nil // nobody in the group can be afforded
 	}
-	sort.Slice(bps, func(i, j int) bool { return bps[i].pay < bps[j].pay })
+	slices.SortFunc(bps, func(a, b breakpoint) int { return cmp.Compare(a.pay, b.pay) })
 
 	// Sweep the breakpoints in ascending payment order, maintaining the
 	// product of per-worker decline probabilities incrementally.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -115,6 +116,26 @@ func TestBadInputRejected(t *testing.T) {
 		resp, d := postJSON(t, client, ts.URL+tc.url, tc.body)
 		if resp.StatusCode != http.StatusBadRequest || d.Status != StatusError {
 			t.Errorf("%s: want 400/error, got %d/%s", name, resp.StatusCode, d.Status)
+		}
+	}
+}
+
+// JSON cannot spell NaN or Inf, but a WireEvent built in-process (the
+// load generator, a test) can hold them: the decode step must refuse a
+// radius or value that is not a positive finite number, with the same
+// message core.Validate gives.
+func TestWireDecodeRejectsNonFinite(t *testing.T) {
+	for name, tc := range map[string]struct {
+		kind core.EventKind
+		we   WireEvent
+	}{
+		"nan radius": {core.WorkerArrival, WireEvent{ID: 1, Platform: 1, Radius: math.NaN()}},
+		"inf radius": {core.WorkerArrival, WireEvent{ID: 1, Platform: 1, Radius: math.Inf(1)}},
+		"nan value":  {core.RequestArrival, WireEvent{ID: 1, Platform: 1, Value: math.NaN()}},
+		"inf value":  {core.RequestArrival, WireEvent{ID: 1, Platform: 1, Value: math.Inf(1)}},
+	} {
+		if _, err := tc.we.toEvent(tc.kind); err == nil || !strings.Contains(err.Error(), "must be positive and finite") {
+			t.Errorf("%s: toEvent error = %v, want a positive-and-finite refusal", name, err)
 		}
 	}
 }

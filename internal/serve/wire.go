@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 
 	"crossmatch/internal/core"
@@ -124,15 +125,15 @@ func (we *WireEvent) toEvent(kind core.EventKind) (core.Event, error) {
 	loc := geo.Point{X: we.X, Y: we.Y}
 	switch kind {
 	case core.WorkerArrival:
-		if we.Radius <= 0 {
-			return core.Event{}, fmt.Errorf("worker %d: radius %v must be positive", we.ID, we.Radius)
+		if !(we.Radius > 0) || math.IsInf(we.Radius, 0) {
+			return core.Event{}, fmt.Errorf("worker %d: radius %v must be positive and finite", we.ID, we.Radius)
 		}
 		w := &core.Worker{ID: we.ID, Loc: loc, Radius: we.Radius,
 			Platform: core.PlatformID(we.Platform), History: we.History}
 		return core.Event{Kind: kind, Worker: w}, nil
 	default:
-		if we.Value <= 0 {
-			return core.Event{}, fmt.Errorf("request %d: value %v must be positive", we.ID, we.Value)
+		if !(we.Value > 0) || math.IsInf(we.Value, 0) {
+			return core.Event{}, fmt.Errorf("request %d: value %v must be positive and finite", we.ID, we.Value)
 		}
 		r := &core.Request{ID: we.ID, Loc: loc, Value: we.Value,
 			Platform: core.PlatformID(we.Platform)}
