@@ -2,6 +2,7 @@ package platform
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -167,4 +168,36 @@ func TestGoldenRuns(t *testing.T) {
 func withKey(g, key goldenRow) goldenRow {
 	g.alg, g.ticks, g.shards = key.alg, key.ticks, key.shards
 	return g
+}
+
+// offlineGolden is OFF on the golden stream, captured at e8b25f8 where
+// Offline still enumerated edges through index.Grid: served count,
+// joint-optimum bits, and the goldenOf-style digest over Matching order.
+var offlineGolden = struct {
+	served         int
+	weight, digest uint64
+}{233, 0x40aea38e0a33b970, 0x34f04640fc7c6ae}
+
+// TestGoldenOffline pins OFF's bits, so moving the graph builder to
+// another index is shown to keep the edge list (and with it the solver's
+// tie-breaks) exactly as it was.
+func TestGoldenOffline(t *testing.T) {
+	off, err := Offline(feedTestStream(t, 400, 120, 7), SolverAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [24]byte
+	for _, a := range off.Matching.Assignments() {
+		binary.LittleEndian.PutUint64(buf[0:], uint64(a.Request.ID))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(a.Worker.ID))
+		binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(a.Payment))
+		h.Write(buf[:])
+	}
+	got := offlineGolden
+	got.served, got.weight, got.digest = off.TotalServed, math.Float64bits(off.TotalWeight), h.Sum64()
+	if got != offlineGolden {
+		t.Fatalf("\n got {%d, %#x, %#x}\nwant {%d, %#x, %#x}", got.served, got.weight, got.digest,
+			offlineGolden.served, offlineGolden.weight, offlineGolden.digest)
+	}
 }

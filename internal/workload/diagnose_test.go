@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,5 +103,26 @@ func TestWriteDiagnosis(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q: %s", want, out)
 		}
+	}
+}
+
+// TestDiagnoseGolden pins Diagnose on one generated stream, captured at
+// e8b25f8 where it indexed requests through index.Grid, so a change of
+// index is shown to keep every count.
+func TestDiagnoseGolden(t *testing.T) {
+	cfg, err := Synthetic(2500, 500, 1.0, "real")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Generate(cfg, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Diagnosis{
+		{Platform: 1, Workers: 1000, Requests: 1250, StrandedOwn: 628, Rescuable: 511},
+		{Platform: 2, Workers: 1000, Requests: 1250, StrandedOwn: 349, Rescuable: 214},
+	}
+	if got := Diagnose(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("\n got %+v\nwant %+v", got, want)
 	}
 }
