@@ -494,7 +494,7 @@ func SimulateSource(ctx context.Context, pids []PlatformID, algorithm string, ma
 // Offline computes the OFF baseline: the offline optimum of COM as an
 // exact maximum-weight bipartite matching (Section II-B).
 func Offline(stream *Stream) (*OfflineResult, error) {
-	return platform.Offline(stream, platform.SolverAuto)
+	return platform.Offline(stream)
 }
 
 // ReproduceTable regenerates one of the paper's Tables V-VII for the

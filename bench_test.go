@@ -293,7 +293,7 @@ func BenchmarkPlatformParallelRuntime(b *testing.B)   { benchPlatformRuntime(b, 
 // call a nil-receiver no-op), "sampled" traces 10% of requests, "full"
 // traces all of them. The off/full gap is the cost of stage timestamps
 // and ring commits; off vs BenchmarkDecisionLatency history quantifies
-// the nil-path instrumentation itself (see BENCH_PR4.json).
+// the nil-path instrumentation itself.
 func BenchmarkTraceOverhead(b *testing.B) {
 	cfg, err := workload.Synthetic(2500, 500, 1.0, "real")
 	if err != nil {
@@ -329,8 +329,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // the table workload within 2% of a run that additionally carries a
 // tracer in disabled-sampling mode — i.e. the disabled path is flag
 // checks, not work. Timing assertions are inherently machine-sensitive,
-// so the guard only runs when CROSSMATCH_BENCH_GUARD=1 (the bench-json
-// CI smoke records the numbers without thresholds instead).
+// so the guard only runs when CROSSMATCH_BENCH_GUARD=1.
 func TestDisabledTracerOverheadGuard(t *testing.T) {
 	if os.Getenv("CROSSMATCH_BENCH_GUARD") != "1" {
 		t.Skip("set CROSSMATCH_BENCH_GUARD=1 to run the timing guard")
@@ -367,16 +366,10 @@ func TestDisabledTracerOverheadGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchWindow measures one BatchCOM windowed-dispatch
-// simulation end to end, excluding stream generation: the per-window
-// buffer/flush machinery, the batch edge-set build and the canonical
-// per-window matching. Guarded by allocs/op against BENCH_PR9.json in
-// scripts/bench_guard.sh — the windowed hot path must not quietly start
-// allocating per buffered request.
 // BenchmarkShardedEngine drives the geo-sharded runtime (4 shards, the
 // async cross-shard claim protocol on every boundary request) over a
-// dense two-platform city through the public API. Guarded by
-// bench_guard.sh against BENCH_PR10.json on allocs/op.
+// dense two-platform city through the public API. Its allocs/op are
+// held by TestAllocCeilings.
 func BenchmarkShardedEngine(b *testing.B) {
 	cfg, err := workload.Synthetic(4500, 1000, 1.0, "real")
 	if err != nil {
@@ -398,6 +391,12 @@ func BenchmarkShardedEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchWindow measures one BatchCOM windowed-dispatch
+// simulation end to end, excluding stream generation: the per-window
+// buffer/flush machinery, the batch edge-set build and the canonical
+// per-window matching. TestAllocCeilings holds its allocs/op — the
+// windowed hot path must not quietly start allocating per buffered
+// request.
 func BenchmarkBatchWindow(b *testing.B) {
 	cfg, err := workload.Synthetic(2500, 500, 1.0, "real")
 	if err != nil {
@@ -415,5 +414,33 @@ func BenchmarkBatchWindow(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.TotalRevenue(), "rev")
+	}
+}
+
+// TestAllocCeilings fails when a hot path's allocation count regresses.
+// Allocation counts repeat where ns/op on a shared machine does not, so
+// they can carry a threshold: each ceiling is 1.10x the count recorded
+// when the benchmark's path was last reworked on purpose (PR 6 for the
+// tables, PR 9 for BatchWindow, PR 10 for ShardedEngine). A change that
+// allocates less may lower a ceiling; one that allocates more must say why.
+func TestAllocCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four benchmarks")
+	}
+	for _, c := range []struct {
+		name    string
+		fn      func(*testing.B)
+		ceiling int64
+	}{
+		{"TableV", BenchmarkTableV, 58827},
+		{"TableVI", BenchmarkTableVI, 71878},
+		{"BatchWindow", BenchmarkBatchWindow, 52790},
+		{"ShardedEngine", BenchmarkShardedEngine, 54957},
+	} {
+		if got := testing.Benchmark(c.fn).AllocsPerOp(); got > c.ceiling {
+			t.Errorf("Benchmark%s: %d allocs/op, ceiling %d", c.name, got, c.ceiling)
+		} else {
+			t.Logf("Benchmark%s: %d allocs/op, ceiling %d", c.name, got, c.ceiling)
+		}
 	}
 }

@@ -10,6 +10,9 @@ import (
 	"crossmatch/internal/metrics"
 )
 
+// sequential runs unit runs inline, one at a time.
+func sequential() *experiments.Runner { return &experiments.Runner{Parallelism: 1} }
+
 func TestRunCollectsMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	runner := &experiments.Runner{Parallelism: 1, Metrics: metrics.New()}
@@ -33,7 +36,7 @@ func TestRunCollectsMetrics(t *testing.T) {
 
 func TestRunSingleTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "tableVII", 0.003, 7, 1, 0, false, false, 0, nil, 0, nil, nil, experiments.Sequential()); err != nil {
+	if err := run(&buf, "tableVII", 0.003, 7, 1, 0, false, false, 0, nil, 0, nil, nil, sequential()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -46,10 +49,10 @@ func TestRunSingleTable(t *testing.T) {
 
 func TestRunFigureSharesSweep(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig5i", 0.01, 7, 1, 1.0, false, false, 0, nil, 0, nil, nil, experiments.Sequential()); err != nil {
+	if err := run(&buf, "fig5i", 0.01, 7, 1, 1.0, false, false, 0, nil, 0, nil, nil, sequential()); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&buf, "fig5l", 0.01, 7, 1, 1.0, false, false, 0, nil, 0, nil, nil, experiments.Sequential()); err != nil {
+	if err := run(&buf, "fig5l", 0.01, 7, 1, 1.0, false, false, 0, nil, 0, nil, nil, sequential()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -60,7 +63,7 @@ func TestRunFigureSharesSweep(t *testing.T) {
 
 func TestRunCSVMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig5i", 0.01, 7, 1, 0.5, true, false, 0, nil, 0, nil, nil, experiments.Sequential()); err != nil {
+	if err := run(&buf, "fig5i", 0.01, 7, 1, 0.5, true, false, 0, nil, 0, nil, nil, sequential()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "rad,TOTA,DemCOM,RamCOM") {
@@ -70,7 +73,7 @@ func TestRunCSVMode(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "tableIX", 0.01, 7, 1, 0, false, false, 0, nil, 0, nil, nil, experiments.Sequential()); err == nil {
+	if err := run(&buf, "tableIX", 0.01, 7, 1, 0, false, false, 0, nil, 0, nil, nil, sequential()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -80,7 +83,7 @@ func TestRunCR(t *testing.T) {
 	// CROptions defaults are too heavy for a unit test; the cr path is
 	// covered via the experiments package tests. Here just ensure the
 	// ablations path wires through.
-	if err := run(&buf, "ablations", 0.01, 7, 1, 0, false, false, 0, nil, 0, nil, nil, experiments.Sequential()); err != nil {
+	if err := run(&buf, "ablations", 0.01, 7, 1, 0, false, false, 0, nil, 0, nil, nil, sequential()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "oracle") {
@@ -90,7 +93,7 @@ func TestRunCR(t *testing.T) {
 
 func TestRunPlotMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig5i", 0.01, 7, 1, 1.0, false, true, 0, nil, 0, nil, nil, experiments.Sequential()); err != nil {
+	if err := run(&buf, "fig5i", 0.01, 7, 1, 1.0, false, true, 0, nil, 0, nil, nil, sequential()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -120,7 +123,7 @@ func TestParseWindows(t *testing.T) {
 func TestRunWindowExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, "window", 0.01, 7, 1, 0, false, false, 0,
-		[]core.Time{2}, 1, nil, nil, experiments.Sequential()); err != nil {
+		[]core.Time{2}, 1, nil, nil, sequential()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -180,7 +183,7 @@ func TestRunFaultSweepExperiment(t *testing.T) {
 	// prepended by the harness itself.
 	res, err := experiments.RunFaultSweep(experiments.FaultSweepOptions{
 		Rates: []float64{0, 1}, Requests: 200, Workers: 60, Repeats: 1, Seed: 7,
-		Runner: experiments.Sequential(),
+		Runner: sequential(),
 	})
 	if err != nil {
 		t.Fatal(err)

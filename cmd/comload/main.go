@@ -1,9 +1,7 @@
 // Command comload is the closed-loop load generator for comserve: it
 // replays a workload stream against the serving endpoints at a target
 // event rate, measures client-side latency quantiles and shed rate,
-// and prints (or writes) a JSON report in the benchfmt schema shared
-// with cmd/benchjson — so serving runs land next to the offline
-// benchmark snapshots.
+// and prints (or writes) a JSON report.
 //
 // Usage:
 //
@@ -41,7 +39,6 @@ type options struct {
 	timeout    time.Duration
 	retries    int
 	unavailRet int
-	coalesce   bool
 	label      string
 	out        string
 	minMatched int64
@@ -62,8 +59,7 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-call HTTP timeout")
 	flag.IntVar(&o.retries, "retries", 0, "retries per shed event, sleeping the server's retry hint (replay servers need this)")
 	flag.IntVar(&o.unavailRet, "unavail-retries", 0, "separate retry budget per 503-class event (draining/recovering/dark shard); fleet chaos runs need this to ride out a shard's WAL recovery")
-	flag.BoolVar(&o.coalesce, "coalesce", false, "fill batches with same-kind events across kind interleavings (per-kind order kept; use against replay/idempotent servers)")
-	flag.StringVar(&o.label, "label", "", "stamp the report with this label (benchfmt document)")
+	flag.StringVar(&o.label, "label", "", "stamp the report with this label")
 	flag.StringVar(&o.out, "out", "", "write the JSON report here instead of stdout")
 	flag.Int64Var(&o.minMatched, "min-matched", -1, "exit non-zero unless at least this many requests matched (CI smoke assertion; -1 disables)")
 	flag.Parse()
@@ -100,7 +96,7 @@ func sortedShardNames(m map[string]*serve.ShardLoad) []string {
 }
 
 // report is the JSON document comload writes: the client-side load
-// report plus the benchfmt rendering of its headline metrics.
+// report under the run's label and target.
 type report struct {
 	Label string            `json:"label,omitempty"`
 	URL   string            `json:"url"`
@@ -121,7 +117,6 @@ func run(w io.Writer, o options) error {
 		Timeout:        o.timeout,
 		Retries:        o.retries,
 		UnavailRetries: o.unavailRet,
-		Coalesce:       o.coalesce,
 	})
 	if err != nil {
 		return err

@@ -143,7 +143,7 @@ func run(w io.Writer, o options) error {
 		res.TotalRevenue(), res.TotalServed(), res.CooperativeServed())
 
 	if o.withOff {
-		off, err := platform.Offline(stream, platform.SolverAuto)
+		off, err := platform.Offline(stream)
 		if err != nil {
 			return err
 		}
@@ -173,7 +173,7 @@ func runEnsemble(w io.Writer, o options, stream *core.Stream, factory platform.M
 		o.alg, s.Runs, s.MeanRevenue, s.MinRevenue, s.MaxRevenue, 100*s.RevenueStdDevFrac,
 		s.MeanServed, s.MeanCooperative, s.MeanAcceptance, s.MeanPaymentRate)
 	if o.withOff {
-		off, err := platform.Offline(stream, platform.SolverAuto)
+		off, err := platform.Offline(stream)
 		if err != nil {
 			return err
 		}

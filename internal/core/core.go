@@ -85,9 +85,13 @@ func (w *Worker) Validate() error {
 		return fmt.Errorf("core: worker %d: radius %v must be positive and finite", w.ID, w.Radius)
 	case w.Platform == NoPlatform:
 		return fmt.Errorf("core: worker %d: missing platform", w.ID)
-	default:
-		return nil
 	}
+	for i, v := range w.History {
+		if !(v > 0) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: worker %d: history value %d = %v must be positive and finite", w.ID, i, v)
+		}
+	}
+	return nil
 }
 
 // Range returns the worker's service disk.
@@ -223,46 +227,6 @@ func (m *Matching) ByRequest(requestID int64) (Assignment, bool) {
 		return Assignment{}, false
 	}
 	return m.assignments[i], true
-}
-
-// ByWorker returns the assignment using the given worker, if any.
-func (m *Matching) ByWorker(workerID int64) (Assignment, bool) {
-	i, ok := m.byWorker[workerID]
-	if !ok {
-		return Assignment{}, false
-	}
-	return m.assignments[i], true
-}
-
-// InnerCount returns the number of assignments served by inner workers.
-func (m *Matching) InnerCount() int {
-	n := 0
-	for _, a := range m.assignments {
-		if !a.Outer {
-			n++
-		}
-	}
-	return n
-}
-
-// OuterCount returns the number of cooperative (outer) assignments.
-func (m *Matching) OuterCount() int { return m.Len() - m.InnerCount() }
-
-// PaymentRate returns the mean of v'/v over outer assignments — the
-// paper's effectiveness metric "average rate of each outer payment v' to
-// the request value v". It returns 0 when there are no outer assignments.
-func (m *Matching) PaymentRate() float64 {
-	sum, n := 0.0, 0
-	for _, a := range m.assignments {
-		if a.Outer {
-			sum += a.Payment / a.Request.Value
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Validate re-checks every assignment and the 1-by-1 maps. It is meant

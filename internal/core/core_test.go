@@ -54,6 +54,11 @@ func TestWorkerValidate(t *testing.T) {
 		{"inf radius", wrk(1, 0, 1, 1, math.Inf(1), 1), "must be positive and finite"},
 		{"inf location", &Worker{ID: 1, Loc: geo.Point{Y: math.Inf(1)}, Radius: 1, Platform: 1}, "non-finite"},
 		{"no platform", wrk(1, 0, 1, 1, 2, NoPlatform), "missing platform"},
+		{"history", &Worker{ID: 1, Radius: 1, Platform: 1, History: []float64{3, 0.5}}, ""},
+		{"negative history", &Worker{ID: 1, Radius: 1, Platform: 1, History: []float64{3, -1}}, "history value 1 = -1 must be positive and finite"},
+		{"zero history", &Worker{ID: 1, Radius: 1, Platform: 1, History: []float64{0}}, "history value 0 = 0 must be positive and finite"},
+		{"nan history", &Worker{ID: 1, Radius: 1, Platform: 1, History: []float64{math.NaN()}}, "must be positive and finite"},
+		{"inf history", &Worker{ID: 1, Radius: 1, Platform: 1, History: []float64{math.Inf(1)}}, "must be positive and finite"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -156,20 +161,11 @@ func TestMatchingAddAndRevenue(t *testing.T) {
 	if got := m.Revenue(); got != 9+3 {
 		t.Errorf("Revenue = %v, want 12", got)
 	}
-	if m.InnerCount() != 1 || m.OuterCount() != 1 {
-		t.Errorf("inner/outer = %d/%d", m.InnerCount(), m.OuterCount())
-	}
-	if got := m.PaymentRate(); got != 0.5 {
-		t.Errorf("PaymentRate = %v, want 0.5", got)
-	}
 	if err := m.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 	if a, ok := m.ByRequest(1); !ok || a.Worker.ID != 1 {
 		t.Errorf("ByRequest(1) = %+v, %v", a, ok)
-	}
-	if a, ok := m.ByWorker(2); !ok || a.Request.ID != 2 {
-		t.Errorf("ByWorker(2) = %+v, %v", a, ok)
 	}
 	if _, ok := m.ByRequest(99); ok {
 		t.Error("ByRequest(99) should not exist")
@@ -209,19 +205,6 @@ func TestMatchingRejectsInvalidAssignment(t *testing.T) {
 	}
 	if m.Len() != 0 {
 		t.Error("invalid assignment must not be recorded")
-	}
-}
-
-func TestMatchingPaymentRateNoOuter(t *testing.T) {
-	m := NewMatching()
-	if m.PaymentRate() != 0 {
-		t.Error("empty matching payment rate should be 0")
-	}
-	if err := m.Add(Assignment{Request: req(1, 1, 0, 0, 5, 1), Worker: wrk(1, 0, 0, 0, 1, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if m.PaymentRate() != 0 {
-		t.Error("inner-only matching payment rate should be 0")
 	}
 }
 

@@ -81,12 +81,12 @@ func TestStreamFilterPartition(t *testing.T) {
 		if total != s.Len() {
 			t.Fatalf("trial %d: partition sizes %d != %d", trial, total, s.Len())
 		}
-		// Merging the parts reconstructs the whole.
-		var parts []*Stream
+		// Rebuilding a stream from the parts reconstructs the whole.
+		var all []Event
 		for _, pid := range s.Platforms() {
-			parts = append(parts, s.FilterPlatform(pid))
+			all = append(all, s.FilterPlatform(pid).Events()...)
 		}
-		merged, err := Merge(parts...)
+		merged, err := NewStream(all)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,18 +170,6 @@ func eventPlatform(e Event) PlatformID {
 	return e.Request.Platform
 }
 
-// Merge combines several streams into one global arrival order.
-func Merge(streams ...*Stream) (*Stream, error) {
-	var all []Event
-	for _, s := range streams {
-		if s == nil {
-			continue
-		}
-		all = append(all, s.events...)
-	}
-	return NewStream(all)
-}
-
 // Len returns the number of events.
 func (s *Stream) Len() int { return len(s.events) }
 

@@ -159,24 +159,6 @@ func TestStreamFilterPlatformAndPlatforms(t *testing.T) {
 	}
 }
 
-func TestMergeStreams(t *testing.T) {
-	s := exampleStream(t)
-	a := s.FilterPlatform(1)
-	b := s.FilterPlatform(2)
-	m, err := Merge(a, b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != s.Len() {
-		t.Fatalf("merged len = %d, want %d", m.Len(), s.Len())
-	}
-	for i, e := range m.Events() {
-		if e.Time != s.Events()[i].Time || e.Kind != s.Events()[i].Kind {
-			t.Errorf("event %d differs after merge round trip", i)
-		}
-	}
-}
-
 func TestWorkerAndRequestEvents(t *testing.T) {
 	ws := []*Worker{wrk(1, 3, 0, 0, 1, 1), wrk(2, 9, 1, 1, 1, 1)}
 	rs := []*Request{req(1, 5, 0, 0, 2, 1)}

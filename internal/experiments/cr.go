@@ -119,7 +119,7 @@ func RunCompetitiveRatio(opts CROptions) (*CRResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			off, err := platform.Offline(shuffled, platform.SolverAuto)
+			off, err := platform.Offline(shuffled)
 			if err != nil {
 				return nil, err
 			}

@@ -52,11 +52,6 @@ type Runner struct {
 	TraceSample float64
 }
 
-// Sequential returns a runner that executes unit runs inline, one at a
-// time, on the calling goroutine — the reference path the determinism
-// tests and the BenchmarkTableSequential baseline compare against.
-func Sequential() *Runner { return &Runner{Parallelism: 1} }
-
 // workers resolves the pool size; a nil runner uses GOMAXPROCS.
 func (r *Runner) workers() int {
 	if r == nil {

@@ -33,7 +33,7 @@ func TestRunTableDeterministicAcrossPoolSizes(t *testing.T) {
 	base := TableOptions{Scale: 0.002, Seed: 7, Repeats: 2}
 
 	seqOpts := base
-	seqOpts.Runner = Sequential()
+	seqOpts.Runner = &Runner{Parallelism: 1}
 	seq, err := RunTable(p, seqOpts)
 	if err != nil {
 		t.Fatal(err)

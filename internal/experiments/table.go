@@ -82,8 +82,6 @@ type TableOptions struct {
 	Scale float64
 	// Seed drives generation and every algorithm's randomness.
 	Seed int64
-	// OfflineSolver picks the OFF solver (SolverAuto by default).
-	OfflineSolver platform.OfflineSolver
 	// MC configures DemCOM's Algorithm 2 (DefaultMonteCarlo when zero).
 	MC pricing.MonteCarlo
 	// SkipOFF drops the OFF row (used by the biggest runs where the
@@ -157,7 +155,7 @@ func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 	}
 	outs, err := runAll(o.Runner, offset+len(algos)*o.Repeats, func(i int) (unit, error) {
 		if i < offset {
-			row, err := runOff(stream, o.OfflineSolver)
+			row, err := runOff(stream)
 			return unit{off: row}, err
 		}
 		a := algos[(i-offset)/o.Repeats]
@@ -209,9 +207,9 @@ func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 	return res, nil
 }
 
-func runOff(stream *core.Stream, solver platform.OfflineSolver) (TableRow, error) {
+func runOff(stream *core.Stream) (TableRow, error) {
 	start := time.Now()
-	off, err := platform.Offline(stream, solver)
+	off, err := platform.Offline(stream)
 	if err != nil {
 		return TableRow{}, err
 	}

@@ -36,37 +36,6 @@ import (
 	"crossmatch/internal/core"
 )
 
-// Kind labels an injected fault class.
-type Kind uint8
-
-const (
-	// KindLatency is a probe latency spike (the probe succeeds but may
-	// blow its deadline).
-	KindLatency Kind = iota + 1
-	// KindDrop is a dropped probe (no response at all; retried).
-	KindDrop
-	// KindClaimError is a transient cross-platform claim error.
-	KindClaimError
-	// KindOutage is a scheduled whole-platform outage window.
-	KindOutage
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindLatency:
-		return "latency"
-	case KindDrop:
-		return "drop"
-	case KindClaimError:
-		return "claim-error"
-	case KindOutage:
-		return "outage"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
 // Outage is a scheduled whole-platform outage: probes to and claims
 // against Platform fail for every stream tick in [From, Until).
 type Outage struct {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -186,10 +187,18 @@ func TestGridMaxRadiusShrinksAfterRemoval(t *testing.T) {
 }
 
 func TestGridDefaultCellFallback(t *testing.T) {
-	for _, bad := range []float64{0, -1} {
-		g := NewGrid(bad)
-		if g.CellSize() != DefaultCell {
-			t.Errorf("NewGrid(%v).CellSize = %v, want %v", bad, g.CellSize(), DefaultCell)
+	p := geo.Point{X: 2.5, Y: -0.5}
+	wx, wy := CellOf(p, DefaultCell)
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if cx, cy := CellOf(p, bad); cx != wx || cy != wy {
+			t.Errorf("CellOf(p, %v) = (%d, %d), want DefaultCell's (%d, %d)", bad, cx, cy, wx, wy)
+		}
+		// A grid built on a bad size must still answer: a cell edge of 0
+		// or NaN would send the ring scan nowhere or forever.
+		sg := NewSlotGrid(bad)
+		sg.Insert(entry(1, 2.5, -0.5, 1), 9)
+		if got := sg.AppendSlots(nil, p); len(got) != 1 || got[0] != 9 {
+			t.Errorf("NewSlotGrid(%v): AppendSlots = %v, want [9]", bad, got)
 		}
 	}
 }

@@ -7,16 +7,11 @@ import (
 	"crossmatch/internal/geo"
 )
 
-// Grid is a uniform hash grid over entry centers. An entry lives in the
-// cell containing its center; a covering query at point p must inspect
-// every cell whose contents could include a disk covering p, i.e. all
-// cells within the maximum live radius of p. The grid tracks that
-// maximum exactly in a sorted radius multiset and widens its search ring
-// accordingly, so correctness never depends on choosing the cell size
-// well — only performance does. Keeping the maximum exact (instead of
-// lazily recomputing it after removals) makes Covering strictly
-// read-only, which lets online.Pool serve concurrent coverage queries
-// under a read lock.
+// Grid is SlotGrid's order oracle: the same uniform hash grid over Entry
+// structs and a Go map, scanning the whole ring unclamped. It was the
+// live index until the pool moved to SlotGrid, and for the same
+// insert/remove sequence a SlotGrid covering query must visit entries in
+// exactly the order Grid.Covering returns them.
 type Grid struct {
 	cell  float64 // cell edge length, km
 	cells map[cellKey][]Entry
@@ -32,10 +27,6 @@ type Grid struct {
 
 type cellKey struct{ cx, cy int32 }
 
-// DefaultCell is the cell size used when the caller passes a
-// non-positive size: one kilometre, the paper's default service radius.
-const DefaultCell = 1.0
-
 // NewGrid returns an empty grid with the given cell edge length in
 // kilometres. Non-positive sizes fall back to DefaultCell.
 func NewGrid(cellSize float64) *Grid {
@@ -47,18 +38,6 @@ func NewGrid(cellSize float64) *Grid {
 		cells: make(map[cellKey][]Entry),
 		where: make(map[int64]cellKey),
 	}
-}
-
-// CellOf returns the grid cell coordinates of p for a given cell edge
-// length — the one spatial-partition geometry shared by the matching
-// grid and the fleet router (internal/route), so routing a stream by
-// cell keeps each shard's local supply density intact. Non-positive or
-// non-finite sizes fall back to DefaultCell, exactly as NewGrid does.
-func CellOf(p geo.Point, cellSize float64) (cx, cy int32) {
-	if cellSize <= 0 || math.IsNaN(cellSize) || math.IsInf(cellSize, 0) {
-		cellSize = DefaultCell
-	}
-	return int32(math.Floor(p.X / cellSize)), int32(math.Floor(p.Y / cellSize))
 }
 
 func (g *Grid) key(p geo.Point) cellKey {
@@ -164,5 +143,85 @@ func (g *Grid) Covering(dst []Entry, p geo.Point) []Entry {
 // Len implements Index.
 func (g *Grid) Len() int { return g.n }
 
-// CellSize returns the grid's cell edge length.
-func (g *Grid) CellSize() float64 { return g.cell }
+// Covers reports whether the entry's disk contains p.
+func (e Entry) Covers(p geo.Point) bool { return e.Circle.Contains(p) }
+
+// Index is what the two oracles share, so one table test drives both.
+type Index interface {
+	// Insert adds an entry. Inserting an ID that is already present
+	// replaces the previous entry.
+	Insert(Entry)
+	// Remove deletes the entry with the given ID, reporting whether it
+	// was present.
+	Remove(id int64) bool
+	// Covering appends to dst all entries whose disk contains p and
+	// returns the extended slice. Order is unspecified.
+	Covering(dst []Entry, p geo.Point) []Entry
+	// Len returns the number of live entries.
+	Len() int
+}
+
+// Linear is the brute-force reference implementation.
+type Linear struct {
+	entries map[int64]Entry
+}
+
+// NewLinear returns an empty linear-scan index.
+func NewLinear() *Linear {
+	return &Linear{entries: make(map[int64]Entry)}
+}
+
+// Insert implements Index.
+func (l *Linear) Insert(e Entry) { l.entries[e.ID] = e }
+
+// Remove implements Index.
+func (l *Linear) Remove(id int64) bool {
+	if _, ok := l.entries[id]; !ok {
+		return false
+	}
+	delete(l.entries, id)
+	return true
+}
+
+// Covering implements Index.
+func (l *Linear) Covering(dst []Entry, p geo.Point) []Entry {
+	for _, e := range l.entries {
+		if e.Covers(p) {
+			dst = append(dst, e)
+		}
+	}
+	return dst
+}
+
+// Len implements Index.
+func (l *Linear) Len() int { return len(l.entries) }
+
+// SortEntries orders entries by distance from p (ascending), breaking
+// ties by ID for determinism.
+func SortEntries(entries []Entry, p geo.Point) {
+	sort.Slice(entries, func(i, j int) bool {
+		di, dj := entries[i].Circle.Center.Dist2(p), entries[j].Circle.Center.Dist2(p)
+		if di != dj {
+			return di < dj
+		}
+		return entries[i].ID < entries[j].ID
+	})
+}
+
+// Nearest returns the entry covering p whose center is closest to p,
+// with ok=false when none covers it. Ties break by smallest ID.
+func Nearest(ix Index, p geo.Point) (Entry, bool) {
+	candidates := ix.Covering(nil, p)
+	if len(candidates) == 0 {
+		return Entry{}, false
+	}
+	best := candidates[0]
+	bestD := best.Circle.Center.Dist2(p)
+	for _, e := range candidates[1:] {
+		d := e.Circle.Center.Dist2(p)
+		if d < bestD || (d == bestD && e.ID < best.ID) {
+			best, bestD = e, d
+		}
+	}
+	return best, true
+}

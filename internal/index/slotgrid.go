@@ -7,37 +7,40 @@ import (
 	"crossmatch/internal/geo"
 )
 
-// SlotGrid is Grid's structure-of-arrays sibling, built for the
-// eligibility scan that dominates matcher time: each cell keeps its
-// entries as parallel slices of coordinates and squared radii, so a
-// covering query streams through flat float64 arrays instead of chasing
-// Entry structs, and the containment test is a single fused
-// compare — no per-entry branch on the radius sign (negative radii are
-// stored as an impossible squared radius).
+// SlotGrid is a uniform hash grid over entry centers, built for the
+// eligibility scan that dominates matcher time. An entry lives in the
+// cell containing its center; a covering query at p inspects every cell
+// within the maximum live radius of p. The grid tracks that maximum
+// exactly in a sorted radius multiset, so correctness never depends on
+// choosing the cell size well — only performance does — and a query
+// never mutates the grid.
 //
-// Unlike Grid, SlotGrid carries a caller-assigned slot per entry and
-// reports it from queries and removals. online.Pool uses the slot to
-// index its own parallel worker arrays, which removes the per-candidate
-// map lookup from the hot path.
+// Each cell keeps its entries as parallel slices of coordinates and
+// squared radii, so a covering query streams through flat float64 arrays
+// and the containment test is a single fused compare — no per-entry
+// branch on the radius sign (negative radii are stored as an impossible
+// squared radius). Each entry carries a caller-assigned slot, reported
+// from queries and removals: online.Pool uses it to index its own
+// parallel worker arrays, which removes the per-candidate map lookup
+// from the hot path.
 //
-// Bucket discipline (append on insert, swap-with-last on remove), the
-// exact sorted radius multiset, and the ring iteration order are all
-// identical to Grid, so for the same insert/remove sequence a covering
-// query visits entries in exactly the order Grid.Covering returns
-// them — the property the deterministic runtime's bit-reproducibility
-// rests on.
+// Visit order is part of the contract, because the deterministic
+// runtime's bit-reproducibility rests on it: buckets append on insert
+// and swap-with-last on remove, and the ring is scanned cx-major. The
+// Grid oracle in oracle_test.go (the same grid over Entry structs and a
+// Go map) defines that order; TestSlotGridMatchesGridOrder and
+// FuzzSlotGridMatchesGrid hold SlotGrid to it.
 //
 // Cells are found through a typed directory, not a Go map: an
 // open-addressed table (linear probing, power-of-two size, at most half
 // full) from the packed (cx, cy) to an index into buckets. Buckets are
 // never deleted, so there are no tombstones, and memory is O(cells ever
 // touched) wherever they lie. The bounding box of those cells clamps the
-// ring scan — cells outside it are empty, so Grid's order is kept — and
+// ring scan — cells outside it are empty, so the order is kept — and
 // one far-reaching entry cannot make every query walk millions of cells.
 //
-// Like the other indexes, AppendSlots, Slot and Len are strictly
-// read-only, so any number of concurrent readers is safe while no
-// writer runs.
+// AppendSlots and Len are strictly read-only, so any number of
+// concurrent readers is safe while no writer runs.
 type SlotGrid struct {
 	cell     float64
 	dir      []dirEntry // len == 1 << (64 - dirShift)
@@ -46,7 +49,10 @@ type SlotGrid struct {
 	where    map[int64]int32 // entry ID -> index into buckets
 	// Bounding box of the cells in buckets.
 	minCx, maxCx, minCy, maxCy int32
-	// Sorted multiset of live radii, exactly as in Grid.
+	// Sorted multiset of live radii: radVals ascending and distinct,
+	// radCnt the multiplicity of each. The search ring uses the last
+	// element; insert/remove cost O(log d + d) for d distinct radii,
+	// which real workloads keep tiny (radius is per-platform uniform).
 	radVals []float64
 	radCnt  []int
 	n       int
@@ -149,8 +155,7 @@ func (g *SlotGrid) Insert(e Entry, slot int32) {
 	g.n++
 }
 
-// addRad records a live entry's radius in the sorted multiset
-// (identical to Grid.addRad).
+// addRad records a live entry's radius in the sorted multiset.
 func (g *SlotGrid) addRad(r float64) {
 	i := sort.SearchFloat64s(g.radVals, r)
 	if i < len(g.radVals) && g.radVals[i] == r {
@@ -206,7 +211,7 @@ func (g *SlotGrid) Remove(id int64) (slot int32, ok bool) {
 			break
 		}
 	}
-	// Unlike Grid, an emptied bucket stays: churny cells (workers
+	// An emptied bucket stays: churny cells (workers
 	// leaving and re-arriving at the same spot) reuse its six arrays'
 	// capacity instead of reallocating them, and the directory needs no
 	// tombstones. Memory is bounded by the distinct cells ever touched.
@@ -215,22 +220,7 @@ func (g *SlotGrid) Remove(id int64) (slot int32, ok bool) {
 	return slot, true
 }
 
-// Slot returns the slot carried by the entry with the given ID.
-func (g *SlotGrid) Slot(id int64) (int32, bool) {
-	bi, ok := g.where[id]
-	if !ok {
-		return 0, false
-	}
-	b := &g.buckets[bi]
-	for i, eid := range b.ids {
-		if eid == id {
-			return b.slots[i], true
-		}
-	}
-	return 0, false // unreachable: where and buckets stay in sync
-}
-
-// searchRadius returns the exact maximum live radius, as in Grid.
+// searchRadius returns the exact maximum live radius.
 func (g *SlotGrid) searchRadius() float64 {
 	if len(g.radVals) == 0 {
 		return 0
@@ -240,10 +230,11 @@ func (g *SlotGrid) searchRadius() float64 {
 
 // AppendSlots appends to dst the slot of every entry whose disk
 // contains p and returns the extended slice, in the same deterministic
-// order Grid.Covering appends entries (ring scan cx-major, bucket order
-// within a cell), over the part of the ring inside the bounding box of
-// touched cells. Returning slots through a caller-reused buffer keeps
-// the hot path free of closure captures, which would otherwise escape.
+// order the Grid oracle's Covering appends entries (ring scan cx-major,
+// bucket order within a cell), over the part of the ring inside the
+// bounding box of touched cells. Returning slots through a caller-reused
+// buffer keeps the hot path free of closure captures, which would
+// otherwise escape.
 func (g *SlotGrid) AppendSlots(dst []int32, p geo.Point) []int32 {
 	if g.n == 0 {
 		return dst
@@ -275,6 +266,3 @@ func (g *SlotGrid) AppendSlots(dst []int32, p geo.Point) []int32 {
 
 // Len returns the number of live entries.
 func (g *SlotGrid) Len() int { return g.n }
-
-// CellSize returns the grid's cell edge length.
-func (g *SlotGrid) CellSize() float64 { return g.cell }

@@ -177,21 +177,23 @@ func TestSlotGridFarReachingWorker(t *testing.T) {
 	}
 }
 
-// TestSlotGridSlotLookup checks Slot round-trips IDs to their tags.
+// TestSlotGridSlotLookup checks queries and removals hand back the tag
+// an entry was inserted with, and that a re-insert drops the old tag.
 func TestSlotGridSlotLookup(t *testing.T) {
 	sg := NewSlotGrid(1.0)
+	sg.Insert(Entry{ID: 7, Circle: geo.Circle{Radius: 1}}, 41)
 	sg.Insert(Entry{ID: 7, Circle: geo.Circle{Radius: 1}}, 42)
-	if s, ok := sg.Slot(7); !ok || s != 42 {
-		t.Fatalf("Slot(7) = %d, %v; want 42, true", s, ok)
+	if got := sg.AppendSlots(nil, geo.Point{}); len(got) != 1 || got[0] != 42 {
+		t.Fatalf("AppendSlots = %v; want [42]", got)
 	}
-	if _, ok := sg.Slot(8); ok {
-		t.Fatal("Slot(8) reported a missing entry present")
+	if _, ok := sg.Remove(8); ok {
+		t.Fatal("Remove(8) reported a missing entry present")
 	}
 	if s, ok := sg.Remove(7); !ok || s != 42 {
 		t.Fatalf("Remove(7) = %d, %v; want 42, true", s, ok)
 	}
-	if _, ok := sg.Slot(7); ok {
-		t.Fatal("Slot(7) present after removal")
+	if _, ok := sg.Remove(7); ok {
+		t.Fatal("Remove(7) succeeded twice")
 	}
 	if sg.Len() != 0 {
 		t.Fatalf("Len = %d after removal, want 0", sg.Len())

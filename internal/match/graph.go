@@ -4,15 +4,12 @@
 // feasible worker-request edges, where an inner edge weighs the request
 // value v and an outer edge weighs v minus the outer payment v'.
 //
-// Four solvers are provided, all over the same sparse Graph:
+// Three solvers are provided, all over the same sparse Graph:
 //
 //   - Hungarian: exact O(n^3) Kuhn-Munkres on the densified matrix; the
 //     oracle for tests and the default for small instances.
 //   - MaxWeightFlow: exact successive-shortest-path min-cost max-flow
 //     with Johnson potentials; handles the sparse, table-scale graphs.
-//   - HopcroftKarp: maximum-cardinality matching (used for the
-//     completed-requests upper bound and as the augmentation engine of
-//     the greedy solver).
 //   - GreedyAugment: processes requests in decreasing weight order and
 //     augments; exact when edge weights depend only on the request
 //     (a vertex-weighted matching, a transversal-matroid greedy), which
@@ -62,22 +59,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// adjacency returns per-worker adjacency lists of edge indices.
-func (g *Graph) adjacency() [][]int32 {
-	adj := make([][]int32, g.NWorkers)
-	deg := make([]int32, g.NWorkers)
-	for _, e := range g.Edges {
-		deg[e.Worker]++
-	}
-	for w := range adj {
-		adj[w] = make([]int32, 0, deg[w])
-	}
-	for i, e := range g.Edges {
-		adj[e.Worker] = append(adj[e.Worker], int32(i))
-	}
-	return adj
 }
 
 // Result is a matching produced by a solver.

@@ -11,8 +11,8 @@ import "sort"
 // matroid and is exact: each augmentation shuffles requests among
 // equal-weight alternatives without changing committed weight. With
 // genuinely per-edge weights, augmentation may displace a request onto a
-// lighter edge, so no approximation factor is claimed; use EdgeGreedy
-// when a worst-case bound matters. In COM's offline graphs weights are
+// lighter edge, so no approximation factor is claimed. In COM's offline
+// graphs weights are
 // per-request up to the inner/outer payment split, which keeps this
 // within a few percent of the optimum in practice (EXPERIMENTS.md).
 // O(R * E) worst case, near-linear on radius-sparse graphs: the scalable
@@ -103,76 +103,4 @@ func GreedyAugment(g *Graph) *Result {
 		}
 	}
 	return res
-}
-
-// EdgeGreedy scans edges in decreasing weight order and takes an edge
-// whenever both endpoints are still free. It is the textbook greedy
-// matching with a tight 1/2 worst-case approximation for maximum weight,
-// runs in O(E log E), and is the fallback OFF estimator when even
-// GreedyAugment's augmentation passes are too slow.
-func EdgeGreedy(g *Graph) *Result {
-	edges := g.dedupeBest()
-	res := newResult(g.NWorkers, g.NRequests)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Weight != edges[j].Weight {
-			return edges[i].Weight > edges[j].Weight
-		}
-		if edges[i].Worker != edges[j].Worker {
-			return edges[i].Worker < edges[j].Worker
-		}
-		return edges[i].Request < edges[j].Request
-	})
-	for _, e := range edges {
-		if res.RequestOf[e.Worker] == -1 && res.WorkerOf[e.Request] == -1 {
-			res.RequestOf[e.Worker] = e.Request
-			res.WorkerOf[e.Request] = e.Worker
-			res.Weight += e.Weight
-			res.Size++
-		}
-	}
-	return res
-}
-
-// BruteForce enumerates all matchings and returns a maximum-weight one.
-// Exponential; only for cross-validating the other solvers on tiny
-// instances in tests.
-func BruteForce(g *Graph) *Result {
-	edges := g.dedupeBest()
-	nw, nr := g.NWorkers, g.NRequests
-	best := newResult(nw, nr)
-	if nw == 0 || nr == 0 || len(edges) == 0 {
-		return best
-	}
-	cur := newResult(nw, nr)
-	var rec func(i int)
-	rec = func(i int) {
-		if cur.Weight > best.Weight {
-			*best = Result{
-				WorkerOf:  append([]int(nil), cur.WorkerOf...),
-				RequestOf: append([]int(nil), cur.RequestOf...),
-				Weight:    cur.Weight,
-				Size:      cur.Size,
-			}
-		}
-		if i == len(edges) {
-			return
-		}
-		e := edges[i]
-		// Option 1: skip edge i.
-		rec(i + 1)
-		// Option 2: take edge i if both endpoints free.
-		if cur.RequestOf[e.Worker] == -1 && cur.WorkerOf[e.Request] == -1 {
-			cur.RequestOf[e.Worker] = e.Request
-			cur.WorkerOf[e.Request] = e.Worker
-			cur.Weight += e.Weight
-			cur.Size++
-			rec(i + 1)
-			cur.RequestOf[e.Worker] = -1
-			cur.WorkerOf[e.Request] = -1
-			cur.Weight -= e.Weight
-			cur.Size--
-		}
-	}
-	rec(0)
-	return best
 }

@@ -127,9 +127,6 @@ func (m *BatchCOM) Pool() *Pool { return m.pool }
 // outcome but no stage timings.
 func (m *BatchCOM) BindTrace(rc *trace.Recorder) { m.tr = rc }
 
-// Window reports the configured window length.
-func (m *BatchCOM) Window() core.Time { return m.window }
-
 // RequestArrives implements Matcher: the request is buffered into the
 // open window (opening one if none is) and a Deferred placeholder is
 // returned; the real Decision arrives from Advance when the window

@@ -31,7 +31,7 @@ func (f *fakeCoop) addWorker(w *core.Worker, hist *pricing.History) {
 
 func (f *fakeCoop) EligibleOuter(r *core.Request) []Candidate {
 	var out []Candidate
-	for _, w := range f.pool.Covering(r) {
+	for _, w := range f.pool.AppendCovering(nil, r) {
 		out = append(out, Candidate{Worker: w, History: f.hist[w.ID]})
 	}
 	return out

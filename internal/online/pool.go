@@ -23,26 +23,20 @@ type RangeFilter func(w *core.Worker, r *core.Request) bool
 // lock, so the concurrent multi-platform runtime can scan one platform's
 // waiting list from every other platform while its owner keeps matching.
 //
-// The default pool (NewPool(nil)) keeps workers in a structure-of-arrays
-// layout over an index.SlotGrid: the grid hands coverage hits back as
-// slots into the pool's parallel worker/arrival arrays, so the
-// eligibility scan reads flat arrays end to end — no per-candidate map
-// lookup, no Entry copying. A caller-supplied index falls back to the
-// generic Entry-based path.
+// Workers are kept in a structure-of-arrays layout over an
+// index.SlotGrid: the grid hands coverage hits back as slots into the
+// pool's parallel worker/arrival arrays, so the eligibility scan reads
+// flat arrays end to end — no per-candidate map lookup, no Entry copying.
 type Pool struct {
 	mu sync.RWMutex
 
-	// Structure-of-arrays mode (default). grid stores each worker's
-	// coverage disk tagged with its slot; ws/arrivals are the parallel
-	// slot arrays (ws[slot] == nil marks a free slot, recycled via free).
+	// grid stores each worker's coverage disk tagged with its slot;
+	// ws/arrivals are the parallel slot arrays (ws[slot] == nil marks a
+	// free slot, recycled via free).
 	grid     *index.SlotGrid
 	ws       []*core.Worker
 	arrivals []core.Time
 	free     []int32
-
-	// Legacy mode: a caller-supplied spatial index plus an ID map.
-	ix      index.Index
-	workers map[int64]*core.Worker
 
 	// Filter optionally refines coverage (e.g. road distance); it must
 	// only ever prune workers whose Euclidean circle covers the request.
@@ -50,28 +44,16 @@ type Pool struct {
 	Filter RangeFilter
 }
 
-// NewPool returns an empty pool over the given spatial index. A nil
-// index selects the default structure-of-arrays grid with the default
-// cell size.
-func NewPool(ix index.Index) *Pool {
-	if ix == nil {
-		return &Pool{grid: index.NewSlotGrid(index.DefaultCell)}
-	}
-	return &Pool{ix: ix, workers: make(map[int64]*core.Worker)}
+// NewPool returns an empty pool on the default cell size. The argument
+// is ignored: it once selected the index and is kept only so that
+// bench/, which passes nil and is frozen to this PR, still compiles.
+func NewPool(_ *index.SlotGrid) *Pool {
+	return &Pool{grid: index.NewSlotGrid(index.DefaultCell)}
 }
 
-// entryScratch recycles the index-query buffers of the legacy coverage
-// path. A sync.Pool (rather than one buffer per Pool) keeps concurrent
-// readers of the same waiting list from sharing scratch space.
-var entryScratch = sync.Pool{
-	New: func() interface{} {
-		s := make([]index.Entry, 0, 64)
-		return &s
-	},
-}
-
-// slotScratch recycles the slot buffers of the structure-of-arrays
-// coverage path, for the same reason.
+// slotScratch recycles the slot buffers of the coverage queries. A
+// sync.Pool (rather than one buffer per Pool) keeps concurrent readers of
+// the same waiting list from sharing scratch space.
 var slotScratch = sync.Pool{
 	New: func() interface{} {
 		s := make([]int32, 0, 64)
@@ -84,27 +66,22 @@ var slotScratch = sync.Pool{
 // waiting-list entry).
 func (p *Pool) Add(w *core.Worker) {
 	p.mu.Lock()
-	if p.grid != nil {
-		if slot, ok := p.grid.Remove(w.ID); ok {
-			p.ws[slot] = nil
-			p.free = append(p.free, slot)
-		}
-		var slot int32
-		if n := len(p.free); n > 0 {
-			slot = p.free[n-1]
-			p.free = p.free[:n-1]
-			p.ws[slot] = w
-			p.arrivals[slot] = w.Arrival
-		} else {
-			slot = int32(len(p.ws))
-			p.ws = append(p.ws, w)
-			p.arrivals = append(p.arrivals, w.Arrival)
-		}
-		p.grid.Insert(index.Entry{ID: w.ID, Circle: w.Range()}, slot)
-	} else {
-		p.workers[w.ID] = w
-		p.ix.Insert(index.Entry{ID: w.ID, Circle: w.Range()})
+	if slot, ok := p.grid.Remove(w.ID); ok {
+		p.ws[slot] = nil
+		p.free = append(p.free, slot)
 	}
+	var slot int32
+	if n := len(p.free); n > 0 {
+		slot = p.free[n-1]
+		p.free = p.free[:n-1]
+		p.ws[slot] = w
+		p.arrivals[slot] = w.Arrival
+	} else {
+		slot = int32(len(p.ws))
+		p.ws = append(p.ws, w)
+		p.arrivals = append(p.arrivals, w.Arrival)
+	}
+	p.grid.Insert(index.Entry{ID: w.ID, Circle: w.Range()}, slot)
 	p.mu.Unlock()
 }
 
@@ -115,54 +92,20 @@ func (p *Pool) Add(w *core.Worker) {
 func (p *Pool) Remove(id int64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.grid != nil {
-		slot, ok := p.grid.Remove(id)
-		if !ok {
-			return false
-		}
-		p.ws[slot] = nil
-		p.free = append(p.free, slot)
-		return true
-	}
-	if _, ok := p.workers[id]; !ok {
+	slot, ok := p.grid.Remove(id)
+	if !ok {
 		return false
 	}
-	delete(p.workers, id)
-	p.ix.Remove(id)
+	p.ws[slot] = nil
+	p.free = append(p.free, slot)
 	return true
-}
-
-// Get returns the waiting worker with the given ID.
-func (p *Pool) Get(id int64) (*core.Worker, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.grid != nil {
-		slot, ok := p.grid.Slot(id)
-		if !ok {
-			return nil, false
-		}
-		return p.ws[slot], true
-	}
-	w, ok := p.workers[id]
-	return w, ok
 }
 
 // Len returns the number of waiting workers.
 func (p *Pool) Len() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.grid != nil {
-		return p.grid.Len()
-	}
-	return len(p.workers)
-}
-
-// Covering returns the waiting workers able to serve r under the time
-// and range constraints of Definition 2.6, in unspecified order. It
-// allocates a fresh slice; hot paths should prefer AppendCovering with a
-// reused buffer.
-func (p *Pool) Covering(r *core.Request) []*core.Worker {
-	return p.AppendCovering(nil, r)
+	return p.grid.Len()
 }
 
 // AppendCovering appends to dst the waiting workers able to serve r
@@ -170,41 +113,22 @@ func (p *Pool) Covering(r *core.Request) []*core.Worker {
 // extended slice. A caller that reuses dst performs no per-request
 // allocation.
 func (p *Pool) AppendCovering(dst []*core.Worker, r *core.Request) []*core.Worker {
-	if p.grid != nil {
-		sp := slotScratch.Get().(*[]int32)
-		p.mu.RLock()
-		slots := p.grid.AppendSlots((*sp)[:0], r.Loc)
-		for _, slot := range slots {
-			if p.arrivals[slot] > r.Arrival {
-				continue
-			}
-			w := p.ws[slot]
-			if p.Filter != nil && !p.Filter(w, r) {
-				continue
-			}
-			dst = append(dst, w)
-		}
-		p.mu.RUnlock()
-		*sp = slots[:0]
-		slotScratch.Put(sp)
-		return dst
-	}
-	sp := entryScratch.Get().(*[]index.Entry)
+	sp := slotScratch.Get().(*[]int32)
 	p.mu.RLock()
-	entries := p.ix.Covering((*sp)[:0], r.Loc)
-	for _, e := range entries {
-		w := p.workers[e.ID]
-		if w == nil || w.Arrival > r.Arrival {
+	slots := p.grid.AppendSlots((*sp)[:0], r.Loc)
+	for _, slot := range slots {
+		if p.arrivals[slot] > r.Arrival {
 			continue
 		}
+		w := p.ws[slot]
 		if p.Filter != nil && !p.Filter(w, r) {
 			continue
 		}
 		dst = append(dst, w)
 	}
 	p.mu.RUnlock()
-	*sp = entries[:0]
-	entryScratch.Put(sp)
+	*sp = slots[:0]
+	slotScratch.Put(sp)
 	return dst
 }
 
@@ -214,36 +138,14 @@ func (p *Pool) AppendCovering(dst []*core.Worker, r *core.Request) []*core.Worke
 func (p *Pool) Nearest(r *core.Request) (*core.Worker, bool) {
 	var best *core.Worker
 	bestD := 0.0
-	if p.grid != nil {
-		sp := slotScratch.Get().(*[]int32)
-		p.mu.RLock()
-		slots := p.grid.AppendSlots((*sp)[:0], r.Loc)
-		for _, slot := range slots {
-			if p.arrivals[slot] > r.Arrival {
-				continue
-			}
-			w := p.ws[slot]
-			if p.Filter != nil && !p.Filter(w, r) {
-				continue
-			}
-			d := w.Loc.Dist2(r.Loc)
-			if best == nil || d < bestD || (d == bestD && w.ID < best.ID) {
-				best, bestD = w, d
-			}
-		}
-		p.mu.RUnlock()
-		*sp = slots[:0]
-		slotScratch.Put(sp)
-		return best, best != nil
-	}
-	sp := entryScratch.Get().(*[]index.Entry)
+	sp := slotScratch.Get().(*[]int32)
 	p.mu.RLock()
-	entries := p.ix.Covering((*sp)[:0], r.Loc)
-	for _, e := range entries {
-		w := p.workers[e.ID]
-		if w == nil || w.Arrival > r.Arrival {
+	slots := p.grid.AppendSlots((*sp)[:0], r.Loc)
+	for _, slot := range slots {
+		if p.arrivals[slot] > r.Arrival {
 			continue
 		}
+		w := p.ws[slot]
 		if p.Filter != nil && !p.Filter(w, r) {
 			continue
 		}
@@ -253,8 +155,8 @@ func (p *Pool) Nearest(r *core.Request) (*core.Worker, bool) {
 		}
 	}
 	p.mu.RUnlock()
-	*sp = entries[:0]
-	entryScratch.Put(sp)
+	*sp = slots[:0]
+	slotScratch.Put(sp)
 	return best, best != nil
 }
 
@@ -264,19 +166,8 @@ func (p *Pool) Nearest(r *core.Request) (*core.Worker, bool) {
 func (p *Pool) Each(fn func(*core.Worker) bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.grid != nil {
-		for _, w := range p.ws {
-			if w == nil {
-				continue
-			}
-			if !fn(w) {
-				return
-			}
-		}
-		return
-	}
-	for _, w := range p.workers {
-		if !fn(w) {
+	for _, w := range p.ws {
+		if w != nil && !fn(w) {
 			return
 		}
 	}

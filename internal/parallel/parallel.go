@@ -75,14 +75,6 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, firstError(errs)
 }
 
-// ForEach is Map without results: fn(i) for every i in [0, n).
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
 // firstError returns the lowest-index error, keeping the reported
 // failure independent of scheduling.
 func firstError(errs []error) error {

@@ -68,19 +68,6 @@ func TestMapRunsEveryJobDespiteError(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(8, 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Errorf("sum = %d, want 4950", sum.Load())
-	}
-}
-
 func TestWorkersClamp(t *testing.T) {
 	if got := Workers(0, 100); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(0, 100) = %d, want GOMAXPROCS", got)

@@ -188,8 +188,8 @@ func (e *Engine) step(ev core.Event, reply bool) (RequestDecision, error) {
 }
 
 // check validates an event — lifecycle, time order, kind, payload,
-// platform, and under shards the worker's reach — without touching the
-// engine: the clock moves only for events that pass.
+// platform, a worker's own fields, and under shards its reach — without
+// touching the engine: the clock moves only for events that pass.
 func (e *Engine) check(ev core.Event) error {
 	if e.finished {
 		return fmt.Errorf("platform: %w", ErrEngineClosed)
@@ -222,6 +222,13 @@ func (e *Engine) check(ev core.Event) error {
 	}
 	if _, known := s.matchers[pid]; !known {
 		return fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
+	}
+	if ev.Kind == core.WorkerArrival {
+		// The hub builds the worker's pricing history on delivery, after
+		// the clock has moved; what it would refuse is refused here.
+		if err := ev.Worker.Validate(); err != nil {
+			return fmt.Errorf("platform: %w", err)
+		}
 	}
 	return nil
 }

@@ -243,6 +243,9 @@ func TestEngineRejectedEventLeavesState(t *testing.T) {
 				{Kind: 9, Time: far},
 				{Kind: core.RequestArrival, Time: far},
 				{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9001, Arrival: far, Radius: 1, Platform: 77}},
+				// Refused by the hub's pricing.NewHistory on delivery — after
+				// the clock had moved — until check validated the worker.
+				{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9002, Arrival: far, Radius: 1, Platform: 1, History: []float64{-1}}},
 			}
 			if tc.cfg.Shards > 1 {
 				over := core.Event{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9000, Arrival: far, Radius: 50, Platform: 1, History: []float64{1}}}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -54,12 +55,6 @@ func goldenOf(t *testing.T, res *Result) goldenRow {
 	t.Helper()
 	var g goldenRow
 	h := fnv.New64a()
-	var buf [24]byte
-	put := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[off+i] = byte(v >> (8 * i))
-		}
-	}
 	pids := make([]core.PlatformID, 0, len(res.Platforms))
 	for pid := range res.Platforms {
 		pids = append(pids, pid)
@@ -68,12 +63,7 @@ func goldenOf(t *testing.T, res *Result) goldenRow {
 	for _, pid := range pids {
 		pr := res.Platforms[pid]
 		g.requests += pr.Stats.Requests
-		for _, a := range pr.Matching.Assignments() {
-			put(0, uint64(a.Request.ID))
-			put(8, uint64(a.Worker.ID))
-			put(16, math.Float64bits(a.Payment))
-			h.Write(buf[:])
-		}
+		hashAssignments(h, pr.Matching.Assignments())
 	}
 	g.served = res.TotalServed()
 	g.outer = res.CooperativeServed()
@@ -81,6 +71,18 @@ func goldenOf(t *testing.T, res *Result) goldenRow {
 	g.revenue = math.Float64bits(res.TotalRevenue())
 	g.digest = h.Sum64()
 	return g
+}
+
+// hashAssignments folds (request ID, worker ID, payment bits) of each
+// assignment, in order, into h.
+func hashAssignments(h hash.Hash64, as []core.Assignment) {
+	var buf [24]byte
+	for _, a := range as {
+		binary.LittleEndian.PutUint64(buf[0:], uint64(a.Request.ID))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(a.Worker.ID))
+		binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(a.Payment))
+		h.Write(buf[:])
+	}
 }
 
 func goldenConfig(t *testing.T, stream *core.Stream, row goldenRow) (MatcherFactory, Config) {
@@ -182,18 +184,12 @@ var offlineGolden = struct {
 // another index is shown to keep the edge list (and with it the solver's
 // tie-breaks) exactly as it was.
 func TestGoldenOffline(t *testing.T) {
-	off, err := Offline(feedTestStream(t, 400, 120, 7), SolverAuto)
+	off, err := Offline(feedTestStream(t, 400, 120, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	var buf [24]byte
-	for _, a := range off.Matching.Assignments() {
-		binary.LittleEndian.PutUint64(buf[0:], uint64(a.Request.ID))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(a.Worker.ID))
-		binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(a.Payment))
-		h.Write(buf[:])
-	}
+	hashAssignments(h, off.Matching.Assignments())
 	got := offlineGolden
 	got.served, got.weight, got.digest = off.TotalServed, math.Float64bits(off.TotalWeight), h.Sum64()
 	if got != offlineGolden {

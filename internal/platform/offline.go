@@ -9,32 +9,14 @@ import (
 	"crossmatch/internal/pricing"
 )
 
-// OfflineSolver selects the bipartite solver the OFF baseline uses.
-type OfflineSolver int
-
-const (
-	// SolverAuto picks the cheapest solver that stays exact within a
-	// time budget: Hungarian on small dense instances, MCMF on sparse
-	// medium ones, and the near-exact GreedyAugment beyond (documented
-	// in EXPERIMENTS.md whenever a published run used it).
-	SolverAuto OfflineSolver = iota
-	// SolverHungarian forces the dense O(n^3) exact solver.
-	SolverHungarian
-	// SolverMCMF forces the sparse exact min-cost max-flow solver.
-	SolverMCMF
-	// SolverGreedy forces the near-exact greedy-augment estimator
-	// (documented wherever the harness uses it for the largest sweeps).
-	SolverGreedy
-)
-
 const (
 	// hungarianLimit caps the dense O(n^3) solver.
 	hungarianLimit = 1200
 	// mcmfLimit caps the exact flow solver: SSP cost grows with the
 	// matched-side size times edges, measured at roughly 4s for 2,500
-	// requests x 2,000 workers and 6 min at 4x that, so SolverAuto
-	// hands anything larger to GreedyAugment (within 1-2% of exact on
-	// COM's request-weighted graphs; see EXPERIMENTS.md).
+	// requests x 2,000 workers and 6 min at 4x that, so anything larger
+	// goes to GreedyAugment (within 1-2% of exact on COM's
+	// request-weighted graphs; see EXPERIMENTS.md).
 	mcmfLimit = 3000
 )
 
@@ -66,7 +48,12 @@ type OfflineResult struct {
 //
 // All platforms are solved jointly on one graph, so an outer worker is
 // never double-booked by two platforms' optima.
-func Offline(stream *core.Stream, solver OfflineSolver) (*OfflineResult, error) {
+//
+// The solver is the cheapest one that stays exact within a time budget:
+// Hungarian on small dense instances, MCMF on sparse medium ones, and
+// the near-exact GreedyAugment beyond (EXPERIMENTS.md says so wherever a
+// published run was that large).
+func Offline(stream *core.Stream) (*OfflineResult, error) {
 	workers := stream.Workers()
 	requests := stream.Requests()
 
@@ -92,15 +79,15 @@ func Offline(stream *core.Stream, solver OfflineSolver) (*OfflineResult, error) 
 			cell = w.Radius
 		}
 	}
-	ix := index.NewGrid(cell)
+	ix := index.NewSlotGrid(cell)
 	for wi, w := range workers {
-		ix.Insert(index.Entry{ID: int64(wi), Circle: w.Range()})
+		ix.Insert(index.Entry{ID: int64(wi), Circle: w.Range()}, int32(wi))
 	}
-	var buf []index.Entry
+	var buf []int32
 	for ri, r := range requests {
-		buf = ix.Covering(buf[:0], r.Loc)
-		for _, e := range buf {
-			wi := int(e.ID)
+		buf = ix.AppendSlots(buf[:0], r.Loc)
+		for _, slot := range buf {
+			wi := int(slot)
 			w := workers[wi]
 			if w.Arrival > r.Arrival {
 				continue
@@ -120,24 +107,13 @@ func Offline(stream *core.Stream, solver OfflineSolver) (*OfflineResult, error) 
 	}
 
 	var solved *match.Result
-	switch solver {
-	case SolverHungarian:
+	switch {
+	case len(workers) <= hungarianLimit && len(requests) <= hungarianLimit:
 		solved = match.Hungarian(g)
-	case SolverMCMF:
+	case min(len(workers), len(requests)) <= mcmfLimit:
 		solved = match.MaxWeightFlow(g)
-	case SolverGreedy:
-		solved = match.GreedyAugment(g)
-	case SolverAuto:
-		switch {
-		case len(workers) <= hungarianLimit && len(requests) <= hungarianLimit:
-			solved = match.Hungarian(g)
-		case min(len(workers), len(requests)) <= mcmfLimit:
-			solved = match.MaxWeightFlow(g)
-		default:
-			solved = match.GreedyAugment(g)
-		}
 	default:
-		return nil, fmt.Errorf("platform: unknown offline solver %d", solver)
+		solved = match.GreedyAugment(g)
 	}
 	if err := solved.Validate(g); err != nil {
 		return nil, fmt.Errorf("platform: offline solver produced invalid matching: %w", err)

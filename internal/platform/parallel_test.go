@@ -57,7 +57,7 @@ func assertAtomicAssignments(t *testing.T, res *Result) {
 func TestPlatformParallelValidAndAtomic(t *testing.T) {
 	for _, seed := range []int64{7, 21, 99} {
 		stream := multiStream(t, 4, 600, 120, seed)
-		off, err := Offline(stream, SolverAuto)
+		off, err := Offline(stream)
 		if err != nil {
 			t.Fatal(err)
 		}

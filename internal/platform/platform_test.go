@@ -257,33 +257,21 @@ func TestOfflineExampleOne(t *testing.T) {
 	// With Example 1's histories (w3 min 1, w5 min 0.5) the joint
 	// offline optimum is 4 + 9 + 6-1 + 3 + 4-0.5 = 24.5 for platform 1
 	// (see example.go), or the equivalent permutation.
-	for _, solver := range []OfflineSolver{SolverHungarian, SolverMCMF, SolverAuto} {
-		res, err := Offline(exampleStream(t), solver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(res.TotalWeight-24.5) > 1e-9 {
-			t.Errorf("solver %d: OFF total = %v, want 24.5", solver, res.TotalWeight)
-		}
-		if res.TotalServed != 5 {
-			t.Errorf("solver %d: served = %d, want 5", solver, res.TotalServed)
-		}
-		if math.Abs(res.Revenue[1]-24.5) > 1e-9 {
-			t.Errorf("solver %d: platform 1 revenue = %v", solver, res.Revenue[1])
-		}
-		if err := res.Matching.Validate(); err != nil {
-			t.Errorf("solver %d: %v", solver, err)
-		}
-	}
-}
-
-func TestOfflineGreedyNearExact(t *testing.T) {
-	res, err := Offline(exampleStream(t), SolverGreedy)
+	res, err := Offline(exampleStream(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalWeight < 24.5*0.9 {
-		t.Errorf("greedy OFF = %v, want within 10%% of 24.5", res.TotalWeight)
+	if math.Abs(res.TotalWeight-24.5) > 1e-9 {
+		t.Errorf("OFF total = %v, want 24.5", res.TotalWeight)
+	}
+	if res.TotalServed != 5 {
+		t.Errorf("served = %d, want 5", res.TotalServed)
+	}
+	if math.Abs(res.Revenue[1]-24.5) > 1e-9 {
+		t.Errorf("platform 1 revenue = %v", res.Revenue[1])
+	}
+	if err := res.Matching.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -291,7 +279,7 @@ func TestOfflineGreedyNearExact(t *testing.T) {
 // upper bound used for competitive ratios).
 func TestOfflineDominatesOnline(t *testing.T) {
 	stream := exampleStream(t)
-	off, err := Offline(stream, SolverHungarian)
+	off, err := Offline(stream)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestSimulationInvariantsUnderRandomConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := Offline(stream, SolverAuto)
+		off, err := Offline(stream)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"crossmatch/internal/geo"
 )
 
 func TestMaxExpectedRevenueSingleWorker(t *testing.T) {
@@ -168,88 +166,5 @@ func TestThresholdQuote(t *testing.T) {
 	}
 	if q, err := ThresholdQuote(10, nil, 0.5); err != nil || q.ExpectedRev != 0 {
 		t.Errorf("empty group: %+v, %v", q, err)
-	}
-}
-
-func TestPricingGridBasics(t *testing.T) {
-	g, err := NewGrid(1, 10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := geo.Point{X: 0.5, Y: 0.5}
-	if got := g.Ratio(p, 0); got != 1 {
-		t.Errorf("empty cell ratio = %v, want 1", got)
-	}
-	g.RecordDemand(p, 0)
-	g.RecordDemand(p, 1)
-	g.RecordDemand(p, 2)
-	g.RecordSupply(p, 3)
-	// demand 3, supply 1 -> (3+1)/(1+1) = 2
-	if got := g.Ratio(p, 4); math.Abs(got-2) > 1e-12 {
-		t.Errorf("ratio = %v, want 2", got)
-	}
-	// Distinct cell unaffected.
-	if got := g.Ratio(geo.Point{X: 5, Y: 5}, 4); got != 1 {
-		t.Errorf("far cell ratio = %v, want 1", got)
-	}
-	if g.Cells() != 1 {
-		t.Errorf("Cells = %d, want 1", g.Cells())
-	}
-}
-
-func TestPricingGridDecay(t *testing.T) {
-	g, err := NewGrid(1, 10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := geo.Point{}
-	g.RecordDemand(p, 0)
-	g.RecordDemand(p, 0)
-	g.RecordDemand(p, 0)
-	g.RecordDemand(p, 0) // demand 4 at slot 0
-	// Two slots later the demand decays by 0.25: (1+1)/(0+1)... demand
-	// 4*0.25 = 1 -> ratio (1+1)/(0+1) = 2.
-	if got := g.Ratio(p, 20); math.Abs(got-2) > 1e-12 {
-		t.Errorf("decayed ratio = %v, want 2", got)
-	}
-}
-
-func TestPricingGridScale(t *testing.T) {
-	g, err := NewGrid(1, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := geo.Point{}
-	// Balanced -> midpoint of [0.6, 1.0] = 0.8.
-	if got := g.Scale(p, 0, 0.6, 1.0); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("balanced scale = %v, want 0.8", got)
-	}
-	for i := 0; i < 50; i++ {
-		g.RecordDemand(p, 0)
-	}
-	if got := g.Scale(p, 0, 0.6, 1.0); got < 0.95 {
-		t.Errorf("demand-heavy scale = %v, want near 1.0", got)
-	}
-	for i := 0; i < 500; i++ {
-		g.RecordSupply(p, 0)
-	}
-	if got := g.Scale(p, 0, 0.6, 1.0); got > 0.65 {
-		t.Errorf("supply-heavy scale = %v, want near 0.6", got)
-	}
-}
-
-func TestPricingGridValidation(t *testing.T) {
-	cases := []struct {
-		cell  float64
-		slot  int64
-		decay float64
-	}{
-		{0, 1, 0.5}, {-1, 1, 0.5}, {1, 0, 0.5}, {1, -5, 0.5},
-		{1, 1, 0}, {1, 1, 1.5}, {math.NaN(), 1, 0.5},
-	}
-	for _, c := range cases {
-		if _, err := NewGrid(c.cell, c.slot, c.decay); err == nil {
-			t.Errorf("NewGrid(%v, %v, %v) accepted", c.cell, c.slot, c.decay)
-		}
 	}
 }

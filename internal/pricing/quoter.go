@@ -9,24 +9,7 @@ import (
 	"sync"
 )
 
-// Quoter is the pricing seam the matchers drive: every quote method
-// takes an explicit per-goroutine Scratch so the hot path performs no
-// per-call allocation. One Quoter (and one Scratch) belongs to one
-// matcher goroutine and nothing inside fans out, so a Quoter never needs
-// locking.
-type Quoter interface {
-	// MaxExpectedRevenue computes the exact Definition 4.1 maximizer
-	// (see the package function of the same name).
-	MaxExpectedRevenue(value float64, group []*History, s *Scratch) (Quote, error)
-	// ThresholdQuote is the 1/e-style randomized threshold quote.
-	ThresholdQuote(value float64, group []*History, u float64, s *Scratch) (Quote, error)
-	// MinOuterPayment runs the Algorithm 2 Monte-Carlo estimator.
-	MinOuterPayment(value float64, group []*History, rng *rand.Rand, s *Scratch) (float64, error)
-	// Stats returns the cumulative quote counters.
-	Stats() Stats
-}
-
-// Stats are a Quoter's cumulative counters. Read them after the runs
+// Stats are a TableQuoter's cumulative counters. Read them after the runs
 // driving the quoter have finished; they are plain integers updated on
 // the quoter's goroutine.
 type Stats struct {
@@ -45,29 +28,14 @@ type Stats struct {
 	ScratchAllocs int64 `json:"scratch_allocs"`
 }
 
-// TableHitRate returns TableHits / ProbEvals, or 0 before any evaluation.
-func (s Stats) TableHitRate() float64 {
-	if s.ProbEvals == 0 {
-		return 0
-	}
-	return float64(s.TableHits) / float64(s.ProbEvals)
-}
-
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.RevenueQuotes += o.RevenueQuotes
-	s.ThresholdQuotes += o.ThresholdQuotes
-	s.MonteCarloQuotes += o.MonteCarloQuotes
-	s.ProbEvals += o.ProbEvals
-	s.TableHits += o.TableHits
-	s.ScratchReuses += o.ScratchReuses
-	s.ScratchAllocs += o.ScratchAllocs
-}
-
-// TableQuoter is the standard Quoter: acceptance probabilities come from
-// the precomputed History CDF tables (bit-identical to the exact scan)
-// unless Scan selects the reference path, and every reusable buffer
-// lives in the caller's Scratch.
+// TableQuoter is the pricing seam the matchers drive: every quote method
+// takes an explicit per-goroutine Scratch so the hot path performs no
+// per-call allocation. One TableQuoter (and one Scratch) belongs to one
+// matcher goroutine and nothing inside fans out, so it never needs
+// locking. Acceptance probabilities come from the precomputed History
+// CDF tables (bit-identical to the exact scan) unless Scan selects the
+// reference path, and every reusable buffer lives in the caller's
+// Scratch.
 type TableQuoter struct {
 	// MC configures the Algorithm 2 estimator behind MinOuterPayment.
 	MC MonteCarlo
@@ -85,7 +53,7 @@ type TableQuoter struct {
 // configuration.
 func NewQuoter(mc MonteCarlo) *TableQuoter { return &TableQuoter{MC: mc} }
 
-// Stats implements Quoter.
+// Stats returns the cumulative quote counters.
 func (q *TableQuoter) Stats() Stats { return q.stats }
 
 // prob evaluates one worker's acceptance probability on the configured
@@ -105,7 +73,7 @@ type breakpoint struct {
 	newP float64
 }
 
-// Scratch is the per-goroutine buffer set of a Quoter. A Scratch must
+// Scratch is the per-goroutine buffer set of a TableQuoter. A Scratch must
 // not be shared between goroutines; matchers keep one for the lifetime
 // of a run.
 type Scratch struct {
@@ -173,9 +141,9 @@ func (q *TableQuoter) cachedGroupProb(payment float64, group []*History, s *Scra
 	return p
 }
 
-// MinOuterPayment implements Quoter: Algorithm 2 with one uniform draw
-// per probe. The paper's probe asks every worker for an independent
-// Bernoulli(pr(v', w)) decision and uses only "did anyone accept"; that
+// MinOuterPayment is Algorithm 2 with one uniform draw per probe. The
+// paper's probe asks every worker for an independent Bernoulli(pr(v', w))
+// decision and uses only "did anyone accept"; that
 // event is Bernoulli(pr(v', W)), so drawing it directly gives every
 // instance's v_l exactly the distribution Algorithm 2 specifies while
 // consuming one draw from rng per probe instead of one per worker.
@@ -239,9 +207,9 @@ func (q *TableQuoter) instanceMean(value float64, group []*History, rng *rand.Ra
 	return sum / float64(ns)
 }
 
-// MaxExpectedRevenue implements Quoter: the exact Definition 4.1
-// maximizer of the package function of the same name, with the
-// breakpoint and per-worker probability buffers drawn from the scratch.
+// MaxExpectedRevenue is the exact Definition 4.1 maximizer of the
+// package function of the same name, with the breakpoint and per-worker
+// probability buffers drawn from the scratch.
 // The sweep (breakpoint construction order, sort, incremental product
 // arithmetic) is identical, so quotes are bit-identical.
 func (q *TableQuoter) MaxExpectedRevenue(value float64, group []*History, s *Scratch) (Quote, error) {
@@ -342,8 +310,8 @@ func (q *TableQuoter) MaxExpectedRevenue(value float64, group []*History, s *Scr
 	return best, nil
 }
 
-// ThresholdQuote implements Quoter: the 1/e-style randomized threshold
-// quote of the package function of the same name.
+// ThresholdQuote is the 1/e-style randomized threshold quote of the
+// package function of the same name.
 func (q *TableQuoter) ThresholdQuote(value float64, group []*History, u float64, s *Scratch) (Quote, error) {
 	if value <= 0 || math.IsNaN(value) || math.IsInf(value, 0) {
 		return Quote{}, errBadValue(value)

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"crossmatch/internal/geo"
 )
 
 // randHistory builds a history of n values drawn from rng in (0, cap].
@@ -181,8 +179,8 @@ func TestQuoterStats(t *testing.T) {
 	if st.TableHits == 0 {
 		t.Error("no Monte-Carlo payment-cache hits counted")
 	}
-	if hr := st.TableHitRate(); hr <= 0 || hr > 1 {
-		t.Errorf("TableHitRate = %v, want in (0,1]", hr)
+	if st.TableHits > st.ProbEvals {
+		t.Errorf("TableHits %d exceed ProbEvals %d", st.TableHits, st.ProbEvals)
 	}
 	if st.ScratchReuses == 0 || st.ScratchAllocs != 0 {
 		t.Errorf("scratch counters = reuses %d allocs %d; caller-owned scratch should only reuse",
@@ -234,45 +232,5 @@ func TestQuoterScratchNoAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, rev); allocs > 4 {
 		t.Errorf("warmed MaxExpectedRevenue allocates %v objects, want <= 4 (sort.Slice only)", allocs)
-	}
-}
-
-// TestGridEviction checks the supply/demand grid sheds cells untouched
-// longer than one decay horizon, and never evicts when decay is 1.
-func TestGridEviction(t *testing.T) {
-	g, err := NewGrid(1, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Touch many distinct cells at tick 0 ...
-	for i := 0; i < 64; i++ {
-		g.RecordDemand(geo.Point{X: float64(i) * 2}, 0)
-	}
-	if g.Cells() != 64 {
-		t.Fatalf("cells = %d, want 64", g.Cells())
-	}
-	// ... then hammer one cell far past the horizon (log(1e-9)/log(0.5)
-	// = 30 slots): the sweep runs within len(counts) mutations and drops
-	// every stale cell.
-	for i := 0; i < 200; i++ {
-		g.RecordSupply(geo.Point{X: 0.5, Y: 0.5}, 10_000+int64(i))
-	}
-	if g.Cells() != 1 {
-		t.Errorf("cells after horizon = %d, want 1 (stale cells evicted)", g.Cells())
-	}
-
-	// decay == 1: counts never fade, so nothing may ever be evicted.
-	g1, err := NewGrid(1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		g1.RecordDemand(geo.Point{X: float64(i) * 2}, 0)
-	}
-	for i := 0; i < 500; i++ {
-		g1.RecordSupply(geo.Point{X: 0.5, Y: 0.5}, 1_000_000+int64(i))
-	}
-	if g1.Cells() != 64 {
-		t.Errorf("decay=1 cells = %d, want 64 (no eviction)", g1.Cells())
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"crossmatch/internal/benchfmt"
 	"crossmatch/internal/core"
 	"crossmatch/internal/stats"
 )
@@ -32,16 +31,6 @@ type LoadOptions struct {
 	// Batch groups up to this many consecutive same-kind events into one
 	// NDJSON POST (default 1: one event per call).
 	Batch int
-	// Coalesce fills batches with same-kind events even across kind
-	// interleavings: order within each kind is preserved, global
-	// cross-kind order is not. On an alternating worker/request stream
-	// the default (consecutive-only) batching averages ~2-3 events per
-	// POST no matter the Batch setting; coalescing actually reaches
-	// Batch and amortizes per-call HTTP cost. Sound against replay-mode
-	// servers and idempotent ingest (decisions key on event identity,
-	// not network arrival order) — the chaos drills already push over
-	// racing connections for the same reason.
-	Coalesce bool
 	// Timeout bounds one HTTP call (default 30s).
 	Timeout time.Duration
 	// Retries is how many times a shed (429) line is retried, sleeping
@@ -62,7 +51,7 @@ type LoadOptions struct {
 
 // LoadReport is the client-side view of a load run: admission
 // outcomes, decision totals and end-to-end call latency quantiles, in
-// the shape EXPERIMENTS.md tables and benchfmt snapshots consume.
+// the shape EXPERIMENTS.md tables consume.
 type LoadReport struct {
 	Events      int     `json:"events"`
 	Calls       int64   `json:"calls"`
@@ -124,29 +113,6 @@ func (r *LoadReport) shard(name string) *ShardLoad {
 	return s
 }
 
-// Bench renders the report as a one-benchmark benchfmt document, so
-// serving runs land in the same JSON shape as the offline benchmarks.
-func (r *LoadReport) Bench(label string) *benchfmt.Report {
-	b := benchfmt.Benchmark{
-		Name: "ServeLoad",
-		Runs: 1,
-		Metrics: map[string]float64{
-			"events":    float64(r.Events),
-			"qps":       r.QPS,
-			"p50-ms":    r.P50Ms,
-			"p90-ms":    r.P90Ms,
-			"p99-ms":    r.P99Ms,
-			"max-ms":    r.MaxMs,
-			"shed-rate": r.ShedRate,
-			"matched":   float64(r.Matched),
-			"revenue":   r.Revenue,
-		},
-	}
-	return &benchfmt.Report{Label: label, Goos: runtime.GOOS, Goarch: runtime.GOARCH,
-		Pkg: "crossmatch/internal/serve", CPU: fmt.Sprintf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0)),
-		Benchmarks: []benchfmt.Benchmark{b}}
-}
-
 // batchJob is one POST: consecutive same-kind events sharing an
 // endpoint.
 type batchJob struct {
@@ -201,8 +167,6 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 
 	// Build the batch schedule: consecutive same-kind events share a
 	// POST, each batch due at the arrival slot of its first event.
-	// Coalesce mode instead buffers per kind and flushes full batches,
-	// due at the slot of the earliest buffered event.
 	events := opts.Stream.Events()
 	start := time.Now()
 	dueAt := func(i int) time.Time {
@@ -212,47 +176,18 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 		return start
 	}
 	var jobs []batchJob
-	if opts.Coalesce {
-		type pending struct {
-			evs      []WireEvent
-			firstIdx int
+	for i := 0; i < len(events); {
+		kind := events[i].Kind
+		j := i
+		for j < len(events) && events[j].Kind == kind && j-i < opts.Batch {
+			j++
 		}
-		buf := map[core.EventKind]*pending{}
-		flush := func(kind core.EventKind) {
-			p := buf[kind]
-			if p == nil || len(p.evs) == 0 {
-				return
-			}
-			jobs = append(jobs, batchJob{kind: kind, evs: p.evs, due: dueAt(p.firstIdx)})
-			buf[kind] = nil
+		job := batchJob{kind: kind, due: dueAt(i)}
+		for _, ev := range events[i:j] {
+			job.evs = append(job.evs, EventToWire(ev))
 		}
-		for i, ev := range events {
-			p := buf[ev.Kind]
-			if p == nil {
-				p = &pending{firstIdx: i}
-				buf[ev.Kind] = p
-			}
-			p.evs = append(p.evs, EventToWire(ev))
-			if len(p.evs) >= opts.Batch {
-				flush(ev.Kind)
-			}
-		}
-		flush(core.WorkerArrival)
-		flush(core.RequestArrival)
-	} else {
-		for i := 0; i < len(events); {
-			kind := events[i].Kind
-			j := i
-			for j < len(events) && events[j].Kind == kind && j-i < opts.Batch {
-				j++
-			}
-			job := batchJob{kind: kind, due: dueAt(i)}
-			for _, ev := range events[i:j] {
-				job.evs = append(job.evs, EventToWire(ev))
-			}
-			jobs = append(jobs, job)
-			i = j
-		}
+		jobs = append(jobs, job)
+		i = j
 	}
 
 	var (

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"crossmatch/internal/core"
 	"crossmatch/internal/platform"
 )
 
@@ -93,64 +92,5 @@ func TestLoadRetriesRecoverSheds(t *testing.T) {
 	}
 	if rep.OK != int64(rep.Events) {
 		t.Fatalf("every event must land: ok %d of %d", rep.OK, rep.Events)
-	}
-}
-
-// TestLoadReportBench checks the benchfmt bridge carries the headline
-// metrics.
-func TestLoadReportBench(t *testing.T) {
-	rep := &LoadReport{Events: 10, Matched: 4, Revenue: 12.5, P99Ms: 3.25, ShedRate: 0.1, QPS: 500}
-	doc := rep.Bench("PR5")
-	if doc.Label != "PR5" || len(doc.Benchmarks) != 1 {
-		t.Fatalf("bench doc: %+v", doc)
-	}
-	m := doc.Benchmarks[0].Metrics
-	for _, k := range []string{"p50-ms", "p90-ms", "p99-ms", "shed-rate", "qps", "matched", "revenue", "events"} {
-		if _, ok := m[k]; !ok {
-			t.Fatalf("metric %s missing: %+v", k, m)
-		}
-	}
-	if m["p99-ms"] != 3.25 || m["matched"] != 4 {
-		t.Fatalf("metric values: %+v", m)
-	}
-}
-
-// TestLoadCoalesceFillsBatches verifies the coalescing scheduler:
-// same-kind events fill batches across kind interleavings, so the
-// whole stream goes out in ~len/Batch calls instead of one call per
-// run of consecutive same-kind arrivals — while still delivering every
-// event exactly once.
-func TestLoadCoalesceFillsBatches(t *testing.T) {
-	stream := testStream(t, 40, 40, 3)
-	_, ts := startServer(t, Options{Algorithm: platform.AlgDemCOM, Seed: 3})
-
-	rep, err := RunLoad(context.Background(), LoadOptions{
-		URL:      ts.URL,
-		Stream:   stream,
-		Conns:    4,
-		Batch:    8,
-		Coalesce: true,
-		Client:   ts.Client(),
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if rep.OK != int64(rep.Events) {
-		t.Fatalf("coalesced run must deliver every event: ok %d of %d (%+v)", rep.OK, rep.Events, rep)
-	}
-	// Count per-kind ceil(len/Batch) jobs; the alternating stream would
-	// otherwise produce nearly one call per event.
-	var workers, requests int
-	for _, ev := range stream.Events() {
-		if ev.Kind == core.WorkerArrival {
-			workers++
-		} else {
-			requests++
-		}
-	}
-	want := int64((workers+7)/8 + (requests+7)/8)
-	if rep.Calls != want {
-		t.Fatalf("coalesce: got %d calls, want %d (workers %d requests %d batch 8)",
-			rep.Calls, want, workers, requests)
 	}
 }

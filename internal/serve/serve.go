@@ -443,12 +443,6 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Ready reports whether the server admits events: recovery (if any)
-// succeeded and the drain has not begun.
-func (s *Server) Ready() bool {
-	return !s.recovering.Load() && !s.recFailed.Load() && !s.draining.Load()
-}
-
 // RecoverDone returns a channel closed once the startup recovery
 // attempt settles (immediately for servers without a background
 // recovery). After it closes, RecoveryErr and Recovery are stable.
@@ -468,9 +462,6 @@ func (s *Server) RecoveryErr() error {
 // Handler returns the service's HTTP handler, ready to mount on any
 // listener (net/http server, httptest, ...).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Draining reports whether the server has begun its shutdown drain.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // BeginDrain starts graceful shutdown: from now on new arrivals are
 // refused with 503, events already queued are answered 503 with a

@@ -140,6 +140,22 @@ func TestWireDecodeRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// A history value pricing.NewHistory would refuse must be refused at
+// decode, before the event is logged and sequenced: the hub refusing it
+// later leaves a poison record in the WAL and the engine clock moved.
+func TestWireDecodeRejectsBadHistory(t *testing.T) {
+	for name, bad := range map[string]float64{"negative": -1, "zero": 0, "nan": math.NaN(), "inf": math.Inf(1)} {
+		we := WireEvent{ID: 1, Platform: 1, Radius: 1, History: []float64{2, bad}}
+		if _, err := we.toEvent(core.WorkerArrival); err == nil || !strings.Contains(err.Error(), "history value 1 = ") {
+			t.Errorf("%s: toEvent error = %v, want a history refusal", name, err)
+		}
+	}
+	we := WireEvent{ID: 1, Platform: 1, Radius: 1, History: []float64{2, 0.5}}
+	if _, err := we.toEvent(core.WorkerArrival); err != nil {
+		t.Errorf("valid history refused: %v", err)
+	}
+}
+
 // An event naming a platform the engine was not built with must be a
 // 400 at admission, not a sequencer panic (and in WAL mode not a
 // logged poison event): before the guard, one such POST crashed the

@@ -128,6 +128,11 @@ func (we *WireEvent) toEvent(kind core.EventKind) (core.Event, error) {
 		if !(we.Radius > 0) || math.IsInf(we.Radius, 0) {
 			return core.Event{}, fmt.Errorf("worker %d: radius %v must be positive and finite", we.ID, we.Radius)
 		}
+		for i, v := range we.History {
+			if !(v > 0) || math.IsInf(v, 0) {
+				return core.Event{}, fmt.Errorf("worker %d: history value %d = %v must be positive and finite", we.ID, i, v)
+			}
+		}
 		w := &core.Worker{ID: we.ID, Loc: loc, Radius: we.Radius,
 			Platform: core.PlatformID(we.Platform), History: we.History}
 		return core.Event{Kind: kind, Worker: w}, nil

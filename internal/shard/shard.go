@@ -108,12 +108,6 @@ func NewPartitioner(n int, cellSize float64) *Partitioner {
 	}
 }
 
-// N returns the shard count.
-func (p *Partitioner) N() int { return len(p.names) }
-
-// CellSize returns the grid cell size the partition is built on.
-func (p *Partitioner) CellSize() float64 { return p.cell }
-
 // Names returns the shard names backing the rendezvous assignment. The
 // slice is owned by the partitioner and must not be mutated.
 func (p *Partitioner) Names() []string { return p.names }
@@ -303,9 +297,6 @@ func (c *Coordinator) SetPend(s int, seq int64) {
 	c.wake()
 }
 
-// Pend returns shard s's progress frontier.
-func (c *Coordinator) Pend(s int) int64 { return c.pend[s].Load() }
-
 // SetBoundary publishes shard s's boundary frontier — the propose
 // phase of the claim protocol when a boundary event is enqueued, and
 // the resolve when one commits or aborts. Boundary events are rare, so
@@ -323,9 +314,6 @@ func (c *Coordinator) SetBoundary(s int, seq int64) {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }
-
-// Boundary returns shard s's boundary frontier.
-func (c *Coordinator) Boundary(s int) int64 { return c.bf[s].Load() }
 
 // Close releases every gate; all subsequent and in-flight waits report
 // closed. Used for shutdown and error propagation across shard loops.

@@ -65,36 +65,9 @@ func FormatMillis(d time.Duration) string {
 	return FormatFloat(float64(d)/float64(time.Millisecond), 2)
 }
 
-// FormatRevenue renders a revenue in the paper's "x10^6" convention when
-// large ("1.752"), plain otherwise.
-func FormatRevenue(v float64) string {
-	if v >= 1e5 {
-		return FormatFloat(v/1e6, 3)
-	}
-	return FormatFloat(v, 1)
-}
-
 // Dash is the placeholder the paper prints for metrics an algorithm does
 // not have (e.g. |CoR| for TOTA).
 const Dash = "-"
-
-// Ratio formats a ratio with two decimals, or Dash when undefined
-// (denominator zero).
-func Ratio(num, den float64) string {
-	if den == 0 {
-		return Dash
-	}
-	return FormatFloat(num/den, 2)
-}
-
-// Percent renders v in [0,1] as a two-decimal fraction (the paper prints
-// acceptance ratios as 0.16, 0.66, ...), or Dash for NaN signalling.
-func Percent(v float64, defined bool) string {
-	if !defined {
-		return Dash
-	}
-	return FormatFloat(v, 2)
-}
 
 // Sanity guards for experiment code: panics early on impossible metric
 // combinations rather than printing nonsense tables.

@@ -30,24 +30,6 @@ func TestFormatHelpers(t *testing.T) {
 	if got := FormatMillis(430 * time.Microsecond); got != "0.43" {
 		t.Errorf("FormatMillis = %q", got)
 	}
-	if got := FormatRevenue(1752000); got != "1.752" {
-		t.Errorf("FormatRevenue large = %q", got)
-	}
-	if got := FormatRevenue(16); got != "16.0" {
-		t.Errorf("FormatRevenue small = %q", got)
-	}
-	if got := Ratio(1, 2); got != "0.50" {
-		t.Errorf("Ratio = %q", got)
-	}
-	if got := Ratio(1, 0); got != Dash {
-		t.Errorf("Ratio zero-den = %q", got)
-	}
-	if got := Percent(0.16, true); got != "0.16" {
-		t.Errorf("Percent = %q", got)
-	}
-	if got := Percent(0.5, false); got != Dash {
-		t.Errorf("Percent undefined = %q", got)
-	}
 }
 
 func TestMemoryMB(t *testing.T) {
@@ -139,9 +121,6 @@ func TestSeries(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("series table missing %q:\n%s", want, out)
 		}
-	}
-	if names := s.SortedLineNames(); names[0] != "DemCOM" {
-		t.Errorf("sorted names = %v", names)
 	}
 }
 

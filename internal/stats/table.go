@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -167,12 +166,4 @@ func (s *Series) Table(decimals int) *Table {
 		t.Add(row...)
 	}
 	return t
-}
-
-// SortedLineNames returns the algorithm names sorted alphabetically
-// (stable comparison helper for tests).
-func (s *Series) SortedLineNames() []string {
-	names := s.Lines()
-	sort.Strings(names)
-	return names
 }

@@ -43,26 +43,24 @@ func Diagnose(s *core.Stream) []Diagnosis {
 	// disk?"), so each request is indexed with the stream's maximum
 	// radius and candidates are filtered exactly with core.CanServe.
 	requests := s.Requests()
-	perPlatform := map[core.PlatformID]*index.Grid{}
+	perPlatform := map[core.PlatformID]*index.SlotGrid{}
 	maxRadius := index.DefaultCell
 	for _, w := range s.Workers() {
 		if w.Radius > maxRadius {
 			maxRadius = w.Radius
 		}
 	}
-	reqByID := map[int64]*core.Request{}
-	for _, r := range requests {
+	for ri, r := range requests {
 		g := perPlatform[r.Platform]
 		if g == nil {
-			g = index.NewGrid(maxRadius)
+			g = index.NewSlotGrid(maxRadius)
 			perPlatform[r.Platform] = g
 		}
-		// A zero-radius circle centered at the request; the worker-side
-		// query uses its own disk, so flip the roles: index the request
-		// with the MAX radius so a Covering query at the worker location
-		// returns every request within maxRadius, then filter exactly.
-		g.Insert(index.Entry{ID: r.ID, Circle: geo.Circle{Center: r.Loc, Radius: maxRadius}})
-		reqByID[r.ID] = r
+		// The worker-side query uses its own disk, so flip the roles:
+		// index the request with the MAX radius so a query at the worker
+		// location returns every request within maxRadius (as its slot,
+		// the request's position in requests), then filter exactly.
+		g.Insert(index.Entry{ID: int64(ri), Circle: geo.Circle{Center: r.Loc, Radius: maxRadius}}, int32(ri))
 	}
 
 	out := map[core.PlatformID]*Diagnosis{}
@@ -73,16 +71,15 @@ func Diagnose(s *core.Stream) []Diagnosis {
 		out[r.Platform].Requests++
 	}
 
-	var buf []index.Entry
+	var buf []int32
 	canServeAny := func(w *core.Worker, pid core.PlatformID) bool {
 		g := perPlatform[pid]
 		if g == nil {
 			return false
 		}
-		buf = g.Covering(buf[:0], w.Loc)
-		for _, e := range buf {
-			r := reqByID[e.ID]
-			if core.CanServe(w, r) {
+		buf = g.AppendSlots(buf[:0], w.Loc)
+		for _, ri := range buf {
+			if core.CanServe(w, requests[ri]) {
 				return true
 			}
 		}

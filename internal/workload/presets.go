@@ -59,16 +59,6 @@ func PresetFor(name string) (Preset, error) {
 	return p, nil
 }
 
-// PresetConfig resolves a preset by name and scales it in one step — the
-// shared preset-lookup path of the public API and the CLIs.
-func PresetConfig(name string, scale float64) (Config, error) {
-	p, err := PresetFor(name)
-	if err != nil {
-		return Config{}, err
-	}
-	return p.Config(scale)
-}
-
 // SyntheticPreset wraps the Table IV synthetic defaults in a Preset so
 // harnesses that operate on presets (RunTable, the parallel-runner
 // benchmarks) can target the synthetic workload too. It is not listed by
@@ -243,16 +233,6 @@ func SyntheticMulti(platforms, totalRequests, totalWorkers int, radius float64, 
 		})
 	}
 	return cfg, nil
-}
-
-// SyntheticDefaults are Table IV's bold defaults: |R| = 2500, |W| = 500,
-// rad = 1.0, value distribution "real".
-func SyntheticDefaults() Config {
-	cfg, err := Synthetic(2500, 500, 1.0, "real")
-	if err != nil {
-		panic(err) // static arguments; cannot fail
-	}
-	return cfg
 }
 
 // Appearance counts: how many times each physical worker re-joins the

@@ -197,7 +197,10 @@ func TestGenerateBasicShape(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := SyntheticDefaults()
+	cfg, err := Synthetic(2500, 500, 1.0, "real")
+	if err != nil {
+		t.Fatal(err)
+	}
 	a, err := Generate(cfg, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +320,10 @@ func TestSyntheticValidation(t *testing.T) {
 }
 
 func TestConfigMaxValue(t *testing.T) {
-	cfg := SyntheticDefaults()
+	cfg, err := Synthetic(2500, 500, 1.0, "real")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := cfg.MaxValue(); got != 100 {
 		t.Errorf("MaxValue = %v, want 100 (value cap)", got)
 	}
