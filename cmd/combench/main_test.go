@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -209,4 +212,91 @@ func TestRunFaultSweepExperiment(t *testing.T) {
 	if dWorst.Revenue > dBase.Revenue {
 		t.Errorf("DemCOM revenue rose under total fault load: %.4f -> %.4f", dBase.Revenue, dWorst.Revenue)
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/all.golden.csv from this run")
+
+// maskMeasurements blanks the cells that report the host rather than the
+// algorithms — wall-clock and live-heap columns, and the sweep series
+// made only of them — so the rest of a CSV run compares byte for byte.
+func maskMeasurements(t *testing.T, out string) string {
+	t.Helper()
+	hostColumns := map[string]bool{
+		"Response Time (ms)": true, "Memory (MB)": true,
+		"Gen ms": true, "Run ms": true, "Events/s": true,
+	}
+	var b strings.Builder
+	for _, block := range strings.Split(strings.TrimRight(out, "\n"), "\n\n") {
+		lines := strings.Split(block, "\n")
+		b.WriteString(lines[0] + "\n")
+		hostSeries := strings.HasSuffix(lines[0], "— Response time (ms)") || strings.HasSuffix(lines[0], "— Memory (MB)")
+		var masked []bool
+		w := csv.NewWriter(&b)
+		for li, line := range lines[1:] {
+			rec, err := csv.NewReader(strings.NewReader(line)).Read()
+			if err != nil {
+				t.Fatalf("unparseable CSV line %q: %v", line, err)
+			}
+			if li == 0 {
+				masked = make([]bool, len(rec))
+				for i, name := range rec {
+					masked[i] = hostColumns[name] || (hostSeries && i > 0)
+				}
+			} else {
+				for i := range rec {
+					if masked[i] {
+						rec[i] = "~"
+					}
+				}
+			}
+			if err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Flush()
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestGoldenAll pins the output of every experiment id — `-exp all`,
+// then `-exp scaling` on one small city — at `-scale 0.01 -repeats 1
+// -seed 42 -cap 5000 -csv`, measurement cells masked (the cap keeps the
+// test inside 45 s under -race; the uncapped axes spend two thirds of
+// the run on their 10k-100k points). `go test ./cmd/combench -run
+// TestGoldenAll -update` rewrites the file; a change that moves it on
+// purpose must say so.
+func TestGoldenAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, "all", 0.01, 42, 1, 5000, true, false, 0, nil, 0, nil, nil, &experiments.Runner{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&buf, "scaling", 0.01, 42, 1, 0, true, false, 0, nil, 0, []int{1, 2}, []int{400}, &experiments.Runner{}); err != nil {
+		t.Fatal(err)
+	}
+	got := maskMeasurements(t, buf.String())
+	const path = "testdata/all.golden.csv"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d differs from %s:\n got: %s\nwant: %s", i+1, path, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("output has %d lines, %s has %d", len(gl), path, len(wl))
 }

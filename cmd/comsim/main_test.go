@@ -119,3 +119,20 @@ func TestRunEnsembleFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenEnsemble pins `comsim -alg DemCOM -ensemble 4` at the flag
+// defaults, byte for byte: the line carries no wall-clock figure.
+func TestGoldenEnsemble(t *testing.T) {
+	var buf bytes.Buffer
+	o := options{alg: "DemCOM", requests: 2500, workers: 500, rad: 1.0, dist: "real", scale: 0.05, seed: 42, ensemble: 4}
+	if err := run(&buf, o); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/ensemble_demcom.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != string(want) {
+		t.Errorf("ensemble line moved:\n got: %swant: %s", buf.String(), want)
+	}
+}
