@@ -162,7 +162,7 @@ func BenchmarkCompetitiveRatio(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblations(experiments.AblationOptions{
+		res, err := experiments.RunAblations(experiments.Grid{
 			Requests: 800, Workers: 160, Repeats: 1, Seed: benchSeed,
 		})
 		if err != nil {
@@ -180,7 +180,7 @@ func BenchmarkRoadNet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunRoadNet(experiments.RoadNetOptions{
-			Requests: 600, Workers: 120, Repeats: 1, Seed: benchSeed,
+			Grid: experiments.Grid{Requests: 600, Workers: 120, Repeats: 1, Seed: benchSeed},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -196,7 +196,7 @@ func BenchmarkRoadNet(b *testing.B) {
 func BenchmarkValueDist(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunValueDist(experiments.ValueDistOptions{
+		res, err := experiments.RunValueDist(experiments.Grid{
 			Requests: 800, Workers: 160, Repeats: 1, Seed: benchSeed,
 		})
 		if err != nil {

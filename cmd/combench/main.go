@@ -13,7 +13,8 @@
 //	combench -exp tableV -faults drop=0.2,latency=0.3:1ms-10ms
 //
 // Experiment ids: tableV tableVI tableVII fig5a..fig5l cr ablations
-// roadnet valuedist platforms variance faults window all.
+// roadnet valuedist platforms variance faults window scaling all
+// (`all` runs every one but scaling; `combench -h` prints the list).
 //
 // The window experiment sweeps BatchCOM's batching window (-window
 // lists the lengths, -batch-deadline caps per-request buffering)
@@ -52,7 +53,7 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment id (tableV..tableVII, fig5a..fig5l, cr, ablations, roadnet, valuedist, platforms, variance, window, scaling, all)")
+		exp         = flag.String("exp", "all", expHelp())
 		scale       = flag.Float64("scale", 0.05, "fraction of the paper's Table III dataset sizes for table experiments")
 		seed        = flag.Int64("seed", 42, "root random seed")
 		repeats     = flag.Int("repeats", 3, "seeds averaged per measurement")
@@ -75,35 +76,24 @@ func main() {
 	)
 	flag.Parse()
 	plan, err := validateFaultFlags(*faultsSpec, *faultSeed, *platpar)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "combench: %v\nrun 'combench -h' for usage\n", err)
-		os.Exit(2)
-	}
+	usageIf(err)
 	tracer, err := validateTraceFlags(*traceOn, *traceOut, *traceSample, *traceCap, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "combench: %v\nrun 'combench -h' for usage\n", err)
-		os.Exit(2)
-	}
+	usageIf(err)
 	runner := &experiments.Runner{Parallelism: *par, PlatformParallel: *platpar, FaultPlan: plan, Trace: tracer}
 	if *metricsPath != "" {
 		runner.Metrics = metrics.New()
 	}
 	windows, err := parseWindows(*windowSpec, *batchDeadl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "combench: %v\nrun 'combench -h' for usage\n", err)
-		os.Exit(2)
-	}
+	usageIf(err)
 	shardCounts, err := parseCounts("-shards", *shardsSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "combench: %v\nrun 'combench -h' for usage\n", err)
-		os.Exit(2)
-	}
+	usageIf(err)
 	cityWorkers, err := parseCounts("-city", *citySpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "combench: %v\nrun 'combench -h' for usage\n", err)
-		os.Exit(2)
-	}
-	if err := run(os.Stdout, *exp, *scale, *seed, *repeats, *cap, *csvOut, *plot, *faultSeed, windows, core.Time(*batchDeadl), shardCounts, cityWorkers, runner); err != nil {
+	usageIf(err)
+	if err := run(os.Stdout, *exp, params{
+		scale: *scale, seed: *seed, repeats: *repeats, cap: *cap, csv: *csvOut, plot: *plot,
+		faultSeed: *faultSeed, windows: windows, batchDeadline: core.Time(*batchDeadl),
+		shards: shardCounts, city: cityWorkers, runner: runner,
+	}); err != nil {
 		if errors.Is(err, workload.ErrUnknownPreset) {
 			fmt.Fprintf(os.Stderr, "combench: %v\nrun 'combench -h' for usage\n", err)
 		} else {
@@ -122,6 +112,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "combench: %v\n", err)
 			os.Exit(1)
 		}
+	}
+}
+
+// usageIf exits 2 on a flag combination that cannot run as written.
+func usageIf(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "combench: %v\nrun 'combench -h' for usage\n", err)
+		os.Exit(2)
 	}
 }
 
@@ -223,18 +221,12 @@ func parseWindows(spec string, deadline int64) ([]core.Time, error) {
 	if deadline < 0 {
 		return nil, fmt.Errorf("-batch-deadline must be non-negative, got %d", deadline)
 	}
-	if spec == "" {
-		return nil, nil
-	}
+	counts, err := parseCounts("-window", spec)
 	var out []core.Time
-	for _, part := range strings.Split(spec, ",") {
-		n, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("-window: %q is not a positive tick count", part)
-		}
+	for _, n := range counts {
 		out = append(out, core.Time(n))
 	}
-	return out, nil
+	return out, err
 }
 
 // parseCounts parses a comma-separated list of positive integers.
@@ -253,64 +245,172 @@ func parseCounts(name, spec string) ([]int, error) {
 	return out, nil
 }
 
-func run(w io.Writer, exp string, scale float64, seed int64, repeats int, cap float64, csvOut, plot bool, faultSeed int64, windows []core.Time, batchDeadline core.Time, shardCounts, cityWorkers []int, runner *experiments.Runner) error {
-	render := func(t *stats.Table) error {
-		var err error
-		if csvOut {
-			err = t.RenderCSV(w)
-		} else {
-			err = t.Render(w)
+// params is what the flags say about how to run an experiment.
+type params struct {
+	scale         float64
+	seed          int64
+	repeats       int
+	cap           float64
+	csv, plot     bool
+	faultSeed     int64
+	windows       []core.Time
+	batchDeadline core.Time
+	shards, city  []int
+	runner        *experiments.Runner
+}
+
+// session is one run call: the params, the output, and the sweeps the
+// four figures of one axis share.
+type session struct {
+	params
+	w      io.Writer
+	sweeps map[experiments.SweepAxis]*experiments.SweepResult
+}
+
+// experiment is one row of the table below: an id `-exp` accepts and
+// what it runs.
+type experiment struct {
+	id  string
+	run func(s *session) error
+}
+
+// experimentTable is every experiment combench knows, in the order
+// `-exp all` runs them. The `-exp` help text, `all` and the unknown-id
+// error are all read from it.
+var experimentTable = []experiment{
+	{"tableV", table("RDC10+RYC10")},
+	{"tableVI", table("RDC11+RYC11")},
+	{"tableVII", table("RDX11+RYX11")},
+	{"fig5a", figure(experiments.AxisRequests, "revenue")},
+	{"fig5b", figure(experiments.AxisRequests, "response")},
+	{"fig5c", figure(experiments.AxisRequests, "memory")},
+	{"fig5d", figure(experiments.AxisRequests, "acceptance")},
+	{"fig5e", figure(experiments.AxisWorkers, "revenue")},
+	{"fig5f", figure(experiments.AxisWorkers, "response")},
+	{"fig5g", figure(experiments.AxisWorkers, "memory")},
+	{"fig5h", figure(experiments.AxisWorkers, "acceptance")},
+	{"fig5i", figure(experiments.AxisRadius, "revenue")},
+	{"fig5j", figure(experiments.AxisRadius, "response")},
+	{"fig5k", figure(experiments.AxisRadius, "memory")},
+	{"fig5l", figure(experiments.AxisRadius, "acceptance")},
+	{"cr", func(s *session) error {
+		return s.show(experiments.RunCompetitiveRatio(experiments.CROptions{Seed: s.seed, Runner: s.runner}))
+	}},
+	{"ablations", func(s *session) error { return s.show(experiments.RunAblations(s.grid())) }},
+	{"roadnet", func(s *session) error {
+		return s.show(experiments.RunRoadNet(experiments.RoadNetOptions{Grid: s.grid()}))
+	}},
+	{"valuedist", func(s *session) error { return s.show(experiments.RunValueDist(s.grid())) }},
+	{"platforms", func(s *session) error {
+		return s.show(experiments.RunPlatformCount(experiments.PlatformCountOptions{Grid: s.grid()}))
+	}},
+	{"variance", func(s *session) error {
+		return s.show(experiments.RunVariance(experiments.Grid{Seed: s.seed, Runner: s.runner}))
+	}},
+	{"faults", func(s *session) error {
+		return s.show(experiments.RunFaultSweep(experiments.FaultSweepOptions{Grid: s.grid(), FaultSeed: s.faultSeed}))
+	}},
+	{"window", func(s *session) error {
+		return s.show(experiments.RunWindow(experiments.WindowOptions{Grid: s.grid(), Windows: s.windows, Deadline: s.batchDeadline}))
+	}},
+	{scalingID, func(s *session) error {
+		return s.show(experiments.RunScaling(experiments.ScalingOptions{Seed: s.seed, Shards: s.shards, Workers: s.city}))
+	}},
+}
+
+// scalingID is the one experiment `-exp all` leaves out: its sharded
+// runs each own the machine and its default cities take minutes.
+const scalingID = "scaling"
+
+// experimentIDs lists the table's ids in order, then "all".
+func experimentIDs() []string {
+	ids := make([]string, 0, len(experimentTable)+1)
+	for _, e := range experimentTable {
+		ids = append(ids, e.id)
+	}
+	return append(ids, "all")
+}
+
+// expHelp is the -exp flag's usage line.
+func expHelp() string {
+	return "experiment id (" + strings.Join(experimentIDs(), ", ") + ")"
+}
+
+// selected returns the rows `-exp exp` runs: the row of that id, or for
+// "all" every row but scaling; none for an unknown id.
+func selected(exp string) []experiment {
+	var rows []experiment
+	for _, e := range experimentTable {
+		if e.id == exp || (exp == "all" && e.id != scalingID) {
+			rows = append(rows, e)
 		}
-		if err == nil {
-			_, err = fmt.Fprintln(w)
-		}
+	}
+	return rows
+}
+
+// grid is the workload every synthetic experiment takes from the flags:
+// defaults but for the seed, the repeats and the runner.
+func (s *session) grid() experiments.Grid {
+	return experiments.Grid{Seed: s.seed, Repeats: s.repeats, Runner: s.runner}
+}
+
+func (s *session) render(t *stats.Table) error {
+	var err error
+	if s.csv {
+		err = t.RenderCSV(s.w)
+	} else {
+		err = t.Render(s.w)
+	}
+	if err == nil {
+		_, err = fmt.Fprintln(s.w)
+	}
+	return err
+}
+
+// show renders an experiment's result table and, in text mode, the note
+// a result may carry on how to read it.
+func (s *session) show(res interface{ Table() *stats.Table }, err error) error {
+	if err != nil {
 		return err
 	}
-
-	ids := []string{exp}
-	if exp == "all" {
-		ids = []string{"tableV", "tableVI", "tableVII",
-			"fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f", "fig5g", "fig5h",
-			"fig5i", "fig5j", "fig5k", "fig5l", "cr", "ablations", "roadnet", "valuedist",
-			"platforms", "variance", "faults", "window"}
+	if err := s.render(res.Table()); err != nil {
+		return err
 	}
-
-	// Sweeps are shared across the four figures of one axis; cache them.
-	sweeps := map[experiments.SweepAxis]*experiments.SweepResult{}
-	sweep := func(axis experiments.SweepAxis) (*experiments.SweepResult, error) {
-		if s, ok := sweeps[axis]; ok {
-			return s, nil
+	if noted, ok := res.(interface{ WriteNote(io.Writer) error }); ok && !s.csv {
+		if err := noted.WriteNote(s.w); err != nil {
+			return err
 		}
-		s, err := experiments.RunSweep(axis, experiments.SweepOptions{
-			Seed: seed, Repeats: repeats, ScaleCap: cap, Runner: runner,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sweeps[axis] = s
-		return s, nil
+		_, err = fmt.Fprintln(s.w)
 	}
+	return err
+}
 
-	table := func(preset string) error {
+func table(preset string) func(*session) error {
+	return func(s *session) error {
 		p, err := workload.PresetFor(preset)
 		if err != nil {
 			return err
 		}
-		res, err := experiments.RunTable(p, experiments.TableOptions{
-			Scale: scale, Seed: seed, Repeats: repeats, Runner: runner,
-		})
-		if err != nil {
-			return err
-		}
-		return render(res.Table())
+		return s.show(experiments.RunTable(p, experiments.TableOptions{
+			Scale: s.scale, Seed: s.seed, Repeats: s.repeats, Runner: s.runner,
+		}))
 	}
+}
 
-	figure := func(axis experiments.SweepAxis, metric string) error {
-		s, err := sweep(axis)
-		if err != nil {
-			return err
+func figure(axis experiments.SweepAxis, metric string) func(*session) error {
+	return func(s *session) error {
+		sweep, ok := s.sweeps[axis]
+		if !ok {
+			var err error
+			sweep, err = experiments.RunSweep(axis, experiments.SweepOptions{
+				Seed: s.seed, Repeats: s.repeats, ScaleCap: s.cap, Runner: s.runner,
+			})
+			if err != nil {
+				return err
+			}
+			s.sweeps[axis] = sweep
 		}
-		rev, resp, mem, acc := s.Series()
+		rev, resp, mem, acc := sweep.Series()
 		var t *stats.Table
 		var series *stats.Series
 		switch metric {
@@ -323,130 +423,38 @@ func run(w io.Writer, exp string, scale float64, seed int64, repeats int, cap fl
 		case "acceptance":
 			t, series = acc.Table(3), acc
 		}
-		if err := render(t); err != nil {
+		if err := s.render(t); err != nil {
 			return err
 		}
-		if plot && !csvOut {
-			if err := series.Plot(w, 64, 14); err != nil {
+		if s.plot && !s.csv {
+			if err := series.Plot(s.w, 64, 14); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintln(w); err != nil {
+			if _, err := fmt.Fprintln(s.w); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+}
 
-	for _, id := range ids {
-		var err error
-		switch id {
-		case "tableV":
-			err = table("RDC10+RYC10")
-		case "tableVI":
-			err = table("RDC11+RYC11")
-		case "tableVII":
-			err = table("RDX11+RYX11")
-		case "fig5a":
-			err = figure(experiments.AxisRequests, "revenue")
-		case "fig5b":
-			err = figure(experiments.AxisRequests, "response")
-		case "fig5c":
-			err = figure(experiments.AxisRequests, "memory")
-		case "fig5d":
-			err = figure(experiments.AxisRequests, "acceptance")
-		case "fig5e":
-			err = figure(experiments.AxisWorkers, "revenue")
-		case "fig5f":
-			err = figure(experiments.AxisWorkers, "response")
-		case "fig5g":
-			err = figure(experiments.AxisWorkers, "memory")
-		case "fig5h":
-			err = figure(experiments.AxisWorkers, "acceptance")
-		case "fig5i":
-			err = figure(experiments.AxisRadius, "revenue")
-		case "fig5j":
-			err = figure(experiments.AxisRadius, "response")
-		case "fig5k":
-			err = figure(experiments.AxisRadius, "memory")
-		case "fig5l":
-			err = figure(experiments.AxisRadius, "acceptance")
-		case "cr":
-			var res *experiments.CRResult
-			res, err = experiments.RunCompetitiveRatio(experiments.CROptions{Seed: seed, Runner: runner})
-			if err == nil {
-				err = render(res.Table())
-			}
-		case "ablations":
-			var res *experiments.AblationResult
-			res, err = experiments.RunAblations(experiments.AblationOptions{Seed: seed, Repeats: repeats, Runner: runner})
-			if err == nil {
-				err = render(res.Table())
-			}
-		case "roadnet":
-			var res *experiments.RoadNetResult
-			res, err = experiments.RunRoadNet(experiments.RoadNetOptions{Seed: seed, Repeats: repeats, Runner: runner})
-			if err == nil {
-				err = render(res.Table())
-			}
-		case "valuedist":
-			var res *experiments.ValueDistResult
-			res, err = experiments.RunValueDist(experiments.ValueDistOptions{Seed: seed, Repeats: repeats, Runner: runner})
-			if err == nil {
-				err = render(res.Table())
-			}
-		case "platforms":
-			var res *experiments.PlatformCountResult
-			res, err = experiments.RunPlatformCount(experiments.PlatformCountOptions{Seed: seed, Repeats: repeats, Runner: runner})
-			if err == nil {
-				err = render(res.Table())
-			}
-		case "variance":
-			var res *experiments.VarianceResult
-			res, err = experiments.RunVariance(experiments.VarianceOptions{Seed: seed, Runner: runner})
-			if err == nil {
-				err = render(res.Table())
-			}
-		case "window":
-			var res *experiments.WindowResult
-			res, err = experiments.RunWindow(experiments.WindowOptions{
-				Seed: seed, Repeats: repeats, Windows: windows, Deadline: batchDeadline, Runner: runner,
-			})
-			if err == nil {
-				err = render(res.Table())
-			}
-			if err == nil && !csvOut {
-				err = res.WriteNote(w)
-				if err == nil {
-					_, err = fmt.Fprintln(w)
-				}
-			}
-		case "faults":
-			var res *experiments.FaultSweepResult
-			res, err = experiments.RunFaultSweep(experiments.FaultSweepOptions{
-				Seed: seed, Repeats: repeats, FaultSeed: faultSeed, Runner: runner,
-			})
-			if err == nil {
-				err = render(res.Table())
-			}
-		case "scaling":
-			var res *experiments.ScalingResult
-			res, err = experiments.RunScaling(experiments.ScalingOptions{
-				Seed: seed, Shards: shardCounts, Workers: cityWorkers,
-			})
-			if err == nil {
-				err = render(res.Table())
-			}
-			if err == nil && !csvOut {
-				err = res.WriteNote(w)
-				if err == nil {
-					_, err = fmt.Fprintln(w)
-				}
-			}
-		default:
-			err = fmt.Errorf("unknown experiment %q", id)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+// run executes experiment exp — one id of experimentTable, or "all" —
+// writing its tables to w.
+func run(w io.Writer, exp string, p params) error {
+	if p.scale <= 0 {
+		return fmt.Errorf("-scale must be positive, got %g", p.scale)
+	}
+	if p.repeats <= 0 {
+		return fmt.Errorf("-repeats must be positive, got %d", p.repeats)
+	}
+	rows := selected(exp)
+	if len(rows) == 0 {
+		return fmt.Errorf("%s: unknown experiment %q (want one of %s)", exp, exp, strings.Join(experimentIDs(), ", "))
+	}
+	s := &session{params: p, w: w, sweeps: map[experiments.SweepAxis]*experiments.SweepResult{}}
+	for _, e := range rows {
+		if err := e.run(s); err != nil {
+			return fmt.Errorf("%s: %w", e.id, err)
 		}
 	}
 	return nil

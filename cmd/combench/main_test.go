@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"flag"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func sequential() *experiments.Runner { return &experiments.Runner{Parallelism: 
 func TestRunCollectsMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	runner := &experiments.Runner{Parallelism: 1, Metrics: metrics.New()}
-	if err := run(&buf, "tableVII", 0.003, 7, 1, 0, false, false, 0, nil, 0, nil, nil, runner); err != nil {
+	if err := run(&buf, "tableVII", params{scale: 0.003, seed: 7, repeats: 1, runner: runner}); err != nil {
 		t.Fatal(err)
 	}
 	rep := runner.Metrics.Snapshot()
@@ -39,7 +40,7 @@ func TestRunCollectsMetrics(t *testing.T) {
 
 func TestRunSingleTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "tableVII", 0.003, 7, 1, 0, false, false, 0, nil, 0, nil, nil, sequential()); err != nil {
+	if err := run(&buf, "tableVII", params{scale: 0.003, seed: 7, repeats: 1, runner: sequential()}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -52,10 +53,10 @@ func TestRunSingleTable(t *testing.T) {
 
 func TestRunFigureSharesSweep(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig5i", 0.01, 7, 1, 1.0, false, false, 0, nil, 0, nil, nil, sequential()); err != nil {
+	if err := run(&buf, "fig5i", params{scale: 0.01, seed: 7, repeats: 1, cap: 1.0, runner: sequential()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&buf, "fig5l", 0.01, 7, 1, 1.0, false, false, 0, nil, 0, nil, nil, sequential()); err != nil {
+	if err := run(&buf, "fig5l", params{scale: 0.01, seed: 7, repeats: 1, cap: 1.0, runner: sequential()}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -66,7 +67,7 @@ func TestRunFigureSharesSweep(t *testing.T) {
 
 func TestRunCSVMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig5i", 0.01, 7, 1, 0.5, true, false, 0, nil, 0, nil, nil, sequential()); err != nil {
+	if err := run(&buf, "fig5i", params{scale: 0.01, seed: 7, repeats: 1, cap: 0.5, csv: true, runner: sequential()}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "rad,TOTA,DemCOM,RamCOM") {
@@ -76,8 +77,64 @@ func TestRunCSVMode(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "tableIX", 0.01, 7, 1, 0, false, false, 0, nil, 0, nil, nil, sequential()); err == nil {
+	if err := run(&buf, "tableIX", params{scale: 0.01, seed: 7, repeats: 1, runner: sequential()}); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestExperimentTable: the -exp help text, `all` and the unknown-id error
+// are three readings of one table. Every id the help text offers selects
+// rows to run; `all` is every row but scaling, in table order — so
+// TestGoldenAll, which runs `all` and then `scaling`, executes every id.
+func TestExperimentTable(t *testing.T) {
+	help := expHelp()
+	ids := strings.Split(help[strings.Index(help, "(")+1:strings.LastIndex(help, ")")], ", ")
+	if len(ids) != len(experimentTable)+1 || ids[len(ids)-1] != "all" {
+		t.Fatalf("help lists %d ids ending in %q, want the table's %d and all", len(ids), ids[len(ids)-1], len(experimentTable))
+	}
+	for _, want := range []string{"tableV", "fig5l", "faults", "window", "scaling"} {
+		if !strings.Contains(help, want+", ") {
+			t.Errorf("help text omits %q: %s", want, help)
+		}
+	}
+	var all []string
+	for _, id := range ids[:len(ids)-1] {
+		rows := selected(id)
+		if len(rows) != 1 || rows[0].id != id {
+			t.Errorf("-exp %s selects %d rows", id, len(rows))
+		}
+		if id != scalingID {
+			all = append(all, id)
+		}
+	}
+	var got []string
+	for _, e := range selected("all") {
+		got = append(got, e.id)
+	}
+	if strings.Join(got, " ") != strings.Join(all, " ") {
+		t.Errorf("all runs %v, want the table minus scaling %v", got, all)
+	}
+	err := run(io.Discard, "tableIX", params{scale: 0.01, seed: 7, repeats: 1, runner: sequential()})
+	if err == nil || !strings.Contains(err.Error(), strings.Join(ids, ", ")) {
+		t.Errorf("unknown-id error %v does not list the ids", err)
+	}
+}
+
+// Non-positive -scale / -repeats used to run silently at the defaults.
+func TestRunRejectsNonPositiveScaleAndRepeats(t *testing.T) {
+	for _, tc := range []struct {
+		p    params
+		want string
+	}{
+		{params{scale: 0, repeats: 1}, "-scale must be positive, got 0"},
+		{params{scale: -1, repeats: 1}, "-scale must be positive, got -1"},
+		{params{scale: 0.01, repeats: 0}, "-repeats must be positive, got 0"},
+	} {
+		tc.p.runner = sequential()
+		err := run(io.Discard, "tableVII", tc.p)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("params %+v: error %v, want one containing %q", tc.p, err, tc.want)
+		}
 	}
 }
 
@@ -86,7 +143,7 @@ func TestRunCR(t *testing.T) {
 	// CROptions defaults are too heavy for a unit test; the cr path is
 	// covered via the experiments package tests. Here just ensure the
 	// ablations path wires through.
-	if err := run(&buf, "ablations", 0.01, 7, 1, 0, false, false, 0, nil, 0, nil, nil, sequential()); err != nil {
+	if err := run(&buf, "ablations", params{scale: 0.01, seed: 7, repeats: 1, runner: sequential()}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "oracle") {
@@ -96,7 +153,7 @@ func TestRunCR(t *testing.T) {
 
 func TestRunPlotMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig5i", 0.01, 7, 1, 1.0, false, true, 0, nil, 0, nil, nil, sequential()); err != nil {
+	if err := run(&buf, "fig5i", params{scale: 0.01, seed: 7, repeats: 1, cap: 1.0, plot: true, runner: sequential()}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -125,8 +182,7 @@ func TestParseWindows(t *testing.T) {
 
 func TestRunWindowExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "window", 0.01, 7, 1, 0, false, false, 0,
-		[]core.Time{2}, 1, nil, nil, sequential()); err != nil {
+	if err := run(&buf, "window", params{scale: 0.01, seed: 7, repeats: 1, windows: []core.Time{2}, batchDeadline: 1, runner: sequential()}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -185,8 +241,8 @@ func TestRunFaultSweepExperiment(t *testing.T) {
 	// A tiny sweep: two rates, one repeat. The zero-fault anchor row is
 	// prepended by the harness itself.
 	res, err := experiments.RunFaultSweep(experiments.FaultSweepOptions{
-		Rates: []float64{0, 1}, Requests: 200, Workers: 60, Repeats: 1, Seed: 7,
-		Runner: sequential(),
+		Rates: []float64{0, 1},
+		Grid:  experiments.Grid{Requests: 200, Workers: 60, Repeats: 1, Seed: 7, Runner: sequential()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,10 +327,10 @@ func TestGoldenAll(t *testing.T) {
 		t.Skip("runs every experiment")
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, "all", 0.01, 42, 1, 5000, true, false, 0, nil, 0, nil, nil, &experiments.Runner{}); err != nil {
+	if err := run(&buf, "all", params{scale: 0.01, seed: 42, repeats: 1, cap: 5000, csv: true, runner: &experiments.Runner{}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&buf, "scaling", 0.01, 42, 1, 0, true, false, 0, nil, 0, []int{1, 2}, []int{400}, &experiments.Runner{}); err != nil {
+	if err := run(&buf, "scaling", params{scale: 0.01, seed: 42, repeats: 1, csv: true, shards: []int{1, 2}, city: []int{400}, runner: &experiments.Runner{}}); err != nil {
 		t.Fatal(err)
 	}
 	got := maskMeasurements(t, buf.String())

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/experiments"
 	"crossmatch/internal/platform"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
@@ -155,17 +156,7 @@ func run(w io.Writer, o options) error {
 
 // runEnsemble reports mean and spread over o.ensemble parallel seeds.
 func runEnsemble(w io.Writer, o options, stream *core.Stream, factory platform.MatcherFactory) error {
-	seeds := make([]int64, o.ensemble)
-	for i := range seeds {
-		seeds[i] = o.seed + int64(i)*7211
-	}
-	results, err := platform.RunEnsemble(
-		func(int64) (*core.Stream, error) { return stream, nil },
-		factory, platform.Config{DisableCoop: o.noCoop}, seeds, 0)
-	if err != nil {
-		return err
-	}
-	s, err := platform.Summarize(results)
+	s, err := experiments.RunEnsemble(stream, factory, o.noCoop, o.seed, o.ensemble)
 	if err != nil {
 		return err
 	}

@@ -9,38 +9,6 @@ import (
 	"crossmatch/internal/workload"
 )
 
-// AblationOptions configures the design-choice ablation study.
-type AblationOptions struct {
-	// Requests/Workers/Radius define the synthetic workload (Table IV
-	// defaults when zero).
-	Requests, Workers int
-	Radius            float64
-	// Repeats averages each variant over this many seeds.
-	Repeats int
-	// Seed roots all randomness.
-	Seed int64
-	// Runner fans the (variant × repeat) unit runs across a worker pool;
-	// nil uses GOMAXPROCS.
-	Runner *Runner
-}
-
-func (o *AblationOptions) withDefaults() AblationOptions {
-	out := *o
-	if out.Requests <= 0 {
-		out.Requests = 2500
-	}
-	if out.Workers <= 0 {
-		out.Workers = 500
-	}
-	if out.Radius <= 0 {
-		out.Radius = 1.0
-	}
-	if out.Repeats <= 0 {
-		out.Repeats = 3
-	}
-	return out
-}
-
 // AblationRow is one variant's averaged outcome.
 type AblationRow struct {
 	Variant   string
@@ -53,18 +21,13 @@ type AblationRow struct {
 
 // AblationResult is the full study.
 type AblationResult struct {
-	Opts AblationOptions
+	Opts Grid
 	Rows []AblationRow
 }
 
 // Row returns the named variant's row.
 func (r *AblationResult) Row(variant string) (AblationRow, bool) {
-	for _, row := range r.Rows {
-		if row.Variant == variant {
-			return row, true
-		}
-	}
-	return AblationRow{}, false
+	return find(r.Rows, func(row AblationRow) bool { return row.Variant == variant })
 }
 
 // Table renders the study.
@@ -102,70 +65,51 @@ const (
 // exact expected-revenue pricing vs the 1/e threshold quote vs DemCOM's
 // minimum-payment pricing, and both COM algorithms with the cooperation
 // hub disabled (the degradation-to-TOTA claim of Section III-D).
-func RunAblations(opts AblationOptions) (*AblationResult, error) {
-	o := opts.withDefaults()
+func RunAblations(opts Grid) (*AblationResult, error) {
+	o := opts.withDefaults(2500, 500, 3)
 	cfg, err := workload.Synthetic(o.Requests, o.Workers, o.Radius, "real")
 	if err != nil {
 		return nil, err
 	}
 	maxV := cfg.MaxValue()
 
-	type variant struct {
-		name    string
-		factory platform.MatcherFactory
-		noCoop  bool
+	// One cell per variant, labelled with its name. A variant a name can
+	// express goes through the resolver like any other cell; the rest
+	// spell out their constructor.
+	cells := []cell{
+		{label: VarTOTA, alg: platform.AlgTOTA},
+		{label: VarDemCOM, alg: platform.AlgDemCOM},
+		{label: VarDemCOMOracle, factory: platform.DemCOMFactory(pricing.DefaultMonteCarlo, true)},
+		{label: VarDemCOMNoCoop, alg: platform.AlgDemCOM, noCoop: true},
+		{label: VarRamCOM, alg: platform.AlgRamCOM},
+		{label: VarRamCOMThreshold, factory: platform.RamCOMFactory(maxV, platform.RamCOMOptions{ThresholdPricing: true})},
+		{label: VarRamCOMMinPayment, factory: platform.RamCOMFactory(maxV, platform.RamCOMOptions{MinPaymentPricing: true})},
+		{label: VarRamCOMLiteral, factory: platform.RamCOMFactory(maxV, platform.RamCOMOptions{NoInnerFallback: true})},
+		{label: VarRamCOMNoCoop, alg: platform.AlgRamCOM, noCoop: true},
 	}
-	variants := []variant{
-		{VarTOTA, platform.TOTAFactory(), false},
-		{VarDemCOM, platform.DemCOMFactory(pricing.DefaultMonteCarlo, false), false},
-		{VarDemCOMOracle, platform.DemCOMFactory(pricing.DefaultMonteCarlo, true), false},
-		{VarDemCOMNoCoop, platform.DemCOMFactory(pricing.DefaultMonteCarlo, false), true},
-		{VarRamCOM, platform.RamCOMFactory(maxV, platform.RamCOMOptions{}), false},
-		{VarRamCOMThreshold, platform.RamCOMFactory(maxV, platform.RamCOMOptions{ThresholdPricing: true}), false},
-		{VarRamCOMMinPayment, platform.RamCOMFactory(maxV, platform.RamCOMOptions{MinPaymentPricing: true}), false},
-		{VarRamCOMLiteral, platform.RamCOMFactory(maxV, platform.RamCOMOptions{NoInnerFallback: true}), false},
-		{VarRamCOMNoCoop, platform.RamCOMFactory(maxV, platform.RamCOMOptions{}), true},
-	}
-
-	// One unit run per (variant, repeat); streams regenerate per repeat
-	// inside the job from the shared config, so runs stay isolated. Run
-	// (vi, rep) lands at vi*Repeats + rep for in-order aggregation.
 	res := &AblationResult{Opts: o}
-	runs, err := runAll(o.Runner, len(variants)*o.Repeats, func(i int) (*platform.Result, error) {
-		v := variants[i/o.Repeats]
-		seed := o.Seed + int64(i%o.Repeats)*6151
-		stream, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		return platform.Run(stream, v.factory, o.Runner.simConfig(seed, v.noCoop, "ablation/"+v.name))
-	})
+	for i := range cells {
+		res.Rows = append(res.Rows, AblationRow{Variant: cells[i].label})
+		cells[i].label, cells[i].workload = "ablation/"+cells[i].label, cfg
+	}
+	runs, sums, err := simulateGrid(o.plan(6151), cells)
 	if err != nil {
 		return nil, err
 	}
-	for vi, v := range variants {
-		var row AblationRow
-		row.Variant = v.name
+	for vi, s := range sums {
+		row := &res.Rows[vi]
+		row.Revenue, row.Served, row.CoR, row.PayRate = s.MeanRevenue, s.MeanServed, s.MeanCooperative, s.MeanPaymentRate
+		// The acceptance ratio is pooled over the repeats, not averaged:
+		// all cooperative requests served over all attempted.
 		attempted := 0.0
-		for rep := 0; rep < o.Repeats; rep++ {
-			run := runs[vi*o.Repeats+rep]
-			row.Revenue += run.TotalRevenue()
-			row.Served += float64(run.TotalServed())
-			row.CoR += float64(run.CooperativeServed())
-			row.PayRate += run.MeanPaymentRate()
+		for _, run := range runs[vi] {
 			for _, pr := range run.Platforms {
 				attempted += float64(pr.Stats.CoopAttempted)
 			}
 		}
-		n := float64(o.Repeats)
-		row.Revenue /= n
-		row.Served /= n
-		row.CoR /= n
-		row.PayRate /= n
 		if attempted > 0 {
-			row.AcptRatio = row.CoR * n / attempted
+			row.AcptRatio = row.CoR * float64(o.Repeats) / attempted
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/platform"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
@@ -46,6 +45,7 @@ func (o *CROptions) withDefaults() CROptions {
 	if out.Radius <= 0 {
 		out.Radius = 1.5
 	}
+	out.Runner = out.Runner.orDefault()
 	return out
 }
 
@@ -131,18 +131,15 @@ func RunCompetitiveRatio(opts CROptions) (*CRResult, error) {
 		if len(orders) == 0 {
 			return nil, nil // degenerate instance
 		}
-		maxV := cfg.MaxValue()
-		factories := map[string]platform.MatcherFactory{
-			platform.AlgTOTA:     platform.TOTAFactory(),
-			platform.AlgGreedyRT: platform.GreedyRTFactory(maxV),
-			platform.AlgDemCOM:   platform.DemCOMFactory(pricing.DefaultMonteCarlo, false),
-			platform.AlgRamCOM:   platform.RamCOMFactory(maxV, platform.RamCOMOptions{}),
-		}
 		ratios := make(map[string]float64, len(algs))
 		for _, a := range algs {
+			factory, err := platform.FactoryFor(a, cfg.MaxValue())
+			if err != nil {
+				return nil, err
+			}
 			sum := 0.0
 			for ord, oc := range orders {
-				run, err := platform.Run(oc.stream, factories[a],
+				run, err := platform.Run(oc.stream, factory,
 					o.Runner.simConfig(genSeed+int64(ord), false, "cr/"+a))
 				if err != nil {
 					return nil, err

@@ -210,7 +210,7 @@ func TestRunCompetitiveRatio(t *testing.T) {
 }
 
 func TestRunAblations(t *testing.T) {
-	res, err := RunAblations(AblationOptions{Requests: 400, Workers: 80, Repeats: 2, Seed: 21})
+	res, err := RunAblations(Grid{Requests: 400, Workers: 80, Repeats: 2, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"crossmatch/internal/fault"
 	"crossmatch/internal/metrics"
 	"crossmatch/internal/platform"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
@@ -16,29 +15,23 @@ import (
 // workload run under increasing cooperation-fault intensity, with the
 // zero-fault row as the baseline every other row is compared against.
 type FaultSweepOptions struct {
+	// Grid shapes the two-platform synthetic workload (defaults
+	// 2000/400/1.0, 3 repeats). The runner's own FaultPlan is ignored —
+	// this study builds one plan per rate.
+	Grid
 	// Rates are the fault intensities to sweep, each in [0, 1]; at rate
 	// x every probe is dropped with probability x, suffers a latency
 	// spike with probability x, and every claim fails transiently with
 	// probability x/2. 0 must be present to anchor the baseline and is
 	// prepended when missing. Default {0, 0.1, 0.25, 0.5, 1}.
 	Rates []float64
-	// Requests/Workers/Radius shape the two-platform synthetic workload
-	// (defaults 2000/400/1.0).
-	Requests, Workers int
-	Radius            float64
-	// Repeats averages this many seeds per measurement (default 3).
-	Repeats int
-	Seed    int64
 	// FaultSeed roots the fault randomness (0 derives it per run).
 	FaultSeed int64
-	// Runner fans the (rate × algorithm × repeat) unit runs across a
-	// worker pool; nil uses GOMAXPROCS. The runner's own FaultPlan is
-	// ignored — this study builds one plan per rate.
-	Runner *Runner
 }
 
 func (o *FaultSweepOptions) withDefaults() FaultSweepOptions {
 	out := *o
+	out.Grid = out.Grid.withDefaults(2000, 400, 3)
 	if len(out.Rates) == 0 {
 		out.Rates = []float64{0, 0.1, 0.25, 0.5, 1}
 	}
@@ -50,18 +43,6 @@ func (o *FaultSweepOptions) withDefaults() FaultSweepOptions {
 	}
 	if !hasZero {
 		out.Rates = append([]float64{0}, out.Rates...)
-	}
-	if out.Requests <= 0 {
-		out.Requests = 2000
-	}
-	if out.Workers <= 0 {
-		out.Workers = 400
-	}
-	if out.Radius <= 0 {
-		out.Radius = 1.0
-	}
-	if out.Repeats <= 0 {
-		out.Repeats = 3
 	}
 	return out
 }
@@ -111,12 +92,7 @@ type FaultSweepResult struct {
 
 // Row fetches one measurement.
 func (r *FaultSweepResult) Row(rate float64, alg string) (FaultSweepRow, bool) {
-	for _, row := range r.Rows {
-		if row.Rate == rate && row.Algorithm == alg {
-			return row, true
-		}
-	}
-	return FaultSweepRow{}, false
+	return find(r.Rows, func(row FaultSweepRow) bool { return row.Rate == rate && row.Algorithm == alg })
 }
 
 // Table renders the study.
@@ -148,81 +124,55 @@ func (r *FaultSweepResult) Table() *stats.Table {
 func RunFaultSweep(opts FaultSweepOptions) (*FaultSweepResult, error) {
 	o := opts.withDefaults()
 	res := &FaultSweepResult{Opts: o}
-	algoNames := []string{platform.AlgTOTA, platform.AlgDemCOM, platform.AlgRamCOM}
 	cfg, err := workload.Synthetic(o.Requests, o.Workers, o.Radius, "real")
 	if err != nil {
 		return nil, err
 	}
-
-	type unit struct {
-		res *platform.Result
-		rep metricsCountersDelta
+	var cells []cell
+	for _, rate := range o.Rates {
+		for _, alg := range onlineAlgos {
+			cells = append(cells, cell{label: fmt.Sprintf("faults=%g/%s", rate, alg), workload: cfg, alg: alg})
+			res.Rows = append(res.Rows, FaultSweepRow{Rate: rate, Algorithm: alg})
+		}
 	}
-	nAlgos, nReps := len(algoNames), o.Repeats
-	runs, err := runAll(o.Runner, len(o.Rates)*nAlgos*nReps, func(i int) (unit, error) {
-		ri, rest := i/(nAlgos*nReps), i%(nAlgos*nReps)
-		ai, rep := rest/nReps, rest%nReps
-		seed := o.Seed + int64(rep)*3371
-		stream, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return unit{}, err
-		}
-		var factory platform.MatcherFactory
-		switch algoNames[ai] {
-		case platform.AlgDemCOM:
-			factory = platform.DemCOMFactory(pricing.DefaultMonteCarlo, false)
-		case platform.AlgRamCOM:
-			factory = platform.RamCOMFactory(cfg.MaxValue(), platform.RamCOMOptions{})
-		default:
-			factory = platform.TOTAFactory()
-		}
-		// Each unit run gets its own collector so the resilience
-		// counters can be attributed to the row; the runner's shared
-		// collector (if any) still sees the run through simConfig-less
-		// plumbing being bypassed here intentionally.
-		simCfg := o.Runner.simConfig(seed, false, fmt.Sprintf("faults=%g/%s", o.Rates[ri], algoNames[ai]))
-		simCfg.Faults = planForRate(o.Rates[ri], faultSeedFor(o.FaultSeed, seed))
-		col := newUnitCollector(&simCfg)
-		r, err := platform.Run(stream, factory, simCfg)
-		if err != nil {
-			return unit{}, err
-		}
-		return unit{res: r, rep: countersOf(col)}, nil
+
+	type faultUnit struct {
+		run      *platform.Result
+		counters metrics.Counters
+	}
+	units, err := runGrid(o.plan(3371), cells, func(ci int, u unit) (faultUnit, error) {
+		u.cfg.Faults = planForRate(res.Rows[ci].Rate, faultSeedFor(o.FaultSeed, u.cfg.Seed))
+		// The unit run counts into a collector of its own, so its
+		// resilience counters can be attributed to its row, and is then
+		// folded into the runner's shared collector (if any), which
+		// would otherwise never see this study.
+		shared, own := u.cfg.Metrics, metrics.New()
+		u.cfg.Metrics = own
+		run, err := u.simulate()
+		shared.Merge(own)
+		return faultUnit{run, own.Snapshot().Counters}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	base := map[string]FaultSweepRow{}
-	for ri, rate := range o.Rates {
-		for ai, name := range algoNames {
-			row := FaultSweepRow{Rate: rate, Algorithm: name}
-			for rep := 0; rep < nReps; rep++ {
-				u := runs[ri*nAlgos*nReps+ai*nReps+rep]
-				row.Revenue += u.res.TotalRevenue()
-				row.Served += float64(u.res.TotalServed())
-				row.CoR += float64(u.res.CooperativeServed())
-				row.Retries += float64(u.rep.probeRetries)
-				row.Timeouts += float64(u.rep.probeTimeouts)
-				row.BreakerOpened += float64(u.rep.breakerOpened)
-			}
-			n := float64(nReps)
-			row.Revenue /= n
-			row.Served /= n
-			row.CoR /= n
-			row.Retries /= n
-			row.Timeouts /= n
-			row.BreakerOpened /= n
-			if rate == 0 {
-				base[name] = row
-			}
-			if b, ok := base[name]; ok && b.Revenue > 0 {
-				row.RevenueRatio = row.Revenue / b.Revenue
-			}
-			if b, ok := base[name]; ok && b.Served > 0 {
-				row.ServedRatio = row.Served / b.Served
-			}
-			res.Rows = append(res.Rows, row)
+	for ci, us := range units {
+		row := &res.Rows[ci]
+		row.Revenue = mean(us, func(u faultUnit) float64 { return u.run.TotalRevenue() })
+		row.Served = mean(us, func(u faultUnit) float64 { return float64(u.run.TotalServed()) })
+		row.CoR = mean(us, func(u faultUnit) float64 { return float64(u.run.CooperativeServed()) })
+		row.Retries = mean(us, func(u faultUnit) float64 { return float64(u.counters.ProbeRetries) })
+		row.Timeouts = mean(us, func(u faultUnit) float64 { return float64(u.counters.ProbeTimeouts) })
+		row.BreakerOpened = mean(us, func(u faultUnit) float64 { return float64(u.counters.BreakerOpened) })
+		if row.Rate == 0 {
+			base[row.Algorithm] = *row
+		}
+		if b, ok := base[row.Algorithm]; ok && b.Revenue > 0 {
+			row.RevenueRatio = row.Revenue / b.Revenue
+		}
+		if b, ok := base[row.Algorithm]; ok && b.Served > 0 {
+			row.ServedRatio = row.Served / b.Served
 		}
 	}
 	return res, nil
@@ -236,29 +186,4 @@ func faultSeedFor(explicit, runSeed int64) int64 {
 		return explicit + runSeed
 	}
 	return 0 // derive from run seed inside the engine
-}
-
-// metricsCountersDelta carries the per-unit-run resilience counters.
-type metricsCountersDelta struct {
-	probeRetries  int64
-	probeTimeouts int64
-	breakerOpened int64
-}
-
-// newUnitCollector attaches a fresh collector to the unit run's config
-// (keeping any runner-shared collector out of the per-row accounting)
-// and returns it for countersOf.
-func newUnitCollector(cfg *platform.Config) *metrics.Collector {
-	col := metrics.New()
-	cfg.Metrics = col
-	return col
-}
-
-func countersOf(col *metrics.Collector) metricsCountersDelta {
-	c := col.Snapshot().Counters
-	return metricsCountersDelta{
-		probeRetries:  c.ProbeRetries,
-		probeTimeouts: c.ProbeTimeouts,
-		breakerOpened: c.BreakerOpened,
-	}
 }

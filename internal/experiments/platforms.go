@@ -3,44 +3,17 @@ package experiments
 import (
 	"fmt"
 
-	"crossmatch/internal/platform"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
 
 // PlatformCountOptions configures the cooperating-platform-count study.
 type PlatformCountOptions struct {
+	// Grid's Requests/Workers are city-wide totals shared by all
+	// platforms.
+	Grid
 	// Counts are the platform counts to sweep (default {2, 3, 4, 6}).
 	Counts []int
-	// Requests/Workers are city-wide totals shared by all platforms.
-	Requests, Workers int
-	Radius            float64
-	Repeats           int
-	Seed              int64
-	// Runner fans the (count × algorithm × repeat) unit runs across a
-	// worker pool; nil uses GOMAXPROCS.
-	Runner *Runner
-}
-
-func (o *PlatformCountOptions) withDefaults() PlatformCountOptions {
-	out := *o
-	if len(out.Counts) == 0 {
-		out.Counts = []int{2, 3, 4, 6}
-	}
-	if out.Requests <= 0 {
-		out.Requests = 2500
-	}
-	if out.Workers <= 0 {
-		out.Workers = 500
-	}
-	if out.Radius <= 0 {
-		out.Radius = 1.0
-	}
-	if out.Repeats <= 0 {
-		out.Repeats = 3
-	}
-	return out
 }
 
 // PlatformCountRow is one (count, algorithm) measurement.
@@ -60,12 +33,7 @@ type PlatformCountResult struct {
 
 // Row fetches one measurement.
 func (r *PlatformCountResult) Row(n int, alg string) (PlatformCountRow, bool) {
-	for _, row := range r.Rows {
-		if row.Platforms == n && row.Algorithm == alg {
-			return row, true
-		}
-	}
-	return PlatformCountRow{}, false
+	return find(r.Rows, func(row PlatformCountRow) bool { return row.Platforms == n && row.Algorithm == alg })
 }
 
 // Table renders the study.
@@ -90,60 +58,30 @@ func (r *PlatformCountResult) Table() *stats.Table {
 // demand — while the hub lets the COM algorithms reassemble the full
 // fleet, so the COM-over-TOTA gap widens with the platform count.
 func RunPlatformCount(opts PlatformCountOptions) (*PlatformCountResult, error) {
-	o := opts.withDefaults()
+	o := opts
+	o.Grid = o.Grid.withDefaults(2500, 500, 3)
+	if len(o.Counts) == 0 {
+		o.Counts = []int{2, 3, 4, 6}
+	}
 	res := &PlatformCountResult{Opts: o}
-	algoNames := []string{platform.AlgTOTA, platform.AlgDemCOM, platform.AlgRamCOM}
-	cfgs := make([]workload.Config, len(o.Counts))
-	for ci, n := range o.Counts {
+	var cells []cell
+	for _, n := range o.Counts {
 		cfg, err := workload.SyntheticMulti(n, o.Requests, o.Workers, o.Radius, "real")
 		if err != nil {
 			return nil, err
 		}
-		cfgs[ci] = cfg
-	}
-	factoryFor := func(cfg workload.Config, name string) platform.MatcherFactory {
-		switch name {
-		case platform.AlgDemCOM:
-			return platform.DemCOMFactory(pricing.DefaultMonteCarlo, false)
-		case platform.AlgRamCOM:
-			return platform.RamCOMFactory(cfg.MaxValue(), platform.RamCOMOptions{})
-		default:
-			return platform.TOTAFactory()
+		for _, alg := range onlineAlgos {
+			cells = append(cells, cell{label: fmt.Sprintf("platforms=%d/%s", n, alg), workload: cfg, alg: alg})
+			res.Rows = append(res.Rows, PlatformCountRow{Platforms: n, Algorithm: alg})
 		}
 	}
-
-	// One unit run per (count, algorithm, repeat), flattened in that
-	// order; streams regenerate per job from (config, seed).
-	nAlgos, nReps := len(algoNames), o.Repeats
-	runs, err := runAll(o.Runner, len(o.Counts)*nAlgos*nReps, func(i int) (*platform.Result, error) {
-		ci, rest := i/(nAlgos*nReps), i%(nAlgos*nReps)
-		ai, rep := rest/nReps, rest%nReps
-		seed := o.Seed + int64(rep)*3371
-		stream, err := workload.Generate(cfgs[ci], seed)
-		if err != nil {
-			return nil, err
-		}
-		return platform.Run(stream, factoryFor(cfgs[ci], algoNames[ai]),
-			o.Runner.simConfig(seed, false, fmt.Sprintf("platforms=%d/%s", o.Counts[ci], algoNames[ai])))
-	})
+	_, sums, err := simulateGrid(o.plan(3371), cells)
 	if err != nil {
 		return nil, err
 	}
-	for ci, n := range o.Counts {
-		for ai, name := range algoNames {
-			row := PlatformCountRow{Platforms: n, Algorithm: name}
-			for rep := 0; rep < nReps; rep++ {
-				run := runs[ci*nAlgos*nReps+ai*nReps+rep]
-				row.Revenue += run.TotalRevenue()
-				row.Served += float64(run.TotalServed())
-				row.CoR += float64(run.CooperativeServed())
-			}
-			nRep := float64(nReps)
-			row.Revenue /= nRep
-			row.Served /= nRep
-			row.CoR /= nRep
-			res.Rows = append(res.Rows, row)
-		}
+	for ci, s := range sums {
+		row := &res.Rows[ci]
+		row.Revenue, row.Served, row.CoR = s.MeanRevenue, s.MeanServed, s.MeanCooperative
 	}
 	return res, nil
 }

@@ -49,7 +49,7 @@ func TestSyntheticMulti(t *testing.T) {
 
 func TestRunPlatformCount(t *testing.T) {
 	res, err := RunPlatformCount(PlatformCountOptions{
-		Counts: []int{2, 4}, Requests: 600, Workers: 120, Repeats: 1, Seed: 5,
+		Counts: []int{2, 4}, Grid: Grid{Requests: 600, Workers: 120, Repeats: 1, Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"crossmatch/internal/geo"
 	"crossmatch/internal/online"
 	"crossmatch/internal/platform"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/roadnet"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
@@ -18,37 +17,10 @@ import (
 // paper's Section VII future work: Euclidean vs shortest-path service
 // ranges).
 type RoadNetOptions struct {
-	Requests, Workers int
-	Radius            float64
+	Grid
 	// Detour scales road distances over crow-flies (1.25 default:
 	// a typical urban detour index).
 	Detour float64
-	// Repeats averages over this many seeds.
-	Repeats int
-	Seed    int64
-	// Runner fans the (algorithm × range × repeat) unit runs across a
-	// worker pool; nil uses GOMAXPROCS.
-	Runner *Runner
-}
-
-func (o *RoadNetOptions) withDefaults() RoadNetOptions {
-	out := *o
-	if out.Requests <= 0 {
-		out.Requests = 1500
-	}
-	if out.Workers <= 0 {
-		out.Workers = 300
-	}
-	if out.Radius <= 0 {
-		out.Radius = 1.0
-	}
-	if out.Detour < 1 {
-		out.Detour = 1.25
-	}
-	if out.Repeats <= 0 {
-		out.Repeats = 3
-	}
-	return out
 }
 
 // RoadNetRow is one (algorithm, range model) measurement.
@@ -68,12 +40,7 @@ type RoadNetResult struct {
 
 // Row fetches a measurement.
 func (r *RoadNetResult) Row(alg, kind string) (RoadNetRow, bool) {
-	for _, row := range r.Rows {
-		if row.Algorithm == alg && row.RangeKind == kind {
-			return row, true
-		}
-	}
-	return RoadNetRow{}, false
+	return find(r.Rows, func(row RoadNetRow) bool { return row.Algorithm == alg && row.RangeKind == kind })
 }
 
 // Table renders the study.
@@ -98,12 +65,15 @@ func (r *RoadNetResult) Table() *stats.Table {
 // distance), so served counts and revenue drop; the study quantifies by
 // how much, and shows the COM advantage survives the stricter ranges.
 func RunRoadNet(opts RoadNetOptions) (*RoadNetResult, error) {
-	o := opts.withDefaults()
+	o := opts
+	o.Grid = o.Grid.withDefaults(1500, 300, 3)
+	if o.Detour < 1 {
+		o.Detour = 1.25
+	}
 	cfg, err := workload.Synthetic(o.Requests, o.Workers, o.Radius, "real")
 	if err != nil {
 		return nil, err
 	}
-	maxV := cfg.MaxValue()
 	region := geo.NewRect(geo.Point{}, geo.Point{X: 30, Y: 30}) // the Chengdu-like city extent
 	net, err := roadnet.NewGridNetwork(region, roadnet.GridOptions{
 		Spacing: 0.5, Detour: o.Detour, Seed: o.Seed,
@@ -112,61 +82,33 @@ func RunRoadNet(opts RoadNetOptions) (*RoadNetResult, error) {
 		return nil, err
 	}
 
-	algorithms := []struct {
-		name string
-		mk   func() platform.MatcherFactory
-	}{
-		{platform.AlgTOTA, func() platform.MatcherFactory { return platform.TOTAFactory() }},
-		{platform.AlgDemCOM, func() platform.MatcherFactory {
-			return platform.DemCOMFactory(pricing.DefaultMonteCarlo, false)
-		}},
-		{platform.AlgRamCOM, func() platform.MatcherFactory {
-			return platform.RamCOMFactory(maxV, platform.RamCOMOptions{})
-		}},
-	}
-
 	res := &RoadNetResult{Opts: o}
-	kinds := []string{"euclidean", "road"}
-
-	// One unit run per (algorithm, range kind, repeat), flattened in that
-	// order. Each road job builds its own coverage cache: the hub probes
+	var cells []cell
+	for _, alg := range onlineAlgos {
+		for _, kind := range []string{"euclidean", "road"} {
+			cells = append(cells, cell{label: "roadnet/" + kind + "/" + alg, workload: cfg, alg: alg})
+			res.Rows = append(res.Rows, RoadNetRow{Algorithm: alg, RangeKind: kind})
+		}
+	}
+	// Each road unit builds its own coverage cache: the hub probes
 	// several pools for the same request and they all reuse one distance
 	// field, but the cache itself is not safe to share across runs.
-	nKinds, nReps := len(kinds), o.Repeats
-	runs, err := runAll(o.Runner, len(algorithms)*nKinds*nReps, func(i int) (*platform.Result, error) {
-		ai, rest := i/(nKinds*nReps), i%(nKinds*nReps)
-		ki, rep := rest/nReps, rest%nReps
-		seed := o.Seed + int64(rep)*7907
-		stream, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
+	runs, err := runGrid(o.plan(7907), cells, func(ci int, u unit) (*platform.Result, error) {
+		if res.Rows[ci].RangeKind == "road" {
+			u.factory = withRangeFilter(u.factory, roadnet.NewCoverage(net, o.Radius).Covers)
 		}
-		factory := algorithms[ai].mk()
-		if kinds[ki] == "road" {
-			cov := roadnet.NewCoverage(net, o.Radius)
-			factory = withRangeFilter(factory, cov.Covers)
-		}
-		return platform.Run(stream, factory,
-			o.Runner.simConfig(seed, false, "roadnet/"+kinds[ki]+"/"+algorithms[ai].name))
+		return u.simulate()
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ai, alg := range algorithms {
-		for ki, kind := range kinds {
-			row := RoadNetRow{Algorithm: alg.name, RangeKind: kind}
-			for rep := 0; rep < nReps; rep++ {
-				run := runs[ai*nKinds*nReps+ki*nReps+rep]
-				row.Revenue += run.TotalRevenue()
-				row.Served += float64(run.TotalServed())
-				row.CoR += float64(run.CooperativeServed())
-			}
-			n := float64(nReps)
-			row.Revenue /= n
-			row.Served /= n
-			row.CoR /= n
-			res.Rows = append(res.Rows, row)
-		}
+	sums, err := summarizeCells(runs)
+	if err != nil {
+		return nil, err
+	}
+	for ci, s := range sums {
+		row := &res.Rows[ci]
+		row.Revenue, row.Served, row.CoR = s.MeanRevenue, s.MeanServed, s.MeanCooperative
 	}
 	return res, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunRoadNet(t *testing.T) {
-	res, err := RunRoadNet(RoadNetOptions{Requests: 300, Workers: 60, Repeats: 1, Seed: 13})
+	res, err := RunRoadNet(RoadNetOptions{Grid: Grid{Requests: 300, Workers: 60, Repeats: 1, Seed: 13}})
 	if err != nil {
 		t.Fatal(err)
 	}

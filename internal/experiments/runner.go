@@ -22,7 +22,8 @@ import (
 // order. Harness output is therefore bit-for-bit identical for any
 // Parallelism, including 1 — except the measurement columns (response
 // time, memory), which report real wall-clock and heap and so vary
-// run-to-run on any schedule.
+// run-to-run on any schedule. One module keeps that guarantee for every
+// grid experiment: see runGrid.
 type Runner struct {
 	// Parallelism caps concurrent unit runs; <= 0 means GOMAXPROCS(0).
 	Parallelism int
@@ -52,50 +53,27 @@ type Runner struct {
 	TraceSample float64
 }
 
-// workers resolves the pool size; a nil runner uses GOMAXPROCS.
-func (r *Runner) workers() int {
+// orDefault normalises the "nil uses GOMAXPROCS" convention of every
+// options struct: the entry points call it once, so nothing below them
+// guards against a nil runner.
+func (r *Runner) orDefault() *Runner {
 	if r == nil {
-		return 0
+		return &Runner{}
 	}
-	return r.Parallelism
-}
-
-// metricsCollector returns the attached collector (nil-safe).
-func (r *Runner) metricsCollector() *metrics.Collector {
-	if r == nil {
-		return nil
-	}
-	return r.Metrics
-}
-
-// platformParallel reports whether unit runs use the concurrent
-// per-platform runtime (nil-safe).
-func (r *Runner) platformParallel() bool {
-	if r == nil {
-		return false
-	}
-	return r.PlatformParallel
-}
-
-// faultPlan returns the attached fault plan (nil-safe).
-func (r *Runner) faultPlan() *fault.Plan {
-	if r == nil {
-		return nil
-	}
-	return r.FaultPlan
+	return r
 }
 
 // simConfig builds the platform.Config for one unit run, threading the
 // runtime choice, the fault plan, the collector and, when metrics are
 // on, a pprof label naming the run.
 func (r *Runner) simConfig(seed int64, disableCoop bool, label string) platform.Config {
-	cfg := platform.Config{Seed: seed, DisableCoop: disableCoop, PlatformParallel: r.platformParallel(), Faults: r.faultPlan()}
-	if r != nil && r.Trace != nil {
+	cfg := platform.Config{Seed: seed, DisableCoop: disableCoop, PlatformParallel: r.PlatformParallel, Faults: r.FaultPlan}
+	if r.Trace != nil {
 		cfg.Trace = r.Trace
 		cfg.TraceSample = r.TraceSample
 	}
-	if m := r.metricsCollector(); m != nil {
-		cfg.Metrics = m
+	if r.Metrics != nil {
+		cfg.Metrics = r.Metrics
 		cfg.ProfileLabel = fmt.Sprintf("%s/seed=%d", label, seed)
 	}
 	return cfg
@@ -103,7 +81,9 @@ func (r *Runner) simConfig(seed int64, disableCoop bool, label string) platform.
 
 // runAll fans n independent unit runs across the runner's pool and
 // returns their results in submission order. job(i) must derive all of
-// its randomness from i alone.
+// its randomness from i alone. It is the tree's one fan-out: the grid
+// kernel and the competitive-ratio study (which fans whole instances)
+// both go through it.
 func runAll[T any](r *Runner, n int, job func(i int) (T, error)) ([]T, error) {
-	return parallel.Map(r.workers(), n, job)
+	return parallel.Map(r.Parallelism, n, job)
 }

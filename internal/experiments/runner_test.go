@@ -92,7 +92,7 @@ func TestRunnerSharedMetrics(t *testing.T) {
 	counts := make([]int64, 2)
 	for i, workers := range []int{1, 4} {
 		r := &Runner{Parallelism: workers, Metrics: metrics.New()}
-		if _, err := RunAblations(AblationOptions{
+		if _, err := RunAblations(Grid{
 			Requests: 200, Workers: 40, Repeats: 2, Seed: 3, Runner: r,
 		}); err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestRunnerSharedMetrics(t *testing.T) {
 func TestRunnerLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r := &Runner{Parallelism: 8}
-	if _, err := RunValueDist(ValueDistOptions{
+	if _, err := RunValueDist(Grid{
 		Requests: 150, Workers: 30, Repeats: 1, Seed: 5, Runner: r,
 	}); err != nil {
 		t.Fatal(err)

@@ -89,12 +89,7 @@ type ScalingResult struct {
 
 // Row fetches one measurement.
 func (r *ScalingResult) Row(workers, shards int) (ScalingRow, bool) {
-	for _, row := range r.Rows {
-		if row.Workers == workers && row.Shards == shards {
-			return row, true
-		}
-	}
-	return ScalingRow{}, false
+	return find(r.Rows, func(row ScalingRow) bool { return row.Workers == workers && row.Shards == shards })
 }
 
 // Table renders the sweep.

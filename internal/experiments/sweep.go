@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"crossmatch/internal/platform"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
@@ -28,32 +26,14 @@ type SweepOptions struct {
 	// Seed drives generation and algorithms. Each x value uses Seed so
 	// all algorithms at one x see the identical stream.
 	Seed int64
-	// ValueDist is Table IV's value distribution: "real" or "normal".
-	ValueDist string
 	// Repeats averages each point over this many seeds (default 1).
 	Repeats int
 	// ScaleCap truncates the axis to values <= ScaleCap, letting tests
 	// and quick runs use the Table IV axes without the 100k points.
 	ScaleCap float64
-	// MC configures DemCOM's Algorithm 2 (default DefaultMonteCarlo).
-	MC pricing.MonteCarlo
 	// Runner fans the sweep's unit runs (one per x value, algorithm and
 	// repeat) across a worker pool; nil uses GOMAXPROCS.
 	Runner *Runner
-}
-
-func (o *SweepOptions) withDefaults() SweepOptions {
-	out := *o
-	if out.ValueDist == "" {
-		out.ValueDist = "real"
-	}
-	if out.Repeats <= 0 {
-		out.Repeats = 1
-	}
-	if out.MC == (pricing.MonteCarlo{}) {
-		out.MC = pricing.DefaultMonteCarlo
-	}
-	return out
 }
 
 // SweepPoint is one x value's measurements for one algorithm.
@@ -117,7 +97,10 @@ func (s *SweepResult) Series() (revenue, response, memory, acceptance *stats.Ser
 // OFF is omitted, as in the paper ("Since OFF can never be achieved in
 // the real world, we do not compare with it").
 func RunSweep(axis SweepAxis, opts SweepOptions) (*SweepResult, error) {
-	o := opts.withDefaults()
+	o := opts
+	if o.Repeats <= 0 {
+		o.Repeats = 1
+	}
 	var xs []float64
 	switch axis {
 	case AxisRequests:
@@ -146,16 +129,13 @@ func RunSweep(axis SweepAxis, opts SweepOptions) (*SweepResult, error) {
 		return nil, fmt.Errorf("experiments: sweep axis %q has no points under cap %v", axis, o.ScaleCap)
 	}
 
-	res := &SweepResult{
-		Axis:   axis,
-		Xs:     xs,
-		Algos:  []string{platform.AlgTOTA, platform.AlgDemCOM, platform.AlgRamCOM},
-		Points: map[string][]SweepPoint{},
-	}
-	// Per-x configurations are deterministic; build them up front so the
-	// fan-out jobs only generate streams and simulate.
-	cfgs := make([]workload.Config, len(xs))
-	for i, x := range xs {
+	res := &SweepResult{Axis: axis, Xs: xs, Algos: append([]string(nil), onlineAlgos...), Points: map[string][]SweepPoint{}}
+	// One cell per (x, algorithm); every unit run regenerates its stream
+	// from (the x value's config, seed), so all algorithms at one x and
+	// repeat see the identical stream.
+	var cells []cell
+	var cellX []float64
+	for _, x := range xs {
 		r, w, rad := 2500, 500, 1.0
 		switch axis {
 		case AxisRequests:
@@ -165,82 +145,44 @@ func RunSweep(axis SweepAxis, opts SweepOptions) (*SweepResult, error) {
 		case AxisRadius:
 			rad = x
 		}
-		cfg, err := workload.Synthetic(r, w, rad, o.ValueDist)
+		cfg, err := workload.Synthetic(r, w, rad, "real") // Table IV's "real" value distribution
 		if err != nil {
 			return nil, err
 		}
-		cfgs[i] = cfg
+		for _, algo := range res.Algos {
+			cells = append(cells, cell{label: fmt.Sprintf("%s=%v/%s", axis, x, algo), workload: cfg, alg: algo})
+			cellX = append(cellX, x)
+		}
 	}
-
-	// One unit run per (x, algorithm, repeat), flattened in that order.
-	// Streams depend only on (config, seed) and regenerate inside each
-	// job, keeping runs isolated; aggregation walks the results in
-	// submission order, so points are identical on any pool size.
-	nAlgos, nReps := len(res.Algos), o.Repeats
-	points, err := runAll(o.Runner, len(xs)*nAlgos*nReps, func(j int) (SweepPoint, error) {
-		xi, rest := j/(nAlgos*nReps), j%(nAlgos*nReps)
-		ai, rep := rest/nReps, rest%nReps
-		cfg, algo := cfgs[xi], res.Algos[ai]
-		maxV := cfg.MaxValue()
-		factories := map[string]platform.MatcherFactory{
-			platform.AlgTOTA:   platform.TOTAFactory(),
-			platform.AlgDemCOM: platform.DemCOMFactory(o.MC, false),
-			platform.AlgRamCOM: platform.RamCOMFactory(maxV, platform.RamCOMOptions{}),
-		}
-		seed := o.Seed + int64(rep)*7919
-		stream, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return SweepPoint{}, err
-		}
-		run, err := platform.Run(stream, factories[algo],
-			o.Runner.simConfig(seed, false, fmt.Sprintf("%s=%v/%s", axis, xs[xi], algo)))
-		if err != nil {
-			return SweepPoint{}, err
-		}
-		var p SweepPoint
-		p.X = xs[xi]
-		// Capture memory while the stream and result are still live;
-		// without the KeepAlive the GC frees the stream before the
-		// measurement (it has no later uses).
-		p.MemoryMB = stats.MemoryMB()
-		runtime.KeepAlive(stream)
-		var totalResp time.Duration
-		totalReq := 0
-		for _, pr := range run.Platforms {
-			totalResp += pr.ResponseTotal
-			totalReq += pr.Stats.Requests
-		}
-		p.Revenue = run.TotalRevenue()
-		if totalReq > 0 {
-			p.ResponseMs = float64(totalResp) / float64(time.Millisecond) / float64(totalReq)
-		}
-		p.AcptRatio = run.AcceptanceRatio()
-		return p, nil
-	})
+	points, err := runGrid(plan{runner: o.Runner, seed: o.Seed, stride: 7919, repeats: o.Repeats}, cells,
+		func(_ int, u unit) (SweepPoint, error) {
+			run, err := u.simulate()
+			if err != nil {
+				return SweepPoint{}, err
+			}
+			// Capture memory while the stream and result are still live;
+			// without the KeepAlive the GC frees the stream before the
+			// measurement (it has no later uses).
+			p := SweepPoint{MemoryMB: stats.MemoryMB(), Revenue: run.TotalRevenue(),
+				ResponseMs: responseMs(run), AcptRatio: run.AcceptanceRatio()}
+			runtime.KeepAlive(u.stream)
+			return p, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	for xi := range xs {
-		for ai, algo := range res.Algos {
-			var acc SweepPoint
-			acc.X = xs[xi]
-			for rep := 0; rep < nReps; rep++ {
-				p := points[xi*nAlgos*nReps+ai*nReps+rep]
-				acc.Revenue += p.Revenue
-				acc.ResponseMs += p.ResponseMs
-				acc.MemoryMB += p.MemoryMB
-				acc.AcptRatio += p.AcptRatio
-			}
-			n := float64(nReps)
-			acc.Revenue /= n
-			acc.ResponseMs /= n
-			acc.AcptRatio /= n
-			acc.MemoryMB /= n
-			stats.MustNonNegative("revenue", acc.Revenue)
-			stats.MustNonNegative("response", acc.ResponseMs)
-			stats.MustNonNegative("acceptance", acc.AcptRatio)
-			res.Points[algo] = append(res.Points[algo], acc)
+	for ci, pts := range points {
+		acc := SweepPoint{
+			X:          cellX[ci],
+			Revenue:    mean(pts, func(p SweepPoint) float64 { return p.Revenue }),
+			ResponseMs: mean(pts, func(p SweepPoint) float64 { return p.ResponseMs }),
+			MemoryMB:   mean(pts, func(p SweepPoint) float64 { return p.MemoryMB }),
+			AcptRatio:  mean(pts, func(p SweepPoint) float64 { return p.AcptRatio }),
 		}
+		stats.MustNonNegative("revenue", acc.Revenue)
+		stats.MustNonNegative("response", acc.ResponseMs)
+		stats.MustNonNegative("acceptance", acc.AcptRatio)
+		res.Points[cells[ci].alg] = append(res.Points[cells[ci].alg], acc)
 	}
 	return res, nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/platform"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
@@ -41,12 +40,7 @@ type TableResult struct {
 
 // Row returns the row for a method name.
 func (t *TableResult) Row(method string) (TableRow, bool) {
-	for _, r := range t.Rows {
-		if r.Method == method {
-			return r, true
-		}
-	}
-	return TableRow{}, false
+	return find(t.Rows, func(r TableRow) bool { return r.Method == method })
 }
 
 // Table renders the result in the paper's layout.
@@ -82,8 +76,6 @@ type TableOptions struct {
 	Scale float64
 	// Seed drives generation and every algorithm's randomness.
 	Seed int64
-	// MC configures DemCOM's Algorithm 2 (DefaultMonteCarlo when zero).
-	MC pricing.MonteCarlo
 	// SkipOFF drops the OFF row (used by the biggest runs where the
 	// exact solver is the bottleneck).
 	SkipOFF bool
@@ -98,25 +90,17 @@ type TableOptions struct {
 	Runner *Runner
 }
 
-func (o *TableOptions) withDefaults() TableOptions {
-	out := *o
-	if out.Scale == 0 {
-		out.Scale = 0.05
-	}
-	if out.MC == (pricing.MonteCarlo{}) {
-		out.MC = pricing.DefaultMonteCarlo
-	}
-	if out.Repeats <= 0 {
-		out.Repeats = 3
-	}
-	return out
-}
-
 // RunTable reproduces one of Tables V-VII: it generates the preset's two
 // platforms, runs OFF, TOTA, DemCOM and RamCOM on the same stream, and
 // reports the paper's nine metrics per method.
 func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
-	o := opts.withDefaults()
+	o := opts
+	if o.Scale == 0 {
+		o.Scale = 0.05
+	}
+	if o.Repeats <= 0 {
+		o.Repeats = 3
+	}
 	cfg, err := preset.Config(o.Scale)
 	if err != nil {
 		return nil, err
@@ -125,85 +109,65 @@ func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &TableResult{Dataset: preset.Name, Scale: o.Scale, Seed: o.Seed}
 
-	maxV := cfg.MaxValue()
-	type algo struct {
-		name    string
-		factory platform.MatcherFactory
-		coop    bool
-	}
-	algos := []algo{
-		{platform.AlgTOTA, platform.TOTAFactory(), false},
-		{platform.AlgDemCOM, platform.DemCOMFactory(o.MC, false), true},
-		{platform.AlgRamCOM, platform.RamCOMFactory(maxV, platform.RamCOMOptions{}), true},
-	}
-
-	// Every unit run — OFF (optional) plus Repeats seeds per online
-	// algorithm — is independent: the stream is read-only during
-	// simulation, so one copy is shared by all runs. Fan them across the
-	// runner's pool; outs arrives in submission order, so aggregation
-	// below is schedule-independent. Online run (ai, rep) lands at
-	// offset + ai*Repeats + rep.
-	type unit struct {
-		run *platform.Result
-		off TableRow
-	}
-	offset := 0
+	// The stream is shared by every unit run; OFF, when present, is a
+	// cell of one unit with no matcher.
+	var cells []cell
 	if !o.SkipOFF {
-		offset = 1
+		cells = append(cells, cell{label: preset.Name + "/" + platform.AlgOFF, once: true})
 	}
-	outs, err := runAll(o.Runner, offset+len(algos)*o.Repeats, func(i int) (unit, error) {
-		if i < offset {
-			row, err := runOff(stream)
-			return unit{off: row}, err
-		}
-		a := algos[(i-offset)/o.Repeats]
-		rep := (i - offset) % o.Repeats
-		seed := o.Seed + int64(rep)*9973
-		run, err := platform.Run(stream, a.factory,
-			o.Runner.simConfig(seed, false, preset.Name+"/"+a.name))
-		if err != nil {
-			return unit{}, err
-		}
-		if err := run.Validate(); err != nil {
-			return unit{}, fmt.Errorf("%s produced invalid matching: %w", a.name, err)
-		}
-		return unit{run: run}, nil
-	})
+	for _, alg := range onlineAlgos {
+		cells = append(cells, cell{label: preset.Name + "/" + alg, workload: cfg, alg: alg})
+	}
+	// A unit keeps its whole result, not just its row: the memory column
+	// below is the heap with the stream and every result live.
+	type tableUnit struct {
+		run *platform.Result
+		row TableRow
+	}
+	units, err := runGrid(plan{runner: o.Runner, seed: o.Seed, stride: 9973, repeats: o.Repeats, stream: stream}, cells,
+		func(ci int, u unit) (tableUnit, error) {
+			if u.factory == nil {
+				row, err := runOff(u.stream)
+				return tableUnit{row: row}, err
+			}
+			run, err := u.simulate()
+			if err != nil {
+				return tableUnit{}, err
+			}
+			if err := run.Validate(); err != nil {
+				return tableUnit{}, fmt.Errorf("%s produced invalid matching: %w", cells[ci].alg, err)
+			}
+			return tableUnit{run, rowFromRun(run, cells[ci].alg)}, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	if offset == 1 {
-		res.Rows = append(res.Rows, outs[0].off)
-	}
-	n := float64(o.Repeats)
-	for ai, a := range algos {
-		acc := TableRow{Method: a.name, HasCoop: a.coop}
-		for rep := 0; rep < o.Repeats; rep++ {
-			row := rowFromRun(outs[offset+ai*o.Repeats+rep].run, a.name, a.coop)
-			acc.RevD += row.RevD
-			acc.RevY += row.RevY
-			acc.ResponseMs += row.ResponseMs
-			acc.CpRD += row.CpRD
-			acc.CpRY += row.CpRY
-			acc.CoR += row.CoR
-			acc.AcpRt += row.AcpRt
-			acc.PayRate += row.PayRate
+	res := &TableResult{Dataset: preset.Name, Scale: o.Scale, Seed: o.Seed}
+	for ci, c := range cells {
+		if c.alg == "" {
+			res.Rows = append(res.Rows, units[ci][0].row)
+			continue
 		}
-		acc.RevD /= n
-		acc.RevY /= n
-		acc.ResponseMs /= n
-		acc.MemoryMB = stats.MemoryMB() // heap with stream + all results live
-		acc.CpRD = int(float64(acc.CpRD)/n + 0.5)
-		acc.CpRY = int(float64(acc.CpRY)/n + 0.5)
-		acc.CoR = int(float64(acc.CoR)/n + 0.5)
-		acc.AcpRt /= n
-		acc.PayRate /= n
-		res.Rows = append(res.Rows, acc)
+		col := func(f func(TableRow) float64) float64 {
+			return mean(units[ci], func(u tableUnit) float64 { return f(u.row) })
+		}
+		res.Rows = append(res.Rows, TableRow{
+			Method:     c.alg,
+			HasCoop:    c.alg != platform.AlgTOTA,
+			RevD:       col(func(r TableRow) float64 { return r.RevD }),
+			RevY:       col(func(r TableRow) float64 { return r.RevY }),
+			ResponseMs: col(func(r TableRow) float64 { return r.ResponseMs }),
+			MemoryMB:   stats.MemoryMB(),
+			CpRD:       int(col(func(r TableRow) float64 { return float64(r.CpRD) }) + 0.5),
+			CpRY:       int(col(func(r TableRow) float64 { return float64(r.CpRY) }) + 0.5),
+			CoR:        int(col(func(r TableRow) float64 { return float64(r.CoR) }) + 0.5),
+			AcpRt:      col(func(r TableRow) float64 { return r.AcpRt }),
+			PayRate:    col(func(r TableRow) float64 { return r.PayRate }),
+		})
 	}
 	runtime.KeepAlive(stream) // keep the input inside the memory measurement
-	runtime.KeepAlive(outs)
+	runtime.KeepAlive(units)
 	return res, nil
 }
 
@@ -231,29 +195,33 @@ func runOff(stream *core.Stream) (TableRow, error) {
 
 // rowFromRun extracts a table row from one simulation result (memory is
 // the caller's concern — it depends on what else is live).
-func rowFromRun(run *platform.Result, name string, coop bool) TableRow {
-	row := TableRow{Method: name, HasCoop: coop}
-	var totalResp time.Duration
-	var totalReq int
-	for pid, pr := range run.Platforms {
-		totalResp += pr.ResponseTotal
-		totalReq += pr.Stats.Requests
-		switch pid {
-		case 1:
-			row.RevD = pr.Stats.Revenue
-			row.CpRD = pr.Stats.Served
-		case 2:
-			row.RevY = pr.Stats.Revenue
-			row.CpRY = pr.Stats.Served
-		}
+func rowFromRun(run *platform.Result, name string) TableRow {
+	row := TableRow{Method: name, HasCoop: name != platform.AlgTOTA, ResponseMs: responseMs(run)}
+	if p := run.Platforms[1]; p != nil {
+		row.RevD, row.CpRD = p.Stats.Revenue, p.Stats.Served
 	}
-	if totalReq > 0 {
-		row.ResponseMs = float64(totalResp) / float64(time.Millisecond) / float64(totalReq)
+	if p := run.Platforms[2]; p != nil {
+		row.RevY, row.CpRY = p.Stats.Revenue, p.Stats.Served
 	}
-	if coop {
+	if row.HasCoop {
 		row.CoR = run.CooperativeServed()
 		row.AcpRt = run.AcceptanceRatio()
 		row.PayRate = run.MeanPaymentRate()
 	}
 	return row
+}
+
+// responseMs is a run's mean decision latency per request, in
+// milliseconds, over all platforms.
+func responseMs(run *platform.Result) float64 {
+	var total time.Duration
+	requests := 0
+	for _, pr := range run.Platforms {
+		total += pr.ResponseTotal
+		requests += pr.Stats.Requests
+	}
+	if requests == 0 {
+		return 0
+	}
+	return float64(total) / float64(time.Millisecond) / float64(requests)
 }

@@ -3,40 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"crossmatch/internal/platform"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
-
-// ValueDistOptions configures the Table IV value-distribution factor
-// study ({real, normal}).
-type ValueDistOptions struct {
-	Requests, Workers int
-	Radius            float64
-	Repeats           int
-	Seed              int64
-	// Runner fans the (distribution × algorithm × repeat) unit runs
-	// across a worker pool; nil uses GOMAXPROCS.
-	Runner *Runner
-}
-
-func (o *ValueDistOptions) withDefaults() ValueDistOptions {
-	out := *o
-	if out.Requests <= 0 {
-		out.Requests = 2500
-	}
-	if out.Workers <= 0 {
-		out.Workers = 500
-	}
-	if out.Radius <= 0 {
-		out.Radius = 1.0
-	}
-	if out.Repeats <= 0 {
-		out.Repeats = 3
-	}
-	return out
-}
 
 // ValueDistRow is one (algorithm, distribution) measurement.
 type ValueDistRow struct {
@@ -50,18 +19,13 @@ type ValueDistRow struct {
 
 // ValueDistResult is the full factor study.
 type ValueDistResult struct {
-	Opts ValueDistOptions
+	Opts Grid
 	Rows []ValueDistRow
 }
 
 // Row fetches one measurement.
 func (r *ValueDistResult) Row(alg, dist string) (ValueDistRow, bool) {
-	for _, row := range r.Rows {
-		if row.Algorithm == alg && row.Dist == dist {
-			return row, true
-		}
-	}
-	return ValueDistRow{}, false
+	return find(r.Rows, func(row ValueDistRow) bool { return row.Algorithm == alg && row.Dist == dist })
 }
 
 // Table renders the study.
@@ -87,64 +51,27 @@ func (r *ValueDistResult) Table() *stats.Table {
 // little influence to the experimental results on scalability"; this
 // study verifies the orderings it relies on are indeed
 // distribution-stable.
-func RunValueDist(opts ValueDistOptions) (*ValueDistResult, error) {
-	o := opts.withDefaults()
+func RunValueDist(opts Grid) (*ValueDistResult, error) {
+	o := opts.withDefaults(2500, 500, 3)
 	res := &ValueDistResult{Opts: o}
-	dists := []string{"real", "normal"}
-	algoNames := []string{platform.AlgTOTA, platform.AlgDemCOM, platform.AlgRamCOM}
-	cfgs := make([]workload.Config, len(dists))
-	for di, dist := range dists {
+	var cells []cell
+	for _, dist := range []string{"real", "normal"} {
 		cfg, err := workload.Synthetic(o.Requests, o.Workers, o.Radius, dist)
 		if err != nil {
 			return nil, err
 		}
-		cfgs[di] = cfg
-	}
-	factoryFor := func(cfg workload.Config, name string) platform.MatcherFactory {
-		switch name {
-		case platform.AlgDemCOM:
-			return platform.DemCOMFactory(pricing.DefaultMonteCarlo, false)
-		case platform.AlgRamCOM:
-			return platform.RamCOMFactory(cfg.MaxValue(), platform.RamCOMOptions{})
-		default:
-			return platform.TOTAFactory()
+		for _, alg := range onlineAlgos {
+			cells = append(cells, cell{label: "valuedist/" + dist + "/" + alg, workload: cfg, alg: alg})
+			res.Rows = append(res.Rows, ValueDistRow{Algorithm: alg, Dist: dist})
 		}
 	}
-
-	// One unit run per (distribution, algorithm, repeat), flattened in
-	// that order; streams regenerate per job from (config, seed).
-	nAlgos, nReps := len(algoNames), o.Repeats
-	runs, err := runAll(o.Runner, len(dists)*nAlgos*nReps, func(i int) (*platform.Result, error) {
-		di, rest := i/(nAlgos*nReps), i%(nAlgos*nReps)
-		ai, rep := rest/nReps, rest%nReps
-		seed := o.Seed + int64(rep)*4447
-		stream, err := workload.Generate(cfgs[di], seed)
-		if err != nil {
-			return nil, err
-		}
-		return platform.Run(stream, factoryFor(cfgs[di], algoNames[ai]),
-			o.Runner.simConfig(seed, false, "valuedist/"+dists[di]+"/"+algoNames[ai]))
-	})
+	_, sums, err := simulateGrid(o.plan(4447), cells)
 	if err != nil {
 		return nil, err
 	}
-	for di, dist := range dists {
-		for ai, name := range algoNames {
-			row := ValueDistRow{Algorithm: name, Dist: dist}
-			for rep := 0; rep < nReps; rep++ {
-				run := runs[di*nAlgos*nReps+ai*nReps+rep]
-				row.Revenue += run.TotalRevenue()
-				row.Served += float64(run.TotalServed())
-				row.AcptRatio += run.AcceptanceRatio()
-				row.PayRate += run.MeanPaymentRate()
-			}
-			n := float64(nReps)
-			row.Revenue /= n
-			row.Served /= n
-			row.AcptRatio /= n
-			row.PayRate /= n
-			res.Rows = append(res.Rows, row)
-		}
+	for ci, s := range sums {
+		row := &res.Rows[ci]
+		row.Revenue, row.Served, row.AcptRatio, row.PayRate = s.MeanRevenue, s.MeanServed, s.MeanAcceptance, s.MeanPaymentRate
 	}
 	return res, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunValueDist(t *testing.T) {
-	res, err := RunValueDist(ValueDistOptions{Requests: 500, Workers: 100, Repeats: 1, Seed: 17})
+	res, err := RunValueDist(Grid{Requests: 500, Workers: 100, Repeats: 1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

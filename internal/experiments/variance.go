@@ -4,39 +4,9 @@ import (
 	"fmt"
 
 	"crossmatch/internal/platform"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
-
-// VarianceOptions configures the seed-variance methodology study.
-type VarianceOptions struct {
-	Requests, Workers int
-	Radius            float64
-	// Seeds is how many independent seeds to measure (default 12).
-	Seeds int
-	Seed  int64
-	// Runner fans the (algorithm × seed) unit runs across a worker pool;
-	// nil uses GOMAXPROCS.
-	Runner *Runner
-}
-
-func (o *VarianceOptions) withDefaults() VarianceOptions {
-	out := *o
-	if out.Requests <= 0 {
-		out.Requests = 2500
-	}
-	if out.Workers <= 0 {
-		out.Workers = 500
-	}
-	if out.Radius <= 0 {
-		out.Radius = 1.0
-	}
-	if out.Seeds <= 0 {
-		out.Seeds = 12
-	}
-	return out
-}
 
 // VarianceRow summarizes one algorithm's revenue spread over seeds.
 type VarianceRow struct {
@@ -46,7 +16,8 @@ type VarianceRow struct {
 
 // VarianceResult is the full study.
 type VarianceResult struct {
-	Opts VarianceOptions
+	// Opts.Repeats is the number of seeds measured (default 12).
+	Opts Grid
 	Rows []VarianceRow
 }
 
@@ -54,7 +25,7 @@ type VarianceResult struct {
 func (r *VarianceResult) Table() *stats.Table {
 	tb := stats.NewTable(
 		fmt.Sprintf("Seed variance over %d seeds (|R|=%d, |W|=%d): how many repeats do the randomized algorithms need?",
-			r.Opts.Seeds, r.Opts.Requests, r.Opts.Workers),
+			r.Opts.Repeats, r.Opts.Requests, r.Opts.Workers),
 		"Algorithm", "Mean revenue", "Min", "Max", "StdDev/Mean")
 	for _, row := range r.Rows {
 		s := row.Summary
@@ -73,43 +44,28 @@ func (r *VarianceResult) Table() *stats.Table {
 // RamCOM additionally draws its value threshold k per run, which
 // dominates its spread. The result justifies the repeat counts used by
 // the table and sweep harnesses (see EXPERIMENTS.md).
-func RunVariance(opts VarianceOptions) (*VarianceResult, error) {
-	o := opts.withDefaults()
+func RunVariance(opts Grid) (*VarianceResult, error) {
+	o := opts.withDefaults(2500, 500, 12)
 	cfg, err := workload.Synthetic(o.Requests, o.Workers, o.Radius, "real")
 	if err != nil {
 		return nil, err
 	}
-	stream, err := workload.Generate(cfg, o.Seed)
+	// The fixed stream: every (algorithm × seed) unit run reads it.
+	p := o.plan(6367)
+	if p.stream, err = workload.Generate(cfg, o.Seed); err != nil {
+		return nil, err
+	}
+	var cells []cell
+	for _, alg := range onlineAlgos {
+		cells = append(cells, cell{label: "variance/" + alg, workload: cfg, alg: alg})
+	}
+	_, sums, err := simulateGrid(p, cells)
 	if err != nil {
 		return nil, err
 	}
-	maxV := cfg.MaxValue()
 	res := &VarianceResult{Opts: o}
-	algos := []struct {
-		name    string
-		factory platform.MatcherFactory
-	}{
-		{platform.AlgTOTA, platform.TOTAFactory()},
-		{platform.AlgDemCOM, platform.DemCOMFactory(pricing.DefaultMonteCarlo, false)},
-		{platform.AlgRamCOM, platform.RamCOMFactory(maxV, platform.RamCOMOptions{})},
-	}
-	// All (algorithm × seed) unit runs share the read-only stream and
-	// fan out together; run (ai, si) lands at ai*Seeds + si, so each
-	// algorithm's ensemble summarizes over its seeds in order.
-	runs, err := runAll(o.Runner, len(algos)*o.Seeds, func(i int) (*platform.Result, error) {
-		a := algos[i/o.Seeds]
-		seed := o.Seed + int64(i%o.Seeds)*6367
-		return platform.Run(stream, a.factory, o.Runner.simConfig(seed, false, "variance/"+a.name))
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ai, a := range algos {
-		sum, err := platform.Summarize(runs[ai*o.Seeds : (ai+1)*o.Seeds])
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, VarianceRow{Algorithm: a.name, Summary: sum})
+	for ci, s := range sums {
+		res.Rows = append(res.Rows, VarianceRow{Algorithm: cells[ci].alg, Summary: s})
 	}
 	return res, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunVariance(t *testing.T) {
-	res, err := RunVariance(VarianceOptions{Requests: 400, Workers: 80, Seeds: 5, Seed: 3})
+	res, err := RunVariance(Grid{Requests: 400, Workers: 80, Repeats: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

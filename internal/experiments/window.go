@@ -15,38 +15,13 @@ import (
 // batching arrivals for W virtual ticks trade dispatch wait against
 // revenue, versus the immediate-dispatch DemCOM baseline?
 type WindowOptions struct {
-	Requests, Workers int
-	Radius            float64
-	Repeats           int
-	Seed              int64
-	// Windows are the BatchCOM window lengths swept, in virtual ticks.
+	Grid
+	// Windows are the BatchCOM window lengths swept, in virtual ticks
+	// (default 1, 2, 5, 10, 25, 50).
 	Windows []core.Time
 	// Deadline, when positive, caps per-request buffering, pulling a
 	// window flush forward (platform.AlgConfig.Deadline).
 	Deadline core.Time
-	// Runner fans the (window × repeat) unit runs across a worker pool;
-	// nil uses GOMAXPROCS.
-	Runner *Runner
-}
-
-func (o *WindowOptions) withDefaults() WindowOptions {
-	out := *o
-	if out.Requests <= 0 {
-		out.Requests = 2500
-	}
-	if out.Workers <= 0 {
-		out.Workers = 500
-	}
-	if out.Radius <= 0 {
-		out.Radius = 1.0
-	}
-	if out.Repeats <= 0 {
-		out.Repeats = 3
-	}
-	if len(out.Windows) == 0 {
-		out.Windows = []core.Time{1, 2, 5, 10, 25, 50}
-	}
-	return out
 }
 
 // WindowRow is one (algorithm, window) measurement, averaged over the
@@ -75,12 +50,7 @@ type WindowResult struct {
 
 // Row fetches one measurement.
 func (r *WindowResult) Row(alg string, window core.Time) (WindowRow, bool) {
-	for _, row := range r.Rows {
-		if row.Algorithm == alg && row.Window == window {
-			return row, true
-		}
-	}
-	return WindowRow{}, false
+	return find(r.Rows, func(row WindowRow) bool { return row.Algorithm == alg && row.Window == window })
 }
 
 // Table renders the sweep.
@@ -139,18 +109,13 @@ type windowUnit struct {
 	waitMax float64
 }
 
-// runWindowUnit drives one engine over the stream, collecting the
+// runWindowUnit drives one engine over the unit's stream, collecting the
 // dispatch wait of every request decision — immediate decisions return
 // from Process with At equal to the arrival tick, window flushes arrive
 // through the decision handler with At equal to the flush tick.
-func runWindowUnit(stream *core.Stream, alg string, window, deadline core.Time, cfg platform.Config) (windowUnit, error) {
-	factory, err := platform.FactoryConfigured(alg, platform.AlgConfig{
-		MaxValue: stream.MaxValue(), Window: window, Deadline: deadline})
-	if err != nil {
-		return windowUnit{}, err
-	}
-	cfg.PlatformParallel = false
-	eng, err := platform.NewEngine(stream.Platforms(), factory, cfg)
+func runWindowUnit(u unit) (windowUnit, error) {
+	u.cfg.PlatformParallel = false
+	eng, err := platform.NewEngine(u.stream.Platforms(), u.factory, u.cfg)
 	if err != nil {
 		return windowUnit{}, err
 	}
@@ -159,7 +124,7 @@ func runWindowUnit(stream *core.Stream, alg string, window, deadline core.Time, 
 		waits = append(waits, float64(rd.At-rd.Request.Arrival))
 	}
 	eng.SetDecisionHandler(observe)
-	for _, ev := range stream.Events() {
+	for _, ev := range u.stream.Events() {
 		d, err := eng.Process(ev)
 		if err != nil {
 			return windowUnit{}, err
@@ -172,13 +137,13 @@ func runWindowUnit(stream *core.Stream, alg string, window, deadline core.Time, 
 	if err != nil {
 		return windowUnit{}, err
 	}
-	u := windowUnit{revenue: res.TotalRevenue(), served: float64(res.TotalServed()), waitP99: p99(waits)}
+	wu := windowUnit{revenue: res.TotalRevenue(), served: float64(res.TotalServed()), waitP99: p99(waits)}
 	for _, w := range waits {
-		if w > u.waitMax {
-			u.waitMax = w
+		if w > wu.waitMax {
+			wu.waitMax = w
 		}
 	}
-	return u, nil
+	return wu, nil
 }
 
 // RunWindow sweeps BatchCOM's window length against the DemCOM
@@ -188,57 +153,39 @@ func runWindowUnit(stream *core.Stream, alg string, window, deadline core.Time, 
 // seed: every unit run goes through the incremental engine, the same
 // runtime the serving layer drives.
 func RunWindow(opts WindowOptions) (*WindowResult, error) {
-	o := opts.withDefaults()
+	o := opts
+	o.Grid = o.Grid.withDefaults(2500, 500, 3)
+	if len(o.Windows) == 0 {
+		o.Windows = []core.Time{1, 2, 5, 10, 25, 50}
+	}
 	res := &WindowResult{Opts: o}
 	cfg, err := workload.Synthetic(o.Requests, o.Workers, o.Radius, "real")
 	if err != nil {
 		return nil, err
 	}
 
-	// Job layout: [DemCOM × repeats, then per window: BatchCOM × repeats].
-	type jobSpec struct {
-		alg    string
-		window core.Time
-	}
-	specs := []jobSpec{{platform.AlgDemCOM, 0}}
+	// Cells: the DemCOM baseline, then one BatchCOM cell per window.
+	cells := []cell{{label: "window/" + platform.AlgDemCOM + "/w0", workload: cfg, alg: platform.AlgDemCOM}}
+	res.Rows = []WindowRow{{Algorithm: platform.AlgDemCOM}}
 	for _, w := range o.Windows {
-		specs = append(specs, jobSpec{platform.AlgBatchCOM, w})
+		cells = append(cells, cell{label: fmt.Sprintf("window/%s/w%d", platform.AlgBatchCOM, w), workload: cfg,
+			alg: platform.AlgBatchCOM, algCfg: platform.AlgConfig{Window: w, Deadline: o.Deadline}})
+		res.Rows = append(res.Rows, WindowRow{Algorithm: platform.AlgBatchCOM, Window: w, Bound: waitBound(w, o.Deadline)})
 	}
-	nReps := o.Repeats
-	units, err := runAll(o.Runner, len(specs)*nReps, func(i int) (windowUnit, error) {
-		si, rep := i/nReps, i%nReps
-		seed := o.Seed + int64(rep)*7717
-		stream, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return windowUnit{}, err
-		}
-		spec := specs[si]
-		label := fmt.Sprintf("window/%s/w%d", spec.alg, spec.window)
-		return runWindowUnit(stream, spec.alg, spec.window, o.Deadline,
-			o.Runner.simConfig(seed, false, label))
-	})
+	units, err := runGrid(o.plan(7717), cells, func(_ int, u unit) (windowUnit, error) { return runWindowUnit(u) })
 	if err != nil {
 		return nil, err
 	}
-	for si, spec := range specs {
-		row := WindowRow{Algorithm: spec.alg, Window: spec.window}
-		if spec.window > 0 {
-			row.Bound = waitBound(spec.window, o.Deadline)
-		}
-		for rep := 0; rep < nReps; rep++ {
-			u := units[si*nReps+rep]
-			row.Revenue += u.revenue
-			row.Served += u.served
-			row.WaitP99 += u.waitP99
+	for ci, us := range units {
+		row := &res.Rows[ci]
+		row.Revenue = mean(us, func(u windowUnit) float64 { return u.revenue })
+		row.Served = mean(us, func(u windowUnit) float64 { return u.served })
+		row.WaitP99 = mean(us, func(u windowUnit) float64 { return u.waitP99 })
+		for _, u := range us {
 			if u.waitMax > row.WaitMax {
 				row.WaitMax = u.waitMax
 			}
 		}
-		n := float64(nReps)
-		row.Revenue /= n
-		row.Served /= n
-		row.WaitP99 /= n
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

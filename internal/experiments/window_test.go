@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunWindowSweep(t *testing.T) {
-	opts := WindowOptions{Requests: 300, Workers: 120, Repeats: 2, Seed: 11,
+	opts := WindowOptions{Grid: Grid{Requests: 300, Workers: 120, Repeats: 2, Seed: 11},
 		Windows: []core.Time{2, 8}, Deadline: 5}
 	res, err := RunWindow(opts)
 	if err != nil {

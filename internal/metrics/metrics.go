@@ -415,6 +415,13 @@ func (c *Collector) ObserveLatency(label string, d time.Duration) {
 		return
 	}
 	c.mu.Lock()
+	c.reservoir(label).Observe(d)
+	c.mu.Unlock()
+}
+
+// reservoir returns the label's distribution, creating it on first use;
+// the caller holds c.mu.
+func (c *Collector) reservoir(label string) *stats.Reservoir {
 	r, ok := c.latency[label]
 	if !ok {
 		// Seed the reservoir from the label so percentile sampling is
@@ -424,8 +431,46 @@ func (c *Collector) ObserveLatency(label string, d time.Duration) {
 		r = stats.NewReservoir(0, int64(h.Sum64()))
 		c.latency[label] = r
 	}
-	r.Observe(d)
+	return r
+}
+
+// Merge folds every counter and latency distribution of from into c.
+// A harness that hands one run a private collector, to read that run's
+// counters on their own, calls it afterwards so a shared collector still
+// sees every run. from must be quiescent; its shard section, a
+// per-engine snapshot rather than a tally, is not carried over.
+func (c *Collector) Merge(from *Collector) {
+	if c == nil || from == nil {
+		return
+	}
+	for _, p := range [][2]*atomic.Int64{
+		{&c.innerMatches, &from.innerMatches}, {&c.outerMatches, &from.outerMatches},
+		{&c.rejections, &from.rejections}, {&c.coopAttempts, &from.coopAttempts},
+		{&c.probes, &from.probes}, {&c.runs, &from.runs},
+		{&c.claimConflicts, &from.claimConflicts}, {&c.claimRetries, &from.claimRetries},
+		{&c.faultLatency, &from.faultLatency}, {&c.faultDrops, &from.faultDrops},
+		{&c.faultClaimErrors, &from.faultClaimErrors}, {&c.faultOutageHits, &from.faultOutageHits},
+		{&c.probeRetries, &from.probeRetries}, {&c.probeTimeouts, &from.probeTimeouts},
+		{&c.breakerOpened, &from.breakerOpened}, {&c.breakerHalfOpened, &from.breakerHalfOpened},
+		{&c.breakerClosed, &from.breakerClosed}, {&c.breakerShortCircuit, &from.breakerShortCircuit},
+		{&c.walAppends, &from.walAppends}, {&c.walBytes, &from.walBytes},
+		{&c.walFsyncs, &from.walFsyncs}, {&c.walFsyncNs, &from.walFsyncNs},
+		{&c.walSnapshots, &from.walSnapshots}, {&c.walRecoveries, &from.walRecoveries},
+		{&c.walRecoveredEvents, &from.walRecoveredEvents},
+		{&c.routeForwards, &from.routeForwards}, {&c.routeRetries, &from.routeRetries},
+		{&c.routeHedges, &from.routeHedges}, {&c.routeFailovers, &from.routeFailovers},
+		{&c.crossShardBorrows, &from.crossShardBorrows}, {&c.shardStalls, &from.shardStalls},
+	} {
+		p[0].Add(p[1].Load())
+	}
+	c.AddPricing(from.Pricing())
+	from.mu.Lock()
+	c.mu.Lock()
+	for label, r := range from.latency {
+		c.reservoir(label).Merge(r)
+	}
 	c.mu.Unlock()
+	from.mu.Unlock()
 }
 
 // Counters is the counter section of a Report.

@@ -3,8 +3,10 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -156,5 +158,49 @@ func TestClaimContentionCounters(t *testing.T) {
 		if !strings.Contains(buf.String(), key) {
 			t.Errorf("JSON report missing %q", key)
 		}
+	}
+}
+
+// TestMergeCarriesEveryCounter sets every atomic counter of a donor to a
+// distinct value by reflection, so a counter added to Collector but
+// forgotten in Merge fails here rather than vanishing from a report.
+func TestMergeCarriesEveryCounter(t *testing.T) {
+	from, into := New(), New()
+	counter := reflect.TypeOf((*atomic.Int64)(nil)).Elem()
+	fv := reflect.ValueOf(from).Elem()
+	n := 0
+	for i := 0; i < fv.NumField(); i++ {
+		if fv.Type().Field(i).Type == counter {
+			n++
+			(*atomic.Int64)(fv.Field(i).Addr().UnsafePointer()).Store(int64(n))
+		}
+	}
+	if n == 0 {
+		t.Fatal("no counters found")
+	}
+	from.ObserveLatency("platform-1", 3*time.Millisecond)
+	into.MatchInner()
+	into.ObserveLatency("platform-1", time.Millisecond)
+	into.Merge(from)
+	into.Merge(nil)
+	(*Collector)(nil).Merge(from)
+
+	iv := reflect.ValueOf(into).Elem()
+	for i := 0; i < iv.NumField(); i++ {
+		if iv.Type().Field(i).Type != counter {
+			continue
+		}
+		got := (*atomic.Int64)(iv.Field(i).Addr().UnsafePointer()).Load()
+		want := (*atomic.Int64)(fv.Field(i).Addr().UnsafePointer()).Load()
+		if name := iv.Type().Field(i).Name; name == "innerMatches" {
+			want++
+		}
+		if got != want {
+			t.Errorf("%s = %d after Merge, want %d", iv.Type().Field(i).Name, got, want)
+		}
+	}
+	lat := into.Snapshot().Latencies
+	if len(lat) != 1 || lat[0].Count != 2 || lat[0].MaxMs != 3 {
+		t.Errorf("latencies after Merge = %+v, want one label with 2 observations, max 3 ms", lat)
 	}
 }

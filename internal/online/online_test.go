@@ -464,7 +464,7 @@ func TestRamCOMQuoteAgreesWithDemCOMOnMinPayment(t *testing.T) {
 	if !ok {
 		t.Fatal("MinPaymentPricing quote rejected a serviceable group")
 	}
-	est, err := m.MC.MinOuterPayment(r.Value, group, rand.New(rand.NewSource(4)))
+	est, err := pricing.NewQuoter(m.MC).MinOuterPayment(r.Value, group, rand.New(rand.NewSource(4)), pricing.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

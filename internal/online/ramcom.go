@@ -38,8 +38,8 @@ type RamCOM struct {
 
 	// ThresholdPricing, when true, replaces the exact expected-revenue
 	// maximization with the 1/e-style randomized threshold quote
-	// (pricing.ThresholdQuote) — the approximation behaviour of the
-	// pricing scheme the paper cites. Used by the ablation study.
+	// (pricing.TableQuoter.ThresholdQuote) — the approximation behaviour
+	// of the pricing scheme the paper cites. Used by the ablation study.
 	ThresholdPricing bool
 	// MinPaymentPricing, when true, prices cooperative requests at
 	// DemCOM's minimum outer payment instead of the expected-revenue

@@ -1,6 +1,6 @@
 // Package parallel provides the bounded, deterministic fan-out
-// primitive shared by the experiment runner, the simulation ensemble and
-// the Monte-Carlo estimator: N independent jobs executed on at most W
+// primitive behind the experiment runner (its one caller outside tests:
+// experiments.runAll): N independent jobs executed on at most W
 // goroutines, with results collected in submission order.
 //
 // Determinism contract: a job must derive all of its randomness from its

@@ -3,43 +3,7 @@ package platform
 import (
 	"fmt"
 	"math"
-
-	"crossmatch/internal/core"
-	"crossmatch/internal/parallel"
 )
-
-// RunEnsemble executes one independent simulation per seed, in parallel,
-// and returns the per-seed results in seed order. gen builds the input
-// stream for a seed (streams must not be shared between runs — matchers
-// mutate nothing in them, but the generator is cheap and isolation keeps
-// every run trivially race-free); base supplies the non-seed
-// configuration. parallelism <= 0 uses GOMAXPROCS.
-//
-// The experiment harness uses it to average the randomized algorithms
-// (RamCOM's threshold draw, DemCOM's sampling) over repeats without
-// paying wall-clock linearly.
-func RunEnsemble(gen func(seed int64) (*core.Stream, error), factory MatcherFactory, base Config, seeds []int64, parallelism int) ([]*Result, error) {
-	if gen == nil {
-		return nil, fmt.Errorf("platform: nil stream generator")
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("platform: no seeds")
-	}
-	return parallel.Map(parallelism, len(seeds), func(i int) (*Result, error) {
-		seed := seeds[i]
-		stream, err := gen(seed)
-		if err != nil {
-			return nil, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		cfg := base
-		cfg.Seed = seed
-		res, err := Run(stream, factory, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		return res, nil
-	})
-}
 
 // EnsembleSummary aggregates an ensemble's headline metrics.
 type EnsembleSummary struct {

@@ -1,11 +1,9 @@
 package platform
 
 import (
-	"errors"
 	"testing"
 
 	"crossmatch/internal/core"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/workload"
 )
 
@@ -20,71 +18,19 @@ func ensembleGen(t *testing.T) func(int64) (*core.Stream, error) {
 	}
 }
 
-func TestRunEnsembleMatchesSequential(t *testing.T) {
+func TestSummarize(t *testing.T) {
 	gen := ensembleGen(t)
-	factory := DemCOMFactory(pricing.DefaultMonteCarlo, false)
-	seeds := []int64{1, 2, 3, 4, 5, 6}
-
-	par, err := RunEnsemble(gen, factory, Config{}, seeds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range seeds {
+	var res []*Result
+	for _, seed := range []int64{1, 2, 3, 4} {
 		stream, err := gen(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Run(stream, factory, Config{Seed: seed})
+		r, err := Run(stream, RamCOMFactory(100, RamCOMOptions{}), Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par[i].TotalRevenue() != seq.TotalRevenue() || par[i].TotalServed() != seq.TotalServed() {
-			t.Errorf("seed %d: parallel (%v, %d) != sequential (%v, %d)",
-				seed, par[i].TotalRevenue(), par[i].TotalServed(), seq.TotalRevenue(), seq.TotalServed())
-		}
-	}
-}
-
-func TestRunEnsembleValidation(t *testing.T) {
-	gen := ensembleGen(t)
-	f := TOTAFactory()
-	if _, err := RunEnsemble(nil, f, Config{}, []int64{1}, 1); err == nil {
-		t.Error("nil generator accepted")
-	}
-	if _, err := RunEnsemble(gen, f, Config{}, nil, 1); err == nil {
-		t.Error("no seeds accepted")
-	}
-	// Generator errors propagate with seed context.
-	bad := func(seed int64) (*core.Stream, error) {
-		if seed == 2 {
-			return nil, errors.New("boom")
-		}
-		return gen(seed)
-	}
-	if _, err := RunEnsemble(bad, f, Config{}, []int64{1, 2, 3}, 2); err == nil {
-		t.Error("generator error swallowed")
-	}
-}
-
-func TestRunEnsembleParallelismClamped(t *testing.T) {
-	gen := ensembleGen(t)
-	// parallelism larger than seed count and non-positive both work.
-	for _, p := range []int{-1, 0, 100} {
-		res, err := RunEnsemble(gen, TOTAFactory(), Config{}, []int64{7, 8}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 2 || res[0] == nil || res[1] == nil {
-			t.Fatalf("parallelism %d: results %v", p, res)
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	gen := ensembleGen(t)
-	res, err := RunEnsemble(gen, RamCOMFactory(100, RamCOMOptions{}), Config{}, []int64{1, 2, 3, 4}, 2)
-	if err != nil {
-		t.Fatal(err)
+		res = append(res, r)
 	}
 	s, err := Summarize(res)
 	if err != nil {
@@ -133,6 +79,28 @@ func TestLatencyReservoirWired(t *testing.T) {
 			if pr.Latency.Percentile(0.99) > pr.ResponseMax {
 				t.Errorf("platform %d: p99 above max", pid)
 			}
+		}
+	}
+}
+
+// TestResultFloatSumsIgnoreMapOrder: with three platforms (0.1+0.2)+0.3
+// and 0.1+(0.2+0.3) differ in the last bit, so a sum taken in map order
+// changed from call to call.
+func TestResultFloatSumsIgnoreMapOrder(t *testing.T) {
+	r := &Result{Platforms: map[core.PlatformID]*PlatformResult{}}
+	for id, v := range map[core.PlatformID]float64{1: 0.1, 2: 0.2, 3: 0.3} {
+		pr := &PlatformResult{}
+		pr.Stats.Revenue, pr.Stats.PaymentRate, pr.Stats.ServedOuter = v, v, 1
+		r.Platforms[id] = pr
+	}
+	a, b, c := 0.1, 0.2, 0.3 // variables: constant arithmetic is exact
+	wantRev := (a + b) + c
+	for i := 0; i < 200; i++ {
+		if got := r.TotalRevenue(); got != wantRev {
+			t.Fatalf("call %d: TotalRevenue = %v, want %v", i, got, wantRev)
+		}
+		if got := r.MeanPaymentRate(); got != wantRev/3 {
+			t.Fatalf("call %d: MeanPaymentRate = %v, want %v", i, got, wantRev/3)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/pprof"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -174,11 +175,23 @@ type Result struct {
 	Recycled int
 }
 
+// sortedIDs returns the platform ids in ascending order. The float sums
+// below go through it: in map order, with three or more platforms,
+// their last bit would vary from one call to the next.
+func (r *Result) sortedIDs() []core.PlatformID {
+	ids := make([]core.PlatformID, 0, len(r.Platforms))
+	for id := range r.Platforms {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // TotalRevenue sums revenue across platforms.
 func (r *Result) TotalRevenue() float64 {
 	t := 0.0
-	for _, p := range r.Platforms {
-		t += p.Stats.Revenue
+	for _, id := range r.sortedIDs() {
+		t += r.Platforms[id].Stats.Revenue
 	}
 	return t
 }
@@ -218,7 +231,8 @@ func (r *Result) AcceptanceRatio() float64 {
 // platforms' cooperative assignments.
 func (r *Result) MeanPaymentRate() float64 {
 	sum, n := 0.0, 0
-	for _, p := range r.Platforms {
+	for _, id := range r.sortedIDs() {
+		p := r.Platforms[id]
 		sum += p.Stats.PaymentRate
 		n += p.Stats.ServedOuter
 	}

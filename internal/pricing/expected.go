@@ -12,46 +12,6 @@ type Quote struct {
 	ExpectedRev float64
 }
 
-// MaxExpectedRevenue computes the maximum expect revenue of Definition
-// 4.1 exactly: it maximizes E(v') = (value - v') * pr(v', W) over
-// v' in (0, value], where pr(v', W) = 1 - prod_w (1 - pr(v', w)) is the
-// probability at least one eligible worker accepts.
-//
-// pr(., W) is a right-continuous step function that only jumps at the
-// workers' history values, while (value - v') strictly decreases between
-// jumps — so the maximum is attained at a breakpoint (a history value)
-// or at no payment at all. Evaluating E at every distinct breakpoint
-// <= value (plus value itself) is therefore exact, in
-// O(B log B + B * |W|) for B total history points.
-//
-// The paper obtains this quantity approximately (within 1/e) from the
-// matching-based dynamic pricing of Tong et al. [14]; computing it
-// exactly over the same empirical acceptance model strictly strengthens
-// RamCOM's incentive step while preserving its interface — RamCOM's
-// competitive ratio only improves. The 1/e-approximate behaviour is
-// available as ThresholdQuote for the ablation study.
-// This entry point predates the Quoter/Scratch API and remains as a
-// shim over TableQuoter's sweep (breakpoint union in ascending payment
-// order with an incrementally maintained decline product, O(B log B) for
-// B history points).
-func MaxExpectedRevenue(value float64, group []*History) (Quote, error) {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	var q TableQuoter
-	return q.MaxExpectedRevenue(value, group, s)
-}
-
 func almostEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-12*(1+math.Abs(a)+math.Abs(b))
-}
-
-// ThresholdQuote is the 1/e-style randomized threshold pricing used as
-// an ablation: it offers a payment of value/e' where e' is drawn so the
-// expected revenue is within 1/e of the maximum in the worst case over
-// acceptance curves (the guarantee of the pricing scheme RamCOM cites).
-// Concretely it quotes the payment value * exp(-u) with u uniform in
-// (0, 1], mirroring the exponential-threshold trick of [14]'s analysis.
-func ThresholdQuote(value float64, group []*History, u float64) (Quote, error) {
-	var q TableQuoter
-	return q.ThresholdQuote(value, group, u, nil)
 }

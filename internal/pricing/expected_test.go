@@ -13,7 +13,7 @@ func TestMaxExpectedRevenueSingleWorker(t *testing.T) {
 	//             pay 8 -> pr 1,   E = 2
 	//             pay 10 -> pr 1,  E = 0
 	h := MustHistory([]float64{2, 4, 8})
-	q, err := MaxExpectedRevenue(10, []*History{h})
+	q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(10, []*History{h}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMaxExpectedRevenuePaperExample3(t *testing.T) {
 	// 5, 4, 3, 2, 1 using ten history points.
 	// pr(1)=0.2, pr(2)=0.3, pr(3)=0.4, pr(4)=0.8, pr(5)=0.9
 	h := MustHistory([]float64{1, 1, 2, 3, 4, 4, 4, 4, 5, 100})
-	q, err := MaxExpectedRevenue(6, []*History{h})
+	q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(6, []*History{h}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestMaxExpectedRevenuePaperExample3(t *testing.T) {
 }
 
 func TestMaxExpectedRevenueEmptyGroup(t *testing.T) {
-	q, err := MaxExpectedRevenue(10, nil)
+	q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(10, nil, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestMaxExpectedRevenueEmptyGroup(t *testing.T) {
 
 func TestMaxExpectedRevenueInvalidValue(t *testing.T) {
 	for _, v := range []float64{0, -2, math.NaN(), math.Inf(-1)} {
-		if _, err := MaxExpectedRevenue(v, nil); err == nil {
+		if _, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(v, nil, NewScratch()); err == nil {
 			t.Errorf("value %v accepted", v)
 		}
 	}
@@ -71,7 +71,7 @@ func TestMaxExpectedRevenueInvalidValue(t *testing.T) {
 
 func TestMaxExpectedRevenueUnaffordableGroup(t *testing.T) {
 	h := MustHistory([]float64{50})
-	q, err := MaxExpectedRevenue(10, []*History{h})
+	q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(10, []*History{h}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMaxExpectedRevenueMatchesNumericScan(t *testing.T) {
 			group = append(group, MustHistory(vals))
 		}
 		value := 1 + rng.Float64()*15
-		q, err := MaxExpectedRevenue(value, group)
+		q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(value, group, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestMaxExpectedRevenueConsistency(t *testing.T) {
 			group = append(group, MustHistory(vals))
 		}
 		value := 0.5 + rng.Float64()*10
-		q, err := MaxExpectedRevenue(value, group)
+		q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(value, group, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestMaxExpectedRevenueConsistency(t *testing.T) {
 
 func TestThresholdQuote(t *testing.T) {
 	h := MustHistory([]float64{1})
-	q, err := ThresholdQuote(10, []*History{h}, 0.5)
+	q, err := NewQuoter(DefaultMonteCarlo).ThresholdQuote(10, []*History{h}, 0.5, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,16 +155,16 @@ func TestThresholdQuote(t *testing.T) {
 	if q.AcceptProb != 1 {
 		t.Errorf("AcceptProb = %v, want 1", q.AcceptProb)
 	}
-	if _, err := ThresholdQuote(10, []*History{h}, 0); err == nil {
+	if _, err := NewQuoter(DefaultMonteCarlo).ThresholdQuote(10, []*History{h}, 0, NewScratch()); err == nil {
 		t.Error("u=0 accepted")
 	}
-	if _, err := ThresholdQuote(10, []*History{h}, 1.2); err == nil {
+	if _, err := NewQuoter(DefaultMonteCarlo).ThresholdQuote(10, []*History{h}, 1.2, NewScratch()); err == nil {
 		t.Error("u>1 accepted")
 	}
-	if _, err := ThresholdQuote(-1, []*History{h}, 0.5); err == nil {
+	if _, err := NewQuoter(DefaultMonteCarlo).ThresholdQuote(-1, []*History{h}, 0.5, NewScratch()); err == nil {
 		t.Error("negative value accepted")
 	}
-	if q, err := ThresholdQuote(10, nil, 0.5); err != nil || q.ExpectedRev != 0 {
+	if q, err := NewQuoter(DefaultMonteCarlo).ThresholdQuote(10, nil, 0.5, NewScratch()); err != nil || q.ExpectedRev != 0 {
 		t.Errorf("empty group: %+v, %v", q, err)
 	}
 }

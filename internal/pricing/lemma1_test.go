@@ -28,7 +28,7 @@ func TestLemma1AccuracyBound(t *testing.T) {
 	overshoots := 0
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < runs; i++ {
-		est, err := mc.MinOuterPayment(value, group, rng)
+		est, err := NewQuoter(mc).MinOuterPayment(value, group, rng, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestLemma1ProbabilisticFrontier(t *testing.T) {
 	var sum float64
 	const runs = 50
 	for i := 0; i < runs; i++ {
-		est, err := mc.MinOuterPayment(10, group, rng)
+		est, err := NewQuoter(mc).MinOuterPayment(10, group, rng, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package pricing
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // MonteCarlo estimates the minimum outer payment of a cooperative
@@ -48,30 +47,6 @@ func (mc MonteCarlo) Validate() error {
 		return fmt.Errorf("pricing: Eta = %v outside (0,1)", mc.Eta)
 	}
 	return nil
-}
-
-// MinOuterPayment runs Algorithm 2: it estimates the minimum payment at
-// which request value `value` would be accepted by at least one of the
-// eligible outer workers, whose acceptance curves are given by `group`.
-//
-// Each of the n_s instances first probes the full price: if no worker
-// accepts even value itself, the instance contributes value+epsilon
-// (signalling "reject this request": the caller compares the estimate
-// against value, Algorithm 1 line 13). Otherwise a dichotomy over
-// [0, value] narrows the acceptance frontier of this instance to within
-// Xi*value, resampling the group's decision at every probe (one draw
-// against pr(v', W), see TableQuoter.MinOuterPayment). The result is the
-// mean over instances.
-//
-// The returned estimate is deterministic given rng's state.
-//
-// This entry point predates the Quoter/Scratch API and remains as a
-// shim: it borrows a pooled Scratch and delegates to TableQuoter.
-func (mc MonteCarlo) MinOuterPayment(value float64, group []*History, rng *rand.Rand) (float64, error) {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	q := TableQuoter{MC: mc}
-	return q.MinOuterPayment(value, group, rng, s)
 }
 
 // SamplerRev identifies MinOuterPayment's RNG consumption contract for

@@ -38,7 +38,7 @@ func TestMonteCarloValidate(t *testing.T) {
 func TestMinOuterPaymentInvalidValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := DefaultMonteCarlo.MinOuterPayment(v, nil, rng); err == nil {
+		if _, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(v, nil, rng, NewScratch()); err == nil {
 			t.Errorf("value %v accepted", v)
 		}
 	}
@@ -46,7 +46,7 @@ func TestMinOuterPaymentInvalidValue(t *testing.T) {
 
 func TestMinOuterPaymentNoWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	got, err := DefaultMonteCarlo.MinOuterPayment(10, nil, rng)
+	got, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, nil, rng, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestMinOuterPaymentDeterministicWorker(t *testing.T) {
 	h := MustHistory([]float64{3}) // pr = 1 for v' >= 3, else 0
 	rng := rand.New(rand.NewSource(42))
 	mc := MonteCarlo{Xi: 0.01, Eta: 0.2}
-	got, err := mc.MinOuterPayment(10, []*History{h}, rng)
+	got, err := NewQuoter(mc).MinOuterPayment(10, []*History{h}, rng, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestMinOuterPaymentDeterministicWorker(t *testing.T) {
 func TestMinOuterPaymentUnaffordableWorker(t *testing.T) {
 	h := MustHistory([]float64{50}) // only accepts >= 50
 	rng := rand.New(rand.NewSource(7))
-	got, err := DefaultMonteCarlo.MinOuterPayment(10, []*History{h}, rng)
+	got, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{h}, rng, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestMinOuterPaymentCheapestWorkerDominates(t *testing.T) {
 	rng1 := rand.New(rand.NewSource(5))
 	rng2 := rand.New(rand.NewSource(5))
 	mc := MonteCarlo{Xi: 0.02, Eta: 0.2}
-	alone, err := mc.MinOuterPayment(10, []*History{cheap}, rng1)
+	alone, err := NewQuoter(mc).MinOuterPayment(10, []*History{cheap}, rng1, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := mc.MinOuterPayment(10, []*History{cheap, costly}, rng2)
+	both, err := NewQuoter(mc).MinOuterPayment(10, []*History{cheap, costly}, rng2, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestMinOuterPaymentCheapestWorkerDominates(t *testing.T) {
 func TestMinOuterPaymentProbabilisticBounds(t *testing.T) {
 	h := MustHistory([]float64{2, 8})
 	rng := rand.New(rand.NewSource(11))
-	got, err := DefaultMonteCarlo.MinOuterPayment(10, []*History{h}, rng)
+	got, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{h}, rng, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestMinOuterPaymentProbabilisticBounds(t *testing.T) {
 // The estimator is deterministic for a fixed seed.
 func TestMinOuterPaymentDeterministicSeed(t *testing.T) {
 	h := MustHistory([]float64{1, 4, 6})
-	a, err := DefaultMonteCarlo.MinOuterPayment(10, []*History{h}, rand.New(rand.NewSource(99)))
+	a, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{h}, rand.New(rand.NewSource(99)), NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DefaultMonteCarlo.MinOuterPayment(10, []*History{h}, rand.New(rand.NewSource(99)))
+	b, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{h}, rand.New(rand.NewSource(99)), NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestMinOuterPaymentGOMAXPROCSInvariant(t *testing.T) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		rng := rand.New(rand.NewSource(123))
-		got, err := DefaultMonteCarlo.MinOuterPayment(10, []*History{h}, rng)
+		got, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{h}, rng, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func BenchmarkMinOuterPayment(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DefaultMonteCarlo.MinOuterPayment(15, group, rng); err != nil {
+		if _, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(15, group, rng, NewScratch()); err != nil {
 			b.Fatal(err)
 		}
 	}

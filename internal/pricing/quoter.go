@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 )
 
 // Stats are a TableQuoter's cumulative counters. Read them after the runs
@@ -141,12 +140,24 @@ func (q *TableQuoter) cachedGroupProb(payment float64, group []*History, s *Scra
 	return p
 }
 
-// MinOuterPayment is Algorithm 2 with one uniform draw per probe. The
-// paper's probe asks every worker for an independent Bernoulli(pr(v', w))
-// decision and uses only "did anyone accept"; that
-// event is Bernoulli(pr(v', W)), so drawing it directly gives every
-// instance's v_l exactly the distribution Algorithm 2 specifies while
-// consuming one draw from rng per probe instead of one per worker.
+// MinOuterPayment runs Algorithm 2: it estimates the minimum payment at
+// which request value `value` would be accepted by at least one of the
+// eligible outer workers, whose acceptance curves are given by `group`.
+//
+// Each of the n_s instances first probes the full price: if no worker
+// accepts even value itself, the instance contributes value+epsilon
+// (signalling "reject this request": the caller compares the estimate
+// against value, Algorithm 1 line 13). Otherwise a dichotomy over
+// [0, value] narrows the acceptance frontier of this instance to within
+// Xi*value, resampling the group's decision at every probe. The result
+// is the mean over instances, deterministic given rng's state.
+//
+// Every probe takes one uniform draw. The paper's probe asks every
+// worker for an independent Bernoulli(pr(v', w)) decision and uses only
+// "did anyone accept"; that event is Bernoulli(pr(v', W)), so drawing it
+// directly gives every instance's v_l exactly the distribution
+// Algorithm 2 specifies while consuming one draw from rng per probe
+// instead of one per worker.
 func (q *TableQuoter) MinOuterPayment(value float64, group []*History, rng *rand.Rand, s *Scratch) (float64, error) {
 	if err := q.MC.Validate(); err != nil {
 		return 0, err
@@ -207,11 +218,26 @@ func (q *TableQuoter) instanceMean(value float64, group []*History, rng *rand.Ra
 	return sum / float64(ns)
 }
 
-// MaxExpectedRevenue is the exact Definition 4.1 maximizer of the
-// package function of the same name, with the breakpoint and per-worker
-// probability buffers drawn from the scratch.
-// The sweep (breakpoint construction order, sort, incremental product
-// arithmetic) is identical, so quotes are bit-identical.
+// MaxExpectedRevenue computes the maximum expect revenue of Definition
+// 4.1 exactly: it maximizes E(v') = (value - v') * pr(v', W) over
+// v' in (0, value], where pr(v', W) = 1 - prod_w (1 - pr(v', w)) is the
+// probability at least one eligible worker accepts.
+//
+// pr(., W) is a right-continuous step function that only jumps at the
+// workers' history values, while (value - v') strictly decreases between
+// jumps — so the maximum is attained at a breakpoint (a history value)
+// or at no payment at all. Sweeping the breakpoint union <= value (plus
+// value itself) in ascending payment order with an incrementally
+// maintained decline product is therefore exact, in O(B log B) for B
+// history points; the breakpoint and per-worker probability buffers come
+// from the scratch.
+//
+// The paper obtains this quantity approximately (within 1/e) from the
+// matching-based dynamic pricing of Tong et al. [14]; computing it
+// exactly over the same empirical acceptance model strictly strengthens
+// RamCOM's incentive step while preserving its interface — RamCOM's
+// competitive ratio only improves. The 1/e-approximate behaviour is
+// available as ThresholdQuote for the ablation study.
 func (q *TableQuoter) MaxExpectedRevenue(value float64, group []*History, s *Scratch) (Quote, error) {
 	if value <= 0 || math.IsNaN(value) || math.IsInf(value, 0) {
 		return Quote{}, errBadValue(value)
@@ -310,8 +336,12 @@ func (q *TableQuoter) MaxExpectedRevenue(value float64, group []*History, s *Scr
 	return best, nil
 }
 
-// ThresholdQuote is the 1/e-style randomized threshold quote of the
-// package function of the same name.
+// ThresholdQuote is the 1/e-style randomized threshold pricing used as
+// an ablation: it offers a payment of value/e' where e' is drawn so the
+// expected revenue is within 1/e of the maximum in the worst case over
+// acceptance curves (the guarantee of the pricing scheme RamCOM cites).
+// Concretely it quotes the payment value * exp(-u) with u uniform in
+// (0, 1], mirroring the exponential-threshold trick of [14]'s analysis.
 func (q *TableQuoter) ThresholdQuote(value float64, group []*History, u float64, s *Scratch) (Quote, error) {
 	if value <= 0 || math.IsNaN(value) || math.IsInf(value, 0) {
 		return Quote{}, errBadValue(value)
@@ -328,8 +358,6 @@ func (q *TableQuoter) ThresholdQuote(value float64, group []*History, u float64,
 	return Quote{Payment: pay, AcceptProb: p, ExpectedRev: (value - pay) * p}, nil
 }
 
-// errBadValue and errBadThreshold match the error texts of the original
-// package-level entry points, which the quoter methods now back.
 func errBadValue(v float64) error {
 	return fmt.Errorf("pricing: request value %v must be positive and finite", v)
 }
@@ -337,8 +365,3 @@ func errBadValue(v float64) error {
 func errBadThreshold(u float64) error {
 	return fmt.Errorf("pricing: threshold draw u = %v outside (0,1]", u)
 }
-
-// scratchPool backs the legacy package-level entry points
-// (MonteCarlo.MinOuterPayment, MaxExpectedRevenue, ThresholdQuote), which
-// predate the explicit-Scratch API and so borrow one per call.
-var scratchPool = sync.Pool{New: func() interface{} { return NewScratch() }}

@@ -124,8 +124,10 @@ func TestQuoterScanTableParity(t *testing.T) {
 	}
 }
 
-// TestQuoterMatchesLegacyEntryPoints pins the shim contract: the
-// package-level functions and the quoter produce identical results.
+// TestQuoterMatchesLegacyEntryPoints pins that a quote depends on
+// neither the quoter's nor the scratch's history: a fresh quoter with a
+// fresh scratch per call (what the package-level entry points did until
+// they were deleted) and one quoter reusing one scratch agree bit for bit.
 func TestQuoterMatchesLegacyEntryPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	group := []*History{
@@ -136,19 +138,19 @@ func TestQuoterMatchesLegacyEntryPoints(t *testing.T) {
 	q := NewQuoter(DefaultMonteCarlo)
 	s := NewScratch()
 
-	lq, lerr := MaxExpectedRevenue(30, group)
+	lq, lerr := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(30, group, NewScratch())
 	nq, nerr := q.MaxExpectedRevenue(30, group, s)
 	if (lerr == nil) != (nerr == nil) || lq != nq {
 		t.Fatalf("MaxExpectedRevenue: legacy %+v (%v) vs quoter %+v (%v)", lq, lerr, nq, nerr)
 	}
 
-	lt, _ := ThresholdQuote(30, group, 0.37)
+	lt, _ := NewQuoter(DefaultMonteCarlo).ThresholdQuote(30, group, 0.37, NewScratch())
 	nt, _ := q.ThresholdQuote(30, group, 0.37, s)
 	if lt != nt {
 		t.Fatalf("ThresholdQuote: legacy %+v vs quoter %+v", lt, nt)
 	}
 
-	lm, _ := DefaultMonteCarlo.MinOuterPayment(30, group, rand.New(rand.NewSource(11)))
+	lm, _ := NewQuoter(DefaultMonteCarlo).MinOuterPayment(30, group, rand.New(rand.NewSource(11)), NewScratch())
 	nm, _ := q.MinOuterPayment(30, group, rand.New(rand.NewSource(11)), s)
 	if math.Float64bits(lm) != math.Float64bits(nm) {
 		t.Fatalf("MinOuterPayment: legacy %v vs quoter %v", lm, nm)

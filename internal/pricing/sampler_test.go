@@ -192,7 +192,7 @@ func TestZeroProbabilityNeverAccepts(t *testing.T) {
 	if unaffordable.Accepts(10, zero) {
 		t.Error("a worker with acceptance probability 0 accepted on a draw of exactly 0")
 	}
-	est, err := DefaultMonteCarlo.MinOuterPayment(10, []*History{unaffordable}, zero)
+	est, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{unaffordable}, zero, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestZeroProbabilityNeverAccepts(t *testing.T) {
 			t.Error("a worker with acceptance probability 1 declined")
 		}
 	}
-	if est, err = DefaultMonteCarlo.MinOuterPayment(10, []*History{certain}, top); err != nil || est > 10 {
+	if est, err = NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{certain}, top, NewScratch()); err != nil || est > 10 {
 		t.Errorf("estimate %v (err %v) with a certain acceptor on the largest draw, want <= value", est, err)
 	}
 }
