@@ -420,9 +420,14 @@ func BenchmarkBatchWindow(b *testing.B) {
 // TestAllocCeilings fails when a hot path's allocation count regresses.
 // Allocation counts repeat where ns/op on a shared machine does not, so
 // they can carry a threshold: each ceiling is 1.10x the count recorded
-// when the benchmark's path was last reworked on purpose (PR 6 for the
-// tables, PR 9 for BatchWindow, PR 10 for ShardedEngine). A change that
-// allocates less may lower a ceiling; one that allocates more must say why.
+// under -race — the larger of the two modes `go test` runs it in, by 10%
+// on the tables and 24% on ShardedEngine — when the benchmark's path was
+// last reworked on purpose: PR 20 for all four, when a worker arrival
+// went from four allocations to two (-race: 41873, 50222, 40090 and
+// 43243 allocs/op, from 54525, 66559, 44050 and 51440; without it 37771,
+// 45878, 37563 and 34928, from 50685, 62235, 41575 and 42943). A change
+// that allocates less may lower a ceiling; one that allocates more must
+// say why.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four benchmarks")
@@ -432,10 +437,10 @@ func TestAllocCeilings(t *testing.T) {
 		fn      func(*testing.B)
 		ceiling int64
 	}{
-		{"TableV", BenchmarkTableV, 58827},
-		{"TableVI", BenchmarkTableVI, 71878},
-		{"BatchWindow", BenchmarkBatchWindow, 52790},
-		{"ShardedEngine", BenchmarkShardedEngine, 54957},
+		{"TableV", BenchmarkTableV, 46060},
+		{"TableVI", BenchmarkTableVI, 55244},
+		{"BatchWindow", BenchmarkBatchWindow, 44099},
+		{"ShardedEngine", BenchmarkShardedEngine, 47567},
 	} {
 		if got := testing.Benchmark(c.fn).AllocsPerOp(); got > c.ceiling {
 			t.Errorf("Benchmark%s: %d allocs/op, ceiling %d", c.name, got, c.ceiling)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -21,19 +22,27 @@ import (
 // behind a pointer of their own. Equal keys are where a stable and an
 // unstable sort part ways, so with them in, the build must equal the
 // sort.SliceStable reference below element for element, by pointer.
+//
+// shape picks where the arrival times come from (see fuzzTime): the
+// radix passes of the build depend on the span of the times and on
+// nothing else, so each shape drives a different number of them.
 func FuzzStreamOrdering(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(7), uint8(0))
-	f.Add(int64(42), uint8(0), uint8(3), uint8(2))
-	f.Add(int64(-9), uint8(40), uint8(40), uint8(40))
-	f.Add(int64(7), uint8(1), uint8(0), uint8(255))
-	f.Fuzz(func(t *testing.T, seed int64, nWorkers, nRequests, dups uint8) {
+	f.Add(int64(1), uint8(5), uint8(7), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(0), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(-9), uint8(40), uint8(40), uint8(40), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(0), uint8(255), uint8(0))
+	f.Add(int64(3), uint8(60), uint8(90), uint8(9), uint8(1))
+	f.Add(int64(5), uint8(30), uint8(50), uint8(20), uint8(2))
+	f.Add(int64(11), uint8(80), uint8(80), uint8(30), uint8(3))
+	f.Add(int64(13), uint8(25), uint8(70), uint8(12), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, nWorkers, nRequests, dups, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var events []Event
 		id := int64(1)
 		for i := 0; i < int(nWorkers); i++ {
 			w := &Worker{
 				ID:       id,
-				Arrival:  Time(rng.Intn(20)),
+				Arrival:  fuzzTime(rng, shape),
 				Loc:      geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10},
 				Radius:   0.1 + rng.Float64(),
 				Platform: PlatformID(1 + rng.Intn(3)),
@@ -44,7 +53,7 @@ func FuzzStreamOrdering(f *testing.F) {
 		for i := 0; i < int(nRequests); i++ {
 			r := &Request{
 				ID:       id,
-				Arrival:  Time(rng.Intn(20)),
+				Arrival:  fuzzTime(rng, shape),
 				Loc:      geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10},
 				Value:    0.1 + rng.Float64()*5,
 				Platform: PlatformID(1 + rng.Intn(3)),
@@ -120,6 +129,31 @@ func FuzzStreamOrdering(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzTime draws one arrival time of the given shape: 0 narrow (twenty
+// ticks, one radix digit), 1 wide (2^40 ticks, four digits), 2 on both
+// sides of zero, 3 over all of int64 with both ends of it likely, 4
+// every time the same.
+func fuzzTime(rng *rand.Rand, shape uint8) Time {
+	switch shape % 5 {
+	case 0:
+		return Time(rng.Intn(20))
+	case 1:
+		return Time(rng.Int63n(1 << 40))
+	case 2:
+		return Time(rng.Int63n(1<<22) - 1<<21)
+	case 3:
+		switch rng.Intn(8) {
+		case 0:
+			return math.MinInt64
+		case 1:
+			return math.MaxInt64
+		}
+		return Time(rng.Uint64())
+	default:
+		return -7
+	}
 }
 
 // stableReference is the build NewStreamOwned replaced, kept as the

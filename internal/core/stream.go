@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -72,15 +74,18 @@ func (e Event) Validate() error {
 type Stream struct {
 	events []Event
 	// Filled once when the stream is built (see note).
-	platforms []PlatformID // ascending, distinct
-	maxValue  float64
+	platforms   []PlatformID // ascending, distinct
+	maxValue    float64
+	maxWorkerID int64
 }
 
-// note folds one event into the stream's platform set and largest
-// request value.
+// note folds one event into the stream's platform set, largest request
+// value and largest worker ID.
 func (s *Stream) note(e Event) {
 	if e.Kind == RequestArrival {
 		s.maxValue = max(s.maxValue, e.Request.Value)
+	} else {
+		s.maxWorkerID = max(s.maxWorkerID, e.Worker.ID)
 	}
 	p := eventPlatform(e)
 	if i, ok := slices.BinarySearch(s.platforms, p); !ok {
@@ -92,69 +97,146 @@ func (s *Stream) note(e Event) {
 // broken by kind (workers before requests, so a worker arriving at the
 // same tick as a request may serve it, mirroring the paper's "workers can
 // only serve requests arriving after them" with non-strict arrival) and
-// then by ID for determinism.
+// then by ID for determinism. The slice is copied; the stream's events
+// point at the caller's own workers and requests.
 func NewStream(events []Event) (*Stream, error) {
 	return NewStreamOwned(append([]Event(nil), events...))
 }
 
-// NewStreamOwned is NewStream taking ownership of the slice: events are
-// validated and sorted in place, with no defensive copy. For callers
-// that build the slice themselves and never touch it again — the
-// generators, chiefly — this halves the peak event memory of a
-// 10M-event scaling city.
+// NewStreamOwned is NewStream taking ownership of the slice, for
+// callers that build it themselves and never touch it again: there is
+// no defensive copy, and the stream keeps either the slice or the
+// sort's second array of the same size. The payloads stay the caller's
+// (see NewStreamPacked).
 //
 // The order is the stable sort by (time, kind, ID) for every input,
-// equal keys included, built without reflection: slices.SortFunc over a
-// 16-byte (time, kind, input index) key per event — the index as last
-// tiebreak makes the order total, so the unstable sort is the stable
-// one — then the events move into place along the permutation's cycles.
+// equal keys included, and it is the one sort of events in the
+// repository. Input already in that order — a stream read back from
+// CSV, a sub-stream of one — is recognised while it is validated and
+// kept as it stands. Anything else goes through sortEvents, whose cost
+// is linear in the events but for ties.
 func NewStreamOwned(events []Event) (*Stream, error) {
 	s := &Stream{events: events}
-	keys := make([]sortKey, len(events))
+	ordered := true
+	minT, maxT := Time(math.MaxInt64), Time(math.MinInt64)
 	for i := range events {
 		if err := events[i].Validate(); err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
 		s.note(events[i])
-		keys[i] = sortKey{events[i].Time, uint64(events[i].Kind)<<idxBits | uint64(i)}
+		minT, maxT = min(minT, events[i].Time), max(maxT, events[i].Time)
+		ordered = ordered && (i == 0 || compareEvents(events[i-1], events[i]) <= 0)
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		if a.time != b.time {
-			return cmp.Compare(a.time, b.time)
-		}
-		if (a.kindIdx^b.kindIdx)>>idxBits == 0 { // same kind: ID decides before the index
-			if c := cmp.Compare(eventID(events[a.idx()]), eventID(events[b.idx()])); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(a.kindIdx, b.kindIdx)
-	})
-	// keys[i].idx() is where position i's event sits now. Walk each cycle
-	// once, marking a filled position by pointing its key at itself.
-	for i := range keys {
-		if keys[i].idx() == i {
-			continue
-		}
-		first, j := events[i], i
-		for src := keys[i].idx(); src != i; j, src = src, keys[src].idx() {
-			events[j] = events[src]
-			keys[j].kindIdx = uint64(j)
-		}
-		events[j], keys[j].kindIdx = first, uint64(j)
+	if !ordered {
+		s.events = sortEvents(events, minT, maxT)
 	}
 	return s, nil
 }
 
-// sortKey stands in for an event while sorting: its time, and its kind
-// packed above its input index so one compare orders both.
-type sortKey struct {
-	time    Time
-	kindIdx uint64
+// NewStreamPacked is NewStreamOwned for a builder that owns the
+// payloads as well — it allocated every Worker and Request itself and
+// keeps no pointer to them. Once the events are in order the payloads
+// are copied into two slabs, workers and requests, each in arrival
+// order, and the events repointed, so a consumer walking Events() reads
+// payload memory front to back instead of taking a cache miss per
+// event. History slices are shared, not copied: a physical worker's
+// appearances keep one history. What the builder allocated is garbage
+// on return.
+func NewStreamPacked(events []Event) (*Stream, error) {
+	s, err := NewStreamOwned(events)
+	if err != nil {
+		return nil, err
+	}
+	events = s.events
+	nWorkers := 0
+	for i := range events {
+		if events[i].Kind == WorkerArrival {
+			nWorkers++
+		}
+	}
+	workers := make([]Worker, nWorkers)
+	requests := make([]Request, len(events)-nWorkers)
+	for i := range events {
+		if e := &events[i]; e.Kind == WorkerArrival {
+			workers[0] = *e.Worker
+			e.Worker, workers = &workers[0], workers[1:]
+		} else {
+			requests[0] = *e.Request
+			e.Request, requests = &requests[0], requests[1:]
+		}
+	}
+	return s, nil
 }
 
-const idxBits = 56
+// compareEvents orders events by (time, kind, ID).
+func compareEvents(a, b Event) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	return cmp.Compare(eventID(a), eventID(b))
+}
 
-func (k sortKey) idx() int { return int(k.kindIdx & (1<<idxBits - 1)) }
+// radixBits is the digit width of sortEvents: two passes cover the
+// 1.6M-tick span of a 400k-event city, and 2048 counters a pass stay in
+// the first-level cache.
+const radixBits = 11
+
+// sortEvents returns the events in the stable (time, kind, ID) order:
+// in their own array or in a second one of the same size, whichever the
+// last pass wrote — the other is garbage. minT and maxT are the least
+// and greatest event time.
+//
+// It is an LSD radix sort of the events themselves on the bits of
+// time − minT that vary, which leaves equal times in input order, and
+// then a stable comparison sort inside each run of equal times: all of
+// the input when every time is equal, two or three events at a time
+// when, as in a generated stream, the ticks outnumber the events.
+func sortEvents(events []Event, minT, maxT Time) []Event {
+	// Times sort as unsigned offsets from minT: the subtraction wraps,
+	// so a span of the whole int64 range still comes out right.
+	const mask = 1<<radixBits - 1
+	base := uint64(minT)
+	passes := (bits.Len64(uint64(maxT)-base) + radixBits - 1) / radixBits
+	counts := make([]int, passes<<radixBits)
+	for i := range events {
+		d := uint64(events[i].Time) - base
+		for c := counts; len(c) > 0; c, d = c[1<<radixBits:], d>>radixBits {
+			c[d&mask]++
+		}
+	}
+	var spare []Event
+	if passes > 0 {
+		spare = make([]Event, len(events))
+	}
+	for p := 0; p < passes; p++ {
+		c := counts[p<<radixBits : (p+1)<<radixBits]
+		at := 0
+		for d, m := range c {
+			c[d], at = at, at+m
+		}
+		shift := p * radixBits
+		for i := range events {
+			d := (uint64(events[i].Time) - base) >> shift & mask
+			spare[c[d]] = events[i]
+			c[d]++
+		}
+		events, spare = spare, events
+	}
+	for lo := 0; lo < len(events); {
+		hi := lo + 1
+		for hi < len(events) && events[hi].Time == events[lo].Time {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortStableFunc(events[lo:hi], compareEvents)
+		}
+		lo = hi
+	}
+	return events
+}
 
 func eventID(e Event) int64 {
 	if e.Kind == WorkerArrival {
@@ -203,6 +285,11 @@ func (s *Stream) Requests() []*Request {
 // stream without requests. RamCOM's threshold theta (Algorithm 3) is
 // derived from it; the paper assumes max(v_r) is known a priori.
 func (s *Stream) MaxValue() float64 { return s.maxValue }
+
+// MaxWorkerID returns the largest worker ID in the stream, or 0 when no
+// worker's ID is positive. Stream runs mint recycled workers' IDs above
+// it.
+func (s *Stream) MaxWorkerID() int64 { return s.maxWorkerID }
 
 // FilterPlatform returns the sub-stream of events belonging to the given
 // platform.

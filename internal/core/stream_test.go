@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // exampleStream loads the shared Example 1 fixture; see ExampleOneStream.
@@ -31,6 +33,12 @@ func TestExampleOneStreamShape(t *testing.T) {
 	}
 	if got := s.MaxValue(); got != 9 {
 		t.Errorf("MaxValue = %v, want 9", got)
+	}
+	if got := s.MaxWorkerID(); got != 5 {
+		t.Errorf("MaxWorkerID = %d, want 5", got)
+	}
+	if got := s.FilterPlatform(1).MaxWorkerID(); got != 4 {
+		t.Errorf("platform 1's MaxWorkerID = %d, want 4 (w1, w2, w4)", got)
 	}
 	if ws := s.Workers(); len(ws) != 5 {
 		t.Errorf("Workers = %d, want 5", len(ws))
@@ -175,11 +183,89 @@ func TestWorkerAndRequestEvents(t *testing.T) {
 	}
 }
 
+// TestNewStreamPackedLaysPayloadsInArrivalOrder: the packed build is the
+// owned build event for event, behind payloads of its own that ascend
+// in memory along the stream, one slab per kind; the builder's payloads
+// are read and left alone, and a history is shared, not copied.
+func TestNewStreamPackedLaysPayloadsInArrivalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var events []Event
+	for i := 0; i < 400; i++ {
+		at := Time(rng.Intn(300)) // ties included
+		if i%5 == 0 {
+			w := wrk(int64(i+1), at, rng.Float64(), rng.Float64(), 1, PlatformID(1+i%3))
+			w.History = []float64{1 + rng.Float64(), 2}
+			events = append(events, Event{Time: at, Kind: WorkerArrival, Worker: w})
+		} else {
+			events = append(events, Event{Time: at, Kind: RequestArrival,
+				Request: req(int64(i+1), at, rng.Float64(), rng.Float64(), 1+rng.Float64(), PlatformID(1+i%3))})
+		}
+	}
+	ref, err := NewStream(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := NewStreamPacked(append([]Event(nil), events...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if packed.Len() != ref.Len() || packed.MaxValue() != ref.MaxValue() || packed.MaxWorkerID() != ref.MaxWorkerID() ||
+		!slices.Equal(packed.Platforms(), ref.Platforms()) {
+		t.Fatalf("packed stream's summary differs from the owned build's")
+	}
+	var lastW, lastR uintptr
+	for i, e := range packed.Events() {
+		want := ref.Events()[i]
+		if e.Time != want.Time || e.Kind != want.Kind {
+			t.Fatalf("event %d is (%d, %v), the owned build has (%d, %v)", i, e.Time, e.Kind, want.Time, want.Kind)
+		}
+		if e.Kind == WorkerArrival {
+			g, w := e.Worker, want.Worker
+			if g == w {
+				t.Fatalf("event %d still points at the builder's worker", i)
+			}
+			if g.ID != w.ID || g.Arrival != w.Arrival || g.Loc != w.Loc || g.Radius != w.Radius || g.Platform != w.Platform ||
+				len(g.History) != len(w.History) || &g.History[0] != &w.History[0] {
+				t.Fatalf("event %d: worker %+v, the owned build has %+v", i, *g, *w)
+			}
+			if at := uintptr(unsafe.Pointer(g)); at <= lastW {
+				t.Fatalf("event %d: worker payload at %#x does not follow %#x", i, at, lastW)
+			} else {
+				lastW = at
+			}
+			continue
+		}
+		if e.Request == want.Request || *e.Request != *want.Request {
+			t.Fatalf("event %d: request %+v at %p, the owned build has %+v at %p", i, *e.Request, e.Request, *want.Request, want.Request)
+		}
+		if at := uintptr(unsafe.Pointer(e.Request)); at <= lastR {
+			t.Fatalf("event %d: request payload at %#x does not follow %#x", i, at, lastR)
+		} else {
+			lastR = at
+		}
+	}
+}
+
 // BenchmarkNewStream400k is the stream build at the ledger's city400k
 // shape: 40k worker and 360k request arrivals in generator order, ticks
 // uniform over 4 × events. The copy inside the loop is the same 12.8 MB
 // on every side of a comparison.
 func BenchmarkNewStream400k(b *testing.B) {
+	benchNewStreamOwned(b, city400kEvents())
+}
+
+// BenchmarkNewStream400kSorted is the same build over input already in
+// stream order, which is what route.SplitStream and workload.ReadCSV
+// hand NewStreamOwned: validation and the order check, no sort.
+func BenchmarkNewStream400kSorted(b *testing.B) {
+	s, err := NewStreamOwned(city400kEvents())
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchNewStreamOwned(b, s.Events())
+}
+
+func city400kEvents() []Event {
 	const nWorkers, nRequests = 40_000, 360_000
 	rng := rand.New(rand.NewSource(1))
 	horizon := int64(4 * (nWorkers + nRequests))
@@ -192,6 +278,10 @@ func BenchmarkNewStream400k(b *testing.B) {
 		r := &Request{ID: int64(i + 1), Arrival: Time(rng.Int63n(horizon)), Value: 1 + rng.Float64(), Platform: PlatformID(1 + i%2)}
 		events = append(events, Event{Time: r.Arrival, Kind: RequestArrival, Request: r})
 	}
+	return events
+}
+
+func benchNewStreamOwned(b *testing.B, events []Event) {
 	scratch := make([]Event, len(events))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -510,7 +510,7 @@ func (ss *streamSource) Next(context.Context) (core.Event, error) {
 // StreamSource returns an EventSource replaying the stream's events in
 // arrival order; RunSource over it is Run on the same stream.
 func StreamSource(s *core.Stream) EventSource {
-	return &streamSource{events: s.Events(), base: maxWorkerID(s)}
+	return &streamSource{events: s.Events(), base: s.MaxWorkerID()}
 }
 
 // RunSource executes an event source against one matcher per platform —

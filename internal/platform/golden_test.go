@@ -8,6 +8,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -119,7 +120,7 @@ var goldenDrivers = []struct {
 		if err != nil {
 			return nil, err
 		}
-		if err := eng.SetRecycleBase(maxWorkerID(stream)); err != nil {
+		if err := eng.SetRecycleBase(stream.MaxWorkerID()); err != nil {
 			return nil, err
 		}
 		for _, ev := range stream.Events() {
@@ -162,6 +163,46 @@ func TestGoldenRuns(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRunIgnoresPayloadLayout runs every golden configuration over the
+// generator's stream, whose payloads are packed in arrival order, and
+// over core.NewStream of the same entities cloned one allocation each
+// in an unrelated order: where a payload lives must not reach a
+// decision.
+func TestRunIgnoresPayloadLayout(t *testing.T) {
+	packed := feedTestStream(t, 400, 120, 7)
+	var events []core.Event
+	for _, i := range rand.New(rand.NewSource(1)).Perm(packed.Len()) {
+		e := packed.Events()[i]
+		if e.Kind == core.WorkerArrival {
+			w := *e.Worker
+			w.History = slices.Clone(w.History)
+			e.Worker = &w
+		} else {
+			r := *e.Request
+			e.Request = &r
+		}
+		events = append(events, e)
+	}
+	loose, err := core.NewStream(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range goldenRows {
+		t.Run(fmt.Sprintf("%s/ticks%d/shards%d", row.alg, row.ticks, row.shards), func(t *testing.T) {
+			factory, cfg := goldenConfig(t, packed, row)
+			want, err := Run(packed, factory, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(loose, factory, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, want, got)
+		})
 	}
 }
 

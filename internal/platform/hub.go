@@ -69,10 +69,10 @@ type Hub struct {
 }
 
 // workerRec is everything the hub keeps for one waiting worker: one
-// map entry and one allocation per arrival.
+// map entry and, the history's values aside, one allocation per arrival.
 type workerRec struct {
 	owner   core.PlatformID
-	hist    *pricing.History
+	hist    pricing.History
 	claimed atomic.Bool // the claim word racing platforms CAS
 }
 
@@ -151,7 +151,7 @@ func (h *Hub) WorkerArrived(w *core.Worker) error {
 	if _, ok := h.pools[w.Platform]; !ok {
 		return fmt.Errorf("platform: worker %d arrived for unregistered platform %d", w.ID, w.Platform)
 	}
-	hist, err := pricing.NewHistory(w.History)
+	hist, err := pricing.MakeHistory(w.History)
 	if err != nil {
 		return fmt.Errorf("platform: worker %d: %w", w.ID, err)
 	}
@@ -189,7 +189,7 @@ func (h *Hub) HistoryOf(workerID int64) (*pricing.History, bool) {
 	if rec == nil {
 		return nil, false
 	}
-	return rec.hist, true
+	return &rec.hist, true
 }
 
 // ViewFor returns the CoopView platform id uses to see the other
@@ -251,7 +251,7 @@ func (v *hubView) EligibleOuter(r *core.Request) []online.Candidate {
 			// worker is already out of every waiting list.
 			continue
 		}
-		v.cands = append(v.cands, online.Candidate{Worker: w, History: rec.hist})
+		v.cands = append(v.cands, online.Candidate{Worker: w, History: &rec.hist})
 	}
 	h.mu.Unlock()
 	return v.cands

@@ -17,7 +17,7 @@ func runForState(t *testing.T, stream *core.Stream, factory MatcherFactory, cfg 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetRecycleBase(maxWorkerID(stream)); err != nil {
+	if err := eng.SetRecycleBase(stream.MaxWorkerID()); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.run(context.Background(), StreamSource(stream))
@@ -69,8 +69,9 @@ func TestHubRecordsMatchPoolsOnLongRecycledRun(t *testing.T) {
 			waiting++
 			if rec := s.hub.workers[w.ID]; rec == nil {
 				t.Errorf("worker %d waits in platform %d's pool without a hub record", w.ID, pid)
-			} else if rec.owner != pid || rec.hist == nil {
-				t.Errorf("worker %d in platform %d's pool: record has owner %d, history %v", w.ID, pid, rec.owner, rec.hist)
+			} else if rec.owner != pid || rec.hist.Len() != len(w.History) {
+				t.Errorf("worker %d in platform %d's pool: record has owner %d and %d history values, worker has %d",
+					w.ID, pid, rec.owner, rec.hist.Len(), len(w.History))
 			}
 			return true
 		})

@@ -290,7 +290,7 @@ func (v *shardCoopView) appendRemote(t int, r *core.Request) {
 			continue
 		}
 		v.remote[w.ID] = t
-		v.cands = append(v.cands, online.Candidate{Worker: w, History: rec.hist})
+		v.cands = append(v.cands, online.Candidate{Worker: w, History: &rec.hist})
 	}
 	th.mu.Unlock()
 }

@@ -491,16 +491,6 @@ func (s *runState) foldPricing() {
 	}
 }
 
-func maxWorkerID(stream *core.Stream) int64 {
-	var maxID int64
-	for _, w := range stream.Workers() {
-		if w.ID > maxID {
-			maxID = w.ID
-		}
-	}
-	return maxID
-}
-
 type recycleHeap []*core.Worker
 
 func (h recycleHeap) Len() int           { return len(h) }

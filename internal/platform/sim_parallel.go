@@ -27,7 +27,7 @@ func runParallel(ctx context.Context, stream *core.Stream, factory MatcherFactor
 	if err != nil {
 		return nil, err
 	}
-	s.nextID.Store(maxWorkerID(stream))
+	s.nextID.Store(stream.MaxWorkerID())
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

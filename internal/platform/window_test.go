@@ -225,7 +225,7 @@ func FuzzWindowFlushOrdering(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
-		if err := eng.SetRecycleBase(maxWorkerID(stream)); err != nil {
+		if err := eng.SetRecycleBase(stream.MaxWorkerID()); err != nil {
 			t.Fatalf("SetRecycleBase: %v", err)
 		}
 		for _, ev := range evs {

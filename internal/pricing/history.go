@@ -34,8 +34,7 @@ type History struct {
 	// <= uniq[i]) / N computed with the same float64 division AcceptProb
 	// performs — so a table lookup is bit-identical to the exact scan.
 	// Built eagerly (never lazily: histories are read concurrently under
-	// the parallel runtime) by rebuildTable; uniq and cdf share one
-	// backing allocation.
+	// the parallel runtime) by setTable.
 	uniq []float64
 	cdf  []float64
 }
@@ -43,46 +42,79 @@ type History struct {
 // NewHistory builds a history from completed request values. The input
 // slice is copied and sorted; non-positive and non-finite values are
 // rejected.
+//
+// A non-empty history costs one heap allocation, MakeHistory's; the
+// History itself is the caller's, on its stack when the pointer does
+// not escape.
 func NewHistory(values []float64) (*History, error) {
-	vs := append([]float64(nil), values...)
-	for i, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-			return nil, fmt.Errorf("pricing: history value %d = %v must be positive and finite", i, v)
-		}
+	h, err := MakeHistory(values)
+	if err != nil {
+		return nil, err
 	}
-	sort.Float64s(vs)
-	h := &History{values: vs}
-	h.rebuildTable()
+	return &h, nil
+}
+
+// insertionMax is the longest history MakeHistory puts in order while
+// copying it. The generator's histories hold 20 to 60 values in no
+// order, a different one at every worker arrival, and sorting one by
+// insertion costs a third less than sort.Float64s after the copy
+// (BenchmarkNewHistory); past this length the quadratic cost is not
+// worth risking on input from outside.
+const insertionMax = 64
+
+// MakeHistory is NewHistory by value, for a holder that keeps the
+// History inside a record of its own (the hub's per-worker record).
+//
+// The values, the distinct values and the CDF share one backing
+// allocation of 3·len(values) floats. Each is a sub-slice with no spare
+// capacity, so Record's append moves the values elsewhere instead of
+// growing into the table. Values are validated as they are copied; up
+// to insertionMax of them are inserted in order on the way, which for
+// ascending input moves nothing, and a longer input is sorted afterwards
+// unless the copy found it ascending.
+func MakeHistory(values []float64) (History, error) {
+	n := len(values)
+	if n == 0 {
+		return History{}, nil
+	}
+	backing := make([]float64, 3*n)
+	h := History{values: backing[:n:n]}
+	short, ascending := n <= insertionMax, true
+	for i, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+			return History{}, fmt.Errorf("pricing: history value %d = %v must be positive and finite", i, v)
+		}
+		ascending = ascending && (i == 0 || values[i-1] <= v)
+		j := i
+		for ; short && j > 0 && h.values[j-1] > v; j-- {
+			h.values[j] = h.values[j-1]
+		}
+		h.values[j] = v
+	}
+	if !short && !ascending {
+		sort.Float64s(h.values)
+	}
+	h.setTable(backing[n:])
 	return h, nil
 }
 
-// rebuildTable recomputes the uniq/cdf acceptance table from the sorted
-// values. O(n), one allocation shared by both slices.
-func (h *History) rebuildTable() {
+// setTable computes the uniq/cdf acceptance table from the sorted,
+// non-empty values into room, which holds 2·len(values) floats: one
+// half for each, so the number of distinct values need not be known
+// first. O(n).
+func (h *History) setTable(room []float64) {
 	n := len(h.values)
-	if n == 0 {
-		h.uniq, h.cdf = nil, nil
-		return
-	}
-	d := 1
-	for i := 1; i < n; i++ {
-		if h.values[i] != h.values[i-1] {
-			d++
-		}
-	}
-	backing := make([]float64, 2*d)
-	uniq, cdf := backing[:d], backing[d:]
-	j := 0
+	d := 0
 	fn := float64(n)
-	for i := 0; i < n; i++ {
-		if i+1 < n && h.values[i+1] == h.values[i] {
+	for i, v := range h.values {
+		if i+1 < n && h.values[i+1] == v {
 			continue // probability at a value is set by its last copy
 		}
-		uniq[j] = h.values[i]
-		cdf[j] = float64(i+1) / fn
-		j++
+		room[d] = v
+		room[n+d] = float64(i+1) / fn
+		d++
 	}
-	h.uniq, h.cdf = uniq, cdf
+	h.uniq, h.cdf = room[:d:d], room[n:n+d:n+d]
 }
 
 // MustHistory is NewHistory for static test fixtures; it panics on error.
@@ -190,7 +222,7 @@ func (h *History) Record(value float64) error {
 	h.values = append(h.values, 0)
 	copy(h.values[i+1:], h.values[i:])
 	h.values[i] = value
-	h.rebuildTable()
+	h.setTable(make([]float64, 2*len(h.values)))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package pricing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -207,5 +208,208 @@ func TestGroupAcceptProbDominance(t *testing.T) {
 		if bigger < gp-1e-12 {
 			t.Fatalf("extending group decreased probability")
 		}
+	}
+}
+
+// oracleHistory is the construction MakeHistory replaced, kept as the
+// reference: copy, sort.Float64s, then a counted table of exactly the
+// distinct values.
+func oracleHistory(values []float64) (vs, uniq, cdf []float64) {
+	vs = append([]float64(nil), values...)
+	sort.Float64s(vs)
+	n := len(vs)
+	for i := 0; i < n; i++ {
+		if i+1 < n && vs[i+1] == vs[i] {
+			continue
+		}
+		uniq = append(uniq, vs[i])
+		cdf = append(cdf, float64(i+1)/float64(n))
+	}
+	return vs, uniq, cdf
+}
+
+// historyShapes are inputs of length n that take MakeHistory down each
+// of its ways: no sort, a full sort, one distinct value, few distinct
+// values.
+var historyShapes = map[string]func(n int, rng *rand.Rand) []float64{
+	"ascending": func(n int, _ *rand.Rand) []float64 {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = 1 + float64(i)/3
+		}
+		return vs
+	},
+	"descending": func(n int, _ *rand.Rand) []float64 {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = float64(n-i) / 7
+		}
+		return vs
+	},
+	"all-equal": func(n int, _ *rand.Rand) []float64 {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = 2.5
+		}
+		return vs
+	},
+	"duplicate-heavy": func(n int, rng *rand.Rand) []float64 {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = float64(1 + rng.Intn(5))
+		}
+		return vs
+	},
+}
+
+func TestMakeHistoryMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for name, shape := range historyShapes {
+		for _, n := range []int{0, 1, 64, 65, 1000} {
+			in := shape(n, rng)
+			h, err := NewHistory(in)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, n, err)
+			}
+			vs, uniq, cdf := oracleHistory(in)
+			if !slices.Equal(h.Values(), vs) || !slices.Equal(h.uniq, uniq) || !slices.Equal(h.cdf, cdf) {
+				t.Fatalf("%s/%d: values, uniq, cdf = %v, %v, %v; the oracle has %v, %v, %v",
+					name, n, h.Values(), h.uniq, h.cdf, vs, uniq, cdf)
+			}
+			if cap(h.values) != len(h.values) || cap(h.uniq) != len(h.uniq) || cap(h.cdf) != len(h.cdf) {
+				t.Fatalf("%s/%d: spare capacity (values %d/%d, uniq %d/%d, cdf %d/%d): an append would reach the next part of the backing",
+					name, n, len(h.values), cap(h.values), len(h.uniq), cap(h.uniq), len(h.cdf), cap(h.cdf))
+			}
+			wantMin, wantMax := 0.0, 0.0
+			if n > 0 {
+				wantMin, wantMax = vs[0], vs[n-1]
+			}
+			if h.Min() != wantMin || h.Max() != wantMax {
+				t.Fatalf("%s/%d: Min, Max = %v, %v, want %v, %v", name, n, h.Min(), h.Max(), wantMin, wantMax)
+			}
+			for _, v := range append(uniq, 0, -1, 1e9) {
+				for _, p := range []float64{v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1))} {
+					want := 0.0 // N(v <= p) / N by the definition's own scan
+					if p > 0 {
+						want = 1
+						if n > 0 {
+							k := 0
+							for _, x := range vs {
+								if x <= p {
+									k++
+								}
+							}
+							want = float64(k) / float64(n)
+						}
+					}
+					if got, tab := h.AcceptProb(p), h.AcceptProbTable(p); got != want || tab != want {
+						t.Fatalf("%s/%d: AcceptProb(%v) = %v, table %v, want %v", name, n, p, got, tab, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewHistoryOneAllocation: a non-empty history is one allocation,
+// the backing the values and the table share, whether it is built by
+// value or through NewHistory with the pointer kept local; an empty one
+// is none.
+func TestNewHistoryOneAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	total := 0
+	for _, n := range []int{0, 1, 40, 1000} {
+		for name, shape := range historyShapes {
+			in := shape(n, rng)
+			want := 1.0
+			if n == 0 {
+				want = 0
+			}
+			if got := testing.AllocsPerRun(50, func() {
+				h, err := MakeHistory(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += h.Len()
+			}); got != want {
+				t.Errorf("MakeHistory(%s/%d): %v allocations, want %v", name, n, got, want)
+			}
+			if got := testing.AllocsPerRun(50, func() {
+				h, err := NewHistory(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += h.Len()
+			}); got != want {
+				t.Errorf("NewHistory(%s/%d): %v allocations, want %v", name, n, got, want)
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no history was built")
+	}
+}
+
+// TestRecordMovesOffTheSharedBacking: Record on a freshly built history
+// must grow away from the one backing allocation, not into the table
+// that follows the values in it, and a second history built from the
+// same input must not notice.
+func TestRecordMovesOffTheSharedBacking(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for name, shape := range historyShapes {
+		in := shape(64, rng)
+		h, other := MustHistory(in), MustHistory(in)
+		before := *h // the slices as built, still over the first backing
+		vs, uniq, cdf := oracleHistory(in)
+		if err := h.Record(1.75); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []*History{&before, other} {
+			if !slices.Equal(b.values, vs) || !slices.Equal(b.uniq, uniq) || !slices.Equal(b.cdf, cdf) {
+				t.Fatalf("%s: Record wrote into a backing it had left: values, uniq, cdf = %v, %v, %v", name, b.values, b.uniq, b.cdf)
+			}
+		}
+		vs, uniq, cdf = oracleHistory(append(in, 1.75))
+		if !slices.Equal(h.values, vs) || !slices.Equal(h.uniq, uniq) || !slices.Equal(h.cdf, cdf) {
+			t.Fatalf("%s: after Record values, uniq, cdf = %v, %v, %v; the oracle has %v, %v, %v", name, h.values, h.uniq, h.cdf, vs, uniq, cdf)
+		}
+	}
+}
+
+// BenchmarkNewHistory is the hub's cost per worker arrival at the
+// generator's mean history length: unsorted as Generate draws it, and
+// ascending, which skips the sort. It cycles through 1024 inputs, as a
+// run meets a new history at every arrival: over one input repeated the
+// branch predictor learns the sort.
+func BenchmarkNewHistory(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	unsorted := make([][]float64, 1024)
+	ascending := make([][]float64, len(unsorted))
+	for i := range unsorted {
+		unsorted[i] = make([]float64, 40)
+		for j := range unsorted[i] {
+			unsorted[i][j] = 1 + rng.Float64()
+		}
+		ascending[i] = slices.Clone(unsorted[i])
+		sort.Float64s(ascending[i])
+	}
+	for _, c := range []struct {
+		name string
+		in   [][]float64
+	}{{"unsorted", unsorted}, {"ascending", ascending}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				h, err := MakeHistory(c.in[i%len(c.in)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				n += h.Len()
+			}
+			if n != 40*b.N {
+				b.Fatal("bad length")
+			}
+		})
 	}
 }

@@ -98,7 +98,7 @@ func SplitStream(s *core.Stream, shardNames []string, cellSize float64) (map[str
 	}
 	out := make(map[string]*core.Stream, len(shardNames))
 	for _, name := range shardNames {
-		sub, err := core.NewStream(parts[name])
+		sub, err := core.NewStreamOwned(parts[name])
 		if err != nil {
 			return nil, fmt.Errorf("route: shard %s sub-stream: %w", name, err)
 		}

@@ -375,24 +375,20 @@ func New(opts Options) (*Server, error) {
 		s.replayEvs = evs
 		s.replayIdx = make(map[eventKey]int, len(evs))
 		s.delivered = make([]atomic.Bool, len(evs))
-		var maxWorker int64
 		for i, ev := range evs {
 			switch ev.Kind {
 			case core.WorkerArrival:
 				s.replayIdx[eventKey{ev.Kind, ev.Worker.ID}] = i
-				if ev.Worker.ID > maxWorker {
-					maxWorker = ev.Worker.ID
-				}
 			case core.RequestArrival:
 				s.replayIdx[eventKey{ev.Kind, ev.Request.ID}] = i
 			}
 		}
 		// Recycled-worker IDs must continue the recorded stream's ID
 		// space for bit-parity with the offline run.
-		if err := eng.SetRecycleBase(maxWorker); err != nil {
+		s.recycleBase = opts.Replay.MaxWorkerID()
+		if err := eng.SetRecycleBase(s.recycleBase); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		s.recycleBase = maxWorker
 	}
 
 	if opts.WALDir != "" && !opts.RecoverInBackground {

@@ -173,7 +173,7 @@ func ReorderUniform(s *core.Stream, seed int64) (*core.Stream, error) {
 		cl.Arrival = core.Time(rng.Int63n(horizon))
 		events = append(events, core.Event{Time: cl.Arrival, Kind: core.RequestArrival, Request: &cl})
 	}
-	return core.NewStreamOwned(events)
+	return core.NewStreamPacked(events)
 }
 
 // Generate builds the arrival stream. Deterministic given seed: entity
@@ -281,5 +281,5 @@ func Generate(cfg Config, seed int64) (*core.Stream, error) {
 			events = append(events, core.Event{Time: r.Arrival, Kind: core.RequestArrival, Request: r})
 		}
 	}
-	return core.NewStreamOwned(events)
+	return core.NewStreamPacked(events)
 }

@@ -120,5 +120,5 @@ func ReadCSV(r io.Reader) (*core.Stream, error) {
 			return nil, fmt.Errorf("workload: CSV line %d: unknown kind %q", line, rec[0])
 		}
 	}
-	return core.NewStream(events)
+	return core.NewStreamPacked(events)
 }

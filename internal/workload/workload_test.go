@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
@@ -364,6 +365,47 @@ func TestCSVRoundTrip(t *testing.T) {
 			if a.Request.ID != b.Request.ID || a.Request.Value != b.Request.Value || a.Request.Loc != b.Request.Loc {
 				t.Fatalf("request %d differs after round trip", a.Request.ID)
 			}
+		}
+	}
+}
+
+// TestBuiltStreamsArePackedInArrivalOrder: every builder in this package
+// owns the payloads it hands core, so each of their streams has them in
+// two slabs in arrival order — walking Events() sees worker addresses
+// and request addresses strictly ascend.
+func TestBuiltStreamsArePackedInArrivalOrder(t *testing.T) {
+	cfg, err := Synthetic(400, 150, 1.0, "real")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Platforms[0].Appearances = 3
+	generated, err := Generate(cfg, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := ReorderUniform(generated, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, reordered); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*core.Stream{"Generate": generated, "ReorderUniform": reordered, "ReadCSV": read} {
+		var lastW, lastR uintptr
+		for i, e := range s.Events() {
+			at, last := uintptr(unsafe.Pointer(e.Worker)), &lastW
+			if e.Kind == core.RequestArrival {
+				at, last = uintptr(unsafe.Pointer(e.Request)), &lastR
+			}
+			if at <= *last {
+				t.Fatalf("%s: event %d (%v) has its payload at %#x, not after %#x", name, i, e.Kind, at, *last)
+			}
+			*last = at
 		}
 	}
 }
