@@ -52,8 +52,8 @@ var (
 	// offending option and value.
 	ErrBadOption = errors.New("bad option")
 	// ErrShardUnsupported reports a feature combination the sharded
-	// runtime (WithShards > 1) refuses: service ticks, platform-parallel
-	// mode, tracing, or a windowed matcher.
+	// runtime (WithShards > 1) refuses: service ticks, tracing, or a
+	// windowed matcher.
 	ErrShardUnsupported = platform.ErrShardUnsupported
 	// ErrShardReach reports a worker radius exceeding the sharded
 	// runtime's reach bound (WithShardReach or the stream-derived max).
@@ -191,21 +191,20 @@ func GenerateCity(preset string, scale float64, seed int64) (*Stream, error) {
 type Option func(*simConfig)
 
 type simConfig struct {
-	seed             int64
-	disableCoop      bool
-	serviceTicks     Time
-	platformParallel bool
-	metrics          *Metrics
-	profileLabel     string
-	faults           *FaultPlan
-	probeDeadline    time.Duration
-	tracer           *Tracer
-	traceSample      float64
-	batchWindow      Time
-	batchDeadline    Time
-	shards           int
-	shardReach       float64
-	shardStall       time.Duration
+	seed          int64
+	disableCoop   bool
+	serviceTicks  Time
+	metrics       *Metrics
+	profileLabel  string
+	faults        *FaultPlan
+	probeDeadline time.Duration
+	tracer        *Tracer
+	traceSample   float64
+	batchWindow   Time
+	batchDeadline Time
+	shards        int
+	shardReach    float64
+	shardStall    time.Duration
 }
 
 // algConfig lowers the option set into the per-algorithm factory knobs;
@@ -246,7 +245,6 @@ func platformConfig(opts []Option) (platform.Config, error) {
 		Seed:              c.seed,
 		DisableCoop:       c.disableCoop,
 		ServiceTicks:      c.serviceTicks,
-		PlatformParallel:  c.platformParallel,
 		Metrics:           c.metrics,
 		ProfileLabel:      c.profileLabel,
 		Faults:            c.faults,
@@ -277,16 +275,6 @@ func WithCoopDisabled() Option {
 // generators produce).
 func WithServiceTicks(ticks Time) Option {
 	return func(c *simConfig) { c.serviceTicks = ticks }
-}
-
-// WithPlatformParallel runs every platform's event stream on its own
-// goroutine, cooperating through the race-safe hub — the paper's
-// deployment model of independent platform services. Matchings stay
-// valid and revenue accounting exact, but results are no longer
-// bit-reproducible for a fixed seed: cross-platform claim races resolve
-// by scheduling. Leave unset for the deterministic sequential runtime.
-func WithPlatformParallel() Option {
-	return func(c *simConfig) { c.platformParallel = true }
 }
 
 // WithMetrics attaches a collector that tallies matches, rejections,
@@ -325,8 +313,8 @@ func WithProbeDeadline(d time.Duration) Option {
 // timings (inner lookup, eligibility, pricing, probes, claim), outcome
 // tag, payment, and any faults injected while the decision was in
 // flight — into the tracer's bounded per-platform rings. Tracing never
-// draws from matcher RNGs, so sequential results are bit-identical with
-// tracing on or off. One tracer may be shared by concurrent runs; pass
+// draws from matcher RNGs, so results are bit-identical with tracing on
+// or off. One tracer may be shared by concurrent runs; pass
 // nil to disable (the default).
 func WithTracer(t *Tracer) Option {
 	return func(c *simConfig) { c.tracer = t }
@@ -363,8 +351,8 @@ func WithBatchDeadline(d Time) Option {
 // n <= 1 (the default) selects the single-engine runtime; results for
 // one shard are bit-identical to it, and for n > 1 deterministic for a
 // fixed seed (cell-major, ID-canonical merge). The sharded runtime
-// rejects WithServiceTicks, WithPlatformParallel, WithTracer and the
-// windowed BatchCOM with platform.ErrShardUnsupported.
+// rejects WithServiceTicks, WithTracer and the windowed BatchCOM with
+// platform.ErrShardUnsupported.
 func WithShards(n int) Option {
 	return func(c *simConfig) { c.shards = n }
 }
@@ -448,9 +436,7 @@ var (
 // algorithm over the given platform set (ascending IDs for parity with
 // stream runs). maxValue is the a-priori max request value Umax the
 // threshold algorithms (RamCOM, Greedy-RT) assume known; TOTA and
-// DemCOM ignore it. The usual options apply; WithPlatformParallel is
-// meaningless here (the engine is single-goroutine by contract) and is
-// ignored.
+// DemCOM ignore it. The usual options apply.
 func NewEngine(pids []PlatformID, algorithm string, maxValue float64, opts ...Option) (*MatchEngine, error) {
 	factory, err := platform.FactoryConfigured(algorithm, algConfig(maxValue, opts))
 	if err != nil {
@@ -460,7 +446,6 @@ func NewEngine(pids []PlatformID, algorithm string, maxValue float64, opts ...Op
 	if err != nil {
 		return nil, err
 	}
-	cfg.PlatformParallel = false
 	eng, err := platform.NewEngine(pids, factory, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("crossmatch: %w", err)
@@ -487,7 +472,6 @@ func SimulateSource(ctx context.Context, pids []PlatformID, algorithm string, ma
 	if err != nil {
 		return nil, err
 	}
-	cfg.PlatformParallel = false
 	return platform.RunSource(ctx, pids, factory, src, cfg)
 }
 

@@ -220,25 +220,3 @@ func TestReproduceTablePublic(t *testing.T) {
 		t.Error("unknown preset accepted")
 	}
 }
-
-func TestSimulateContextPlatformParallel(t *testing.T) {
-	s, err := GenerateSynthetic(400, 80, 1.0, "real", 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMetrics()
-	res, err := SimulateContext(context.Background(), s, DemCOM,
-		WithSeed(23), WithPlatformParallel(), WithMetrics(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Validate(); err != nil {
-		t.Fatalf("parallel run produced invalid matching: %v", err)
-	}
-	if res.TotalServed() == 0 {
-		t.Error("parallel run served nothing")
-	}
-	if m.Snapshot().Counters.Runs != 1 {
-		t.Error("metrics did not record the run")
-	}
-}

@@ -256,13 +256,9 @@ func BenchmarkDecisionLatency(b *testing.B) {
 	}
 }
 
-// benchPlatformRuntime measures one multi-platform simulation end to
-// end, excluding stream generation, under either runtime.
-// BenchmarkPlatformSequentialRuntime vs BenchmarkPlatformParallelRuntime
-// quantifies what running each platform on its own goroutine buys (and
-// what hub locking costs) on a contended multi-platform workload.
-func benchPlatformRuntime(b *testing.B, platformParallel bool) {
-	b.Helper()
+// BenchmarkPlatformSequentialRuntime measures one six-platform
+// simulation end to end, excluding stream generation.
+func BenchmarkPlatformSequentialRuntime(b *testing.B) {
 	cfg, err := workload.SyntheticMulti(6, 3000, 600, 1.0, "real")
 	if err != nil {
 		b.Fatal(err)
@@ -271,22 +267,15 @@ func benchPlatformRuntime(b *testing.B, platformParallel bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := []Option{WithSeed(benchSeed)}
-	if platformParallel {
-		opts = append(opts, WithPlatformParallel())
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := SimulateContext(context.Background(), stream, DemCOM, opts...)
+		res, err := SimulateContext(context.Background(), stream, DemCOM, WithSeed(benchSeed))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.TotalRevenue(), "rev")
 	}
 }
-
-func BenchmarkPlatformSequentialRuntime(b *testing.B) { benchPlatformRuntime(b, false) }
-func BenchmarkPlatformParallelRuntime(b *testing.B)   { benchPlatformRuntime(b, true) }
 
 // BenchmarkTraceOverhead prices the decision tracer on a DemCOM
 // simulation: "off" is the production default (no tracer, every span

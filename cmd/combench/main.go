@@ -61,7 +61,6 @@ func main() {
 		csvOut      = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		plot        = flag.Bool("plot", false, "render figure series as ASCII charts alongside the tables")
 		par         = flag.Int("par", 0, "worker-pool size for unit runs (0 = GOMAXPROCS, 1 = sequential)")
-		platpar     = flag.Bool("platpar", false, "run each simulation with one goroutine per platform (results valid but not bit-reproducible)")
 		metricsPath = flag.String("metrics", "", "write an aggregate metrics report as JSON to this file ('-' = stderr)")
 		faultsSpec  = flag.String("faults", "", "cooperation fault plan for every unit run, e.g. 'drop=0.1,latency=0.2:1ms-10ms,outage=2@100-300' (see EXPERIMENTS.md)")
 		faultSeed   = flag.Int64("fault-seed", 0, "root seed for fault randomness (requires -faults; 0 derives it from the run seed)")
@@ -75,11 +74,13 @@ func main() {
 		citySpec    = flag.String("city", "", "comma-separated worker counts for -exp scaling cities; each city has 10x its workers in events (empty = 10000,100000)")
 	)
 	flag.Parse()
-	plan, err := validateFaultFlags(*faultsSpec, *faultSeed, *platpar)
+	repeatsSet := false
+	flag.Visit(func(f *flag.Flag) { repeatsSet = repeatsSet || f.Name == "repeats" })
+	plan, err := validateFaultFlags(*faultsSpec, *faultSeed)
 	usageIf(err)
 	tracer, err := validateTraceFlags(*traceOn, *traceOut, *traceSample, *traceCap, *seed)
 	usageIf(err)
-	runner := &experiments.Runner{Parallelism: *par, PlatformParallel: *platpar, FaultPlan: plan, Trace: tracer}
+	runner := &experiments.Runner{Parallelism: *par, FaultPlan: plan, Trace: tracer}
 	if *metricsPath != "" {
 		runner.Metrics = metrics.New()
 	}
@@ -90,7 +91,7 @@ func main() {
 	cityWorkers, err := parseCounts("-city", *citySpec)
 	usageIf(err)
 	if err := run(os.Stdout, *exp, params{
-		scale: *scale, seed: *seed, repeats: *repeats, cap: *cap, csv: *csvOut, plot: *plot,
+		scale: *scale, seed: *seed, repeats: *repeats, repeatsSet: repeatsSet, cap: *cap, csv: *csvOut, plot: *plot,
 		faultSeed: *faultSeed, windows: windows, batchDeadline: core.Time(*batchDeadl),
 		shards: shardCounts, city: cityWorkers, runner: runner,
 	}); err != nil {
@@ -126,7 +127,7 @@ func usageIf(err error) {
 // validateFaultFlags parses -faults and rejects contradictory flag
 // combinations up front — a typo'd fault key or an impossible plan must
 // be a usage error, never a silently fault-free run.
-func validateFaultFlags(spec string, faultSeed int64, platpar bool) (*fault.Plan, error) {
+func validateFaultFlags(spec string, faultSeed int64) (*fault.Plan, error) {
 	if spec == "" {
 		if faultSeed != 0 {
 			return nil, fmt.Errorf("-fault-seed requires -faults (no fault plan to seed)")
@@ -136,9 +137,6 @@ func validateFaultFlags(spec string, faultSeed int64, platpar bool) (*fault.Plan
 	plan, err := fault.ParsePlan(spec)
 	if err != nil {
 		return nil, fmt.Errorf("-faults: %w", err)
-	}
-	if plan.HasOutages() && !platpar {
-		return nil, fmt.Errorf("-faults plan schedules partner outages, which model independent platform services; run with -platpar (or drop the outage= entries)")
 	}
 	plan.Seed = faultSeed
 	return plan, nil
@@ -257,6 +255,9 @@ type params struct {
 	batchDeadline core.Time
 	shards, city  []int
 	runner        *experiments.Runner
+	// repeatsSet is true when -repeats was given: the variance study
+	// measures its own default of 12 seeds otherwise, not the flag's 3.
+	repeatsSet bool
 }
 
 // session is one run call: the params, the output, and the sweeps the
@@ -305,7 +306,11 @@ var experimentTable = []experiment{
 		return s.show(experiments.RunPlatformCount(experiments.PlatformCountOptions{Grid: s.grid()}))
 	}},
 	{"variance", func(s *session) error {
-		return s.show(experiments.RunVariance(experiments.Grid{Seed: s.seed, Runner: s.runner}))
+		g := experiments.Grid{Seed: s.seed, Runner: s.runner}
+		if s.repeatsSet {
+			g.Repeats = s.repeats
+		}
+		return s.show(experiments.RunVariance(g))
 	}},
 	{"faults", func(s *session) error {
 		return s.show(experiments.RunFaultSweep(experiments.FaultSweepOptions{Grid: s.grid(), FaultSeed: s.faultSeed}))

@@ -138,6 +138,26 @@ func TestRunRejectsNonPositiveScaleAndRepeats(t *testing.T) {
 	}
 }
 
+// The variance study measures 12 seeds unless -repeats was given; it
+// used to ignore the flag altogether.
+func TestRunVarianceHonoursExplicitRepeats(t *testing.T) {
+	for _, tc := range []struct {
+		set  bool
+		want string
+	}{
+		{false, "over 12 seeds"},
+		{true, "over 2 seeds"},
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, "variance", params{scale: 0.01, seed: 7, repeats: 2, repeatsSet: tc.set, runner: sequential()}); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("repeatsSet=%v: output lacks %q:\n%s", tc.set, tc.want, buf.String())
+		}
+	}
+}
+
 func TestRunCR(t *testing.T) {
 	var buf bytes.Buffer
 	// CROptions defaults are too heavy for a unit test; the cr path is
@@ -198,7 +218,6 @@ func TestValidateFaultFlags(t *testing.T) {
 		name     string
 		spec     string
 		seed     int64
-		platpar  bool
 		wantErr  string
 		wantPlan bool
 	}{
@@ -208,12 +227,11 @@ func TestValidateFaultFlags(t *testing.T) {
 		{name: "fault-seed without faults", seed: 7, wantErr: "-fault-seed requires -faults"},
 		{name: "unknown key", spec: "latnecy=0.2", wantErr: "unknown fault-plan key"},
 		{name: "malformed rate", spec: "drop=high", wantErr: "drop"},
-		{name: "outage without platpar", spec: "outage=2@100-300", wantErr: "-platpar"},
-		{name: "outage with platpar", spec: "outage=2@100-300", platpar: true, wantPlan: true},
+		{name: "outage plan", spec: "outage=2@100-300", wantPlan: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, err := validateFaultFlags(tc.spec, tc.seed, tc.platpar)
+			plan, err := validateFaultFlags(tc.spec, tc.seed)
 			if tc.wantErr != "" {
 				if err == nil {
 					t.Fatalf("want error containing %q, got plan %v", tc.wantErr, plan)

@@ -31,17 +31,11 @@ type Runner struct {
 	// decision-latency distributions of every unit run (see
 	// internal/metrics); it also switches on per-run pprof labels.
 	Metrics *metrics.Collector
-	// PlatformParallel runs each unit simulation with one goroutine per
-	// platform (platform.Config.PlatformParallel). The determinism
-	// guarantee above no longer holds for the algorithm columns: event
-	// interleaving across platforms depends on scheduling. Off by
-	// default.
-	PlatformParallel bool
 	// FaultPlan, when non-nil, injects the same cooperation fault plan
 	// into every unit run (platform.Config.Faults). Fault randomness is
 	// seeded per run, so the determinism guarantee holds for faulted
-	// sequential runs too. Nil (the default) keeps every unit run
-	// bit-identical to the fault-free engine.
+	// runs too. Nil (the default) keeps every unit run bit-identical to
+	// the fault-free engine.
 	FaultPlan *fault.Plan
 	// Trace, when non-nil, records per-request decision spans of every
 	// unit run into the shared tracer's bounded per-platform rings
@@ -64,10 +58,10 @@ func (r *Runner) orDefault() *Runner {
 }
 
 // simConfig builds the platform.Config for one unit run, threading the
-// runtime choice, the fault plan, the collector and, when metrics are
-// on, a pprof label naming the run.
+// fault plan, the collector and, when metrics are on, a pprof label
+// naming the run.
 func (r *Runner) simConfig(seed int64, disableCoop bool, label string) platform.Config {
-	cfg := platform.Config{Seed: seed, DisableCoop: disableCoop, PlatformParallel: r.PlatformParallel, Faults: r.FaultPlan}
+	cfg := platform.Config{Seed: seed, DisableCoop: disableCoop, Faults: r.FaultPlan}
 	if r.Trace != nil {
 		cfg.Trace = r.Trace
 		cfg.TraceSample = r.TraceSample

@@ -114,7 +114,6 @@ type windowUnit struct {
 // from Process with At equal to the arrival tick, window flushes arrive
 // through the decision handler with At equal to the flush tick.
 func runWindowUnit(u unit) (windowUnit, error) {
-	u.cfg.PlatformParallel = false
 	eng, err := platform.NewEngine(u.stream.Platforms(), u.factory, u.cfg)
 	if err != nil {
 		return windowUnit{}, err

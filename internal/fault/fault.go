@@ -147,10 +147,6 @@ type Plan struct {
 	// Breaker tunes the per-platform circuit breakers; zero fields take
 	// defaults.
 	Breaker BreakerConfig
-	// MaxSleep, when positive, converts injected latency into a real
-	// sleep of min(latency, MaxSleep) to shake goroutine scheduling in
-	// chaos tests. Zero (the default) keeps latency purely virtual.
-	MaxSleep time.Duration
 }
 
 // Validate checks rates, latency bounds and outage windows.
@@ -191,9 +187,6 @@ func (p *Plan) Validate() error {
 func (p *Plan) Enabled() bool {
 	return p != nil && (p.LatencyRate > 0 || p.DropRate > 0 || p.ClaimErrorRate > 0 || len(p.Outages) > 0)
 }
-
-// HasOutages reports whether the plan schedules whole-platform outages.
-func (p *Plan) HasOutages() bool { return p != nil && len(p.Outages) > 0 }
 
 // Clone returns a deep copy (outage slice included) so callers may
 // mutate per-run copies of a shared plan.

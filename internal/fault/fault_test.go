@@ -39,7 +39,7 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if p.Breaker.FailureThreshold != 3 || p.Breaker.CooldownTicks != 40 {
 		t.Errorf("breaker = %+v", p.Breaker)
 	}
-	if !p.Enabled() || !p.HasOutages() {
+	if !p.Enabled() || len(p.Outages) != 2 {
 		t.Error("plan should be enabled with outages")
 	}
 	s := p.String()

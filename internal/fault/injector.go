@@ -15,12 +15,9 @@ import (
 //
 // Determinism: each viewing platform draws its fault outcomes from its
 // own generator, seeded from (plan seed, platform id), so a platform's
-// fault sequence depends only on its own call sequence — fully
-// reproducible under the sequential runtime and independent of the
-// other platforms' schedules under the concurrent one. Injected latency
+// fault sequence depends only on its own call sequence. Injected latency
 // and retry backoff accumulate in a virtual duration budget checked
-// against the per-call deadline; wall-clock sleeps happen only when the
-// plan sets MaxSleep (chaos tests shaking real scheduling).
+// against the per-call deadline; nothing sleeps.
 //
 // Concurrency: the per-platform generators are partitioned — exactly
 // one goroutine drives each platform, matching the hub's view contract —
@@ -136,8 +133,7 @@ func (in *Injector) outage(partner core.PlatformID, now core.Time) bool {
 }
 
 // spike injects the latency of one probe attempt: zero, or a spike
-// drawn uniformly from [LatencyMin, LatencyMax]. Real sleep is capped
-// by MaxSleep (zero keeps latency purely virtual).
+// drawn uniformly from [LatencyMin, LatencyMax].
 func (in *Injector) spike(rng *rand.Rand) time.Duration {
 	if in.plan.LatencyRate <= 0 || rng.Float64() >= in.plan.LatencyRate {
 		return 0
@@ -148,13 +144,6 @@ func (in *Injector) spike(rng *rand.Rand) time.Duration {
 	}
 	in.metrics.FaultLatency()
 	in.metrics.ObserveProbeLatency(lat)
-	if in.plan.MaxSleep > 0 {
-		sleep := lat
-		if sleep > in.plan.MaxSleep {
-			sleep = in.plan.MaxSleep
-		}
-		time.Sleep(sleep)
-	}
 	return lat
 }
 

@@ -6,9 +6,7 @@
 // The paper models locations as points in a Euclidean 2-D plane and a
 // worker's service range as a disk of radius rad centered at the worker
 // (Definition 2.2). All coordinates in this package are kilometres in a
-// local tangent plane; package workload converts city-scale latitude and
-// longitude extents into this plane once, up front, so the hot matching
-// path never pays for trigonometry.
+// local plane.
 package geo
 
 import (
@@ -33,15 +31,6 @@ func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return dx*dx + dy*dy
 }
-
-// Add returns p translated by the vector q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.4f, %.4f)", p.X, p.Y) }
@@ -79,15 +68,6 @@ func (c Circle) Bounds() Rect {
 	}
 }
 
-// Intersects reports whether the two disks share at least one point.
-func (c Circle) Intersects(d Circle) bool {
-	if c.Radius < 0 || d.Radius < 0 {
-		return false
-	}
-	sum := c.Radius + d.Radius
-	return c.Center.Dist2(d.Center) <= sum*sum
-}
-
 // Rect is an axis-aligned rectangle, closed on all sides. The zero Rect
 // is the single point at the origin.
 type Rect struct {
@@ -105,17 +85,6 @@ func NewRect(a, b Point) Rect {
 // Contains reports whether p lies inside or on the boundary of r.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// ContainsRect reports whether s lies entirely within r.
-func (r Rect) ContainsRect(s Rect) bool {
-	return r.Contains(s.Min) && r.Contains(s.Max)
-}
-
-// Intersects reports whether the two rectangles share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
 // Width returns the horizontal extent of r.
@@ -159,11 +128,6 @@ func (r Rect) ClosestPoint(p Point) Point {
 	return Point{clamp(p.X, r.Min.X, r.Max.X), clamp(p.Y, r.Min.Y, r.Max.Y)}
 }
 
-// DistToPoint returns the distance from p to the rectangle (zero inside).
-func (r Rect) DistToPoint(p Point) float64 {
-	return r.ClosestPoint(p).Dist(p)
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
@@ -172,46 +136,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// KmPerDegLat is the approximately constant north-south extent of one
-// degree of latitude.
-const KmPerDegLat = 111.32
-
-// KmPerDegLon returns the east-west extent of one degree of longitude at
-// the given latitude (degrees).
-func KmPerDegLon(latDeg float64) float64 {
-	return KmPerDegLat * math.Cos(latDeg*math.Pi/180)
-}
-
-// Projection maps geographic coordinates (degrees) to the local tangent
-// plane (kilometres) around an origin latitude/longitude. It is the only
-// place the system touches geographic coordinates; everything downstream
-// is planar, exactly as the paper's Euclidean model assumes.
-type Projection struct {
-	OriginLat, OriginLon float64
-	kmPerLon             float64
-}
-
-// NewProjection returns a tangent-plane projection centered at the given
-// origin in degrees.
-func NewProjection(originLat, originLon float64) Projection {
-	return Projection{
-		OriginLat: originLat,
-		OriginLon: originLon,
-		kmPerLon:  KmPerDegLon(originLat),
-	}
-}
-
-// ToPlane converts a latitude/longitude in degrees to plane kilometres.
-func (pr Projection) ToPlane(lat, lon float64) Point {
-	return Point{
-		X: (lon - pr.OriginLon) * pr.kmPerLon,
-		Y: (lat - pr.OriginLat) * KmPerDegLat,
-	}
-}
-
-// ToGeo converts a plane point back to latitude/longitude degrees.
-func (pr Projection) ToGeo(p Point) (lat, lon float64) {
-	return pr.OriginLat + p.Y/KmPerDegLat, pr.OriginLon + p.X/pr.kmPerLon
 }

@@ -59,20 +59,6 @@ func TestTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestPointVectorOps(t *testing.T) {
-	p := Point{1, 2}
-	q := Point{3, -1}
-	if got := p.Add(q); got != (Point{4, 1}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Sub(q); got != (Point{-2, 3}) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
 func TestPointIsFinite(t *testing.T) {
 	if !(Point{1, 2}).IsFinite() {
 		t.Error("finite point reported non-finite")
@@ -135,31 +121,6 @@ func TestCircleBounds(t *testing.T) {
 	}
 }
 
-func TestCircleIntersects(t *testing.T) {
-	a := Circle{Point{0, 0}, 1}
-	tests := []struct {
-		name string
-		b    Circle
-		want bool
-	}{
-		{"overlapping", Circle{Point{1, 0}, 1}, true},
-		{"tangent", Circle{Point{2, 0}, 1}, true},
-		{"disjoint", Circle{Point{2.5, 0}, 1}, false},
-		{"contained", Circle{Point{0, 0}, 0.1}, true},
-		{"negative radius", Circle{Point{0, 0}, -1}, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := a.Intersects(tt.b); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-			if got := tt.b.Intersects(a); got != tt.want {
-				t.Errorf("Intersects not symmetric")
-			}
-		})
-	}
-}
-
 func TestCircleContainsImpliesBoundsContains(t *testing.T) {
 	f := func(cx, cy, r, px, py float64) bool {
 		c := Circle{Point{math.Mod(cx, 100), math.Mod(cy, 100)}, math.Abs(math.Mod(r, 50))}
@@ -199,32 +160,6 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := NewRect(Point{0, 0}, Point{2, 2})
-	tests := []struct {
-		name string
-		b    Rect
-		want bool
-	}{
-		{"overlap", NewRect(Point{1, 1}, Point{3, 3}), true},
-		{"touch edge", NewRect(Point{2, 0}, Point{4, 2}), true},
-		{"touch corner", NewRect(Point{2, 2}, Point{3, 3}), true},
-		{"disjoint x", NewRect(Point{2.1, 0}, Point{3, 2}), false},
-		{"disjoint y", NewRect(Point{0, 2.1}, Point{2, 3}), false},
-		{"contained", NewRect(Point{0.5, 0.5}, Point{1.5, 1.5}), true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := a.Intersects(tt.b); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-			if got := tt.b.Intersects(a); got != tt.want {
-				t.Error("Intersects not symmetric")
-			}
-		})
-	}
-}
-
 func TestRectGeometry(t *testing.T) {
 	r := NewRect(Point{0, 0}, Point{4, 2})
 	if r.Width() != 4 || r.Height() != 2 || r.Area() != 8 {
@@ -258,54 +193,8 @@ func TestRectClosestPointAndDist(t *testing.T) {
 		if got := r.ClosestPoint(tt.p); got != tt.wantPt {
 			t.Errorf("ClosestPoint(%v) = %v, want %v", tt.p, got, tt.wantPt)
 		}
-		if got := r.DistToPoint(tt.p); !almostEqual(got, tt.wantDist, 1e-12) {
-			t.Errorf("DistToPoint(%v) = %v, want %v", tt.p, got, tt.wantDist)
+		if got := r.ClosestPoint(tt.p).Dist(tt.p); !almostEqual(got, tt.wantDist, 1e-12) {
+			t.Errorf("distance to %v = %v, want %v", tt.p, got, tt.wantDist)
 		}
-	}
-}
-
-func TestRectContainsRect(t *testing.T) {
-	outer := NewRect(Point{0, 0}, Point{10, 10})
-	if !outer.ContainsRect(NewRect(Point{1, 1}, Point{9, 9})) {
-		t.Error("should contain inner rect")
-	}
-	if !outer.ContainsRect(outer) {
-		t.Error("should contain itself")
-	}
-	if outer.ContainsRect(NewRect(Point{5, 5}, Point{11, 9})) {
-		t.Error("should not contain overflowing rect")
-	}
-}
-
-func TestProjectionRoundTrip(t *testing.T) {
-	pr := NewProjection(30.66, 104.06) // Chengdu
-	lat, lon := 30.70, 104.10
-	p := pr.ToPlane(lat, lon)
-	gotLat, gotLon := pr.ToGeo(p)
-	if !almostEqual(gotLat, lat, 1e-9) || !almostEqual(gotLon, lon, 1e-9) {
-		t.Errorf("round trip = (%v, %v), want (%v, %v)", gotLat, gotLon, lat, lon)
-	}
-}
-
-func TestProjectionScale(t *testing.T) {
-	pr := NewProjection(0, 0) // equator: 1 deg lon == 1 deg lat == ~111.32 km
-	p := pr.ToPlane(1, 1)
-	if !almostEqual(p.X, KmPerDegLat, 1e-9) || !almostEqual(p.Y, KmPerDegLat, 1e-9) {
-		t.Errorf("equator projection = %v", p)
-	}
-	// At 60N one degree of longitude is half as wide.
-	pr60 := NewProjection(60, 0)
-	p60 := pr60.ToPlane(60, 1)
-	if !almostEqual(p60.X, KmPerDegLat/2, 1e-6) {
-		t.Errorf("60N lon scale = %v, want %v", p60.X, KmPerDegLat/2)
-	}
-}
-
-func TestKmPerDegLon(t *testing.T) {
-	if got := KmPerDegLon(0); !almostEqual(got, KmPerDegLat, 1e-9) {
-		t.Errorf("at equator = %v", got)
-	}
-	if got := KmPerDegLon(90); !almostEqual(got, 0, 1e-9) {
-		t.Errorf("at pole = %v", got)
 	}
 }

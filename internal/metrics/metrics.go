@@ -224,7 +224,7 @@ func (c *Collector) AddProbes(n int) {
 
 // ClaimConflict records a cross-platform claim lost to a concurrent
 // assignment — the hub's CAS or pool removal observed the worker already
-// taken. Always zero under the sequential runtime.
+// taken. Zero unless the sharded engine's shards race for a worker.
 func (c *Collector) ClaimConflict() {
 	if c != nil {
 		c.claimConflicts.Add(1)
@@ -378,10 +378,6 @@ func (c *Collector) RouteFailover(n int64) {
 	}
 }
 
-// LockWaitLabel is the latency label under which hub lock-wait
-// observations are reported (see ObserveLockWait).
-const LockWaitLabel = "hub/lock-wait"
-
 // ProbeLatencyLabel is the latency label under which injected probe
 // latency spikes are reported (see ObserveProbeLatency).
 const ProbeLatencyLabel = "hub/probe-latency"
@@ -391,14 +387,6 @@ const ProbeLatencyLabel = "hub/probe-latency"
 // distribution next to the real decision latencies.
 func (c *Collector) ObserveProbeLatency(d time.Duration) {
 	c.ObserveLatency(ProbeLatencyLabel, d)
-}
-
-// ObserveLockWait folds one hub lock acquisition wait into the
-// LockWaitLabel latency reservoir. The concurrent runtime calls it on
-// the cooperative hot path, so the distribution exposes cross-platform
-// lock contention alongside the per-platform decision latencies.
-func (c *Collector) ObserveLockWait(d time.Duration) {
-	c.ObserveLatency(LockWaitLabel, d)
 }
 
 // RunStarted records one simulation run feeding the collector.
@@ -481,8 +469,9 @@ type Counters struct {
 	Rejections       int64 `json:"rejections"`
 	CoopAttempts     int64 `json:"coop_attempts"`
 	AcceptanceProbes int64 `json:"acceptance_probes"`
-	// ClaimConflicts and ClaimRetries measure cross-platform contention
-	// under the concurrent runtime; both stay zero on sequential runs.
+	// ClaimConflicts counts claims that found the worker already taken
+	// (sharded engine only), ClaimRetries every lost claim a matcher
+	// retried past, injected claim faults included.
 	ClaimConflicts int64 `json:"claim_conflicts"`
 	ClaimRetries   int64 `json:"claim_retries"`
 	// Fault-injection and resilience counters (all zero without a fault

@@ -114,14 +114,12 @@ func TestWriteJSONSchema(t *testing.T) {
 	}
 }
 
-// TestClaimContentionCounters covers the concurrent-runtime additions:
-// claim conflicts, claim retries (nil-safe, non-positive filtered) and
-// the hub lock-wait reservoir under its dedicated label.
+// TestClaimContentionCounters covers the claim-contention counters:
+// claim conflicts and claim retries (nil-safe, non-positive filtered).
 func TestClaimContentionCounters(t *testing.T) {
 	var nilC *Collector
 	nilC.ClaimConflict()
 	nilC.AddClaimRetries(3)
-	nilC.ObserveLockWait(time.Millisecond)
 
 	c := New()
 	c.ClaimConflict()
@@ -129,25 +127,12 @@ func TestClaimContentionCounters(t *testing.T) {
 	c.AddClaimRetries(3)
 	c.AddClaimRetries(0)
 	c.AddClaimRetries(-2)
-	c.ObserveLockWait(2 * time.Millisecond)
 	rep := c.Snapshot()
 	if rep.Counters.ClaimConflicts != 2 {
 		t.Errorf("ClaimConflicts = %d, want 2", rep.Counters.ClaimConflicts)
 	}
 	if rep.Counters.ClaimRetries != 3 {
 		t.Errorf("ClaimRetries = %d, want 3", rep.Counters.ClaimRetries)
-	}
-	found := false
-	for _, l := range rep.Latencies {
-		if l.Label == LockWaitLabel {
-			found = true
-			if l.Count != 1 {
-				t.Errorf("lock-wait count = %d, want 1", l.Count)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("no %q latency summary in snapshot", LockWaitLabel)
 	}
 
 	var buf bytes.Buffer

@@ -120,11 +120,11 @@ type Decision struct {
 	// this request (Algorithm 1 lines 17-20 / Algorithm 3's reuse of
 	// them); the observability layer aggregates it across runs.
 	Probes int
-	// ClaimRetries counts cooperative claims lost to another platform
-	// while deciding this request: each one is a retry of Algorithm 1's
-	// claim loop against the next-nearest accepting worker. Always zero
-	// in the sequential runtime; under the concurrent runtime it measures
-	// real cross-platform contention.
+	// ClaimRetries counts cooperative claims lost while deciding this
+	// request: each one is a retry of Algorithm 1's claim loop against
+	// the next-nearest accepting worker. Zero unless a claim fails — an
+	// injected claim fault, or under the sharded engine a worker another
+	// shard took first.
 	ClaimRetries int
 	// Deferred is true when the matcher buffered the request for a later
 	// windowed decision instead of deciding it immediately (BatchCOM).
@@ -295,8 +295,8 @@ func nearestIndex(cands []Candidate, r *core.Request) int {
 // claimNearestAccepting walks accepting candidates from nearest to
 // farthest, claiming the first still available (Algorithm 1, lines
 // 21-24, hardened against concurrent claims by other platforms). It
-// also reports how many claims were lost on the way — zero in the
-// sequential runtime, the contention signal under the concurrent one.
+// also reports how many claims were lost on the way (see
+// Decision.ClaimRetries).
 //
 // cands must be owned by the caller (the matchers pass their accepting
 // scratch): lost claims are removed in place by swap-delete, replacing

@@ -12,16 +12,16 @@ import (
 // index), it reports whether the worker can actually serve it. The road
 // network model (internal/roadnet.Coverage) is the canonical
 // implementation; nil means pure Euclidean ranges, the paper's default.
-// Filters must be stateless or internally synchronized: the concurrent
-// runtime calls them from several platform goroutines at once.
+// Filters must be stateless or internally synchronized: the sharded
+// engine calls them from several shard goroutines at once.
 type RangeFilter func(w *core.Worker, r *core.Request) bool
 
 // Pool is a platform's waiting list of unoccupied workers (Definition
 // 2.2's "waiting list"), indexed spatially for the hot coverage query.
 // It enforces the time constraint in Covering and is safe for concurrent
 // use: mutators take the write lock, coverage queries share the read
-// lock, so the concurrent multi-platform runtime can scan one platform's
-// waiting list from every other platform while its owner keeps matching.
+// lock, so the sharded engine can scan one shard's waiting list from a
+// neighbouring shard's goroutine while its owner keeps matching.
 //
 // Workers are kept in a structure-of-arrays layout over an
 // index.SlotGrid: the grid hands coverage hits back as slots into the

@@ -53,8 +53,9 @@ func (m *TOTAGreedy) RequestArrives(r *core.Request) Decision {
 
 // claimNearestInner takes the nearest waiting inner worker, retrying
 // when a cross-platform claim snatches the worker between the nearest
-// scan and the removal. In the sequential runtime the first removal
-// always succeeds, so behaviour (and rng consumption) is unchanged.
+// scan and the removal — possible only across shards. Unsharded, the
+// first removal always succeeds, so behaviour (and rng consumption) is
+// unchanged.
 func claimNearestInner(pool *Pool, r *core.Request) (*core.Worker, bool) {
 	for {
 		w, ok := pool.Nearest(r)

@@ -55,7 +55,7 @@ func (m cancelingWindowed) RequestArrives(r *core.Request) online.Decision {
 func (m cancelingWindowed) Pool() *online.Pool { return m.WindowedMatcher.(poolHolder).Pool() }
 
 // TestCancellationContract pins the one cancellation contract of every
-// stream runtime — sequential, PlatformParallel, sharded: the run stops
+// stream runtime — sequential and sharded: the run stops
 // within a poll interval, returns the partial Result with an error
 // wrapping ctx.Err(), and settles what it holds, so every request a
 // matcher saw — including the ones BatchCOM was still buffering — has
@@ -73,7 +73,6 @@ func TestCancellationContract(t *testing.T) {
 		cfg    Config
 	}{
 		{"sequential", AlgBatchCOM, small, Config{Seed: 1, ServiceTicks: 3}},
-		{"platform-parallel", AlgBatchCOM, small, Config{Seed: 1, ServiceTicks: 3, PlatformParallel: true}},
 		{"shards3", AlgTOTA, long, Config{Seed: 1, Shards: 3}},
 	} {
 		stream := tc.stream

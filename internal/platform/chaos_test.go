@@ -163,13 +163,11 @@ func TestBreakerRecoversAfterOutageLifts(t *testing.T) {
 	}
 }
 
-// TestChaosParallelFaultInjection is the -race chaos gate of the fault
-// layer: latency spikes (with real sleeps shaking goroutine schedules),
-// dropped probes, transient claim errors and a mid-run outage, all
-// under the concurrent per-platform runtime with worker recycling on.
-// The run must terminate (no deadlock), every matching must stay valid
-// with no worker assigned twice across platforms, and the injected
-// faults must be visible in the counters.
+// TestChaosParallelFaultInjection is the chaos gate of the fault layer:
+// latency spikes, dropped probes, transient claim errors and a mid-run
+// outage, all with worker recycling on. The run must terminate, every
+// matching must stay valid with no worker assigned twice across
+// platforms, and the injected faults must be visible in the counters.
 func TestChaosParallelFaultInjection(t *testing.T) {
 	stream := multiStream(t, 4, 800, 160, 47)
 	// Find the stream horizon to place a mid-run outage.
@@ -179,7 +177,6 @@ func TestChaosParallelFaultInjection(t *testing.T) {
 		LatencyRate:    0.3,
 		LatencyMin:     10 * time.Microsecond,
 		LatencyMax:     2 * time.Millisecond,
-		MaxSleep:       200 * time.Microsecond,
 		DropRate:       0.2,
 		ClaimErrorRate: 0.2,
 		Outages: []fault.Outage{
@@ -192,11 +189,10 @@ func TestChaosParallelFaultInjection(t *testing.T) {
 	col := metrics.New()
 	for _, seed := range []int64{1, 2, 3} {
 		res, err := Run(stream, DemCOMFactory(pricing.DefaultMonteCarlo, false), Config{
-			Seed:             seed,
-			PlatformParallel: true,
-			ServiceTicks:     10,
-			Metrics:          col,
-			Faults:           plan,
+			Seed:         seed,
+			ServiceTicks: 10,
+			Metrics:      col,
+			Faults:       plan,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -93,19 +93,35 @@ func requestDecisionOf(r *core.Request, d online.Decision, at core.Time) Request
 // arrival, settles what is due, decides, and folds the decision. A
 // server feeds it from a live socket — events arrive, decisions return
 // synchronously — and every stream runtime is a feeder of the same
-// step: Run pulls the stream through RunSource, PlatformParallel gives
-// each platform goroutine its own Engine over the shared runState, and
-// the geo-sharded runtime drives one Engine per shard from its queues.
+// step: Run pulls the stream through RunSource, and the geo-sharded
+// runtime drives one Engine per shard from its queues.
 //
 // The engine is single-goroutine: exactly one caller (the serving
 // layer's sequencer, or one feeder) may invoke Process and Finish, in
 // event-time order.
 type Engine struct {
-	s *runState
-	// wins is the subset of s.windowed this engine drives: all of them,
-	// except under PlatformParallel, where another platform's matcher
-	// must never be advanced from this goroutine.
-	wins     []windowedEntry
+	// What the loop runs over: the hub, one matcher and one result slot
+	// per platform, built by newUnsharded.
+	cfg      Config
+	hub      *Hub
+	pids     []core.PlatformID
+	matchers map[core.PlatformID]online.Matcher
+	labels   map[core.PlatformID]string
+	res      *Result
+	// windowed lists the platforms whose matcher defers decisions into
+	// virtual-time windows (BatchCOM), in ascending pid order — the tie
+	// order when several windows fall due at the same virtual time.
+	// Empty for the greedy matchers, in which case settleDue degenerates
+	// to the plain recycle flush.
+	windowed []windowedEntry
+	// onFlush, when non-nil, receives every window-flushed decision as
+	// it is folded (the serving layer's hook for answering deferred
+	// requests). Never called for immediate (non-deferred) decisions.
+	onFlush func(RequestDecision)
+	// nextID allocates IDs for recycled workers: the next one is
+	// nextID+1. Stream runs seed it with the stream's max worker ID.
+	nextID int64
+
 	recycle  recycleHeap
 	recycled int
 	last     core.Time
@@ -113,8 +129,7 @@ type Engine struct {
 	finished bool
 	// sh, when non-nil, is the geo-sharded runtime behind this engine
 	// (Config.Shards > 1): validated events dispatch to per-shard queues
-	// and s stays nil — the clock and lifecycle above still apply, the
-	// recycle heap and wins stay empty.
+	// and the state above stays zero but for the clock and lifecycle.
 	sh *shardedEngine
 }
 
@@ -134,12 +149,12 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 		}
 		return &Engine{sh: sh}, nil
 	}
-	s, err := newRunState(pids, factory, cfg, nil, true)
+	e, err := newUnsharded(pids, factory, cfg, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	s.nextID.Store(RecycleIDBase)
-	return &Engine{s: s, wins: s.windowed}, nil
+	e.nextID = RecycleIDBase
+	return e, nil
 }
 
 // SetRecycleBase seeds the recycled-worker ID allocator: the next
@@ -151,11 +166,7 @@ func (e *Engine) SetRecycleBase(base int64) error {
 	if e.started || e.finished {
 		return fmt.Errorf("platform: SetRecycleBase after the first event; seed the allocator before feeding")
 	}
-	// The sharded runtime rejects ServiceTicks, so it never mints a
-	// recycled worker; replay drivers set the base unconditionally.
-	if e.sh == nil {
-		e.s.nextID.Store(base)
-	}
+	e.nextID = base
 	return nil
 }
 
@@ -210,7 +221,7 @@ func (e *Engine) check(ev core.Event) error {
 	default:
 		return fmt.Errorf("platform: unknown event kind %d", ev.Kind)
 	}
-	s := e.s
+	matchers := e.matchers
 	if sh := e.sh; sh != nil {
 		if err := sh.loadErr(); err != nil {
 			return err
@@ -218,9 +229,9 @@ func (e *Engine) check(ev core.Event) error {
 		if ev.Kind == core.WorkerArrival && ev.Worker.Radius > sh.reach {
 			return fmt.Errorf("platform: %w: worker %d radius %v > %v", ErrShardReach, ev.Worker.ID, ev.Worker.Radius, sh.reach)
 		}
-		s = sh.engines[0].s
+		matchers = sh.engines[0].matchers
 	}
-	if _, known := s.matchers[pid]; !known {
+	if _, known := matchers[pid]; !known {
 		return fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
 	}
 	if ev.Kind == core.WorkerArrival {
@@ -233,8 +244,8 @@ func (e *Engine) check(ev core.Event) error {
 	return nil
 }
 
-// apply is the event loop's body, the only place an arrival reaches a
-// runState: move the clock (settling what that makes due), then deliver
+// apply is the event loop's body, the only place an arrival reaches the
+// matchers: move the clock (settling what that makes due), then deliver
 // the worker or decide the request and fold the decision. The caller has
 // validated ev; the shard loops call it directly on events the façade
 // validated at dispatch.
@@ -245,20 +256,20 @@ func (e *Engine) apply(ev core.Event) (RequestDecision, error) {
 	if ev.Kind == core.WorkerArrival {
 		// Keep the recycled-ID allocator above every externally supplied
 		// worker ID so live traffic can never collide with a mint.
-		if id := ev.Worker.ID; id > e.s.nextID.Load() {
-			e.s.nextID.Store(id)
+		if id := ev.Worker.ID; id > e.nextID {
+			e.nextID = id
 		}
-		return RequestDecision{}, e.s.deliver(ev.Worker)
+		return RequestDecision{}, e.deliver(ev.Worker)
 	}
 	r := ev.Request
 	start := time.Now()
-	d := e.s.matchers[r.Platform].RequestArrives(r)
+	d := e.matchers[r.Platform].RequestArrives(r)
 	el := time.Since(start)
 	// A Deferred decision means a windowed matcher buffered the request:
 	// nothing is decided yet, and folding the placeholder would count the
 	// request twice — foldWindow books it at flush time.
 	if !d.Deferred {
-		e.s.res.Platforms[r.Platform].addResponse(el)
+		e.res.Platforms[r.Platform].addResponse(el)
 		if err := e.fold(r.Platform, d, ev.Time, el); err != nil {
 			return RequestDecision{}, err
 		}
@@ -289,8 +300,8 @@ func (e *Engine) settleDue(bound core.Time) error {
 		recDue := len(e.recycle) > 0 && e.recycle[0].Arrival <= bound
 		winIdx := -1
 		var winAt core.Time
-		for i := range e.wins {
-			if t, open := e.wins[i].m.NextFlush(); open && t <= bound && (winIdx < 0 || t < winAt) {
+		for i := range e.windowed {
+			if t, open := e.windowed[i].m.NextFlush(); open && t <= bound && (winIdx < 0 || t < winAt) {
 				winIdx, winAt = i, t
 			}
 		}
@@ -299,12 +310,12 @@ func (e *Engine) settleDue(bound core.Time) error {
 			return nil
 		case recDue && (winIdx < 0 || e.recycle[0].Arrival <= winAt):
 			w := heap.Pop(&e.recycle).(*core.Worker)
-			if err := e.s.deliver(w); err != nil {
+			if err := e.deliver(w); err != nil {
 				return err
 			}
 			e.recycled++
 		default:
-			we := e.wins[winIdx]
+			we := e.windowed[winIdx]
 			start := time.Now()
 			wds := we.m.Advance(winAt)
 			el := time.Since(start)
@@ -322,15 +333,15 @@ func (e *Engine) foldWindow(pid core.PlatformID, wds []online.WindowDecision, el
 	if len(wds) == 0 {
 		return nil
 	}
-	e.s.res.Platforms[pid].addResponse(el)
+	e.res.Platforms[pid].addResponse(el)
 	share := el / time.Duration(len(wds))
 	for i := range wds {
 		wd := &wds[i]
 		if err := e.fold(pid, wd.Decision, wd.At, share); err != nil {
 			return err
 		}
-		if e.s.onFlush != nil {
-			e.s.onFlush(requestDecisionOf(wd.Request, wd.Decision, wd.At))
+		if e.onFlush != nil {
+			e.onFlush(requestDecisionOf(wd.Request, wd.Decision, wd.At))
 		}
 	}
 	return nil
@@ -342,12 +353,11 @@ func (e *Engine) foldWindow(pid core.PlatformID, wds []online.WindowDecision, el
 // place a decision reaches any of them. Only the goroutine driving pid
 // may call it for that platform.
 func (e *Engine) fold(pid core.PlatformID, d online.Decision, at core.Time, el time.Duration) error {
-	s := e.s
-	pr := s.res.Platforms[pid]
+	pr := e.res.Platforms[pid]
 	pr.Latency.Observe(el)
 	pr.Stats.Observe(d)
-	if mc := s.cfg.Metrics; mc != nil {
-		mc.ObserveLatency(s.labels[pid], el)
+	if mc := e.cfg.Metrics; mc != nil {
+		mc.ObserveLatency(e.labels[pid], el)
 		mc.AddProbes(d.Probes)
 		mc.AddClaimRetries(d.ClaimRetries)
 		if d.CoopAttempted {
@@ -368,11 +378,11 @@ func (e *Engine) fold(pid core.PlatformID, d online.Decision, at core.Time, el t
 	// Release the hub's per-worker record. For inner assignments this is
 	// the eviction keeping the hub tables bounded; for outer ones Claim
 	// already did it and this is a no-op.
-	s.hub.WorkerAssigned(d.Assignment.Worker.ID)
+	e.hub.WorkerAssigned(d.Assignment.Worker.ID)
 	if err := pr.Matching.Add(d.Assignment); err != nil {
 		return fmt.Errorf("platform %d: %w", pid, err)
 	}
-	if s.cfg.ServiceTicks <= 0 {
+	if e.cfg.ServiceTicks <= 0 {
 		return nil
 	}
 	w := d.Assignment.Worker
@@ -380,9 +390,10 @@ func (e *Engine) fold(pid core.PlatformID, d online.Decision, at core.Time, el t
 	if d.Assignment.Outer {
 		earned = d.Assignment.Payment
 	}
+	e.nextID++
 	heap.Push(&e.recycle, &core.Worker{
-		ID:       s.nextID.Add(1),
-		Arrival:  at + s.cfg.ServiceTicks,
+		ID:       e.nextID,
+		Arrival:  at + e.cfg.ServiceTicks,
 		Loc:      d.Assignment.Request.Loc,
 		Radius:   w.Radius,
 		Platform: w.Platform,
@@ -415,17 +426,13 @@ func (e *Engine) AdvanceTime(t core.Time) error {
 // it before feeding events; the engine reads it without locking from
 // whichever call triggers a flush.
 func (e *Engine) SetDecisionHandler(fn func(RequestDecision)) {
-	// Windowed matchers are rejected with Shards > 1, so under shards no
-	// deferred decision can ever flush and the handler would never fire.
-	if e.sh == nil {
-		e.s.onFlush = fn
-	}
+	e.onFlush = fn
 }
 
 // Windowed reports whether any platform runs a windowed matcher — when
 // false, AdvanceTime can never flush anything and callers may skip
 // clock-driving entirely.
-func (e *Engine) Windowed() bool { return len(e.wins) > 0 }
+func (e *Engine) Windowed() bool { return len(e.windowed) > 0 }
 
 // HasOpenWindow reports whether some windowed matcher is holding
 // buffered requests right now. The serving layer gates its virtual-time
@@ -441,8 +448,8 @@ func (e *Engine) HasOpenWindow() bool {
 // the tick would actually flush something.
 func (e *Engine) NextFlush() (core.Time, bool) {
 	due, open := core.Time(0), false
-	for i := range e.wins {
-		if t, ok := e.wins[i].m.NextFlush(); ok && (!open || t < due) {
+	for i := range e.windowed {
+		if t, ok := e.windowed[i].m.NextFlush(); ok && (!open || t < due) {
 			due, open = t, true
 		}
 	}
@@ -477,7 +484,10 @@ func (e *Engine) Finish() (*Result, error) {
 	if err := e.advance(core.Time(math.MaxInt64)); err != nil {
 		return nil, err
 	}
-	return e.s.finish(e.recycled), nil
+	e.res.Recycled = e.recycled
+	e.res.Lent = e.hub.Lent()
+	e.foldPricing()
+	return e.res, nil
 }
 
 // EventSource yields arrival events one at a time — the pull-based
@@ -514,7 +524,7 @@ func StreamSource(s *core.Stream) EventSource {
 }
 
 // RunSource executes an event source against one matcher per platform —
-// the sequential runtime behind Run, with arrivals pulled incrementally
+// the runtime behind Run, with arrivals pulled incrementally
 // instead of sliced up front. When ctx is canceled the run stops at the
 // next event boundary, settles what is pending (buffered BatchCOM
 // requests get their flush decision) and returns the partial Result

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/fault"
@@ -31,22 +30,23 @@ import (
 // its owner's waiting list, satisfying the "deleted from all its waiting
 // lists over all platforms" requirement.
 //
-// The hub is safe for concurrent use by the per-platform goroutines of
-// the concurrent runtime. Claims are genuinely atomic: every tracked
-// worker carries a claim word that racing platforms CAS, and the owner
-// pool's locked removal is the commit point, so of any number of
-// concurrent claims (and the owner's own inner assignment) exactly one
-// takes the worker. Registration (RegisterPlatform, SetMetrics,
-// CoopDisabled) must finish before the concurrent phase begins: pools,
-// order and configuration are read without locking afterwards.
+// One goroutine drives a hub's own matchers, but the sharded engine's
+// other shards scan and claim against it from theirs, so the hub is safe
+// for concurrent use. Claims are genuinely atomic: every tracked worker
+// carries a claim word that racing claimants CAS, and the owner pool's
+// locked removal is the commit point, so of any number of concurrent
+// claims (and the owner's own inner assignment) exactly one takes the
+// worker. Registration (RegisterPlatform, SetMetrics, CoopDisabled) must
+// finish before the run consumes events: pools, order and configuration
+// are read without locking afterwards.
 type Hub struct {
 	pools map[core.PlatformID]*online.Pool
 	order []core.PlatformID // registration order, for deterministic scans
 	// CoopDisabled turns the hub off: every view returns no outer
 	// workers, degrading COM to TOTA (the W_out = empty ablation).
 	CoopDisabled bool
-	// metrics, when non-nil, receives claim-conflict counts and hub
-	// lock-wait observations. Set before the run via SetMetrics.
+	// metrics, when non-nil, receives claim-conflict counts. Set before
+	// the run via SetMetrics.
 	metrics *metrics.Collector
 	// faults, when non-nil, injects cooperation faults and guards every
 	// partner platform with a circuit breaker (see internal/fault). Set
@@ -85,10 +85,10 @@ func NewHub() *Hub {
 	}
 }
 
-// SetMetrics attaches the collector that receives claim-conflict counts
-// and lock-wait observations. It must be called before the run starts;
-// calling it on a sealed hub panics, because the collector is read
-// without synchronization by the platform goroutines.
+// SetMetrics attaches the collector that receives claim-conflict
+// counts. It must be called before the run starts; calling it on a
+// sealed hub panics, because the collector is read without
+// synchronization by every goroutine that claims.
 func (h *Hub) SetMetrics(m *metrics.Collector) {
 	if h.sealed.Load() {
 		panic("platform: Hub.SetMetrics called after the concurrent phase started; attach the collector before Run")
@@ -108,14 +108,15 @@ func (h *Hub) SetFaults(in *fault.Injector) {
 
 // seal marks the start of the run's consume phase. From here on the
 // pools, platform order, collector and injector are read without
-// locking by the per-platform goroutines, so late registration is a
-// contract violation and is rejected loudly.
+// locking — by the engine's goroutine and, under shards, by the other
+// shards' — so late registration is a contract violation and is rejected
+// loudly.
 func (h *Hub) seal() { h.sealed.Store(true) }
 
 // RegisterPlatform attaches a platform's waiting-list pool. Must be
 // called once per platform before its workers arrive (and before any
 // concurrent access begins); registering on a sealed hub returns an
-// error instead of silently racing the running platform goroutines.
+// error instead of silently racing the running engine.
 func (h *Hub) RegisterPlatform(id core.PlatformID, pool *online.Pool) error {
 	if h.sealed.Load() {
 		return fmt.Errorf("platform: RegisterPlatform(%d) called after the concurrent phase started; register every platform before Run", id)
@@ -131,19 +132,6 @@ func (h *Hub) RegisterPlatform(id core.PlatformID, pool *online.Pool) error {
 	return nil
 }
 
-// lockTables acquires the table mutex, reporting the wait to the
-// collector when one is attached (the lock-wait reservoir of the
-// concurrent runtime's contention metrics).
-func (h *Hub) lockTables() {
-	if h.metrics == nil {
-		h.mu.Lock()
-		return
-	}
-	start := time.Now()
-	h.mu.Lock()
-	h.metrics.ObserveLockWait(time.Since(start))
-}
-
 // WorkerArrived records ownership and acceptance history for a worker
 // that just joined its platform's waiting list. The worker's History
 // field is parsed once here; matchers see it through Candidate.
@@ -156,7 +144,7 @@ func (h *Hub) WorkerArrived(w *core.Worker) error {
 		return fmt.Errorf("platform: worker %d: %w", w.ID, err)
 	}
 	rec := &workerRec{owner: w.Platform, hist: hist}
-	h.lockTables()
+	h.mu.Lock()
 	h.workers[w.ID] = rec
 	h.mu.Unlock()
 	return nil
@@ -168,7 +156,7 @@ func (h *Hub) WorkerArrived(w *core.Worker) error {
 // for them is a harmless no-op. Without this eviction the table grew
 // without bound on long recycled runs.
 func (h *Hub) WorkerAssigned(workerID int64) {
-	h.lockTables()
+	h.mu.Lock()
 	delete(h.workers, workerID)
 	h.mu.Unlock()
 }
@@ -209,7 +197,7 @@ type hubView struct {
 	now core.Time
 	// cands and workers are per-view scratch, reused across requests so
 	// the hottest cooperative query performs no per-request allocation.
-	// Safe because exactly one platform goroutine drives each view.
+	// Safe because exactly one goroutine drives each view.
 	cands   []online.Candidate
 	workers []*core.Worker
 }
@@ -243,7 +231,7 @@ func (v *hubView) EligibleOuter(r *core.Request) []online.Candidate {
 	if len(v.workers) == 0 {
 		return v.cands
 	}
-	h.lockTables()
+	h.mu.Lock()
 	for _, w := range v.workers {
 		rec := h.workers[w.ID]
 		if rec == nil {
@@ -276,7 +264,7 @@ func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaul
 	if h.CoopDisabled {
 		return false
 	}
-	h.lockTables()
+	h.mu.Lock()
 	rec := h.workers[workerID]
 	h.mu.Unlock()
 	if rec == nil {
@@ -311,7 +299,7 @@ func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaul
 		h.metrics.ClaimConflict()
 		return false
 	}
-	h.lockTables()
+	h.mu.Lock()
 	delete(h.workers, workerID)
 	h.lent[owner]++
 	h.mu.Unlock()

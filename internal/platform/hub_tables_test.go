@@ -10,8 +10,8 @@ import (
 )
 
 // runForState runs the stream the way Run does and also hands back the
-// run's state, for tests that inspect the hub and pools afterwards.
-func runForState(t *testing.T, stream *core.Stream, factory MatcherFactory, cfg Config) (*runState, *Result) {
+// engine, for tests that inspect the hub and pools afterwards.
+func runForState(t *testing.T, stream *core.Stream, factory MatcherFactory, cfg Config) (*Engine, *Result) {
 	t.Helper()
 	eng, err := NewEngine(stream.Platforms(), factory, cfg)
 	if err != nil {
@@ -24,7 +24,7 @@ func runForState(t *testing.T, stream *core.Stream, factory MatcherFactory, cfg 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng.s, res
+	return eng, res
 }
 
 // TestHubEmptyAfterDrainedRun checks eviction at its strictest: when

@@ -1,7 +1,8 @@
 package platform
 
 import (
-	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crossmatch/internal/core"
@@ -48,54 +49,6 @@ func assertAtomicAssignments(t *testing.T, res *Result) {
 	}
 }
 
-// TestPlatformParallelValidAndAtomic runs the concurrent runtime over a
-// real multi-platform workload and checks that every matching stays
-// valid, no worker is ever assigned twice across platforms, and no
-// online revenue exceeds the offline optimum — the atomicity guarantees
-// that must survive genuine claim races. Run under -race this is also
-// the data-race stress for Hub, Pool and the spatial indexes.
-func TestPlatformParallelValidAndAtomic(t *testing.T) {
-	for _, seed := range []int64{7, 21, 99} {
-		stream := multiStream(t, 4, 600, 120, seed)
-		off, err := Offline(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, alg := range []string{AlgDemCOM, AlgRamCOM} {
-			factory, err := FactoryFor(alg, stream.MaxValue())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(stream, factory, Config{Seed: seed, PlatformParallel: true})
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", alg, seed, err)
-			}
-			assertAtomicAssignments(t, res)
-			if rev := res.TotalRevenue(); rev > off.TotalWeight+1e-9 {
-				t.Errorf("%s seed %d: parallel revenue %.4f exceeds offline optimum %.4f", alg, seed, rev, off.TotalWeight)
-			}
-		}
-	}
-}
-
-// TestPlatformParallelRecycling exercises the concurrent runtime with
-// worker recycling on: recycled IDs must stay unique across the
-// per-platform goroutines (they come from one atomic allocator) and the
-// matchings must stay valid.
-func TestPlatformParallelRecycling(t *testing.T) {
-	stream := multiStream(t, 3, 400, 60, 5)
-	res, err := Run(stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
-		Config{Seed: 5, PlatformParallel: true, ServiceTicks: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertAtomicAssignments(t, res)
-	if res.Recycled != res.TotalServed() {
-		t.Errorf("recycled %d workers, want one re-arrival per served request (%d)",
-			res.Recycled, res.TotalServed())
-	}
-}
-
 // conflictStream builds a stream designed to make cross-platform claims
 // collide: platform 1 owns a small set of cheap workers at the origin,
 // platforms 2 and 3 fire many valuable requests at the same spot and no
@@ -129,48 +82,6 @@ func conflictStream(t *testing.T, workers, requestsEach int) *core.Stream {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestPlatformParallelProvokesClaimConflicts drives two request-heavy
-// platforms against one shared worker pool until the hub observes a
-// genuine claim conflict (two platforms racing for the same worker, one
-// losing at the CAS or the pool removal). The losing path must leave the
-// matchings untouched and valid. Sequential runs of the identical
-// stream must never conflict.
-func TestPlatformParallelProvokesClaimConflicts(t *testing.T) {
-	seq := metrics.New()
-	// A pool much larger than either platform can drain keeps candidates
-	// visible to both goroutines at all times; both platforms always
-	// target the nearest accepting worker of the same shared pool, so a
-	// preemption between sighting and claim collides with the other
-	// platform's claims of the same low-distance workers.
-	stream := conflictStream(t, 250, 300)
-	if _, err := Run(stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
-		Config{Seed: 1, Metrics: seq}); err != nil {
-		t.Fatal(err)
-	}
-	if n := seq.Snapshot().Counters.ClaimConflicts; n != 0 {
-		t.Fatalf("sequential run recorded %d claim conflicts, want 0", n)
-	}
-
-	col := metrics.New()
-	conflicts := int64(0)
-	for trial := 0; trial < 10 && conflicts == 0; trial++ {
-		res, err := Run(stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
-			Config{Seed: int64(trial), PlatformParallel: true, Metrics: col})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertAtomicAssignments(t, res)
-		conflicts = col.Snapshot().Counters.ClaimConflicts
-	}
-	if conflicts == 0 {
-		// A single-P scheduler can interleave the goroutines without ever
-		// hitting the claim window; TestHubClaimConflictPath still covers
-		// the losing branch deterministically.
-		t.Skip("no claim conflict provoked on this scheduler")
-	}
-	t.Logf("provoked %d claim conflicts", conflicts)
 }
 
 // TestHubClaimConflictPath deterministically exercises the losing branch
@@ -208,6 +119,89 @@ func TestHubClaimConflictPath(t *testing.T) {
 	h.WorkerAssigned(7)
 	if n := h.TrackedWorkers(); n != 0 {
 		t.Fatalf("tracked workers = %d after eviction, want 0", n)
+	}
+}
+
+// TestHubConcurrentClaimsOneTakerPerWorker is the -race gate of the
+// claim path with no runtime in it — what the sharded engine relies on
+// when a neighbouring shard claims against this hub: several claimants,
+// each through its own view, sight and claim the same waiting workers
+// while the owner assigns a share of them itself (pool removal, then
+// eviction). Every worker must end with exactly one taker, the lending
+// ledger plus the owner's removals must account for all of them, and no
+// record may survive.
+func TestHubConcurrentClaimsOneTakerPerWorker(t *testing.T) {
+	const workers, claimants = 600, 4
+	h := NewHub()
+	owner := online.NewPool(nil)
+	if err := h.RegisterPlatform(1, owner); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < claimants; c++ {
+		if err := h.RegisterPlatform(core.PlatformID(2+c), online.NewPool(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.seal()
+	for id := int64(1); id <= workers; id++ {
+		w := &core.Worker{ID: id, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1, 2}}
+		if err := h.WorkerArrived(w); err != nil {
+			t.Fatal(err)
+		}
+		owner.Add(w)
+	}
+
+	takers := make([]atomic.Int32, workers+1)
+	var claimed, removed atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < claimants; c++ {
+		wg.Add(1)
+		go func(pid core.PlatformID) {
+			defer wg.Done()
+			view := h.ViewFor(pid)
+			r := &core.Request{ID: int64(pid), Arrival: 1, Loc: geo.Point{}, Value: 8, Platform: pid}
+			for {
+				cands := view.EligibleOuter(r)
+				if len(cands) == 0 {
+					return
+				}
+				for _, cand := range cands {
+					if view.Claim(cand.Worker.ID) {
+						takers[cand.Worker.ID].Add(1)
+						claimed.Add(1)
+					}
+				}
+			}
+		}(core.PlatformID(2 + c))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for id := int64(1); id <= workers; id += 3 {
+			if owner.Remove(id) {
+				takers[id].Add(1)
+				removed.Add(1)
+				h.WorkerAssigned(id)
+			}
+		}
+	}()
+	wg.Wait()
+
+	for id := 1; id <= workers; id++ {
+		if n := takers[id].Load(); n != 1 {
+			t.Errorf("worker %d has %d takers, want exactly 1", id, n)
+		}
+	}
+	lent := h.Lent()[1]
+	if int64(lent) != claimed.Load() || int64(lent)+removed.Load() != workers {
+		t.Errorf("lent %d, claims won %d, owner removals %d: want lent = claims and lent + removals = %d",
+			lent, claimed.Load(), removed.Load(), workers)
+	}
+	if n := h.TrackedWorkers(); n != 0 {
+		t.Errorf("hub tracks %d workers after every one was taken, want 0", n)
+	}
+	if n := owner.Len(); n != 0 {
+		t.Errorf("owner pool holds %d workers after every one was taken, want 0", n)
 	}
 }
 
@@ -290,63 +284,5 @@ func TestRecycleFlushAtEndOfStream(t *testing.T) {
 	}
 	if res.Recycled != 1 {
 		t.Fatalf("Recycled = %d, want 1 (re-arrival after last event must flush)", res.Recycled)
-	}
-}
-
-// TestPlatformParallelMatchesSequentialAggregates compares the
-// concurrent and sequential runtimes on a workload without claim
-// contention (TOTA never touches the hub): per-platform outcomes must be
-// identical, because each platform's sub-stream is processed in the same
-// order either way.
-func TestPlatformParallelMatchesSequentialAggregates(t *testing.T) {
-	stream := multiStream(t, 4, 500, 150, 13)
-	seqRes, err := Run(stream, TOTAFactory(), Config{Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes, err := Run(stream, TOTAFactory(), Config{Seed: 13, PlatformParallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pid, sp := range seqRes.Platforms {
-		pp := parRes.Platforms[pid]
-		if sp.Stats.Served != pp.Stats.Served || sp.Stats.Revenue != pp.Stats.Revenue {
-			t.Errorf("platform %d: sequential (served %d, rev %.4f) != parallel (served %d, rev %.4f)",
-				pid, sp.Stats.Served, sp.Stats.Revenue, pp.Stats.Served, pp.Stats.Revenue)
-		}
-	}
-}
-
-// TestSequentialBitIdenticalWithParallelFlagOff guards the default
-// path: a run with PlatformParallel unset must be a pure function of
-// (stream, seed) — two runs agree assignment for assignment.
-func TestSequentialBitIdenticalWithParallelFlagOff(t *testing.T) {
-	stream := multiStream(t, 3, 300, 60, 17)
-	key := func(res *Result) string {
-		s := ""
-		for _, pid := range []core.PlatformID{1, 2, 3} {
-			p := res.Platforms[pid]
-			if p == nil {
-				continue
-			}
-			s += fmt.Sprintf("[%d:%d:%.6f", pid, p.Stats.Served, p.Stats.Revenue)
-			for _, a := range p.Matching.Assignments() {
-				s += fmt.Sprintf(" %d->%d@%.6f", a.Request.ID, a.Worker.ID, a.Payment)
-			}
-			s += "]"
-		}
-		return s
-	}
-	factory := DemCOMFactory(pricing.DefaultMonteCarlo, false)
-	a, err := Run(stream, factory, Config{Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(stream, factory, Config{Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key(a) != key(b) {
-		t.Error("two sequential runs with the same seed diverged")
 	}
 }

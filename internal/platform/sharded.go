@@ -2,7 +2,7 @@ package platform
 
 // The geo-sharded runtime: matching state partitioned by spatial grid
 // cell, one engine goroutine per shard, cross-shard cooperation through
-// the internal/shard claim protocol. Each shard owns a full runState —
+// the internal/shard claim protocol. Each shard owns a full Engine —
 // its own hub, matcher instances and per-platform results — holding
 // exactly the workers whose cells it owns; a request is matched by the
 // shard owning its cell, scanning local waiting lists plus (for
@@ -47,10 +47,9 @@ import (
 // ErrShardUnsupported is the typed error returned when a Config
 // combines Shards > 1 with a feature the sharded runtime does not
 // support: ServiceTicks (worker recycling re-arrivals would need
-// cross-shard re-delivery), PlatformParallel (the shard loops are the
-// parallelism), Trace (recorders are bound per matcher, and the shard
-// copies would fight over rings), or windowed matchers (window flushes
-// would need a cross-shard virtual-time barrier). Match it with
+// cross-shard re-delivery), Trace (recorders are bound per matcher, and
+// the shard copies would fight over rings), or windowed matchers (window
+// flushes would need a cross-shard virtual-time barrier). Match it with
 // errors.Is.
 var ErrShardUnsupported = errors.New("unsupported with Shards > 1")
 
@@ -80,8 +79,6 @@ func shardUnsupported(cfg Config) error {
 	switch {
 	case cfg.ServiceTicks > 0:
 		return fmt.Errorf("platform: ServiceTicks %w", ErrShardUnsupported)
-	case cfg.PlatformParallel:
-		return fmt.Errorf("platform: PlatformParallel %w", ErrShardUnsupported)
 	case cfg.Trace != nil:
 		return fmt.Errorf("platform: Trace %w", ErrShardUnsupported)
 	}
@@ -117,12 +114,12 @@ type shardReply struct {
 
 // shardedEngine is the geo-sharded runtime behind an Engine façade: the
 // partitioner and coordinator, one unsharded Engine per shard (its own
-// runState: hub, matchers, results) driven by that shard's loop from its
+// hub, matchers and results) driven by that shard's loop from its
 // queue, and the per-shard boundary context the cooperation views read.
 // The façade validates and sequences events; dispatch deals them to the
 // queues, and each loop gates an event on the coordinator's frontiers
-// and then applies it through the same Engine.apply every other runtime
-// uses.
+// and then applies it through the same Engine.apply the unsharded
+// runtime uses.
 type shardedEngine struct {
 	cfg     Config
 	part    *shard.Partitioner
@@ -191,14 +188,14 @@ func newShardedEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config
 	for i := 0; i < n; i++ {
 		scfg := cfg
 		scfg.Seed = shardSeed(cfg.Seed, i)
-		st, err := newRunState(pids, factory, scfg, se.viewWrap(i), false)
+		eng, err := newUnsharded(pids, factory, scfg, se.viewWrap(i), false)
 		if err != nil {
 			return nil, err
 		}
-		if len(st.windowed) > 0 {
-			return nil, fmt.Errorf("platform: windowed matcher %q %w", st.windowed[0].m.Name(), ErrShardUnsupported)
+		if len(eng.windowed) > 0 {
+			return nil, fmt.Errorf("platform: windowed matcher %q %w", eng.windowed[0].m.Name(), ErrShardUnsupported)
 		}
-		se.engines = append(se.engines, &Engine{s: st})
+		se.engines = append(se.engines, eng)
 		se.queues = append(se.queues, newShardQueue(se.co, i))
 	}
 	cfg.Metrics.RunStarted()
@@ -267,7 +264,7 @@ func (v *shardCoopView) EligibleOuter(r *core.Request) []online.Candidate {
 }
 
 func (v *shardCoopView) appendRemote(t int, r *core.Request) {
-	th := v.se.engines[t].s.hub
+	th := v.se.engines[t].hub
 	if th.CoopDisabled {
 		return
 	}
@@ -281,7 +278,7 @@ func (v *shardCoopView) appendRemote(t int, r *core.Request) {
 	if len(v.workers) == 0 {
 		return
 	}
-	th.lockTables()
+	th.mu.Lock()
 	for _, w := range v.workers {
 		rec := th.workers[w.ID]
 		if rec == nil {
@@ -304,7 +301,7 @@ func (v *shardCoopView) Claim(workerID int64) bool {
 		return v.base.Claim(workerID)
 	}
 	cnt := &v.se.stats[v.si]
-	if v.se.engines[t].s.hub.claim(v.pid, workerID, v.now, false) {
+	if v.se.engines[t].hub.claim(v.pid, workerID, v.now, false) {
 		cnt.borrows.Add(1)
 		v.se.cfg.Metrics.CrossShardBorrow()
 		return true
@@ -346,12 +343,12 @@ func (se *shardedEngine) merge() (*Result, error) {
 	for _, pid := range se.pids {
 		agg := &PlatformResult{
 			ID:       pid,
-			Name:     se.engines[0].s.res.Platforms[pid].Name,
+			Name:     se.engines[0].res.Platforms[pid].Name,
 			Matching: core.NewMatching(),
 			Latency:  stats.NewReservoir(0, se.cfg.Seed^int64(pid)),
 		}
 		for si, eng := range se.engines {
-			pr := eng.s.res.Platforms[pid]
+			pr := eng.res.Platforms[pid]
 			agg.Stats.Requests += pr.Stats.Requests
 			agg.Stats.Served += pr.Stats.Served
 			agg.Stats.ServedInner += pr.Stats.ServedInner
@@ -374,7 +371,7 @@ func (se *shardedEngine) merge() (*Result, error) {
 		res.Platforms[pid] = agg
 	}
 	for _, eng := range se.engines {
-		for pid, n := range eng.s.hub.Lent() {
+		for pid, n := range eng.hub.Lent() {
 			res.Lent[pid] += n
 		}
 	}
@@ -626,7 +623,7 @@ func (se *shardedEngine) finish() (*Result, error) {
 	se.wg.Wait()
 	se.co.Close()
 	for _, eng := range se.engines {
-		eng.s.foldPricing()
+		eng.foldPricing()
 	}
 	se.cfg.Metrics.RecordShards(se.shardStats())
 	if err := se.loadErr(); err != nil {

@@ -148,7 +148,6 @@ func TestShardedRejectsUnsupported(t *testing.T) {
 		cfg     Config
 	}{
 		{"service-ticks", tota, Config{Shards: 2, ServiceTicks: 3}},
-		{"platform-parallel", tota, Config{Shards: 2, PlatformParallel: true}},
 		{"trace", tota, Config{Shards: 2, Trace: trace.New(trace.Options{})}},
 		{"windowed", batch, Config{Shards: 2}},
 	}

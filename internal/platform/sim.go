@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime/pprof"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"crossmatch/internal/core"
@@ -38,8 +37,7 @@ type pricingStatsProvider interface{ PricingStats() pricing.Stats }
 // Config controls a simulation run.
 type Config struct {
 	// Seed drives every random choice (matcher thresholds, acceptance
-	// probes, Monte-Carlo sampling). Same seed, same stream, same result —
-	// under the sequential runtime; see PlatformParallel.
+	// probes, Monte-Carlo sampling). Same seed, same stream, same result.
 	Seed int64
 	// ServiceTicks, when positive, recycles workers: a worker who
 	// completes a request re-joins its platform's waiting list
@@ -52,22 +50,11 @@ type Config struct {
 	// DisableCoop turns off worker sharing: COM algorithms degrade to
 	// TOTA (the degradation ablation).
 	DisableCoop bool
-	// PlatformParallel runs each platform's event sub-stream on its own
-	// goroutine, cooperating through the race-safe hub — the deployment
-	// model of the paper, where platforms are independent services and
-	// cross-platform claims genuinely race. Results stay valid (every
-	// matching passes Validate, no worker is assigned twice) but are not
-	// bit-reproducible across runs: event interleaving, and therefore
-	// claim outcomes, depends on scheduling. The default (false) feeds
-	// one Engine on the calling goroutine, whose results are a pure
-	// function of (stream, factory, Seed).
-	PlatformParallel bool
 	// Metrics, when non-nil, receives the run's matching-funnel counters
 	// (inner/outer matches, cooperative attempts, acceptance probes,
-	// rejections, claim conflicts and retries), per-platform
-	// decision-latency observations and — under PlatformParallel — hub
-	// lock-wait timings. The collector is safe to share across
-	// concurrent runs.
+	// rejections, claim conflicts and retries) and per-platform
+	// decision-latency observations. The collector is safe to share
+	// across concurrent runs.
 	Metrics *metrics.Collector
 	// ProfileLabel, when non-empty, tags the run's goroutine with a
 	// "crossmatch.run" pprof label so CPU profiles of a parallel
@@ -79,7 +66,7 @@ type Config struct {
 	// partner platform with a circuit breaker, so the COM matchers
 	// degrade gracefully to inner-only matching against dark partners.
 	// Fault randomness is seeded (Plan.Seed, falling back to Seed), so
-	// sequential faulted runs stay reproducible; matcher randomness is
+	// faulted runs stay reproducible; matcher randomness is
 	// never touched, and a nil plan leaves the run bit-identical to a
 	// fault-free build. See internal/fault.
 	Faults *fault.Plan
@@ -90,8 +77,8 @@ type Config struct {
 	// Trace, when non-nil, records per-request decision spans (stage
 	// timings, outcome, payment, faults) into the tracer's bounded
 	// per-platform rings. Tracing never draws from matcher RNGs, so a
-	// sequential run's matching result is bit-identical with tracing on,
-	// off, or sampled. Safe to share one tracer across the unit runs of
+	// run's matching result is bit-identical with tracing on, off, or
+	// sampled. Safe to share one tracer across the unit runs of
 	// an experiment, like Metrics. See internal/trace.
 	Trace *trace.Tracer
 	// TraceSample overrides the tracer's sampling rate for this run:
@@ -112,8 +99,8 @@ type Config struct {
 	// the unsharded engine's: inner matching is shard-local and
 	// cooperation reaches only the shards a request's eligibility disk
 	// touches. Zero or one keeps the unsharded runtime. Shards > 1
-	// rejects ServiceTicks, PlatformParallel, Trace and windowed
-	// matchers with ErrShardUnsupported.
+	// rejects ServiceTicks, Trace and windowed matchers with
+	// ErrShardUnsupported.
 	Shards int
 	// ShardReach is the maximum worker eligibility radius the sharded
 	// engine plans boundary crossings for. Stream runs derive it (the
@@ -268,9 +255,7 @@ const cancelCheckMask = 63
 // mid-stream, the simulation stops at the next event boundary and
 // returns the partial Result accumulated so far alongside an error
 // wrapping ctx.Err() (test with errors.Is(err, context.Canceled) or
-// context.DeadlineExceeded). Under Config.PlatformParallel every
-// platform goroutine observes the cancellation and the partial Result is
-// returned once all of them have stopped; nothing leaks either way.
+// context.DeadlineExceeded).
 func RunContext(ctx context.Context, stream *core.Stream, factory MatcherFactory, cfg Config) (res *Result, err error) {
 	if cfg.ProfileLabel != "" {
 		pprof.Do(ctx, pprof.Labels("crossmatch.run", cfg.ProfileLabel), func(ctx context.Context) {
@@ -281,48 +266,14 @@ func RunContext(ctx context.Context, stream *core.Stream, factory MatcherFactory
 	return runContext(ctx, stream, factory, cfg)
 }
 
-// runContext picks the feeder: every runtime is the Engine's step fed
-// from the stream — in arrival order on this goroutine (RunSource), per
-// platform on one goroutine each (runParallel), or through the shard
-// queues (runSharded).
+// runContext picks the feeder: both runtimes are the Engine's step fed
+// from the stream — in arrival order on this goroutine (RunSource) or
+// through the shard queues (runSharded).
 func runContext(ctx context.Context, stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
-	pids := stream.Platforms()
-	switch {
-	case cfg.Shards > 1:
+	if cfg.Shards > 1 {
 		return runSharded(ctx, stream, factory, cfg)
-	case cfg.PlatformParallel && len(pids) > 1:
-		return runParallel(ctx, stream, factory, cfg)
 	}
-	return RunSource(ctx, pids, factory, StreamSource(stream), cfg)
-}
-
-// runState is one run's shared machinery: the hub, the per-platform
-// matchers and result slots, and the recycled-worker ID allocator. Under
-// the concurrent runtime the maps are read-only after newRunState; each
-// per-platform slot (PlatformResult, matcher) is touched only by the
-// goroutine driving that platform.
-type runState struct {
-	cfg      Config
-	hub      *Hub
-	pids     []core.PlatformID
-	matchers map[core.PlatformID]online.Matcher
-	labels   map[core.PlatformID]string
-	res      *Result
-	// windowed lists the platforms whose matcher defers decisions into
-	// virtual-time windows (BatchCOM), in ascending pid order — the tie
-	// order when several windows fall due at the same virtual time.
-	// Empty for the greedy matchers, in which case settleDue degenerates
-	// to the plain recycle flush.
-	windowed []windowedEntry
-	// onFlush, when non-nil, receives every window-flushed decision as
-	// it is folded (the serving layer's hook for answering deferred
-	// requests). Never called for immediate (non-deferred) decisions.
-	onFlush func(RequestDecision)
-	// nextID allocates IDs for recycled workers: the next one is
-	// nextID+1. Stream runs seed it with the stream's max worker ID;
-	// under PlatformParallel the IDs stay unique but their platform
-	// assignment depends on scheduling.
-	nextID atomic.Int64
+	return RunSource(ctx, stream.Platforms(), factory, StreamSource(stream), cfg)
 }
 
 // windowedEntry pairs a windowed matcher with its platform.
@@ -331,33 +282,20 @@ type windowedEntry struct {
 	m   online.WindowedMatcher
 }
 
-// windowedFor returns the windowed-entry subset for one platform — what
-// a per-platform goroutine may drive under PlatformParallel, where
-// another platform's matcher must never be advanced from this
-// goroutine.
-func (s *runState) windowedFor(pid core.PlatformID) []windowedEntry {
-	for i := range s.windowed {
-		if s.windowed[i].pid == pid {
-			return s.windowed[i : i+1]
-		}
-	}
-	return nil
-}
-
-// newRunState builds the run machinery for a platform set and seals its
-// hub. The platform order determines per-platform RNG derivation, so
-// callers wanting bit-parity with a stream run pass stream.Platforms()
-// (ascending IDs). The last two parameters are the seams the sharded
-// runtime needs: wrapView, when non-nil, wraps each platform's hub view
-// before the matcher factory sees it (the shard layer splices its
-// cross-shard cooperation view in here), and announce=false suppresses
-// the RunStarted metric so a run building one state per shard counts as
-// one run, not Shards runs.
-func newRunState(pids []core.PlatformID, factory MatcherFactory, cfg Config, wrapView func(core.PlatformID, online.CoopView) online.CoopView, announce bool) (*runState, error) {
+// newUnsharded builds an unsharded engine for a platform set — hub,
+// matchers, result slots — and seals its hub. The platform order
+// determines per-platform RNG derivation, so callers wanting bit-parity
+// with a stream run pass stream.Platforms() (ascending IDs). The last
+// two parameters are the seams the sharded runtime needs: wrapView, when
+// non-nil, wraps each platform's hub view before the matcher factory
+// sees it (the shard layer splices its cross-shard cooperation view in
+// here), and announce=false suppresses the RunStarted metric so a run
+// building one engine per shard counts as one run, not Shards runs.
+func newUnsharded(pids []core.PlatformID, factory MatcherFactory, cfg Config, wrapView func(core.PlatformID, online.CoopView) online.CoopView, announce bool) (*Engine, error) {
 	if len(pids) == 0 {
 		return nil, fmt.Errorf("platform: no platforms to run")
 	}
-	s := &runState{
+	e := &Engine{
 		cfg:      cfg,
 		hub:      NewHub(),
 		pids:     append([]core.PlatformID(nil), pids...),
@@ -365,13 +303,13 @@ func newRunState(pids []core.PlatformID, factory MatcherFactory, cfg Config, wra
 		labels:   map[core.PlatformID]string{},
 		res:      &Result{Platforms: map[core.PlatformID]*PlatformResult{}},
 	}
-	s.hub.CoopDisabled = cfg.DisableCoop
-	s.hub.SetMetrics(cfg.Metrics)
+	e.hub.CoopDisabled = cfg.DisableCoop
+	e.hub.SetMetrics(cfg.Metrics)
 
 	root := rand.New(rand.NewSource(cfg.Seed))
-	for _, pid := range s.pids {
+	for _, pid := range e.pids {
 		rng := rand.New(rand.NewSource(root.Int63()))
-		view := s.hub.ViewFor(pid)
+		view := e.hub.ViewFor(pid)
 		if wrapView != nil {
 			view = wrapView(pid, view)
 		}
@@ -380,14 +318,14 @@ func newRunState(pids []core.PlatformID, factory MatcherFactory, cfg Config, wra
 		if !ok {
 			return nil, fmt.Errorf("platform: matcher %q does not expose its pool", m.Name())
 		}
-		if err := s.hub.RegisterPlatform(pid, holder.Pool()); err != nil {
+		if err := e.hub.RegisterPlatform(pid, holder.Pool()); err != nil {
 			return nil, err
 		}
-		s.matchers[pid] = m
+		e.matchers[pid] = m
 		if wm, ok := m.(online.WindowedMatcher); ok {
-			s.windowed = append(s.windowed, windowedEntry{pid: pid, m: wm})
+			e.windowed = append(e.windowed, windowedEntry{pid: pid, m: wm})
 		}
-		s.res.Platforms[pid] = &PlatformResult{
+		e.res.Platforms[pid] = &PlatformResult{
 			ID: pid, Name: m.Name(), Matching: core.NewMatching(),
 			Latency: stats.NewReservoir(0, cfg.Seed^int64(pid)),
 		}
@@ -403,16 +341,16 @@ func newRunState(pids []core.PlatformID, factory MatcherFactory, cfg Config, wra
 			plan = plan.Clone()
 			plan.Retry.Deadline = cfg.ProbeDeadline
 		}
-		inj = fault.New(plan, cfg.Seed, s.pids, cfg.Metrics)
-		s.hub.SetFaults(inj)
+		inj = fault.New(plan, cfg.Seed, e.pids, cfg.Metrics)
+		e.hub.SetFaults(inj)
 	}
 
 	if cfg.Trace != nil {
-		recs := make(map[core.PlatformID]*trace.Recorder, len(s.pids))
-		for _, pid := range s.pids {
-			rc := cfg.Trace.Recorder(cfg.Seed, pid, s.matchers[pid].Name(), cfg.TraceSample)
+		recs := make(map[core.PlatformID]*trace.Recorder, len(e.pids))
+		for _, pid := range e.pids {
+			rc := cfg.Trace.Recorder(cfg.Seed, pid, e.matchers[pid].Name(), cfg.TraceSample)
 			recs[pid] = rc
-			if tb, ok := s.matchers[pid].(traceBinder); ok {
+			if tb, ok := e.matchers[pid].(traceBinder); ok {
 				tb.BindTrace(rc)
 			}
 		}
@@ -436,49 +374,39 @@ func newRunState(pids []core.PlatformID, factory MatcherFactory, cfg Config, wra
 	// Per-platform latency labels are built once; the hot loop must not
 	// format strings.
 	if cfg.Metrics != nil {
-		for _, pid := range s.pids {
-			s.labels[pid] = fmt.Sprintf("platform-%d", pid)
+		for _, pid := range e.pids {
+			e.labels[pid] = fmt.Sprintf("platform-%d", pid)
 		}
 	}
 	// Registration is complete: from here the hub's configuration is
 	// read lock-free by whichever goroutines drive the matchers, so late
 	// registration must fail loudly rather than race.
-	s.hub.seal()
-	return s, nil
+	e.hub.seal()
+	return e, nil
 }
 
 // deliver puts a worker (fresh or recycled) into its platform's waiting
 // list and registers it with the hub.
-func (s *runState) deliver(w *core.Worker) error {
-	if err := s.hub.WorkerArrived(w); err != nil {
+func (e *Engine) deliver(w *core.Worker) error {
+	if err := e.hub.WorkerArrived(w); err != nil {
 		return err
 	}
-	s.matchers[w.Platform].WorkerArrives(w)
+	e.matchers[w.Platform].WorkerArrives(w)
 	return nil
-}
-
-// finish completes the Result once every engine over this state has
-// settled: the recycled total, the hub's lending ledger and the pricing
-// counters.
-func (s *runState) finish(recycled int) *Result {
-	s.res.Recycled = recycled
-	s.res.Lent = s.hub.Lent()
-	s.foldPricing()
-	return s.res
 }
 
 // foldPricing folds every matcher's pricing-quoter counters into the
 // run's metrics collector. Call it only after the goroutines driving the
 // matchers have stopped: quoter stats are plain integers owned by the
 // matcher goroutine.
-func (s *runState) foldPricing() {
-	if s.cfg.Metrics == nil {
+func (e *Engine) foldPricing() {
+	if e.cfg.Metrics == nil {
 		return
 	}
-	for _, pid := range s.pids {
-		if pp, ok := s.matchers[pid].(pricingStatsProvider); ok {
+	for _, pid := range e.pids {
+		if pp, ok := e.matchers[pid].(pricingStatsProvider); ok {
 			st := pp.PricingStats()
-			s.cfg.Metrics.AddPricing(metrics.PricingStats{
+			e.cfg.Metrics.AddPricing(metrics.PricingStats{
 				RevenueQuotes:    st.RevenueQuotes,
 				ThresholdQuotes:  st.ThresholdQuotes,
 				MonteCarloQuotes: st.MonteCarloQuotes,

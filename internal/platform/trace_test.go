@@ -97,12 +97,11 @@ func TestTracedRunRecordsOutcomesAndStages(t *testing.T) {
 	}
 }
 
-// TestTraceParallelChaos is the race stress for the tracing layer: the
-// concurrent per-platform runtime with an aggressive fault plan, a tiny
-// span ring forcing constant wrap-around, and a shared tracer. Under
-// -race this exercises recorder/ring/fault-observer interleavings; the
-// assertions pin the accounting (recorded = requests, dropped matches
-// retention) and that injected faults land inside spans.
+// TestTraceParallelChaos is the stress for the tracing layer: an
+// aggressive fault plan, worker recycling, and a tiny span ring forcing
+// constant wrap-around. The assertions pin the accounting (recorded =
+// requests, dropped matches retention) and that injected faults land
+// inside spans.
 func TestTraceParallelChaos(t *testing.T) {
 	stream := multiStream(t, 4, 600, 120, 13)
 	factory, err := FactoryFor(AlgDemCOM, stream.MaxValue())
@@ -111,9 +110,9 @@ func TestTraceParallelChaos(t *testing.T) {
 	}
 	tr := trace.New(trace.Options{Capacity: 32})
 	res, err := Run(stream, factory, Config{
-		Seed:             13,
-		PlatformParallel: true,
-		Trace:            tr,
+		Seed:         13,
+		ServiceTicks: 10,
+		Trace:        tr,
 		Faults: &fault.Plan{
 			DropRate:       0.3,
 			ClaimErrorRate: 0.2,

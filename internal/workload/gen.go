@@ -35,9 +35,6 @@ type PlatformSpec struct {
 	// HistoryMin/HistoryMax bound the per-worker history length N of
 	// Definition 3.1 (inclusive). Defaults 20..60 when both zero.
 	HistoryMin, HistoryMax int
-	// Arrivals draws arrival ticks (nil = uniform over the horizon, the
-	// paper's randomized arrival order; see RushHour for a bimodal day).
-	Arrivals ArrivalModel
 	// Appearances is how many times each physical worker joins the
 	// waiting list over the horizon (a driver returns to the pool after
 	// completing each trip; the paper models each return as a fresh
@@ -232,10 +229,6 @@ func Generate(cfg Config, seed int64) (*core.Stream, error) {
 		if appearances == 0 {
 			appearances = 1
 		}
-		arrivals := s.Arrivals
-		if arrivals == nil {
-			arrivals = UniformArrivals{}
-		}
 		for j := 0; j < s.Workers; j++ {
 			n := histMin
 			if histMax > histMin {
@@ -258,7 +251,7 @@ func Generate(cfg Config, seed int64) (*core.Stream, error) {
 				w := workers.next()
 				*w = core.Worker{
 					ID:       nextWorkerID,
-					Arrival:  arrivals.Sample(rng, horizon),
+					Arrival:  core.Time(rng.Int63n(int64(horizon))),
 					Loc:      workerSpatial.Sample(rng),
 					Radius:   s.Radius,
 					Platform: s.ID,
@@ -272,7 +265,7 @@ func Generate(cfg Config, seed int64) (*core.Stream, error) {
 			r := requests.next()
 			*r = core.Request{
 				ID:       nextRequestID,
-				Arrival:  arrivals.Sample(rng, horizon),
+				Arrival:  core.Time(rng.Int63n(int64(horizon))),
 				Loc:      s.RequestSpatial.Sample(rng),
 				Value:    s.Values.Sample(rng),
 				Platform: s.ID,

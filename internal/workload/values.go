@@ -72,44 +72,6 @@ func (r RealValues) Sample(rng *rand.Rand) float64 {
 // Max implements ValueModel.
 func (r RealValues) Max() float64 { return r.Cap }
 
-// UniformValues draws uniformly from [Min, Cap]; used by property tests
-// and the competitive-ratio study where a controlled value range is
-// needed.
-type UniformValues struct {
-	Min, Cap float64
-}
-
-// NewUniformValues validates and returns the model.
-func NewUniformValues(min, cap float64) (UniformValues, error) {
-	if min <= 0 || cap <= min {
-		return UniformValues{}, fmt.Errorf("workload: bad uniform values (min=%v cap=%v)", min, cap)
-	}
-	return UniformValues{Min: min, Cap: cap}, nil
-}
-
-// Sample implements ValueModel.
-func (u UniformValues) Sample(rng *rand.Rand) float64 {
-	return u.Min + rng.Float64()*(u.Cap-u.Min)
-}
-
-// Max implements ValueModel.
-func (u UniformValues) Max() float64 { return u.Cap }
-
-// Scaled wraps a model, multiplying every sample by Factor. Worker
-// acceptance histories use it: a frugality factor below 1 means workers
-// have historically completed cheaper requests than the live request
-// mix, which calibrates DemCOM's ~0.7 minimum payment rate.
-type Scaled struct {
-	Base   ValueModel
-	Factor float64
-}
-
-// Sample implements ValueModel.
-func (s Scaled) Sample(rng *rand.Rand) float64 { return s.Base.Sample(rng) * s.Factor }
-
-// Max implements ValueModel.
-func (s Scaled) Max() float64 { return s.Base.Max() * s.Factor }
-
 // DefaultRealValues is the fare model used by the city presets: median
 // ~15 CNY, heavy tail, capped at 100 (mean ~19, matching the per-request
 // revenue implied by Table V: 1.343e6 / 68689 ~ 19.6).

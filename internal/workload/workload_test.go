@@ -102,10 +102,8 @@ func TestTwoRegionSkew(t *testing.T) {
 func TestValueModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	models := map[string]ValueModel{
-		"real":    DefaultRealValues(),
-		"normal":  DefaultNormalValues(),
-		"uniform": mustUniform(t),
-		"scaled":  Scaled{Base: DefaultRealValues(), Factor: 0.5},
+		"real":   DefaultRealValues(),
+		"normal": DefaultNormalValues(),
 	}
 	for name, m := range models {
 		t.Run(name, func(t *testing.T) {
@@ -119,15 +117,6 @@ func TestValueModels(t *testing.T) {
 	}
 }
 
-func mustUniform(t *testing.T) UniformValues {
-	t.Helper()
-	u, err := NewUniformValues(1, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return u
-}
-
 func TestValueModelValidation(t *testing.T) {
 	if _, err := NewNormalValues(0, 1, 1, 10); err == nil {
 		t.Error("bad normal accepted")
@@ -137,9 +126,6 @@ func TestValueModelValidation(t *testing.T) {
 	}
 	if _, err := NewRealValues(1, 0.5, 5, 2); err == nil {
 		t.Error("cap < min accepted")
-	}
-	if _, err := NewUniformValues(0, 5); err == nil {
-		t.Error("zero min accepted")
 	}
 }
 

@@ -14,13 +14,15 @@ go build ./...
 echo "==> go test -race"
 go test -race ./...
 
-echo "==> fuzz smokes (10 s each)"
-go test -run '^$' -fuzz '^FuzzStreamOrdering$' -fuzztime 10s ./internal/core
-go test -run '^$' -fuzz '^FuzzSlotGridMatchesGrid$' -fuzztime 10s ./internal/index
-go test -run '^$' -fuzz '^FuzzAcceptProbTableEquivalence$' -fuzztime 10s ./internal/pricing
+echo "==> fuzz smokes (every target, 10 s each)"
+for pkg in $(go list ./...); do
+	for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
+		go test -run '^$' -fuzz "^$target\$" -fuzztime 10s "$pkg"
+	done
+done
 
 echo "==> short benchmarks (1 iteration each)"
-go test -run '^$' -bench 'BenchmarkTable(Sequential|Parallel)$|BenchmarkPlatform(Sequential|Parallel)Runtime$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkTable(Sequential|Parallel)$|BenchmarkPlatformSequentialRuntime$' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkNewStream400k(Sorted)?$|BenchmarkSlotGridAppendSlots$|BenchmarkGenerateCity$|BenchmarkNewHistory$' -benchtime 1x -benchmem ./internal/core ./internal/index ./internal/workload ./internal/pricing
 
 echo "==> OK"
