@@ -141,7 +141,10 @@ func NewTracer(opts TraceOptions) *Tracer { return trace.New(opts) }
 func Presets() []Preset { return workload.Presets() }
 
 // NewStream validates and time-orders arrival events built from workers
-// and requests.
+// and requests. The stream keeps the pointers it is given. A worker's
+// History may be in any order, but must not be written once the worker
+// is in a stream: a run reads an ascending History in place and copies
+// any other.
 func NewStream(workers []*Worker, requests []*Request) (*Stream, error) {
 	return core.NewStream(append(core.WorkerEvents(workers), core.RequestEvents(requests)...))
 }

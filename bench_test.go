@@ -18,7 +18,9 @@ package crossmatch
 
 import (
 	"context"
+	"math"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -409,12 +411,12 @@ func BenchmarkBatchWindow(b *testing.B) {
 // TestAllocCeilings fails when a hot path's allocation count regresses.
 // Allocation counts repeat where ns/op on a shared machine does not, so
 // they can carry a threshold: each ceiling is 1.10x the count recorded
-// under -race — the larger of the two modes `go test` runs it in, by 10%
-// on the tables and 24% on ShardedEngine — when the benchmark's path was
-// last reworked on purpose: PR 20 for all four, when a worker arrival
-// went from four allocations to two (-race: 41873, 50222, 40090 and
-// 43243 allocs/op, from 54525, 66559, 44050 and 51440; without it 37771,
-// 45878, 37563 and 34928, from 50685, 62235, 41575 and 42943). A change
+// under -race — the larger of the two modes `go test` runs it in, by 11%
+// on the tables and 27% on ShardedEngine — when the benchmark's path was
+// last reworked on purpose: PR 23 for all four, when a worker arrival
+// went from two allocations to one (-race: 35238, 41922, 38089 and
+// 39185 allocs/op, from 41873, 50222, 40090 and 43243; without it 31325,
+// 37710, 35559 and 30924, from 37771, 45878, 37563 and 34928). A change
 // that allocates less may lower a ceiling; one that allocates more must
 // say why.
 func TestAllocCeilings(t *testing.T) {
@@ -426,15 +428,68 @@ func TestAllocCeilings(t *testing.T) {
 		fn      func(*testing.B)
 		ceiling int64
 	}{
-		{"TableV", BenchmarkTableV, 46060},
-		{"TableVI", BenchmarkTableVI, 55244},
-		{"BatchWindow", BenchmarkBatchWindow, 44099},
-		{"ShardedEngine", BenchmarkShardedEngine, 47567},
+		{"TableV", BenchmarkTableV, 38762},
+		{"TableVI", BenchmarkTableVI, 46114},
+		{"BatchWindow", BenchmarkBatchWindow, 41898},
+		{"ShardedEngine", BenchmarkShardedEngine, 43104},
 	} {
 		if got := testing.Benchmark(c.fn).AllocsPerOp(); got > c.ceiling {
 			t.Errorf("Benchmark%s: %d allocs/op, ceiling %d", c.name, got, c.ceiling)
 		} else {
 			t.Logf("Benchmark%s: %d allocs/op, ceiling %d", c.name, got, c.ceiling)
 		}
+	}
+}
+
+// raceBuild is set by race_test.go, which only a -race build compiles.
+var raceBuild bool
+
+// runBytesPerEventCeiling is what one RamCOM run may allocate per event
+// of a city40k stream: 1.10x the 39.8 bytes (1,591,360 over 40,000
+// events) measured at PR 23, where the hub stopped building a
+// 3n-float table per worker arrival; its parent measured 146.2.
+const runBytesPerEventCeiling = 43.8
+
+// TestRunBytesPerEvent holds the bytes a run allocates, which timings
+// cannot carry and which set the engine's peak RSS: runtime.MemStats'
+// TotalAlloc delta over one RamCOM run of the ledger's city at a tenth
+// of engine_city's size (bench/streams.go: 50 workers/km², 9 requests a
+// worker, radius 1 km, uniform), stream generation excluded. The delta
+// repeats to within a few hundred bytes — except under the race
+// detector, where sync.Pool drops a quarter of its Puts at random and
+// the matchers' pooled buffers, reallocated, are most of the count
+// (about 162 bytes per event, 270 at the parent): there it is skipped.
+func TestRunBytesPerEvent(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	const workers, requests = 4000, 36000
+	sq := workload.NewUniformSquare(math.Sqrt(workers / 50.0))
+	var cfg workload.Config
+	for id := 1; id <= 2; id++ {
+		cfg.Platforms = append(cfg.Platforms, workload.PlatformSpec{
+			ID: PlatformID(id), Requests: requests / 2, Workers: workers / 2, Radius: 1,
+			RequestSpatial: sq, Values: workload.DefaultRealValues(),
+		})
+	}
+	stream, err := workload.Generate(cfg, benchSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := SimulateContext(context.Background(), stream, RamCOM, WithSeed(benchSeed))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalServed() == 0 {
+		t.Fatal("nothing served")
+	}
+	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(stream.Len())
+	if got > runBytesPerEventCeiling {
+		t.Errorf("%.1f bytes allocated per event over %d events, ceiling %.1f", got, stream.Len(), runBytesPerEventCeiling)
+	} else {
+		t.Logf("%.1f bytes allocated per event over %d events, ceiling %.1f", got, stream.Len(), runBytesPerEventCeiling)
 	}
 }

@@ -64,14 +64,17 @@ func (r *Request) Validate() error {
 // arrives at time t at location l and can serve requests within radius
 // rad. History holds the values of the worker's completed past requests
 // and drives the acceptance probability of Definition 3.1; it is consulted
-// only when the worker acts as an outer worker for another platform.
+// only when the worker acts as an outer worker for another platform. Any
+// order is accepted: ascending is shared by the run that reads it,
+// anything else is copied and sorted; either way the slice is never
+// written after the event is handed to a stream or an engine.
 type Worker struct {
 	ID       int64
 	Arrival  Time
 	Loc      geo.Point
 	Radius   float64
 	Platform PlatformID // the platform this worker is registered with
-	History  []float64  // completed request values, ascending not required
+	History  []float64  // completed request values, in any order
 }
 
 // Validate reports whether the worker is well-formed.

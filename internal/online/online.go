@@ -276,7 +276,7 @@ func estimatePayment(q *pricing.TableQuoter, value float64, group []*pricing.His
 // nearestIndex returns the index of the candidate whose worker is
 // closest to the request, ties broken by smallest worker ID. The result
 // is independent of candidate order (the minimum under the strict
-// (distance, ID) lexicographic order, with unique IDs), which is what
+// (distance, ID) lexicographic order, no two IDs equal), which is what
 // lets the claim loop swap-delete without perturbing selection order.
 // Callers guarantee len(cands) > 0.
 func nearestIndex(cands []Candidate, r *core.Request) int {

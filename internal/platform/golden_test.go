@@ -190,20 +190,59 @@ func TestRunIgnoresPayloadLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertGoldenRowsAgree(t, packed, loose)
+}
+
+// assertGoldenRowsAgree runs every golden configuration over both
+// streams, which hold the same entities, and compares the results bit
+// for bit.
+func assertGoldenRowsAgree(t *testing.T, a, b *core.Stream) {
+	t.Helper()
 	for _, row := range goldenRows {
 		t.Run(fmt.Sprintf("%s/ticks%d/shards%d", row.alg, row.ticks, row.shards), func(t *testing.T) {
-			factory, cfg := goldenConfig(t, packed, row)
-			want, err := Run(packed, factory, cfg)
+			factory, cfg := goldenConfig(t, a, row)
+			want, err := Run(a, factory, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(loose, factory, cfg)
+			got, err := Run(b, factory, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameResult(t, want, got)
 		})
 	}
+}
+
+// TestRunIgnoresHistoryOrder runs every golden configuration over the
+// generator's stream, whose histories are ascending and so shared by
+// pricing.MakeHistory, and over a clone whose histories are shuffled,
+// which takes the copy-and-sort branch at every arrival: the order a
+// history is handed over in must not reach a decision.
+func TestRunIgnoresHistoryOrder(t *testing.T) {
+	shared := feedTestStream(t, 400, 120, 7)
+	rng := rand.New(rand.NewSource(2))
+	var events []core.Event
+	for _, e := range shared.Events() {
+		if e.Kind == core.WorkerArrival {
+			w := *e.Worker
+			if !slices.IsSorted(w.History) {
+				t.Fatalf("worker %d: the generated history is not ascending", w.ID)
+			}
+			w.History = slices.Clone(w.History)
+			rng.Shuffle(len(w.History), func(i, j int) { w.History[i], w.History[j] = w.History[j], w.History[i] })
+			if slices.IsSorted(w.History) {
+				t.Fatalf("worker %d: the shuffle left the history ascending", w.ID)
+			}
+			e.Worker = &w
+		}
+		events = append(events, e)
+	}
+	copied, err := core.NewStream(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGoldenRowsAgree(t, shared, copied)
 }
 
 // withKey copies the row key (alg, ticks, shards) onto a measured row so

@@ -69,7 +69,9 @@ type Hub struct {
 }
 
 // workerRec is everything the hub keeps for one waiting worker: one
-// map entry and, the history's values aside, one allocation per arrival.
+// map entry and one 40-byte allocation per arrival. The history's values
+// are the event's own slice whenever that is ascending, as every built
+// stream's are (pricing.MakeHistory).
 type workerRec struct {
 	owner   core.PlatformID
 	hist    pricing.History
@@ -134,7 +136,7 @@ func (h *Hub) RegisterPlatform(id core.PlatformID, pool *online.Pool) error {
 
 // WorkerArrived records ownership and acceptance history for a worker
 // that just joined its platform's waiting list. The worker's History
-// field is parsed once here; matchers see it through Candidate.
+// field is validated once here; matchers see it through Candidate.
 func (h *Hub) WorkerArrived(w *core.Worker) error {
 	if _, ok := h.pools[w.Platform]; !ok {
 		return fmt.Errorf("platform: worker %d arrived for unregistered platform %d", w.ID, w.Platform)

@@ -2,10 +2,13 @@ package platform
 
 import (
 	"context"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
+	"crossmatch/internal/online"
 	"crossmatch/internal/pricing"
 )
 
@@ -78,5 +81,48 @@ func TestHubRecordsMatchPoolsOnLongRecycledRun(t *testing.T) {
 	}
 	if len(s.hub.workers) != waiting {
 		t.Errorf("hub holds %d records for %d waiting workers (leaked records)", len(s.hub.workers), waiting)
+	}
+}
+
+// TestWorkerArrivedOneAllocation: a worker whose history arrives in
+// order costs the hub its 40-byte record and nothing else — the history
+// is the event's slice — and one whose history does not costs the
+// sorted copy as well.
+func TestWorkerArrivedOneAllocation(t *testing.T) {
+	h := NewHub()
+	if err := h.RegisterPlatform(1, online.NewPool(nil)); err != nil {
+		t.Fatal(err)
+	}
+	ascending := make([]float64, 40)
+	for i := range ascending {
+		ascending[i] = 1 + float64(i)
+	}
+	shuffled := slices.Clone(ascending)
+	shuffled[0], shuffled[39] = shuffled[39], shuffled[0]
+	for _, c := range []struct {
+		name    string
+		history []float64
+		want    float64
+	}{{"ascending", ascending, 1}, {"shuffled", shuffled, 2}} {
+		w := &core.Worker{ID: 1, Loc: geo.Point{}, Radius: 5, Platform: 1, History: c.history}
+		// The same ID every time: after the first arrival the map entry
+		// is overwritten, so what is counted is the arrival alone.
+		if got := testing.AllocsPerRun(100, func() {
+			if err := h.WorkerArrived(w); err != nil {
+				t.Fatal(err)
+			}
+		}); got != c.want {
+			t.Errorf("%s: WorkerArrived allocates %v times, want %v", c.name, got, c.want)
+		}
+		hist, ok := h.HistoryOf(1)
+		if !ok {
+			t.Fatalf("%s: no history recorded", c.name)
+		}
+		if shared := &hist.Values()[0] == &c.history[0]; shared != (c.want == 1) {
+			t.Errorf("%s: history shares the worker's slice = %v, want %v", c.name, shared, c.want == 1)
+		}
+	}
+	if got := unsafe.Sizeof(workerRec{}); got != 40 {
+		t.Errorf("workerRec is %d bytes, want 40", got)
 	}
 }

@@ -19,33 +19,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
-// History is the completed-request value history of a crowd worker,
-// kept sorted ascending. It drives the acceptance probability of
-// Definition 3.1: pr(v', w) = N(v <= v') / N — the fraction of the
-// worker's past completed requests whose value did not exceed the
-// offered payment v'.
+// History is the completed-request value history of a crowd worker: its
+// values in ascending order and nothing else. It drives the acceptance
+// probability of Definition 3.1: pr(v', w) = N(v <= v') / N — the
+// fraction of the worker's past completed requests whose value did not
+// exceed the offered payment v'. A History is never written after it is
+// built, which is what lets it share its caller's slice.
 type History struct {
 	values []float64 // sorted ascending
-	// CDF table: uniq holds the distinct values ascending and cdf[i] the
-	// acceptance probability at payment uniq[i], i.e. (number of values
-	// <= uniq[i]) / N computed with the same float64 division AcceptProb
-	// performs — so a table lookup is bit-identical to the exact scan.
-	// Built eagerly (never lazily: histories are read concurrently under
-	// the parallel runtime) by setTable.
-	uniq []float64
-	cdf  []float64
 }
 
-// NewHistory builds a history from completed request values. The input
-// slice is copied and sorted; non-positive and non-finite values are
-// rejected.
-//
-// A non-empty history costs one heap allocation, MakeHistory's; the
-// History itself is the caller's, on its stack when the pointer does
-// not escape.
+// NewHistory is MakeHistory behind a pointer; the History itself is the
+// caller's, on its stack when the pointer does not escape.
 func NewHistory(values []float64) (*History, error) {
 	h, err := MakeHistory(values)
 	if err != nil {
@@ -54,67 +43,30 @@ func NewHistory(values []float64) (*History, error) {
 	return &h, nil
 }
 
-// insertionMax is the longest history MakeHistory puts in order while
-// copying it. The generator's histories hold 20 to 60 values in no
-// order, a different one at every worker arrival, and sorting one by
-// insertion costs a third less than sort.Float64s after the copy
-// (BenchmarkNewHistory); past this length the quadratic cost is not
-// worth risking on input from outside.
-const insertionMax = 64
-
-// MakeHistory is NewHistory by value, for a holder that keeps the
-// History inside a record of its own (the hub's per-worker record).
+// MakeHistory builds a history from completed request values, by value
+// for a holder that keeps it inside a record of its own (the hub's
+// per-worker record). Non-positive and non-finite values are rejected.
 //
-// The values, the distinct values and the CDF share one backing
-// allocation of 3·len(values) floats. Each is a sub-slice with no spare
-// capacity, so Record's append moves the values elsewhere instead of
-// growing into the table. Values are validated as they are copied; up
-// to insertionMax of them are inserted in order on the way, which for
-// ascending input moves nothing, and a longer input is sorted afterwards
-// unless the copy found it ascending.
+// Ascending input is shared, not copied: the history is the caller's
+// slice with no spare capacity, at no allocation, and the caller must
+// not write to it afterwards (core.Worker.History says the same). Any
+// other order is copied once and the copy sorted; the input is left as
+// it was.
 func MakeHistory(values []float64) (History, error) {
-	n := len(values)
-	if n == 0 {
-		return History{}, nil
-	}
-	backing := make([]float64, 3*n)
-	h := History{values: backing[:n:n]}
-	short, ascending := n <= insertionMax, true
+	ascending := true
 	for i, v := range values {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 			return History{}, fmt.Errorf("pricing: history value %d = %v must be positive and finite", i, v)
 		}
 		ascending = ascending && (i == 0 || values[i-1] <= v)
-		j := i
-		for ; short && j > 0 && h.values[j-1] > v; j-- {
-			h.values[j] = h.values[j-1]
-		}
-		h.values[j] = v
 	}
-	if !short && !ascending {
-		sort.Float64s(h.values)
+	if ascending {
+		return History{values: values[:len(values):len(values)]}, nil
 	}
-	h.setTable(backing[n:])
-	return h, nil
-}
-
-// setTable computes the uniq/cdf acceptance table from the sorted,
-// non-empty values into room, which holds 2·len(values) floats: one
-// half for each, so the number of distinct values need not be known
-// first. O(n).
-func (h *History) setTable(room []float64) {
-	n := len(h.values)
-	d := 0
-	fn := float64(n)
-	for i, v := range h.values {
-		if i+1 < n && h.values[i+1] == v {
-			continue // probability at a value is set by its last copy
-		}
-		room[d] = v
-		room[n+d] = float64(i+1) / fn
-		d++
-	}
-	h.uniq, h.cdf = room[:d:d], room[n:n+d:n+d]
+	sorted := make([]float64, len(values))
+	copy(sorted, values)
+	slices.Sort(sorted)
+	return History{values: sorted}, nil
 }
 
 // MustHistory is NewHistory for static test fixtures; it panics on error.
@@ -152,30 +104,6 @@ func (h *History) AcceptProb(payment float64) float64 {
 	return float64(k) / float64(n)
 }
 
-// AcceptProbTable returns pr(v', w) from the precomputed CDF table: the
-// probability at the largest distinct value <= payment. It is
-// bit-identical to AcceptProb for every payment (the cdf entries are the
-// same float64 divisions the scan performs) while searching the distinct
-// values only; the fuzz test FuzzAcceptProbTableEquivalence guards the
-// equivalence.
-func (h *History) AcceptProbTable(payment float64) float64 {
-	if payment <= 0 {
-		return 0
-	}
-	if len(h.uniq) == 0 {
-		if h.Len() == 0 {
-			return 1
-		}
-		return 0 // unreachable: the table exists whenever values do
-	}
-	// Index of the last uniq value <= payment.
-	k := sort.SearchFloat64s(h.uniq, math.Nextafter(payment, math.Inf(1)))
-	if k == 0 {
-		return 0
-	}
-	return h.cdf[k-1]
-}
-
 // Accepts samples the worker's decision for the offered payment
 // (Algorithm 1, lines 18-19): it draws x uniform in [0,1) and accepts
 // iff x < pr(payment, w). The comparison is strict because Float64 can
@@ -208,22 +136,6 @@ func (h *History) Values() []float64 {
 		return nil
 	}
 	return h.values
-}
-
-// Record appends a newly completed request value, keeping order. It is
-// how the simulation closes the loop: an outer worker who served a
-// cooperative request gains a history point that shifts its future
-// acceptance curve.
-func (h *History) Record(value float64) error {
-	if math.IsNaN(value) || math.IsInf(value, 0) || value <= 0 {
-		return fmt.Errorf("pricing: recorded value %v must be positive and finite", value)
-	}
-	i := sort.SearchFloat64s(h.values, value)
-	h.values = append(h.values, 0)
-	copy(h.values[i+1:], h.values[i:])
-	h.values[i] = value
-	h.setTable(make([]float64, 2*len(h.values)))
-	return nil
 }
 
 // GroupAcceptProb returns pr(v', W) per Definition 4.1: the probability

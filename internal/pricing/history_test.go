@@ -106,38 +106,6 @@ func TestHistoryMinMax(t *testing.T) {
 	}
 }
 
-func TestHistoryRecord(t *testing.T) {
-	h := MustHistory([]float64{2, 6})
-	if err := h.Record(4); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 4, 6}
-	for i, v := range h.Values() {
-		if v != want[i] {
-			t.Fatalf("Values = %v, want %v", h.Values(), want)
-		}
-	}
-	if err := h.Record(-1); err == nil {
-		t.Error("negative value recorded")
-	}
-	if err := h.Record(math.NaN()); err == nil {
-		t.Error("NaN recorded")
-	}
-	// Record at the extremes.
-	if err := h.Record(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Record(10); err != nil {
-		t.Fatal(err)
-	}
-	if h.Min() != 1 || h.Max() != 10 {
-		t.Errorf("after records Min/Max = %v/%v", h.Min(), h.Max())
-	}
-	if !sort.Float64sAreSorted(h.Values()) {
-		t.Error("not sorted after Record")
-	}
-}
-
 func TestAcceptsSamplingFrequency(t *testing.T) {
 	// With acceptance probability 0.75, the empirical acceptance rate
 	// over many samples must concentrate near 0.75.
@@ -212,25 +180,16 @@ func TestGroupAcceptProbDominance(t *testing.T) {
 }
 
 // oracleHistory is the construction MakeHistory replaced, kept as the
-// reference: copy, sort.Float64s, then a counted table of exactly the
-// distinct values.
-func oracleHistory(values []float64) (vs, uniq, cdf []float64) {
-	vs = append([]float64(nil), values...)
+// reference: copy, then sort.Float64s.
+func oracleHistory(values []float64) []float64 {
+	vs := append([]float64(nil), values...)
 	sort.Float64s(vs)
-	n := len(vs)
-	for i := 0; i < n; i++ {
-		if i+1 < n && vs[i+1] == vs[i] {
-			continue
-		}
-		uniq = append(uniq, vs[i])
-		cdf = append(cdf, float64(i+1)/float64(n))
-	}
-	return vs, uniq, cdf
+	return vs
 }
 
 // historyShapes are inputs of length n that take MakeHistory down each
-// of its ways: no sort, a full sort, one distinct value, few distinct
-// values.
+// of its ways: in order already (shared), out of order (copied and
+// sorted), one distinct value, few distinct values.
 var historyShapes = map[string]func(n int, rng *rand.Rand) []float64{
 	"ascending": func(n int, _ *rand.Rand) []float64 {
 		vs := make([]float64, n)
@@ -243,6 +202,16 @@ var historyShapes = map[string]func(n int, rng *rand.Rand) []float64{
 		vs := make([]float64, n)
 		for i := range vs {
 			vs[i] = float64(n-i) / 7
+		}
+		return vs
+	},
+	"shuffled": func(n int, rng *rand.Rand) []float64 {
+		vs := make([]float64, n)
+		for i, j := range rng.Perm(n) {
+			vs[i] = 1 + float64(j)/3
+		}
+		if n > 1 && vs[0] < vs[1] {
+			vs[0], vs[1] = vs[1], vs[0] // never the identity
 		}
 		return vs
 	},
@@ -271,14 +240,12 @@ func TestMakeHistoryMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, n, err)
 			}
-			vs, uniq, cdf := oracleHistory(in)
-			if !slices.Equal(h.Values(), vs) || !slices.Equal(h.uniq, uniq) || !slices.Equal(h.cdf, cdf) {
-				t.Fatalf("%s/%d: values, uniq, cdf = %v, %v, %v; the oracle has %v, %v, %v",
-					name, n, h.Values(), h.uniq, h.cdf, vs, uniq, cdf)
+			vs := oracleHistory(in)
+			if !slices.Equal(h.Values(), vs) {
+				t.Fatalf("%s/%d: values = %v; the oracle has %v", name, n, h.Values(), vs)
 			}
-			if cap(h.values) != len(h.values) || cap(h.uniq) != len(h.uniq) || cap(h.cdf) != len(h.cdf) {
-				t.Fatalf("%s/%d: spare capacity (values %d/%d, uniq %d/%d, cdf %d/%d): an append would reach the next part of the backing",
-					name, n, len(h.values), cap(h.values), len(h.uniq), cap(h.uniq), len(h.cdf), cap(h.cdf))
+			if cap(h.values) != len(h.values) {
+				t.Fatalf("%s/%d: spare capacity %d/%d: an append would write into the caller's array", name, n, len(h.values), cap(h.values))
 			}
 			wantMin, wantMax := 0.0, 0.0
 			if n > 0 {
@@ -287,23 +254,10 @@ func TestMakeHistoryMatchesOracle(t *testing.T) {
 			if h.Min() != wantMin || h.Max() != wantMax {
 				t.Fatalf("%s/%d: Min, Max = %v, %v, want %v, %v", name, n, h.Min(), h.Max(), wantMin, wantMax)
 			}
-			for _, v := range append(uniq, 0, -1, 1e9) {
+			for _, v := range append(slices.Compact(slices.Clone(vs)), 0, -1, 1e9) {
 				for _, p := range []float64{v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1))} {
-					want := 0.0 // N(v <= p) / N by the definition's own scan
-					if p > 0 {
-						want = 1
-						if n > 0 {
-							k := 0
-							for _, x := range vs {
-								if x <= p {
-									k++
-								}
-							}
-							want = float64(k) / float64(n)
-						}
-					}
-					if got, tab := h.AcceptProb(p), h.AcceptProbTable(p); got != want || tab != want {
-						t.Fatalf("%s/%d: AcceptProb(%v) = %v, table %v, want %v", name, n, p, got, tab, want)
+					if got, want := h.AcceptProb(p), countProb(vs, p); got != want {
+						t.Fatalf("%s/%d: AcceptProb(%v) = %v, want %v", name, n, p, got, want)
 					}
 				}
 			}
@@ -311,18 +265,42 @@ func TestMakeHistoryMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestNewHistoryOneAllocation: a non-empty history is one allocation,
-// the backing the values and the table share, whether it is built by
-// value or through NewHistory with the pointer kept local; an empty one
-// is none.
-func TestNewHistoryOneAllocation(t *testing.T) {
+// TestMakeHistorySharesAscendingInput is the construction's contract.
+// Input already in order — ascending, all equal, or at most one value —
+// is the history: no allocation, same first element. Any other order
+// costs exactly one allocation, the sorted copy, and the caller's slice
+// is left bit for bit as it was. NewHistory with the pointer kept local
+// costs the same.
+func TestMakeHistorySharesAscendingInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	total := 0
 	for _, n := range []int{0, 1, 40, 1000} {
-		for name, shape := range historyShapes {
-			in := shape(n, rng)
+		for _, name := range []string{"ascending", "all-equal", "descending", "shuffled"} {
+			in := historyShapes[name](n, rng)
+			share := name == "ascending" || name == "all-equal" || n <= 1
+			if sort.Float64sAreSorted(in) != share {
+				t.Fatalf("%s/%d: the shape is on the wrong branch", name, n)
+			}
+			before := slices.Clone(in)
+			h, err := MakeHistory(in)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, n, err)
+			}
+			if !slices.Equal(h.Values(), oracleHistory(in)) {
+				t.Fatalf("%s/%d: values = %v; the oracle has %v", name, n, h.Values(), oracleHistory(in))
+			}
+			for i := range in {
+				if math.Float64bits(in[i]) != math.Float64bits(before[i]) {
+					t.Fatalf("%s/%d: the caller's slice was written at %d", name, n, i)
+				}
+			}
+			if n > 0 {
+				if aliased := &h.Values()[0] == &in[0]; aliased != share {
+					t.Errorf("%s/%d: history aliases its input = %v, want %v", name, n, aliased, share)
+				}
+			}
 			want := 1.0
-			if n == 0 {
+			if share {
 				want = 0
 			}
 			if got := testing.AllocsPerRun(50, func() {
@@ -350,53 +328,28 @@ func TestNewHistoryOneAllocation(t *testing.T) {
 	}
 }
 
-// TestRecordMovesOffTheSharedBacking: Record on a freshly built history
-// must grow away from the one backing allocation, not into the table
-// that follows the values in it, and a second history built from the
-// same input must not notice.
-func TestRecordMovesOffTheSharedBacking(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for name, shape := range historyShapes {
-		in := shape(64, rng)
-		h, other := MustHistory(in), MustHistory(in)
-		before := *h // the slices as built, still over the first backing
-		vs, uniq, cdf := oracleHistory(in)
-		if err := h.Record(1.75); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range []*History{&before, other} {
-			if !slices.Equal(b.values, vs) || !slices.Equal(b.uniq, uniq) || !slices.Equal(b.cdf, cdf) {
-				t.Fatalf("%s: Record wrote into a backing it had left: values, uniq, cdf = %v, %v, %v", name, b.values, b.uniq, b.cdf)
-			}
-		}
-		vs, uniq, cdf = oracleHistory(append(in, 1.75))
-		if !slices.Equal(h.values, vs) || !slices.Equal(h.uniq, uniq) || !slices.Equal(h.cdf, cdf) {
-			t.Fatalf("%s: after Record values, uniq, cdf = %v, %v, %v; the oracle has %v, %v, %v", name, h.values, h.uniq, h.cdf, vs, uniq, cdf)
-		}
-	}
-}
-
 // BenchmarkNewHistory is the hub's cost per worker arrival at the
-// generator's mean history length: unsorted as Generate draws it, and
-// ascending, which skips the sort. It cycles through 1024 inputs, as a
-// run meets a new history at every arrival: over one input repeated the
-// branch predictor learns the sort.
+// generator's mean history length on each branch: ascending, as every
+// built stream carries it (shared, 0 B/op), and shuffled (one copy,
+// sorted). It cycles through 1024 inputs, as a run meets a new history
+// at every arrival: over one input repeated the branch predictor learns
+// the sort.
 func BenchmarkNewHistory(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	unsorted := make([][]float64, 1024)
-	ascending := make([][]float64, len(unsorted))
-	for i := range unsorted {
-		unsorted[i] = make([]float64, 40)
-		for j := range unsorted[i] {
-			unsorted[i][j] = 1 + rng.Float64()
+	shuffled := make([][]float64, 1024)
+	ascending := make([][]float64, len(shuffled))
+	for i := range shuffled {
+		shuffled[i] = make([]float64, 40)
+		for j := range shuffled[i] {
+			shuffled[i][j] = 1 + rng.Float64()
 		}
-		ascending[i] = slices.Clone(unsorted[i])
+		ascending[i] = slices.Clone(shuffled[i])
 		sort.Float64s(ascending[i])
 	}
 	for _, c := range []struct {
 		name string
 		in   [][]float64
-	}{{"unsorted", unsorted}, {"ascending", ascending}} {
+	}{{"ascending", ascending}, {"shuffled", shuffled}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			n := 0

@@ -31,38 +31,22 @@ type Stats struct {
 // takes an explicit per-goroutine Scratch so the hot path performs no
 // per-call allocation. One TableQuoter (and one Scratch) belongs to one
 // matcher goroutine and nothing inside fans out, so it never needs
-// locking. Acceptance probabilities come from the precomputed History
-// CDF tables (bit-identical to the exact scan) unless Scan selects the
-// reference path, and every reusable buffer lives in the caller's
-// Scratch.
+// locking. Acceptance probabilities are History.AcceptProb's, a binary
+// search of the worker's sorted values, and every reusable buffer lives
+// in the caller's Scratch. The table of the name is the per-quote
+// payment cache, the one Stats.TableHits counts.
 type TableQuoter struct {
 	// MC configures the Algorithm 2 estimator behind MinOuterPayment.
 	MC MonteCarlo
-	// Scan switches acceptance-probability evaluations from the CDF
-	// tables to the exact sorted-values scan. Results are bit-identical
-	// either way (the tables store the same float64 divisions). No run
-	// sets it: it is the reference the parity tests compare the tables
-	// against.
-	Scan bool
 
 	stats Stats
 }
 
-// NewQuoter returns a table-backed quoter for the given Monte-Carlo
-// configuration.
+// NewQuoter returns a quoter for the given Monte-Carlo configuration.
 func NewQuoter(mc MonteCarlo) *TableQuoter { return &TableQuoter{MC: mc} }
 
 // Stats returns the cumulative quote counters.
 func (q *TableQuoter) Stats() Stats { return q.stats }
-
-// prob evaluates one worker's acceptance probability on the configured
-// path. Both branches return identical bits for every payment.
-func (q *TableQuoter) prob(h *History, payment float64) float64 {
-	if q.Scan {
-		return h.AcceptProb(payment)
-	}
-	return h.AcceptProbTable(payment)
-}
 
 // breakpoint is one step of the group acceptance CDF: at payment pay,
 // worker w's acceptance probability becomes newP.
@@ -111,11 +95,11 @@ func (q *TableQuoter) ensure(s *Scratch) *Scratch {
 }
 
 // groupProb evaluates pr(v', W) = 1 - prod_w (1 - pr(v', w)) of
-// Definition 4.1 on the configured evaluation path.
+// Definition 4.1.
 func (q *TableQuoter) groupProb(payment float64, group []*History) float64 {
 	noneAccepts := 1.0
 	for _, h := range group {
-		noneAccepts *= 1 - q.prob(h, payment)
+		noneAccepts *= 1 - h.AcceptProb(payment)
 		q.stats.ProbEvals++
 		if noneAccepts == 0 {
 			break
@@ -249,10 +233,7 @@ func (q *TableQuoter) MaxExpectedRevenue(value float64, group []*History, s *Scr
 	s = q.ensure(s)
 
 	// Collect the union of breakpoints: each worker's acceptance curve
-	// jumps exactly at its distinct history values, which is what the CDF
-	// table stores — so the table path reads (uniq, cdf) pairs directly
-	// while the scan path re-derives them from the raw values. Both emit
-	// the same breakpoints in the same order.
+	// jumps exactly at its distinct history values.
 	bps := s.bps[:0]
 	for wi, h := range group {
 		if h.Len() == 0 {
@@ -261,26 +242,17 @@ func (q *TableQuoter) MaxExpectedRevenue(value float64, group []*History, s *Scr
 			bps = append(bps, breakpoint{pay: math.Nextafter(0, 1), w: wi, newP: 1})
 			continue
 		}
-		if q.Scan {
-			vals := h.Values()
-			for i, v := range vals {
-				if v > value {
-					break
-				}
-				// Skip duplicates; the final probability at v is the count
-				// of values <= v over N, i.e. set at the LAST copy of v.
-				if i+1 < len(vals) && vals[i+1] == v {
-					continue
-				}
-				bps = append(bps, breakpoint{pay: v, w: wi, newP: float64(i+1) / float64(h.Len())})
-			}
-			continue
-		}
-		for i, v := range h.uniq {
+		n := float64(len(h.values))
+		for i, v := range h.values {
 			if v > value {
 				break
 			}
-			bps = append(bps, breakpoint{pay: v, w: wi, newP: h.cdf[i]})
+			// Skip duplicates; the final probability at v is the count
+			// of values <= v over N, i.e. set at the LAST copy of v.
+			if i+1 < len(h.values) && h.values[i+1] == v {
+				continue
+			}
+			bps = append(bps, breakpoint{pay: v, w: wi, newP: float64(i+1) / n})
 		}
 	}
 	s.bps = bps // keep the grown buffer

@@ -1,6 +1,8 @@
 package pricing
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,61 +25,80 @@ func randHistory(tb testing.TB, rng *rand.Rand, n int, cap float64) *History {
 	return h
 }
 
-// FuzzAcceptProbTableEquivalence is the guard AcceptProbTable's contract
-// names: for every history and payment, the CDF-table lookup must return
-// the exact bits the linear Definition 3.1 scan returns.
-func FuzzAcceptProbTableEquivalence(f *testing.F) {
+// countProb is Definition 3.1 read literally: the values not above the
+// payment, counted one by one, over N. It is the oracle AcceptProb's
+// binary search is held to.
+func countProb(values []float64, payment float64) float64 {
+	if payment <= 0 {
+		return 0
+	}
+	if len(values) == 0 {
+		return 1
+	}
+	k := 0
+	for _, v := range values {
+		if v <= payment {
+			k++
+		}
+	}
+	return float64(k) / float64(len(values))
+}
+
+// FuzzAcceptProbMatchesCount: for every history and payment, AcceptProb
+// returns the exact bits of a linear count of values <= payment over N.
+// Histories carry duplicates (randHistory forces them) and the seeds
+// include the payments where a search off by one would show: the
+// largest float, a sub-normal, and nothing at all.
+func FuzzAcceptProbMatchesCount(f *testing.F) {
 	f.Add(int64(1), uint8(5), 0.5)
 	f.Add(int64(42), uint8(0), 1.0)
 	f.Add(int64(7), uint8(32), -3.0)
 	f.Add(int64(-9), uint8(64), 0.0)
+	f.Add(int64(3), uint8(40), math.MaxFloat64)
+	f.Add(int64(11), uint8(255), math.SmallestNonzeroFloat64)
+	f.Add(int64(5), uint8(9), math.Inf(1))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, payment float64) {
 		if math.IsNaN(payment) {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
 		h := randHistory(t, rng, int(n), 100)
-		exact := h.AcceptProb(payment)
-		table := h.AcceptProbTable(payment)
-		if math.Float64bits(exact) != math.Float64bits(table) {
-			t.Fatalf("AcceptProb(%v) = %v but table lookup = %v (values %v)",
-				payment, exact, table, h.Values())
+		check := func(p float64) {
+			if got, want := h.AcceptProb(p), countProb(h.Values(), p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("AcceptProb(%v) = %v but %v by count (values %v)", p, got, want, h.Values())
+			}
 		}
+		check(payment)
 		// Probe the exact breakpoints and their neighbourhoods too: the
 		// boundary payments are where a search off by one shows up.
 		for _, v := range h.Values() {
-			for _, p := range []float64{v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1))} {
-				if e, tb := h.AcceptProb(p), h.AcceptProbTable(p); math.Float64bits(e) != math.Float64bits(tb) {
-					t.Fatalf("AcceptProb(%v) = %v but table lookup = %v", p, e, tb)
-				}
-			}
+			check(v)
+			check(math.Nextafter(v, 0))
+			check(math.Nextafter(v, math.Inf(1)))
 		}
 	})
 }
 
-// TestRecordRebuildsTable checks the table tracks post-construction
-// history growth.
-func TestRecordRebuildsTable(t *testing.T) {
-	h := MustHistory([]float64{10, 20})
-	if err := h.Record(15); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []float64{5, 10, 14, 15, 16, 20, 25} {
-		if e, tb := h.AcceptProb(p), h.AcceptProbTable(p); e != tb {
-			t.Fatalf("after Record: AcceptProb(%v) = %v, table = %v", p, e, tb)
+// quoterPinnedDigest is FNV-64a over the bits of every quote
+// TestQuoterPinnedBits makes, recorded at aa0cb15 from the per-history
+// CDF-table path that commit's successor deleted.
+const quoterPinnedDigest = 0xdbf0f144be7e2d2
+
+// TestQuoterPinnedBits holds all three quote methods to the bits the
+// deleted table path gave, over random groups whose histories are a
+// third duplicates, and MaxExpectedRevenue once more on a group that is
+// almost nothing but duplicates — where a breakpoint's probability must
+// be taken at the last copy of its value.
+func TestQuoterPinnedBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	q := NewQuoter(DefaultMonteCarlo)
+	s := NewScratch()
+	d := fnv.New64a()
+	put := func(fs ...float64) {
+		for _, f := range fs {
+			d.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)))
 		}
 	}
-}
-
-// TestQuoterScanTableParity drives both TableQuoter paths over random
-// groups and asserts bit-identical quotes: the CDF tables are a pure
-// speedup, never a behaviour change.
-func TestQuoterScanTableParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	table := NewQuoter(DefaultMonteCarlo)
-	scan := NewQuoter(DefaultMonteCarlo)
-	scan.Scan = true
-	st, ss := NewScratch(), NewScratch()
 	for trial := 0; trial < 200; trial++ {
 		group := make([]*History, 1+rng.Intn(6))
 		for i := range group {
@@ -85,42 +106,40 @@ func TestQuoterScanTableParity(t *testing.T) {
 		}
 		value := math.Nextafter(0, 1) + rng.Float64()*60
 
-		qt, et := table.MaxExpectedRevenue(value, group, st)
-		qs, es := scan.MaxExpectedRevenue(value, group, ss)
-		if (et == nil) != (es == nil) {
-			t.Fatalf("trial %d: error mismatch %v vs %v", trial, et, es)
+		rev, err := q.MaxExpectedRevenue(value, group, s)
+		if err != nil {
+			t.Fatalf("trial %d: MaxExpectedRevenue: %v", trial, err)
 		}
-		if math.Float64bits(qt.Payment) != math.Float64bits(qs.Payment) ||
-			math.Float64bits(qt.ExpectedRev) != math.Float64bits(qs.ExpectedRev) {
-			t.Fatalf("trial %d: MaxExpectedRevenue diverged: table %+v vs scan %+v", trial, qt, qs)
+		thr, err := q.ThresholdQuote(value, group, 1-rng.Float64(), s)
+		if err != nil {
+			t.Fatalf("trial %d: ThresholdQuote: %v", trial, err)
 		}
-
-		u := 1 - rng.Float64()
-		tt, _ := table.ThresholdQuote(value, group, u, st)
-		ts, _ := scan.ThresholdQuote(value, group, u, ss)
-		if math.Float64bits(tt.Payment) != math.Float64bits(ts.Payment) ||
-			math.Float64bits(tt.ExpectedRev) != math.Float64bits(ts.ExpectedRev) {
-			t.Fatalf("trial %d: ThresholdQuote diverged: table %+v vs scan %+v", trial, tt, ts)
+		min, err := q.MinOuterPayment(value, group, rand.New(rand.NewSource(rng.Int63())), s)
+		if err != nil {
+			t.Fatalf("trial %d: MinOuterPayment: %v", trial, err)
 		}
-
-		seed := rng.Int63()
-		mt, et := table.MinOuterPayment(value, group, rand.New(rand.NewSource(seed)), st)
-		ms, es := scan.MinOuterPayment(value, group, rand.New(rand.NewSource(seed)), ss)
-		if et != nil || es != nil {
-			t.Fatalf("trial %d: MinOuterPayment errors %v / %v", trial, et, es)
-		}
-		if math.Float64bits(mt) != math.Float64bits(ms) {
-			t.Fatalf("trial %d: MinOuterPayment diverged: table %v vs scan %v", trial, mt, ms)
-		}
+		put(rev.Payment, rev.AcceptProb, rev.ExpectedRev, thr.Payment, thr.AcceptProb, thr.ExpectedRev, min)
 	}
-	// The Monte-Carlo payment cache serves both paths (it memoizes
-	// whatever prob() computes, so it is bit-safe either way); both
-	// quoters should therefore report hits.
-	if table.Stats().TableHits == 0 {
-		t.Error("table path recorded no payment-cache hits over 200 trials")
+	if got := d.Sum64(); got != quoterPinnedDigest {
+		t.Errorf("digest of 200 trials = %#x, want %#x", got, uint64(quoterPinnedDigest))
 	}
-	if scan.Stats().TableHits == 0 {
-		t.Error("scan path recorded no payment-cache hits over 200 trials")
+	if q.Stats().TableHits == 0 {
+		t.Error("no payment-cache hits over 200 trials")
+	}
+
+	dup := []*History{
+		MustHistory([]float64{2, 2, 2, 3, 3, 7, 7, 7, 7}),
+		MustHistory([]float64{3, 3, 3, 4, 4, 8, 8}),
+		MustHistory([]float64{7, 2, 7, 2, 5, 5}),
+	}
+	got, err := q.MaxExpectedRevenue(9, dup, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Quote{Payment: math.Float64frombits(0x4008000000000000), AcceptProb: math.Float64frombits(0x3fea94fea53fa950), ExpectedRev: math.Float64frombits(0x4013efbefbefbefc)}
+	if got != want {
+		t.Errorf("duplicate-heavy MaxExpectedRevenue = {%#x, %#x, %#x} %+v, want %+v",
+			math.Float64bits(got.Payment), math.Float64bits(got.AcceptProb), math.Float64bits(got.ExpectedRev), got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"crossmatch/internal/core"
 )
@@ -245,6 +246,11 @@ func Generate(cfg Config, seed int64) (*core.Stream, error) {
 					hist[k] = anchor * (0.75 + 0.5*rng.Float64())
 				}
 			}
+			// Definition 3.1 reads a history in order, so it is put in
+			// order here, once per physical worker and after every draw:
+			// pricing.MakeHistory then shares the slice at each arrival
+			// of each run instead of copying and sorting it.
+			slices.Sort(hist)
 			// One physical worker: `appearances` pool joins at increasing
 			// times and fresh locations, sharing the acceptance history.
 			for a := 0; a < appearances; a++ {

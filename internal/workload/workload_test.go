@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -355,11 +356,12 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBuiltStreamsArePackedInArrivalOrder: every builder in this package
-// owns the payloads it hands core, so each of their streams has them in
-// two slabs in arrival order — walking Events() sees worker addresses
-// and request addresses strictly ascend.
-func TestBuiltStreamsArePackedInArrivalOrder(t *testing.T) {
+// builtStreams is one stream from each builder in this package, each
+// made from the one before: Generate (platform 1's workers appear three
+// times each, platform 2's SyntheticAppearances), ReorderUniform, and
+// ReadCSV of what WriteCSV wrote.
+func builtStreams(t *testing.T) map[string]*core.Stream {
+	t.Helper()
 	cfg, err := Synthetic(400, 150, 1.0, "real")
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +383,15 @@ func TestBuiltStreamsArePackedInArrivalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*core.Stream{"Generate": generated, "ReorderUniform": reordered, "ReadCSV": read} {
+	return map[string]*core.Stream{"Generate": generated, "ReorderUniform": reordered, "ReadCSV": read}
+}
+
+// TestBuiltStreamsArePackedInArrivalOrder: every builder in this package
+// owns the payloads it hands core, so each of their streams has them in
+// two slabs in arrival order — walking Events() sees worker addresses
+// and request addresses strictly ascend.
+func TestBuiltStreamsArePackedInArrivalOrder(t *testing.T) {
+	for name, s := range builtStreams(t) {
 		var lastW, lastR uintptr
 		for i, e := range s.Events() {
 			at, last := uintptr(unsafe.Pointer(e.Worker)), &lastW
@@ -392,6 +402,42 @@ func TestBuiltStreamsArePackedInArrivalOrder(t *testing.T) {
 				t.Fatalf("%s: event %d (%v) has its payload at %#x, not after %#x", name, i, e.Kind, at, *last)
 			}
 			*last = at
+		}
+	}
+}
+
+// TestBuiltStreamsCarryAscendingHistories: every worker of every built
+// stream has its history in ascending order, so a run shares each one
+// (pricing.MakeHistory's zero-copy branch) instead of copying and
+// sorting it at every arrival; and the generator sorts once per
+// physical worker, whose appearances share the one slice.
+func TestBuiltStreamsCarryAscendingHistories(t *testing.T) {
+	streams := builtStreams(t)
+	for name, s := range streams {
+		workers := s.Workers()
+		if len(workers) == 0 {
+			t.Fatalf("%s: no workers", name)
+		}
+		for _, w := range workers {
+			if len(w.History) < 20 {
+				t.Fatalf("%s: worker %d has %d history values, want the generator's 20 to 60", name, w.ID, len(w.History))
+			}
+			if !slices.IsSorted(w.History) {
+				t.Fatalf("%s: worker %d: history %v is not ascending", name, w.ID, w.History)
+			}
+		}
+	}
+	arrivals := map[*float64]int{} // by a history's first element
+	for _, w := range streams["Generate"].Workers() {
+		arrivals[&w.History[0]]++
+	}
+	for _, w := range streams["Generate"].Workers() {
+		want := SyntheticAppearances
+		if w.Platform == 1 {
+			want = 3 // builtStreams' own
+		}
+		if got := arrivals[&w.History[0]]; got != want {
+			t.Fatalf("worker %d of platform %d: its history slice is shared by %d arrivals, want %d", w.ID, w.Platform, got, want)
 		}
 	}
 }
