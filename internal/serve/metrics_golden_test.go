@@ -1,0 +1,111 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"reflect"
+	"testing"
+	"time"
+
+	"crossmatch/internal/metrics"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/metrics.golden.json from this run")
+
+// fillEveryCounter is internal/metrics' test helper of the same name:
+// the counter behind Counters' k-th field set to 10·(k+1), a distinct
+// pricing section, one latency observation, two shard rows.
+func fillEveryCounter(c *metrics.Collector) {
+	times := func(n int, f func()) {
+		for i := 0; i < n; i++ {
+			f()
+		}
+	}
+	times(10, c.RunStarted)
+	times(20, c.MatchInner)
+	times(30, c.MatchOuter)
+	times(40, c.Reject)
+	times(50, c.CoopAttempt)
+	c.AddProbes(60)
+	times(70, c.ClaimConflict)
+	c.AddClaimRetries(80)
+	times(90, c.FaultLatency)
+	times(100, c.FaultDrop)
+	times(110, c.FaultClaimError)
+	times(120, c.FaultOutageHit)
+	times(130, c.ProbeRetry)
+	times(140, c.ProbeTimeout)
+	times(150, c.BreakerOpened)
+	times(160, c.BreakerHalfOpened)
+	times(170, c.BreakerClosed)
+	times(180, c.BreakerShortCircuit)
+	times(189, func() { c.WALAppend(0) })
+	c.WALAppend(200)
+	times(209, func() { c.WALFsync(0) })
+	c.WALFsync(220)
+	times(230, c.WALSnapshot)
+	times(239, func() { c.WALRecovered(0) })
+	c.WALRecovered(250)
+	c.RouteForward(260)
+	times(270, c.RouteRetry)
+	times(280, c.RouteHedge)
+	c.RouteFailover(290)
+	times(300, c.CrossShardBorrow)
+	times(310, c.ShardStall)
+	c.AddPricing(metrics.PricingStats{
+		RevenueQuotes: 101, ThresholdQuotes: 102, MonteCarloQuotes: 103,
+		ProbEvals: 208, TableHits: 52, ScratchReuses: 106, ScratchAllocs: 107,
+	})
+	c.ObserveLatency("platform-1", 3*time.Millisecond)
+	c.RecordShards([]metrics.ShardSnapshot{
+		{Shard: 0, Applied: 1, QueueDepth: 2, BoundaryEvents: 3, Borrows: 4, ClaimConflicts: 5, Degraded: 6},
+		{Shard: 1, Applied: 7, QueueDepth: 8, BoundaryEvents: 9, Borrows: 10, ClaimConflicts: 11, Degraded: 12},
+	})
+}
+
+// TestGoldenMetricsSnapshot pins the /v1/metrics document of a server
+// over a filled collector (uptime masked; runs is 11 because building
+// the engine starts one). Written at 26cea07, before the collector
+// became a table.
+func TestGoldenMetricsSnapshot(t *testing.T) {
+	mc := metrics.New()
+	fillEveryCounter(mc)
+	srv, _ := startServer(t, Options{Seed: 3, Metrics: mc})
+	snap := srv.Snapshot()
+	snap.Server.UptimeMs = 0
+	sameJSON(t, "testdata/metrics.golden.json", snap)
+}
+
+// sameJSON compares a document with its golden file as decoded JSON;
+// -update rewrites the file.
+func sameJSON(t *testing.T, path string, doc any) {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want any
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("document differs from %s as decoded JSON; got:\n%s", path, buf.String())
+	}
+}
