@@ -202,7 +202,6 @@ type simConfig struct {
 	faults        *FaultPlan
 	probeDeadline time.Duration
 	tracer        *Tracer
-	traceSample   float64
 	batchWindow   Time
 	batchDeadline Time
 	shards        int
@@ -231,8 +230,6 @@ func platformConfig(opts []Option) (platform.Config, error) {
 		opt(&c)
 	}
 	switch {
-	case c.traceSample > 1:
-		return platform.Config{}, fmt.Errorf("crossmatch: %w: trace sample rate %v above 1", ErrBadOption, c.traceSample)
 	case c.serviceTicks < 0:
 		return platform.Config{}, fmt.Errorf("crossmatch: %w: service ticks %d negative", ErrBadOption, c.serviceTicks)
 	case c.probeDeadline < 0:
@@ -253,7 +250,6 @@ func platformConfig(opts []Option) (platform.Config, error) {
 		Faults:            c.faults,
 		ProbeDeadline:     c.probeDeadline,
 		Trace:             c.tracer,
-		TraceSample:       c.traceSample,
 		Shards:            c.shards,
 		ShardReach:        c.shardReach,
 		ShardStallTimeout: c.shardStall,
@@ -321,14 +317,6 @@ func WithProbeDeadline(d time.Duration) Option {
 // nil to disable (the default).
 func WithTracer(t *Tracer) Option {
 	return func(c *simConfig) { c.tracer = t }
-}
-
-// WithTraceSample overrides the tracer's sampling rate for this run: a
-// rate in (0, 1] traces that fraction of requests, a negative rate
-// disables tracing for this run, and zero (the default) inherits the
-// tracer's configured rate. Only meaningful together with WithTracer.
-func WithTraceSample(rate float64) Option {
-	return func(c *simConfig) { c.traceSample = rate }
 }
 
 // WithBatchWindow sets BatchCOM's batching window in virtual ticks;

@@ -210,6 +210,10 @@ func BenchmarkValueDist(b *testing.B) {
 	}
 }
 
+// syntheticPreset wraps the Table IV synthetic defaults in a Preset so
+// the harnesses that operate on presets can target them too.
+var syntheticPreset = workload.Preset{Name: "SYN2500+500", City: "synthetic", R1: 1250, W1: 250, R2: 1250, W2: 250, Radius: 1.0}
+
 // benchTableRunner measures RunTable end to end on the synthetic
 // Table IV workload with a fixed pool size, so
 // BenchmarkTableSequential vs BenchmarkTableParallel quantifies the
@@ -217,7 +221,7 @@ func BenchmarkValueDist(b *testing.B) {
 // tables; see TestRunTableDeterministicAcrossPoolSizes).
 func benchTableRunner(b *testing.B, parallelism int) {
 	b.Helper()
-	p := workload.SyntheticPreset()
+	p := syntheticPreset
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunTable(p, experiments.TableOptions{
@@ -306,8 +310,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b) })
 	b.Run("sampled", func(b *testing.B) {
-		tr := NewTracer(TraceOptions{Seed: benchSeed})
-		run(b, WithTracer(tr), WithTraceSample(0.1))
+		tr := NewTracer(TraceOptions{Seed: benchSeed, Sample: 0.1})
+		run(b, WithTracer(tr))
 	})
 	b.Run("full", func(b *testing.B) {
 		tr := NewTracer(TraceOptions{Seed: benchSeed})
@@ -325,7 +329,7 @@ func TestDisabledTracerOverheadGuard(t *testing.T) {
 	if os.Getenv("CROSSMATCH_BENCH_GUARD") != "1" {
 		t.Skip("set CROSSMATCH_BENCH_GUARD=1 to run the timing guard")
 	}
-	p := workload.SyntheticPreset()
+	p := syntheticPreset
 	measure := func(r *experiments.Runner) float64 {
 		best := 0.0
 		for rep := 0; rep < 3; rep++ {
@@ -348,8 +352,8 @@ func TestDisabledTracerOverheadGuard(t *testing.T) {
 	bare := measure(&experiments.Runner{Parallelism: 1})
 	disabled := measure(&experiments.Runner{
 		Parallelism: 1,
-		Trace:       NewTracer(TraceOptions{Seed: benchSeed}),
-		TraceSample: -1, // recorder attached, recording disabled
+		// recorder attached, recording disabled
+		Trace: NewTracer(TraceOptions{Seed: benchSeed, Sample: -1}),
 	})
 	if ratio := disabled / bare; ratio > 1.02 {
 		t.Errorf("disabled tracer costs %.1f%% (bare %.0fns vs disabled-trace %.0fns); want <= 2%%",

@@ -181,8 +181,7 @@ func buildOptions(o options) (serve.Options, error) {
 		opts.Faults = plan
 	}
 	if o.traceOn {
-		opts.Tracer = trace.New(trace.Options{Capacity: o.traceCap, Seed: o.seed})
-		opts.TraceSample = o.traceSample
+		opts.Tracer = trace.New(trace.Options{Capacity: o.traceCap, Sample: o.traceSample, Seed: o.seed})
 	}
 	return opts, nil
 }

@@ -40,11 +40,8 @@ type Runner struct {
 	// Trace, when non-nil, records per-request decision spans of every
 	// unit run into the shared tracer's bounded per-platform rings
 	// (platform.Config.Trace). Tracing never touches matcher randomness,
-	// so the determinism guarantee is unaffected. TraceSample optionally
-	// overrides the tracer's sampling rate ((0,1]; negative disables,
-	// zero inherits).
-	Trace       *trace.Tracer
-	TraceSample float64
+	// so the determinism guarantee is unaffected.
+	Trace *trace.Tracer
 }
 
 // orDefault normalises the "nil uses GOMAXPROCS" convention of every
@@ -61,11 +58,7 @@ func (r *Runner) orDefault() *Runner {
 // fault plan, the collector and, when metrics are on, a pprof label
 // naming the run.
 func (r *Runner) simConfig(seed int64, disableCoop bool, label string) platform.Config {
-	cfg := platform.Config{Seed: seed, DisableCoop: disableCoop, Faults: r.FaultPlan}
-	if r.Trace != nil {
-		cfg.Trace = r.Trace
-		cfg.TraceSample = r.TraceSample
-	}
+	cfg := platform.Config{Seed: seed, DisableCoop: disableCoop, Faults: r.FaultPlan, Trace: r.Trace}
 	if r.Metrics != nil {
 		cfg.Metrics = r.Metrics
 		cfg.ProfileLabel = fmt.Sprintf("%s/seed=%d", label, seed)

@@ -183,11 +183,6 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the plan can inject anything at all.
-func (p *Plan) Enabled() bool {
-	return p != nil && (p.LatencyRate > 0 || p.DropRate > 0 || p.ClaimErrorRate > 0 || len(p.Outages) > 0)
-}
-
 // Clone returns a deep copy (outage slice included) so callers may
 // mutate per-run copies of a shared plan.
 func (p *Plan) Clone() *Plan {

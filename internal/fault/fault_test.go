@@ -39,8 +39,8 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if p.Breaker.FailureThreshold != 3 || p.Breaker.CooldownTicks != 40 {
 		t.Errorf("breaker = %+v", p.Breaker)
 	}
-	if !p.Enabled() || len(p.Outages) != 2 {
-		t.Error("plan should be enabled with outages")
+	if len(p.Outages) != 2 {
+		t.Errorf("outages = %+v, want two", p.Outages)
 	}
 	s := p.String()
 	for _, want := range []string{"latency=0.2:1ms-10ms", "drop=0.1", "claimerr=0.05", "outage=2@100-300", "outage=3@50-"} {
@@ -85,9 +85,6 @@ func TestPlanValidate(t *testing.T) {
 	var nilPlan *Plan
 	if err := nilPlan.Validate(); err != nil {
 		t.Errorf("nil plan rejected: %v", err)
-	}
-	if nilPlan.Enabled() {
-		t.Error("nil plan enabled")
 	}
 }
 

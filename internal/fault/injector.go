@@ -104,11 +104,11 @@ func New(plan *Plan, runSeed int64, pids []core.PlatformID, m *metrics.Collector
 func (in *Injector) observeTransition(_, to State) {
 	switch to {
 	case Open:
-		in.metrics.BreakerOpened()
+		in.metrics.Add(metrics.BreakerOpened, 1)
 	case HalfOpen:
-		in.metrics.BreakerHalfOpened()
+		in.metrics.Add(metrics.BreakerHalfOpened, 1)
 	case Closed:
-		in.metrics.BreakerClosed()
+		in.metrics.Add(metrics.BreakerClosed, 1)
 	}
 }
 
@@ -142,7 +142,7 @@ func (in *Injector) spike(rng *rand.Rand) time.Duration {
 	if span := in.plan.LatencyMax - in.plan.LatencyMin; span > 0 {
 		lat += time.Duration(rng.Int63n(int64(span) + 1))
 	}
-	in.metrics.FaultLatency()
+	in.metrics.Add(metrics.FaultLatencySpikes, 1)
 	in.metrics.ObserveProbeLatency(lat)
 	return lat
 }
@@ -168,28 +168,28 @@ func (in *Injector) ProbePartner(viewer, partner core.PlatformID, now core.Time)
 
 func (in *Injector) probe(br *Breaker, viewer, partner core.PlatformID, now core.Time) (ok bool, elapsed time.Duration, short bool) {
 	if !br.Allow(now) {
-		in.metrics.BreakerShortCircuit()
+		in.metrics.Add(metrics.BreakerShortCircuits, 1)
 		return false, 0, true
 	}
 	rng := in.rngs[viewer]
 	for attempt := 0; attempt < in.plan.Retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			elapsed += in.plan.Retry.Backoff(attempt-1, rng)
-			in.metrics.ProbeRetry()
+			in.metrics.Add(metrics.ProbeRetries, 1)
 		}
 		ok := true
 		switch {
 		case in.outage(partner, now):
-			in.metrics.FaultOutageHit()
+			in.metrics.Add(metrics.FaultOutageHits, 1)
 			ok = false
 		case in.plan.DropRate > 0 && rng.Float64() < in.plan.DropRate:
-			in.metrics.FaultDrop()
+			in.metrics.Add(metrics.FaultDroppedProbes, 1)
 			ok = false
 		default:
 			elapsed += in.spike(rng)
 		}
 		if elapsed > in.plan.Retry.Deadline {
-			in.metrics.ProbeTimeout()
+			in.metrics.Add(metrics.ProbeTimeouts, 1)
 			br.Failure(now)
 			return false, elapsed, false
 		}
@@ -246,26 +246,26 @@ func (in *Injector) ClaimPartner(viewer, owner core.PlatformID, now core.Time) b
 
 func (in *Injector) claim(br *Breaker, viewer, owner core.PlatformID, now core.Time) (ok bool, elapsed time.Duration, short bool) {
 	if !br.Allow(now) {
-		in.metrics.BreakerShortCircuit()
+		in.metrics.Add(metrics.BreakerShortCircuits, 1)
 		return false, 0, true
 	}
 	rng := in.rngs[viewer]
 	for attempt := 0; attempt < in.plan.Retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			elapsed += in.plan.Retry.Backoff(attempt-1, rng)
-			in.metrics.ProbeRetry()
+			in.metrics.Add(metrics.ProbeRetries, 1)
 		}
 		ok := true
 		switch {
 		case in.outage(owner, now):
-			in.metrics.FaultOutageHit()
+			in.metrics.Add(metrics.FaultOutageHits, 1)
 			ok = false
 		case in.plan.ClaimErrorRate > 0 && rng.Float64() < in.plan.ClaimErrorRate:
-			in.metrics.FaultClaimError()
+			in.metrics.Add(metrics.FaultClaimErrors, 1)
 			ok = false
 		}
 		if elapsed > in.plan.Retry.Deadline {
-			in.metrics.ProbeTimeout()
+			in.metrics.Add(metrics.ProbeTimeouts, 1)
 			br.Failure(now)
 			return false, elapsed, false
 		}

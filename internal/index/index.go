@@ -15,8 +15,8 @@
 // and Len are strictly read-only (the grid keeps its search radius exact
 // instead of recomputing it lazily), so any number of concurrent readers
 // is safe while no writer runs. online.Pool builds on that with an
-// RWMutex to serve the concurrent multi-platform runtime;
-// single-threaded callers need no locking at all.
+// RWMutex to serve the sharded engine; single-threaded callers need no
+// locking at all.
 package index
 
 import (

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"crossmatch/internal/pricing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/report.golden.json from this run")
@@ -18,43 +20,10 @@ var update = flag.Bool("update", false, "rewrite testdata/report.golden.json fro
 // document built from the collector shows where every number lands.
 // internal/serve and internal/route fill theirs the same way.
 func fillEveryCounter(c *Collector) {
-	times := func(n int, f func()) {
-		for i := 0; i < n; i++ {
-			f()
-		}
+	for k := Counter(0); k < NumCounters; k++ {
+		c.Add(k, 10*(int64(k)+1))
 	}
-	times(10, c.RunStarted)
-	times(20, c.MatchInner)
-	times(30, c.MatchOuter)
-	times(40, c.Reject)
-	times(50, c.CoopAttempt)
-	c.AddProbes(60)
-	times(70, c.ClaimConflict)
-	c.AddClaimRetries(80)
-	times(90, c.FaultLatency)
-	times(100, c.FaultDrop)
-	times(110, c.FaultClaimError)
-	times(120, c.FaultOutageHit)
-	times(130, c.ProbeRetry)
-	times(140, c.ProbeTimeout)
-	times(150, c.BreakerOpened)
-	times(160, c.BreakerHalfOpened)
-	times(170, c.BreakerClosed)
-	times(180, c.BreakerShortCircuit)
-	times(189, func() { c.WALAppend(0) })
-	c.WALAppend(200)
-	times(209, func() { c.WALFsync(0) })
-	c.WALFsync(220)
-	times(230, c.WALSnapshot)
-	times(239, func() { c.WALRecovered(0) })
-	c.WALRecovered(250)
-	c.RouteForward(260)
-	times(270, c.RouteRetry)
-	times(280, c.RouteHedge)
-	c.RouteFailover(290)
-	times(300, c.CrossShardBorrow)
-	times(310, c.ShardStall)
-	c.AddPricing(PricingStats{
+	c.AddPricing(pricing.Stats{
 		RevenueQuotes: 101, ThresholdQuotes: 102, MonteCarloQuotes: 103,
 		ProbEvals: 208, TableHits: 52, ScratchReuses: 106, ScratchAllocs: 107,
 	})
@@ -66,9 +35,9 @@ func fillEveryCounter(c *Collector) {
 }
 
 // TestGoldenReport pins the `combench -metrics` document: every key,
-// and which counter fills it. The file was written at 26cea07, before
-// the collector became a table; a change that moves it on purpose
-// reruns with -update and says so.
+// and which counter fills it, compared as decoded JSON. A change that
+// moves it on purpose reruns with -update and says so; EXPERIMENTS.md's
+// schema sample is this file.
 func TestGoldenReport(t *testing.T) {
 	c := New()
 	fillEveryCounter(c)

@@ -3,38 +3,101 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"crossmatch/internal/pricing"
 )
+
+// counterNames spells every Counter constant beside the JSON key it
+// must be reported under: the enum and the Counters struct meet by
+// position, this table checks they meet by name.
+var counterNames = []struct {
+	k   Counter
+	key string
+}{
+	{Runs, "runs"}, {InnerMatches, "inner_matches"}, {OuterMatches, "outer_matches"},
+	{Rejections, "rejections"}, {CoopAttempts, "coop_attempts"}, {AcceptanceProbes, "acceptance_probes"},
+	{ClaimConflicts, "claim_conflicts"}, {ClaimRetries, "claim_retries"},
+	{FaultLatencySpikes, "fault_latency_spikes"}, {FaultDroppedProbes, "fault_dropped_probes"},
+	{FaultClaimErrors, "fault_claim_errors"}, {FaultOutageHits, "fault_outage_hits"},
+	{ProbeRetries, "probe_retries"}, {ProbeTimeouts, "probe_timeouts"},
+	{BreakerOpened, "breaker_opened"}, {BreakerHalfOpened, "breaker_half_opened"},
+	{BreakerClosed, "breaker_closed"}, {BreakerShortCircuits, "breaker_short_circuits"},
+	{WALAppends, "wal_appends"}, {WALBytes, "wal_bytes"}, {WALFsyncs, "wal_fsyncs"},
+	{WALFsyncNs, "wal_fsync_ns"}, {WALSnapshots, "wal_snapshots"},
+	{WALRecoveries, "wal_recoveries"}, {WALRecoveredEvents, "wal_recovered_events"},
+	{RouteForwards, "route_forwards"}, {RouteRetries, "route_retries"},
+	{RouteHedges, "route_hedges"}, {RouteFailovers, "route_failovers"},
+	{CrossShardBorrows, "cross_shard_borrows"}, {ShardStalls, "shard_stalls"},
+}
+
+// TestCounterEnumMatchesJSONFields adds to one constant at a time and
+// reads the report as JSON: the named key, and only it, must move. A
+// constant without a Counters field (or the reverse) fails init; one
+// missing here, or two fields swapped, fails this test.
+func TestCounterEnumMatchesJSONFields(t *testing.T) {
+	if len(counterNames) != int(NumCounters) {
+		t.Fatalf("counterNames has %d rows for %d counters", len(counterNames), NumCounters)
+	}
+	for _, row := range counterNames {
+		c := New()
+		c.Add(row.k, 7)
+		var buf bytes.Buffer
+		if err := c.Snapshot().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Counters) != int(NumCounters) {
+			t.Fatalf("report has %d counter keys for %d counters", len(doc.Counters), NumCounters)
+		}
+		if _, ok := doc.Counters[row.key]; !ok {
+			t.Errorf("no %q key in the report", row.key)
+		}
+		for key, v := range doc.Counters {
+			want := int64(0)
+			if key == row.key {
+				want = 7
+			}
+			if v != want {
+				t.Errorf("Add(%d, 7), meant for %q: %q = %d, want %d", row.k, row.key, key, v, want)
+			}
+		}
+	}
+}
 
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
-	c.MatchInner()
-	c.MatchOuter()
-	c.Reject()
-	c.CoopAttempt()
-	c.AddProbes(5)
-	c.RunStarted()
+	for k := Counter(0); k < NumCounters; k++ {
+		c.Add(k, 5)
+	}
+	c.AddPricing(pricing.Stats{ProbEvals: 1})
 	c.ObserveLatency("x", time.Millisecond)
-	if rep := c.Snapshot(); rep.Counters != (Counters{}) || len(rep.Latencies) != 0 {
+	c.ObserveProbeLatency(time.Millisecond)
+	c.RecordShards([]ShardSnapshot{{Shard: 1}})
+	c.Merge(New())
+	if rep := c.Snapshot(); rep.Counters != (Counters{}) || rep.Pricing != (PricingStats{}) || len(rep.Latencies) != 0 || len(rep.Shards) != 0 {
 		t.Errorf("nil snapshot not empty: %+v", rep)
 	}
 }
 
 func TestCountersAndLatency(t *testing.T) {
 	c := New()
-	c.RunStarted()
-	c.MatchInner()
-	c.MatchInner()
-	c.MatchOuter()
-	c.Reject()
-	c.CoopAttempt()
-	c.AddProbes(7)
-	c.AddProbes(0) // ignored
+	c.Add(Runs, 1)
+	c.Add(InnerMatches, 1)
+	c.Add(InnerMatches, 1)
+	c.Add(OuterMatches, 1)
+	c.Add(Rejections, 1)
+	c.Add(CoopAttempts, 1)
+	c.Add(AcceptanceProbes, 7)
+	c.Add(AcceptanceProbes, 0) // ignored
 	c.ObserveLatency("platform-1", 2*time.Millisecond)
 	c.ObserveLatency("platform-1", 4*time.Millisecond)
 	c.ObserveLatency("platform-2", time.Millisecond)
@@ -72,8 +135,8 @@ func TestConcurrentCollect(t *testing.T) {
 				label = "platform-2"
 			}
 			for i := 0; i < per; i++ {
-				c.MatchInner()
-				c.AddProbes(2)
+				c.Add(InnerMatches, 1)
+				c.Add(AcceptanceProbes, 2)
 				c.ObserveLatency(label, time.Duration(i)*time.Microsecond)
 			}
 		}(g)
@@ -97,7 +160,7 @@ func TestConcurrentCollect(t *testing.T) {
 
 func TestWriteJSONSchema(t *testing.T) {
 	c := New()
-	c.MatchInner()
+	c.Add(InnerMatches, 1)
 	c.ObserveLatency("platform-1", time.Millisecond)
 	var buf bytes.Buffer
 	if err := c.Snapshot().WriteJSON(&buf); err != nil {
@@ -115,18 +178,14 @@ func TestWriteJSONSchema(t *testing.T) {
 }
 
 // TestClaimContentionCounters covers the claim-contention counters:
-// claim conflicts and claim retries (nil-safe, non-positive filtered).
+// claim conflicts and claim retries (non-positive filtered).
 func TestClaimContentionCounters(t *testing.T) {
-	var nilC *Collector
-	nilC.ClaimConflict()
-	nilC.AddClaimRetries(3)
-
 	c := New()
-	c.ClaimConflict()
-	c.ClaimConflict()
-	c.AddClaimRetries(3)
-	c.AddClaimRetries(0)
-	c.AddClaimRetries(-2)
+	c.Add(ClaimConflicts, 1)
+	c.Add(ClaimConflicts, 1)
+	c.Add(ClaimRetries, 3)
+	c.Add(ClaimRetries, 0)
+	c.Add(ClaimRetries, -2)
 	rep := c.Snapshot()
 	if rep.Counters.ClaimConflicts != 2 {
 		t.Errorf("ClaimConflicts = %d, want 2", rep.Counters.ClaimConflicts)
@@ -146,46 +205,41 @@ func TestClaimContentionCounters(t *testing.T) {
 	}
 }
 
-// TestMergeCarriesEveryCounter sets every atomic counter of a donor to a
-// distinct value by reflection, so a counter added to Collector but
-// forgotten in Merge fails here rather than vanishing from a report.
+// TestMergeCarriesEveryCounter gives every counter of a donor a distinct
+// value, the pricing section and a latency label too, and merges it into
+// a collector that already holds some of each.
 func TestMergeCarriesEveryCounter(t *testing.T) {
 	from, into := New(), New()
-	counter := reflect.TypeOf((*atomic.Int64)(nil)).Elem()
-	fv := reflect.ValueOf(from).Elem()
-	n := 0
-	for i := 0; i < fv.NumField(); i++ {
-		if fv.Type().Field(i).Type == counter {
-			n++
-			(*atomic.Int64)(fv.Field(i).Addr().UnsafePointer()).Store(int64(n))
-		}
-	}
-	if n == 0 {
-		t.Fatal("no counters found")
-	}
-	from.ObserveLatency("platform-1", 3*time.Millisecond)
-	into.MatchInner()
+	fillEveryCounter(from)
+	into.Add(InnerMatches, 1)
+	into.AddPricing(pricing.Stats{ProbEvals: 2})
 	into.ObserveLatency("platform-1", time.Millisecond)
 	into.Merge(from)
 	into.Merge(nil)
 	(*Collector)(nil).Merge(from)
 
-	iv := reflect.ValueOf(into).Elem()
-	for i := 0; i < iv.NumField(); i++ {
-		if iv.Type().Field(i).Type != counter {
-			continue
+	for k := Counter(0); k < NumCounters; k++ {
+		want := from.n[k].Load()
+		if want == 0 {
+			t.Fatalf("donor counter %d is zero", k)
 		}
-		got := (*atomic.Int64)(iv.Field(i).Addr().UnsafePointer()).Load()
-		want := (*atomic.Int64)(fv.Field(i).Addr().UnsafePointer()).Load()
-		if name := iv.Type().Field(i).Name; name == "innerMatches" {
+		if k == InnerMatches {
 			want++
 		}
-		if got != want {
-			t.Errorf("%s = %d after Merge, want %d", iv.Type().Field(i).Name, got, want)
+		if got := into.n[k].Load(); got != want {
+			t.Errorf("counter %d = %d after Merge, want %d", k, got, want)
 		}
 	}
-	lat := into.Snapshot().Latencies
-	if len(lat) != 1 || lat[0].Count != 2 || lat[0].MaxMs != 3 {
+	want := from.pricing
+	want.ProbEvals += 2
+	if got := into.pricing; got != want {
+		t.Errorf("pricing after Merge = %+v, want %+v", got, want)
+	}
+	rep := into.Snapshot()
+	if lat := rep.Latencies; len(lat) != 1 || lat[0].Count != 2 || lat[0].MaxMs != 3 {
 		t.Errorf("latencies after Merge = %+v, want one label with 2 observations, max 3 ms", lat)
+	}
+	if len(rep.Shards) != 0 {
+		t.Errorf("Merge carried the donor's shard section: %+v", rep.Shards)
 	}
 }

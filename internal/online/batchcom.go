@@ -7,7 +7,6 @@ import (
 	"crossmatch/internal/core"
 	"crossmatch/internal/match"
 	"crossmatch/internal/pricing"
-	"crossmatch/internal/trace"
 )
 
 // DefaultBatchWindow is the window length (virtual ticks) used when
@@ -37,13 +36,11 @@ const DefaultBatchWindow core.Time = 10
 // every event's time before delivering it (internal/platform.settleDue
 // does), so a window is always flushed before any arrival at or past its
 // due time is buffered.
+//
+// Its spans open and close at flush time, so they carry the batched
+// outcome but no stage timings.
 type BatchCOM struct {
-	pool    *Pool
-	coop    CoopView
-	quoter  *pricing.TableQuoter
-	scratch *pricing.Scratch
-	rng     *rand.Rand
-	tr      *trace.Recorder
+	cooperative
 
 	window   core.Time
 	deadline core.Time // 0 = unbounded per-request wait
@@ -93,39 +90,18 @@ type outerProbe struct {
 // selects DefaultBatchWindow); deadline, when positive, caps any
 // request's wait, pulling the flush forward.
 func NewBatchCOM(coop CoopView, mc pricing.MonteCarlo, rng *rand.Rand, window, deadline core.Time) *BatchCOM {
-	if coop == nil {
-		coop = NoCoop{}
-	}
 	if window <= 0 {
 		window = DefaultBatchWindow
 	}
 	return &BatchCOM{
-		pool:     NewPool(nil),
-		coop:     coop,
-		quoter:   pricing.NewQuoter(mc),
-		scratch:  pricing.NewScratch(),
-		rng:      rng,
-		window:   window,
-		deadline: deadline,
+		cooperative: newCooperative(coop, mc, rng),
+		window:      window,
+		deadline:    deadline,
 	}
 }
 
-// PricingStats exposes the quoter's cumulative counters.
-func (m *BatchCOM) PricingStats() pricing.Stats { return m.quoter.Stats() }
-
 // Name implements Matcher.
 func (m *BatchCOM) Name() string { return "BatchCOM" }
-
-// WorkerArrives implements Matcher.
-func (m *BatchCOM) WorkerArrives(w *core.Worker) { m.pool.Add(w) }
-
-// Pool exposes the inner waiting list.
-func (m *BatchCOM) Pool() *Pool { return m.pool }
-
-// BindTrace attaches the per-request decision tracer (nil detaches).
-// BatchCOM spans open and close at flush time, so they carry the batched
-// outcome but no stage timings.
-func (m *BatchCOM) BindTrace(rc *trace.Recorder) { m.tr = rc }
 
 // RequestArrives implements Matcher: the request is buffered into the
 // open window (opening one if none is) and a Deferred placeholder is
@@ -264,8 +240,8 @@ func (m *BatchCOM) flush(at core.Time) {
 
 	// Phase 4: commit in canonical order. Sequentially a claim cannot
 	// fail (candidates were gathered inside this flush); under the
-	// concurrent multi-platform runtime a lost race surfaces as
-	// ReasonClaimsLost, exactly like the greedy matchers.
+	// sharded engine a lost race surfaces as ReasonClaimsLost, exactly
+	// like the greedy matchers.
 	for i := range m.ents {
 		e := &m.ents[i]
 		sp := m.tr.Begin(e.r)

@@ -27,6 +27,7 @@ import (
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/pricing"
+	"crossmatch/internal/trace"
 )
 
 // Candidate is an outer worker eligible for a cooperative request,
@@ -50,9 +51,9 @@ type CoopView interface {
 	EligibleOuter(r *core.Request) []Candidate
 	// Claim attempts to take the worker for an assignment, removing it
 	// from every platform's waiting list. It reports false when the
-	// worker was concurrently assigned elsewhere — under the concurrent
-	// multi-platform runtime that includes losing a genuine race against
-	// another platform's claim or the owner's own inner assignment.
+	// worker was concurrently assigned elsewhere — under the sharded
+	// engine that includes losing a genuine race against another shard's
+	// claim or the owner's own inner assignment.
 	Claim(workerID int64) bool
 }
 
@@ -230,6 +231,112 @@ func (s *Stats) MeanPaymentRate() float64 {
 		return 0
 	}
 	return s.PaymentRate / float64(s.ServedOuter)
+}
+
+// waiting is what every matcher is built on: its platform's inner
+// waiting list and the optional decision tracer.
+type waiting struct {
+	pool *Pool
+	tr   *trace.Recorder
+}
+
+// WorkerArrives implements Matcher.
+func (m *waiting) WorkerArrives(w *core.Worker) { m.pool.Add(w) }
+
+// Pool exposes the inner waiting list (the simulation shares this
+// platform's unoccupied workers with cooperating platforms through it).
+func (m *waiting) Pool() *Pool { return m.pool }
+
+// BindTrace attaches the per-request decision tracer (nil detaches).
+func (m *waiting) BindTrace(rc *trace.Recorder) { m.tr = rc }
+
+// cooperative is what the COM matchers add to waiting: the view of the
+// partner platforms' workers, the pricing quoter with its scratch, and
+// the rng that drives payment sampling and acceptance probes.
+type cooperative struct {
+	waiting
+	coop    CoopView
+	quoter  *pricing.TableQuoter
+	scratch *pricing.Scratch
+	rng     *rand.Rand
+	// accepting is the reused probe-result scratch consumed in place by
+	// the claim loop; one goroutine drives a matcher, so reuse across
+	// requests is race-free.
+	accepting []Candidate
+}
+
+func newCooperative(coop CoopView, mc pricing.MonteCarlo, rng *rand.Rand) cooperative {
+	if coop == nil {
+		coop = NoCoop{}
+	}
+	return cooperative{
+		waiting: waiting{pool: NewPool(nil)},
+		coop:    coop,
+		quoter:  pricing.NewQuoter(mc),
+		scratch: pricing.NewScratch(),
+		rng:     rng,
+	}
+}
+
+// PricingStats exposes the quoter's cumulative counters.
+func (m *cooperative) PricingStats() pricing.Stats { return m.quoter.Stats() }
+
+// assignOuter is Algorithm 1's outer-assignment block (lines 8-26),
+// which Algorithm 3 calls with its own price: quote names the payment
+// to offer the eligible workers, whose histories are group; ok=false
+// means no payment is worth offering.
+func (m *cooperative) assignOuter(r *core.Request, sp *trace.Span, quote func(r *core.Request, group []*pricing.History) (payment float64, ok bool)) Decision {
+	// Line 8: eligible outer workers.
+	t := sp.StageStart()
+	cands := m.coop.EligibleOuter(r)
+	sp.EndStage(trace.StageEligibility, t)
+	if len(cands) == 0 {
+		return Decision{Reason: ReasonNoWorkers} // lines 9-10: reject
+	}
+
+	// Line 12: price the cooperative request.
+	t = sp.StageStart()
+	group := m.scratch.Group(len(cands))
+	for i, c := range cands {
+		group[i] = c.History
+	}
+	payment, ok := quote(r, group)
+	sp.EndStage(trace.StagePricing, t)
+	if !ok || payment > r.Value {
+		// Lines 13-14: serving would lose money; reject. The request
+		// still counts as cooperative-attempted for AcpRt.
+		return Decision{CoopAttempted: true, Reason: ReasonUnprofitable}
+	}
+
+	// Lines 15-20: probe each eligible worker's willingness at v'.
+	probes := len(cands)
+	t = sp.StageStart()
+	m.accepting = appendAccepting(m.accepting[:0], cands, payment, m.rng)
+	sp.EndStage(trace.StageProbes, t)
+	if len(m.accepting) == 0 {
+		return Decision{CoopAttempted: true, Probes: probes, Reason: ReasonNoAcceptor} // line 26
+	}
+
+	// Lines 21-24: nearest accepting worker, claimed atomically.
+	t = sp.StageStart()
+	best, retries, ok := claimNearestAccepting(m.coop, m.accepting, r)
+	sp.EndStage(trace.StageClaim, t)
+	if !ok {
+		return Decision{CoopAttempted: true, Probes: probes, ClaimRetries: retries, Reason: ReasonClaimsLost}
+	}
+	return Decision{
+		Served:        true,
+		CoopAttempted: true,
+		Probes:        probes,
+		ClaimRetries:  retries,
+		Reason:        ReasonOuter,
+		Assignment: core.Assignment{
+			Request: r,
+			Worker:  best.Worker,
+			Payment: payment,
+			Outer:   true,
+		},
+	}
 }
 
 // appendAccepting samples each candidate's willingness to serve at the

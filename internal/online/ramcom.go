@@ -21,20 +21,12 @@ import (
 // paper's Example 3, where r3 exceeds the threshold but is served by
 // outer worker w3).
 type RamCOM struct {
-	pool      *Pool
-	coop      CoopView
-	quoter    *pricing.TableQuoter
-	scratch   *pricing.Scratch
-	rng       *rand.Rand
+	cooperative
 	threshold float64
-	tr        *trace.Recorder
 	// covScratch is the reused buffer of the high-value branch's
 	// coverage query; a matcher is driven by one goroutine, so reuse
 	// across requests is race-free.
 	covScratch []*core.Worker
-	// accepting is the reused probe-result scratch consumed in place by
-	// the claim loop.
-	accepting []Candidate
 
 	// ThresholdPricing, when true, replaces the exact expected-revenue
 	// maximization with the 1/e-style randomized threshold quote
@@ -67,42 +59,23 @@ type RamCOM struct {
 // publish it); rng drives the draw of k, the random inner-worker choice
 // and the acceptance probes.
 func NewRamCOM(maxValue float64, coop CoopView, rng *rand.Rand) *RamCOM {
-	if coop == nil {
-		coop = NoCoop{}
-	}
 	theta := int(math.Ceil(math.Log(maxValue + 1)))
 	if theta < 1 {
 		theta = 1
 	}
 	k := 1 + rng.Intn(theta) // k in {1, .., theta}
 	return &RamCOM{
-		pool:      NewPool(nil),
-		coop:      coop,
-		quoter:    pricing.NewQuoter(pricing.DefaultMonteCarlo),
-		scratch:   pricing.NewScratch(),
-		rng:       rng,
-		threshold: math.Exp(float64(k)),
-		MC:        pricing.DefaultMonteCarlo,
+		cooperative: newCooperative(coop, pricing.DefaultMonteCarlo, rng),
+		threshold:   math.Exp(float64(k)),
+		MC:          pricing.DefaultMonteCarlo,
 	}
 }
-
-// PricingStats exposes the quoter's cumulative counters.
-func (m *RamCOM) PricingStats() pricing.Stats { return m.quoter.Stats() }
 
 // Name implements Matcher.
 func (m *RamCOM) Name() string { return "RamCOM" }
 
 // Threshold returns the drawn value threshold e^k.
 func (m *RamCOM) Threshold() float64 { return m.threshold }
-
-// WorkerArrives implements Matcher.
-func (m *RamCOM) WorkerArrives(w *core.Worker) { m.pool.Add(w) }
-
-// Pool exposes the inner waiting list.
-func (m *RamCOM) Pool() *Pool { return m.pool }
-
-// BindTrace attaches the per-request decision tracer (nil detaches).
-func (m *RamCOM) BindTrace(rc *trace.Recorder) { m.tr = rc }
 
 // RequestArrives implements Matcher (Algorithm 3).
 func (m *RamCOM) RequestArrives(r *core.Request) Decision {
@@ -143,7 +116,8 @@ func (m *RamCOM) decide(r *core.Request, sp *trace.Span) Decision {
 
 	// Lines 9-11: price the cooperative request and run Algorithm 1's
 	// outer-assignment block (lines 13-26).
-	if d, served := m.tryOuter(r, sp); served {
+	d := m.assignOuter(r, sp, m.quote)
+	if d.Served {
 		return d
 	} else if r.Value > m.threshold {
 		// The high-value branch already found no free inner worker.
@@ -167,54 +141,6 @@ func (m *RamCOM) decide(r *core.Request, sp *trace.Span) Decision {
 			Assignment:    core.Assignment{Request: r, Worker: w},
 		}
 	}
-}
-
-// tryOuter runs the cooperative path; served reports whether the request
-// was assigned.
-func (m *RamCOM) tryOuter(r *core.Request, sp *trace.Span) (Decision, bool) {
-	t := sp.StageStart()
-	cands := m.coop.EligibleOuter(r)
-	sp.EndStage(trace.StageEligibility, t)
-	if len(cands) == 0 {
-		return Decision{Reason: ReasonNoWorkers}, false
-	}
-	t = sp.StageStart()
-	group := m.scratch.Group(len(cands))
-	for i, c := range cands {
-		group[i] = c.History
-	}
-	payment, ok := m.quote(r, group)
-	sp.EndStage(trace.StagePricing, t)
-	if !ok || payment > r.Value {
-		return Decision{CoopAttempted: true, Reason: ReasonUnprofitable}, false
-	}
-
-	probes := len(cands)
-	t = sp.StageStart()
-	m.accepting = appendAccepting(m.accepting[:0], cands, payment, m.rng)
-	sp.EndStage(trace.StageProbes, t)
-	if len(m.accepting) == 0 {
-		return Decision{CoopAttempted: true, Probes: probes, Reason: ReasonNoAcceptor}, false
-	}
-	t = sp.StageStart()
-	best, retries, claimed := claimNearestAccepting(m.coop, m.accepting, r)
-	sp.EndStage(trace.StageClaim, t)
-	if !claimed {
-		return Decision{CoopAttempted: true, Probes: probes, ClaimRetries: retries, Reason: ReasonClaimsLost}, false
-	}
-	return Decision{
-		Served:        true,
-		CoopAttempted: true,
-		Probes:        probes,
-		ClaimRetries:  retries,
-		Reason:        ReasonOuter,
-		Assignment: core.Assignment{
-			Request: r,
-			Worker:  best.Worker,
-			Payment: payment,
-			Outer:   true,
-		},
-	}, true
 }
 
 // quote computes the outer payment for a cooperative request according

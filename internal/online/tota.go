@@ -12,26 +12,13 @@ import (
 // incoming request is served by the nearest available inner worker whose
 // range covers it, or rejected. It never touches outer workers — the
 // special case W_out = empty of the COM problem.
-type TOTAGreedy struct {
-	pool *Pool
-	tr   *trace.Recorder
-}
+type TOTAGreedy struct{ waiting }
 
 // NewTOTAGreedy returns the baseline matcher over a fresh pool.
-func NewTOTAGreedy() *TOTAGreedy { return &TOTAGreedy{pool: NewPool(nil)} }
+func NewTOTAGreedy() *TOTAGreedy { return &TOTAGreedy{waiting{pool: NewPool(nil)}} }
 
 // Name implements Matcher.
 func (m *TOTAGreedy) Name() string { return "TOTA" }
-
-// WorkerArrives implements Matcher.
-func (m *TOTAGreedy) WorkerArrives(w *core.Worker) { m.pool.Add(w) }
-
-// Pool exposes the inner waiting list (used by the simulation to share
-// this platform's unoccupied workers with cooperating platforms).
-func (m *TOTAGreedy) Pool() *Pool { return m.pool }
-
-// BindTrace attaches the per-request decision tracer (nil detaches).
-func (m *TOTAGreedy) BindTrace(rc *trace.Recorder) { m.tr = rc }
 
 // RequestArrives implements Matcher.
 func (m *TOTAGreedy) RequestArrives(r *core.Request) Decision {
@@ -76,9 +63,8 @@ func claimNearestInner(pool *Pool, r *core.Request) (*core.Worker, bool) {
 // 1/(2e * ceil(ln(Umax+1))); the paper uses it as the revenue-maximizing
 // single-platform reference in the competitive-ratio discussion.
 type GreedyRT struct {
-	pool      *Pool
+	waiting
 	threshold float64
-	tr        *trace.Recorder
 }
 
 // NewGreedyRT builds the matcher; maxValue is the a-priori bound Umax on
@@ -90,7 +76,7 @@ func NewGreedyRT(maxValue float64, rng *rand.Rand) *GreedyRT {
 	}
 	k := rng.Intn(theta) // k in {0, .., theta-1}
 	return &GreedyRT{
-		pool:      NewPool(nil),
+		waiting:   waiting{pool: NewPool(nil)},
 		threshold: math.Exp(float64(k)),
 	}
 }
@@ -100,15 +86,6 @@ func (m *GreedyRT) Name() string { return "Greedy-RT" }
 
 // Threshold returns the drawn value threshold e^k.
 func (m *GreedyRT) Threshold() float64 { return m.threshold }
-
-// WorkerArrives implements Matcher.
-func (m *GreedyRT) WorkerArrives(w *core.Worker) { m.pool.Add(w) }
-
-// Pool exposes the inner waiting list.
-func (m *GreedyRT) Pool() *Pool { return m.pool }
-
-// BindTrace attaches the per-request decision tracer (nil detaches).
-func (m *GreedyRT) BindTrace(rc *trace.Recorder) { m.tr = rc }
 
 // RequestArrives implements Matcher.
 func (m *GreedyRT) RequestArrives(r *core.Request) Decision {

@@ -131,16 +131,8 @@ func SamplesMinPayment(name string) bool {
 	return name == AlgDemCOM || name == AlgBatchCOM
 }
 
-// FactoryByName returns the factory for a paper algorithm name; stream
-// statistics supply max(v_r) for the threshold algorithms. It returns
-// ok=false for unknown names (including AlgOFF, which is not an online
-// matcher — use Offline).
-func FactoryByName(name string, maxValue float64) (MatcherFactory, bool) {
-	f, err := FactoryFor(name, maxValue)
-	return f, err == nil
-}
-
-// FactoryFor is FactoryByName with a typed error: unknown names
+// FactoryFor returns the factory for a paper algorithm name; stream
+// statistics supply max(v_r) for the threshold algorithms. Unknown names
 // (including AlgOFF, which is not an online matcher — use Offline)
 // return an error wrapping ErrUnknownAlgorithm that names the
 // acceptable algorithms.

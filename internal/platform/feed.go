@@ -199,7 +199,7 @@ func (e *Engine) step(ev core.Event, reply bool) (RequestDecision, error) {
 }
 
 // check validates an event — lifecycle, time order, kind, payload,
-// platform, a worker's own fields, and under shards its reach — without
+// platform, the payload's own fields, and under shards its reach — without
 // touching the engine: the clock moves only for events that pass.
 func (e *Engine) check(ev core.Event) error {
 	if e.finished {
@@ -234,12 +234,17 @@ func (e *Engine) check(ev core.Event) error {
 	if _, known := matchers[pid]; !known {
 		return fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
 	}
+	// The hub builds a worker's pricing history on delivery and the
+	// Matching refuses a request's value on Add, both after the clock
+	// and a pool have moved; what they would refuse is refused here.
+	var err error
 	if ev.Kind == core.WorkerArrival {
-		// The hub builds the worker's pricing history on delivery, after
-		// the clock has moved; what it would refuse is refused here.
-		if err := ev.Worker.Validate(); err != nil {
-			return fmt.Errorf("platform: %w", err)
-		}
+		err = ev.Worker.Validate()
+	} else {
+		err = ev.Request.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("platform: %w", err)
 	}
 	return nil
 }
@@ -358,18 +363,18 @@ func (e *Engine) fold(pid core.PlatformID, d online.Decision, at core.Time, el t
 	pr.Stats.Observe(d)
 	if mc := e.cfg.Metrics; mc != nil {
 		mc.ObserveLatency(e.labels[pid], el)
-		mc.AddProbes(d.Probes)
-		mc.AddClaimRetries(d.ClaimRetries)
+		mc.Add(metrics.AcceptanceProbes, int64(d.Probes))
+		mc.Add(metrics.ClaimRetries, int64(d.ClaimRetries))
 		if d.CoopAttempted {
-			mc.CoopAttempt()
+			mc.Add(metrics.CoopAttempts, 1)
 		}
 		switch {
 		case d.Served && d.Assignment.Outer:
-			mc.MatchOuter()
+			mc.Add(metrics.OuterMatches, 1)
 		case d.Served:
-			mc.MatchInner()
+			mc.Add(metrics.InnerMatches, 1)
 		default:
-			mc.Reject()
+			mc.Add(metrics.Rejections, 1)
 		}
 	}
 	if !d.Served {
@@ -434,18 +439,12 @@ func (e *Engine) SetDecisionHandler(fn func(RequestDecision)) {
 // clock-driving entirely.
 func (e *Engine) Windowed() bool { return len(e.windowed) > 0 }
 
-// HasOpenWindow reports whether some windowed matcher is holding
-// buffered requests right now. The serving layer gates its virtual-time
-// ticks on it so an idle server logs nothing.
-func (e *Engine) HasOpenWindow() bool {
-	_, open := e.NextFlush()
-	return open
-}
-
 // NextFlush returns the earliest due time among open windows, and
-// whether any window is open. The serving layer compares it against the
-// sequencer's virtual clock to tick (and WAL-log the tick) only when
-// the tick would actually flush something.
+// whether any window is open — some windowed matcher is holding
+// buffered requests right now. The serving layer compares it against
+// the sequencer's virtual clock to tick (and WAL-log the tick) only when
+// the tick would actually flush something, so an idle server logs
+// nothing.
 func (e *Engine) NextFlush() (core.Time, bool) {
 	due, open := core.Time(0), false
 	for i := range e.windowed {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/geo"
 	"crossmatch/internal/workload"
 )
 
@@ -230,7 +231,8 @@ func TestEngineRejectedEventLeavesState(t *testing.T) {
 			// an open window and a pending recycled worker (unsharded).
 			events := stream.Events()
 			i := 0
-			for ; i < len(events)/2 || (tc.cfg.Shards == 0 && (!eng.HasOpenWindow() || len(eng.recycle) == 0)); i++ {
+			openWindow := func() bool { _, open := eng.NextFlush(); return open }
+			for ; i < len(events)/2 || (tc.cfg.Shards == 0 && (!openWindow() || len(eng.recycle) == 0)); i++ {
 				if _, err := eng.Process(events[i]); err != nil {
 					t.Fatal(err)
 				}
@@ -296,6 +298,61 @@ func (b *blockingSource) Next(ctx context.Context) (core.Event, error) {
 
 // TestRunSourceCancellation: a canceled context stops the run and
 // surfaces ctx.Err, with the partial result intact.
+// TestProcessRejectsInvalidRequestUntouched: a request core.Request's
+// own Validate refuses must be refused before the engine moves. Until
+// check validated it, a NaN value was matched first — worker taken, clock
+// moved, NaN added to the platform's Stats — and refused only by
+// Matching.Add, and a non-finite location or a negative value was
+// decided as "no-workers".
+func TestProcessRejectsInvalidRequestUntouched(t *testing.T) {
+	factory, err := FactoryFor(AlgDemCOM, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine([]core.PlatformID{1, 2}, factory, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &core.Worker{ID: 1, Arrival: 5, Radius: 1, Platform: 1, History: []float64{1}}
+	if _, err := eng.Process(core.Event{Kind: core.WorkerArrival, Time: 5, Worker: w}); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, r := range map[string]core.Request{
+		"NaN value":      {Value: nan, Platform: 1},
+		"+Inf value":     {Value: inf, Platform: 1},
+		"-Inf value":     {Value: -inf, Platform: 1},
+		"zero value":     {Value: 0, Platform: 1},
+		"negative value": {Value: -3, Platform: 1},
+		"NaN location":   {Value: 3, Platform: 1, Loc: geo.Point{X: nan}},
+		"Inf location":   {Value: 3, Platform: 1, Loc: geo.Point{Y: inf}},
+		"zero platform":  {Value: 3},
+	} {
+		r.ID, r.Arrival = 100, 10
+		if _, err := eng.Process(core.Event{Kind: core.RequestArrival, Time: 10, Request: &r}); err == nil {
+			t.Errorf("%s: request accepted", name)
+		}
+	}
+	if eng.last != 5 {
+		t.Fatalf("clock moved from 5 to %d by rejected requests", eng.last)
+	}
+	ok := &core.Request{ID: 2, Arrival: 6, Value: 3, Platform: 1}
+	d, err := eng.Process(core.Event{Kind: core.RequestArrival, Time: 6, Request: ok})
+	if err != nil {
+		t.Fatalf("valid request after rejections: %v", err)
+	}
+	if !d.Served || d.Worker != w {
+		t.Fatalf("the waiting worker did not serve the valid request: %+v", d)
+	}
+	res, err := eng.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rev := res.TotalRevenue(); rev != 3 {
+		t.Errorf("revenue = %v, want 3", rev)
+	}
+}
+
 func TestRunSourceCancellation(t *testing.T) {
 	stream := feedTestStream(t, 100, 40, 17)
 	factory, err := FactoryFor(AlgTOTA, stream.MaxValue())

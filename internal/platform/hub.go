@@ -274,7 +274,7 @@ func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaul
 		// EligibleOuter, so a missing record means the worker was
 		// assigned — by another platform's claim or its owner's inner
 		// match — between the sighting and this claim: a lost race.
-		h.metrics.ClaimConflict()
+		h.metrics.Add(metrics.ClaimConflicts, 1)
 		return false
 	}
 	owner := rec.owner
@@ -291,14 +291,14 @@ func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaul
 	}
 	if !rec.claimed.CompareAndSwap(false, true) {
 		// Another platform's claim got here first.
-		h.metrics.ClaimConflict()
+		h.metrics.Add(metrics.ClaimConflicts, 1)
 		return false
 	}
 	pool := h.pools[owner]
 	if pool == nil || !pool.Remove(workerID) {
 		// The owner's inner assignment raced the claim and won; it will
 		// evict the record via WorkerAssigned.
-		h.metrics.ClaimConflict()
+		h.metrics.Add(metrics.ClaimConflicts, 1)
 		return false
 	}
 	h.mu.Lock()

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -301,11 +302,11 @@ func TestOfflineDominatesOnline(t *testing.T) {
 	}
 }
 
-func TestFactoryByName(t *testing.T) {
+func TestFactoryFor(t *testing.T) {
 	for _, name := range []string{AlgTOTA, AlgGreedyRT, AlgDemCOM, AlgRamCOM} {
-		f, ok := FactoryByName(name, 10)
-		if !ok {
-			t.Errorf("FactoryByName(%q) not found", name)
+		f, err := FactoryFor(name, 10)
+		if err != nil {
+			t.Errorf("FactoryFor(%q): %v", name, err)
 			continue
 		}
 		m := f(1, online.NoCoop{}, rand.New(rand.NewSource(1)))
@@ -313,11 +314,11 @@ func TestFactoryByName(t *testing.T) {
 			t.Errorf("factory %q built matcher %q", name, m.Name())
 		}
 	}
-	if _, ok := FactoryByName("nope", 10); ok {
-		t.Error("unknown name accepted")
+	if _, err := FactoryFor("nope", 10); !errors.Is(err, ErrUnknownAlgorithm) {
+		t.Errorf("unknown name: %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, ok := FactoryByName(AlgOFF, 10); ok {
-		t.Error("OFF is not an online matcher")
+	if _, err := FactoryFor(AlgOFF, 10); !errors.Is(err, ErrUnknownAlgorithm) {
+		t.Errorf("OFF is not an online matcher: %v, want ErrUnknownAlgorithm", err)
 	}
 }
 

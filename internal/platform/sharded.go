@@ -198,7 +198,7 @@ func newShardedEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config
 		se.engines = append(se.engines, eng)
 		se.queues = append(se.queues, newShardQueue(se.co, i))
 	}
-	cfg.Metrics.RunStarted()
+	cfg.Metrics.Add(metrics.Runs, 1)
 	for i := range se.engines {
 		se.wg.Add(1)
 		go func(i int) {
@@ -303,7 +303,7 @@ func (v *shardCoopView) Claim(workerID int64) bool {
 	cnt := &v.se.stats[v.si]
 	if v.se.engines[t].hub.claim(v.pid, workerID, v.now, false) {
 		cnt.borrows.Add(1)
-		v.se.cfg.Metrics.CrossShardBorrow()
+		v.se.cfg.Metrics.Add(metrics.CrossShardBorrows, 1)
 		return true
 	}
 	cnt.conflicts.Add(1)

@@ -81,11 +81,6 @@ type Config struct {
 	// sampled. Safe to share one tracer across the unit runs of
 	// an experiment, like Metrics. See internal/trace.
 	Trace *trace.Tracer
-	// TraceSample overrides the tracer's sampling rate for this run:
-	// zero inherits the tracer's configured rate, a value in (0, 1] sets
-	// it, and a negative value disables recording for this run. Only
-	// meaningful together with Trace.
-	TraceSample float64
 	// Shards, when > 1, runs the geo-sharded engine: matching state is
 	// partitioned by spatial grid cell (the internal/cells rendezvous
 	// assignment the fleet router also uses), each shard drives its own
@@ -348,7 +343,7 @@ func newUnsharded(pids []core.PlatformID, factory MatcherFactory, cfg Config, wr
 	if cfg.Trace != nil {
 		recs := make(map[core.PlatformID]*trace.Recorder, len(e.pids))
 		for _, pid := range e.pids {
-			rc := cfg.Trace.Recorder(cfg.Seed, pid, e.matchers[pid].Name(), cfg.TraceSample)
+			rc := cfg.Trace.Recorder(cfg.Seed, pid, e.matchers[pid].Name())
 			recs[pid] = rc
 			if tb, ok := e.matchers[pid].(traceBinder); ok {
 				tb.BindTrace(rc)
@@ -369,7 +364,7 @@ func newUnsharded(pids []core.PlatformID, factory MatcherFactory, cfg Config, wr
 	}
 
 	if announce {
-		cfg.Metrics.RunStarted()
+		cfg.Metrics.Add(metrics.Runs, 1)
 	}
 	// Per-platform latency labels are built once; the hot loop must not
 	// format strings.
@@ -405,16 +400,7 @@ func (e *Engine) foldPricing() {
 	}
 	for _, pid := range e.pids {
 		if pp, ok := e.matchers[pid].(pricingStatsProvider); ok {
-			st := pp.PricingStats()
-			e.cfg.Metrics.AddPricing(metrics.PricingStats{
-				RevenueQuotes:    st.RevenueQuotes,
-				ThresholdQuotes:  st.ThresholdQuotes,
-				MonteCarloQuotes: st.MonteCarloQuotes,
-				ProbEvals:        st.ProbEvals,
-				TableHits:        st.TableHits,
-				ScratchReuses:    st.ScratchReuses,
-				ScratchAllocs:    st.ScratchAllocs,
-			})
+			e.cfg.Metrics.AddPricing(pp.PricingStats())
 		}
 	}
 }

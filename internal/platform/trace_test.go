@@ -24,8 +24,8 @@ func TestTracedRunBitIdenticalToUntraced(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sample := range []float64{0, 0.3} {
-			tr := trace.New(trace.Options{Capacity: 1024, Seed: 5})
-			traced, err := Run(stream, factory, Config{Seed: 51, Trace: tr, TraceSample: sample})
+			tr := trace.New(trace.Options{Capacity: 1024, Sample: sample, Seed: 5})
+			traced, err := Run(stream, factory, Config{Seed: 51, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}

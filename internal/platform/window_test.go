@@ -147,9 +147,6 @@ func TestEngineWindowDecisionHandler(t *testing.T) {
 	if !d.Deferred || d.Served {
 		t.Fatalf("request not deferred: %+v", d)
 	}
-	if !eng.HasOpenWindow() {
-		t.Fatal("no open window after a buffered request")
-	}
 	if due, ok := eng.NextFlush(); !ok || due != 6 {
 		t.Fatalf("NextFlush: want (6, true), got (%d, %v)", due, ok)
 	}
@@ -169,7 +166,7 @@ func TestEngineWindowDecisionHandler(t *testing.T) {
 	if rd.Deferred || !rd.Served || rd.Request.ID != 1 || rd.Worker == nil || rd.Worker.ID != 1 {
 		t.Fatalf("flushed decision: %+v", rd)
 	}
-	if eng.HasOpenWindow() {
+	if _, open := eng.NextFlush(); open {
 		t.Fatal("window still open after AdvanceTime flush")
 	}
 	res, err := eng.Finish()

@@ -27,6 +27,17 @@ type Stats struct {
 	ScratchAllocs int64 `json:"scratch_allocs"`
 }
 
+// Add folds another quoter's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.RevenueQuotes += o.RevenueQuotes
+	s.ThresholdQuotes += o.ThresholdQuotes
+	s.MonteCarloQuotes += o.MonteCarloQuotes
+	s.ProbEvals += o.ProbEvals
+	s.TableHits += o.TableHits
+	s.ScratchReuses += o.ScratchReuses
+	s.ScratchAllocs += o.ScratchAllocs
+}
+
 // TableQuoter is the pricing seam the matchers drive: every quote method
 // takes an explicit per-goroutine Scratch so the hot path performs no
 // per-call allocation. One TableQuoter (and one Scratch) belongs to one

@@ -175,11 +175,11 @@ func New(opts Options) (*Router, error) {
 		sh.breaker = fault.NewBreaker(opts.Breaker, func(from, to fault.State) {
 			switch to {
 			case fault.Open:
-				met.BreakerOpened()
+				met.Add(metrics.BreakerOpened, 1)
 			case fault.HalfOpen:
-				met.BreakerHalfOpened()
+				met.Add(metrics.BreakerHalfOpened, 1)
 			case fault.Closed:
-				met.BreakerClosed()
+				met.Add(metrics.BreakerClosed, 1)
 			}
 		})
 		r.shards[sc.Name] = sh
@@ -225,9 +225,6 @@ func (r *Router) Shard(name string) (ShardStatus, bool) {
 	return sh.status(), true
 }
 
-// maxBodyBytes mirrors the shard-side ingest bound.
-const maxBodyBytes = 32 << 20
-
 // wirePoint is the lenient per-line parse the router needs: only the
 // coordinates matter for partitioning; full validation is the shard's
 // job (strict parse, value/radius checks).
@@ -249,14 +246,14 @@ type lineRoute struct {
 // immediately with a 503-class status and a retry hint.
 func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind core.EventKind) {
 	r.ctr.calls.Add(1)
-	body, err := readAllHint(http.MaxBytesReader(w, req.Body, maxBodyBytes), req.ContentLength)
+	body, err := readAllHint(http.MaxBytesReader(w, req.Body, serve.MaxBodyBytes), req.ContentLength)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.WireDecision{Status: serve.StatusError, Error: "reading body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.WireDecision{Status: serve.StatusError, Error: "reading body: " + err.Error()})
 		return
 	}
-	lines := splitLines(body)
+	lines := serve.SplitLines(body)
 	if len(lines) == 0 {
-		writeJSON(w, http.StatusBadRequest, serve.WireDecision{Status: serve.StatusError, Error: "empty body"})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.WireDecision{Status: serve.StatusError, Error: "empty body"})
 		return
 	}
 	batch := len(lines) > 1 || strings.Contains(req.Header.Get("Content-Type"), "ndjson")
@@ -270,7 +267,7 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 		// Backpressure, not queueing: every line answers unavailable with
 		// a hint, so well-behaved clients back off instead of piling on.
 		r.ctr.busy.Add(int64(len(lines)))
-		busy := encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: kindName(kind),
+		busy := encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
 			RetryAfterMs: r.retryHintMs(), Error: "router at max inflight"})
 		for i := range outs {
 			outs[i] = busy
@@ -330,7 +327,7 @@ func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs [][]byte) []
 			var pt wirePoint
 			if err := json.Unmarshal(line, &pt); err != nil {
 				r.ctr.badLines.Add(1)
-				outs[i] = encodeDecision(serve.WireDecision{Status: serve.StatusError, Kind: kindName(kind),
+				outs[i] = encodeDecision(serve.WireDecision{Status: serve.StatusError, Kind: serve.KindName(kind),
 					Error: "bad event: " + err.Error()})
 				continue
 			}
@@ -367,7 +364,7 @@ func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs [][]byte) []
 // could plausibly have re-admitted the shard.
 func (r *Router) refuse(kind core.EventKind, owner *shard, out *[]byte) {
 	r.ctr.refused.Add(1)
-	*out = encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: kindName(kind),
+	*out = encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
 		Shard: owner.name, RetryAfterMs: r.retryHintMs(),
 		Error: "shard " + owner.name + " unavailable"})
 }
@@ -403,13 +400,13 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 	}
 	n := int64(len(idxs))
 	sh.lines.Add(n)
-	r.met.RouteForward(n)
+	r.met.Add(metrics.RouteForwards, n)
 
 	var decs [][]byte
 	var err error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			r.met.RouteRetry()
+			r.met.Add(metrics.RouteRetries, 1)
 			sh.retries.Add(1)
 			wait := r.backoff(attempt - 1)
 			select {
@@ -436,7 +433,7 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 	}
 	if err != nil {
 		sh.errors.Add(n)
-		failed := encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: kindName(kind),
+		failed := encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
 			Shard: sh.name, RetryAfterMs: r.retryHintMs(),
 			Error: "shard call failed: " + err.Error()})
 		for _, i := range idxs {
@@ -463,7 +460,7 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 			arena = appendStamped(arena, decs[k], sh.name)
 			line = arena[start:len(arena):len(arena)]
 		} else {
-			line = encodeDecision(serve.WireDecision{Status: serve.StatusError, Kind: kindName(kind),
+			line = encodeDecision(serve.WireDecision{Status: serve.StatusError, Kind: serve.KindName(kind),
 				Shard: sh.name, Error: "shard returned short response"})
 		}
 		switch lineStatus(line) {
@@ -476,7 +473,7 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 		}
 		if routes[i].failover {
 			sh.failovers.Add(1)
-			r.met.RouteFailover(1)
+			r.met.Add(metrics.RouteFailovers, 1)
 		}
 		outs[i] = line
 	}
@@ -545,7 +542,7 @@ func (r *Router) callShard(ctx context.Context, sh *shard, kind core.EventKind, 
 		case <-timer.C:
 			if inFlight == 1 {
 				sh.hedges.Add(1)
-				r.met.RouteHedge()
+				r.met.Add(metrics.RouteHedges, 1)
 				launch(true)
 				inFlight++
 			}
@@ -576,7 +573,7 @@ func (r *Router) post(ctx context.Context, sh *shard, kind core.EventKind, paylo
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("shard %s: %s: %s", sh.name, resp.Status, strings.TrimSpace(string(body)))
 	}
-	return splitLines(body), nil
+	return serve.SplitLines(body), nil
 }
 
 // encodeDecision marshals a router-made decision once; every local
@@ -733,7 +730,7 @@ func scanPoint(line []byte) (x, y float64, ok bool) {
 // length when one is known (io.ReadAll's grow-and-copy cycles show up
 // on the forward hot path).
 func readAllHint(rc io.Reader, hint int64) ([]byte, error) {
-	if hint > 0 && hint < maxBodyBytes {
+	if hint > 0 && hint < serve.MaxBodyBytes {
 		buf := bytes.NewBuffer(make([]byte, 0, hint+1))
 		_, err := buf.ReadFrom(rc)
 		return buf.Bytes(), err
@@ -814,11 +811,11 @@ func (r *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	}
 	if h.ReadyShards > 0 {
 		h.Status = "ok"
-		writeJSON(w, http.StatusOK, h)
+		serve.WriteJSON(w, http.StatusOK, h)
 		return
 	}
 	h.Status = "no-ready-shards"
-	writeJSON(w, http.StatusServiceUnavailable, h)
+	serve.WriteJSON(w, http.StatusServiceUnavailable, h)
 }
 
 // Snapshot is the router's /v1/metrics document: router-side
@@ -864,30 +861,5 @@ func (r *Router) Snapshot() Snapshot {
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, r.Snapshot())
-}
-
-func kindName(k core.EventKind) string {
-	if k == core.WorkerArrival {
-		return "worker"
-	}
-	return "request"
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// splitLines cuts a body into non-empty trimmed lines (the shard-side
-// NDJSON convention).
-func splitLines(body []byte) [][]byte {
-	var out [][]byte
-	for _, line := range bytes.Split(body, []byte("\n")) {
-		if t := bytes.TrimSpace(line); len(t) > 0 {
-			out = append(out, t)
-		}
-	}
-	return out
+	serve.WriteJSON(w, http.StatusOK, r.Snapshot())
 }

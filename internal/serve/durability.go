@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/metrics"
 	"crossmatch/internal/platform"
 	"crossmatch/internal/pricing"
 	"crossmatch/internal/wal"
@@ -173,7 +174,8 @@ func (s *Server) recover() error {
 
 	s.wal = l
 	if s.applied > 0 {
-		s.met.WALRecovered(s.applied)
+		s.met.Add(metrics.WALRecoveries, 1)
+		s.met.Add(metrics.WALRecoveredEvents, s.applied)
 	}
 	s.rec = RecoveryInfo{
 		Recovered:  s.applied > 0,
@@ -335,7 +337,7 @@ func (s *Server) writeSnapshot() error {
 	if err := wal.WriteSnapshot(s.wal.Dir(), sn); err != nil {
 		return err
 	}
-	s.met.WALSnapshot()
+	s.met.Add(metrics.WALSnapshots, 1)
 	s.snapsWritten.Add(1)
 	return nil
 }

@@ -102,7 +102,7 @@ func TestBatchDeadlineSparesComputedDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading response: %v", err)
 	}
-	lines := splitLines(body2)
+	lines := SplitLines(body2)
 	if len(lines) != n {
 		t.Fatalf("got %d response lines, want %d", len(lines), n)
 	}

@@ -470,7 +470,7 @@ func postBatch(ctx context.Context, client *http.Client, base string, job batchJ
 		return nil, rtt, fmt.Errorf("serve: POST %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
 	}
 	var outs []WireDecision
-	for _, line := range splitLines(body) {
+	for _, line := range SplitLines(body) {
 		var d WireDecision
 		if err := unmarshalStrict(line, &d); err != nil {
 			return nil, rtt, fmt.Errorf("serve: bad response line %q: %w", line, err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"crossmatch/internal/metrics"
+	"crossmatch/internal/pricing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/metrics.golden.json from this run")
@@ -18,43 +19,10 @@ var update = flag.Bool("update", false, "rewrite testdata/metrics.golden.json fr
 // the counter behind Counters' k-th field set to 10·(k+1), a distinct
 // pricing section, one latency observation, two shard rows.
 func fillEveryCounter(c *metrics.Collector) {
-	times := func(n int, f func()) {
-		for i := 0; i < n; i++ {
-			f()
-		}
+	for k := metrics.Counter(0); k < metrics.NumCounters; k++ {
+		c.Add(k, 10*(int64(k)+1))
 	}
-	times(10, c.RunStarted)
-	times(20, c.MatchInner)
-	times(30, c.MatchOuter)
-	times(40, c.Reject)
-	times(50, c.CoopAttempt)
-	c.AddProbes(60)
-	times(70, c.ClaimConflict)
-	c.AddClaimRetries(80)
-	times(90, c.FaultLatency)
-	times(100, c.FaultDrop)
-	times(110, c.FaultClaimError)
-	times(120, c.FaultOutageHit)
-	times(130, c.ProbeRetry)
-	times(140, c.ProbeTimeout)
-	times(150, c.BreakerOpened)
-	times(160, c.BreakerHalfOpened)
-	times(170, c.BreakerClosed)
-	times(180, c.BreakerShortCircuit)
-	times(189, func() { c.WALAppend(0) })
-	c.WALAppend(200)
-	times(209, func() { c.WALFsync(0) })
-	c.WALFsync(220)
-	times(230, c.WALSnapshot)
-	times(239, func() { c.WALRecovered(0) })
-	c.WALRecovered(250)
-	c.RouteForward(260)
-	times(270, c.RouteRetry)
-	times(280, c.RouteHedge)
-	c.RouteFailover(290)
-	times(300, c.CrossShardBorrow)
-	times(310, c.ShardStall)
-	c.AddPricing(metrics.PricingStats{
+	c.AddPricing(pricing.Stats{
 		RevenueQuotes: 101, ThresholdQuotes: 102, MonteCarloQuotes: 103,
 		ProbEvals: 208, TableHits: 52, ScratchReuses: 106, ScratchAllocs: 107,
 	})
@@ -67,8 +35,7 @@ func fillEveryCounter(c *metrics.Collector) {
 
 // TestGoldenMetricsSnapshot pins the /v1/metrics document of a server
 // over a filled collector (uptime masked; runs is 11 because building
-// the engine starts one). Written at 26cea07, before the collector
-// became a table.
+// the engine starts one).
 func TestGoldenMetricsSnapshot(t *testing.T) {
 	mc := metrics.New()
 	fillEveryCounter(mc)

@@ -58,7 +58,7 @@ func (s *Server) sequence() {
 			// deciding: the contract is "in-flight completes, queued gets a
 			// drain reason".
 			s.ctr.drained.Add(1)
-			it.done <- WireDecision{Status: StatusDraining, Kind: kindName(it.ev.Kind),
+			it.done <- WireDecision{Status: StatusDraining, Kind: KindName(it.ev.Kind),
 				ID: eventID(it.ev), Error: "server draining; event not applied"}
 			continue
 		}
@@ -77,7 +77,7 @@ func (s *Server) sequence() {
 			delete(pending, s.cursor)
 			if s.draining.Load() {
 				s.ctr.drained.Add(1)
-				next.done <- WireDecision{Status: StatusDraining, Kind: kindName(next.ev.Kind),
+				next.done <- WireDecision{Status: StatusDraining, Kind: KindName(next.ev.Kind),
 					ID: eventID(next.ev), Error: "server draining; event not applied"}
 			} else {
 				s.process(next)
@@ -88,7 +88,7 @@ func (s *Server) sequence() {
 	// Queue closed with replay holes: answer the stranded waiters.
 	for _, it := range pending {
 		s.ctr.drained.Add(1)
-		it.done <- WireDecision{Status: StatusDraining, Kind: kindName(it.ev.Kind),
+		it.done <- WireDecision{Status: StatusDraining, Kind: KindName(it.ev.Kind),
 			ID: eventID(it.ev), Error: "server draining; event not applied"}
 	}
 	// Deferred requests still buffered in an open window: their events
@@ -98,7 +98,7 @@ func (s *Server) sequence() {
 	for id, it := range s.waiters {
 		delete(s.waiters, id)
 		s.ctr.drained.Add(1)
-		it.done <- WireDecision{Status: StatusDraining, Kind: kindName(it.ev.Kind),
+		it.done <- WireDecision{Status: StatusDraining, Kind: KindName(it.ev.Kind),
 			ID: eventID(it.ev), Error: "server draining; the buffered window resolves at close"}
 	}
 }
@@ -208,14 +208,14 @@ func (s *Server) process(it *ingest) {
 		// reproduce. A failed append answers 500 without mutating state.
 		if err := s.logEvent(it.ev, it.seq); err != nil {
 			s.ctr.walErrors.Add(1)
-			it.done <- WireDecision{Status: StatusError, Kind: kindName(it.ev.Kind),
+			it.done <- WireDecision{Status: StatusError, Kind: KindName(it.ev.Kind),
 				ID: eventID(it.ev), VTime: int64(it.ev.Time), Error: "wal append: " + err.Error()}
 			return
 		}
 	}
 	d, err := s.apply(it.ev)
 	if err != nil {
-		it.done <- WireDecision{Status: StatusError, Kind: kindName(it.ev.Kind),
+		it.done <- WireDecision{Status: StatusError, Kind: KindName(it.ev.Kind),
 			ID: eventID(it.ev), VTime: int64(it.ev.Time), Error: err.Error()}
 		return
 	}

@@ -121,9 +121,8 @@ type Options struct {
 	// reservoirs; created internally when nil (it backs /v1/metrics).
 	Metrics *metrics.Collector
 	// Tracer, when non-nil, records per-request decision spans; they
-	// export at /v1/trace as JSONL. TraceSample as in platform.Config.
-	Tracer      *trace.Tracer
-	TraceSample float64
+	// export at /v1/trace as JSONL.
+	Tracer *trace.Tracer
 
 	// WALDir, when non-empty, turns on durability: every admitted event
 	// is appended to a write-ahead log in this directory before the
@@ -334,7 +333,6 @@ func New(opts Options) (*Server, error) {
 		Metrics:           opts.Metrics,
 		Faults:            opts.Faults,
 		Trace:             opts.Tracer,
-		TraceSample:       opts.TraceSample,
 		Shards:            opts.Shards,
 		ShardReach:        opts.ShardReach,
 		ShardStallTimeout: opts.ShardStallTimeout,
@@ -503,23 +501,19 @@ func (s *Server) Close() (*platform.Result, error) {
 	return s.result, s.closeErr
 }
 
-// maxBodyBytes bounds one ingest POST (a few hundred thousand NDJSON
-// lines — far beyond any sane batch).
-const maxBodyBytes = 32 << 20
-
 // handleIngest serves POST /v1/requests and /v1/workers: a single JSON
 // object, or an NDJSON batch (one event per line). Batch responses are
 // always 200 with one NDJSON decision line per input line; single
 // responses carry the outcome as the HTTP status code too.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kind core.EventKind) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		writeJSONStatus(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "reading body: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "reading body: " + err.Error()})
 		return
 	}
-	lines := splitLines(body)
+	lines := SplitLines(body)
 	if len(lines) == 0 {
-		writeJSONStatus(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "empty body"})
+		WriteJSON(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "empty body"})
 		return
 	}
 	batch := len(lines) > 1 || strings.Contains(r.Header.Get("Content-Type"), "ndjson")
@@ -542,7 +536,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kind core.
 		if out.RetryAfterMs > 0 {
 			w.Header().Set("Retry-After", strconv.FormatInt(RetryAfterHeaderSeconds(out.RetryAfterMs), 10))
 		}
-		writeJSONStatus(w, out.httpStatus(), out)
+		WriteJSON(w, out.httpStatus(), out)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -593,7 +587,7 @@ func (s *Server) collectDecisions(items []*ingest, outs []WireDecision) {
 			// it.ev is the sequencer's now (stamp may be rewriting its
 			// time concurrently); the frozen admission-time copies carry
 			// the identity this line needs.
-			outs[i] = WireDecision{Status: StatusDeadline, Kind: kindName(it.kind), ID: it.id,
+			outs[i] = WireDecision{Status: StatusDeadline, Kind: KindName(it.kind), ID: it.id,
 				Error: "decision did not return within the deadline; the event is still sequenced"}
 		}
 	}
@@ -605,18 +599,18 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 	var we WireEvent
 	if err := unmarshalStrict(line, &we); err != nil {
 		s.ctr.badEvents.Add(1)
-		return nil, WireDecision{Status: StatusError, Kind: kindName(kind), Error: "bad event: " + err.Error()}
+		return nil, WireDecision{Status: StatusError, Kind: KindName(kind), Error: "bad event: " + err.Error()}
 	}
 
 	// The readiness gate must come before any replay bookkeeping: while
 	// a background recovery re-drives the log it owns the delivered bits
 	// and the cursor, and nothing else may touch them.
 	if s.recovering.Load() {
-		return nil, WireDecision{Status: StatusRecovering, Kind: kindName(kind), ID: we.ID,
+		return nil, WireDecision{Status: StatusRecovering, Kind: KindName(kind), ID: we.ID,
 			RetryAfterMs: RetryAfterWireMs(recoverRetryHint), Error: "wal recovery in progress"}
 	}
 	if s.recFailed.Load() {
-		return nil, WireDecision{Status: StatusUnavailable, Kind: kindName(kind), ID: we.ID,
+		return nil, WireDecision{Status: StatusUnavailable, Kind: KindName(kind), ID: we.ID,
 			Error: "wal recovery failed; server cannot admit events"}
 	}
 
@@ -626,12 +620,12 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 		idx, ok := s.replayIdx[eventKey{kind, we.ID}]
 		if !ok {
 			s.ctr.badEvents.Add(1)
-			return nil, WireDecision{Status: StatusUnknown, Kind: kindName(kind), ID: we.ID,
+			return nil, WireDecision{Status: StatusUnknown, Kind: KindName(kind), ID: we.ID,
 				Error: "no such event in the recorded stream"}
 		}
 		if s.delivered[idx].Swap(true) {
 			s.ctr.badEvents.Add(1)
-			return nil, WireDecision{Status: StatusDuplicate, Kind: kindName(kind), ID: we.ID,
+			return nil, WireDecision{Status: StatusDuplicate, Kind: KindName(kind), ID: we.ID,
 				Error: "event already delivered"}
 		}
 		it.ev, it.seq = s.replayEvs[idx], idx
@@ -647,11 +641,11 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 		ev, err := we.toEvent(kind)
 		if err != nil {
 			s.ctr.badEvents.Add(1)
-			return nil, WireDecision{Status: StatusError, Kind: kindName(kind), ID: we.ID, Error: err.Error()}
+			return nil, WireDecision{Status: StatusError, Kind: KindName(kind), ID: we.ID, Error: err.Error()}
 		}
 		if !s.platformOK[core.PlatformID(we.Platform)] {
 			s.ctr.badEvents.Add(1)
-			return nil, WireDecision{Status: StatusError, Kind: kindName(kind), ID: we.ID,
+			return nil, WireDecision{Status: StatusError, Kind: KindName(kind), ID: we.ID,
 				Error: fmt.Sprintf("unknown platform %d; this server serves %s", we.Platform, s.platformList)}
 		}
 		s.assignID(ev)
@@ -661,7 +655,7 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 
 	if ok, wait := s.bucket.take(); !ok {
 		s.ctr.shedRate.Add(1)
-		return nil, WireDecision{Status: StatusShed, Kind: kindName(kind), ID: we.ID,
+		return nil, WireDecision{Status: StatusShed, Kind: KindName(kind), ID: we.ID,
 			RetryAfterMs: RetryAfterWireMs(wait), Error: "rate limit"}
 	}
 
@@ -669,7 +663,7 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 	defer s.qmu.RUnlock()
 	if s.draining.Load() {
 		s.ctr.drained.Add(1)
-		return nil, WireDecision{Status: StatusDraining, Kind: kindName(kind), ID: we.ID,
+		return nil, WireDecision{Status: StatusDraining, Kind: KindName(kind), ID: we.ID,
 			Error: "server draining"}
 	}
 	select {
@@ -684,7 +678,7 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 		return it, WireDecision{}
 	default:
 		s.ctr.shedQueue.Add(1)
-		return nil, WireDecision{Status: StatusShed, Kind: kindName(kind), ID: we.ID,
+		return nil, WireDecision{Status: StatusShed, Kind: KindName(kind), ID: we.ID,
 			RetryAfterMs: RetryAfterWireMs(s.queueRetryHint()), Error: "ingest queue full"}
 	}
 }
@@ -802,7 +796,7 @@ func (s *Server) Snapshot() MetricsSnapshot {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSONStatus(w, http.StatusOK, s.Snapshot())
+	WriteJSON(w, http.StatusOK, s.Snapshot())
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
@@ -829,13 +823,13 @@ type HealthStatus struct {
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.recovering.Load():
-		writeJSONStatus(w, http.StatusServiceUnavailable, HealthStatus{Status: "recovering"})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthStatus{Status: "recovering"})
 	case s.recFailed.Load():
-		writeJSONStatus(w, http.StatusServiceUnavailable, HealthStatus{Status: "failed", Error: s.RecoveryErr().Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthStatus{Status: "failed", Error: s.RecoveryErr().Error()})
 	case s.draining.Load():
-		writeJSONStatus(w, http.StatusServiceUnavailable, HealthStatus{Status: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthStatus{Status: "draining"})
 	default:
-		writeJSONStatus(w, http.StatusOK, HealthStatus{Status: "ok"})
+		WriteJSON(w, http.StatusOK, HealthStatus{Status: "ok"})
 	}
 }
 
@@ -843,19 +837,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // serves HTTP, recovering or draining included. A router only treats a
 // shard as dead when this (or the TCP connect) fails.
 func (s *Server) handleLiveness(w http.ResponseWriter, _ *http.Request) {
-	writeJSONStatus(w, http.StatusOK, HealthStatus{Status: "live"})
-}
-
-// splitLines cuts a body into non-empty trimmed lines.
-func splitLines(body []byte) [][]byte {
-	var out [][]byte
-	for _, line := range strings.Split(string(body), "\n") {
-		t := strings.TrimSpace(line)
-		if t != "" {
-			out = append(out, []byte(t))
-		}
-	}
-	return out
+	WriteJSON(w, http.StatusOK, HealthStatus{Status: "live"})
 }
 
 // Platforms returns the server's platform set, ascending.

@@ -329,7 +329,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestTraceEndpoint(t *testing.T) {
 	tr := trace.New(trace.Options{Capacity: 64})
-	_, ts := startServer(t, Options{Seed: 3, Tracer: tr, TraceSample: 1})
+	_, ts := startServer(t, Options{Seed: 3, Tracer: tr})
 	client := ts.Client()
 	postJSON(t, client, ts.URL+"/v1/requests", `{"id":1,"x":0.5,"y":0.5,"platform":1,"value":2}`)
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -110,11 +111,28 @@ func HTTPStatus(status string) int {
 	}
 }
 
-func kindName(k core.EventKind) string {
+// KindName is an event kind's name on the wire.
+func KindName(k core.EventKind) string {
 	if k == core.WorkerArrival {
 		return "worker"
 	}
 	return "request"
+}
+
+// MaxBodyBytes bounds one ingest POST (a few hundred thousand NDJSON
+// lines — far beyond any sane batch), at a shard and at the router.
+const MaxBodyBytes = 32 << 20
+
+// SplitLines cuts an NDJSON body into its non-empty trimmed lines; the
+// lines alias body.
+func SplitLines(body []byte) [][]byte {
+	var out [][]byte
+	for _, line := range bytes.Split(body, []byte("\n")) {
+		if t := bytes.TrimSpace(line); len(t) > 0 {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // toEvent builds the domain event for live mode. The arrival tick is
@@ -163,7 +181,7 @@ func EventToWire(ev core.Event) WireEvent {
 
 // decisionLine builds the OK response line for a sequenced event.
 func decisionLine(kind core.EventKind, id, vtime int64, d platform.RequestDecision) WireDecision {
-	out := WireDecision{Status: StatusOK, Kind: kindName(kind), ID: id, VTime: vtime}
+	out := WireDecision{Status: StatusOK, Kind: KindName(kind), ID: id, VTime: vtime}
 	if kind != core.RequestArrival {
 		return out
 	}
@@ -179,9 +197,9 @@ func decisionLine(kind core.EventKind, id, vtime int64, d platform.RequestDecisi
 	return out
 }
 
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with one JSON document under the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -260,11 +260,11 @@ func New(n int, opt Options) *Coordinator {
 		c.breakers[i] = fault.NewBreaker(opt.Breaker, func(from, to fault.State) {
 			switch to {
 			case fault.Open:
-				m.BreakerOpened()
+				m.Add(metrics.BreakerOpened, 1)
 			case fault.HalfOpen:
-				m.BreakerHalfOpened()
+				m.Add(metrics.BreakerHalfOpened, 1)
 			case fault.Closed:
-				m.BreakerClosed()
+				m.Add(metrics.BreakerClosed, 1)
 			}
 		})
 	}
@@ -376,7 +376,7 @@ func (c *Coordinator) WaitLocal(self int, seq int64) bool {
 		// Watchdog fired with a boundary event still unresolved
 		// elsewhere (a stalled shard). Proceed degraded.
 		c.stalls.Add(1)
-		c.metrics.ShardStall()
+		c.metrics.Add(metrics.ShardStalls, 1)
 	}
 	return true
 }
@@ -399,7 +399,7 @@ func (c *Coordinator) WaitClaim(self int, seq int64, targets []int, now core.Tim
 			granted = append(granted, t)
 		} else {
 			degraded = true
-			c.metrics.BreakerShortCircuit()
+			c.metrics.Add(metrics.BreakerShortCircuits, 1)
 		}
 	}
 	pred := func() bool {
@@ -427,7 +427,7 @@ func (c *Coordinator) WaitClaim(self int, seq int64, targets []int, now core.Tim
 	// Reserve timed out: abort the lagging targets (breaker failure),
 	// keep the caught-up ones, and let the event proceed degraded.
 	c.stalls.Add(1)
-	c.metrics.ShardStall()
+	c.metrics.Add(metrics.ShardStalls, 1)
 	kept := granted[:0]
 	for _, t := range granted {
 		if c.pend[t].Load() < seq {

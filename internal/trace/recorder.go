@@ -31,23 +31,13 @@ type Recorder struct {
 }
 
 // Recorder returns the recorder binding (runSeed, pid, alg) to the
-// tracer. sampleOverride, when positive, replaces the tracer's default
-// sample rate for this run (clamped to 1); when negative it disables
-// recording for this run; zero inherits the tracer's rate. A nil tracer
+// tracer; it samples at the tracer's Options.Sample. A nil tracer
 // returns a nil recorder.
-func (t *Tracer) Recorder(runSeed int64, pid core.PlatformID, alg string, sampleOverride float64) *Recorder {
+func (t *Tracer) Recorder(runSeed int64, pid core.PlatformID, alg string) *Recorder {
 	if t == nil {
 		return nil
 	}
 	sample := t.opts.Sample
-	if sampleOverride > 0 {
-		sample = sampleOverride
-		if sample > 1 {
-			sample = 1
-		}
-	} else if sampleOverride < 0 {
-		sample = -1
-	}
 	rc := &Recorder{
 		tr:      t,
 		ring:    t.ringFor(pid),

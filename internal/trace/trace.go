@@ -152,7 +152,6 @@ type Options struct {
 	Capacity int
 	// Sample is the fraction of requests traced, in (0, 1]. Zero means
 	// trace everything (1.0); negative disables recording entirely.
-	// Per-run overrides go through Recorder's sample argument.
 	Sample float64
 	// Seed roots the sampling randomness (decorrelated per platform and
 	// run); sampling never draws from matcher RNGs.

@@ -29,7 +29,7 @@ func record(rc *Recorder, id int64, outcome string) {
 
 func TestSpanJSONLRoundTrip(t *testing.T) {
 	tr := New(Options{Capacity: 64})
-	rc := tr.Recorder(42, 1, "DemCOM", 0)
+	rc := tr.Recorder(42, 1, "DemCOM")
 	for i := int64(1); i <= 5; i++ {
 		record(rc, i, "outer")
 	}
@@ -71,7 +71,7 @@ func TestReadJSONLRejectsMalformedLine(t *testing.T) {
 
 func TestRingWrapKeepsNewestAndCounts(t *testing.T) {
 	tr := New(Options{Capacity: 4})
-	rc := tr.Recorder(1, 3, "RamCOM", 0)
+	rc := tr.Recorder(1, 3, "RamCOM")
 	for i := int64(1); i <= 10; i++ {
 		record(rc, i, "inner")
 	}
@@ -94,7 +94,7 @@ func TestRingWrapKeepsNewestAndCounts(t *testing.T) {
 
 func TestNilTracerChainIsNoOp(t *testing.T) {
 	var tr *Tracer
-	rc := tr.Recorder(1, 1, "TOTA", 0)
+	rc := tr.Recorder(1, 1, "TOTA")
 	if rc != nil {
 		t.Fatal("nil tracer must yield nil recorder")
 	}
@@ -126,11 +126,11 @@ func TestNilTracerChainIsNoOp(t *testing.T) {
 }
 
 func TestSampleOverrides(t *testing.T) {
-	tr := New(Options{Capacity: 16})
-	if rc := tr.Recorder(1, 1, "TOTA", -1); rc.Begin(&core.Request{ID: 1}) != nil {
-		t.Error("negative override must disable recording")
+	off := New(Options{Capacity: 16, Sample: -1})
+	if rc := off.Recorder(1, 1, "TOTA"); rc.Begin(&core.Request{ID: 1}) != nil {
+		t.Error("a negative sample rate must disable recording")
 	}
-	rc := tr.Recorder(1, 2, "TOTA", 0.5)
+	rc := New(Options{Capacity: 16, Sample: 0.5}).Recorder(1, 2, "TOTA")
 	n := 0
 	for i := int64(0); i < 400; i++ {
 		if sp := rc.Begin(&core.Request{ID: i}); sp != nil {
@@ -142,7 +142,7 @@ func TestSampleOverrides(t *testing.T) {
 		t.Errorf("sample 0.5 traced %d/400 requests", n)
 	}
 	// Full-rate recorders never consult sampling randomness.
-	full := tr.Recorder(1, 3, "TOTA", 1)
+	full := New(Options{Capacity: 16, Sample: 1.5}).Recorder(1, 3, "TOTA")
 	for i := int64(0); i < 10; i++ {
 		sp := full.Begin(&core.Request{ID: i})
 		if sp == nil {
@@ -154,7 +154,7 @@ func TestSampleOverrides(t *testing.T) {
 
 func TestChromeTraceIsLoadableJSON(t *testing.T) {
 	tr := New(Options{Capacity: 64})
-	rc := tr.Recorder(9, 2, "RamCOM", 0)
+	rc := tr.Recorder(9, 2, "RamCOM")
 	for i := int64(1); i <= 3; i++ {
 		record(rc, i, "outer")
 	}
@@ -196,8 +196,8 @@ func TestChromeTraceIsLoadableJSON(t *testing.T) {
 
 func TestReportAggregatesByAlgorithmAndStage(t *testing.T) {
 	tr := New(Options{Capacity: 64})
-	dem := tr.Recorder(1, 1, "DemCOM", 0)
-	ram := tr.Recorder(1, 2, "RamCOM", 0)
+	dem := tr.Recorder(1, 1, "DemCOM")
+	ram := tr.Recorder(1, 2, "RamCOM")
 	for i := int64(1); i <= 4; i++ {
 		record(dem, i, "outer")
 		record(ram, i, "inner")

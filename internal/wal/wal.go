@@ -217,7 +217,8 @@ func (l *Log) Append(payload []byte) error {
 	l.pending++
 	l.st.Appends++
 	l.st.Bytes += int64(len(payload))
-	l.opts.Metrics.WALAppend(int64(len(payload)))
+	l.opts.Metrics.Add(metrics.WALAppends, 1)
+	l.opts.Metrics.Add(metrics.WALBytes, int64(len(payload)))
 	if l.pending >= l.opts.FsyncBatch {
 		return l.Sync()
 	}
@@ -244,7 +245,8 @@ func (l *Log) Sync() error {
 	l.pending = 0
 	l.st.Fsyncs++
 	l.st.FsyncNs += d.Nanoseconds()
-	l.opts.Metrics.WALFsync(d)
+	l.opts.Metrics.Add(metrics.WALFsyncs, 1)
+	l.opts.Metrics.Add(metrics.WALFsyncNs, d.Nanoseconds())
 	return nil
 }
 

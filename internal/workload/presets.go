@@ -59,14 +59,6 @@ func PresetFor(name string) (Preset, error) {
 	return p, nil
 }
 
-// SyntheticPreset wraps the Table IV synthetic defaults in a Preset so
-// harnesses that operate on presets (RunTable, the parallel-runner
-// benchmarks) can target the synthetic workload too. It is not listed by
-// Presets — the paper's tables are the city datasets.
-func SyntheticPreset() Preset {
-	return Preset{Name: "SYN2500+500", City: "synthetic", R1: 1250, W1: 250, R2: 1250, W2: 250, Radius: 1.0}
-}
-
 // PresetNames returns the dataset codes in canonical order.
 func PresetNames() []string {
 	ps := Presets()

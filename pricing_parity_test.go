@@ -49,7 +49,6 @@ func TestBadOptionsRejected(t *testing.T) {
 		name string
 		opt  Option
 	}{
-		{"trace sample above 1", WithTraceSample(1.5)},
 		{"negative service ticks", WithServiceTicks(-1)},
 		{"negative probe deadline", WithProbeDeadline(-time.Second)},
 	}
@@ -61,10 +60,10 @@ func TestBadOptionsRejected(t *testing.T) {
 			t.Errorf("%s via NewEngine: error = %v, want ErrBadOption", c.name, err)
 		}
 	}
-	// A negative trace sample is documented semantics (tracing disabled
-	// for the run), not an error.
+	// A negative trace sample is documented semantics (tracing
+	// disabled), not an error.
 	if _, err := SimulateContext(context.Background(), stream, TOTA,
-		WithSeed(1), WithTracer(NewTracer(TraceOptions{})), WithTraceSample(-1)); err != nil {
+		WithSeed(1), WithTracer(NewTracer(TraceOptions{Sample: -1}))); err != nil {
 		t.Errorf("negative trace sample rejected: %v", err)
 	}
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full pre-merge gate: vet, build, race-enabled tests, fuzz smokes, short benches.
+# Full pre-merge gate: vet, build, race-enabled tests, ledger smoke, fuzz smokes, short benches.
 # Usage: scripts/check.sh  (or `make check`)
 set -eu
 
@@ -11,8 +11,14 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
+echo "==> one atomic.Int64 in metrics.go (counters are declared in the Counter enum)"
+test "$(grep -c 'atomic\.Int64' internal/metrics/metrics.go)" -eq 1
+
 echo "==> go test -race"
 go test -race ./...
+
+echo "==> ledger smoke (bench/ runs against this tree: offline == engine digests, 3 s)"
+make ledger-smoke
 
 echo "==> fuzz smokes (every target, 10 s each)"
 for pkg in $(go list ./...); do
