@@ -51,13 +51,6 @@ var (
 	// deadline). Every entry point taking options wraps it with the
 	// offending option and value.
 	ErrBadOption = errors.New("bad option")
-	// ErrShardUnsupported reports a feature combination the sharded
-	// runtime (WithShards > 1) refuses: service ticks, tracing, or a
-	// windowed matcher.
-	ErrShardUnsupported = platform.ErrShardUnsupported
-	// ErrShardReach reports a worker radius exceeding the sharded
-	// runtime's reach bound (WithShardReach or the stream-derived max).
-	ErrShardReach = platform.ErrShardReach
 )
 
 // Re-exported domain types. The full type definitions live in
@@ -204,9 +197,6 @@ type simConfig struct {
 	tracer        *Tracer
 	batchWindow   Time
 	batchDeadline Time
-	shards        int
-	shardReach    float64
-	shardStall    time.Duration
 }
 
 // algConfig lowers the option set into the per-algorithm factory knobs;
@@ -234,25 +224,16 @@ func platformConfig(opts []Option) (platform.Config, error) {
 		return platform.Config{}, fmt.Errorf("crossmatch: %w: service ticks %d negative", ErrBadOption, c.serviceTicks)
 	case c.probeDeadline < 0:
 		return platform.Config{}, fmt.Errorf("crossmatch: %w: probe deadline %v negative", ErrBadOption, c.probeDeadline)
-	case c.shards < 0:
-		return platform.Config{}, fmt.Errorf("crossmatch: %w: shard count %d negative", ErrBadOption, c.shards)
-	case c.shardReach < 0:
-		return platform.Config{}, fmt.Errorf("crossmatch: %w: shard reach %v negative", ErrBadOption, c.shardReach)
-	case c.shardStall < 0:
-		return platform.Config{}, fmt.Errorf("crossmatch: %w: shard stall timeout %v negative", ErrBadOption, c.shardStall)
 	}
 	return platform.Config{
-		Seed:              c.seed,
-		DisableCoop:       c.disableCoop,
-		ServiceTicks:      c.serviceTicks,
-		Metrics:           c.metrics,
-		ProfileLabel:      c.profileLabel,
-		Faults:            c.faults,
-		ProbeDeadline:     c.probeDeadline,
-		Trace:             c.tracer,
-		Shards:            c.shards,
-		ShardReach:        c.shardReach,
-		ShardStallTimeout: c.shardStall,
+		Seed:          c.seed,
+		DisableCoop:   c.disableCoop,
+		ServiceTicks:  c.serviceTicks,
+		Metrics:       c.metrics,
+		ProfileLabel:  c.profileLabel,
+		Faults:        c.faults,
+		ProbeDeadline: c.probeDeadline,
+		Trace:         c.tracer,
 	}, nil
 }
 
@@ -332,41 +313,6 @@ func WithBatchWindow(w Time) Option {
 // the window boundary. The greedy algorithms ignore it.
 func WithBatchDeadline(d Time) Option {
 	return func(c *simConfig) { c.batchDeadline = d }
-}
-
-// WithShards partitions the matching state across n spatial shards,
-// each running its own engine goroutine over the city cells the shared
-// rendezvous hash assigns it; boundary-crossing requests and all
-// cross-platform borrows go through the async claim protocol
-// (propose → reserve → commit/abort on the per-worker claim words).
-// n <= 1 (the default) selects the single-engine runtime; results for
-// one shard are bit-identical to it, and for n > 1 deterministic for a
-// fixed seed (cell-major, ID-canonical merge). The sharded runtime
-// rejects WithServiceTicks, WithTracer and the windowed BatchCOM with
-// platform.ErrShardUnsupported.
-func WithShards(n int) Option {
-	return func(c *simConfig) { c.shards = n }
-}
-
-// WithShardReach fixes the spatial radius (km) the shard partitioner
-// assumes no worker exceeds, bounding which neighbouring shards a
-// boundary request must claim against. Stream entry points derive it
-// from the stream when unset and reject streams exceeding an explicit
-// reach with platform.ErrShardReach; NewEngine has no stream to
-// inspect, so a sharded engine requires it. Only meaningful with
-// WithShards.
-func WithShardReach(r float64) Option {
-	return func(c *simConfig) { c.shardReach = r }
-}
-
-// WithShardStallTimeout arms a wall-clock watchdog on every cross-shard
-// claim gate: a gate blocked longer than d degrades the boundary event
-// (lagging target shards are skipped and their breakers notified)
-// instead of waiting forever. Zero (the default) waits indefinitely,
-// which preserves bit-determinism; a positive timeout trades that for
-// liveness under shard stalls. Only meaningful with WithShards.
-func WithShardStallTimeout(d time.Duration) Option {
-	return func(c *simConfig) { c.shardStall = d }
 }
 
 // SimulateContext runs the named online algorithm over the stream, one

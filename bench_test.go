@@ -361,31 +361,6 @@ func TestDisabledTracerOverheadGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkShardedEngine drives the geo-sharded runtime (4 shards, the
-// async cross-shard claim protocol on every boundary request) over a
-// dense two-platform city through the public API. Its allocs/op are
-// held by TestAllocCeilings.
-func BenchmarkShardedEngine(b *testing.B) {
-	cfg, err := workload.Synthetic(4500, 1000, 1.0, "real")
-	if err != nil {
-		b.Fatal(err)
-	}
-	stream, err := workload.Generate(cfg, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := []Option{WithSeed(benchSeed), WithShards(4)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := SimulateContext(context.Background(), stream, RamCOM, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.TotalRevenue(), "rev")
-		b.ReportMetric(float64(res.TotalServed()), "served")
-	}
-}
-
 // BenchmarkBatchWindow measures one BatchCOM windowed-dispatch
 // simulation end to end, excluding stream generation: the per-window
 // buffer/flush machinery, the batch edge-set build and the canonical
@@ -415,27 +390,24 @@ func BenchmarkBatchWindow(b *testing.B) {
 // TestAllocCeilings fails when a hot path's allocation count regresses.
 // Allocation counts repeat where ns/op on a shared machine does not, so
 // they can carry a threshold: each ceiling is 1.10x the count recorded
-// under -race — the larger of the two modes `go test` runs it in, by 11%
-// on the tables and 27% on ShardedEngine — when the benchmark's path was
-// last reworked on purpose: PR 23 for all four, when a worker arrival
-// went from two allocations to one (-race: 35238, 41922, 38089 and
-// 39185 allocs/op, from 41873, 50222, 40090 and 43243; without it 31325,
-// 37710, 35559 and 30924, from 37771, 45878, 37563 and 34928). A change
-// that allocates less may lower a ceiling; one that allocates more must
-// say why.
+// when the benchmark's path was last reworked on purpose: PR 27 for all
+// three, when online.Pool's scratch stopped going through a sync.Pool
+// that dropped Puts under -race (31328, 37722 and 35572 allocs/op with
+// or without -race; 35238, 41922 and 38089 under -race before it). A
+// change that allocates less may lower a ceiling; one that allocates
+// more must say why.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four benchmarks")
+		t.Skip("runs three benchmarks")
 	}
 	for _, c := range []struct {
 		name    string
 		fn      func(*testing.B)
 		ceiling int64
 	}{
-		{"TableV", BenchmarkTableV, 38762},
-		{"TableVI", BenchmarkTableVI, 46114},
-		{"BatchWindow", BenchmarkBatchWindow, 41898},
-		{"ShardedEngine", BenchmarkShardedEngine, 43104},
+		{"TableV", BenchmarkTableV, 34460},
+		{"TableVI", BenchmarkTableVI, 41494},
+		{"BatchWindow", BenchmarkBatchWindow, 39129},
 	} {
 		if got := testing.Benchmark(c.fn).AllocsPerOp(); got > c.ceiling {
 			t.Errorf("Benchmark%s: %d allocs/op, ceiling %d", c.name, got, c.ceiling)
@@ -444,9 +416,6 @@ func TestAllocCeilings(t *testing.T) {
 		}
 	}
 }
-
-// raceBuild is set by race_test.go, which only a -race build compiles.
-var raceBuild bool
 
 // runBytesPerEventCeiling is what one RamCOM run may allocate per event
 // of a city40k stream: 1.10x the 39.8 bytes (1,591,360 over 40,000
@@ -459,14 +428,8 @@ const runBytesPerEventCeiling = 43.8
 // TotalAlloc delta over one RamCOM run of the ledger's city at a tenth
 // of engine_city's size (bench/streams.go: 50 workers/km², 9 requests a
 // worker, radius 1 km, uniform), stream generation excluded. The delta
-// repeats to within a few hundred bytes — except under the race
-// detector, where sync.Pool drops a quarter of its Puts at random and
-// the matchers' pooled buffers, reallocated, are most of the count
-// (about 162 bytes per event, 270 at the parent): there it is skipped.
+// repeats to within a few hundred bytes, with or without -race.
 func TestRunBytesPerEvent(t *testing.T) {
-	if raceBuild {
-		t.Skip("sync.Pool drops Puts at random under -race")
-	}
 	const workers, requests = 4000, 36000
 	sq := workload.NewUniformSquare(math.Sqrt(workers / 50.0))
 	var cfg workload.Config

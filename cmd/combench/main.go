@@ -70,7 +70,6 @@ func main() {
 		traceCap    = flag.Int("trace-cap", 0, "span ring capacity per platform (0 = default; oldest spans evicted once full; requires -trace)")
 		windowSpec  = flag.String("window", "", "comma-separated BatchCOM window lengths in virtual ticks for -exp window (empty = default sweep)")
 		batchDeadl  = flag.Int64("batch-deadline", 0, "per-request buffering cap in virtual ticks for -exp window (0 = window-boundary flushes only)")
-		shardsSpec  = flag.String("shards", "", "comma-separated shard counts for -exp scaling (empty = 1,2,4,8)")
 		citySpec    = flag.String("city", "", "comma-separated worker counts for -exp scaling cities; each city has 10x its workers in events (empty = 10000,100000)")
 	)
 	flag.Parse()
@@ -86,14 +85,12 @@ func main() {
 	}
 	windows, err := parseWindows(*windowSpec, *batchDeadl)
 	usageIf(err)
-	shardCounts, err := parseCounts("-shards", *shardsSpec)
-	usageIf(err)
 	cityWorkers, err := parseCounts("-city", *citySpec)
 	usageIf(err)
 	if err := run(os.Stdout, *exp, params{
 		scale: *scale, seed: *seed, repeats: *repeats, repeatsSet: repeatsSet, cap: *cap, csv: *csvOut, plot: *plot,
 		faultSeed: *faultSeed, windows: windows, batchDeadline: core.Time(*batchDeadl),
-		shards: shardCounts, city: cityWorkers, runner: runner,
+		city: cityWorkers, runner: runner,
 	}); err != nil {
 		if errors.Is(err, workload.ErrUnknownPreset) {
 			fmt.Fprintf(os.Stderr, "combench: %v\nrun 'combench -h' for usage\n", err)
@@ -253,7 +250,7 @@ type params struct {
 	faultSeed     int64
 	windows       []core.Time
 	batchDeadline core.Time
-	shards, city  []int
+	city          []int
 	runner        *experiments.Runner
 	// repeatsSet is true when -repeats was given: the variance study
 	// measures its own default of 12 seeds otherwise, not the flag's 3.
@@ -319,12 +316,12 @@ var experimentTable = []experiment{
 		return s.show(experiments.RunWindow(experiments.WindowOptions{Grid: s.grid(), Windows: s.windows, Deadline: s.batchDeadline}))
 	}},
 	{scalingID, func(s *session) error {
-		return s.show(experiments.RunScaling(experiments.ScalingOptions{Seed: s.seed, Shards: s.shards, Workers: s.city}))
+		return s.show(experiments.RunScaling(experiments.ScalingOptions{Seed: s.seed, Workers: s.city}))
 	}},
 }
 
-// scalingID is the one experiment `-exp all` leaves out: its sharded
-// runs each own the machine and its default cities take minutes.
+// scalingID is the one experiment `-exp all` leaves out: its runs each
+// own the machine and its default cities take minutes.
 const scalingID = "scaling"
 
 // experimentIDs lists the table's ids in order, then "all".

@@ -348,7 +348,7 @@ func TestGoldenAll(t *testing.T) {
 	if err := run(&buf, "all", params{scale: 0.01, seed: 42, repeats: 1, cap: 5000, csv: true, runner: &experiments.Runner{}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&buf, "scaling", params{scale: 0.01, seed: 42, repeats: 1, csv: true, shards: []int{1, 2}, city: []int{400}, runner: &experiments.Runner{}}); err != nil {
+	if err := run(&buf, "scaling", params{scale: 0.01, seed: 42, repeats: 1, csv: true, city: []int{400}, runner: &experiments.Runner{}}); err != nil {
 		t.Fatal(err)
 	}
 	got := maskMeasurements(t, buf.String())

@@ -68,9 +68,6 @@ type options struct {
 	fsyncBatch   int
 	snapEvery    int
 	recoverBG    bool
-	shards       int
-	shardReach   float64
-	shardStall   time.Duration
 }
 
 func main() {
@@ -99,9 +96,6 @@ func main() {
 	flag.IntVar(&o.fsyncBatch, "fsync-batch", 1, "fsync the WAL every N appends (1 = every event; larger batches trade the last <N events for throughput)")
 	flag.IntVar(&o.snapEvery, "snapshot-every", 1000, "write a recovery checkpoint every N applied events (0 = only on shutdown)")
 	flag.BoolVar(&o.recoverBG, "recover-bg", false, "recover the WAL in the background: bind the port immediately, answer /healthz 503 recovering (live but not ready) until the replay's digest verify passes — what a fleet shard wants so its router can watch readiness flip")
-	flag.IntVar(&o.shards, "shards", 0, "geo-shard the matching engine across N per-cell goroutines with the async cross-shard claim protocol (0 or 1 = single engine)")
-	flag.Float64Var(&o.shardReach, "shard-reach", 0, "max worker service radius the shard partitioner assumes (km); required live with -shards > 1, derived from the stream in -replay mode")
-	flag.DurationVar(&o.shardStall, "shard-stall", 0, "cross-shard claim watchdog: degrade a boundary decision blocked longer than this (0 = wait forever, deterministic)")
 	flag.Parse()
 
 	if err := run(os.Stdout, o); err != nil {
@@ -151,9 +145,6 @@ func buildOptions(o options) (serve.Options, error) {
 		FsyncBatch:          o.fsyncBatch,
 		SnapshotEvery:       o.snapEvery,
 		RecoverInBackground: o.recoverBG,
-		Shards:              o.shards,
-		ShardReach:          o.shardReach,
-		ShardStallTimeout:   o.shardStall,
 	}
 	if o.replay != "" {
 		f, err := os.Open(o.replay)

@@ -1,20 +1,19 @@
 package cells_test
 
-// Cross-package agreement: the fleet router (internal/route) and the
-// in-process sharded engine (internal/shard) both resolve cell
-// ownership through internal/cells. These fuzz targets pin that the
-// three layers can never disagree — a request the router sends to
-// process "sK" must land on in-process shard index K-1 of a sharded
-// engine configured with the same shard count and cell size.
+// Cross-package agreement: the fleet router's per-line dispatch
+// (route.Owner over route.Cell), its offline twin route.SplitStream and
+// internal/cells itself resolve cell ownership the same way, so a
+// recorded stream split for a replay fleet puts every event on the
+// process the router would send it to.
 
 import (
 	"math"
 	"testing"
 
 	"crossmatch/internal/cells"
+	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
 	"crossmatch/internal/route"
-	"crossmatch/internal/shard"
 )
 
 func FuzzRouteShardAgree(f *testing.F) {
@@ -41,81 +40,31 @@ func FuzzRouteShardAgree(f *testing.F) {
 		cellsOwner := cells.Owner(cells.Of(loc, cellSize), names)
 		cellsIdx := cells.OwnerIndex(cells.Of(loc, cellSize), names)
 
-		// Layer 3: the in-process engine partitioner.
-		p := shard.NewPartitioner(int(n), cellSize)
-		shardIdx := p.ShardOf(loc)
-
 		if routeOwner != cellsOwner {
 			t.Fatalf("route owner %q != cells owner %q at %v", routeOwner, cellsOwner, loc)
 		}
 		if names[cellsIdx] != cellsOwner {
 			t.Fatalf("OwnerIndex %d (%s) != Owner %s", cellsIdx, names[cellsIdx], cellsOwner)
 		}
-		if shardIdx != cellsIdx {
-			t.Fatalf("shard partitioner → %d, cells.OwnerIndex → %d at %v", shardIdx, cellsIdx, loc)
-		}
-	})
-}
 
-// FuzzTargetsSound checks the claim-protocol target set is sound: any
-// shard owning a cell whose nearest point lies within reach of loc
-// must appear in AppendTargets, and self never does.
-func FuzzTargetsSound(f *testing.F) {
-	f.Add(0.3, 0.9, uint8(4), 1.5)
-	f.Add(-8.0, 2.0, uint8(8), 0.8)
-	f.Fuzz(func(t *testing.T, x, y float64, n uint8, reach float64) {
-		if n == 0 || n > 12 {
-			t.Skip()
+		// Layer 3: the offline split a replay fleet is built from.
+		r := &core.Request{ID: 1, Arrival: 1, Loc: loc, Value: 1, Platform: 1}
+		stream, err := core.NewStream([]core.Event{{Time: 1, Kind: core.RequestArrival, Request: r}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
-			t.Skip()
+		subs, err := route.SplitStream(stream, names, cellSize)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.IsNaN(reach) || reach <= 0 || reach > 64 {
-			t.Skip()
-		}
-		// Keep coordinates small enough that cell arithmetic is exact.
-		if math.Abs(x) > 1e6 || math.Abs(y) > 1e6 {
-			t.Skip()
-		}
-		const cell = 1.0
-		loc := geo.Point{X: x, Y: y}
-		names := cells.Names(int(n))
-		p := shard.NewPartitioner(int(n), cell)
-		self := p.ShardOf(loc)
-		got := p.AppendTargets(nil, self, loc, reach)
-		set := map[int]bool{}
-		for _, s := range got {
-			if s == self {
-				t.Fatalf("self %d in targets %v", self, got)
+		for name, sub := range subs {
+			want := 0
+			if name == routeOwner {
+				want = 1
 			}
-			set[s] = true
-		}
-		// Brute-force: every cell in the bounding box whose rectangle
-		// intersects the disk.
-		lo := cells.Of(geo.Point{X: x - reach, Y: y - reach}, cell)
-		hi := cells.Of(geo.Point{X: x + reach, Y: y + reach}, cell)
-		for cx := lo.CX; cx <= hi.CX; cx++ {
-			for cy := lo.CY; cy <= hi.CY; cy++ {
-				dx := residual(x, float64(cx), cell)
-				dy := residual(y, float64(cy), cell)
-				if dx*dx+dy*dy > reach*reach {
-					continue
-				}
-				o := cells.OwnerIndex(cells.Key{CX: cx, CY: cy}, names)
-				if o != self && !set[o] {
-					t.Fatalf("shard %d owns in-reach cell {%d,%d} but missing from targets %v", o, cx, cy, got)
-				}
+			if sub.Len() != want {
+				t.Fatalf("SplitStream put %d events on %s, the router sends %v to %s", sub.Len(), name, loc, routeOwner)
 			}
 		}
 	})
-}
-
-func residual(v, lo, size float64) float64 {
-	if v < lo {
-		return lo - v
-	}
-	if v > lo+size {
-		return v - lo - size
-	}
-	return 0
 }

@@ -3,14 +3,12 @@
 // and the rendezvous (highest-random-weight) hash that assigns each
 // cell to one shard of a named shard set.
 //
-// Both the fleet router (internal/route — which partitions arrival
-// events across comserve processes) and the geo-sharded matching
-// engine (internal/shard — which partitions matcher state across
-// goroutines) import this package, so the two layers can never
-// disagree about which shard owns a cell: a request routed to process
-// "s3" by the fleet lands on the in-process shard that owns the same
-// cells. A cross-package fuzz test (internal/cells/agree_test.go)
-// pins the agreement.
+// The fleet router (internal/route) partitions arrival events across
+// comserve processes through this package, live per line and offline in
+// SplitStream, so a recorded stream split for a replay fleet can never
+// disagree with the router about which shard owns a cell. A
+// cross-package fuzz test (internal/cells/agree_test.go) pins the
+// agreement.
 package cells
 
 import (
@@ -105,9 +103,7 @@ func Owner(c Key, shardNames []string) string {
 }
 
 // OwnerIndex returns the index into shardNames of the rendezvous
-// owner of a cell, or -1 for an empty shard set. The in-process
-// sharded engine keys its shards by index; the fleet router keys
-// them by name — both resolve through the same Weight, so
+// owner of a cell, or -1 for an empty shard set:
 // shardNames[OwnerIndex(c, shardNames)] == Owner(c, shardNames).
 func OwnerIndex(c Key, shardNames []string) int {
 	if len(shardNames) == 0 {
@@ -125,8 +121,7 @@ func OwnerIndex(c Key, shardNames []string) int {
 
 // Names returns the canonical shard names for an n-shard deployment:
 // "s1".."sN" — the naming every layer (route fleet manifests,
-// serve_smoke.sh, the in-process sharded engine) uses so that
-// ownership agrees by construction.
+// serve_smoke.sh) uses so that ownership agrees by construction.
 func Names(n int) []string {
 	out := make([]string, n)
 	for i := range out {

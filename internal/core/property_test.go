@@ -65,42 +65,6 @@ func TestStreamSortIdempotent(t *testing.T) {
 	}
 }
 
-// Property: FilterPlatform partitions the stream — the platform
-// sub-streams are disjoint and jointly exhaustive.
-func TestStreamFilterPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
-		s, err := NewStream(randomEvents(rng, 1+rng.Intn(80)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, pid := range s.Platforms() {
-			total += s.FilterPlatform(pid).Len()
-		}
-		if total != s.Len() {
-			t.Fatalf("trial %d: partition sizes %d != %d", trial, total, s.Len())
-		}
-		// Rebuilding a stream from the parts reconstructs the whole.
-		var all []Event
-		for _, pid := range s.Platforms() {
-			all = append(all, s.FilterPlatform(pid).Events()...)
-		}
-		merged, err := NewStream(all)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if merged.Len() != s.Len() {
-			t.Fatalf("trial %d: merged %d != %d", trial, merged.Len(), s.Len())
-		}
-		for i := range s.Events() {
-			if eventID(merged.Events()[i]) != eventID(s.Events()[i]) {
-				t.Fatalf("trial %d: merge changed event %d", trial, i)
-			}
-		}
-	}
-}
-
 // Property: MaxValue is an upper bound attained by some request.
 func TestStreamMaxValueAttained(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))

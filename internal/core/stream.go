@@ -291,19 +291,6 @@ func (s *Stream) MaxValue() float64 { return s.maxValue }
 // it.
 func (s *Stream) MaxWorkerID() int64 { return s.maxWorkerID }
 
-// FilterPlatform returns the sub-stream of events belonging to the given
-// platform.
-func (s *Stream) FilterPlatform(p PlatformID) *Stream {
-	out := &Stream{}
-	for _, e := range s.events {
-		if eventPlatform(e) == p {
-			out.events = append(out.events, e)
-			out.note(e)
-		}
-	}
-	return out
-}
-
 // Platforms returns the sorted set of platform IDs present in the
 // stream. The slice is the caller's.
 func (s *Stream) Platforms() []PlatformID { return slices.Clone(s.platforms) }

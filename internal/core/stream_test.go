@@ -37,9 +37,6 @@ func TestExampleOneStreamShape(t *testing.T) {
 	if got := s.MaxWorkerID(); got != 5 {
 		t.Errorf("MaxWorkerID = %d, want 5", got)
 	}
-	if got := s.FilterPlatform(1).MaxWorkerID(); got != 4 {
-		t.Errorf("platform 1's MaxWorkerID = %d, want 4 (w1, w2, w4)", got)
-	}
 	if ws := s.Workers(); len(ws) != 5 {
 		t.Errorf("Workers = %d, want 5", len(ws))
 	}
@@ -147,23 +144,11 @@ func TestStreamTieBreakWorkersFirst(t *testing.T) {
 	}
 }
 
-func TestStreamFilterPlatformAndPlatforms(t *testing.T) {
+func TestStreamPlatforms(t *testing.T) {
 	s := exampleStream(t)
 	ids := s.Platforms()
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Fatalf("Platforms = %v, want [1 2]", ids)
-	}
-	p1 := s.FilterPlatform(1)
-	// Platform 1: workers w1, w2, w4 and all five requests.
-	if len(p1.Workers()) != 3 {
-		t.Errorf("platform 1 workers = %d, want 3", len(p1.Workers()))
-	}
-	if len(p1.Requests()) != 5 {
-		t.Errorf("platform 1 requests = %d, want 5", len(p1.Requests()))
-	}
-	p2 := s.FilterPlatform(2)
-	if len(p2.Workers()) != 2 || len(p2.Requests()) != 0 {
-		t.Errorf("platform 2 = %d workers, %d requests", len(p2.Workers()), len(p2.Requests()))
 	}
 }
 

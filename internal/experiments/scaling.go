@@ -7,16 +7,14 @@ import (
 	"time"
 
 	"crossmatch/internal/core"
-	"crossmatch/internal/metrics"
 	"crossmatch/internal/platform"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
 
-// ScalingOptions configures the geo-shard scaling sweep: fixed-density
-// cities growing in worker count, each run under every shard count, so
-// the table reads as a strong-scaling law per city size and a
-// weak-scaling law along the diagonal.
+// ScalingOptions configures the city-size scaling sweep: fixed-density
+// cities growing in worker count, so the table reads as throughput
+// against working-set size.
 type ScalingOptions struct {
 	// Workers are the physical worker counts swept (per city, summed
 	// over both platforms).
@@ -25,14 +23,11 @@ type ScalingOptions struct {
 	// city has 10× its worker count in events.
 	RequestsPerWorker int
 	// Density is workers per km²; the city square grows as the worker
-	// count does, keeping per-cell load — and thus the boundary share —
-	// comparable across sizes. Default 50.
+	// count does, keeping per-cell load comparable across sizes.
+	// Default 50.
 	Density float64
 	// Radius is the service radius in km (default 1.0).
 	Radius float64
-	// Shards are the shard counts each city runs under (default 1, 2,
-	// 4, 8; 1 is the single-engine baseline).
-	Shards []int
 	// Algorithm defaults to RamCOM — O(1) per decision, so the sweep
 	// measures the runtime, not the matcher.
 	Algorithm string
@@ -53,32 +48,23 @@ func (o *ScalingOptions) withDefaults() ScalingOptions {
 	if out.Radius <= 0 {
 		out.Radius = 1.0
 	}
-	if len(out.Shards) == 0 {
-		out.Shards = []int{1, 2, 4, 8}
-	}
 	if out.Algorithm == "" {
 		out.Algorithm = platform.AlgRamCOM
 	}
 	return out
 }
 
-// ScalingRow is one (city size, shard count) measurement.
+// ScalingRow is one city size's measurement.
 type ScalingRow struct {
 	Workers int
 	Events  int
-	Shards  int
 	Revenue float64
 	Served  int
-	// GenMs is the stream-generation cost (paid once per city size,
-	// reported on every row of that city for context).
+	// GenMs is the stream-generation cost.
 	GenMs float64
 	// RunMs and EventsPerSec measure the matching run itself.
 	RunMs        float64
 	EventsPerSec float64
-	// Boundary is the count of boundary-classified requests; Borrows the
-	// cross-shard claims that committed. Both zero for one shard.
-	Boundary int64
-	Borrows  int64
 }
 
 // ScalingResult is the full sweep.
@@ -87,42 +73,29 @@ type ScalingResult struct {
 	Rows []ScalingRow
 }
 
-// Row fetches one measurement.
-func (r *ScalingResult) Row(workers, shards int) (ScalingRow, bool) {
-	return find(r.Rows, func(row ScalingRow) bool { return row.Workers == workers && row.Shards == shards })
-}
-
 // Table renders the sweep.
 func (r *ScalingResult) Table() *stats.Table {
 	tb := stats.NewTable(
-		fmt.Sprintf("Geo-shard scaling (%s, %d req/worker, density %.0f/km², rad %.1f km)",
+		fmt.Sprintf("City-size scaling (%s, %d req/worker, density %.0f/km², rad %.1f km)",
 			r.Opts.Algorithm, r.Opts.RequestsPerWorker, r.Opts.Density, r.Opts.Radius),
-		"Workers", "Events", "Shards", "Revenue", "Served", "Gen ms", "Run ms", "Events/s", "Boundary", "Borrows")
+		"Workers", "Events", "Revenue", "Served", "Gen ms", "Run ms", "Events/s")
 	for _, row := range r.Rows {
 		tb.Add(
 			fmt.Sprintf("%d", row.Workers),
 			fmt.Sprintf("%d", row.Events),
-			fmt.Sprintf("%d", row.Shards),
 			stats.FormatFloat(row.Revenue, 0),
 			fmt.Sprintf("%d", row.Served),
 			stats.FormatFloat(row.GenMs, 0),
 			stats.FormatFloat(row.RunMs, 0),
-			stats.FormatFloat(row.EventsPerSec, 0),
-			fmt.Sprintf("%d", row.Boundary),
-			fmt.Sprintf("%d", row.Borrows))
+			stats.FormatFloat(row.EventsPerSec, 0))
 	}
 	return tb
 }
 
 // WriteNote explains how to read the table.
 func (r *ScalingResult) WriteNote(w io.Writer) error {
-	_, err := fmt.Fprintln(w, "Fixed-density cities: area grows with the worker count, so per-shard load"+
-		"\nand the boundary share stay comparable across sizes. Shards=1 is the"+
-		"\nsingle-engine baseline (bit-identical to the unsharded runtime); larger"+
-		"\nshard counts only pay off with spare cores — on a single-core box the"+
-		"\nsweep measures coordination overhead, not speedup. Boundary counts"+
-		"\nrequests whose reach disk crosses a shard border; Borrows the"+
-		"\ncross-shard claims that committed.")
+	_, err := fmt.Fprintln(w, "Fixed-density cities: area grows with the worker count, so per-cell load"+
+		"\nstays comparable across sizes and Events/s falls only with the working set.")
 	return err
 }
 
@@ -152,9 +125,9 @@ func scalingCity(o ScalingOptions, totalWorkers int) (workload.Config, error) {
 	}}, nil
 }
 
-// RunScaling runs the sweep. Runs are sequential on purpose: each
-// sharded run owns the machine, so the wall-clock column is an honest
-// throughput measurement rather than runs contending with each other.
+// RunScaling runs the sweep. Runs are sequential on purpose: each run
+// owns the machine, so the wall-clock column is an honest throughput
+// measurement rather than runs contending with each other.
 func RunScaling(opts ScalingOptions) (*ScalingResult, error) {
 	o := opts.withDefaults()
 	res := &ScalingResult{Opts: o}
@@ -173,34 +146,24 @@ func RunScaling(opts ScalingOptions) (*ScalingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, n := range o.Shards {
-			mc := metrics.New()
-			t1 := time.Now()
-			out, err := platform.Run(stream, factory, platform.Config{
-				Seed: o.Seed, Shards: n, Metrics: mc,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("workers=%d shards=%d: %w", w, n, err)
-			}
-			runMs := float64(time.Since(t1)) / float64(time.Millisecond)
-			row := ScalingRow{
-				Workers: w,
-				Events:  stream.Len(),
-				Shards:  n,
-				Revenue: out.TotalRevenue(),
-				Served:  out.TotalServed(),
-				GenMs:   genMs,
-				RunMs:   runMs,
-			}
-			if runMs > 0 {
-				row.EventsPerSec = float64(stream.Len()) / (runMs / 1000)
-			}
-			for _, sh := range mc.Snapshot().Shards {
-				row.Boundary += sh.BoundaryEvents
-				row.Borrows += sh.Borrows
-			}
-			res.Rows = append(res.Rows, row)
+		t1 := time.Now()
+		out, err := platform.Run(stream, factory, platform.Config{Seed: o.Seed})
+		if err != nil {
+			return nil, fmt.Errorf("workers=%d: %w", w, err)
 		}
+		runMs := float64(time.Since(t1)) / float64(time.Millisecond)
+		row := ScalingRow{
+			Workers: w,
+			Events:  stream.Len(),
+			Revenue: out.TotalRevenue(),
+			Served:  out.TotalServed(),
+			GenMs:   genMs,
+			RunMs:   runMs,
+		}
+		if runMs > 0 {
+			row.EventsPerSec = float64(stream.Len()) / (runMs / 1000)
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

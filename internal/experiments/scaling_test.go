@@ -2,13 +2,11 @@ package experiments
 
 import "testing"
 
-// TestRunScalingSmoke runs a miniature sweep end to end: every
-// (size, shards) cell present, events 10x workers, nonzero service, and
-// cross-shard borrows observed on the sharded cells.
+// TestRunScalingSmoke runs a miniature sweep end to end: every city
+// size present, events 10x workers, nonzero service.
 func TestRunScalingSmoke(t *testing.T) {
 	res, err := RunScaling(ScalingOptions{
-		Workers: []int{400},
-		Shards:  []int{1, 4},
+		Workers: []int{400, 800},
 		Seed:    7,
 	})
 	if err != nil {
@@ -19,17 +17,14 @@ func TestRunScalingSmoke(t *testing.T) {
 	}
 	for _, row := range res.Rows {
 		if row.Events != row.Workers*10 {
-			t.Errorf("shards=%d: %d events for %d workers, want 10x", row.Shards, row.Events, row.Workers)
+			t.Errorf("workers=%d: %d events, want 10x", row.Workers, row.Events)
 		}
 		if row.Served == 0 || row.Revenue <= 0 {
-			t.Errorf("shards=%d: empty result (%d served, revenue %v)", row.Shards, row.Served, row.Revenue)
+			t.Errorf("workers=%d: empty result (%d served, revenue %v)", row.Workers, row.Served, row.Revenue)
 		}
 	}
-	if r1, ok := res.Row(400, 1); !ok || r1.Boundary != 0 {
-		t.Errorf("single-shard row should classify no boundaries: %+v ok=%v", r1, ok)
-	}
-	if r4, ok := res.Row(400, 4); !ok || r4.Boundary == 0 {
-		t.Errorf("4-shard row should classify boundaries: %+v ok=%v", r4, ok)
+	if res.Rows[0].Workers != 400 || res.Rows[1].Workers != 800 {
+		t.Errorf("rows are for %d and %d workers, want 400 and 800", res.Rows[0].Workers, res.Rows[1].Workers)
 	}
 	if res.Table() == nil {
 		t.Fatal("nil table")

@@ -38,8 +38,8 @@ func (s State) String() string {
 // FailureThreshold consecutive failed calls open it, an open breaker
 // short-circuits all calls for CooldownTicks of stream time, then a
 // single half-open trial call decides whether the partner recovered.
-// It is safe for concurrent use (the shard coordinator and the fleet
-// router share one across goroutines); the transition callback fires
+// It is safe for concurrent use (the fleet router shares one across its
+// handler and prober goroutines); the transition callback fires
 // under the breaker lock and must not call back into it.
 type Breaker struct {
 	cfg          BreakerConfig

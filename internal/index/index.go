@@ -11,12 +11,10 @@
 // same grid over Entry structs (a covering query on SlotGrid must visit
 // entries in exactly Grid's order), and Linear, a brute-force scan.
 //
-// A SlotGrid is not safe for unsynchronized mixed use, but AppendSlots
-// and Len are strictly read-only (the grid keeps its search radius exact
-// instead of recomputing it lazily), so any number of concurrent readers
-// is safe while no writer runs. online.Pool builds on that with an
-// RWMutex to serve the sharded engine; single-threaded callers need no
-// locking at all.
+// A SlotGrid takes no lock: like the online.Pool that owns it, it
+// belongs to the one goroutine driving the engine. AppendSlots and Len
+// are strictly read-only (the grid keeps its search radius exact instead
+// of recomputing it lazily).
 package index
 
 import (
@@ -38,8 +36,9 @@ const DefaultCell = 1.0
 // CellOf returns the grid cell coordinates of p for a given cell edge
 // length — the one spatial-partition geometry shared by the matching
 // grid and the fleet router (internal/route), so routing a stream by
-// cell keeps each shard's local supply density intact. Non-positive or
-// non-finite sizes fall back to DefaultCell, exactly as NewSlotGrid does.
+// cell keeps each serving process's local supply density intact.
+// Non-positive or non-finite sizes fall back to DefaultCell, exactly as
+// NewSlotGrid does.
 func CellOf(p geo.Point, cellSize float64) (cx, cy int32) {
 	if cellSize <= 0 || math.IsNaN(cellSize) || math.IsInf(cellSize, 0) {
 		cellSize = DefaultCell

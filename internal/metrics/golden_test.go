@@ -15,10 +15,10 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/report.golden.json from this run")
 
 // fillEveryCounter sets the counter behind Counters' k-th field to
-// 10·(k+1), the pricing section to seven distinct values, one latency
-// label to one observation and the shard section to two rows, so a
-// document built from the collector shows where every number lands.
-// internal/serve and internal/route fill theirs the same way.
+// 10·(k+1), the pricing section to seven distinct values and one latency
+// label to one observation, so a document built from the collector shows
+// where every number lands. internal/serve and internal/route fill
+// theirs the same way.
 func fillEveryCounter(c *Collector) {
 	for k := Counter(0); k < NumCounters; k++ {
 		c.Add(k, 10*(int64(k)+1))
@@ -28,10 +28,6 @@ func fillEveryCounter(c *Collector) {
 		ProbEvals: 208, TableHits: 52, ScratchReuses: 106, ScratchAllocs: 107,
 	})
 	c.ObserveLatency("platform-1", 3*time.Millisecond)
-	c.RecordShards([]ShardSnapshot{
-		{Shard: 0, Applied: 1, QueueDepth: 2, BoundaryEvents: 3, Borrows: 4, ClaimConflicts: 5, Degraded: 6},
-		{Shard: 1, Applied: 7, QueueDepth: 8, BoundaryEvents: 9, Borrows: 10, ClaimConflicts: 11, Degraded: 12},
-	})
 }
 
 // TestGoldenReport pins the `combench -metrics` document: every key,

@@ -1,8 +1,8 @@
 // Package metrics is the observability layer of the simulation engine:
 // lock-free counters for the matching funnel, the fault layer, the
-// write-ahead log, the fleet router and the sharded engine, the pricing
-// quoters' folded statistics, and per-label decision-latency
-// distributions built on stats.Reservoir.
+// write-ahead log and the fleet router, the pricing quoters' folded
+// statistics, and per-label decision-latency distributions built on
+// stats.Reservoir.
 //
 // The counters are a table: a Counter constant indexes one array of
 // atomics, and Add, Merge and Snapshot are written once over that array.
@@ -46,11 +46,10 @@ const (
 	Rejections
 	CoopAttempts
 	AcceptanceProbes
-	// ClaimConflicts counts cross-platform claims lost to a concurrent
-	// assignment — the hub's CAS or pool removal saw the worker already
-	// taken (zero unless the sharded engine's shards race for a worker);
-	// ClaimRetries every lost claim a matcher retried past, injected
-	// claim faults included.
+	// ClaimConflicts counts cross-platform claims whose pool removal
+	// found the worker already taken (zero in an engine run: nothing runs
+	// between a sighting and its claim); ClaimRetries every lost claim a
+	// matcher retried past, injected claim faults included.
 	ClaimConflicts
 	ClaimRetries
 
@@ -94,10 +93,9 @@ const (
 	RouteHedges
 	RouteFailovers
 
-	// Sharded engine (all zero on unsharded runs): claims committed
-	// against a worker another shard owns, and gate waits that hit the
-	// wall-clock watchdog and proceeded degraded.
-	CrossShardBorrows
+	// ShardStalls is inert, always 0: kept only because the frozen
+	// bench/probes.go reads Counters.ShardStalls; the next benchmark PR
+	// deletes it with the shard.* rows.
 	ShardStalls
 
 	// NumCounters is the number of counters, not one of them.
@@ -120,7 +118,6 @@ type Collector struct {
 	// runtime when a run's matchers wind down.
 	pricing pricing.Stats
 	latency map[string]*stats.Reservoir
-	shards  []ShardSnapshot
 }
 
 // New returns an empty collector.
@@ -136,31 +133,13 @@ func (c *Collector) Add(k Counter, d int64) {
 	}
 }
 
-// ShardSnapshot is one shard's slice of a sharded engine's state: how
-// many events it applied, its live queue depth (zero for completed bulk
-// runs), the boundary-crossing events it owned, and its cross-shard
-// borrow outcomes. Folded into Report.Shards by Collector.RecordShards.
+// ShardSnapshot is inert: the element type of Engine.ShardStats' nil
+// result, kept only because the frozen bench/probes.go names it and
+// these two fields; the next benchmark PR deletes it with the shard.*
+// rows.
 type ShardSnapshot struct {
-	Shard          int   `json:"shard"`
-	Applied        int64 `json:"applied"`
-	QueueDepth     int64 `json:"queue_depth"`
-	BoundaryEvents int64 `json:"boundary_events"`
-	Borrows        int64 `json:"cross_shard_borrows"`
-	ClaimConflicts int64 `json:"cross_shard_claim_conflicts"`
-	Degraded       int64 `json:"degraded_boundary_events"`
-}
-
-// RecordShards stores the per-shard snapshot section the next Snapshot
-// call reports; each call replaces the previous set (the serving layer
-// refreshes it on every /v1/metrics scrape).
-func (c *Collector) RecordShards(shards []ShardSnapshot) {
-	if c == nil {
-		return
-	}
-	cp := append([]ShardSnapshot(nil), shards...)
-	c.mu.Lock()
-	c.shards = cp
-	c.mu.Unlock()
+	BoundaryEvents int64
+	Borrows        int64
 }
 
 // PricingStats is the pricing-quoter section of a Report: the quoters'
@@ -225,8 +204,7 @@ func (c *Collector) reservoir(label string) *stats.Reservoir {
 // distribution of from into c. A harness that hands one run a private
 // collector, to read that run's counters on their own, calls it
 // afterwards so a shared collector still sees every run. from must be
-// quiescent; its shard section, a per-engine snapshot rather than a
-// tally, is not carried over.
+// quiescent.
 func (c *Collector) Merge(from *Collector) {
 	if c == nil || from == nil {
 		return
@@ -280,8 +258,7 @@ type Counters struct {
 	RouteHedges    int64 `json:"route_hedges"`
 	RouteFailovers int64 `json:"route_failovers"`
 
-	CrossShardBorrows int64 `json:"cross_shard_borrows"`
-	ShardStalls       int64 `json:"shard_stalls"`
+	ShardStalls int64 `json:"shard_stalls"`
 }
 
 // LatencySummary is one label's latency distribution in a Report.
@@ -302,9 +279,6 @@ type Report struct {
 	Counters  Counters         `json:"counters"`
 	Pricing   PricingStats     `json:"pricing"`
 	Latencies []LatencySummary `json:"latencies"`
-	// Shards is the per-shard section of a geo-sharded engine
-	// (RecordShards); empty on unsharded runs.
-	Shards []ShardSnapshot `json:"shards,omitempty"`
 }
 
 // Snapshot returns a consistent copy of the collector's state, latency
@@ -321,9 +295,6 @@ func (c *Collector) Snapshot() Report {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	c.mu.Lock()
 	rep.Pricing.Stats = c.pricing
-	if len(c.shards) > 0 {
-		rep.Shards = append([]ShardSnapshot(nil), c.shards...)
-	}
 	for label, r := range c.latency {
 		// One sorted snapshot serves all three percentiles (Percentile
 		// re-sorts the reservoir sample on every call).

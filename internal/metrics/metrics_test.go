@@ -31,7 +31,7 @@ var counterNames = []struct {
 	{WALRecoveries, "wal_recoveries"}, {WALRecoveredEvents, "wal_recovered_events"},
 	{RouteForwards, "route_forwards"}, {RouteRetries, "route_retries"},
 	{RouteHedges, "route_hedges"}, {RouteFailovers, "route_failovers"},
-	{CrossShardBorrows, "cross_shard_borrows"}, {ShardStalls, "shard_stalls"},
+	{ShardStalls, "shard_stalls"},
 }
 
 // TestCounterEnumMatchesJSONFields adds to one constant at a time and
@@ -81,9 +81,8 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.AddPricing(pricing.Stats{ProbEvals: 1})
 	c.ObserveLatency("x", time.Millisecond)
 	c.ObserveProbeLatency(time.Millisecond)
-	c.RecordShards([]ShardSnapshot{{Shard: 1}})
 	c.Merge(New())
-	if rep := c.Snapshot(); rep.Counters != (Counters{}) || rep.Pricing != (PricingStats{}) || len(rep.Latencies) != 0 || len(rep.Shards) != 0 {
+	if rep := c.Snapshot(); rep.Counters != (Counters{}) || rep.Pricing != (PricingStats{}) || len(rep.Latencies) != 0 {
 		t.Errorf("nil snapshot not empty: %+v", rep)
 	}
 }
@@ -238,8 +237,5 @@ func TestMergeCarriesEveryCounter(t *testing.T) {
 	rep := into.Snapshot()
 	if lat := rep.Latencies; len(lat) != 1 || lat[0].Count != 2 || lat[0].MaxMs != 3 {
 		t.Errorf("latencies after Merge = %+v, want one label with 2 observations, max 3 ms", lat)
-	}
-	if len(rep.Shards) != 0 {
-		t.Errorf("Merge carried the donor's shard section: %+v", rep.Shards)
 	}
 }

@@ -238,10 +238,9 @@ func (m *BatchCOM) flush(at core.Time) {
 	}
 	res := m.builder.Solve()
 
-	// Phase 4: commit in canonical order. Sequentially a claim cannot
-	// fail (candidates were gathered inside this flush); under the
-	// sharded engine a lost race surfaces as ReasonClaimsLost, exactly
-	// like the greedy matchers.
+	// Phase 4: commit in canonical order. Candidates were gathered inside
+	// this flush, so only an injected claim fault can fail a claim; it
+	// surfaces as ReasonClaimsLost, exactly like the greedy matchers.
 	for i := range m.ents {
 		e := &m.ents[i]
 		sp := m.tr.Begin(e.r)

@@ -51,9 +51,8 @@ type CoopView interface {
 	EligibleOuter(r *core.Request) []Candidate
 	// Claim attempts to take the worker for an assignment, removing it
 	// from every platform's waiting list. It reports false when the
-	// worker was concurrently assigned elsewhere — under the sharded
-	// engine that includes losing a genuine race against another shard's
-	// claim or the owner's own inner assignment.
+	// worker is no longer waiting or the claim failed (an injected claim
+	// fault, an open breaker).
 	Claim(workerID int64) bool
 }
 
@@ -123,9 +122,8 @@ type Decision struct {
 	Probes int
 	// ClaimRetries counts cooperative claims lost while deciding this
 	// request: each one is a retry of Algorithm 1's claim loop against
-	// the next-nearest accepting worker. Zero unless a claim fails — an
-	// injected claim fault, or under the sharded engine a worker another
-	// shard took first.
+	// the next-nearest accepting worker. Zero unless a claim fails (an
+	// injected claim fault).
 	ClaimRetries int
 	// Deferred is true when the matcher buffered the request for a later
 	// windowed decision instead of deciding it immediately (BatchCOM).
@@ -401,8 +399,8 @@ func nearestIndex(cands []Candidate, r *core.Request) int {
 
 // claimNearestAccepting walks accepting candidates from nearest to
 // farthest, claiming the first still available (Algorithm 1, lines
-// 21-24, hardened against concurrent claims by other platforms). It
-// also reports how many claims were lost on the way (see
+// 21-24; a claim can fail under an injected fault). It also reports how
+// many claims were lost on the way (see
 // Decision.ClaimRetries).
 //
 // cands must be owned by the caller (the matchers pass their accepting
@@ -419,7 +417,7 @@ func claimNearestAccepting(coop CoopView, cands []Candidate, r *core.Request) (C
 		if coop.Claim(best.Worker.ID) {
 			return best, retries, true
 		}
-		// Claimed elsewhere between eligibility and now; drop and retry.
+		// The claim failed; drop the candidate and try the next nearest.
 		retries++
 		cands[bi] = cands[len(cands)-1]
 		cands = cands[:len(cands)-1]

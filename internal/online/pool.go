@@ -1,8 +1,6 @@
 package online
 
 import (
-	"sync"
-
 	"crossmatch/internal/core"
 	"crossmatch/internal/index"
 )
@@ -12,24 +10,19 @@ import (
 // index), it reports whether the worker can actually serve it. The road
 // network model (internal/roadnet.Coverage) is the canonical
 // implementation; nil means pure Euclidean ranges, the paper's default.
-// Filters must be stateless or internally synchronized: the sharded
-// engine calls them from several shard goroutines at once.
 type RangeFilter func(w *core.Worker, r *core.Request) bool
 
 // Pool is a platform's waiting list of unoccupied workers (Definition
 // 2.2's "waiting list"), indexed spatially for the hot coverage query.
-// It enforces the time constraint in Covering and is safe for concurrent
-// use: mutators take the write lock, coverage queries share the read
-// lock, so the sharded engine can scan one shard's waiting list from a
-// neighbouring shard's goroutine while its owner keeps matching.
+// It enforces the time constraint in Covering. A pool is not safe for
+// concurrent use: it belongs to the goroutine driving its engine, which
+// also runs every hub scan and claim against it.
 //
 // Workers are kept in a structure-of-arrays layout over an
 // index.SlotGrid: the grid hands coverage hits back as slots into the
 // pool's parallel worker/arrival arrays, so the eligibility scan reads
 // flat arrays end to end — no per-candidate map lookup, no Entry copying.
 type Pool struct {
-	mu sync.RWMutex
-
 	// grid stores each worker's coverage disk tagged with its slot;
 	// ws/arrivals are the parallel slot arrays (ws[slot] == nil marks a
 	// free slot, recycled via free).
@@ -37,10 +30,12 @@ type Pool struct {
 	ws       []*core.Worker
 	arrivals []core.Time
 	free     []int32
+	// slots is the coverage queries' scratch.
+	slots []int32
 
 	// Filter optionally refines coverage (e.g. road distance); it must
 	// only ever prune workers whose Euclidean circle covers the request.
-	// Set it before the simulation starts; it is read without locking.
+	// Set it before the simulation starts.
 	Filter RangeFilter
 }
 
@@ -51,21 +46,10 @@ func NewPool(_ *index.SlotGrid) *Pool {
 	return &Pool{grid: index.NewSlotGrid(index.DefaultCell)}
 }
 
-// slotScratch recycles the slot buffers of the coverage queries. A
-// sync.Pool (rather than one buffer per Pool) keeps concurrent readers of
-// the same waiting list from sharing scratch space.
-var slotScratch = sync.Pool{
-	New: func() interface{} {
-		s := make([]int32, 0, 64)
-		return &s
-	},
-}
-
 // Add registers a worker as waiting. Re-adding an ID replaces the entry
 // (a worker returning after a completed service arrives as a fresh
 // waiting-list entry).
 func (p *Pool) Add(w *core.Worker) {
-	p.mu.Lock()
 	if slot, ok := p.grid.Remove(w.ID); ok {
 		p.ws[slot] = nil
 		p.free = append(p.free, slot)
@@ -82,16 +66,11 @@ func (p *Pool) Add(w *core.Worker) {
 		p.arrivals = append(p.arrivals, w.Arrival)
 	}
 	p.grid.Insert(index.Entry{ID: w.ID, Circle: w.Range()}, slot)
-	p.mu.Unlock()
 }
 
-// Remove deletes a worker from the waiting list, reporting presence.
-// The report is authoritative under concurrency: of any number of
-// racing removals of the same ID, exactly one observes true, which is
-// what makes both inner assignments and cross-platform claims atomic.
+// Remove deletes a worker from the waiting list, reporting presence: the
+// commit point of an inner assignment and of a cross-platform claim.
 func (p *Pool) Remove(id int64) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	slot, ok := p.grid.Remove(id)
 	if !ok {
 		return false
@@ -102,21 +81,15 @@ func (p *Pool) Remove(id int64) bool {
 }
 
 // Len returns the number of waiting workers.
-func (p *Pool) Len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.grid.Len()
-}
+func (p *Pool) Len() int { return p.grid.Len() }
 
 // AppendCovering appends to dst the waiting workers able to serve r
 // under the time and range constraints of Definition 2.6 and returns the
 // extended slice. A caller that reuses dst performs no per-request
 // allocation.
 func (p *Pool) AppendCovering(dst []*core.Worker, r *core.Request) []*core.Worker {
-	sp := slotScratch.Get().(*[]int32)
-	p.mu.RLock()
-	slots := p.grid.AppendSlots((*sp)[:0], r.Loc)
-	for _, slot := range slots {
+	p.slots = p.grid.AppendSlots(p.slots[:0], r.Loc)
+	for _, slot := range p.slots {
 		if p.arrivals[slot] > r.Arrival {
 			continue
 		}
@@ -126,9 +99,6 @@ func (p *Pool) AppendCovering(dst []*core.Worker, r *core.Request) []*core.Worke
 		}
 		dst = append(dst, w)
 	}
-	p.mu.RUnlock()
-	*sp = slots[:0]
-	slotScratch.Put(sp)
 	return dst
 }
 
@@ -138,10 +108,8 @@ func (p *Pool) AppendCovering(dst []*core.Worker, r *core.Request) []*core.Worke
 func (p *Pool) Nearest(r *core.Request) (*core.Worker, bool) {
 	var best *core.Worker
 	bestD := 0.0
-	sp := slotScratch.Get().(*[]int32)
-	p.mu.RLock()
-	slots := p.grid.AppendSlots((*sp)[:0], r.Loc)
-	for _, slot := range slots {
+	p.slots = p.grid.AppendSlots(p.slots[:0], r.Loc)
+	for _, slot := range p.slots {
 		if p.arrivals[slot] > r.Arrival {
 			continue
 		}
@@ -154,18 +122,12 @@ func (p *Pool) Nearest(r *core.Request) (*core.Worker, bool) {
 			best, bestD = w, d
 		}
 	}
-	p.mu.RUnlock()
-	*sp = slots[:0]
-	slotScratch.Put(sp)
 	return best, best != nil
 }
 
 // Each calls fn for every waiting worker until fn returns false.
-// Iteration order is unspecified. fn must not mutate the pool: Each
-// holds the read lock for the whole iteration.
+// Iteration order is unspecified. fn must not mutate the pool.
 func (p *Pool) Each(fn func(*core.Worker) bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	for _, w := range p.ws {
 		if w != nil && !fn(w) {
 			return

@@ -87,21 +87,12 @@ func (m *RamCOM) RequestArrives(r *core.Request) Decision {
 
 func (m *RamCOM) decide(r *core.Request, sp *trace.Span) Decision {
 	if r.Value > m.threshold {
-		// Lines 4-8: random available inner worker. The removal can lose
-		// to a concurrent cross-platform claim, in which case the
-		// remaining candidates are re-queried and redrawn; sequentially
-		// the first removal always succeeds and rng use is unchanged.
+		// Lines 4-8: random available inner worker.
 		t := sp.StageStart()
-		for {
-			m.covScratch = m.pool.AppendCovering(m.covScratch[:0], r)
-			cands := m.covScratch
-			if len(cands) == 0 {
-				break
-			}
+		m.covScratch = m.pool.AppendCovering(m.covScratch[:0], r)
+		if cands := m.covScratch; len(cands) > 0 {
 			w := cands[m.rng.Intn(len(cands))]
-			if !m.pool.Remove(w.ID) {
-				continue
-			}
+			m.pool.Remove(w.ID)
 			sp.EndStage(trace.StageInner, t)
 			return Decision{
 				Served:     true,

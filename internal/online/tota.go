@@ -38,21 +38,14 @@ func (m *TOTAGreedy) RequestArrives(r *core.Request) Decision {
 	}
 }
 
-// claimNearestInner takes the nearest waiting inner worker, retrying
-// when a cross-platform claim snatches the worker between the nearest
-// scan and the removal — possible only across shards. Unsharded, the
-// first removal always succeeds, so behaviour (and rng consumption) is
-// unchanged.
+// claimNearestInner takes the nearest waiting inner worker off the
+// waiting list.
 func claimNearestInner(pool *Pool, r *core.Request) (*core.Worker, bool) {
-	for {
-		w, ok := pool.Nearest(r)
-		if !ok {
-			return nil, false
-		}
-		if pool.Remove(w.ID) {
-			return w, true
-		}
+	w, ok := pool.Nearest(r)
+	if ok {
+		pool.Remove(w.ID)
 	}
+	return w, ok
 }
 
 // GreedyRT is the randomized-threshold greedy of [9] (Greedy-RT): it

@@ -54,76 +54,60 @@ func (m cancelingWindowed) RequestArrives(r *core.Request) online.Decision {
 
 func (m cancelingWindowed) Pool() *online.Pool { return m.WindowedMatcher.(poolHolder).Pool() }
 
-// TestCancellationContract pins the one cancellation contract of every
-// stream runtime — sequential and sharded: the run stops
-// within a poll interval, returns the partial Result with an error
-// wrapping ctx.Err(), and settles what it holds, so every request a
+// TestCancellationContract pins the cancellation contract of a stream
+// run: it stops within a poll interval, returns the partial Result with
+// an error wrapping ctx.Err(), and settles what it holds, so every request a
 // matcher saw — including the ones BatchCOM was still buffering — has
 // its decision in the Result. No goroutine outlives the call.
 func TestCancellationContract(t *testing.T) {
-	small := multiStream(t, 3, 2400, 600, 29)
-	// The sharded feeder runs ahead of the shards by up to a queue each,
-	// so only a stream longer than the queues is still being fed when the
-	// cancellation lands.
-	long := multiStream(t, 3, 8*shardQueueBound, 2*shardQueueBound, 29)
-	for _, tc := range []struct {
-		name   string
-		alg    string
-		stream *core.Stream
-		cfg    Config
-	}{
-		{"sequential", AlgBatchCOM, small, Config{Seed: 1, ServiceTicks: 3}},
-		{"shards3", AlgTOTA, long, Config{Seed: 1, Shards: 3}},
-	} {
-		stream := tc.stream
-		for _, after := range []int64{0, 500} {
-			t.Run(fmt.Sprintf("%s/after%d", tc.name, after), func(t *testing.T) {
-				base, err := FactoryConfigured(tc.alg, AlgConfig{MaxValue: stream.MaxValue(), Window: 8})
-				if err != nil {
-					t.Fatal(err)
+	stream := multiStream(t, 3, 2400, 600, 29)
+	cfg := Config{Seed: 1, ServiceTicks: 3}
+	for _, after := range []int64{0, 500} {
+		t.Run(fmt.Sprintf("sequential/after%d", after), func(t *testing.T) {
+			base, err := FactoryConfigured(AlgBatchCOM, AlgConfig{MaxValue: stream.MaxValue(), Window: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var seen atomic.Int64
+			factory := func(pid core.PlatformID, coop online.CoopView, rng *rand.Rand) online.Matcher {
+				m, c := base(pid, coop, rng), canceler{seen: &seen, after: after, cancel: cancel}
+				if wm, ok := m.(online.WindowedMatcher); ok {
+					return cancelingWindowed{wm, c}
 				}
-				before := runtime.NumGoroutine()
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				var seen atomic.Int64
-				factory := func(pid core.PlatformID, coop online.CoopView, rng *rand.Rand) online.Matcher {
-					m, c := base(pid, coop, rng), canceler{seen: &seen, after: after, cancel: cancel}
-					if wm, ok := m.(online.WindowedMatcher); ok {
-						return cancelingWindowed{wm, c}
-					}
-					return cancelingMatcher{m, c}
+				return cancelingMatcher{m, c}
+			}
+			if after == 0 {
+				cancel() // already canceled: the run stops at its first poll
+			}
+			res, err := RunContext(ctx, stream, factory, cfg)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if res == nil {
+				t.Fatal("no partial result returned")
+			}
+			if err := res.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			decided := 0
+			for _, pr := range res.Platforms {
+				decided += pr.Stats.Requests
+			}
+			if got := int(seen.Load()); decided != got {
+				t.Fatalf("%d requests reached a matcher, %d have a decision in the partial result", got, decided)
+			}
+			if after > 0 && (decided < int(after) || decided == len(stream.Requests())) {
+				t.Fatalf("%d of %d requests decided: the run did not stop mid-stream", decided, len(stream.Requests()))
+			}
+			// Give the count a moment to settle.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
 				}
-				if after == 0 {
-					cancel() // already canceled: the run stops at its first poll
-				}
-				res, err := RunContext(ctx, stream, factory, tc.cfg)
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("err = %v, want context.Canceled", err)
-				}
-				if res == nil {
-					t.Fatal("no partial result returned")
-				}
-				if err := res.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				decided := 0
-				for _, pr := range res.Platforms {
-					decided += pr.Stats.Requests
-				}
-				if got := int(seen.Load()); decided != got {
-					t.Fatalf("%d requests reached a matcher, %d have a decision in the partial result", got, decided)
-				}
-				if after > 0 && (decided < int(after) || decided == len(stream.Requests())) {
-					t.Fatalf("%d of %d requests decided: the run did not stop mid-stream", decided, len(stream.Requests()))
-				}
-				// A joined goroutine has called wg.Done but may not have
-				// exited yet: give the count a moment to settle.
-				for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
-					if time.Now().After(deadline) {
-						t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

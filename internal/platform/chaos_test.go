@@ -211,31 +211,6 @@ func TestChaosParallelFaultInjection(t *testing.T) {
 	}
 }
 
-// TestHubLifecycleGuard pins the registration contract: once the run's
-// consume phase begins the hub's configuration is read lock-free, so
-// late RegisterPlatform must error and late SetMetrics/SetFaults must
-// panic instead of silently racing.
-func TestHubLifecycleGuard(t *testing.T) {
-	h := NewHub()
-	if err := h.RegisterPlatform(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	h.seal()
-	if err := h.RegisterPlatform(2, nil); err == nil {
-		t.Error("RegisterPlatform after seal returned no error")
-	}
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s after seal did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("SetMetrics", func() { h.SetMetrics(metrics.New()) })
-	mustPanic("SetFaults", func() { h.SetFaults(nil) })
-}
-
 // TestRunRejectsInvalidFaultPlan checks that a malformed plan fails the
 // run up front with a clear error instead of injecting garbage.
 func TestRunRejectsInvalidFaultPlan(t *testing.T) {

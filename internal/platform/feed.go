@@ -92,16 +92,17 @@ func requestDecisionOf(r *core.Request, d online.Decision, at core.Time) Request
 // Engine is the one event loop of this package: it takes the next
 // arrival, settles what is due, decides, and folds the decision. A
 // server feeds it from a live socket — events arrive, decisions return
-// synchronously — and every stream runtime is a feeder of the same
-// step: Run pulls the stream through RunSource, and the geo-sharded
-// runtime drives one Engine per shard from its queues.
+// synchronously — and a stream run is a feeder of the same step: Run
+// pulls the stream through RunSource.
 //
-// The engine is single-goroutine: exactly one caller (the serving
-// layer's sequencer, or one feeder) may invoke Process and Finish, in
-// event-time order.
+// The engine is single-goroutine by construction: it starts no
+// goroutine and holds no lock, and neither do its hub, matchers, pools
+// and index. Exactly one caller (the serving layer's sequencer, or one
+// feeder) may invoke its methods, in event-time order; a caller that
+// shares an engine across goroutines serialises the calls itself.
 type Engine struct {
 	// What the loop runs over: the hub, one matcher and one result slot
-	// per platform, built by newUnsharded.
+	// per platform, built by NewEngine.
 	cfg      Config
 	hub      *Hub
 	pids     []core.PlatformID
@@ -127,34 +128,6 @@ type Engine struct {
 	last     core.Time
 	started  bool
 	finished bool
-	// sh, when non-nil, is the geo-sharded runtime behind this engine
-	// (Config.Shards > 1): validated events dispatch to per-shard queues
-	// and the state above stays zero but for the clock and lifecycle.
-	sh *shardedEngine
-}
-
-// NewEngine builds an engine for the given platform set. The order of
-// pids determines per-platform RNG derivation: pass ascending IDs
-// (stream.Platforms() order) for parity with stream runs. The matcher
-// factory is the same one Run takes; threshold algorithms need their
-// a-priori max value folded into the factory by the caller.
-func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Engine, error) {
-	if cfg.Shards > 1 {
-		if cfg.ShardReach <= 0 {
-			return nil, fmt.Errorf("platform: sharded engine requires ShardReach > 0 (the incremental engine cannot derive it from future arrivals)")
-		}
-		sh, err := newShardedEngine(pids, factory, cfg, cfg.ShardReach)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{sh: sh}, nil
-	}
-	e, err := newUnsharded(pids, factory, cfg, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	e.nextID = RecycleIDBase
-	return e, nil
 }
 
 // SetRecycleBase seeds the recycled-worker ID allocator: the next
@@ -179,28 +152,15 @@ func (e *Engine) SetRecycleBase(base int64) error {
 // after Finish returns one wrapping ErrEngineClosed. A rejected event
 // leaves the engine exactly where it was.
 func (e *Engine) Process(ev core.Event) (RequestDecision, error) {
-	return e.step(ev, true)
-}
-
-// step is Process with the reply made optional: a feeder that reads the
-// Result and not the per-request decisions passes reply=false, which
-// lets a sharded engine dispatch the next event without waiting for the
-// shard to decide this one. An unsharded engine decides synchronously
-// either way.
-func (e *Engine) step(ev core.Event, reply bool) (RequestDecision, error) {
 	if err := e.check(ev); err != nil {
 		return RequestDecision{}, err
-	}
-	if e.sh != nil {
-		e.started, e.last = true, ev.Time
-		return e.sh.dispatch(ev, reply)
 	}
 	return e.apply(ev)
 }
 
 // check validates an event — lifecycle, time order, kind, payload,
-// platform, the payload's own fields, and under shards its reach — without
-// touching the engine: the clock moves only for events that pass.
+// platform and the payload's own fields — without touching the engine:
+// the clock moves only for events that pass.
 func (e *Engine) check(ev core.Event) error {
 	if e.finished {
 		return fmt.Errorf("platform: %w", ErrEngineClosed)
@@ -221,17 +181,7 @@ func (e *Engine) check(ev core.Event) error {
 	default:
 		return fmt.Errorf("platform: unknown event kind %d", ev.Kind)
 	}
-	matchers := e.matchers
-	if sh := e.sh; sh != nil {
-		if err := sh.loadErr(); err != nil {
-			return err
-		}
-		if ev.Kind == core.WorkerArrival && ev.Worker.Radius > sh.reach {
-			return fmt.Errorf("platform: %w: worker %d radius %v > %v", ErrShardReach, ev.Worker.ID, ev.Worker.Radius, sh.reach)
-		}
-		matchers = sh.engines[0].matchers
-	}
-	if _, known := matchers[pid]; !known {
+	if _, known := e.matchers[pid]; !known {
 		return fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
 	}
 	// The hub builds a worker's pricing history on delivery and the
@@ -252,8 +202,7 @@ func (e *Engine) check(ev core.Event) error {
 // apply is the event loop's body, the only place an arrival reaches the
 // matchers: move the clock (settling what that makes due), then deliver
 // the worker or decide the request and fold the decision. The caller has
-// validated ev; the shard loops call it directly on events the façade
-// validated at dispatch.
+// validated ev.
 func (e *Engine) apply(ev core.Event) (RequestDecision, error) {
 	if err := e.advance(ev.Time); err != nil {
 		return RequestDecision{}, err
@@ -299,7 +248,7 @@ func (e *Engine) advance(t core.Time) error {
 // workers whose re-arrival is still within bound, so the loop keeps
 // settling until nothing is due. BatchCOM's wait ≤ min(window, deadline)
 // is a property of this order. With no windowed matchers it is the plain
-// recycle flush, and with neither (a sharded façade) a no-op.
+// recycle flush.
 func (e *Engine) settleDue(bound core.Time) error {
 	for {
 		recDue := len(e.recycle) > 0 && e.recycle[0].Arrival <= bound
@@ -355,8 +304,7 @@ func (e *Engine) foldWindow(pid core.PlatformID, wds []online.WindowDecision, el
 // fold books one final decision made at virtual time at: latency, Stats
 // and the metrics funnel, then for a served request the hub release, the
 // Matching and — with ServiceTicks — the recycled worker. It is the only
-// place a decision reaches any of them. Only the goroutine driving pid
-// may call it for that platform.
+// place a decision reaches any of them.
 func (e *Engine) fold(pid core.PlatformID, d online.Decision, at core.Time, el time.Duration) error {
 	pr := e.res.Platforms[pid]
 	pr.Latency.Observe(el)
@@ -428,8 +376,8 @@ func (e *Engine) AdvanceTime(t core.Time) error {
 // SetDecisionHandler registers the hook receiving every window-flushed
 // decision as it is folded (nil unregisters). The serving layer uses it
 // to answer requests that got a Deferred placeholder from Process. Set
-// it before feeding events; the engine reads it without locking from
-// whichever call triggers a flush.
+// it before feeding events; it runs inside whichever call triggers a
+// flush.
 func (e *Engine) SetDecisionHandler(fn func(RequestDecision)) {
 	e.onFlush = fn
 }
@@ -455,16 +403,10 @@ func (e *Engine) NextFlush() (core.Time, bool) {
 	return due, open
 }
 
-// ShardStats returns the live per-shard counters of a geo-sharded
-// engine (applied events, queue depths, boundary-crossing events and
-// cross-shard borrow outcomes), nil for an unsharded one. The serving
-// layer folds it into /v1/metrics on every scrape.
-func (e *Engine) ShardStats() []metrics.ShardSnapshot {
-	if e.sh == nil {
-		return nil
-	}
-	return e.sh.shardStats()
-}
+// ShardStats returns nil. Inert: kept only because the frozen
+// bench/probes.go calls it; the next benchmark PR deletes it with the
+// shard.* rows.
+func (e *Engine) ShardStats() []metrics.ShardSnapshot { return nil }
 
 // Finish settles everything still pending — recycled workers due after
 // the last event and the final open window, interleaved in virtual-time
@@ -477,9 +419,6 @@ func (e *Engine) Finish() (*Result, error) {
 		return nil, fmt.Errorf("platform: %w", ErrEngineClosed)
 	}
 	e.finished = true
-	if e.sh != nil {
-		return e.sh.finish()
-	}
 	if err := e.advance(core.Time(math.MaxInt64)); err != nil {
 		return nil, err
 	}
@@ -541,8 +480,8 @@ func RunSource(ctx context.Context, pids []core.PlatformID, factory MatcherFacto
 	return eng.run(ctx, src)
 }
 
-// run feeds src dry and finishes. The engine is finished on every path,
-// so a sharded engine's loops never outlive the run.
+// run feeds src dry and finishes; a canceled run keeps its partial
+// Result.
 func (e *Engine) run(ctx context.Context, src EventSource) (*Result, error) {
 	ferr := e.feed(ctx, src)
 	res, err := e.Finish()
@@ -574,7 +513,7 @@ func (e *Engine) feed(ctx context.Context, src EventSource) error {
 			}
 			return fmt.Errorf("platform: event source: %w", err)
 		}
-		if _, err := e.step(ev, false); err != nil {
+		if _, err := e.Process(ev); err != nil {
 			return err
 		}
 	}

@@ -210,73 +210,58 @@ func TestEngineUnknownPlatform(t *testing.T) {
 func TestEngineRejectedEventLeavesState(t *testing.T) {
 	stream := feedTestStream(t, 400, 120, 7)
 	far := core.Time(math.MaxInt64 - 1)
-	for _, tc := range []struct {
-		name string
-		alg  string
-		cfg  Config
-	}{
-		{"unsharded", AlgBatchCOM, Config{Seed: 99, ServiceTicks: 3}},
-		{"shards3", AlgTOTA, Config{Seed: 99, Shards: 3, ShardReach: maxWorkerRadius(stream)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			factory, err := FactoryConfigured(tc.alg, AlgConfig{MaxValue: stream.MaxValue(), Window: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := NewEngine(stream.Platforms(), factory, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Feed until the state a premature settle would destroy exists:
-			// an open window and a pending recycled worker (unsharded).
-			events := stream.Events()
-			i := 0
-			openWindow := func() bool { _, open := eng.NextFlush(); return open }
-			for ; i < len(events)/2 || (tc.cfg.Shards == 0 && (!openWindow() || len(eng.recycle) == 0)); i++ {
-				if _, err := eng.Process(events[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			last := eng.last
-			flushAt, open := eng.NextFlush()
-			pending := len(eng.recycle)
-
-			rejects := []core.Event{
-				{Kind: 9, Time: far},
-				{Kind: core.RequestArrival, Time: far},
-				{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9001, Arrival: far, Radius: 1, Platform: 77}},
-				// Refused by the hub's pricing.NewHistory on delivery — after
-				// the clock had moved — until check validated the worker.
-				{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9002, Arrival: far, Radius: 1, Platform: 1, History: []float64{-1}}},
-			}
-			if tc.cfg.Shards > 1 {
-				over := core.Event{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9000, Arrival: far, Radius: 50, Platform: 1, History: []float64{1}}}
-				if _, err := eng.Process(over); !errors.Is(err, ErrShardReach) {
-					t.Fatalf("over-reach worker: %v, want ErrShardReach", err)
-				}
-			}
-			for _, ev := range rejects {
-				if _, err := eng.Process(ev); err == nil {
-					t.Fatalf("event %+v accepted", ev)
-				}
-			}
-			if eng.last != last {
-				t.Fatalf("clock moved from %d to %d by rejected events", last, eng.last)
-			}
-			if at, ok := eng.NextFlush(); at != flushAt || ok != open {
-				t.Fatalf("NextFlush %d/%v, want %d/%v", at, ok, flushAt, open)
-			}
-			if len(eng.recycle) != pending {
-				t.Fatalf("recycle heap %d, want %d", len(eng.recycle), pending)
-			}
+	t.Run("unsharded", func(t *testing.T) {
+		factory, err := FactoryConfigured(AlgBatchCOM, AlgConfig{MaxValue: stream.MaxValue(), Window: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(stream.Platforms(), factory, Config{Seed: 99, ServiceTicks: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Feed until the state a premature settle would destroy exists:
+		// an open window and a pending recycled worker.
+		events := stream.Events()
+		i := 0
+		openWindow := func() bool { _, open := eng.NextFlush(); return open }
+		for ; i < len(events)/2 || !openWindow() || len(eng.recycle) == 0; i++ {
 			if _, err := eng.Process(events[i]); err != nil {
-				t.Fatalf("next in-order event after rejections: %v", err)
-			}
-			if _, err := eng.Finish(); err != nil {
 				t.Fatal(err)
 			}
-		})
-	}
+		}
+		last := eng.last
+		flushAt, open := eng.NextFlush()
+		pending := len(eng.recycle)
+
+		rejects := []core.Event{
+			{Kind: 9, Time: far},
+			{Kind: core.RequestArrival, Time: far},
+			{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9001, Arrival: far, Radius: 1, Platform: 77}},
+			// Refused by the hub's pricing.NewHistory on delivery — after
+			// the clock had moved — until check validated the worker.
+			{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9002, Arrival: far, Radius: 1, Platform: 1, History: []float64{-1}}},
+		}
+		for _, ev := range rejects {
+			if _, err := eng.Process(ev); err == nil {
+				t.Fatalf("event %+v accepted", ev)
+			}
+		}
+		if eng.last != last {
+			t.Fatalf("clock moved from %d to %d by rejected events", last, eng.last)
+		}
+		if at, ok := eng.NextFlush(); at != flushAt || ok != open {
+			t.Fatalf("NextFlush %d/%v, want %d/%v", at, ok, flushAt, open)
+		}
+		if len(eng.recycle) != pending {
+			t.Fatalf("recycle heap %d, want %d", len(eng.recycle), pending)
+		}
+		if _, err := eng.Process(events[i]); err != nil {
+			t.Fatalf("next in-order event after rejections: %v", err)
+		}
+		if _, err := eng.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // blockingSource yields a few events then blocks until its context

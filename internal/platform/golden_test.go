@@ -18,7 +18,9 @@ import (
 // goldenRow is one pinned run: the counters every table reads plus an
 // FNV-1a digest of (request ID, worker ID, payment bits) over the
 // assignments in platform-ascending, insertion order — the same order
-// assertSameResult walks.
+// assertSameResult walks. shards is 1 in every row: the sharded engine's
+// rows went with it (PR 27), and the column stays so that the other rows,
+// and the subtest names built from them, are as they were captured.
 type goldenRow struct {
 	alg      string
 	ticks    core.Time
@@ -33,20 +35,15 @@ type goldenRow struct {
 
 // goldenRows were captured at the parent of the one-event-loop refactor
 // (commit 8a2793f, where Run still had its own loop) on
-// feedTestStream(400, 120, 7), Seed 99, BatchCOM window 8. Shards 3 rows
-// exist only where the sharded runtime accepts the configuration.
+// feedTestStream(400, 120, 7), Seed 99, BatchCOM window 8.
 var goldenRows = []goldenRow{
 	{"TOTA", 0, 1, 400, 145, 0, 0, 0x40a40281900910af, 0x5e3518490ef17c02},
-	{"TOTA", 0, 3, 400, 107, 0, 0, 0x409e2b9031f2877a, 0xaf0e6a2f65166a61},
 	{"TOTA", 3, 1, 400, 244, 0, 244, 0x40b0e3d0b27c7a66, 0xb93c37ac7359a241},
 	{"Greedy-RT", 0, 1, 400, 135, 0, 0, 0x40a465c4a7485ea0, 0xabf363f18f6469cf},
-	{"Greedy-RT", 0, 3, 400, 73, 0, 0, 0x40992f96a97afefe, 0x2ff66d1bbed754fe},
 	{"Greedy-RT", 3, 1, 400, 226, 0, 226, 0x40b0a14e9b85df05, 0x4b3f42c142e9dc3},
 	{"DemCOM", 0, 1, 400, 173, 28, 0, 0x40a52378a561ea87, 0xd8c7daa8f6fe84da},
-	{"DemCOM", 0, 3, 400, 131, 24, 0, 0x40a10b7ab20c1daa, 0x7b90d6b5d2767e82},
 	{"DemCOM", 3, 1, 400, 265, 20, 265, 0x40b1882d132b994e, 0xce642fe8d491b8cc},
 	{"RamCOM", 0, 1, 400, 215, 77, 0, 0x40a8556ec3ad893a, 0xa6ffa6c6843d533b},
-	{"RamCOM", 0, 3, 400, 184, 94, 0, 0x40a2bb3cab3742a4, 0xe464073c92ef7437},
 	{"RamCOM", 3, 1, 400, 283, 98, 283, 0x40af86bd61dccb00, 0xf5f700aa9d9d3231},
 	{"BatchCOM", 0, 1, 400, 167, 24, 0, 0x40a5337b267240da, 0xde8fc484d1b5a9e1},
 	{"BatchCOM", 3, 1, 400, 254, 13, 254, 0x40b1095584a2893b, 0x8b3d9039c0047d5e},
@@ -92,7 +89,7 @@ func goldenConfig(t *testing.T, stream *core.Stream, row goldenRow) (MatcherFact
 	if err != nil {
 		t.Fatalf("FactoryConfigured(%s): %v", row.alg, err)
 	}
-	return factory, Config{Seed: 99, ServiceTicks: row.ticks, Shards: row.shards}
+	return factory, Config{Seed: 99, ServiceTicks: row.ticks}
 }
 
 func (g goldenRow) String() string {
@@ -101,21 +98,18 @@ func (g goldenRow) String() string {
 }
 
 // goldenDrivers are the ways a stream reaches the engine's step. They
-// must all land on the same bits: Run (which derives the shard reach and
-// seeds the recycle allocator itself), RunSource over a stream-backed
-// source, and a hand-fed Engine taking a reply per request the way the
-// serving layer does.
+// must all land on the same bits: Run (which seeds the recycle allocator
+// itself), RunSource over a stream-backed source, and a hand-fed Engine
+// taking a reply per request the way the serving layer does.
 var goldenDrivers = []struct {
 	name string
 	run  func(*core.Stream, MatcherFactory, Config) (*Result, error)
 }{
 	{"Run", Run},
 	{"RunSource", func(stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
-		cfg.ShardReach = maxWorkerRadius(stream)
 		return RunSource(context.Background(), stream.Platforms(), factory, StreamSource(stream), cfg)
 	}},
 	{"Engine", func(stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
-		cfg.ShardReach = maxWorkerRadius(stream)
 		eng, err := NewEngine(stream.Platforms(), factory, cfg)
 		if err != nil {
 			return nil, err
@@ -128,9 +122,6 @@ var goldenDrivers = []struct {
 				return nil, err
 			}
 		}
-		if st := eng.ShardStats(); cfg.Shards > 1 && len(st) != cfg.Shards {
-			return nil, fmt.Errorf("ShardStats has %d entries, want %d", len(st), cfg.Shards)
-		}
 		res, err := eng.Finish()
 		if err != nil {
 			return nil, err
@@ -142,7 +133,7 @@ var goldenDrivers = []struct {
 	}},
 }
 
-// TestGoldenRuns pins the bits of every algorithm × ServiceTicks × Shards
+// TestGoldenRuns pins the bits of every algorithm × ServiceTicks
 // combination on one fixed stream, through every driver. The values
 // predate the refactor that made Run the Engine fed from a stream, so
 // the test is the proof that the refactor moved no decision — and it

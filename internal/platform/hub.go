@@ -13,8 +13,6 @@ package platform
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/fault"
@@ -30,15 +28,12 @@ import (
 // its owner's waiting list, satisfying the "deleted from all its waiting
 // lists over all platforms" requirement.
 //
-// One goroutine drives a hub's own matchers, but the sharded engine's
-// other shards scan and claim against it from theirs, so the hub is safe
-// for concurrent use. Claims are genuinely atomic: every tracked worker
-// carries a claim word that racing claimants CAS, and the owner pool's
-// locked removal is the commit point, so of any number of concurrent
-// claims (and the owner's own inner assignment) exactly one takes the
-// worker. Registration (RegisterPlatform, SetMetrics, CoopDisabled) must
-// finish before the run consumes events: pools, order and configuration
-// are read without locking afterwards.
+// A hub is not safe for concurrent use: it belongs to the one goroutine
+// that drives its engine (see Engine), which is also the only one that
+// touches the registered pools. A claim is atomic because nothing else
+// runs during it; the owner pool's removal is its commit point.
+// Registration (RegisterPlatform, SetMetrics, SetFaults, CoopDisabled)
+// comes before the first event.
 type Hub struct {
 	pools map[core.PlatformID]*online.Pool
 	order []core.PlatformID // registration order, for deterministic scans
@@ -53,29 +48,22 @@ type Hub struct {
 	// before the run via SetFaults; nil keeps the fault-free hot path
 	// untouched.
 	faults *fault.Injector
-	// sealed flips when the run's (possibly concurrent) consume phase
-	// begins: registration afterwards would race the documented
-	// lock-free reads of pools, order and configuration, so it is
-	// rejected loudly instead of silently corrupting the run.
-	sealed atomic.Bool
 
-	// mu guards the tables below. A worker's record exists exactly while
-	// it waits: it is deleted when the worker is claimed by a cooperating
-	// platform or assigned by its own (WorkerAssigned), so long recycled
-	// runs do not grow the map without bound.
-	mu      sync.Mutex
+	// A worker's record exists exactly while it waits: it is deleted when
+	// the worker is claimed by a cooperating platform or assigned by its
+	// own (WorkerAssigned), so long recycled runs do not grow the map
+	// without bound.
 	workers map[int64]*workerRec
 	lent    map[core.PlatformID]int
 }
 
 // workerRec is everything the hub keeps for one waiting worker: one
-// map entry and one 40-byte allocation per arrival. The history's values
+// map entry and one 32-byte allocation per arrival. The history's values
 // are the event's own slice whenever that is ascending, as every built
 // stream's are (pricing.MakeHistory).
 type workerRec struct {
-	owner   core.PlatformID
-	hist    pricing.History
-	claimed atomic.Bool // the claim word racing platforms CAS
+	owner core.PlatformID
+	hist  pricing.History
 }
 
 // NewHub returns an empty hub.
@@ -88,41 +76,16 @@ func NewHub() *Hub {
 }
 
 // SetMetrics attaches the collector that receives claim-conflict
-// counts. It must be called before the run starts; calling it on a
-// sealed hub panics, because the collector is read without
-// synchronization by every goroutine that claims.
-func (h *Hub) SetMetrics(m *metrics.Collector) {
-	if h.sealed.Load() {
-		panic("platform: Hub.SetMetrics called after the concurrent phase started; attach the collector before Run")
-	}
-	h.metrics = m
-}
+// counts, before the run starts.
+func (h *Hub) SetMetrics(m *metrics.Collector) { h.metrics = m }
 
-// SetFaults attaches the fault injector guarding the cooperation path.
-// Like SetMetrics it must run before the concurrent phase; calling it
-// on a sealed hub panics.
-func (h *Hub) SetFaults(in *fault.Injector) {
-	if h.sealed.Load() {
-		panic("platform: Hub.SetFaults called after the concurrent phase started; attach the injector before Run")
-	}
-	h.faults = in
-}
-
-// seal marks the start of the run's consume phase. From here on the
-// pools, platform order, collector and injector are read without
-// locking — by the engine's goroutine and, under shards, by the other
-// shards' — so late registration is a contract violation and is rejected
-// loudly.
-func (h *Hub) seal() { h.sealed.Store(true) }
+// SetFaults attaches the fault injector guarding the cooperation path,
+// before the run starts.
+func (h *Hub) SetFaults(in *fault.Injector) { h.faults = in }
 
 // RegisterPlatform attaches a platform's waiting-list pool. Must be
-// called once per platform before its workers arrive (and before any
-// concurrent access begins); registering on a sealed hub returns an
-// error instead of silently racing the running engine.
+// called once per platform before its workers arrive.
 func (h *Hub) RegisterPlatform(id core.PlatformID, pool *online.Pool) error {
-	if h.sealed.Load() {
-		return fmt.Errorf("platform: RegisterPlatform(%d) called after the concurrent phase started; register every platform before Run", id)
-	}
 	if id == core.NoPlatform {
 		return fmt.Errorf("platform: cannot register the zero platform")
 	}
@@ -145,10 +108,7 @@ func (h *Hub) WorkerArrived(w *core.Worker) error {
 	if err != nil {
 		return fmt.Errorf("platform: worker %d: %w", w.ID, err)
 	}
-	rec := &workerRec{owner: w.Platform, hist: hist}
-	h.mu.Lock()
-	h.workers[w.ID] = rec
-	h.mu.Unlock()
+	h.workers[w.ID] = &workerRec{owner: w.Platform, hist: hist}
 	return nil
 }
 
@@ -157,25 +117,15 @@ func (h *Hub) WorkerArrived(w *core.Worker) error {
 // Claim). Cooperative claims clean up in Claim itself, so calling this
 // for them is a harmless no-op. Without this eviction the table grew
 // without bound on long recycled runs.
-func (h *Hub) WorkerAssigned(workerID int64) {
-	h.mu.Lock()
-	delete(h.workers, workerID)
-	h.mu.Unlock()
-}
+func (h *Hub) WorkerAssigned(workerID int64) { delete(h.workers, workerID) }
 
 // TrackedWorkers reports how many workers the hub currently holds
 // records for — exactly the waiting (unassigned) workers.
-func (h *Hub) TrackedWorkers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.workers)
-}
+func (h *Hub) TrackedWorkers() int { return len(h.workers) }
 
 // HistoryOf returns the acceptance history recorded for a worker.
 func (h *Hub) HistoryOf(workerID int64) (*pricing.History, bool) {
-	h.mu.Lock()
 	rec := h.workers[workerID]
-	h.mu.Unlock()
 	if rec == nil {
 		return nil, false
 	}
@@ -183,9 +133,8 @@ func (h *Hub) HistoryOf(workerID int64) (*pricing.History, bool) {
 }
 
 // ViewFor returns the CoopView platform id uses to see the other
-// platforms' unoccupied workers. A view is bound to the goroutine
-// driving that platform's matcher: its EligibleOuter buffer is reused
-// across calls and must not be shared.
+// platforms' unoccupied workers. Its EligibleOuter buffer is reused
+// across calls.
 func (h *Hub) ViewFor(id core.PlatformID) online.CoopView {
 	return &hubView{hub: h, self: id}
 }
@@ -199,7 +148,6 @@ type hubView struct {
 	now core.Time
 	// cands and workers are per-view scratch, reused across requests so
 	// the hottest cooperative query performs no per-request allocation.
-	// Safe because exactly one goroutine drives each view.
 	cands   []online.Candidate
 	workers []*core.Worker
 }
@@ -233,78 +181,49 @@ func (v *hubView) EligibleOuter(r *core.Request) []online.Candidate {
 	if len(v.workers) == 0 {
 		return v.cands
 	}
-	h.mu.Lock()
 	for _, w := range v.workers {
 		rec := h.workers[w.ID]
 		if rec == nil {
-			// Assigned by its owner between the pool scan and now; the
-			// worker is already out of every waiting list.
+			// In a pool but never announced through WorkerArrived: no
+			// history to price it with.
 			continue
 		}
 		v.cands = append(v.cands, online.Candidate{Worker: w, History: &rec.hist})
 	}
-	h.mu.Unlock()
 	return v.cands
 }
 
-// Claim implements online.CoopView: atomically remove the worker from
-// its owner's waiting list. The per-worker claim word arbitrates racing
-// platforms without touching the owner pool's lock; the locked pool
-// removal then commits the claim (or reports that the owner's inner
-// assignment won the race).
+// Claim implements online.CoopView: remove the worker from its owner's
+// waiting list and from the hub's tables.
 func (v *hubView) Claim(workerID int64) bool {
-	return v.hub.claim(v.self, workerID, v.now, true)
-}
-
-// claim is the hub's atomic claim commit point, shared by the in-hub
-// cooperation path (hubView.Claim) and the sharded engine's cross-shard
-// borrows, which claim against a *remote* shard's hub. useFaults gates
-// the fault injector: remote claims skip it, because the injector's RNG
-// and breakers belong to the hub's own shard goroutines and the
-// claim-protocol gates carry their own breaker machinery.
-func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaults bool) bool {
+	h := v.hub
 	if h.CoopDisabled {
 		return false
 	}
-	h.mu.Lock()
 	rec := h.workers[workerID]
-	h.mu.Unlock()
 	if rec == nil {
-		// Matchers only claim workers they just sighted through
-		// EligibleOuter, so a missing record means the worker was
-		// assigned — by another platform's claim or its owner's inner
-		// match — between the sighting and this claim: a lost race.
-		h.metrics.Add(metrics.ClaimConflicts, 1)
+		// Not waiting: already assigned, or never arrived.
 		return false
 	}
 	owner := rec.owner
-	if owner == self {
-		// Semantic refusal, not a race: the coop view never hands out
-		// a platform's own workers.
+	if owner == v.self {
+		// The coop view never hands out a platform's own workers.
 		return false
 	}
-	if useFaults && h.faults != nil && !h.faults.ClaimPartner(self, owner, now) {
+	if h.faults != nil && !h.faults.ClaimPartner(v.self, owner, v.now) {
 		// Injected transient claim error (retries exhausted) or an open
-		// breaker: to the matcher this is indistinguishable from a lost
-		// race — it moves on to the next accepting candidate.
-		return false
-	}
-	if !rec.claimed.CompareAndSwap(false, true) {
-		// Another platform's claim got here first.
-		h.metrics.Add(metrics.ClaimConflicts, 1)
+		// breaker: the matcher moves on to the next accepting candidate.
 		return false
 	}
 	pool := h.pools[owner]
 	if pool == nil || !pool.Remove(workerID) {
-		// The owner's inner assignment raced the claim and won; it will
-		// evict the record via WorkerAssigned.
+		// The owner's matcher took the worker and the engine has not yet
+		// evicted the record via WorkerAssigned.
 		h.metrics.Add(metrics.ClaimConflicts, 1)
 		return false
 	}
-	h.mu.Lock()
 	delete(h.workers, workerID)
 	h.lent[owner]++
-	h.mu.Unlock()
 	return true
 }
 
@@ -312,8 +231,6 @@ func (h *Hub) claim(self core.PlatformID, workerID int64, now core.Time, useFaul
 // hub — the supply side of the cooperation ledger (the demand side is
 // each platform's ServedOuter).
 func (h *Hub) Lent() map[core.PlatformID]int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	out := make(map[core.PlatformID]int, len(h.lent))
 	for pid, n := range h.lent {
 		out[pid] = n

@@ -64,8 +64,6 @@ func TestHubRecordsMatchPoolsOnLongRecycledRun(t *testing.T) {
 	stream := multiStream(t, 3, 600, 90, 19)
 	s, _ := runForState(t, stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
 		Config{Seed: 19, ServiceTicks: 5})
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
 	waiting := 0
 	for _, pid := range s.pids {
 		s.matchers[pid].(poolHolder).Pool().Each(func(w *core.Worker) bool {
@@ -85,7 +83,7 @@ func TestHubRecordsMatchPoolsOnLongRecycledRun(t *testing.T) {
 }
 
 // TestWorkerArrivedOneAllocation: a worker whose history arrives in
-// order costs the hub its 40-byte record and nothing else — the history
+// order costs the hub its 32-byte record and nothing else — the history
 // is the event's slice — and one whose history does not costs the
 // sorted copy as well.
 func TestWorkerArrivedOneAllocation(t *testing.T) {
@@ -122,7 +120,7 @@ func TestWorkerArrivedOneAllocation(t *testing.T) {
 			t.Errorf("%s: history shares the worker's slice = %v, want %v", c.name, shared, c.want == 1)
 		}
 	}
-	if got := unsafe.Sizeof(workerRec{}); got != 40 {
-		t.Errorf("workerRec is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(workerRec{}); got != 32 {
+		t.Errorf("workerRec is %d bytes, want 32", got)
 	}
 }

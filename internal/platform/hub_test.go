@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"crossmatch/internal/core"
@@ -84,11 +82,11 @@ func conflictStream(t *testing.T, workers, requestsEach int) *core.Stream {
 	return s
 }
 
-// TestHubClaimConflictPath deterministically exercises the losing branch
-// of a claim race: the worker is still tracked by the hub but its pool
-// slot was already taken (the owner's inner assignment has removed it
-// and not yet evicted the tables). The claim must fail, count one
-// conflict, and a later eviction must stay a no-op.
+// TestHubClaimConflictPath exercises the losing branch of a claim: the
+// worker is still tracked by the hub but its pool slot was already taken
+// (the owner's inner assignment has removed it and not yet evicted the
+// tables). The claim must fail, count one conflict, and a later eviction
+// must stay a no-op.
 func TestHubClaimConflictPath(t *testing.T) {
 	col := metrics.New()
 	h := NewHub()
@@ -106,7 +104,7 @@ func TestHubClaimConflictPath(t *testing.T) {
 	}
 	p2.Add(w)
 	// The owner assigns the worker: pool removal first, table eviction
-	// later — the window a racing claim can land in.
+	// later.
 	if !p2.Remove(w.ID) {
 		t.Fatal("owner removal failed")
 	}
@@ -119,89 +117,6 @@ func TestHubClaimConflictPath(t *testing.T) {
 	h.WorkerAssigned(7)
 	if n := h.TrackedWorkers(); n != 0 {
 		t.Fatalf("tracked workers = %d after eviction, want 0", n)
-	}
-}
-
-// TestHubConcurrentClaimsOneTakerPerWorker is the -race gate of the
-// claim path with no runtime in it — what the sharded engine relies on
-// when a neighbouring shard claims against this hub: several claimants,
-// each through its own view, sight and claim the same waiting workers
-// while the owner assigns a share of them itself (pool removal, then
-// eviction). Every worker must end with exactly one taker, the lending
-// ledger plus the owner's removals must account for all of them, and no
-// record may survive.
-func TestHubConcurrentClaimsOneTakerPerWorker(t *testing.T) {
-	const workers, claimants = 600, 4
-	h := NewHub()
-	owner := online.NewPool(nil)
-	if err := h.RegisterPlatform(1, owner); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < claimants; c++ {
-		if err := h.RegisterPlatform(core.PlatformID(2+c), online.NewPool(nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.seal()
-	for id := int64(1); id <= workers; id++ {
-		w := &core.Worker{ID: id, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1, 2}}
-		if err := h.WorkerArrived(w); err != nil {
-			t.Fatal(err)
-		}
-		owner.Add(w)
-	}
-
-	takers := make([]atomic.Int32, workers+1)
-	var claimed, removed atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < claimants; c++ {
-		wg.Add(1)
-		go func(pid core.PlatformID) {
-			defer wg.Done()
-			view := h.ViewFor(pid)
-			r := &core.Request{ID: int64(pid), Arrival: 1, Loc: geo.Point{}, Value: 8, Platform: pid}
-			for {
-				cands := view.EligibleOuter(r)
-				if len(cands) == 0 {
-					return
-				}
-				for _, cand := range cands {
-					if view.Claim(cand.Worker.ID) {
-						takers[cand.Worker.ID].Add(1)
-						claimed.Add(1)
-					}
-				}
-			}
-		}(core.PlatformID(2 + c))
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for id := int64(1); id <= workers; id += 3 {
-			if owner.Remove(id) {
-				takers[id].Add(1)
-				removed.Add(1)
-				h.WorkerAssigned(id)
-			}
-		}
-	}()
-	wg.Wait()
-
-	for id := 1; id <= workers; id++ {
-		if n := takers[id].Load(); n != 1 {
-			t.Errorf("worker %d has %d takers, want exactly 1", id, n)
-		}
-	}
-	lent := h.Lent()[1]
-	if int64(lent) != claimed.Load() || int64(lent)+removed.Load() != workers {
-		t.Errorf("lent %d, claims won %d, owner removals %d: want lent = claims and lent + removals = %d",
-			lent, claimed.Load(), removed.Load(), workers)
-	}
-	if n := h.TrackedWorkers(); n != 0 {
-		t.Errorf("hub tracks %d workers after every one was taken, want 0", n)
-	}
-	if n := owner.Len(); n != 0 {
-		t.Errorf("owner pool holds %d workers after every one was taken, want 0", n)
 	}
 }
 

@@ -81,36 +81,11 @@ type Config struct {
 	// sampled. Safe to share one tracer across the unit runs of
 	// an experiment, like Metrics. See internal/trace.
 	Trace *trace.Tracer
-	// Shards, when > 1, runs the geo-sharded engine: matching state is
-	// partitioned by spatial grid cell (the internal/cells rendezvous
-	// assignment the fleet router also uses), each shard drives its own
-	// Engine — matcher instances and hub — on its own goroutine from a
-	// bounded queue, and boundary-crossing requests go through the async
-	// claim protocol of internal/shard. A stream run and an incremental
-	// engine are the same runtime: Run feeds the stream through it
-	// without waiting for per-request replies. Results are bit-identical
-	// run to run (sequence barriers order cross-shard work) under the
-	// documented cell-major, ID-canonical merge order, but differ from
-	// the unsharded engine's: inner matching is shard-local and
-	// cooperation reaches only the shards a request's eligibility disk
-	// touches. Zero or one keeps the unsharded runtime. Shards > 1
-	// rejects ServiceTicks, Trace and windowed matchers with
-	// ErrShardUnsupported.
-	Shards int
-	// ShardReach is the maximum worker eligibility radius the sharded
-	// engine plans boundary crossings for. Stream runs derive it (the
-	// stream's max worker radius) when zero and reject streams that
-	// exceed an explicit value; the incremental Engine cannot see future
-	// arrivals, so it requires ShardReach > 0 and rejects workers whose
-	// radius exceeds it. Ignored when Shards <= 1.
+	// Shards and ShardReach are inert — read by nothing. They are kept
+	// only because the frozen bench/probes.go sets them; the next
+	// benchmark PR deletes them with the shard.* rows.
+	Shards     int
 	ShardReach float64
-	// ShardStallTimeout arms the wall-clock watchdog on the sharded
-	// engine's gate waits: a stuck shard (or a claim stalled behind one)
-	// degrades to local-only matching after this long, with the lagging
-	// shard's circuit breaker recording the failure. Zero — the default
-	// — waits forever and keeps the run deterministic. Ignored when
-	// Shards <= 1.
-	ShardStallTimeout time.Duration
 }
 
 // PlatformResult aggregates one platform's outcomes.
@@ -252,23 +227,15 @@ const cancelCheckMask = 63
 // wrapping ctx.Err() (test with errors.Is(err, context.Canceled) or
 // context.DeadlineExceeded).
 func RunContext(ctx context.Context, stream *core.Stream, factory MatcherFactory, cfg Config) (res *Result, err error) {
+	run := func(ctx context.Context) {
+		res, err = RunSource(ctx, stream.Platforms(), factory, StreamSource(stream), cfg)
+	}
 	if cfg.ProfileLabel != "" {
-		pprof.Do(ctx, pprof.Labels("crossmatch.run", cfg.ProfileLabel), func(ctx context.Context) {
-			res, err = runContext(ctx, stream, factory, cfg)
-		})
-		return res, err
+		pprof.Do(ctx, pprof.Labels("crossmatch.run", cfg.ProfileLabel), run)
+	} else {
+		run(ctx)
 	}
-	return runContext(ctx, stream, factory, cfg)
-}
-
-// runContext picks the feeder: both runtimes are the Engine's step fed
-// from the stream — in arrival order on this goroutine (RunSource) or
-// through the shard queues (runSharded).
-func runContext(ctx context.Context, stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
-	if cfg.Shards > 1 {
-		return runSharded(ctx, stream, factory, cfg)
-	}
-	return RunSource(ctx, stream.Platforms(), factory, StreamSource(stream), cfg)
+	return res, err
 }
 
 // windowedEntry pairs a windowed matcher with its platform.
@@ -277,16 +244,13 @@ type windowedEntry struct {
 	m   online.WindowedMatcher
 }
 
-// newUnsharded builds an unsharded engine for a platform set — hub,
-// matchers, result slots — and seals its hub. The platform order
-// determines per-platform RNG derivation, so callers wanting bit-parity
-// with a stream run pass stream.Platforms() (ascending IDs). The last
-// two parameters are the seams the sharded runtime needs: wrapView, when
-// non-nil, wraps each platform's hub view before the matcher factory
-// sees it (the shard layer splices its cross-shard cooperation view in
-// here), and announce=false suppresses the RunStarted metric so a run
-// building one engine per shard counts as one run, not Shards runs.
-func newUnsharded(pids []core.PlatformID, factory MatcherFactory, cfg Config, wrapView func(core.PlatformID, online.CoopView) online.CoopView, announce bool) (*Engine, error) {
+// NewEngine builds an engine for the given platform set — hub, matchers,
+// result slots. The order of pids determines per-platform RNG
+// derivation: pass ascending IDs (stream.Platforms() order) for parity
+// with stream runs. The matcher factory is the same one Run takes;
+// threshold algorithms need their a-priori max value folded into the
+// factory by the caller.
+func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Engine, error) {
 	if len(pids) == 0 {
 		return nil, fmt.Errorf("platform: no platforms to run")
 	}
@@ -297,6 +261,7 @@ func newUnsharded(pids []core.PlatformID, factory MatcherFactory, cfg Config, wr
 		matchers: map[core.PlatformID]online.Matcher{},
 		labels:   map[core.PlatformID]string{},
 		res:      &Result{Platforms: map[core.PlatformID]*PlatformResult{}},
+		nextID:   RecycleIDBase,
 	}
 	e.hub.CoopDisabled = cfg.DisableCoop
 	e.hub.SetMetrics(cfg.Metrics)
@@ -304,11 +269,7 @@ func newUnsharded(pids []core.PlatformID, factory MatcherFactory, cfg Config, wr
 	root := rand.New(rand.NewSource(cfg.Seed))
 	for _, pid := range e.pids {
 		rng := rand.New(rand.NewSource(root.Int63()))
-		view := e.hub.ViewFor(pid)
-		if wrapView != nil {
-			view = wrapView(pid, view)
-		}
-		m := factory(pid, view, rng)
+		m := factory(pid, e.hub.ViewFor(pid), rng)
 		holder, ok := m.(poolHolder)
 		if !ok {
 			return nil, fmt.Errorf("platform: matcher %q does not expose its pool", m.Name())
@@ -351,10 +312,8 @@ func newUnsharded(pids []core.PlatformID, factory MatcherFactory, cfg Config, wr
 		}
 		if inj != nil {
 			// Attribute injected faults and breaker transitions to the
-			// decision in flight on the viewing platform. The observer runs
-			// on the viewer's goroutine, matching the recorder's
-			// single-goroutine contract; observation never alters fault
-			// outcomes or RNG draws.
+			// decision in flight on the viewing platform; observation never
+			// alters fault outcomes or RNG draws.
 			inj.SetObserver(func(viewer, partner core.PlatformID, ev fault.Event) {
 				if sp := recs[viewer].Active(); sp != nil {
 					sp.Fault(partner, string(ev.Kind), ev.Latency)
@@ -363,9 +322,7 @@ func newUnsharded(pids []core.PlatformID, factory MatcherFactory, cfg Config, wr
 		}
 	}
 
-	if announce {
-		cfg.Metrics.Add(metrics.Runs, 1)
-	}
+	cfg.Metrics.Add(metrics.Runs, 1)
 	// Per-platform latency labels are built once; the hot loop must not
 	// format strings.
 	if cfg.Metrics != nil {
@@ -373,10 +330,6 @@ func newUnsharded(pids []core.PlatformID, factory MatcherFactory, cfg Config, wr
 			e.labels[pid] = fmt.Sprintf("platform-%d", pid)
 		}
 	}
-	// Registration is complete: from here the hub's configuration is
-	// read lock-free by whichever goroutines drive the matchers, so late
-	// registration must fail loudly rather than race.
-	e.hub.seal()
 	return e, nil
 }
 
@@ -391,9 +344,7 @@ func (e *Engine) deliver(w *core.Worker) error {
 }
 
 // foldPricing folds every matcher's pricing-quoter counters into the
-// run's metrics collector. Call it only after the goroutines driving the
-// matchers have stopped: quoter stats are plain integers owned by the
-// matcher goroutine.
+// run's metrics collector.
 func (e *Engine) foldPricing() {
 	if e.cfg.Metrics == nil {
 		return

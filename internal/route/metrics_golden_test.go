@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite testdata/snapshot.golden.json f
 
 // fillEveryCounter is internal/metrics' test helper of the same name:
 // the counter behind Counters' k-th field set to 10·(k+1), a distinct
-// pricing section, one latency observation, two shard rows.
+// pricing section, one latency observation.
 func fillEveryCounter(c *metrics.Collector) {
 	for k := metrics.Counter(0); k < metrics.NumCounters; k++ {
 		c.Add(k, 10*(int64(k)+1))
@@ -27,10 +27,6 @@ func fillEveryCounter(c *metrics.Collector) {
 		ProbEvals: 208, TableHits: 52, ScratchReuses: 106, ScratchAllocs: 107,
 	})
 	c.ObserveLatency("platform-1", 3*time.Millisecond)
-	c.RecordShards([]metrics.ShardSnapshot{
-		{Shard: 0, Applied: 1, QueueDepth: 2, BoundaryEvents: 3, Borrows: 4, ClaimConflicts: 5, Degraded: 6},
-		{Shard: 1, Applied: 7, QueueDepth: 8, BoundaryEvents: 9, Borrows: 10, ClaimConflicts: 11, Degraded: 12},
-	})
 }
 
 // TestGoldenSnapshot pins the router's /v1/metrics document over a

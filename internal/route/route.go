@@ -1,10 +1,9 @@
 // Package route is the fleet layer of the serving stack: a thin HTTP
 // router that fronts N comserve shards, partitioning arrival events by
 // consistent spatial hashing on the matching grid's cell geometry
-// (internal/index.CellOf — the same partition key the geo-sharded
-// engine uses), so each shard owns a stable set of cells and its local
-// supply density — what governs match quality in dynamic spatial
-// matching — survives the split.
+// (internal/index.CellOf), so each shard owns a stable set of cells and
+// its local supply density — what governs match quality in dynamic
+// spatial matching — survives the split.
 //
 // The robustness core: per-shard health probes against the
 // liveness/readiness-split /healthz (a shard re-driving its WAL is
@@ -36,10 +35,8 @@ import (
 )
 
 // CellKey identifies one spatial-hash cell, the unit of shard
-// ownership. It is an alias for cells.Key — the shared cell→shard
-// assignment also used by the in-process geo-sharded engine
-// (internal/shard), so the fleet router and the engine can never
-// disagree about ownership.
+// ownership. It is an alias for cells.Key, the shared cell→shard
+// assignment.
 type CellKey = cells.Key
 
 // Cell returns the owning cell of a point under the shared grid

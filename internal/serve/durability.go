@@ -209,11 +209,9 @@ func (s *Server) checkSnapshotConfig(snap *wal.Snapshot) error {
 		return fmt.Errorf("serve: wal recovery: snapshot window %d, server %d", snap.Window, s.opts.Window)
 	case snap.BatchDeadline != int64(s.opts.BatchDeadline):
 		return fmt.Errorf("serve: wal recovery: snapshot batch-deadline %d, server %d", snap.BatchDeadline, s.opts.BatchDeadline)
-	case snap.Shards != snapShards(s.opts.Shards):
-		return fmt.Errorf("serve: wal recovery: snapshot shards %d, server %d", snap.Shards, snapShards(s.opts.Shards))
-	case snap.Shards > 1 && snap.ShardReachBits != math.Float64bits(s.opts.ShardReach):
-		return fmt.Errorf("serve: wal recovery: snapshot shard reach %v, server %v",
-			math.Float64frombits(snap.ShardReachBits), s.opts.ShardReach)
+	case snap.Shards > 1:
+		return fmt.Errorf("serve: wal recovery: log written on %d shards by the in-process sharded engine removed in PR 27; "+
+			"recover it with the binary that wrote it, or start from an empty wal dir", snap.Shards)
 	case snap.PricingRev != pricing.SamplerRev && platform.SamplesMinPayment(s.opts.Algorithm):
 		return fmt.Errorf("serve: wal recovery: log written under Monte-Carlo sampler revision %d, this binary runs revision %d: "+
 			"%s draws its payments from that sampler, so the log would re-drive to different decisions; "+
@@ -221,16 +219,6 @@ func (s *Server) checkSnapshotConfig(snap *wal.Snapshot) error {
 			snap.PricingRev, pricing.SamplerRev, s.opts.Algorithm)
 	}
 	return nil
-}
-
-// snapShards normalizes the shard count for the config fingerprint:
-// 0 and 1 are both the unsharded engine, and pre-sharding snapshots
-// (no field at all) must keep verifying against either.
-func snapShards(n int) int64 {
-	if n <= 1 {
-		return 0
-	}
-	return int64(n)
 }
 
 // checkSnapshotDigest verifies that re-driving the log prefix
@@ -330,9 +318,6 @@ func (s *Server) writeSnapshot() error {
 		Served:        s.ctr.served.Load(),
 		Matched:       s.ctr.matched.Load(),
 		RevenueBits:   math.Float64bits(rev),
-	}
-	if sn.Shards = snapShards(s.opts.Shards); sn.Shards > 1 {
-		sn.ShardReachBits = math.Float64bits(s.opts.ShardReach)
 	}
 	if err := wal.WriteSnapshot(s.wal.Dir(), sn); err != nil {
 		return err

@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -351,6 +357,91 @@ func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 	if _, err := New(Options{Algorithm: platform.AlgDemCOM, Seed: 2, WALDir: dir}); err == nil ||
 		!strings.Contains(err.Error(), "seed") {
 		t.Fatalf("restart with a different seed must fail, got %v", err)
+	}
+}
+
+// dirContents reads every file of dir, by name.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
+}
+
+// TestRecoveryRefusesShardedLog: a checkpoint stamped by a server on the
+// in-process sharded engine (removed in PR 27) is refused by name, with
+// the directory left as it was for the binary that can read it; one
+// without the field, or with it zero, is an unsharded server's and
+// recovers.
+func TestRecoveryRefusesShardedLog(t *testing.T) {
+	for _, tc := range []struct {
+		name, field string
+		refuse      bool
+	}{
+		{"shards3", `,"shards":3,"shard_reach_bits":4607182418800017408}`, true},
+		{"shards0", `,"shards":0}`, false},
+		{"absent", `}`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Algorithm: platform.AlgTOTA, Seed: 1, WALDir: dir}
+			logOneWorker(t, opts)
+
+			// Re-frame the final checkpoint with the field spliced into its
+			// JSON: 4-byte length, 4-byte CRC32-C, payload.
+			snap, err := wal.LatestSnapshot(dir)
+			if err != nil || snap == nil {
+				t.Fatalf("LatestSnapshot: %v, %v", snap, err)
+			}
+			path := filepath.Join(dir, wal.SnapshotName(snap.Applied))
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := buf[8:]
+			if bytes.Contains(payload, []byte("shard")) {
+				t.Fatalf("an unsharded server stamped a shard field: %s", payload)
+			}
+			payload = append(bytes.TrimSuffix(payload, []byte("}")), tc.field...)
+			framed := make([]byte, 8, 8+len(payload))
+			binary.LittleEndian.PutUint32(framed[0:4], uint32(len(payload)))
+			binary.LittleEndian.PutUint32(framed[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+			if err := os.WriteFile(path, append(framed, payload...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirContents(t, dir)
+
+			srv, err := New(opts)
+			if !tc.refuse {
+				if err != nil {
+					t.Fatalf("restart must recover, got %v", err)
+				}
+				if rec := srv.Recovery(); rec.Events != 1 || rec.SnapshotApplied != 1 {
+					t.Fatalf("recovery = %+v, want the one logged event verified", rec)
+				}
+				if _, err := srv.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "in-process sharded engine removed in PR 27") ||
+				!strings.Contains(err.Error(), "recover it with the binary that wrote it, or start from an empty wal dir") {
+				t.Fatalf("restart on a sharded server's log must say why it is refused, got %v", err)
+			}
+			if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("the refused directory changed: %d files before, %d after", len(before), len(after))
+			}
+		})
 	}
 }
 

@@ -120,57 +120,6 @@ func TestReplayMatchesOffline(t *testing.T) {
 	}
 }
 
-// TestShardedReplayParity is the serving half of the geo-sharded
-// acceptance criterion: a -shards replay server derives the reach from
-// the recorded stream, serves every decision off the sharded engine,
-// and its final Result is bit-identical to the offline sharded Run.
-func TestShardedReplayParity(t *testing.T) {
-	stream := testStream(t, 300, 120, 9)
-	for _, alg := range []string{platform.AlgDemCOM, platform.AlgRamCOM} {
-		t.Run(alg, func(t *testing.T) {
-			factory, err := platform.FactoryFor(alg, stream.MaxValue())
-			if err != nil {
-				t.Fatalf("FactoryFor: %v", err)
-			}
-			want, err := platform.Run(stream, factory, platform.Config{Seed: 9, Shards: 3})
-			if err != nil {
-				t.Fatalf("offline sharded Run: %v", err)
-			}
-
-			srv, ts := startServer(t, Options{
-				Algorithm: alg,
-				Seed:      9,
-				Replay:    stream,
-				Shards:    3,
-				QueueCap:  stream.Len() + 1,
-			})
-			rep, err := RunLoad(context.Background(), LoadOptions{
-				URL:     ts.URL,
-				Stream:  stream,
-				Conns:   4,
-				Batch:   8,
-				Retries: 5,
-				Client:  ts.Client(),
-			})
-			if err != nil {
-				t.Fatalf("RunLoad: %v", err)
-			}
-			if rep.Failed != 0 || rep.Dropped != 0 {
-				t.Fatalf("replay must deliver everything: %+v", rep)
-			}
-			snap := srv.Snapshot()
-			if len(snap.Engine.Shards) != 3 {
-				t.Fatalf("metrics shards section has %d entries, want 3", len(snap.Engine.Shards))
-			}
-			got, err := srv.Close()
-			if err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			assertSameResult(t, want, got)
-		})
-	}
-}
-
 // TestReplayShuffledDelivery hammers the re-sequencer: every recorded
 // event is posted as its own concurrent request in a shuffled order,
 // and the result must still be bit-identical — HTTP delivery order is

@@ -98,25 +98,6 @@ type Options struct {
 	// Distinct from Deadline below, which bounds the HTTP handler's
 	// wait, not the engine's buffering.
 	BatchDeadline core.Time
-	// Shards, when > 1, serves on the geo-sharded engine: matching
-	// state partitions across per-cell shard goroutines and
-	// boundary-crossing requests go through the async cross-shard claim
-	// protocol (see internal/shard). The sequencer contract is
-	// unchanged — one Process call per arrival, decisions synchronous —
-	// and replay stays bit-identical to the offline sharded run. The
-	// sharded engine rejects ServiceTicks, tracing and windowed
-	// algorithms (platform.ErrShardUnsupported).
-	Shards int
-	// ShardReach bounds worker service radii for the shard partitioner
-	// (see platform.Config.ShardReach). Replay mode derives it from the
-	// recorded stream when zero; live mode requires it when Shards > 1,
-	// and workers exceeding it are rejected at ingest with
-	// platform.ErrShardReach.
-	ShardReach float64
-	// ShardStallTimeout arms the cross-shard claim watchdog
-	// (platform.Config.ShardStallTimeout); zero waits forever,
-	// preserving determinism.
-	ShardStallTimeout time.Duration
 	// Metrics receives the engine's funnel counters and latency
 	// reservoirs; created internally when nil (it backs /v1/metrics).
 	Metrics *metrics.Collector
@@ -316,26 +297,13 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if opts.Shards > 1 && opts.ShardReach <= 0 && opts.Replay != nil {
-		// The recorded stream bounds every radius the engine will see, so
-		// replay parity with the offline sharded run needs no explicit
-		// reach — derive the same bound platform.Run derives.
-		for _, ev := range opts.Replay.Events() {
-			if ev.Kind == core.WorkerArrival && ev.Worker.Radius > opts.ShardReach {
-				opts.ShardReach = ev.Worker.Radius
-			}
-		}
-	}
 	eng, err := platform.NewEngine(pids, factory, platform.Config{
-		Seed:              opts.Seed,
-		ServiceTicks:      opts.ServiceTicks,
-		DisableCoop:       opts.DisableCoop,
-		Metrics:           opts.Metrics,
-		Faults:            opts.Faults,
-		Trace:             opts.Tracer,
-		Shards:            opts.Shards,
-		ShardReach:        opts.ShardReach,
-		ShardStallTimeout: opts.ShardStallTimeout,
+		Seed:         opts.Seed,
+		ServiceTicks: opts.ServiceTicks,
+		DisableCoop:  opts.DisableCoop,
+		Metrics:      opts.Metrics,
+		Faults:       opts.Faults,
+		Trace:        opts.Tracer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -748,12 +716,6 @@ type MetricsSnapshot struct {
 
 // Snapshot returns the current metrics document.
 func (s *Server) Snapshot() MetricsSnapshot {
-	// Fold the live per-shard counters (applied, queue depth, borrows,
-	// claim conflicts) into the collector so the engine section carries
-	// a "shards" array on sharded servers.
-	if st := s.eng.ShardStats(); st != nil {
-		s.met.RecordShards(st)
-	}
 	s.ctr.revenueMu.Lock()
 	rev := s.ctr.revenue
 	s.ctr.revenueMu.Unlock()

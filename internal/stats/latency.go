@@ -103,7 +103,8 @@ func (r *Reservoir) Quantiles(qs []float64) []time.Duration {
 }
 
 // nearestRank picks the nearest-rank q-quantile from an ascending
-// sample; q is clamped to [0, 1] and must not be NaN.
+// sample: the ceil(q·N)-th smallest value. q is clamped to [0, 1] and
+// must not be NaN.
 func nearestRank(sorted []time.Duration, q float64) time.Duration {
 	if q < 0 {
 		q = 0
@@ -111,7 +112,9 @@ func nearestRank(sorted []time.Duration, q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	idx := int(q*float64(len(sorted))) - 1
+	// The epsilon keeps a product that is an integer but for float error
+	// (0.07·100 = 7.000000000000001) on its own rank.
+	idx := int(math.Ceil(q*float64(len(sorted))-1e-9)) - 1
 	if idx < 0 {
 		idx = 0
 	}

@@ -53,6 +53,28 @@ func TestReservoirPercentilesFullSample(t *testing.T) {
 	}
 }
 
+// TestNearestRank holds the q-quantile of 1..N to the ceil(q·N)-th
+// value, worked out here in integers (q·N = num·N/100). Flooring the
+// product, as nearestRank did, read one rank low wherever q·N is not an
+// integer: the p50 of {1,2,3} as 1, the p99 of ten samples as the ninth.
+func TestNearestRank(t *testing.T) {
+	for _, n := range []int{1, 3, 10, 100, 150} {
+		sorted := make([]time.Duration, n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i + 1)
+		}
+		for _, num := range []int{0, 50, 90, 95, 99, 100} {
+			want := (num*n + 99) / 100 // ceil(num·n / 100)
+			if want < 1 {
+				want = 1
+			}
+			if got := nearestRank(sorted, float64(num)/100); got != time.Duration(want) {
+				t.Errorf("N=%d q=%d%%: rank %d, want %d", n, num, got, want)
+			}
+		}
+	}
+}
+
 func TestReservoirSamplingApproximation(t *testing.T) {
 	// 50k uniform observations through a 4k reservoir: p50 within 5%.
 	r := NewReservoir(4096, 7)

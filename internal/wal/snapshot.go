@@ -51,10 +51,10 @@ type Snapshot struct {
 	// written before windowed dispatch existed keep verifying.
 	Window        int64 `json:"window,omitempty"`
 	BatchDeadline int64 `json:"batch_deadline,omitempty"`
-	// Shards and ShardReachBits fingerprint the geo-sharded runtime: a
-	// log re-driven under a different shard count or reach would route
-	// events to different shard RNG streams and fork the state. Zero for
-	// unsharded servers, so pre-sharding snapshots keep verifying.
+	// Shards and ShardReachBits are decoded, never written: a server on
+	// the in-process sharded engine (removed in PR 27) stamped them, and
+	// recovery refuses such a log (Shards > 1) instead of re-driving it
+	// through a different engine. Absent or zero otherwise.
 	Shards         int64  `json:"shards,omitempty"`
 	ShardReachBits uint64 `json:"shard_reach_bits,omitempty"`
 	// PricingRev is pricing.SamplerRev of the binary that wrote the log:

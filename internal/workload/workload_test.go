@@ -168,11 +168,22 @@ func TestGenerateBasicShape(t *testing.T) {
 		t.Fatalf("platforms = %v, want 2", plats)
 	}
 	// Even split between the two platforms.
-	if n := len(s.FilterPlatform(1).Requests()); n != 50 {
-		t.Errorf("platform 1 requests = %d, want 50", n)
+	reqs1, workers2 := 0, 0
+	for _, r := range s.Requests() {
+		if r.Platform == 1 {
+			reqs1++
+		}
 	}
-	if n := len(s.FilterPlatform(2).Workers()); n != 10*SyntheticAppearances {
-		t.Errorf("platform 2 worker vertices = %d, want %d", n, 10*SyntheticAppearances)
+	for _, w := range s.Workers() {
+		if w.Platform == 2 {
+			workers2++
+		}
+	}
+	if reqs1 != 50 {
+		t.Errorf("platform 1 requests = %d, want 50", reqs1)
+	}
+	if workers2 != 10*SyntheticAppearances {
+		t.Errorf("platform 2 worker vertices = %d, want %d", workers2, 10*SyntheticAppearances)
 	}
 	for _, w := range s.Workers() {
 		if w.Radius != 1.0 {

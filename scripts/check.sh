@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full pre-merge gate: vet, build, race-enabled tests, ledger smoke, fuzz smokes, short benches.
+# Full pre-merge gate: vet, build, structure guards, race-enabled tests, ledger smokes, fuzz smokes, short benches.
 # Usage: scripts/check.sh  (or `make check`)
 set -eu
 
@@ -14,11 +14,33 @@ go build ./...
 echo "==> one atomic.Int64 in metrics.go (counters are declared in the Counter enum)"
 test "$(grep -c 'atomic\.Int64' internal/metrics/metrics.go)" -eq 1
 
+echo "==> the engine is single-goroutine by construction (no go statement, sync or atomic in platform, online, index)"
+if git grep -nE '\bgo (func|[a-zA-Z_.]+\()|"sync"|"sync/atomic"' -- 'internal/platform/*.go' 'internal/online/*.go' 'internal/index/*.go' ':!*_test.go'; then
+	exit 1
+fi
+
+echo "==> the deleted sharded engine's shim is what bench/probes.go names and the WAL refusal, nothing more"
+shim=$(git grep -nE 'Shards|ShardReach|ShardStats|ShardSnapshot|ShardStalls' -- '*.go' ':!bench' ':!*_test.go' \
+	':!internal/route' ':!cmd/comroute' ':!internal/serve/loadgen.go' ':!cmd/comload' |
+	grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | cut -d: -f1 | uniq -c | tr -s ' \n' ' ')
+# metrics: the ShardStalls constant and JSON field, the ShardSnapshot type;
+# feed: ShardStats; sim: Config.Shards, .ShardReach; durability: the refusal
+# (two lines); snapshot: the two decoded fields.
+want=" 3 internal/metrics/metrics.go 1 internal/platform/feed.go 2 internal/platform/sim.go 2 internal/serve/durability.go 2 internal/wal/snapshot.go "
+if [ "$shim" != "$want" ]; then
+	echo "shim lines per file:$shim" >&2
+	echo "want:               $want" >&2
+	exit 1
+fi
+
 echo "==> go test -race"
 go test -race ./...
 
 echo "==> ledger smoke (bench/ runs against this tree: offline == engine digests, 3 s)"
 make ledger-smoke
+
+echo "==> traced ledger smoke (the only run that calls probeShard: the shard.* rows must compute, 3 s)"
+bash bench/run.sh --workload engine_city --seed 1 --seconds 3 --trace 1 >/dev/null
 
 echo "==> fuzz smokes (every target, 10 s each)"
 for pkg in $(go list ./...); do

@@ -138,57 +138,6 @@ fi
 echo "    recovery is bit-exact: $recovered"
 
 # ----------------------------------------------------------------------
-# Geo-sharded engine: the same replay served on 4 in-process shard
-# goroutines with the cross-shard claim protocol. Two independent runs
-# must produce identical drain summaries — sharded serving is
-# deterministic run to run — and the metrics document must carry the
-# per-shard section.
-# ----------------------------------------------------------------------
-
-echo "==> geo-sharded replay (twice, -shards 4): run-to-run determinism"
-gs_summary=""
-for run in 1 2; do
-    "$tmp/comserve" -addr 127.0.0.1:0 -alg DemCOM -seed 42 -shards 4 \
-        -replay "$tmp/stream.csv" -port-file "$tmp/gs$run.port" \
-        > "$tmp/gs$run.log" 2>&1 &
-    gs=$!
-    wait_port "$tmp/gs$run.port" "$gs" "$tmp/gs$run.log"
-    gsaddr="$(cat "$tmp/gs$run.port")"
-    "$tmp/comload" -url "http://$gsaddr" -in "$tmp/stream.csv" \
-        -conns 8 -batch 16 -retries 20 -min-matched 1 -label "sharded-$run" \
-        -out "$tmp/gsload$run.json"
-    if [ "$run" = "1" ]; then
-        curl -sf "http://$gsaddr/v1/metrics" > "$tmp/gs-metrics.json" || {
-            echo "sharded: /v1/metrics unreachable" >&2
-            exit 1
-        }
-        grep -q '"shards"' "$tmp/gs-metrics.json" || {
-            echo "sharded: /v1/metrics has no per-shard section" >&2
-            cat "$tmp/gs-metrics.json" >&2
-            exit 1
-        }
-    fi
-    kill -TERM "$gs"
-    wait_dead "$gs" "$tmp/gs$run.log"
-    got="$(grep "comserve: matched" "$tmp/gs$run.log")" || {
-        echo "sharded run $run: summary missing" >&2
-        cat "$tmp/gs$run.log" >&2
-        exit 1
-    }
-    if [ "$run" = "1" ]; then
-        gs_summary="$got"
-        echo "    sharded run 1: $got"
-    elif [ "$got" != "$gs_summary" ]; then
-        echo "sharded replay is not deterministic run to run" >&2
-        echo "    run 1: $gs_summary" >&2
-        echo "    run 2: $got" >&2
-        exit 1
-    else
-        echo "    sharded run 2 is bit-exact: $got"
-    fi
-done
-
-# ----------------------------------------------------------------------
 # Fleet chaos: router + 3 shards, SIGKILL one mid-push, restart with
 # background WAL recovery, full re-push, per-shard oracle comparison.
 # ----------------------------------------------------------------------
