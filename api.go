@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/experiments"
@@ -193,7 +192,6 @@ type simConfig struct {
 	metrics       *Metrics
 	profileLabel  string
 	faults        *FaultPlan
-	probeDeadline time.Duration
 	tracer        *Tracer
 	batchWindow   Time
 	batchDeadline Time
@@ -219,21 +217,17 @@ func platformConfig(opts []Option) (platform.Config, error) {
 	for _, opt := range opts {
 		opt(&c)
 	}
-	switch {
-	case c.serviceTicks < 0:
+	if c.serviceTicks < 0 {
 		return platform.Config{}, fmt.Errorf("crossmatch: %w: service ticks %d negative", ErrBadOption, c.serviceTicks)
-	case c.probeDeadline < 0:
-		return platform.Config{}, fmt.Errorf("crossmatch: %w: probe deadline %v negative", ErrBadOption, c.probeDeadline)
 	}
 	return platform.Config{
-		Seed:          c.seed,
-		DisableCoop:   c.disableCoop,
-		ServiceTicks:  c.serviceTicks,
-		Metrics:       c.metrics,
-		ProfileLabel:  c.profileLabel,
-		Faults:        c.faults,
-		ProbeDeadline: c.probeDeadline,
-		Trace:         c.tracer,
+		Seed:         c.seed,
+		DisableCoop:  c.disableCoop,
+		ServiceTicks: c.serviceTicks,
+		Metrics:      c.metrics,
+		ProfileLabel: c.profileLabel,
+		Faults:       c.faults,
+		Trace:        c.tracer,
 	}, nil
 }
 
@@ -280,13 +274,6 @@ func WithProfileLabel(label string) Option {
 // plan at all — keeps results bit-identical to a fault-free run.
 func WithFaultPlan(p *FaultPlan) Option {
 	return func(c *simConfig) { c.faults = p }
-}
-
-// WithProbeDeadline overrides the fault plan's virtual per-call
-// deadline for cooperative probes and claims. Only meaningful together
-// with WithFaultPlan.
-func WithProbeDeadline(d time.Duration) Option {
-	return func(c *simConfig) { c.probeDeadline = d }
 }
 
 // WithTracer records each traced request's decision as a span — stage

@@ -2,11 +2,11 @@
 // are partitioned by consistent spatial hashing on the matching grid's
 // cell geometry, so each shard owns a stable set of cells and its own
 // write-ahead log. Per-shard health probes (against the
-// liveness/readiness-split /healthz), circuit breakers, capped-jittered
-// retries and optional hedged sends keep a partial outage partial: a
-// SIGKILLed shard is routed around within the probe deadline, its cells
-// answer fast 503s with retry hints, and once the restarted shard's WAL
-// replay finishes and readiness flips, the prober re-admits it.
+// liveness/readiness-split /healthz), circuit breakers and
+// capped-jittered retries keep a partial outage partial: a SIGKILLed
+// shard is routed around within the probe deadline, its cells answer
+// fast 503s with retry hints, and once the restarted shard's WAL replay
+// finishes and readiness flips, the prober re-admits it.
 //
 // Endpoints mirror comserve: POST /v1/requests and /v1/workers (single
 // object or NDJSON batch; per-line decisions are stamped with the
@@ -22,7 +22,7 @@
 // Usage:
 //
 //	comroute -shards s1=http://127.0.0.1:9001,s2=http://127.0.0.1:9002
-//	comroute -shards ... -failover -hedge-after 20ms
+//	comroute -shards ... -probe-interval 50ms
 //	comroute -split stream.csv -names s1,s2,s3 -out shards/   # per-shard CSVs
 package main
 
@@ -40,28 +40,17 @@ import (
 	"syscall"
 	"time"
 
-	"crossmatch/internal/core"
-	"crossmatch/internal/fault"
 	"crossmatch/internal/index"
 	"crossmatch/internal/route"
 	"crossmatch/internal/workload"
 )
 
 type options struct {
-	addr        string
-	portFile    string
-	shardsSpec  string
-	cellSize    float64
-	probeEvery  time.Duration
-	probeTO     time.Duration
-	brkFails    int
-	brkCooldown time.Duration
-	attempts    int
-	deadline    time.Duration
-	callTO      time.Duration
-	hedgeAfter  time.Duration
-	failover    bool
-	maxInflight int
+	addr       string
+	portFile   string
+	shardsSpec string
+	cellSize   float64
+	probeEvery time.Duration
 
 	split      string
 	splitNames string
@@ -75,15 +64,6 @@ func main() {
 	flag.StringVar(&o.shardsSpec, "shards", "", "fleet spec: comma-separated name=url pairs, e.g. 's1=http://127.0.0.1:9001,s2=http://127.0.0.1:9002'")
 	flag.Float64Var(&o.cellSize, "cell", index.DefaultCell, "spatial-hash cell size, km (must match the split geometry)")
 	flag.DurationVar(&o.probeEvery, "probe-interval", 100*time.Millisecond, "per-shard health probe period")
-	flag.DurationVar(&o.probeTO, "probe-timeout", 500*time.Millisecond, "per-probe timeout")
-	flag.IntVar(&o.brkFails, "breaker-threshold", 3, "consecutive transport failures that open a shard's breaker")
-	flag.DurationVar(&o.brkCooldown, "breaker-cooldown", 750*time.Millisecond, "open-breaker cooldown before the half-open trial")
-	flag.IntVar(&o.attempts, "attempts", 2, "transport attempts per shard call (1 = no retry)")
-	flag.DurationVar(&o.deadline, "deadline", 15*time.Second, "end-to-end budget per client call, covering retries and hedges")
-	flag.DurationVar(&o.callTO, "call-timeout", 10*time.Second, "single shard call timeout")
-	flag.DurationVar(&o.hedgeAfter, "hedge-after", 0, "race a duplicate send after this delay (0 = off; only safe against replay shards, which dedupe)")
-	flag.BoolVar(&o.failover, "failover", false, "route around a dark owner to the next shard in rendezvous order (breaks fleet replay bit-identity; availability-first live fleets only)")
-	flag.IntVar(&o.maxInflight, "max-inflight", 256, "concurrent client calls forwarded; excess answers 503 immediately")
 	flag.StringVar(&o.split, "split", "", "comgen CSV to partition into per-shard sub-streams instead of serving")
 	flag.StringVar(&o.splitNames, "names", "", "-split: shard names, comma-separated (default: the names from -shards)")
 	flag.StringVar(&o.splitOut, "out", ".", "-split: directory for the per-shard <name>.csv files")
@@ -123,22 +103,7 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	r, err := route.New(route.Options{
-		Shards:        shards,
-		CellSize:      o.cellSize,
-		ProbeInterval: o.probeEvery,
-		ProbeTimeout:  o.probeTO,
-		Breaker: fault.BreakerConfig{
-			FailureThreshold: o.brkFails,
-			CooldownTicks:    core.Time(o.brkCooldown.Milliseconds()),
-		},
-		Retry:       fault.RetryPolicy{MaxAttempts: o.attempts},
-		Deadline:    o.deadline,
-		CallTimeout: o.callTO,
-		HedgeAfter:  o.hedgeAfter,
-		Failover:    o.failover,
-		MaxInflight: o.maxInflight,
-	})
+	r, err := route.New(route.Options{Shards: shards, CellSize: o.cellSize, ProbeInterval: o.probeEvery})
 	if err != nil {
 		return err
 	}
@@ -155,12 +120,7 @@ func run(w io.Writer, o options) error {
 			return fmt.Errorf("writing -port-file: %w", err)
 		}
 	}
-	mode := "strict-ownership"
-	if o.failover {
-		mode = "failover"
-	}
-	fmt.Fprintf(w, "comroute: %d shards, cell %.2fkm, %s, listening on %s\n",
-		len(shards), o.cellSize, mode, bound)
+	fmt.Fprintf(w, "comroute: %d shards, cell %.2fkm, listening on %s\n", len(shards), o.cellSize, bound)
 	for _, sc := range shards {
 		fmt.Fprintf(w, "comroute: shard %s -> %s\n", sc.Name, sc.URL)
 	}
@@ -185,9 +145,8 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "comroute: %d calls, %d lines (%d refused, %d busy, %d bad)\n",
 		snap.Calls, snap.Lines, snap.Refused, snap.Busy, snap.BadLines)
 	for _, sh := range snap.Shards {
-		fmt.Fprintf(w, "comroute: shard %s: %d lines, %d ok, %d shed, %d unavailable, %d errors, %d retries, %d hedges (%d won), %d failovers\n",
-			sh.Name, sh.Lines, sh.OK, sh.Shed, sh.Unavailable, sh.Errors,
-			sh.Retries, sh.Hedges, sh.HedgeWins, sh.Failovers)
+		fmt.Fprintf(w, "comroute: shard %s: %d lines, %d ok, %d shed, %d unavailable, %d errors, %d retries\n",
+			sh.Name, sh.Lines, sh.OK, sh.Shed, sh.Unavailable, sh.Errors, sh.Retries)
 	}
 	return nil
 }

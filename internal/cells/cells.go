@@ -13,7 +13,6 @@ package cells
 
 import (
 	"fmt"
-	"sort"
 
 	"crossmatch/internal/geo"
 	"crossmatch/internal/index"
@@ -70,41 +69,21 @@ func Weight(c Key, shardName string) uint64 {
 	return h
 }
 
-// Rank returns the shard names in descending rendezvous-weight order
-// for a cell: Rank(...)[0] is the owner, the rest the failover
-// preference chain. Adding or removing one shard moves only the cells
-// that hashed to it — the consistent-hashing property that keeps a
-// resize from reshuffling the whole fleet.
-func Rank(c Key, shardNames []string) []string {
-	out := append([]string(nil), shardNames...)
-	sort.SliceStable(out, func(i, j int) bool {
-		wi, wj := Weight(c, out[i]), Weight(c, out[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return out[i] < out[j] // total order even under hash ties
-	})
-	return out
-}
-
-// Owner returns the rendezvous owner of a cell.
+// Owner returns the rendezvous owner of a cell, or "" for an empty
+// shard set.
 func Owner(c Key, shardNames []string) string {
-	if len(shardNames) == 0 {
-		return ""
+	if i := OwnerIndex(c, shardNames); i >= 0 {
+		return shardNames[i]
 	}
-	best := shardNames[0]
-	bw := Weight(c, best)
-	for _, name := range shardNames[1:] {
-		if w := Weight(c, name); w > bw || (w == bw && name < best) {
-			best, bw = name, w
-		}
-	}
-	return best
+	return ""
 }
 
-// OwnerIndex returns the index into shardNames of the rendezvous
-// owner of a cell, or -1 for an empty shard set:
-// shardNames[OwnerIndex(c, shardNames)] == Owner(c, shardNames).
+// OwnerIndex returns the index into shardNames of a cell's rendezvous
+// owner — the shard of highest Weight, ties to the smaller name, so the
+// winner does not depend on the order of the list — or -1 for an empty
+// shard set. Adding or removing one shard moves only the cells that
+// hashed to it: the consistent-hashing property that keeps a resize
+// from reshuffling the whole fleet.
 func OwnerIndex(c Key, shardNames []string) int {
 	if len(shardNames) == 0 {
 		return -1

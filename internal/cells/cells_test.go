@@ -7,21 +7,6 @@ import (
 	"crossmatch/internal/geo"
 )
 
-func TestRankHeadIsOwner(t *testing.T) {
-	names := Names(5)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		c := Key{CX: int32(rng.Intn(400) - 200), CY: int32(rng.Intn(400) - 200)}
-		rank := Rank(c, names)
-		if len(rank) != len(names) {
-			t.Fatalf("Rank dropped names: %v", rank)
-		}
-		if rank[0] != Owner(c, names) {
-			t.Fatalf("cell %v: Rank[0]=%s, Owner=%s", c, rank[0], Owner(c, names))
-		}
-	}
-}
-
 func TestOwnerIndexAgreesWithOwner(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		names := Names(n)
@@ -122,8 +107,20 @@ func FuzzOwnerTotalOrder(f *testing.F) {
 		if names[idx] != owner {
 			t.Fatalf("OwnerIndex %d (%s) != Owner %s", idx, names[idx], owner)
 		}
-		if rank := Rank(c, names); rank[0] != owner {
-			t.Fatalf("Rank head %s != Owner %s", rank[0], owner)
+		// The owner is the smallest name among the shards of maximum
+		// weight.
+		var top uint64
+		for _, name := range names {
+			top = max(top, Weight(c, name))
+		}
+		best := ""
+		for _, name := range names {
+			if Weight(c, name) == top && (best == "" || name < best) {
+				best = name
+			}
+		}
+		if owner != best {
+			t.Fatalf("Owner %s != maximum-weight shard %s", owner, best)
 		}
 		// Permuting the name list must not change the winner.
 		perm := append([]string(nil), names...)

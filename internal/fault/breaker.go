@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/metrics"
 )
 
 // State is a circuit breaker state.
@@ -39,11 +40,10 @@ func (s State) String() string {
 // short-circuits all calls for CooldownTicks of stream time, then a
 // single half-open trial call decides whether the partner recovered.
 // It is safe for concurrent use (the fleet router shares one across its
-// handler and prober goroutines); the transition callback fires
-// under the breaker lock and must not call back into it.
+// handler and prober goroutines).
 type Breaker struct {
-	cfg          BreakerConfig
-	onTransition func(from, to State)
+	cfg BreakerConfig
+	met *metrics.Collector
 
 	mu          sync.Mutex
 	state       State
@@ -52,18 +52,24 @@ type Breaker struct {
 	trial       bool // half-open trial call in flight
 }
 
-// NewBreaker returns a closed breaker. onTransition, when non-nil,
-// observes every state change (it feeds the breaker-transition
-// counters of the metrics collector).
-func NewBreaker(cfg BreakerConfig, onTransition func(from, to State)) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), onTransition: onTransition}
+// NewBreaker returns a closed breaker that counts its state changes in
+// m's breaker_opened, breaker_half_opened and breaker_closed counters;
+// m may be nil.
+func NewBreaker(cfg BreakerConfig, m *metrics.Collector) *Breaker {
+	return &Breaker{cfg: cfg.withDefaults(), met: m}
 }
 
+// transition moves the breaker to a different state; the caller holds
+// b.mu.
 func (b *Breaker) transition(to State) {
-	from := b.state
 	b.state = to
-	if b.onTransition != nil && from != to {
-		b.onTransition(from, to)
+	switch to {
+	case Open:
+		b.met.Add(metrics.BreakerOpened, 1)
+	case HalfOpen:
+		b.met.Add(metrics.BreakerHalfOpened, 1)
+	case Closed:
+		b.met.Add(metrics.BreakerClosed, 1)
 	}
 }
 

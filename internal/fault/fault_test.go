@@ -108,9 +108,8 @@ func TestRetryBackoffCappedAndJittered(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	var transitions []string
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, CooldownTicks: 10},
-		func(from, to State) { transitions = append(transitions, from.String()+">"+to.String()) })
+	col := metrics.New()
+	b := NewBreaker(BreakerConfig{FailureThreshold: 3, CooldownTicks: 10}, col)
 
 	if b.State() != Closed {
 		t.Fatal("new breaker not closed")
@@ -156,14 +155,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != Closed {
 		t.Fatal("successful trial did not close the breaker")
 	}
-	want := []string{"closed>open", "open>half-open", "half-open>open", "open>half-open", "half-open>closed"}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transition %d = %q, want %q", i, transitions[i], want[i])
-		}
+	// closed>open, open>half-open, half-open>open, open>half-open,
+	// half-open>closed: each transition counted once.
+	if c := col.Snapshot().Counters; c.BreakerOpened != 2 || c.BreakerHalfOpened != 2 || c.BreakerClosed != 1 {
+		t.Fatalf("transitions counted opened=%d half-opened=%d closed=%d, want 2, 2, 1",
+			c.BreakerOpened, c.BreakerHalfOpened, c.BreakerClosed)
 	}
 }
 

@@ -96,20 +96,9 @@ func New(plan *Plan, runSeed int64, pids []core.PlatformID, m *metrics.Collector
 	}
 	for _, pid := range pids {
 		in.rngs[pid] = rand.New(rand.NewSource(base ^ (int64(pid)+1)*seedMix))
-		in.breakers[pid] = NewBreaker(p.Breaker, in.observeTransition)
+		in.breakers[pid] = NewBreaker(p.Breaker, m)
 	}
 	return in
-}
-
-func (in *Injector) observeTransition(_, to State) {
-	switch to {
-	case Open:
-		in.metrics.Add(metrics.BreakerOpened, 1)
-	case HalfOpen:
-		in.metrics.Add(metrics.BreakerHalfOpened, 1)
-	case Closed:
-		in.metrics.Add(metrics.BreakerClosed, 1)
-	}
 }
 
 // BreakerState returns the current breaker state guarding a platform
@@ -154,22 +143,37 @@ func (in *Injector) spike(rng *rand.Rand) time.Duration {
 // degrades to the remaining platforms (inner-only when all partners are
 // dark).
 func (in *Injector) ProbePartner(viewer, partner core.PlatformID, now core.Time) bool {
-	br := in.breakers[partner]
-	obs := in.observer
-	if obs == nil {
-		ok, _, _ := in.probe(br, viewer, partner, now)
-		return ok
-	}
-	before := br.State()
-	ok, elapsed, short := in.probe(br, viewer, partner, now)
-	in.notify(obs, viewer, partner, before, br.State(), EventProbeFault, elapsed, ok, short)
-	return ok
+	return in.call(viewer, partner, now, in.plan.DropRate, metrics.FaultDroppedProbes, true, EventProbeFault)
 }
 
-func (in *Injector) probe(br *Breaker, viewer, partner core.PlatformID, now core.Time) (ok bool, elapsed time.Duration, short bool) {
+// ClaimPartner decides whether viewer's cross-platform claim against
+// owner goes through at stream time now, injecting transient claim
+// errors under the same deadline/retry/backoff policy and feeding the
+// owner's breaker. A false return is indistinguishable from a lost
+// claim race to the matcher: it simply tries the next candidate.
+func (in *Injector) ClaimPartner(viewer, owner core.PlatformID, now core.Time) bool {
+	return in.call(viewer, owner, now, in.plan.ClaimErrorRate, metrics.FaultClaimErrors, false, EventClaimFault)
+}
+
+// call is one guarded cooperation call of viewer against partner under
+// the retry policy: each try fails inside an outage or with probability
+// rate (counted in failures), and a successful try absorbs a latency
+// spike when spikes is set. A try draws from the viewer's generator in
+// a fixed order — backoff jitter, failure, spike — which keeps faulted
+// runs bit-identical. The observer, when set, sees a denial as failKind.
+func (in *Injector) call(viewer, partner core.PlatformID, now core.Time, rate float64, failures metrics.Counter,
+	spikes bool, failKind EventKind) (ok bool) {
+	br := in.breakers[partner]
+	var elapsed time.Duration
+	short := false
+	if obs := in.observer; obs != nil {
+		before := br.State()
+		defer func() { in.notify(obs, viewer, partner, before, br.State(), failKind, elapsed, ok, short) }()
+	}
 	if !br.Allow(now) {
 		in.metrics.Add(metrics.BreakerShortCircuits, 1)
-		return false, 0, true
+		short = true
+		return false
 	}
 	rng := in.rngs[viewer]
 	for attempt := 0; attempt < in.plan.Retry.MaxAttempts; attempt++ {
@@ -177,29 +181,30 @@ func (in *Injector) probe(br *Breaker, viewer, partner core.PlatformID, now core
 			elapsed += in.plan.Retry.Backoff(attempt-1, rng)
 			in.metrics.Add(metrics.ProbeRetries, 1)
 		}
-		ok := true
+		failed := true
 		switch {
 		case in.outage(partner, now):
 			in.metrics.Add(metrics.FaultOutageHits, 1)
-			ok = false
-		case in.plan.DropRate > 0 && rng.Float64() < in.plan.DropRate:
-			in.metrics.Add(metrics.FaultDroppedProbes, 1)
-			ok = false
+		case rate > 0 && rng.Float64() < rate:
+			in.metrics.Add(failures, 1)
 		default:
-			elapsed += in.spike(rng)
+			failed = false
+			if spikes {
+				elapsed += in.spike(rng)
+			}
 		}
 		if elapsed > in.plan.Retry.Deadline {
 			in.metrics.Add(metrics.ProbeTimeouts, 1)
 			br.Failure(now)
-			return false, elapsed, false
+			return false
 		}
-		if ok {
+		if !failed {
 			br.Success()
-			return true, elapsed, false
+			return true
 		}
 	}
 	br.Failure(now)
-	return false, elapsed, false
+	return false
 }
 
 // notify translates one guarded call's outcome into observer events: a
@@ -224,56 +229,4 @@ func (in *Injector) notify(obs Observer, viewer, partner core.PlatformID, before
 		}
 		obs(viewer, partner, Event{Kind: kind, From: before, To: after})
 	}
-}
-
-// ClaimPartner decides whether viewer's cross-platform claim against
-// owner goes through at stream time now, injecting transient claim
-// errors under the same deadline/retry/backoff policy and feeding the
-// owner's breaker. A false return is indistinguishable from a lost
-// claim race to the matcher: it simply tries the next candidate.
-func (in *Injector) ClaimPartner(viewer, owner core.PlatformID, now core.Time) bool {
-	br := in.breakers[owner]
-	obs := in.observer
-	if obs == nil {
-		ok, _, _ := in.claim(br, viewer, owner, now)
-		return ok
-	}
-	before := br.State()
-	ok, elapsed, short := in.claim(br, viewer, owner, now)
-	in.notify(obs, viewer, owner, before, br.State(), EventClaimFault, elapsed, ok, short)
-	return ok
-}
-
-func (in *Injector) claim(br *Breaker, viewer, owner core.PlatformID, now core.Time) (ok bool, elapsed time.Duration, short bool) {
-	if !br.Allow(now) {
-		in.metrics.Add(metrics.BreakerShortCircuits, 1)
-		return false, 0, true
-	}
-	rng := in.rngs[viewer]
-	for attempt := 0; attempt < in.plan.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			elapsed += in.plan.Retry.Backoff(attempt-1, rng)
-			in.metrics.Add(metrics.ProbeRetries, 1)
-		}
-		ok := true
-		switch {
-		case in.outage(owner, now):
-			in.metrics.Add(metrics.FaultOutageHits, 1)
-			ok = false
-		case in.plan.ClaimErrorRate > 0 && rng.Float64() < in.plan.ClaimErrorRate:
-			in.metrics.Add(metrics.FaultClaimErrors, 1)
-			ok = false
-		}
-		if elapsed > in.plan.Retry.Deadline {
-			in.metrics.Add(metrics.ProbeTimeouts, 1)
-			br.Failure(now)
-			return false, elapsed, false
-		}
-		if ok {
-			br.Success()
-			return true, elapsed, false
-		}
-	}
-	br.Failure(now)
-	return false, elapsed, false
 }

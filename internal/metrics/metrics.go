@@ -85,13 +85,9 @@ const (
 	WALRecoveredEvents
 
 	// Fleet router (internal/route; all zero outside cmd/comroute): lines
-	// forwarded to shards, transport-level retries, hedged duplicate
-	// sends, and lines served by a failover shard instead of their
-	// rendezvous owner.
+	// forwarded to shards and transport-level retries.
 	RouteForwards
 	RouteRetries
-	RouteHedges
-	RouteFailovers
 
 	// ShardStalls is inert, always 0: kept only because the frozen
 	// bench/probes.go reads Counters.ShardStalls; the next benchmark PR
@@ -253,10 +249,8 @@ type Counters struct {
 	WALRecoveries      int64 `json:"wal_recoveries"`
 	WALRecoveredEvents int64 `json:"wal_recovered_events"`
 
-	RouteForwards  int64 `json:"route_forwards"`
-	RouteRetries   int64 `json:"route_retries"`
-	RouteHedges    int64 `json:"route_hedges"`
-	RouteFailovers int64 `json:"route_failovers"`
+	RouteForwards int64 `json:"route_forwards"`
+	RouteRetries  int64 `json:"route_retries"`
 
 	ShardStalls int64 `json:"shard_stalls"`
 }

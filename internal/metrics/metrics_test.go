@@ -30,7 +30,6 @@ var counterNames = []struct {
 	{WALFsyncNs, "wal_fsync_ns"}, {WALSnapshots, "wal_snapshots"},
 	{WALRecoveries, "wal_recoveries"}, {WALRecoveredEvents, "wal_recovered_events"},
 	{RouteForwards, "route_forwards"}, {RouteRetries, "route_retries"},
-	{RouteHedges, "route_hedges"}, {RouteFailovers, "route_failovers"},
 	{ShardStalls, "shard_stalls"},
 }
 

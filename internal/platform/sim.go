@@ -70,10 +70,6 @@ type Config struct {
 	// never touched, and a nil plan leaves the run bit-identical to a
 	// fault-free build. See internal/fault.
 	Faults *fault.Plan
-	// ProbeDeadline, when positive, overrides the fault plan's virtual
-	// per-call deadline for probes and claims. Only meaningful together
-	// with Faults.
-	ProbeDeadline time.Duration
 	// Trace, when non-nil, records per-request decision spans (stage
 	// timings, outcome, payment, faults) into the tracer's bounded
 	// per-platform rings. Tracing never draws from matcher RNGs, so a
@@ -292,12 +288,7 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("platform: %w", err)
 		}
-		plan := cfg.Faults
-		if cfg.ProbeDeadline > 0 {
-			plan = plan.Clone()
-			plan.Retry.Deadline = cfg.ProbeDeadline
-		}
-		inj = fault.New(plan, cfg.Seed, e.pids, cfg.Metrics)
+		inj = fault.New(cfg.Faults, cfg.Seed, e.pids, cfg.Metrics)
 		e.hub.SetFaults(inj)
 	}
 

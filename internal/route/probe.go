@@ -41,9 +41,6 @@ type shard struct {
 	unavailable atomic.Int64 // 503-class lines (draining/recovering)
 	errors      atomic.Int64 // transport failures after retries
 	retries     atomic.Int64
-	hedges      atomic.Int64
-	hedgeWins   atomic.Int64 // hedged duplicate answered first
-	failovers   atomic.Int64 // lines this shard served for another owner
 
 	mu          sync.Mutex
 	lastStatus  string // last probe outcome: ok/recovering/draining/failed/unreachable
@@ -71,12 +68,12 @@ type ShardStatus struct {
 	Unavailable      int64  `json:"unavailable"`
 	Errors           int64  `json:"errors"`
 	Retries          int64  `json:"retries"`
-	Hedges           int64  `json:"hedges"`
-	HedgeWins        int64  `json:"hedge_wins"`
-	Failovers        int64  `json:"failovers"`
-	LastProbeStatus  string `json:"last_probe_status,omitempty"`
-	LastError        string `json:"last_error,omitempty"`
-	LastProbeAgoMs   int64  `json:"last_probe_ago_ms,omitempty"`
+	// Hedges is inert, always 0: kept only because the frozen
+	// bench/serve.go reads it; the next benchmark PR deletes it.
+	Hedges          int64  `json:"hedges"`
+	LastProbeStatus string `json:"last_probe_status,omitempty"`
+	LastError       string `json:"last_error,omitempty"`
+	LastProbeAgoMs  int64  `json:"last_probe_ago_ms,omitempty"`
 }
 
 func (sh *shard) status() ShardStatus {
@@ -93,9 +90,6 @@ func (sh *shard) status() ShardStatus {
 		Unavailable:      sh.unavailable.Load(),
 		Errors:           sh.errors.Load(),
 		Retries:          sh.retries.Load(),
-		Hedges:           sh.hedges.Load(),
-		HedgeWins:        sh.hedgeWins.Load(),
-		Failovers:        sh.failovers.Load(),
 	}
 	sh.mu.Lock()
 	st.LastProbeStatus, st.LastError = sh.lastStatus, sh.lastErr
@@ -126,6 +120,9 @@ func (r *Router) probeLoop(sh *shard) {
 	}
 }
 
+// probeTimeout bounds one health check.
+const probeTimeout = 500 * time.Millisecond
+
 // probe runs one health check. Any HTTP response — 200 ok or 503
 // recovering/draining — is a transport success (the shard is live);
 // readiness comes from the status. Only connect/timeout failures count
@@ -138,7 +135,7 @@ func (r *Router) probe(sh *shard) {
 		sh.setProbe("breaker-open", "")
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/healthz", nil)
 	if err != nil {
@@ -147,7 +144,7 @@ func (r *Router) probe(sh *shard) {
 		sh.setProbe("unreachable", err.Error())
 		return
 	}
-	resp, err := r.probeClient.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		sh.breaker.Failure(r.now())
 		sh.ready.Store(false)

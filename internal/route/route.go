@@ -11,19 +11,16 @@
 // breakers on the internal/fault state machine (connection failures
 // open the breaker; an open breaker short-circuits calls into fast
 // 503s instead of stalling behind a dead shard), transport retries
-// with capped-jittered backoff, optional hedged duplicate sends for
-// calls whose deadline budget allows a second attempt, and explicit
-// backpressure: shard 429/503 lines pass through verbatim with their
-// retry_after_ms, the router's own refusals carry hints, and nothing
-// is ever queued router-side — an overloaded router answers 503.
+// with capped-jittered backoff, and explicit backpressure: shard
+// 429/503 lines pass through verbatim with their retry_after_ms, the
+// router's own refusals carry hints, and nothing is ever queued
+// router-side — an overloaded router answers 503.
 //
-// Ownership is strict by default: an event whose owner shard is dark
-// is refused with a retry hint rather than routed to another shard,
-// which is what keeps a fleet replay bit-identical to an uninterrupted
-// run (every event lands on exactly the shard whose recorded
-// sub-stream contains it). Failover mode relaxes this for live fleets
-// that prefer availability over per-shard determinism: lines fall to
-// the next shard in their cell's rendezvous order.
+// Ownership is strict: an event whose owner shard is dark is refused
+// with a retry hint rather than routed to another shard, which is what
+// keeps a fleet replay bit-identical to an uninterrupted run (every
+// event lands on exactly the shard whose recorded sub-stream contains
+// it).
 package route
 
 import (
@@ -33,32 +30,6 @@ import (
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
 )
-
-// CellKey identifies one spatial-hash cell, the unit of shard
-// ownership. It is an alias for cells.Key, the shared cell→shard
-// assignment.
-type CellKey = cells.Key
-
-// Cell returns the owning cell of a point under the shared grid
-// geometry (index.CellOf).
-func Cell(p geo.Point, cellSize float64) CellKey {
-	return cells.Of(p, cellSize)
-}
-
-// Rank returns the shard names in descending rendezvous-weight order
-// for a cell: Rank(...)[0] is the owner, the rest the failover
-// preference chain. Adding or removing one shard moves only the cells
-// that hashed to it — the consistent-hashing property that keeps a
-// resize from reshuffling the whole fleet. Delegates to cells.Rank,
-// the shared rendezvous hash.
-func Rank(c CellKey, shardNames []string) []string {
-	return cells.Rank(c, shardNames)
-}
-
-// Owner returns the rendezvous owner of a cell (cells.Owner).
-func Owner(c CellKey, shardNames []string) string {
-	return cells.Owner(c, shardNames)
-}
 
 // eventLoc returns the location that determines an event's cell.
 func eventLoc(ev core.Event) geo.Point {
@@ -70,8 +41,8 @@ func eventLoc(ev core.Event) geo.Point {
 
 // SplitStream partitions a recorded stream into per-shard sub-streams
 // by cell ownership — the offline twin of the router's per-line
-// dispatch, guaranteed to agree with it because both call Owner on the
-// same geometry. Each shard's sub-stream preserves the global arrival
+// dispatch, guaranteed to agree with it because both call
+// cells.OwnerIndex on the same geometry. Each shard's sub-stream preserves the global arrival
 // order, so serving it in replay mode reproduces exactly the events
 // the router will hand that shard.
 func SplitStream(s *core.Stream, shardNames []string, cellSize float64) (map[string]*core.Stream, error) {
@@ -88,14 +59,14 @@ func SplitStream(s *core.Stream, shardNames []string, cellSize float64) (map[str
 		}
 		seen[n] = true
 	}
-	parts := make(map[string][]core.Event, len(shardNames))
+	parts := make([][]core.Event, len(shardNames))
 	for _, ev := range s.Events() {
-		owner := Owner(Cell(eventLoc(ev), cellSize), shardNames)
+		owner := cells.OwnerIndex(cells.Of(eventLoc(ev), cellSize), shardNames)
 		parts[owner] = append(parts[owner], ev)
 	}
 	out := make(map[string]*core.Stream, len(shardNames))
-	for _, name := range shardNames {
-		sub, err := core.NewStreamOwned(parts[name])
+	for i, name := range shardNames {
+		sub, err := core.NewStreamOwned(parts[i])
 		if err != nil {
 			return nil, fmt.Errorf("route: shard %s sub-stream: %w", name, err)
 		}

@@ -4,31 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"crossmatch/internal/cells"
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
+	"crossmatch/internal/index"
 )
-
-func TestRankOwnerAgreement(t *testing.T) {
-	names := []string{"s1", "s2", "s3", "s4"}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		c := CellKey{CX: int32(rng.Intn(200) - 100), CY: int32(rng.Intn(200) - 100)}
-		rank := Rank(c, names)
-		if len(rank) != len(names) {
-			t.Fatalf("Rank returned %d names, want %d", len(rank), len(names))
-		}
-		if rank[0] != Owner(c, names) {
-			t.Fatalf("cell %v: Rank[0]=%s, Owner=%s", c, rank[0], Owner(c, names))
-		}
-		seen := map[string]bool{}
-		for _, n := range rank {
-			if seen[n] {
-				t.Fatalf("cell %v: duplicate %s in rank %v", c, n, rank)
-			}
-			seen[n] = true
-		}
-	}
-}
 
 // TestRendezvousStability is the consistent-hashing property: removing
 // one shard moves only the cells it owned — every other cell keeps its
@@ -39,9 +19,9 @@ func TestRendezvousStability(t *testing.T) {
 	moved, kept := 0, 0
 	for cx := int32(-50); cx < 50; cx++ {
 		for cy := int32(-50); cy < 50; cy++ {
-			c := CellKey{CX: cx, CY: cy}
-			before := Owner(c, names)
-			after := Owner(c, without)
+			c := cells.Key{CX: cx, CY: cy}
+			before := cells.Owner(c, names)
+			after := cells.Owner(c, without)
 			if before == "s2" {
 				moved++
 				continue
@@ -65,7 +45,7 @@ func TestOwnerBalance(t *testing.T) {
 	total := 0
 	for cx := int32(0); cx < 100; cx++ {
 		for cy := int32(0); cy < 100; cy++ {
-			counts[Owner(CellKey{CX: cx, CY: cy}, names)]++
+			counts[cells.Owner(cells.Key{CX: cx, CY: cy}, names)]++
 			total++
 		}
 	}
@@ -112,7 +92,7 @@ func TestSplitStreamAgreesWithOwner(t *testing.T) {
 	total := 0
 	for name, sub := range parts {
 		for _, ev := range sub.Events() {
-			owner := Owner(Cell(eventLoc(ev), 1.0), names)
+			owner := cells.Owner(cells.Of(eventLoc(ev), 1.0), names)
 			if owner != name {
 				t.Fatalf("event %d in sub-stream %s, owner is %s", eventID(ev), name, owner)
 			}
@@ -159,7 +139,7 @@ func pointOwnedBy(t *testing.T, name string, names []string, cellSize float64) g
 	t.Helper()
 	for i := 0; i < 10_000; i++ {
 		p := geo.Point{X: float64(i%100) + 0.5, Y: float64(i/100) + 0.5}
-		if Owner(Cell(p, cellSize), names) == name {
+		if cells.Owner(cells.Of(p, cellSize), names) == name {
 			return p
 		}
 	}
@@ -167,25 +147,28 @@ func pointOwnedBy(t *testing.T, name string, names []string, cellSize float64) g
 	return geo.Point{}
 }
 
+// TestCellGeometry: a zero cell size splits on the default grid cell,
+// the geometry the router dispatches on when Options.CellSize is unset.
 func TestCellGeometry(t *testing.T) {
-	c1 := Cell(geo.Point{X: 1.2, Y: -0.3}, 1.0)
-	if c1.CX != 1 || c1.CY != -1 {
-		t.Fatalf("Cell(1.2,-0.3) = %v, want {1 -1}", c1)
+	names := []string{"s1", "s2", "s3"}
+	stream := testStream(t, 400)
+	byDefault, err := SplitStream(stream, names, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Zero cell size falls back to the default grid cell.
-	c2 := Cell(geo.Point{X: 1.2, Y: -0.3}, 0)
-	if c2 != c1 {
-		t.Fatalf("default cell size: %v != %v", c2, c1)
+	explicit, err := SplitStream(stream, names, index.DefaultCell)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func BenchmarkOwner(b *testing.B) {
-	names := []string{"s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := CellKey{CX: int32(i % 512), CY: int32(i % 251)}
-		if Owner(c, names) == "" {
-			b.Fatal("empty owner")
+	for _, name := range names {
+		a, b := byDefault[name].Events(), explicit[name].Events()
+		if len(a) != len(b) {
+			t.Fatalf("shard %s: %d events at cell size 0, %d at the default cell", name, len(a), len(b))
+		}
+		for i := range a {
+			if eventID(a[i]) != eventID(b[i]) {
+				t.Fatalf("shard %s event %d differs between cell size 0 and the default cell", name, i)
+			}
 		}
 	}
 }

@@ -9,12 +9,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"crossmatch/internal/cells"
 	"crossmatch/internal/core"
 	"crossmatch/internal/fault"
 	"crossmatch/internal/geo"
@@ -28,49 +30,15 @@ type Options struct {
 	// rendezvous-hash identities — keep them stable across restarts.
 	Shards []ShardConfig
 	// CellSize is the spatial-hash cell edge length in km (default
-	// index.DefaultCell via CellOf). It must match the geometry used to
-	// split replay streams.
+	// index.DefaultCell via cells.Of). It must match the geometry used
+	// to split replay streams.
 	CellSize float64
 	// ProbeInterval is the per-shard health-check period (default
-	// 100ms). ProbeTimeout bounds one probe (default 500ms).
+	// 100ms).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// Breaker tunes the per-shard circuit breakers (fault.Breaker).
-	// Router defaults are tighter than the engine-side ones: threshold
-	// 3, cooldown 750ms — a SIGKILLed shard must be routed around
-	// within the probe deadline, not after five failed requests.
-	Breaker fault.BreakerConfig
-	// Retry bounds transport-level retries per shard call: MaxAttempts
-	// tries with capped-jittered backoff (BaseBackoff/MaxBackoff).
-	// Defaults: 2 attempts, 5ms base, 100ms cap. Only transport
-	// failures retry — shard 429/503 lines are backpressure and pass
-	// through to the client untouched.
-	Retry fault.RetryPolicy
-	// Deadline is the end-to-end budget for one client call, covering
-	// retries, backoff and hedges (default 15s).
-	Deadline time.Duration
-	// CallTimeout bounds a single shard HTTP call (default 10s).
-	CallTimeout time.Duration
-	// HedgeAfter, when positive, races a duplicate send against a shard
-	// call that has not answered within this delay, if the remaining
-	// deadline budget allows it; first response wins. Only safe when
-	// duplicate delivery is idempotent — replay-mode shards dedupe by
-	// event ID, live-mode shards do not. Default 0 (disabled).
-	HedgeAfter time.Duration
-	// Failover routes a line to the next shard in its cell's rendezvous
-	// order when the owner is unhealthy. Default false: strict
-	// ownership, where a dark owner means a fast 503 with a retry hint
-	// — required for bit-exact fleet replay (an event must only ever be
-	// applied by the shard whose recorded sub-stream contains it).
-	Failover bool
-	// MaxInflight bounds concurrently forwarded client calls; excess
-	// answers 503 immediately (default 256). The router never queues.
-	MaxInflight int
 	// Metrics receives route_* counters and breaker transitions;
 	// created internally when nil.
 	Metrics *metrics.Collector
-	// Client overrides the shard HTTP client (tests inject one).
-	Client *http.Client
 }
 
 // routerCounters is the router-side accounting exposed at /v1/metrics.
@@ -85,23 +53,26 @@ type routerCounters struct {
 // Router is the fleet front: create with New, expose Handler, stop
 // with Close.
 type Router struct {
-	opts        Options
-	names       []string
-	shards      map[string]*shard
-	mux         *http.ServeMux
-	client      *http.Client
-	probeClient *http.Client
-	met         *metrics.Collector
-	started     time.Time
-	done        chan struct{}
-	wg          sync.WaitGroup
-	closeOnce   sync.Once
-	inflight    chan struct{}
-	ctr         routerCounters
+	opts      Options
+	names     []string // rendezvous identities, in Options.Shards order
+	shards    []*shard // shards[i] is names[i]
+	mux       *http.ServeMux
+	client    *http.Client
+	met       *metrics.Collector
+	started   time.Time
+	done      chan struct{}
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	inflight  chan struct{}
+	ctr       routerCounters
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 }
+
+// maxInflight bounds concurrently forwarded client calls; excess
+// answers 503 immediately. The router never queues.
+const maxInflight = 256
 
 // New validates the options, builds the shard table and starts one
 // health prober per shard.
@@ -112,78 +83,41 @@ func New(opts Options) (*Router, error) {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 100 * time.Millisecond
 	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = 500 * time.Millisecond
-	}
-	if opts.Breaker.FailureThreshold < 1 {
-		opts.Breaker.FailureThreshold = 3
-	}
-	if opts.Breaker.CooldownTicks < 1 {
-		opts.Breaker.CooldownTicks = 750 // ms of router stream time
-	}
-	if opts.Retry.MaxAttempts < 1 {
-		opts.Retry.MaxAttempts = 2
-	}
-	if opts.Retry.BaseBackoff <= 0 {
-		opts.Retry.BaseBackoff = 5 * time.Millisecond
-	}
-	if opts.Retry.MaxBackoff <= 0 {
-		opts.Retry.MaxBackoff = 100 * time.Millisecond
-	}
-	if opts.Deadline <= 0 {
-		opts.Deadline = 15 * time.Second
-	}
-	if opts.CallTimeout <= 0 {
-		opts.CallTimeout = 10 * time.Second
-	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 256
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.New()
 	}
 
+	// The default transport keeps only 2 idle connections per host;
+	// with every client call fanning out to the same handful of shards,
+	// that churns TCP connects and costs ~40% throughput.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no global cap
+	tr.MaxIdleConnsPerHost = 4 * maxInflight
 	r := &Router{
 		opts:     opts,
-		shards:   make(map[string]*shard, len(opts.Shards)),
+		client:   &http.Client{Transport: tr},
 		met:      opts.Metrics,
 		started:  time.Now(),
 		done:     make(chan struct{}),
-		inflight: make(chan struct{}, opts.MaxInflight),
+		inflight: make(chan struct{}, maxInflight),
 		rng:      rand.New(rand.NewSource(1)), // backoff jitter only; no determinism contract
 	}
-	r.client = opts.Client
-	if r.client == nil {
-		// The default transport keeps only 2 idle connections per host;
-		// with every client call fanning out to the same handful of
-		// shards, that churns TCP connects and costs ~40% throughput.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns = 0 // no global cap
-		tr.MaxIdleConnsPerHost = 4 * opts.MaxInflight
-		r.client = &http.Client{Transport: tr}
-	}
-	r.probeClient = r.client
 	for _, sc := range opts.Shards {
 		if sc.Name == "" || sc.URL == "" {
 			return nil, fmt.Errorf("route: shard needs name and url, got %q=%q", sc.Name, sc.URL)
 		}
-		if _, dup := r.shards[sc.Name]; dup {
+		if slices.Contains(r.names, sc.Name) {
 			return nil, fmt.Errorf("route: duplicate shard name %q", sc.Name)
 		}
-		sh := &shard{name: sc.Name, url: strings.TrimRight(sc.URL, "/")}
-		met := r.met
-		sh.breaker = fault.NewBreaker(opts.Breaker, func(from, to fault.State) {
-			switch to {
-			case fault.Open:
-				met.Add(metrics.BreakerOpened, 1)
-			case fault.HalfOpen:
-				met.Add(metrics.BreakerHalfOpened, 1)
-			case fault.Closed:
-				met.Add(metrics.BreakerClosed, 1)
-			}
-		})
-		r.shards[sc.Name] = sh
 		r.names = append(r.names, sc.Name)
+		r.shards = append(r.shards, &shard{
+			name: sc.Name,
+			url:  strings.TrimRight(sc.URL, "/"),
+			// Tighter than the engine-side default: a SIGKILLed shard must
+			// be routed around within the probe deadline, not after five
+			// failed requests. The cooldown is in ms of router stream time.
+			breaker: fault.NewBreaker(fault.BreakerConfig{FailureThreshold: 3, CooldownTicks: 750}, r.met),
+		})
 	}
 
 	r.mux = http.NewServeMux()
@@ -200,9 +134,9 @@ func New(opts Options) (*Router, error) {
 	r.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	r.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 
-	for _, name := range r.names {
+	for _, sh := range r.shards {
 		r.wg.Add(1)
-		go r.probeLoop(r.shards[name])
+		go r.probeLoop(sh)
 	}
 	return r, nil
 }
@@ -210,19 +144,20 @@ func New(opts Options) (*Router, error) {
 // Handler returns the router's HTTP handler.
 func (r *Router) Handler() http.Handler { return r.mux }
 
-// Close stops the health probers. Idempotent.
+// Close stops the health probers and drops the idle shard connections.
+// Idempotent.
 func (r *Router) Close() {
 	r.closeOnce.Do(func() { close(r.done) })
 	r.wg.Wait()
+	r.client.CloseIdleConnections()
 }
 
 // Shard returns the live status of one shard (tests and status pages).
 func (r *Router) Shard(name string) (ShardStatus, bool) {
-	sh, ok := r.shards[name]
-	if !ok {
-		return ShardStatus{}, false
+	if i := slices.Index(r.names, name); i >= 0 {
+		return r.shards[i].status(), true
 	}
-	return sh.status(), true
+	return ShardStatus{}, false
 }
 
 // wirePoint is the lenient per-line parse the router needs: only the
@@ -231,12 +166,6 @@ func (r *Router) Shard(name string) (ShardStatus, bool) {
 type wirePoint struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
-}
-
-// lineRoute is one line's dispatch decision.
-type lineRoute struct {
-	shard    *shard // nil: answered locally (bad line or refused)
-	failover bool
 }
 
 // handleForward is the router hot path: split the batch, pick each
@@ -281,16 +210,19 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 	// Group the forwardable lines per shard, preserving input order
 	// within each group (the shard sequences a batch FIFO).
 	groups := make(map[*shard][]int)
-	for i, lr := range routes {
-		if lr.shard != nil {
-			groups[lr.shard] = append(groups[lr.shard], i)
+	for i, sh := range routes {
+		if sh != nil {
+			groups[sh] = append(groups[sh], i)
 		}
 	}
-	ctx, cancel := context.WithTimeout(req.Context(), r.opts.Deadline)
+	// callDeadline is the end-to-end budget for one client call,
+	// covering transport retries and their backoff.
+	const callDeadline = 15 * time.Second
+	ctx, cancel := context.WithTimeout(req.Context(), callDeadline)
 	defer cancel()
 	if len(groups) == 1 { // the common case: no fan-out, no goroutine
 		for sh, idxs := range groups {
-			r.forwardGroup(ctx, sh, kind, lines, idxs, routes, outs)
+			r.forwardGroup(ctx, sh, kind, lines, idxs, outs)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -298,7 +230,7 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 			wg.Add(1)
 			go func(sh *shard, idxs []int) {
 				defer wg.Done()
-				r.forwardGroup(ctx, sh, kind, lines, idxs, routes, outs)
+				r.forwardGroup(ctx, sh, kind, lines, idxs, outs)
 			}(sh, idxs)
 		}
 		wg.Wait()
@@ -306,21 +238,14 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 	r.reply(w, batch, outs)
 }
 
-// dispatch picks each line's shard. Eligibility (ready + breaker
-// admission) is evaluated at most once per shard per client call, so a
-// half-open breaker's single trial is one forwarded sub-batch, not one
-// per line.
-func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs [][]byte) []lineRoute {
-	routes := make([]lineRoute, len(lines))
+// dispatch picks each line's shard: its cell's rendezvous owner, or nil
+// when the line was answered locally (unparseable, or the owner is
+// dark). Eligibility (ready + breaker admission) is evaluated at most
+// once per shard per client call, so a half-open breaker's single trial
+// is one forwarded sub-batch, not one per line.
+func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs [][]byte) []*shard {
+	routes := make([]*shard, len(lines))
 	elig := make(map[*shard]bool, len(r.names))
-	allowed := func(sh *shard) bool {
-		ok, seen := elig[sh]
-		if !seen {
-			ok = sh.ready.Load() && sh.breaker.Allow(r.now())
-			elig[sh] = ok
-		}
-		return ok
-	}
 	for i, line := range lines {
 		x, y, ok := scanPoint(line)
 		if !ok {
@@ -333,35 +258,23 @@ func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs [][]byte) []
 			}
 			x, y = pt.X, pt.Y
 		}
-		cell := Cell(geo.Point{X: x, Y: y}, r.opts.CellSize)
-		if !r.opts.Failover {
-			sh := r.shards[Owner(cell, r.names)]
-			if !allowed(sh) {
-				r.refuse(kind, sh, &outs[i])
-				continue
-			}
-			routes[i] = lineRoute{shard: sh}
+		sh := r.shards[cells.OwnerIndex(cells.Of(geo.Point{X: x, Y: y}, r.opts.CellSize), r.names)]
+		ok, seen := elig[sh]
+		if !seen {
+			ok = sh.ready.Load() && sh.breaker.Allow(r.now())
+			elig[sh] = ok
+		}
+		if !ok {
+			r.refuse(kind, sh, &outs[i])
 			continue
 		}
-		var chosen *shard
-		rank := Rank(cell, r.names)
-		for pos, name := range rank {
-			if sh := r.shards[name]; allowed(sh) {
-				chosen = sh
-				routes[i] = lineRoute{shard: sh, failover: pos > 0}
-				break
-			}
-		}
-		if chosen == nil {
-			r.refuse(kind, r.shards[rank[0]], &outs[i])
-		}
+		routes[i] = sh
 	}
 	return routes
 }
 
-// refuse answers one line locally: its owner (and, in failover mode,
-// every fallback) is dark. The hint tells clients when the prober
-// could plausibly have re-admitted the shard.
+// refuse answers one line locally: its owner is dark. The hint tells
+// clients when the prober could plausibly have re-admitted the shard.
 func (r *Router) refuse(kind core.EventKind, owner *shard, out *[]byte) {
 	r.ctr.refused.Add(1)
 	*out = encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
@@ -382,13 +295,19 @@ func (r *Router) retryHintMs() int64 {
 	return serve.RetryAfterWireMs(hint)
 }
 
+// shardRetry bounds transport-level retries per shard call: 2 tries
+// with capped-jittered backoff between them. Only transport failures
+// retry — shard 429/503 lines are backpressure and pass through to the
+// client untouched.
+var shardRetry = fault.RetryPolicy{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
+
 // forwardGroup posts one shard's sub-batch and scatters the per-line
 // decisions back into outs at their original indices. Transport
-// failures retry under the capped-jittered backoff policy within the
-// call deadline; a final failure answers every line unavailable. Shard
-// backpressure lines (shed/draining/recovering) pass through with
-// their own retry_after_ms.
-func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKind, lines [][]byte, idxs []int, routes []lineRoute, outs [][]byte) {
+// failures retry under shardRetry within the call deadline; a final
+// failure answers every line unavailable. Shard backpressure lines
+// (shed/draining/recovering) pass through with their own
+// retry_after_ms.
+func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKind, lines [][]byte, idxs []int, outs [][]byte) {
 	total := 0
 	for _, i := range idxs {
 		total += len(lines[i]) + 1
@@ -421,13 +340,13 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 				break
 			}
 		}
-		decs, err = r.callShard(ctx, sh, kind, payload)
+		decs, err = r.post(ctx, sh, kind, payload)
 		if err == nil {
 			sh.breaker.Success()
 			break
 		}
 		sh.breaker.Failure(r.now())
-		if attempt+1 >= r.opts.Retry.MaxAttempts || ctx.Err() != nil {
+		if attempt+1 >= shardRetry.MaxAttempts || ctx.Err() != nil {
 			break
 		}
 	}
@@ -471,10 +390,6 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 		case serve.StatusDraining, serve.StatusRecovering, serve.StatusUnavailable:
 			sh.unavailable.Add(1)
 		}
-		if routes[i].failover {
-			sh.failovers.Add(1)
-			r.met.Add(metrics.RouteFailovers, 1)
-		}
 		outs[i] = line
 	}
 }
@@ -483,75 +398,26 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 func (r *Router) backoff(attempt int) time.Duration {
 	r.rngMu.Lock()
 	defer r.rngMu.Unlock()
-	return r.opts.Retry.Backoff(attempt, r.rng)
+	return shardRetry.Backoff(attempt, r.rng)
 }
 
-// callShard runs one shard POST, hedging a duplicate send when enabled
-// and the deadline budget allows. The shard always answers NDJSON
-// per-line decisions (the router forces batch semantics).
-func (r *Router) callShard(ctx context.Context, sh *shard, kind core.EventKind, payload []byte) ([][]byte, error) {
-	deadline, hasDeadline := ctx.Deadline()
-	budget := r.opts.CallTimeout
-	if hasDeadline {
-		if rem := time.Until(deadline); rem < budget {
-			budget = rem
-		}
+// callTimeout bounds a single shard HTTP call.
+const callTimeout = 10 * time.Second
+
+// post is one HTTP round trip to a shard ingest endpoint, bounded by
+// callTimeout and by what is left of the client call's deadline. The
+// shard always answers NDJSON per-line decisions (the router forces
+// batch semantics).
+func (r *Router) post(ctx context.Context, sh *shard, kind core.EventKind, payload []byte) ([][]byte, error) {
+	budget := callTimeout
+	if deadline, ok := ctx.Deadline(); ok {
+		budget = min(budget, time.Until(deadline))
 	}
 	if budget <= 0 {
 		return nil, context.DeadlineExceeded
 	}
-	hedge := r.opts.HedgeAfter
-	if hedge <= 0 || budget < 2*hedge {
-		cctx, cancel := context.WithTimeout(ctx, budget)
-		defer cancel()
-		return r.post(cctx, sh, kind, payload)
-	}
-
-	cctx, cancel := context.WithTimeout(ctx, budget)
+	ctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
-	type result struct {
-		decs   [][]byte
-		err    error
-		hedged bool
-	}
-	ch := make(chan result, 2)
-	launch := func(hedged bool) {
-		go func() {
-			decs, err := r.post(cctx, sh, kind, payload)
-			ch <- result{decs, err, hedged}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(hedge)
-	defer timer.Stop()
-	inFlight := 1
-	for {
-		select {
-		case res := <-ch:
-			inFlight--
-			if res.err == nil {
-				if res.hedged {
-					sh.hedgeWins.Add(1)
-				}
-				return res.decs, nil
-			}
-			if inFlight == 0 {
-				return nil, res.err
-			}
-			// One attempt failed; wait for the other.
-		case <-timer.C:
-			if inFlight == 1 {
-				sh.hedges.Add(1)
-				r.met.Add(metrics.RouteHedges, 1)
-				launch(true)
-				inFlight++
-			}
-		}
-	}
-}
-
-// post is one HTTP round trip to a shard ingest endpoint.
-func (r *Router) post(ctx context.Context, sh *shard, kind core.EventKind, payload []byte) ([][]byte, error) {
 	url := sh.url + "/v1/requests"
 	if kind == core.WorkerArrival {
 		url = sh.url + "/v1/workers"
@@ -822,36 +688,32 @@ func (r *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // accounting, the per-shard health/breaker table, and the shared
 // collector counters (route_*, breaker_*).
 type Snapshot struct {
-	UptimeMs     int64          `json:"uptime_ms"`
-	CellSize     float64        `json:"cell_size"`
-	Failover     bool           `json:"failover"`
-	HedgeAfterMs int64          `json:"hedge_after_ms,omitempty"`
-	Calls        int64          `json:"calls"`
-	Lines        int64          `json:"lines"`
-	BadLines     int64          `json:"bad_lines"`
-	Busy         int64          `json:"busy"`
-	Refused      int64          `json:"refused"`
-	ReadyShards  int            `json:"ready_shards"`
-	Shards       []ShardStatus  `json:"shards"`
-	Metrics      metrics.Report `json:"metrics"`
+	UptimeMs    int64          `json:"uptime_ms"`
+	CellSize    float64        `json:"cell_size"`
+	Calls       int64          `json:"calls"`
+	Lines       int64          `json:"lines"`
+	BadLines    int64          `json:"bad_lines"`
+	Busy        int64          `json:"busy"`
+	Refused     int64          `json:"refused"`
+	ReadyShards int            `json:"ready_shards"`
+	Shards      []ShardStatus  `json:"shards"`
+	Metrics     metrics.Report `json:"metrics"`
 }
 
 // Snapshot returns the current fleet metrics document.
 func (r *Router) Snapshot() Snapshot {
 	snap := Snapshot{
-		UptimeMs:     time.Since(r.started).Milliseconds(),
-		CellSize:     r.opts.CellSize,
-		Failover:     r.opts.Failover,
-		HedgeAfterMs: r.opts.HedgeAfter.Milliseconds(),
-		Calls:        r.ctr.calls.Load(),
-		Lines:        r.ctr.lines.Load(),
-		BadLines:     r.ctr.badLines.Load(),
-		Busy:         r.ctr.busy.Load(),
-		Refused:      r.ctr.refused.Load(),
-		Metrics:      r.met.Snapshot(),
+		UptimeMs: time.Since(r.started).Milliseconds(),
+		CellSize: r.opts.CellSize,
+		Calls:    r.ctr.calls.Load(),
+		Lines:    r.ctr.lines.Load(),
+		BadLines: r.ctr.badLines.Load(),
+		Busy:     r.ctr.busy.Load(),
+		Refused:  r.ctr.refused.Load(),
+		Metrics:  r.met.Snapshot(),
 	}
-	for _, name := range r.names {
-		st := r.shards[name].status()
+	for _, sh := range r.shards {
+		st := sh.status()
 		if st.Ready {
 			snap.ReadyShards++
 		}

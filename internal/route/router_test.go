@@ -11,14 +11,13 @@ import (
 	"testing"
 	"time"
 
-	"crossmatch/internal/fault"
 	"crossmatch/internal/geo"
 	"crossmatch/internal/serve"
 )
 
 // fakeShard is a scriptable stand-in for a comserve shard: health is a
 // switch, ingest answers a configurable per-line status, and the first
-// N posts can be slowed down (hedging tests).
+// N posts can be slowed down.
 type fakeShard struct {
 	name string
 	srv  *httptest.Server
@@ -90,12 +89,6 @@ func newTestRouter(t *testing.T, opts Options, shards ...*fakeShard) *Router {
 	}
 	if opts.ProbeInterval == 0 {
 		opts.ProbeInterval = 10 * time.Millisecond
-	}
-	if opts.ProbeTimeout == 0 {
-		opts.ProbeTimeout = 200 * time.Millisecond
-	}
-	if opts.Breaker.FailureThreshold == 0 {
-		opts.Breaker = fault.BreakerConfig{FailureThreshold: 2, CooldownTicks: 100}
 	}
 	r, err := New(opts)
 	if err != nil {
@@ -208,7 +201,7 @@ func TestDeadShardRoutedAround(t *testing.T) {
 	}
 
 	// The probes keep failing: the breaker must open within the probe
-	// deadline (threshold 2, probes every 10ms).
+	// deadline (threshold 3, probes every 10ms).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st, _ := r.Shard("s3")
@@ -248,28 +241,6 @@ func TestReadmissionAfterRecovery(t *testing.T) {
 	}
 }
 
-// TestFailoverRoutesToNextPreference: with -failover, a dark owner's
-// lines land on the next shard in the cell's rendezvous order.
-func TestFailoverRoutesToNextPreference(t *testing.T) {
-	s1, s2 := newFakeShard(t, "s1"), newFakeShard(t, "s2")
-	s3 := newFakeShard(t, "s3")
-	s3.healthy.Store(false)
-	r := newTestRouter(t, Options{Failover: true}, s1, s2, s3)
-	names := []string{"s1", "s2", "s3"}
-	waitReady(t, r, "s3", false)
-
-	p := pointOwnedBy(t, "s3", names, 0)
-	next := Rank(Cell(p, 0), names)[1]
-	outs := postLines(t, r.Handler(), "/v1/requests", lineAt(p))
-	if outs[0].Status != serve.StatusOK || outs[0].Shard != next {
-		t.Fatalf("failover line: %+v, want ok on %s", outs[0], next)
-	}
-	st, _ := r.Shard(next)
-	if st.Failovers != 1 {
-		t.Fatalf("failover counter on %s: %d, want 1", next, st.Failovers)
-	}
-}
-
 // TestBackpressurePassthrough: shard 429 lines reach the client with
 // their retry hint, untouched by the router's transport retries.
 func TestBackpressurePassthrough(t *testing.T) {
@@ -304,33 +275,6 @@ func TestSingleObjectStatusMapping(t *testing.T) {
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("refusal without Retry-After header")
-	}
-}
-
-// TestHedgedSendWins: the first post hangs past the hedge delay, the
-// duplicate answers, and the call completes well before the slow
-// attempt would have.
-func TestHedgedSendWins(t *testing.T) {
-	s1 := newFakeShard(t, "s1")
-	s1.slowFor = 2 * time.Second
-	s1.slowPosts.Store(1)
-	r := newTestRouter(t, Options{HedgeAfter: 30 * time.Millisecond}, s1)
-	// The initial probe may have consumed the slow slot; re-arm it so
-	// the next ingest post is the slow one.
-	s1.slowPosts.Store(1)
-
-	t0 := time.Now()
-	outs := postLines(t, r.Handler(), "/v1/requests", lineAt(geo.Point{X: 0.5, Y: 0.5}))
-	el := time.Since(t0)
-	if outs[0].Status != serve.StatusOK {
-		t.Fatalf("hedged call: %+v", outs[0])
-	}
-	if el >= s1.slowFor {
-		t.Fatalf("hedge did not help: call took %v", el)
-	}
-	st, _ := r.Shard("s1")
-	if st.Hedges < 1 || st.HedgeWins < 1 {
-		t.Fatalf("hedge accounting: %+v", st)
 	}
 }
 
@@ -391,7 +335,8 @@ func TestBadLineAnsweredLocally(t *testing.T) {
 func TestMaxInflightBounds(t *testing.T) {
 	s1 := newFakeShard(t, "s1")
 	s1.slowFor = 300 * time.Millisecond
-	r := newTestRouter(t, Options{MaxInflight: 1}, s1)
+	r := newTestRouter(t, Options{}, s1)
+	r.inflight = make(chan struct{}, 1) // an inflight bound of 1
 	s1.slowPosts.Store(1)
 
 	line := lineAt(geo.Point{X: 0.5, Y: 0.5})
@@ -423,19 +368,18 @@ func TestMaxInflightBounds(t *testing.T) {
 	}
 }
 
-// TestFailoverRetryHintPrecedence is the retry-hint regression: with
-// -failover, a cell whose owner is breaker-open and has no eligible
-// fallback is refused locally by the router, and that refusal must
-// carry BOTH backoff hints with the precedence documented in
-// serve/admission.go — the body retry_after_ms is authoritative and
-// the Retry-After header is the same hint rounded up to whole seconds,
-// so a header-driven client never backs off shorter than a body-driven
-// one.
-func TestFailoverRetryHintPrecedence(t *testing.T) {
+// TestRefusalRetryHintPrecedence is the retry-hint regression: a cell
+// whose owner is breaker-open is refused locally by the router, and
+// that refusal must carry BOTH backoff hints with the precedence
+// documented in serve/admission.go — the body retry_after_ms is
+// authoritative and the Retry-After header is the same hint rounded up
+// to whole seconds, so a header-driven client never backs off shorter
+// than a body-driven one.
+func TestRefusalRetryHintPrecedence(t *testing.T) {
 	dead := newFakeShard(t, "s1")
 	dead.srv.Close()
 	dead.healthy.Store(false)
-	r := newTestRouter(t, Options{Failover: true}, dead)
+	r := newTestRouter(t, Options{}, dead)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestPricingStatsExported checks the run-level pricing counters surface
@@ -50,7 +49,6 @@ func TestBadOptionsRejected(t *testing.T) {
 		opt  Option
 	}{
 		{"negative service ticks", WithServiceTicks(-1)},
-		{"negative probe deadline", WithProbeDeadline(-time.Second)},
 	}
 	for _, c := range cases {
 		if _, err := SimulateContext(context.Background(), stream, TOTA, WithSeed(1), c.opt); !errors.Is(err, ErrBadOption) {

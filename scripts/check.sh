@@ -33,6 +33,15 @@ if [ "$shim" != "$want" ]; then
 	exit 1
 fi
 
+echo "==> the fleet router has one path: no hedged sends, no failover, no knob only one value reaches"
+router='Hedge|[Ff]ailover|hedge-after|probe-timeout|call-timeout|max-inflight|breaker-threshold|breaker-cooldown'
+# The one hit allowed: route.ShardStatus.Hedges, inert for bench/serve.go,
+# and the first line of its comment.
+if [ "$(git grep -cE "$router" -- '*.go' ':!bench' ':!*_test.go')" != "internal/route/probe.go:2" ]; then
+	git grep -nE "$router" -- '*.go' ':!bench' ':!*_test.go' >&2
+	exit 1
+fi
+
 echo "==> go test -race"
 go test -race ./...
 
