@@ -400,7 +400,9 @@ func SimulateSource(ctx context.Context, pids []PlatformID, algorithm string, ma
 }
 
 // Offline computes the OFF baseline: the offline optimum of COM as an
-// exact maximum-weight bipartite matching (Section II-B).
+// exact maximum-weight bipartite matching (Section II-B). It is exact at
+// every size it accepts; a stream whose graph is past the solver's work
+// bound gets an error naming the graph's sizes, not an estimate.
 func Offline(stream *Stream) (*OfflineResult, error) {
 	return platform.Offline(stream)
 }

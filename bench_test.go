@@ -393,9 +393,12 @@ func BenchmarkBatchWindow(b *testing.B) {
 // when the benchmark's path was last reworked on purpose: PR 27 for all
 // three, when online.Pool's scratch stopped going through a sync.Pool
 // that dropped Puts under -race (31328, 37722 and 35572 allocs/op with
-// or without -race; 35238, 41922 and 38089 under -race before it). A
-// change that allocates less may lower a ceiling; one that allocates
-// more must say why.
+// or without -race; 35238, 41922 and 38089 under -race before it).
+// BatchWindow's was lowered to 1.10x 26213 once BatchCOM's flush sorted
+// with slices.SortFunc instead of sort.Slice (35566 → 21415) and every
+// window went to MaxWeightFlow instead of the dense Hungarian. A change
+// that allocates less may lower a ceiling; one that allocates more must
+// say why.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three benchmarks")
@@ -407,7 +410,7 @@ func TestAllocCeilings(t *testing.T) {
 	}{
 		{"TableV", BenchmarkTableV, 34460},
 		{"TableVI", BenchmarkTableVI, 41494},
-		{"BatchWindow", BenchmarkBatchWindow, 39129},
+		{"BatchWindow", BenchmarkBatchWindow, 28834},
 	} {
 		if got := testing.Benchmark(c.fn).AllocsPerOp(); got > c.ceiling {
 			t.Errorf("Benchmark%s: %d allocs/op, ceiling %d", c.name, got, c.ceiling)

@@ -5,7 +5,7 @@ package match
 // instead of a []Edge — so the windowed matcher's hot loop appends three
 // scalars per arc and reuses all three arrays across windows. Solve
 // materializes the arcs into a Graph (through a reused edge buffer) and
-// picks a solver sized to the window.
+// runs MaxWeightFlow on it, the same exact solver OFF uses.
 //
 // A Builder is not safe for concurrent use; each windowed matcher owns
 // one.
@@ -29,7 +29,7 @@ func (b *Builder) Reset(nWorkers, nRequests int) {
 }
 
 // Arc adds a feasible worker→request arc. Weights at or below zero are
-// legal but can never appear in a solution (the solvers drop them).
+// legal but can never appear in a solution (the solver drops them).
 func (b *Builder) Arc(worker, request int, weight float64) {
 	b.workers = append(b.workers, int32(worker))
 	b.requests = append(b.requests, int32(request))
@@ -39,21 +39,8 @@ func (b *Builder) Arc(worker, request int, weight float64) {
 // Len reports the number of arcs added since the last Reset.
 func (b *Builder) Len() int { return len(b.workers) }
 
-// Solver-selection bounds, tuned like the offline oracle's (which uses
-// larger ones — an offline instance is solved once, a window is solved
-// per flush): exact O(n³) Hungarian while the smaller side is tiny, the
-// exact min-cost-flow while the bipartite graph stays moderate, and the
-// 1/2-approximate greedy-with-augmentation beyond that. Typical windows
-// (tens of requests) always take the Hungarian path.
-const (
-	batchHungarianLimit = 256
-	batchFlowLimit      = 3000
-)
-
-// Solve runs a max-weight matching over the accumulated arcs. The
-// selection between exact and approximate solvers depends only on the
-// declared sizes — never on timing — so a window's matching is a pure
-// function of its arc set.
+// Solve runs an exact max-weight matching over the accumulated arcs. A
+// window's matching is a pure function of its arc set.
 func (b *Builder) Solve() *Result {
 	if cap(b.edges) < len(b.workers) {
 		b.edges = make([]Edge, len(b.workers))
@@ -62,17 +49,5 @@ func (b *Builder) Solve() *Result {
 	for i := range b.workers {
 		b.edges[i] = Edge{Worker: int(b.workers[i]), Request: int(b.requests[i]), Weight: b.weights[i]}
 	}
-	g := &Graph{NWorkers: b.nw, NRequests: b.nr, Edges: b.edges}
-	small := b.nw
-	if b.nr < small {
-		small = b.nr
-	}
-	switch {
-	case small <= batchHungarianLimit:
-		return Hungarian(g)
-	case b.nw+b.nr <= batchFlowLimit:
-		return MaxWeightFlow(g)
-	default:
-		return GreedyAugment(g)
-	}
+	return MaxWeightFlow(&Graph{NWorkers: b.nw, NRequests: b.nr, Edges: b.edges})
 }

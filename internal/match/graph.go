@@ -4,26 +4,22 @@
 // feasible worker-request edges, where an inner edge weighs the request
 // value v and an outer edge weighs v minus the outer payment v'.
 //
-// Three solvers are provided, all over the same sparse Graph:
+// There is one solver, MaxWeightFlow: an exact successive-shortest-path
+// min-cost max-flow with Johnson potentials over the sparse Graph. It
+// solves the OFF graph at every size the harness runs and every BatchCOM
+// window (through Builder). The tests check it against two oracles that
+// live only in the test files: a dense O(n^3) Hungarian and an
+// exhaustive BruteForce.
 //
-//   - Hungarian: exact O(n^3) Kuhn-Munkres on the densified matrix; the
-//     oracle for tests and the default for small instances.
-//   - MaxWeightFlow: exact successive-shortest-path min-cost max-flow
-//     with Johnson potentials; handles the sparse, table-scale graphs.
-//   - GreedyAugment: processes requests in decreasing weight order and
-//     augments; exact when edge weights depend only on the request
-//     (a vertex-weighted matching, a transversal-matroid greedy), which
-//     holds for COM's inner-only graphs, and a strong heuristic with a
-//     1/2 worst-case guarantee in general. The scalable OFF estimator.
-//
-// Solvers are pure functions of the Graph; no global state, safe to call
-// concurrently on different graphs.
+// The solver is a pure function of the Graph; no global state, safe to
+// call concurrently on different graphs.
 package match
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is a feasible worker-request pair with the revenue the platform
@@ -156,11 +152,11 @@ func (g *Graph) dedupeBest() []Edge {
 	for _, e := range best {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Worker != out[j].Worker {
-			return out[i].Worker < out[j].Worker
+	slices.SortFunc(out, func(a, b Edge) int {
+		if c := cmp.Compare(a.Worker, b.Worker); c != 0 {
+			return c
 		}
-		return out[i].Request < out[j].Request
+		return cmp.Compare(a.Request, b.Request)
 	})
 	return out
 }

@@ -13,9 +13,126 @@ func solvers() map[string]func(*Graph) *Result {
 	}
 }
 
+// Hungarian computes an exact maximum-weight bipartite matching using the
+// Kuhn-Munkres algorithm with potentials (the O(n^3) Jonker-Volgenant
+// formulation). The graph is densified: missing edges get weight 0, and
+// since a maximum-weight matching never benefits from a non-positive
+// edge, zeros act as "unmatched". It is MaxWeightFlow's oracle on
+// instances too big for BruteForce.
+func Hungarian(g *Graph) *Result {
+	edges := g.dedupeBest()
+	nw, nr := g.NWorkers, g.NRequests
+	res := newResult(nw, nr)
+	if nw == 0 || nr == 0 || len(edges) == 0 {
+		return res
+	}
+
+	// The classic formulation wants rows <= cols; rows are "jobs" we
+	// assign one by one. Use workers as rows when fewer, else requests.
+	transposed := nw > nr
+	rows, cols := nw, nr
+	if transposed {
+		rows, cols = nr, nw
+	}
+
+	// cost[i][j] = negated weight (we minimize); 0 where no edge.
+	cost := make([][]float64, rows)
+	for i := range cost {
+		cost[i] = make([]float64, cols)
+	}
+	for _, e := range edges {
+		i, j := e.Worker, e.Request
+		if transposed {
+			i, j = e.Request, e.Worker
+		}
+		if -e.Weight < cost[i][j] {
+			cost[i][j] = -e.Weight
+		}
+	}
+
+	// JV algorithm with 1-based sentinel column 0.
+	u := make([]float64, rows+1)
+	v := make([]float64, cols+1)
+	p := make([]int, cols+1) // p[j] = row assigned to column j (1-based), 0 = free
+	way := make([]int, cols+1)
+
+	for i := 1; i <= rows; i++ {
+		p[0] = i
+		j0 := 0
+		minv := make([]float64, cols+1)
+		used := make([]bool, cols+1)
+		for j := range minv {
+			minv[j] = math.Inf(1)
+		}
+		for {
+			used[j0] = true
+			i0 := p[j0]
+			delta := math.Inf(1)
+			j1 := -1
+			for j := 1; j <= cols; j++ {
+				if used[j] {
+					continue
+				}
+				cur := cost[i0-1][j-1] - u[i0] - v[j]
+				if cur < minv[j] {
+					minv[j] = cur
+					way[j] = j0
+				}
+				if minv[j] < delta {
+					delta = minv[j]
+					j1 = j
+				}
+			}
+			for j := 0; j <= cols; j++ {
+				if used[j] {
+					u[p[j]] += delta
+					v[j] -= delta
+				} else {
+					minv[j] -= delta
+				}
+			}
+			j0 = j1
+			if p[j0] == 0 {
+				break
+			}
+		}
+		for j0 != 0 {
+			j1 := way[j0]
+			p[j0] = p[j1]
+			j0 = j1
+		}
+	}
+
+	// Extract assignment, dropping pairs that are not real positive-weight
+	// edges (the dense zeros).
+	weightOf := make(map[int64]float64, len(edges))
+	for _, e := range edges {
+		weightOf[int64(e.Worker)<<32|int64(uint32(e.Request))] = e.Weight
+	}
+	for j := 1; j <= cols; j++ {
+		i := p[j]
+		if i == 0 {
+			continue
+		}
+		w, r := i-1, j-1
+		if transposed {
+			w, r = j-1, i-1
+		}
+		wgt, ok := weightOf[int64(w)<<32|int64(uint32(r))]
+		if !ok || wgt <= 0 {
+			continue
+		}
+		res.WorkerOf[r] = w
+		res.RequestOf[w] = r
+		res.Weight += wgt
+		res.Size++
+	}
+	return res
+}
+
 // BruteForce enumerates all matchings and returns a maximum-weight one.
-// Exponential: the reference the solvers are cross-validated against on
-// tiny instances.
+// Exponential: the reference MaxWeightFlow and Hungarian are
+// cross-validated against on tiny instances.
 func BruteForce(g *Graph) *Result {
 	edges := g.dedupeBest()
 	nw, nr := g.NWorkers, g.NRequests
@@ -59,7 +176,6 @@ func BruteForce(g *Graph) *Result {
 
 func TestEmptyGraphs(t *testing.T) {
 	all := solvers()
-	all["greedy"] = GreedyAugment
 	all["brute"] = BruteForce
 	graphs := []*Graph{
 		{NWorkers: 0, NRequests: 0},
@@ -118,7 +234,7 @@ func TestParallelEdgesKeepHeaviest(t *testing.T) {
 }
 
 // TestWeightVsCardinalityTradeoff: taking fewer, heavier edges must beat
-// more, lighter ones for the weighted solvers.
+// more, lighter ones.
 func TestWeightVsCardinalityTradeoff(t *testing.T) {
 	// w0 can serve r0 (10) or r1 (1); w1 can serve only r0 (1).
 	// Max cardinality: w0-r1, w1-r0 (size 2, weight 2).
@@ -161,23 +277,15 @@ func TestAugmentingChainNeeded(t *testing.T) {
 	}
 }
 
-func randomGraph(rng *rand.Rand, maxW, maxR, maxEdges int, vertexWeighted bool) *Graph {
+// randomGraph draws integer weights 1-20; FuzzMaxWeightFlow covers
+// fractional, wide-ranging and non-positive ones.
+func randomGraph(rng *rand.Rand, maxW, maxR, maxEdges int) *Graph {
 	nw := 1 + rng.Intn(maxW)
 	nr := 1 + rng.Intn(maxR)
 	ne := rng.Intn(maxEdges + 1)
 	g := &Graph{NWorkers: nw, NRequests: nr}
-	reqWeight := make([]float64, nr)
-	for r := range reqWeight {
-		reqWeight[r] = 1 + math.Floor(rng.Float64()*20)
-	}
 	for i := 0; i < ne; i++ {
-		e := Edge{Worker: rng.Intn(nw), Request: rng.Intn(nr)}
-		if vertexWeighted {
-			e.Weight = reqWeight[e.Request]
-		} else {
-			e.Weight = 1 + math.Floor(rng.Float64()*20)
-		}
-		g.Edges = append(g.Edges, e)
+		g.Edges = append(g.Edges, Edge{Worker: rng.Intn(nw), Request: rng.Intn(nr), Weight: 1 + math.Floor(rng.Float64()*20)})
 	}
 	return g
 }
@@ -187,7 +295,7 @@ func randomGraph(rng *rand.Rand, maxW, maxR, maxEdges int, vertexWeighted bool) 
 func TestSolversAgreeWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 300; trial++ {
-		g := randomGraph(rng, 5, 5, 10, false)
+		g := randomGraph(rng, 5, 5, 10)
 		want := BruteForce(g).Weight
 		for name, solve := range solvers() {
 			res := solve(g)
@@ -206,7 +314,7 @@ func TestSolversAgreeWithBruteForce(t *testing.T) {
 func TestHungarianEqualsMCMFMedium(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(rng, 40, 40, 300, false)
+		g := randomGraph(rng, 40, 40, 300)
 		h := Hungarian(g)
 		f := MaxWeightFlow(g)
 		if err := h.Validate(g); err != nil {
@@ -221,48 +329,13 @@ func TestHungarianEqualsMCMFMedium(t *testing.T) {
 	}
 }
 
-// TestGreedyExactOnVertexWeighted: with request-vertex weights the greedy
-// augmenting solver is exact (transversal matroid greedy).
-func TestGreedyExactOnVertexWeighted(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		g := randomGraph(rng, 6, 6, 12, true)
-		want := BruteForce(g).Weight
-		res := GreedyAugment(g)
-		if err := res.Validate(g); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if math.Abs(res.Weight-want) > 1e-6 {
-			t.Fatalf("trial %d: greedy=%v brute=%v graph=%+v", trial, res.Weight, want, g)
-		}
-	}
-}
-
-// TestGreedyAugmentNeverExceedsOptimum: with arbitrary per-edge weights
-// the augmenting greedy is a heuristic; it must stay valid and at or
-// below the optimum.
-func TestGreedyAugmentBoundedByOptimum(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 200; trial++ {
-		g := randomGraph(rng, 6, 6, 14, false)
-		opt := BruteForce(g).Weight
-		res := GreedyAugment(g)
-		if err := res.Validate(g); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if res.Weight > opt+1e-9 {
-			t.Fatalf("trial %d: greedy=%v exceeds optimum %v", trial, res.Weight, opt)
-		}
-	}
-}
-
 // TestWeightedNeverExceedsCardinalityBound: matched pairs of any solver
 // cannot exceed the maximum cardinality, which is the exact solver's
 // size on the same graph with unit weights.
 func TestWeightedNeverExceedsCardinalityBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 100; trial++ {
-		g := randomGraph(rng, 10, 10, 40, false)
+		g := randomGraph(rng, 10, 10, 40)
 		unit := &Graph{NWorkers: g.NWorkers, NRequests: g.NRequests}
 		for _, e := range g.Edges {
 			unit.Edges = append(unit.Edges, Edge{e.Worker, e.Request, 1})
@@ -317,21 +390,17 @@ func TestLargeSparseAgreement(t *testing.T) {
 		t.Skip("short mode")
 	}
 	rng := rand.New(rand.NewSource(2024))
-	g := randomGraph(rng, 300, 500, 3000, false)
+	g := randomGraph(rng, 300, 500, 3000)
 	h := Hungarian(g)
 	f := MaxWeightFlow(g)
 	if math.Abs(h.Weight-f.Weight) > 1e-6 {
 		t.Fatalf("hungarian=%v mcmf=%v", h.Weight, f.Weight)
 	}
-	gr := GreedyAugment(g)
-	if gr.Weight > h.Weight+1e-9 {
-		t.Fatalf("greedy %v exceeds optimum %v", gr.Weight, h.Weight)
-	}
 }
 
 func BenchmarkSolvers(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 200, 400, 2500, false)
+	g := randomGraph(rng, 200, 400, 2500)
 	b.Run("hungarian", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Hungarian(g)
@@ -340,11 +409,6 @@ func BenchmarkSolvers(b *testing.B) {
 	b.Run("mcmf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MaxWeightFlow(g)
-		}
-	})
-	b.Run("greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			GreedyAugment(g)
 		}
 	})
 }

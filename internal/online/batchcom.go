@@ -1,8 +1,9 @@
 package online
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/match"
@@ -146,7 +147,7 @@ func (m *BatchCOM) Advance(t core.Time) []WindowDecision {
 // max-weight matching over the batch, then commit assignments in the
 // same canonical order.
 func (m *BatchCOM) flush(at core.Time) {
-	sort.Slice(m.buf, func(i, j int) bool { return m.buf[i].ID < m.buf[j].ID })
+	slices.SortFunc(m.buf, func(a, b *core.Request) int { return cmp.Compare(a.ID, b.ID) })
 
 	m.ents = m.ents[:0]
 	m.allInner = m.allInner[:0]
@@ -162,7 +163,7 @@ func (m *BatchCOM) flush(at core.Time) {
 		m.allInner = m.pool.AppendCovering(m.allInner, r)
 		e.innerHi = int32(len(m.allInner))
 		inner := m.allInner[e.innerLo:e.innerHi]
-		sort.Slice(inner, func(i, j int) bool { return inner[i].ID < inner[j].ID })
+		slices.SortFunc(inner, byWorkerID)
 
 		e.outerLo = int32(len(m.allOuter))
 		for _, c := range m.coop.EligibleOuter(r) {
@@ -170,8 +171,8 @@ func (m *BatchCOM) flush(at core.Time) {
 		}
 		e.outerHi = int32(len(m.allOuter))
 		outer := m.allOuter[e.outerLo:e.outerHi]
-		sort.Slice(outer, func(i, j int) bool {
-			return outer[i].cand.Worker.ID < outer[j].cand.Worker.ID
+		slices.SortFunc(outer, func(a, b outerProbe) int {
+			return cmp.Compare(a.cand.Worker.ID, b.cand.Worker.ID)
 		})
 
 		if len(outer) > 0 {
@@ -207,7 +208,7 @@ func (m *BatchCOM) flush(at core.Time) {
 			}
 		}
 	}
-	sort.Slice(m.colWs, func(i, j int) bool { return m.colWs[i].ID < m.colWs[j].ID })
+	slices.SortFunc(m.colWs, byWorkerID)
 	j := 0
 	for i, w := range m.colWs {
 		if i == 0 || w.ID != m.colWs[j-1].ID {
@@ -252,8 +253,14 @@ func (m *BatchCOM) flush(at core.Time) {
 
 // colOf returns the worker's column index in the ID-sorted colWs.
 func (m *BatchCOM) colOf(id int64) int {
-	return sort.Search(len(m.colWs), func(k int) bool { return m.colWs[k].ID >= id })
+	col, _ := slices.BinarySearchFunc(m.colWs, id, func(w *core.Worker, id int64) int { return cmp.Compare(w.ID, id) })
+	return col
 }
+
+// byWorkerID orders workers by ID. Every slice flush sorts with it holds
+// distinct workers, or the same pointer under one ID, so the order is
+// the same whichever sort runs.
+func byWorkerID(a, b *core.Worker) int { return cmp.Compare(a.ID, b.ID) }
 
 // commit turns one request's solver assignment (or -1) into a Decision,
 // claiming the worker from the pool or the hub.

@@ -9,16 +9,13 @@ import (
 	"crossmatch/internal/pricing"
 )
 
-const (
-	// hungarianLimit caps the dense O(n^3) solver.
-	hungarianLimit = 1200
-	// mcmfLimit caps the exact flow solver: SSP cost grows with the
-	// matched-side size times edges, measured at roughly 4s for 2,500
-	// requests x 2,000 workers and 6 min at 4x that, so anything larger
-	// goes to GreedyAugment (within 1-2% of exact on COM's
-	// request-weighted graphs; see EXPERIMENTS.md).
-	mcmfLimit = 3000
-)
+// offlineWorkBound caps min(|W|, |R|) × |E|, the exact solver's work: at
+// most one augmentation per matched pair, each a Dijkstra over the edges.
+// The OFF graphs the tables build measure 2.9e9 (Table V, ~12.5 s),
+// 5.1e9 (VI) and 4.0e8 (VII) at -scale 0.05 and about 8× that at 0.1,
+// so every documented scale runs; Tables V and VI at -scale 0.2 (1.9e11,
+// 3.4e11) are refused.
+const offlineWorkBound = 5e10
 
 // OfflineResult is the OFF baseline outcome, split per platform.
 type OfflineResult struct {
@@ -49,10 +46,9 @@ type OfflineResult struct {
 // All platforms are solved jointly on one graph, so an outer worker is
 // never double-booked by two platforms' optima.
 //
-// The solver is the cheapest one that stays exact within a time budget:
-// Hungarian on small dense instances, MCMF on sparse medium ones, and
-// the near-exact GreedyAugment beyond (EXPERIMENTS.md says so wherever a
-// published run was that large).
+// The matching is exact (match.MaxWeightFlow) at every size. A graph
+// whose min(|W|, |R|) × |E| passes offlineWorkBound is refused with an
+// error naming its sizes, never estimated.
 func Offline(stream *core.Stream) (*OfflineResult, error) {
 	workers := stream.Workers()
 	requests := stream.Requests()
@@ -106,15 +102,11 @@ func Offline(stream *core.Stream) (*OfflineResult, error) {
 		}
 	}
 
-	var solved *match.Result
-	switch {
-	case len(workers) <= hungarianLimit && len(requests) <= hungarianLimit:
-		solved = match.Hungarian(g)
-	case min(len(workers), len(requests)) <= mcmfLimit:
-		solved = match.MaxWeightFlow(g)
-	default:
-		solved = match.GreedyAugment(g)
+	if work := float64(min(len(workers), len(requests))) * float64(len(g.Edges)); work > offlineWorkBound {
+		return nil, fmt.Errorf("platform: offline: exact OFF over |W|=%d, |R|=%d, |E|=%d needs min(|W|,|R|)×|E| = %.3g, past the bound %.3g",
+			len(workers), len(requests), len(g.Edges), work, offlineWorkBound)
 	}
+	solved := match.MaxWeightFlow(g)
 	if err := solved.Validate(g); err != nil {
 		return nil, fmt.Errorf("platform: offline solver produced invalid matching: %w", err)
 	}

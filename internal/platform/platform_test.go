@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"crossmatch/internal/core"
@@ -298,6 +299,87 @@ func TestOfflineDominatesOnline(t *testing.T) {
 			if res.TotalRevenue() > off.TotalWeight+1e-9 {
 				t.Errorf("%s seed %d: online %v exceeds OFF %v", name, seed, res.TotalRevenue(), off.TotalWeight)
 			}
+		}
+	}
+}
+
+// TestOfflineExactPastCutoff solves a graph with more than 3000 vertices
+// on each side, past the size where OFF used to switch to a greedy
+// estimate, and holds it to the optimum. The stream is 3001 disjoint
+// gadgets, 5 km apart on a grid:
+//
+//   - r1 on platform 1 (v = 10) and r2 on platform 2 (v = 8), 1.5 km apart;
+//   - w1 on platform 1, history min 0.001, covers both requests;
+//   - w2 on platform 2, history min 9, covers only r1.
+//
+// A greedy that seats the heaviest request first and then augments
+// books w2-r1 (10 − 9) + w1-r2 (8 − 0.001) = 8.999 per gadget; the
+// optimum books w1-r1 alone, 10.
+func TestOfflineExactPastCutoff(t *testing.T) {
+	const gadgets, cols, gap = 3001, 55, 5.0
+	var events []core.Event
+	for i := range gadgets {
+		x, y := float64(i%cols)*gap, float64(i/cols)*gap
+		id := int64(2 * i)
+		events = append(events,
+			core.Event{Time: 0, Kind: core.WorkerArrival, Worker: &core.Worker{
+				ID: id + 1, Loc: geo.Point{X: x + 0.75, Y: y}, Radius: 1, Platform: 1, History: []float64{0.001, 5}}},
+			core.Event{Time: 0, Kind: core.WorkerArrival, Worker: &core.Worker{
+				ID: id + 2, Loc: geo.Point{X: x - 0.25, Y: y}, Radius: 0.5, Platform: 2, History: []float64{9, 12}}},
+			core.Event{Time: 1, Kind: core.RequestArrival, Request: &core.Request{
+				ID: id + 1, Arrival: 1, Loc: geo.Point{X: x, Y: y}, Value: 10, Platform: 1}},
+			core.Event{Time: 1, Kind: core.RequestArrival, Request: &core.Request{
+				ID: id + 2, Arrival: 1, Loc: geo.Point{X: x + 1.5, Y: y}, Value: 8, Platform: 2}},
+		)
+	}
+	stream, err := core.NewStream(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := Offline(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 10.0 * gadgets; off.TotalWeight != want || off.TotalServed != gadgets || off.Served[2] != 0 {
+		t.Fatalf("OFF = %v over %d served (%d on platform 2), want %v over %d, all on platform 1",
+			off.TotalWeight, off.TotalServed, off.Served[2], want, gadgets)
+	}
+	if err := off.Matching.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOfflineRefusesPastWorkBound: a graph whose min(|W|, |R|) × |E|
+// passes the bound is refused with its sizes named, not estimated. The
+// stream is n isolated workers, n isolated requests and one k × k
+// cluster in which every worker covers every request: |E| = k², and
+// (n + k) · k² just passes 5e10.
+func TestOfflineRefusesPastWorkBound(t *testing.T) {
+	const n, k = 100_000, 710
+	events := make([]core.Event, 0, 2*(n+k))
+	for i := range n + k {
+		wLoc, rLoc, radius := geo.Point{X: -1000}, geo.Point{X: 1000}, 0.1
+		if i < k {
+			wLoc, rLoc, radius = geo.Point{}, geo.Point{}, 1
+		}
+		events = append(events,
+			core.Event{Time: 0, Kind: core.WorkerArrival, Worker: &core.Worker{
+				ID: int64(i), Loc: wLoc, Radius: radius, Platform: 1}},
+			core.Event{Time: 1, Kind: core.RequestArrival, Request: &core.Request{
+				ID: int64(i), Arrival: 1, Loc: rLoc, Value: 1, Platform: 1}},
+		)
+	}
+	stream, err := core.NewStream(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := Offline(stream)
+	if err == nil {
+		t.Fatalf("OFF past the work bound returned %v, want an error", off.TotalWeight)
+	}
+	for _, want := range []string{"|W|=100710", "|R|=100710", "|E|=504100", "5e+10"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
 		}
 	}
 }

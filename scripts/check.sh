@@ -42,6 +42,17 @@ if [ "$(git grep -cE "$router" -- '*.go' ':!bench' ':!*_test.go')" != "internal/
 	exit 1
 fi
 
+echo "==> one exact matching solver: no size ladder, Hungarian only as a test oracle, no sort.Slice in online or match"
+if git grep -nE 'GreedyAugment|hungarianLimit|mcmfLimit|batchHungarianLimit|batchFlowLimit' -- '*.go' ':!*_test.go'; then
+	exit 1
+fi
+if git grep -n 'Hungarian(' -- '*.go' ':!*_test.go'; then
+	exit 1
+fi
+if git grep -n 'sort\.Slice' -- 'internal/online' 'internal/match'; then
+	exit 1
+fi
+
 echo "==> go test -race"
 go test -race ./...
 
