@@ -58,7 +58,7 @@ func main() {
 	flag.IntVar(&o.batch, "batch", 1, "events per NDJSON POST (consecutive same-kind arrivals)")
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-call HTTP timeout")
 	flag.IntVar(&o.retries, "retries", 0, "retries per shed event, sleeping the server's retry hint (replay servers need this)")
-	flag.IntVar(&o.unavailRet, "unavail-retries", 0, "separate retry budget per 503-class event (draining/recovering/dark shard); fleet chaos runs need this to ride out a shard's WAL recovery")
+	flag.IntVar(&o.unavailRet, "unavail-retries", 0, "separate retry budget per 503-class event (a draining shard, or a fleet owner that is not ready or whose post failed); fleet chaos runs need this to ride out a shard's restart")
 	flag.StringVar(&o.label, "label", "", "stamp the report with this label")
 	flag.StringVar(&o.out, "out", "", "write the JSON report here instead of stdout")
 	flag.Int64Var(&o.minMatched, "min-matched", -1, "exit non-zero unless at least this many requests matched (CI smoke assertion; -1 disables)")

@@ -1,18 +1,19 @@
 // Command comroute fronts a fleet of comserve shards: arrival events
 // are partitioned by consistent spatial hashing on the matching grid's
 // cell geometry, so each shard owns a stable set of cells and its own
-// write-ahead log. Per-shard health probes (against the
-// liveness/readiness-split /healthz), circuit breakers and
-// capped-jittered retries keep a partial outage partial: a SIGKILLed
-// shard is routed around within the probe deadline, its cells answer
-// fast 503s with retry hints, and once the restarted shard's WAL replay
-// finishes and readiness flips, the prober re-admits it.
+// write-ahead log. One health prober per shard keeps one readiness bit
+// (ready means /healthz answered 200), and that keeps a partial outage
+// partial: a SIGKILLed shard is routed around within the probe period,
+// its cells answer fast 503s with retry hints, and once the restarted
+// shard has re-driven its WAL and listens again, the prober re-admits
+// it. Each sub-batch is posted once: a failed post answers 503 with a
+// retry hint, and the client decides whether to send it again.
 //
 // Endpoints mirror comserve: POST /v1/requests and /v1/workers (single
 // object or NDJSON batch; per-line decisions are stamped with the
 // serving shard), GET /v1/metrics (fleet snapshot with the per-shard
-// health/breaker table), GET /healthz (200 while ≥1 shard is ready),
-// plus /debug/pprof for profiling the hop itself.
+// readiness table), GET /healthz (200 while ≥1 shard is ready), plus
+// /debug/pprof for profiling the hop itself.
 //
 // The -split mode is the offline twin of the online dispatch: it
 // partitions a recorded comgen stream into per-shard CSVs with exactly
@@ -62,7 +63,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
 	flag.StringVar(&o.portFile, "port-file", "", "write the bound host:port here once listening (for scripts racing startup)")
 	flag.StringVar(&o.shardsSpec, "shards", "", "fleet spec: comma-separated name=url pairs, e.g. 's1=http://127.0.0.1:9001,s2=http://127.0.0.1:9002'")
-	flag.Float64Var(&o.cellSize, "cell", index.DefaultCell, "spatial-hash cell size, km (must match the split geometry)")
+	flag.Float64Var(&o.cellSize, "cell", index.DefaultCell, "spatial-hash cell size, km: positive and finite, 0 for the default; must match the split geometry")
 	flag.DurationVar(&o.probeEvery, "probe-interval", 100*time.Millisecond, "per-shard health probe period")
 	flag.StringVar(&o.split, "split", "", "comgen CSV to partition into per-shard sub-streams instead of serving")
 	flag.StringVar(&o.splitNames, "names", "", "-split: shard names, comma-separated (default: the names from -shards)")
@@ -120,7 +121,7 @@ func run(w io.Writer, o options) error {
 			return fmt.Errorf("writing -port-file: %w", err)
 		}
 	}
-	fmt.Fprintf(w, "comroute: %d shards, cell %.2fkm, listening on %s\n", len(shards), o.cellSize, bound)
+	fmt.Fprintf(w, "comroute: %d shards, cell %.2fkm, listening on %s\n", len(shards), r.Snapshot().CellSize, bound)
 	for _, sc := range shards {
 		fmt.Fprintf(w, "comroute: shard %s -> %s\n", sc.Name, sc.URL)
 	}
@@ -145,8 +146,8 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "comroute: %d calls, %d lines (%d refused, %d busy, %d bad)\n",
 		snap.Calls, snap.Lines, snap.Refused, snap.Busy, snap.BadLines)
 	for _, sh := range snap.Shards {
-		fmt.Fprintf(w, "comroute: shard %s: %d lines, %d ok, %d shed, %d unavailable, %d errors, %d retries\n",
-			sh.Name, sh.Lines, sh.OK, sh.Shed, sh.Unavailable, sh.Errors, sh.Retries)
+		fmt.Fprintf(w, "comroute: shard %s: %d lines, %d ok, %d shed, %d unavailable, %d errors\n",
+			sh.Name, sh.Lines, sh.OK, sh.Shed, sh.Unavailable, sh.Errors)
 	}
 	return nil
 }

@@ -5,7 +5,8 @@
 // bounded ingest queue) sheds overload with 429 and Retry-After;
 // SIGTERM/SIGINT drains gracefully — in-flight decisions complete,
 // queued events answer 503 — and the final per-platform result prints
-// on exit.
+// on exit. With -wal-dir the log is re-driven before the port is bound,
+// and a recovery that fails exits 1.
 //
 // Endpoints: POST /v1/requests and /v1/workers (single JSON object or
 // NDJSON batch), GET /v1/metrics (admission + engine funnel snapshot),
@@ -67,7 +68,6 @@ type options struct {
 	walDir       string
 	fsyncBatch   int
 	snapEvery    int
-	recoverBG    bool
 }
 
 func main() {
@@ -95,7 +95,6 @@ func main() {
 	flag.StringVar(&o.walDir, "wal-dir", "", "write-ahead log directory: events are durable before they are applied, and a restart on the same directory recovers the exact pre-crash state")
 	flag.IntVar(&o.fsyncBatch, "fsync-batch", 1, "fsync the WAL every N appends (1 = every event; larger batches trade the last <N events for throughput)")
 	flag.IntVar(&o.snapEvery, "snapshot-every", 1000, "write a recovery checkpoint every N applied events (0 = only on shutdown)")
-	flag.BoolVar(&o.recoverBG, "recover-bg", false, "recover the WAL in the background: bind the port immediately, answer /healthz 503 recovering (live but not ready) until the replay's digest verify passes — what a fleet shard wants so its router can watch readiness flip")
 	flag.Parse()
 
 	if err := run(os.Stdout, o); err != nil {
@@ -129,22 +128,21 @@ func parsePlatforms(spec string) ([]core.PlatformID, error) {
 
 func buildOptions(o options) (serve.Options, error) {
 	opts := serve.Options{
-		Algorithm:           o.alg,
-		Seed:                o.seed,
-		MaxValue:            o.maxValue,
-		QueueCap:            o.queueCap,
-		Rate:                o.rate,
-		Burst:               o.burst,
-		Deadline:            o.deadline,
-		ProcessDelay:        o.procDelay,
-		ServiceTicks:        core.Time(o.serviceTicks),
-		Window:              core.Time(o.window),
-		BatchDeadline:       core.Time(o.batchDeadl),
-		DisableCoop:         o.noCoop,
-		WALDir:              o.walDir,
-		FsyncBatch:          o.fsyncBatch,
-		SnapshotEvery:       o.snapEvery,
-		RecoverInBackground: o.recoverBG,
+		Algorithm:     o.alg,
+		Seed:          o.seed,
+		MaxValue:      o.maxValue,
+		QueueCap:      o.queueCap,
+		Rate:          o.rate,
+		Burst:         o.burst,
+		Deadline:      o.deadline,
+		ProcessDelay:  o.procDelay,
+		ServiceTicks:  core.Time(o.serviceTicks),
+		Window:        core.Time(o.window),
+		BatchDeadline: core.Time(o.batchDeadl),
+		DisableCoop:   o.noCoop,
+		WALDir:        o.walDir,
+		FsyncBatch:    o.fsyncBatch,
+		SnapshotEvery: o.snapEvery,
 	}
 	if o.replay != "" {
 		f, err := os.Open(o.replay)
@@ -204,27 +202,11 @@ func run(w io.Writer, o options) error {
 	}
 	fmt.Fprintf(w, "comserve: %s, alg %s, seed %d, listening on %s\n", mode, o.alg, o.seed, bound)
 	if o.walDir != "" {
-		printRecovery := func() {
-			if rec := srv.Recovery(); rec.Recovered {
-				fmt.Fprintf(w, "comserve: recovered %d events from %s (%d segments, snapshot @%d, clock %dms) in %.1fms\n",
-					rec.Events, o.walDir, rec.Segments, rec.SnapshotApplied, rec.VLast, rec.DurationMs)
-			} else {
-				fmt.Fprintf(w, "comserve: wal %s is empty, starting fresh\n", o.walDir)
-			}
-		}
-		if o.recoverBG {
-			fmt.Fprintf(w, "comserve: wal recovery running in background; live but not ready until it completes\n")
-			go func() {
-				<-srv.RecoverDone()
-				if err := srv.RecoveryErr(); err != nil {
-					fmt.Fprintf(w, "comserve: wal recovery FAILED: %v\n", err)
-					return
-				}
-				printRecovery()
-				fmt.Fprintf(w, "comserve: ready\n")
-			}()
+		if rec := srv.Recovery(); rec.Recovered {
+			fmt.Fprintf(w, "comserve: recovered %d events from %s (%d segments, snapshot @%d, clock %dms) in %.1fms\n",
+				rec.Events, o.walDir, rec.Segments, rec.SnapshotApplied, rec.VLast, rec.DurationMs)
 		} else {
-			printRecovery()
+			fmt.Fprintf(w, "comserve: wal %s is empty, starting fresh\n", o.walDir)
 		}
 	}
 

@@ -30,6 +30,7 @@ func FuzzRouteShardAgree(f *testing.F) {
 	f.Add(0.0, 0.0, uint8(4), 1.0)
 	f.Add(-3.7, 12.2, uint8(1), 0.5)
 	f.Add(1e6, -1e6, uint8(16), 2.0)
+	f.Add(2.5, 2.5, uint8(3), -1.0)
 	f.Fuzz(func(t *testing.T, x, y float64, n uint8, cellSize float64) {
 		if n == 0 || n > 16 {
 			t.Skip()
@@ -37,12 +38,14 @@ func FuzzRouteShardAgree(f *testing.F) {
 		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
 			t.Skip()
 		}
-		if math.IsNaN(cellSize) || math.IsInf(cellSize, 0) {
-			t.Skip()
-		}
 		loc := geo.Point{X: x, Y: y}
 		names := cells.Names(int(n))
 		owner := names[cells.OwnerIndex(cells.Of(loc, cellSize), names)]
+		req := &core.Request{ID: 1, Arrival: 1, Loc: loc, Value: 1, Platform: 1}
+		stream, err := core.NewStream([]core.Event{{Time: 1, Kind: core.RequestArrival, Request: req}})
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		// Layer 1: the fleet router's per-line dispatch.
 		var shards []route.ShardConfig
@@ -51,7 +54,11 @@ func FuzzRouteShardAgree(f *testing.F) {
 		}
 		r, err := route.New(route.Options{Shards: shards, CellSize: cellSize})
 		if err != nil {
-			t.Fatal(err)
+			// Not a positive, finite cell size: the split must refuse it too.
+			if _, serr := route.SplitStream(stream, names, cellSize); serr == nil {
+				t.Fatalf("route.New refused cell size %v (%v), SplitStream took it", cellSize, err)
+			}
+			return
 		}
 		defer r.Close()
 		line, err := json.Marshal(serve.WireEvent{ID: 1, X: x, Y: y, Platform: 1, Value: 1})
@@ -69,11 +76,6 @@ func FuzzRouteShardAgree(f *testing.F) {
 		}
 
 		// Layer 2: the offline split a replay fleet is built from.
-		req := &core.Request{ID: 1, Arrival: 1, Loc: loc, Value: 1, Platform: 1}
-		stream, err := core.NewStream([]core.Event{{Time: 1, Kind: core.RequestArrival, Request: req}})
-		if err != nil {
-			t.Fatal(err)
-		}
 		subs, err := route.SplitStream(stream, names, cellSize)
 		if err != nil {
 			t.Fatal(err)

@@ -39,8 +39,7 @@ func (s State) String() string {
 // FailureThreshold consecutive failed calls open it, an open breaker
 // short-circuits all calls for CooldownTicks of stream time, then a
 // single half-open trial call decides whether the partner recovered.
-// It is safe for concurrent use (the fleet router shares one across its
-// handler and prober goroutines).
+// It is safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
 	met *metrics.Collector
@@ -78,14 +77,6 @@ func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Stats returns the current state together with the consecutive-failure
-// run — what a fleet router's status page shows per shard.
-func (b *Breaker) Stats() (State, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state, b.consecutive
 }
 
 // Allow reports whether a call to the guarded platform may proceed at

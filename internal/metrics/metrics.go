@@ -1,6 +1,6 @@
 // Package metrics is the observability layer of the simulation engine:
-// lock-free counters for the matching funnel, the fault layer, the
-// write-ahead log and the fleet router, the pricing quoters' folded
+// lock-free counters for the matching funnel, the fault layer and the
+// write-ahead log, the pricing quoters' folded
 // statistics, and per-label decision-latency distributions built on
 // stats.Reservoir.
 //
@@ -83,11 +83,6 @@ const (
 	WALSnapshots
 	WALRecoveries
 	WALRecoveredEvents
-
-	// Fleet router (internal/route; all zero outside cmd/comroute): lines
-	// forwarded to shards and transport-level retries.
-	RouteForwards
-	RouteRetries
 
 	// ShardStalls is inert, always 0: kept only because the frozen
 	// bench/probes.go reads Counters.ShardStalls; the next benchmark PR
@@ -248,9 +243,6 @@ type Counters struct {
 	WALSnapshots       int64 `json:"wal_snapshots"`
 	WALRecoveries      int64 `json:"wal_recoveries"`
 	WALRecoveredEvents int64 `json:"wal_recovered_events"`
-
-	RouteForwards int64 `json:"route_forwards"`
-	RouteRetries  int64 `json:"route_retries"`
 
 	ShardStalls int64 `json:"shard_stalls"`
 }

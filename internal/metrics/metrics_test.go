@@ -29,7 +29,6 @@ var counterNames = []struct {
 	{WALAppends, "wal_appends"}, {WALBytes, "wal_bytes"}, {WALFsyncs, "wal_fsyncs"},
 	{WALFsyncNs, "wal_fsync_ns"}, {WALSnapshots, "wal_snapshots"},
 	{WALRecoveries, "wal_recoveries"}, {WALRecoveredEvents, "wal_recovered_events"},
-	{RouteForwards, "route_forwards"}, {RouteRetries, "route_retries"},
 	{ShardStalls, "shard_stalls"},
 }
 

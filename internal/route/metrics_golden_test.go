@@ -7,35 +7,14 @@ import (
 	"os"
 	"reflect"
 	"testing"
-	"time"
-
-	"crossmatch/internal/metrics"
-	"crossmatch/internal/pricing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/snapshot.golden.json from this run")
 
-// fillEveryCounter is internal/metrics' test helper of the same name:
-// the counter behind Counters' k-th field set to 10·(k+1), a distinct
-// pricing section, one latency observation.
-func fillEveryCounter(c *metrics.Collector) {
-	for k := metrics.Counter(0); k < metrics.NumCounters; k++ {
-		c.Add(k, 10*(int64(k)+1))
-	}
-	c.AddPricing(pricing.Stats{
-		RevenueQuotes: 101, ThresholdQuotes: 102, MonteCarloQuotes: 103,
-		ProbEvals: 208, TableHits: 52, ScratchReuses: 106, ScratchAllocs: 107,
-	})
-	c.ObserveLatency("platform-1", 3*time.Millisecond)
-}
-
-// TestGoldenSnapshot pins the router's /v1/metrics document over a
-// filled collector and one ready shard (uptime, the shard's URL and its
-// probe age masked).
+// TestGoldenSnapshot pins the router's /v1/metrics document over one
+// ready shard (uptime, the shard's URL and its probe age masked).
 func TestGoldenSnapshot(t *testing.T) {
-	mc := metrics.New()
-	fillEveryCounter(mc)
-	r := newTestRouter(t, Options{Metrics: mc}, newFakeShard(t, "s1"))
+	r := newTestRouter(t, Options{}, newFakeShard(t, "s1"))
 	snap := r.Snapshot()
 	snap.UptimeMs = 0
 	for i := range snap.Shards {

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crossmatch/internal/core"
-	"crossmatch/internal/fault"
 	"crossmatch/internal/serve"
 )
 
@@ -24,26 +22,25 @@ type ShardConfig struct {
 	URL string
 }
 
-// shard is the router's live state for one backing server: the circuit
-// breaker guarding calls to it, the probed readiness flag, and the
-// per-shard accounting surfaced at /v1/metrics.
+// shard is the router's live state for one backing server: its
+// readiness bit and the per-shard accounting surfaced at /v1/metrics.
 type shard struct {
 	name string
 	url  string
 
-	breaker *fault.Breaker
-	ready   atomic.Bool
+	// ready has one writer, the shard's prober: it is true exactly when
+	// the last /healthz answered 200.
+	ready atomic.Bool
 
-	// Accounting (atomic: bumped from forward goroutines and probers).
-	lines       atomic.Int64 // event lines forwarded (attempted)
+	// Accounting (atomic: bumped from forward goroutines).
+	lines       atomic.Int64 // event lines forwarded
 	ok          atomic.Int64
 	shed        atomic.Int64 // 429-class lines the shard answered
-	unavailable atomic.Int64 // 503-class lines (draining/recovering)
-	errors      atomic.Int64 // transport failures after retries
-	retries     atomic.Int64
+	unavailable atomic.Int64 // 503-class lines the shard answered (draining)
+	errors      atomic.Int64 // lines whose post failed
 
 	mu          sync.Mutex
-	lastStatus  string // last probe outcome: ok/recovering/draining/failed/unreachable
+	lastStatus  string // last probe outcome: ok/draining/not-ready/unreachable
 	lastErr     string
 	lastProbeAt time.Time
 }
@@ -57,39 +54,33 @@ func (sh *shard) setProbe(status, errText string) {
 // ShardStatus is the per-shard section of the router's /v1/metrics
 // document.
 type ShardStatus struct {
-	Name             string `json:"name"`
-	URL              string `json:"url"`
-	Ready            bool   `json:"ready"`
-	Breaker          string `json:"breaker"`
-	ConsecutiveFails int    `json:"consecutive_fails,omitempty"`
-	Lines            int64  `json:"lines"`
-	OK               int64  `json:"ok"`
-	Shed             int64  `json:"shed"`
-	Unavailable      int64  `json:"unavailable"`
-	Errors           int64  `json:"errors"`
-	Retries          int64  `json:"retries"`
-	// Hedges is inert, always 0: kept only because the frozen
-	// bench/serve.go reads it; the next benchmark PR deletes it.
+	Name        string `json:"name"`
+	URL         string `json:"url"`
+	Ready       bool   `json:"ready"`
+	Lines       int64  `json:"lines"`
+	OK          int64  `json:"ok"`
+	Shed        int64  `json:"shed"`
+	Unavailable int64  `json:"unavailable"`
+	Errors      int64  `json:"errors"`
+	// Hedges and Retries are inert, always 0: kept only because the
+	// frozen bench/serve.go reads them; the next benchmark PR deletes them.
 	Hedges          int64  `json:"hedges"`
+	Retries         int64  `json:"retries"`
 	LastProbeStatus string `json:"last_probe_status,omitempty"`
 	LastError       string `json:"last_error,omitempty"`
 	LastProbeAgoMs  int64  `json:"last_probe_ago_ms,omitempty"`
 }
 
 func (sh *shard) status() ShardStatus {
-	state, fails := sh.breaker.Stats()
 	st := ShardStatus{
-		Name:             sh.name,
-		URL:              sh.url,
-		Ready:            sh.ready.Load(),
-		Breaker:          state.String(),
-		ConsecutiveFails: fails,
-		Lines:            sh.lines.Load(),
-		OK:               sh.ok.Load(),
-		Shed:             sh.shed.Load(),
-		Unavailable:      sh.unavailable.Load(),
-		Errors:           sh.errors.Load(),
-		Retries:          sh.retries.Load(),
+		Name:        sh.name,
+		URL:         sh.url,
+		Ready:       sh.ready.Load(),
+		Lines:       sh.lines.Load(),
+		OK:          sh.ok.Load(),
+		Shed:        sh.shed.Load(),
+		Unavailable: sh.unavailable.Load(),
+		Errors:      sh.errors.Load(),
 	}
 	sh.mu.Lock()
 	st.LastProbeStatus, st.LastError = sh.lastStatus, sh.lastErr
@@ -101,11 +92,6 @@ func (sh *shard) status() ShardStatus {
 }
 
 // probeLoop drives one shard's health checks until the router closes.
-// Probe outcomes and forward outcomes feed the same breaker: a SIGKILL
-// surfaces as connection failures on both paths, so the breaker opens
-// within min(probe interval × threshold, in-flight failure volume),
-// and the cooldown's half-open trial is usually a probe — cheap, and
-// it re-admits the shard the moment readiness flips after WAL replay.
 func (r *Router) probeLoop(sh *shard) {
 	defer r.wg.Done()
 	t := time.NewTicker(r.opts.ProbeInterval)
@@ -123,37 +109,27 @@ func (r *Router) probeLoop(sh *shard) {
 // probeTimeout bounds one health check.
 const probeTimeout = 500 * time.Millisecond
 
-// probe runs one health check. Any HTTP response — 200 ok or 503
-// recovering/draining — is a transport success (the shard is live);
-// readiness comes from the status. Only connect/timeout failures count
-// against the breaker.
+// probe runs one health check and stores its outcome in sh.ready: the
+// shard is ready exactly when /healthz answers 200. A shard that is not
+// listening — killed, or restarted and still re-driving its WAL, since
+// comserve listens only once recovery is done — fails the connect and
+// is not ready. Nothing else holds a shard out, so the first 200 after
+// a restart re-admits it.
 func (r *Router) probe(sh *shard) {
-	if !sh.breaker.Allow(r.now()) {
-		// Open and cooling: the shard stays not-ready; once the cooldown
-		// elapses Allow admits this probe as the half-open trial.
-		sh.ready.Store(false)
-		sh.setProbe("breaker-open", "")
-		return
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/healthz", nil)
-	if err != nil {
-		sh.breaker.Failure(r.now())
-		sh.ready.Store(false)
-		sh.setProbe("unreachable", err.Error())
-		return
+	var resp *http.Response
+	if err == nil {
+		resp, err = r.client.Do(req)
 	}
-	resp, err := r.client.Do(req)
 	if err != nil {
-		sh.breaker.Failure(r.now())
 		sh.ready.Store(false)
 		sh.setProbe("unreachable", err.Error())
 		return
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
-	sh.breaker.Success()
 
 	var hs serve.HealthStatus
 	status := "ok"
@@ -163,11 +139,5 @@ func (r *Router) probe(sh *shard) {
 		status = "not-ready"
 	}
 	sh.ready.Store(resp.StatusCode == http.StatusOK)
-	sh.setProbe(status, hs.Error)
-}
-
-// now is the breaker clock: milliseconds since the router started, the
-// same stream-time unit (core.Time) the engine-side breakers use.
-func (r *Router) now() core.Time {
-	return core.Time(time.Since(r.started).Milliseconds())
+	sh.setProbe(status, "")
 }

@@ -5,16 +5,17 @@
 // its local supply density — what governs match quality in dynamic
 // spatial matching — survives the split.
 //
-// The robustness core: per-shard health probes against the
-// liveness/readiness-split /healthz (a shard re-driving its WAL is
-// live but not ready and receives no traffic), per-shard circuit
-// breakers on the internal/fault state machine (connection failures
-// open the breaker; an open breaker short-circuits calls into fast
-// 503s instead of stalling behind a dead shard), transport retries
-// with capped-jittered backoff, and explicit backpressure: shard
-// 429/503 lines pass through verbatim with their retry_after_ms, the
-// router's own refusals carry hints, and nothing is ever queued
-// router-side — an overloaded router answers 503.
+// The robustness core is small. Each shard has one readiness bit with
+// one writer, its health prober: ready means /healthz answered 200. A
+// shard that is down, or restarting (comserve re-drives its WAL before
+// it listens), is simply not ready, and its cells answer fast 503s
+// instead of stalling behind it. Each sub-batch is posted once: a
+// failed post answers its lines 503 with a retry hint, because the
+// shard may already have applied them, and the client owns every
+// retry. Backpressure is explicit: shard 429/503 lines pass through
+// verbatim with their retry_after_ms, the router's own refusals carry
+// hints, and nothing is ever queued router-side — an overloaded router
+// answers 503.
 //
 // Ownership is strict: an event whose owner shard is dark is refused
 // with a retry hint rather than routed to another shard, which is what
@@ -25,11 +26,27 @@ package route
 
 import (
 	"fmt"
+	"math"
 
 	"crossmatch/internal/cells"
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
+	"crossmatch/internal/index"
 )
+
+// resolveCell is the one reading of a configured cell edge, shared by
+// New and SplitStream: 0 selects index.DefaultCell, and a size that is
+// not positive and finite is an error (cells.Of would otherwise fall
+// back to the default without a word).
+func resolveCell(size float64) (float64, error) {
+	if size == 0 {
+		return index.DefaultCell, nil
+	}
+	if !(size > 0) || math.IsInf(size, 0) {
+		return 0, fmt.Errorf("route: cell size %v km must be positive and finite", size)
+	}
+	return size, nil
+}
 
 // eventLoc returns the location that determines an event's cell.
 func eventLoc(ev core.Event) geo.Point {
@@ -44,10 +61,14 @@ func eventLoc(ev core.Event) geo.Point {
 // dispatch, guaranteed to agree with it because both call
 // cells.OwnerIndex on the same geometry. Each shard's sub-stream preserves the global arrival
 // order, so serving it in replay mode reproduces exactly the events
-// the router will hand that shard.
+// the router will hand that shard. The cell size reads as in New.
 func SplitStream(s *core.Stream, shardNames []string, cellSize float64) (map[string]*core.Stream, error) {
 	if len(shardNames) == 0 {
 		return nil, fmt.Errorf("route: split needs at least one shard name")
+	}
+	cellSize, err := resolveCell(cellSize)
+	if err != nil {
+		return nil, err
 	}
 	seen := make(map[string]bool, len(shardNames))
 	for _, n := range shardNames {

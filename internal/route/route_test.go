@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -169,6 +170,33 @@ func TestCellGeometry(t *testing.T) {
 			if eventID(a[i]) != eventID(b[i]) {
 				t.Fatalf("shard %s event %d differs between cell size 0 and the default cell", name, i)
 			}
+		}
+	}
+}
+
+// TestCellSizeResolvedOnce: New and SplitStream read a cell size the
+// same way. 0 is index.DefaultCell, and the router reports that value;
+// a size that is not positive and finite is an error, not a quiet fall
+// back to the default.
+func TestCellSizeResolvedOnce(t *testing.T) {
+	shards := []ShardConfig{{Name: "s1", URL: "http://127.0.0.1:1"}}
+	r, err := New(Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.Snapshot().CellSize
+	r.Close()
+	if got != index.DefaultCell {
+		t.Errorf("unset cell size reported as %v, want index.DefaultCell = %v", got, index.DefaultCell)
+	}
+	stream := testStream(t, 10)
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if r, err := New(Options{Shards: shards, CellSize: bad}); err == nil {
+			r.Close()
+			t.Errorf("New accepted cell size %v", bad)
+		}
+		if _, err := SplitStream(stream, []string{"s1"}, bad); err == nil {
+			t.Errorf("SplitStream accepted cell size %v", bad)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/pprof"
 	"slices"
@@ -18,9 +17,7 @@ import (
 
 	"crossmatch/internal/cells"
 	"crossmatch/internal/core"
-	"crossmatch/internal/fault"
 	"crossmatch/internal/geo"
-	"crossmatch/internal/metrics"
 	"crossmatch/internal/serve"
 )
 
@@ -29,16 +26,13 @@ type Options struct {
 	// Shards is the backing fleet; at least one. Names are the
 	// rendezvous-hash identities — keep them stable across restarts.
 	Shards []ShardConfig
-	// CellSize is the spatial-hash cell edge length in km (default
-	// index.DefaultCell via cells.Of). It must match the geometry used
-	// to split replay streams.
+	// CellSize is the spatial-hash cell edge length in km: 0 selects
+	// index.DefaultCell, and anything else must be positive and finite.
+	// It must match the geometry used to split replay streams.
 	CellSize float64
 	// ProbeInterval is the per-shard health-check period (default
 	// 100ms).
 	ProbeInterval time.Duration
-	// Metrics receives route_* counters and breaker transitions;
-	// created internally when nil.
-	Metrics *metrics.Collector
 }
 
 // routerCounters is the router-side accounting exposed at /v1/metrics.
@@ -47,7 +41,7 @@ type routerCounters struct {
 	lines    atomic.Int64 // event lines seen
 	badLines atomic.Int64 // lines the router could not parse
 	busy     atomic.Int64 // lines refused by the inflight bound
-	refused  atomic.Int64 // lines refused because no eligible shard
+	refused  atomic.Int64 // lines refused because the owner is not ready
 }
 
 // Router is the fleet front: create with New, expose Handler, stop
@@ -58,33 +52,31 @@ type Router struct {
 	shards    []*shard // shards[i] is names[i]
 	mux       *http.ServeMux
 	client    *http.Client
-	met       *metrics.Collector
 	started   time.Time
 	done      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 	inflight  chan struct{}
 	ctr       routerCounters
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // maxInflight bounds concurrently forwarded client calls; excess
 // answers 503 immediately. The router never queues.
 const maxInflight = 256
 
-// New validates the options, builds the shard table and starts one
-// health prober per shard.
+// New validates the options, resolves the cell size, builds the shard
+// table and starts one health prober per shard.
 func New(opts Options) (*Router, error) {
 	if len(opts.Shards) == 0 {
 		return nil, fmt.Errorf("route: need at least one shard")
 	}
+	cell, err := resolveCell(opts.CellSize)
+	if err != nil {
+		return nil, err
+	}
+	opts.CellSize = cell
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 100 * time.Millisecond
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = metrics.New()
 	}
 
 	// The default transport keeps only 2 idle connections per host;
@@ -96,11 +88,9 @@ func New(opts Options) (*Router, error) {
 	r := &Router{
 		opts:     opts,
 		client:   &http.Client{Transport: tr},
-		met:      opts.Metrics,
 		started:  time.Now(),
 		done:     make(chan struct{}),
 		inflight: make(chan struct{}, maxInflight),
-		rng:      rand.New(rand.NewSource(1)), // backoff jitter only; no determinism contract
 	}
 	for _, sc := range opts.Shards {
 		if sc.Name == "" || sc.URL == "" {
@@ -110,14 +100,7 @@ func New(opts Options) (*Router, error) {
 			return nil, fmt.Errorf("route: duplicate shard name %q", sc.Name)
 		}
 		r.names = append(r.names, sc.Name)
-		r.shards = append(r.shards, &shard{
-			name: sc.Name,
-			url:  strings.TrimRight(sc.URL, "/"),
-			// Tighter than the engine-side default: a SIGKILLed shard must
-			// be routed around within the probe deadline, not after five
-			// failed requests. The cooldown is in ms of router stream time.
-			breaker: fault.NewBreaker(fault.BreakerConfig{FailureThreshold: 3, CooldownTicks: 750}, r.met),
-		})
+		r.shards = append(r.shards, &shard{name: sc.Name, url: strings.TrimRight(sc.URL, "/")})
 	}
 
 	r.mux = http.NewServeMux()
@@ -169,9 +152,9 @@ type wirePoint struct {
 }
 
 // handleForward is the router hot path: split the batch, pick each
-// line's shard by cell ownership gated on health, forward the per-shard
-// sub-batches concurrently, and reassemble the responses in input
-// order. Nothing queues: an ineligible owner answers its lines
+// line's shard by cell ownership gated on readiness, post the per-shard
+// sub-batches concurrently, once each, and reassemble the responses in
+// input order. Nothing queues: a not-ready owner answers its lines
 // immediately with a 503-class status and a retry hint.
 func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind core.EventKind) {
 	r.ctr.calls.Add(1)
@@ -215,11 +198,7 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 			groups[sh] = append(groups[sh], i)
 		}
 	}
-	// callDeadline is the end-to-end budget for one client call,
-	// covering transport retries and their backoff.
-	const callDeadline = 15 * time.Second
-	ctx, cancel := context.WithTimeout(req.Context(), callDeadline)
-	defer cancel()
+	ctx := req.Context()
 	if len(groups) == 1 { // the common case: no fan-out, no goroutine
 		for sh, idxs := range groups {
 			r.forwardGroup(ctx, sh, kind, lines, idxs, outs)
@@ -239,13 +218,10 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 }
 
 // dispatch picks each line's shard: its cell's rendezvous owner, or nil
-// when the line was answered locally (unparseable, or the owner is
-// dark). Eligibility (ready + breaker admission) is evaluated at most
-// once per shard per client call, so a half-open breaker's single trial
-// is one forwarded sub-batch, not one per line.
+// when the line was answered locally (unparseable, or the owner is not
+// ready).
 func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs [][]byte) []*shard {
 	routes := make([]*shard, len(lines))
-	elig := make(map[*shard]bool, len(r.names))
 	for i, line := range lines {
 		x, y, ok := scanPoint(line)
 		if !ok {
@@ -259,12 +235,7 @@ func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs [][]byte) []
 			x, y = pt.X, pt.Y
 		}
 		sh := r.shards[cells.OwnerIndex(cells.Of(geo.Point{X: x, Y: y}, r.opts.CellSize), r.names)]
-		ok, seen := elig[sh]
-		if !seen {
-			ok = sh.ready.Load() && sh.breaker.Allow(r.now())
-			elig[sh] = ok
-		}
-		if !ok {
+		if !sh.ready.Load() {
 			r.refuse(kind, sh, &outs[i])
 			continue
 		}
@@ -273,8 +244,9 @@ func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs [][]byte) []
 	return routes
 }
 
-// refuse answers one line locally: its owner is dark. The hint tells
-// clients when the prober could plausibly have re-admitted the shard.
+// refuse answers one line locally: its owner is not ready. The hint
+// tells clients when the prober could plausibly have seen it ready
+// again.
 func (r *Router) refuse(kind core.EventKind, owner *shard, out *[]byte) {
 	r.ctr.refused.Add(1)
 	*out = encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
@@ -283,7 +255,7 @@ func (r *Router) refuse(kind core.EventKind, owner *shard, out *[]byte) {
 }
 
 // retryHintMs is the router-originated backoff hint: a couple of probe
-// periods, floored at 100ms — roughly when a recovered shard would be
+// periods, floored at 100ms — roughly when a restarted shard would be
 // re-admitted. Clamped through the shared wire helper so a router hint
 // obeys the same [1ms, 30s] bounds, and the same body/header
 // precedence, as a shard-originated one (see serve/admission.go).
@@ -295,18 +267,20 @@ func (r *Router) retryHintMs() int64 {
 	return serve.RetryAfterWireMs(hint)
 }
 
-// shardRetry bounds transport-level retries per shard call: 2 tries
-// with capped-jittered backoff between them. Only transport failures
-// retry — shard 429/503 lines are backpressure and pass through to the
-// client untouched.
-var shardRetry = fault.RetryPolicy{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
-
-// forwardGroup posts one shard's sub-batch and scatters the per-line
-// decisions back into outs at their original indices. Transport
-// failures retry under shardRetry within the call deadline; a final
-// failure answers every line unavailable. Shard backpressure lines
-// (shed/draining/recovering) pass through with their own
-// retry_after_ms.
+// forwardGroup posts one shard's sub-batch, once, and scatters the
+// per-line decisions back into outs at their original indices.
+//
+// A failed post answers every line unavailable with a retry hint and is
+// not sent again: the failure may have come after the shard admitted
+// and applied the sub-batch, and the paper decides each arrival once,
+// so only the client may send it again. The one safe re-send happens
+// below the router: net/http's Transport re-sends a request whose bytes
+// never left a reused connection (persistConn.shouldRetryRequest in
+// GOROOT's net/http/transport.go: a nothingWrittenError with GetBody
+// set, which http.NewRequestWithContext sets for a *bytes.Reader), and
+// never a POST it has written, which is not replayable without an
+// Idempotency-Key. Shard backpressure lines (shed/draining) pass
+// through with their own retry_after_ms.
 func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKind, lines [][]byte, idxs []int, outs [][]byte) {
 	total := 0
 	for _, i := range idxs {
@@ -319,37 +293,8 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 	}
 	n := int64(len(idxs))
 	sh.lines.Add(n)
-	r.met.Add(metrics.RouteForwards, n)
 
-	var decs [][]byte
-	var err error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			r.met.Add(metrics.RouteRetries, 1)
-			sh.retries.Add(1)
-			wait := r.backoff(attempt - 1)
-			select {
-			case <-ctx.Done():
-				err = ctx.Err()
-			case <-time.After(wait):
-			}
-			if err == nil && !sh.breaker.Allow(r.now()) {
-				err = fmt.Errorf("shard %s: breaker open", sh.name)
-			}
-			if err != nil {
-				break
-			}
-		}
-		decs, err = r.post(ctx, sh, kind, payload)
-		if err == nil {
-			sh.breaker.Success()
-			break
-		}
-		sh.breaker.Failure(r.now())
-		if attempt+1 >= shardRetry.MaxAttempts || ctx.Err() != nil {
-			break
-		}
-	}
+	decs, err := r.post(ctx, sh, kind, payload)
 	if err != nil {
 		sh.errors.Add(n)
 		failed := encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
@@ -387,36 +332,21 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 			sh.ok.Add(1)
 		case serve.StatusShed:
 			sh.shed.Add(1)
-		case serve.StatusDraining, serve.StatusRecovering, serve.StatusUnavailable:
+		case serve.StatusDraining, serve.StatusUnavailable:
 			sh.unavailable.Add(1)
 		}
 		outs[i] = line
 	}
 }
 
-// backoff draws the jittered capped-exponential wait for a retry.
-func (r *Router) backoff(attempt int) time.Duration {
-	r.rngMu.Lock()
-	defer r.rngMu.Unlock()
-	return shardRetry.Backoff(attempt, r.rng)
-}
-
-// callTimeout bounds a single shard HTTP call.
+// callTimeout bounds a shard HTTP call.
 const callTimeout = 10 * time.Second
 
 // post is one HTTP round trip to a shard ingest endpoint, bounded by
-// callTimeout and by what is left of the client call's deadline. The
-// shard always answers NDJSON per-line decisions (the router forces
-// batch semantics).
+// callTimeout. The shard always answers NDJSON per-line decisions (the
+// router forces batch semantics).
 func (r *Router) post(ctx context.Context, sh *shard, kind core.EventKind, payload []byte) ([][]byte, error) {
-	budget := callTimeout
-	if deadline, ok := ctx.Deadline(); ok {
-		budget = min(budget, time.Until(deadline))
-	}
-	if budget <= 0 {
-		return nil, context.DeadlineExceeded
-	}
-	ctx, cancel := context.WithTimeout(ctx, budget)
+	ctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	url := sh.url + "/v1/requests"
 	if kind == core.WorkerArrival {
@@ -685,19 +615,17 @@ func (r *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Snapshot is the router's /v1/metrics document: router-side
-// accounting, the per-shard health/breaker table, and the shared
-// collector counters (route_*, breaker_*).
+// accounting, the cell size it routes on, and the per-shard table.
 type Snapshot struct {
-	UptimeMs    int64          `json:"uptime_ms"`
-	CellSize    float64        `json:"cell_size"`
-	Calls       int64          `json:"calls"`
-	Lines       int64          `json:"lines"`
-	BadLines    int64          `json:"bad_lines"`
-	Busy        int64          `json:"busy"`
-	Refused     int64          `json:"refused"`
-	ReadyShards int            `json:"ready_shards"`
-	Shards      []ShardStatus  `json:"shards"`
-	Metrics     metrics.Report `json:"metrics"`
+	UptimeMs    int64         `json:"uptime_ms"`
+	CellSize    float64       `json:"cell_size"`
+	Calls       int64         `json:"calls"`
+	Lines       int64         `json:"lines"`
+	BadLines    int64         `json:"bad_lines"`
+	Busy        int64         `json:"busy"`
+	Refused     int64         `json:"refused"`
+	ReadyShards int           `json:"ready_shards"`
+	Shards      []ShardStatus `json:"shards"`
 }
 
 // Snapshot returns the current fleet metrics document.
@@ -710,7 +638,6 @@ func (r *Router) Snapshot() Snapshot {
 		BadLines: r.ctr.badLines.Load(),
 		Busy:     r.ctr.busy.Load(),
 		Refused:  r.ctr.refused.Load(),
-		Metrics:  r.met.Snapshot(),
 	}
 	for _, sh := range r.shards {
 		st := sh.status()

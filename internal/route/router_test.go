@@ -3,6 +3,7 @@ package route
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -22,7 +23,7 @@ type fakeShard struct {
 	name string
 	srv  *httptest.Server
 
-	healthy   atomic.Bool  // /healthz: 200 ok vs 503 recovering
+	healthy   atomic.Bool  // /healthz: 200 ok vs 503 draining
 	lineState atomic.Value // string: status for every ingest line
 	slowPosts atomic.Int32 // this many leading posts sleep slowFor
 	slowFor   time.Duration
@@ -45,7 +46,7 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 			return
 		}
 		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(serve.HealthStatus{Status: "recovering"})
+		_ = json.NewEncoder(w).Encode(serve.HealthStatus{Status: "draining"})
 	})
 	ingest := func(w http.ResponseWriter, req *http.Request) {
 		fs.inPosts.Add(1)
@@ -168,9 +169,9 @@ func TestRoutingMatchesOwnership(t *testing.T) {
 }
 
 // TestDeadShardRoutedAround: a shard that is down (connection refused)
-// must not stall the batch — its lines answer unavailable fast with a
-// retry hint, surviving shards' lines are served, and the breaker
-// opens so later calls refuse without a connect attempt.
+// is not ready and must not stall the batch — its lines answer
+// unavailable at once with a retry hint and without a post, and the
+// surviving shards' lines are served.
 func TestDeadShardRoutedAround(t *testing.T) {
 	s1, s2 := newFakeShard(t, "s1"), newFakeShard(t, "s2")
 	dead := newFakeShard(t, "s3")
@@ -199,19 +200,8 @@ func TestDeadShardRoutedAround(t *testing.T) {
 	if outs[1].Status != serve.StatusUnavailable || outs[1].RetryAfterMs <= 0 {
 		t.Fatalf("dead-shard line: %+v, want unavailable with a retry hint", outs[1])
 	}
-
-	// The probes keep failing: the breaker must open within the probe
-	// deadline (threshold 3, probes every 10ms).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, _ := r.Shard("s3")
-		if st.Breaker == "open" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened on the dead shard: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st, _ := r.Shard("s3"); st.Lines != 0 {
+		t.Fatalf("the not-ready shard was posted %d lines", st.Lines)
 	}
 }
 
@@ -241,8 +231,35 @@ func TestReadmissionAfterRecovery(t *testing.T) {
 	}
 }
 
+// TestReadmissionAfterRestart: a shard that stops listening is not
+// ready, and once it listens again on the same address the prober
+// re-admits it within a few probe intervals: nothing holds a restarted
+// shard out of the fleet.
+func TestReadmissionAfterRestart(t *testing.T) {
+	s1 := newFakeShard(t, "s1")
+	r := newTestRouter(t, Options{}, s1)
+	addr, handler := s1.srv.Listener.Addr().String(), s1.srv.Config.Handler
+	s1.srv.Close()
+	waitReady(t, r, "s1", false)
+	// Stay dark for ten probe intervals, a down shard rather than a blip.
+	time.Sleep(100 * time.Millisecond)
+
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listening on %s again: %v", addr, err)
+	}
+	back := &httptest.Server{Listener: ln, Config: &http.Server{Handler: handler}}
+	back.Start()
+	t.Cleanup(back.Close)
+	t0 := time.Now()
+	waitReady(t, r, "s1", true)
+	if el := time.Since(t0); el > 400*time.Millisecond {
+		t.Fatalf("restarted shard took %v to be ready again with 10ms probes", el)
+	}
+}
+
 // TestBackpressurePassthrough: shard 429 lines reach the client with
-// their retry hint, untouched by the router's transport retries.
+// their retry hint, and the router does not send them again.
 func TestBackpressurePassthrough(t *testing.T) {
 	s1 := newFakeShard(t, "s1")
 	s1.lineState.Store(serve.StatusShed)
@@ -369,7 +386,7 @@ func TestMaxInflightBounds(t *testing.T) {
 }
 
 // TestRefusalRetryHintPrecedence is the retry-hint regression: a cell
-// whose owner is breaker-open is refused locally by the router, and
+// whose owner is not ready is refused locally by the router, and
 // that refusal must carry BOTH backoff hints with the precedence
 // documented in serve/admission.go — the body retry_after_ms is
 // authoritative and the Retry-After header is the same hint rounded up
@@ -380,18 +397,7 @@ func TestRefusalRetryHintPrecedence(t *testing.T) {
 	dead.srv.Close()
 	dead.healthy.Store(false)
 	r := newTestRouter(t, Options{}, dead)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, _ := r.Shard("s1")
-		if st.Breaker == "open" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened on the dead owner: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitReady(t, r, "s1", false)
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/requests",
 		strings.NewReader(lineAt(geo.Point{X: 0.5, Y: 0.5})))

@@ -42,15 +42,8 @@ type WALStatus struct {
 }
 
 // Recovery returns the startup recovery summary. The zero value means
-// the server runs without a WAL, started on an empty log, or (with
-// RecoverInBackground) is still re-driving — wait on RecoverDone for
-// the settled value.
-func (s *Server) Recovery() RecoveryInfo {
-	if s.recovering.Load() {
-		return RecoveryInfo{}
-	}
-	return s.rec
-}
+// the server runs without a WAL or started on an empty log.
+func (s *Server) Recovery() RecoveryInfo { return s.rec }
 
 // recover opens (or creates) the write-ahead log, loads the latest
 // valid snapshot manifest, and re-drives every logged event through
@@ -64,9 +57,8 @@ func (s *Server) Recovery() RecoveryInfo {
 func (s *Server) recover() error {
 	t0 := time.Now()
 	l, err := wal.Open(s.opts.WALDir, wal.Options{
-		SegmentBytes: s.opts.SegmentBytes,
-		FsyncBatch:   s.opts.FsyncBatch,
-		Metrics:      s.met,
+		FsyncBatch: s.opts.FsyncBatch,
+		Metrics:    s.met,
 	})
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -159,16 +151,13 @@ func (s *Server) recover() error {
 	}
 
 	// Resume the virtual clock past everything already stamped: the
-	// snapshot's high-water mark, the last logged arrival, and any
-	// explicit ResumeVTime. Without this, time.Since(started) would
-	// restart the clock at zero and the first live event would trip the
-	// engine's ErrTimeRegression against recovered state.
-	base := s.vbase
+	// snapshot's high-water mark and the last logged arrival. Without
+	// this, time.Since(started) would restart the clock at zero and the
+	// first live event would trip the engine's ErrTimeRegression against
+	// recovered state.
+	base := lastTime
 	if snap != nil && snap.VLast > base {
 		base = snap.VLast
-	}
-	if lastTime > base {
-		base = lastTime
 	}
 	s.vbase, s.vlast = base, base
 

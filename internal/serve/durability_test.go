@@ -137,24 +137,6 @@ func TestBatchDeadlineSparesComputedDecisions(t *testing.T) {
 	}
 }
 
-// TestResumeVTimeClock is the standalone restart-safe-clock fix: a
-// server given ResumeVTime must stamp its first arrival at or after
-// that tick, not restart the virtual clock from zero — with or without
-// a WAL.
-func TestResumeVTimeClock(t *testing.T) {
-	const resume = 5000
-	_, ts := startServer(t, Options{Algorithm: platform.AlgDemCOM, Seed: 3,
-		ResumeVTime: resume})
-	resp, d := postJSON(t, ts.Client(), ts.URL+"/v1/workers",
-		`{"id":1,"x":0.5,"y":0.5,"platform":1,"radius":0.4}`)
-	if resp.StatusCode != 200 || d.Status != StatusOK {
-		t.Fatalf("worker post: code %d, decision %+v", resp.StatusCode, d)
-	}
-	if d.VTime < resume {
-		t.Fatalf("first stamped tick %d is before the resumed clock %d", d.VTime, resume)
-	}
-}
-
 // TestCrashRecoveryReplayBitIdentical is the headline durability
 // criterion: push part of a recorded stream into a WAL-backed server,
 // crash it hard (no flush, no final snapshot), restart on the same

@@ -39,11 +39,11 @@ type LoadOptions struct {
 	// event. Default 0.
 	Retries int
 	// UnavailRetries is the separate budget for 503-class lines
-	// (draining, recovering, unavailable). These are outages, not
-	// overload: a shard re-driving its WAL after a crash answers
-	// recovering for as long as the replay takes, so the budget that
-	// makes sense is much larger than the shed one. Each retry honors
-	// the server's retry_after_ms hint. Default 0 (drop on first 503).
+	// (draining, unavailable). These are outages, not overload: behind
+	// a router, a restarting shard's cells answer unavailable until it
+	// has re-driven its WAL and listens again, so the budget that makes
+	// sense is much larger than the shed one. Each retry honors the
+	// server's retry_after_ms hint. Default 0 (drop on first 503).
 	UnavailRetries int
 	// Client overrides the HTTP client (tests inject the httptest one).
 	Client *http.Client
@@ -57,7 +57,7 @@ type LoadReport struct {
 	Calls       int64   `json:"calls"`
 	OK          int64   `json:"ok"`
 	Shed        int64   `json:"shed"`
-	Unavailable int64   `json:"unavailable"` // 503-class responses: draining/recovering/owner dark
+	Unavailable int64   `json:"unavailable"` // 503-class responses: draining, owner not ready, post failed
 	Retried     int64   `json:"retried"`
 	Dropped     int64   `json:"dropped"` // out of retries (shed or unavailable budget)
 	Failed      int64   `json:"failed"`  // transport or non-retryable errors
@@ -131,7 +131,7 @@ func retryable(status string) (shedClass bool, ok bool) {
 	switch status {
 	case StatusShed:
 		return true, true
-	case StatusDraining, StatusRecovering, StatusUnavailable:
+	case StatusDraining, StatusUnavailable:
 		return false, true
 	}
 	return false, false
@@ -303,7 +303,7 @@ func accountLines(rep *LoadReport, job batchJob, outs []WireDecision) []batchJob
 					due:      retryDue(out.Status, out.RetryAfterMs),
 					retryFor: out.Status})
 			}
-		case StatusDraining, StatusRecovering, StatusUnavailable:
+		case StatusDraining, StatusUnavailable:
 			rep.Unavailable++
 			if sl != nil {
 				sl.Unavailable++
@@ -363,8 +363,8 @@ func observeShardRTT(rep *LoadReport, outs []WireDecision, rtt time.Duration) {
 
 // retryLine re-posts one retryable event until it settles or its class
 // budget (shed vs unavailable) runs out. A retry that answers the
-// other class switches budgets: an event shed during recovery may next
-// see recovering, and vice versa.
+// other class switches budgets: an event a shard shed may next find
+// its owner unavailable, and vice versa.
 func retryLine(ctx context.Context, client *http.Client, base string, job batchJob, opts LoadOptions, mu *sync.Mutex, rep *LoadReport, lat *stats.Reservoir) {
 	shedLeft, unavailLeft := opts.Retries, opts.UnavailRetries
 	shedClass := job.retryFor == StatusShed

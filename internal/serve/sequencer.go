@@ -176,9 +176,9 @@ func (s *Server) onWindowFlush(rd platform.RequestDecision) {
 // stamp writes the live virtual clock onto an event: milliseconds
 // since server start plus the resumed base, clamped non-decreasing so
 // wall-clock jitter can never violate the engine's time-order
-// contract. The base matters across restarts: a recovered (or
-// ResumeVTime'd) server must never stamp an arrival before its
-// restored high-water mark, or the engine would reject it with
+// contract. The base matters across restarts: a recovered server must
+// never stamp an arrival before its restored high-water mark, or the
+// engine would reject it with
 // ErrTimeRegression.
 func (s *Server) stamp(ev *core.Event) {
 	vt := s.vbase + time.Since(s.started).Milliseconds()

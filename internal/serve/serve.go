@@ -28,7 +28,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -109,7 +109,8 @@ type Options struct {
 	// is appended to a write-ahead log in this directory before the
 	// engine sees it, checkpoint manifests are written alongside, and a
 	// restart with the same directory recovers the exact pre-crash state
-	// by re-driving the log (see internal/wal). Empty keeps the
+	// by re-driving the log (see internal/wal) inside New, before it
+	// returns; a recovery that fails is New's error. Empty keeps the
 	// zero-durability hot path byte-for-byte unchanged.
 	WALDir string
 	// FsyncBatch fsyncs the log every N appends (<1 → every append).
@@ -119,22 +120,6 @@ type Options struct {
 	// SnapshotEvery writes a checkpoint manifest every N applied events;
 	// 0 disables periodic checkpoints (one is still written on Close).
 	SnapshotEvery int
-	// SegmentBytes caps one log segment (default wal.DefaultSegmentBytes).
-	SegmentBytes int64
-	// ResumeVTime starts the live virtual clock at this tick (ms)
-	// instead of zero, so a restarted server never stamps an arrival
-	// before recovered engine state. Recovery raises it further to the
-	// logged high-water mark.
-	ResumeVTime int64
-	// RecoverInBackground, with WALDir set, returns from New immediately
-	// and re-drives the log on a background goroutine: the server is
-	// live (HTTP up, /healthz/live answers 200) but not ready — ingest
-	// answers 503 {"status":"recovering"} and /healthz reports
-	// recovering — until the re-drive and its digest verify finish.
-	// This is how a fleet shard stays probe-able during a long recovery
-	// so a router can re-admit it the moment readiness flips. Default
-	// (false) recovers synchronously inside New, exactly as before.
-	RecoverInBackground bool
 }
 
 type eventKey struct {
@@ -170,26 +155,17 @@ type Server struct {
 	qmu    sync.RWMutex // guards queue close vs concurrent enqueues
 	bucket *tokenBucket
 
-	// platformOK is the engine's platform set; live admission rejects
-	// events naming any other platform before they can reach the WAL or
-	// the sequencer (an unguarded unknown ID is a poison event: logged,
-	// it would fail recovery on every restart). platformList is the
+	// pids is the engine's platform set, ascending, as New resolved it.
+	// platformOK indexes it for live admission, which rejects events
+	// naming any other platform before they can reach the WAL or the
+	// sequencer (an unguarded unknown ID is a poison event: logged, it
+	// would fail recovery on every restart). platformList is the
 	// ready-made error text.
+	pids         []core.PlatformID
 	platformOK   map[core.PlatformID]bool
 	platformList string
 
 	draining atomic.Bool
-	// Readiness (liveness vs readiness split): recovering is true while
-	// a background WAL re-drive owns the server state; recFailed latches
-	// when that re-drive errors. Both stay false on the synchronous
-	// recovery path, where New does not return until the server is
-	// ready. recoverDone closes when the recovery attempt settles
-	// (success or failure); recErr is written before that close and read
-	// only after it.
-	recovering  atomic.Bool
-	recFailed   atomic.Bool
-	recoverDone chan struct{}
-	recErr      error
 
 	seqDone chan struct{}
 	started time.Time
@@ -255,9 +231,11 @@ func (c *counters) addRevenue(v float64) {
 	c.revenueMu.Unlock()
 }
 
-// New builds the service and starts its sequencer goroutine. Every
-// successfully constructed Server must be stopped with Close, even on
-// error paths, or the sequencer leaks.
+// New builds the service, re-drives the write-ahead log when WALDir is
+// set, and starts its sequencer goroutine. A recovery that fails is an
+// error, and nothing is left running. Every successfully constructed
+// Server must be stopped with Close, even on error paths, or the
+// sequencer leaks.
 func New(opts Options) (*Server, error) {
 	if opts.Algorithm == "" {
 		opts.Algorithm = platform.AlgDemCOM
@@ -278,9 +256,11 @@ func New(opts Options) (*Server, error) {
 		pids = opts.Replay.Platforms()
 		maxV = opts.Replay.MaxValue()
 	} else {
+		pids = slices.Clone(pids)
 		if len(pids) == 0 {
 			pids = []core.PlatformID{1, 2}
 		}
+		slices.Sort(pids)
 		if maxV <= 0 && (opts.Algorithm == platform.AlgRamCOM || opts.Algorithm == platform.AlgGreedyRT) {
 			return nil, fmt.Errorf("serve: %s needs MaxValue (the a-priori max request value) in live mode", opts.Algorithm)
 		}
@@ -310,25 +290,22 @@ func New(opts Options) (*Server, error) {
 	}
 
 	s := &Server{
-		opts:        opts,
-		met:         opts.Metrics,
-		eng:         eng,
-		queue:       make(chan *ingest, opts.QueueCap),
-		bucket:      newTokenBucket(opts.Rate, opts.Burst),
-		seqDone:     make(chan struct{}),
-		recoverDone: make(chan struct{}),
-		started:     time.Now(),
+		opts:    opts,
+		met:     opts.Metrics,
+		eng:     eng,
+		queue:   make(chan *ingest, opts.QueueCap),
+		bucket:  newTokenBucket(opts.Rate, opts.Burst),
+		seqDone: make(chan struct{}),
+		started: time.Now(),
+		pids:    pids,
 	}
 	s.platformOK = make(map[core.PlatformID]bool, len(pids))
 	for _, pid := range pids {
 		s.platformOK[pid] = true
 	}
-	s.platformList = fmt.Sprint(s.Platforms())
+	s.platformList = fmt.Sprint(pids)
 	s.nextReqID.Store(liveIDBase)
 	s.nextWorkerID.Store(liveIDBase)
-	if opts.ResumeVTime > 0 {
-		s.vbase, s.vlast = opts.ResumeVTime, opts.ResumeVTime
-	}
 	s.waiters = make(map[int64]*ingest)
 	// The flush handler must be registered before any recovery re-drive:
 	// recovered tick records flush windows, and those flushes must book
@@ -357,7 +334,7 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 
-	if opts.WALDir != "" && !opts.RecoverInBackground {
+	if opts.WALDir != "" {
 		if err := s.recover(); err != nil {
 			return nil, err
 		}
@@ -373,7 +350,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /healthz/live", s.handleLiveness)
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -381,44 +357,8 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 
-	if opts.WALDir != "" && opts.RecoverInBackground {
-		// Live-but-not-ready: HTTP is up, ingest answers "recovering",
-		// and the sequencer starts only once the re-drive owns no more
-		// state. A failed recovery latches the server unavailable; the
-		// sequencer still runs so drain/Close work normally (it can see
-		// no events — admission is gated on recFailed).
-		s.recovering.Store(true)
-		go func() {
-			err := s.recover()
-			if err != nil {
-				s.recErr = err
-				s.recFailed.Store(true)
-			}
-			s.recovering.Store(false)
-			close(s.recoverDone)
-			go s.sequence()
-		}()
-	} else {
-		close(s.recoverDone)
-		go s.sequence()
-	}
+	go s.sequence()
 	return s, nil
-}
-
-// RecoverDone returns a channel closed once the startup recovery
-// attempt settles (immediately for servers without a background
-// recovery). After it closes, RecoveryErr and Recovery are stable.
-func (s *Server) RecoverDone() <-chan struct{} { return s.recoverDone }
-
-// RecoveryErr returns the background recovery failure, nil when
-// recovery succeeded or never ran. Valid after RecoverDone closes.
-func (s *Server) RecoveryErr() error {
-	select {
-	case <-s.recoverDone:
-		return s.recErr
-	default:
-		return nil
-	}
 }
 
 // Handler returns the service's HTTP handler, ready to mount on any
@@ -570,18 +510,6 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 		return nil, WireDecision{Status: StatusError, Kind: KindName(kind), Error: "bad event: " + err.Error()}
 	}
 
-	// The readiness gate must come before any replay bookkeeping: while
-	// a background recovery re-drives the log it owns the delivered bits
-	// and the cursor, and nothing else may touch them.
-	if s.recovering.Load() {
-		return nil, WireDecision{Status: StatusRecovering, Kind: KindName(kind), ID: we.ID,
-			RetryAfterMs: RetryAfterWireMs(recoverRetryHint), Error: "wal recovery in progress"}
-	}
-	if s.recFailed.Load() {
-		return nil, WireDecision{Status: StatusUnavailable, Kind: KindName(kind), ID: we.ID,
-			Error: "wal recovery failed; server cannot admit events"}
-	}
-
 	it := &ingest{seq: -1, done: make(chan WireDecision, 1)}
 	admitted := false
 	if s.replayIdx != nil {
@@ -650,11 +578,6 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 			RetryAfterMs: RetryAfterWireMs(s.queueRetryHint()), Error: "ingest queue full"}
 	}
 }
-
-// recoverRetryHint is the backoff hint handed to clients refused while
-// a background WAL recovery is still re-driving the log: short enough
-// that a router re-admits the shard promptly after readiness flips.
-const recoverRetryHint = 250 * time.Millisecond
 
 // queueRetryHint estimates how long a full queue takes to make room:
 // the queue depth over the admission rate, or a small constant when
@@ -743,9 +666,7 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		},
 		Engine: s.met.Snapshot(),
 	}
-	// The recovering check is the happens-before edge: the WAL fields are
-	// owned by the background re-drive until it stores recovering=false.
-	if !s.recovering.Load() && s.wal != nil {
+	if s.wal != nil {
 		snap.WAL = &WALStatus{
 			Dir:              s.opts.WALDir,
 			FsyncBatch:       s.opts.FsyncBatch,
@@ -770,48 +691,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	_ = s.opts.Tracer.WriteJSONL(w)
 }
 
-// HealthStatus is the /healthz and /healthz/live response body. The
-// liveness/readiness split matters to fleet routers: a shard re-driving
-// its WAL after a crash is live (the process answers) but not ready
-// (it must not be routed traffic until the digest verify passes), and
-// the old binary endpoint lied during exactly that window.
+// HealthStatus is the /healthz response body: "ok" (200) while the
+// server admits events, "draining" (503) once it stops. There is no
+// recovering state: New re-drives the WAL before there is a handler to
+// probe.
 type HealthStatus struct {
-	Status string `json:"status"` // "ok", "recovering", "draining", "failed" or "live"
-	Error  string `json:"error,omitempty"`
+	Status string `json:"status"`
 }
 
-// handleHealth is the readiness probe: 200 {"status":"ok"} only when
-// the server admits events; 503 with the reason otherwise.
+// handleHealth is the readiness probe a fleet router polls.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	switch {
-	case s.recovering.Load():
-		WriteJSON(w, http.StatusServiceUnavailable, HealthStatus{Status: "recovering"})
-	case s.recFailed.Load():
-		WriteJSON(w, http.StatusServiceUnavailable, HealthStatus{Status: "failed", Error: s.RecoveryErr().Error()})
-	case s.draining.Load():
+	if s.draining.Load() {
 		WriteJSON(w, http.StatusServiceUnavailable, HealthStatus{Status: "draining"})
-	default:
-		WriteJSON(w, http.StatusOK, HealthStatus{Status: "ok"})
+		return
 	}
+	WriteJSON(w, http.StatusOK, HealthStatus{Status: "ok"})
 }
 
-// handleLiveness is the liveness probe: 200 as long as the process
-// serves HTTP, recovering or draining included. A router only treats a
-// shard as dead when this (or the TCP connect) fails.
-func (s *Server) handleLiveness(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, http.StatusOK, HealthStatus{Status: "live"})
-}
-
-// Platforms returns the server's platform set, ascending.
-func (s *Server) Platforms() []core.PlatformID {
-	var pids []core.PlatformID
-	if s.opts.Replay != nil {
-		pids = s.opts.Replay.Platforms()
-	} else if len(s.opts.Platforms) > 0 {
-		pids = append(pids, s.opts.Platforms...)
-	} else {
-		pids = []core.PlatformID{1, 2}
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	return pids
-}
+// Platforms returns the platform set New resolved, ascending.
+func (s *Server) Platforms() []core.PlatformID { return slices.Clone(s.pids) }

@@ -39,13 +39,9 @@ const (
 	// StatusDraining — the server is shutting down and no longer admits
 	// events.
 	StatusDraining = "draining"
-	// StatusRecovering — the server is live but not ready: WAL recovery
-	// is still re-driving the log and no events are admitted until the
-	// digest verify passes. Retry after RetryAfterMs.
-	StatusRecovering = "recovering"
-	// StatusUnavailable — the event could not be served by its owner
-	// (recovery failed, or a fleet router found the owning shard dark).
-	// Retry after RetryAfterMs.
+	// StatusUnavailable — a fleet router could not serve the event: its
+	// owning shard is not ready, or the post to it failed and the shard
+	// may or may not have applied it. Retry after RetryAfterMs.
 	StatusUnavailable = "unavailable"
 	// StatusDeadline — the event was admitted but its decision did not
 	// return within the per-request deadline. The event is still in the
@@ -98,7 +94,7 @@ func HTTPStatus(status string) int {
 		return http.StatusOK
 	case StatusShed:
 		return http.StatusTooManyRequests
-	case StatusDraining, StatusRecovering, StatusUnavailable:
+	case StatusDraining, StatusUnavailable:
 		return http.StatusServiceUnavailable
 	case StatusDeadline:
 		return http.StatusGatewayTimeout

@@ -42,6 +42,20 @@ if [ "$(git grep -cE "$router" -- '*.go' ':!bench' ':!*_test.go')" != "internal/
 	exit 1
 fi
 
+echo "==> the fleet router sends once and keeps one readiness bit: no re-send, no breaker, no jitter source"
+once='Retries|shardRetry|internal/fault|fault\.[A-Z]|math/rand'
+# The one hit allowed: route.ShardStatus.Retries, inert for bench/serve.go,
+# and the first line of its comment.
+if [ "$(git grep -cE "$once" -- internal/route cmd/comroute ':!*_test.go')" != "internal/route/probe.go:2" ]; then
+	git grep -nE "$once" -- internal/route cmd/comroute ':!*_test.go' >&2
+	exit 1
+fi
+
+echo "==> a shard starts one way: no background recovery, no live-but-not-ready state"
+if git grep -nE 'RecoverInBackground|recover-bg|StatusRecovering|healthz/live|ResumeVTime' -- '*.go' '*.sh' Makefile .github ':!bench' ':!scripts/check.sh'; then
+	exit 1
+fi
+
 echo "==> one exact matching solver: no size ladder, Hungarian only as a test oracle, no sort.Slice in online or match"
 if git grep -nE 'GreedyAugment|hungarianLimit|mcmfLimit|batchHungarianLimit|batchFlowLimit' -- '*.go' ':!*_test.go'; then
 	exit 1

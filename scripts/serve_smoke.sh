@@ -7,8 +7,9 @@
 # to the uninterrupted run — crash recovery is bit-exact. Finally the
 # fleet chaos phase: a comroute router over three replay shards (each
 # serving its spatial-hash sub-stream with its own WAL), SIGKILL one
-# shard mid-push, restart it with background WAL recovery on the same
-# address, re-push through the router, and assert every shard's drain
+# shard mid-push, restart it on the same address and WAL (it listens
+# only once recovery is done), re-push through the router, and assert
+# every shard's drain
 # summary matches the uninterrupted fleet oracle — a partial outage
 # stays partial and recovery is bit-exact per shard. This is the CI
 # end-to-end check for the live matching service (see README
@@ -138,8 +139,8 @@ fi
 echo "    recovery is bit-exact: $recovered"
 
 # ----------------------------------------------------------------------
-# Fleet chaos: router + 3 shards, SIGKILL one mid-push, restart with
-# background WAL recovery, full re-push, per-shard oracle comparison.
+# Fleet chaos: router + 3 shards, SIGKILL one mid-push, restart it on
+# its WAL, full re-push, per-shard oracle comparison.
 # ----------------------------------------------------------------------
 
 echo "==> fleet: split the stream by shard ownership"
@@ -214,14 +215,13 @@ wait_dead "$pid" "$tmp/fleet-s2.log"
 wait "$fload" 2>/dev/null || true
 echo "    killed shard s2 mid-stream"
 
-echo "==> fleet: restart s2 with background WAL recovery, re-push"
+echo "==> fleet: restart s2 on its WAL, re-push"
 boot_shard s2 "$tmp/shards/s2.csv" "$tmp/fleet-s2b.log" "$tmp/fleet-s2b.port" \
-    -addr "$s2addr" -wal-dir "$tmp/fwal-s2" -fsync-batch 8 -snapshot-every 100 \
-    -recover-bg
+    -addr "$s2addr" -wal-dir "$tmp/fwal-s2" -fsync-batch 8 -snapshot-every 100
 fleet_s2_pid=$bs_pid
 
 # Full re-push through the router: recovered events dedupe as resumed,
-# the killed shard's cells ride out recovery on the unavailable budget.
+# the killed shard's cells ride out its restart on the unavailable budget.
 # Zero failures required (comload exits non-zero otherwise).
 "$tmp/comload" -url "http://$raddr" -in "$tmp/stream.csv" \
     -conns 8 -batch 8 -retries 100 -unavail-retries 400 -min-matched 1 \
