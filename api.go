@@ -208,10 +208,10 @@ func algConfig(maxValue float64, opts []Option) platform.AlgConfig {
 }
 
 // platformConfig lowers the functional options into the runtime Config —
-// the single mapping shared by SimulateContext, NewEngine and
-// SimulateSource, so every entry point interprets the options
-// identically. Out-of-range options are rejected with an error wrapping
-// ErrBadOption rather than silently clamped.
+// the single mapping shared by SimulateContext and NewEngine, so both
+// entry points interpret the options identically. Out-of-range options
+// are rejected with an error wrapping ErrBadOption rather than silently
+// clamped.
 func platformConfig(opts []Option) (platform.Config, error) {
 	var c simConfig
 	for _, opt := range opts {
@@ -337,9 +337,6 @@ type (
 	// EngineDecision is the serving-facing outcome of one request
 	// arrival: who served it, at what payment, and why.
 	EngineDecision = platform.RequestDecision
-	// ArrivalSource yields arrival events one at a time; Next returns
-	// io.EOF when exhausted. SimulateSource pulls a whole run from one.
-	ArrivalSource = platform.EventSource
 )
 
 // Event kinds.
@@ -375,28 +372,6 @@ func NewEngine(pids []PlatformID, algorithm string, maxValue float64, opts ...Op
 		return nil, fmt.Errorf("crossmatch: %w", err)
 	}
 	return eng, nil
-}
-
-// StreamArrivals adapts a pre-built stream to an ArrivalSource;
-// SimulateSource over it reproduces SimulateContext on the same stream.
-func StreamArrivals(s *Stream) ArrivalSource { return platform.StreamSource(s) }
-
-// SimulateSource runs the named algorithm over arrivals pulled from an
-// ArrivalSource — SimulateContext for callers whose events materialize
-// over time. The source's platform set and max value cannot be derived
-// up front, so both are explicit. Cancellation mirrors SimulateContext:
-// the run stops at the next event boundary and returns the partial
-// result alongside an error wrapping ctx.Err().
-func SimulateSource(ctx context.Context, pids []PlatformID, algorithm string, maxValue float64, src ArrivalSource, opts ...Option) (*SimResult, error) {
-	factory, err := platform.FactoryConfigured(algorithm, algConfig(maxValue, opts))
-	if err != nil {
-		return nil, fmt.Errorf("crossmatch: %w", err)
-	}
-	cfg, err := platformConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	return platform.RunSource(ctx, pids, factory, src, cfg)
 }
 
 // Offline computes the OFF baseline: the offline optimum of COM as an

@@ -59,12 +59,12 @@ func TestNewEngineMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestSimulateSourceMatchesSimulate checks the pull-based entry point
-// against the stream-based one, assignment by assignment. With
-// WithServiceTicks the recycled workers' IDs are part of the comparison:
-// a stream-backed source carries the stream's max worker ID, so both
-// entry points mint the same IDs.
-func TestSimulateSourceMatchesSimulate(t *testing.T) {
+// TestNewEngineMatchesSimulateRecycled is the incremental caller's
+// path — NewEngine, Process per event, Finish — against SimulateContext,
+// assignment by assignment. With WithServiceTicks the recycled workers'
+// IDs are part of the comparison: seeded through SetRecycleBase with the
+// stream's largest worker ID, both entry points mint the same IDs.
+func TestNewEngineMatchesSimulateRecycled(t *testing.T) {
 	stream, err := GenerateSynthetic(150, 100, 1.0, "real", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -75,13 +75,24 @@ func TestSimulateSourceMatchesSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SimulateSource(context.Background(), stream.Platforms(), RamCOM,
-			stream.MaxValue(), StreamArrivals(stream), opts...)
+		eng, err := NewEngine(stream.Platforms(), RamCOM, stream.MaxValue(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.SetRecycleBase(stream.MaxWorkerID()); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range stream.Events() {
+			if _, err := eng.Process(ev); err != nil {
+				t.Fatalf("Process: %v", err)
+			}
+		}
+		got, err := eng.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.TotalRevenue() != want.TotalRevenue() || got.Recycled != want.Recycled {
-			t.Fatalf("ticks %d: source revenue/recycled %v/%d, simulate %v/%d",
+			t.Fatalf("ticks %d: engine revenue/recycled %v/%d, simulate %v/%d",
 				ticks, got.TotalRevenue(), got.Recycled, want.TotalRevenue(), want.Recycled)
 		}
 		for pid, wp := range want.Platforms {

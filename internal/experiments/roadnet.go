@@ -118,9 +118,7 @@ func RunRoadNet(opts RoadNetOptions) (*RoadNetResult, error) {
 func withRangeFilter(factory platform.MatcherFactory, f online.RangeFilter) platform.MatcherFactory {
 	return func(id core.PlatformID, coop online.CoopView, rng *rand.Rand) online.Matcher {
 		m := factory(id, coop, rng)
-		if holder, ok := m.(interface{ Pool() *online.Pool }); ok {
-			holder.Pool().Filter = f
-		}
+		m.Pool().Filter = f
 		return m
 	}
 }

@@ -39,7 +39,7 @@ import (
 // ring scan — cells outside it are empty, so the order is kept — and
 // one far-reaching entry cannot make every query walk millions of cells.
 //
-// AppendSlots and Len are strictly read-only, so any number of
+// AppendSlots, Has and Len are strictly read-only, so any number of
 // concurrent readers is safe while no writer runs.
 type SlotGrid struct {
 	cell     float64
@@ -262,6 +262,12 @@ func (g *SlotGrid) AppendSlots(dst []int32, p geo.Point) []int32 {
 		}
 	}
 	return dst
+}
+
+// Has reports whether an entry with the given ID is live.
+func (g *SlotGrid) Has(id int64) bool {
+	_, ok := g.where[id]
+	return ok
 }
 
 // Len returns the number of live entries.

@@ -35,7 +35,7 @@ func runExample(t *testing.T, m Matcher) (*core.Matching, *Stats, *fakeCoop) {
 		switch e.Kind {
 		case core.WorkerArrival:
 			if e.Worker.Platform == 1 {
-				m.WorkerArrives(e.Worker)
+				m.Pool().Add(e.Worker)
 			} else {
 				h, herr := pricing.NewHistory(e.Worker.History)
 				if herr != nil {

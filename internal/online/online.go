@@ -31,7 +31,9 @@ import (
 )
 
 // Candidate is an outer worker eligible for a cooperative request,
-// paired with its acceptance history.
+// paired with its acceptance history. History points into the owner
+// Pool's slot and is valid until that pool's next Add, which may reuse
+// the slot.
 type Candidate struct {
 	Worker  *core.Worker
 	History *pricing.History
@@ -137,8 +139,9 @@ type Decision struct {
 type Matcher interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
-	// WorkerArrives adds an inner worker to the platform's waiting list.
-	WorkerArrives(w *core.Worker)
+	// Pool is the platform's waiting list: the engine adds arriving
+	// workers to it, and the hub shares it with cooperating platforms.
+	Pool() *Pool
 	// RequestArrives decides the fate of an incoming request
 	// immediately (the online constraint): serve it with an inner
 	// worker, serve it with a claimed outer worker, or reject it.
@@ -238,11 +241,7 @@ type waiting struct {
 	tr   *trace.Recorder
 }
 
-// WorkerArrives implements Matcher.
-func (m *waiting) WorkerArrives(w *core.Worker) { m.pool.Add(w) }
-
-// Pool exposes the inner waiting list (the simulation shares this
-// platform's unoccupied workers with cooperating platforms through it).
+// Pool implements Matcher.
 func (m *waiting) Pool() *Pool { return m.pool }
 
 // BindTrace attaches the per-request decision tracer (nil detaches).

@@ -59,7 +59,7 @@ func runPlatform1(t *testing.T, m Matcher, coop *fakeCoop) *Stats {
 		switch e.Kind {
 		case core.WorkerArrival:
 			if e.Worker.Platform == 1 {
-				m.WorkerArrives(e.Worker)
+				m.Pool().Add(e.Worker)
 			} else if coop != nil {
 				h, herr := pricing.NewHistory(e.Worker.History)
 				if herr != nil {
@@ -101,8 +101,8 @@ func TestTOTAGreedyExampleOne(t *testing.T) {
 
 func TestTOTAGreedyPicksNearest(t *testing.T) {
 	m := NewTOTAGreedy()
-	m.WorkerArrives(poolWorker(1, 0, 3, 0, 5))
-	m.WorkerArrives(poolWorker(2, 0, 1, 0, 5))
+	m.Pool().Add(poolWorker(1, 0, 3, 0, 5))
+	m.Pool().Add(poolWorker(2, 0, 1, 0, 5))
 	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 7))
 	if !d.Served || d.Assignment.Worker.ID != 2 {
 		t.Fatalf("decision = %+v, want worker 2", d)
@@ -132,7 +132,7 @@ func TestGreedyRTThresholdRejectsBelow(t *testing.T) {
 	if m == nil {
 		t.Fatal("no seed yielded the top threshold")
 	}
-	m.WorkerArrives(poolWorker(1, 0, 0, 0, 5))
+	m.Pool().Add(poolWorker(1, 0, 0, 0, 5))
 	if d := m.RequestArrives(poolRequest(1, 10, 0, 0, 5)); d.Served {
 		t.Error("value 5 below threshold served")
 	}
@@ -166,7 +166,7 @@ func TestDemCOMInnerPriority(t *testing.T) {
 	coop.addWorker(&core.Worker{ID: 10, Arrival: 0, Loc: poolRequest(1, 10, 0, 0, 5).Loc, Radius: 5, Platform: 2},
 		pricing.MustHistory([]float64{0.1}))
 	m := NewDemCOM(coop, pricing.DefaultMonteCarlo, rand.New(rand.NewSource(1)))
-	m.WorkerArrives(poolWorker(1, 0, 3, 0, 5))
+	m.Pool().Add(poolWorker(1, 0, 3, 0, 5))
 	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 5))
 	if !d.Served || d.Assignment.Outer || d.Assignment.Worker.ID != 1 {
 		t.Fatalf("decision = %+v, want inner worker 1", d)
@@ -315,7 +315,7 @@ func TestRamCOMLowValueBypassesInnerWorkers(t *testing.T) {
 	if m == nil {
 		t.Fatal("no high-threshold seed found")
 	}
-	m.WorkerArrives(poolWorker(1, 0, 0, 0, 5)) // free inner worker
+	m.Pool().Add(poolWorker(1, 0, 0, 0, 5)) // free inner worker
 	// With the default inner fallback, an empty coop view falls back to
 	// the idle inner worker rather than rejecting.
 	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 5))
@@ -326,7 +326,7 @@ func TestRamCOMLowValueBypassesInnerWorkers(t *testing.T) {
 	// Literal Algorithm 3 (NoInnerFallback): the low-value request must
 	// NOT use the inner worker and is rejected outright.
 	m.NoInnerFallback = true
-	m.WorkerArrives(poolWorker(2, 0, 0, 0, 5))
+	m.Pool().Add(poolWorker(2, 0, 0, 0, 5))
 	d = m.RequestArrives(poolRequest(2, 11, 0, 0, 5))
 	if d.Served {
 		t.Fatalf("low-value request served despite NoInnerFallback: %+v", d)

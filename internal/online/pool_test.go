@@ -96,6 +96,63 @@ func TestPoolReAddReplaces(t *testing.T) {
 	}
 }
 
+// TestPoolAddBuildsHistoryOnce: a waiting worker is one pool slot, its
+// history included. Re-adding one ID whose history is ascending costs
+// no allocation and shares the worker's slice; a shuffled history costs
+// the one sorted copy. A refused history leaves the pool as it was.
+func TestPoolAddBuildsHistoryOnce(t *testing.T) {
+	p := NewPool(nil)
+	ascending := make([]float64, 40)
+	for i := range ascending {
+		ascending[i] = 1 + float64(i)
+	}
+	shuffled := slices.Clone(ascending)
+	shuffled[0], shuffled[39] = shuffled[39], shuffled[0]
+	r := poolRequest(1, 10, 0, 0, 5)
+	for _, c := range []struct {
+		name    string
+		history []float64
+		want    float64
+	}{{"ascending", ascending, 0}, {"shuffled", shuffled, 1}} {
+		w := poolWorker(1, 0, 0, 0, 5)
+		w.History = c.history
+		if err := p.Add(w); err != nil {
+			t.Fatal(err)
+		}
+		// The same ID every time: after the first Add the slot and the grid
+		// bucket are reused, so what is counted is the arrival alone.
+		if got := testing.AllocsPerRun(100, func() {
+			if err := p.Add(w); err != nil {
+				t.Fatal(err)
+			}
+		}); got != c.want {
+			t.Errorf("%s: Add allocates %v times, want %v", c.name, got, c.want)
+		}
+		cands := p.AppendCandidates(nil, r)
+		if len(cands) != 1 || cands[0].Worker != w {
+			t.Fatalf("%s: candidates %v, want the one worker", c.name, cands)
+		}
+		vals := cands[0].History.Values()
+		if !slices.Equal(vals, ascending) {
+			t.Errorf("%s: history %v, want the worker's values ascending", c.name, vals)
+		}
+		if shared := &vals[0] == &c.history[0]; shared != (c.want == 0) {
+			t.Errorf("%s: history shares the worker's slice = %v, want %v", c.name, shared, c.want == 0)
+		}
+	}
+	bad := poolWorker(2, 0, 0, 0, 5)
+	bad.History = []float64{1, -1}
+	if err := p.Add(bad); err == nil {
+		t.Error("a negative history value was accepted")
+	}
+	if p.Len() != 1 || p.Has(2) {
+		t.Errorf("a refused worker reached the pool: len %d", p.Len())
+	}
+	if !p.Remove(1) || p.hists[0].Len() != 0 {
+		t.Error("Remove left the slot's history behind")
+	}
+}
+
 func TestPoolEach(t *testing.T) {
 	p := NewPool(nil)
 	for i := int64(1); i <= 5; i++ {

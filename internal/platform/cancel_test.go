@@ -39,8 +39,6 @@ func (m cancelingMatcher) RequestArrives(r *core.Request) online.Decision {
 	return m.Matcher.RequestArrives(r)
 }
 
-func (m cancelingMatcher) Pool() *online.Pool { return m.Matcher.(poolHolder).Pool() }
-
 // cancelingWindowed keeps a windowed matcher windowed through the wrap.
 type cancelingWindowed struct {
 	online.WindowedMatcher
@@ -51,8 +49,6 @@ func (m cancelingWindowed) RequestArrives(r *core.Request) online.Decision {
 	m.tick()
 	return m.WindowedMatcher.RequestArrives(r)
 }
-
-func (m cancelingWindowed) Pool() *online.Pool { return m.WindowedMatcher.(poolHolder).Pool() }
 
 // TestCancellationContract pins the cancellation contract of a stream
 // run: it stops within a poll interval, returns the partial Result with

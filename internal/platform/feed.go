@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -92,8 +91,8 @@ func requestDecisionOf(r *core.Request, d online.Decision, at core.Time) Request
 // Engine is the one event loop of this package: it takes the next
 // arrival, settles what is due, decides, and folds the decision. A
 // server feeds it from a live socket — events arrive, decisions return
-// synchronously — and a stream run is a feeder of the same step: Run
-// pulls the stream through RunSource.
+// synchronously — and a stream run is Process in a loop over the
+// stream's events.
 //
 // The engine is single-goroutine by construction: it starts no
 // goroutine and holds no lock, and neither do its hub, matchers, pools
@@ -184,7 +183,7 @@ func (e *Engine) check(ev core.Event) error {
 	if _, known := e.matchers[pid]; !known {
 		return fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
 	}
-	// The hub builds a worker's pricing history on delivery and the
+	// The pool builds a worker's pricing history on delivery and the
 	// Matching refuses a request's value on Add, both after the clock
 	// and a pool have moved; what they would refuse is refused here.
 	var err error
@@ -302,8 +301,8 @@ func (e *Engine) foldWindow(pid core.PlatformID, wds []online.WindowDecision, el
 }
 
 // fold books one final decision made at virtual time at: latency, Stats
-// and the metrics funnel, then for a served request the hub release, the
-// Matching and — with ServiceTicks — the recycled worker. It is the only
+// and the metrics funnel, then for a served request the Matching and —
+// with ServiceTicks — the recycled worker. It is the only
 // place a decision reaches any of them.
 func (e *Engine) fold(pid core.PlatformID, d online.Decision, at core.Time, el time.Duration) error {
 	pr := e.res.Platforms[pid]
@@ -328,10 +327,6 @@ func (e *Engine) fold(pid core.PlatformID, d online.Decision, at core.Time, el t
 	if !d.Served {
 		return nil
 	}
-	// Release the hub's per-worker record. For inner assignments this is
-	// the eviction keeping the hub tables bounded; for outer ones Claim
-	// already did it and this is a no-op.
-	e.hub.WorkerAssigned(d.Assignment.Worker.ID)
 	if err := pr.Matching.Add(d.Assignment); err != nil {
 		return fmt.Errorf("platform %d: %w", pid, err)
 	}
@@ -428,100 +423,22 @@ func (e *Engine) Finish() (*Result, error) {
 	return e.res, nil
 }
 
-// EventSource yields arrival events one at a time — the pull-based
-// counterpart of a Stream for callers whose arrivals materialize over
-// time (a socket, a queue, a generator). Next returns io.EOF when the
-// source is exhausted; any other error aborts the run.
-type EventSource interface {
-	Next(ctx context.Context) (core.Event, error)
-}
-
-// streamSource adapts a pre-built stream to EventSource. base is the
-// stream's maximum worker ID: RunSource seeds the recycled-worker
-// allocator with it, which is what makes a stream-backed source
-// reproduce Run under ServiceTicks.
-type streamSource struct {
-	events []core.Event
-	i      int
-	base   int64
-}
-
-func (ss *streamSource) Next(context.Context) (core.Event, error) {
-	if ss.i >= len(ss.events) {
-		return core.Event{}, io.EOF
-	}
-	ev := ss.events[ss.i]
-	ss.i++
-	return ev, nil
-}
-
-// StreamSource returns an EventSource replaying the stream's events in
-// arrival order; RunSource over it is Run on the same stream.
-func StreamSource(s *core.Stream) EventSource {
-	return &streamSource{events: s.Events(), base: s.MaxWorkerID()}
-}
-
-// RunSource executes an event source against one matcher per platform —
-// the runtime behind Run, with arrivals pulled incrementally
-// instead of sliced up front. When ctx is canceled the run stops at the
-// next event boundary, settles what is pending (buffered BatchCOM
-// requests get their flush decision) and returns the partial Result
-// alongside an error wrapping ctx.Err().
-func RunSource(ctx context.Context, pids []core.PlatformID, factory MatcherFactory, src EventSource, cfg Config) (*Result, error) {
-	eng, err := NewEngine(pids, factory, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if ss, ok := src.(*streamSource); ok {
-		if err := eng.SetRecycleBase(ss.base); err != nil {
+// run feeds a stream's events into a fresh engine and finishes it,
+// polling ctx every cancelCheckMask+1 events. A canceled run settles
+// what is pending (buffered BatchCOM requests get their flush decision)
+// and returns the partial Result alongside an error wrapping ctx.Err().
+func (e *Engine) run(ctx context.Context, events []core.Event) (*Result, error) {
+	for i, ev := range events {
+		if i&cancelCheckMask == 0 && ctx.Err() != nil {
+			res, err := e.Finish()
+			if err != nil {
+				return nil, err
+			}
+			return res, fmt.Errorf("platform: run stopped after %d events: %w", i, ctx.Err())
+		}
+		if _, err := e.Process(ev); err != nil {
 			return nil, err
 		}
 	}
-	return eng.run(ctx, src)
-}
-
-// run feeds src dry and finishes; a canceled run keeps its partial
-// Result.
-func (e *Engine) run(ctx context.Context, src EventSource) (*Result, error) {
-	ferr := e.feed(ctx, src)
-	res, err := e.Finish()
-	if ferr != nil && !canceled(ctx, ferr) {
-		return nil, ferr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, ferr
-}
-
-// feed steps every event src yields into the engine, polling ctx every
-// cancelCheckMask+1 events.
-func (e *Engine) feed(ctx context.Context, src EventSource) error {
-	for i := 0; ; i++ {
-		if i&cancelCheckMask == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return fmt.Errorf("platform: run stopped after %d events: %w", i, cerr)
-			}
-		}
-		ev, err := src.Next(ctx)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if canceled(ctx, err) {
-				return fmt.Errorf("platform: run stopped after %d events: %w", i, err)
-			}
-			return fmt.Errorf("platform: event source: %w", err)
-		}
-		if _, err := e.Process(ev); err != nil {
-			return err
-		}
-	}
-}
-
-// canceled reports whether err is ctx's own cancellation — the one
-// failure a run answers with a partial Result.
-func canceled(ctx context.Context, err error) bool {
-	cerr := ctx.Err()
-	return cerr != nil && errors.Is(err, cerr)
+	return e.Finish()
 }

@@ -1,9 +1,7 @@
 package platform
 
 import (
-	"context"
 	"errors"
-	"io"
 	"math"
 	"testing"
 
@@ -264,25 +262,6 @@ func TestEngineRejectedEventLeavesState(t *testing.T) {
 	})
 }
 
-// blockingSource yields a few events then blocks until its context
-// dies, standing in for a quiet socket.
-type blockingSource struct {
-	events []core.Event
-	i      int
-}
-
-func (b *blockingSource) Next(ctx context.Context) (core.Event, error) {
-	if b.i < len(b.events) {
-		ev := b.events[b.i]
-		b.i++
-		return ev, nil
-	}
-	<-ctx.Done()
-	return core.Event{}, ctx.Err()
-}
-
-// TestRunSourceCancellation: a canceled context stops the run and
-// surfaces ctx.Err, with the partial result intact.
 // TestProcessRejectsInvalidRequestUntouched: a request core.Request's
 // own Validate refuses must be refused before the engine moves. Until
 // check validated it, a NaN value was matched first — worker taken, clock
@@ -335,50 +314,5 @@ func TestProcessRejectsInvalidRequestUntouched(t *testing.T) {
 	}
 	if rev := res.TotalRevenue(); rev != 3 {
 		t.Errorf("revenue = %v, want 3", rev)
-	}
-}
-
-func TestRunSourceCancellation(t *testing.T) {
-	stream := feedTestStream(t, 100, 40, 17)
-	factory, err := FactoryFor(AlgTOTA, stream.MaxValue())
-	if err != nil {
-		t.Fatalf("FactoryFor: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	src := &blockingSource{events: stream.Events()[:50]}
-	done := make(chan struct{})
-	var res *Result
-	var runErr error
-	go func() {
-		defer close(done)
-		res, runErr = RunSource(ctx, stream.Platforms(), factory, src, Config{Seed: 2})
-	}()
-	cancel()
-	<-done
-	if !errors.Is(runErr, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", runErr)
-	}
-	if res == nil {
-		t.Fatal("partial result missing on cancellation")
-	}
-}
-
-// TestStreamSourceEOF: the adapter terminates cleanly.
-func TestStreamSourceEOF(t *testing.T) {
-	stream := feedTestStream(t, 10, 5, 1)
-	src := StreamSource(stream)
-	n := 0
-	for {
-		_, err := src.Next(context.Background())
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		n++
-	}
-	if n != stream.Len() {
-		t.Fatalf("source yielded %d events, stream has %d", n, stream.Len())
 	}
 }

@@ -103,15 +103,19 @@ func (g goldenRow) String() string {
 
 // goldenDrivers are the ways a stream reaches the engine's step. They
 // must all land on the same bits: Run (which seeds the recycle allocator
-// itself), RunSource over a stream-backed source, and a hand-fed Engine
-// taking a reply per request the way the serving layer does.
+// itself), RunContext under a profile label (the pprof.Do branch), and a
+// hand-fed Engine taking a reply per request the way the serving layer
+// does.
 var goldenDrivers = []struct {
 	name string
 	run  func(*core.Stream, MatcherFactory, Config) (*Result, error)
 }{
 	{"Run", Run},
-	{"RunSource", func(stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
-		return RunSource(context.Background(), stream.Platforms(), factory, StreamSource(stream), cfg)
+	{"RunContext", func(stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg.ProfileLabel = "golden"
+		return RunContext(ctx, stream, factory, cfg)
 	}},
 	{"Engine", func(stream *core.Stream, factory MatcherFactory, cfg Config) (*Result, error) {
 		eng, err := NewEngine(stream.Platforms(), factory, cfg)
@@ -141,7 +145,7 @@ var goldenDrivers = []struct {
 // combination on one fixed stream, through every driver. The values
 // predate the refactor that made Run the Engine fed from a stream, so
 // the test is the proof that the refactor moved no decision — and it
-// replaces the Run ≡ Engine ≡ RunSource parity tests, which after the
+// replaces the Run ≡ Engine parity tests, which after the
 // refactor would compare a path with itself.
 func TestGoldenRuns(t *testing.T) {
 	stream := feedTestStream(t, 400, 120, 7)

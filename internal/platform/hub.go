@@ -3,8 +3,7 @@
 // matcher over its own request stream and waiting list, while the Hub
 // shares every platform's unoccupied workers with the others
 // (Definition 2.3: cooperative platforms "only share the information of
-// their unoccupied workers"), makes cross-platform claims atomic, and
-// keeps worker acceptance histories.
+// their unoccupied workers") and makes cross-platform claims atomic.
 //
 // The package also provides the OFF baseline (Offline): the offline
 // optimum computed as a maximum-weight bipartite matching over every
@@ -16,9 +15,7 @@ import (
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/fault"
-	"crossmatch/internal/metrics"
 	"crossmatch/internal/online"
-	"crossmatch/internal/pricing"
 )
 
 // Hub is the cooperation layer between platforms. It references each
@@ -26,58 +23,37 @@ import (
 // inner assignment made by a matcher is immediately visible to every
 // cooperating platform — and a cooperative claim removes the worker from
 // its owner's waiting list, satisfying the "deleted from all its waiting
-// lists over all platforms" requirement.
+// lists over all platforms" requirement. The pools are the only
+// per-worker state: a waiting worker is one pool slot, history
+// included.
 //
 // A hub is not safe for concurrent use: it belongs to the one goroutine
 // that drives its engine (see Engine), which is also the only one that
 // touches the registered pools. A claim is atomic because nothing else
 // runs during it; the owner pool's removal is its commit point.
-// Registration (RegisterPlatform, SetMetrics, SetFaults, CoopDisabled)
-// comes before the first event.
+// Registration (RegisterPlatform, SetFaults, CoopDisabled) comes before
+// the first event.
 type Hub struct {
 	pools map[core.PlatformID]*online.Pool
 	order []core.PlatformID // registration order, for deterministic scans
 	// CoopDisabled turns the hub off: every view returns no outer
 	// workers, degrading COM to TOTA (the W_out = empty ablation).
 	CoopDisabled bool
-	// metrics, when non-nil, receives claim-conflict counts. Set before
-	// the run via SetMetrics.
-	metrics *metrics.Collector
 	// faults, when non-nil, injects cooperation faults and guards every
 	// partner platform with a circuit breaker (see internal/fault). Set
 	// before the run via SetFaults; nil keeps the fault-free hot path
 	// untouched.
 	faults *fault.Injector
-
-	// A worker's record exists exactly while it waits: it is deleted when
-	// the worker is claimed by a cooperating platform or assigned by its
-	// own (WorkerAssigned), so long recycled runs do not grow the map
-	// without bound.
-	workers map[int64]*workerRec
-	lent    map[core.PlatformID]int
-}
-
-// workerRec is everything the hub keeps for one waiting worker: one
-// map entry and one 32-byte allocation per arrival. The history's values
-// are the event's own slice whenever that is ascending, as every built
-// stream's are (pricing.MakeHistory).
-type workerRec struct {
-	owner core.PlatformID
-	hist  pricing.History
+	lent   map[core.PlatformID]int
 }
 
 // NewHub returns an empty hub.
 func NewHub() *Hub {
 	return &Hub{
-		pools:   make(map[core.PlatformID]*online.Pool),
-		workers: make(map[int64]*workerRec),
-		lent:    make(map[core.PlatformID]int),
+		pools: make(map[core.PlatformID]*online.Pool),
+		lent:  make(map[core.PlatformID]int),
 	}
 }
-
-// SetMetrics attaches the collector that receives claim-conflict
-// counts, before the run starts.
-func (h *Hub) SetMetrics(m *metrics.Collector) { h.metrics = m }
 
 // SetFaults attaches the fault injector guarding the cooperation path,
 // before the run starts.
@@ -97,40 +73,11 @@ func (h *Hub) RegisterPlatform(id core.PlatformID, pool *online.Pool) error {
 	return nil
 }
 
-// WorkerArrived records ownership and acceptance history for a worker
-// that just joined its platform's waiting list. The worker's History
-// field is validated once here; matchers see it through Candidate.
-func (h *Hub) WorkerArrived(w *core.Worker) error {
-	if _, ok := h.pools[w.Platform]; !ok {
-		return fmt.Errorf("platform: worker %d arrived for unregistered platform %d", w.ID, w.Platform)
-	}
-	hist, err := pricing.MakeHistory(w.History)
-	if err != nil {
-		return fmt.Errorf("platform: worker %d: %w", w.ID, err)
-	}
-	h.workers[w.ID] = &workerRec{owner: w.Platform, hist: hist}
-	return nil
-}
-
-// WorkerAssigned releases the hub's record of a worker just assigned by
-// its own platform's matcher (an inner assignment never passes through
-// Claim). Cooperative claims clean up in Claim itself, so calling this
-// for them is a harmless no-op. Without this eviction the table grew
-// without bound on long recycled runs.
-func (h *Hub) WorkerAssigned(workerID int64) { delete(h.workers, workerID) }
-
-// TrackedWorkers reports how many workers the hub currently holds
-// records for — exactly the waiting (unassigned) workers.
-func (h *Hub) TrackedWorkers() int { return len(h.workers) }
-
-// HistoryOf returns the acceptance history recorded for a worker.
-func (h *Hub) HistoryOf(workerID int64) (*pricing.History, bool) {
-	rec := h.workers[workerID]
-	if rec == nil {
-		return nil, false
-	}
-	return &rec.hist, true
-}
+// WorkerArrived and WorkerAssigned are inert: the pools hold every
+// waiting worker's state. They are kept only because the frozen
+// bench/probes.go calls them; the next benchmark PR deletes them.
+func (h *Hub) WorkerArrived(*core.Worker) error { return nil }
+func (h *Hub) WorkerAssigned(int64)             {}
 
 // ViewFor returns the CoopView platform id uses to see the other
 // platforms' unoccupied workers. Its EligibleOuter buffer is reused
@@ -146,15 +93,15 @@ type hubView struct {
 	// recorded by EligibleOuter so Claim can place faults and breaker
 	// cooldowns on the stream timeline.
 	now core.Time
-	// cands and workers are per-view scratch, reused across requests so
-	// the hottest cooperative query performs no per-request allocation.
-	cands   []online.Candidate
-	workers []*core.Worker
+	// cands is per-view scratch, reused across requests so the hottest
+	// cooperative query performs no per-request allocation.
+	cands []online.Candidate
 }
 
 // EligibleOuter implements online.CoopView: unoccupied workers of every
-// other platform satisfying the Definition 2.6 constraints for r. The
-// returned slice is valid until the next call on this view.
+// other platform satisfying the Definition 2.6 constraints for r, each
+// with the history its pool slot holds, partners in registration order.
+// The returned slice is valid until the next call on this view.
 //
 // With a fault injector attached, each partner platform is probed first
 // under the deadline/retry/backoff policy; a partner whose probe fails
@@ -167,7 +114,7 @@ func (v *hubView) EligibleOuter(r *core.Request) []online.Candidate {
 		return nil
 	}
 	v.now = r.Arrival
-	v.workers = v.workers[:0]
+	v.cands = v.cands[:0]
 	for _, pid := range h.order {
 		if pid == v.self {
 			continue
@@ -175,56 +122,35 @@ func (v *hubView) EligibleOuter(r *core.Request) []online.Candidate {
 		if h.faults != nil && !h.faults.ProbePartner(v.self, pid, r.Arrival) {
 			continue
 		}
-		v.workers = h.pools[pid].AppendCovering(v.workers, r)
-	}
-	v.cands = v.cands[:0]
-	if len(v.workers) == 0 {
-		return v.cands
-	}
-	for _, w := range v.workers {
-		rec := h.workers[w.ID]
-		if rec == nil {
-			// In a pool but never announced through WorkerArrived: no
-			// history to price it with.
-			continue
-		}
-		v.cands = append(v.cands, online.Candidate{Worker: w, History: &rec.hist})
+		v.cands = h.pools[pid].AppendCandidates(v.cands, r)
 	}
 	return v.cands
 }
 
-// Claim implements online.CoopView: remove the worker from its owner's
-// waiting list and from the hub's tables.
+// Claim implements online.CoopView: remove the worker from the partner
+// pool that holds it. An ID no partner pool holds — the platform's own,
+// already claimed or assigned, or never seen — fails before any fault
+// draw.
 func (v *hubView) Claim(workerID int64) bool {
 	h := v.hub
 	if h.CoopDisabled {
 		return false
 	}
-	rec := h.workers[workerID]
-	if rec == nil {
-		// Not waiting: already assigned, or never arrived.
-		return false
+	for _, owner := range h.order {
+		pool := h.pools[owner]
+		if owner == v.self || !pool.Has(workerID) {
+			continue
+		}
+		if h.faults != nil && !h.faults.ClaimPartner(v.self, owner, v.now) {
+			// Injected transient claim error (retries exhausted) or an open
+			// breaker: the matcher moves on to the next accepting candidate.
+			return false
+		}
+		pool.Remove(workerID)
+		h.lent[owner]++
+		return true
 	}
-	owner := rec.owner
-	if owner == v.self {
-		// The coop view never hands out a platform's own workers.
-		return false
-	}
-	if h.faults != nil && !h.faults.ClaimPartner(v.self, owner, v.now) {
-		// Injected transient claim error (retries exhausted) or an open
-		// breaker: the matcher moves on to the next accepting candidate.
-		return false
-	}
-	pool := h.pools[owner]
-	if pool == nil || !pool.Remove(workerID) {
-		// The owner's matcher took the worker and the engine has not yet
-		// evicted the record via WorkerAssigned.
-		h.metrics.Add(metrics.ClaimConflicts, 1)
-		return false
-	}
-	delete(h.workers, workerID)
-	h.lent[owner]++
-	return true
+	return false
 }
 
 // Lent returns how many workers each platform has lent out through the

@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/fault"
 	"crossmatch/internal/geo"
 	"crossmatch/internal/metrics"
 	"crossmatch/internal/online"
-	"crossmatch/internal/pricing"
 	"crossmatch/internal/workload"
 )
 
@@ -82,15 +82,14 @@ func conflictStream(t *testing.T, workers, requestsEach int) *core.Stream {
 	return s
 }
 
-// TestHubClaimConflictPath exercises the losing branch of a claim: the
-// worker is still tracked by the hub but its pool slot was already taken
-// (the owner's inner assignment has removed it and not yet evicted the
-// tables). The claim must fail, count one conflict, and a later eviction
-// must stay a no-op.
+// TestHubClaimConflictPath exercises the losing branches of a claim: an
+// ID the viewer's own platform holds, one no pool holds, and one its
+// owner already assigned all fail before the fault layer draws anything
+// (the injector below would fail every claim it is asked about), and
+// no claim conflict is counted.
 func TestHubClaimConflictPath(t *testing.T) {
 	col := metrics.New()
 	h := NewHub()
-	h.SetMetrics(col)
 	p1, p2 := online.NewPool(nil), online.NewPool(nil)
 	if err := h.RegisterPlatform(1, p1); err != nil {
 		t.Fatal(err)
@@ -98,83 +97,66 @@ func TestHubClaimConflictPath(t *testing.T) {
 	if err := h.RegisterPlatform(2, p2); err != nil {
 		t.Fatal(err)
 	}
-	w := &core.Worker{ID: 7, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}}
-	if err := h.WorkerArrived(w); err != nil {
-		t.Fatal(err)
-	}
-	p2.Add(w)
-	// The owner assigns the worker: pool removal first, table eviction
-	// later.
-	if !p2.Remove(w.ID) {
+	h.SetFaults(fault.New(&fault.Plan{ClaimErrorRate: 1}, 1, []core.PlatformID{1, 2}, col))
+	addAll(t, p1, &core.Worker{ID: 5, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1}})
+	addAll(t, p2, &core.Worker{ID: 7, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}})
+	// The owner assigns worker 7: its pool slot is the only record.
+	if !p2.Remove(7) {
 		t.Fatal("owner removal failed")
 	}
-	if h.ViewFor(1).Claim(7) {
-		t.Fatal("claim of an already-assigned worker succeeded")
+	v1 := h.ViewFor(1)
+	for _, id := range []int64{5, 7, 99} {
+		if v1.Claim(id) {
+			t.Fatalf("claim of worker %d succeeded", id)
+		}
 	}
-	if n := col.Snapshot().Counters.ClaimConflicts; n != 1 {
-		t.Fatalf("claim conflicts = %d, want 1", n)
+	c := col.Snapshot().Counters
+	if c.FaultClaimErrors != 0 || c.ProbeRetries != 0 || c.ClaimConflicts != 0 {
+		t.Fatalf("refused claims drew faults or counted conflicts: %+v", c)
 	}
-	h.WorkerAssigned(7)
-	if n := h.TrackedWorkers(); n != 0 {
-		t.Fatalf("tracked workers = %d after eviction, want 0", n)
+	// A claim on a waiting partner worker does reach the fault layer.
+	addAll(t, p2, &core.Worker{ID: 8, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}})
+	if v1.Claim(8) {
+		t.Fatal("claim succeeded through a fault plan that fails every claim")
+	}
+	if n := col.Snapshot().Counters.FaultClaimErrors; n == 0 {
+		t.Fatal("a claim on a waiting partner worker drew no fault")
+	}
+	if !p2.Has(8) {
+		t.Fatal("a faulted claim removed the worker")
 	}
 }
 
-// TestHubReleasesAssignedWorkers is the regression test for the
-// unbounded owner/history growth: every assignment — inner via
-// WorkerAssigned, outer via Claim — must release the per-worker tables,
-// so after a full run the hub tracks exactly the still-waiting workers.
+// TestHubReleasesAssignedWorkers: an assignment — inner through the
+// owner's pool, outer through Claim — leaves every view, since the
+// pool slot is the worker's only record.
 func TestHubReleasesAssignedWorkers(t *testing.T) {
 	h := NewHub()
 	p1, p2 := online.NewPool(nil), online.NewPool(nil)
 	_ = h.RegisterPlatform(1, p1)
 	_ = h.RegisterPlatform(2, p2)
-	w1 := &core.Worker{ID: 1, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1}}
-	w2 := &core.Worker{ID: 2, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}}
-	for _, w := range []*core.Worker{w1, w2} {
-		if err := h.WorkerArrived(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p1.Add(w1)
-	p2.Add(w2)
-	if n := h.TrackedWorkers(); n != 2 {
-		t.Fatalf("tracked = %d, want 2", n)
+	addAll(t, p1, &core.Worker{ID: 1, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1}})
+	addAll(t, p2, &core.Worker{ID: 2, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}})
+	r1 := &core.Request{ID: 10, Arrival: 1, Loc: geo.Point{}, Value: 5, Platform: 1}
+	r2 := &core.Request{ID: 11, Arrival: 1, Loc: geo.Point{}, Value: 5, Platform: 2}
+	v1, v2 := h.ViewFor(1), h.ViewFor(2)
+	if len(v1.EligibleOuter(r1)) != 1 || len(v2.EligibleOuter(r2)) != 1 {
+		t.Fatal("each platform should see the other's one worker")
 	}
 	// Outer path: platform 1 claims platform 2's worker.
-	if !h.ViewFor(1).Claim(2) {
+	if !v1.Claim(2) {
 		t.Fatal("claim failed")
 	}
-	if n := h.TrackedWorkers(); n != 1 {
-		t.Fatalf("tracked = %d after claim, want 1", n)
-	}
-	if _, ok := h.HistoryOf(2); ok {
-		t.Error("claimed worker's history still tracked")
+	if n := len(v1.EligibleOuter(r1)); n != 0 {
+		t.Fatalf("platform 1 still sees %d workers after the claim", n)
 	}
 	// Inner path: platform 1 assigns its own worker.
 	p1.Remove(1)
-	h.WorkerAssigned(1)
-	if n := h.TrackedWorkers(); n != 0 {
-		t.Fatalf("tracked = %d after inner assignment, want 0", n)
+	if n := len(v2.EligibleOuter(r2)); n != 0 {
+		t.Fatalf("platform 2 still sees %d workers after the inner assignment", n)
 	}
-	if _, ok := h.HistoryOf(1); ok {
-		t.Error("assigned worker's history still tracked")
-	}
-}
-
-// TestRunReleasesHubRecords checks the table eviction end to end: after
-// a long recycled run the hub must track exactly the workers still
-// waiting in the platform pools, not every worker that ever arrived.
-func TestRunReleasesHubRecords(t *testing.T) {
-	stream := multiStream(t, 3, 500, 80, 11)
-	s, _ := runForState(t, stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
-		Config{Seed: 11, ServiceTicks: 5})
-	waiting := 0
-	for _, pid := range s.pids {
-		waiting += s.matchers[pid].(poolHolder).Pool().Len()
-	}
-	if got := s.hub.TrackedWorkers(); got != waiting {
-		t.Errorf("hub tracks %d workers, want the %d still waiting in pools", got, waiting)
+	if v2.Claim(1) {
+		t.Fatal("an assigned worker was claimed")
 	}
 }
 

@@ -22,6 +22,16 @@ func exampleStream(t *testing.T) *core.Stream {
 	return s
 }
 
+// addAll puts workers into a pool, failing the test on a refused one.
+func addAll(t *testing.T, p *online.Pool, ws ...*core.Worker) {
+	t.Helper()
+	for _, w := range ws {
+		if err := p.Add(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestHubRegisterAndArrivals(t *testing.T) {
 	h := NewHub()
 	p1 := online.NewPool(nil)
@@ -34,50 +44,54 @@ func TestHubRegisterAndArrivals(t *testing.T) {
 	if err := h.RegisterPlatform(core.NoPlatform, p1); err == nil {
 		t.Error("zero platform accepted")
 	}
-	w := &core.Worker{ID: 1, Arrival: 0, Loc: geo.Point{}, Radius: 1, Platform: 1, History: []float64{2}}
-	if err := h.WorkerArrived(w); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.HistoryOf(1); !ok {
-		t.Error("history not recorded")
-	}
-	bad := &core.Worker{ID: 2, Arrival: 0, Loc: geo.Point{}, Radius: 1, Platform: 9}
-	if err := h.WorkerArrived(bad); err == nil {
-		t.Error("unregistered platform accepted")
-	}
+	// An arrival is a pool slot: the pool builds the history, and refuses
+	// one pricing.MakeHistory refuses without taking the worker.
+	addAll(t, p1, &core.Worker{ID: 1, Arrival: 0, Loc: geo.Point{}, Radius: 1, Platform: 1, History: []float64{2}})
 	badHist := &core.Worker{ID: 3, Arrival: 0, Loc: geo.Point{}, Radius: 1, Platform: 1, History: []float64{-1}}
-	if err := h.WorkerArrived(badHist); err == nil {
+	if err := p1.Add(badHist); err == nil {
 		t.Error("invalid history accepted")
+	}
+	if p1.Len() != 1 || p1.Has(3) {
+		t.Errorf("refused worker reached the pool: len %d", p1.Len())
 	}
 }
 
+// TestHubViewSeesOnlyOtherPlatforms: a view lists every other
+// platform's covering workers, partners in registration order, each with
+// its own worker's history — the pool slot's, sharing the worker's
+// ascending slice.
 func TestHubViewSeesOnlyOtherPlatforms(t *testing.T) {
 	h := NewHub()
-	p1, p2 := online.NewPool(nil), online.NewPool(nil)
-	if err := h.RegisterPlatform(1, p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.RegisterPlatform(2, p2); err != nil {
-		t.Fatal(err)
-	}
-	w1 := &core.Worker{ID: 1, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1}}
-	w2 := &core.Worker{ID: 2, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}}
-	for _, w := range []*core.Worker{w1, w2} {
-		if err := h.WorkerArrived(w); err != nil {
+	pools := map[core.PlatformID]*online.Pool{}
+	for _, pid := range []core.PlatformID{3, 1, 2} {
+		pools[pid] = online.NewPool(nil)
+		if err := h.RegisterPlatform(pid, pools[pid]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p1.Add(w1)
-	p2.Add(w2)
+	ws := map[int64]*core.Worker{}
+	for id, pid := range map[int64]core.PlatformID{1: 1, 2: 2, 3: 3, 4: 2} {
+		w := &core.Worker{ID: id, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: pid, History: []float64{float64(id), 9}}
+		ws[id] = w
+		addAll(t, pools[pid], w)
+	}
 
 	r := &core.Request{ID: 1, Arrival: 10, Loc: geo.Point{}, Value: 5, Platform: 1}
-	v1 := h.ViewFor(1)
-	got := v1.EligibleOuter(r)
-	if len(got) != 1 || got[0].Worker.ID != 2 {
-		t.Fatalf("platform 1 sees %d outer workers, want exactly worker 2", len(got))
+	got := h.ViewFor(1).EligibleOuter(r)
+	var ids []int64
+	for _, c := range got {
+		ids = append(ids, c.Worker.ID)
+		if c.Worker.Platform == 1 {
+			t.Errorf("platform 1 sees its own worker %d", c.Worker.ID)
+		}
+		if vals := c.History.Values(); len(vals) != 2 || &vals[0] != &ws[c.Worker.ID].History[0] {
+			t.Errorf("worker %d's candidate carries history %v, not its own", c.Worker.ID, vals)
+		}
 	}
-	if got[0].History == nil {
-		t.Error("candidate missing history")
+	// Registration order is 3, 1, 2: platform 3's worker, then platform
+	// 2's two in their pool's visit order.
+	if len(ids) != 3 || ids[0] != 3 {
+		t.Fatalf("platform 1 sees %v, want worker 3 then platform 2's workers 2 and 4", ids)
 	}
 }
 
@@ -86,9 +100,7 @@ func TestHubClaimSemantics(t *testing.T) {
 	p1, p2 := online.NewPool(nil), online.NewPool(nil)
 	_ = h.RegisterPlatform(1, p1)
 	_ = h.RegisterPlatform(2, p2)
-	w2 := &core.Worker{ID: 2, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}}
-	_ = h.WorkerArrived(w2)
-	p2.Add(w2)
+	addAll(t, p2, &core.Worker{ID: 2, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}})
 
 	v1 := h.ViewFor(1)
 	if !v1.Claim(2) {
@@ -100,12 +112,16 @@ func TestHubClaimSemantics(t *testing.T) {
 	if p2.Len() != 0 {
 		t.Error("claim did not remove worker from owner pool")
 	}
+	if got := h.Lent()[2]; got != 1 {
+		t.Errorf("platform 2 lent %d workers, want 1", got)
+	}
 	// A platform cannot "claim" its own workers through the coop view.
-	w1 := &core.Worker{ID: 1, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1}}
-	_ = h.WorkerArrived(w1)
-	p1.Add(w1)
+	addAll(t, p1, &core.Worker{ID: 1, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1}})
 	if v1.Claim(1) {
 		t.Error("self-claim through coop view succeeded")
+	}
+	if !p1.Has(1) {
+		t.Error("a refused self-claim removed the worker")
 	}
 	if v1.Claim(99) {
 		t.Error("claim of unknown worker succeeded")
@@ -117,9 +133,7 @@ func TestHubCoopDisabled(t *testing.T) {
 	p1, p2 := online.NewPool(nil), online.NewPool(nil)
 	_ = h.RegisterPlatform(1, p1)
 	_ = h.RegisterPlatform(2, p2)
-	w2 := &core.Worker{ID: 2, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}}
-	_ = h.WorkerArrived(w2)
-	p2.Add(w2)
+	addAll(t, p2, &core.Worker{ID: 2, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}})
 	h.CoopDisabled = true
 	v1 := h.ViewFor(1)
 	r := &core.Request{ID: 1, Arrival: 10, Loc: geo.Point{}, Value: 5, Platform: 1}

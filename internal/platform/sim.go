@@ -22,10 +22,6 @@ import (
 // a platform-private generator derived from the simulation seed.
 type MatcherFactory func(id core.PlatformID, coop online.CoopView, rng *rand.Rand) online.Matcher
 
-// poolHolder is implemented by every matcher in this repository; the
-// simulation uses it to wire the matcher's waiting list into the hub.
-type poolHolder interface{ Pool() *online.Pool }
-
 // traceBinder is implemented by matchers that can record per-request
 // decision spans; matchers without it simply run untraced.
 type traceBinder interface{ BindTrace(*trace.Recorder) }
@@ -224,7 +220,13 @@ const cancelCheckMask = 63
 // context.DeadlineExceeded).
 func RunContext(ctx context.Context, stream *core.Stream, factory MatcherFactory, cfg Config) (res *Result, err error) {
 	run := func(ctx context.Context) {
-		res, err = RunSource(ctx, stream.Platforms(), factory, StreamSource(stream), cfg)
+		var eng *Engine
+		if eng, err = NewEngine(stream.Platforms(), factory, cfg); err != nil {
+			return
+		}
+		// Recycled workers are minted above the stream's own IDs.
+		eng.nextID = stream.MaxWorkerID()
+		res, err = eng.run(ctx, stream.Events())
 	}
 	if cfg.ProfileLabel != "" {
 		pprof.Do(ctx, pprof.Labels("crossmatch.run", cfg.ProfileLabel), run)
@@ -260,17 +262,12 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 		nextID:   RecycleIDBase,
 	}
 	e.hub.CoopDisabled = cfg.DisableCoop
-	e.hub.SetMetrics(cfg.Metrics)
 
 	root := rand.New(rand.NewSource(cfg.Seed))
 	for _, pid := range e.pids {
 		rng := rand.New(rand.NewSource(root.Int63()))
 		m := factory(pid, e.hub.ViewFor(pid), rng)
-		holder, ok := m.(poolHolder)
-		if !ok {
-			return nil, fmt.Errorf("platform: matcher %q does not expose its pool", m.Name())
-		}
-		if err := e.hub.RegisterPlatform(pid, holder.Pool()); err != nil {
+		if err := e.hub.RegisterPlatform(pid, m.Pool()); err != nil {
 			return nil, err
 		}
 		e.matchers[pid] = m
@@ -325,12 +322,11 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 }
 
 // deliver puts a worker (fresh or recycled) into its platform's waiting
-// list and registers it with the hub.
+// list, which every cooperating platform sees through the hub.
 func (e *Engine) deliver(w *core.Worker) error {
-	if err := e.hub.WorkerArrived(w); err != nil {
-		return err
+	if err := e.matchers[w.Platform].Pool().Add(w); err != nil {
+		return fmt.Errorf("platform: worker %d: %w", w.ID, err)
 	}
-	e.matchers[w.Platform].WorkerArrives(w)
 	return nil
 }
 

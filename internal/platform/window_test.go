@@ -17,7 +17,7 @@ import (
 func TestBatchCOMWindowLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := online.NewBatchCOM(online.NoCoop{}, pricing.DefaultMonteCarlo, rng, 5, 0)
-	m.WorkerArrives(&core.Worker{ID: 1, Arrival: 0, Radius: 10, Platform: 1})
+	m.Pool().Add(&core.Worker{ID: 1, Arrival: 0, Radius: 10, Platform: 1})
 
 	d := m.RequestArrives(&core.Request{ID: 1, Arrival: 0, Value: 2, Platform: 1})
 	if !d.Deferred || d.Reason != online.ReasonBuffered {
@@ -54,7 +54,7 @@ func TestBatchCOMWindowLifecycle(t *testing.T) {
 func TestBatchCOMDeadlinePullsFlushForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := online.NewBatchCOM(online.NoCoop{}, pricing.DefaultMonteCarlo, rng, 100, 3)
-	m.WorkerArrives(&core.Worker{ID: 1, Arrival: 0, Radius: 10, Platform: 1})
+	m.Pool().Add(&core.Worker{ID: 1, Arrival: 0, Radius: 10, Platform: 1})
 	m.RequestArrives(&core.Request{ID: 1, Arrival: 2, Value: 2, Platform: 1})
 	if due, _ := m.NextFlush(); due != 5 {
 		t.Fatalf("deadline-clamped due: want 5, got %d", due)
