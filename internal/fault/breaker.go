@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"sync"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/metrics"
@@ -16,8 +15,8 @@ const (
 	Closed State = iota
 	// Open short-circuits every call until the cooldown elapses.
 	Open
-	// HalfOpen lets exactly one trial call through; its outcome decides
-	// between Closed and Open.
+	// HalfOpen lets a trial call through; its outcome decides between
+	// Closed and Open.
 	HalfOpen
 )
 
@@ -38,17 +37,16 @@ func (s State) String() string {
 // Breaker is a circuit breaker guarding one cooperative platform:
 // FailureThreshold consecutive failed calls open it, an open breaker
 // short-circuits all calls for CooldownTicks of stream time, then a
-// single half-open trial call decides whether the partner recovered.
-// It is safe for concurrent use.
+// half-open trial call decides whether the partner recovered. It runs on
+// the engine's goroutine: every call is settled through Success or
+// Failure before the next one asks Allow.
 type Breaker struct {
 	cfg BreakerConfig
 	met *metrics.Collector
 
-	mu          sync.Mutex
 	state       State
 	consecutive int
 	openedAt    core.Time
-	trial       bool // half-open trial call in flight
 }
 
 // NewBreaker returns a closed breaker that counts its state changes in
@@ -58,8 +56,7 @@ func NewBreaker(cfg BreakerConfig, m *metrics.Collector) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults(), met: m}
 }
 
-// transition moves the breaker to a different state; the caller holds
-// b.mu.
+// transition moves the breaker to a different state.
 func (b *Breaker) transition(to State) {
 	b.state = to
 	switch to {
@@ -73,45 +70,25 @@ func (b *Breaker) transition(to State) {
 }
 
 // State returns the current state.
-func (b *Breaker) State() State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
+func (b *Breaker) State() State { return b.state }
 
 // Allow reports whether a call to the guarded platform may proceed at
 // stream time now. An open breaker past its cooldown moves to half-open
-// and admits exactly one trial call; concurrent callers are refused
-// until that trial settles through Success or Failure.
+// and admits the trial call.
 func (b *Breaker) Allow(now core.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case Closed:
-		return true
-	case Open:
-		if now >= b.openedAt+b.cfg.CooldownTicks {
-			b.transition(HalfOpen)
-			b.trial = true
-			return true
-		}
-		return false
-	default: // HalfOpen
-		if b.trial {
+	if b.state == Open {
+		if now < b.openedAt+b.cfg.CooldownTicks {
 			return false
 		}
-		b.trial = true
-		return true
+		b.transition(HalfOpen)
 	}
+	return true
 }
 
 // Success records a completed call: the failure run resets and a
 // half-open breaker closes.
 func (b *Breaker) Success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.consecutive = 0
-	b.trial = false
 	if b.state != Closed {
 		b.transition(Closed)
 	}
@@ -121,9 +98,6 @@ func (b *Breaker) Success() {
 // reopens the breaker immediately, a closed breaker opens once the
 // consecutive-failure run reaches the threshold.
 func (b *Breaker) Failure(now core.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trial = false
 	switch b.state {
 	case HalfOpen:
 		b.openedAt = now
@@ -136,6 +110,4 @@ func (b *Breaker) Failure(now core.Time) {
 			b.transition(Open)
 		}
 	}
-	// A failure reported against an already-open breaker (a call that
-	// was in flight when it opened) keeps it open; nothing to do.
 }

@@ -19,10 +19,8 @@ import (
 // and retry backoff accumulate in a virtual duration budget checked
 // against the per-call deadline; nothing sleeps.
 //
-// Concurrency: the per-platform generators are partitioned — exactly
-// one goroutine drives each platform, matching the hub's view contract —
-// the maps are read-only after New, and the shared per-partner breakers
-// lock internally.
+// An injector runs on the engine's goroutine, like the hub that calls
+// it: it starts no goroutine and takes no lock.
 type Injector struct {
 	plan     Plan
 	metrics  *metrics.Collector
@@ -63,14 +61,14 @@ type Event struct {
 	From, To State
 }
 
-// Observer receives fault events as they happen, on the goroutine of the
+// Observer receives fault events as they happen, attributed to the
 // viewing platform (the one issuing the probe or claim). It exists for
 // the tracing layer; observation never alters fault outcomes or RNG
 // consumption, so runs are bit-identical with and without an observer.
 type Observer func(viewer, partner core.PlatformID, ev Event)
 
 // SetObserver installs the fault-event observer. Call it before the run
-// starts consuming events; the field is read concurrently afterwards.
+// starts consuming events.
 func (in *Injector) SetObserver(obs Observer) { in.observer = obs }
 
 // seedMix decorrelates per-platform fault streams from the base seed
