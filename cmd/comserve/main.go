@@ -94,7 +94,7 @@ func main() {
 	flag.StringVar(&o.portFile, "port-file", "", "write the bound host:port here once listening (for scripts racing startup)")
 	flag.StringVar(&o.walDir, "wal-dir", "", "write-ahead log directory: events are durable before they are applied, and a restart on the same directory recovers the exact pre-crash state")
 	flag.IntVar(&o.fsyncBatch, "fsync-batch", 1, "fsync the WAL every N appends (1 = every event; larger batches trade the last <N events for throughput)")
-	flag.IntVar(&o.snapEvery, "snapshot-every", 1000, "write a recovery checkpoint every N applied events (0 = only on shutdown)")
+	flag.IntVar(&o.snapEvery, "snapshot-every", 1000, "write a recovery checkpoint every N applied events (0 = only at start-up on an empty log and on shutdown)")
 	flag.Parse()
 
 	if err := run(os.Stdout, o); err != nil {
@@ -203,8 +203,8 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "comserve: %s, alg %s, seed %d, listening on %s\n", mode, o.alg, o.seed, bound)
 	if o.walDir != "" {
 		if rec := srv.Recovery(); rec.Recovered {
-			fmt.Fprintf(w, "comserve: recovered %d events from %s (%d segments, snapshot @%d, clock %dms) in %.1fms\n",
-				rec.Events, o.walDir, rec.Segments, rec.SnapshotApplied, rec.VLast, rec.DurationMs)
+			fmt.Fprintf(w, "comserve: recovered %d events from %s (snapshot @%d, clock %dms) in %.1fms\n",
+				rec.Events, o.walDir, rec.SnapshotApplied, rec.VLast, rec.DurationMs)
 		} else {
 			fmt.Fprintf(w, "comserve: wal %s is empty, starting fresh\n", o.walDir)
 		}

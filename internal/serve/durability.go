@@ -3,9 +3,11 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/fault"
 	"crossmatch/internal/metrics"
 	"crossmatch/internal/platform"
 	"crossmatch/internal/pricing"
@@ -18,8 +20,6 @@ type RecoveryInfo struct {
 	Recovered bool `json:"recovered"`
 	// Events is the number of log records re-driven through the engine.
 	Events int64 `json:"events"`
-	// Segments is the segment count of the recovered log.
-	Segments int `json:"segments"`
 	// SnapshotApplied is the log position of the checkpoint whose digest
 	// was verified during the re-drive; 0 when no snapshot existed.
 	SnapshotApplied int64 `json:"snapshot_applied,omitempty"`
@@ -49,11 +49,14 @@ func (s *Server) Recovery() RecoveryInfo { return s.rec }
 // valid snapshot manifest, and re-drives every logged event through
 // the fresh engine — the deterministic reconstruction of the exact
 // pre-crash state: the engine is a pure function of (seed, config,
-// event sequence), and the log IS the event sequence. When the
-// re-drive passes the snapshot's log position, the serving counters
-// must reproduce the checkpoint digest bit for bit; a mismatch fails
-// recovery loudly rather than serving forked state. Runs on the New
-// goroutine before the sequencer starts, so no locking is needed.
+// event sequence), and the log IS the event sequence. Every log carries
+// a manifest from its first record on — an empty log gets one at
+// position 0 — so its configuration fingerprint is always checked, and
+// a non-empty log without one is refused. When the re-drive passes the
+// snapshot's log position, the serving counters must reproduce the
+// checkpoint digest bit for bit; a mismatch fails recovery loudly
+// rather than serving forked state. Runs on the New goroutine before
+// the sequencer starts, so no locking is needed.
 func (s *Server) recover() error {
 	t0 := time.Now()
 	l, err := wal.Open(s.opts.WALDir, wal.Options{
@@ -67,6 +70,12 @@ func (s *Server) recover() error {
 	if err != nil {
 		l.Close()
 		return fmt.Errorf("serve: %w", err)
+	}
+	if snap == nil && l.Count() > 0 {
+		l.Close()
+		return fmt.Errorf("serve: wal recovery: %s holds %d records but no snapshot manifest, so the configuration "+
+			"they were written under cannot be checked; recover it with the binary that wrote it, or start from an empty wal dir",
+			s.opts.WALDir, l.Count())
 	}
 	if snap != nil {
 		if err := s.checkSnapshotConfig(snap); err != nil {
@@ -147,7 +156,7 @@ func (s *Server) recover() error {
 	}
 	if snap != nil && !verified {
 		l.Close()
-		return fmt.Errorf("serve: wal recovery: log holds %d records but the snapshot covers %d — segments are missing", s.applied, snap.Applied)
+		return fmt.Errorf("serve: wal recovery: log holds %d records but the snapshot covers %d — records are missing", s.applied, snap.Applied)
 	}
 
 	// Resume the virtual clock past everything already stamped: the
@@ -166,10 +175,16 @@ func (s *Server) recover() error {
 		s.met.Add(metrics.WALRecoveries, 1)
 		s.met.Add(metrics.WALRecoveredEvents, s.applied)
 	}
+	if snap == nil {
+		// A fresh log: pin the configuration before the first record.
+		if err := s.writeSnapshot(); err != nil {
+			l.Close()
+			return fmt.Errorf("serve: wal: %w", err)
+		}
+	}
 	s.rec = RecoveryInfo{
 		Recovered:  s.applied > 0,
 		Events:     s.applied,
-		Segments:   l.Stats().Segments,
 		VLast:      base,
 		DurationMs: float64(time.Since(t0)) / float64(time.Millisecond),
 	}
@@ -198,6 +213,12 @@ func (s *Server) checkSnapshotConfig(snap *wal.Snapshot) error {
 		return fmt.Errorf("serve: wal recovery: snapshot window %d, server %d", snap.Window, s.opts.Window)
 	case snap.BatchDeadline != int64(s.opts.BatchDeadline):
 		return fmt.Errorf("serve: wal recovery: snapshot batch-deadline %d, server %d", snap.BatchDeadline, s.opts.BatchDeadline)
+	case !slices.Equal(snap.Platforms, s.pids):
+		return fmt.Errorf("serve: wal recovery: snapshot platforms %v, server %v", snap.Platforms, s.pids)
+	case snap.MaxValueBits != math.Float64bits(s.maxValue):
+		return fmt.Errorf("serve: wal recovery: snapshot max value %v, server %v", math.Float64frombits(snap.MaxValueBits), s.maxValue)
+	case snap.Faults != faultPrint(s.opts.Faults):
+		return fmt.Errorf("serve: wal recovery: snapshot fault plan %q, server %q", snap.Faults, faultPrint(s.opts.Faults))
 	case snap.Shards > 1:
 		return fmt.Errorf("serve: wal recovery: log written on %d shards by the in-process sharded engine removed in PR 27; "+
 			"recover it with the binary that wrote it, or start from an empty wal dir", snap.Shards)
@@ -208,6 +229,15 @@ func (s *Server) checkSnapshotConfig(snap *wal.Snapshot) error {
 			snap.PricingRev, pricing.SamplerRev, s.opts.Algorithm)
 	}
 	return nil
+}
+
+// faultPrint renders every field of a fault plan for the configuration
+// fingerprint; empty without a plan.
+func faultPrint(p *fault.Plan) string {
+	if p == nil {
+		return ""
+	}
+	return fmt.Sprintf("%+v", *p)
 }
 
 // checkSnapshotDigest verifies that re-driving the log prefix
@@ -294,13 +324,14 @@ func (s *Server) writeSnapshot() error {
 		Version:       1,
 		Applied:       s.applied,
 		VLast:         s.vlast,
-		Cursor:        int64(s.cursor),
-		RecycleBase:   s.recycleBase,
 		Algorithm:     s.opts.Algorithm,
 		Seed:          s.opts.Seed,
 		ServiceTicks:  int64(s.opts.ServiceTicks),
 		DisableCoop:   s.opts.DisableCoop,
 		ReplayEvents:  int64(len(s.replayEvs)),
+		Platforms:     s.pids,
+		MaxValueBits:  math.Float64bits(s.maxValue),
+		Faults:        faultPrint(s.opts.Faults),
 		Window:        int64(s.opts.Window),
 		BatchDeadline: int64(s.opts.BatchDeadline),
 		PricingRev:    pricing.SamplerRev,

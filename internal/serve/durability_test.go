@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/fault"
 	"crossmatch/internal/geo"
 	"crossmatch/internal/platform"
 	"crossmatch/internal/pricing"
@@ -339,6 +340,89 @@ func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 	if _, err := New(Options{Algorithm: platform.AlgDemCOM, Seed: 2, WALDir: dir}); err == nil ||
 		!strings.Contains(err.Error(), "seed") {
 		t.Fatalf("restart with a different seed must fail, got %v", err)
+	}
+}
+
+// TestRecoveryFingerprintBeforeFirstCheckpoint: a server that dies before
+// its first periodic checkpoint (SnapshotEvery 0 writes none) still left
+// its configuration on disk, because New pins it at position 0 of a
+// fresh log. A restart under another seed, platform set, max value or
+// fault plan is refused by name instead of re-driving the log into
+// different state; the same configuration recovers; and a non-empty log
+// with no manifest at all is refused.
+func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 3, WALDir: dir, SnapshotEvery: 0,
+		Faults: &fault.Plan{DropRate: 0.25}}
+	srv1, err := New(opts)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	for i, body := range []string{
+		`{"id":1,"x":0.5,"y":0.5,"platform":1,"radius":0.4}`,
+		`{"id":2,"x":0.6,"y":0.5,"platform":2,"radius":0.4}`,
+	} {
+		if _, d := postJSON(t, ts1.Client(), ts1.URL+"/v1/workers", body); d.Status != StatusOK {
+			t.Fatalf("worker %d post: %+v", i+1, d)
+		}
+	}
+	if _, d := postJSON(t, ts1.Client(), ts1.URL+"/v1/requests",
+		`{"id":1,"x":0.5,"y":0.5,"platform":1,"value":3.5}`); d.Status != StatusOK {
+		t.Fatalf("request post: %+v", d)
+	}
+	ts1.Close()
+	srv1.crashForTest()
+	before := dirContents(t, dir)
+
+	plan := *opts.Faults
+	plan.Breaker.CooldownTicks = 5
+	for _, tc := range []struct {
+		name, want string
+		change     func(*Options)
+	}{
+		{"seed", "seed", func(o *Options) { o.Seed = 4 }},
+		{"platforms", "platforms", func(o *Options) { o.Platforms = []core.PlatformID{1, 2, 3} }},
+		{"max value", "max value", func(o *Options) { o.MaxValue = 50 }},
+		{"fault plan", "fault plan", func(o *Options) { o.Faults = &plan }},
+		{"no fault plan", "fault plan", func(o *Options) { o.Faults = nil }},
+	} {
+		o := opts
+		tc.change(&o)
+		if srv, err := New(o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err == nil {
+				srv.Close()
+			}
+			t.Errorf("restart with another %s must fail naming it, got %v", tc.name, err)
+		}
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a refused restart changed the directory: %d files before, %d after", len(before), len(after))
+	}
+
+	srv2, err := New(opts)
+	if err != nil {
+		t.Fatalf("restart under the same configuration: %v", err)
+	}
+	if rec := srv2.Recovery(); rec.Events != 3 {
+		t.Fatalf("recovery = %+v, want the 3 logged events", rec)
+	}
+	srv2.crashForTest()
+
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no manifest in the log directory (%v)", err)
+	}
+	for _, p := range snaps {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if srv, err := New(opts); err == nil || !strings.Contains(err.Error(), "no snapshot manifest") {
+		if err == nil {
+			srv.Close()
+		}
+		t.Fatalf("a non-empty log without a manifest must be refused by name, got %v", err)
 	}
 }
 

@@ -118,7 +118,8 @@ type Options struct {
 	// sustained throughput.
 	FsyncBatch int
 	// SnapshotEvery writes a checkpoint manifest every N applied events;
-	// 0 disables periodic checkpoints (one is still written on Close).
+	// 0 disables periodic checkpoints (one is still written at position 0
+	// of a fresh log, which pins the configuration, and one on Close).
 	SnapshotEvery int
 }
 
@@ -155,13 +156,15 @@ type Server struct {
 	qmu    sync.RWMutex // guards queue close vs concurrent enqueues
 	bucket *tokenBucket
 
-	// pids is the engine's platform set, ascending, as New resolved it.
+	// pids is the engine's platform set, ascending, as New resolved it,
+	// and maxValue the a-priori max request value.
 	// platformOK indexes it for live admission, which rejects events
 	// naming any other platform before they can reach the WAL or the
 	// sequencer (an unguarded unknown ID is a poison event: logged, it
 	// would fail recovery on every restart). platformList is the
 	// ready-made error text.
 	pids         []core.PlatformID
+	maxValue     float64
 	platformOK   map[core.PlatformID]bool
 	platformList string
 
@@ -190,7 +193,6 @@ type Server struct {
 	wal          *wal.Log
 	walBuf       []byte // reused event-encode buffer; sequencer goroutine only
 	applied      int64  // WAL records appended + recovered; sequencer-owned
-	recycleBase  int64
 	rec          RecoveryInfo
 	snapsWritten atomic.Int64
 
@@ -290,14 +292,15 @@ func New(opts Options) (*Server, error) {
 	}
 
 	s := &Server{
-		opts:    opts,
-		met:     opts.Metrics,
-		eng:     eng,
-		queue:   make(chan *ingest, opts.QueueCap),
-		bucket:  newTokenBucket(opts.Rate, opts.Burst),
-		seqDone: make(chan struct{}),
-		started: time.Now(),
-		pids:    pids,
+		opts:     opts,
+		met:      opts.Metrics,
+		eng:      eng,
+		queue:    make(chan *ingest, opts.QueueCap),
+		bucket:   newTokenBucket(opts.Rate, opts.Burst),
+		seqDone:  make(chan struct{}),
+		started:  time.Now(),
+		pids:     pids,
+		maxValue: maxV,
 	}
 	s.platformOK = make(map[core.PlatformID]bool, len(pids))
 	for _, pid := range pids {
@@ -328,8 +331,7 @@ func New(opts Options) (*Server, error) {
 		}
 		// Recycled-worker IDs must continue the recorded stream's ID
 		// space for bit-parity with the offline run.
-		s.recycleBase = opts.Replay.MaxWorkerID()
-		if err := eng.SetRecycleBase(s.recycleBase); err != nil {
+		if err := eng.SetRecycleBase(opts.Replay.MaxWorkerID()); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}

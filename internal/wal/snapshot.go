@@ -9,18 +9,20 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"crossmatch/internal/core"
 )
 
-// Snapshot is a checkpoint manifest written next to the segments. The
+// Snapshot is a checkpoint manifest written next to the log. The
 // engine itself is a pure function of (seed, config, event sequence),
 // so the log is the complete recoverable state; the snapshot pins the
-// serving-layer half of it — the live virtual clock, the replay
-// cursor, the recycled-ID base — plus a digest of the decision
-// counters at a known log position. Recovery re-drives the log through
-// a fresh engine and verifies the digest when it passes the
-// snapshot's position: a mismatch means the log and the checkpoint
-// disagree (corruption, a config drift, or a nondeterministic engine)
-// and recovery fails loudly instead of serving forked state.
+// configuration that sequence must be re-driven under, the live virtual
+// clock, and a digest of the decision counters at a known log position.
+// Recovery re-drives the log through a fresh engine and verifies the
+// digest when it passes the snapshot's position: a mismatch means the
+// log and the checkpoint disagree (corruption, a config drift, or a
+// nondeterministic engine) and recovery fails loudly instead of serving
+// forked state.
 type Snapshot struct {
 	Version int `json:"version"`
 	// Applied is the number of log records covered by this checkpoint —
@@ -30,11 +32,6 @@ type Snapshot struct {
 	// restarted server resumes its clock from max(VLast, elapsed) so
 	// recovered engine state never trips ErrTimeRegression.
 	VLast int64 `json:"vlast"`
-	// Cursor is the replay re-sequencer's recorded-order cursor (replay
-	// mode only).
-	Cursor int64 `json:"cursor"`
-	// RecycleBase seeds the recycled-worker ID allocator (replay mode).
-	RecycleBase int64 `json:"recycle_base"`
 
 	// Config fingerprint: recovery refuses a log written under a
 	// different engine configuration, which could replay cleanly but
@@ -44,19 +41,24 @@ type Snapshot struct {
 	ServiceTicks int64  `json:"service_ticks"`
 	DisableCoop  bool   `json:"disable_coop,omitempty"`
 	ReplayEvents int64  `json:"replay_events,omitempty"` // recorded stream length; 0 in live mode
+	// Platforms is the resolved platform set, ascending; MaxValueBits is
+	// math.Float64bits of the resolved a-priori max request value.
+	Platforms    []core.PlatformID `json:"platforms"`
+	MaxValueBits uint64            `json:"max_value_bits"`
+	// Faults renders every field of the cooperation fault plan; empty
+	// without one.
+	Faults string `json:"faults,omitempty"`
 	// Window and BatchDeadline fingerprint the windowed-dispatch
 	// configuration (BatchCOM): a log of buffered windows replayed under
 	// a different window geometry would flush at different virtual times
-	// and fork the state. Zero for the greedy algorithms, so snapshots
-	// written before windowed dispatch existed keep verifying.
+	// and fork the state. Zero for the greedy algorithms.
 	Window        int64 `json:"window,omitempty"`
 	BatchDeadline int64 `json:"batch_deadline,omitempty"`
-	// Shards and ShardReachBits are decoded, never written: a server on
-	// the in-process sharded engine (removed in PR 27) stamped them, and
-	// recovery refuses such a log (Shards > 1) instead of re-driving it
-	// through a different engine. Absent or zero otherwise.
-	Shards         int64  `json:"shards,omitempty"`
-	ShardReachBits uint64 `json:"shard_reach_bits,omitempty"`
+	// Shards is decoded, never written: a server on the in-process
+	// sharded engine (removed in PR 27) stamped it, and recovery refuses
+	// such a log (Shards > 1) instead of re-driving it through a
+	// different engine. Absent or zero otherwise.
+	Shards int64 `json:"shards,omitempty"`
 	// PricingRev is pricing.SamplerRev of the binary that wrote the log:
 	// the RNG consumption contract of the Algorithm 2 estimator. 0 (no
 	// field at all) is the per-worker sampler of the binaries before the

@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"crossmatch/internal/core"
@@ -72,36 +74,55 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSegmentRotation(t *testing.T) {
+// TestOneLogFile: however much is appended, the directory holds one
+// log file, and it reopens with every record.
+func TestOneLogFile(t *testing.T) {
 	dir := t.TempDir()
-	l := openT(t, dir, Options{SegmentBytes: 64})
+	l := openT(t, dir, Options{})
 	appendN(t, l, 0, 40)
-	st := l.Stats()
-	if st.Segments < 3 {
-		t.Fatalf("expected rotation into >=3 segments, got %d", st.Segments)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	l2 := openT(t, dir, Options{SegmentBytes: 64})
-	defer l2.Close()
-	if l2.Count() != 40 {
-		t.Fatalf("Count across segments: %d, want 40", l2.Count())
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) != 1 || filepath.Base(segs[0]) != logName {
+		t.Fatalf("log files %v, want the one %s", segs, logName)
 	}
+	l2 := openT(t, dir, Options{})
+	defer l2.Close()
 	if got := collect(t, l2); len(got) != 40 || got[39] != "record-0039" {
-		t.Fatalf("bad tail after multi-segment reopen: %d records", len(got))
+		t.Fatalf("bad tail after reopen: %d records", len(got))
 	}
 }
 
-// lastSegment returns the path of the final segment file.
-func lastSegment(t *testing.T, dir string) string {
-	t.Helper()
-	segs, err := listSegments(dir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("listSegments: %v (%d)", err, len(segs))
+// TestOpenRefusesSegmentedDir: a directory holding more than one log
+// segment — what a binary that rotated its log left behind — is refused
+// by name, and its files are left alone.
+func TestOpenRefusesSegmentedDir(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{})
+	appendN(t, l, 0, 3)
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	return filepath.Join(dir, segs[len(segs)-1])
+	second := filepath.Join(dir, "wal-00000002.seg")
+	if err := os.WriteFile(second, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, Options{})
+	if err == nil || !strings.Contains(err.Error(), "wal-00000002.seg") || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("Open of a segmented dir: %v, want a refusal naming the dir and its segments", err)
+	}
+	if err := os.Remove(second); err != nil {
+		t.Fatal(err)
+	}
+	l2 := openT(t, dir, Options{})
+	defer l2.Close()
+	if l2.Count() != 3 {
+		t.Fatalf("Count after the refusal: %d, want 3", l2.Count())
+	}
 }
+
+// logPath returns the path of the log file.
+func logPath(dir string) string { return filepath.Join(dir, logName) }
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
@@ -112,7 +133,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 
 	// Chop the last record mid-payload: the shape of a crash mid-write.
-	path := lastSegment(t, dir)
+	path := logPath(dir)
 	fi, _ := os.Stat(path)
 	if err := os.Truncate(path, fi.Size()-5); err != nil {
 		t.Fatalf("Truncate: %v", err)
@@ -144,7 +165,7 @@ func TestTornTailBadCRCAtEOF(t *testing.T) {
 	}
 	// Flip the final byte of the file: the last record's payload was
 	// torn but its full length made it to disk.
-	path := lastSegment(t, dir)
+	path := logPath(dir)
 	fi, _ := os.Stat(path)
 	flipByte(t, path, fi.Size()-1)
 
@@ -164,7 +185,7 @@ func TestCorruptMidSegmentFailsWithOffset(t *testing.T) {
 	}
 	// Damage the first record's payload: valid records follow, so this
 	// cannot be a torn tail and must fail loudly.
-	path := lastSegment(t, dir)
+	path := logPath(dir)
 	flipByte(t, path, headerSize+2)
 
 	_, err := Open(dir, Options{})
@@ -172,35 +193,8 @@ func TestCorruptMidSegmentFailsWithOffset(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("Open: got %v, want CorruptError", err)
 	}
-	if ce.Segment != filepath.Base(path) || ce.Offset != 0 {
-		t.Fatalf("CorruptError names %s@%d, want %s@0", ce.Segment, ce.Offset, filepath.Base(path))
-	}
-}
-
-func TestCorruptNonFinalSegmentFails(t *testing.T) {
-	dir := t.TempDir()
-	l := openT(t, dir, Options{SegmentBytes: 64})
-	appendN(t, l, 0, 40)
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	segs, err := listSegments(dir)
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("need >=2 segments, got %d (%v)", len(segs), err)
-	}
-	// Truncating a NON-final segment is never a torn tail.
-	first := filepath.Join(dir, segs[0])
-	fi, _ := os.Stat(first)
-	if err := os.Truncate(first, fi.Size()-3); err != nil {
-		t.Fatalf("Truncate: %v", err)
-	}
-	_, err = Open(dir, Options{SegmentBytes: 64})
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("Open: got %v, want CorruptError", err)
-	}
-	if ce.Segment != segs[0] {
-		t.Fatalf("CorruptError names %s, want %s", ce.Segment, segs[0])
+	if ce.File != filepath.Base(path) || ce.Offset != 0 {
+		t.Fatalf("CorruptError names %s@%d, want %s@0", ce.File, ce.Offset, filepath.Base(path))
 	}
 }
 
@@ -253,9 +247,9 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if s, err := LatestSnapshot(dir); err != nil || s != nil {
 		t.Fatalf("LatestSnapshot empty dir: %v, %v", s, err)
 	}
-	s1 := &Snapshot{Version: 1, Applied: 100, VLast: 5000, Cursor: 80, Algorithm: "DemCOM",
+	s1 := &Snapshot{Version: 1, Applied: 100, VLast: 5000, Algorithm: "DemCOM",
 		Seed: 42, Served: 60, Matched: 41, RevenueBits: math.Float64bits(123.75)}
-	s2 := &Snapshot{Version: 1, Applied: 200, VLast: 9000, Cursor: 160, Algorithm: "DemCOM",
+	s2 := &Snapshot{Version: 1, Applied: 200, VLast: 9000, Algorithm: "DemCOM",
 		Seed: 42, Served: 120, Matched: 83, RevenueBits: math.Float64bits(250.5)}
 	if err := WriteSnapshot(dir, s1); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
@@ -267,7 +261,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LatestSnapshot: %v", err)
 	}
-	if *got != *s2 {
+	if !reflect.DeepEqual(got, s2) {
 		t.Fatalf("LatestSnapshot: %+v, want %+v", got, s2)
 	}
 	// Corrupt the newest manifest: recovery falls back to the older one.
@@ -276,7 +270,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LatestSnapshot after corruption: %v", err)
 	}
-	if got == nil || *got != *s1 {
+	if got == nil || !reflect.DeepEqual(got, s1) {
 		t.Fatalf("fallback snapshot: %+v, want %+v", got, s1)
 	}
 }
@@ -318,7 +312,7 @@ func TestSnapshotCrashBeforeRenameFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LatestSnapshot: %v", err)
 	}
-	if got == nil || *got != *s1 {
+	if got == nil || !reflect.DeepEqual(got, s1) {
 		t.Fatalf("recovery used %+v, want the pre-crash manifest %+v", got, s1)
 	}
 	// The next successful write sweeps the stale temp.
@@ -329,7 +323,7 @@ func TestSnapshotCrashBeforeRenameFallsBack(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("stale tmp %s survived the next write (err=%v)", tmp, err)
 	}
-	if got, err := LatestSnapshot(dir); err != nil || got == nil || *got != *s3 {
+	if got, err := LatestSnapshot(dir); err != nil || got == nil || !reflect.DeepEqual(got, s3) {
 		t.Fatalf("LatestSnapshot after recovery write: %+v, %v", got, err)
 	}
 }
@@ -357,7 +351,7 @@ func TestSnapshotPruneKeepsLastVerifiedManifest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LatestSnapshot: %v", err)
 	}
-	if got == nil || *got != *valid {
+	if got == nil || !reflect.DeepEqual(got, valid) {
 		t.Fatalf("prune deleted the last verified manifest: got %+v", got)
 	}
 }
