@@ -14,8 +14,18 @@ go build ./...
 echo "==> one atomic.Int64 in metrics.go (counters are declared in the Counter enum)"
 test "$(grep -c 'atomic\.Int64' internal/metrics/metrics.go)" -eq 1
 
-echo "==> the engine is single-goroutine by construction (no go statement, sync or atomic in platform, online, index)"
-if git grep -nE '\bgo (func|[a-zA-Z_.]+\()|"sync"|"sync/atomic"' -- 'internal/platform/*.go' 'internal/online/*.go' 'internal/index/*.go' ':!*_test.go'; then
+echo "==> the engine is single-goroutine by construction (no go statement, sync or atomic in platform, online, index, fault)"
+if git grep -nE '\bgo (func|[a-zA-Z_.]+\()|"sync"|"sync/atomic"' -- 'internal/platform/*.go' 'internal/online/*.go' 'internal/index/*.go' 'internal/fault/*.go' ':!*_test.go'; then
+	exit 1
+fi
+
+echo "==> one way in: a waiting worker is one pool slot, a stream run is Process in a loop, the WAL is one file"
+if git grep -nE 'workerRec|TrackedWorkers|HistoryOf|WorkerArrives|poolHolder|EventSource|RunSource|StreamSource|SimulateSource|StreamArrivals|ArrivalSource|SegmentBytes' -- '*.go' ':!bench'; then
+	exit 1
+fi
+# The hub's two inert one-liners, kept for bench/probes.go, and nothing else.
+if [ "$(git grep -lE 'WorkerArrived|WorkerAssigned' -- '*.go' ':!bench')" != "internal/platform/hub.go" ]; then
+	git grep -nE 'WorkerArrived|WorkerAssigned' -- '*.go' ':!bench' >&2
 	exit 1
 fi
 
@@ -25,8 +35,8 @@ shim=$(git grep -nE 'Shards|ShardReach|ShardStats|ShardSnapshot|ShardStalls' -- 
 	grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | cut -d: -f1 | uniq -c | tr -s ' \n' ' ')
 # metrics: the ShardStalls constant and JSON field, the ShardSnapshot type;
 # feed: ShardStats; sim: Config.Shards, .ShardReach; durability: the refusal
-# (two lines); snapshot: the two decoded fields.
-want=" 3 internal/metrics/metrics.go 1 internal/platform/feed.go 2 internal/platform/sim.go 2 internal/serve/durability.go 2 internal/wal/snapshot.go "
+# (two lines); snapshot: the one decoded field.
+want=" 3 internal/metrics/metrics.go 1 internal/platform/feed.go 2 internal/platform/sim.go 2 internal/serve/durability.go 1 internal/wal/snapshot.go "
 if [ "$shim" != "$want" ]; then
 	echo "shim lines per file:$shim" >&2
 	echo "want:               $want" >&2

@@ -138,6 +138,35 @@ if [ "$recovered" != "$oracle" ]; then
 fi
 echo "    recovery is bit-exact: $recovered"
 
+echo "==> fingerprint: no periodic checkpoint, SIGKILL, restart under another seed"
+"$tmp/comserve" -addr 127.0.0.1:0 -alg DemCOM -seed 42 \
+    -replay "$tmp/stream.csv" -port-file "$tmp/port4.txt" \
+    -wal-dir "$tmp/wal0" -fsync-batch 8 -snapshot-every 0 \
+    > "$tmp/comserve4.log" 2>&1 &
+srv4=$!
+wait_port "$tmp/port4.txt" "$srv4" "$tmp/comserve4.log"
+"$tmp/comload" -url "http://$(cat "$tmp/port4.txt")" -in "$tmp/stream.csv" \
+    -conns 4 -batch 8 -retries 50 -qps 400 \
+    > /dev/null 2>&1 &
+load=$!
+sleep 0.5
+kill -9 "$srv4"
+wait_dead "$srv4" "$tmp/comserve4.log"
+wait "$load" 2>/dev/null || true
+# The restart must refuse the log it cannot re-drive faithfully: exit 1,
+# naming the seed, instead of recovering silently into different state.
+status=0
+"$tmp/comserve" -addr 127.0.0.1:0 -alg DemCOM -seed 43 \
+    -replay "$tmp/stream.csv" -port-file "$tmp/port5.txt" \
+    -wal-dir "$tmp/wal0" -fsync-batch 8 -snapshot-every 0 \
+    > "$tmp/comserve5.log" 2>&1 || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "seed" "$tmp/comserve5.log"; then
+    echo "fingerprint: restart under another seed exited $status, want 1 naming the seed" >&2
+    cat "$tmp/comserve5.log" >&2
+    exit 1
+fi
+echo "    refused: $(grep seed "$tmp/comserve5.log" | head -1)"
+
 # ----------------------------------------------------------------------
 # Fleet chaos: router + 3 shards, SIGKILL one mid-push, restart it on
 # its WAL, full re-push, per-shard oracle comparison.
