@@ -425,9 +425,9 @@ func TestAllocCeilings(t *testing.T) {
 // runBytesPerEventCeiling is what one RamCOM run may allocate per event
 // of a city40k stream: 1.10x the 35.2 bytes measured under -race once a
 // waiting worker became one online.Pool slot, history included, and the
-// hub's 32-byte per-worker record went (38.4 before). PR 23, where the
-// hub stopped building a 3n-float table per worker arrival, measured
-// 39.8; its parent 146.2.
+// hub's 32-byte per-worker record went (38.4 before; 39.8 when the hub
+// stopped building a 3n-float table per worker arrival, 146.2 before
+// that).
 const runBytesPerEventCeiling = 38.7
 
 // TestRunBytesPerEvent holds the bytes a run allocates, which timings

@@ -46,10 +46,10 @@ const (
 	Rejections
 	CoopAttempts
 	AcceptanceProbes
-	// ClaimConflicts counts cross-platform claims whose pool removal
-	// found the worker already taken (zero in an engine run: nothing runs
-	// between a sighting and its claim); ClaimRetries every lost claim a
-	// matcher retried past, injected claim faults included.
+	// ClaimConflicts is never counted: a claim finds its worker's pool
+	// and removes it with nothing running in between. It stays because
+	// the frozen bench/layers.go reads it. ClaimRetries counts every lost
+	// claim a matcher retried past, injected claim faults included.
 	ClaimConflicts
 	ClaimRetries
 

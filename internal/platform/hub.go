@@ -73,11 +73,13 @@ func (h *Hub) RegisterPlatform(id core.PlatformID, pool *online.Pool) error {
 	return nil
 }
 
-// WorkerArrived and WorkerAssigned are inert: the pools hold every
-// waiting worker's state. They are kept only because the frozen
-// bench/probes.go calls them; the next benchmark PR deletes them.
+// WorkerArrived is inert: the worker's pool slot holds everything the
+// hub reads. Kept only because the frozen bench/probes.go calls it; the
+// next benchmark PR deletes it.
 func (h *Hub) WorkerArrived(*core.Worker) error { return nil }
-func (h *Hub) WorkerAssigned(int64)             {}
+
+// WorkerAssigned is inert, like WorkerArrived, for the same caller.
+func (h *Hub) WorkerAssigned(int64) {}
 
 // ViewFor returns the CoopView platform id uses to see the other
 // platforms' unoccupied workers. Its EligibleOuter buffer is reused

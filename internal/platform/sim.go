@@ -48,9 +48,9 @@ type Config struct {
 	DisableCoop bool
 	// Metrics, when non-nil, receives the run's matching-funnel counters
 	// (inner/outer matches, cooperative attempts, acceptance probes,
-	// rejections, claim conflicts and retries) and per-platform
-	// decision-latency observations. The collector is safe to share
-	// across concurrent runs.
+	// rejections, claim retries) and per-platform decision-latency
+	// observations. The collector is safe to share across concurrent
+	// runs.
 	Metrics *metrics.Collector
 	// ProfileLabel, when non-empty, tags the run's goroutine with a
 	// "crossmatch.run" pprof label so CPU profiles of a parallel

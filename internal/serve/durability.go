@@ -213,12 +213,6 @@ func (s *Server) checkSnapshotConfig(snap *wal.Snapshot) error {
 		return fmt.Errorf("serve: wal recovery: snapshot window %d, server %d", snap.Window, s.opts.Window)
 	case snap.BatchDeadline != int64(s.opts.BatchDeadline):
 		return fmt.Errorf("serve: wal recovery: snapshot batch-deadline %d, server %d", snap.BatchDeadline, s.opts.BatchDeadline)
-	case !slices.Equal(snap.Platforms, s.pids):
-		return fmt.Errorf("serve: wal recovery: snapshot platforms %v, server %v", snap.Platforms, s.pids)
-	case snap.MaxValueBits != math.Float64bits(s.maxValue):
-		return fmt.Errorf("serve: wal recovery: snapshot max value %v, server %v", math.Float64frombits(snap.MaxValueBits), s.maxValue)
-	case snap.Faults != faultPrint(s.opts.Faults):
-		return fmt.Errorf("serve: wal recovery: snapshot fault plan %q, server %q", snap.Faults, faultPrint(s.opts.Faults))
 	case snap.Shards > 1:
 		return fmt.Errorf("serve: wal recovery: log written on %d shards by the in-process sharded engine removed in PR 27; "+
 			"recover it with the binary that wrote it, or start from an empty wal dir", snap.Shards)
@@ -227,6 +221,12 @@ func (s *Server) checkSnapshotConfig(snap *wal.Snapshot) error {
 			"%s draws its payments from that sampler, so the log would re-drive to different decisions; "+
 			"recover it with the binary that wrote it, or start from an empty wal dir",
 			snap.PricingRev, pricing.SamplerRev, s.opts.Algorithm)
+	case !slices.Equal(snap.Platforms, s.pids):
+		return fmt.Errorf("serve: wal recovery: snapshot platforms %v, server %v", snap.Platforms, s.pids)
+	case snap.MaxValueBits != math.Float64bits(s.maxValue):
+		return fmt.Errorf("serve: wal recovery: snapshot max value %v, server %v", math.Float64frombits(snap.MaxValueBits), s.maxValue)
+	case snap.Faults != faultPrint(s.opts.Faults):
+		return fmt.Errorf("serve: wal recovery: snapshot fault plan %q, server %q", snap.Faults, faultPrint(s.opts.Faults))
 	}
 	return nil
 }

@@ -55,7 +55,7 @@ type Snapshot struct {
 	Window        int64 `json:"window,omitempty"`
 	BatchDeadline int64 `json:"batch_deadline,omitempty"`
 	// Shards is decoded, never written: a server on the in-process
-	// sharded engine (removed in PR 27) stamped it, and recovery refuses
+	// sharded engine (since removed) stamped it, and recovery refuses
 	// such a log (Shards > 1) instead of re-driving it through a
 	// different engine. Absent or zero otherwise.
 	Shards int64 `json:"shards,omitempty"`

@@ -108,29 +108,28 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
+	// Glob fails only on a malformed pattern, and this one is constant.
 	if extra, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(extra) > 1 {
 		return nil, fmt.Errorf("wal: %s holds %d log segments (%s ... %s), written by a binary that rotated its log; "+
 			"this one reads a single %s: recover it with the binary that wrote it, or start from an empty wal dir",
 			dir, len(extra), filepath.Base(extra[0]), filepath.Base(extra[len(extra)-1]), logName)
 	}
-	path := filepath.Join(dir, logName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	records, validSize, err := scan(f)
-	if err == nil {
-		// A torn tail is cut so the next append starts on a clean boundary;
-		// on a fresh file the directory sync makes its creation durable.
-		err = f.Truncate(validSize)
-	}
-	if err == nil {
-		_, err = f.Seek(validSize, io.SeekStart)
-	}
-	if err == nil {
-		err = syncDir(dir)
-	}
 	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	// A torn tail is cut so the next append starts on a clean boundary.
+	if err := f.Truncate(validSize); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", logName, err)
+	}
+	// On a fresh file the directory sync makes its creation durable.
+	if err := syncDir(dir); err != nil {
 		f.Close()
 		return nil, err
 	}
