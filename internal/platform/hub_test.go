@@ -8,6 +8,7 @@ import (
 	"crossmatch/internal/geo"
 	"crossmatch/internal/metrics"
 	"crossmatch/internal/online"
+	"crossmatch/internal/pricing"
 	"crossmatch/internal/workload"
 )
 
@@ -157,6 +158,32 @@ func TestHubReleasesAssignedWorkers(t *testing.T) {
 	}
 	if v2.Claim(1) {
 		t.Fatal("an assigned worker was claimed")
+	}
+}
+
+// TestRunReleasesHubRecords checks the release end to end: after a
+// long recycled run no worker an assignment took — inner through its
+// own pool, outer through a claim — is left in any pool, so no view can
+// hand it out again.
+func TestRunReleasesHubRecords(t *testing.T) {
+	stream := multiStream(t, 3, 500, 80, 11)
+	s, res := runForState(t, stream, DemCOMFactory(pricing.DefaultMonteCarlo, false),
+		Config{Seed: 11, ServiceTicks: 5})
+	outer := 0
+	for _, pr := range res.Platforms {
+		for _, a := range pr.Matching.Assignments() {
+			if a.Outer {
+				outer++
+			}
+			for _, pid := range s.pids {
+				if s.matchers[pid].Pool().Has(a.Worker.ID) {
+					t.Errorf("worker %d, assigned to request %d, still waits in platform %d's pool", a.Worker.ID, a.Request.ID, pid)
+				}
+			}
+		}
+	}
+	if outer == 0 || res.Recycled == 0 {
+		t.Fatalf("%d outer assignments, %d recycled workers: the run exercises neither release path", outer, res.Recycled)
 	}
 }
 
