@@ -4,7 +4,10 @@
 # and a clean drain on SIGTERM. Then the chaos phase: the same replay
 # with a write-ahead log, SIGKILL mid-stream, restart on the same log
 # directory, re-push, and assert the final drain summary is identical
-# to the uninterrupted run — crash recovery is bit-exact. Finally the
+# to the uninterrupted run — crash recovery is bit-exact. Then the
+# fingerprint phase: a WAL server with no periodic checkpoint is killed
+# mid-stream and restarted under another seed, which must exit 1 naming
+# the seed instead of re-driving its log into different state. Finally the
 # fleet chaos phase: a comroute router over three replay shards (each
 # serving its spatial-hash sub-stream with its own WAL), SIGKILL one
 # shard mid-push, restart it on the same address and WAL (it listens
