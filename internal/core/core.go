@@ -180,17 +180,28 @@ func (a Assignment) Validate() error {
 // platform's revenue per Equation 1 as assignments are added.
 type Matching struct {
 	assignments []Assignment
-	byRequest   map[int64]int // request ID -> index into assignments
-	byWorker    map[int64]int // worker ID -> index into assignments
-	revenue     float64
+	// The request and worker IDs matched so far, checked by every Add.
+	requests, workers idSet
+	// byRequest indexes assignments[:indexed] by request ID. ByRequest
+	// builds it on its first call and extends it on later ones, so a
+	// matching that is never asked pays nothing for it.
+	byRequest map[int64]int
+	indexed   int
+	revenue   float64
 }
+
+// idSet is an exact set of IDs: one 64-bit word per 64 consecutive IDs,
+// keyed by id >> 6, so IDs handed out densely take a map entry per 64 of
+// them, and sparse ones no more than a map of IDs would.
+type idSet map[int64]uint64
+
+func (s idSet) has(id int64) bool { return s[id>>6]&(1<<(uint64(id)&63)) != 0 }
+
+func (s idSet) add(id int64) { s[id>>6] |= 1 << (uint64(id) & 63) }
 
 // NewMatching returns an empty matching.
 func NewMatching() *Matching {
-	return &Matching{
-		byRequest: make(map[int64]int),
-		byWorker:  make(map[int64]int),
-	}
+	return &Matching{requests: idSet{}, workers: idSet{}}
 }
 
 // Add appends an assignment after validating it and the 1-by-1
@@ -200,14 +211,14 @@ func (m *Matching) Add(a Assignment) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
-	if _, dup := m.byRequest[a.Request.ID]; dup {
+	if m.requests.has(a.Request.ID) {
 		return fmt.Errorf("core: request %d already matched", a.Request.ID)
 	}
-	if _, dup := m.byWorker[a.Worker.ID]; dup {
+	if m.workers.has(a.Worker.ID) {
 		return fmt.Errorf("core: worker %d already matched", a.Worker.ID)
 	}
-	m.byRequest[a.Request.ID] = len(m.assignments)
-	m.byWorker[a.Worker.ID] = len(m.assignments)
+	m.requests.add(a.Request.ID)
+	m.workers.add(a.Worker.ID)
 	m.assignments = append(m.assignments, a)
 	m.revenue += a.Revenue()
 	return nil
@@ -225,6 +236,12 @@ func (m *Matching) Assignments() []Assignment { return m.assignments }
 
 // ByRequest returns the assignment serving the given request, if any.
 func (m *Matching) ByRequest(requestID int64) (Assignment, bool) {
+	if m.byRequest == nil {
+		m.byRequest = make(map[int64]int, len(m.assignments))
+	}
+	for ; m.indexed < len(m.assignments); m.indexed++ {
+		m.byRequest[m.assignments[m.indexed].Request.ID] = m.indexed
+	}
 	i, ok := m.byRequest[requestID]
 	if !ok {
 		return Assignment{}, false
@@ -232,7 +249,7 @@ func (m *Matching) ByRequest(requestID int64) (Assignment, bool) {
 	return m.assignments[i], true
 }
 
-// Validate re-checks every assignment and the 1-by-1 maps. It is meant
+// Validate re-checks every assignment and the 1-by-1 constraint. It is meant
 // for tests and audits, not hot paths.
 func (m *Matching) Validate() error {
 	seenR := make(map[int64]bool, len(m.assignments))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -190,6 +191,45 @@ func TestMatchingOneByOneConstraint(t *testing.T) {
 	// The failed adds must not corrupt state.
 	if m.Len() != 1 || m.Revenue() != 9 {
 		t.Errorf("state corrupted: len=%d rev=%v", m.Len(), m.Revenue())
+	}
+	if err := m.Validate(); err != nil {
+		t.Error(err)
+	}
+
+	// IDs on both sides of 64-ID word boundaries, negative ones and both
+	// ends of int64: each is matched once, refused the second time with
+	// the request checked before the worker, and leaves its neighbours
+	// free.
+	m = NewMatching()
+	ids := []int64{0, 63, 64, 127, 128, -1, -63, -64, -65, math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
+	for _, id := range ids {
+		if err := m.Add(Assignment{Request: req(id, 10, 0, 0, 1, 1), Worker: wrk(id, 1, 0, 0, 1, 1)}); err != nil {
+			t.Fatalf("id %d: %v", id, err)
+		}
+		if _, ok := m.ByRequest(id); !ok { // the index, built lazily, follows later Adds
+			t.Fatalf("ByRequest(%d) misses an assignment just added", id)
+		}
+	}
+	for _, id := range ids {
+		err := m.Add(Assignment{Request: req(id, 10, 0, 0, 1, 1), Worker: wrk(id, 1, 0, 0, 1, 1)})
+		if want := fmt.Sprintf("core: request %d already matched", id); err == nil || err.Error() != want {
+			t.Errorf("repeated request %d: error %v, want %q", id, err, want)
+		}
+		err = m.Add(Assignment{Request: req(1000, 10, 0, 0, 1, 1), Worker: wrk(id, 1, 0, 0, 1, 1)})
+		if want := fmt.Sprintf("core: worker %d already matched", id); err == nil || err.Error() != want {
+			t.Errorf("repeated worker %d: error %v, want %q", id, err, want)
+		}
+	}
+	for _, id := range []int64{1, 62, 65, 126, 129, -2, -62, -66, math.MinInt64 + 2, math.MaxInt64 - 2} {
+		if _, ok := m.ByRequest(id); ok {
+			t.Errorf("ByRequest(%d) finds an assignment never added", id)
+		}
+		if err := m.Add(Assignment{Request: req(id, 10, 0, 0, 1, 1), Worker: wrk(id, 1, 0, 0, 1, 1)}); err != nil {
+			t.Errorf("id %d, a neighbour of matched ones: %v", id, err)
+		}
+		if a, ok := m.ByRequest(id); !ok || a.Worker.ID != id {
+			t.Errorf("ByRequest(%d) = %+v, %v after its Add", id, a, ok)
+		}
 	}
 	if err := m.Validate(); err != nil {
 		t.Error(err)

@@ -3,14 +3,17 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"crossmatch/internal/geo"
 )
 
-// FuzzStreamOrdering fuzzes NewStream with randomly generated, randomly
-// shuffled worker and request arrivals and asserts the ordering contract
+// FuzzStreamOrdering fuzzes both stream builds — NewStream over events
+// and NewStreamPacked over the same payloads copied into two slabs — with
+// randomly generated, randomly shuffled worker and request arrivals and
+// asserts the ordering contract
 // every consumer relies on: events sorted by time; at equal times every
 // worker arrival precedes every request arrival (so a worker arriving
 // with a request may serve it); equal (time, kind) ties broken by
@@ -19,13 +22,16 @@ import (
 // event multiset, independent of input shuffling.
 //
 // dups further events repeat the (time, kind, ID) key of an earlier one
-// behind a pointer of their own. Equal keys are where a stable and an
-// unstable sort part ways, so with them in, the build must equal the
-// sort.SliceStable reference below element for element, by pointer.
+// behind a pointer of their own, at a location of their own. Equal keys
+// are where a stable and an unstable sort part ways, so with them in,
+// the event build must equal the sort.SliceStable reference below
+// element for element, by pointer, and the packed build must equal it by
+// value, with each kind's payloads ascending in memory along the stream.
 //
 // shape picks where the arrival times come from (see fuzzTime): the
 // radix passes of the build depend on the span of the times and on
-// nothing else, so each shape drives a different number of them.
+// nothing else, so each shape drives a different number of them, and
+// the two widest take the comparison sort.
 func FuzzStreamOrdering(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(7), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(0), uint8(3), uint8(2), uint8(0))
@@ -64,11 +70,14 @@ func FuzzStreamOrdering(f *testing.F) {
 		distinct := len(events)
 		for i := 0; i < int(dups) && distinct > 0; i++ {
 			e := events[rng.Intn(distinct)]
+			loc := geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
 			if e.Kind == WorkerArrival {
 				cl := *e.Worker
+				cl.Loc = loc
 				e.Worker = &cl
 			} else {
 				cl := *e.Request
+				cl.Loc = loc
 				e.Request = &cl
 			}
 			events = append(events, e)
@@ -89,6 +98,7 @@ func FuzzStreamOrdering(f *testing.F) {
 				t.Fatalf("position %d holds %+v, the stable reference has %+v", i, got[i], want[i])
 			}
 		}
+		checkPacked(t, events, want)
 		if len(events) > distinct {
 			return // the checks below assume distinct IDs
 		}
@@ -171,4 +181,62 @@ func stableReference(events []Event) []Event {
 		return eventID(a) < eventID(b)
 	})
 	return out
+}
+
+// checkPacked builds the events' payloads through NewStreamPacked, copied
+// into two slabs in input order, and holds the result to want, the
+// stable reference: the same events by value, the same summary, and each
+// kind's payloads ascending in memory along the stream.
+func checkPacked(t *testing.T, events, want []Event) {
+	t.Helper()
+	var workers []Worker
+	var requests []Request
+	for _, e := range events {
+		if e.Kind == WorkerArrival {
+			workers = append(workers, *e.Worker)
+		} else {
+			requests = append(requests, *e.Request)
+		}
+	}
+	ref, err := NewStreamOwned(slices.Clone(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStreamPacked(workers, requests)
+	if err != nil {
+		t.Fatalf("valid payloads rejected: %v", err)
+	}
+	if s.MaxValue() != ref.MaxValue() || s.MaxWorkerID() != ref.MaxWorkerID() || !slices.Equal(s.Platforms(), ref.Platforms()) {
+		t.Fatalf("packed summary (%v, %d, %v), the reference's (%v, %d, %v)",
+			s.MaxValue(), s.MaxWorkerID(), s.Platforms(), ref.MaxValue(), ref.MaxWorkerID(), ref.Platforms())
+	}
+	got := s.Events()
+	if len(got) != len(want) {
+		t.Fatalf("packed stream has %d events, want %d", len(got), len(want))
+	}
+	nw, nr := 0, 0
+	for i, e := range got {
+		w := want[i]
+		if e.Time != w.Time || e.Kind != w.Kind {
+			t.Fatalf("packed position %d is (%d, %v), the reference has (%d, %v)", i, e.Time, e.Kind, w.Time, w.Kind)
+		}
+		if e.Kind == WorkerArrival {
+			g, x := e.Worker, w.Worker
+			if g.ID != x.ID || g.Arrival != x.Arrival || g.Loc != x.Loc || g.Radius != x.Radius || g.Platform != x.Platform {
+				t.Fatalf("packed position %d holds worker %+v, the reference has %+v", i, *g, *x)
+			}
+			if g != &workers[nw] {
+				t.Fatalf("packed position %d: worker %d of the stream is not slot %d of its slab", i, nw, nw)
+			}
+			nw++
+			continue
+		}
+		if *e.Request != *w.Request {
+			t.Fatalf("packed position %d holds request %+v, the reference has %+v", i, *e.Request, *w.Request)
+		}
+		if e.Request != &requests[nr] {
+			t.Fatalf("packed position %d: request %d of the stream is not slot %d of its slab", i, nr, nr)
+		}
+		nr++
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 )
 
 // EventKind distinguishes worker and request arrivals on the global
@@ -105,137 +106,248 @@ func NewStream(events []Event) (*Stream, error) {
 
 // NewStreamOwned is NewStream taking ownership of the slice, for
 // callers that build it themselves and never touch it again: there is
-// no defensive copy, and the stream keeps either the slice or the
-// sort's second array of the same size. The payloads stay the caller's
-// (see NewStreamPacked).
+// no defensive copy, and the stream keeps the slice, sorted in place.
+// The payloads stay the caller's (see NewStreamPacked).
 //
 // The order is the stable sort by (time, kind, ID) for every input,
-// equal keys included, and it is the one sort of events in the
-// repository. Input already in that order — a stream read back from
-// CSV, a sub-stream of one — is recognised while it is validated and
-// kept as it stands. Anything else goes through sortEvents, whose cost
-// is linear in the events but for ties.
+// equal keys included, done by sortArrivals, the one sort of arrivals in
+// the repository. Input already in that order — a sub-stream of a
+// stream — is kept as it stands.
 func NewStreamOwned(events []Event) (*Stream, error) {
 	s := &Stream{events: events}
-	ordered := true
-	minT, maxT := Time(math.MaxInt64), Time(math.MinInt64)
 	for i := range events {
 		if err := events[i].Validate(); err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
 		s.note(events[i])
-		minT, maxT = min(minT, events[i].Time), max(maxT, events[i].Time)
-		ordered = ordered && (i == 0 || compareEvents(events[i-1], events[i]) <= 0)
 	}
-	if !ordered {
-		s.events = sortEvents(events, minT, maxT)
-	}
+	sortArrivals(events)
 	return s, nil
 }
 
-// NewStreamPacked is NewStreamOwned for a builder that owns the
-// payloads as well — it allocated every Worker and Request itself and
-// keeps no pointer to them. Once the events are in order the payloads
-// are copied into two slabs, workers and requests, each in arrival
-// order, and the events repointed, so a consumer walking Events() reads
-// payload memory front to back instead of taking a cache miss per
-// event. History slices are shared, not copied: a physical worker's
-// appearances keep one history. What the builder allocated is garbage
-// on return.
-func NewStreamPacked(events []Event) (*Stream, error) {
-	s, err := NewStreamOwned(events)
-	if err != nil {
-		return nil, err
-	}
-	events = s.events
-	nWorkers := 0
-	for i := range events {
-		if events[i].Kind == WorkerArrival {
-			nWorkers++
+// NewStreamPacked builds a stream over payloads the builder owns and
+// hands over: it allocated both slabs itself and keeps no pointer into
+// them. Every payload is validated as Event.Validate would, each slab is
+// sorted in place into the stable (arrival, ID) order, and the events
+// are the merge of the two, workers first on equal ticks — the order
+// NewStreamOwned gives the same arrivals. The stream keeps the slabs, so
+// a consumer walking Events() reads payload memory front to back instead
+// of taking a cache miss per event, and each payload is written once.
+// History slices are shared, not copied: a physical worker's appearances
+// keep one history.
+func NewStreamPacked(workers []Worker, requests []Request) (*Stream, error) {
+	s := &Stream{}
+	for i := range workers {
+		if err := workers[i].Validate(); err != nil {
+			return nil, fmt.Errorf("worker %d: %w", i, err)
 		}
+		s.note(Event{Kind: WorkerArrival, Worker: &workers[i]})
 	}
-	workers := make([]Worker, nWorkers)
-	requests := make([]Request, len(events)-nWorkers)
-	for i := range events {
-		if e := &events[i]; e.Kind == WorkerArrival {
-			workers[0] = *e.Worker
-			e.Worker, workers = &workers[0], workers[1:]
+	for i := range requests {
+		if err := requests[i].Validate(); err != nil {
+			return nil, fmt.Errorf("request %d: %w", i, err)
+		}
+		s.note(Event{Kind: RequestArrival, Request: &requests[i]})
+	}
+	sortArrivals(workers)
+	sortArrivals(requests)
+	s.events = make([]Event, len(workers)+len(requests))
+	mergeArrivals(s.events, workers, requests)
+	return s, nil
+}
+
+// arrival is what sortArrivals reads of an element: a payload of either
+// kind, or an event that points at one.
+type arrival[T any] interface {
+	*T
+	// at returns the arrival time.
+	at() Time
+	// tie orders two arrivals at the same time: by ID, after kind for an
+	// event.
+	tie(*T) int
+}
+
+func (w *Worker) at() Time          { return w.Arrival }
+func (w *Worker) tie(o *Worker) int { return cmp.Compare(w.ID, o.ID) }
+
+func (r *Request) at() Time           { return r.Arrival }
+func (r *Request) tie(o *Request) int { return cmp.Compare(r.ID, o.ID) }
+
+func (e *Event) at() Time { return e.Time }
+func (e *Event) tie(o *Event) int {
+	if c := cmp.Compare(e.Kind, o.Kind); c != 0 {
+		return c
+	}
+	return cmp.Compare(eventID(*e), eventID(*o))
+}
+
+// mergeArrivals writes into events, which holds exactly len(workers) +
+// len(requests) slots, the merge of the two slabs, each in (arrival, ID)
+// order: the (time, kind, ID) order, workers first on equal ticks.
+func mergeArrivals(events []Event, workers []Worker, requests []Request) {
+	i, j := 0, 0
+	for k := range events {
+		if i < len(workers) && (j == len(requests) || workers[i].Arrival <= requests[j].Arrival) {
+			events[k] = Event{Time: workers[i].Arrival, Kind: WorkerArrival, Worker: &workers[i]}
+			i++
 		} else {
-			requests[0] = *e.Request
-			e.Request, requests = &requests[0], requests[1:]
+			events[k] = Event{Time: requests[j].Arrival, Kind: RequestArrival, Request: &requests[j]}
+			j++
 		}
 	}
-	return s, nil
 }
 
-// compareEvents orders events by (time, kind, ID).
-func compareEvents(a, b Event) int {
-	if c := cmp.Compare(a.Time, b.Time); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
-		return c
-	}
-	return cmp.Compare(eventID(a), eventID(b))
-}
-
-// radixBits is the digit width of sortEvents: two passes cover the
+// radixBits is the digit width of sortArrivals: two passes cover the
 // 1.6M-tick span of a 400k-event city, and 2048 counters a pass stay in
 // the first-level cache.
 const radixBits = 11
 
-// sortEvents returns the events in the stable (time, kind, ID) order:
-// in their own array or in a second one of the same size, whichever the
-// last pass wrote — the other is garbage. minT and maxT are the least
-// and greatest event time.
+// sortArrivals sorts xs in place into the stable order by time, then
+// tie: (arrival, ID) for a slab of payloads, (time, kind, ID) for
+// events. It is the one sort of arrivals in the repository.
 //
-// It is an LSD radix sort of the events themselves on the bits of
-// time − minT that vary, which leaves equal times in input order, and
-// then a stable comparison sort inside each run of equal times: all of
-// the input when every time is equal, two or three events at a time
-// when, as in a generated stream, the ticks outnumber the events.
-func sortEvents(events []Event, minT, maxT Time) []Event {
+// Each element gets an 8-byte key, (time − least time) << 32 | index.
+// An LSD radix sort of the keys on the time bits that vary leaves equal
+// times in index order, and the keys' index bits are then the
+// permutation, applied to xs in place by walking its cycles, so each
+// element moves once. A stable sort by tie finishes each run of equal
+// times, two or three elements at a time when, as in a generated
+// stream, the ticks outnumber the arrivals. A time span or a length that
+// does not fit in 32 bits takes a comparison sort of bare indices
+// instead, and the same walk. Input already in order is left as it is.
+func sortArrivals[T any, P arrival[T]](xs []T) {
+	if len(xs) < 2 {
+		return
+	}
+	minT := P(&xs[0]).at()
+	maxT, sorted := minT, true
+	for i, prev := 1, minT; i < len(xs); i++ {
+		t := P(&xs[i]).at()
+		minT, maxT = min(minT, t), max(maxT, t)
+		sorted = sorted && (t > prev || t == prev && P(&xs[i-1]).tie(&xs[i]) <= 0)
+		prev = t
+	}
+	if sorted {
+		return
+	}
+	keys := make([]uint64, len(xs))
+	index := uint64(1<<32 - 1) // the index bits of a key
 	// Times sort as unsigned offsets from minT: the subtraction wraps,
 	// so a span of the whole int64 range still comes out right.
-	const mask = 1<<radixBits - 1
 	base := uint64(minT)
-	passes := (bits.Len64(uint64(maxT)-base) + radixBits - 1) / radixBits
+	span := uint64(maxT) - base
+	radix := span <= index && uint64(len(xs)) <= index
+	if radix {
+		for i := range xs {
+			keys[i] = (uint64(P(&xs[i]).at())-base)<<32 | uint64(i)
+		}
+		keys = radixSortHigh(keys, bits.Len64(span))
+	} else {
+		index = math.MaxUint64
+		for i := range keys {
+			keys[i] = uint64(i)
+		}
+		slices.SortFunc(keys, func(a, b uint64) int {
+			if c := cmp.Compare(P(&xs[a]).at(), P(&xs[b]).at()); c != 0 {
+				return c
+			}
+			if c := P(&xs[a]).tie(&xs[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	// Position i takes the element at keys[i]'s index. Walk each cycle of
+	// that permutation once, marking a done position by pointing its key
+	// at itself; the time bits stay for the runs below.
+	for i := range keys {
+		if keys[i]&index == uint64(i) {
+			continue
+		}
+		held := xs[i]
+		j := i
+		for {
+			from := int(keys[j] & index)
+			keys[j] = keys[j]&^index | uint64(j)
+			if from == i {
+				xs[j] = held
+				break
+			}
+			xs[j] = xs[from]
+			j = from
+		}
+	}
+	if !radix {
+		return
+	}
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
+			hi++
+		}
+		if hi-lo > 1 {
+			sortTies[T, P](xs[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// sortTies is the stable sort of one run of equal times by tie: by
+// insertion for the few elements a run of a generated stream holds, by
+// sort.Stable above that.
+func sortTies[T any, P arrival[T]](run []T) {
+	const insertionMax = 12
+	if len(run) > insertionMax {
+		sort.Stable(tieOrder[T, P](run))
+		return
+	}
+	for k := 1; k < len(run); k++ {
+		for m := k; m > 0 && P(&run[m]).tie(&run[m-1]) < 0; m-- {
+			run[m], run[m-1] = run[m-1], run[m]
+		}
+	}
+}
+
+// tieOrder is a run of equal times as a sort.Interface, ordered by tie.
+type tieOrder[T any, P arrival[T]] []T
+
+func (o tieOrder[T, P]) Len() int           { return len(o) }
+func (o tieOrder[T, P]) Less(i, j int) bool { return P(&o[i]).tie(&o[j]) < 0 }
+func (o tieOrder[T, P]) Swap(i, j int)      { o[i], o[j] = o[j], o[i] }
+
+// radixSortHigh sorts keys by their bits 32 to 32+width, an LSD radix
+// sort that keeps keys with equal such bits in input order. It returns
+// the sorted keys, in keys' own array or in a second one of the same
+// size, whichever the last pass wrote.
+func radixSortHigh(keys []uint64, width int) []uint64 {
+	const mask = 1<<radixBits - 1
+	passes := (width + radixBits - 1) / radixBits
+	if passes == 0 {
+		return keys
+	}
 	counts := make([]int, passes<<radixBits)
-	for i := range events {
-		d := uint64(events[i].Time) - base
+	for _, k := range keys {
+		d := k >> 32
 		for c := counts; len(c) > 0; c, d = c[1<<radixBits:], d>>radixBits {
 			c[d&mask]++
 		}
 	}
-	var spare []Event
-	if passes > 0 {
-		spare = make([]Event, len(events))
-	}
+	spare := make([]uint64, len(keys))
 	for p := 0; p < passes; p++ {
 		c := counts[p<<radixBits : (p+1)<<radixBits]
 		at := 0
 		for d, m := range c {
 			c[d], at = at, at+m
 		}
-		shift := p * radixBits
-		for i := range events {
-			d := (uint64(events[i].Time) - base) >> shift & mask
-			spare[c[d]] = events[i]
+		shift := 32 + p*radixBits
+		for _, k := range keys {
+			d := k >> shift & mask
+			spare[c[d]] = k
 			c[d]++
 		}
-		events, spare = spare, events
+		keys, spare = spare, keys
 	}
-	for lo := 0; lo < len(events); {
-		hi := lo + 1
-		for hi < len(events) && events[hi].Time == events[lo].Time {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortStableFunc(events[lo:hi], compareEvents)
-		}
-		lo = hi
-	}
-	return events
+	return keys
 }
 
 func eventID(e Event) int64 {

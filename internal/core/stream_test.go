@@ -1,10 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
-	"unsafe"
 )
 
 // exampleStream loads the shared Example 1 fixture; see ExampleOneStream.
@@ -169,28 +169,32 @@ func TestWorkerAndRequestEvents(t *testing.T) {
 }
 
 // TestNewStreamPackedLaysPayloadsInArrivalOrder: the packed build is the
-// owned build event for event, behind payloads of its own that ascend
-// in memory along the stream, one slab per kind; the builder's payloads
-// are read and left alone, and a history is shared, not copied.
+// owned build event for event, behind the builder's two slabs, sorted in
+// place so that payloads ascend in memory along the stream, one slab per
+// kind; a history is shared, not copied.
 func TestNewStreamPackedLaysPayloadsInArrivalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var events []Event
+	var workers []Worker
+	var requests []Request
 	for i := 0; i < 400; i++ {
 		at := Time(rng.Intn(300)) // ties included
 		if i%5 == 0 {
 			w := wrk(int64(i+1), at, rng.Float64(), rng.Float64(), 1, PlatformID(1+i%3))
 			w.History = []float64{1 + rng.Float64(), 2}
 			events = append(events, Event{Time: at, Kind: WorkerArrival, Worker: w})
+			workers = append(workers, *w)
 		} else {
-			events = append(events, Event{Time: at, Kind: RequestArrival,
-				Request: req(int64(i+1), at, rng.Float64(), rng.Float64(), 1+rng.Float64(), PlatformID(1+i%3))})
+			r := req(int64(i+1), at, rng.Float64(), rng.Float64(), 1+rng.Float64(), PlatformID(1+i%3))
+			events = append(events, Event{Time: at, Kind: RequestArrival, Request: r})
+			requests = append(requests, *r)
 		}
 	}
 	ref, err := NewStream(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := NewStreamPacked(append([]Event(nil), events...))
+	packed, err := NewStreamPacked(workers, requests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +202,7 @@ func TestNewStreamPackedLaysPayloadsInArrivalOrder(t *testing.T) {
 		!slices.Equal(packed.Platforms(), ref.Platforms()) {
 		t.Fatalf("packed stream's summary differs from the owned build's")
 	}
-	var lastW, lastR uintptr
+	var nw, nr int
 	for i, e := range packed.Events() {
 		want := ref.Events()[i]
 		if e.Time != want.Time || e.Kind != want.Kind {
@@ -206,28 +210,31 @@ func TestNewStreamPackedLaysPayloadsInArrivalOrder(t *testing.T) {
 		}
 		if e.Kind == WorkerArrival {
 			g, w := e.Worker, want.Worker
-			if g == w {
-				t.Fatalf("event %d still points at the builder's worker", i)
-			}
 			if g.ID != w.ID || g.Arrival != w.Arrival || g.Loc != w.Loc || g.Radius != w.Radius || g.Platform != w.Platform ||
 				len(g.History) != len(w.History) || &g.History[0] != &w.History[0] {
 				t.Fatalf("event %d: worker %+v, the owned build has %+v", i, *g, *w)
 			}
-			if at := uintptr(unsafe.Pointer(g)); at <= lastW {
-				t.Fatalf("event %d: worker payload at %#x does not follow %#x", i, at, lastW)
-			} else {
-				lastW = at
+			if g != &workers[nw] {
+				t.Fatalf("event %d: worker payload at %p, want slot %d of the slab", i, g, nw)
 			}
+			nw++
 			continue
 		}
-		if e.Request == want.Request || *e.Request != *want.Request {
-			t.Fatalf("event %d: request %+v at %p, the owned build has %+v at %p", i, *e.Request, e.Request, *want.Request, want.Request)
+		if *e.Request != *want.Request || e.Request != &requests[nr] {
+			t.Fatalf("event %d: request %+v at %p, the owned build has %+v; want slot %d of the slab", i, *e.Request, e.Request, *want.Request, nr)
 		}
-		if at := uintptr(unsafe.Pointer(e.Request)); at <= lastR {
-			t.Fatalf("event %d: request payload at %#x does not follow %#x", i, at, lastR)
-		} else {
-			lastR = at
-		}
+		nr++
+	}
+
+	bad := slices.Clone(requests)
+	bad[7].Value = -1
+	if _, err := NewStreamPacked(nil, bad); err == nil {
+		t.Error("a request of negative value was packed")
+	}
+	badW := slices.Clone(workers)
+	badW[3].History = []float64{math.NaN()}
+	if _, err := NewStreamPacked(badW, nil); err == nil {
+		t.Error("a worker with a NaN history value was packed")
 	}
 }
 

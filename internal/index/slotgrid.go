@@ -35,7 +35,9 @@ import (
 // open-addressed table (linear probing, power-of-two size, at most half
 // full) from the packed (cx, cy) to an index into buckets. Buckets are
 // never deleted, so there are no tombstones, and memory is O(cells ever
-// touched) wherever they lie. The bounding box of those cells clamps the
+// touched) wherever they lie. Each directory entry also counts its
+// cell's live entries, so a scan passes over an emptied cell without
+// reading its bucket. The bounding box of those cells clamps the
 // ring scan — cells outside it are empty, so the order is kept — and
 // one far-reaching entry cannot make every query walk millions of cells.
 //
@@ -58,10 +60,14 @@ type SlotGrid struct {
 	n       int
 }
 
-// dirEntry maps a packed cell to its bucket's index plus one; zero is empty.
+// dirEntry maps a packed cell to its bucket's index plus one (zero is
+// an unused entry) and counts the cell's live entries, in what would
+// otherwise be padding: a scan skips an emptied cell without reading its
+// bucket.
 type dirEntry struct {
 	key    uint64
 	bucket int32
+	live   int32
 }
 
 func packCell(cx, cy int32) uint64 { return uint64(uint32(cx))<<32 | uint64(uint32(cy)) }
@@ -76,13 +82,14 @@ func (g *SlotGrid) probe(key uint64) *dirEntry {
 	}
 }
 
-// touch returns the index of the cell's bucket, adding an empty one for
-// a cell seen for the first time.
-func (g *SlotGrid) touch(cx, cy int32) int32 {
+// touch returns the cell's directory entry, adding an empty bucket for a
+// cell seen for the first time. The pointer is valid until the next
+// touch, which may grow the directory.
+func (g *SlotGrid) touch(cx, cy int32) *dirEntry {
 	key := packCell(cx, cy)
 	e := g.probe(key)
 	if e.bucket != 0 {
-		return e.bucket - 1
+		return e
 	}
 	if 2*len(g.buckets) >= len(g.dir) { // the new cell would fill it past half
 		old := g.dir
@@ -96,14 +103,15 @@ func (g *SlotGrid) touch(cx, cy int32) int32 {
 	}
 	g.minCx, g.maxCx = min(g.minCx, cx), max(g.maxCx, cx)
 	g.minCy, g.maxCy = min(g.minCy, cy), max(g.maxCy, cy)
-	g.buckets = append(g.buckets, slotBucket{})
+	g.buckets = append(g.buckets, slotBucket{key: key})
 	*e = dirEntry{key: key, bucket: int32(len(g.buckets))}
-	return e.bucket - 1
+	return e
 }
 
 // slotBucket holds one cell's entries in structure-of-arrays layout.
 // Index i across all slices describes one entry.
 type slotBucket struct {
+	key   uint64 // the packed cell, to find its directory entry
 	ids   []int64
 	slots []int32
 	xs    []float64
@@ -137,7 +145,9 @@ func (g *SlotGrid) Insert(e Entry, slot int32) {
 	if _, dup := g.where[e.ID]; dup {
 		g.Remove(e.ID)
 	}
-	bi := g.touch(CellOf(e.Circle.Center, g.cell))
+	de := g.touch(CellOf(e.Circle.Center, g.cell))
+	de.live++
+	bi := de.bucket - 1
 	b := &g.buckets[bi]
 	rad := e.Circle.Radius
 	r2 := -1.0
@@ -191,6 +201,7 @@ func (g *SlotGrid) Remove(id int64) (slot int32, ok bool) {
 		return 0, false
 	}
 	b := &g.buckets[bi]
+	g.probe(b.key).live--
 	for i, eid := range b.ids {
 		if eid == id {
 			slot = b.slots[i]
@@ -248,7 +259,7 @@ func (g *SlotGrid) AppendSlots(dst []int32, p geo.Point) []int32 {
 	for cx := loX; cx <= hiX; cx++ {
 		for cy := loY; cy <= hiY; cy++ {
 			e := g.probe(packCell(int32(cx), int32(cy)))
-			if e.bucket == 0 {
+			if e.live == 0 { // an unused entry, or a cell emptied since
 				continue
 			}
 			b := &g.buckets[e.bucket-1]

@@ -200,6 +200,59 @@ func TestSlotGridSlotLookup(t *testing.T) {
 	}
 }
 
+// TestSlotGridFindsRefilledCell: a scan skips a cell whose live count has
+// fallen to zero, so emptying a cell must hide it, and refilling it — with
+// a new ID, a removed one, or a live one inserted again — must bring it
+// back, in the oracle's order.
+func TestSlotGridFindsRefilledCell(t *testing.T) {
+	g, sg := NewGrid(1.0), NewSlotGrid(1.0)
+	at := func(id int64, x float64) Entry {
+		return Entry{ID: id, Circle: geo.Circle{Center: geo.Point{X: x, Y: 0.5}, Radius: 2}}
+	}
+	insert := func(e Entry) { g.Insert(e); sg.Insert(e, int32(e.ID)) }
+	remove := func(id int64) {
+		g.Remove(id)
+		if _, ok := sg.Remove(id); !ok {
+			t.Fatalf("Remove(%d) missed a live entry", id)
+		}
+	}
+	check := func(step string, want int) {
+		t.Helper()
+		p := geo.Point{X: 1, Y: 0.5}
+		ref, got := g.Covering(nil, p), sg.AppendSlots(nil, p)
+		if len(got) != want || len(ref) != want {
+			t.Fatalf("%s: slot grid finds %v, grid %d entries, want %d", step, got, len(ref), want)
+		}
+		for i, e := range ref {
+			if int64(got[i]) != e.ID {
+				t.Fatalf("%s: order differs at %d: grid %d vs slot grid %d", step, i, e.ID, got[i])
+			}
+		}
+	}
+	insert(at(1, 0.2)) // cell (0, 0)
+	insert(at(2, 0.7)) // cell (0, 0)
+	insert(at(3, 1.5)) // cell (1, 0)
+	check("filled", 3)
+	remove(1)
+	check("one of cell (0, 0)'s two removed", 2)
+	remove(2)
+	check("cell (0, 0) emptied", 1)
+	insert(at(4, 0.4))
+	check("refilled with a new ID", 2)
+	remove(4)
+	check("emptied again", 1)
+	insert(at(2, 0.9))
+	insert(at(2, 0.3)) // a live ID inserted again replaces itself
+	check("refilled with a removed ID", 2)
+	remove(3)
+	check("cell (1, 0) emptied", 1)
+	insert(at(3, 0.1)) // moved into cell (0, 0)
+	check("an ID moved from the emptied cell", 2)
+	if sg.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", sg.Len())
+	}
+}
+
 // BenchmarkSlotGridAppendSlots is one request's index work at the
 // ledger's city400k shape: two pools (the request's own, then its
 // partner's) over a 28.3 km square, radius 1 km, 20k arrivals each, so

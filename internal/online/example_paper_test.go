@@ -45,7 +45,7 @@ func runExample(t *testing.T, m Matcher) (*core.Matching, *Stats, *fakeCoop) {
 			}
 		case core.RequestArrival:
 			d := m.RequestArrives(e.Request)
-			stats.Observe(d)
+			stats.Observe(&d)
 			if d.Served {
 				if err := matching.Add(d.Assignment); err != nil {
 					t.Fatal(err)

@@ -193,7 +193,7 @@ type Stats struct {
 }
 
 // Observe folds one decision into the stats.
-func (s *Stats) Observe(d Decision) {
+func (s *Stats) Observe(d *Decision) {
 	s.Requests++
 	if d.CoopAttempted {
 		s.CoopAttempted++

@@ -74,7 +74,7 @@ func runPlatform1(t *testing.T, m Matcher, coop *fakeCoop) *Stats {
 					t.Fatalf("invalid assignment: %v", err)
 				}
 			}
-			stats.Observe(d)
+			stats.Observe(&d)
 		}
 	}
 	return stats
@@ -401,12 +401,12 @@ func TestStatsObserve(t *testing.T) {
 	s := &Stats{}
 	r := poolRequest(1, 10, 0, 0, 10)
 	w := poolWorker(1, 0, 0, 0, 5)
-	s.Observe(Decision{Served: true, Assignment: core.Assignment{Request: r, Worker: w}})
+	s.Observe(&Decision{Served: true, Assignment: core.Assignment{Request: r, Worker: w}})
 	outerW := &core.Worker{ID: 2, Arrival: 0, Loc: r.Loc, Radius: 5, Platform: 2}
-	s.Observe(Decision{Served: true, CoopAttempted: true,
+	s.Observe(&Decision{Served: true, CoopAttempted: true,
 		Assignment: core.Assignment{Request: r, Worker: outerW, Payment: 4, Outer: true}})
-	s.Observe(Decision{CoopAttempted: true}) // rejected cooperative
-	s.Observe(Decision{})                    // plain rejection
+	s.Observe(&Decision{CoopAttempted: true}) // rejected cooperative
+	s.Observe(&Decision{})                    // plain rejection
 
 	if s.Requests != 4 || s.Served != 2 || s.ServedInner != 1 || s.ServedOuter != 1 {
 		t.Errorf("counts wrong: %+v", s)
@@ -432,7 +432,7 @@ func TestStatsObserveZeroValueRequest(t *testing.T) {
 	s := &Stats{}
 	r := poolRequest(1, 10, 0, 0, 0) // value 0
 	w := &core.Worker{ID: 2, Arrival: 0, Loc: r.Loc, Radius: 5, Platform: 2}
-	s.Observe(Decision{Served: true, CoopAttempted: true,
+	s.Observe(&Decision{Served: true, CoopAttempted: true,
 		Assignment: core.Assignment{Request: r, Worker: w, Payment: 0, Outer: true}})
 	if math.IsNaN(s.PaymentRate) || math.IsInf(s.PaymentRate, 0) {
 		t.Fatalf("PaymentRate = %v, want finite", s.PaymentRate)

@@ -43,7 +43,9 @@ type PlatformSpec struct {
 	// with 9,145 workers, which is only possible if workers appear
 	// repeatedly). Workers stays the count of physical workers; each
 	// generates Appearances worker vertices with fresh locations and
-	// increasing arrival times. Default 1 (one-shot workers).
+	// arrival times, each drawn on its own, uniformly over the horizon,
+	// so one worker's appearances come in no particular order. Default 1
+	// (one-shot workers).
 	Appearances int
 }
 
@@ -107,41 +109,20 @@ func typicalValue(m ValueModel, rng *rand.Rand) float64 {
 	return sum / n
 }
 
-// arenaChunk sizes the generator's allocation arenas. Entities are
-// handed out as pointers into fixed chunks, so one heap allocation
-// amortizes over arenaChunk entities instead of costing one each — at
-// scaling-city sizes (1M workers, 10M events) per-entity allocation
-// dominates generation time and fragments the heap.
-const arenaChunk = 4096
-
-// arena hands out pointers into fixed-size chunks. Pointers stay valid
-// forever: a chunk is never reallocated, only consumed.
-type arena[T any] struct{ chunk []T }
-
-func (a *arena[T]) next() *T {
-	if len(a.chunk) == 0 {
-		a.chunk = make([]T, arenaChunk)
-	}
-	p := &a.chunk[0]
-	a.chunk = a.chunk[1:]
-	return p
-}
-
-// floatArena carves history slices out of shared blocks. Histories are
+// floatArena carves history slices out of shared blocks of floatBlock
+// values, one heap allocation for hundreds of histories. Histories are
 // immutable after generation, so full-capacity sub-slices (no room to
 // grow into a neighbour) are safe to share a backing array.
 type floatArena struct{ buf []float64 }
+
+const floatBlock = 1 << 16
 
 func (a *floatArena) take(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
 	if len(a.buf) < n {
-		size := 16 * arenaChunk
-		if n > size {
-			size = n
-		}
-		a.buf = make([]float64, size)
+		a.buf = make([]float64, max(floatBlock, n))
 	}
 	s := a.buf[:n:n]
 	a.buf = a.buf[n:]
@@ -150,28 +131,62 @@ func (a *floatArena) take(n int) []float64 {
 
 // ReorderUniform returns a copy of the stream whose entities keep their
 // locations, values, radii and histories but receive fresh arrival times
-// drawn uniformly over the same horizon — one sample from the random
-// order model of Definition 2.8. Entities are cloned, so the original
-// stream is untouched.
+// drawn uniformly over [0, 4 × events) — one sample from the random
+// order model of Definition 2.8. That is Generate's default horizon only
+// for a stream of one-shot workers: Generate counts a physical worker
+// once however often it appears, so a stream with Appearances > 1 is
+// spread here over a longer horizon than it was generated on. Workers
+// are drawn first, then requests, each kind in stream order. Entities
+// are cloned, so the original stream is untouched.
 func ReorderUniform(s *core.Stream, seed int64) (*core.Stream, error) {
 	rng := rand.New(rand.NewSource(seed))
 	horizon := int64(4 * s.Len())
 	if horizon == 0 {
 		horizon = 1
 	}
-	events := make([]core.Event, 0, s.Len())
-	for _, w := range s.Workers() {
-		cl := *w
-		cl.History = append([]float64(nil), w.History...)
-		cl.Arrival = core.Time(rng.Int63n(horizon))
-		events = append(events, core.Event{Time: cl.Arrival, Kind: core.WorkerArrival, Worker: &cl})
+	nWorkers := 0
+	for _, e := range s.Events() {
+		if e.Kind == core.WorkerArrival {
+			nWorkers++
+		}
 	}
-	for _, r := range s.Requests() {
-		cl := *r
-		cl.Arrival = core.Time(rng.Int63n(horizon))
-		events = append(events, core.Event{Time: cl.Arrival, Kind: core.RequestArrival, Request: &cl})
+	workers := make([]core.Worker, 0, nWorkers)
+	requests := make([]core.Request, 0, s.Len()-nWorkers)
+	for _, e := range s.Events() {
+		if e.Kind == core.WorkerArrival {
+			cl := *e.Worker
+			cl.History = append([]float64(nil), cl.History...)
+			cl.Arrival = core.Time(rng.Int63n(horizon))
+			workers = append(workers, cl)
+		}
 	}
-	return core.NewStreamPacked(events)
+	for _, e := range s.Events() {
+		if e.Kind == core.RequestArrival {
+			cl := *e.Request
+			cl.Arrival = core.Time(rng.Int63n(horizon))
+			requests = append(requests, cl)
+		}
+	}
+	return core.NewStreamPacked(workers, requests)
+}
+
+// sortHistory puts a history in ascending order: by insertion for the
+// generator's 20 to 60 values, where it is about twice as fast as
+// slices.Sort, and by slices.Sort above insertionMax. Both give the same
+// slice for positive finite values, the only ones a history holds.
+func sortHistory(h []float64) {
+	const insertionMax = 64
+	if len(h) > insertionMax {
+		slices.Sort(h)
+		return
+	}
+	for i := 1; i < len(h); i++ {
+		v, j := h[i], i
+		for ; j > 0 && h[j-1] > v; j-- {
+			h[j] = h[j-1]
+		}
+		h[j] = v
+	}
 }
 
 // Generate builds the arrival stream. Deterministic given seed: entity
@@ -182,18 +197,15 @@ func Generate(cfg Config, seed int64) (*core.Stream, error) {
 		return nil, fmt.Errorf("workload: no platforms configured")
 	}
 	totalArrivals := 0
-	totalEvents := 0
+	totalWorkers, totalRequests := 0, 0
 	for i := range cfg.Platforms {
 		s := &cfg.Platforms[i]
 		if err := s.validate(); err != nil {
 			return nil, err
 		}
 		totalArrivals += s.Requests + s.Workers
-		app := s.Appearances
-		if app == 0 {
-			app = 1
-		}
-		totalEvents += s.Requests + s.Workers*app
+		totalWorkers += s.Workers * max(s.Appearances, 1)
+		totalRequests += s.Requests
 	}
 	horizon := cfg.Horizon
 	if horizon <= 0 {
@@ -204,9 +216,9 @@ func Generate(cfg Config, seed int64) (*core.Stream, error) {
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	events := make([]core.Event, 0, totalEvents)
-	var workers arena[core.Worker]
-	var requests arena[core.Request]
+	// Each payload is written once, into the slab the stream keeps.
+	workers := make([]core.Worker, 0, totalWorkers)
+	requests := make([]core.Request, 0, totalRequests)
 	var hists floatArena
 	nextWorkerID := int64(1)
 	nextRequestID := int64(1)
@@ -250,35 +262,31 @@ func Generate(cfg Config, seed int64) (*core.Stream, error) {
 			// order here, once per physical worker and after every draw:
 			// pricing.MakeHistory then shares the slice at each arrival
 			// of each run instead of copying and sorting it.
-			slices.Sort(hist)
-			// One physical worker: `appearances` pool joins at increasing
-			// times and fresh locations, sharing the acceptance history.
+			sortHistory(hist)
+			// One physical worker: `appearances` pool joins, each at a time
+			// and a location of its own, sharing the acceptance history.
 			for a := 0; a < appearances; a++ {
-				w := workers.next()
-				*w = core.Worker{
+				workers = append(workers, core.Worker{
 					ID:       nextWorkerID,
 					Arrival:  core.Time(rng.Int63n(int64(horizon))),
 					Loc:      workerSpatial.Sample(rng),
 					Radius:   s.Radius,
 					Platform: s.ID,
 					History:  hist,
-				}
+				})
 				nextWorkerID++
-				events = append(events, core.Event{Time: w.Arrival, Kind: core.WorkerArrival, Worker: w})
 			}
 		}
 		for j := 0; j < s.Requests; j++ {
-			r := requests.next()
-			*r = core.Request{
+			requests = append(requests, core.Request{
 				ID:       nextRequestID,
 				Arrival:  core.Time(rng.Int63n(int64(horizon))),
 				Loc:      s.RequestSpatial.Sample(rng),
 				Value:    s.Values.Sample(rng),
 				Platform: s.ID,
-			}
+			})
 			nextRequestID++
-			events = append(events, core.Event{Time: r.Arrival, Kind: core.RequestArrival, Request: r})
 		}
 	}
-	return core.NewStreamPacked(events)
+	return core.NewStreamPacked(workers, requests)
 }

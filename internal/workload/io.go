@@ -59,7 +59,8 @@ func ReadCSV(r io.Reader) (*core.Stream, error) {
 	if len(header) != 9 || header[0] != "kind" {
 		return nil, fmt.Errorf("workload: unexpected CSV header %v", header)
 	}
-	var events []core.Event
+	var workers []core.Worker
+	var requests []core.Request
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -105,20 +106,18 @@ func ReadCSV(r io.Reader) (*core.Stream, error) {
 					hist = append(hist, h)
 				}
 			}
-			w := &core.Worker{ID: id, Arrival: core.Time(arr), Loc: loc, Radius: rad,
-				Platform: core.PlatformID(plat), History: hist}
-			events = append(events, core.Event{Time: w.Arrival, Kind: core.WorkerArrival, Worker: w})
+			workers = append(workers, core.Worker{ID: id, Arrival: core.Time(arr), Loc: loc, Radius: rad,
+				Platform: core.PlatformID(plat), History: hist})
 		case "request":
 			v, err := strconv.ParseFloat(rec[6], 64)
 			if err != nil {
 				return nil, fmt.Errorf("workload: CSV line %d: value: %w", line, err)
 			}
-			rq := &core.Request{ID: id, Arrival: core.Time(arr), Loc: loc, Value: v,
-				Platform: core.PlatformID(plat)}
-			events = append(events, core.Event{Time: rq.Arrival, Kind: core.RequestArrival, Request: rq})
+			requests = append(requests, core.Request{ID: id, Arrival: core.Time(arr), Loc: loc, Value: v,
+				Platform: core.PlatformID(plat)})
 		default:
 			return nil, fmt.Errorf("workload: CSV line %d: unknown kind %q", line, rec[0])
 		}
 	}
-	return core.NewStreamPacked(events)
+	return core.NewStreamPacked(workers, requests)
 }
