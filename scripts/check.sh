@@ -29,6 +29,12 @@ if [ "$(git grep -lE 'WorkerArrived|WorkerAssigned' -- '*.go' ':!bench')" != "in
 	exit 1
 fi
 
+echo "==> a stream's payloads are written once: no generator arenas, one sort of arrivals, no per-Matching ID maps"
+# byWorkerID, BatchCOM's comparator, is another name and stays.
+if git grep -nE 'arena\[(T|core\.)|arenaChunk|sortEvents|byWorker([^I]|$)' -- '*.go' ':!bench'; then
+	exit 1
+fi
+
 echo "==> the deleted sharded engine's shim is what bench/probes.go names and the WAL refusal, nothing more"
 shim=$(git grep -nE 'Shards|ShardReach|ShardStats|ShardSnapshot|ShardStalls' -- '*.go' ':!bench' ':!*_test.go' \
 	':!internal/route' ':!cmd/comroute' ':!internal/serve/loadgen.go' ':!cmd/comload' |
