@@ -22,6 +22,7 @@ package online
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -362,10 +363,15 @@ const mcGroupCap = 24
 
 // estimatePayment is the Algorithm 2 minimum outer payment estimate
 // DemCOM and BatchCOM quote from: group (reordered in place) is cut to
-// its mcGroupCap cheapest histories and handed to the quoter.
+// its mcGroupCap cheapest histories, ascending by Min, and handed to the
+// quoter.
 func estimatePayment(q *pricing.TableQuoter, value float64, group []*pricing.History, rng *rand.Rand, s *pricing.Scratch) float64 {
 	if len(group) > mcGroupCap {
-		slices.SortFunc(group, func(a, b *pricing.History) int { return cmp.Compare(a.Min(), b.Min()) })
+		if !selectCheapest(group) {
+			// The documented fallback: a different-value tie on Min
+			// decides what the quote sees, so pdqsort's order decides it.
+			slices.SortFunc(group, func(a, b *pricing.History) int { return cmp.Compare(a.Min(), b.Min()) })
+		}
 		group = group[:mcGroupCap]
 	}
 	est, err := q.MinOuterPayment(value, group, rng, s)
@@ -375,6 +381,80 @@ func estimatePayment(q *pricing.TableQuoter, value float64, group []*pricing.His
 		return value * 2
 	}
 	return est
+}
+
+// minKey is a group member with its Min read once.
+type minKey struct {
+	min float64
+	h   *pricing.History
+}
+
+// selectCheapest writes the mcGroupCap members of group (longer than
+// that) with the smallest Min to group[:mcGroupCap] in ascending order,
+// by bounded insertion, and reports true. The quote reads only the
+// members' values, in order, so the result is the one a full sort by
+// Min gives whenever every tie on Min that can reach the quote — two
+// kept members, or one kept and one cut — is between identical values
+// (repeat appearances share one slice). Otherwise it reports false and
+// leaves group as it was, for the caller to sort as it always has.
+func selectCheapest(group []*pricing.History) bool {
+	const last = mcGroupCap - 1
+	var keys [mcGroupCap]minKey
+	for i, h := range group[:mcGroupCap] {
+		k, j := minKey{h.Min(), h}, i
+		for ; j > 0 && keys[j-1].min > k.min; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+	// Every member cut is at or above the final cut keys[last].min, so
+	// only the cheapest of them can tie across it: keep one of those
+	// and whether any other at that Min has different values.
+	cutMin, mixed := math.Inf(1), false
+	var cutRep *pricing.History
+	cut := func(k minKey) {
+		switch {
+		case k.min < cutMin:
+			cutMin, cutRep, mixed = k.min, k.h, false
+		case k.min == cutMin && !mixed:
+			mixed = !sameValues(k.h, cutRep)
+		}
+	}
+	for _, h := range group[mcGroupCap:] {
+		k := minKey{h.Min(), h}
+		if k.min >= keys[last].min {
+			cut(k)
+			continue
+		}
+		cut(keys[last])
+		j := last
+		for ; j > 0 && keys[j-1].min > k.min; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+	for i := 1; i < mcGroupCap; i++ {
+		if keys[i].min == keys[i-1].min && !sameValues(keys[i].h, keys[i-1].h) {
+			return false
+		}
+	}
+	if cutMin == keys[last].min && (mixed || !sameValues(cutRep, keys[last].h)) {
+		return false
+	}
+	for i, k := range keys {
+		group[i] = k.h
+	}
+	return true
+}
+
+// sameValues reports whether two histories hold the same values: the
+// same slice, or equal ones.
+func sameValues(a, b *pricing.History) bool {
+	av, bv := a.Values(), b.Values()
+	if len(av) != len(bv) {
+		return false
+	}
+	return len(av) == 0 || &av[0] == &bv[0] || slices.Equal(av, bv)
 }
 
 // nearestIndex returns the index of the candidate whose worker is

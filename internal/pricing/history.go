@@ -20,7 +20,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // History is the completed-request value history of a crowd worker: its
@@ -89,19 +88,28 @@ func (h *History) Len() int {
 // AcceptProb returns pr(v', w) per Definition 3.1. A worker with an
 // empty history has never been observed rejecting a price, so the
 // vacuous reading of N(v<=v')/N is used: probability 1 for any positive
-// payment (and 0 otherwise). Workload generators always provide
-// histories; the convention only matters for hand-built inputs.
+// payment (and 0 otherwise, NaN included). Workload generators always
+// provide histories; the convention only matters for hand-built inputs.
 func (h *History) AcceptProb(payment float64) float64 {
-	if payment <= 0 {
+	if !(payment > 0) {
 		return 0
 	}
 	n := h.Len()
 	if n == 0 {
 		return 1
 	}
-	// Number of values <= payment.
-	k := sort.SearchFloat64s(h.values, math.Nextafter(payment, math.Inf(1)))
-	return float64(k) / float64(n)
+	// Number of values <= payment: an upper-bound binary search, lo is
+	// the first index whose value exceeds the payment.
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.values[m] <= payment {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return float64(lo) / float64(n)
 }
 
 // Accepts samples the worker's decision for the offered payment
