@@ -66,6 +66,9 @@ func TestAcceptProbEmptyHistoryConvention(t *testing.T) {
 	if got := h.AcceptProb(0); got != 0 {
 		t.Errorf("empty history AcceptProb(0) = %v, want 0", got)
 	}
+	if got := h.AcceptProb(math.NaN()); got != 0 {
+		t.Errorf("empty history AcceptProb(NaN) = %v, want 0", got)
+	}
 	var nilH *History
 	if nilH.Len() != 0 {
 		t.Error("nil history Len != 0")
@@ -103,6 +106,32 @@ func TestHistoryMinMax(t *testing.T) {
 	e := MustHistory(nil)
 	if e.Min() != 0 || e.Max() != 0 {
 		t.Error("empty history Min/Max should be 0")
+	}
+}
+
+// TestNaNPaymentNeverAccepts: a NaN payment is not a positive one, so no
+// worker and no group accepts it (a search for NaN lands past the last
+// value, which once read as probability 1).
+func TestNaNPaymentNeverAccepts(t *testing.T) {
+	nan := math.NaN()
+	group := []*History{MustHistory([]float64{1, 2, 3}), MustHistory([]float64{0.5})}
+	for _, h := range group {
+		if got := h.AcceptProb(nan); got != 0 {
+			t.Errorf("AcceptProb(NaN) over %v = %v, want 0", h.Values(), got)
+		}
+	}
+	if got := GroupAcceptProb(nan, group); got != 0 {
+		t.Errorf("GroupAcceptProb(NaN) = %v, want 0", got)
+	}
+	rng := rand.New(rand.NewSource(1))
+	accepted := 0
+	for i := 0; i < 1000; i++ {
+		if group[0].Accepts(nan, rng) {
+			accepted++
+		}
+	}
+	if accepted != 0 {
+		t.Errorf("Accepts(NaN) accepted %d times in 1000, want 0", accepted)
 	}
 }
 

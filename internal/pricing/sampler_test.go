@@ -43,6 +43,71 @@ func perWorkerInstanceMean(mc MonteCarlo, value float64, group []*History, rng *
 	return sum / float64(ns)
 }
 
+// linearInstanceMean is the group-draw sampler as it ran before the
+// dichotomy tree: every probe recomputes its bracket and scans the
+// per-quote payment cache (cachedGroupProb). It is the oracle the tree
+// walk is held to, bit for bit and counter for counter.
+func linearInstanceMean(q *TableQuoter, value float64, group []*History, rng *rand.Rand, s *Scratch) float64 {
+	s.pays, s.probs = s.pays[:0], s.probs[:0]
+	ns := q.MC.Instances()
+	eps := epsilonFor(value)
+	pFull := q.groupProb(value, group)
+	sum := 0.0
+	for i := 0; i < ns; i++ {
+		if rng.Float64() >= pFull {
+			sum += value + eps
+			continue
+		}
+		vl, vh := 0.0, value
+		vm := vh / 2
+		for vm-vl > q.MC.Xi*value {
+			if rng.Float64() < q.cachedGroupProb(vm, group, s) {
+				vh = vm
+			} else {
+				vl = vm
+			}
+			vm = (vh-vl)/2 + vl
+		}
+		sum += vl
+	}
+	return sum / float64(ns)
+}
+
+// TestTreeWalkMatchesLinearCache holds instanceMean's dichotomy tree to
+// linearInstanceMean: the same bits and the same Stats over random
+// groups (empty histories and duplicate values included) at random Xi in
+// (0,1), half of them log-uniform down to 1e-6 so the trees run deep.
+// One scratch serves every quote of each side, as in a matcher.
+func TestTreeWalkMatchesLinearCache(t *testing.T) {
+	gen := rand.New(rand.NewSource(35))
+	treeS, linS := NewScratch(), NewScratch()
+	for trial := 0; trial < 300; trial++ {
+		xi := gen.Float64()
+		if trial%2 == 0 {
+			xi = math.Pow(10, -6*gen.Float64())
+		}
+		if !(xi > 0 && xi < 1) {
+			continue
+		}
+		mc := MonteCarlo{Xi: xi, Eta: 0.2 + 0.7*gen.Float64()}
+		group := make([]*History, 1+gen.Intn(30))
+		for i := range group {
+			group[i] = randHistory(t, gen, gen.Intn(25), 60)
+		}
+		value := 0.5 + gen.Float64()*70
+		seed := gen.Int63()
+		tree, lin := NewQuoter(mc), NewQuoter(mc)
+		got := tree.instanceMean(value, group, rand.New(rand.NewSource(seed)), treeS)
+		want := linearInstanceMean(lin, value, group, rand.New(rand.NewSource(seed)), linS)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (Xi %v, %d workers, value %v): tree %v, linear cache %v", trial, xi, len(group), value, got, want)
+		}
+		if tree.Stats() != lin.Stats() {
+			t.Fatalf("trial %d (Xi %v): tree stats %+v, linear cache %+v", trial, xi, tree.Stats(), lin.Stats())
+		}
+	}
+}
+
 // exactInstanceMean is the expectation of one Algorithm 2 instance: the
 // dichotomy is a walk down a binary tree whose branch probabilities are
 // the group acceptance probabilities at the probed payments, so

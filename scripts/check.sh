@@ -83,6 +83,15 @@ if git grep -n 'sort\.Slice' -- 'internal/online' 'internal/match'; then
 	exit 1
 fi
 
+echo "==> DemCOM quotes: the full sort of a candidate group is estimatePayment's one tie fallback, AcceptProb searches without a closure"
+if [ "$(git grep -c 'slices\.SortFunc(group' -- 'internal/online')" != "internal/online/online.go:1" ]; then
+	git grep -n 'slices\.SortFunc(group' -- 'internal/online' >&2
+	exit 1
+fi
+if git grep -n 'SearchFloat64s' -- 'internal/pricing/history.go'; then
+	exit 1
+fi
+
 echo "==> go test -race"
 go test -race ./...
 
@@ -101,6 +110,6 @@ done
 
 echo "==> short benchmarks (1 iteration each)"
 go test -run '^$' -bench 'BenchmarkTable(Sequential|Parallel)$|BenchmarkPlatformSequentialRuntime$' -benchtime 1x .
-go test -run '^$' -bench 'BenchmarkNewStream400k(Sorted)?$|BenchmarkSlotGridAppendSlots$|BenchmarkGenerateCity$|BenchmarkNewHistory$' -benchtime 1x -benchmem ./internal/core ./internal/index ./internal/workload ./internal/pricing
+go test -run '^$' -bench 'BenchmarkNewStream400k(Sorted)?$|BenchmarkSlotGridAppendSlots$|BenchmarkGenerateCity$|BenchmarkNewHistory$|BenchmarkMinOuterPayment$|BenchmarkEstimatePayment$' -benchtime 1x -benchmem ./internal/core ./internal/index ./internal/workload ./internal/pricing ./internal/online
 
 echo "==> OK"
