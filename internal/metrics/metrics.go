@@ -135,7 +135,7 @@ type ShardSnapshot struct {
 
 // PricingStats is the pricing-quoter section of a Report: the quoters'
 // summed pricing.Stats and the share of acceptance-probability
-// evaluations the per-quote payment cache answered. All zero for runs
+// evaluations the per-quote dichotomy tree answered. All zero for runs
 // that never price a cooperative request.
 type PricingStats struct {
 	pricing.Stats
