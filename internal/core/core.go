@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"crossmatch/internal/geo"
 )
@@ -219,6 +220,11 @@ func (m *Matching) Add(a Assignment) error {
 	}
 	m.requests.add(a.Request.ID)
 	m.workers.add(a.Worker.ID)
+	if len(m.assignments) == cap(m.assignments) {
+		// Double, where append grows a long slice by a quarter: a run's
+		// matching then leaves one copy of garbage behind, not four.
+		m.assignments = slices.Grow(m.assignments, max(len(m.assignments), 64))
+	}
 	m.assignments = append(m.assignments, a)
 	m.revenue += a.Revenue()
 	return nil

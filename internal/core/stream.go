@@ -230,19 +230,23 @@ func sortArrivals[T any, P arrival[T]](xs []T) {
 	if sorted {
 		return
 	}
-	keys := make([]uint64, len(xs))
 	index := uint64(1<<32 - 1) // the index bits of a key
 	// Times sort as unsigned offsets from minT: the subtraction wraps,
 	// so a span of the whole int64 range still comes out right.
 	base := uint64(minT)
 	span := uint64(maxT) - base
 	radix := span <= index && uint64(len(xs)) <= index
+	var keys []uint64
 	if radix {
+		// One allocation: the keys, then the radix sort's spare buffer.
+		both := make([]uint64, 2*len(xs))
+		keys = both[:len(xs)]
 		for i := range xs {
 			keys[i] = (uint64(P(&xs[i]).at())-base)<<32 | uint64(i)
 		}
-		keys = radixSortHigh(keys, bits.Len64(span))
+		keys = radixSortHigh(keys, both[len(xs):], bits.Len64(span))
 	} else {
+		keys = make([]uint64, len(xs))
 		index = math.MaxUint64
 		for i := range keys {
 			keys[i] = uint64(i)
@@ -315,24 +319,29 @@ func (o tieOrder[T, P]) Len() int           { return len(o) }
 func (o tieOrder[T, P]) Less(i, j int) bool { return P(&o[i]).tie(&o[j]) < 0 }
 func (o tieOrder[T, P]) Swap(i, j int)      { o[i], o[j] = o[j], o[i] }
 
-// radixSortHigh sorts keys by their bits 32 to 32+width, an LSD radix
-// sort that keeps keys with equal such bits in input order. It returns
-// the sorted keys, in keys' own array or in a second one of the same
-// size, whichever the last pass wrote.
-func radixSortHigh(keys []uint64, width int) []uint64 {
+// radixMaxPasses is how many radixBits digits cover the 32 time bits of
+// a key.
+const radixMaxPasses = (32 + radixBits - 1) / radixBits
+
+// radixSortHigh sorts keys by their bits 32 to 32+width, width ≤ 32, an
+// LSD radix sort that keeps keys with equal such bits in input order.
+// spare is a buffer of keys' length. It returns the sorted keys, in
+// keys' array or in spare's, whichever the last pass wrote.
+func radixSortHigh(keys, spare []uint64, width int) []uint64 {
 	const mask = 1<<radixBits - 1
 	passes := (width + radixBits - 1) / radixBits
 	if passes == 0 {
 		return keys
 	}
-	counts := make([]int, passes<<radixBits)
+	// The counters live on the stack: every pass's, 48 KB at most.
+	var table [radixMaxPasses << radixBits]int
+	counts := table[:passes<<radixBits]
 	for _, k := range keys {
 		d := k >> 32
 		for c := counts; len(c) > 0; c, d = c[1<<radixBits:], d>>radixBits {
 			c[d&mask]++
 		}
 	}
-	spare := make([]uint64, len(keys))
 	for p := 0; p < passes; p++ {
 		c := counts[p<<radixBits : (p+1)<<radixBits]
 		at := 0

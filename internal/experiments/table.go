@@ -217,7 +217,7 @@ func responseMs(run *platform.Result) float64 {
 	var total time.Duration
 	requests := 0
 	for _, pr := range run.Platforms {
-		total += pr.ResponseTotal
+		total += pr.Latency.Sum()
 		requests += pr.Stats.Requests
 	}
 	if requests == 0 {

@@ -32,14 +32,19 @@ import (
 // FuzzSlotGridMatchesGrid hold SlotGrid to it.
 //
 // Cells are found through a typed directory, not a Go map: an
-// open-addressed table (linear probing, power-of-two size, at most half
-// full) from the packed (cx, cy) to an index into buckets. Buckets are
+// open-addressed table (linear probing, power-of-two size, at most a
+// quarter full, so a probe for a cell never touched ends in one or two
+// steps) from the packed (cx, cy) to an index into buckets. Buckets are
 // never deleted, so there are no tombstones, and memory is O(cells ever
 // touched) wherever they lie. Each directory entry also counts its
 // cell's live entries, so a scan passes over an emptied cell without
 // reading its bucket. The bounding box of those cells clamps the
 // ring scan — cells outside it are empty, so the order is kept — and
 // one far-reaching entry cannot make every query walk millions of cells.
+// The ring's width in cells is kept as an integer beside the radius
+// multiset and recomputed only when the largest live radius changes, so
+// a query's preamble is integer arithmetic: one division by the cell
+// size per coordinate, no float rounding or clamping.
 //
 // AppendSlots, Has and Len are strictly read-only, so any number of
 // concurrent readers is safe while no writer runs.
@@ -57,7 +62,32 @@ type SlotGrid struct {
 	// which real workloads keep tiny (radius is per-platform uniform).
 	radVals []float64
 	radCnt  []int
-	n       int
+	// ring is the search ring's half-width in cells for the largest live
+	// radius (ringOf), kept in step with radVals.
+	ring int64
+	n    int
+}
+
+// maxRing saturates the ring: a wider one reaches past the bounding box
+// from any cell an int32 holds, so clamping it to the box gives the same
+// scan a ring of any larger width (or +Inf) would.
+const maxRing = 1 << 32
+
+// ringOf is the search ring's half-width in cells for the largest live
+// radius r: ceil(r / cell), saturated at ±maxRing. A negative width
+// scans nothing. A NaN radius takes the conversion the Grid oracle gives
+// it, int32(NaN), so the two scan alike there too.
+func ringOf(r, cell float64) int64 {
+	w := math.Ceil(r / cell)
+	switch {
+	case w != w:
+		return int64(int32(w))
+	case w > maxRing:
+		return maxRing
+	case w < -maxRing:
+		return -maxRing
+	}
+	return int64(w)
 }
 
 // dirEntry maps a packed cell to its bucket's index plus one (zero is
@@ -91,7 +121,7 @@ func (g *SlotGrid) touch(cx, cy int32) *dirEntry {
 	if e.bucket != 0 {
 		return e
 	}
-	if 2*len(g.buckets) >= len(g.dir) { // the new cell would fill it past half
+	if 4*len(g.buckets) >= len(g.dir) { // the new cell would fill it past a quarter
 		old := g.dir
 		g.dir, g.dirShift = make([]dirEntry, 2*len(old)), g.dirShift-1
 		for _, o := range old {
@@ -165,7 +195,8 @@ func (g *SlotGrid) Insert(e Entry, slot int32) {
 	g.n++
 }
 
-// addRad records a live entry's radius in the sorted multiset.
+// addRad records a live entry's radius in the sorted multiset, and
+// the ring when it is the new largest.
 func (g *SlotGrid) addRad(r float64) {
 	i := sort.SearchFloat64s(g.radVals, r)
 	if i < len(g.radVals) && g.radVals[i] == r {
@@ -178,9 +209,13 @@ func (g *SlotGrid) addRad(r float64) {
 	g.radCnt = append(g.radCnt, 0)
 	copy(g.radCnt[i+1:], g.radCnt[i:])
 	g.radCnt[i] = 1
+	if i == len(g.radVals)-1 {
+		g.ring = ringOf(r, g.cell)
+	}
 }
 
-// removeRad drops one occurrence of a live entry's radius.
+// removeRad drops one occurrence of a live entry's radius, and moves
+// the ring when the last occurrence of the largest goes.
 func (g *SlotGrid) removeRad(r float64) {
 	i := sort.SearchFloat64s(g.radVals, r)
 	if i >= len(g.radVals) || g.radVals[i] != r {
@@ -190,6 +225,9 @@ func (g *SlotGrid) removeRad(r float64) {
 	if g.radCnt[i] == 0 {
 		g.radVals = append(g.radVals[:i], g.radVals[i+1:]...)
 		g.radCnt = append(g.radCnt[:i], g.radCnt[i+1:]...)
+		if i == len(g.radVals) {
+			g.ring = ringOf(g.searchRadius(), g.cell)
+		}
 	}
 }
 
@@ -250,12 +288,11 @@ func (g *SlotGrid) AppendSlots(dst []int32, p geo.Point) []int32 {
 	if g.n == 0 {
 		return dst
 	}
-	// Clamped in float64, which holds every int32 exactly, so a ring wider
-	// than int32 neither overflows nor leaves the box.
-	ring := math.Ceil(g.searchRadius() / g.cell)
-	pcx, pcy := CellOf(p, g.cell)
-	loX, hiX := int(max(float64(pcx)-ring, float64(g.minCx))), int(min(float64(pcx)+ring, float64(g.maxCx)))
-	loY, hiY := int(max(float64(pcy)-ring, float64(g.minCy))), int(min(float64(pcy)+ring, float64(g.maxCy)))
+	// The cell is CellOf's, without its size check: g.cell is valid. A
+	// saturated ring plus an int32 cell fits an int64.
+	pcx, pcy := int64(int32(math.Floor(p.X/g.cell))), int64(int32(math.Floor(p.Y/g.cell)))
+	loX, hiX := max(pcx-g.ring, int64(g.minCx)), min(pcx+g.ring, int64(g.maxCx))
+	loY, hiY := max(pcy-g.ring, int64(g.minCy)), min(pcy+g.ring, int64(g.maxCy))
 	for cx := loX; cx <= hiX; cx++ {
 		for cy := loY; cy <= hiY; cy++ {
 			e := g.probe(packCell(int32(cx), int32(cy)))

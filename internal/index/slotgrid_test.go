@@ -15,7 +15,8 @@ import (
 // deterministic runtime's bit-reproducibility relies on when the pool
 // swaps its entry-based grid for the structure-of-arrays one. 12k steps
 // over a 32 × 32 km square put entries in ~1000 distinct cells, so the
-// cell directory doubles six times along the way.
+// cell directory, kept at most a quarter full, doubles eight times along
+// the way.
 func TestSlotGridMatchesGridOrder(t *testing.T) {
 	if cells := slotGridDiff(t, 17, 12_000); cells < 512 {
 		t.Fatalf("only %d cells touched: the directory did not grow as the test intends", cells)
@@ -141,8 +142,6 @@ func TestSlotGridFarReachingWorker(t *testing.T) {
 	}
 	far := Entry{ID: 1000, Circle: geo.Circle{Center: geo.Point{X: 16, Y: 16}, Radius: 100}}
 	g.Insert(far)
-	far.Circle.Radius = 1e6
-	sg.Insert(far, 1000)
 
 	// Only the slot grid's queries run against the clock; the oracle's
 	// 201 × 201-cell scans are done first.
@@ -152,29 +151,76 @@ func TestSlotGridFarReachingWorker(t *testing.T) {
 		points[q] = geo.Point{X: rng.Float64() * 32, Y: rng.Float64() * 32}
 		want[q] = g.Covering(nil, points[q])
 	}
-	got := make([][]int32, len(points))
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for q, p := range points {
-			got[q] = sg.AppendSlots(nil, p)
+	// The ring saturates: a radius whose ring overflows an int64, and an
+	// infinite one, clamp to the box like 1e6 does.
+	for _, rad := range []float64{1e6, 1e300, math.Inf(1)} {
+		far.Circle.Radius = rad
+		sg.Insert(far, 1000)
+		got := make([][]int32, len(points))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for q, p := range points {
+				got[q] = sg.AppendSlots(nil, p)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("100 queries beside one radius-%g worker did not finish in a second: the ring scan is not clamped to the occupied cells", rad)
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("100 queries beside one radius-1e6 worker did not finish in a second: the ring scan is not clamped to the occupied cells")
-	}
-	for q := range points {
-		if len(got[q]) != len(want[q]) {
-			t.Fatalf("query %d: %d slots, grid has %d entries", q, len(got[q]), len(want[q]))
-		}
-		for i, e := range want[q] {
-			if e.ID != int64(got[q][i]) {
-				t.Fatalf("query %d: order differs at %d: grid %d vs slot grid %d", q, i, e.ID, got[q][i])
+		for q := range points {
+			if len(got[q]) != len(want[q]) {
+				t.Fatalf("radius %g, query %d: %d slots, grid has %d entries", rad, q, len(got[q]), len(want[q]))
+			}
+			for i, e := range want[q] {
+				if e.ID != int64(got[q][i]) {
+					t.Fatalf("radius %g, query %d: order differs at %d: grid %d vs slot grid %d", rad, q, i, e.ID, got[q][i])
+				}
 			}
 		}
 	}
+}
+
+// TestSlotGridNaNRadiusScansLikeGrid: a NaN radius covers nothing, but
+// as the largest live radius it sets the ring, which is then the Grid
+// oracle's own conversion of it, however it compares with the radii
+// inserted around it. Query points are non-negative, where the oracle's
+// int32 ring arithmetic ends.
+func TestSlotGridNaNRadiusScansLikeGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g, sg := NewGrid(1.0), NewSlotGrid(1.0)
+	insert := func(id int64, rad float64) {
+		e := Entry{ID: id, Circle: geo.Circle{Center: geo.Point{X: rng.Float64() * 2, Y: rng.Float64() * 2}, Radius: rad}}
+		g.Insert(e)
+		sg.Insert(e, int32(id))
+	}
+	check := func(step string) {
+		t.Helper()
+		for q := 0; q < 50; q++ {
+			p := geo.Point{X: rng.Float64() * 2, Y: rng.Float64() * 2}
+			want, got := g.Covering(nil, p), sg.AppendSlots(nil, p)
+			if len(got) != len(want) {
+				t.Fatalf("%s, query %d: %d slots, grid has %d entries", step, q, len(got), len(want))
+			}
+			for i, e := range want {
+				if e.ID != int64(got[i]) {
+					t.Fatalf("%s, query %d: order differs at %d: grid %d vs slot grid %d", step, q, i, e.ID, got[i])
+				}
+			}
+		}
+	}
+	for id := int64(0); id < 40; id++ {
+		insert(id, 1)
+	}
+	check("unit radii")
+	insert(40, math.NaN())
+	check("a NaN radius on top")
+	insert(41, 2) // sorts past the NaN: the largest live radius again
+	check("a larger radius after the NaN")
+	g.Remove(41)
+	sg.Remove(41)
+	check("the NaN on top again")
 }
 
 // TestSlotGridSlotLookup checks queries and removals hand back the tag

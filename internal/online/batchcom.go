@@ -108,7 +108,7 @@ func (m *BatchCOM) Name() string { return "BatchCOM" }
 // open window (opening one if none is) and a Deferred placeholder is
 // returned; the real Decision arrives from Advance when the window
 // flushes.
-func (m *BatchCOM) RequestArrives(r *core.Request) Decision {
+func (m *BatchCOM) RequestArrives(r *core.Request, d *Decision) {
 	if len(m.buf) == 0 {
 		m.winStart = r.Arrival
 		m.flushAt = m.winStart + m.window
@@ -119,7 +119,7 @@ func (m *BatchCOM) RequestArrives(r *core.Request) Decision {
 		}
 	}
 	m.buf = append(m.buf, r)
-	return Decision{Deferred: true, Reason: ReasonBuffered}
+	*d = Decision{Deferred: true, Reason: ReasonBuffered}
 }
 
 // NextFlush implements WindowedMatcher.

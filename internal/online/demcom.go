@@ -37,28 +37,28 @@ func NewDemCOM(coop CoopView, mc pricing.MonteCarlo, rng *rand.Rand) *DemCOM {
 func (m *DemCOM) Name() string { return "DemCOM" }
 
 // RequestArrives implements Matcher (Algorithm 1).
-func (m *DemCOM) RequestArrives(r *core.Request) Decision {
+func (m *DemCOM) RequestArrives(r *core.Request, d *Decision) {
 	sp := m.tr.Begin(r)
-	d := m.decide(r, sp)
+	m.decide(r, sp, d)
 	sp.Finish(string(d.Reason), d.Assignment.Payment, d.Probes, d.ClaimRetries)
-	return d
 }
 
-func (m *DemCOM) decide(r *core.Request, sp *trace.Span) Decision {
+func (m *DemCOM) decide(r *core.Request, sp *trace.Span, d *Decision) {
 	// Lines 3-6: nearest available inner worker wins outright.
 	t := sp.StageStart()
 	w, ok := claimNearestInner(m.pool, r)
 	sp.EndStage(trace.StageInner, t)
 	if ok {
-		return Decision{
+		*d = Decision{
 			Served:     true,
 			Reason:     ReasonInner,
 			Assignment: core.Assignment{Request: r, Worker: w},
 		}
+		return
 	}
 
 	// Lines 8-26: the cooperative path at Algorithm 2's payment.
-	return m.assignOuter(r, sp, m.quote)
+	m.assignOuter(r, sp, m.quote, d)
 }
 
 // quote returns the outer payment to offer: the Algorithm 2 estimate, or

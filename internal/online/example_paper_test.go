@@ -44,7 +44,7 @@ func runExample(t *testing.T, m Matcher) (*core.Matching, *Stats, *fakeCoop) {
 				coop.addWorker(e.Worker, h)
 			}
 		case core.RequestArrival:
-			d := m.RequestArrives(e.Request)
+			d := arrive(m, e.Request)
 			stats.Observe(&d)
 			if d.Served {
 				if err := matching.Add(d.Assignment); err != nil {

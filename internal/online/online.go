@@ -145,8 +145,12 @@ type Matcher interface {
 	Pool() *Pool
 	// RequestArrives decides the fate of an incoming request
 	// immediately (the online constraint): serve it with an inner
-	// worker, serve it with a claimed outer worker, or reject it.
-	RequestArrives(r *core.Request) Decision
+	// worker, serve it with a claimed outer worker, or reject it. The
+	// decision is written into d, the caller's, as one whole struct on
+	// every path, so nothing of what d held before survives; the engine
+	// decides every request into the same Decision instead of copying
+	// one up the call chain.
+	RequestArrives(r *core.Request, d *Decision)
 }
 
 // WindowDecision is one request's final outcome from a window flush:
@@ -282,14 +286,15 @@ func (m *cooperative) PricingStats() pricing.Stats { return m.quoter.Stats() }
 // assignOuter is Algorithm 1's outer-assignment block (lines 8-26),
 // which Algorithm 3 calls with its own price: quote names the payment
 // to offer the eligible workers, whose histories are group; ok=false
-// means no payment is worth offering.
-func (m *cooperative) assignOuter(r *core.Request, sp *trace.Span, quote func(r *core.Request, group []*pricing.History) (payment float64, ok bool)) Decision {
+// means no payment is worth offering. The decision is written into d.
+func (m *cooperative) assignOuter(r *core.Request, sp *trace.Span, quote func(r *core.Request, group []*pricing.History) (payment float64, ok bool), d *Decision) {
 	// Line 8: eligible outer workers.
 	t := sp.StageStart()
 	cands := m.coop.EligibleOuter(r)
 	sp.EndStage(trace.StageEligibility, t)
 	if len(cands) == 0 {
-		return Decision{Reason: ReasonNoWorkers} // lines 9-10: reject
+		*d = Decision{Reason: ReasonNoWorkers} // lines 9-10: reject
+		return
 	}
 
 	// Line 12: price the cooperative request.
@@ -303,7 +308,8 @@ func (m *cooperative) assignOuter(r *core.Request, sp *trace.Span, quote func(r 
 	if !ok || payment > r.Value {
 		// Lines 13-14: serving would lose money; reject. The request
 		// still counts as cooperative-attempted for AcpRt.
-		return Decision{CoopAttempted: true, Reason: ReasonUnprofitable}
+		*d = Decision{CoopAttempted: true, Reason: ReasonUnprofitable}
+		return
 	}
 
 	// Lines 15-20: probe each eligible worker's willingness at v'.
@@ -312,7 +318,8 @@ func (m *cooperative) assignOuter(r *core.Request, sp *trace.Span, quote func(r 
 	m.accepting = appendAccepting(m.accepting[:0], cands, payment, m.rng)
 	sp.EndStage(trace.StageProbes, t)
 	if len(m.accepting) == 0 {
-		return Decision{CoopAttempted: true, Probes: probes, Reason: ReasonNoAcceptor} // line 26
+		*d = Decision{CoopAttempted: true, Probes: probes, Reason: ReasonNoAcceptor} // line 26
+		return
 	}
 
 	// Lines 21-24: nearest accepting worker, claimed atomically.
@@ -320,9 +327,10 @@ func (m *cooperative) assignOuter(r *core.Request, sp *trace.Span, quote func(r 
 	best, retries, ok := claimNearestAccepting(m.coop, m.accepting, r)
 	sp.EndStage(trace.StageClaim, t)
 	if !ok {
-		return Decision{CoopAttempted: true, Probes: probes, ClaimRetries: retries, Reason: ReasonClaimsLost}
+		*d = Decision{CoopAttempted: true, Probes: probes, ClaimRetries: retries, Reason: ReasonClaimsLost}
+		return
 	}
-	return Decision{
+	*d = Decision{
 		Served:        true,
 		CoopAttempted: true,
 		Probes:        probes,

@@ -8,6 +8,7 @@ import (
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
 	"crossmatch/internal/pricing"
+	"crossmatch/internal/workload"
 )
 
 // fakeCoop is a single lender platform exposing its pool to the matcher
@@ -68,7 +69,7 @@ func runPlatform1(t *testing.T, m Matcher, coop *fakeCoop) *Stats {
 				coop.addWorker(e.Worker, h)
 			}
 		case core.RequestArrival:
-			d := m.RequestArrives(e.Request)
+			d := arrive(m, e.Request)
 			if d.Served {
 				if err := d.Assignment.Validate(); err != nil {
 					t.Fatalf("invalid assignment: %v", err)
@@ -103,17 +104,17 @@ func TestTOTAGreedyPicksNearest(t *testing.T) {
 	m := NewTOTAGreedy()
 	m.Pool().Add(poolWorker(1, 0, 3, 0, 5))
 	m.Pool().Add(poolWorker(2, 0, 1, 0, 5))
-	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 7))
+	d := arrive(m, poolRequest(1, 10, 0, 0, 7))
 	if !d.Served || d.Assignment.Worker.ID != 2 {
 		t.Fatalf("decision = %+v, want worker 2", d)
 	}
 	// Worker 2 is consumed; next identical request gets worker 1.
-	d = m.RequestArrives(poolRequest(2, 11, 0, 0, 7))
+	d = arrive(m, poolRequest(2, 11, 0, 0, 7))
 	if !d.Served || d.Assignment.Worker.ID != 1 {
 		t.Fatalf("second decision = %+v, want worker 1", d)
 	}
 	// Pool exhausted.
-	if d := m.RequestArrives(poolRequest(3, 12, 0, 0, 7)); d.Served {
+	if d := arrive(m, poolRequest(3, 12, 0, 0, 7)); d.Served {
 		t.Fatal("served with empty pool")
 	}
 }
@@ -133,10 +134,10 @@ func TestGreedyRTThresholdRejectsBelow(t *testing.T) {
 		t.Fatal("no seed yielded the top threshold")
 	}
 	m.Pool().Add(poolWorker(1, 0, 0, 0, 5))
-	if d := m.RequestArrives(poolRequest(1, 10, 0, 0, 5)); d.Served {
+	if d := arrive(m, poolRequest(1, 10, 0, 0, 5)); d.Served {
 		t.Error("value 5 below threshold served")
 	}
-	if d := m.RequestArrives(poolRequest(2, 11, 0, 0, 9)); !d.Served {
+	if d := arrive(m, poolRequest(2, 11, 0, 0, 9)); !d.Served {
 		t.Error("value 9 above threshold rejected")
 	}
 	if m.Name() != "Greedy-RT" {
@@ -167,7 +168,7 @@ func TestDemCOMInnerPriority(t *testing.T) {
 		pricing.MustHistory([]float64{0.1}))
 	m := NewDemCOM(coop, pricing.DefaultMonteCarlo, rand.New(rand.NewSource(1)))
 	m.Pool().Add(poolWorker(1, 0, 3, 0, 5))
-	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 5))
+	d := arrive(m, poolRequest(1, 10, 0, 0, 5))
 	if !d.Served || d.Assignment.Outer || d.Assignment.Worker.ID != 1 {
 		t.Fatalf("decision = %+v, want inner worker 1", d)
 	}
@@ -234,7 +235,7 @@ func TestDemCOMRejectsUnaffordableCooperation(t *testing.T) {
 	coop.addWorker(&core.Worker{ID: 10, Arrival: 0, Loc: poolRequest(1, 10, 0, 0, 5).Loc, Radius: 5, Platform: 2},
 		pricing.MustHistory([]float64{100}))
 	m := NewDemCOM(coop, pricing.DefaultMonteCarlo, rand.New(rand.NewSource(1)))
-	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 5))
+	d := arrive(m, poolRequest(1, 10, 0, 0, 5))
 	if d.Served {
 		t.Fatalf("served a money-losing request: %+v", d)
 	}
@@ -252,7 +253,7 @@ func TestDemCOMPaymentOracle(t *testing.T) {
 		pricing.MustHistory([]float64{2, 6}))
 	m := NewDemCOM(coop, pricing.DefaultMonteCarlo, rand.New(rand.NewSource(5)))
 	m.PaymentOracle = true
-	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 8))
+	d := arrive(m, poolRequest(1, 10, 0, 0, 8))
 	if !d.Served {
 		t.Skip("oracle payment 2 has acceptance probability 0.5; this seed declined")
 	}
@@ -271,7 +272,7 @@ func TestDemCOMClaimRaceFallsToNextWorker(t *testing.T) {
 	coop.addWorker(far, always)
 	coop.failFirstClaims = 1 // the nearest is "taken" by another platform
 	m := NewDemCOM(coop, pricing.MonteCarlo{Xi: 0.1, Eta: 0.3}, rand.New(rand.NewSource(2)))
-	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 8))
+	d := arrive(m, poolRequest(1, 10, 0, 0, 8))
 	if !d.Served || d.Assignment.Worker.ID != 11 {
 		t.Fatalf("decision = %+v, want fallback to worker 11", d)
 	}
@@ -318,7 +319,7 @@ func TestRamCOMLowValueBypassesInnerWorkers(t *testing.T) {
 	m.Pool().Add(poolWorker(1, 0, 0, 0, 5)) // free inner worker
 	// With the default inner fallback, an empty coop view falls back to
 	// the idle inner worker rather than rejecting.
-	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 5))
+	d := arrive(m, poolRequest(1, 10, 0, 0, 5))
 	if !d.Served || d.Assignment.Outer {
 		t.Fatalf("fallback should serve inner: %+v", d)
 	}
@@ -327,7 +328,7 @@ func TestRamCOMLowValueBypassesInnerWorkers(t *testing.T) {
 	// NOT use the inner worker and is rejected outright.
 	m.NoInnerFallback = true
 	m.Pool().Add(poolWorker(2, 0, 0, 0, 5))
-	d = m.RequestArrives(poolRequest(2, 11, 0, 0, 5))
+	d = arrive(m, poolRequest(2, 11, 0, 0, 5))
 	if d.Served {
 		t.Fatalf("low-value request served despite NoInnerFallback: %+v", d)
 	}
@@ -352,7 +353,7 @@ func TestRamCOMHighValueFallsThroughToOuter(t *testing.T) {
 	// No inner workers; outer worker accepts anything.
 	coop.addWorker(&core.Worker{ID: 10, Arrival: 0, Loc: poolRequest(1, 10, 0, 0, 8).Loc, Radius: 5, Platform: 2},
 		pricing.MustHistory([]float64{0.5, 1, 2}))
-	d := m.RequestArrives(poolRequest(1, 10, 0, 0, 8)) // 8 > e: high value
+	d := arrive(m, poolRequest(1, 10, 0, 0, 8)) // 8 > e: high value
 	if !d.Served || !d.Assignment.Outer {
 		t.Fatalf("decision = %+v, want outer service (Example 3 behaviour)", d)
 	}
@@ -513,5 +514,81 @@ func TestClaimRetriesCounted(t *testing.T) {
 	// Nearest two claims failed; the third-nearest worker wins.
 	if best.Worker.ID != 3 {
 		t.Errorf("claimed worker %d, want 3 (nearest two lost)", best.Worker.ID)
+	}
+}
+
+// arrive is RequestArrives into a fresh Decision.
+func arrive(m Matcher, r *core.Request) Decision {
+	var d Decision
+	m.RequestArrives(r, &d)
+	return d
+}
+
+// TestRequestArrivesAssignsWholeDecision: a matcher decides into the
+// caller's Decision and must leave nothing of what it held before, since
+// the engine decides every request into the same one. Two matchers
+// built alike decide the same stream, one into a fresh Decision per
+// request and one into a reused Decision filled with junk before each;
+// every pair of decisions must be equal. The stream reaches the inner,
+// outer, no-worker, unprofitable, no-acceptor, claims-lost, fallback and
+// below-threshold paths between the five matchers.
+func TestRequestArrivesAssignsWholeDecision(t *testing.T) {
+	cfg, err := workload.Synthetic(600, 120, 1.0, "real")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := workload.Generate(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := Decision{
+		Assignment: core.Assignment{Request: &core.Request{ID: -1}, Worker: &core.Worker{ID: -1}, Payment: -1, Outer: true},
+		Served:     true, Reason: "junk", CoopAttempted: true, Probes: -1, ClaimRetries: -1, Deferred: true,
+	}
+	builds := map[string]func(coop CoopView, rng *rand.Rand) Matcher{
+		"TOTA":      func(CoopView, *rand.Rand) Matcher { return NewTOTAGreedy() },
+		"Greedy-RT": func(_ CoopView, rng *rand.Rand) Matcher { return NewGreedyRT(s.MaxValue(), rng) },
+		"DemCOM":    func(coop CoopView, rng *rand.Rand) Matcher { return NewDemCOM(coop, pricing.DefaultMonteCarlo, rng) },
+		"RamCOM":    func(coop CoopView, rng *rand.Rand) Matcher { return NewRamCOM(s.MaxValue(), coop, rng) },
+		"BatchCOM": func(coop CoopView, rng *rand.Rand) Matcher {
+			return NewBatchCOM(coop, pricing.DefaultMonteCarlo, rng, 0, 0)
+		},
+	}
+	const seed = 3
+	seen := map[Reason]int{}
+	for name, build := range builds {
+		var ms [2]Matcher
+		var coops [2]*fakeCoop
+		for i := range ms {
+			coops[i] = newFakeCoop()
+			coops[i].failFirstClaims = 3
+			ms[i] = build(coops[i], rand.New(rand.NewSource(seed)))
+		}
+		reused := junk
+		for _, e := range s.Events() {
+			if e.Kind == core.WorkerArrival {
+				for i, m := range ms {
+					if e.Worker.Platform == 1 {
+						m.Pool().Add(e.Worker)
+					} else {
+						coops[i].addWorker(e.Worker, pricing.MustHistory(e.Worker.History))
+					}
+				}
+				continue
+			}
+			fresh := arrive(ms[0], e.Request)
+			reused = junk
+			ms[1].RequestArrives(e.Request, &reused)
+			if reused != fresh {
+				t.Fatalf("%s, request %d: decided into a used Decision %+v, into a fresh one %+v", name, e.Request.ID, reused, fresh)
+			}
+			seen[fresh.Reason]++
+		}
+	}
+	for _, r := range []Reason{ReasonInner, ReasonOuter, ReasonNoWorkers, ReasonUnprofitable, ReasonNoAcceptor,
+		ReasonClaimsLost, ReasonInnerFallback, ReasonBelowThreshold, ReasonBuffered} {
+		if seen[r] == 0 {
+			t.Errorf("no decision ended %q: the stream does not reach that path (reached %v)", r, seen)
+		}
 	}
 }

@@ -78,14 +78,13 @@ func (m *RamCOM) Name() string { return "RamCOM" }
 func (m *RamCOM) Threshold() float64 { return m.threshold }
 
 // RequestArrives implements Matcher (Algorithm 3).
-func (m *RamCOM) RequestArrives(r *core.Request) Decision {
+func (m *RamCOM) RequestArrives(r *core.Request, d *Decision) {
 	sp := m.tr.Begin(r)
-	d := m.decide(r, sp)
+	m.decide(r, sp, d)
 	sp.Finish(string(d.Reason), d.Assignment.Payment, d.Probes, d.ClaimRetries)
-	return d
 }
 
-func (m *RamCOM) decide(r *core.Request, sp *trace.Span) Decision {
+func (m *RamCOM) decide(r *core.Request, sp *trace.Span, d *Decision) {
 	if r.Value > m.threshold {
 		// Lines 4-8: random available inner worker.
 		t := sp.StageStart()
@@ -94,11 +93,12 @@ func (m *RamCOM) decide(r *core.Request, sp *trace.Span) Decision {
 			w := cands[m.rng.Intn(len(cands))]
 			m.pool.Remove(w.ID)
 			sp.EndStage(trace.StageInner, t)
-			return Decision{
+			*d = Decision{
 				Served:     true,
 				Reason:     ReasonInner,
 				Assignment: core.Assignment{Request: r, Worker: w},
 			}
+			return
 		}
 		sp.EndStage(trace.StageInner, t)
 		// No free inner worker: fall through to the cooperative path
@@ -107,30 +107,25 @@ func (m *RamCOM) decide(r *core.Request, sp *trace.Span) Decision {
 
 	// Lines 9-11: price the cooperative request and run Algorithm 1's
 	// outer-assignment block (lines 13-26).
-	d := m.assignOuter(r, sp, m.quote)
-	if d.Served {
-		return d
-	} else if r.Value > m.threshold {
-		// The high-value branch already found no free inner worker.
-		return d
-	} else if m.NoInnerFallback {
-		return d
-	} else {
-		t := sp.StageStart()
-		w, ok := claimNearestInner(m.pool, r)
-		sp.EndStage(trace.StageInner, t)
-		if !ok {
-			return d
-		}
-		// Inner fallback: an idle inner worker beats rejection.
-		return Decision{
-			Served:        true,
-			CoopAttempted: d.CoopAttempted,
-			Probes:        d.Probes,
-			ClaimRetries:  d.ClaimRetries,
-			Reason:        ReasonInnerFallback,
-			Assignment:    core.Assignment{Request: r, Worker: w},
-		}
+	m.assignOuter(r, sp, m.quote, d)
+	// A high-value request's branch already found no free inner worker.
+	if d.Served || r.Value > m.threshold || m.NoInnerFallback {
+		return
+	}
+	t := sp.StageStart()
+	w, ok := claimNearestInner(m.pool, r)
+	sp.EndStage(trace.StageInner, t)
+	if !ok {
+		return
+	}
+	// Inner fallback: an idle inner worker beats rejection.
+	*d = Decision{
+		Served:        true,
+		CoopAttempted: d.CoopAttempted,
+		Probes:        d.Probes,
+		ClaimRetries:  d.ClaimRetries,
+		Reason:        ReasonInnerFallback,
+		Assignment:    core.Assignment{Request: r, Worker: w},
 	}
 }
 

@@ -21,17 +21,18 @@ func NewTOTAGreedy() *TOTAGreedy { return &TOTAGreedy{waiting{pool: NewPool(nil)
 func (m *TOTAGreedy) Name() string { return "TOTA" }
 
 // RequestArrives implements Matcher.
-func (m *TOTAGreedy) RequestArrives(r *core.Request) Decision {
+func (m *TOTAGreedy) RequestArrives(r *core.Request, d *Decision) {
 	sp := m.tr.Begin(r)
 	t := sp.StageStart()
 	w, ok := claimNearestInner(m.pool, r)
 	sp.EndStage(trace.StageInner, t)
 	if !ok {
 		sp.Finish(string(ReasonNoWorkers), 0, 0, 0)
-		return Decision{Reason: ReasonNoWorkers}
+		*d = Decision{Reason: ReasonNoWorkers}
+		return
 	}
 	sp.Finish(string(ReasonInner), 0, 0, 0)
-	return Decision{
+	*d = Decision{
 		Served:     true,
 		Reason:     ReasonInner,
 		Assignment: core.Assignment{Request: r, Worker: w},
@@ -81,21 +82,23 @@ func (m *GreedyRT) Name() string { return "Greedy-RT" }
 func (m *GreedyRT) Threshold() float64 { return m.threshold }
 
 // RequestArrives implements Matcher.
-func (m *GreedyRT) RequestArrives(r *core.Request) Decision {
+func (m *GreedyRT) RequestArrives(r *core.Request, d *Decision) {
 	sp := m.tr.Begin(r)
 	if r.Value < m.threshold {
 		sp.Finish(string(ReasonBelowThreshold), 0, 0, 0)
-		return Decision{Reason: ReasonBelowThreshold}
+		*d = Decision{Reason: ReasonBelowThreshold}
+		return
 	}
 	t := sp.StageStart()
 	w, ok := claimNearestInner(m.pool, r)
 	sp.EndStage(trace.StageInner, t)
 	if !ok {
 		sp.Finish(string(ReasonNoWorkers), 0, 0, 0)
-		return Decision{Reason: ReasonNoWorkers}
+		*d = Decision{Reason: ReasonNoWorkers}
+		return
 	}
 	sp.Finish(string(ReasonInner), 0, 0, 0)
-	return Decision{
+	*d = Decision{
 		Served:     true,
 		Reason:     ReasonInner,
 		Assignment: core.Assignment{Request: r, Worker: w},

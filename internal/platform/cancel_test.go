@@ -34,9 +34,9 @@ type cancelingMatcher struct {
 	canceler
 }
 
-func (m cancelingMatcher) RequestArrives(r *core.Request) online.Decision {
+func (m cancelingMatcher) RequestArrives(r *core.Request, d *online.Decision) {
 	m.tick()
-	return m.Matcher.RequestArrives(r)
+	m.Matcher.RequestArrives(r, d)
 }
 
 // cancelingWindowed keeps a windowed matcher windowed through the wrap.
@@ -45,9 +45,9 @@ type cancelingWindowed struct {
 	canceler
 }
 
-func (m cancelingWindowed) RequestArrives(r *core.Request) online.Decision {
+func (m cancelingWindowed) RequestArrives(r *core.Request, d *online.Decision) {
 	m.tick()
-	return m.WindowedMatcher.RequestArrives(r)
+	m.WindowedMatcher.RequestArrives(r, d)
 }
 
 // TestCancellationContract pins the cancellation contract of a stream

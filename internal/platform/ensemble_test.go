@@ -2,8 +2,11 @@ package platform
 
 import (
 	"testing"
+	"time"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/online"
+	"crossmatch/internal/pricing"
 	"crossmatch/internal/workload"
 )
 
@@ -53,33 +56,70 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestLatencyReservoirWired: a platform's Latency is its one record of
+// decision latency, one observation per decided request, for a greedy
+// matcher, for DemCOM's quotes and for BatchCOM's window flushes.
 func TestLatencyReservoirWired(t *testing.T) {
 	gen := ensembleGen(t)
 	stream, err := gen(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(stream, TOTAFactory(), Config{Seed: 1})
+	for _, alg := range []struct {
+		name    string
+		factory MatcherFactory
+	}{
+		{"TOTA", TOTAFactory()},
+		{"DemCOM", DemCOMFactory(pricing.DefaultMonteCarlo, false)},
+		{"BatchCOM", BatchCOMFactory(pricing.DefaultMonteCarlo, 0, 0)},
+	} {
+		res, err := Run(stream, alg.factory, Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pid, pr := range res.Platforms {
+			if pr.Latency == nil {
+				t.Fatalf("%s, platform %d: nil latency reservoir", alg.name, pid)
+			}
+			if pr.Stats.Requests == 0 {
+				t.Fatalf("%s, platform %d: no requests; the stream does not exercise the record", alg.name, pid)
+			}
+			if pr.Latency.Count() != int64(pr.Stats.Requests) {
+				t.Errorf("%s, platform %d: latency count %d != requests %d",
+					alg.name, pid, pr.Latency.Count(), pr.Stats.Requests)
+			}
+			if got, want := pr.MeanResponse(), pr.Latency.Sum()/time.Duration(pr.Stats.Requests); got != want {
+				t.Errorf("%s, platform %d: MeanResponse %v, latency sum / requests %v", alg.name, pid, got, want)
+			}
+			if p99 := pr.Latency.Percentile(0.99); p99 > pr.Latency.Max() {
+				t.Errorf("%s, platform %d: p99 %v above max %v", alg.name, pid, p99, pr.Latency.Max())
+			}
+		}
+	}
+}
+
+// TestFoldWindowSharesSumToFlush: a flush of n decisions costing el
+// books el/n per decision, one nanosecond more on the first el mod n,
+// so the platform's latency sum is the flush's cost and its max the
+// largest share, not the flush.
+func TestFoldWindowSharesSumToFlush(t *testing.T) {
+	e, err := NewEngine([]core.PlatformID{1}, BatchCOMFactory(pricing.DefaultMonteCarlo, 0, 0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pid, pr := range res.Platforms {
-		if pr.Latency == nil {
-			t.Fatalf("platform %d: nil latency reservoir", pid)
-		}
-		if pr.Latency.Count() != int64(pr.Stats.Requests) {
-			t.Errorf("platform %d: latency count %d != requests %d",
-				pid, pr.Latency.Count(), pr.Stats.Requests)
-		}
-		if pr.Stats.Requests > 0 {
-			if pr.Latency.Max() != pr.ResponseMax {
-				t.Errorf("platform %d: reservoir max %v != recorded max %v",
-					pid, pr.Latency.Max(), pr.ResponseMax)
-			}
-			if pr.Latency.Percentile(0.99) > pr.ResponseMax {
-				t.Errorf("platform %d: p99 above max", pid)
-			}
-		}
+	s := e.slotOf(1)
+	wds := make([]online.WindowDecision, 3)
+	for i := range wds {
+		wds[i] = online.WindowDecision{Request: &core.Request{ID: int64(i + 1), Value: 1, Platform: 1},
+			Decision: online.Decision{Reason: online.ReasonNoWorkers}}
+	}
+	if err := e.foldWindow(s, wds, 11); err != nil {
+		t.Fatal(err)
+	}
+	lat := s.res.Latency
+	if lat.Count() != 3 || lat.Sum() != 11 || lat.Max() != 4 || lat.Percentile(0) != 3 {
+		t.Fatalf("shares of an 11 ns flush over 3 decisions: count %d, sum %v, max %v, min %v; want 3, 11ns, 4ns, 3ns",
+			lat.Count(), lat.Sum(), lat.Max(), lat.Percentile(0))
 	}
 }
 

@@ -75,17 +75,18 @@ type RequestDecision struct {
 	At core.Time
 }
 
-// requestDecisionOf converts a matcher decision into the serving-facing
-// RequestDecision.
-func requestDecisionOf(r *core.Request, d *online.Decision, at core.Time) RequestDecision {
-	rd := RequestDecision{Request: r, Served: d.Served, Reason: d.Reason, Deferred: d.Deferred, At: at}
+// set fills rd from a matcher decision: the serving-facing form of it.
+// rd is cleared and filled field by field, which writes it in place
+// where a composite literal would be built aside and copied in.
+func (rd *RequestDecision) set(r *core.Request, d *online.Decision, at core.Time) {
+	*rd = RequestDecision{}
+	rd.Request, rd.Served, rd.Reason, rd.Deferred, rd.At = r, d.Served, d.Reason, d.Deferred, at
 	if d.Served {
 		rd.Worker = d.Assignment.Worker
 		rd.Outer = d.Assignment.Outer
 		rd.Payment = d.Assignment.Payment
 		rd.Revenue = d.Assignment.Revenue()
 	}
-	return rd
 }
 
 // Engine is the one event loop of this package: it takes the next
@@ -101,12 +102,16 @@ func requestDecisionOf(r *core.Request, d *online.Decision, at core.Time) Reques
 // shares an engine across goroutines serialises the calls itself.
 type Engine struct {
 	// What the loop runs over: the hub, one matcher and one result slot
-	// per platform, built by NewEngine.
+	// per platform (slots[i] is pids[i]'s), built by NewEngine.
 	cfg   Config
 	hub   *Hub
 	pids  []core.PlatformID
-	slots map[core.PlatformID]*slot
+	slots []slot
 	res   *Result
+	// dec is the decision a request is decided into: the matcher fills
+	// it in place, and fold and Process read it there, so the 88-byte
+	// struct is never copied up the call chain.
+	dec online.Decision
 	// windowed lists the platforms whose matcher defers decisions into
 	// virtual-time windows (BatchCOM), in ascending pid order — the tie
 	// order when several windows fall due at the same virtual time.
@@ -149,12 +154,15 @@ func (e *Engine) SetRecycleBase(base int64) error {
 // regression returns an error wrapping ErrTimeRegression, and any call
 // after Finish returns one wrapping ErrEngineClosed. A rejected event
 // leaves the engine exactly where it was.
-func (e *Engine) Process(ev core.Event) (RequestDecision, error) {
+func (e *Engine) Process(ev core.Event) (rd RequestDecision, err error) {
 	s, err := e.check(ev)
-	if err != nil {
-		return RequestDecision{}, err
+	if err == nil {
+		err = e.apply(ev, s)
 	}
-	return e.apply(ev, s)
+	if err == nil && ev.Kind == core.RequestArrival {
+		rd.set(ev.Request, &e.dec, ev.Time)
+	}
+	return rd, err
 }
 
 // check validates an event — lifecycle, time order, kind, payload,
@@ -181,8 +189,8 @@ func (e *Engine) check(ev core.Event) (*slot, error) {
 	default:
 		return nil, fmt.Errorf("platform: unknown event kind %d", ev.Kind)
 	}
-	s, known := e.slots[pid]
-	if !known {
+	s := e.slotOf(pid)
+	if s == nil {
 		return nil, fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
 	}
 	// The pool builds a worker's pricing history on delivery and the
@@ -202,11 +210,11 @@ func (e *Engine) check(ev core.Event) (*slot, error) {
 
 // apply is the event loop's body, the only place an arrival reaches the
 // matchers: move the clock (settling what that makes due), then deliver
-// the worker or decide the request and fold the decision. The caller has
-// validated ev and found its platform's slot s.
-func (e *Engine) apply(ev core.Event, s *slot) (RequestDecision, error) {
+// the worker or decide the request into e.dec and fold the decision. The
+// caller has validated ev and found its platform's slot s.
+func (e *Engine) apply(ev core.Event, s *slot) error {
 	if err := e.advance(ev.Time); err != nil {
-		return RequestDecision{}, err
+		return err
 	}
 	if ev.Kind == core.WorkerArrival {
 		// Keep the recycled-ID allocator above every externally supplied
@@ -214,22 +222,18 @@ func (e *Engine) apply(ev core.Event, s *slot) (RequestDecision, error) {
 		if id := ev.Worker.ID; id > e.nextID {
 			e.nextID = id
 		}
-		return RequestDecision{}, e.deliver(ev.Worker, s)
+		return e.deliver(ev.Worker, s)
 	}
-	r := ev.Request
 	start := time.Since(epoch)
-	d := s.matcher.RequestArrives(r)
+	s.matcher.RequestArrives(ev.Request, &e.dec)
 	el := time.Since(epoch) - start
 	// A Deferred decision means a windowed matcher buffered the request:
 	// nothing is decided yet, and folding the placeholder would count the
 	// request twice — foldWindow books it at flush time.
-	if !d.Deferred {
-		s.res.addResponse(el)
-		if err := e.fold(s, &d, ev.Time, el); err != nil {
-			return RequestDecision{}, err
-		}
+	if e.dec.Deferred {
+		return nil
 	}
-	return requestDecisionOf(r, &d, ev.Time), nil
+	return e.fold(s, &e.dec, ev.Time, el)
 }
 
 // epoch is the origin of the engine's decision timings: time.Since of
@@ -270,7 +274,7 @@ func (e *Engine) settleDue(bound core.Time) error {
 			return nil
 		case recDue && (winIdx < 0 || e.recycle[0].Arrival <= winAt):
 			w := heap.Pop(&e.recycle).(*core.Worker)
-			if err := e.deliver(w, e.slots[w.Platform]); err != nil {
+			if err := e.deliver(w, e.slotOf(w.Platform)); err != nil {
 				return err
 			}
 			e.recycled++
@@ -286,22 +290,30 @@ func (e *Engine) settleDue(bound core.Time) error {
 	}
 }
 
-// foldWindow folds one window flush's decisions. The flush's wall-clock
-// cost is attributed evenly across its decisions so latency aggregates
-// stay comparable with the greedy matchers' per-request observations.
+// foldWindow folds one window flush's decisions. The flush's monotonic
+// cost is attributed evenly across its decisions, so latency aggregates
+// stay comparable with the greedy matchers' per-request observations:
+// each gets el/n, and the first el mod n one nanosecond more, so the
+// shares sum to the flush's cost.
 func (e *Engine) foldWindow(s *slot, wds []online.WindowDecision, el time.Duration) error {
-	if len(wds) == 0 {
+	n := time.Duration(len(wds))
+	if n == 0 {
 		return nil
 	}
-	s.res.addResponse(el)
-	share := el / time.Duration(len(wds))
+	share, rem := el/n, el%n
 	for i := range wds {
 		wd := &wds[i]
-		if err := e.fold(s, &wd.Decision, wd.At, share); err != nil {
+		d := share
+		if time.Duration(i) < rem {
+			d++
+		}
+		if err := e.fold(s, &wd.Decision, wd.At, d); err != nil {
 			return err
 		}
 		if e.onFlush != nil {
-			e.onFlush(requestDecisionOf(wd.Request, &wd.Decision, wd.At))
+			var rd RequestDecision
+			rd.set(wd.Request, &wd.Decision, wd.At)
+			e.onFlush(rd)
 		}
 	}
 	return nil

@@ -49,7 +49,7 @@ func TestHubEmptyAfterDrainedRun(t *testing.T) {
 	}
 	r := &core.Request{ID: 99, Arrival: 2, Loc: geo.Point{}, Value: 3, Platform: 1}
 	for _, pid := range s.pids {
-		if n := s.slots[pid].matcher.Pool().Len(); n != 0 {
+		if n := s.slotOf(pid).matcher.Pool().Len(); n != 0 {
 			t.Errorf("platform %d's pool holds %d workers after a drained run, want 0", pid, n)
 		}
 	}
@@ -72,7 +72,7 @@ func TestHubRecordsMatchPoolsOnLongRecycledRun(t *testing.T) {
 	}
 	waiting := 0
 	for _, pid := range s.pids {
-		s.slots[pid].matcher.Pool().Each(func(w *core.Worker) bool {
+		s.slotOf(pid).matcher.Pool().Each(func(w *core.Worker) bool {
 			waiting++
 			for _, viewer := range s.pids {
 				if viewer == pid {

@@ -176,7 +176,7 @@ func TestRunReleasesHubRecords(t *testing.T) {
 				outer++
 			}
 			for _, pid := range s.pids {
-				if s.slots[pid].matcher.Pool().Has(a.Worker.ID) {
+				if s.slotOf(pid).matcher.Pool().Has(a.Worker.ID) {
 					t.Errorf("worker %d, assigned to request %d, still waits in platform %d's pool", a.Worker.ID, a.Request.ID, pid)
 				}
 			}

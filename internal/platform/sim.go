@@ -86,31 +86,14 @@ type PlatformResult struct {
 	Name     string // matcher name
 	Stats    online.Stats
 	Matching *core.Matching
-	// ResponseTotal is the summed wall-clock time spent deciding
-	// requests; ResponseMax the slowest single decision.
-	ResponseTotal time.Duration
-	ResponseMax   time.Duration
-	// Latency holds the full decision-latency distribution (mean, max
-	// and sampled percentiles).
+	// Latency is the one record of decision latency: one observation per
+	// decided request (a window flush's cost split evenly across its
+	// decisions), with exact count, sum and max and sampled percentiles.
 	Latency *stats.Reservoir
 }
 
-// addResponse books the wall-clock cost of one matcher call (a request
-// decision or a window flush).
-func (r *PlatformResult) addResponse(el time.Duration) {
-	r.ResponseTotal += el
-	if el > r.ResponseMax {
-		r.ResponseMax = el
-	}
-}
-
 // MeanResponse returns the average decision latency per request.
-func (r *PlatformResult) MeanResponse() time.Duration {
-	if r.Stats.Requests == 0 {
-		return 0
-	}
-	return r.ResponseTotal / time.Duration(r.Stats.Requests)
-}
+func (r *PlatformResult) MeanResponse() time.Duration { return r.Latency.Mean() }
 
 // Result is the outcome of a simulation run.
 type Result struct {
@@ -238,8 +221,8 @@ func RunContext(ctx context.Context, stream *core.Stream, factory MatcherFactory
 
 // slot is what the event loop reaches for one platform: its matcher,
 // its result and its latency label (empty without a collector). check
-// finds an event's slot with one map lookup and the rest of the event
-// is decided and folded through it.
+// finds an event's slot with slotOf and the rest of the event is
+// decided and folded through it.
 type slot struct {
 	matcher online.Matcher
 	res     *PlatformResult
@@ -266,24 +249,24 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 		cfg:    cfg,
 		hub:    NewHub(),
 		pids:   append([]core.PlatformID(nil), pids...),
-		slots:  map[core.PlatformID]*slot{},
+		slots:  make([]slot, len(pids)),
 		res:    &Result{Platforms: map[core.PlatformID]*PlatformResult{}},
 		nextID: RecycleIDBase,
 	}
 	e.hub.CoopDisabled = cfg.DisableCoop
 
 	root := rand.New(rand.NewSource(cfg.Seed))
-	for _, pid := range e.pids {
+	for i, pid := range e.pids {
 		rng := rand.New(rand.NewSource(root.Int63()))
 		m := factory(pid, e.hub.ViewFor(pid), rng)
 		if err := e.hub.RegisterPlatform(pid, m.Pool()); err != nil {
 			return nil, err
 		}
-		sl := &slot{matcher: m, res: &PlatformResult{
+		sl := &e.slots[i]
+		*sl = slot{matcher: m, res: &PlatformResult{
 			ID: pid, Name: m.Name(), Matching: core.NewMatching(),
 			Latency: stats.NewReservoir(0, cfg.Seed^int64(pid)),
 		}}
-		e.slots[pid] = sl
 		e.res.Platforms[pid] = sl.res
 		if wm, ok := m.(online.WindowedMatcher); ok {
 			e.windowed = append(e.windowed, windowedEntry{s: sl, m: wm})
@@ -301,10 +284,10 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 
 	if cfg.Trace != nil {
 		recs := make(map[core.PlatformID]*trace.Recorder, len(e.pids))
-		for _, pid := range e.pids {
-			rc := cfg.Trace.Recorder(cfg.Seed, pid, e.slots[pid].matcher.Name())
+		for i, pid := range e.pids {
+			rc := cfg.Trace.Recorder(cfg.Seed, pid, e.slots[i].matcher.Name())
 			recs[pid] = rc
-			if tb, ok := e.slots[pid].matcher.(traceBinder); ok {
+			if tb, ok := e.slots[i].matcher.(traceBinder); ok {
 				tb.BindTrace(rc)
 			}
 		}
@@ -324,11 +307,22 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 	// Per-platform latency labels are built once; the hot loop must not
 	// format strings.
 	if cfg.Metrics != nil {
-		for _, pid := range e.pids {
-			e.slots[pid].label = fmt.Sprintf("platform-%d", pid)
+		for i, pid := range e.pids {
+			e.slots[i].label = fmt.Sprintf("platform-%d", pid)
 		}
 	}
 	return e, nil
+}
+
+// slotOf returns the platform's slot, or nil for a platform the engine
+// was not built with: a scan of the few platforms, in place of a map.
+func (e *Engine) slotOf(pid core.PlatformID) *slot {
+	for i, p := range e.pids {
+		if p == pid {
+			return &e.slots[i]
+		}
+	}
+	return nil
 }
 
 // deliver puts a worker (fresh or recycled) into its platform's waiting
@@ -346,8 +340,8 @@ func (e *Engine) foldPricing() {
 	if e.cfg.Metrics == nil {
 		return
 	}
-	for _, pid := range e.pids {
-		if pp, ok := e.slots[pid].matcher.(pricingStatsProvider); ok {
+	for i := range e.slots {
+		if pp, ok := e.slots[i].matcher.(pricingStatsProvider); ok {
 			e.cfg.Metrics.AddPricing(pp.PricingStats())
 		}
 	}

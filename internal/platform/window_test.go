@@ -19,7 +19,7 @@ func TestBatchCOMWindowLifecycle(t *testing.T) {
 	m := online.NewBatchCOM(online.NoCoop{}, pricing.DefaultMonteCarlo, rng, 5, 0)
 	m.Pool().Add(&core.Worker{ID: 1, Arrival: 0, Radius: 10, Platform: 1})
 
-	d := m.RequestArrives(&core.Request{ID: 1, Arrival: 0, Value: 2, Platform: 1})
+	d := arrive(m, &core.Request{ID: 1, Arrival: 0, Value: 2, Platform: 1})
 	if !d.Deferred || d.Reason != online.ReasonBuffered {
 		t.Fatalf("arrival not buffered: %+v", d)
 	}
@@ -42,7 +42,7 @@ func TestBatchCOMWindowLifecycle(t *testing.T) {
 	}
 
 	// A request at the old due time opens a new window from its arrival.
-	m.RequestArrives(&core.Request{ID: 2, Arrival: 5, Value: 2, Platform: 1})
+	arrive(m, &core.Request{ID: 2, Arrival: 5, Value: 2, Platform: 1})
 	due, open = m.NextFlush()
 	if !open || due != 10 {
 		t.Fatalf("second window NextFlush: want (10, true), got (%d, %v)", due, open)
@@ -55,12 +55,12 @@ func TestBatchCOMDeadlinePullsFlushForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := online.NewBatchCOM(online.NoCoop{}, pricing.DefaultMonteCarlo, rng, 100, 3)
 	m.Pool().Add(&core.Worker{ID: 1, Arrival: 0, Radius: 10, Platform: 1})
-	m.RequestArrives(&core.Request{ID: 1, Arrival: 2, Value: 2, Platform: 1})
+	arrive(m, &core.Request{ID: 1, Arrival: 2, Value: 2, Platform: 1})
 	if due, _ := m.NextFlush(); due != 5 {
 		t.Fatalf("deadline-clamped due: want 5, got %d", due)
 	}
 	// A later arrival's (looser) deadline must not push the flush back.
-	m.RequestArrives(&core.Request{ID: 2, Arrival: 4, Value: 2, Platform: 1})
+	arrive(m, &core.Request{ID: 2, Arrival: 4, Value: 2, Platform: 1})
 	if due, _ := m.NextFlush(); due != 5 {
 		t.Fatalf("due after second arrival: want 5, got %d", due)
 	}
@@ -236,4 +236,11 @@ func FuzzWindowFlushOrdering(f *testing.F) {
 		}
 		assertSameResult(t, want, got)
 	})
+}
+
+// arrive is RequestArrives into a fresh Decision.
+func arrive(m online.Matcher, r *core.Request) online.Decision {
+	var d online.Decision
+	m.RequestArrives(r, &d)
+	return d
 }

@@ -14,8 +14,14 @@ go build ./...
 echo "==> one atomic.Int64 in metrics.go (counters are declared in the Counter enum)"
 test "$(grep -c 'atomic\.Int64' internal/metrics/metrics.go)" -eq 1
 
-echo "==> the engine is single-goroutine by construction (no go statement, sync or atomic in platform, online, index, fault)"
-if git grep -nE '\bgo (func|[a-zA-Z_.]+\()|"sync"|"sync/atomic"' -- 'internal/platform/*.go' 'internal/online/*.go' 'internal/index/*.go' 'internal/fault/*.go' ':!*_test.go'; then
+echo "==> the engine is single-goroutine by construction (no go statement, sync or atomic in platform, online, index, fault, stats)"
+# stats: the latency reservoir is on the engine's per-request path.
+if git grep -nE '\bgo (func|[a-zA-Z_.]+\()|"sync"|"sync/atomic"' -- 'internal/platform/*.go' 'internal/online/*.go' 'internal/index/*.go' 'internal/fault/*.go' 'internal/stats/*.go' ':!*_test.go'; then
+	exit 1
+fi
+
+echo "==> one latency record, decisions made in place: no response totals beside Latency, no platform-slot map"
+if git grep -nE 'addResponse|ResponseTotal|ResponseMax|map\[core\.PlatformID\]\*slot' -- '*.go' ':!bench'; then
 	exit 1
 fi
 
@@ -110,6 +116,6 @@ done
 
 echo "==> short benchmarks (1 iteration each)"
 go test -run '^$' -bench 'BenchmarkTable(Sequential|Parallel)$|BenchmarkPlatformSequentialRuntime$' -benchtime 1x .
-go test -run '^$' -bench 'BenchmarkNewStream400k(Sorted)?$|BenchmarkSlotGridAppendSlots$|BenchmarkGenerateCity$|BenchmarkNewHistory$|BenchmarkMinOuterPayment$|BenchmarkEstimatePayment$' -benchtime 1x -benchmem ./internal/core ./internal/index ./internal/workload ./internal/pricing ./internal/online
+go test -run '^$' -bench 'BenchmarkNewStream400k(Sorted)?$|BenchmarkSlotGridAppendSlots$|BenchmarkGenerateCity$|BenchmarkNewHistory$|BenchmarkMinOuterPayment$|BenchmarkEstimatePayment$|BenchmarkReservoirObserve$' -benchtime 1x -benchmem ./internal/core ./internal/index ./internal/workload ./internal/pricing ./internal/online ./internal/stats
 
 echo "==> OK"
