@@ -99,12 +99,11 @@ type (
 	FaultBreakerConfig = fault.BreakerConfig
 	// Tracer records per-request decision spans (stage timings, outcome,
 	// payment, injected faults) into bounded per-platform ring buffers;
-	// attach one with WithTracer and export with its Spans method,
-	// trace.WriteJSONL / trace.WriteChromeTrace, or aggregate with its
-	// Report method.
+	// attach one with WithTracer and export with its Spans, WriteJSONL
+	// or WriteChromeTrace method, or aggregate with its Report method.
 	Tracer = trace.Tracer
-	// TraceOptions configures NewTracer: ring capacity per platform,
-	// sampling rate and sampling seed.
+	// TraceOptions configures NewTracer: ring capacity per platform and
+	// sampling rate (requests are sampled by a fixed hash of their ID).
 	TraceOptions = trace.Options
 	// TraceSpan is one traced request decision.
 	TraceSpan = trace.Span

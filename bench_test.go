@@ -310,11 +310,11 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b) })
 	b.Run("sampled", func(b *testing.B) {
-		tr := NewTracer(TraceOptions{Seed: benchSeed, Sample: 0.1})
+		tr := NewTracer(TraceOptions{Sample: 0.1})
 		run(b, WithTracer(tr))
 	})
 	b.Run("full", func(b *testing.B) {
-		tr := NewTracer(TraceOptions{Seed: benchSeed})
+		tr := NewTracer(TraceOptions{})
 		run(b, WithTracer(tr))
 	})
 }
@@ -353,7 +353,7 @@ func TestDisabledTracerOverheadGuard(t *testing.T) {
 	disabled := measure(&experiments.Runner{
 		Parallelism: 1,
 		// recorder attached, recording disabled
-		Trace: NewTracer(TraceOptions{Seed: benchSeed, Sample: -1}),
+		Trace: NewTracer(TraceOptions{Sample: -1}),
 	})
 	if ratio := disabled / bare; ratio > 1.02 {
 		t.Errorf("disabled tracer costs %.1f%% (bare %.0fns vs disabled-trace %.0fns); want <= 2%%",

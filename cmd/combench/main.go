@@ -66,7 +66,7 @@ func main() {
 		faultSeed   = flag.Int64("fault-seed", 0, "root seed for fault randomness (requires -faults; 0 derives it from the run seed)")
 		traceOn     = flag.Bool("trace", false, "record per-request decision spans and print the stage-latency report")
 		traceOut    = flag.String("trace-out", "", "write retained spans to this file: .jsonl = JSONL, anything else = Chrome trace-event JSON loadable in Perfetto (requires -trace)")
-		traceSample = flag.Float64("trace-sample", 0, "fraction of requests traced, in (0,1]; 0 traces everything (requires -trace)")
+		traceSample = flag.Float64("trace-sample", 0, "fraction of requests traced, in [0,1]; 0 traces everything (requires -trace)")
 		traceCap    = flag.Int("trace-cap", 0, "span ring capacity per platform (0 = default; oldest spans evicted once full; requires -trace)")
 		windowSpec  = flag.String("window", "", "comma-separated BatchCOM window lengths in virtual ticks for -exp window (empty = default sweep)")
 		batchDeadl  = flag.Int64("batch-deadline", 0, "per-request buffering cap in virtual ticks for -exp window (0 = window-boundary flushes only)")
@@ -77,7 +77,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { repeatsSet = repeatsSet || f.Name == "repeats" })
 	plan, err := validateFaultFlags(*faultsSpec, *faultSeed)
 	usageIf(err)
-	tracer, err := validateTraceFlags(*traceOn, *traceOut, *traceSample, *traceCap, *seed)
+	tracer, err := validateTraceFlags(*traceOn, *traceOut, *traceSample, *traceCap)
 	usageIf(err)
 	runner := &experiments.Runner{Parallelism: *par, FaultPlan: plan, Trace: tracer}
 	if *metricsPath != "" {
@@ -142,7 +142,7 @@ func validateFaultFlags(spec string, faultSeed int64) (*fault.Plan, error) {
 // validateTraceFlags builds the tracer, rejecting trace flags given
 // without -trace — a -trace-out with no tracer must be a usage error,
 // never a silently missing file.
-func validateTraceFlags(on bool, out string, sample float64, capacity int, seed int64) (*trace.Tracer, error) {
+func validateTraceFlags(on bool, out string, sample float64, capacity int) (*trace.Tracer, error) {
 	if !on {
 		switch {
 		case out != "":
@@ -154,13 +154,10 @@ func validateTraceFlags(on bool, out string, sample float64, capacity int, seed 
 		}
 		return nil, nil
 	}
-	if sample < 0 || sample > 1 {
-		return nil, fmt.Errorf("-trace-sample must be in (0,1], got %g", sample)
+	if err := trace.CheckFlags(sample, capacity); err != nil {
+		return nil, err
 	}
-	if capacity < 0 {
-		return nil, fmt.Errorf("-trace-cap must be positive, got %d", capacity)
-	}
-	return trace.New(trace.Options{Capacity: capacity, Sample: sample, Seed: seed}), nil
+	return trace.New(trace.Options{Capacity: capacity, Sample: sample}), nil
 }
 
 // finishTrace prints the stage-latency report and writes the span file
@@ -184,11 +181,10 @@ func finishTrace(w io.Writer, tracer *trace.Tracer, out string, csvOut bool) err
 		return err
 	}
 	defer f.Close()
-	spans := tracer.Spans()
 	if strings.HasSuffix(out, ".jsonl") {
-		err = trace.WriteJSONL(f, spans)
+		err = tracer.WriteJSONL(f)
 	} else {
-		err = trace.WriteChromeTrace(f, spans)
+		err = tracer.WriteChromeTrace(f)
 	}
 	if err != nil {
 		return err

@@ -3,15 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/experiments"
 	"crossmatch/internal/metrics"
+	"crossmatch/internal/trace"
 )
 
 // sequential runs unit runs inline, one at a time.
@@ -251,6 +255,111 @@ func TestValidateFaultFlags(t *testing.T) {
 				t.Errorf("plan seed %d, want %d", plan.Seed, tc.seed)
 			}
 		})
+	}
+}
+
+func TestValidateTraceFlags(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name     string
+		on       bool
+		out      string
+		sample   float64
+		capacity int
+		wantErr  string
+	}{
+		{name: "no flags"},
+		{name: "defaults", on: true},
+		{name: "sampled with a cap", on: true, sample: 0.3, capacity: 10},
+		{name: "full rate", on: true, sample: 1},
+		{name: "out without trace", out: "t.jsonl", wantErr: "-trace-out requires -trace"},
+		{name: "sample without trace", sample: 0.5, wantErr: "-trace-sample requires -trace"},
+		{name: "NaN sample without trace", sample: nan, wantErr: "-trace-sample requires -trace"},
+		{name: "cap without trace", capacity: 5, wantErr: "-trace-cap requires -trace"},
+		{name: "NaN sample", on: true, sample: nan, wantErr: "-trace-sample"},
+		{name: "negative sample", on: true, sample: -1, wantErr: "-trace-sample"},
+		{name: "sample above one", on: true, sample: 5, wantErr: "-trace-sample"},
+		{name: "negative cap", on: true, capacity: -3, wantErr: "-trace-cap"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tracer, err := validateTraceFlags(tc.on, tc.out, tc.sample, tc.capacity)
+			if tc.wantErr != "" {
+				if err == nil {
+					t.Fatalf("want error containing %q, got tracer %v", tc.wantErr, tracer)
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (tracer != nil) != tc.on {
+				t.Fatalf("tracer = %v, want one iff -trace", tracer)
+			}
+		})
+	}
+}
+
+// TestRunTraceWritesBothFormats drives -trace end to end: a traced
+// table run, the report, and the span file in both export formats.
+func TestRunTraceWritesBothFormats(t *testing.T) {
+	tracer, err := validateTraceFlags(true, "", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := &experiments.Runner{Parallelism: 1, Trace: tracer}
+	var buf bytes.Buffer
+	if err := run(&buf, "tableVII", params{scale: 0.003, seed: 7, repeats: 1, runner: runner}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jsonl, chrome := filepath.Join(dir, "spans.jsonl"), filepath.Join(dir, "spans.json")
+	for _, out := range []string{jsonl, chrome} {
+		buf.Reset()
+		if err := finishTrace(&buf, tracer, out, false); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "Decision stage latencies") {
+			t.Fatalf("no stage-latency report:\n%s", buf.String())
+		}
+	}
+
+	f, err := os.Open(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	decisions, stages := 0, 0
+	platforms := map[int32]bool{}
+	for dec := json.NewDecoder(f); dec.More(); {
+		var sp trace.Span
+		if err := dec.Decode(&sp); err != nil {
+			t.Fatal(err)
+		}
+		decisions++
+		stages += len(sp.Stages)
+		platforms[sp.Platform] = true
+	}
+	if decisions == 0 || decisions != len(tracer.Spans()) {
+		t.Fatalf("JSONL holds %d spans, tracer retains %d", decisions, len(tracer.Spans()))
+	}
+
+	raw, err := os.ReadFile(chrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("Chrome trace is not JSON: %v", err)
+	}
+	if want := decisions + stages + len(platforms); len(doc.TraceEvents) != want {
+		t.Errorf("Chrome trace has %d events, want %d decisions + %d stages + %d metadata",
+			len(doc.TraceEvents), decisions, stages, len(platforms))
 	}
 }
 

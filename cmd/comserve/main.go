@@ -89,8 +89,8 @@ func main() {
 	flag.BoolVar(&o.noCoop, "nocoop", false, "disable cross-platform cooperation")
 	flag.StringVar(&o.faultsSpec, "faults", "", "cooperation fault plan, e.g. 'drop=0.1,latency=0.2:1ms-10ms' (see EXPERIMENTS.md)")
 	flag.BoolVar(&o.traceOn, "trace", false, "record per-request decision spans (export at /v1/trace)")
-	flag.IntVar(&o.traceCap, "trace-cap", 4096, "span ring capacity per platform")
-	flag.Float64Var(&o.traceSample, "trace-sample", 1, "fraction of requests traced, in (0,1]")
+	flag.IntVar(&o.traceCap, "trace-cap", 4096, "span ring capacity per platform (0 = default)")
+	flag.Float64Var(&o.traceSample, "trace-sample", 1, "fraction of requests traced, in [0,1]; 0 traces everything")
 	flag.StringVar(&o.portFile, "port-file", "", "write the bound host:port here once listening (for scripts racing startup)")
 	flag.StringVar(&o.walDir, "wal-dir", "", "write-ahead log directory: events are durable before they are applied, and a restart on the same directory recovers the exact pre-crash state")
 	flag.IntVar(&o.fsyncBatch, "fsync-batch", 1, "fsync the WAL every N appends (1 = every event; larger batches trade the last <N events for throughput)")
@@ -170,7 +170,10 @@ func buildOptions(o options) (serve.Options, error) {
 		opts.Faults = plan
 	}
 	if o.traceOn {
-		opts.Tracer = trace.New(trace.Options{Capacity: o.traceCap, Sample: o.traceSample, Seed: o.seed})
+		if err := trace.CheckFlags(o.traceSample, o.traceCap); err != nil {
+			return opts, err
+		}
+		opts.Tracer = trace.New(trace.Options{Capacity: o.traceCap, Sample: o.traceSample})
 	}
 	return opts, nil
 }

@@ -242,11 +242,13 @@ func (m *BatchCOM) flush(at core.Time) {
 	// Phase 4: commit in canonical order. Candidates were gathered inside
 	// this flush, so only an injected claim fault can fail a claim; it
 	// surfaces as ReasonClaimsLost, exactly like the greedy matchers.
+	// Each decision's span opens and closes here, not in the engine, so
+	// the claim faults injected during the commit land in it.
 	for i := range m.ents {
 		e := &m.ents[i]
-		sp := m.tr.Begin(e.r)
+		m.tr.Begin(e.r)
 		d := m.commit(e, res.WorkerOf[i])
-		sp.Finish(string(d.Reason), d.Assignment.Payment, d.Probes, d.ClaimRetries)
+		m.tr.Finish(string(d.Reason), d.Assignment.Payment, d.Probes, d.ClaimRetries)
 		m.out = append(m.out, WindowDecision{Request: e.r, At: at, Decision: d})
 	}
 }

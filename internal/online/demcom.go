@@ -38,16 +38,10 @@ func (m *DemCOM) Name() string { return "DemCOM" }
 
 // RequestArrives implements Matcher (Algorithm 1).
 func (m *DemCOM) RequestArrives(r *core.Request, d *Decision) {
-	sp := m.tr.Begin(r)
-	m.decide(r, sp, d)
-	sp.Finish(string(d.Reason), d.Assignment.Payment, d.Probes, d.ClaimRetries)
-}
-
-func (m *DemCOM) decide(r *core.Request, sp *trace.Span, d *Decision) {
 	// Lines 3-6: nearest available inner worker wins outright.
-	t := sp.StageStart()
+	t := m.tr.StageStart()
 	w, ok := claimNearestInner(m.pool, r)
-	sp.EndStage(trace.StageInner, t)
+	m.tr.EndStage(trace.StageInner, t)
 	if ok {
 		*d = Decision{
 			Served:     true,
@@ -58,7 +52,7 @@ func (m *DemCOM) decide(r *core.Request, sp *trace.Span, d *Decision) {
 	}
 
 	// Lines 8-26: the cooperative path at Algorithm 2's payment.
-	m.assignOuter(r, sp, m.quote, d)
+	m.assignOuter(r, m.quote, d)
 }
 
 // quote returns the outer payment to offer: the Algorithm 2 estimate, or

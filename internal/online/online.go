@@ -240,7 +240,8 @@ func (s *Stats) MeanPaymentRate() float64 {
 }
 
 // waiting is what every matcher is built on: its platform's inner
-// waiting list and the optional decision tracer.
+// waiting list and the optional decision tracer, on which the matcher
+// records stage laps of the span the engine opened.
 type waiting struct {
 	pool *Pool
 	tr   *trace.Recorder
@@ -287,24 +288,24 @@ func (m *cooperative) PricingStats() pricing.Stats { return m.quoter.Stats() }
 // which Algorithm 3 calls with its own price: quote names the payment
 // to offer the eligible workers, whose histories are group; ok=false
 // means no payment is worth offering. The decision is written into d.
-func (m *cooperative) assignOuter(r *core.Request, sp *trace.Span, quote func(r *core.Request, group []*pricing.History) (payment float64, ok bool), d *Decision) {
+func (m *cooperative) assignOuter(r *core.Request, quote func(r *core.Request, group []*pricing.History) (payment float64, ok bool), d *Decision) {
 	// Line 8: eligible outer workers.
-	t := sp.StageStart()
+	t := m.tr.StageStart()
 	cands := m.coop.EligibleOuter(r)
-	sp.EndStage(trace.StageEligibility, t)
+	m.tr.EndStage(trace.StageEligibility, t)
 	if len(cands) == 0 {
 		*d = Decision{Reason: ReasonNoWorkers} // lines 9-10: reject
 		return
 	}
 
 	// Line 12: price the cooperative request.
-	t = sp.StageStart()
+	t = m.tr.StageStart()
 	group := m.scratch.Group(len(cands))
 	for i, c := range cands {
 		group[i] = c.History
 	}
 	payment, ok := quote(r, group)
-	sp.EndStage(trace.StagePricing, t)
+	m.tr.EndStage(trace.StagePricing, t)
 	if !ok || payment > r.Value {
 		// Lines 13-14: serving would lose money; reject. The request
 		// still counts as cooperative-attempted for AcpRt.
@@ -314,18 +315,18 @@ func (m *cooperative) assignOuter(r *core.Request, sp *trace.Span, quote func(r 
 
 	// Lines 15-20: probe each eligible worker's willingness at v'.
 	probes := len(cands)
-	t = sp.StageStart()
+	t = m.tr.StageStart()
 	m.accepting = appendAccepting(m.accepting[:0], cands, payment, m.rng)
-	sp.EndStage(trace.StageProbes, t)
+	m.tr.EndStage(trace.StageProbes, t)
 	if len(m.accepting) == 0 {
 		*d = Decision{CoopAttempted: true, Probes: probes, Reason: ReasonNoAcceptor} // line 26
 		return
 	}
 
 	// Lines 21-24: nearest accepting worker, claimed atomically.
-	t = sp.StageStart()
+	t = m.tr.StageStart()
 	best, retries, ok := claimNearestAccepting(m.coop, m.accepting, r)
-	sp.EndStage(trace.StageClaim, t)
+	m.tr.EndStage(trace.StageClaim, t)
 	if !ok {
 		*d = Decision{CoopAttempted: true, Probes: probes, ClaimRetries: retries, Reason: ReasonClaimsLost}
 		return

@@ -79,20 +79,14 @@ func (m *RamCOM) Threshold() float64 { return m.threshold }
 
 // RequestArrives implements Matcher (Algorithm 3).
 func (m *RamCOM) RequestArrives(r *core.Request, d *Decision) {
-	sp := m.tr.Begin(r)
-	m.decide(r, sp, d)
-	sp.Finish(string(d.Reason), d.Assignment.Payment, d.Probes, d.ClaimRetries)
-}
-
-func (m *RamCOM) decide(r *core.Request, sp *trace.Span, d *Decision) {
 	if r.Value > m.threshold {
 		// Lines 4-8: random available inner worker.
-		t := sp.StageStart()
+		t := m.tr.StageStart()
 		m.covScratch = m.pool.AppendCovering(m.covScratch[:0], r)
 		if cands := m.covScratch; len(cands) > 0 {
 			w := cands[m.rng.Intn(len(cands))]
 			m.pool.Remove(w.ID)
-			sp.EndStage(trace.StageInner, t)
+			m.tr.EndStage(trace.StageInner, t)
 			*d = Decision{
 				Served:     true,
 				Reason:     ReasonInner,
@@ -100,21 +94,21 @@ func (m *RamCOM) decide(r *core.Request, sp *trace.Span, d *Decision) {
 			}
 			return
 		}
-		sp.EndStage(trace.StageInner, t)
+		m.tr.EndStage(trace.StageInner, t)
 		// No free inner worker: fall through to the cooperative path
 		// (Example 3's handling of r3).
 	}
 
 	// Lines 9-11: price the cooperative request and run Algorithm 1's
 	// outer-assignment block (lines 13-26).
-	m.assignOuter(r, sp, m.quote, d)
+	m.assignOuter(r, m.quote, d)
 	// A high-value request's branch already found no free inner worker.
 	if d.Served || r.Value > m.threshold || m.NoInnerFallback {
 		return
 	}
-	t := sp.StageStart()
+	t := m.tr.StageStart()
 	w, ok := claimNearestInner(m.pool, r)
-	sp.EndStage(trace.StageInner, t)
+	m.tr.EndStage(trace.StageInner, t)
 	if !ok {
 		return
 	}

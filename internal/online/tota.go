@@ -22,16 +22,13 @@ func (m *TOTAGreedy) Name() string { return "TOTA" }
 
 // RequestArrives implements Matcher.
 func (m *TOTAGreedy) RequestArrives(r *core.Request, d *Decision) {
-	sp := m.tr.Begin(r)
-	t := sp.StageStart()
+	t := m.tr.StageStart()
 	w, ok := claimNearestInner(m.pool, r)
-	sp.EndStage(trace.StageInner, t)
+	m.tr.EndStage(trace.StageInner, t)
 	if !ok {
-		sp.Finish(string(ReasonNoWorkers), 0, 0, 0)
 		*d = Decision{Reason: ReasonNoWorkers}
 		return
 	}
-	sp.Finish(string(ReasonInner), 0, 0, 0)
 	*d = Decision{
 		Served:     true,
 		Reason:     ReasonInner,
@@ -83,21 +80,17 @@ func (m *GreedyRT) Threshold() float64 { return m.threshold }
 
 // RequestArrives implements Matcher.
 func (m *GreedyRT) RequestArrives(r *core.Request, d *Decision) {
-	sp := m.tr.Begin(r)
 	if r.Value < m.threshold {
-		sp.Finish(string(ReasonBelowThreshold), 0, 0, 0)
 		*d = Decision{Reason: ReasonBelowThreshold}
 		return
 	}
-	t := sp.StageStart()
+	t := m.tr.StageStart()
 	w, ok := claimNearestInner(m.pool, r)
-	sp.EndStage(trace.StageInner, t)
+	m.tr.EndStage(trace.StageInner, t)
 	if !ok {
-		sp.Finish(string(ReasonNoWorkers), 0, 0, 0)
 		*d = Decision{Reason: ReasonNoWorkers}
 		return
 	}
-	sp.Finish(string(ReasonInner), 0, 0, 0)
 	*d = Decision{
 		Served:     true,
 		Reason:     ReasonInner,

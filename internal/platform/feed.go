@@ -210,8 +210,9 @@ func (e *Engine) check(ev core.Event) (*slot, error) {
 
 // apply is the event loop's body, the only place an arrival reaches the
 // matchers: move the clock (settling what that makes due), then deliver
-// the worker or decide the request into e.dec and fold the decision. The
-// caller has validated ev and found its platform's slot s.
+// the worker or decide the request into e.dec, inside the request's
+// trace span, and fold the decision. The caller has validated ev and
+// found its platform's slot s.
 func (e *Engine) apply(ev core.Event, s *slot) error {
 	if err := e.advance(ev.Time); err != nil {
 		return err
@@ -225,7 +226,9 @@ func (e *Engine) apply(ev core.Event, s *slot) error {
 		return e.deliver(ev.Worker, s)
 	}
 	start := time.Since(epoch)
+	s.rec.Begin(ev.Request)
 	s.matcher.RequestArrives(ev.Request, &e.dec)
+	s.rec.Finish(string(e.dec.Reason), e.dec.Assignment.Payment, e.dec.Probes, e.dec.ClaimRetries)
 	el := time.Since(epoch) - start
 	// A Deferred decision means a windowed matcher buffered the request:
 	// nothing is decided yet, and folding the placeholder would count the

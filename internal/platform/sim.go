@@ -22,8 +22,8 @@ import (
 // a platform-private generator derived from the simulation seed.
 type MatcherFactory func(id core.PlatformID, coop online.CoopView, rng *rand.Rand) online.Matcher
 
-// traceBinder is implemented by matchers that can record per-request
-// decision spans; matchers without it simply run untraced.
+// traceBinder is implemented by matchers that lap the stages of their
+// decisions; the spans of a matcher without it carry no stage laps.
 type traceBinder interface{ BindTrace(*trace.Recorder) }
 
 // pricingStatsProvider is implemented by matchers that expose their
@@ -227,6 +227,10 @@ type slot struct {
 	matcher online.Matcher
 	res     *PlatformResult
 	label   string
+	// rec opens and closes the span of every request the matcher
+	// decides on arrival; nil untraced and for a windowed matcher, which
+	// spans its decisions at flush time.
+	rec *trace.Recorder
 }
 
 // windowedEntry pairs a windowed matcher with its platform's slot.
@@ -283,12 +287,15 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 	}
 
 	if cfg.Trace != nil {
-		recs := make(map[core.PlatformID]*trace.Recorder, len(e.pids))
+		recs := make([]*trace.Recorder, len(e.pids))
 		for i, pid := range e.pids {
-			rc := cfg.Trace.Recorder(cfg.Seed, pid, e.slots[i].matcher.Name())
-			recs[pid] = rc
-			if tb, ok := e.slots[i].matcher.(traceBinder); ok {
-				tb.BindTrace(rc)
+			sl := &e.slots[i]
+			recs[i] = cfg.Trace.Recorder(cfg.Seed, pid, sl.matcher.Name())
+			if tb, ok := sl.matcher.(traceBinder); ok {
+				tb.BindTrace(recs[i])
+			}
+			if _, ok := sl.matcher.(online.WindowedMatcher); !ok {
+				sl.rec = recs[i]
 			}
 		}
 		if inj != nil {
@@ -296,9 +303,7 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 			// decision in flight on the viewing platform; observation never
 			// alters fault outcomes or RNG draws.
 			inj.SetObserver(func(viewer, partner core.PlatformID, ev fault.Event) {
-				if sp := recs[viewer].Active(); sp != nil {
-					sp.Fault(partner, string(ev.Kind), ev.Latency)
-				}
+				recs[slices.Index(e.pids, viewer)].Fault(partner, string(ev.Kind), ev.Latency)
 			})
 		}
 	}

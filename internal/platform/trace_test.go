@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,10 +12,24 @@ import (
 // TestTracedRunBitIdenticalToUntraced guards the tracing determinism
 // contract: the tracer never draws from matcher RNGs, so a sequential
 // run's matching — every assignment and payment — is bit-identical with
-// tracing off, on at full rate, and on at a sampled rate.
+// tracing off, on at full rate, and on at a sampled rate. At full rate
+// every decided request, window flushes included, has exactly one span;
+// at a sampled rate the traced requests depend on their IDs alone, so
+// runs under two seeds trace the same ones.
 func TestTracedRunBitIdenticalToUntraced(t *testing.T) {
 	stream := multiStream(t, 3, 400, 80, 51)
-	for _, alg := range []string{AlgDemCOM, AlgRamCOM, AlgTOTA, AlgGreedyRT} {
+	type key struct {
+		platform int32
+		request  int64
+	}
+	traced := func(tr *trace.Tracer) map[key]int {
+		out := map[key]int{}
+		for _, sp := range tr.Spans() {
+			out[key{sp.Platform, sp.RequestID}]++
+		}
+		return out
+	}
+	for _, alg := range []string{AlgDemCOM, AlgRamCOM, AlgTOTA, AlgGreedyRT, AlgBatchCOM} {
 		factory, err := FactoryFor(alg, stream.MaxValue())
 		if err != nil {
 			t.Fatal(err)
@@ -24,16 +39,39 @@ func TestTracedRunBitIdenticalToUntraced(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sample := range []float64{0, 0.3} {
-			tr := trace.New(trace.Options{Capacity: 1024, Sample: sample, Seed: 5})
-			traced, err := Run(stream, factory, Config{Seed: 51, Trace: tr})
+			tr := trace.New(trace.Options{Capacity: 4096, Sample: sample})
+			res, err := Run(stream, factory, Config{Seed: 51, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resultKey(plain) != resultKey(traced) {
+			if resultKey(plain) != resultKey(res) {
 				t.Errorf("%s: tracing (sample=%g) changed the matching", alg, sample)
 			}
-			if tr.Recorded() == 0 {
-				t.Errorf("%s: tracer recorded no spans at sample=%g", alg, sample)
+			if tr.Recorded() == 0 || tr.Dropped() != 0 {
+				t.Fatalf("%s: tracer recorded %d spans and dropped %d at sample=%g", alg, tr.Recorded(), tr.Dropped(), sample)
+			}
+			spans := traced(tr)
+			if sample == 0 {
+				requests := 0
+				for _, p := range res.Platforms {
+					requests += p.Stats.Requests
+				}
+				for k, n := range spans {
+					if n != 1 {
+						t.Errorf("%s: request %d on platform %d has %d spans", alg, k.request, k.platform, n)
+					}
+				}
+				if len(spans) != requests {
+					t.Errorf("%s: %d requests traced of %d decided", alg, len(spans), requests)
+				}
+				continue
+			}
+			other := trace.New(trace.Options{Capacity: 4096, Sample: sample})
+			if _, err := Run(stream, factory, Config{Seed: 52, Trace: other}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(spans, traced(other)) {
+				t.Errorf("%s: seeds 51 and 52 traced different requests at sample=%g", alg, sample)
 			}
 		}
 	}

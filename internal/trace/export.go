@@ -5,22 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 )
 
-func sortSpans(spans []Span) {
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Seq < spans[j].Seq })
-}
-
 // WriteJSONL writes every retained span as one JSON object per line,
-// ordered by commit sequence. The format round-trips through ReadJSONL.
+// ordered by commit sequence; encoding/json decodes each line back into
+// a Span.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, t.Spans())
-}
-
-// WriteJSONL writes the given spans as JSON lines.
-func WriteJSONL(w io.Writer, spans []Span) error {
+	spans := t.Spans()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i := range spans {
@@ -29,31 +20,6 @@ func WriteJSONL(w io.Writer, spans []Span) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL parses spans previously written by WriteJSONL. Blank lines
-// are skipped; any malformed line is an error naming its line number.
-func ReadJSONL(r io.Reader) ([]Span, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Span
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var sp Span
-		if err := json.Unmarshal([]byte(text), &sp); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		out = append(out, sp)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return out, nil
 }
 
 // chromeEvent is one entry of the Chrome trace-event format
@@ -77,11 +43,7 @@ type chromeEvent struct {
 // stages nested beneath it on the same thread; injected faults ride
 // along in the event args.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, t.Spans())
-}
-
-// WriteChromeTrace writes the given spans in Chrome trace-event format.
-func WriteChromeTrace(w io.Writer, spans []Span) error {
+	spans := t.Spans()
 	const usPerNs = 1e-3
 	events := make([]chromeEvent, 0, 2*len(spans)+8)
 	named := map[int64]string{}
@@ -126,8 +88,8 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 			Dur:  float64(sp.Total) * usPerNs,
 			Pid:  pid,
 			Tid:  pid,
+			Args: args,
 		})
-		events[len(events)-1].Args = args
 		for _, l := range sp.Stages {
 			events = append(events, chromeEvent{
 				Name: l.Stage,

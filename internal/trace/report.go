@@ -47,11 +47,7 @@ func (t *Tracer) Report() *Report {
 	if t == nil {
 		return &Report{Outcomes: map[string]int{}}
 	}
-	return BuildReport(t.Spans(), t.Dropped())
-}
-
-// BuildReport aggregates arbitrary spans (e.g. parsed back from JSONL).
-func BuildReport(spans []Span, dropped uint64) *Report {
+	spans := t.Spans()
 	type key struct {
 		alg   string
 		stage string
@@ -72,7 +68,7 @@ func BuildReport(spans []Span, dropped uint64) *Report {
 		}
 		return r
 	}
-	rep := &Report{Spans: len(spans), Dropped: dropped, Outcomes: map[string]int{}}
+	rep := &Report{Spans: len(spans), Dropped: t.Dropped(), Outcomes: map[string]int{}}
 	for i := range spans {
 		sp := &spans[i]
 		rep.Outcomes[sp.Outcome]++
@@ -88,8 +84,8 @@ func BuildReport(spans []Span, dropped uint64) *Report {
 	for k, r := range res {
 		q := r.Quantiles(qs)
 		share := 0.0
-		if t := totals[k.alg]; t > 0 {
-			share = float64(r.Sum()) / float64(t)
+		if tot := totals[k.alg]; tot > 0 {
+			share = float64(r.Sum()) / float64(tot)
 		}
 		rep.Rows = append(rep.Rows, StageRow{
 			Algorithm: k.alg,
@@ -103,7 +99,12 @@ func BuildReport(spans []Span, dropped uint64) *Report {
 			Share:     share,
 		})
 	}
-	order := stageOrder()
+	// Rows run in stage (decision) order within an algorithm, the
+	// total pseudo-stage last.
+	order := map[string]int{TotalStage: int(numStages)}
+	for s := Stage(0); s < numStages; s++ {
+		order[s.String()] = int(s)
+	}
 	sort.Slice(rep.Rows, func(i, j int) bool {
 		a, b := rep.Rows[i], rep.Rows[j]
 		if a.Algorithm != b.Algorithm {
@@ -112,15 +113,6 @@ func BuildReport(spans []Span, dropped uint64) *Report {
 		return order[a.Stage] < order[b.Stage]
 	})
 	return rep
-}
-
-func stageOrder() map[string]int {
-	order := make(map[string]int, numStages+1)
-	for i, s := range Stages() {
-		order[s.String()] = i
-	}
-	order[TotalStage] = int(numStages)
-	return order
 }
 
 // Table renders the report as a stats.Table (aligned text or CSV).

@@ -10,23 +10,28 @@
 // (served inner/outer, rejection reason), payment, probe and
 // claim-retry counts, and any cooperation faults or circuit-breaker
 // transitions injected by internal/fault while the decision was in
-// flight. Spans land in fixed-capacity per-platform ring buffers — no
-// unbounded growth, race-safe under the concurrent per-platform
-// runtime — and export as JSONL, as Chrome trace-event JSON (loadable
-// in Perfetto or chrome://tracing), or aggregated into a per-algorithm
-// per-stage latency report built on stats.Reservoir percentiles.
+// flight. Spans land in fixed-capacity per-platform ring buffers (no
+// unbounded growth) and export as JSONL, as Chrome trace-event JSON
+// (loadable in Perfetto or chrome://tracing), or aggregated into a
+// per-algorithm per-stage latency report built on stats.Reservoir
+// percentiles.
 //
-// The disabled path is free by design: a nil *Tracer yields nil
-// *Recorders, a nil *Recorder yields nil *Spans, and every method is a
-// nil-receiver no-op, so the matchers' instrumented hot path performs
-// no time syscalls, no allocation and no RNG draws when tracing is off.
-// Sampling draws from a tracer-owned generator, never from matcher
-// RNGs, so enabling tracing cannot perturb matching decisions.
+// The engine opens a request's span just before its matcher decides it
+// and closes it with the decision; the matcher only records stage laps
+// on its bound Recorder. The disabled path is free by design: a nil
+// *Tracer yields nil *Recorders, every Recorder method is a
+// nil-receiver no-op and does nothing while no span is open, so the
+// instrumented hot path reads no clock and allocates nothing when
+// tracing is off. Sampling is a fixed hash of the request ID, never a
+// draw from any RNG, so enabling tracing cannot perturb matching
+// decisions and a sampled request is sampled in every run.
 package trace
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"crossmatch/internal/core"
@@ -58,13 +63,7 @@ const (
 )
 
 // stageNames index by Stage; they are the wire names used in exports.
-var stageNames = [numStages]string{
-	"inner-lookup",
-	"eligibility",
-	"pricing",
-	"probes",
-	"claim",
-}
+var stageNames = [numStages]string{"inner-lookup", "eligibility", "pricing", "probes", "claim"}
 
 // String returns the export name of the stage.
 func (s Stage) String() string {
@@ -72,15 +71,6 @@ func (s Stage) String() string {
 		return stageNames[s]
 	}
 	return "unknown"
-}
-
-// Stages lists every stage in decision order (for report builders).
-func Stages() []Stage {
-	out := make([]Stage, numStages)
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
 }
 
 // StageLap is one stage's recorded time within a span: the offset from
@@ -103,12 +93,11 @@ type FaultEvent struct {
 	Latency int64  `json:"latency_ns,omitempty"`
 }
 
-// Span is one traced request decision. Exported fields are the wire
-// format (JSONL round-trips through encoding/json); unexported fields
-// are recording state, zeroed before the span is committed to its ring.
+// Span is one traced request decision, in its wire format (JSONL
+// round-trips through encoding/json).
 type Span struct {
 	// Seq orders spans across all platforms of the tracer by commit
-	// time (atomic counter, starts at 1).
+	// time (starts at 1).
 	Seq uint64 `json:"seq"`
 	// RunSeed identifies the simulation run that produced the span when
 	// one tracer is shared across an experiment's unit runs.
@@ -119,8 +108,8 @@ type Span struct {
 	// Arrival is the request's stream-time arrival tick.
 	Arrival int64   `json:"arrival"`
 	Value   float64 `json:"value"`
-	// Start is the wall-clock start offset in nanoseconds since the
-	// tracer was created; Total the decision's wall-clock duration.
+	// Start is the decision's start in nanoseconds of the monotonic
+	// clock since the package epoch; Total the decision's duration.
 	Start int64 `json:"start_ns"`
 	Total int64 `json:"total_ns"`
 	// Stages holds the laps of every stage the decision entered, in
@@ -134,16 +123,12 @@ type Span struct {
 	Probes       int          `json:"probes,omitempty"`
 	ClaimRetries int          `json:"claim_retries,omitempty"`
 	Faults       []FaultEvent `json:"faults,omitempty"`
-
-	rec   *Recorder
-	begun time.Time
-	laps  [numStages]lap
 }
 
-type lap struct {
-	offset time.Duration
-	dur    time.Duration
-}
+// epoch is the origin of every span start and lap: time.Since of it
+// reads the monotonic clock alone, where time.Now reads the wall clock
+// as well.
+var epoch = time.Now()
 
 // Options configures a Tracer.
 type Options struct {
@@ -151,27 +136,41 @@ type Options struct {
 	// spans evict the oldest. Non-positive means DefaultCapacity.
 	Capacity int
 	// Sample is the fraction of requests traced, in (0, 1]. Zero means
-	// trace everything (1.0); negative disables recording entirely.
+	// trace everything (1.0); negative disables recording entirely. The
+	// traced set is a fixed function of the request IDs.
 	Sample float64
-	// Seed roots the sampling randomness (decorrelated per platform and
-	// run); sampling never draws from matcher RNGs.
-	Seed int64
 }
 
 // DefaultCapacity bounds each platform ring when Options.Capacity is
 // not set: 4096 spans ≈ a few MB per platform at full fault load.
 const DefaultCapacity = 4096
 
+// CheckFlags is the one check the commands apply to their -trace-sample
+// and -trace-cap flags: a rate in [0, 1], 0 tracing everything, and a
+// capacity that is not negative, 0 meaning DefaultCapacity. NaN fails
+// it, as do the negative rates that disable recording.
+func CheckFlags(sample float64, capacity int) error {
+	if !(sample >= 0 && sample <= 1) {
+		return fmt.Errorf("-trace-sample must be in [0,1] (0 traces everything), got %g", sample)
+	}
+	if capacity < 0 {
+		return fmt.Errorf("-trace-cap must not be negative, got %d", capacity)
+	}
+	return nil
+}
+
 // Tracer owns the span rings of one simulation (or of a whole
 // experiment when shared across unit runs, like a metrics.Collector).
 // All methods are safe for concurrent use; a nil *Tracer is a no-op
 // everywhere.
 type Tracer struct {
-	opts  Options
-	epoch time.Time
-	seq   atomic.Uint64
+	opts Options
 
+	// mu guards the sequence number, the ring map and every ring. A
+	// recorder takes it once per committed span; readers (a serving
+	// layer's trace export, a report) take it too.
 	mu    sync.Mutex
+	seq   uint64
 	rings map[core.PlatformID]*ring
 }
 
@@ -180,62 +179,53 @@ func New(opts Options) *Tracer {
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
 	}
-	if opts.Sample == 0 {
+	if opts.Sample == 0 || opts.Sample > 1 {
 		opts.Sample = 1
 	}
-	if opts.Sample > 1 {
-		opts.Sample = 1
-	}
-	return &Tracer{
-		opts:  opts,
-		epoch: time.Now(),
-		rings: make(map[core.PlatformID]*ring),
-	}
+	return &Tracer{opts: opts, rings: make(map[core.PlatformID]*ring)}
 }
 
-// ring is one platform's fixed-capacity span buffer.
+// sampled reports whether the request with this ID is traced: every
+// request at Sample 1, none at a negative Sample, and otherwise those
+// whose mixed ID falls below Sample × 2⁶⁴. The set depends on the ID
+// alone, so it is the same in every run and on every platform.
+func (t *Tracer) sampled(id int64) bool {
+	s := t.opts.Sample
+	return s >= 1 || s > 0 && mix(uint64(id)) < uint64(s*(1<<64))
+}
+
+// mix is the splitmix64 finalizer: a fixed bijection of the 64-bit
+// words that spreads consecutive IDs evenly.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// ring is one platform's span buffer of at most Options.Capacity
+// spans, guarded by its tracer's mu.
 type ring struct {
-	mu    sync.Mutex
 	buf   []Span
-	cap   int
 	next  int    // overwrite cursor once full
 	total uint64 // spans ever committed
 }
 
-func (g *ring) add(sp Span) {
-	g.mu.Lock()
-	if len(g.buf) < g.cap {
+// commit stamps the span with the next sequence number and adds it to
+// the ring, evicting the oldest span once the ring is full.
+func (t *Tracer) commit(g *ring, sp Span) {
+	t.mu.Lock()
+	t.seq++
+	sp.Seq = t.seq
+	if len(g.buf) < t.opts.Capacity {
 		g.buf = append(g.buf, sp)
 	} else {
 		g.buf[g.next] = sp
-		g.next++
-		if g.next == g.cap {
-			g.next = 0
-		}
+		g.next = (g.next + 1) % len(g.buf)
 	}
 	g.total++
-	g.mu.Unlock()
-}
-
-// snapshot returns the retained spans, oldest first.
-func (g *ring) snapshot() []Span {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]Span, 0, len(g.buf))
-	out = append(out, g.buf[g.next:]...)
-	out = append(out, g.buf[:g.next]...)
-	return out
-}
-
-func (t *Tracer) ringFor(pid core.PlatformID) *ring {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	g, ok := t.rings[pid]
-	if !ok {
-		g = &ring{cap: t.opts.Capacity}
-		t.rings[pid] = g
-	}
-	return g
+	t.mu.Unlock()
 }
 
 // Spans returns every retained span across all platforms, ordered by
@@ -245,49 +235,40 @@ func (t *Tracer) Spans() []Span {
 		return nil
 	}
 	t.mu.Lock()
-	rings := make([]*ring, 0, len(t.rings))
+	var out []Span
 	for _, g := range t.rings {
-		rings = append(rings, g)
+		out = append(out, g.buf[g.next:]...)
+		out = append(out, g.buf[:g.next]...)
 	}
 	t.mu.Unlock()
-	var out []Span
-	for _, g := range rings {
-		out = append(out, g.snapshot()...)
-	}
-	sortSpans(out)
+	slices.SortFunc(out, func(a, b Span) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
-// Recorded returns how many spans were ever committed, and Dropped how
-// many of those the rings have since evicted.
+// Recorded returns how many spans were ever committed.
 func (t *Tracer) Recorded() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n uint64
-	for _, g := range t.rings {
-		g.mu.Lock()
-		n += g.total
-		g.mu.Unlock()
-	}
-	return n
+	total, _ := t.counts()
+	return total
 }
 
 // Dropped returns how many committed spans have been evicted by ring
 // wrap-around (bounded memory is the contract; this is its price).
 func (t *Tracer) Dropped() uint64 {
+	total, kept := t.counts()
+	return total - kept
+}
+
+// counts returns how many spans were ever committed and how many the
+// rings retain.
+func (t *Tracer) counts() (total, kept uint64) {
 	if t == nil {
-		return 0
+		return 0, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var n uint64
 	for _, g := range t.rings {
-		g.mu.Lock()
-		n += g.total - uint64(len(g.buf))
-		g.mu.Unlock()
+		total += g.total
+		kept += uint64(len(g.buf))
 	}
-	return n
+	return total, kept
 }

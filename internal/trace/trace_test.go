@@ -14,17 +14,17 @@ import (
 // record drives one synthetic decision through a recorder: a couple of
 // stage laps, an optional fault, and a finish.
 func record(rc *Recorder, id int64, outcome string) {
-	sp := rc.Begin(&core.Request{ID: id, Arrival: core.Time(id), Value: float64(id) * 2})
-	t := sp.StageStart()
+	rc.Begin(&core.Request{ID: id, Arrival: core.Time(id), Value: float64(id) * 2})
+	t := rc.StageStart()
 	time.Sleep(time.Microsecond)
-	sp.EndStage(StageInner, t)
-	t = sp.StageStart()
+	rc.EndStage(StageInner, t)
+	t = rc.StageStart()
 	time.Sleep(time.Microsecond)
-	sp.EndStage(StagePricing, t)
+	rc.EndStage(StagePricing, t)
 	if id%2 == 0 {
-		sp.Fault(7, "probe-fault", 1500)
+		rc.Fault(7, "probe-fault", 1500)
 	}
-	sp.Finish(outcome, float64(id), int(id%3), int(id%2))
+	rc.Finish(outcome, float64(id), int(id%3), int(id%2))
 }
 
 func TestSpanJSONLRoundTrip(t *testing.T) {
@@ -42,9 +42,13 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var back []Span
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var sp Span
+		if err := dec.Decode(&sp); err != nil {
+			t.Fatal(err)
+		}
+		back = append(back, sp)
 	}
 	if !reflect.DeepEqual(spans, back) {
 		t.Errorf("JSONL round trip changed spans:\n emit: %+v\n read: %+v", spans, back)
@@ -59,13 +63,6 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 		if sp.RequestID%2 == 0 && len(sp.Faults) != 1 {
 			t.Errorf("span %d: faults not recorded: %+v", sp.Seq, sp.Faults)
 		}
-	}
-}
-
-func TestReadJSONLRejectsMalformedLine(t *testing.T) {
-	_, err := ReadJSONL(strings.NewReader("{\"seq\":1}\n\nnot json\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 3") {
-		t.Fatalf("want line-numbered parse error, got %v", err)
 	}
 }
 
@@ -98,21 +95,15 @@ func TestNilTracerChainIsNoOp(t *testing.T) {
 	if rc != nil {
 		t.Fatal("nil tracer must yield nil recorder")
 	}
-	sp := rc.Begin(&core.Request{ID: 1})
-	if sp != nil {
-		t.Fatal("nil recorder must yield nil span")
+	// Every recorder method must be callable on nil.
+	rc.Begin(&core.Request{ID: 1})
+	st := rc.StageStart()
+	if st != 0 {
+		t.Error("nil recorder StageStart must not consult the clock")
 	}
-	// Every span method must be callable on nil.
-	st := sp.StageStart()
-	if !st.IsZero() {
-		t.Error("nil span StageStart must not consult the clock")
-	}
-	sp.EndStage(StageInner, st)
-	sp.Fault(1, "probe-fault", 1)
-	sp.Finish("inner", 0, 0, 0)
-	if rc.Active() != nil {
-		t.Error("nil recorder must have no active span")
-	}
+	rc.EndStage(StageInner, st)
+	rc.Fault(1, "probe-fault", 1)
+	rc.Finish("inner", 0, 0, 0)
 	if got := tr.Spans(); got != nil {
 		t.Errorf("nil tracer Spans() = %v", got)
 	}
@@ -127,28 +118,50 @@ func TestNilTracerChainIsNoOp(t *testing.T) {
 
 func TestSampleOverrides(t *testing.T) {
 	off := New(Options{Capacity: 16, Sample: -1})
-	if rc := off.Recorder(1, 1, "TOTA"); rc.Begin(&core.Request{ID: 1}) != nil {
+	rc := off.Recorder(1, 1, "TOTA")
+	rc.Begin(&core.Request{ID: 1})
+	if rc.StageStart() != 0 {
 		t.Error("a negative sample rate must disable recording")
 	}
-	rc := New(Options{Capacity: 16, Sample: 0.5}).Recorder(1, 2, "TOTA")
-	n := 0
-	for i := int64(0); i < 400; i++ {
-		if sp := rc.Begin(&core.Request{ID: i}); sp != nil {
-			n++
-			sp.Finish("inner", 0, 0, 0)
-		}
+	rc.Finish("inner", 0, 0, 0)
+	if off.Recorded() != 0 {
+		t.Error("a negative sample rate recorded a span")
 	}
-	if n < 100 || n > 300 {
+	half := New(Options{Capacity: 512, Sample: 0.5})
+	rc = half.Recorder(1, 2, "TOTA")
+	for i := int64(0); i < 400; i++ {
+		rc.Begin(&core.Request{ID: i})
+		rc.Finish("inner", 0, 0, 0)
+	}
+	if n := half.Recorded(); n < 100 || n > 300 {
 		t.Errorf("sample 0.5 traced %d/400 requests", n)
 	}
-	// Full-rate recorders never consult sampling randomness.
-	full := New(Options{Capacity: 16, Sample: 1.5}).Recorder(1, 3, "TOTA")
-	for i := int64(0); i < 10; i++ {
-		sp := full.Begin(&core.Request{ID: i})
-		if sp == nil {
-			t.Fatal("full-rate recorder skipped a request")
+	// The traced set is a function of the request IDs alone: another
+	// run on another platform traces the same requests.
+	again := New(Options{Capacity: 512, Sample: 0.5})
+	rc = again.Recorder(2, 3, "DemCOM")
+	for i := int64(399); i >= 0; i-- {
+		rc.Begin(&core.Request{ID: i})
+		rc.Finish("inner", 0, 0, 0)
+	}
+	ids := func(tr *Tracer) map[int64]bool {
+		out := map[int64]bool{}
+		for _, sp := range tr.Spans() {
+			out[sp.RequestID] = true
 		}
-		sp.Finish("inner", 0, 0, 0)
+		return out
+	}
+	if !reflect.DeepEqual(ids(half), ids(again)) {
+		t.Error("sample 0.5 traced different request IDs in two runs")
+	}
+	full := New(Options{Capacity: 16, Sample: 1.5})
+	rc = full.Recorder(1, 3, "TOTA")
+	for i := int64(0); i < 10; i++ {
+		rc.Begin(&core.Request{ID: i})
+		rc.Finish("inner", 0, 0, 0)
+	}
+	if full.Recorded() != 10 {
+		t.Fatalf("full-rate recorder traced %d/10 requests", full.Recorded())
 	}
 }
 

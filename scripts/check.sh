@@ -20,6 +20,15 @@ if git grep -nE '\bgo (func|[a-zA-Z_.]+\()|"sync"|"sync/atomic"' -- 'internal/pl
 	exit 1
 fi
 
+echo "==> the engine owns a decision span: no sampling RNG or atomic in trace, spans opened in online only by BatchCOM's flush"
+if git grep -nE '"math/rand"|"sync/atomic"' -- 'internal/trace'; then
+	exit 1
+fi
+if [ "$(git grep -lE '\.(Begin|Finish)\(' -- 'internal/online')" != "internal/online/batchcom.go" ]; then
+	git grep -nE '\.(Begin|Finish)\(' -- 'internal/online' >&2
+	exit 1
+fi
+
 echo "==> one latency record, decisions made in place: no response totals beside Latency, no platform-slot map"
 if git grep -nE 'addResponse|ResponseTotal|ResponseMax|map\[core\.PlatformID\]\*slot' -- '*.go' ':!bench'; then
 	exit 1
@@ -115,7 +124,7 @@ for pkg in $(go list ./...); do
 done
 
 echo "==> short benchmarks (1 iteration each)"
-go test -run '^$' -bench 'BenchmarkTable(Sequential|Parallel)$|BenchmarkPlatformSequentialRuntime$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkTable(Sequential|Parallel)$|BenchmarkPlatformSequentialRuntime$|BenchmarkTraceOverhead$' -benchtime 1x -benchmem .
 go test -run '^$' -bench 'BenchmarkNewStream400k(Sorted)?$|BenchmarkSlotGridAppendSlots$|BenchmarkGenerateCity$|BenchmarkNewHistory$|BenchmarkMinOuterPayment$|BenchmarkEstimatePayment$|BenchmarkReservoirObserve$' -benchtime 1x -benchmem ./internal/core ./internal/index ./internal/workload ./internal/pricing ./internal/online ./internal/stats
 
 echo "==> OK"
