@@ -64,7 +64,7 @@ func main() {
 	flag.StringVar(&o.portFile, "port-file", "", "write the bound host:port here once listening (for scripts racing startup)")
 	flag.StringVar(&o.shardsSpec, "shards", "", "fleet spec: comma-separated name=url pairs, e.g. 's1=http://127.0.0.1:9001,s2=http://127.0.0.1:9002'")
 	flag.Float64Var(&o.cellSize, "cell", index.DefaultCell, "spatial-hash cell size, km: positive and finite, 0 for the default; must match the split geometry")
-	flag.DurationVar(&o.probeEvery, "probe-interval", 100*time.Millisecond, "per-shard health probe period")
+	flag.DurationVar(&o.probeEvery, "probe-interval", 100*time.Millisecond, "per-shard health probe period: 0 for the default 100ms; negative is an error")
 	flag.StringVar(&o.split, "split", "", "comgen CSV to partition into per-shard sub-streams instead of serving")
 	flag.StringVar(&o.splitNames, "names", "", "-split: shard names, comma-separated (default: the names from -shards)")
 	flag.StringVar(&o.splitOut, "out", ".", "-split: directory for the per-shard <name>.csv files")

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,6 +21,11 @@ import (
 	"crossmatch/internal/serve"
 )
 
+// keySpellings are the spellings of the coordinate keys that a shard's
+// encoding/json decoder reads as x and y: it matches keys
+// case-insensitively and resolves escapes, so the router must too.
+var keySpellings = [][2]string{{"x", "y"}, {"X", "Y"}, {`\u0078`, `\u0079`}}
+
 func FuzzRouteShardAgree(f *testing.F) {
 	// Every shard points at a server that is never ready, so the router
 	// refuses each line and stamps the refusal with the owner its
@@ -27,12 +33,16 @@ func FuzzRouteShardAgree(f *testing.F) {
 	dark := httptest.NewServer(http.NotFoundHandler())
 	f.Cleanup(dark.Close)
 
-	f.Add(0.0, 0.0, uint8(4), 1.0)
-	f.Add(-3.7, 12.2, uint8(1), 0.5)
-	f.Add(1e6, -1e6, uint8(16), 2.0)
-	f.Add(2.5, 2.5, uint8(3), -1.0)
-	f.Fuzz(func(t *testing.T, x, y float64, n uint8, cellSize float64) {
-		if n == 0 || n > 16 {
+	f.Add(0.0, 0.0, uint8(4), 1.0, uint8(0))
+	f.Add(-3.7, 12.2, uint8(1), 0.5, uint8(0))
+	f.Add(1e6, -1e6, uint8(16), 2.0, uint8(0))
+	f.Add(2.5, 2.5, uint8(3), -1.0, uint8(0))
+	// Points whose owner is not the owner of (0, 0), with keys a reader
+	// that matches only lower-case "x"/"y" would miss.
+	f.Add(2.0, 2.0, uint8(2), 1.0, uint8(1))
+	f.Add(2.5, 2.5, uint8(2), 0.0, uint8(2))
+	f.Fuzz(func(t *testing.T, x, y float64, n uint8, cellSize float64, spelling uint8) {
+		if n == 0 || n > 16 || int(spelling) >= len(keySpellings) {
 			t.Skip()
 		}
 		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
@@ -61,12 +71,11 @@ func FuzzRouteShardAgree(f *testing.F) {
 			return
 		}
 		defer r.Close()
-		line, err := json.Marshal(serve.WireEvent{ID: 1, X: x, Y: y, Platform: 1, Value: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		keys := keySpellings[spelling]
+		line := `{"id":1,"` + keys[0] + `":` + strconv.FormatFloat(x, 'g', -1, 64) +
+			`,"` + keys[1] + `":` + strconv.FormatFloat(y, 'g', -1, 64) + `,"platform":1,"value":1}`
 		rec := httptest.NewRecorder()
-		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/requests", strings.NewReader(string(line))))
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/requests", strings.NewReader(line)))
 		var d serve.WireDecision
 		if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
 			t.Fatalf("router reply %q: %v", rec.Body.String(), err)

@@ -12,10 +12,16 @@
 // instead of stalling behind it. Each sub-batch is posted once: a
 // failed post answers its lines 503 with a retry hint, because the
 // shard may already have applied them, and the client owns every
-// retry. Backpressure is explicit: shard 429/503 lines pass through
-// verbatim with their retry_after_ms, the router's own refusals carry
+// retry. Backpressure is explicit: shard 429/503 lines reach the
+// client with their retry_after_ms, the router's own refusals carry
 // hints, and nothing is ever queued router-side — an overloaded router
 // answers 503.
+//
+// The router reads a call and answers it as a shard does: the body
+// through serve.ReadIngest, each event line decoded by encoding/json
+// (so it reads the coordinates the shard will apply), each shard reply
+// line decoded into a serve.WireDecision and stamped with the shard's
+// name, and the answer written by serve.WriteDecisions.
 //
 // Ownership is strict: an event whose owner shard is dark is refused
 // with a retry hint rather than routed to another shard, which is what

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,8 +29,8 @@ type Options struct {
 	// index.DefaultCell, and anything else must be positive and finite.
 	// It must match the geometry used to split replay streams.
 	CellSize float64
-	// ProbeInterval is the per-shard health-check period (default
-	// 100ms).
+	// ProbeInterval is the per-shard health-check period: 0 selects
+	// 100ms, and a negative period is an error.
 	ProbeInterval time.Duration
 }
 
@@ -75,7 +74,10 @@ func New(opts Options) (*Router, error) {
 		return nil, err
 	}
 	opts.CellSize = cell
-	if opts.ProbeInterval <= 0 {
+	switch {
+	case opts.ProbeInterval < 0:
+		return nil, fmt.Errorf("route: probe interval %v must not be negative", opts.ProbeInterval)
+	case opts.ProbeInterval == 0:
 		opts.ProbeInterval = 100 * time.Millisecond
 	}
 
@@ -145,33 +147,29 @@ func (r *Router) Shard(name string) (ShardStatus, bool) {
 
 // wirePoint is the lenient per-line parse the router needs: only the
 // coordinates matter for partitioning; full validation is the shard's
-// job (strict parse, value/radius checks).
+// job (strict parse, value/radius checks). It is decoded by
+// encoding/json, as the shard's WireEvent is, so both read the same
+// keys (case-insensitively, escapes resolved) and the same numbers.
 type wirePoint struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
 }
 
-// handleForward is the router hot path: split the batch, pick each
-// line's shard by cell ownership gated on readiness, post the per-shard
-// sub-batches concurrently, once each, and reassemble the responses in
-// input order. Nothing queues: a not-ready owner answers its lines
-// immediately with a 503-class status and a retry hint.
+// handleForward is the router hot path: read the call as a shard
+// would, pick each line's shard by cell ownership gated on readiness,
+// post the per-shard sub-batches concurrently, once each, and answer
+// the decisions in input order as a shard would. Nothing queues: a
+// not-ready owner answers its lines immediately with a 503-class
+// status and a retry hint.
 func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind core.EventKind) {
 	r.ctr.calls.Add(1)
-	body, err := readAllHint(http.MaxBytesReader(w, req.Body, serve.MaxBodyBytes), req.ContentLength)
-	if err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.WireDecision{Status: serve.StatusError, Error: "reading body: " + err.Error()})
+	lines, batch, ok := serve.ReadIngest(w, req)
+	if !ok {
 		return
 	}
-	lines := serve.SplitLines(body)
-	if len(lines) == 0 {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.WireDecision{Status: serve.StatusError, Error: "empty body"})
-		return
-	}
-	batch := len(lines) > 1 || strings.Contains(req.Header.Get("Content-Type"), "ndjson")
 	r.ctr.lines.Add(int64(len(lines)))
 
-	outs := make([][]byte, len(lines))
+	outs := make([]serve.WireDecision, len(lines))
 	select {
 	case r.inflight <- struct{}{}:
 		defer func() { <-r.inflight }()
@@ -179,12 +177,12 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 		// Backpressure, not queueing: every line answers unavailable with
 		// a hint, so well-behaved clients back off instead of piling on.
 		r.ctr.busy.Add(int64(len(lines)))
-		busy := encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
-			RetryAfterMs: r.retryHintMs(), Error: "router at max inflight"})
+		busy := serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
+			RetryAfterMs: r.retryHintMs(), Error: "router at max inflight"}
 		for i := range outs {
 			outs[i] = busy
 		}
-		r.reply(w, batch, outs)
+		serve.WriteDecisions(w, batch, outs)
 		return
 	}
 
@@ -198,60 +196,44 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 			groups[sh] = append(groups[sh], i)
 		}
 	}
-	ctx := req.Context()
-	if len(groups) == 1 { // the common case: no fan-out, no goroutine
-		for sh, idxs := range groups {
-			r.forwardGroup(ctx, sh, kind, lines, idxs, outs)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for sh, idxs := range groups {
-			wg.Add(1)
-			go func(sh *shard, idxs []int) {
-				defer wg.Done()
-				r.forwardGroup(ctx, sh, kind, lines, idxs, outs)
-			}(sh, idxs)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for sh, idxs := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.forwardGroup(req.Context(), sh, kind, lines, idxs, outs)
+		}()
 	}
-	r.reply(w, batch, outs)
+	wg.Wait()
+	serve.WriteDecisions(w, batch, outs)
 }
 
 // dispatch picks each line's shard: its cell's rendezvous owner, or nil
 // when the line was answered locally (unparseable, or the owner is not
 // ready).
-func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs [][]byte) []*shard {
+func (r *Router) dispatch(kind core.EventKind, lines [][]byte, outs []serve.WireDecision) []*shard {
 	routes := make([]*shard, len(lines))
 	for i, line := range lines {
-		x, y, ok := scanPoint(line)
-		if !ok {
-			var pt wirePoint
-			if err := json.Unmarshal(line, &pt); err != nil {
-				r.ctr.badLines.Add(1)
-				outs[i] = encodeDecision(serve.WireDecision{Status: serve.StatusError, Kind: serve.KindName(kind),
-					Error: "bad event: " + err.Error()})
-				continue
-			}
-			x, y = pt.X, pt.Y
+		var pt wirePoint
+		if err := json.Unmarshal(line, &pt); err != nil {
+			r.ctr.badLines.Add(1)
+			outs[i] = serve.WireDecision{Status: serve.StatusError, Kind: serve.KindName(kind),
+				Error: "bad event: " + err.Error()}
+			continue
 		}
-		sh := r.shards[cells.OwnerIndex(cells.Of(geo.Point{X: x, Y: y}, r.opts.CellSize), r.names)]
+		sh := r.shards[cells.OwnerIndex(cells.Of(geo.Point{X: pt.X, Y: pt.Y}, r.opts.CellSize), r.names)]
 		if !sh.ready.Load() {
-			r.refuse(kind, sh, &outs[i])
+			// The hint tells clients when the prober could plausibly have
+			// seen the owner ready again.
+			r.ctr.refused.Add(1)
+			outs[i] = serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
+				Shard: sh.name, RetryAfterMs: r.retryHintMs(),
+				Error: "shard " + sh.name + " unavailable"}
 			continue
 		}
 		routes[i] = sh
 	}
 	return routes
-}
-
-// refuse answers one line locally: its owner is not ready. The hint
-// tells clients when the prober could plausibly have seen it ready
-// again.
-func (r *Router) refuse(kind core.EventKind, owner *shard, out *[]byte) {
-	r.ctr.refused.Add(1)
-	*out = encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
-		Shard: owner.name, RetryAfterMs: r.retryHintMs(),
-		Error: "shard " + owner.name + " unavailable"})
 }
 
 // retryHintMs is the router-originated backoff hint: a couple of probe
@@ -268,7 +250,8 @@ func (r *Router) retryHintMs() int64 {
 }
 
 // forwardGroup posts one shard's sub-batch, once, and scatters the
-// per-line decisions back into outs at their original indices.
+// per-line decisions back into outs at their original indices, each
+// stamped with the shard's name.
 //
 // A failed post answers every line unavailable with a retry hint and is
 // not sent again: the failure may have come after the shard admitted
@@ -281,12 +264,8 @@ func (r *Router) retryHintMs() int64 {
 // never a POST it has written, which is not replayable without an
 // Idempotency-Key. Shard backpressure lines (shed/draining) pass
 // through with their own retry_after_ms.
-func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKind, lines [][]byte, idxs []int, outs [][]byte) {
-	total := 0
-	for _, i := range idxs {
-		total += len(lines[i]) + 1
-	}
-	payload := make([]byte, 0, total)
+func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKind, lines [][]byte, idxs []int, outs []serve.WireDecision) {
+	var payload []byte
 	for _, i := range idxs {
 		payload = append(payload, lines[i]...)
 		payload = append(payload, '\n')
@@ -294,40 +273,30 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 	n := int64(len(idxs))
 	sh.lines.Add(n)
 
-	decs, err := r.post(ctx, sh, kind, payload)
+	replies, err := r.post(ctx, sh, kind, payload)
 	if err != nil {
 		sh.errors.Add(n)
-		failed := encodeDecision(serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
+		failed := serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
 			Shard: sh.name, RetryAfterMs: r.retryHintMs(),
-			Error: "shard call failed: " + err.Error()})
+			Error: "shard call failed: " + err.Error()}
 		for _, i := range idxs {
 			outs[i] = failed
 		}
 		return
 	}
 
-	// Shard lines pass through verbatim (plus the shard stamp): the
-	// router never re-encodes a decision it did not make, which keeps
-	// the hot path to one cheap status sniff per line. All stamped
-	// lines of the group share one arena: one allocation per call, not
-	// one per line (out-of-capacity growth just strands old bytes, the
-	// three-index sub-slices stay valid).
-	arenaCap := len(idxs) * (len(sh.name) + 16)
-	for _, d := range decs {
-		arenaCap += len(d)
-	}
-	arena := make([]byte, 0, arenaCap)
 	for k, i := range idxs {
-		var line []byte
-		if k < len(decs) {
-			start := len(arena)
-			arena = appendStamped(arena, decs[k], sh.name)
-			line = arena[start:len(arena):len(arena)]
-		} else {
-			line = encodeDecision(serve.WireDecision{Status: serve.StatusError, Kind: serve.KindName(kind),
-				Shard: sh.name, Error: "shard returned short response"})
+		var d serve.WireDecision
+		switch {
+		case k >= len(replies):
+			d = serve.WireDecision{Status: serve.StatusError, Kind: serve.KindName(kind),
+				Error: "shard returned short response"}
+		case json.Unmarshal(replies[k], &d) != nil:
+			d = serve.WireDecision{Status: serve.StatusError, Kind: serve.KindName(kind),
+				Error: "bad shard response"}
 		}
-		switch lineStatus(line) {
+		d.Shard = sh.name
+		switch d.Status {
 		case serve.StatusOK, serve.StatusDuplicate:
 			sh.ok.Add(1)
 		case serve.StatusShed:
@@ -335,7 +304,7 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 		case serve.StatusDraining, serve.StatusUnavailable:
 			sh.unavailable.Add(1)
 		}
-		outs[i] = line
+		outs[i] = d
 	}
 }
 
@@ -362,7 +331,7 @@ func (r *Router) post(ctx context.Context, sh *shard, kind core.EventKind, paylo
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := readAllHint(resp.Body, resp.ContentLength)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -370,225 +339,6 @@ func (r *Router) post(ctx context.Context, sh *shard, kind core.EventKind, paylo
 		return nil, fmt.Errorf("shard %s: %s: %s", sh.name, resp.Status, strings.TrimSpace(string(body)))
 	}
 	return serve.SplitLines(body), nil
-}
-
-// encodeDecision marshals a router-made decision once; every local
-// answer (bad line, refusal, busy, transport failure) goes through
-// here so the forwarding path never touches an encoder.
-func encodeDecision(d serve.WireDecision) []byte {
-	b, err := json.Marshal(d)
-	if err != nil {
-		// WireDecision is plain data; Marshal cannot fail on it.
-		return []byte(`{"status":"error","error":"encode failed"}`)
-	}
-	return b
-}
-
-// appendStamped appends the response line to dst with `"shard":"<name>"`
-// spliced in, without decoding it. Lines too short to be an object are
-// appended untouched.
-func appendStamped(dst, line []byte, name string) []byte {
-	if len(line) < 2 || line[len(line)-1] != '}' {
-		return append(dst, line...)
-	}
-	dst = append(dst, line[:len(line)-1]...)
-	if len(line) > 2 { // non-empty object needs a comma
-		dst = append(dst, ',')
-	}
-	dst = append(dst, `"shard":"`...)
-	dst = append(dst, name...)
-	return append(dst, '"', '}')
-}
-
-// scanPoint extracts the top-level "x" and "y" numbers from an event
-// line without a full decode — dispatch needs only the location, and
-// encoding/json on every line was the router's single largest CPU
-// cost. The scan is string- and escape-aware and tracks bracket depth,
-// so values that merely contain `"x":` cannot fool it; anything
-// structurally surprising returns ok=false and dispatch falls back to
-// the strict decoder. Missing coordinates default to 0, matching the
-// lenient wirePoint decode.
-func scanPoint(line []byte) (x, y float64, ok bool) {
-	i, n := 0, len(line)
-	skipWS := func() {
-		for i < n && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r' || line[i] == '\n') {
-			i++
-		}
-	}
-	// skipString advances past the string starting at line[i] == '"'.
-	skipString := func() bool {
-		for i++; i < n; i++ {
-			switch line[i] {
-			case '\\':
-				i++
-			case '"':
-				i++
-				return true
-			}
-		}
-		return false
-	}
-	skipValue := func() bool {
-		switch line[i] {
-		case '"':
-			return skipString()
-		case '{', '[':
-			depth := 0
-			for i < n {
-				switch line[i] {
-				case '"':
-					if !skipString() {
-						return false
-					}
-					continue
-				case '{', '[':
-					depth++
-				case '}', ']':
-					depth--
-					if depth == 0 {
-						i++
-						return true
-					}
-				}
-				i++
-			}
-			return false
-		default: // number, true, false, null
-			for i < n && line[i] != ',' && line[i] != '}' && line[i] != ']' &&
-				line[i] != ' ' && line[i] != '\t' {
-				i++
-			}
-			return true
-		}
-	}
-	skipWS()
-	if i >= n || line[i] != '{' {
-		return 0, 0, false
-	}
-	i++
-	skipWS()
-	if i < n && line[i] == '}' {
-		return 0, 0, true
-	}
-	for {
-		skipWS()
-		if i >= n || line[i] != '"' {
-			return 0, 0, false
-		}
-		keyStart := i + 1
-		if !skipString() {
-			return 0, 0, false
-		}
-		key := line[keyStart : i-1]
-		skipWS()
-		if i >= n || line[i] != ':' {
-			return 0, 0, false
-		}
-		i++
-		skipWS()
-		if i >= n {
-			return 0, 0, false
-		}
-		if len(key) == 1 && (key[0] == 'x' || key[0] == 'y') {
-			vs := i
-			for i < n && (line[i] == '-' || line[i] == '+' || line[i] == '.' ||
-				line[i] == 'e' || line[i] == 'E' || (line[i] >= '0' && line[i] <= '9')) {
-				i++
-			}
-			v, err := strconv.ParseFloat(string(line[vs:i]), 64)
-			if err != nil {
-				return 0, 0, false
-			}
-			if key[0] == 'x' {
-				x = v
-			} else {
-				y = v
-			}
-		} else if !skipValue() {
-			return 0, 0, false
-		}
-		skipWS()
-		if i >= n {
-			return 0, 0, false
-		}
-		switch line[i] {
-		case ',':
-			i++
-		case '}':
-			return x, y, true
-		default:
-			return 0, 0, false
-		}
-	}
-}
-
-// readAllHint reads rc to EOF, presizing from the declared content
-// length when one is known (io.ReadAll's grow-and-copy cycles show up
-// on the forward hot path).
-func readAllHint(rc io.Reader, hint int64) ([]byte, error) {
-	if hint > 0 && hint < serve.MaxBodyBytes {
-		buf := bytes.NewBuffer(make([]byte, 0, hint+1))
-		_, err := buf.ReadFrom(rc)
-		return buf.Bytes(), err
-	}
-	return io.ReadAll(rc)
-}
-
-var statusPrefix = []byte(`{"status":"`)
-
-// lineStatus reads a response line's status without a full decode.
-// The serve encoder always emits Status as the first field, so the
-// fast path is a prefix check; anything else falls back to Unmarshal.
-func lineStatus(line []byte) string {
-	if bytes.HasPrefix(line, statusPrefix) {
-		rest := line[len(statusPrefix):]
-		if end := bytes.IndexByte(rest, '"'); end >= 0 {
-			return string(rest[:end])
-		}
-	}
-	var d struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(line, &d); err != nil {
-		return ""
-	}
-	return d.Status
-}
-
-// reply writes the reassembled decisions: NDJSON for batches, the
-// shard-compatible status-coded single object otherwise. Shard lines
-// are written back verbatim.
-func (r *Router) reply(w http.ResponseWriter, batch bool, outs [][]byte) {
-	if !batch {
-		var out serve.WireDecision
-		if err := json.Unmarshal(outs[0], &out); err != nil {
-			out = serve.WireDecision{Status: serve.StatusError, Error: "bad shard response"}
-			outs[0] = encodeDecision(out)
-		}
-		if out.RetryAfterMs > 0 {
-			// The body hint is authoritative; the header is the same hint
-			// rounded up via the shared helper, so the router's Retry-After
-			// can never promise a shorter wait than retry_after_ms.
-			w.Header().Set("Retry-After",
-				strconv.FormatInt(serve.RetryAfterHeaderSeconds(out.RetryAfterMs), 10))
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(serve.HTTPStatus(out.Status))
-		_, _ = w.Write(outs[0])
-		_, _ = w.Write([]byte{'\n'})
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	total := 0
-	for _, line := range outs {
-		total += len(line) + 1
-	}
-	buf := make([]byte, 0, total)
-	for _, line := range outs {
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
-	_, _ = w.Write(buf)
 }
 
 // FleetHealth is the router's /healthz document.

@@ -27,12 +27,13 @@ type fakeShard struct {
 	lineState atomic.Value // string: status for every ingest line
 	slowPosts atomic.Int32 // this many leading posts sleep slowFor
 	slowFor   time.Duration
+	garble    atomic.Int32 // when k > 0, reply line k (1-based) of each post is not JSON
 	posts     atomic.Int64
 	lines     atomic.Int64
 	inPosts   atomic.Int32 // ingest posts currently being served
 }
 
-func newFakeShard(t *testing.T, name string) *fakeShard {
+func newFakeShard(t testing.TB, name string) *fakeShard {
 	t.Helper()
 	fs := &fakeShard{name: name}
 	fs.healthy.Store(true)
@@ -62,11 +63,17 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc := json.NewEncoder(w)
 		status := fs.lineState.Load().(string)
+		garble, k := int(fs.garble.Load()), 0
 		for _, line := range bytes.Split(body.Bytes(), []byte("\n")) {
 			if len(bytes.TrimSpace(line)) == 0 {
 				continue
 			}
 			fs.lines.Add(1)
+			k++
+			if k == garble {
+				_, _ = w.Write([]byte(`{"status":"ok",` + "\n"))
+				continue
+			}
 			out := serve.WireDecision{Status: status}
 			if status == serve.StatusShed {
 				out.RetryAfterMs = 5
@@ -83,7 +90,7 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 
 // newTestRouter builds a router over the given shards with fast probes
 // and waits for the initial probe round to settle.
-func newTestRouter(t *testing.T, opts Options, shards ...*fakeShard) *Router {
+func newTestRouter(t testing.TB, opts Options, shards ...*fakeShard) *Router {
 	t.Helper()
 	for _, fs := range shards {
 		opts.Shards = append(opts.Shards, ShardConfig{Name: fs.name, URL: fs.srv.URL})
@@ -104,7 +111,7 @@ func newTestRouter(t *testing.T, opts Options, shards ...*fakeShard) *Router {
 	return r
 }
 
-func waitReady(t *testing.T, r *Router, name string, want bool) {
+func waitReady(t testing.TB, r *Router, name string, want bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -441,5 +448,53 @@ func TestRetryHintWireClamp(t *testing.T) {
 	r := &Router{opts: Options{ProbeInterval: time.Minute}}
 	if got := r.retryHintMs(); got != 30_000 {
 		t.Fatalf("retryHintMs with 1m probes: %d, want 30000", got)
+	}
+}
+
+// TestBadShardLineAnsweredLocally: a reply line from a shard that does
+// not decode answers that line error, stamped with the shard, and the
+// rest of the sub-batch keeps the shard's own decisions.
+func TestBadShardLineAnsweredLocally(t *testing.T) {
+	s1 := newFakeShard(t, "s1")
+	s1.garble.Store(2) // the second reply line of each post
+	r := newTestRouter(t, Options{}, s1)
+	line := lineAt(geo.Point{X: 0.5, Y: 0.5})
+
+	outs := postLines(t, r.Handler(), "/v1/requests", line, line, line)
+	for i, want := range []string{serve.StatusOK, serve.StatusError, serve.StatusOK} {
+		if outs[i].Status != want || outs[i].Shard != "s1" {
+			t.Fatalf("line %d: %+v, want %s from s1", i, outs[i], want)
+		}
+	}
+	if outs[1].Error != "bad shard response" {
+		t.Fatalf("undecodable shard line: %+v", outs[1])
+	}
+	if st, _ := r.Shard("s1"); st.OK != 2 {
+		t.Fatalf("s1 counted %d ok lines, want 2", st.OK)
+	}
+}
+
+// BenchmarkRouterForward times the whole router hop in-process: read
+// the call, decode each line, post to one fake shard, decode and stamp
+// its replies, and answer NDJSON.
+func BenchmarkRouterForward(b *testing.B) {
+	s1 := newFakeShard(b, "s1")
+	r := newTestRouter(b, Options{}, s1)
+	h := r.Handler()
+	line := lineAt(geo.Point{X: 0.5, Y: 0.5})
+	for _, n := range []int{1, 64} {
+		body := strings.Repeat(line+"\n", n)
+		b.Run(strconv.Itoa(n)+"lines", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/v1/requests", strings.NewReader(body))
+				req.Header.Set("Content-Type", "application/x-ndjson")
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("HTTP %d: %s", rec.Code, rec.Body.String())
+				}
+			}
+		})
 	}
 }

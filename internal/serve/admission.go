@@ -60,10 +60,13 @@ func (b *tokenBucket) take() (bool, time.Duration) {
 // while the Retry-After header (RetryAfterHeaderSeconds) is the coarse
 // fallback for plain HTTP clients, the same hint rounded up to whole
 // seconds so header-driven clients never back off shorter than
-// body-driven ones. The helpers are exported because every hop that
-// relays a backpressure decision (the shard router included) must
-// derive both hints the same way, or a client could read a shorter
-// wait from one field than the other.
+// body-driven ones. Every hop that answers an ingest call, the fleet
+// router included, writes through WriteDecisions, which derives the
+// header from the body hint, so no hop can promise a shorter wait in
+// one field than the other. RetryAfterWireMs is exported because the
+// router makes hints of its own (refusals, failed posts) and must clamp
+// them the same way; RetryAfterHeaderSeconds is the rule the router's
+// tests hold its header to.
 
 // RetryAfterWireMs clamps a retry hint into [1ms, 30s] for the
 // retry_after_ms body field.

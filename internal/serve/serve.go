@@ -25,12 +25,9 @@ package serve
 import (
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -416,17 +413,10 @@ func (s *Server) Close() (*platform.Result, error) {
 // always 200 with one NDJSON decision line per input line; single
 // responses carry the outcome as the HTTP status code too.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kind core.EventKind) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "reading body: " + err.Error()})
+	lines, batch, ok := ReadIngest(w, r)
+	if !ok {
 		return
 	}
-	lines := SplitLines(body)
-	if len(lines) == 0 {
-		WriteJSON(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "empty body"})
-		return
-	}
-	batch := len(lines) > 1 || strings.Contains(r.Header.Get("Content-Type"), "ndjson")
 
 	// Admission pass: every line is admitted (or refused) in input
 	// order before any decision is awaited, so one batch's lines enter
@@ -440,21 +430,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kind core.
 	// Collection pass: wait for the admitted decisions under one shared
 	// batch deadline.
 	s.collectDecisions(items, outs)
-
-	if !batch {
-		out := outs[0]
-		if out.RetryAfterMs > 0 {
-			w.Header().Set("Retry-After", strconv.FormatInt(RetryAfterHeaderSeconds(out.RetryAfterMs), 10))
-		}
-		WriteJSON(w, out.httpStatus(), out)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := newLineWriter(w)
-	for i := range outs {
-		bw.writeLine(&outs[i])
-	}
-	bw.flush()
+	WriteDecisions(w, batch, outs)
 }
 
 // collectDecisions waits for each admitted item's decision under one

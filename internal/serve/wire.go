@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"strconv"
+	"strings"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
@@ -83,13 +86,8 @@ type WireDecision struct {
 
 // httpStatus maps an outcome to the HTTP code used for single-object
 // posts (batch posts always answer 200 with per-line statuses).
-func (d *WireDecision) httpStatus() int { return HTTPStatus(d.Status) }
-
-// HTTPStatus maps a WireDecision status to the HTTP code single-object
-// posts answer with. Exported so the fleet router mirrors shard
-// semantics exactly when it synthesizes single-object responses.
-func HTTPStatus(status string) int {
-	switch status {
+func (d *WireDecision) httpStatus() int {
+	switch d.Status {
 	case StatusOK:
 		return http.StatusOK
 	case StatusShed:
@@ -191,6 +189,46 @@ func decisionLine(kind core.EventKind, id, vtime int64, d platform.RequestDecisi
 		out.Revenue = d.Revenue
 	}
 	return out
+}
+
+// ReadIngest reads an ingest POST the way every hop that takes one
+// does, a shard and the fleet router alike: the body under
+// MaxBodyBytes, cut into its non-empty lines. An unreadable or empty
+// body is answered 400 here and ok is false. batch reports whether the
+// answer is NDJSON: more than one line, or an ndjson content type.
+func ReadIngest(w http.ResponseWriter, r *http.Request) (lines [][]byte, batch, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "reading body: " + err.Error()})
+		return nil, false, false
+	}
+	lines = SplitLines(body)
+	if len(lines) == 0 {
+		WriteJSON(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "empty body"})
+		return nil, false, false
+	}
+	return lines, len(lines) > 1 || strings.Contains(r.Header.Get("Content-Type"), "ndjson"), true
+}
+
+// WriteDecisions answers an ingest POST with one decision per line, in
+// input order: a batch as 200 and NDJSON, a single object under its
+// outcome's HTTP status, with a Retry-After header when it carries a
+// hint.
+func WriteDecisions(w http.ResponseWriter, batch bool, outs []WireDecision) {
+	if !batch {
+		out := &outs[0]
+		if out.RetryAfterMs > 0 {
+			w.Header().Set("Retry-After", strconv.FormatInt(RetryAfterHeaderSeconds(out.RetryAfterMs), 10))
+		}
+		WriteJSON(w, out.httpStatus(), out)
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	lw := newLineWriter(w)
+	for i := range outs {
+		lw.writeLine(&outs[i])
+	}
+	lw.flush()
 }
 
 // WriteJSON answers with one JSON document under the given status.

@@ -82,6 +82,11 @@ if [ "$(git grep -cE "$once" -- internal/route cmd/comroute ':!*_test.go')" != "
 	exit 1
 fi
 
+echo "==> the fleet router reads and answers a line as a shard does: no byte scanner, splice, status sniff or reply writer of its own"
+if git grep -nE 'scanPoint|appendStamped|lineStatus|readAllHint|encodeDecision' -- '*.go'; then
+	exit 1
+fi
+
 echo "==> a shard starts one way: no background recovery, no live-but-not-ready state"
 if git grep -nE 'RecoverInBackground|recover-bg|StatusRecovering|healthz/live|ResumeVTime' -- '*.go' '*.sh' Makefile .github ':!bench' ':!scripts/check.sh'; then
 	exit 1
@@ -126,5 +131,6 @@ done
 echo "==> short benchmarks (1 iteration each)"
 go test -run '^$' -bench 'BenchmarkTable(Sequential|Parallel)$|BenchmarkPlatformSequentialRuntime$|BenchmarkTraceOverhead$' -benchtime 1x -benchmem .
 go test -run '^$' -bench 'BenchmarkNewStream400k(Sorted)?$|BenchmarkSlotGridAppendSlots$|BenchmarkGenerateCity$|BenchmarkNewHistory$|BenchmarkMinOuterPayment$|BenchmarkEstimatePayment$|BenchmarkReservoirObserve$' -benchtime 1x -benchmem ./internal/core ./internal/index ./internal/workload ./internal/pricing ./internal/online ./internal/stats
+go test -run '^$' -bench 'BenchmarkRouterForward$' -benchtime 1x -benchmem ./internal/route
 
 echo "==> OK"
