@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -31,5 +32,31 @@ func TestBuildOptionsRejectsBadTraceFlags(t *testing.T) {
 	opts, err := buildOptions(base)
 	if err != nil || opts.Tracer == nil {
 		t.Fatalf("valid trace flags: tracer %v, error %v", opts.Tracer, err)
+	}
+}
+
+// TestRunRejectsBadRateAndMaxValue: a rate that is negative, NaN or
+// infinite, and a NaN or infinite max value for a threshold algorithm,
+// stop run before it listens. The listen address is unusable, so a
+// value that slipped through would fail there instead, with an error
+// naming neither.
+func TestRunRejectsBadRateAndMaxValue(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    options
+		want string
+	}{
+		{"NaN rate", options{alg: "DemCOM", rate: math.NaN()}, "rate"},
+		{"negative rate", options{alg: "DemCOM", rate: -5}, "rate"},
+		{"infinite rate", options{alg: "DemCOM", rate: math.Inf(1)}, "rate"},
+		{"RamCOM NaN max value", options{alg: "RamCOM", maxValue: math.NaN()}, "max value"},
+		{"Greedy-RT infinite max value", options{alg: "Greedy-RT", maxValue: math.Inf(1)}, "max value"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.o.addr, tc.o.platforms, tc.o.queueCap = "no-port", "1,2", 16
+			if err := run(io.Discard, tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run: %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }

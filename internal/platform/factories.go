@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"crossmatch/internal/core"
@@ -91,7 +92,8 @@ func BatchCOMFactory(mc pricing.MonteCarlo, window, deadline core.Time) MatcherF
 // beyond the name: the a-priori value bound for the threshold
 // algorithms, and BatchCOM's window geometry.
 type AlgConfig struct {
-	// MaxValue is max(v_r), used by Greedy-RT and RamCOM.
+	// MaxValue is max(v_r), used by Greedy-RT and RamCOM, which refuse
+	// a NaN or infinite one rather than draw a threshold from it.
 	MaxValue float64
 	// Window is BatchCOM's batching window in virtual ticks;
 	// non-positive selects DefaultBatchWindow. Ignored by the greedy
@@ -106,6 +108,9 @@ type AlgConfig struct {
 // FactoryConfigured is FactoryFor with the full knob set; FactoryFor
 // delegates here with a zero window.
 func FactoryConfigured(name string, c AlgConfig) (MatcherFactory, error) {
+	if (name == AlgGreedyRT || name == AlgRamCOM) && (math.IsNaN(c.MaxValue) || math.IsInf(c.MaxValue, 0)) {
+		return nil, fmt.Errorf("platform: %s max value %v must be finite", name, c.MaxValue)
+	}
 	switch name {
 	case AlgTOTA:
 		return TOTAFactory(), nil

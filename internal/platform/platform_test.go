@@ -418,6 +418,33 @@ func TestFactoryFor(t *testing.T) {
 	}
 }
 
+// TestFactoryConfiguredRejectsNonFiniteMaxValue: the threshold
+// algorithms draw their threshold from MaxValue, and a NaN or infinite
+// one would clamp it to a silent constant. The others ignore it.
+func TestFactoryConfiguredRejectsNonFiniteMaxValue(t *testing.T) {
+	for _, tc := range []struct {
+		alg     string
+		max     float64
+		wantErr bool
+	}{
+		{AlgRamCOM, math.NaN(), true},
+		{AlgRamCOM, math.Inf(1), true},
+		{AlgRamCOM, math.Inf(-1), true},
+		{AlgGreedyRT, math.NaN(), true},
+		{AlgGreedyRT, math.Inf(1), true},
+		{AlgGreedyRT, math.Inf(-1), true},
+		{AlgRamCOM, 200, false},
+		{AlgGreedyRT, 200, false},
+		{AlgDemCOM, math.NaN(), false},
+		{AlgTOTA, math.Inf(1), false},
+	} {
+		_, err := FactoryConfigured(tc.alg, AlgConfig{MaxValue: tc.max})
+		if gotErr := err != nil; gotErr != tc.wantErr || (gotErr && !strings.Contains(err.Error(), "max value")) {
+			t.Errorf("FactoryConfigured(%s, max %v): %v, want error %v", tc.alg, tc.max, err, tc.wantErr)
+		}
+	}
+}
+
 func TestResultAggregates(t *testing.T) {
 	res := &Result{Platforms: map[core.PlatformID]*PlatformResult{
 		1: {Stats: online.Stats{Revenue: 10, Served: 2, ServedOuter: 1, CoopAttempted: 2, PaymentRate: 0.5}},

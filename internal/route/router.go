@@ -1,11 +1,9 @@
 package route
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"slices"
@@ -106,12 +104,7 @@ func New(opts Options) (*Router, error) {
 	}
 
 	r.mux = http.NewServeMux()
-	r.mux.HandleFunc("POST /v1/requests", func(w http.ResponseWriter, req *http.Request) {
-		r.handleForward(w, req, core.RequestArrival)
-	})
-	r.mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, req *http.Request) {
-		r.handleForward(w, req, core.WorkerArrival)
-	})
+	serve.HandleIngest(r.mux, r.handleForward)
 	r.mux.HandleFunc("GET /v1/metrics", r.handleMetrics)
 	r.mux.HandleFunc("GET /healthz", r.handleHealth)
 	r.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -249,9 +242,9 @@ func (r *Router) retryHintMs() int64 {
 	return serve.RetryAfterWireMs(hint)
 }
 
-// forwardGroup posts one shard's sub-batch, once, and scatters the
-// per-line decisions back into outs at their original indices, each
-// stamped with the shard's name.
+// forwardGroup posts one shard's sub-batch through serve.Post, once and
+// bounded by callTimeout, and scatters the per-line decisions back into
+// outs at their original indices, each stamped with the shard's name.
 //
 // A failed post answers every line unavailable with a retry hint and is
 // not sent again: the failure may have come after the shard admitted
@@ -260,10 +253,10 @@ func (r *Router) retryHintMs() int64 {
 // below the router: net/http's Transport re-sends a request whose bytes
 // never left a reused connection (persistConn.shouldRetryRequest in
 // GOROOT's net/http/transport.go: a nothingWrittenError with GetBody
-// set, which http.NewRequestWithContext sets for a *bytes.Reader), and
-// never a POST it has written, which is not replayable without an
-// Idempotency-Key. Shard backpressure lines (shed/draining) pass
-// through with their own retry_after_ms.
+// set, which http.NewRequestWithContext sets for serve.Post's
+// *bytes.Reader body), and never a POST it has written, which is not
+// replayable without an Idempotency-Key. Shard backpressure lines
+// (shed/draining) pass through with their own retry_after_ms.
 func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKind, lines [][]byte, idxs []int, outs []serve.WireDecision) {
 	var payload []byte
 	for _, i := range idxs {
@@ -273,7 +266,9 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 	n := int64(len(idxs))
 	sh.lines.Add(n)
 
-	replies, err := r.post(ctx, sh, kind, payload)
+	ctx, cancel := context.WithTimeout(ctx, callTimeout)
+	defer cancel()
+	replies, err := serve.Post(ctx, r.client, sh.url, kind, payload)
 	if err != nil {
 		sh.errors.Add(n)
 		failed := serve.WireDecision{Status: serve.StatusUnavailable, Kind: serve.KindName(kind),
@@ -310,36 +305,6 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 
 // callTimeout bounds a shard HTTP call.
 const callTimeout = 10 * time.Second
-
-// post is one HTTP round trip to a shard ingest endpoint, bounded by
-// callTimeout. The shard always answers NDJSON per-line decisions (the
-// router forces batch semantics).
-func (r *Router) post(ctx context.Context, sh *shard, kind core.EventKind, payload []byte) ([][]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, callTimeout)
-	defer cancel()
-	url := sh.url + "/v1/requests"
-	if kind == core.WorkerArrival {
-		url = sh.url + "/v1/workers"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shard %s: %s: %s", sh.name, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return serve.SplitLines(body), nil
-}
 
 // FleetHealth is the router's /healthz document.
 type FleetHealth struct {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -97,11 +96,8 @@ type ShardLoad struct {
 }
 
 // shard returns (creating on first sight) the per-shard bucket for a
-// stamped response line; nil for unstamped lines. Callers hold mu.
+// stamped response line. Callers hold the ledger's lock.
 func (r *LoadReport) shard(name string) *ShardLoad {
-	if name == "" {
-		return nil
-	}
 	if r.Shards == nil {
 		r.Shards = make(map[string]*ShardLoad)
 	}
@@ -119,30 +115,31 @@ type batchJob struct {
 	kind core.EventKind
 	evs  []WireEvent
 	due  time.Time // dispatch not before this instant (QPS pacing)
-	// retryFor is the status that queued this job for retry (StatusShed
-	// or a 503-class status); it selects which retry budget pays for the
-	// first re-post.
+	// retryFor is the status that queued this single-line job for a
+	// re-post (StatusShed or a 503-class status); empty on a first post.
 	retryFor string
 }
 
-// retryable reports whether a response status warrants a re-post, and
-// which budget it draws from.
-func retryable(status string) (shedClass bool, ok bool) {
-	switch status {
-	case StatusShed:
-		return true, true
-	case StatusDraining, StatusUnavailable:
-		return false, true
-	}
-	return false, false
+// loadRun is one RunLoad's ledger of answered lines. mu guards the
+// report, the call latencies and err, the first transport error of a
+// first post.
+type loadRun struct {
+	client *http.Client
+	base   string
+
+	mu        sync.Mutex
+	rep       LoadReport
+	lat       *stats.Reservoir
+	err       error
+	unstamped ShardLoad // books the lines no shard stamped, and is never read
 }
 
 // RunLoad pushes the workload at the configured rate and collects the
 // client-side report. Events are grouped into batches of consecutive
 // same-kind arrivals (order within a batch is preserved by the server),
 // paced on the QPS schedule, and posted over Conns concurrent
-// connections. Shed lines are retried per Retries, sleeping the
-// server's retry_after_ms hint.
+// connections. Shed and 503-class lines are re-posted per Retries and
+// UnavailRetries, sleeping the server's retry_after_ms hint.
 func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	if opts.Stream == nil || opts.Stream.Len() == 0 {
 		return nil, fmt.Errorf("serve: load needs a non-empty stream")
@@ -163,7 +160,6 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	if client == nil {
 		client = &http.Client{Timeout: opts.Timeout}
 	}
-	base := strings.TrimRight(opts.URL, "/")
 
 	// Build the batch schedule: consecutive same-kind events share a
 	// POST, each batch due at the arrival slot of its first event.
@@ -190,13 +186,10 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 		i = j
 	}
 
-	var (
-		mu      sync.Mutex
-		rep     LoadReport
-		lat     = stats.NewReservoir(1<<14, 1)
-		loadErr error
-	)
-	rep.Events = opts.Stream.Len()
+	run := &loadRun{client: client, base: strings.TrimRight(opts.URL, "/"),
+		lat: stats.NewReservoir(1<<14, 1)}
+	run.rep.Events = opts.Stream.Len()
+	fresh := [2]int{opts.Retries, opts.UnavailRetries}
 	jobCh := make(chan batchJob)
 	var wg sync.WaitGroup
 	for c := 0; c < opts.Conns; c++ {
@@ -204,32 +197,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 		go func() {
 			defer wg.Done()
 			for job := range jobCh {
-				if wait := time.Until(job.due); wait > 0 {
-					select {
-					case <-time.After(wait):
-					case <-ctx.Done():
-						return
-					}
-				}
-				outs, rtt, err := postBatch(ctx, client, base, job)
-				mu.Lock()
-				rep.Calls++
-				if err != nil {
-					rep.Failed += int64(len(job.evs))
-					if loadErr == nil {
-						loadErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				lat.Observe(rtt)
-				observeShardRTT(&rep, outs, rtt)
-				retry := accountLines(&rep, job, outs)
-				mu.Unlock()
-				// Retry shed/unavailable lines with fresh single-line batches.
-				for _, rj := range retry {
-					retryLine(ctx, client, base, rj, opts, &mu, &rep, lat)
-				}
+				run.step(ctx, job, fresh)
 			}
 		}()
 	}
@@ -245,6 +213,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	close(jobCh)
 	wg.Wait()
 
+	rep := &run.rep
 	wall := time.Since(start)
 	rep.WallMs = float64(wall.Milliseconds())
 	if wall > 0 {
@@ -253,192 +222,139 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	if n := rep.OK + rep.Shed; n > 0 {
 		rep.ShedRate = float64(rep.Shed) / float64(n)
 	}
-	qs := lat.Quantiles([]float64{0.5, 0.9, 0.99})
+	qs := run.lat.Quantiles([]float64{0.5, 0.9, 0.99})
 	rep.P50Ms = float64(qs[0]) / float64(time.Millisecond)
 	rep.P90Ms = float64(qs[1]) / float64(time.Millisecond)
 	rep.P99Ms = float64(qs[2]) / float64(time.Millisecond)
-	rep.MaxMs = float64(lat.Max()) / float64(time.Millisecond)
-	rep.MeanMs = float64(lat.Mean()) / float64(time.Millisecond)
+	rep.MaxMs = float64(run.lat.Max()) / float64(time.Millisecond)
+	rep.MeanMs = float64(run.lat.Mean()) / float64(time.Millisecond)
 	for _, sl := range rep.Shards {
 		sq := sl.lat.Quantiles([]float64{0.5, 0.99})
 		sl.P50Ms = float64(sq[0]) / float64(time.Millisecond)
 		sl.P99Ms = float64(sq[1]) / float64(time.Millisecond)
 		sl.MeanMs = float64(sl.lat.Mean()) / float64(time.Millisecond)
 	}
-	return &rep, loadErr
+	return rep, run.err
 }
 
-// accountLines books a batch's response lines and returns the
-// retryable events (shed or 503-class) as fresh single-line jobs.
-// Callers hold mu.
-func accountLines(rep *LoadReport, job batchJob, outs []WireDecision) []batchJob {
+// step is the ledger's one step: wait until job is due, post it and
+// book the answer, then settle each retryable line alone, depth first.
+// In live mode the server stamps an arrival at admission, so the order
+// of the re-posts is a matching input. left is what a line has left to
+// spend on re-posts: left[0] for shed answers (Retries), left[1] for
+// 503-class ones (UnavailRetries). A re-post answered with the other
+// class draws on that class's budget next.
+func (l *loadRun) step(ctx context.Context, job batchJob, left [2]int) {
+	if wait := time.Until(job.due); wait > 0 {
+		select {
+		case <-time.After(wait):
+		case <-ctx.Done():
+			return
+		}
+	}
+	for _, rj := range l.post(ctx, job) {
+		class := 1
+		if rj.retryFor == StatusShed {
+			class = 0
+		}
+		if left[class] <= 0 {
+			l.mu.Lock()
+			l.rep.Dropped++
+			l.mu.Unlock()
+			continue
+		}
+		left := left // each line spends its own copy
+		left[class]--
+		l.step(ctx, rj, left)
+	}
+}
+
+// post sends job once and books the answer: the call, its round trip,
+// and every line, overall and for the shard that answered it. A
+// transport error or a short reply fails the lines left unanswered. It
+// returns the retryable lines (shed or 503-class) as single-line jobs,
+// each due when its answer's hint says.
+func (l *loadRun) post(ctx context.Context, job batchJob) []batchJob {
+	outs, rtt, err := postBatch(ctx, l.client, l.base, job)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rep := &l.rep
+	rep.Calls++
+	if job.retryFor != "" {
+		rep.Retried++
+	}
+	if err != nil {
+		rep.Failed += int64(len(job.evs))
+		if l.err == nil && job.retryFor == "" {
+			l.err = err
+		}
+		return nil
+	}
+	l.lat.Observe(rtt)
 	var retry []batchJob
+	whole := len(outs) > 0 // every line answered by outs[0]'s shard
 	for i, out := range outs {
-		sl := rep.shard(out.Shard)
+		whole = whole && out.Shard == outs[0].Shard
+		sl := &l.unstamped
+		if out.Shard != "" {
+			sl = rep.shard(out.Shard)
+		}
 		switch out.Status {
 		case StatusOK:
 			rep.OK++
-			if sl != nil {
-				sl.OK++
-			}
+			sl.OK++
 			if out.Kind == "request" {
 				rep.Requests++
 				if out.Served {
 					rep.Matched++
 					rep.Revenue += out.Revenue
-					if sl != nil {
-						sl.Matched++
-						sl.Revenue += out.Revenue
-					}
+					sl.Matched++
+					sl.Revenue += out.Revenue
 				}
 			}
-		case StatusShed:
-			rep.Shed++
-			if sl != nil {
-				sl.Shed++
-			}
-			if i < len(job.evs) {
-				retry = append(retry, batchJob{kind: job.kind,
-					evs:      []WireEvent{job.evs[i]},
-					due:      retryDue(out.Status, out.RetryAfterMs),
-					retryFor: out.Status})
-			}
-		case StatusDraining, StatusUnavailable:
-			rep.Unavailable++
-			if sl != nil {
-				sl.Unavailable++
-			}
-			if i < len(job.evs) {
-				retry = append(retry, batchJob{kind: job.kind,
-					evs:      []WireEvent{job.evs[i]},
-					due:      retryDue(out.Status, out.RetryAfterMs),
-					retryFor: out.Status})
-			}
+			continue
 		case StatusDuplicate:
 			// The event was already applied — normal when re-pushing a
 			// stream after a server restart recovered it from the WAL.
 			// Counting it failed would make every resumed run look broken.
 			rep.Resumed++
-			if sl != nil {
-				sl.Resumed++
-			}
+			sl.Resumed++
+			continue
+		case StatusShed:
+			rep.Shed++
+			sl.Shed++
+		case StatusDraining, StatusUnavailable:
+			rep.Unavailable++
+			sl.Unavailable++
 		default:
 			rep.Failed++
+			continue
+		}
+		if i < len(job.evs) {
+			// A 503-class answer without a hint still backs off a little:
+			// hammering a dark shard's refusal path at full speed helps
+			// nobody.
+			wait := time.Duration(out.RetryAfterMs) * time.Millisecond
+			if wait == 0 && out.Status != StatusShed {
+				wait = 25 * time.Millisecond
+			}
+			retry = append(retry, batchJob{kind: job.kind, evs: job.evs[i : i+1],
+				due: time.Now().Add(wait), retryFor: out.Status})
 		}
 	}
-	// Short responses (shouldn't happen) count as failures.
 	if d := len(job.evs) - len(outs); d > 0 {
 		rep.Failed += int64(d)
+	}
+	// A call's round trip goes to a shard only when that shard answered
+	// every line.
+	if whole && outs[0].Shard != "" {
+		rep.shard(outs[0].Shard).lat.Observe(rtt)
 	}
 	return retry
 }
 
-// retryDue computes the next attempt's dispatch instant from the
-// server's hint. Unavailable-class responses without a hint still back
-// off a little: hammering a dark shard's router refusal path at full
-// speed helps nobody.
-func retryDue(status string, hintMs int64) time.Time {
-	wait := time.Duration(hintMs) * time.Millisecond
-	if wait == 0 && status != StatusShed {
-		wait = 25 * time.Millisecond
-	}
-	return time.Now().Add(wait)
-}
-
-// observeShardRTT attributes a call's round trip to a shard when every
-// line of the response was answered by that one shard (the common case
-// with per-line batches). Callers hold mu.
-func observeShardRTT(rep *LoadReport, outs []WireDecision, rtt time.Duration) {
-	if len(outs) == 0 || outs[0].Shard == "" {
-		return
-	}
-	name := outs[0].Shard
-	for _, out := range outs[1:] {
-		if out.Shard != name {
-			return
-		}
-	}
-	rep.shard(name).lat.Observe(rtt)
-}
-
-// retryLine re-posts one retryable event until it settles or its class
-// budget (shed vs unavailable) runs out. A retry that answers the
-// other class switches budgets: an event a shard shed may next find
-// its owner unavailable, and vice versa.
-func retryLine(ctx context.Context, client *http.Client, base string, job batchJob, opts LoadOptions, mu *sync.Mutex, rep *LoadReport, lat *stats.Reservoir) {
-	shedLeft, unavailLeft := opts.Retries, opts.UnavailRetries
-	shedClass := job.retryFor == StatusShed
-	for {
-		if shedClass {
-			if shedLeft <= 0 {
-				mu.Lock()
-				rep.Dropped++
-				mu.Unlock()
-				return
-			}
-			shedLeft--
-		} else {
-			if unavailLeft <= 0 {
-				mu.Lock()
-				rep.Dropped++
-				mu.Unlock()
-				return
-			}
-			unavailLeft--
-		}
-		if wait := time.Until(job.due); wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-				return
-			}
-		}
-		outs, rtt, err := postBatch(ctx, client, base, job)
-		mu.Lock()
-		rep.Calls++
-		rep.Retried++
-		if err != nil {
-			rep.Failed++
-			mu.Unlock()
-			return
-		}
-		lat.Observe(rtt)
-		observeShardRTT(rep, outs, rtt)
-		if len(outs) == 0 {
-			rep.Failed++
-			mu.Unlock()
-			return
-		}
-		out := outs[0]
-		isShed, again := retryable(out.Status)
-		if !again {
-			accountLines(rep, job, outs)
-			mu.Unlock()
-			return
-		}
-		// Book the retryable response but keep the job here — the budget
-		// loop owns it now.
-		if isShed {
-			rep.Shed++
-		} else {
-			rep.Unavailable++
-		}
-		if sl := rep.shard(out.Shard); sl != nil {
-			if isShed {
-				sl.Shed++
-			} else {
-				sl.Unavailable++
-			}
-		}
-		mu.Unlock()
-		shedClass = isShed
-		job.due = retryDue(out.Status, out.RetryAfterMs)
-	}
-}
-
-// postBatch POSTs one NDJSON batch and parses the per-line decisions.
-// NDJSON content type forces batch semantics (HTTP 200 + per-line
-// statuses) even for a single event.
+// postBatch encodes one batch as NDJSON, posts it through Post and
+// strictly decodes the per-line decisions, timing the round trip.
 func postBatch(ctx context.Context, client *http.Client, base string, job batchJob) ([]WireDecision, time.Duration, error) {
 	var buf bytes.Buffer
 	lw := newLineWriter(&buf)
@@ -446,36 +362,17 @@ func postBatch(ctx context.Context, client *http.Client, base string, job batchJ
 		lw.writeLine(&job.evs[i])
 	}
 	lw.flush()
-	url := base + "/v1/requests"
-	if job.kind == core.WorkerArrival {
-		url = base + "/v1/workers"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, &buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
 	t0 := time.Now()
-	resp, err := client.Do(req)
+	lines, err := Post(ctx, client, base, job.kind, buf.Bytes())
 	rtt := time.Since(t0)
 	if err != nil {
 		return nil, rtt, err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, rtt, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, rtt, fmt.Errorf("serve: POST %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	var outs []WireDecision
-	for _, line := range SplitLines(body) {
-		var d WireDecision
-		if err := unmarshalStrict(line, &d); err != nil {
+	outs := make([]WireDecision, len(lines))
+	for i, line := range lines {
+		if err := unmarshalStrict(line, &outs[i]); err != nil {
 			return nil, rtt, fmt.Errorf("serve: bad response line %q: %w", line, err)
 		}
-		outs = append(outs, d)
 	}
 	return outs, rtt, nil
 }

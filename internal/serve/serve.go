@@ -25,6 +25,7 @@ package serve
 import (
 	"expvar"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"slices"
@@ -248,6 +249,9 @@ func New(opts Options) (*Server, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.New()
 	}
+	if !(opts.Rate >= 0) || math.IsInf(opts.Rate, 0) {
+		return nil, fmt.Errorf("serve: rate %v events/s must be finite and not negative (0 = unlimited)", opts.Rate)
+	}
 
 	pids := opts.Platforms
 	maxV := opts.MaxValue
@@ -340,12 +344,7 @@ func New(opts Options) (*Server, error) {
 	}
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/requests", func(w http.ResponseWriter, r *http.Request) {
-		s.handleIngest(w, r, core.RequestArrival)
-	})
-	s.mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		s.handleIngest(w, r, core.WorkerArrival)
-	})
+	HandleIngest(s.mux, s.handleIngest)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)

@@ -420,3 +420,23 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("draining server must 503, got %d", resp.StatusCode)
 	}
 }
+
+// TestNewRejectsBadRate: a negative, NaN or infinite admission rate is
+// a configuration error, not a bucket that sheds every event with a
+// negative hint (NaN) or a silent "unlimited" (negative). Zero is
+// "unlimited".
+func TestNewRejectsBadRate(t *testing.T) {
+	for _, rate := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if srv, err := New(Options{Rate: rate}); err == nil || !strings.Contains(err.Error(), "rate") {
+			if srv != nil {
+				_, _ = srv.Close()
+			}
+			t.Errorf("Rate %v: New error %v, want one naming the rate", rate, err)
+		}
+	}
+	srv, err := New(Options{Rate: 0})
+	if err != nil {
+		t.Fatalf("Rate 0 (unlimited): %v", err)
+	}
+	_, _ = srv.Close()
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -189,6 +190,52 @@ func decisionLine(kind core.EventKind, id, vtime int64, d platform.RequestDecisi
 		out.Revenue = d.Revenue
 	}
 	return out
+}
+
+// IngestPath is the ingest endpoint of an event kind.
+func IngestPath(kind core.EventKind) string {
+	if kind == core.WorkerArrival {
+		return "/v1/workers"
+	}
+	return "/v1/requests"
+}
+
+// HandleIngest registers handle as mux's POST endpoint for each event
+// kind, a shard's and the fleet router's alike.
+func HandleIngest(mux *http.ServeMux, handle func(http.ResponseWriter, *http.Request, core.EventKind)) {
+	for _, kind := range []core.EventKind{core.RequestArrival, core.WorkerArrival} {
+		mux.HandleFunc("POST "+IngestPath(kind), func(w http.ResponseWriter, r *http.Request) {
+			handle(w, r, kind)
+		})
+	}
+}
+
+// Post is the one client of the ingest API, the load generator's and
+// the fleet router's alike: it posts an NDJSON body of kind's events to
+// the server at base and returns the reply's lines, one decision per
+// event line. The NDJSON content type makes the server answer per line
+// even for a single event; any status but 200 is an error carrying the
+// reply body.
+func Post(ctx context.Context, client *http.Client, base string, kind core.EventKind, body []byte) ([][]byte, error) {
+	url := base + IngestPath(kind)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("serve: POST %s: %s: %s", url, resp.Status, strings.TrimSpace(string(reply)))
+	}
+	return SplitLines(reply), nil
 }
 
 // ReadIngest reads an ingest POST the way every hop that takes one

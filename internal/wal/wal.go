@@ -12,10 +12,13 @@
 //	snap-0000000000012288.snap   checkpoint manifest (see Snapshot)
 //
 // Record framing is [4B little-endian payload length][4B CRC32-C of
-// the payload][payload]. Open scans the whole file: a torn final record
-// (the expected shape of a crash mid-write) is truncated away and the
-// log stays usable; a bad frame with data after it is real corruption
-// and fails loudly with the file name and byte offset, because silently
+// the payload][payload]. Open and Range read it through one frame loop.
+// A bad frame (a length above MaxRecordBytes, a frame running past the
+// end of the file, or a CRC mismatch) is the torn tail of a crash
+// mid-write only when no later offset holds a non-empty frame that
+// verifies: Open truncates it away and the log stays usable. Any other
+// bad frame is real corruption and fails loudly with the file name and
+// the frame's byte offset, leaving the file untouched, because silently
 // skipping records would fork the recovered engine state away from the
 // pre-crash one. Recovery re-drives the whole log and nothing truncates
 // it, so it is one file; binaries that rotated it into size-bounded
@@ -31,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"crossmatch/internal/metrics"
@@ -118,7 +122,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	records, validSize, err := scan(f)
+	records, validSize, _, err := frames(f, nil)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -233,88 +237,108 @@ func (l *Log) Abandon() error {
 // Range calls fn for every record in log order, with its zero-based
 // index. It reads the file independently of the append handle, so it is
 // safe on a freshly opened log before serving starts (the recovery
-// re-drive); fn's payload is only valid for the call.
+// re-drive); fn's payload is only valid for the call. Open has cut any
+// torn tail, so a log that does not verify to its last byte is corrupt.
 func (l *Log) Range(fn func(i int64, payload []byte) error) error {
 	f, err := os.Open(filepath.Join(l.dir, logName))
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	_, valid, size, err := frames(f, fn)
+	if err == nil && valid < size {
+		err = &CorruptError{File: logName, Offset: valid, Reason: "bad frame at the end of an opened log"}
+	}
+	return err
+}
+
+// frames is the log's one frame reader. It reads f from the start,
+// calls fn (when non-nil) with each record that verifies, and returns
+// the record count, the valid prefix (the end of the last good frame)
+// and the file's size. A bad frame (a length above MaxRecordBytes, a
+// frame running past the end of the file, or a CRC mismatch) is the
+// torn tail of a crashed write when no later offset holds a non-empty
+// frame that verifies: the valid prefix ends there. Otherwise it is
+// real corruption, and frames fails with a CorruptError naming the file
+// and the bad frame's offset, because skipping records would fork the
+// recovered engine state away from the pre-crash one.
+func frames(f *os.File, fn func(i int64, payload []byte) error) (records, valid, size int64, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("wal: %w", err)
+	}
+	size = fi.Size()
+	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 1<<20)
 	var hdr [headerSize]byte
 	var buf []byte
-	for i := int64(0); ; i++ {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
+	for {
+		var bad string
+		_, err := io.ReadFull(r, hdr[:])
+		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+		switch {
+		case err == io.EOF:
+			return records, valid, size, nil
+		case err == io.ErrUnexpectedEOF:
+			bad = "partial frame header"
+		case err != nil:
+			return 0, 0, 0, fmt.Errorf("wal: reading %s: %w", logName, err)
+		case n > MaxRecordBytes:
+			bad = "record length out of range"
+		case valid+headerSize+n > size:
+			bad = "record runs past end of file"
+		default:
+			buf = slices.Grow(buf[:0], int(n))[:n]
+			if _, err := io.ReadFull(r, buf); err != nil {
+				return 0, 0, 0, fmt.Errorf("wal: reading %s: %w", logName, err)
 			}
-			return fmt.Errorf("wal: reading %s: %w", logName, err)
+			if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+				bad = "crc mismatch"
+			}
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if int64(n) > MaxRecordBytes {
-			return &CorruptError{File: logName, Reason: "record length out of range"}
+		if bad != "" {
+			later, err := verifiesAfter(f, valid, size)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			if later {
+				return 0, 0, 0, &CorruptError{File: logName, Offset: valid, Reason: bad}
+			}
+			return records, valid, size, nil
 		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
+		if fn != nil {
+			if err := fn(records, buf); err != nil {
+				return 0, 0, 0, err
+			}
 		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return fmt.Errorf("wal: reading %s: %w", logName, err)
-		}
-		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return &CorruptError{File: logName, Reason: "crc mismatch"}
-		}
-		if err := fn(i, buf); err != nil {
-			return err
-		}
+		records++
+		valid += headerSize + n
 	}
 }
 
-// scan validates the log's framing from the start of f. A malformed or
-// CRC-failing record that runs to end of file is the torn tail of a
-// crashed write: the scan stops there and reports the valid prefix
-// length for truncation. A bad record with intact data after it cannot
-// be a torn tail, and the scan fails with a CorruptError naming the file
-// and offset.
-func scan(f *os.File) (records int64, validSize int64, err error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	fileSize := fi.Size()
-	r := bufio.NewReaderSize(f, 1<<20)
+// verifiesAfter reports whether some offset after off holds a
+// non-empty frame that verifies: the proof that a bad frame at off is
+// not a torn tail. An empty frame proves nothing, because zero-filled
+// bytes verify as one.
+func verifiesAfter(f *os.File, off, size int64) (bool, error) {
 	var hdr [headerSize]byte
 	var buf []byte
-	var off int64
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			// A clean end, or a partial header at end of file.
-			return records, off, nil
+	for p := off + 1; p+headerSize < size; p++ {
+		if _, err := f.ReadAt(hdr[:], p); err != nil {
+			return false, fmt.Errorf("wal: reading %s: %w", logName, err)
 		}
 		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		frameEnd := off + headerSize + n
-		if n > MaxRecordBytes || frameEnd > fileSize {
-			// A garbage length or a frame running past EOF: the torn tail.
-			return records, off, nil
+		if n == 0 || n > MaxRecordBytes || p+headerSize+n > size {
+			continue
 		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
+		buf = slices.Grow(buf[:0], int(n))[:n]
+		if _, err := f.ReadAt(buf, p+headerSize); err != nil {
+			return false, fmt.Errorf("wal: reading %s: %w", logName, err)
 		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return 0, 0, fmt.Errorf("wal: reading %s: %w", logName, err)
+		if crc32.Checksum(buf, castagnoli) == binary.LittleEndian.Uint32(hdr[4:8]) {
+			return true, nil
 		}
-		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			// A bad CRC on the very last frame is a torn payload write; with
-			// intact data after it, it is real corruption.
-			if frameEnd == fileSize {
-				return records, off, nil
-			}
-			return 0, 0, &CorruptError{File: logName, Offset: off, Reason: "crc mismatch"}
-		}
-		off = frameEnd
-		records++
 	}
+	return false, nil
 }
 
 // syncDir fsyncs a directory so renames and creations survive a crash.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,6 +196,128 @@ func TestCorruptMidSegmentFailsWithOffset(t *testing.T) {
 	}
 	if ce.File != filepath.Base(path) || ce.Offset != 0 {
 		t.Fatalf("CorruptError names %s@%d, want %s@0", ce.File, ce.Offset, filepath.Base(path))
+	}
+}
+
+// TestOpenEveryTruncationAndFlip holds Open to its one torn-tail rule
+// at every byte of a small log. Cut at any offset, the log keeps
+// exactly the complete frames before the cut. With any one byte flipped
+// (or a length field set to all ones), a bad last frame is a torn tail
+// and the other k-1 records stay; a bad frame anywhere else has a
+// verifying frame after it, so Open fails naming that frame's offset
+// and leaves the file as it was.
+func TestOpenEveryTruncationAndFlip(t *testing.T) {
+	const k = 8
+	src := t.TempDir()
+	l := openT(t, src, Options{})
+	appendN(t, l, 0, k)
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	orig, err := os.ReadFile(logPath(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(orig))
+	frame := size / k // every record-%04d payload is the same length
+
+	// openDamaged writes data as a log, opens it, and returns the log
+	// (nil on error), the file size Open left and Open's error.
+	openDamaged := func(data []byte) (*Log, int64, error) {
+		dir := t.TempDir()
+		if err := os.WriteFile(logPath(dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir, Options{})
+		fi, serr := os.Stat(logPath(dir))
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		return l, fi.Size(), err
+	}
+	keeps := func(what string, l *Log, left int64, err error, n int64) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: Open: %v, want %d records", what, err, n)
+		}
+		defer l.Close()
+		got := collect(t, l)
+		if l.Count() != n || int64(len(got)) != n || left != n*frame {
+			t.Fatalf("%s: Count %d, Range %d records, file %d bytes; want %d records in %d bytes",
+				what, l.Count(), len(got), left, n, n*frame)
+		}
+		for i, p := range got {
+			if want := fmt.Sprintf("record-%04d", i); p != want {
+				t.Fatalf("%s: record %d = %q, want %q", what, i, p, want)
+			}
+		}
+	}
+	fails := func(what string, l *Log, left int64, err error, at int64) {
+		t.Helper()
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			if l != nil {
+				l.Close()
+			}
+			t.Fatalf("%s: Open: %v, want a CorruptError at offset %d", what, err, at)
+		}
+		if ce.File != logName || ce.Offset != at || left != size {
+			t.Fatalf("%s: %v, file %d bytes; want offset %d in %s, file %d bytes untouched",
+				what, err, left, at, logName, size)
+		}
+	}
+
+	for cut := int64(0); cut <= size; cut++ {
+		l, left, err := openDamaged(orig[:cut])
+		keeps(fmt.Sprintf("cut at %d", cut), l, left, err, cut/frame)
+	}
+	damage := func(what string, at int64, data []byte) {
+		t.Helper()
+		l, left, err := openDamaged(data)
+		if at >= (k-1)*frame {
+			keeps(what, l, left, err, k-1)
+		} else {
+			fails(what, l, left, err, at/frame*frame)
+		}
+	}
+	for b := int64(0); b < size; b++ {
+		data := slices.Clone(orig)
+		data[b] ^= 0xFF
+		damage(fmt.Sprintf("byte %d flipped", b), b, data)
+	}
+	for i := int64(0); i < k; i++ {
+		data := slices.Clone(orig)
+		copy(data[i*frame:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+		damage(fmt.Sprintf("record %d length all ones", i), i*frame, data)
+	}
+}
+
+// TestRangeNamesCorruptOffset: Range reads through the same frame
+// reader as Open, so damage that appears after Open is a CorruptError
+// naming the bad frame's offset, a torn tail included (Open cut it).
+func TestRangeNamesCorruptOffset(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{})
+	defer l.Close()
+	appendN(t, l, 0, 6)
+	path := logPath(dir)
+	fi, _ := os.Stat(path)
+	frame := fi.Size() / 6
+	for _, tc := range []struct {
+		name string
+		at   int64 // the byte flipped
+		want int64 // the offset Range must name
+	}{
+		{"mid-log payload", 2*frame + headerSize + 1, 2 * frame},
+		{"last frame payload", 5*frame + headerSize + 1, 5 * frame},
+	} {
+		flipByte(t, path, tc.at)
+		err := l.Range(func(int64, []byte) error { return nil })
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Offset != tc.want {
+			t.Errorf("%s: Range: %v, want a CorruptError at offset %d", tc.name, err, tc.want)
+		}
+		flipByte(t, path, tc.at)
 	}
 }
 

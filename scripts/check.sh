@@ -87,6 +87,20 @@ if git grep -nE 'scanPoint|appendStamped|lineStatus|readAllHint|encodeDecision' 
 	exit 1
 fi
 
+echo "==> the serving stack reads and writes each format once: one ingest client and path table, one line ledger, one WAL frame loop"
+ingest=$(git grep -lE '"[A-Z ]*/v1/(requests|workers)"' -- '*.go' ':!*_test.go' ':!bench')
+if [ "$ingest" != "internal/serve/wire.go" ]; then
+	git grep -nE '"[A-Z ]*/v1/(requests|workers)"' -- '*.go' ':!*_test.go' ':!bench' >&2
+	exit 1
+fi
+if git grep -nE 'accountLines|retryLine|func retryable' -- '*.go'; then
+	exit 1
+fi
+if [ "$(grep -c 'io\.ReadFull(r, hdr' internal/wal/wal.go)" -ne 1 ]; then
+	grep -n 'io\.ReadFull' internal/wal/wal.go >&2
+	exit 1
+fi
+
 echo "==> a shard starts one way: no background recovery, no live-but-not-ready state"
 if git grep -nE 'RecoverInBackground|recover-bg|StatusRecovering|healthz/live|ResumeVTime' -- '*.go' '*.sh' Makefile .github ':!bench' ':!scripts/check.sh'; then
 	exit 1
