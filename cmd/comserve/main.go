@@ -67,7 +67,6 @@ type options struct {
 	portFile     string
 	walDir       string
 	fsyncBatch   int
-	snapEvery    int
 }
 
 func main() {
@@ -94,7 +93,6 @@ func main() {
 	flag.StringVar(&o.portFile, "port-file", "", "write the bound host:port here once listening (for scripts racing startup)")
 	flag.StringVar(&o.walDir, "wal-dir", "", "write-ahead log directory: events are durable before they are applied, and a restart on the same directory recovers the exact pre-crash state")
 	flag.IntVar(&o.fsyncBatch, "fsync-batch", 1, "fsync the WAL every N appends (1 = every event; larger batches trade the last <N events for throughput)")
-	flag.IntVar(&o.snapEvery, "snapshot-every", 1000, "write a recovery checkpoint every N applied events (0 = only at start-up on an empty log and on shutdown)")
 	flag.Parse()
 
 	if err := run(os.Stdout, o); err != nil {
@@ -142,7 +140,6 @@ func buildOptions(o options) (serve.Options, error) {
 		DisableCoop:   o.noCoop,
 		WALDir:        o.walDir,
 		FsyncBatch:    o.fsyncBatch,
-		SnapshotEvery: o.snapEvery,
 	}
 	if o.replay != "" {
 		f, err := os.Open(o.replay)
@@ -206,7 +203,7 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "comserve: %s, alg %s, seed %d, listening on %s\n", mode, o.alg, o.seed, bound)
 	if o.walDir != "" {
 		if rec := srv.Recovery(); rec.Recovered {
-			fmt.Fprintf(w, "comserve: recovered %d events from %s (snapshot @%d, clock %dms) in %.1fms\n",
+			fmt.Fprintf(w, "comserve: recovered %d events from %s (checkpoint @%d, clock %dms) in %.1fms\n",
 				rec.Events, o.walDir, rec.SnapshotApplied, rec.VLast, rec.DurationMs)
 		} else {
 			fmt.Fprintf(w, "comserve: wal %s is empty, starting fresh\n", o.walDir)

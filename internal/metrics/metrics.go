@@ -74,8 +74,9 @@ const (
 
 	// Durability (internal/wal; all zero without -wal-dir): appends and
 	// the payload bytes they logged, fsyncs and their cumulative
-	// duration, snapshot manifests written, crash recoveries and the
-	// logged events they re-drove through a fresh engine.
+	// duration, checkpoint records written (wal_snapshots), crash
+	// recoveries and the logged events they re-drove through a fresh
+	// engine.
 	WALAppends
 	WALBytes
 	WALFsyncs

@@ -50,7 +50,7 @@ func (mc MonteCarlo) Validate() error {
 }
 
 // SamplerRev identifies MinOuterPayment's RNG consumption contract for
-// state that outlives the process (the WAL snapshot fingerprint): two
+// state that outlives the process (the WAL checkpoint fingerprint): two
 // binaries with different revisions drive the same seed and events to
 // different DemCOM/BatchCOM decisions. 0 was the per-worker sampler (one
 // draw per worker per probe, on pre-seeded sub-streams); 1 is the group

@@ -14,14 +14,20 @@ import (
 	"crossmatch/internal/wal"
 )
 
+// checkpointEvery is how many event and tick records the sequencer
+// appends between two checkpoint records. A checkpoint is a few hundred
+// bytes of JSON, so this costs about 1.5 bytes a record.
+const checkpointEvery = 256
+
 // RecoveryInfo describes what a WAL-enabled server rebuilt on startup.
 type RecoveryInfo struct {
 	// Recovered is true when the log held events that were re-driven.
 	Recovered bool `json:"recovered"`
-	// Events is the number of log records re-driven through the engine.
+	// Events is the number of event and tick records re-driven through
+	// the engine; checkpoint records are not counted.
 	Events int64 `json:"events"`
-	// SnapshotApplied is the log position of the checkpoint whose digest
-	// was verified during the re-drive; 0 when no snapshot existed.
+	// SnapshotApplied is the position (in event and tick records) of the
+	// last checkpoint verified during the re-drive.
 	SnapshotApplied int64 `json:"snapshot_applied,omitempty"`
 	// VLast is the restored virtual-clock high-water mark (ms).
 	VLast int64 `json:"vlast"`
@@ -31,32 +37,30 @@ type RecoveryInfo struct {
 
 // WALStatus is the durability section of the /v1/metrics payload. The
 // live append/fsync counters stream through the engine collector
-// (wal_appends, wal_fsyncs, wal_fsync_ns, ...); this section carries
-// the configuration and the startup recovery summary.
+// (wal_appends, wal_fsyncs, wal_fsync_ns, wal_snapshots, ...); this
+// section carries the configuration and the startup recovery summary.
 type WALStatus struct {
-	Dir              string       `json:"dir"`
-	FsyncBatch       int          `json:"fsync_batch"`
-	SnapshotEvery    int          `json:"snapshot_every"`
-	SnapshotsWritten int64        `json:"snapshots_written"`
-	Recovery         RecoveryInfo `json:"recovery"`
+	Dir        string       `json:"dir"`
+	FsyncBatch int          `json:"fsync_batch"`
+	Recovery   RecoveryInfo `json:"recovery"`
 }
 
 // Recovery returns the startup recovery summary. The zero value means
 // the server runs without a WAL or started on an empty log.
 func (s *Server) Recovery() RecoveryInfo { return s.rec }
 
-// recover opens (or creates) the write-ahead log, loads the latest
-// valid snapshot manifest, and re-drives every logged event through
-// the fresh engine — the deterministic reconstruction of the exact
-// pre-crash state: the engine is a pure function of (seed, config,
-// event sequence), and the log IS the event sequence. Every log carries
-// a manifest from its first record on — an empty log gets one at
-// position 0 — so its configuration fingerprint is always checked, and
-// a non-empty log without one is refused. When the re-drive passes the
-// snapshot's log position, the serving counters must reproduce the
-// checkpoint digest bit for bit; a mismatch fails recovery loudly
-// rather than serving forked state. Runs on the New goroutine before
-// the sequencer starts, so no locking is needed.
+// recover opens (or creates) the write-ahead log and re-drives every
+// logged event and tick through the fresh engine — the deterministic
+// reconstruction of the exact pre-crash state: the engine is a pure
+// function of (seed, config, event sequence), and the log IS the event
+// sequence. Record 0 of every log is a checkpoint — an empty log gets
+// one before anything else — so the configuration is checked before
+// the first event is re-driven, and a non-empty log without one is
+// refused. Every checkpoint the re-drive passes must match the
+// configuration, cover exactly the records re-driven so far, and
+// reproduce its counter digest bit for bit; a mismatch fails recovery
+// loudly rather than serving forked state. Runs on the New goroutine
+// before the sequencer starts, so no locking is needed.
 func (s *Server) recover() error {
 	t0 := time.Now()
 	l, err := wal.Open(s.opts.WALDir, wal.Options{
@@ -66,30 +70,24 @@ func (s *Server) recover() error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	snap, err := wal.LatestSnapshot(s.opts.WALDir)
-	if err != nil {
-		l.Close()
-		return fmt.Errorf("serve: %w", err)
-	}
-	if snap == nil && l.Count() > 0 {
-		l.Close()
-		return fmt.Errorf("serve: wal recovery: %s holds %d records but no snapshot manifest, so the configuration "+
-			"they were written under cannot be checked; recover it with the binary that wrote it, or start from an empty wal dir",
-			s.opts.WALDir, l.Count())
-	}
-	if snap != nil {
-		if err := s.checkSnapshotConfig(snap); err != nil {
-			l.Close()
-			return err
-		}
-	}
 
 	var lastTime int64
-	// A checkpoint at position 0 (a server closed before any traffic) is
-	// trivially verified: its digest is the zero counters.
-	verified := snap == nil || snap.Applied == 0
 	err = l.Range(func(i int64, p []byte) error {
-		if wal.IsTick(p) {
+		switch {
+		case i == 0 && !wal.IsCheckpoint(p):
+			return fmt.Errorf("%s holds %d records but no checkpoint at record 0: written by a binary that kept its "+
+				"checkpoints in snap-*.snap manifests; recover it with the binary that wrote it, or start from an empty wal dir",
+				s.opts.WALDir, l.Count())
+		case wal.IsCheckpoint(p):
+			c, derr := wal.DecodeCheckpoint(p)
+			if derr == nil {
+				derr = s.checkCheckpoint(&c)
+			}
+			if derr != nil {
+				return fmt.Errorf("record %d: %w", i, derr)
+			}
+			s.checkpointed = s.applied
+		case wal.IsTick(p):
 			// A logged virtual-time tick: re-advance the clock, which
 			// re-flushes exactly the windows the live server flushed at this
 			// time. Requests buffered after the last logged tick re-buffer —
@@ -102,51 +100,35 @@ func (s *Server) recover() error {
 			if aerr := s.eng.AdvanceTime(t); aerr != nil {
 				s.ctr.engineErrors.Add(1)
 			}
-			if int64(t) > lastTime {
-				lastTime = int64(t)
+			lastTime = max(lastTime, int64(t))
+		default:
+			ev, seq, derr := wal.DecodeEvent(p)
+			if derr != nil {
+				return fmt.Errorf("record %d: %w", i, derr)
 			}
-			if snap != nil && s.applied == snap.Applied {
-				if derr := s.checkSnapshotDigest(snap); derr != nil {
-					return derr
+			if s.replayIdx != nil {
+				// Replay-mode records were logged in recorded order; anything
+				// else means the log belongs to a different stream.
+				if seq != int64(s.cursor) || seq >= int64(len(s.replayEvs)) {
+					return fmt.Errorf("record %d: replay seq %d does not continue cursor %d", i, seq, s.cursor)
 				}
-				verified = true
+				s.delivered[seq].Store(true)
+				s.cursor++
+			} else {
+				s.bumpLiveIDs(ev)
 			}
-			return nil
-		}
-		ev, seq, derr := wal.DecodeEvent(p)
-		if derr != nil {
-			return fmt.Errorf("record %d: %w", i, derr)
-		}
-		if s.replayIdx != nil {
-			// Replay-mode records were logged in recorded order; anything
-			// else means the log belongs to a different stream.
-			if seq != int64(s.cursor) || seq >= int64(len(s.replayEvs)) {
-				return fmt.Errorf("record %d: replay seq %d does not continue cursor %d", i, seq, s.cursor)
+			s.applied++
+			s.ctr.accepted.Add(1)
+			if ev.Kind == core.RequestArrival {
+				s.ctr.requestsSeen.Add(1)
+			} else {
+				s.ctr.workersSeen.Add(1)
 			}
-			s.delivered[seq].Store(true)
-			s.cursor++
-		} else {
-			s.bumpLiveIDs(ev)
-		}
-		s.applied++
-		s.ctr.accepted.Add(1)
-		if ev.Kind == core.RequestArrival {
-			s.ctr.requestsSeen.Add(1)
-		} else {
-			s.ctr.workersSeen.Add(1)
-		}
-		// An event the engine rejected live is rejected identically on
-		// re-drive (the engine is deterministic): book it and keep going,
-		// exactly as the sequencer did.
-		_, _ = s.apply(ev)
-		if int64(ev.Time) > lastTime {
-			lastTime = int64(ev.Time)
-		}
-		if snap != nil && s.applied == snap.Applied {
-			if err := s.checkSnapshotDigest(snap); err != nil {
-				return err
-			}
-			verified = true
+			// An event the engine rejected live is rejected identically on
+			// re-drive (the engine is deterministic): book it and keep going,
+			// exactly as the sequencer did.
+			_, _ = s.apply(ev)
+			lastTime = max(lastTime, int64(ev.Time))
 		}
 		return nil
 	})
@@ -154,79 +136,74 @@ func (s *Server) recover() error {
 		l.Close()
 		return fmt.Errorf("serve: wal recovery: %w", err)
 	}
-	if snap != nil && !verified {
-		l.Close()
-		return fmt.Errorf("serve: wal recovery: log holds %d records but the snapshot covers %d — records are missing", s.applied, snap.Applied)
-	}
 
-	// Resume the virtual clock past everything already stamped: the
-	// snapshot's high-water mark and the last logged arrival. Without
-	// this, time.Since(started) would restart the clock at zero and the
-	// first live event would trip the engine's ErrTimeRegression against
+	// Resume the virtual clock past the last logged event or tick. A
+	// stamp whose append failed never reached the engine, so nothing
+	// the recovered state holds is later than this. Without it,
+	// time.Since(started) would restart the clock at zero and the first
+	// live event would trip the engine's ErrTimeRegression against
 	// recovered state.
-	base := lastTime
-	if snap != nil && snap.VLast > base {
-		base = snap.VLast
-	}
-	s.vbase, s.vlast = base, base
+	s.vbase, s.vlast = lastTime, lastTime
 
 	s.wal = l
 	if s.applied > 0 {
 		s.met.Add(metrics.WALRecoveries, 1)
 		s.met.Add(metrics.WALRecoveredEvents, s.applied)
 	}
-	if snap == nil {
-		// A fresh log: pin the configuration before the first record.
-		if err := s.writeSnapshot(); err != nil {
+	if l.Count() == 0 {
+		// A fresh log: pin the configuration at record 0.
+		if err := s.checkpoint(); err != nil {
 			l.Close()
 			return fmt.Errorf("serve: wal: %w", err)
 		}
 	}
 	s.rec = RecoveryInfo{
-		Recovered:  s.applied > 0,
-		Events:     s.applied,
-		VLast:      base,
-		DurationMs: float64(time.Since(t0)) / float64(time.Millisecond),
-	}
-	if snap != nil {
-		s.rec.SnapshotApplied = snap.Applied
+		Recovered:       s.applied > 0,
+		Events:          s.applied,
+		SnapshotApplied: s.checkpointed,
+		VLast:           lastTime,
+		DurationMs:      float64(time.Since(t0)) / float64(time.Millisecond),
 	}
 	return nil
 }
 
-// checkSnapshotConfig refuses a log written under a different engine
-// configuration: it would re-drive cleanly but produce silently
-// different matching state.
-func (s *Server) checkSnapshotConfig(snap *wal.Snapshot) error {
+// checkCheckpoint refuses a checkpoint written under a different engine
+// configuration — the log would re-drive cleanly but produce silently
+// different matching state — or one the re-drive so far does not
+// reproduce.
+func (s *Server) checkCheckpoint(c *wal.Checkpoint) error {
+	served, matched, revBits := s.digest()
 	switch {
-	case snap.Algorithm != s.opts.Algorithm:
-		return fmt.Errorf("serve: wal recovery: snapshot algorithm %q, server runs %q", snap.Algorithm, s.opts.Algorithm)
-	case snap.Seed != s.opts.Seed:
-		return fmt.Errorf("serve: wal recovery: snapshot seed %d, server seed %d", snap.Seed, s.opts.Seed)
-	case snap.ServiceTicks != int64(s.opts.ServiceTicks):
-		return fmt.Errorf("serve: wal recovery: snapshot service-ticks %d, server %d", snap.ServiceTicks, s.opts.ServiceTicks)
-	case snap.DisableCoop != s.opts.DisableCoop:
-		return fmt.Errorf("serve: wal recovery: snapshot coop-disabled %v, server %v", snap.DisableCoop, s.opts.DisableCoop)
-	case snap.ReplayEvents != int64(len(s.replayEvs)):
-		return fmt.Errorf("serve: wal recovery: snapshot recorded stream of %d events, server replays %d", snap.ReplayEvents, len(s.replayEvs))
-	case snap.Window != int64(s.opts.Window):
-		return fmt.Errorf("serve: wal recovery: snapshot window %d, server %d", snap.Window, s.opts.Window)
-	case snap.BatchDeadline != int64(s.opts.BatchDeadline):
-		return fmt.Errorf("serve: wal recovery: snapshot batch-deadline %d, server %d", snap.BatchDeadline, s.opts.BatchDeadline)
-	case snap.Shards > 1:
-		return fmt.Errorf("serve: wal recovery: log written on %d shards by the in-process sharded engine removed in PR 27; "+
-			"recover it with the binary that wrote it, or start from an empty wal dir", snap.Shards)
-	case snap.PricingRev != pricing.SamplerRev && platform.SamplesMinPayment(s.opts.Algorithm):
-		return fmt.Errorf("serve: wal recovery: log written under Monte-Carlo sampler revision %d, this binary runs revision %d: "+
+	case c.Algorithm != s.opts.Algorithm:
+		return fmt.Errorf("checkpoint algorithm %q, server runs %q", c.Algorithm, s.opts.Algorithm)
+	case c.Seed != s.opts.Seed:
+		return fmt.Errorf("checkpoint seed %d, server seed %d", c.Seed, s.opts.Seed)
+	case c.ServiceTicks != int64(s.opts.ServiceTicks):
+		return fmt.Errorf("checkpoint service-ticks %d, server %d", c.ServiceTicks, s.opts.ServiceTicks)
+	case c.DisableCoop != s.opts.DisableCoop:
+		return fmt.Errorf("checkpoint coop-disabled %v, server %v", c.DisableCoop, s.opts.DisableCoop)
+	case c.ReplayEvents != int64(len(s.replayEvs)):
+		return fmt.Errorf("checkpoint recorded stream of %d events, server replays %d", c.ReplayEvents, len(s.replayEvs))
+	case c.Window != int64(s.opts.Window):
+		return fmt.Errorf("checkpoint window %d, server %d", c.Window, s.opts.Window)
+	case c.BatchDeadline != int64(s.opts.BatchDeadline):
+		return fmt.Errorf("checkpoint batch-deadline %d, server %d", c.BatchDeadline, s.opts.BatchDeadline)
+	case c.PricingRev != pricing.SamplerRev && platform.SamplesMinPayment(s.opts.Algorithm):
+		return fmt.Errorf("log written under Monte-Carlo sampler revision %d, this binary runs revision %d: "+
 			"%s draws its payments from that sampler, so the log would re-drive to different decisions; "+
 			"recover it with the binary that wrote it, or start from an empty wal dir",
-			snap.PricingRev, pricing.SamplerRev, s.opts.Algorithm)
-	case !slices.Equal(snap.Platforms, s.pids):
-		return fmt.Errorf("serve: wal recovery: snapshot platforms %v, server %v", snap.Platforms, s.pids)
-	case snap.MaxValueBits != math.Float64bits(s.maxValue):
-		return fmt.Errorf("serve: wal recovery: snapshot max value %v, server %v", math.Float64frombits(snap.MaxValueBits), s.maxValue)
-	case snap.Faults != faultPrint(s.opts.Faults):
-		return fmt.Errorf("serve: wal recovery: snapshot fault plan %q, server %q", snap.Faults, faultPrint(s.opts.Faults))
+			c.PricingRev, pricing.SamplerRev, s.opts.Algorithm)
+	case !slices.Equal(c.Platforms, s.pids):
+		return fmt.Errorf("checkpoint platforms %v, server %v", c.Platforms, s.pids)
+	case c.MaxValueBits != math.Float64bits(s.maxValue):
+		return fmt.Errorf("checkpoint max value %v, server %v", math.Float64frombits(c.MaxValueBits), s.maxValue)
+	case c.Faults != faultPrint(s.opts.Faults):
+		return fmt.Errorf("checkpoint fault plan %q, server %q", c.Faults, faultPrint(s.opts.Faults))
+	case c.Applied != s.applied:
+		return fmt.Errorf("checkpoint covers %d event and tick records, the log holds %d before it", c.Applied, s.applied)
+	case c.Served != served || c.Matched != matched || c.RevenueBits != revBits:
+		return fmt.Errorf("checkpoint digest mismatch after %d records: re-drive served=%d matched=%d revenue=%x, checkpoint served=%d matched=%d revenue=%x",
+			c.Applied, served, matched, revBits, c.Served, c.Matched, c.RevenueBits)
 	}
 	return nil
 }
@@ -238,20 +215,6 @@ func faultPrint(p *fault.Plan) string {
 		return ""
 	}
 	return fmt.Sprintf("%+v", *p)
-}
-
-// checkSnapshotDigest verifies that re-driving the log prefix
-// reproduced the checkpoint's decision counters bit for bit.
-func (s *Server) checkSnapshotDigest(snap *wal.Snapshot) error {
-	s.ctr.revenueMu.Lock()
-	rev := s.ctr.revenue
-	s.ctr.revenueMu.Unlock()
-	served, matched := s.ctr.served.Load(), s.ctr.matched.Load()
-	if served != snap.Served || matched != snap.Matched || math.Float64bits(rev) != snap.RevenueBits {
-		return fmt.Errorf("snapshot digest mismatch at record %d: re-drive served=%d matched=%d revenue=%x, checkpoint served=%d matched=%d revenue=%x",
-			snap.Applied, served, matched, math.Float64bits(rev), snap.Served, snap.Matched, snap.RevenueBits)
-	}
-	return nil
 }
 
 // bumpLiveIDs keeps the live-mode ID allocators above every recovered
@@ -300,30 +263,25 @@ func (s *Server) logTick(t core.Time) error {
 	return nil
 }
 
-// maybeSnapshot writes a checkpoint manifest every SnapshotEvery
-// applied events. Sequencer goroutine only.
-func (s *Server) maybeSnapshot() {
-	if s.wal == nil || s.opts.SnapshotEvery <= 0 || s.applied%int64(s.opts.SnapshotEvery) != 0 {
+// maybeCheckpoint appends a checkpoint once checkpointEvery event and
+// tick records have followed the last one. Sequencer goroutine only.
+func (s *Server) maybeCheckpoint() {
+	if s.wal == nil || s.applied-s.checkpointed < checkpointEvery {
 		return
 	}
-	if err := s.writeSnapshot(); err != nil {
+	if err := s.checkpoint(); err != nil {
 		s.ctr.walErrors.Add(1)
 	}
 }
 
-// writeSnapshot fsyncs the log (a checkpoint must never cover records
-// that are not yet durable) and persists the manifest.
-func (s *Server) writeSnapshot() error {
-	if err := s.wal.Sync(); err != nil {
-		return err
-	}
-	s.ctr.revenueMu.Lock()
-	rev := s.ctr.revenue
-	s.ctr.revenueMu.Unlock()
-	sn := &wal.Snapshot{
-		Version:       1,
+// checkpoint appends a checkpoint record: the configuration fingerprint
+// and the counter digest after the s.applied event and tick records
+// before it. It needs no fsync of its own, because it covers only
+// records earlier in the same file: a torn tail can drop it only
+// together with what it covers.
+func (s *Server) checkpoint() error {
+	c := wal.Checkpoint{
 		Applied:       s.applied,
-		VLast:         s.vlast,
 		Algorithm:     s.opts.Algorithm,
 		Seed:          s.opts.Seed,
 		ServiceTicks:  int64(s.opts.ServiceTicks),
@@ -335,21 +293,33 @@ func (s *Server) writeSnapshot() error {
 		Window:        int64(s.opts.Window),
 		BatchDeadline: int64(s.opts.BatchDeadline),
 		PricingRev:    pricing.SamplerRev,
-		Served:        s.ctr.served.Load(),
-		Matched:       s.ctr.matched.Load(),
-		RevenueBits:   math.Float64bits(rev),
 	}
-	if err := wal.WriteSnapshot(s.wal.Dir(), sn); err != nil {
+	c.Served, c.Matched, c.RevenueBits = s.digest()
+	buf, err := wal.AppendCheckpoint(s.walBuf[:0], &c)
+	if err != nil {
 		return err
 	}
+	s.walBuf = buf
+	if err := s.wal.Append(buf); err != nil {
+		return err
+	}
+	s.checkpointed = s.applied
 	s.met.Add(metrics.WALSnapshots, 1)
-	s.snapsWritten.Add(1)
 	return nil
+}
+
+// digest returns the decision counters a checkpoint pins: served,
+// matched and the bits of the accumulated revenue.
+func (s *Server) digest() (served, matched int64, revenueBits uint64) {
+	s.ctr.revenueMu.Lock()
+	rev := s.ctr.revenue
+	s.ctr.revenueMu.Unlock()
+	return s.ctr.served.Load(), s.ctr.matched.Load(), math.Float64bits(rev)
 }
 
 // crashForTest simulates a SIGKILL for recovery tests: the sequencer
 // is stopped and the log's file handles are dropped without the final
-// snapshot, the buffered-tail flush, or the engine finish that a clean
+// checkpoint, the buffered-tail flush, or the engine finish that a clean
 // Close performs. Appends since the last fsync are lost, exactly as a
 // hard kill would lose them.
 func (s *Server) crashForTest() {

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -140,12 +143,14 @@ func TestBatchDeadlineSparesComputedDecisions(t *testing.T) {
 
 // TestCrashRecoveryReplayBitIdentical is the headline durability
 // criterion: push part of a recorded stream into a WAL-backed server,
-// crash it hard (no flush, no final snapshot), restart on the same
+// crash it hard (no flush, no final checkpoint), restart on the same
 // directory, re-push the whole stream — recovered events dedupe as
 // resumed, lost and unpushed ones apply — and the final Result must be
-// bit-identical to an uninterrupted offline run. The FsyncBatch=64
-// variant additionally loses the buffered un-fsynced tail in the
-// crash, which the re-push must repair.
+// bit-identical to an uninterrupted offline run. The pushed prefix
+// crosses a periodic checkpoint, which the restart verifies. The
+// FsyncBatch=64 variant additionally loses the buffered un-fsynced tail
+// in the crash, which the re-push must repair. After the crash and
+// after the clean close the directory holds the one log file.
 func TestCrashRecoveryReplayBitIdentical(t *testing.T) {
 	for _, fsyncBatch := range []int{1, 64} {
 		t.Run(fmt.Sprintf("fsync-batch-%d", fsyncBatch), func(t *testing.T) {
@@ -161,8 +166,7 @@ func TestCrashRecoveryReplayBitIdentical(t *testing.T) {
 
 			dir := t.TempDir()
 			opts := Options{Algorithm: platform.AlgDemCOM, Seed: 42, Replay: stream,
-				QueueCap: stream.Len() + 1, WALDir: dir, FsyncBatch: fsyncBatch,
-				SnapshotEvery: 50}
+				QueueCap: stream.Len() + 1, WALDir: dir, FsyncBatch: fsyncBatch}
 
 			// Phase 1: push a prefix, then crash without a clean shutdown.
 			srv1, err := New(opts)
@@ -187,6 +191,7 @@ func TestCrashRecoveryReplayBitIdentical(t *testing.T) {
 			}
 			ts1.Close()
 			srv1.crashForTest()
+			assertOneFile(t, dir)
 
 			// Phase 2: restart on the same directory and finish the stream.
 			srv2, err := New(opts)
@@ -201,6 +206,9 @@ func TestCrashRecoveryReplayBitIdentical(t *testing.T) {
 			}
 			if fsyncBatch == 1 && rec.Events != int64(prefixLen) {
 				t.Fatalf("with per-append fsync every pushed event must survive: recovered %d of %d", rec.Events, prefixLen)
+			}
+			if rec.SnapshotApplied < checkpointEvery || rec.SnapshotApplied%checkpointEvery != 0 {
+				t.Fatalf("recovery verified the checkpoint at %d, want a periodic one", rec.SnapshotApplied)
 			}
 
 			rep2, err := RunLoad(context.Background(), LoadOptions{
@@ -221,8 +229,17 @@ func TestCrashRecoveryReplayBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Close: %v", err)
 			}
+			assertOneFile(t, dir)
 			assertSameResult(t, want, got)
 		})
+	}
+}
+
+// assertOneFile fails unless dir holds exactly its log file.
+func assertOneFile(t *testing.T, dir string) {
+	t.Helper()
+	if files := dirContents(t, dir); len(files) != 1 || files[logFile] == nil {
+		t.Fatalf("the wal dir holds %d files, want only %s", len(files), logFile)
 	}
 }
 
@@ -344,15 +361,15 @@ func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 }
 
 // TestRecoveryFingerprintBeforeFirstCheckpoint: a server that dies before
-// its first periodic checkpoint (SnapshotEvery 0 writes none) still left
-// its configuration on disk, because New pins it at position 0 of a
-// fresh log. A restart under another seed, platform set, max value or
-// fault plan is refused by name instead of re-driving the log into
-// different state; the same configuration recovers; and a non-empty log
-// with no manifest at all is refused.
+// its first periodic checkpoint still left its configuration on disk,
+// because New pins it at record 0 of a fresh log. A restart under
+// another value of any fingerprinted field is refused by name instead of
+// re-driving the log into different state, and leaves the directory as
+// it was; the same configuration recovers; and a non-empty log with no
+// checkpoint at record 0 is refused.
 func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 3, WALDir: dir, SnapshotEvery: 0,
+	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 3, WALDir: dir,
 		Faults: &fault.Plan{DropRate: 0.25}}
 	srv1, err := New(opts)
 	if err != nil {
@@ -381,7 +398,13 @@ func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
 		name, want string
 		change     func(*Options)
 	}{
+		{"algorithm", "algorithm", func(o *Options) { o.Algorithm = platform.AlgTOTA }},
 		{"seed", "seed", func(o *Options) { o.Seed = 4 }},
+		{"service ticks", "service-ticks", func(o *Options) { o.ServiceTicks = 3 }},
+		{"coop", "coop-disabled", func(o *Options) { o.DisableCoop = true }},
+		{"replay", "recorded stream", func(o *Options) { o.Replay = requestOnlyStream(t, 5) }},
+		{"window", "window", func(o *Options) { o.Window = 5 }},
+		{"batch deadline", "batch-deadline", func(o *Options) { o.BatchDeadline = 5 }},
 		{"platforms", "platforms", func(o *Options) { o.Platforms = []core.PlatformID{1, 2, 3} }},
 		{"max value", "max value", func(o *Options) { o.MaxValue = 50 }},
 		{"fault plan", "fault plan", func(o *Options) { o.Faults = &plan }},
@@ -389,11 +412,12 @@ func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
 	} {
 		o := opts
 		tc.change(&o)
-		if srv, err := New(o); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if srv, err := New(o); err == nil || !strings.Contains(err.Error(), tc.want) ||
+			!strings.Contains(err.Error(), "record 0") {
 			if err == nil {
 				srv.Close()
 			}
-			t.Errorf("restart with another %s must fail naming it, got %v", tc.name, err)
+			t.Errorf("restart with another %s must fail naming it at record 0, got %v", tc.name, err)
 		}
 	}
 	if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
@@ -404,25 +428,25 @@ func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart under the same configuration: %v", err)
 	}
-	if rec := srv2.Recovery(); rec.Events != 3 {
-		t.Fatalf("recovery = %+v, want the 3 logged events", rec)
+	if rec := srv2.Recovery(); rec.Events != 3 || rec.SnapshotApplied != 0 {
+		t.Fatalf("recovery = %+v, want the 3 logged events after the record-0 checkpoint", rec)
 	}
 	srv2.crashForTest()
 
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("no manifest in the log directory (%v)", err)
+	recs := logRecords(t, dir)
+	if !wal.IsCheckpoint(recs[0]) {
+		t.Fatalf("record 0 is not a checkpoint: %q", recs[0])
 	}
-	for _, p := range snaps {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if srv, err := New(opts); err == nil || !strings.Contains(err.Error(), "no snapshot manifest") {
+	writeLog(t, dir, recs[1:])
+	before = dirContents(t, dir)
+	if srv, err := New(opts); err == nil || !strings.Contains(err.Error(), "no checkpoint at record 0") {
 		if err == nil {
 			srv.Close()
 		}
-		t.Fatalf("a non-empty log without a manifest must be refused by name, got %v", err)
+		t.Fatalf("a non-empty log without a checkpoint at record 0 must be refused by name, got %v", err)
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("the refused directory changed")
 	}
 }
 
@@ -444,65 +468,108 @@ func dirContents(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestRecoveryRefusesShardedLog: a checkpoint stamped by a server on the
-// in-process sharded engine (removed in PR 27) is refused by name, with
-// the directory left as it was for the binary that can read it; one
-// without the field, or with it zero, is an unsharded server's and
-// recovers.
+// logFile is the name of the log in its directory.
+const logFile = "wal-00000001.seg"
+
+// logRecords returns a copy of every record payload in dir's log.
+func logRecords(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var recs [][]byte
+	if err := l.Range(func(_ int64, p []byte) error {
+		recs = append(recs, bytes.Clone(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// writeLog replaces dir's log with one holding recs.
+func writeLog(t *testing.T, dir string, recs [][]byte) {
+	t.Helper()
+	if err := os.Remove(filepath.Join(dir, logFile)); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(dir, wal.Options{FsyncBatch: len(recs) + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range recs {
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// forgeCheckpoint rewrites the checkpoint at record i of dir's log
+// through edit, re-encoded and re-framed so it verifies.
+func forgeCheckpoint(t *testing.T, dir string, i int, edit func(*wal.Checkpoint)) {
+	t.Helper()
+	recs := logRecords(t, dir)
+	c, err := wal.DecodeCheckpoint(recs[i])
+	if err != nil {
+		t.Fatalf("record %d: %v", i, err)
+	}
+	edit(&c)
+	if recs[i], err = wal.AppendCheckpoint(nil, &c); err != nil {
+		t.Fatal(err)
+	}
+	writeLog(t, dir, recs)
+}
+
+// TestRecoveryRefusesShardedLog: a directory written by a binary that
+// kept its checkpoints in snap-*.snap manifests beside the log — the
+// sharded engine's (a manifest stamped with shards 3) or an unsharded
+// one's (the field zero or absent) — has no checkpoint at record 0. It
+// is refused by name and left as it was for the binary that can read it.
 func TestRecoveryRefusesShardedLog(t *testing.T) {
-	for _, tc := range []struct {
-		name, field string
-		refuse      bool
-	}{
-		{"shards3", `,"shards":3,"shard_reach_bits":4607182418800017408}`, true},
-		{"shards0", `,"shards":0}`, false},
-		{"absent", `}`, false},
+	for _, tc := range []struct{ name, field string }{
+		{"shards3", `,"shards":3,"shard_reach_bits":4607182418800017408}`},
+		{"shards0", `,"shards":0}`},
+		{"absent", `}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{Algorithm: platform.AlgTOTA, Seed: 1, WALDir: dir}
-			logOneWorker(t, opts)
-
-			// Re-frame the final checkpoint with the field spliced into its
-			// JSON: 4-byte length, 4-byte CRC32-C, payload.
-			snap, err := wal.LatestSnapshot(dir)
-			if err != nil || snap == nil {
-				t.Fatalf("LatestSnapshot: %v, %v", snap, err)
-			}
-			path := filepath.Join(dir, wal.SnapshotName(snap.Applied))
-			buf, err := os.ReadFile(path)
+			ev, err := wal.AppendEvent(nil, core.Event{Time: 5, Kind: core.WorkerArrival, Worker: &core.Worker{
+				ID: liveIDBase + 1, Arrival: 5, Loc: geo.Point{X: 0.5, Y: 0.5}, Radius: 0.4, Platform: 1}}, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			payload := buf[8:]
-			if bytes.Contains(payload, []byte("shard")) {
-				t.Fatalf("an unsharded server stamped a shard field: %s", payload)
+			l, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			payload = append(bytes.TrimSuffix(payload, []byte("}")), tc.field...)
-			framed := make([]byte, 8, 8+len(payload))
-			binary.LittleEndian.PutUint32(framed[0:4], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(framed[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-			if err := os.WriteFile(path, append(framed, payload...), 0o644); err != nil {
+			if err := l.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			manifest := []byte(`{"version":1,"applied":1,"vlast":5,"algorithm":"TOTA","seed":1,"service_ticks":0,` +
+				`"platforms":[1,2],"max_value_bits":0,"served":0,"matched":0,"revenue_bits":0` + tc.field)
+			framed := binary.LittleEndian.AppendUint32(nil, uint32(len(manifest)))
+			framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(manifest, crc32.MakeTable(crc32.Castagnoli)))
+			if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000001.snap"), append(framed, manifest...), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			before := dirContents(t, dir)
 
-			srv, err := New(opts)
-			if !tc.refuse {
-				if err != nil {
-					t.Fatalf("restart must recover, got %v", err)
-				}
-				if rec := srv.Recovery(); rec.Events != 1 || rec.SnapshotApplied != 1 {
-					t.Fatalf("recovery = %+v, want the one logged event verified", rec)
-				}
-				if _, err := srv.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-				return
+			srv, err := New(Options{Algorithm: platform.AlgTOTA, Seed: 1, WALDir: dir})
+			if err == nil {
+				srv.Close()
 			}
-			if err == nil || !strings.Contains(err.Error(), "in-process sharded engine removed in PR 27") ||
+			if err == nil || !strings.Contains(err.Error(), "no checkpoint at record 0") ||
+				!strings.Contains(err.Error(), "snap-*.snap manifests") ||
 				!strings.Contains(err.Error(), "recover it with the binary that wrote it, or start from an empty wal dir") {
-				t.Fatalf("restart on a sharded server's log must say why it is refused, got %v", err)
+				t.Fatalf("restart on a manifest-era log must say why it is refused, got %v", err)
 			}
 			if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
 				t.Fatalf("the refused directory changed: %d files before, %d after", len(before), len(after))
@@ -511,7 +578,7 @@ func TestRecoveryRefusesShardedLog(t *testing.T) {
 	}
 }
 
-// TestRecoveryPricingRevFingerprint: a snapshot without pricing_rev is
+// TestRecoveryPricingRevFingerprint: a checkpoint without pricing_rev is
 // what a binary from before the group-draw estimator wrote. DemCOM and
 // BatchCOM decisions depend on the estimator's RNG contract, so such a
 // log must be refused by name instead of dying on a digest mismatch;
@@ -531,22 +598,17 @@ func TestRecoveryPricingRevFingerprint(t *testing.T) {
 			opts := Options{Algorithm: tc.alg, Seed: 1, MaxValue: 10, WALDir: dir}
 			logOneWorker(t, opts)
 
-			snap, err := wal.LatestSnapshot(dir)
-			if err != nil || snap == nil {
-				t.Fatalf("LatestSnapshot: %v, %v", snap, err)
-			}
-			if snap.PricingRev != pricing.SamplerRev {
-				t.Fatalf("snapshot pricing_rev = %d, want %d", snap.PricingRev, pricing.SamplerRev)
-			}
-			snap.PricingRev = 0
-			if err := wal.WriteSnapshot(dir, snap); err != nil {
-				t.Fatalf("WriteSnapshot: %v", err)
-			}
+			forgeCheckpoint(t, dir, 0, func(c *wal.Checkpoint) {
+				if c.PricingRev != pricing.SamplerRev {
+					t.Fatalf("checkpoint pricing_rev = %d, want %d", c.PricingRev, pricing.SamplerRev)
+				}
+				c.PricingRev = 0
+			})
 
 			srv2, err := New(opts)
 			if !tc.refuse {
 				if err != nil {
-					t.Fatalf("%s restart on a revision-0 snapshot must recover, got %v", tc.alg, err)
+					t.Fatalf("%s restart on a revision-0 log must recover, got %v", tc.alg, err)
 				}
 				if rec := srv2.Recovery(); rec.Events != 1 || rec.SnapshotApplied != 1 {
 					t.Fatalf("recovery = %+v, want the one logged event verified", rec)
@@ -556,19 +618,116 @@ func TestRecoveryPricingRevFingerprint(t *testing.T) {
 				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), "sampler revision 0") {
-				t.Fatalf("%s restart on a revision-0 snapshot must name the sampler revision, got %v", tc.alg, err)
+			if err == nil || !strings.Contains(err.Error(), "sampler revision 0") || !strings.Contains(err.Error(), "record 0") {
+				t.Fatalf("%s restart on a revision-0 log must name the sampler revision and the record, got %v", tc.alg, err)
 			}
 		})
 	}
 }
 
+// TestRecoveryVerifiesEveryCheckpoint: recovery checks every checkpoint
+// in the log, not only the last. A log crossing one periodic checkpoint
+// recovers; with that middle checkpoint's digest or position forged
+// (re-framed, so the frame verifies) recovery fails naming its record.
+func TestRecoveryVerifiesEveryCheckpoint(t *testing.T) {
+	stream := testStream(t, 100, 60, 7)
+	dir := t.TempDir()
+	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 7, Replay: stream,
+		QueueCap: stream.Len() + 1, WALDir: dir, FsyncBatch: 64}
+	srv, ts := startServer(t, opts)
+	if rep, err := RunLoad(context.Background(), LoadOptions{
+		URL: ts.URL, Stream: stream, Conns: 2, Batch: 16, Retries: 5, Client: ts.Client(),
+	}); err != nil || rep.Failed != 0 || rep.Dropped != 0 {
+		t.Fatalf("RunLoad: %v, %+v", err, rep)
+	}
+	ts.Close()
+	if _, err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	var at []int
+	for i, p := range logRecords(t, dir) {
+		if wal.IsCheckpoint(p) {
+			at = append(at, i)
+		}
+	}
+	n := stream.Len()
+	if n <= checkpointEvery || n >= 2*checkpointEvery {
+		t.Fatalf("stream of %d events, want one periodic checkpoint", n)
+	}
+	if want := []int{0, checkpointEvery + 1, n + 2}; !reflect.DeepEqual(at, want) {
+		t.Fatalf("checkpoints at records %v, want %v", at, want)
+	}
+	srv2, err := New(opts)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if rec := srv2.Recovery(); rec.Events != int64(n) || rec.SnapshotApplied != int64(n) {
+		t.Fatalf("recovery = %+v, want all %d events verified", rec, n)
+	}
+	srv2.crashForTest()
+
+	clean := dirContents(t, dir)[logFile]
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*wal.Checkpoint)
+	}{
+		{"served", "digest mismatch", func(c *wal.Checkpoint) { c.Served++ }},
+		{"revenue", "digest mismatch", func(c *wal.Checkpoint) { c.RevenueBits ^= 1 }},
+		{"applied", "covers", func(c *wal.Checkpoint) { c.Applied-- }},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, logFile), clean, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		forgeCheckpoint(t, dir, at[1], tc.edit)
+		srv, err := New(opts)
+		if err == nil {
+			srv.Close()
+		}
+		if name := fmt.Sprintf("record %d", at[1]); err == nil || !strings.Contains(err.Error(), tc.want) ||
+			!strings.Contains(err.Error(), name) {
+			t.Errorf("forged %s in the middle checkpoint: %v, want %q naming %s", tc.name, err, tc.want, name)
+		}
+	}
+}
+
+// TestRecoveryZeroFilledTail: a restart on a log whose tail is zeros
+// (what a filesystem can leave when a crash extends a file) recovers the
+// records before them and cuts the zeros.
+func TestRecoveryZeroFilledTail(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 1, WALDir: dir}
+	logOneWorker(t, opts)
+	path := filepath.Join(dir, logFile)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(clean, make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(opts)
+	if err != nil {
+		t.Fatalf("restart on a zero-filled tail: %v", err)
+	}
+	if rec := srv.Recovery(); rec.Events != 1 || rec.SnapshotApplied != 1 {
+		t.Fatalf("recovery = %+v, want the one logged event verified", rec)
+	}
+	srv.crashForTest()
+	if got := dirContents(t, dir)[logFile]; !bytes.Equal(got, clean) {
+		t.Fatalf("the log is %d bytes after recovery, want the %d before the zeros", len(got), len(clean))
+	}
+}
+
 // TestRestartAfterCleanCloseVerifiesSnapshotDigest: a clean shutdown
-// writes a final checkpoint; a restart re-drives the full log and must
-// verify the checkpoint digest bit for bit, then produce the same
-// Result as the uninterrupted offline run.
+// writes a final checkpoint; a restart re-drives the full log, which
+// crosses a periodic checkpoint, and must verify every checkpoint digest
+// bit for bit, then produce the same Result as the uninterrupted
+// offline run.
 func TestRestartAfterCleanCloseVerifiesSnapshotDigest(t *testing.T) {
 	stream := testStream(t, 120, 90, 11)
+	if stream.Len() <= checkpointEvery {
+		t.Fatalf("stream of %d events crosses no periodic checkpoint", stream.Len())
+	}
 	factory, err := platform.FactoryFor(platform.AlgDemCOM, stream.MaxValue())
 	if err != nil {
 		t.Fatalf("FactoryFor: %v", err)
@@ -580,7 +739,7 @@ func TestRestartAfterCleanCloseVerifiesSnapshotDigest(t *testing.T) {
 
 	dir := t.TempDir()
 	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 11, Replay: stream,
-		QueueCap: stream.Len() + 1, WALDir: dir, SnapshotEvery: 25}
+		QueueCap: stream.Len() + 1, WALDir: dir}
 	srv1, err := New(opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -609,4 +768,154 @@ func TestRestartAfterCleanCloseVerifiesSnapshotDigest(t *testing.T) {
 		t.Fatalf("Close after recovery: %v", err)
 	}
 	assertSameResult(t, want, got)
+}
+
+// drillStream is a short two-platform replay stream: workers of both
+// platforms first, so every prefix of two or more events has the full
+// platform set, then requests matched inside a platform, across
+// platforms and not at all.
+func drillStream(t *testing.T) *core.Stream {
+	t.Helper()
+	worker := func(id int64, at core.Time, pid core.PlatformID, x, y float64) core.Event {
+		w := &core.Worker{ID: id, Arrival: at, Loc: geo.Point{X: x, Y: y}, Radius: 0.3,
+			Platform: pid, History: []float64{0.5, 1, 1.5}}
+		return core.Event{Time: at, Kind: core.WorkerArrival, Worker: w}
+	}
+	request := func(id int64, at core.Time, pid core.PlatformID, x, y, v float64) core.Event {
+		r := &core.Request{ID: id, Arrival: at, Loc: geo.Point{X: x, Y: y}, Value: v, Platform: pid}
+		return core.Event{Time: at, Kind: core.RequestArrival, Request: r}
+	}
+	stream, err := core.NewStream([]core.Event{
+		worker(1, 1, 1, 0.5, 0.5),
+		worker(2, 2, 2, 0.52, 0.5),
+		request(1, 3, 1, 0.5, 0.5, 5),
+		request(2, 4, 1, 0.51, 0.5, 4),
+		worker(3, 5, 2, 0.3, 0.3),
+		request(3, 6, 1, 0.3, 0.31, 6),
+		request(4, 7, 2, 0.9, 0.9, 2),
+		worker(4, 8, 1, 0.9, 0.9),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stream
+}
+
+// TestRecoveryEveryCutAndFlip is the serve-level crash-point drill. A
+// replay log of a record-0 checkpoint, eight events and the final
+// checkpoint is cut at every byte and has every byte flipped, and New
+// runs on each. A cut recovers the k events whose frames are whole (a
+// cut inside a checkpoint recovers the records before it), with the
+// served and matched counters and the revenue bits of platform.Run on
+// the first k events. A flip in the last frame is a torn tail; anywhere
+// else it fails with a CorruptError naming the damaged frame's offset.
+// Nothing recovers into other state.
+func TestRecoveryEveryCutAndFlip(t *testing.T) {
+	stream := drillStream(t)
+	evs := stream.Events()
+	factory, err := platform.FactoryFor(platform.AlgDemCOM, stream.MaxValue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type digest struct {
+		served, matched int64
+		revenue         uint64
+	}
+	want := make([]digest, len(evs)+1) // want[k]: platform.Run on the first k events
+	for k := 1; k <= len(evs); k++ {
+		prefix, err := core.NewStream(slices.Clone(evs[:k]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := platform.Run(prefix, factory, platform.Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = digest{want[k-1].served, int64(res.TotalServed()), math.Float64bits(res.TotalRevenue())}
+		if evs[k-1].Kind == core.RequestArrival {
+			want[k].served++
+		}
+	}
+	if want[len(evs)].matched < 3 {
+		t.Fatalf("the drill stream matches %d requests, want one inside a platform and two across", want[len(evs)].matched)
+	}
+
+	src := t.TempDir()
+	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 1, Replay: stream, WALDir: src}
+	srv, ts := startServer(t, opts)
+	if rep, err := RunLoad(context.Background(), LoadOptions{
+		URL: ts.URL, Stream: stream, Conns: 1, Batch: 8, Client: ts.Client(),
+	}); err != nil || rep.Failed != 0 {
+		t.Fatalf("RunLoad: %v, %+v", err, rep)
+	}
+	if _, err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	orig := dirContents(t, src)[logFile]
+	recs := logRecords(t, src)
+	last := len(recs) - 1
+	if last != len(evs)+1 || !wal.IsCheckpoint(recs[0]) || !wal.IsCheckpoint(recs[last]) {
+		t.Fatalf("log of %d records, want a checkpoint, %d events and a checkpoint", len(recs), len(evs))
+	}
+	starts := make([]int, len(recs)+1) // starts[j]: offset of frame j; starts[len]: the file size
+	for j, p := range recs {
+		starts[j+1] = starts[j] + 8 + len(p)
+	}
+
+	dir := t.TempDir()
+	opts.WALDir, opts.FsyncBatch = dir, 1<<20
+	// recovers checks that New on data re-drives the first k events to
+	// the offline digest and verifies the final checkpoint iff whole.
+	recovers := func(what string, data []byte, k int, final bool) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, logFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(opts)
+		if err != nil {
+			t.Fatalf("%s: New: %v, want %d events recovered", what, err, k)
+		}
+		rec, c := srv.Recovery(), srv.Snapshot().Server
+		res, err := srv.Close()
+		if err != nil {
+			t.Fatalf("%s: Close: %v", what, err)
+		}
+		got := digest{c.Served, c.Matched, math.Float64bits(res.TotalRevenue())}
+		if rec.Events != int64(k) || got != want[k] || int64(res.TotalServed()) != got.matched ||
+			(rec.SnapshotApplied == int64(k) && k > 0) != final {
+			t.Fatalf("%s: recovered %+v to %+v, want %d events to %+v (final checkpoint verified: %v)",
+				what, rec, got, k, want[k], final)
+		}
+	}
+	for cut := 0; cut <= len(orig); cut++ {
+		whole := 0
+		for whole < len(recs) && starts[whole+1] <= cut {
+			whole++
+		}
+		recovers(fmt.Sprintf("cut at %d", cut), orig[:cut], min(max(whole-1, 0), len(evs)), whole == len(recs))
+	}
+	for b := 0; b < len(orig); b++ {
+		data := slices.Clone(orig)
+		data[b] ^= 0xFF
+		what := fmt.Sprintf("byte %d flipped", b)
+		frame := 0
+		for starts[frame+1] <= b {
+			frame++
+		}
+		if frame == last {
+			recovers(what, data, len(evs), false)
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, logFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(opts)
+		var ce *wal.CorruptError
+		if !errors.As(err, &ce) || ce.Offset != int64(starts[frame]) {
+			if err == nil {
+				srv.Close()
+			}
+			t.Fatalf("%s: New: %v, want a CorruptError at offset %d", what, err, starts[frame])
+		}
+	}
 }

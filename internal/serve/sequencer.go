@@ -126,7 +126,7 @@ func (s *Server) tickInterval() time.Duration {
 // window flush is due, which flushes it. The tick is logged to the WAL
 // first (write-ahead, same contract as events): recovery must flush
 // the same windows at the same virtual times, or the recovered engine
-// state — and the snapshot digest — would fork from the live history.
+// state — and the checkpoint digest — would fork from the live history.
 // Ticks with nothing due append nothing, so an idle server does not
 // grow its log.
 func (s *Server) tickWindows() {
@@ -151,7 +151,7 @@ func (s *Server) tickWindows() {
 	if err := s.eng.AdvanceTime(core.Time(now)); err != nil {
 		s.ctr.engineErrors.Add(1)
 	}
-	s.maybeSnapshot()
+	s.maybeCheckpoint()
 }
 
 // onWindowFlush is the engine's decision handler for window flushes:
@@ -214,23 +214,21 @@ func (s *Server) process(it *ingest) {
 		}
 	}
 	d, err := s.apply(it.ev)
-	if err != nil {
+	switch {
+	case err != nil:
 		it.done <- WireDecision{Status: StatusError, Kind: KindName(it.ev.Kind),
 			ID: eventID(it.ev), VTime: int64(it.ev.Time), Error: err.Error()}
-		return
-	}
-	if d.Deferred {
+	case d.Deferred:
 		// The window buffered this request; the real decision is owed at
 		// flush time and onWindowFlush answers it then. Answering now
 		// would leak a reason-less non-decision, and if the flush lands
 		// after the handler's deadline the handler 504s on its own — the
 		// event stays sequenced and still resolves at the flush.
 		s.waiters[eventID(it.ev)] = it
-		s.maybeSnapshot()
-		return
+	default:
+		it.done <- decisionLine(it.ev.Kind, eventID(it.ev), int64(it.ev.Time), d)
 	}
-	it.done <- decisionLine(it.ev.Kind, eventID(it.ev), int64(it.ev.Time), d)
-	s.maybeSnapshot()
+	s.maybeCheckpoint()
 }
 
 // apply feeds one event to the engine and books the decision counters.
@@ -239,7 +237,7 @@ func (s *Server) process(it *ingest) {
 // exactly. Deferred (window-buffered) requests are NOT counted here —
 // their decision does not exist yet; onWindowFlush counts them when
 // the window flushes, which keeps the counters a pure function of the
-// logged history (events + ticks) and the snapshot digest verifiable.
+// logged history (events + ticks) and the checkpoint digest verifiable.
 func (s *Server) apply(ev core.Event) (platform.RequestDecision, error) {
 	d, err := s.eng.Process(ev)
 	if err != nil {

@@ -105,7 +105,7 @@ type Options struct {
 
 	// WALDir, when non-empty, turns on durability: every admitted event
 	// is appended to a write-ahead log in this directory before the
-	// engine sees it, checkpoint manifests are written alongside, and a
+	// engine sees it, with checkpoint records in the same log, and a
 	// restart with the same directory recovers the exact pre-crash state
 	// by re-driving the log (see internal/wal) inside New, before it
 	// returns; a recovery that fails is New's error. Empty keeps the
@@ -115,10 +115,6 @@ type Options struct {
 	// Larger batches trade the durability of the last <N events for
 	// sustained throughput.
 	FsyncBatch int
-	// SnapshotEvery writes a checkpoint manifest every N applied events;
-	// 0 disables periodic checkpoints (one is still written at position 0
-	// of a fresh log, which pins the configuration, and one on Close).
-	SnapshotEvery int
 }
 
 type eventKey struct {
@@ -189,10 +185,10 @@ type Server struct {
 	// durability (nil wal == zero-durability path, bit-identical to the
 	// pre-WAL server)
 	wal          *wal.Log
-	walBuf       []byte // reused event-encode buffer; sequencer goroutine only
-	applied      int64  // WAL records appended + recovered; sequencer-owned
+	walBuf       []byte // reused record-encode buffer; sequencer goroutine only
+	applied      int64  // WAL event and tick records appended + recovered; sequencer-owned
+	checkpointed int64  // applied at the last checkpoint record; sequencer-owned
 	rec          RecoveryInfo
-	snapsWritten atomic.Int64
 
 	// live ID allocation
 	nextReqID    atomic.Int64
@@ -220,7 +216,7 @@ type counters struct {
 	deadlineMiss atomic.Int64 // 504: handler gave up waiting
 	badEvents    atomic.Int64 // malformed / unknown / duplicate
 	engineErrors atomic.Int64
-	walErrors    atomic.Int64 // append/snapshot failures (event NOT applied)
+	walErrors    atomic.Int64 // append/checkpoint failures (event NOT applied)
 	revenueMu    sync.Mutex
 	revenue      float64
 }
@@ -269,7 +265,7 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	if opts.Algorithm == platform.AlgBatchCOM && opts.Window <= 0 {
-		// Normalize before the snapshot config fingerprint is taken, so a
+		// Normalize before the checkpoint config fingerprint is taken, so a
 		// server restarted with an explicit DefaultBatchWindow still
 		// matches a log written with the implicit default.
 		opts.Window = platform.DefaultBatchWindow
@@ -313,7 +309,7 @@ func New(opts Options) (*Server, error) {
 	s.waiters = make(map[int64]*ingest)
 	// The flush handler must be registered before any recovery re-drive:
 	// recovered tick records flush windows, and those flushes must book
-	// exactly the counters they booked live or the snapshot digest check
+	// exactly the counters they booked live or the checkpoint digest check
 	// would fail.
 	eng.SetDecisionHandler(s.onWindowFlush)
 
@@ -392,11 +388,13 @@ func (s *Server) Close() (*platform.Result, error) {
 	<-s.seqDone
 	s.closeOnce.Do(func() {
 		// The sequencer has stopped, so its WAL state is safe to touch:
-		// write the final checkpoint and release the log before finishing
-		// the engine.
+		// write the final checkpoint (unless the last one already covers
+		// every record) and release the log before finishing the engine.
 		if s.wal != nil {
-			if err := s.writeSnapshot(); err != nil {
-				s.ctr.walErrors.Add(1)
+			if s.applied != s.checkpointed {
+				if err := s.checkpoint(); err != nil {
+					s.ctr.walErrors.Add(1)
+				}
 			}
 			if err := s.wal.Close(); err != nil {
 				s.ctr.walErrors.Add(1)
@@ -645,11 +643,9 @@ func (s *Server) Snapshot() MetricsSnapshot {
 	}
 	if s.wal != nil {
 		snap.WAL = &WALStatus{
-			Dir:              s.opts.WALDir,
-			FsyncBatch:       s.opts.FsyncBatch,
-			SnapshotEvery:    s.opts.SnapshotEvery,
-			SnapshotsWritten: s.snapsWritten.Load(),
-			Recovery:         s.rec,
+			Dir:        s.opts.WALDir,
+			FsyncBatch: s.opts.FsyncBatch,
+			Recovery:   s.rec,
 		}
 	}
 	return snap

@@ -267,16 +267,16 @@ func waitApplied(t *testing.T, srv *Server, want int64) {
 	}
 }
 
-// TestBatchWindowCrashRecovery is the satellite-3 regression: a crash
-// with requests still buffered in an open window, under a non-zero
-// recycle base (replay mode + ServiceTicks), must recover by
-// RE-BUFFERING the undecided requests — the WAL re-drive rebuilds the
-// open window, the snapshot digest (taken while those requests were
-// uncounted) verifies, and finishing the stream on the recovered server
-// reproduces the uninterrupted offline run bit for bit.
+// TestBatchWindowCrashRecovery: a crash with requests still buffered in
+// an open window, under a non-zero recycle base (replay mode +
+// ServiceTicks), must recover by RE-BUFFERING the undecided requests —
+// the WAL re-drive rebuilds the open window, the periodic checkpoint
+// digest in the prefix (taken while buffered requests were uncounted)
+// verifies, and finishing the stream on the recovered server reproduces
+// the uninterrupted offline run bit for bit.
 func TestBatchWindowCrashRecovery(t *testing.T) {
 	const window core.Time = 50
-	stream := testStream(t, 120, 80, 21)
+	stream := testStream(t, 160, 110, 21)
 	cfg := platform.Config{Seed: 21, ServiceTicks: 3}
 	want, err := platform.Run(stream, batchFactory(t, stream.MaxValue(), window, 0), cfg)
 	if err != nil {
@@ -298,7 +298,7 @@ func TestBatchWindowCrashRecovery(t *testing.T) {
 	walDir := t.TempDir()
 	opts := Options{Algorithm: platform.AlgBatchCOM, Seed: 21, Replay: stream,
 		ServiceTicks: 3, Window: window, QueueCap: stream.Len() + 1,
-		Deadline: 100 * time.Millisecond, WALDir: walDir, SnapshotEvery: 7}
+		Deadline: 100 * time.Millisecond, WALDir: walDir}
 
 	srvA, err := New(opts)
 	if err != nil {
@@ -315,8 +315,8 @@ func TestBatchWindowCrashRecovery(t *testing.T) {
 		t.Fatalf("New B (recovery): %v", err)
 	}
 	rec := srvB.Recovery()
-	if !rec.Recovered || rec.Events < int64(cut) {
-		t.Fatalf("recovery info: %+v (want >= %d events)", rec, cut)
+	if !rec.Recovered || rec.Events < int64(cut) || rec.SnapshotApplied < checkpointEvery {
+		t.Fatalf("recovery info: %+v (want >= %d events and a periodic checkpoint)", rec, cut)
 	}
 	tsB := httptest.NewServer(srvB.Handler())
 	defer tsB.Close()

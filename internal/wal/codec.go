@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -61,7 +63,7 @@ const eventFixed = 1 + 8 + 8 + 8 + 4 + 8 + 8
 // Tick records exist for the windowed matchers: the serving sequencer
 // logs one before advancing the engine's clock past a window's due
 // time, so recovery replays window flushes at exactly the recorded
-// virtual times and the engine state (and snapshot digest) reproduces.
+// virtual times and the engine state (and checkpoint digest) reproduces.
 const tickKind byte = 0xFF
 
 // AppendTick encodes a virtual-time tick record into buf:
@@ -81,6 +83,93 @@ func DecodeTick(p []byte) (core.Time, error) {
 		return 0, fmt.Errorf("wal: malformed tick record (%d bytes)", len(p))
 	}
 	return core.Time(binary.LittleEndian.Uint64(p[1:9])), nil
+}
+
+// checkpointKind is the record-kind byte of a checkpoint record, beside
+// tickKind outside the core.EventKind space.
+const checkpointKind byte = 0xFE
+
+// Checkpoint is a record the serving layer writes into the log: at
+// record 0 of a fresh log, after every few hundred event and tick
+// records, and on shutdown. The engine is a pure function of (seed,
+// config, event sequence), so the log is the complete recoverable
+// state; a checkpoint pins the configuration that sequence must be
+// re-driven under and a digest of the decision counters after the
+// Applied event and tick records before it. It covers only records
+// earlier in the same file, so it is durable exactly when they are.
+// Recovery checks every checkpoint it passes: a mismatch means the log
+// and the configuration or the re-drive disagree (corruption, a config
+// drift, or a nondeterministic engine), and recovery fails loudly
+// instead of serving forked state.
+type Checkpoint struct {
+	// Applied is the number of event and tick records before this one.
+	Applied int64 `json:"applied"`
+
+	// Config fingerprint: recovery refuses a log written under a
+	// different engine configuration, which could replay cleanly but
+	// produce silently different state.
+	Algorithm    string `json:"algorithm"`
+	Seed         int64  `json:"seed"`
+	ServiceTicks int64  `json:"service_ticks"`
+	DisableCoop  bool   `json:"disable_coop,omitempty"`
+	ReplayEvents int64  `json:"replay_events,omitempty"` // recorded stream length; 0 in live mode
+	// Platforms is the resolved platform set, ascending; MaxValueBits is
+	// math.Float64bits of the resolved a-priori max request value.
+	Platforms    []core.PlatformID `json:"platforms"`
+	MaxValueBits uint64            `json:"max_value_bits"`
+	// Faults renders every field of the cooperation fault plan; empty
+	// without one.
+	Faults string `json:"faults,omitempty"`
+	// Window and BatchDeadline fingerprint the windowed-dispatch
+	// configuration (BatchCOM): a log of buffered windows replayed under
+	// a different window geometry would flush at different virtual times
+	// and fork the state. Zero for the greedy algorithms.
+	Window        int64 `json:"window,omitempty"`
+	BatchDeadline int64 `json:"batch_deadline,omitempty"`
+	// PricingRev is pricing.SamplerRev of the binary that wrote the log:
+	// the RNG consumption contract of the Algorithm 2 estimator. A
+	// DemCOM/BatchCOM log re-driven under another revision forks the
+	// state.
+	PricingRev int64 `json:"pricing_rev,omitempty"`
+
+	// Digest of the serving counters after Applied records. RevenueBits
+	// is math.Float64bits of the accumulated revenue — compared bit for
+	// bit, not within an epsilon.
+	Served      int64  `json:"served"`
+	Matched     int64  `json:"matched"`
+	RevenueBits uint64 `json:"revenue_bits"`
+}
+
+// AppendCheckpoint encodes a checkpoint record into buf:
+//
+//	[1B 0xFE][JSON]
+func AppendCheckpoint(buf []byte, c *Checkpoint) ([]byte, error) {
+	js, err := json.Marshal(c)
+	if err != nil {
+		return nil, fmt.Errorf("wal: checkpoint: %w", err)
+	}
+	return append(append(buf, checkpointKind), js...), nil
+}
+
+// IsCheckpoint reports whether the record payload is a checkpoint record.
+func IsCheckpoint(p []byte) bool { return len(p) > 0 && p[0] == checkpointKind }
+
+// DecodeCheckpoint decodes a checkpoint record. It accepts only the
+// bytes AppendCheckpoint writes for the decoded value, so a record with
+// a field this binary does not know, a duplicate field or any other
+// spelling of the same JSON is refused rather than half-read.
+func DecodeCheckpoint(p []byte) (Checkpoint, error) {
+	var c Checkpoint
+	if !IsCheckpoint(p) {
+		return c, fmt.Errorf("wal: not a checkpoint record")
+	}
+	if err := json.Unmarshal(p[1:], &c); err != nil {
+		return Checkpoint{}, fmt.Errorf("wal: checkpoint: %w", err)
+	}
+	if re, err := AppendCheckpoint(nil, &c); err != nil || !bytes.Equal(re, p) {
+		return Checkpoint{}, fmt.Errorf("wal: checkpoint record is not in this binary's encoding: %.80q", p[1:])
+	}
+	return c, nil
 }
 
 // DecodeEvent decodes one record payload back into a domain event and

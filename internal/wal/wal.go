@@ -1,24 +1,30 @@
 // Package wal is the durability layer under the serving stack: an
-// fsync-batched write-ahead event log plus snapshot manifests. The
-// serving sequencer appends every admitted arrival to the log *before*
-// feeding it to the matching engine, so a crashed process can be
-// restarted and re-driven to the exact virtual-time point it died at —
-// the engine is a pure function of (seed, config, event sequence), which
-// makes the log the complete recovery state.
+// fsync-batched write-ahead log in one file. The serving sequencer
+// appends every admitted arrival to the log *before* feeding it to the
+// matching engine, so a crashed process can be restarted and re-driven
+// to the exact virtual-time point it died at — the engine is a pure
+// function of (seed, config, event sequence), which makes the log the
+// complete recovery state.
 //
 // On-disk layout, one directory per server:
 //
-//	wal-00000001.seg             the log: length+CRC framed records
-//	snap-0000000000012288.snap   checkpoint manifest (see Snapshot)
+//	wal-00000001.seg   the log: length+CRC framed records
+//
+// A record is an event (AppendEvent), a virtual-time tick (AppendTick)
+// or a checkpoint (AppendCheckpoint: the configuration fingerprint and a
+// counter digest, record 0 of every log the serving layer writes). The
+// log holds its own checkpoints, so it needs no other file.
 //
 // Record framing is [4B little-endian payload length][4B CRC32-C of
-// the payload][payload]. Open and Range read it through one frame loop.
-// A bad frame (a length above MaxRecordBytes, a frame running past the
-// end of the file, or a CRC mismatch) is the torn tail of a crash
-// mid-write only when no later offset holds a non-empty frame that
-// verifies: Open truncates it away and the log stays usable. Any other
-// bad frame is real corruption and fails loudly with the file name and
-// the frame's byte offset, leaving the file untouched, because silently
+// the payload][payload], and a payload is never empty. Open and Range
+// read it through one frame loop. A bad frame (an empty one, a length
+// above MaxRecordBytes, a frame running past the end of the file, or a
+// CRC mismatch) is the torn tail of a crash mid-write only when no
+// later offset holds a non-empty frame that verifies: Open truncates it
+// away and the log stays usable. A zero-filled tail, what a filesystem
+// can leave when a crash extends a file, is such a tail. Any other bad
+// frame is real corruption and fails loudly with the file name and the
+// frame's byte offset, leaving the file untouched, because silently
 // skipping records would fork the recovered engine state away from the
 // pre-crash one. Recovery re-drives the whole log and nothing truncates
 // it, so it is one file; binaries that rotated it into size-bounded
@@ -143,9 +149,6 @@ func Open(dir string, opts Options) (*Log, error) {
 // Count returns the number of records in the log.
 func (l *Log) Count() int64 { return l.count }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Stats returns the log's activity counters.
 func (l *Log) Stats() Stats {
 	st := l.st
@@ -153,12 +156,15 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Append writes one record. The write lands in the OS immediately on
-// every FsyncBatch-th append (and is fsynced then); call Sync to force
-// durability earlier, e.g. before a snapshot manifest is written.
+// Append writes one non-empty record. The write lands in the OS
+// immediately on every FsyncBatch-th append (and is fsynced then); call
+// Sync to force durability earlier.
 func (l *Log) Append(payload []byte) error {
 	if l.f == nil {
 		return fmt.Errorf("wal: log is closed")
+	}
+	if len(payload) == 0 {
+		return fmt.Errorf("wal: empty record")
 	}
 	if len(payload) > MaxRecordBytes {
 		return fmt.Errorf("wal: record of %d bytes exceeds the %d limit", len(payload), MaxRecordBytes)
@@ -255,13 +261,13 @@ func (l *Log) Range(fn func(i int64, payload []byte) error) error {
 // frames is the log's one frame reader. It reads f from the start,
 // calls fn (when non-nil) with each record that verifies, and returns
 // the record count, the valid prefix (the end of the last good frame)
-// and the file's size. A bad frame (a length above MaxRecordBytes, a
-// frame running past the end of the file, or a CRC mismatch) is the
-// torn tail of a crashed write when no later offset holds a non-empty
-// frame that verifies: the valid prefix ends there. Otherwise it is
-// real corruption, and frames fails with a CorruptError naming the file
-// and the bad frame's offset, because skipping records would fork the
-// recovered engine state away from the pre-crash one.
+// and the file's size. A bad frame (an empty one, a length above
+// MaxRecordBytes, a frame running past the end of the file, or a CRC
+// mismatch) is the torn tail of a crashed write when no later offset
+// holds a non-empty frame that verifies: the valid prefix ends there.
+// Otherwise it is real corruption, and frames fails with a CorruptError
+// naming the file and the bad frame's offset, because skipping records
+// would fork the recovered engine state away from the pre-crash one.
 func frames(f *os.File, fn func(i int64, payload []byte) error) (records, valid, size int64, err error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -282,6 +288,8 @@ func frames(f *os.File, fn func(i int64, payload []byte) error) (records, valid,
 			bad = "partial frame header"
 		case err != nil:
 			return 0, 0, 0, fmt.Errorf("wal: reading %s: %w", logName, err)
+		case n == 0:
+			bad = "empty frame"
 		case n > MaxRecordBytes:
 			bad = "record length out of range"
 		case valid+headerSize+n > size:
@@ -317,8 +325,8 @@ func frames(f *os.File, fn func(i int64, payload []byte) error) (records, valid,
 
 // verifiesAfter reports whether some offset after off holds a
 // non-empty frame that verifies: the proof that a bad frame at off is
-// not a torn tail. An empty frame proves nothing, because zero-filled
-// bytes verify as one.
+// not a torn tail. An empty frame proves nothing: it is bad itself, and
+// zero-filled bytes verify as one.
 func verifiesAfter(f *os.File, off, size int64) (bool, error) {
 	var hdr [headerSize]byte
 	var buf []byte
@@ -341,7 +349,7 @@ func verifiesAfter(f *os.File, off, size int64) (bool, error) {
 	return false, nil
 }
 
-// syncDir fsyncs a directory so renames and creations survive a crash.
+// syncDir fsyncs a directory so a file creation survives a crash.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

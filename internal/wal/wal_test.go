@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -365,117 +366,94 @@ func TestAbandonLosesUnsyncedTail(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTripAndFallback(t *testing.T) {
+// TestZeroFilledTail: zeros after the last record (what a filesystem
+// can leave when a crash extends a file) are a torn tail, cut on Open;
+// zeros with a verifying frame after them are corruption at the first
+// zero frame.
+func TestZeroFilledTail(t *testing.T) {
+	src := t.TempDir()
+	l := openT(t, src, Options{})
+	appendN(t, l, 0, 3)
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	orig, err := os.ReadFile(logPath(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 4096)
+
 	dir := t.TempDir()
-	if s, err := LatestSnapshot(dir); err != nil || s != nil {
-		t.Fatalf("LatestSnapshot empty dir: %v, %v", s, err)
+	if err := os.WriteFile(logPath(dir), append(slices.Clone(orig), zeros...), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	s1 := &Snapshot{Version: 1, Applied: 100, VLast: 5000, Algorithm: "DemCOM",
-		Seed: 42, Served: 60, Matched: 41, RevenueBits: math.Float64bits(123.75)}
-	s2 := &Snapshot{Version: 1, Applied: 200, VLast: 9000, Algorithm: "DemCOM",
-		Seed: 42, Served: 120, Matched: 83, RevenueBits: math.Float64bits(250.5)}
-	if err := WriteSnapshot(dir, s1); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	l2 := openT(t, dir, Options{})
+	if got := collect(t, l2); l2.Count() != 3 || len(got) != 3 || got[2] != "record-0002" {
+		t.Fatalf("zero tail: Count %d, %d records; want the 3 records", l2.Count(), len(got))
 	}
-	if err := WriteSnapshot(dir, s2); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := l2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	got, err := LatestSnapshot(dir)
-	if err != nil {
-		t.Fatalf("LatestSnapshot: %v", err)
+	if fi, err := os.Stat(logPath(dir)); err != nil || fi.Size() != int64(len(orig)) {
+		t.Fatalf("zero tail left the file at %v bytes (%v), want the %d-byte prefix", fi.Size(), err, len(orig))
 	}
-	if !reflect.DeepEqual(got, s2) {
-		t.Fatalf("LatestSnapshot: %+v, want %+v", got, s2)
+
+	dir = t.TempDir()
+	frame := int64(len(orig)) / 3
+	data := append(append(slices.Clone(orig), zeros...), orig[frame:2*frame]...)
+	if err := os.WriteFile(logPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Corrupt the newest manifest: recovery falls back to the older one.
-	flipByte(t, filepath.Join(dir, SnapshotName(200)), headerSize+3)
-	got, err = LatestSnapshot(dir)
-	if err != nil {
-		t.Fatalf("LatestSnapshot after corruption: %v", err)
-	}
-	if got == nil || !reflect.DeepEqual(got, s1) {
-		t.Fatalf("fallback snapshot: %+v, want %+v", got, s1)
+	_, err = Open(dir, Options{})
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Offset != int64(len(orig)) {
+		t.Fatalf("zeros before a valid frame: Open: %v, want a CorruptError at offset %d", err, len(orig))
 	}
 }
 
-func TestSnapshotPruning(t *testing.T) {
-	dir := t.TempDir()
-	for i := 1; i <= snapKeep+3; i++ {
-		if err := WriteSnapshot(dir, &Snapshot{Version: 1, Applied: int64(i * 10)}); err != nil {
-			t.Fatalf("WriteSnapshot %d: %v", i, err)
+func TestAppendRejectsEmptyRecord(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{})
+	defer l.Close()
+	if err := l.Append(nil); err == nil {
+		t.Fatal("Append accepted an empty record")
+	}
+	if l.Count() != 0 {
+		t.Fatalf("Count after a refused append: %d", l.Count())
+	}
+}
+
+func TestCheckpointCodec(t *testing.T) {
+	c := Checkpoint{Applied: 256, Algorithm: "DemCOM", Seed: 42, ServiceTicks: 3,
+		Platforms: []core.PlatformID{1, 2}, MaxValueBits: math.Float64bits(99.5),
+		Faults: "{DropRate:0.25}", Window: 50, PricingRev: 1,
+		Served: 60, Matched: 41, RevenueBits: math.Float64bits(123.75)}
+	p, err := AppendCheckpoint([]byte("kept"), &c)
+	if err != nil {
+		t.Fatalf("AppendCheckpoint: %v", err)
+	}
+	if string(p[:4]) != "kept" {
+		t.Fatalf("AppendCheckpoint overwrote its buffer: %q", p[:4])
+	}
+	p = p[4:]
+	if !IsCheckpoint(p) || IsTick(p) {
+		t.Fatalf("IsCheckpoint/IsTick on a checkpoint record: %v/%v", IsCheckpoint(p), IsTick(p))
+	}
+	got, err := DecodeCheckpoint(p)
+	if err != nil || !reflect.DeepEqual(got, c) {
+		t.Fatalf("DecodeCheckpoint: %+v, %v; want %+v", got, err, c)
+	}
+	if _, _, err := DecodeEvent(p); err == nil {
+		t.Fatal("DecodeEvent accepted a checkpoint record")
+	}
+	for _, bad := range []string{
+		`{"applied":1,"unknown":2}`,
+		` {"applied":1}`,
+		`{"applied":1,"applied":1}`,
+		`{"APPLIED":1}`,
+	} {
+		if _, err := DecodeCheckpoint(append([]byte{checkpointKind}, bad...)); err == nil {
+			t.Errorf("DecodeCheckpoint accepted %s", bad)
 		}
-	}
-	names, err := listSnapshots(dir)
-	if err != nil {
-		t.Fatalf("listSnapshots: %v", err)
-	}
-	if len(names) != snapKeep {
-		t.Fatalf("retained %d snapshots, want %d", len(names), snapKeep)
-	}
-}
-
-// TestSnapshotCrashBeforeRenameFallsBack models a crash between the
-// temp-file write and the rename: the orphaned .tmp must be invisible
-// to recovery (the older manifest wins) and swept by the next write.
-func TestSnapshotCrashBeforeRenameFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	s1 := &Snapshot{Version: 1, Applied: 100, VLast: 5000, Algorithm: "DemCOM", Seed: 42,
-		Served: 60, Matched: 41, RevenueBits: math.Float64bits(99.5)}
-	if err := WriteSnapshot(dir, s1); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	// The crash artifact: a fully written, never-renamed temp manifest
-	// at a newer position.
-	tmp := filepath.Join(dir, SnapshotName(200)+".tmp")
-	if err := os.WriteFile(tmp, []byte("torn snapshot bytes"), 0o644); err != nil {
-		t.Fatalf("writing tmp: %v", err)
-	}
-
-	got, err := LatestSnapshot(dir)
-	if err != nil {
-		t.Fatalf("LatestSnapshot: %v", err)
-	}
-	if got == nil || !reflect.DeepEqual(got, s1) {
-		t.Fatalf("recovery used %+v, want the pre-crash manifest %+v", got, s1)
-	}
-	// The next successful write sweeps the stale temp.
-	s3 := &Snapshot{Version: 1, Applied: 300, Algorithm: "DemCOM", Seed: 42}
-	if err := WriteSnapshot(dir, s3); err != nil {
-		t.Fatalf("WriteSnapshot after crash: %v", err)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("stale tmp %s survived the next write (err=%v)", tmp, err)
-	}
-	if got, err := LatestSnapshot(dir); err != nil || got == nil || !reflect.DeepEqual(got, s3) {
-		t.Fatalf("LatestSnapshot after recovery write: %+v, %v", got, err)
-	}
-}
-
-// TestSnapshotPruneKeepsLastVerifiedManifest corrupts every manifest
-// inside the retention window: pruning must not delete the older
-// manifest that still verifies — it is the only recoverable checkpoint.
-func TestSnapshotPruneKeepsLastVerifiedManifest(t *testing.T) {
-	dir := t.TempDir()
-	valid := &Snapshot{Version: 1, Applied: 10, Algorithm: "DemCOM", Seed: 42}
-	if err := WriteSnapshot(dir, valid); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	// Fill the retention window above it with damaged manifests — the
-	// shape of a run of torn writes or a failing disk.
-	for i := 0; i < snapKeep; i++ {
-		path := filepath.Join(dir, SnapshotName(int64(20+10*i)))
-		if err := os.WriteFile(path, []byte("not a snapshot"), 0o644); err != nil {
-			t.Fatalf("writing damaged manifest: %v", err)
-		}
-	}
-
-	pruneSnapshots(dir)
-	got, err := LatestSnapshot(dir)
-	if err != nil {
-		t.Fatalf("LatestSnapshot: %v", err)
-	}
-	if got == nil || !reflect.DeepEqual(got, valid) {
-		t.Fatalf("prune deleted the last verified manifest: got %+v", got)
 	}
 }
 
@@ -533,6 +511,39 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	if _, _, err := DecodeEvent([]byte{1, 2, 3}); err == nil {
 		t.Fatal("DecodeEvent accepted a truncated record")
 	}
+}
+
+// FuzzDecodeEvent holds the three record decoders to their encoders: no
+// input panics, and whatever one of them accepts re-encodes to the same
+// bytes, so a decoded record is exactly the record that was written.
+func FuzzDecodeEvent(f *testing.F) {
+	w, _ := AppendEvent(nil, core.Event{Time: 7, Kind: core.WorkerArrival, Worker: &core.Worker{
+		ID: 12, Arrival: 7, Loc: geo.Point{X: 1.25, Y: -3.5}, Radius: 0.3,
+		Platform: 2, History: []float64{10.5, math.NaN()}}}, 4)
+	r, _ := AppendEvent(nil, core.Event{Time: 9, Kind: core.RequestArrival, Request: &core.Request{
+		ID: 99, Arrival: 9, Loc: geo.Point{X: math.Pi}, Value: 55.125, Platform: 1}}, -1)
+	c, _ := AppendCheckpoint(nil, &Checkpoint{Applied: 3, Algorithm: "TOTA", Platforms: []core.PlatformID{1, 2},
+		Faults: "{DropRate:0.5}", Served: 1, Matched: 1, RevenueBits: math.Float64bits(2.5)})
+	for _, seed := range [][]byte{w, r, AppendTick(nil, 1<<40), c, {}, {0xFE}, {0xFF}, {1}} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if ev, seq, err := DecodeEvent(p); err == nil {
+			if re, err := AppendEvent(nil, ev, seq); err != nil || !bytes.Equal(re, p) {
+				t.Fatalf("event %x re-encodes to %x (%v)", p, re, err)
+			}
+		}
+		if tm, err := DecodeTick(p); err == nil {
+			if re := AppendTick(nil, tm); !bytes.Equal(re, p) {
+				t.Fatalf("tick %x re-encodes to %x", p, re)
+			}
+		}
+		if c, err := DecodeCheckpoint(p); err == nil {
+			if re, err := AppendCheckpoint(nil, &c); err != nil || !bytes.Equal(re, p) {
+				t.Fatalf("checkpoint %q re-encodes to %q (%v)", p, re, err)
+			}
+		}
+	})
 }
 
 func flipByte(t *testing.T, path string, off int64) {

@@ -5,9 +5,10 @@
 # with a write-ahead log, SIGKILL mid-stream, restart on the same log
 # directory, re-push, and assert the final drain summary is identical
 # to the uninterrupted run — crash recovery is bit-exact. Then the
-# fingerprint phase: a WAL server with no periodic checkpoint is killed
-# mid-stream and restarted under another seed, which must exit 1 naming
-# the seed instead of re-driving its log into different state. Finally the
+# fingerprint phase: a WAL server is killed mid-stream and restarted
+# under another seed, which must exit 1 naming the seed (the checkpoint
+# at record 0 of its log pins it) instead of re-driving its log into
+# different state. Finally the
 # fleet chaos phase: a comroute router over three replay shards (each
 # serving its spatial-hash sub-stream with its own WAL), SIGKILL one
 # shard mid-push, restart it on the same address and WAL (it listens
@@ -89,7 +90,7 @@ oracle="$(grep "comserve: matched" "$tmp/comserve.log")"
 echo "==> chaos: replay with a WAL, SIGKILL mid-stream"
 "$tmp/comserve" -addr 127.0.0.1:0 -alg DemCOM -seed 42 \
     -replay "$tmp/stream.csv" -port-file "$tmp/port2.txt" \
-    -wal-dir "$tmp/wal" -fsync-batch 8 -snapshot-every 100 \
+    -wal-dir "$tmp/wal" -fsync-batch 8 \
     > "$tmp/comserve2.log" 2>&1 &
 srv2=$!
 wait_port "$tmp/port2.txt" "$srv2" "$tmp/comserve2.log"
@@ -111,7 +112,7 @@ echo "    killed comserve mid-stream"
 echo "==> restart on the same WAL and resume the push"
 "$tmp/comserve" -addr 127.0.0.1:0 -alg DemCOM -seed 42 \
     -replay "$tmp/stream.csv" -port-file "$tmp/port3.txt" \
-    -wal-dir "$tmp/wal" -fsync-batch 8 -snapshot-every 100 \
+    -wal-dir "$tmp/wal" -fsync-batch 8 \
     > "$tmp/comserve3.log" 2>&1 &
 srv3=$!
 wait_port "$tmp/port3.txt" "$srv3" "$tmp/comserve3.log"
@@ -141,10 +142,10 @@ if [ "$recovered" != "$oracle" ]; then
 fi
 echo "    recovery is bit-exact: $recovered"
 
-echo "==> fingerprint: no periodic checkpoint, SIGKILL, restart under another seed"
+echo "==> fingerprint: SIGKILL mid-stream, restart under another seed"
 "$tmp/comserve" -addr 127.0.0.1:0 -alg DemCOM -seed 42 \
     -replay "$tmp/stream.csv" -port-file "$tmp/port4.txt" \
-    -wal-dir "$tmp/wal0" -fsync-batch 8 -snapshot-every 0 \
+    -wal-dir "$tmp/wal0" -fsync-batch 8 \
     > "$tmp/comserve4.log" 2>&1 &
 srv4=$!
 wait_port "$tmp/port4.txt" "$srv4" "$tmp/comserve4.log"
@@ -157,11 +158,12 @@ kill -9 "$srv4"
 wait_dead "$srv4" "$tmp/comserve4.log"
 wait "$load" 2>/dev/null || true
 # The restart must refuse the log it cannot re-drive faithfully: exit 1,
-# naming the seed, instead of recovering silently into different state.
+# naming the seed that record 0's checkpoint pins, instead of recovering
+# silently into different state.
 status=0
 "$tmp/comserve" -addr 127.0.0.1:0 -alg DemCOM -seed 43 \
     -replay "$tmp/stream.csv" -port-file "$tmp/port5.txt" \
-    -wal-dir "$tmp/wal0" -fsync-batch 8 -snapshot-every 0 \
+    -wal-dir "$tmp/wal0" -fsync-batch 8 \
     > "$tmp/comserve5.log" 2>&1 || status=$?
 if [ "$status" -ne 1 ] || ! grep -q "seed" "$tmp/comserve5.log"; then
     echo "fingerprint: restart under another seed exited $status, want 1 naming the seed" >&2
@@ -221,7 +223,7 @@ wait "$orouter" 2>/dev/null || true
 echo "==> fleet chaos: 3 WAL shards, SIGKILL s2 mid-push"
 for s in s1 s2 s3; do
     boot_shard "$s" "$tmp/shards/$s.csv" "$tmp/fleet-$s.log" "$tmp/fleet-$s.port" \
-        -addr 127.0.0.1:0 -wal-dir "$tmp/fwal-$s" -fsync-batch 8 -snapshot-every 100
+        -addr 127.0.0.1:0 -wal-dir "$tmp/fwal-$s" -fsync-batch 8
     eval "fleet_${s}_pid=$bs_pid"
 done
 s2addr="$(cat "$tmp/fleet-s2.port")"
@@ -249,7 +251,7 @@ echo "    killed shard s2 mid-stream"
 
 echo "==> fleet: restart s2 on its WAL, re-push"
 boot_shard s2 "$tmp/shards/s2.csv" "$tmp/fleet-s2b.log" "$tmp/fleet-s2b.port" \
-    -addr "$s2addr" -wal-dir "$tmp/fwal-s2" -fsync-batch 8 -snapshot-every 100
+    -addr "$s2addr" -wal-dir "$tmp/fwal-s2" -fsync-batch 8
 fleet_s2_pid=$bs_pid
 
 # Full re-push through the router: recovered events dedupe as resumed,
