@@ -330,11 +330,18 @@ type (
 	EventKind = core.EventKind
 	// MatchEngine is the incremental runtime: one Process call per
 	// arrival event, decisions returned synchronously, Finish for the
-	// accumulated result. Single-goroutine: exactly one caller may drive
-	// it (see platform.Engine).
+	// accumulated result. SetDecisionHandler receives every request
+	// decision the engine books, a greedy one inside the Process call
+	// that decides it and a windowed (BatchCOM) one at its window's
+	// flush, so it is the one place to keep a ledger. A worker ID that
+	// has already served, or that waits on another platform, is refused.
+	// Single-goroutine: exactly one caller may drive it (see
+	// platform.Engine).
 	MatchEngine = platform.Engine
 	// EngineDecision is the serving-facing outcome of one request
-	// arrival: who served it, at what payment, and why.
+	// arrival: who served it, at what payment, why, and at which tick.
+	// Process returns it; a windowed matcher returns a Deferred
+	// placeholder there, and the decision handler never sees one.
 	EngineDecision = platform.RequestDecision
 )
 

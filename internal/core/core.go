@@ -233,6 +233,9 @@ func (m *Matching) Add(a Assignment) error {
 // Len returns the number of assignments.
 func (m *Matching) Len() int { return len(m.assignments) }
 
+// HasWorker reports whether an assignment already holds the worker ID.
+func (m *Matching) HasWorker(id int64) bool { return m.workers.has(id) }
+
 // Revenue returns the total platform revenue of the matching (Equation 1).
 func (m *Matching) Revenue() float64 { return m.revenue }
 

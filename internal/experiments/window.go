@@ -110,26 +110,21 @@ type windowUnit struct {
 }
 
 // runWindowUnit drives one engine over the unit's stream, collecting the
-// dispatch wait of every request decision — immediate decisions return
-// from Process with At equal to the arrival tick, window flushes arrive
-// through the decision handler with At equal to the flush tick.
+// dispatch wait of every request decision through the decision handler:
+// At is the arrival tick for an immediate decision and the flush tick
+// for a windowed one.
 func runWindowUnit(u unit) (windowUnit, error) {
 	eng, err := platform.NewEngine(u.stream.Platforms(), u.factory, u.cfg)
 	if err != nil {
 		return windowUnit{}, err
 	}
 	var waits []float64
-	observe := func(rd platform.RequestDecision) {
+	eng.SetDecisionHandler(func(rd platform.RequestDecision) {
 		waits = append(waits, float64(rd.At-rd.Request.Arrival))
-	}
-	eng.SetDecisionHandler(observe)
+	})
 	for _, ev := range u.stream.Events() {
-		d, err := eng.Process(ev)
-		if err != nil {
+		if _, err := eng.Process(ev); err != nil {
 			return windowUnit{}, err
-		}
-		if ev.Kind == core.RequestArrival && !d.Deferred {
-			observe(d)
 		}
 	}
 	res, err := eng.Finish()

@@ -65,8 +65,9 @@ type RequestDecision struct {
 	Revenue float64
 	// Deferred is true when a windowed matcher (BatchCOM) buffered the
 	// request instead of deciding it: no outcome field is meaningful and
-	// the final decision arrives later through the engine's decision
-	// handler when the window flushes (SetDecisionHandler).
+	// the final decision reaches the engine's decision handler when the
+	// window flushes (SetDecisionHandler). The handler never sees a
+	// Deferred decision.
 	Deferred bool
 	// At is the virtual time the decision was made: the arrival tick for
 	// the greedy matchers, the window flush tick for a windowed one — so
@@ -118,10 +119,11 @@ type Engine struct {
 	// Empty for the greedy matchers, in which case settleDue degenerates
 	// to the plain recycle flush.
 	windowed []windowedEntry
-	// onFlush, when non-nil, receives every window-flushed decision as
-	// it is folded (the serving layer's hook for answering deferred
-	// requests). Never called for immediate (non-deferred) decisions.
-	onFlush func(RequestDecision)
+	// onDecision, when non-nil, receives every request decision as fold
+	// books it: on arrival for a greedy matcher, at the window flush for
+	// a windowed one. The one exit for decisions; never called with a
+	// Deferred placeholder.
+	onDecision func(RequestDecision)
 	// nextID allocates IDs for recycled workers: the next one is
 	// nextID+1. Stream runs seed it with the stream's max worker ID.
 	nextID int64
@@ -149,8 +151,9 @@ func (e *Engine) SetRecycleBase(base int64) error {
 // Process feeds one arrival event. Worker arrivals join their
 // platform's waiting list and return the zero RequestDecision; request
 // arrivals are decided immediately (the online constraint) and return
-// the decision. Recycled workers due at or before the event's time are
-// delivered first. Events must be fed in non-decreasing time order; a
+// the decision, which has also reached the decision handler unless it
+// is a Deferred placeholder. Recycled workers due at or before the
+// event's time are delivered first. Events must be fed in non-decreasing time order; a
 // regression returns an error wrapping ErrTimeRegression, and any call
 // after Finish returns one wrapping ErrEngineClosed. A rejected event
 // leaves the engine exactly where it was.
@@ -193,6 +196,11 @@ func (e *Engine) check(ev core.Event) (*slot, error) {
 	if s == nil {
 		return nil, fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
 	}
+	if ev.Kind == core.WorkerArrival {
+		if err := e.checkWorkerID(ev.Worker); err != nil {
+			return nil, err
+		}
+	}
 	// The pool builds a worker's pricing history on delivery and the
 	// Matching refuses a request's value on Add, both after the clock
 	// and a pool have moved; what they would refuse is refused here.
@@ -206,6 +214,24 @@ func (e *Engine) check(ev core.Event) (*slot, error) {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
 	return s, nil
+}
+
+// checkWorkerID refuses a worker arrival whose ID has already served
+// (any platform's Matching holds it) or waits in another platform's
+// pool: the matchers would otherwise take the same worker twice. A
+// re-post on its own platform replaces the waiting entry (Pool.Add).
+func (e *Engine) checkWorkerID(w *core.Worker) error {
+	for i := range e.slots {
+		sl := &e.slots[i]
+		if sl.res.Matching.HasWorker(w.ID) {
+			return fmt.Errorf("platform: worker %d has already served; post it again under a new ID, or with ID 0 for a server-assigned one", w.ID)
+		}
+		if e.pids[i] != w.Platform && sl.matcher.Pool().Has(w.ID) {
+			return fmt.Errorf("platform: worker %d waits on platform %d; post it to platform %d under a new ID, or with ID 0 for a server-assigned one",
+				w.ID, e.pids[i], w.Platform)
+		}
+	}
+	return nil
 }
 
 // apply is the event loop's body, the only place an arrival reaches the
@@ -236,7 +262,7 @@ func (e *Engine) apply(ev core.Event, s *slot) error {
 	if e.dec.Deferred {
 		return nil
 	}
-	return e.fold(s, &e.dec, ev.Time, el)
+	return e.fold(s, ev.Request, &e.dec, ev.Time, el)
 }
 
 // epoch is the origin of the engine's decision timings: time.Since of
@@ -310,24 +336,25 @@ func (e *Engine) foldWindow(s *slot, wds []online.WindowDecision, el time.Durati
 		if time.Duration(i) < rem {
 			d++
 		}
-		if err := e.fold(s, &wd.Decision, wd.At, d); err != nil {
+		if err := e.fold(s, wd.Request, &wd.Decision, wd.At, d); err != nil {
 			return err
-		}
-		if e.onFlush != nil {
-			var rd RequestDecision
-			rd.set(wd.Request, &wd.Decision, wd.At)
-			e.onFlush(rd)
 		}
 	}
 	return nil
 }
 
-// fold books one final decision made at virtual time at: latency, Stats
-// and the metrics funnel, then for a served request the Matching and —
-// with ServiceTicks — the recycled worker. It is the only
-// place a decision reaches any of them.
-func (e *Engine) fold(s *slot, d *online.Decision, at core.Time, el time.Duration) error {
+// fold books one final decision on request r, made at virtual time at:
+// for a served request the Matching first, so an assignment it refuses
+// is booked nowhere, then latency, Stats, the metrics funnel, the
+// decision handler and — with ServiceTicks — the recycled worker. It is
+// the only place a decision reaches any of them.
+func (e *Engine) fold(s *slot, r *core.Request, d *online.Decision, at core.Time, el time.Duration) error {
 	pr := s.res
+	if d.Served {
+		if err := pr.Matching.Add(d.Assignment); err != nil {
+			return fmt.Errorf("platform %d: %w", pr.ID, err)
+		}
+	}
 	pr.Latency.Observe(el)
 	pr.Stats.Observe(d)
 	if mc := e.cfg.Metrics; mc != nil {
@@ -346,13 +373,12 @@ func (e *Engine) fold(s *slot, d *online.Decision, at core.Time, el time.Duratio
 			mc.Add(metrics.Rejections, 1)
 		}
 	}
-	if !d.Served {
-		return nil
+	if e.onDecision != nil {
+		var rd RequestDecision
+		rd.set(r, d, at)
+		e.onDecision(rd)
 	}
-	if err := pr.Matching.Add(d.Assignment); err != nil {
-		return fmt.Errorf("platform %d: %w", pr.ID, err)
-	}
-	if e.cfg.ServiceTicks <= 0 {
+	if !d.Served || e.cfg.ServiceTicks <= 0 {
 		return nil
 	}
 	w := d.Assignment.Worker
@@ -390,13 +416,15 @@ func (e *Engine) AdvanceTime(t core.Time) error {
 	return e.advance(t)
 }
 
-// SetDecisionHandler registers the hook receiving every window-flushed
-// decision as it is folded (nil unregisters). The serving layer uses it
-// to answer requests that got a Deferred placeholder from Process. Set
-// it before feeding events; it runs inside whichever call triggers a
-// flush.
+// SetDecisionHandler registers the hook receiving every request
+// decision as the engine books it (nil unregisters): a greedy matcher's
+// inside the Process call that decides it, a windowed matcher's inside
+// whichever call (Process, AdvanceTime, Finish) flushes its window. It
+// is the one exit for decisions — a Deferred placeholder never reaches
+// it — so a caller that books decisions books them here and nowhere
+// else. Set it before feeding events.
 func (e *Engine) SetDecisionHandler(fn func(RequestDecision)) {
-	e.onFlush = fn
+	e.onDecision = fn
 }
 
 // Windowed reports whether any platform runs a windowed matcher — when

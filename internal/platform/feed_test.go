@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
+	"crossmatch/internal/online"
 	"crossmatch/internal/workload"
 )
 
@@ -400,5 +402,167 @@ func TestProcessAllocatesNothingWarmed(t *testing.T) {
 		if per := float64(allocs[k]) / float64(seen[k]); per >= c.bound {
 			t.Errorf("%v events: %.4f allocations each over %d, want below %g", k, per, seen[k], c.bound)
 		}
+	}
+}
+
+// TestEngineRefusesWorkerIDTwice: a worker ID that has served, or that
+// waits on another platform, is refused on arrival before the clock or
+// any pool moves, so no worker serves twice; a re-post on its own
+// platform still replaces the waiting entry.
+func TestEngineRefusesWorkerIDTwice(t *testing.T) {
+	w := func(id int64, at core.Time, pid core.PlatformID) core.Event {
+		return core.Event{Time: at, Kind: core.WorkerArrival,
+			Worker: &core.Worker{ID: id, Arrival: at, Radius: 1, Platform: pid}}
+	}
+	r := func(id int64, at core.Time, pid core.PlatformID) core.Event {
+		return core.Event{Time: at, Kind: core.RequestArrival,
+			Request: &core.Request{ID: id, Arrival: at, Value: 5, Platform: pid}}
+	}
+	cases := []struct {
+		name    string
+		pids    []core.PlatformID
+		events  []core.Event
+		refused int // index of the refused event; -1 for none
+		served  int
+	}{
+		{"served-worker-returns", []core.PlatformID{1},
+			[]core.Event{w(7, 1, 1), r(1, 2, 1), w(7, 3, 1), r(2, 4, 1)}, 2, 1},
+		{"worker-on-two-platforms", []core.PlatformID{1, 2},
+			[]core.Event{w(7, 1, 1), w(7, 2, 2), r(1, 3, 1), r(2, 4, 2)}, 1, 1},
+		{"same-platform-repost-replaces", []core.PlatformID{1, 2},
+			[]core.Event{w(7, 1, 1), w(7, 2, 1), r(1, 3, 1), r(2, 4, 2)}, -1, 1},
+	}
+	factory, err := FactoryFor(AlgTOTA, 5)
+	if err != nil {
+		t.Fatalf("FactoryFor: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := NewEngine(tc.pids, factory, Config{Seed: 1})
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			for i, ev := range tc.events {
+				_, err := eng.Process(ev)
+				if (i == tc.refused) != (err != nil) {
+					t.Fatalf("event %d: err %v, want refused %v", i, err, i == tc.refused)
+				}
+			}
+			res, err := eng.Finish()
+			if err != nil {
+				t.Fatalf("Finish: %v", err)
+			}
+			if got := res.TotalServed(); got != tc.served {
+				t.Fatalf("served %d, want %d", got, tc.served)
+			}
+			if err := res.Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+		})
+	}
+}
+
+// TestValidateRejectsDoubleBooking holds Result.Validate to the two
+// shapes a worker served twice used to leave behind: Stats booking more
+// than the matching holds, and one worker in two platforms' matchings.
+func TestValidateRejectsDoubleBooking(t *testing.T) {
+	w1 := &core.Worker{ID: 7, Arrival: 1, Radius: 1, Platform: 1}
+	w2 := &core.Worker{ID: 7, Arrival: 2, Radius: 1, Platform: 2}
+	r1 := &core.Request{ID: 1, Arrival: 3, Value: 5, Platform: 1}
+	r2 := &core.Request{ID: 2, Arrival: 4, Value: 5, Platform: 2}
+	platformOf := func(pid core.PlatformID, as ...core.Assignment) *PlatformResult {
+		p := &PlatformResult{ID: pid, Matching: core.NewMatching()}
+		for _, a := range as {
+			if err := p.Matching.Add(a); err != nil {
+				t.Fatalf("Matching.Add: %v", err)
+			}
+			p.Stats.Observe(&online.Decision{Served: true, Assignment: a})
+		}
+		return p
+	}
+
+	// One platform: two decisions booked, one assignment held.
+	one := platformOf(1, core.Assignment{Request: r1, Worker: w1})
+	one.Stats.Observe(&online.Decision{Served: true, Assignment: core.Assignment{Request: r2, Worker: w1}})
+	res := &Result{Platforms: map[core.PlatformID]*PlatformResult{1: one}}
+	if err := res.Validate(); err == nil || !strings.Contains(err.Error(), "served") {
+		t.Fatalf("stats ahead of the matching: Validate = %v", err)
+	}
+	// Revenue booked apart from the matching.
+	one = platformOf(1, core.Assignment{Request: r1, Worker: w1})
+	one.Stats.Revenue += 1e-12
+	res = &Result{Platforms: map[core.PlatformID]*PlatformResult{1: one}}
+	if err := res.Validate(); err == nil || !strings.Contains(err.Error(), "revenue") {
+		t.Fatalf("revenue off the matching: Validate = %v", err)
+	}
+
+	// Two platforms: worker 7 served inner on each.
+	res = &Result{Platforms: map[core.PlatformID]*PlatformResult{
+		1: platformOf(1, core.Assignment{Request: r1, Worker: w1}),
+		2: platformOf(2, core.Assignment{Request: r2, Worker: w2}),
+	}}
+	if err := res.Validate(); err == nil || !strings.Contains(err.Error(), "worker 7 serves on platforms 1 and 2") {
+		t.Fatalf("worker on two platforms: Validate = %v", err)
+	}
+	delete(res.Platforms, 2)
+	if err := res.Validate(); err != nil {
+		t.Fatalf("a consistent result: Validate = %v", err)
+	}
+}
+
+// TestDecisionHandlerSeesEveryDecision: the handler is the one exit for
+// decisions — one call per request for a greedy and for a windowed
+// matcher, never a Deferred placeholder, and the greedy call carries
+// what Process returns.
+func TestDecisionHandlerSeesEveryDecision(t *testing.T) {
+	stream := feedTestStream(t, 200, 80, 13)
+	requests := 0
+	for _, ev := range stream.Events() {
+		if ev.Kind == core.RequestArrival {
+			requests++
+		}
+	}
+	for _, alg := range []string{AlgDemCOM, AlgBatchCOM} {
+		t.Run(alg, func(t *testing.T) {
+			factory, err := FactoryConfigured(alg, AlgConfig{MaxValue: stream.MaxValue(), Window: 5})
+			if err != nil {
+				t.Fatalf("FactoryConfigured: %v", err)
+			}
+			eng, err := NewEngine(stream.Platforms(), factory, Config{Seed: 5})
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			var got []RequestDecision
+			eng.SetDecisionHandler(func(rd RequestDecision) {
+				if rd.Deferred {
+					t.Fatalf("handler saw a Deferred placeholder: %+v", rd)
+				}
+				got = append(got, rd)
+			})
+			served := 0
+			for _, ev := range stream.Events() {
+				n := len(got)
+				d, err := eng.Process(ev)
+				if err != nil {
+					t.Fatalf("Process: %v", err)
+				}
+				if ev.Kind == core.RequestArrival && !d.Deferred && (len(got) != n+1 || got[n] != d) {
+					t.Fatalf("request %d: Process returned %+v, handler saw %v", ev.Request.ID, d, got[n:])
+				}
+			}
+			res, err := eng.Finish()
+			if err != nil {
+				t.Fatalf("Finish: %v", err)
+			}
+			for _, rd := range got {
+				if rd.Served {
+					served++
+				}
+			}
+			if len(got) != requests || served != res.TotalServed() {
+				t.Fatalf("handler saw %d decisions (%d served), stream has %d requests, result served %d",
+					len(got), served, requests, res.TotalServed())
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package platform
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/pprof"
 	"slices"
@@ -174,11 +175,31 @@ func (r *Result) MeanPaymentRate() float64 {
 	return sum / float64(n)
 }
 
-// Validate re-checks every platform's matching.
+// Validate re-checks every platform's matching, that the platform's
+// Stats book exactly what it holds — the served count, and the revenue
+// bits, since both sums add the same assignments in the same order —
+// and that no worker serves on two platforms.
 func (r *Result) Validate() error {
-	for id, p := range r.Platforms {
+	ids := r.sortedIDs()
+	for _, id := range ids {
+		p := r.Platforms[id]
 		if err := p.Matching.Validate(); err != nil {
 			return fmt.Errorf("platform %d: %w", id, err)
+		}
+		if p.Stats.Served != p.Matching.Len() {
+			return fmt.Errorf("platform %d: stats count %d served, the matching holds %d assignments",
+				id, p.Stats.Served, p.Matching.Len())
+		}
+		if math.Float64bits(p.Stats.Revenue) != math.Float64bits(p.Matching.Revenue()) {
+			return fmt.Errorf("platform %d: stats book revenue %v, the matching holds %v",
+				id, p.Stats.Revenue, p.Matching.Revenue())
+		}
+		for _, a := range p.Matching.Assignments() {
+			for _, other := range ids {
+				if other != id && r.Platforms[other].Matching.HasWorker(a.Worker.ID) {
+					return fmt.Errorf("worker %d serves on platforms %d and %d", a.Worker.ID, id, other)
+				}
+			}
 		}
 	}
 	return nil

@@ -71,7 +71,6 @@ func (s *Server) recover() error {
 		return fmt.Errorf("serve: %w", err)
 	}
 
-	var lastTime int64
 	err = l.Range(func(i int64, p []byte) error {
 		switch {
 		case i == 0 && !wal.IsCheckpoint(p):
@@ -96,11 +95,7 @@ func (s *Server) recover() error {
 			if derr != nil {
 				return fmt.Errorf("record %d: %w", i, derr)
 			}
-			s.applied++
-			if aerr := s.eng.AdvanceTime(t); aerr != nil {
-				s.ctr.engineErrors.Add(1)
-			}
-			lastTime = max(lastTime, int64(t))
+			s.redoTick(t)
 		default:
 			ev, seq, derr := wal.DecodeEvent(p)
 			if derr != nil {
@@ -117,7 +112,6 @@ func (s *Server) recover() error {
 			} else {
 				s.bumpLiveIDs(ev)
 			}
-			s.applied++
 			s.ctr.accepted.Add(1)
 			if ev.Kind == core.RequestArrival {
 				s.ctr.requestsSeen.Add(1)
@@ -125,10 +119,9 @@ func (s *Server) recover() error {
 				s.ctr.workersSeen.Add(1)
 			}
 			// An event the engine rejected live is rejected identically on
-			// re-drive (the engine is deterministic): book it and keep going,
-			// exactly as the sequencer did.
-			_, _ = s.apply(ev)
-			lastTime = max(lastTime, int64(ev.Time))
+			// re-drive (the engine is deterministic): redoEvent books it as
+			// the sequencer did, and the re-drive goes on.
+			_ = s.redoEvent(ev)
 		}
 		return nil
 	})
@@ -137,13 +130,13 @@ func (s *Server) recover() error {
 		return fmt.Errorf("serve: wal recovery: %w", err)
 	}
 
-	// Resume the virtual clock past the last logged event or tick. A
-	// stamp whose append failed never reached the engine, so nothing
-	// the recovered state holds is later than this. Without it,
-	// time.Since(started) would restart the clock at zero and the first
-	// live event would trip the engine's ErrTimeRegression against
-	// recovered state.
-	s.vbase, s.vlast = lastTime, lastTime
+	// Resume the virtual clock from the high-water mark the re-drive
+	// raised to the last logged event or tick. A stamp whose append
+	// failed never reached the engine, so nothing the recovered state
+	// holds is later than this. Without it, time.Since(started) would
+	// restart the clock at zero and the first live event would trip the
+	// engine's ErrTimeRegression against recovered state.
+	s.vbase = s.vlast
 
 	s.wal = l
 	if s.applied > 0 {
@@ -161,7 +154,7 @@ func (s *Server) recover() error {
 		Recovered:       s.applied > 0,
 		Events:          s.applied,
 		SnapshotApplied: s.checkpointed,
-		VLast:           lastTime,
+		VLast:           s.vlast,
 		DurationMs:      float64(time.Since(t0)) / float64(time.Millisecond),
 	}
 	return nil
@@ -217,21 +210,6 @@ func faultPrint(p *fault.Plan) string {
 	return fmt.Sprintf("%+v", *p)
 }
 
-// bumpLiveIDs keeps the live-mode ID allocators above every recovered
-// server-assigned ID so post-restart traffic can never collide.
-func (s *Server) bumpLiveIDs(ev core.Event) {
-	switch ev.Kind {
-	case core.WorkerArrival:
-		if id := ev.Worker.ID; id >= s.nextWorkerID.Load() {
-			s.nextWorkerID.Store(id)
-		}
-	case core.RequestArrival:
-		if id := ev.Request.ID; id >= s.nextReqID.Load() {
-			s.nextReqID.Store(id)
-		}
-	}
-}
-
 // logEvent appends one event to the WAL — strictly before the engine
 // sees it (write-ahead): an event that is not durable by the batch
 // policy must not mutate matching state, or a crash would recover to a
@@ -244,11 +222,7 @@ func (s *Server) logEvent(ev core.Event, seq int) error {
 		return err
 	}
 	s.walBuf = buf
-	if err := s.wal.Append(buf); err != nil {
-		return err
-	}
-	s.applied++
-	return nil
+	return s.wal.Append(buf)
 }
 
 // logTick appends a virtual-time tick record — write-ahead of the
@@ -256,11 +230,7 @@ func (s *Server) logEvent(ev core.Event, seq int) error {
 // Sequencer goroutine only.
 func (s *Server) logTick(t core.Time) error {
 	s.walBuf = wal.AppendTick(s.walBuf[:0], t)
-	if err := s.wal.Append(s.walBuf); err != nil {
-		return err
-	}
-	s.applied++
-	return nil
+	return s.wal.Append(s.walBuf)
 }
 
 // maybeCheckpoint appends a checkpoint once checkpointEvery event and
@@ -311,10 +281,7 @@ func (s *Server) checkpoint() error {
 // digest returns the decision counters a checkpoint pins: served,
 // matched and the bits of the accumulated revenue.
 func (s *Server) digest() (served, matched int64, revenueBits uint64) {
-	s.ctr.revenueMu.Lock()
-	rev := s.ctr.revenue
-	s.ctr.revenueMu.Unlock()
-	return s.ctr.served.Load(), s.ctr.matched.Load(), math.Float64bits(rev)
+	return s.ctr.served.Load(), s.ctr.matched.Load(), s.ctr.revenue.Load()
 }
 
 // crashForTest simulates a SIGKILL for recovery tests: the sequencer

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"time"
 
 	"crossmatch/internal/core"
@@ -12,9 +13,9 @@ import (
 )
 
 // sequence is the server's single engine-driving goroutine: it owns
-// the wall-clock→virtual-time bridge and is the only caller of
-// Engine.Process, which keeps the engine's sequential determinism
-// contract intact under concurrent HTTP traffic.
+// the wall-clock→virtual-time bridge and is the only caller of the
+// engine once New has returned, which keeps the engine's sequential
+// determinism contract intact under concurrent HTTP traffic.
 //
 // Live mode: each admitted event is stamped with the server's virtual
 // tick (milliseconds since start, clamped monotone) and fed in queue
@@ -57,9 +58,7 @@ func (s *Server) sequence() {
 			// Admitted before the drain flag flipped, but no longer worth
 			// deciding: the contract is "in-flight completes, queued gets a
 			// drain reason".
-			s.ctr.drained.Add(1)
-			it.done <- WireDecision{Status: StatusDraining, Kind: KindName(it.ev.Kind),
-				ID: eventID(it.ev), Error: "server draining; event not applied"}
+			s.drain(it, notApplied)
 			continue
 		}
 		if it.seq < 0 {
@@ -76,9 +75,7 @@ func (s *Server) sequence() {
 		for next, ok := pending[s.cursor]; ok; next, ok = pending[s.cursor] {
 			delete(pending, s.cursor)
 			if s.draining.Load() {
-				s.ctr.drained.Add(1)
-				next.done <- WireDecision{Status: StatusDraining, Kind: KindName(next.ev.Kind),
-					ID: eventID(next.ev), Error: "server draining; event not applied"}
+				s.drain(next, notApplied)
 			} else {
 				s.process(next)
 			}
@@ -87,9 +84,7 @@ func (s *Server) sequence() {
 	}
 	// Queue closed with replay holes: answer the stranded waiters.
 	for _, it := range pending {
-		s.ctr.drained.Add(1)
-		it.done <- WireDecision{Status: StatusDraining, Kind: KindName(it.ev.Kind),
-			ID: eventID(it.ev), Error: "server draining; event not applied"}
+		s.drain(it, notApplied)
 	}
 	// Deferred requests still buffered in an open window: their events
 	// ARE applied — the window flushes inside Close's engine finish and
@@ -97,10 +92,16 @@ func (s *Server) sequence() {
 	// cannot outlive the drain.
 	for id, it := range s.waiters {
 		delete(s.waiters, id)
-		s.ctr.drained.Add(1)
-		it.done <- WireDecision{Status: StatusDraining, Kind: KindName(it.ev.Kind),
-			ID: eventID(it.ev), Error: "server draining; the buffered window resolves at close"}
+		s.drain(it, "server draining; the buffered window resolves at close")
 	}
+}
+
+const notApplied = "server draining; event not applied"
+
+// drain answers an admitted event the sequencer stops owing a decision.
+func (s *Server) drain(it *ingest, why string) {
+	s.ctr.drained.Add(1)
+	it.done <- WireDecision{Status: StatusDraining, Kind: KindName(it.kind), ID: it.id, Error: why}
 }
 
 // tickInterval picks the live window ticker period: half the window
@@ -147,24 +148,24 @@ func (s *Server) tickWindows() {
 			return // write-ahead: no unlogged flush
 		}
 	}
-	s.vlast = now
-	if err := s.eng.AdvanceTime(core.Time(now)); err != nil {
-		s.ctr.engineErrors.Add(1)
-	}
+	s.redoTick(core.Time(now))
 	s.maybeCheckpoint()
 }
 
-// onWindowFlush is the engine's decision handler for window flushes:
-// it books the decision counters (deferred requests are counted here,
-// at flush, not at arrival — see apply) and answers the waiter still
-// owed this decision, if its handler has not already given up on the
-// HTTP deadline. Runs inside engine calls made by the sequencer or the
-// recovery re-drive, so it shares their single-goroutine discipline.
-func (s *Server) onWindowFlush(rd platform.RequestDecision) {
+// onDecision is the engine's decision handler and the server's one
+// ledger: every request decision the engine books — on arrival for a
+// greedy matcher, at the flush for a windowed one — is counted here and
+// answers the waiter still owed it, if its handler has not already
+// given up on the HTTP deadline. It runs inside engine calls made by
+// the sequencer or, before the sequencer starts, by the recovery
+// re-drive, so it is the only writer of the decision counters and the
+// revenue bits, and it books them in the engine's fold order — the
+// order the checkpoint digest pins.
+func (s *Server) onDecision(rd platform.RequestDecision) {
 	s.ctr.served.Add(1)
 	if rd.Served {
 		s.ctr.matched.Add(1)
-		s.ctr.addRevenue(rd.Revenue)
+		s.ctr.revenue.Store(math.Float64bits(math.Float64frombits(s.ctr.revenue.Load()) + rd.Revenue))
 	}
 	id := rd.Request.ID
 	if it, ok := s.waiters[id]; ok {
@@ -196,9 +197,13 @@ func (s *Server) stamp(ev *core.Event) {
 }
 
 // process feeds one event through the WAL (when durability is on) and
-// the engine, then answers its waiter. The done channel is buffered,
-// so a handler that already gave up on its deadline never blocks the
-// sequencer.
+// the engine. A request's waiter is registered before the engine call
+// and onDecision answers it: inside that call for a greedy matcher, at
+// the window flush for a windowed one — if the flush lands after the
+// handler's deadline the handler 504s on its own, and the event stays
+// sequenced. Errors and worker arrivals are answered here. The done
+// channel is buffered, so a handler that already gave up on its
+// deadline never blocks the sequencer.
 func (s *Server) process(it *ingest) {
 	if s.opts.ProcessDelay > 0 {
 		time.Sleep(s.opts.ProcessDelay)
@@ -208,54 +213,52 @@ func (s *Server) process(it *ingest) {
 		// reproduce. A failed append answers 500 without mutating state.
 		if err := s.logEvent(it.ev, it.seq); err != nil {
 			s.ctr.walErrors.Add(1)
-			it.done <- WireDecision{Status: StatusError, Kind: KindName(it.ev.Kind),
-				ID: eventID(it.ev), VTime: int64(it.ev.Time), Error: "wal append: " + err.Error()}
+			it.done <- WireDecision{Status: StatusError, Kind: KindName(it.kind),
+				ID: it.id, VTime: int64(it.ev.Time), Error: "wal append: " + err.Error()}
 			return
 		}
 	}
-	d, err := s.apply(it.ev)
-	switch {
+	if it.kind == core.RequestArrival {
+		s.waiters[it.id] = it
+	}
+	switch err := s.redoEvent(it.ev); {
 	case err != nil:
-		it.done <- WireDecision{Status: StatusError, Kind: KindName(it.ev.Kind),
-			ID: eventID(it.ev), VTime: int64(it.ev.Time), Error: err.Error()}
-	case d.Deferred:
-		// The window buffered this request; the real decision is owed at
-		// flush time and onWindowFlush answers it then. Answering now
-		// would leak a reason-less non-decision, and if the flush lands
-		// after the handler's deadline the handler 504s on its own — the
-		// event stays sequenced and still resolves at the flush.
-		s.waiters[eventID(it.ev)] = it
-	default:
-		it.done <- decisionLine(it.ev.Kind, eventID(it.ev), int64(it.ev.Time), d)
+		delete(s.waiters, it.id)
+		it.done <- WireDecision{Status: StatusError, Kind: KindName(it.kind),
+			ID: it.id, VTime: int64(it.ev.Time), Error: err.Error()}
+	case it.kind == core.WorkerArrival:
+		it.done <- decisionLine(it.kind, it.id, int64(it.ev.Time), platform.RequestDecision{})
 	}
 	s.maybeCheckpoint()
 }
 
-// apply feeds one event to the engine and books the decision counters.
-// Both the live sequencer and the startup recovery re-drive go through
-// it, so a recovered server's counters continue the pre-crash sequence
-// exactly. Deferred (window-buffered) requests are NOT counted here —
-// their decision does not exist yet; onWindowFlush counts them when
-// the window flushes, which keeps the counters a pure function of the
-// logged history (events + ticks) and the checkpoint digest verifiable.
-func (s *Server) apply(ev core.Event) (platform.RequestDecision, error) {
-	d, err := s.eng.Process(ev)
-	if err != nil {
+// redoEvent applies one event record to the server state: it counts the
+// record, raises the virtual-clock high-water mark, feeds the engine
+// (whose decisions onDecision books) and books the outcome. The live
+// sequencer calls it once the record is logged, recovery once it is
+// decoded, so a recovered server continues the pre-crash state exactly.
+func (s *Server) redoEvent(ev core.Event) error {
+	s.applied++
+	s.vlast = max(s.vlast, int64(ev.Time))
+	if _, err := s.eng.Process(ev); err != nil {
 		s.ctr.engineErrors.Add(1)
-		return d, err
+		return err
 	}
 	// applied lags accepted while events wait in the queue or in the
 	// replay re-sequencer's pending map; their convergence is the
 	// observable "everything admitted has reached the engine" signal.
 	s.ctr.applied.Add(1)
-	if ev.Kind == core.RequestArrival && !d.Deferred {
-		s.ctr.served.Add(1)
-		if d.Served {
-			s.ctr.matched.Add(1)
-			s.ctr.addRevenue(d.Revenue)
-		}
+	return nil
+}
+
+// redoTick applies one tick record, as redoEvent does an event record:
+// advancing the engine's clock to t flushes the windows due by then.
+func (s *Server) redoTick(t core.Time) {
+	s.applied++
+	s.vlast = max(s.vlast, int64(t))
+	if err := s.eng.AdvanceTime(t); err != nil {
+		s.ctr.engineErrors.Add(1)
 	}
-	return d, nil
 }
 
 func eventID(ev core.Event) int64 {

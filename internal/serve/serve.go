@@ -175,18 +175,19 @@ type Server struct {
 	delivered []atomic.Bool
 	cursor    int // sequencer-owned recorded-order cursor (replay mode)
 
-	// waiters maps a deferred (window-buffered) request ID to the ingest
-	// whose decision is still owed: registered by process when the engine
-	// defers, answered by onWindowFlush when the window flushes. Owned by
-	// the sequencer goroutine — flushes only happen inside engine calls
-	// made by the sequencer or the pre-sequencer recovery re-drive.
+	// waiters maps a request ID to the ingest whose decision is still
+	// owed: registered by process before the engine call, answered by
+	// onDecision when the engine books the decision — inside that call,
+	// or at a later window flush. Owned by the sequencer goroutine:
+	// decisions only happen inside engine calls made by the sequencer or
+	// the pre-sequencer recovery re-drive.
 	waiters map[int64]*ingest
 
 	// durability (nil wal == zero-durability path, bit-identical to the
 	// pre-WAL server)
 	wal          *wal.Log
 	walBuf       []byte // reused record-encode buffer; sequencer goroutine only
-	applied      int64  // WAL event and tick records appended + recovered; sequencer-owned
+	applied      int64  // event and tick records applied, recovered ones first; sequencer-owned
 	checkpointed int64  // applied at the last checkpoint record; sequencer-owned
 	rec          RecoveryInfo
 
@@ -217,14 +218,9 @@ type counters struct {
 	badEvents    atomic.Int64 // malformed / unknown / duplicate
 	engineErrors atomic.Int64
 	walErrors    atomic.Int64 // append/checkpoint failures (event NOT applied)
-	revenueMu    sync.Mutex
-	revenue      float64
-}
-
-func (c *counters) addRevenue(v float64) {
-	c.revenueMu.Lock()
-	c.revenue += v
-	c.revenueMu.Unlock()
+	// revenue holds the float64 bits of the booked revenue. onDecision
+	// is its one writer, so a load and a store need no lock.
+	revenue atomic.Uint64
 }
 
 // New builds the service, re-drives the write-ahead log when WALDir is
@@ -307,11 +303,11 @@ func New(opts Options) (*Server, error) {
 	s.nextReqID.Store(liveIDBase)
 	s.nextWorkerID.Store(liveIDBase)
 	s.waiters = make(map[int64]*ingest)
-	// The flush handler must be registered before any recovery re-drive:
-	// recovered tick records flush windows, and those flushes must book
-	// exactly the counters they booked live or the checkpoint digest check
-	// would fail.
-	eng.SetDecisionHandler(s.onWindowFlush)
+	// The decision handler must be registered before any recovery
+	// re-drive: recovered records decide requests, and those decisions
+	// must book exactly the counters they booked live or the checkpoint
+	// digest check would fail.
+	eng.SetDecisionHandler(s.onDecision)
 
 	if opts.Replay != nil {
 		evs := opts.Replay.Events()
@@ -564,7 +560,8 @@ func (s *Server) queueRetryHint() time.Duration {
 	return 25 * time.Millisecond
 }
 
-// assignID gives live-mode events without an ID a server-allocated one.
+// assignID gives a live-mode event without an ID a server-allocated
+// one, and raises the allocator past an explicit one.
 func (s *Server) assignID(ev core.Event) {
 	switch ev.Kind {
 	case core.WorkerArrival:
@@ -575,6 +572,21 @@ func (s *Server) assignID(ev core.Event) {
 		if ev.Request.ID == 0 {
 			ev.Request.ID = s.nextReqID.Add(1)
 		}
+	}
+	s.bumpLiveIDs(ev)
+}
+
+// bumpLiveIDs raises the live allocator of ev's kind to ev's ID when it
+// is below it, so the next ID it hands out is past every explicit,
+// assigned and recovered one. Admission and recovery both call it, so a
+// recovered allocator equals the live one; the compare-and-swap loop
+// makes it safe for concurrent handlers.
+func (s *Server) bumpLiveIDs(ev core.Event) {
+	next, id := &s.nextReqID, eventID(ev)
+	if ev.Kind == core.WorkerArrival {
+		next = &s.nextWorkerID
+	}
+	for cur := next.Load(); id > cur && !next.CompareAndSwap(cur, id); cur = next.Load() {
 	}
 }
 
@@ -614,9 +626,6 @@ type MetricsSnapshot struct {
 
 // Snapshot returns the current metrics document.
 func (s *Server) Snapshot() MetricsSnapshot {
-	s.ctr.revenueMu.Lock()
-	rev := s.ctr.revenue
-	s.ctr.revenueMu.Unlock()
 	snap := MetricsSnapshot{
 		Server: ServerCounters{
 			UptimeMs:      time.Since(s.started).Milliseconds(),
@@ -637,7 +646,7 @@ func (s *Server) Snapshot() MetricsSnapshot {
 			BadEvents:     s.ctr.badEvents.Load(),
 			EngineErrors:  s.ctr.engineErrors.Load(),
 			WALErrors:     s.ctr.walErrors.Load(),
-			Revenue:       rev,
+			Revenue:       math.Float64frombits(s.ctr.revenue.Load()),
 		},
 		Engine: s.met.Snapshot(),
 	}

@@ -100,6 +100,46 @@ func TestLiveSingleEvents(t *testing.T) {
 	}
 }
 
+// TestLiveExplicitIDRaisesAllocator: a client's explicit worker ID in
+// the server-assigned range raises the allocator, so the next worker
+// posted without an ID gets a fresh one and both keep waiting.
+func TestLiveExplicitIDRaisesAllocator(t *testing.T) {
+	_, ts := startServer(t, Options{Algorithm: platform.AlgTOTA, Seed: 7, Platforms: []core.PlatformID{1}})
+	client := ts.Client()
+	explicit := int64(liveIDBase + 1)
+	_, d := postJSON(t, client, ts.URL+"/v1/workers",
+		fmt.Sprintf(`{"id":%d,"x":0.2,"y":0.2,"platform":1,"radius":0.1}`, explicit))
+	if d.Status != StatusOK || d.ID != explicit {
+		t.Fatalf("explicit worker: %+v", d)
+	}
+	_, d = postJSON(t, client, ts.URL+"/v1/workers", `{"x":0.8,"y":0.8,"platform":1,"radius":0.1}`)
+	if d.Status != StatusOK || d.ID != explicit+1 {
+		t.Fatalf("unnamed worker: want ID %d, got %+v", explicit+1, d)
+	}
+	_, d = postJSON(t, client, ts.URL+"/v1/requests", `{"x":0.2,"y":0.2,"platform":1,"value":2}`)
+	if !d.Served || d.WorkerID != explicit {
+		t.Fatalf("request at the explicit worker: want served by %d, got %+v", explicit, d)
+	}
+}
+
+// TestLiveRefusesServedWorkerID: a worker that has served comes back
+// under a new ID or ID 0; its old ID is refused with that advice.
+func TestLiveRefusesServedWorkerID(t *testing.T) {
+	_, ts := startServer(t, Options{Algorithm: platform.AlgTOTA, Seed: 7, Platforms: []core.PlatformID{1}})
+	client := ts.Client()
+	postJSON(t, client, ts.URL+"/v1/workers", `{"id":7,"x":0.5,"y":0.5,"platform":1,"radius":0.4}`)
+	if _, d := postJSON(t, client, ts.URL+"/v1/requests", `{"id":1,"x":0.5,"y":0.5,"platform":1,"value":5}`); !d.Served {
+		t.Fatalf("first request: %+v", d)
+	}
+	_, d := postJSON(t, client, ts.URL+"/v1/workers", `{"id":7,"x":0.5,"y":0.5,"platform":1,"radius":0.4}`)
+	if d.Status != StatusError || !strings.Contains(d.Error, "new ID") {
+		t.Fatalf("served worker re-posted: %+v", d)
+	}
+	if _, d := postJSON(t, client, ts.URL+"/v1/requests", `{"id":2,"x":0.5,"y":0.5,"platform":1,"value":5}`); d.Served {
+		t.Fatalf("worker 7 served twice: %+v", d)
+	}
+}
+
 func TestBadInputRejected(t *testing.T) {
 	_, ts := startServer(t, Options{Seed: 1})
 	client := ts.Client()

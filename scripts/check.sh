@@ -106,6 +106,21 @@ if git grep -nE 'WriteSnapsho[t]|LatestSnapsho[t]|SnapshotEver[y]|snapshot-ever[
 	exit 1
 fi
 
+echo "==> one way out of the engine, one way into the server: one decision ledger, one record step, no Deferred read by the sweeps"
+# The brackets keep this line from matching itself; the Markdown documents may name the removed handler.
+if git grep -n 'onWindowFlus[h]' -- ':!*.md'; then
+	exit 1
+fi
+for call in 'ctr\.served\.Add\(' '\.AdvanceTime\(' '\.Process\('; do
+	if [ "$(git grep -E "$call" -- 'internal/serve/*.go' ':!*_test.go' | wc -l)" -gt 1 ]; then
+		git grep -nE "$call" -- 'internal/serve/*.go' ':!*_test.go' >&2
+		exit 1
+	fi
+done
+if git grep -n '\.Deferred' -- 'internal/experiments'; then
+	exit 1
+fi
+
 echo "==> a shard starts one way: no background recovery, no live-but-not-ready state"
 if git grep -nE 'RecoverInBackground|recover-bg|StatusRecovering|healthz/live|ResumeVTime' -- '*.go' '*.sh' Makefile .github ':!bench' ':!scripts/check.sh'; then
 	exit 1
