@@ -9,6 +9,7 @@ import (
 	"crossmatch/internal/experiments"
 	"crossmatch/internal/fault"
 	"crossmatch/internal/metrics"
+	"crossmatch/internal/online"
 	"crossmatch/internal/platform"
 	"crossmatch/internal/trace"
 	"crossmatch/internal/workload"
@@ -334,15 +335,19 @@ type (
 	// decision the engine books, a greedy one inside the Process call
 	// that decides it and a windowed (BatchCOM) one at its window's
 	// flush, so it is the one place to keep a ledger. A worker ID that
-	// has already served, or that waits on another platform, is refused.
-	// Single-goroutine: exactly one caller may drive it (see
+	// has already served, or that waits on another platform, is refused;
+	// so is a request ID its platform has served or holds in an open
+	// window. Single-goroutine: exactly one caller may drive it (see
 	// platform.Engine).
 	MatchEngine = platform.Engine
-	// EngineDecision is the serving-facing outcome of one request
-	// arrival: who served it, at what payment, why, and at which tick.
-	// Process returns it; a windowed matcher returns a Deferred
-	// placeholder there, and the decision handler never sees one.
-	EngineDecision = platform.RequestDecision
+	// EngineDecision is one decided request, the record the engine
+	// decides into, books, hands to the decision handler and returns
+	// from Process: the Request, the tick At it was decided, and the
+	// Decision — Served, Reason and, when served, the Assignment (its
+	// Worker, Outer flag, Payment and Revenue()). A windowed matcher's
+	// Process returns a placeholder with Reason "buffered"; the decision
+	// handler never sees one.
+	EngineDecision = online.Decided
 )
 
 // Event kinds.

@@ -39,6 +39,6 @@
 // (WithServiceTicks) and collect counters and latency histograms
 // (WithMetrics).
 //
-// See examples/ for runnable programs and cmd/combench for the full
-// benchmark harness.
+// The Example functions in example_api_test.go are runnable programs
+// with checked output; cmd/combench is the full benchmark harness.
 package crossmatch

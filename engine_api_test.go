@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crossmatch/internal/geo"
+	"crossmatch/internal/online"
 )
 
 // TestNewEngineMatchesSimulate drives the public incremental engine
@@ -173,7 +174,7 @@ func TestBatchCOMPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Process: %v", err)
 		}
-		if ev.Kind == RequestArrival && d.Deferred {
+		if ev.Kind == RequestArrival && d.Reason == online.ReasonBuffered {
 			deferred++
 		}
 	}

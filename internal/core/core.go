@@ -233,6 +233,9 @@ func (m *Matching) Add(a Assignment) error {
 // Len returns the number of assignments.
 func (m *Matching) Len() int { return len(m.assignments) }
 
+// HasRequest reports whether an assignment already holds the request ID.
+func (m *Matching) HasRequest(id int64) bool { return m.requests.has(id) }
+
 // HasWorker reports whether an assignment already holds the worker ID.
 func (m *Matching) HasWorker(id int64) bool { return m.workers.has(id) }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/online"
 	"crossmatch/internal/platform"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
@@ -119,8 +120,8 @@ func runWindowUnit(u unit) (windowUnit, error) {
 		return windowUnit{}, err
 	}
 	var waits []float64
-	eng.SetDecisionHandler(func(rd platform.RequestDecision) {
-		waits = append(waits, float64(rd.At-rd.Request.Arrival))
+	eng.SetDecisionHandler(func(d online.Decided) {
+		waits = append(waits, float64(d.At-d.Request.Arrival))
 	})
 	for _, ev := range u.stream.Events() {
 		if _, err := eng.Process(ev); err != nil {

@@ -60,7 +60,7 @@ type BatchCOM struct {
 	allInner []*core.Worker
 	allOuter []outerProbe
 	colWs    []*core.Worker
-	out      []WindowDecision
+	out      []Decided
 }
 
 // winEntry is one buffered request's flush-time state: its candidate
@@ -105,9 +105,9 @@ func NewBatchCOM(coop CoopView, mc pricing.MonteCarlo, rng *rand.Rand, window, d
 func (m *BatchCOM) Name() string { return "BatchCOM" }
 
 // RequestArrives implements Matcher: the request is buffered into the
-// open window (opening one if none is) and a Deferred placeholder is
-// returned; the real Decision arrives from Advance when the window
-// flushes.
+// open window (opening one if none is) and d becomes a placeholder
+// with Reason ReasonBuffered; the real Decision arrives from Advance
+// when the window flushes.
 func (m *BatchCOM) RequestArrives(r *core.Request, d *Decision) {
 	if len(m.buf) == 0 {
 		m.winStart = r.Arrival
@@ -119,7 +119,7 @@ func (m *BatchCOM) RequestArrives(r *core.Request, d *Decision) {
 		}
 	}
 	m.buf = append(m.buf, r)
-	*d = Decision{Deferred: true, Reason: ReasonBuffered}
+	*d = Decision{Reason: ReasonBuffered}
 }
 
 // NextFlush implements WindowedMatcher.
@@ -131,7 +131,7 @@ func (m *BatchCOM) NextFlush() (core.Time, bool) {
 // before t it flushes — at its scheduled due time, not at t, so the
 // decisions' timestamps are independent of how far the driver's clock
 // jumped. The returned slice is reused across calls.
-func (m *BatchCOM) Advance(t core.Time) []WindowDecision {
+func (m *BatchCOM) Advance(t core.Time) []Decided {
 	if len(m.buf) == 0 || t < m.flushAt {
 		return nil
 	}
@@ -140,6 +140,17 @@ func (m *BatchCOM) Advance(t core.Time) []WindowDecision {
 	m.flush(at)
 	m.buf = m.buf[:0]
 	return m.out
+}
+
+// Buffered implements WindowedMatcher: a scan of the open window, which
+// holds one window's requests.
+func (m *BatchCOM) Buffered(id int64) bool {
+	for _, r := range m.buf {
+		if r.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // flush decides every buffered request at virtual time at: canonicalize
@@ -249,7 +260,7 @@ func (m *BatchCOM) flush(at core.Time) {
 		m.tr.Begin(e.r)
 		d := m.commit(e, res.WorkerOf[i])
 		m.tr.Finish(string(d.Reason), d.Assignment.Payment, d.Probes, d.ClaimRetries)
-		m.out = append(m.out, WindowDecision{Request: e.r, At: at, Decision: d})
+		m.out = append(m.out, Decided{Request: e.r, At: at, Decision: d})
 	}
 }
 

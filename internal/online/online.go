@@ -98,8 +98,8 @@ const (
 	// below its randomized value threshold.
 	ReasonBelowThreshold Reason = "below-threshold"
 	// ReasonBuffered — a windowed matcher (BatchCOM) buffered the request
-	// for a later batched decision; the placeholder Decision carries
-	// Deferred=true and no outcome fields.
+	// for a later batched decision: the placeholder Decision carries no
+	// outcome, and this reason is its one mark.
 	ReasonBuffered Reason = "buffered"
 	// ReasonWindowLost — the windowed solver had feasible workers for the
 	// request but assigned every one of them to other requests in the
@@ -128,12 +128,6 @@ type Decision struct {
 	// the next-nearest accepting worker. Zero unless a claim fails (an
 	// injected claim fault).
 	ClaimRetries int
-	// Deferred is true when the matcher buffered the request for a later
-	// windowed decision instead of deciding it immediately (BatchCOM).
-	// No outcome field is meaningful on a deferred Decision and it must
-	// not be folded into Stats; the real Decision arrives in a
-	// WindowDecision when the window flushes.
-	Deferred bool
 }
 
 // Matcher is an online matching algorithm bound to one platform.
@@ -153,21 +147,26 @@ type Matcher interface {
 	RequestArrives(r *core.Request, d *Decision)
 }
 
-// WindowDecision is one request's final outcome from a window flush:
-// the Decision a windowed matcher deferred at arrival time, stamped
-// with the virtual time the window closed.
-type WindowDecision struct {
+// Decided is one decided request: the request, the virtual time its
+// decision was made, and the Decision. It is the one record of a
+// decision — the engine decides every request into one, books it, hands
+// it to its decision handler and returns it, and a window flush returns
+// its decisions as Decided records.
+type Decided struct {
 	Request *core.Request
-	// At is the virtual flush time — the decision's logical timestamp
-	// (a recycled worker minted from it re-arrives At+ServiceTicks).
+	// At is the decision's virtual time: the arrival tick for a greedy
+	// matcher, the flush tick for a windowed one, so At − Request.Arrival
+	// is the request's dispatch wait (and a recycled worker minted from
+	// it re-arrives At+ServiceTicks).
 	At core.Time
 	Decision
 }
 
 // WindowedMatcher is a Matcher that defers request decisions into
-// virtual-time windows (BatchCOM). RequestArrives returns a Deferred
-// placeholder; the simulation layer drives the matcher's clock through
-// Advance before every event and reads the batched decisions back.
+// virtual-time windows (BatchCOM). RequestArrives writes a placeholder
+// with Reason ReasonBuffered; the simulation layer drives the matcher's
+// clock through Advance before every event and reads the batched
+// decisions back.
 //
 // The contract that keeps windowed runs deterministic: Advance must be
 // a pure function of the set of buffered requests and t — independent
@@ -181,7 +180,11 @@ type WindowedMatcher interface {
 	NextFlush() (core.Time, bool)
 	// Advance moves the matcher's clock to t, flushing the open window
 	// when its due time is at or before t; nil when nothing flushed.
-	Advance(t core.Time) []WindowDecision
+	Advance(t core.Time) []Decided
+	// Buffered reports whether the open window holds a request with
+	// this ID, so a second request under it can be refused before it
+	// reaches the window.
+	Buffered(id int64) bool
 }
 
 // Stats tallies a matcher's outcomes; the simulation layer aggregates

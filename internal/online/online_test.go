@@ -543,7 +543,7 @@ func TestRequestArrivesAssignsWholeDecision(t *testing.T) {
 	}
 	junk := Decision{
 		Assignment: core.Assignment{Request: &core.Request{ID: -1}, Worker: &core.Worker{ID: -1}, Payment: -1, Outer: true},
-		Served:     true, Reason: "junk", CoopAttempted: true, Probes: -1, ClaimRetries: -1, Deferred: true,
+		Served:     true, Reason: "junk", CoopAttempted: true, Probes: -1, ClaimRetries: -1,
 	}
 	builds := map[string]func(coop CoopView, rng *rand.Rand) Matcher{
 		"TOTA":      func(CoopView, *rand.Rand) Matcher { return NewTOTAGreedy() },

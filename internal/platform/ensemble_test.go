@@ -108,9 +108,9 @@ func TestFoldWindowSharesSumToFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.slotOf(1)
-	wds := make([]online.WindowDecision, 3)
+	wds := make([]online.Decided, 3)
 	for i := range wds {
-		wds[i] = online.WindowDecision{Request: &core.Request{ID: int64(i + 1), Value: 1, Platform: 1},
+		wds[i] = online.Decided{Request: &core.Request{ID: int64(i + 1), Value: 1, Platform: 1},
 			Decision: online.Decision{Reason: online.ReasonNoWorkers}}
 	}
 	if err := e.foldWindow(s, wds, 11); err != nil {

@@ -44,52 +44,6 @@ var ErrUnknownPlatform = errors.New("unknown platform")
 // allocator with the stream's maximum worker ID via SetRecycleBase.
 const RecycleIDBase int64 = 1 << 40
 
-// RequestDecision is the serving-facing outcome of one request event:
-// who served it (if anyone), at what payment, and why it ended the way
-// it did. Process returns the zero RequestDecision for worker arrivals.
-type RequestDecision struct {
-	// Request is the decided request.
-	Request *core.Request
-	// Served reports whether any worker took the request.
-	Served bool
-	// Reason tags how the decision ended (online.Reason vocabulary:
-	// "inner", "outer", "no-workers", "unprofitable", ...).
-	Reason online.Reason
-	// Worker is the assigned worker; nil when unserved.
-	Worker *core.Worker
-	// Outer is true when Worker belongs to another platform.
-	Outer bool
-	// Payment is the outer payment v' (zero for inner assignments).
-	Payment float64
-	// Revenue is what the request's platform books (v, or v − v').
-	Revenue float64
-	// Deferred is true when a windowed matcher (BatchCOM) buffered the
-	// request instead of deciding it: no outcome field is meaningful and
-	// the final decision reaches the engine's decision handler when the
-	// window flushes (SetDecisionHandler). The handler never sees a
-	// Deferred decision.
-	Deferred bool
-	// At is the virtual time the decision was made: the arrival tick for
-	// the greedy matchers, the window flush tick for a windowed one — so
-	// At − Request.Arrival is the request's dispatch wait, the quantity
-	// the window+deadline geometry bounds.
-	At core.Time
-}
-
-// set fills rd from a matcher decision: the serving-facing form of it.
-// rd is cleared and filled field by field, which writes it in place
-// where a composite literal would be built aside and copied in.
-func (rd *RequestDecision) set(r *core.Request, d *online.Decision, at core.Time) {
-	*rd = RequestDecision{}
-	rd.Request, rd.Served, rd.Reason, rd.Deferred, rd.At = r, d.Served, d.Reason, d.Deferred, at
-	if d.Served {
-		rd.Worker = d.Assignment.Worker
-		rd.Outer = d.Assignment.Outer
-		rd.Payment = d.Assignment.Payment
-		rd.Revenue = d.Assignment.Revenue()
-	}
-}
-
 // Engine is the one event loop of this package: it takes the next
 // arrival, settles what is due, decides, and folds the decision. A
 // server feeds it from a live socket — events arrive, decisions return
@@ -109,21 +63,21 @@ type Engine struct {
 	pids  []core.PlatformID
 	slots []slot
 	res   *Result
-	// dec is the decision a request is decided into: the matcher fills
-	// it in place, and fold and Process read it there, so the 88-byte
-	// struct is never copied up the call chain.
-	dec online.Decision
-	// windowed lists the platforms whose matcher defers decisions into
+	// dec is the record a request is decided into: apply sets its
+	// Request and At, the matcher fills its Decision in place, and fold
+	// and Process read it there, so it is never copied up the call chain.
+	dec online.Decided
+	// windowed lists the slots whose matcher defers decisions into
 	// virtual-time windows (BatchCOM), in ascending pid order — the tie
 	// order when several windows fall due at the same virtual time.
 	// Empty for the greedy matchers, in which case settleDue degenerates
 	// to the plain recycle flush.
-	windowed []windowedEntry
+	windowed []*slot
 	// onDecision, when non-nil, receives every request decision as fold
 	// books it: on arrival for a greedy matcher, at the window flush for
 	// a windowed one. The one exit for decisions; never called with a
-	// Deferred placeholder.
-	onDecision func(RequestDecision)
+	// buffered placeholder.
+	onDecision func(online.Decided)
 	// nextID allocates IDs for recycled workers: the next one is
 	// nextID+1. Stream runs seed it with the stream's max worker ID.
 	nextID int64
@@ -149,23 +103,25 @@ func (e *Engine) SetRecycleBase(base int64) error {
 }
 
 // Process feeds one arrival event. Worker arrivals join their
-// platform's waiting list and return the zero RequestDecision; request
-// arrivals are decided immediately (the online constraint) and return
-// the decision, which has also reached the decision handler unless it
-// is a Deferred placeholder. Recycled workers due at or before the
-// event's time are delivered first. Events must be fed in non-decreasing time order; a
-// regression returns an error wrapping ErrTimeRegression, and any call
-// after Finish returns one wrapping ErrEngineClosed. A rejected event
-// leaves the engine exactly where it was.
-func (e *Engine) Process(ev core.Event) (rd RequestDecision, err error) {
+// platform's waiting list and return the zero record; request arrivals
+// are decided immediately (the online constraint) and return the
+// decided record, which has also reached the decision handler unless a
+// windowed matcher buffered the request (Reason ReasonBuffered; its
+// decision reaches the handler at the flush). Recycled workers due at
+// or before the event's time are delivered first. Events must be fed in
+// non-decreasing time order; a regression returns an error wrapping
+// ErrTimeRegression, and any call after Finish returns one wrapping
+// ErrEngineClosed. A rejected event leaves the engine exactly where it
+// was.
+func (e *Engine) Process(ev core.Event) (online.Decided, error) {
 	s, err := e.check(ev)
 	if err == nil {
 		err = e.apply(ev, s)
 	}
-	if err == nil && ev.Kind == core.RequestArrival {
-		rd.set(ev.Request, &e.dec, ev.Time)
+	if err != nil || ev.Kind != core.RequestArrival {
+		return online.Decided{}, err
 	}
-	return rd, err
+	return e.dec, nil
 }
 
 // check validates an event — lifecycle, time order, kind, payload,
@@ -196,15 +152,18 @@ func (e *Engine) check(ev core.Event) (*slot, error) {
 	if s == nil {
 		return nil, fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
 	}
+	var err error
 	if ev.Kind == core.WorkerArrival {
-		if err := e.checkWorkerID(ev.Worker); err != nil {
-			return nil, err
-		}
+		err = e.checkWorkerID(ev.Worker)
+	} else {
+		err = checkRequestID(ev.Request, s)
+	}
+	if err != nil {
+		return nil, err
 	}
 	// The pool builds a worker's pricing history on delivery and the
 	// Matching refuses a request's value on Add, both after the clock
 	// and a pool have moved; what they would refuse is refused here.
-	var err error
 	if ev.Kind == core.WorkerArrival {
 		err = ev.Worker.Validate()
 	} else {
@@ -234,6 +193,21 @@ func (e *Engine) checkWorkerID(w *core.Worker) error {
 	return nil
 }
 
+// checkRequestID refuses a request arrival whose ID its platform's
+// Matching holds (it has been served) or whose open window holds it
+// (it waits for the flush): deciding it again would take a worker for
+// an assignment the Matching then refuses, after the clock and a pool
+// had moved. An unserved request may be posted again.
+func checkRequestID(r *core.Request, s *slot) error {
+	if s.res.Matching.HasRequest(r.ID) {
+		return fmt.Errorf("platform: request %d has already been served on platform %d; post it again under a new ID", r.ID, r.Platform)
+	}
+	if s.win != nil && s.win.Buffered(r.ID) {
+		return fmt.Errorf("platform: request %d waits in platform %d's open window; its decision comes at the flush", r.ID, r.Platform)
+	}
+	return nil
+}
+
 // apply is the event loop's body, the only place an arrival reaches the
 // matchers: move the clock (settling what that makes due), then deliver
 // the worker or decide the request into e.dec, inside the request's
@@ -252,17 +226,18 @@ func (e *Engine) apply(ev core.Event, s *slot) error {
 		return e.deliver(ev.Worker, s)
 	}
 	start := time.Since(epoch)
+	e.dec.Request, e.dec.At = ev.Request, ev.Time
 	s.rec.Begin(ev.Request)
-	s.matcher.RequestArrives(ev.Request, &e.dec)
+	s.matcher.RequestArrives(ev.Request, &e.dec.Decision)
 	s.rec.Finish(string(e.dec.Reason), e.dec.Assignment.Payment, e.dec.Probes, e.dec.ClaimRetries)
 	el := time.Since(epoch) - start
-	// A Deferred decision means a windowed matcher buffered the request:
-	// nothing is decided yet, and folding the placeholder would count the
-	// request twice — foldWindow books it at flush time.
-	if e.dec.Deferred {
+	// A windowed matcher buffered the request: nothing is decided yet,
+	// and folding the placeholder would count the request twice —
+	// foldWindow books it at flush time.
+	if e.dec.Reason == online.ReasonBuffered {
 		return nil
 	}
-	return e.fold(s, ev.Request, &e.dec, ev.Time, el)
+	return e.fold(s, &e.dec, el)
 }
 
 // epoch is the origin of the engine's decision timings: time.Since of
@@ -293,8 +268,8 @@ func (e *Engine) settleDue(bound core.Time) error {
 		recDue := len(e.recycle) > 0 && e.recycle[0].Arrival <= bound
 		winIdx := -1
 		var winAt core.Time
-		for i := range e.windowed {
-			if t, open := e.windowed[i].m.NextFlush(); open && t <= bound && (winIdx < 0 || t < winAt) {
+		for i, ws := range e.windowed {
+			if t, open := ws.win.NextFlush(); open && t <= bound && (winIdx < 0 || t < winAt) {
 				winIdx, winAt = i, t
 			}
 		}
@@ -308,47 +283,46 @@ func (e *Engine) settleDue(bound core.Time) error {
 			}
 			e.recycled++
 		default:
-			we := e.windowed[winIdx]
+			ws := e.windowed[winIdx]
 			start := time.Since(epoch)
-			wds := we.m.Advance(winAt)
+			wds := ws.win.Advance(winAt)
 			el := time.Since(epoch) - start
-			if err := e.foldWindow(we.s, wds, el); err != nil {
+			if err := e.foldWindow(ws, wds, el); err != nil {
 				return err
 			}
 		}
 	}
 }
 
-// foldWindow folds one window flush's decisions. The flush's monotonic
-// cost is attributed evenly across its decisions, so latency aggregates
-// stay comparable with the greedy matchers' per-request observations:
-// each gets el/n, and the first el mod n one nanosecond more, so the
-// shares sum to the flush's cost.
-func (e *Engine) foldWindow(s *slot, wds []online.WindowDecision, el time.Duration) error {
+// foldWindow folds one window flush's records as the flush returned
+// them. The flush's monotonic cost is attributed evenly across its
+// decisions, so latency aggregates stay comparable with the greedy
+// matchers' per-request observations: each gets el/n, and the first
+// el mod n one nanosecond more, so the shares sum to the flush's cost.
+func (e *Engine) foldWindow(s *slot, wds []online.Decided, el time.Duration) error {
 	n := time.Duration(len(wds))
 	if n == 0 {
 		return nil
 	}
 	share, rem := el/n, el%n
 	for i := range wds {
-		wd := &wds[i]
 		d := share
 		if time.Duration(i) < rem {
 			d++
 		}
-		if err := e.fold(s, wd.Request, &wd.Decision, wd.At, d); err != nil {
+		if err := e.fold(s, &wds[i], d); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fold books one final decision on request r, made at virtual time at:
-// for a served request the Matching first, so an assignment it refuses
-// is booked nowhere, then latency, Stats, the metrics funnel, the
-// decision handler and — with ServiceTicks — the recycled worker. It is
-// the only place a decision reaches any of them.
-func (e *Engine) fold(s *slot, r *core.Request, d *online.Decision, at core.Time, el time.Duration) error {
+// fold books one decided record: for a served request the Matching
+// first, so an assignment it refuses is booked nowhere, then latency,
+// Stats, the metrics funnel, the decision handler and — with
+// ServiceTicks — the recycled worker. It is the only place a decision
+// reaches any of them.
+func (e *Engine) fold(s *slot, d *online.Decided, el time.Duration) error {
 	pr := s.res
 	if d.Served {
 		if err := pr.Matching.Add(d.Assignment); err != nil {
@@ -356,7 +330,7 @@ func (e *Engine) fold(s *slot, r *core.Request, d *online.Decision, at core.Time
 		}
 	}
 	pr.Latency.Observe(el)
-	pr.Stats.Observe(d)
+	pr.Stats.Observe(&d.Decision)
 	if mc := e.cfg.Metrics; mc != nil {
 		mc.ObserveLatency(s.label, el)
 		mc.Add(metrics.AcceptanceProbes, int64(d.Probes))
@@ -374,9 +348,7 @@ func (e *Engine) fold(s *slot, r *core.Request, d *online.Decision, at core.Time
 		}
 	}
 	if e.onDecision != nil {
-		var rd RequestDecision
-		rd.set(r, d, at)
-		e.onDecision(rd)
+		e.onDecision(*d)
 	}
 	if !d.Served || e.cfg.ServiceTicks <= 0 {
 		return nil
@@ -389,7 +361,7 @@ func (e *Engine) fold(s *slot, r *core.Request, d *online.Decision, at core.Time
 	e.nextID++
 	heap.Push(&e.recycle, &core.Worker{
 		ID:       e.nextID,
-		Arrival:  at + e.cfg.ServiceTicks,
+		Arrival:  d.At + e.cfg.ServiceTicks,
 		Loc:      d.Assignment.Request.Loc,
 		Radius:   w.Radius,
 		Platform: w.Platform,
@@ -420,10 +392,10 @@ func (e *Engine) AdvanceTime(t core.Time) error {
 // decision as the engine books it (nil unregisters): a greedy matcher's
 // inside the Process call that decides it, a windowed matcher's inside
 // whichever call (Process, AdvanceTime, Finish) flushes its window. It
-// is the one exit for decisions — a Deferred placeholder never reaches
+// is the one exit for decisions — a buffered placeholder never reaches
 // it — so a caller that books decisions books them here and nowhere
 // else. Set it before feeding events.
-func (e *Engine) SetDecisionHandler(fn func(RequestDecision)) {
+func (e *Engine) SetDecisionHandler(fn func(online.Decided)) {
 	e.onDecision = fn
 }
 
@@ -440,8 +412,8 @@ func (e *Engine) Windowed() bool { return len(e.windowed) > 0 }
 // nothing.
 func (e *Engine) NextFlush() (core.Time, bool) {
 	due, open := core.Time(0), false
-	for i := range e.windowed {
-		if t, ok := e.windowed[i].m.NextFlush(); ok && (!open || t < due) {
+	for _, ws := range e.windowed {
+		if t, ok := ws.win.NextFlush(); ok && (!open || t < due) {
 			due, open = t, true
 		}
 	}

@@ -97,14 +97,14 @@ func TestEngineDecisions(t *testing.T) {
 		}
 		if d.Served {
 			served++
-			revenue += d.Revenue
-			if d.Worker == nil {
+			revenue += d.Assignment.Revenue()
+			if d.Assignment.Worker == nil {
 				t.Fatalf("served decision without a worker: %+v", d)
 			}
-			if d.Outer != (d.Worker.Platform != d.Request.Platform) {
+			if d.Assignment.Outer != (d.Assignment.Worker.Platform != d.Request.Platform) {
 				t.Fatalf("outer flag disagrees with platforms: %+v", d)
 			}
-		} else if d.Worker != nil {
+		} else if d.Assignment.Worker != nil {
 			t.Fatalf("unserved decision with a worker: %+v", d)
 		}
 	}
@@ -308,7 +308,7 @@ func TestProcessRejectsInvalidRequestUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid request after rejections: %v", err)
 	}
-	if !d.Served || d.Worker != w {
+	if !d.Served || d.Assignment.Worker != w {
 		t.Fatalf("the waiting worker did not serve the valid request: %+v", d)
 	}
 	res, err := eng.Finish()
@@ -512,7 +512,7 @@ func TestValidateRejectsDoubleBooking(t *testing.T) {
 
 // TestDecisionHandlerSeesEveryDecision: the handler is the one exit for
 // decisions — one call per request for a greedy and for a windowed
-// matcher, never a Deferred placeholder, and the greedy call carries
+// matcher, never a buffered placeholder, and the greedy call carries
 // what Process returns.
 func TestDecisionHandlerSeesEveryDecision(t *testing.T) {
 	stream := feedTestStream(t, 200, 80, 13)
@@ -532,10 +532,10 @@ func TestDecisionHandlerSeesEveryDecision(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
-			var got []RequestDecision
-			eng.SetDecisionHandler(func(rd RequestDecision) {
-				if rd.Deferred {
-					t.Fatalf("handler saw a Deferred placeholder: %+v", rd)
+			var got []online.Decided
+			eng.SetDecisionHandler(func(rd online.Decided) {
+				if rd.Reason == online.ReasonBuffered {
+					t.Fatalf("handler saw a buffered placeholder: %+v", rd)
 				}
 				got = append(got, rd)
 			})
@@ -546,7 +546,7 @@ func TestDecisionHandlerSeesEveryDecision(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Process: %v", err)
 				}
-				if ev.Kind == core.RequestArrival && !d.Deferred && (len(got) != n+1 || got[n] != d) {
+				if ev.Kind == core.RequestArrival && d.Reason != online.ReasonBuffered && (len(got) != n+1 || got[n] != d) {
 					t.Fatalf("request %d: Process returned %+v, handler saw %v", ev.Request.ID, d, got[n:])
 				}
 			}
@@ -562,6 +562,67 @@ func TestDecisionHandlerSeesEveryDecision(t *testing.T) {
 			if len(got) != requests || served != res.TotalServed() {
 				t.Fatalf("handler saw %d decisions (%d served), stream has %d requests, result served %d",
 					len(got), served, requests, res.TotalServed())
+			}
+		})
+	}
+}
+
+// TestDuplicateRequestIDRefused: a request ID its platform has served,
+// or holds in an open window, is refused before the clock or a pool
+// moves. Without the refusal the matcher took a worker for the second
+// request and the Matching then refused the assignment, so the worker
+// was gone and request 6 went unserved.
+func TestDuplicateRequestIDRefused(t *testing.T) {
+	for _, tc := range []struct {
+		alg     string
+		workers int
+	}{
+		{AlgTOTA, 2},     // request 5 is served on arrival
+		{AlgBatchCOM, 3}, // request 5 waits in the window
+	} {
+		t.Run(tc.alg, func(t *testing.T) {
+			factory, err := FactoryConfigured(tc.alg, AlgConfig{Window: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewEngine([]core.PlatformID{1}, factory, Config{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := int64(1); id <= int64(tc.workers); id++ {
+				w := &core.Worker{ID: id, Radius: 1, Platform: 1}
+				if _, err := eng.Process(core.Event{Kind: core.WorkerArrival, Worker: w}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			request := func(id int64, at core.Time) error {
+				r := &core.Request{ID: id, Arrival: at, Value: 2, Platform: 1}
+				_, err := eng.Process(core.Event{Kind: core.RequestArrival, Time: at, Request: r})
+				return err
+			}
+			if err := request(5, 1); err != nil {
+				t.Fatal(err)
+			}
+			pool := eng.slotOf(1).matcher.Pool()
+			held := pool.Len()
+			if err := request(5, 2); err == nil || !strings.Contains(err.Error(), "request 5") {
+				t.Fatalf("request 5 posted twice: err = %v, want a refusal naming it", err)
+			}
+			if eng.last != 1 || pool.Len() != held {
+				t.Fatalf("the refusal moved the engine: clock %d (want 1), pool %d (want %d)", eng.last, pool.Len(), held)
+			}
+			if err := request(6, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.AdvanceTime(20); err != nil {
+				t.Fatalf("AdvanceTime(20): %v", err)
+			}
+			res, err := eng.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := res.Platforms[1].Stats; st.Requests != 2 || st.Served != 2 || pool.Len() != tc.workers-2 {
+				t.Fatalf("decided %d, served %d, %d workers left; want 2, 2, %d", st.Requests, st.Served, pool.Len(), tc.workers-2)
 			}
 		})
 	}

@@ -248,16 +248,13 @@ type slot struct {
 	matcher online.Matcher
 	res     *PlatformResult
 	label   string
+	// win is the matcher as a windowed one (BatchCOM); nil for a greedy
+	// matcher.
+	win online.WindowedMatcher
 	// rec opens and closes the span of every request the matcher
 	// decides on arrival; nil untraced and for a windowed matcher, which
 	// spans its decisions at flush time.
 	rec *trace.Recorder
-}
-
-// windowedEntry pairs a windowed matcher with its platform's slot.
-type windowedEntry struct {
-	s *slot
-	m online.WindowedMatcher
 }
 
 // NewEngine builds an engine for the given platform set — hub, matchers,
@@ -294,7 +291,8 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 		}}
 		e.res.Platforms[pid] = sl.res
 		if wm, ok := m.(online.WindowedMatcher); ok {
-			e.windowed = append(e.windowed, windowedEntry{s: sl, m: wm})
+			sl.win = wm
+			e.windowed = append(e.windowed, sl)
 		}
 	}
 
@@ -315,7 +313,7 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 			if tb, ok := sl.matcher.(traceBinder); ok {
 				tb.BindTrace(recs[i])
 			}
-			if _, ok := sl.matcher.(online.WindowedMatcher); !ok {
+			if sl.win == nil {
 				sl.rec = recs[i]
 			}
 		}

@@ -20,7 +20,7 @@ func TestBatchCOMWindowLifecycle(t *testing.T) {
 	m.Pool().Add(&core.Worker{ID: 1, Arrival: 0, Radius: 10, Platform: 1})
 
 	d := arrive(m, &core.Request{ID: 1, Arrival: 0, Value: 2, Platform: 1})
-	if !d.Deferred || d.Reason != online.ReasonBuffered {
+	if d.Reason != online.ReasonBuffered {
 		t.Fatalf("arrival not buffered: %+v", d)
 	}
 	due, open := m.NextFlush()
@@ -129,8 +129,8 @@ func TestEngineWindowDecisionHandler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	var flushed []RequestDecision
-	eng.SetDecisionHandler(func(rd RequestDecision) { flushed = append(flushed, rd) })
+	var flushed []online.Decided
+	eng.SetDecisionHandler(func(rd online.Decided) { flushed = append(flushed, rd) })
 	if !eng.Windowed() {
 		t.Fatal("engine does not report a windowed matcher")
 	}
@@ -144,7 +144,7 @@ func TestEngineWindowDecisionHandler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Process request: %v", err)
 	}
-	if !d.Deferred || d.Served {
+	if d.Reason != online.ReasonBuffered || d.Served {
 		t.Fatalf("request not deferred: %+v", d)
 	}
 	if due, ok := eng.NextFlush(); !ok || due != 6 {
@@ -163,7 +163,7 @@ func TestEngineWindowDecisionHandler(t *testing.T) {
 		t.Fatalf("want 1 flushed decision, got %d", len(flushed))
 	}
 	rd := flushed[0]
-	if rd.Deferred || !rd.Served || rd.Request.ID != 1 || rd.Worker == nil || rd.Worker.ID != 1 {
+	if rd.Reason == online.ReasonBuffered || !rd.Served || rd.Request.ID != 1 || rd.Assignment.Worker == nil || rd.Assignment.Worker.ID != 1 {
 		t.Fatalf("flushed decision: %+v", rd)
 	}
 	if _, open := eng.NextFlush(); open {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/online"
 	"crossmatch/internal/platform"
 )
 
@@ -86,12 +87,12 @@ func (s *Server) sequence() {
 	for _, it := range pending {
 		s.drain(it, notApplied)
 	}
-	// Deferred requests still buffered in an open window: their events
+	// Requests still buffered in an open window: their events
 	// ARE applied — the window flushes inside Close's engine finish and
 	// the decisions count in the final Result — but the HTTP waiters
 	// cannot outlive the drain.
-	for id, it := range s.waiters {
-		delete(s.waiters, id)
+	for r, it := range s.waiters {
+		delete(s.waiters, r)
 		s.drain(it, "server draining; the buffered window resolves at close")
 	}
 }
@@ -161,16 +162,15 @@ func (s *Server) tickWindows() {
 // re-drive, so it is the only writer of the decision counters and the
 // revenue bits, and it books them in the engine's fold order — the
 // order the checkpoint digest pins.
-func (s *Server) onDecision(rd platform.RequestDecision) {
+func (s *Server) onDecision(d online.Decided) {
 	s.ctr.served.Add(1)
-	if rd.Served {
+	if d.Served {
 		s.ctr.matched.Add(1)
-		s.ctr.revenue.Store(math.Float64bits(math.Float64frombits(s.ctr.revenue.Load()) + rd.Revenue))
+		s.ctr.revenue.Store(math.Float64bits(math.Float64frombits(s.ctr.revenue.Load()) + d.Assignment.Revenue()))
 	}
-	id := rd.Request.ID
-	if it, ok := s.waiters[id]; ok {
-		delete(s.waiters, id)
-		it.done <- decisionLine(core.RequestArrival, id, int64(rd.Request.Arrival), rd)
+	if it, ok := s.waiters[d.Request]; ok {
+		delete(s.waiters, d.Request)
+		it.done <- decisionLine(core.RequestArrival, d.Request.ID, int64(d.Request.Arrival), d)
 	}
 }
 
@@ -219,15 +219,15 @@ func (s *Server) process(it *ingest) {
 		}
 	}
 	if it.kind == core.RequestArrival {
-		s.waiters[it.id] = it
+		s.waiters[it.ev.Request] = it
 	}
 	switch err := s.redoEvent(it.ev); {
 	case err != nil:
-		delete(s.waiters, it.id)
+		delete(s.waiters, it.ev.Request)
 		it.done <- WireDecision{Status: StatusError, Kind: KindName(it.kind),
 			ID: it.id, VTime: int64(it.ev.Time), Error: err.Error()}
 	case it.kind == core.WorkerArrival:
-		it.done <- decisionLine(it.kind, it.id, int64(it.ev.Time), platform.RequestDecision{})
+		it.done <- decisionLine(it.kind, it.id, int64(it.ev.Time), online.Decided{})
 	}
 	s.maybeCheckpoint()
 }

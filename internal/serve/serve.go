@@ -175,13 +175,15 @@ type Server struct {
 	delivered []atomic.Bool
 	cursor    int // sequencer-owned recorded-order cursor (replay mode)
 
-	// waiters maps a request ID to the ingest whose decision is still
+	// waiters maps a request to the ingest whose decision is still
 	// owed: registered by process before the engine call, answered by
 	// onDecision when the engine books the decision — inside that call,
-	// or at a later window flush. Owned by the sequencer goroutine:
-	// decisions only happen inside engine calls made by the sequencer or
-	// the pre-sequencer recovery re-drive.
-	waiters map[int64]*ingest
+	// or at a later window flush. The key is the request the engine
+	// decides, not its ID: two posts of one ID (on two platforms, or one
+	// the engine refuses) never share a waiter. Owned by the sequencer
+	// goroutine: decisions only happen inside engine calls made by the
+	// sequencer or the pre-sequencer recovery re-drive.
+	waiters map[*core.Request]*ingest
 
 	// durability (nil wal == zero-durability path, bit-identical to the
 	// pre-WAL server)
@@ -302,7 +304,7 @@ func New(opts Options) (*Server, error) {
 	s.platformList = fmt.Sprint(pids)
 	s.nextReqID.Store(liveIDBase)
 	s.nextWorkerID.Store(liveIDBase)
-	s.waiters = make(map[int64]*ingest)
+	s.waiters = make(map[*core.Request]*ingest)
 	// The decision handler must be registered before any recovery
 	// re-drive: recovered records decide requests, and those decisions
 	// must book exactly the counters they booked live or the checkpoint
@@ -505,15 +507,15 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 			}
 		}()
 	} else {
-		ev, err := we.toEvent(kind)
-		if err != nil {
-			s.ctr.badEvents.Add(1)
-			return nil, WireDecision{Status: StatusError, Kind: KindName(kind), ID: we.ID, Error: err.Error()}
-		}
 		if !s.platformOK[core.PlatformID(we.Platform)] {
 			s.ctr.badEvents.Add(1)
 			return nil, WireDecision{Status: StatusError, Kind: KindName(kind), ID: we.ID,
 				Error: fmt.Sprintf("unknown platform %d; this server serves %s", we.Platform, s.platformList)}
+		}
+		ev, err := we.toEvent(kind)
+		if err != nil {
+			s.ctr.badEvents.Add(1)
+			return nil, WireDecision{Status: StatusError, Kind: KindName(kind), ID: we.ID, Error: err.Error()}
 		}
 		s.assignID(ev)
 		it.ev = ev

@@ -332,3 +332,68 @@ func TestBatchWindowCrashRecovery(t *testing.T) {
 	}
 	assertSameResult(t, want, got)
 }
+
+// TestLiveDuplicateRequestInWindow: request 5 posted again on its
+// platform while the first is buffered in the open window is refused,
+// request 5 posted on the other platform is taken, and each of the two
+// taken posts is answered with its own platform's decision at the
+// flush. Before, the engine took the repeat into the window and the
+// server kept one waiter per ID: the repeat or the other platform's
+// post replaced the first post's waiter and took its answer, and the
+// waiter left without one timed out.
+func TestLiveDuplicateRequestInWindow(t *testing.T) {
+	srv, ts := startServer(t, Options{Algorithm: platform.AlgBatchCOM, Seed: 3, Window: 1000,
+		Platforms: []core.PlatformID{1, 2}, DisableCoop: true})
+	client := ts.Client()
+	for _, w := range []string{
+		`{"id":1,"x":0.5,"y":0.5,"platform":1,"radius":0.4}`,
+		`{"id":2,"x":0.5,"y":0.5,"platform":2,"radius":0.4}`,
+	} {
+		postJSON(t, client, ts.URL+"/v1/workers", w)
+	}
+	request := func(platform string) string {
+		return `{"id":5,"x":0.5,"y":0.5,"platform":` + platform + `,"value":3}`
+	}
+	post := func(body string) <-chan WireDecision {
+		out := make(chan WireDecision, 1)
+		go func() {
+			var d WireDecision
+			if resp, err := client.Post(ts.URL+"/v1/requests", "application/json", strings.NewReader(body)); err == nil {
+				_ = json.NewDecoder(resp.Body).Decode(&d)
+				resp.Body.Close()
+			}
+			out <- d
+		}()
+		return out
+	}
+	first := post(request("1"))
+	waitApplied(t, srv, 3)
+	if _, d := postJSON(t, client, ts.URL+"/v1/requests", request("1")); d.Status != StatusError || !strings.Contains(d.Error, "request 5") {
+		t.Fatalf("second post of request 5 on platform 1: %+v, want an error naming it", d)
+	}
+	other := post(request("2"))
+	for _, c := range []struct {
+		name   string
+		answer <-chan WireDecision
+		worker int64
+	}{{"platform 1", first, 1}, {"platform 2", other, 2}} {
+		select {
+		case d := <-c.answer:
+			if d.Status != StatusOK || !d.Served || d.WorkerID != c.worker {
+				t.Fatalf("request 5 on %s: %+v, want its flush decision by worker %d", c.name, d, c.worker)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request 5 on %s not answered", c.name)
+		}
+	}
+	if snap := srv.Snapshot().Server; snap.Served != 2 || snap.Matched != 2 {
+		t.Fatalf("counters: %+v", snap)
+	}
+	res, err := srv.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if res.TotalServed() != 2 {
+		t.Fatalf("served: want 2, got %d", res.TotalServed())
+	}
+}

@@ -6,14 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
-	"crossmatch/internal/platform"
+	"crossmatch/internal/online"
 )
 
 // WireEvent is the JSON wire form of one arrival, posted to
@@ -130,33 +129,19 @@ func SplitLines(body []byte) [][]byte {
 	return out
 }
 
-// toEvent builds the domain event for live mode. The arrival tick is
-// stamped later by the sequencer; validation of the stamped event
-// happens in Engine.Process via the matcher path, so only structural
-// errors are caught here.
+// toEvent builds the domain event for live mode and checks it with the
+// payload's own validator — what the engine would refuse after the
+// event is logged is refused before. The arrival tick is stamped later
+// by the sequencer.
 func (we *WireEvent) toEvent(kind core.EventKind) (core.Event, error) {
-	loc := geo.Point{X: we.X, Y: we.Y}
-	switch kind {
-	case core.WorkerArrival:
-		if !(we.Radius > 0) || math.IsInf(we.Radius, 0) {
-			return core.Event{}, fmt.Errorf("worker %d: radius %v must be positive and finite", we.ID, we.Radius)
-		}
-		for i, v := range we.History {
-			if !(v > 0) || math.IsInf(v, 0) {
-				return core.Event{}, fmt.Errorf("worker %d: history value %d = %v must be positive and finite", we.ID, i, v)
-			}
-		}
-		w := &core.Worker{ID: we.ID, Loc: loc, Radius: we.Radius,
-			Platform: core.PlatformID(we.Platform), History: we.History}
-		return core.Event{Kind: kind, Worker: w}, nil
-	default:
-		if !(we.Value > 0) || math.IsInf(we.Value, 0) {
-			return core.Event{}, fmt.Errorf("request %d: value %v must be positive and finite", we.ID, we.Value)
-		}
-		r := &core.Request{ID: we.ID, Loc: loc, Value: we.Value,
-			Platform: core.PlatformID(we.Platform)}
-		return core.Event{Kind: kind, Request: r}, nil
+	loc, pid := geo.Point{X: we.X, Y: we.Y}, core.PlatformID(we.Platform)
+	ev := core.Event{Kind: kind}
+	if kind == core.WorkerArrival {
+		ev.Worker = &core.Worker{ID: we.ID, Loc: loc, Radius: we.Radius, Platform: pid, History: we.History}
+	} else {
+		ev.Request = &core.Request{ID: we.ID, Loc: loc, Value: we.Value, Platform: pid}
 	}
+	return ev, ev.Validate()
 }
 
 // EventToWire converts a domain event to its wire form — what the load
@@ -175,19 +160,19 @@ func EventToWire(ev core.Event) WireEvent {
 }
 
 // decisionLine builds the OK response line for a sequenced event.
-func decisionLine(kind core.EventKind, id, vtime int64, d platform.RequestDecision) WireDecision {
+func decisionLine(kind core.EventKind, id, vtime int64, d online.Decided) WireDecision {
 	out := WireDecision{Status: StatusOK, Kind: KindName(kind), ID: id, VTime: vtime}
 	if kind != core.RequestArrival {
 		return out
 	}
 	out.Served = d.Served
 	out.Reason = string(d.Reason)
-	if d.Served {
-		out.WorkerID = d.Worker.ID
-		out.WorkerPlatform = int32(d.Worker.Platform)
-		out.Outer = d.Outer
-		out.Payment = d.Payment
-		out.Revenue = d.Revenue
+	if a := d.Assignment; d.Served {
+		out.WorkerID = a.Worker.ID
+		out.WorkerPlatform = int32(a.Worker.Platform)
+		out.Outer = a.Outer
+		out.Payment = a.Payment
+		out.Revenue = a.Revenue()
 	}
 	return out
 }

@@ -106,7 +106,7 @@ if git grep -nE 'WriteSnapsho[t]|LatestSnapsho[t]|SnapshotEver[y]|snapshot-ever[
 	exit 1
 fi
 
-echo "==> one way out of the engine, one way into the server: one decision ledger, one record step, no Deferred read by the sweeps"
+echo "==> one way out of the engine, one way into the server: one decision ledger, one record step"
 # The brackets keep this line from matching itself; the Markdown documents may name the removed handler.
 if git grep -n 'onWindowFlus[h]' -- ':!*.md'; then
 	exit 1
@@ -117,7 +117,10 @@ for call in 'ctr\.served\.Add\(' '\.AdvanceTime\(' '\.Process\('; do
 		exit 1
 	fi
 done
-if git grep -n '\.Deferred' -- 'internal/experiments'; then
+
+echo "==> a decision is one record: no serving copy of it, no second mark of a buffered request, no window-only record type"
+# The brackets keep this line from matching itself.
+if git grep -nwE 'RequestDecisio[n]|Deferre[d]|WindowDecisio[n]' -- '*.go'; then
 	exit 1
 fi
 
