@@ -124,10 +124,15 @@ func (p *Pool) AppendCovering(dst []*core.Worker, r *core.Request) []*core.Worke
 }
 
 // AppendCandidates is AppendCovering for a cooperating platform: each
-// worker comes with its acceptance history, straight from its slot.
+// worker comes with its acceptance history, straight from its slot. A
+// worker with an empty history is no outer candidate: nothing prices
+// its acceptance, and the vacuous probability 1 would let a payment of
+// 5e-324 buy it (a live client may omit a worker's history).
 func (p *Pool) AppendCandidates(dst []Candidate, r *core.Request) []Candidate {
 	for _, slot := range p.covering(r) {
-		dst = append(dst, Candidate{Worker: p.ws[slot], History: &p.hists[slot]})
+		if p.hists[slot].Len() > 0 {
+			dst = append(dst, Candidate{Worker: p.ws[slot], History: &p.hists[slot]})
+		}
 	}
 	return dst
 }

@@ -244,3 +244,43 @@ func arrive(m online.Matcher, r *core.Request) online.Decision {
 	m.RequestArrives(r, &d)
 	return d
 }
+
+// TestHistorylessPartnerIsNoOuterCandidate: a cooperating platform's
+// worker with an empty history is no outer candidate. Before, BatchCOM
+// and RamCOM priced it at 5e-324 (for BatchCOM a payment that leaves the
+// outer arc tied with the inner one) and served request 1 outer by
+// worker 2, although request 1's own worker 1 covers it.
+func TestHistorylessPartnerIsNoOuterCandidate(t *testing.T) {
+	for _, alg := range []string{AlgBatchCOM, AlgDemCOM, AlgRamCOM} {
+		t.Run(alg, func(t *testing.T) {
+			factory, err := FactoryConfigured(alg, AlgConfig{MaxValue: 3, Window: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewEngine([]core.PlatformID{1, 2}, factory, Config{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []online.Decided
+			eng.SetDecisionHandler(func(d online.Decided) { got = append(got, d) })
+			for _, w := range []*core.Worker{
+				{ID: 1, Radius: 1, Platform: 1},
+				{ID: 2, Radius: 1, Platform: 2},
+			} {
+				if _, err := eng.Process(core.Event{Kind: core.WorkerArrival, Worker: w}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := &core.Request{ID: 1, Value: 3, Platform: 1}
+			if _, err := eng.Process(core.Event{Kind: core.RequestArrival, Request: r}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || !got[0].Served || got[0].Assignment.Outer || got[0].Assignment.Worker.ID != 1 {
+				t.Fatalf("decisions %+v, want request 1 served inner by worker 1", got)
+			}
+		})
+	}
+}

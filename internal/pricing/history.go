@@ -88,8 +88,10 @@ func (h *History) Len() int {
 // AcceptProb returns pr(v', w) per Definition 3.1. A worker with an
 // empty history has never been observed rejecting a price, so the
 // vacuous reading of N(v<=v')/N is used: probability 1 for any positive
-// payment (and 0 otherwise, NaN included). Workload generators always
-// provide histories; the convention only matters for hand-built inputs.
+// payment (and 0 otherwise, NaN included). Generated streams always
+// carry histories, but a live client may post a worker without one, so
+// online.Pool.AppendCandidates offers no such worker as an outer
+// candidate: at any positive payment, however small, it would accept.
 func (h *History) AcceptProb(payment float64) float64 {
 	if !(payment > 0) {
 		return 0

@@ -397,3 +397,28 @@ func TestLiveDuplicateRequestInWindow(t *testing.T) {
 		t.Fatalf("served: want 2, got %d", res.TotalServed())
 	}
 }
+
+// TestLiveHistorylessWorkersStayInner: history is optional on the wire,
+// and a worker posted without one is no outer candidate. Before, the
+// request below was answered outer by platform 2's worker 2 at payment
+// 5e-324, although platform 1's own worker 1 covers it.
+func TestLiveHistorylessWorkersStayInner(t *testing.T) {
+	srv, ts := startServer(t, Options{Algorithm: platform.AlgBatchCOM, Seed: 1, Window: 5,
+		Platforms: []core.PlatformID{1, 2}})
+	client := ts.Client()
+	for _, w := range []string{
+		`{"id":1,"x":0.5,"y":0.5,"platform":1,"radius":0.4}`,
+		`{"id":2,"x":0.5,"y":0.5,"platform":2,"radius":0.4}`,
+	} {
+		if _, d := postJSON(t, client, ts.URL+"/v1/workers", w); d.Status != StatusOK {
+			t.Fatalf("worker post: %+v", d)
+		}
+	}
+	_, d := postJSON(t, client, ts.URL+"/v1/requests", `{"id":1,"x":0.5,"y":0.5,"platform":1,"value":3}`)
+	if d.Status != StatusOK || !d.Served || d.Outer || d.WorkerID != 1 || d.Revenue != 3 {
+		t.Fatalf("request 1: %+v, want it served inner by worker 1 for revenue 3", d)
+	}
+	if _, err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
