@@ -36,8 +36,8 @@ func TestBuildOptionsRejectsBadTraceFlags(t *testing.T) {
 }
 
 // TestRunRejectsBadRateAndMaxValue: a rate that is negative, NaN or
-// infinite, and a NaN or infinite max value for a threshold algorithm,
-// stop run before it listens. The listen address is unusable, so a
+// infinite, a NaN or infinite max value for a threshold algorithm, and
+// negative service ticks stop run before it listens. The listen address is unusable, so a
 // value that slipped through would fail there instead, with an error
 // naming neither.
 func TestRunRejectsBadRateAndMaxValue(t *testing.T) {
@@ -51,6 +51,7 @@ func TestRunRejectsBadRateAndMaxValue(t *testing.T) {
 		{"infinite rate", options{alg: "DemCOM", rate: math.Inf(1)}, "rate"},
 		{"RamCOM NaN max value", options{alg: "RamCOM", maxValue: math.NaN()}, "max value"},
 		{"Greedy-RT infinite max value", options{alg: "Greedy-RT", maxValue: math.Inf(1)}, "max value"},
+		{"negative service ticks", options{alg: "DemCOM", serviceTicks: -3}, "service ticks -3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.o.addr, tc.o.platforms, tc.o.queueCap = "no-port", "1,2", 16

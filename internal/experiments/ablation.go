@@ -77,15 +77,15 @@ func RunAblations(opts Grid) (*AblationResult, error) {
 	// express goes through the resolver like any other cell; the rest
 	// spell out their constructor.
 	cells := []cell{
-		{label: VarTOTA, alg: platform.AlgTOTA},
-		{label: VarDemCOM, alg: platform.AlgDemCOM},
-		{label: VarDemCOMOracle, factory: platform.DemCOMFactory(pricing.DefaultMonteCarlo, true)},
-		{label: VarDemCOMNoCoop, alg: platform.AlgDemCOM, noCoop: true},
-		{label: VarRamCOM, alg: platform.AlgRamCOM},
-		{label: VarRamCOMThreshold, factory: platform.RamCOMFactory(maxV, platform.RamCOMOptions{ThresholdPricing: true})},
-		{label: VarRamCOMMinPayment, factory: platform.RamCOMFactory(maxV, platform.RamCOMOptions{MinPaymentPricing: true})},
-		{label: VarRamCOMLiteral, factory: platform.RamCOMFactory(maxV, platform.RamCOMOptions{NoInnerFallback: true})},
-		{label: VarRamCOMNoCoop, alg: platform.AlgRamCOM, noCoop: true},
+		{label: VarTOTA, spec: platform.Spec{Algorithm: platform.AlgTOTA}},
+		{label: VarDemCOM, spec: platform.Spec{Algorithm: platform.AlgDemCOM}},
+		{label: VarDemCOMOracle, spec: platform.Spec{Algorithm: platform.AlgDemCOM}, factory: platform.DemCOMFactory(pricing.DefaultMonteCarlo, true)},
+		{label: VarDemCOMNoCoop, spec: platform.Spec{Algorithm: platform.AlgDemCOM, DisableCoop: true}},
+		{label: VarRamCOM, spec: platform.Spec{Algorithm: platform.AlgRamCOM}},
+		{label: VarRamCOMThreshold, spec: platform.Spec{Algorithm: platform.AlgRamCOM}, factory: platform.RamCOMFactory(maxV, platform.RamCOMOptions{ThresholdPricing: true})},
+		{label: VarRamCOMMinPayment, spec: platform.Spec{Algorithm: platform.AlgRamCOM}, factory: platform.RamCOMFactory(maxV, platform.RamCOMOptions{MinPaymentPricing: true})},
+		{label: VarRamCOMLiteral, spec: platform.Spec{Algorithm: platform.AlgRamCOM}, factory: platform.RamCOMFactory(maxV, platform.RamCOMOptions{NoInnerFallback: true})},
+		{label: VarRamCOMNoCoop, spec: platform.Spec{Algorithm: platform.AlgRamCOM, DisableCoop: true}},
 	}
 	res := &AblationResult{Opts: o}
 	for i := range cells {

@@ -133,14 +133,16 @@ func RunCompetitiveRatio(opts CROptions) (*CRResult, error) {
 		}
 		ratios := make(map[string]float64, len(algs))
 		for _, a := range algs {
-			factory, err := platform.FactoryFor(a, cfg.MaxValue())
-			if err != nil {
-				return nil, err
-			}
+			spec := platform.Spec{Algorithm: a, MaxValue: cfg.MaxValue(), Faults: o.Runner.FaultPlan}
 			sum := 0.0
 			for ord, oc := range orders {
-				run, err := platform.Run(oc.stream, factory,
-					o.Runner.simConfig(genSeed+int64(ord), false, "cr/"+a))
+				spec.Seed = genSeed + int64(ord)
+				factory, runCfg, err := spec.Lower()
+				if err != nil {
+					return nil, err
+				}
+				o.Runner.observe(&runCfg, "cr/"+a)
+				run, err := platform.Run(oc.stream, factory, runCfg)
 				if err != nil {
 					return nil, err
 				}

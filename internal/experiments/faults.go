@@ -131,7 +131,7 @@ func RunFaultSweep(opts FaultSweepOptions) (*FaultSweepResult, error) {
 	var cells []cell
 	for _, rate := range o.Rates {
 		for _, alg := range onlineAlgos {
-			cells = append(cells, cell{label: fmt.Sprintf("faults=%g/%s", rate, alg), workload: cfg, alg: alg})
+			cells = append(cells, cell{label: fmt.Sprintf("faults=%g/%s", rate, alg), workload: cfg, spec: platform.Spec{Algorithm: alg}})
 			res.Rows = append(res.Rows, FaultSweepRow{Rate: rate, Algorithm: alg})
 		}
 	}

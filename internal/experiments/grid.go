@@ -14,9 +14,9 @@ import (
 // case crossed with an algorithm or variant) and how to read a unit run;
 // the kernel owns everything else: which (cell, repeat) pairs exist and
 // in what order, each pair's seed, where its stream comes from, its
-// platform.Config and profile label, how the algorithm name becomes a
-// matcher, the fan-out, and handing the units back grouped per cell in
-// submission order. That ordering is what makes every harness
+// profile label, how the cell's platform.Spec becomes a matcher and a
+// platform.Config, the fan-out, and handing the units back grouped per
+// cell in submission order. That ordering is what makes every harness
 // bit-identical on any pool size.
 
 // Grid is the synthetic workload and repeat count the grid experiments
@@ -82,14 +82,13 @@ type cell struct {
 	// workload supplies max(v_r) for the threshold algorithms and, when
 	// the plan shares no stream, the unit runs' streams.
 	workload workload.Config
-	// alg is resolved by platform.FactoryConfigured with algCfg (whose
-	// MaxValue the kernel fills in). factory overrides it for variants a
-	// name cannot express. A cell with neither simulates nothing the
-	// kernel knows of: its units reach measure with a nil factory.
-	alg     string
-	algCfg  platform.AlgConfig
+	// spec is the cell's engine configuration; the kernel fills in each
+	// unit's seed, the runner's fault plan and, unless the spec has one,
+	// the workload's max value. factory overrides the matcher the spec
+	// names, for variants a name cannot express. The units of a cell
+	// with no algorithm reach measure with a nil factory.
+	spec    platform.Spec
 	factory platform.MatcherFactory
-	noCoop  bool
 	// once marks a deterministic cell: one unit run, not plan.repeats.
 	once bool
 }
@@ -108,18 +107,28 @@ func (u unit) simulate() (*platform.Result, error) {
 // unit readies one repeat of a cell: its stream, its matcher and its
 // platform.Config.
 func (p plan) unit(c cell, seed int64) (unit, error) {
-	u := unit{stream: p.stream, factory: c.factory, cfg: p.runner.simConfig(seed, c.noCoop, c.label)}
+	u := unit{stream: p.stream, factory: c.factory, cfg: platform.Config{Seed: seed}}
 	var err error
 	if u.stream == nil {
 		if u.stream, err = workload.Generate(c.workload, seed); err != nil {
 			return u, err
 		}
 	}
-	if u.factory == nil && c.alg != "" {
-		c.algCfg.MaxValue = c.workload.MaxValue()
-		u.factory, err = platform.FactoryConfigured(c.alg, c.algCfg)
+	if sp := c.spec; sp.Algorithm != "" {
+		sp.Seed, sp.Faults = seed, p.runner.FaultPlan
+		if sp.MaxValue == 0 {
+			sp.MaxValue = c.workload.MaxValue()
+		}
+		var named platform.MatcherFactory
+		if named, u.cfg, err = sp.Lower(); err != nil {
+			return u, err
+		}
+		if u.factory == nil {
+			u.factory = named
+		}
 	}
-	return u, err
+	p.runner.observe(&u.cfg, c.label)
+	return u, nil
 }
 
 // runGrid runs measure on every (cell, repeat) across the runner's pool
@@ -210,16 +219,19 @@ func find[R any](rows []R, match func(R) bool) (R, bool) {
 }
 
 // RunEnsemble is one cell of the grid on its own, behind `comsim
-// -ensemble`: one matcher over one shared stream under n seeds — seed,
-// seed+7211, … — fanned across GOMAXPROCS workers and summarized in seed
-// order. A failing run's error names its seed; a nil stream or factory,
-// or n <= 0, is rejected.
-func RunEnsemble(stream *core.Stream, factory platform.MatcherFactory, noCoop bool, seed int64, n int) (platform.EnsembleSummary, error) {
-	if stream == nil || factory == nil {
-		return platform.EnsembleSummary{}, fmt.Errorf("experiments: ensemble needs a stream and a matcher factory")
+// -ensemble`: the spec's matcher over one shared stream under n seeds —
+// spec.Seed, spec.Seed+7211, … — fanned across GOMAXPROCS workers and
+// summarized in seed order. A failing run's error names its seed; a nil
+// stream, a spec that does not resolve, or n <= 0 is rejected.
+func RunEnsemble(stream *core.Stream, spec platform.Spec, n int) (platform.EnsembleSummary, error) {
+	if stream == nil {
+		return platform.EnsembleSummary{}, fmt.Errorf("experiments: ensemble needs a stream")
 	}
-	_, sums, err := simulateGrid(plan{seed: seed, stride: 7211, repeats: n, stream: stream},
-		[]cell{{label: "ensemble", factory: factory, noCoop: noCoop}})
+	if _, err := spec.Resolve(); err != nil {
+		return platform.EnsembleSummary{}, err
+	}
+	_, sums, err := simulateGrid(plan{seed: spec.Seed, stride: 7211, repeats: n, stream: stream},
+		[]cell{{label: "ensemble", spec: spec}})
 	if err != nil {
 		return platform.EnsembleSummary{}, err
 	}

@@ -30,11 +30,11 @@ func ensembleConfig(t *testing.T) workload.Config {
 func TestRunEnsembleMatchesSequential(t *testing.T) {
 	cfg := ensembleConfig(t)
 	p := plan{runner: &Runner{Parallelism: 4}, seed: 1, stride: 1, repeats: 6}
-	par, _, err := simulateGrid(p, []cell{{label: "ensemble", workload: cfg, alg: platform.AlgDemCOM}})
+	par, _, err := simulateGrid(p, []cell{{label: "ensemble", workload: cfg, spec: platform.Spec{Algorithm: platform.AlgDemCOM}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := platform.FactoryFor(platform.AlgDemCOM, cfg.MaxValue())
+	factory, err := platform.FactoryConfigured(platform.AlgDemCOM, platform.AlgConfig{MaxValue: cfg.MaxValue()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,14 @@ func TestRunEnsembleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := platform.TOTAFactory()
-	if _, err := RunEnsemble(nil, f, false, 1, 1); err == nil {
+	spec := platform.Spec{Algorithm: platform.AlgTOTA, Seed: 1}
+	if _, err := RunEnsemble(nil, spec, 1); err == nil {
 		t.Error("nil stream accepted")
 	}
-	if _, err := RunEnsemble(stream, nil, false, 1, 1); err == nil {
-		t.Error("nil factory accepted")
+	if _, err := RunEnsemble(stream, platform.Spec{Seed: 1}, 1); !errors.Is(err, platform.ErrUnknownAlgorithm) {
+		t.Errorf("a spec naming no algorithm: %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, err := RunEnsemble(stream, f, false, 1, 0); err == nil {
+	if _, err := RunEnsemble(stream, spec, 0); err == nil {
 		t.Error("no seeds accepted")
 	}
 	if _, _, err := simulateGrid(plan{repeats: 1}, nil); err == nil {
@@ -86,11 +86,11 @@ func TestRunEnsembleValidation(t *testing.T) {
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "bad seed 2") {
 		t.Errorf("measurement error = %v, want boom naming seed 2", err)
 	}
-	_, _, err = simulateGrid(p, []cell{{label: "empty", alg: platform.AlgTOTA}})
+	_, _, err = simulateGrid(p, []cell{{label: "empty", spec: platform.Spec{Algorithm: platform.AlgTOTA}}})
 	if err == nil || !strings.Contains(err.Error(), "empty seed 1") {
 		t.Errorf("generator error = %v, want one naming seed 1", err)
 	}
-	_, _, err = simulateGrid(p, []cell{{label: "magik", workload: cfg, alg: "Magik"}})
+	_, _, err = simulateGrid(p, []cell{{label: "magik", workload: cfg, spec: platform.Spec{Algorithm: "Magik"}}})
 	if !errors.Is(err, platform.ErrUnknownAlgorithm) {
 		t.Errorf("unknown algorithm error = %v", err)
 	}
@@ -101,7 +101,7 @@ func TestRunEnsembleParallelismClamped(t *testing.T) {
 	// parallelism larger than the unit count and non-positive both work.
 	for _, par := range []int{-1, 0, 100} {
 		p := plan{runner: &Runner{Parallelism: par}, seed: 7, stride: 1, repeats: 2}
-		res, _, err := simulateGrid(p, []cell{{label: "ensemble", workload: cfg, alg: platform.AlgTOTA}})
+		res, _, err := simulateGrid(p, []cell{{label: "ensemble", workload: cfg, spec: platform.Spec{Algorithm: platform.AlgTOTA}}})
 		if err != nil {
 			t.Fatal(err)
 		}

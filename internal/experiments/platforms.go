@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"crossmatch/internal/platform"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
@@ -71,7 +72,7 @@ func RunPlatformCount(opts PlatformCountOptions) (*PlatformCountResult, error) {
 			return nil, err
 		}
 		for _, alg := range onlineAlgos {
-			cells = append(cells, cell{label: fmt.Sprintf("platforms=%d/%s", n, alg), workload: cfg, alg: alg})
+			cells = append(cells, cell{label: fmt.Sprintf("platforms=%d/%s", n, alg), workload: cfg, spec: platform.Spec{Algorithm: alg}})
 			res.Rows = append(res.Rows, PlatformCountRow{Platforms: n, Algorithm: alg})
 		}
 	}

@@ -86,7 +86,7 @@ func RunRoadNet(opts RoadNetOptions) (*RoadNetResult, error) {
 	var cells []cell
 	for _, alg := range onlineAlgos {
 		for _, kind := range []string{"euclidean", "road"} {
-			cells = append(cells, cell{label: "roadnet/" + kind + "/" + alg, workload: cfg, alg: alg})
+			cells = append(cells, cell{label: "roadnet/" + kind + "/" + alg, workload: cfg, spec: platform.Spec{Algorithm: alg}})
 			res.Rows = append(res.Rows, RoadNetRow{Algorithm: alg, RangeKind: kind})
 		}
 	}

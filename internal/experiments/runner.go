@@ -32,7 +32,7 @@ type Runner struct {
 	// internal/metrics); it also switches on per-run pprof labels.
 	Metrics *metrics.Collector
 	// FaultPlan, when non-nil, injects the same cooperation fault plan
-	// into every unit run (platform.Config.Faults). Fault randomness is
+	// into every unit run (platform.Spec.Faults). Fault randomness is
 	// seeded per run, so the determinism guarantee holds for faulted
 	// runs too. Nil (the default) keeps every unit run bit-identical to
 	// the fault-free engine.
@@ -54,16 +54,15 @@ func (r *Runner) orDefault() *Runner {
 	return r
 }
 
-// simConfig builds the platform.Config for one unit run, threading the
-// fault plan, the collector and, when metrics are on, a pprof label
+// observe threads the runner's observers into one unit run's Config:
+// the tracer, the collector and, when metrics are on, a pprof label
 // naming the run.
-func (r *Runner) simConfig(seed int64, disableCoop bool, label string) platform.Config {
-	cfg := platform.Config{Seed: seed, DisableCoop: disableCoop, Faults: r.FaultPlan, Trace: r.Trace}
+func (r *Runner) observe(cfg *platform.Config, label string) {
+	cfg.Trace = r.Trace
 	if r.Metrics != nil {
 		cfg.Metrics = r.Metrics
-		cfg.ProfileLabel = fmt.Sprintf("%s/seed=%d", label, seed)
+		cfg.ProfileLabel = fmt.Sprintf("%s/seed=%d", label, cfg.Seed)
 	}
-	return cfg
 }
 
 // runAll fans n independent unit runs across the runner's pool and

@@ -142,12 +142,12 @@ func RunScaling(opts ScalingOptions) (*ScalingResult, error) {
 			return nil, err
 		}
 		genMs := float64(time.Since(t0)) / float64(time.Millisecond)
-		factory, err := platform.FactoryConfigured(o.Algorithm, platform.AlgConfig{MaxValue: stream.MaxValue()})
+		factory, runCfg, err := platform.Spec{Algorithm: o.Algorithm, Seed: o.Seed, MaxValue: stream.MaxValue()}.Lower()
 		if err != nil {
 			return nil, err
 		}
 		t1 := time.Now()
-		out, err := platform.Run(stream, factory, platform.Config{Seed: o.Seed})
+		out, err := platform.Run(stream, factory, runCfg)
 		if err != nil {
 			return nil, fmt.Errorf("workers=%d: %w", w, err)
 		}

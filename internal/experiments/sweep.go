@@ -150,7 +150,7 @@ func RunSweep(axis SweepAxis, opts SweepOptions) (*SweepResult, error) {
 			return nil, err
 		}
 		for _, algo := range res.Algos {
-			cells = append(cells, cell{label: fmt.Sprintf("%s=%v/%s", axis, x, algo), workload: cfg, alg: algo})
+			cells = append(cells, cell{label: fmt.Sprintf("%s=%v/%s", axis, x, algo), workload: cfg, spec: platform.Spec{Algorithm: algo}})
 			cellX = append(cellX, x)
 		}
 	}
@@ -182,7 +182,7 @@ func RunSweep(axis SweepAxis, opts SweepOptions) (*SweepResult, error) {
 		stats.MustNonNegative("revenue", acc.Revenue)
 		stats.MustNonNegative("response", acc.ResponseMs)
 		stats.MustNonNegative("acceptance", acc.AcptRatio)
-		res.Points[cells[ci].alg] = append(res.Points[cells[ci].alg], acc)
+		res.Points[cells[ci].spec.Algorithm] = append(res.Points[cells[ci].spec.Algorithm], acc)
 	}
 	return res, nil
 }

@@ -117,7 +117,7 @@ func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 		cells = append(cells, cell{label: preset.Name + "/" + platform.AlgOFF, once: true})
 	}
 	for _, alg := range onlineAlgos {
-		cells = append(cells, cell{label: preset.Name + "/" + alg, workload: cfg, alg: alg})
+		cells = append(cells, cell{label: preset.Name + "/" + alg, workload: cfg, spec: platform.Spec{Algorithm: alg}})
 	}
 	// A unit keeps its whole result, not just its row: the memory column
 	// below is the heap with the stream and every result live.
@@ -136,16 +136,16 @@ func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 				return tableUnit{}, err
 			}
 			if err := run.Validate(); err != nil {
-				return tableUnit{}, fmt.Errorf("%s produced invalid matching: %w", cells[ci].alg, err)
+				return tableUnit{}, fmt.Errorf("%s produced invalid matching: %w", cells[ci].spec.Algorithm, err)
 			}
-			return tableUnit{run, rowFromRun(run, cells[ci].alg)}, nil
+			return tableUnit{run, rowFromRun(run, cells[ci].spec.Algorithm)}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	res := &TableResult{Dataset: preset.Name, Scale: o.Scale, Seed: o.Seed}
 	for ci, c := range cells {
-		if c.alg == "" {
+		if c.spec.Algorithm == "" {
 			res.Rows = append(res.Rows, units[ci][0].row)
 			continue
 		}
@@ -153,8 +153,8 @@ func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 			return mean(units[ci], func(u tableUnit) float64 { return f(u.row) })
 		}
 		res.Rows = append(res.Rows, TableRow{
-			Method:     c.alg,
-			HasCoop:    c.alg != platform.AlgTOTA,
+			Method:     c.spec.Algorithm,
+			HasCoop:    c.spec.Algorithm != platform.AlgTOTA,
 			RevD:       col(func(r TableRow) float64 { return r.RevD }),
 			RevY:       col(func(r TableRow) float64 { return r.RevY }),
 			ResponseMs: col(func(r TableRow) float64 { return r.ResponseMs }),

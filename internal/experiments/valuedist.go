@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"crossmatch/internal/platform"
 	"crossmatch/internal/stats"
 	"crossmatch/internal/workload"
 )
@@ -61,7 +62,7 @@ func RunValueDist(opts Grid) (*ValueDistResult, error) {
 			return nil, err
 		}
 		for _, alg := range onlineAlgos {
-			cells = append(cells, cell{label: "valuedist/" + dist + "/" + alg, workload: cfg, alg: alg})
+			cells = append(cells, cell{label: "valuedist/" + dist + "/" + alg, workload: cfg, spec: platform.Spec{Algorithm: alg}})
 			res.Rows = append(res.Rows, ValueDistRow{Algorithm: alg, Dist: dist})
 		}
 	}

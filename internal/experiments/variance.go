@@ -57,7 +57,7 @@ func RunVariance(opts Grid) (*VarianceResult, error) {
 	}
 	var cells []cell
 	for _, alg := range onlineAlgos {
-		cells = append(cells, cell{label: "variance/" + alg, workload: cfg, alg: alg})
+		cells = append(cells, cell{label: "variance/" + alg, workload: cfg, spec: platform.Spec{Algorithm: alg}})
 	}
 	_, sums, err := simulateGrid(p, cells)
 	if err != nil {
@@ -65,7 +65,7 @@ func RunVariance(opts Grid) (*VarianceResult, error) {
 	}
 	res := &VarianceResult{Opts: o}
 	for ci, s := range sums {
-		res.Rows = append(res.Rows, VarianceRow{Algorithm: cells[ci].alg, Summary: s})
+		res.Rows = append(res.Rows, VarianceRow{Algorithm: cells[ci].spec.Algorithm, Summary: s})
 	}
 	return res, nil
 }

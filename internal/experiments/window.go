@@ -21,7 +21,7 @@ type WindowOptions struct {
 	// (default 1, 2, 5, 10, 25, 50).
 	Windows []core.Time
 	// Deadline, when positive, caps per-request buffering, pulling a
-	// window flush forward (platform.AlgConfig.Deadline).
+	// window flush forward (platform.Spec.BatchDeadline).
 	Deadline core.Time
 }
 
@@ -160,11 +160,11 @@ func RunWindow(opts WindowOptions) (*WindowResult, error) {
 	}
 
 	// Cells: the DemCOM baseline, then one BatchCOM cell per window.
-	cells := []cell{{label: "window/" + platform.AlgDemCOM + "/w0", workload: cfg, alg: platform.AlgDemCOM}}
+	cells := []cell{{label: "window/" + platform.AlgDemCOM + "/w0", workload: cfg, spec: platform.Spec{Algorithm: platform.AlgDemCOM}}}
 	res.Rows = []WindowRow{{Algorithm: platform.AlgDemCOM}}
 	for _, w := range o.Windows {
 		cells = append(cells, cell{label: fmt.Sprintf("window/%s/w%d", platform.AlgBatchCOM, w), workload: cfg,
-			alg: platform.AlgBatchCOM, algCfg: platform.AlgConfig{Window: w, Deadline: o.Deadline}})
+			spec: platform.Spec{Algorithm: platform.AlgBatchCOM, Window: w, BatchDeadline: o.Deadline}})
 		res.Rows = append(res.Rows, WindowRow{Algorithm: platform.AlgBatchCOM, Window: w, Bound: waitBound(w, o.Deadline)})
 	}
 	units, err := runGrid(o.plan(7717), cells, func(_ int, u unit) (windowUnit, error) { return runWindowUnit(u) })

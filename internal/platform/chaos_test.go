@@ -36,7 +36,7 @@ func resultKey(res *Result) string {
 func TestZeroRatePlanBitIdenticalToNoPlan(t *testing.T) {
 	stream := multiStream(t, 3, 400, 80, 23)
 	for _, alg := range []string{AlgDemCOM, AlgRamCOM} {
-		factory, err := FactoryFor(alg, stream.MaxValue())
+		factory, err := FactoryConfigured(alg, AlgConfig{MaxValue: stream.MaxValue()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestFullOutageEqualsCoopDisabled(t *testing.T) {
 		outages = append(outages, fault.Outage{Platform: pid, From: 0}) // open-ended
 	}
 	for _, alg := range []string{AlgDemCOM, AlgRamCOM} {
-		factory, err := FactoryFor(alg, stream.MaxValue())
+		factory, err := FactoryConfigured(alg, AlgConfig{MaxValue: stream.MaxValue()})
 		if err != nil {
 			t.Fatal(err)
 		}

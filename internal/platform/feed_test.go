@@ -69,9 +69,9 @@ func assertSameResult(t *testing.T, want, got *Result) {
 // back agree with the result it accumulates.
 func TestEngineDecisions(t *testing.T) {
 	stream := feedTestStream(t, 300, 100, 11)
-	factory, err := FactoryFor(AlgDemCOM, stream.MaxValue())
+	factory, err := FactoryConfigured(AlgDemCOM, AlgConfig{MaxValue: stream.MaxValue()})
 	if err != nil {
-		t.Fatalf("FactoryFor: %v", err)
+		t.Fatalf("FactoryConfigured: %v", err)
 	}
 	eng, err := NewEngine(stream.Platforms(), factory, Config{Seed: 5})
 	if err != nil {
@@ -128,9 +128,9 @@ func TestEngineDecisions(t *testing.T) {
 // fail with ErrEngineClosed, not silently no-op.
 func TestEngineClosedTypedError(t *testing.T) {
 	stream := feedTestStream(t, 20, 10, 3)
-	factory, err := FactoryFor(AlgTOTA, stream.MaxValue())
+	factory, err := FactoryConfigured(AlgTOTA, AlgConfig{MaxValue: stream.MaxValue()})
 	if err != nil {
-		t.Fatalf("FactoryFor: %v", err)
+		t.Fatalf("FactoryConfigured: %v", err)
 	}
 	eng, err := NewEngine(stream.Platforms(), factory, Config{Seed: 1})
 	if err != nil {
@@ -149,9 +149,9 @@ func TestEngineClosedTypedError(t *testing.T) {
 
 // TestEngineTimeRegression rejects arrivals that run backwards.
 func TestEngineTimeRegression(t *testing.T) {
-	factory, err := FactoryFor(AlgTOTA, 10)
+	factory, err := FactoryConfigured(AlgTOTA, AlgConfig{MaxValue: 10})
 	if err != nil {
-		t.Fatalf("FactoryFor: %v", err)
+		t.Fatalf("FactoryConfigured: %v", err)
 	}
 	eng, err := NewEngine([]core.PlatformID{1}, factory, Config{})
 	if err != nil {
@@ -176,9 +176,9 @@ func TestEngineTimeRegression(t *testing.T) {
 // live serving path feeds whatever the network sends. The rejection
 // must not advance the clock or mark the engine started.
 func TestEngineUnknownPlatform(t *testing.T) {
-	factory, err := FactoryFor(AlgTOTA, 10)
+	factory, err := FactoryConfigured(AlgTOTA, AlgConfig{MaxValue: 10})
 	if err != nil {
-		t.Fatalf("FactoryFor: %v", err)
+		t.Fatalf("FactoryConfigured: %v", err)
 	}
 	eng, err := NewEngine([]core.PlatformID{1, 2}, factory, Config{})
 	if err != nil {
@@ -272,7 +272,7 @@ func TestEngineRejectedEventLeavesState(t *testing.T) {
 // Matching.Add, and a non-finite location or a negative value was
 // decided as "no-workers".
 func TestProcessRejectsInvalidRequestUntouched(t *testing.T) {
-	factory, err := FactoryFor(AlgDemCOM, 10)
+	factory, err := FactoryConfigured(AlgDemCOM, AlgConfig{MaxValue: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,9 +432,9 @@ func TestEngineRefusesWorkerIDTwice(t *testing.T) {
 		{"same-platform-repost-replaces", []core.PlatformID{1, 2},
 			[]core.Event{w(7, 1, 1), w(7, 2, 1), r(1, 3, 1), r(2, 4, 2)}, -1, 1},
 	}
-	factory, err := FactoryFor(AlgTOTA, 5)
+	factory, err := FactoryConfigured(AlgTOTA, AlgConfig{MaxValue: 5})
 	if err != nil {
-		t.Fatalf("FactoryFor: %v", err)
+		t.Fatalf("FactoryConfigured: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

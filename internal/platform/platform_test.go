@@ -398,11 +398,14 @@ func TestOfflineRefusesPastWorkBound(t *testing.T) {
 	}
 }
 
-func TestFactoryFor(t *testing.T) {
-	for _, name := range []string{AlgTOTA, AlgGreedyRT, AlgDemCOM, AlgRamCOM} {
-		f, err := FactoryFor(name, 10)
+// TestSpecLowersEveryAlgorithm: each online algorithm's name lowers to
+// a factory building that matcher; an unknown name and OFF, which is no
+// online matcher, are refused with ErrUnknownAlgorithm.
+func TestSpecLowersEveryAlgorithm(t *testing.T) {
+	for _, name := range []string{AlgTOTA, AlgGreedyRT, AlgDemCOM, AlgRamCOM, AlgBatchCOM} {
+		f, _, err := Spec{Algorithm: name, MaxValue: 10}.Lower()
 		if err != nil {
-			t.Errorf("FactoryFor(%q): %v", name, err)
+			t.Errorf("Lower(%q): %v", name, err)
 			continue
 		}
 		m := f(1, online.NoCoop{}, rand.New(rand.NewSource(1)))
@@ -410,11 +413,10 @@ func TestFactoryFor(t *testing.T) {
 			t.Errorf("factory %q built matcher %q", name, m.Name())
 		}
 	}
-	if _, err := FactoryFor("nope", 10); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Errorf("unknown name: %v, want ErrUnknownAlgorithm", err)
-	}
-	if _, err := FactoryFor(AlgOFF, 10); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Errorf("OFF is not an online matcher: %v, want ErrUnknownAlgorithm", err)
+	for _, name := range []string{"nope", AlgOFF} {
+		if _, _, err := (Spec{Algorithm: name, MaxValue: 10}).Lower(); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("Lower(%q): %v, want ErrUnknownAlgorithm", name, err)
+		}
 	}
 }
 

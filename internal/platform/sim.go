@@ -31,22 +31,14 @@ type traceBinder interface{ BindTrace(*trace.Recorder) }
 // pricing quoter's counters; the run folds them into Config.Metrics.
 type pricingStatsProvider interface{ PricingStats() pricing.Stats }
 
-// Config controls a simulation run.
+// Config controls a simulation run. Seed, ServiceTicks, DisableCoop and
+// Faults are a Spec's engine settings, documented there and filled in
+// by Spec.Lower; the rest watch the run without deciding its bits.
 type Config struct {
-	// Seed drives every random choice (matcher thresholds, acceptance
-	// probes, Monte-Carlo sampling). Same seed, same stream, same result.
-	Seed int64
-	// ServiceTicks, when positive, recycles workers: a worker who
-	// completes a request re-joins its platform's waiting list
-	// ServiceTicks after the assignment, at the request's location, as
-	// a fresh waiting-list entry with the earned value appended to its
-	// history (the paper's "comes back to the platform again at a new
-	// time point"). Zero keeps the paper's one-shot matching model used
-	// in the evaluation.
+	Seed         int64
 	ServiceTicks core.Time
-	// DisableCoop turns off worker sharing: COM algorithms degrade to
-	// TOTA (the degradation ablation).
-	DisableCoop bool
+	DisableCoop  bool
+	Faults       *fault.Plan
 	// Metrics, when non-nil, receives the run's matching-funnel counters
 	// (inner/outer matches, cooperative attempts, acceptance probes,
 	// rejections, claim retries) and per-platform decision-latency
@@ -57,16 +49,6 @@ type Config struct {
 	// "crossmatch.run" pprof label so CPU profiles of a parallel
 	// experiment attribute samples to individual runs.
 	ProfileLabel string
-	// Faults, when non-nil, injects cooperation faults (latency spikes,
-	// dropped probes, transient claim errors, scheduled platform
-	// outages) into the hub's probe and claim path and guards every
-	// partner platform with a circuit breaker, so the COM matchers
-	// degrade gracefully to inner-only matching against dark partners.
-	// Fault randomness is seeded (Plan.Seed, falling back to Seed), so
-	// faulted runs stay reproducible; matcher randomness is
-	// never touched, and a nil plan leaves the run bit-identical to a
-	// fault-free build. See internal/fault.
-	Faults *fault.Plan
 	// Trace, when non-nil, records per-request decision spans (stage
 	// timings, outcome, payment, faults) into the tracer's bounded
 	// per-platform rings. Tracing never draws from matcher RNGs, so a

@@ -30,7 +30,7 @@ func TestTracedRunBitIdenticalToUntraced(t *testing.T) {
 		return out
 	}
 	for _, alg := range []string{AlgDemCOM, AlgRamCOM, AlgTOTA, AlgGreedyRT, AlgBatchCOM} {
-		factory, err := FactoryFor(alg, stream.MaxValue())
+		factory, err := FactoryConfigured(alg, AlgConfig{MaxValue: stream.MaxValue()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestTracedRunBitIdenticalToUntraced(t *testing.T) {
 // the outer payment.
 func TestTracedRunRecordsOutcomesAndStages(t *testing.T) {
 	stream := multiStream(t, 3, 400, 80, 23)
-	factory, err := FactoryFor(AlgDemCOM, stream.MaxValue())
+	factory, err := FactoryConfigured(AlgDemCOM, AlgConfig{MaxValue: stream.MaxValue()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTracedRunRecordsOutcomesAndStages(t *testing.T) {
 // inside spans.
 func TestTraceParallelChaos(t *testing.T) {
 	stream := multiStream(t, 4, 600, 120, 13)
-	factory, err := FactoryFor(AlgDemCOM, stream.MaxValue())
+	factory, err := FactoryConfigured(AlgDemCOM, AlgConfig{MaxValue: stream.MaxValue()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package serve
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"crossmatch/internal/core"
-	"crossmatch/internal/fault"
 	"crossmatch/internal/metrics"
 	"crossmatch/internal/platform"
 	"crossmatch/internal/pricing"
@@ -160,54 +158,46 @@ func (s *Server) recover() error {
 	return nil
 }
 
+// fingerprint maps the engine spec, with the recorded stream's length
+// (0 live), to the configuration every checkpoint of the log pins.
+func fingerprint(sp platform.Spec, replayEvents int) wal.Fingerprint {
+	fp := wal.Fingerprint{Algorithm: sp.Algorithm, Seed: sp.Seed, ServiceTicks: int64(sp.ServiceTicks),
+		DisableCoop: sp.DisableCoop, ReplayEvents: int64(replayEvents), Platforms: sp.Platforms,
+		MaxValueBits: math.Float64bits(sp.MaxValue), Window: int64(sp.Window),
+		BatchDeadline: int64(sp.BatchDeadline), PricingRev: pricing.SamplerRev}
+	if sp.Faults != nil {
+		fp.Faults = fmt.Sprintf("%+v", *sp.Faults)
+	}
+	return fp
+}
+
 // checkCheckpoint refuses a checkpoint written under a different engine
 // configuration — the log would re-drive cleanly but produce silently
 // different matching state — or one the re-drive so far does not
 // reproduce.
 func (s *Server) checkCheckpoint(c *wal.Checkpoint) error {
-	served, matched, revBits := s.digest()
-	switch {
-	case c.Algorithm != s.opts.Algorithm:
-		return fmt.Errorf("checkpoint algorithm %q, server runs %q", c.Algorithm, s.opts.Algorithm)
-	case c.Seed != s.opts.Seed:
-		return fmt.Errorf("checkpoint seed %d, server seed %d", c.Seed, s.opts.Seed)
-	case c.ServiceTicks != int64(s.opts.ServiceTicks):
-		return fmt.Errorf("checkpoint service-ticks %d, server %d", c.ServiceTicks, s.opts.ServiceTicks)
-	case c.DisableCoop != s.opts.DisableCoop:
-		return fmt.Errorf("checkpoint coop-disabled %v, server %v", c.DisableCoop, s.opts.DisableCoop)
-	case c.ReplayEvents != int64(len(s.replayEvs)):
-		return fmt.Errorf("checkpoint recorded stream of %d events, server replays %d", c.ReplayEvents, len(s.replayEvs))
-	case c.Window != int64(s.opts.Window):
-		return fmt.Errorf("checkpoint window %d, server %d", c.Window, s.opts.Window)
-	case c.BatchDeadline != int64(s.opts.BatchDeadline):
-		return fmt.Errorf("checkpoint batch-deadline %d, server %d", c.BatchDeadline, s.opts.BatchDeadline)
-	case c.PricingRev != pricing.SamplerRev && platform.SamplesMinPayment(s.opts.Algorithm):
+	got := c.Fingerprint
+	if !platform.SamplesMinPayment(s.spec.Algorithm) {
+		got.PricingRev = s.fp.PricingRev // only a payment sampler's draws depend on its revision
+	}
+	switch key, was, is := got.Diff(s.fp); key {
+	case "":
+	case "pricing_rev":
 		return fmt.Errorf("log written under Monte-Carlo sampler revision %d, this binary runs revision %d: "+
 			"%s draws its payments from that sampler, so the log would re-drive to different decisions; "+
 			"recover it with the binary that wrote it, or start from an empty wal dir",
-			c.PricingRev, pricing.SamplerRev, s.opts.Algorithm)
-	case !slices.Equal(c.Platforms, s.pids):
-		return fmt.Errorf("checkpoint platforms %v, server %v", c.Platforms, s.pids)
-	case c.MaxValueBits != math.Float64bits(s.maxValue):
-		return fmt.Errorf("checkpoint max value %v, server %v", math.Float64frombits(c.MaxValueBits), s.maxValue)
-	case c.Faults != faultPrint(s.opts.Faults):
-		return fmt.Errorf("checkpoint fault plan %q, server %q", c.Faults, faultPrint(s.opts.Faults))
-	case c.Applied != s.applied:
+			was, is, s.spec.Algorithm)
+	default:
+		return fmt.Errorf("checkpoint %s %#v, server %#v", key, was, is)
+	}
+	if c.Applied != s.applied {
 		return fmt.Errorf("checkpoint covers %d event and tick records, the log holds %d before it", c.Applied, s.applied)
-	case c.Served != served || c.Matched != matched || c.RevenueBits != revBits:
+	}
+	if served, matched, revBits := s.digest(); c.Served != served || c.Matched != matched || c.RevenueBits != revBits {
 		return fmt.Errorf("checkpoint digest mismatch after %d records: re-drive served=%d matched=%d revenue=%x, checkpoint served=%d matched=%d revenue=%x",
 			c.Applied, served, matched, revBits, c.Served, c.Matched, c.RevenueBits)
 	}
 	return nil
-}
-
-// faultPrint renders every field of a fault plan for the configuration
-// fingerprint; empty without a plan.
-func faultPrint(p *fault.Plan) string {
-	if p == nil {
-		return ""
-	}
-	return fmt.Sprintf("%+v", *p)
 }
 
 // logEvent appends one event to the WAL — strictly before the engine
@@ -250,20 +240,7 @@ func (s *Server) maybeCheckpoint() {
 // records earlier in the same file: a torn tail can drop it only
 // together with what it covers.
 func (s *Server) checkpoint() error {
-	c := wal.Checkpoint{
-		Applied:       s.applied,
-		Algorithm:     s.opts.Algorithm,
-		Seed:          s.opts.Seed,
-		ServiceTicks:  int64(s.opts.ServiceTicks),
-		DisableCoop:   s.opts.DisableCoop,
-		ReplayEvents:  int64(len(s.replayEvs)),
-		Platforms:     s.pids,
-		MaxValueBits:  math.Float64bits(s.maxValue),
-		Faults:        faultPrint(s.opts.Faults),
-		Window:        int64(s.opts.Window),
-		BatchDeadline: int64(s.opts.BatchDeadline),
-		PricingRev:    pricing.SamplerRev,
-	}
+	c := wal.Checkpoint{Applied: s.applied, Fingerprint: s.fp}
 	c.Served, c.Matched, c.RevenueBits = s.digest()
 	buf, err := wal.AppendCheckpoint(s.walBuf[:0], &c)
 	if err != nil {
@@ -282,20 +259,4 @@ func (s *Server) checkpoint() error {
 // matched and the bits of the accumulated revenue.
 func (s *Server) digest() (served, matched int64, revenueBits uint64) {
 	return s.ctr.served.Load(), s.ctr.matched.Load(), s.ctr.revenue.Load()
-}
-
-// crashForTest simulates a SIGKILL for recovery tests: the sequencer
-// is stopped and the log's file handles are dropped without the final
-// checkpoint, the buffered-tail flush, or the engine finish that a clean
-// Close performs. Appends since the last fsync are lost, exactly as a
-// hard kill would lose them.
-func (s *Server) crashForTest() {
-	s.BeginDrain()
-	<-s.seqDone
-	s.closeOnce.Do(func() {
-		if s.wal != nil {
-			_ = s.wal.Abandon()
-		}
-		s.closeErr = fmt.Errorf("serve: crashed (test hook)")
-	})
 }

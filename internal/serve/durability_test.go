@@ -26,6 +26,22 @@ import (
 	"crossmatch/internal/wal"
 )
 
+// crashForTest simulates a SIGKILL for recovery tests: the sequencer
+// is stopped and the log's file handles are dropped without the final
+// checkpoint, the buffered-tail flush, or the engine finish that a clean
+// Close performs. Appends since the last fsync are lost, exactly as a
+// hard kill would lose them.
+func (s *Server) crashForTest() {
+	s.BeginDrain()
+	<-s.seqDone
+	s.closeOnce.Do(func() {
+		if s.wal != nil {
+			_ = s.wal.Abandon()
+		}
+		s.closeErr = fmt.Errorf("serve: crashed (test hook)")
+	})
+}
+
 // TestCollectDecisionsPrefersReadyDecisions is the regression test for
 // the batch decision-wait select race: with an already-expired deadline
 // and every decision already buffered, the old loop (shared timer kept
@@ -155,9 +171,9 @@ func TestCrashRecoveryReplayBitIdentical(t *testing.T) {
 	for _, fsyncBatch := range []int{1, 64} {
 		t.Run(fmt.Sprintf("fsync-batch-%d", fsyncBatch), func(t *testing.T) {
 			stream := testStream(t, 200, 150, 42)
-			factory, err := platform.FactoryFor(platform.AlgDemCOM, stream.MaxValue())
+			factory, err := platform.FactoryConfigured(platform.AlgDemCOM, platform.AlgConfig{MaxValue: stream.MaxValue()})
 			if err != nil {
-				t.Fatalf("FactoryFor: %v", err)
+				t.Fatalf("FactoryConfigured: %v", err)
 			}
 			want, err := platform.Run(stream, factory, platform.Config{Seed: 42})
 			if err != nil {
@@ -400,15 +416,15 @@ func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
 	}{
 		{"algorithm", "algorithm", func(o *Options) { o.Algorithm = platform.AlgTOTA }},
 		{"seed", "seed", func(o *Options) { o.Seed = 4 }},
-		{"service ticks", "service-ticks", func(o *Options) { o.ServiceTicks = 3 }},
-		{"coop", "coop-disabled", func(o *Options) { o.DisableCoop = true }},
-		{"replay", "recorded stream", func(o *Options) { o.Replay = requestOnlyStream(t, 5) }},
+		{"service ticks", "service_ticks", func(o *Options) { o.ServiceTicks = 3 }},
+		{"coop", "disable_coop", func(o *Options) { o.DisableCoop = true }},
+		{"replay", "replay_events", func(o *Options) { o.Replay = requestOnlyStream(t, 5) }},
 		{"window", "window", func(o *Options) { o.Window = 5 }},
-		{"batch deadline", "batch-deadline", func(o *Options) { o.BatchDeadline = 5 }},
+		{"batch deadline", "batch_deadline", func(o *Options) { o.BatchDeadline = 5 }},
 		{"platforms", "platforms", func(o *Options) { o.Platforms = []core.PlatformID{1, 2, 3} }},
-		{"max value", "max value", func(o *Options) { o.MaxValue = 50 }},
-		{"fault plan", "fault plan", func(o *Options) { o.Faults = &plan }},
-		{"no fault plan", "fault plan", func(o *Options) { o.Faults = nil }},
+		{"max value", "max_value_bits", func(o *Options) { o.MaxValue = 50 }},
+		{"fault plan", "faults", func(o *Options) { o.Faults = &plan }},
+		{"no fault plan", "faults", func(o *Options) { o.Faults = nil }},
 	} {
 		o := opts
 		tc.change(&o)
@@ -447,6 +463,50 @@ func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
 	}
 	if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
 		t.Fatal("the refused directory changed")
+	}
+}
+
+// TestFingerprintCoversSpec walks platform.Spec by reflection: setting
+// any one field to a non-zero value must change the log fingerprint, so
+// a setting added to the spec fails here until checkpoints pin it.
+func TestFingerprintCoversSpec(t *testing.T) {
+	base := fingerprint(platform.Spec{}, 0)
+	typ := reflect.TypeOf(platform.Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		var sp platform.Spec
+		f := reflect.ValueOf(&sp).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int32, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(2.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+			f.Index(0).SetInt(7)
+		default:
+			t.Fatalf("Spec.%s is a %s; teach this test to set one", typ.Field(i).Name, f.Kind())
+		}
+		if key, _, _ := fingerprint(sp, 0).Diff(base); key == "" {
+			t.Errorf("Spec.%s = %v leaves the fingerprint unchanged", typ.Field(i).Name, f)
+		}
+	}
+}
+
+// TestNewRefusesNegativeServiceTicks: a negative service time is refused
+// as the root API refuses it, not run as 0 and fingerprinted as -3.
+func TestNewRefusesNegativeServiceTicks(t *testing.T) {
+	srv, err := New(Options{Algorithm: platform.AlgTOTA, ServiceTicks: -3, WALDir: t.TempDir()})
+	if err == nil {
+		srv.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "service ticks -3") {
+		t.Fatalf("New with ServiceTicks -3: %v, want an error naming service ticks", err)
 	}
 }
 
@@ -728,9 +788,9 @@ func TestRestartAfterCleanCloseVerifiesSnapshotDigest(t *testing.T) {
 	if stream.Len() <= checkpointEvery {
 		t.Fatalf("stream of %d events crosses no periodic checkpoint", stream.Len())
 	}
-	factory, err := platform.FactoryFor(platform.AlgDemCOM, stream.MaxValue())
+	factory, err := platform.FactoryConfigured(platform.AlgDemCOM, platform.AlgConfig{MaxValue: stream.MaxValue()})
 	if err != nil {
-		t.Fatalf("FactoryFor: %v", err)
+		t.Fatalf("FactoryConfigured: %v", err)
 	}
 	want, err := platform.Run(stream, factory, platform.Config{Seed: 11})
 	if err != nil {
@@ -813,7 +873,7 @@ func drillStream(t *testing.T) *core.Stream {
 func TestRecoveryEveryCutAndFlip(t *testing.T) {
 	stream := drillStream(t)
 	evs := stream.Events()
-	factory, err := platform.FactoryFor(platform.AlgDemCOM, stream.MaxValue())
+	factory, err := platform.FactoryConfigured(platform.AlgDemCOM, platform.AlgConfig{MaxValue: stream.MaxValue()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,9 +70,9 @@ func TestReplayMatchesOffline(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stream := testStream(t, 200, 150, 42)
-			factory, err := platform.FactoryFor(tc.alg, stream.MaxValue())
+			factory, err := platform.FactoryConfigured(tc.alg, platform.AlgConfig{MaxValue: stream.MaxValue()})
 			if err != nil {
-				t.Fatalf("FactoryFor: %v", err)
+				t.Fatalf("FactoryConfigured: %v", err)
 			}
 			cfg := platform.Config{Seed: 42, ServiceTicks: tc.serviceTicks}
 			want, err := platform.Run(stream, factory, cfg)
@@ -126,9 +126,9 @@ func TestReplayMatchesOffline(t *testing.T) {
 // irrelevant in replay mode.
 func TestReplayShuffledDelivery(t *testing.T) {
 	stream := testStream(t, 60, 40, 7)
-	factory, err := platform.FactoryFor(platform.AlgDemCOM, stream.MaxValue())
+	factory, err := platform.FactoryConfigured(platform.AlgDemCOM, platform.AlgConfig{MaxValue: stream.MaxValue()})
 	if err != nil {
-		t.Fatalf("FactoryFor: %v", err)
+		t.Fatalf("FactoryConfigured: %v", err)
 	}
 	want, err := platform.Run(stream, factory, platform.Config{Seed: 7})
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/online"
-	"crossmatch/internal/platform"
 )
 
 // sequence is the server's single engine-driving goroutine: it owns
@@ -105,16 +104,12 @@ func (s *Server) drain(it *ingest, why string) {
 	it.done <- WireDecision{Status: StatusDraining, Kind: KindName(it.kind), ID: it.id, Error: why}
 }
 
-// tickInterval picks the live window ticker period: half the window
-// (one virtual tick is one wall-clock millisecond in live mode),
+// tickInterval picks the live window ticker period: half the resolved
+// window (one virtual tick is one wall-clock millisecond in live mode),
 // clamped to [5ms, 1s] so tiny windows do not spin and huge windows
 // still get their deadline-clamped flushes promptly.
 func (s *Server) tickInterval() time.Duration {
-	w := s.opts.Window
-	if w <= 0 {
-		w = platform.DefaultBatchWindow
-	}
-	iv := time.Duration(w) * time.Millisecond / 2
+	iv := time.Duration(s.spec.Window) * time.Millisecond / 2
 	if iv < 5*time.Millisecond {
 		iv = 5 * time.Millisecond
 	}

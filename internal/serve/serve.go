@@ -45,7 +45,9 @@ import (
 // the small explicit IDs clients typically send.
 const liveIDBase = 1 << 30
 
-// Options configures a Server.
+// Options configures a Server. Nine of its settings are the engine's
+// platform.Spec (see Options.spec), which New resolves once, builds the
+// engine from and fingerprints the log with.
 type Options struct {
 	// Algorithm names the online matcher (platform.Alg*); default DemCOM.
 	Algorithm string
@@ -80,21 +82,16 @@ type Options struct {
 	// a capacity knob for overload experiments (capacity ≈ 1/delay) and
 	// the shutdown tests' way of keeping the queue busy.
 	ProcessDelay time.Duration
-	// ServiceTicks, DisableCoop and Faults pass through to the engine
-	// Config (see platform.Config).
+	// ServiceTicks (not negative), DisableCoop and Faults are the spec's
+	// fields of the same names (see platform.Spec).
 	ServiceTicks core.Time
 	DisableCoop  bool
 	Faults       *fault.Plan
-	// Window configures the windowed algorithms (BatchCOM): arrivals
-	// buffer for this many virtual ticks (one tick is one wall-clock
-	// millisecond in live mode) and flush as a batch matching.
-	// Non-positive selects platform.DefaultBatchWindow when the
-	// algorithm is windowed; ignored by the greedy algorithms.
-	Window core.Time
-	// BatchDeadline, when positive, caps how long a windowed algorithm
-	// may hold any single request, pulling the window flush forward.
-	// Distinct from Deadline below, which bounds the HTTP handler's
-	// wait, not the engine's buffering.
+	// Window and BatchDeadline are the spec's BatchCOM window geometry,
+	// in virtual ticks (one tick is one wall-clock millisecond in live
+	// mode). BatchDeadline caps the engine's buffering of one request,
+	// not the HTTP handler's wait (that is Deadline).
+	Window        core.Time
 	BatchDeadline core.Time
 	// Metrics receives the engine's funnel counters and latency
 	// reservoirs; created internally when nil (it backs /v1/metrics).
@@ -150,15 +147,15 @@ type Server struct {
 	qmu    sync.RWMutex // guards queue close vs concurrent enqueues
 	bucket *tokenBucket
 
-	// pids is the engine's platform set, ascending, as New resolved it,
-	// and maxValue the a-priori max request value.
-	// platformOK indexes it for live admission, which rejects events
-	// naming any other platform before they can reach the WAL or the
-	// sequencer (an unguarded unknown ID is a poison event: logged, it
-	// would fail recovery on every restart). platformList is the
+	// spec is the engine configuration New resolved from the options,
+	// and fp its log fingerprint (set with the replay state).
+	// platformOK indexes spec.Platforms for live admission, which rejects
+	// events naming any other platform before they can reach the WAL or
+	// the sequencer (an unguarded unknown ID is a poison event: logged,
+	// it would fail recovery on every restart). platformList is the
 	// ready-made error text.
-	pids         []core.PlatformID
-	maxValue     float64
+	spec         platform.Spec
+	fp           wal.Fingerprint
 	platformOK   map[core.PlatformID]bool
 	platformList string
 
@@ -247,61 +244,35 @@ func New(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: rate %v events/s must be finite and not negative (0 = unlimited)", opts.Rate)
 	}
 
-	pids := opts.Platforms
-	maxV := opts.MaxValue
-	if opts.Replay != nil {
-		pids = opts.Replay.Platforms()
-		maxV = opts.Replay.MaxValue()
-	} else {
-		pids = slices.Clone(pids)
-		if len(pids) == 0 {
-			pids = []core.PlatformID{1, 2}
-		}
-		slices.Sort(pids)
-		if maxV <= 0 && (opts.Algorithm == platform.AlgRamCOM || opts.Algorithm == platform.AlgGreedyRT) {
-			return nil, fmt.Errorf("serve: %s needs MaxValue (the a-priori max request value) in live mode", opts.Algorithm)
-		}
-	}
-	if opts.Algorithm == platform.AlgBatchCOM && opts.Window <= 0 {
-		// Normalize before the checkpoint config fingerprint is taken, so a
-		// server restarted with an explicit DefaultBatchWindow still
-		// matches a log written with the implicit default.
-		opts.Window = platform.DefaultBatchWindow
-	}
-	factory, err := platform.FactoryConfigured(opts.Algorithm, platform.AlgConfig{
-		MaxValue: maxV, Window: opts.Window, Deadline: opts.BatchDeadline,
-	})
+	spec, err := opts.spec().Resolve()
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	eng, err := platform.NewEngine(pids, factory, platform.Config{
-		Seed:         opts.Seed,
-		ServiceTicks: opts.ServiceTicks,
-		DisableCoop:  opts.DisableCoop,
-		Metrics:      opts.Metrics,
-		Faults:       opts.Faults,
-		Trace:        opts.Tracer,
-	})
+	factory, cfg, err := spec.Lower()
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	cfg.Metrics, cfg.Trace = opts.Metrics, opts.Tracer
+	eng, err := platform.NewEngine(spec.Platforms, factory, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 
 	s := &Server{
-		opts:     opts,
-		met:      opts.Metrics,
-		eng:      eng,
-		queue:    make(chan *ingest, opts.QueueCap),
-		bucket:   newTokenBucket(opts.Rate, opts.Burst),
-		seqDone:  make(chan struct{}),
-		started:  time.Now(),
-		pids:     pids,
-		maxValue: maxV,
+		opts:    opts,
+		met:     opts.Metrics,
+		eng:     eng,
+		queue:   make(chan *ingest, opts.QueueCap),
+		bucket:  newTokenBucket(opts.Rate, opts.Burst),
+		seqDone: make(chan struct{}),
+		started: time.Now(),
+		spec:    spec,
 	}
-	s.platformOK = make(map[core.PlatformID]bool, len(pids))
-	for _, pid := range pids {
+	s.platformOK = make(map[core.PlatformID]bool, len(spec.Platforms))
+	for _, pid := range spec.Platforms {
 		s.platformOK[pid] = true
 	}
-	s.platformList = fmt.Sprint(pids)
+	s.platformList = fmt.Sprint(spec.Platforms)
 	s.nextReqID.Store(liveIDBase)
 	s.nextWorkerID.Store(liveIDBase)
 	s.waiters = make(map[*core.Request]*ingest)
@@ -330,6 +301,7 @@ func New(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
+	s.fp = fingerprint(spec, len(s.replayEvs))
 
 	if opts.WALDir != "" {
 		if err := s.recover(); err != nil {
@@ -693,4 +665,22 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Platforms returns the platform set New resolved, ascending.
-func (s *Server) Platforms() []core.PlatformID { return slices.Clone(s.pids) }
+func (s *Server) Platforms() []core.PlatformID { return slices.Clone(s.spec.Platforms) }
+
+// spec is the engine configuration the options describe. Replay mode
+// takes the platform set and the max value from the recorded stream;
+// live mode sorts the platform set, {1, 2} when none is given.
+func (o Options) spec() platform.Spec {
+	sp := platform.Spec{Algorithm: o.Algorithm, Seed: o.Seed, Platforms: slices.Clone(o.Platforms),
+		MaxValue: o.MaxValue, ServiceTicks: o.ServiceTicks, DisableCoop: o.DisableCoop, Faults: o.Faults,
+		Window: o.Window, BatchDeadline: o.BatchDeadline}
+	switch {
+	case o.Replay != nil:
+		sp.Platforms, sp.MaxValue = o.Replay.Platforms(), o.Replay.MaxValue()
+	case len(sp.Platforms) == 0:
+		sp.Platforms = []core.PlatformID{1, 2}
+	default:
+		slices.Sort(sp.Platforms)
+	}
+	return sp
+}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
@@ -105,9 +107,21 @@ type Checkpoint struct {
 	// Applied is the number of event and tick records before this one.
 	Applied int64 `json:"applied"`
 
-	// Config fingerprint: recovery refuses a log written under a
-	// different engine configuration, which could replay cleanly but
-	// produce silently different state.
+	Fingerprint
+
+	// Digest of the serving counters after Applied records. RevenueBits
+	// is math.Float64bits of the accumulated revenue — compared bit for
+	// bit, not within an epsilon.
+	Served      int64  `json:"served"`
+	Matched     int64  `json:"matched"`
+	RevenueBits uint64 `json:"revenue_bits"`
+}
+
+// Fingerprint is the configuration a checkpoint pins: recovery refuses
+// a log written under a different engine configuration, which could
+// replay cleanly but produce silently different state. Its fields are
+// encoded inline in the checkpoint's JSON object, in this order.
+type Fingerprint struct {
 	Algorithm    string `json:"algorithm"`
 	Seed         int64  `json:"seed"`
 	ServiceTicks int64  `json:"service_ticks"`
@@ -123,7 +137,7 @@ type Checkpoint struct {
 	// Window and BatchDeadline fingerprint the windowed-dispatch
 	// configuration (BatchCOM): a log of buffered windows replayed under
 	// a different window geometry would flush at different virtual times
-	// and fork the state. Zero for the greedy algorithms.
+	// and fork the state.
 	Window        int64 `json:"window,omitempty"`
 	BatchDeadline int64 `json:"batch_deadline,omitempty"`
 	// PricingRev is pricing.SamplerRev of the binary that wrote the log:
@@ -131,13 +145,19 @@ type Checkpoint struct {
 	// DemCOM/BatchCOM log re-driven under another revision forks the
 	// state.
 	PricingRev int64 `json:"pricing_rev,omitempty"`
+}
 
-	// Digest of the serving counters after Applied records. RevenueBits
-	// is math.Float64bits of the accumulated revenue — compared bit for
-	// bit, not within an epsilon.
-	Served      int64  `json:"served"`
-	Matched     int64  `json:"matched"`
-	RevenueBits uint64 `json:"revenue_bits"`
+// Diff returns the JSON key of the first field in which f and g differ,
+// with f's and g's values of it; key is empty when they are equal.
+func (f Fingerprint) Diff(g Fingerprint) (key string, fv, gv any) {
+	a, b := reflect.ValueOf(f), reflect.ValueOf(g)
+	for i := 0; i < a.NumField(); i++ {
+		if fv, gv = a.Field(i).Interface(), b.Field(i).Interface(); !reflect.DeepEqual(fv, gv) {
+			key, _, _ = strings.Cut(a.Type().Field(i).Tag.Get("json"), ",")
+			return key, fv, gv
+		}
+	}
+	return "", nil, nil
 }
 
 // AppendCheckpoint encodes a checkpoint record into buf:

@@ -423,9 +423,9 @@ func TestAppendRejectsEmptyRecord(t *testing.T) {
 }
 
 func TestCheckpointCodec(t *testing.T) {
-	c := Checkpoint{Applied: 256, Algorithm: "DemCOM", Seed: 42, ServiceTicks: 3,
+	c := Checkpoint{Applied: 256, Fingerprint: Fingerprint{Algorithm: "DemCOM", Seed: 42, ServiceTicks: 3,
 		Platforms: []core.PlatformID{1, 2}, MaxValueBits: math.Float64bits(99.5),
-		Faults: "{DropRate:0.25}", Window: 50, PricingRev: 1,
+		Faults: "{DropRate:0.25}", Window: 50, PricingRev: 1},
 		Served: 60, Matched: 41, RevenueBits: math.Float64bits(123.75)}
 	p, err := AppendCheckpoint([]byte("kept"), &c)
 	if err != nil {
@@ -522,8 +522,8 @@ func FuzzDecodeEvent(f *testing.F) {
 		Platform: 2, History: []float64{10.5, math.NaN()}}}, 4)
 	r, _ := AppendEvent(nil, core.Event{Time: 9, Kind: core.RequestArrival, Request: &core.Request{
 		ID: 99, Arrival: 9, Loc: geo.Point{X: math.Pi}, Value: 55.125, Platform: 1}}, -1)
-	c, _ := AppendCheckpoint(nil, &Checkpoint{Applied: 3, Algorithm: "TOTA", Platforms: []core.PlatformID{1, 2},
-		Faults: "{DropRate:0.5}", Served: 1, Matched: 1, RevenueBits: math.Float64bits(2.5)})
+	c, _ := AppendCheckpoint(nil, &Checkpoint{Applied: 3, Fingerprint: Fingerprint{Algorithm: "TOTA", Platforms: []core.PlatformID{1, 2},
+		Faults: "{DropRate:0.5}"}, Served: 1, Matched: 1, RevenueBits: math.Float64bits(2.5)})
 	for _, seed := range [][]byte{w, r, AppendTick(nil, 1<<40), c, {}, {0xFE}, {0xFF}, {1}} {
 		f.Add(seed)
 	}

@@ -124,6 +124,12 @@ if git grep -nwE 'RequestDecisio[n]|Deferre[d]|WindowDecisio[n]' -- '*.go'; then
 	exit 1
 fi
 
+echo "==> one engine configuration record: settings lower through platform.Spec, a checkpoint compares one fingerprint"
+if git grep -n 'faultPrin[t]' -- '*.go' || git grep -nE 'case c\.[A-Z]' -- internal/serve/durability.go \
+	|| git grep -nE 'FactoryConfigured|AlgConfig' -- '*.go' ':!*_test.go' ':!internal/platform' ':!bench'; then
+	exit 1
+fi
+
 echo "==> a shard starts one way: no background recovery, no live-but-not-ready state"
 if git grep -nE 'RecoverInBackground|recover-bg|StatusRecovering|healthz/live|ResumeVTime' -- '*.go' '*.sh' Makefile .github ':!bench' ':!scripts/check.sh'; then
 	exit 1
