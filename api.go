@@ -78,8 +78,8 @@ type (
 	Metrics = metrics.Collector
 	// PricingStats aggregates the COM matchers' pricing-quoter counters
 	// over a run: quote counts per entry point, acceptance-probability
-	// evaluations with the fraction served from the per-shard payment
-	// cache, and Scratch reuse versus allocation. Read it from
+	// evaluations with the fraction answered from the per-quote
+	// dichotomy tree, and Scratch reuse versus allocation. Read it from
 	// Metrics.Snapshot().Pricing (attach the collector with WithMetrics).
 	PricingStats = metrics.PricingStats
 	// Preset describes one of the paper's Table III dataset substitutes.

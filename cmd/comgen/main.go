@@ -46,12 +46,7 @@ func main() {
 
 func run(w io.Writer, requests, workers int, rad float64, dist, preset string, scale float64, seed int64, summarize string, mapOut bool) error {
 	if summarize != "" {
-		f, err := os.Open(summarize)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		stream, err := workload.ReadCSV(f)
+		stream, err := workload.ReadCSVFile(summarize)
 		if err != nil {
 			return err
 		}
@@ -64,21 +59,7 @@ func run(w io.Writer, requests, workers int, rad float64, dist, preset string, s
 		return nil
 	}
 
-	var cfg workload.Config
-	var err error
-	if preset != "" {
-		p, perr := workload.PresetFor(preset)
-		if perr != nil {
-			return perr
-		}
-		cfg, err = p.Config(scale)
-	} else {
-		cfg, err = workload.Synthetic(requests, workers, rad, dist)
-	}
-	if err != nil {
-		return err
-	}
-	stream, err := workload.Generate(cfg, seed)
+	stream, err := workload.GenerateNamed(preset, scale, requests, workers, rad, dist, seed)
 	if err != nil {
 		return err
 	}

@@ -40,8 +40,8 @@ func TestGenerateErrors(t *testing.T) {
 	if err := run(&buf, 10, 10, -1, "real", "", 0.05, 7, "", false); err == nil {
 		t.Error("negative radius accepted")
 	}
-	if err := run(&buf, 10, 10, 1, "real", "", 0.05, 7, "/does/not/exist.csv", false); err == nil {
-		t.Error("missing summarize file accepted")
+	if err := run(&buf, 10, 10, 1, "real", "", 0.05, 7, "/does/not/exist.csv", false); err == nil || !strings.Contains(err.Error(), "/does/not/exist.csv") {
+		t.Errorf("missing summarize file: err = %v, want one naming the path", err)
 	}
 }
 

@@ -72,18 +72,9 @@ func main() {
 
 func loadStream(o options) (*core.Stream, error) {
 	if o.in != "" {
-		f, err := os.Open(o.in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return workload.ReadCSV(f)
+		return workload.ReadCSVFile(o.in)
 	}
-	cfg, err := workload.Synthetic(o.requests, o.workers, o.rad, o.dist)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Generate(cfg, o.seed)
+	return workload.GenerateNamed("", 0, o.requests, o.workers, o.rad, o.dist, o.seed)
 }
 
 func sortedShardNames(m map[string]*serve.ShardLoad) []string {

@@ -177,14 +177,9 @@ func runSplit(w io.Writer, o options) error {
 		return fmt.Errorf("-split: need shard names (-names or -shards)")
 	}
 
-	f, err := os.Open(o.split)
+	stream, err := workload.ReadCSVFile(o.split)
 	if err != nil {
 		return err
-	}
-	stream, err := workload.ReadCSV(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("reading %s: %w", o.split, err)
 	}
 	parts, err := route.SplitStream(stream, names, o.cellSize)
 	if err != nil {

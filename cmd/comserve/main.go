@@ -142,14 +142,9 @@ func buildOptions(o options) (serve.Options, error) {
 		FsyncBatch:    o.fsyncBatch,
 	}
 	if o.replay != "" {
-		f, err := os.Open(o.replay)
+		stream, err := workload.ReadCSVFile(o.replay)
 		if err != nil {
 			return opts, err
-		}
-		stream, err := workload.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			return opts, fmt.Errorf("reading %s: %w", o.replay, err)
 		}
 		opts.Replay = stream
 	} else {

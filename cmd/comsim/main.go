@@ -68,28 +68,9 @@ func main() {
 
 func loadStream(o options) (*core.Stream, error) {
 	if o.in != "" {
-		f, err := os.Open(o.in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return workload.ReadCSV(f)
+		return workload.ReadCSVFile(o.in)
 	}
-	var cfg workload.Config
-	var err error
-	if o.preset != "" {
-		p, perr := workload.PresetFor(o.preset)
-		if perr != nil {
-			return nil, perr
-		}
-		cfg, err = p.Config(o.scale)
-	} else {
-		cfg, err = workload.Synthetic(o.requests, o.workers, o.rad, o.dist)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return workload.Generate(cfg, o.seed)
+	return workload.GenerateNamed(o.preset, o.scale, o.requests, o.workers, o.rad, o.dist, o.seed)
 }
 
 func run(w io.Writer, o options) error {

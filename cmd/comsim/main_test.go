@@ -82,8 +82,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&buf, options{alg: "TOTA", preset: "Nope"}); err == nil {
 		t.Error("unknown preset accepted")
 	}
-	if err := run(&buf, options{alg: "TOTA", in: "/does/not/exist.csv"}); err == nil {
-		t.Error("missing CSV accepted")
+	if err := run(&buf, options{alg: "TOTA", in: "/does/not/exist.csv"}); err == nil || !strings.Contains(err.Error(), "/does/not/exist.csv") {
+		t.Errorf("missing CSV: err = %v, want one naming the path", err)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(bad, []byte("not,a,stream\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&buf, options{alg: "TOTA", in: bad}); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("unreadable CSV: err = %v, want one naming the path", err)
 	}
 	if err := run(&buf, options{alg: "TOTA", requests: 10, workers: 5, rad: 1, dist: "weird"}); err == nil {
 		t.Error("bad distribution accepted")

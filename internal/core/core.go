@@ -138,18 +138,27 @@ func (a Assignment) Revenue() float64 {
 	return a.Request.Value
 }
 
-// Validate checks the assignment against Definitions 2.4-2.6: the pair
-// must satisfy time and range constraints, the Outer flag must agree with
-// the platform relationship, and an outer payment must lie in (0, v].
+// Validate checks the assignment against Definitions 2.4-2.6: the
+// request and worker must be well-formed, and the pair must pass check.
 func (a Assignment) Validate() error {
+	if a.Request != nil && a.Worker != nil {
+		if err := a.Request.Validate(); err != nil {
+			return err
+		}
+		if err := a.Worker.Validate(); err != nil {
+			return err
+		}
+	}
+	return a.check()
+}
+
+// check is what Matching.Add asks of the pair a matcher chose, whose
+// request and worker the engine validated on arrival: both present, the
+// time and range constraints, an Outer flag agreeing with the platform
+// relationship, and an outer payment in (0, v].
+func (a Assignment) check() error {
 	if a.Request == nil || a.Worker == nil {
 		return errors.New("core: assignment with nil request or worker")
-	}
-	if err := a.Request.Validate(); err != nil {
-		return err
-	}
-	if err := a.Worker.Validate(); err != nil {
-		return err
 	}
 	if a.Worker.Arrival > a.Request.Arrival {
 		return fmt.Errorf("core: assignment %d<-%d violates time constraint: worker arrives at %d after request at %d",
@@ -205,11 +214,14 @@ func NewMatching() *Matching {
 	return &Matching{requests: idSet{}, workers: idSet{}}
 }
 
-// Add appends an assignment after validating it and the 1-by-1
-// constraint. The invariable constraint (Definition 2.6) is enforced by
-// construction: there is no way to remove or replace an assignment.
+// Add appends an assignment after checking the pair (Assignment.check)
+// and the 1-by-1 constraint; the request and worker themselves are the
+// caller's to have validated, as the engine does on arrival, and
+// Validate audits them again. The invariable constraint (Definition
+// 2.6) is enforced by construction: there is no way to remove or
+// replace an assignment.
 func (m *Matching) Add(a Assignment) error {
-	if err := a.Validate(); err != nil {
+	if err := a.check(); err != nil {
 		return err
 	}
 	if m.requests.has(a.Request.ID) {

@@ -257,9 +257,9 @@ func (m *BatchCOM) flush(at core.Time) {
 	// the claim faults injected during the commit land in it.
 	for i := range m.ents {
 		e := &m.ents[i]
-		m.tr.Begin(e.r)
+		m.tr.Begin(e.r, m.tr.Now())
 		d := m.commit(e, res.WorkerOf[i])
-		m.tr.Finish(string(d.Reason), d.Assignment.Payment, d.Probes, d.ClaimRetries)
+		m.tr.Finish(m.tr.Now(), string(d.Reason), d.Assignment.Payment, d.Probes, d.ClaimRetries)
 		m.out = append(m.out, Decided{Request: e.r, At: at, Decision: d})
 	}
 }

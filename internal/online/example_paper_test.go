@@ -45,17 +45,13 @@ func runExample(t *testing.T, m Matcher) (*core.Matching, *Stats, *fakeCoop) {
 			}
 		case core.RequestArrival:
 			d := arrive(m, e.Request)
-			stats.Observe(&d)
-			if d.Served {
-				if err := matching.Add(d.Assignment); err != nil {
-					t.Fatal(err)
-				}
-			}
+			book(t, matching, stats, &d)
 		}
 	}
 	if err := matching.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	stats.Tally(matching)
 	return matching, stats, coop
 }
 

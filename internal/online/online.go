@@ -187,10 +187,11 @@ type WindowedMatcher interface {
 	Buffered(id int64) bool
 }
 
-// Stats tallies a matcher's outcomes; the simulation layer aggregates
-// them into the paper's effectiveness metrics.
+// Stats holds a platform's outcomes in the paper's effectiveness
+// metrics. Requests and CoopAttempted count decisions; the other six
+// are read off the platform's Matching by Tally.
 type Stats struct {
-	Requests      int     // requests seen
+	Requests      int     // requests decided
 	Served        int     // requests served (inner + outer)
 	ServedInner   int     // requests served by inner workers
 	ServedOuter   int     // cooperative requests accepted (|CoR| contribution)
@@ -200,27 +201,20 @@ type Stats struct {
 	PaymentRate   float64 // sum of v'/v over outer assignments
 }
 
-// Observe folds one decision into the stats.
-func (s *Stats) Observe(d *Decision) {
-	s.Requests++
-	if d.CoopAttempted {
-		s.CoopAttempted++
-	}
-	if !d.Served {
-		return
-	}
-	s.Served++
-	s.Revenue += d.Assignment.Revenue()
-	if d.Assignment.Outer {
-		s.ServedOuter++
-		s.PaymentSum += d.Assignment.Payment
-		// Guard the rate against degenerate zero-value requests: 0/0
-		// would poison every aggregate built on PaymentRate with NaN.
-		if v := d.Assignment.Request.Value; v > 0 {
-			s.PaymentRate += d.Assignment.Payment / v
+// Tally sets the six fields a matching holds, summed in assignment
+// order: Revenue is m.Revenue(), and v'/v needs no guard because the
+// Matching holds no outer payment outside (0, v].
+func (s *Stats) Tally(m *core.Matching) {
+	s.Served, s.ServedInner, s.ServedOuter = m.Len(), 0, 0
+	s.Revenue, s.PaymentSum, s.PaymentRate = m.Revenue(), 0, 0
+	for _, a := range m.Assignments() {
+		if !a.Outer {
+			s.ServedInner++
+			continue
 		}
-	} else {
-		s.ServedInner++
+		s.ServedOuter++
+		s.PaymentSum += a.Payment
+		s.PaymentRate += a.Payment / a.Request.Value
 	}
 }
 

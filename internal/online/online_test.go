@@ -55,7 +55,7 @@ func runPlatform1(t *testing.T, m Matcher, coop *fakeCoop) *Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := &Stats{}
+	matching, stats := core.NewMatching(), &Stats{}
 	for _, e := range s.Events() {
 		switch e.Kind {
 		case core.WorkerArrival:
@@ -70,15 +70,30 @@ func runPlatform1(t *testing.T, m Matcher, coop *fakeCoop) *Stats {
 			}
 		case core.RequestArrival:
 			d := arrive(m, e.Request)
-			if d.Served {
-				if err := d.Assignment.Validate(); err != nil {
-					t.Fatalf("invalid assignment: %v", err)
-				}
-			}
-			stats.Observe(&d)
+			book(t, matching, stats, &d)
 		}
 	}
+	if err := matching.Validate(); err != nil {
+		t.Fatalf("invalid matching: %v", err)
+	}
+	stats.Tally(matching)
 	return stats
+}
+
+// book folds one decision as the engine does: a served assignment into
+// the matching, the decision into the two counts a matching cannot
+// hold. Stats.Tally reads the rest off the matching.
+func book(t *testing.T, m *core.Matching, s *Stats, d *Decision) {
+	t.Helper()
+	s.Requests++
+	if d.CoopAttempted {
+		s.CoopAttempted++
+	}
+	if d.Served {
+		if err := m.Add(d.Assignment); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestTOTAGreedyExampleOne(t *testing.T) {
@@ -398,16 +413,23 @@ func (e statsErr) Error() string { return e.msg }
 
 func errStats(msg string, s *Stats) error { return statsErr{msg: msg, s: *s} }
 
+// TestStatsObserve: Tally reads the six served fields off a matching
+// with one inner and one outer assignment; the decision counts are the
+// caller's.
 func TestStatsObserve(t *testing.T) {
-	s := &Stats{}
-	r := poolRequest(1, 10, 0, 0, 10)
-	w := poolWorker(1, 0, 0, 0, 5)
-	s.Observe(&Decision{Served: true, Assignment: core.Assignment{Request: r, Worker: w}})
-	outerW := &core.Worker{ID: 2, Arrival: 0, Loc: r.Loc, Radius: 5, Platform: 2}
-	s.Observe(&Decision{Served: true, CoopAttempted: true,
-		Assignment: core.Assignment{Request: r, Worker: outerW, Payment: 4, Outer: true}})
-	s.Observe(&Decision{CoopAttempted: true}) // rejected cooperative
-	s.Observe(&Decision{})                    // plain rejection
+	r1, r2 := poolRequest(1, 10, 0, 0, 10), poolRequest(2, 10, 0, 0, 10)
+	m := core.NewMatching()
+	if err := m.Add(core.Assignment{Request: r1, Worker: poolWorker(1, 0, 0, 0, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	outerW := &core.Worker{ID: 2, Arrival: 0, Loc: r2.Loc, Radius: 5, Platform: 2}
+	if err := m.Add(core.Assignment{Request: r2, Worker: outerW, Payment: 4, Outer: true}); err != nil {
+		t.Fatal(err)
+	}
+	// Four decisions: the two served, a rejected cooperative one and a
+	// plain rejection.
+	s := &Stats{Requests: 4, CoopAttempted: 2}
+	s.Tally(m)
 
 	if s.Requests != 4 || s.Served != 2 || s.ServedInner != 1 || s.ServedOuter != 1 {
 		t.Errorf("counts wrong: %+v", s)
@@ -415,8 +437,11 @@ func TestStatsObserve(t *testing.T) {
 	if s.CoopAttempted != 2 {
 		t.Errorf("CoopAttempted = %d, want 2", s.CoopAttempted)
 	}
-	if math.Abs(s.Revenue-16) > 1e-9 { // 10 + (10-4)
-		t.Errorf("Revenue = %v, want 16", s.Revenue)
+	if s.Revenue != m.Revenue() || math.Abs(s.Revenue-16) > 1e-9 { // 10 + (10-4)
+		t.Errorf("Revenue = %v, want 16, the matching's %v", s.Revenue, m.Revenue())
+	}
+	if s.PaymentSum != 4 {
+		t.Errorf("PaymentSum = %v, want 4", s.PaymentSum)
 	}
 	if got := s.AcceptanceRatio(); got != 0.5 {
 		t.Errorf("AcceptanceRatio = %v, want 0.5", got)
@@ -424,25 +449,33 @@ func TestStatsObserve(t *testing.T) {
 	if got := s.MeanPaymentRate(); got != 0.4 {
 		t.Errorf("MeanPaymentRate = %v, want 0.4", got)
 	}
+	// A second Tally sets the fields again rather than adding to them.
+	s.Tally(m)
+	if s.Served != 2 || s.ServedOuter != 1 || s.PaymentRate != 0.4 {
+		t.Errorf("a second Tally added up: %+v", s)
+	}
 }
 
 // TestStatsObserveZeroValueRequest guards the payment-rate division: a
-// degenerate zero-value request served cooperatively must not poison
-// PaymentRate (and everything aggregated from it) with NaN.
+// degenerate zero-value request never reaches Stats as an outer
+// assignment, because the Matching refuses a payment outside (0, v], so
+// PaymentRate (and everything aggregated from it) stays finite.
 func TestStatsObserveZeroValueRequest(t *testing.T) {
-	s := &Stats{}
 	r := poolRequest(1, 10, 0, 0, 0) // value 0
 	w := &core.Worker{ID: 2, Arrival: 0, Loc: r.Loc, Radius: 5, Platform: 2}
-	s.Observe(&Decision{Served: true, CoopAttempted: true,
-		Assignment: core.Assignment{Request: r, Worker: w, Payment: 0, Outer: true}})
-	if math.IsNaN(s.PaymentRate) || math.IsInf(s.PaymentRate, 0) {
-		t.Fatalf("PaymentRate = %v, want finite", s.PaymentRate)
+	m := core.NewMatching()
+	for _, pay := range []float64{0, 1e-12} {
+		if err := m.Add(core.Assignment{Request: r, Worker: w, Payment: pay, Outer: true}); err == nil {
+			t.Fatalf("the matching took an outer payment %v on a zero-value request", pay)
+		}
 	}
-	if s.PaymentRate != 0 {
-		t.Errorf("PaymentRate = %v, want 0 for a zero-value request", s.PaymentRate)
+	s := &Stats{Requests: 1, CoopAttempted: 1}
+	s.Tally(m)
+	if s.PaymentRate != 0 || s.ServedOuter != 0 {
+		t.Errorf("PaymentRate = %v over %d outer assignments, want 0 over 0", s.PaymentRate, s.ServedOuter)
 	}
-	if got := s.MeanPaymentRate(); math.IsNaN(got) {
-		t.Errorf("MeanPaymentRate = %v, want finite", got)
+	if got := s.MeanPaymentRate(); got != 0 {
+		t.Errorf("MeanPaymentRate = %v, want 0", got)
 	}
 }
 

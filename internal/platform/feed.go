@@ -11,6 +11,7 @@ import (
 	"crossmatch/internal/core"
 	"crossmatch/internal/metrics"
 	"crossmatch/internal/online"
+	"crossmatch/internal/trace"
 )
 
 // ErrEngineClosed is the typed error returned when an Engine is driven
@@ -225,25 +226,20 @@ func (e *Engine) apply(ev core.Event, s *slot) error {
 		}
 		return e.deliver(ev.Worker, s)
 	}
-	start := time.Since(epoch)
+	start := trace.Now()
 	e.dec.Request, e.dec.At = ev.Request, ev.Time
-	s.rec.Begin(ev.Request)
+	s.rec.Begin(ev.Request, start)
 	s.matcher.RequestArrives(ev.Request, &e.dec.Decision)
-	s.rec.Finish(string(e.dec.Reason), e.dec.Assignment.Payment, e.dec.Probes, e.dec.ClaimRetries)
-	el := time.Since(epoch) - start
+	end := trace.Now()
+	s.rec.Finish(end, string(e.dec.Reason), e.dec.Assignment.Payment, e.dec.Probes, e.dec.ClaimRetries)
 	// A windowed matcher buffered the request: nothing is decided yet,
 	// and folding the placeholder would count the request twice —
 	// foldWindow books it at flush time.
 	if e.dec.Reason == online.ReasonBuffered {
 		return nil
 	}
-	return e.fold(s, &e.dec, el)
+	return e.fold(s, &e.dec, end-start)
 }
-
-// epoch is the origin of the engine's decision timings: time.Since of
-// it reads the monotonic clock alone, where time.Now reads the wall
-// clock as well.
-var epoch = time.Now()
 
 // advance moves the clock to t and settles everything due at or before
 // it — the one settleDue call site, behind every clock move (an event,
@@ -284,9 +280,9 @@ func (e *Engine) settleDue(bound core.Time) error {
 			e.recycled++
 		default:
 			ws := e.windowed[winIdx]
-			start := time.Since(epoch)
+			start := trace.Now()
 			wds := ws.win.Advance(winAt)
-			el := time.Since(epoch) - start
+			el := trace.Now() - start
 			if err := e.foldWindow(ws, wds, el); err != nil {
 				return err
 			}
@@ -319,9 +315,10 @@ func (e *Engine) foldWindow(s *slot, wds []online.Decided, el time.Duration) err
 
 // fold books one decided record: for a served request the Matching
 // first, so an assignment it refuses is booked nowhere, then latency,
-// Stats, the metrics funnel, the decision handler and — with
-// ServiceTicks — the recycled worker. It is the only place a decision
-// reaches any of them.
+// the CoopAttempted count, the metrics funnel, the decision handler
+// and — with ServiceTicks — the recycled worker. It is the only place a
+// decision reaches any of them; Finish reads the rest of Stats off the
+// Matching.
 func (e *Engine) fold(s *slot, d *online.Decided, el time.Duration) error {
 	pr := s.res
 	if d.Served {
@@ -330,7 +327,9 @@ func (e *Engine) fold(s *slot, d *online.Decided, el time.Duration) error {
 		}
 	}
 	pr.Latency.Observe(el)
-	pr.Stats.Observe(&d.Decision)
+	if d.CoopAttempted {
+		pr.Stats.CoopAttempted++
+	}
 	if mc := e.cfg.Metrics; mc != nil {
 		mc.ObserveLatency(s.label, el)
 		mc.Add(metrics.AcceptanceProbes, int64(d.Probes))
@@ -429,8 +428,11 @@ func (e *Engine) ShardStats() []metrics.ShardSnapshot { return nil }
 // the last event and the final open window, interleaved in virtual-time
 // order, so every completed service counts as a re-arrival and every
 // buffered request gets its decision — and returns the accumulated
-// Result. The engine is closed afterwards: further Process or Finish
-// calls return an error wrapping ErrEngineClosed.
+// Result, its Stats and Lent read off the Matchings: Requests is the
+// latency record's exact count (fold observes one latency per decided
+// request), and a platform lends a worker for each outer assignment
+// that worker serves. The engine is closed afterwards: further Process
+// or Finish calls return an error wrapping ErrEngineClosed.
 func (e *Engine) Finish() (*Result, error) {
 	if e.finished {
 		return nil, fmt.Errorf("platform: %w", ErrEngineClosed)
@@ -440,7 +442,17 @@ func (e *Engine) Finish() (*Result, error) {
 		return nil, err
 	}
 	e.res.Recycled = e.recycled
-	e.res.Lent = e.hub.Lent()
+	e.res.Lent = map[core.PlatformID]int{}
+	for i := range e.slots {
+		pr := e.slots[i].res
+		pr.Stats.Requests = int(pr.Latency.Count())
+		pr.Stats.Tally(pr.Matching)
+		for _, a := range pr.Matching.Assignments() {
+			if a.Outer {
+				e.res.Lent[a.Worker.Platform]++
+			}
+		}
+	}
 	e.foldPricing()
 	return e.res, nil
 }

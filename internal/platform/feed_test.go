@@ -462,9 +462,9 @@ func TestEngineRefusesWorkerIDTwice(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsDoubleBooking holds Result.Validate to the two
-// shapes a worker served twice used to leave behind: Stats booking more
-// than the matching holds, and one worker in two platforms' matchings.
+// TestValidateRejectsDoubleBooking holds Result.Validate to the shape
+// a worker served twice used to leave behind: one worker in two
+// platforms' matchings.
 func TestValidateRejectsDoubleBooking(t *testing.T) {
 	w1 := &core.Worker{ID: 7, Arrival: 1, Radius: 1, Platform: 1}
 	w2 := &core.Worker{ID: 7, Arrival: 2, Radius: 1, Platform: 2}
@@ -476,28 +476,12 @@ func TestValidateRejectsDoubleBooking(t *testing.T) {
 			if err := p.Matching.Add(a); err != nil {
 				t.Fatalf("Matching.Add: %v", err)
 			}
-			p.Stats.Observe(&online.Decision{Served: true, Assignment: a})
 		}
 		return p
 	}
 
-	// One platform: two decisions booked, one assignment held.
-	one := platformOf(1, core.Assignment{Request: r1, Worker: w1})
-	one.Stats.Observe(&online.Decision{Served: true, Assignment: core.Assignment{Request: r2, Worker: w1}})
-	res := &Result{Platforms: map[core.PlatformID]*PlatformResult{1: one}}
-	if err := res.Validate(); err == nil || !strings.Contains(err.Error(), "served") {
-		t.Fatalf("stats ahead of the matching: Validate = %v", err)
-	}
-	// Revenue booked apart from the matching.
-	one = platformOf(1, core.Assignment{Request: r1, Worker: w1})
-	one.Stats.Revenue += 1e-12
-	res = &Result{Platforms: map[core.PlatformID]*PlatformResult{1: one}}
-	if err := res.Validate(); err == nil || !strings.Contains(err.Error(), "revenue") {
-		t.Fatalf("revenue off the matching: Validate = %v", err)
-	}
-
 	// Two platforms: worker 7 served inner on each.
-	res = &Result{Platforms: map[core.PlatformID]*PlatformResult{
+	res := &Result{Platforms: map[core.PlatformID]*PlatformResult{
 		1: platformOf(1, core.Assignment{Request: r1, Worker: w1}),
 		2: platformOf(2, core.Assignment{Request: r2, Worker: w2}),
 	}}

@@ -44,15 +44,11 @@ type Hub struct {
 	// before the run via SetFaults; nil keeps the fault-free hot path
 	// untouched.
 	faults *fault.Injector
-	lent   map[core.PlatformID]int
 }
 
 // NewHub returns an empty hub.
 func NewHub() *Hub {
-	return &Hub{
-		pools: make(map[core.PlatformID]*online.Pool),
-		lent:  make(map[core.PlatformID]int),
-	}
+	return &Hub{pools: make(map[core.PlatformID]*online.Pool)}
 }
 
 // SetFaults attaches the fault injector guarding the cooperation path,
@@ -149,19 +145,7 @@ func (v *hubView) Claim(workerID int64) bool {
 			return false
 		}
 		pool.Remove(workerID)
-		h.lent[owner]++
 		return true
 	}
 	return false
-}
-
-// Lent returns how many workers each platform has lent out through the
-// hub — the supply side of the cooperation ledger (the demand side is
-// each platform's ServedOuter).
-func (h *Hub) Lent() map[core.PlatformID]int {
-	out := make(map[core.PlatformID]int, len(h.lent))
-	for pid, n := range h.lent {
-		out[pid] = n
-	}
-	return out
 }

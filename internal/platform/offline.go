@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/index"
@@ -41,7 +42,9 @@ type OfflineResult struct {
 // ever accepted (its minimum history value) — the most favourable
 // payment an omniscient scheduler could offer. OFF is therefore an upper
 // bound on every online algorithm, matching its role in the paper's
-// evaluation ("can never be achieved in the real world").
+// evaluation ("can never be achieved in the real world"). A worker with
+// no history has no outer edge, as it is no outer candidate online
+// (online.Pool.AppendCandidates): nothing prices its acceptance.
 //
 // All platforms are solved jointly on one graph, so an outer worker is
 // never double-booked by two platforms' optima.
@@ -60,9 +63,8 @@ func Offline(stream *core.Stream) (*OfflineResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("platform: offline: worker %d: %w", w.ID, err)
 		}
-		if h.Len() == 0 {
-			minAccept[i] = 0 // accepts anything; payment ~0
-		} else {
+		minAccept[i] = math.Inf(1) // no history: above every value
+		if h.Len() > 0 {
 			minAccept[i] = h.Min()
 		}
 	}
@@ -124,13 +126,7 @@ func Offline(stream *core.Stream) (*OfflineResult, error) {
 		outer := w.Platform != r.Platform
 		a := core.Assignment{Request: r, Worker: w, Outer: outer}
 		if outer {
-			pay := minAccept[wi]
-			if pay <= 0 {
-				// Assignment payments must be positive; use a vanishing
-				// payment for history-less workers.
-				pay = r.Value * 1e-12
-			}
-			a.Payment = pay
+			a.Payment = minAccept[wi]
 		}
 		if err := res.Matching.Add(a); err != nil {
 			return nil, fmt.Errorf("platform: offline: %w", err)

@@ -112,9 +112,6 @@ func TestHubClaimSemantics(t *testing.T) {
 	if p2.Len() != 0 {
 		t.Error("claim did not remove worker from owner pool")
 	}
-	if got := h.Lent()[2]; got != 1 {
-		t.Errorf("platform 2 lent %d workers, want 1", got)
-	}
 	// A platform cannot "claim" its own workers through the coop view.
 	addAll(t, p1, &core.Worker{ID: 1, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1}})
 	if v1.Claim(1) {
@@ -162,6 +159,9 @@ func TestRunTOTAOnExampleOne(t *testing.T) {
 	if p2 := res.Platforms[2]; p2.Stats.Requests != 0 {
 		t.Errorf("platform 2 saw requests: %+v", p2.Stats)
 	}
+	if res.Lent == nil || len(res.Lent) != 0 {
+		t.Errorf("TOTA lent workers: Lent = %v, want an empty map", res.Lent)
+	}
 	if res.TotalServed() != 3 || math.Abs(res.TotalRevenue()-16) > 1e-9 {
 		t.Errorf("totals: served=%d revenue=%v", res.TotalServed(), res.TotalRevenue())
 	}
@@ -182,6 +182,11 @@ func TestRunDemCOMCooperatesAcrossPlatforms(t *testing.T) {
 		p1 := res.Platforms[1]
 		if p1.Stats.ServedInner != 3 {
 			t.Fatalf("seed %d: inner served = %d, want 3", seed, p1.Stats.ServedInner)
+		}
+		// Platform 2 lends a worker for each request platform 1 serves
+		// with one, and only platform 1 has requests.
+		if got := res.Lent[2]; got != p1.Stats.ServedOuter || len(res.Lent) > 1 {
+			t.Errorf("seed %d: Lent = %v, want platform 2 lending %d", seed, res.Lent, p1.Stats.ServedOuter)
 		}
 		if p1.Stats.ServedOuter > 0 {
 			coopHappened = true
@@ -288,6 +293,27 @@ func TestOfflineExampleOne(t *testing.T) {
 	}
 	if err := res.Matching.Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOfflineGivesHistorylessWorkerNoOuterEdge: nothing prices the
+// acceptance of a worker with no history, so OFF, like the online
+// matchers, offers it no outer request. Platform 1's one request has
+// only platform 2's history-less worker in range: OFF serves nothing.
+func TestOfflineGivesHistorylessWorkerNoOuterEdge(t *testing.T) {
+	stream, err := core.NewStream([]core.Event{
+		{Time: 1, Kind: core.WorkerArrival, Worker: &core.Worker{ID: 1, Arrival: 1, Radius: 2, Platform: 2}},
+		{Time: 2, Kind: core.RequestArrival, Request: &core.Request{ID: 1, Arrival: 2, Loc: geo.Point{X: 1}, Value: 3, Platform: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Offline(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalServed != 0 || res.TotalWeight != 0 {
+		t.Fatalf("OFF served %d for %v, want 0: %+v", res.TotalServed, res.TotalWeight, res.Matching.Assignments())
 	}
 }
 

@@ -3,7 +3,6 @@ package platform
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime/pprof"
 	"slices"
@@ -63,7 +62,9 @@ type Config struct {
 	ShardReach float64
 }
 
-// PlatformResult aggregates one platform's outcomes.
+// PlatformResult aggregates one platform's outcomes. Matching is the
+// one record of what the platform served; Engine.Finish reads Stats
+// off it.
 type PlatformResult struct {
 	ID       core.PlatformID
 	Name     string // matcher name
@@ -81,7 +82,8 @@ func (r *PlatformResult) MeanResponse() time.Duration { return r.Latency.Mean() 
 // Result is the outcome of a simulation run.
 type Result struct {
 	Platforms map[core.PlatformID]*PlatformResult
-	// Lent counts workers each platform lent to others through the hub.
+	// Lent counts the workers each platform lent to others: the outer
+	// assignments its workers serve, counted by Engine.Finish. Never nil.
 	Lent map[core.PlatformID]int
 	// Recycled counts worker re-arrivals (only with ServiceTicks > 0),
 	// including workers whose re-arrival falls after the last stream
@@ -157,24 +159,15 @@ func (r *Result) MeanPaymentRate() float64 {
 	return sum / float64(n)
 }
 
-// Validate re-checks every platform's matching, that the platform's
-// Stats book exactly what it holds — the served count, and the revenue
-// bits, since both sums add the same assignments in the same order —
-// and that no worker serves on two platforms.
+// Validate re-checks every platform's matching, each assignment in
+// full (Assignment.Validate), and that no worker serves on two
+// platforms.
 func (r *Result) Validate() error {
 	ids := r.sortedIDs()
 	for _, id := range ids {
 		p := r.Platforms[id]
 		if err := p.Matching.Validate(); err != nil {
 			return fmt.Errorf("platform %d: %w", id, err)
-		}
-		if p.Stats.Served != p.Matching.Len() {
-			return fmt.Errorf("platform %d: stats count %d served, the matching holds %d assignments",
-				id, p.Stats.Served, p.Matching.Len())
-		}
-		if math.Float64bits(p.Stats.Revenue) != math.Float64bits(p.Matching.Revenue()) {
-			return fmt.Errorf("platform %d: stats book revenue %v, the matching holds %v",
-				id, p.Stats.Revenue, p.Matching.Revenue())
 		}
 		for _, a := range p.Matching.Assignments() {
 			for _, other := range ids {

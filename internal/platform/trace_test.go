@@ -188,3 +188,40 @@ func TestTraceParallelChaos(t *testing.T) {
 		t.Error("chaos run recorded no fault events in any retained span")
 	}
 }
+
+// TestSpansSumToLatency: the engine and the tracer read one clock, and
+// a greedy matcher's span opens and closes on the stamps the engine
+// times the decision with. At Sample 1, each platform's spans are then
+// its latency record: one span per observation, and the span Totals
+// sum to Latency.Sum() to the nanosecond.
+func TestSpansSumToLatency(t *testing.T) {
+	stream := multiStream(t, 2, 300, 60, 17)
+	for _, alg := range []string{AlgTOTA, AlgDemCOM, AlgRamCOM} {
+		factory, err := FactoryConfigured(alg, AlgConfig{MaxValue: stream.MaxValue()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.New(trace.Options{Capacity: 4096, Sample: 1})
+		res, err := Run(stream, factory, Config{Seed: 17, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Dropped() != 0 {
+			t.Fatalf("%s: the tracer dropped %d spans", alg, tr.Dropped())
+		}
+		count := map[int32]int64{}
+		total := map[int32]time.Duration{}
+		for _, sp := range tr.Spans() {
+			count[sp.Platform]++
+			total[sp.Platform] += time.Duration(sp.Total)
+		}
+		for pid, pr := range res.Platforms {
+			if got, want := count[int32(pid)], pr.Latency.Count(); got != want {
+				t.Errorf("%s platform %d: %d spans, %d latency observations", alg, pid, got, want)
+			}
+			if got, want := total[int32(pid)], pr.Latency.Sum(); got != want {
+				t.Errorf("%s platform %d: span totals sum to %v, latency to %v", alg, pid, got, want)
+			}
+		}
+	}
+}

@@ -7,9 +7,7 @@
 //   - the maximum expected revenue pricing of Definition 4.1
 //     (MaxExpectedRevenue), the quantity the paper delegates to the
 //     matching-based dynamic pricing of Tong et al. SIGMOD'18 [14] and
-//     which we compute exactly over the empirical acceptance curve,
-//   - a supply/demand grid pricing signal (Grid in grid.go) in the
-//     spirit of [14]'s spatiotemporal model, used in ablations.
+//     which we compute exactly over the empirical acceptance curve.
 //
 // All randomized routines take an explicit *rand.Rand so that every
 // simulation in the repository is reproducible from a seed.
@@ -43,8 +41,8 @@ func NewHistory(values []float64) (*History, error) {
 }
 
 // MakeHistory builds a history from completed request values, by value
-// for a holder that keeps it inside a record of its own (the hub's
-// per-worker record). Non-positive and non-finite values are rejected.
+// for a holder that keeps it inside a record of its own (an
+// online.Pool slot). Non-positive and non-finite values are rejected.
 //
 // Ascending input is shared, not copied: the history is the caller's
 // slice with no spare capacity, at no allocation, and the caller must

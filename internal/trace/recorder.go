@@ -16,8 +16,8 @@ type Recorder struct {
 	ring *ring
 
 	// The open span: open says whether one is being recorded, cur holds
-	// its run, platform and request, begun its start since epoch, laps
-	// and faults what the decision recorded so far.
+	// its run, platform and request, begun its start stamp, laps and
+	// faults what the decision recorded so far.
 	open   bool
 	cur    Span
 	begun  time.Duration
@@ -47,10 +47,20 @@ func (t *Tracer) Recorder(runSeed int64, pid core.PlatformID, alg string) *Recor
 	return &Recorder{tr: t, ring: g, cur: Span{RunSeed: runSeed, Platform: int32(pid), Algorithm: alg}}
 }
 
-// Begin opens a span for the request when the recorder is non-nil and
-// the request is sampled; otherwise every call up to the next Begin is
-// a no-op.
-func (rc *Recorder) Begin(r *core.Request) {
+// Now reads the package clock, Now, on a non-nil recorder and returns
+// zero on a nil one without reading a clock: a caller that stamps only
+// for its spans, as BatchCOM's flush does, stamps through it.
+func (rc *Recorder) Now() time.Duration {
+	if rc == nil {
+		return 0
+	}
+	return Now()
+}
+
+// Begin opens a span starting at the stamp start (a reading of Now)
+// when the recorder is non-nil and the request is sampled; otherwise
+// every call up to the next Begin is a no-op.
+func (rc *Recorder) Begin(r *core.Request, start time.Duration) {
 	if rc == nil {
 		return
 	}
@@ -63,7 +73,7 @@ func (rc *Recorder) Begin(r *core.Request) {
 	rc.cur.Value = r.Value
 	rc.laps = [numStages]lap{}
 	rc.faults = rc.faults[:0]
-	rc.begun = time.Since(epoch)
+	rc.begun = start
 }
 
 // StageStart returns the start of a stage measurement, or zero when no
@@ -72,7 +82,7 @@ func (rc *Recorder) StageStart() time.Duration {
 	if rc == nil || !rc.open {
 		return 0
 	}
-	return time.Since(epoch)
+	return Now()
 }
 
 // EndStage folds the time since start into the stage's lap. A stage
@@ -86,7 +96,7 @@ func (rc *Recorder) EndStage(s Stage, start time.Duration) {
 	if l.dur == 0 {
 		l.offset = start - rc.begun
 	}
-	l.dur += time.Since(epoch) - start
+	l.dur += Now() - start
 }
 
 // Fault records one cooperation fault hitting the decision in flight,
@@ -98,17 +108,18 @@ func (rc *Recorder) Fault(partner core.PlatformID, kind string, latency time.Dur
 	rc.faults = append(rc.faults, FaultEvent{Partner: int32(partner), Kind: kind, Latency: int64(latency)})
 }
 
-// Finish closes the open span with its outcome and commits it to the
-// platform ring. outcome is the decision's Reason string; payment is
-// the outer payment (zero for inner assignments and rejections).
-func (rc *Recorder) Finish(outcome string, payment float64, probes, claimRetries int) {
+// Finish closes the open span at the stamp end (a reading of Now) with
+// its outcome and commits it to the platform ring. outcome is the
+// decision's Reason string; payment is the outer payment (zero for
+// inner assignments and rejections).
+func (rc *Recorder) Finish(end time.Duration, outcome string, payment float64, probes, claimRetries int) {
 	if rc == nil || !rc.open {
 		return
 	}
 	rc.open = false
 	sp := rc.cur
 	sp.Start = int64(rc.begun)
-	sp.Total = int64(time.Since(epoch) - rc.begun)
+	sp.Total = int64(end - rc.begun)
 	sp.Outcome = outcome
 	sp.Payment = payment
 	sp.Probes = probes

@@ -125,10 +125,15 @@ type Span struct {
 	Faults       []FaultEvent `json:"faults,omitempty"`
 }
 
-// epoch is the origin of every span start and lap: time.Since of it
-// reads the monotonic clock alone, where time.Now reads the wall clock
-// as well.
+// epoch is the origin of Now.
 var epoch = time.Now()
+
+// Now is the one clock of decision timing: the monotonic time since the
+// package epoch (time.Since of it reads the monotonic clock alone, where
+// time.Now reads the wall clock as well). The engine's latency record
+// and every span start, end and lap read it, so a span's Total is the
+// latency the engine observes for its decision.
+func Now() time.Duration { return time.Since(epoch) }
 
 // Options configures a Tracer.
 type Options struct {

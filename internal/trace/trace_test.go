@@ -14,7 +14,7 @@ import (
 // record drives one synthetic decision through a recorder: a couple of
 // stage laps, an optional fault, and a finish.
 func record(rc *Recorder, id int64, outcome string) {
-	rc.Begin(&core.Request{ID: id, Arrival: core.Time(id), Value: float64(id) * 2})
+	rc.Begin(&core.Request{ID: id, Arrival: core.Time(id), Value: float64(id) * 2}, rc.Now())
 	t := rc.StageStart()
 	time.Sleep(time.Microsecond)
 	rc.EndStage(StageInner, t)
@@ -24,7 +24,7 @@ func record(rc *Recorder, id int64, outcome string) {
 	if id%2 == 0 {
 		rc.Fault(7, "probe-fault", 1500)
 	}
-	rc.Finish(outcome, float64(id), int(id%3), int(id%2))
+	rc.Finish(rc.Now(), outcome, float64(id), int(id%3), int(id%2))
 }
 
 func TestSpanJSONLRoundTrip(t *testing.T) {
@@ -96,14 +96,17 @@ func TestNilTracerChainIsNoOp(t *testing.T) {
 		t.Fatal("nil tracer must yield nil recorder")
 	}
 	// Every recorder method must be callable on nil.
-	rc.Begin(&core.Request{ID: 1})
+	if rc.Now() != 0 {
+		t.Error("nil recorder Now must not consult the clock")
+	}
+	rc.Begin(&core.Request{ID: 1}, 0)
 	st := rc.StageStart()
 	if st != 0 {
 		t.Error("nil recorder StageStart must not consult the clock")
 	}
 	rc.EndStage(StageInner, st)
 	rc.Fault(1, "probe-fault", 1)
-	rc.Finish("inner", 0, 0, 0)
+	rc.Finish(0, "inner", 0, 0, 0)
 	if got := tr.Spans(); got != nil {
 		t.Errorf("nil tracer Spans() = %v", got)
 	}
@@ -119,19 +122,19 @@ func TestNilTracerChainIsNoOp(t *testing.T) {
 func TestSampleOverrides(t *testing.T) {
 	off := New(Options{Capacity: 16, Sample: -1})
 	rc := off.Recorder(1, 1, "TOTA")
-	rc.Begin(&core.Request{ID: 1})
+	rc.Begin(&core.Request{ID: 1}, 0)
 	if rc.StageStart() != 0 {
 		t.Error("a negative sample rate must disable recording")
 	}
-	rc.Finish("inner", 0, 0, 0)
+	rc.Finish(0, "inner", 0, 0, 0)
 	if off.Recorded() != 0 {
 		t.Error("a negative sample rate recorded a span")
 	}
 	half := New(Options{Capacity: 512, Sample: 0.5})
 	rc = half.Recorder(1, 2, "TOTA")
 	for i := int64(0); i < 400; i++ {
-		rc.Begin(&core.Request{ID: i})
-		rc.Finish("inner", 0, 0, 0)
+		rc.Begin(&core.Request{ID: i}, 0)
+		rc.Finish(0, "inner", 0, 0, 0)
 	}
 	if n := half.Recorded(); n < 100 || n > 300 {
 		t.Errorf("sample 0.5 traced %d/400 requests", n)
@@ -141,8 +144,8 @@ func TestSampleOverrides(t *testing.T) {
 	again := New(Options{Capacity: 512, Sample: 0.5})
 	rc = again.Recorder(2, 3, "DemCOM")
 	for i := int64(399); i >= 0; i-- {
-		rc.Begin(&core.Request{ID: i})
-		rc.Finish("inner", 0, 0, 0)
+		rc.Begin(&core.Request{ID: i}, 0)
+		rc.Finish(0, "inner", 0, 0, 0)
 	}
 	ids := func(tr *Tracer) map[int64]bool {
 		out := map[int64]bool{}
@@ -157,8 +160,8 @@ func TestSampleOverrides(t *testing.T) {
 	full := New(Options{Capacity: 16, Sample: 1.5})
 	rc = full.Recorder(1, 3, "TOTA")
 	for i := int64(0); i < 10; i++ {
-		rc.Begin(&core.Request{ID: i})
-		rc.Finish("inner", 0, 0, 0)
+		rc.Begin(&core.Request{ID: i}, 0)
+		rc.Finish(0, "inner", 0, 0, 0)
 	}
 	if full.Recorded() != 10 {
 		t.Fatalf("full-rate recorder traced %d/10 requests", full.Recorded())
@@ -247,5 +250,18 @@ func TestReportAggregatesByAlgorithmAndStage(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "DemCOM") || !strings.Contains(buf.String(), "pricing") {
 		t.Errorf("rendered report missing expected rows:\n%s", buf.String())
+	}
+}
+
+// TestSpanTakesCallerStamps: a span starts and ends on the stamps its
+// caller passes, so its Total is the caller's own measurement.
+func TestSpanTakesCallerStamps(t *testing.T) {
+	tr := New(Options{Capacity: 4})
+	rc := tr.Recorder(1, 1, "TOTA")
+	rc.Begin(&core.Request{ID: 1}, 100)
+	rc.Finish(350, "inner", 0, 0, 0)
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].Start != 100 || spans[0].Total != 250 {
+		t.Fatalf("spans = %+v, want one starting at 100 with Total 250", spans)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -46,6 +47,21 @@ func WriteCSV(w io.Writer, s *core.Stream) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// ReadCSVFile opens the file at path and reads a stream from it with
+// ReadCSV; any error names the path.
+func ReadCSVFile(path string) (*core.Stream, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err) // *fs.PathError names the path
+	}
+	defer f.Close()
+	s, err := ReadCSV(f)
+	if err != nil {
+		return nil, fmt.Errorf("workload: reading %s: %w", path, err)
+	}
+	return s, nil
 }
 
 // ReadCSV parses a stream previously written by WriteCSV.

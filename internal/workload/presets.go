@@ -125,20 +125,9 @@ func (p Preset) Config(scale float64) (Config, error) {
 // from RDC11 and RYC11"), over the Chengdu-like city, with the given
 // service radius and value distribution ("real" or "normal").
 func Synthetic(totalRequests, totalWorkers int, radius float64, valueDist string) (Config, error) {
-	if totalRequests < 0 || totalWorkers < 0 {
-		return Config{}, fmt.Errorf("workload: negative totals")
-	}
-	if radius <= 0 {
-		return Config{}, fmt.Errorf("workload: radius %v must be positive", radius)
-	}
-	var values ValueModel
-	switch valueDist {
-	case "real", "":
-		values = DefaultRealValues()
-	case "normal":
-		values = DefaultNormalValues()
-	default:
-		return Config{}, fmt.Errorf("workload: unknown value distribution %q (want real or normal)", valueDist)
+	values, err := syntheticValues(totalRequests, totalWorkers, radius, valueDist)
+	if err != nil {
+		return Config{}, err
 	}
 	pair := ChengduPair()
 	mk := func(id int, r, w int, reqSp, workSp SpatialModel) PlatformSpec {
@@ -169,20 +158,9 @@ func SyntheticMulti(platforms, totalRequests, totalWorkers int, radius float64, 
 	if platforms < 2 {
 		return Config{}, fmt.Errorf("workload: need at least 2 platforms, got %d", platforms)
 	}
-	if totalRequests < 0 || totalWorkers < 0 {
-		return Config{}, fmt.Errorf("workload: negative totals")
-	}
-	if radius <= 0 {
-		return Config{}, fmt.Errorf("workload: radius %v must be positive", radius)
-	}
-	var values ValueModel
-	switch valueDist {
-	case "real", "":
-		values = DefaultRealValues()
-	case "normal":
-		values = DefaultNormalValues()
-	default:
-		return Config{}, fmt.Errorf("workload: unknown value distribution %q (want real or normal)", valueDist)
+	values, err := syntheticValues(totalRequests, totalWorkers, radius, valueDist)
+	if err != nil {
+		return Config{}, err
 	}
 	city := chengduLikeCity()
 	// Ring spots (all but the first, central one) are dealt round-robin.
@@ -225,6 +203,46 @@ func SyntheticMulti(platforms, totalRequests, totalWorkers int, radius float64, 
 		})
 	}
 	return cfg, nil
+}
+
+// syntheticValues checks Synthetic's and SyntheticMulti's shared
+// arguments and returns the value model valueDist names: "real" (or
+// empty) or "normal".
+func syntheticValues(totalRequests, totalWorkers int, radius float64, valueDist string) (ValueModel, error) {
+	if totalRequests < 0 || totalWorkers < 0 {
+		return nil, fmt.Errorf("workload: negative totals")
+	}
+	if radius <= 0 {
+		return nil, fmt.Errorf("workload: radius %v must be positive", radius)
+	}
+	switch valueDist {
+	case "real", "":
+		return DefaultRealValues(), nil
+	case "normal":
+		return DefaultNormalValues(), nil
+	}
+	return nil, fmt.Errorf("workload: unknown value distribution %q (want real or normal)", valueDist)
+}
+
+// GenerateNamed generates the stream the commands' generator flags
+// name: the Table III preset at scale when preset is non-empty, else
+// Synthetic(requests, workers, radius, valueDist), either under seed.
+func GenerateNamed(preset string, scale float64, requests, workers int, radius float64, valueDist string, seed int64) (*core.Stream, error) {
+	var cfg Config
+	var err error
+	if preset != "" {
+		var p Preset
+		if p, err = PresetFor(preset); err != nil {
+			return nil, err
+		}
+		cfg, err = p.Config(scale)
+	} else {
+		cfg, err = Synthetic(requests, workers, radius, valueDist)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return Generate(cfg, seed)
 }
 
 // Appearance counts: how many times each physical worker re-joins the

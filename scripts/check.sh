@@ -34,6 +34,21 @@ if git grep -nE 'addResponse|ResponseTotal|ResponseMax|map\[core\.PlatformID\]\*
 	exit 1
 fi
 
+echo "==> a platform's Matching is its one ledger: no Stats.Observe, no lending count in the hub, Matching.Add re-validates nothing, one clock epoch"
+if git grep -nE 'Stats\) Observe\(|Stats\.Observe\(' -- '*.go' ':!bench' ':!*_test.go'; then
+	exit 1
+fi
+if git grep -nwE 'lent|Lent' -- internal/platform/hub.go; then
+	exit 1
+fi
+if sed -n '/^func (m \*Matching) Add(/,/^}/p' internal/core/core.go | grep -n 'Validate()'; then
+	exit 1
+fi
+if [ "$(git grep -nE '^var epoch\b' -- '*.go' ':!bench' ':!*_test.go' | wc -l)" -gt 1 ]; then
+	git grep -nE '^var epoch\b' -- '*.go' ':!bench' ':!*_test.go' >&2
+	exit 1
+fi
+
 echo "==> one way in: a waiting worker is one pool slot, a stream run is Process in a loop, the WAL is one file"
 if git grep -nE 'workerRec|TrackedWorkers|HistoryOf|WorkerArrives|poolHolder|EventSource|RunSource|StreamSource|SimulateSource|StreamArrivals|ArrivalSource|SegmentBytes' -- '*.go' ':!bench'; then
 	exit 1
