@@ -84,19 +84,17 @@ type (
 	PricingStats = metrics.PricingStats
 	// Preset describes one of the paper's Table III dataset substitutes.
 	Preset = workload.Preset
-	// FaultPlan describes deterministic cooperation faults (latency
-	// spikes, dropped probes, transient claim errors, scheduled platform
-	// outages) plus the retry and circuit-breaker policy that contains
-	// them; attach one with WithFaultPlan.
+	// FaultPlan describes deterministic cooperation faults: latency
+	// spikes, dropped probes, transient claim errors and scheduled
+	// platform outages. A fixed policy contains them: 3 tries per probe
+	// or claim within a virtual 20 ms deadline, and a breaker per
+	// partner that 5 consecutive failed calls open for 60 ticks. The
+	// fault randomness is seeded from the run's seed. Attach one with
+	// WithFaultPlan.
 	FaultPlan = fault.Plan
 	// FaultOutage schedules a whole-platform outage window on the
 	// stream timeline inside a FaultPlan.
 	FaultOutage = fault.Outage
-	// FaultRetryPolicy bounds each cooperative probe or claim call:
-	// attempts, capped exponential backoff and a virtual deadline.
-	FaultRetryPolicy = fault.RetryPolicy
-	// FaultBreakerConfig tunes the per-platform circuit breakers.
-	FaultBreakerConfig = fault.BreakerConfig
 	// Tracer records per-request decision spans (stage timings, outcome,
 	// payment, injected faults) into bounded per-platform ring buffers;
 	// attach one with WithTracer and export with its Spans, WriteJSONL

@@ -21,9 +21,10 @@
 // against the immediate-dispatch DemCOM baseline.
 //
 // The -faults flag injects a cooperation fault plan into every unit
-// run; see EXPERIMENTS.md "Fault model & degradation" for the grammar
-// (latency=RATE:MIN-MAX, drop=RATE, claimerr=RATE, outage=PID@FROM-UNTIL,
-// deadline, attempts, backoff, threshold, cooldown).
+// run: latency=RATE:MIN-MAX, drop=RATE, claimerr=RATE and
+// outage=PID@FROM-UNTIL, comma-joined. The retry and breaker policy
+// that contains the faults is fixed and the fault randomness follows
+// -seed; see EXPERIMENTS.md "Fault model & degradation".
 //
 // The -trace flag records per-request decision spans and prints a
 // per-algorithm stage-latency report after the experiments; -trace-out
@@ -63,7 +64,6 @@ func main() {
 		par         = flag.Int("par", 0, "worker-pool size for unit runs (0 = GOMAXPROCS, 1 = sequential)")
 		metricsPath = flag.String("metrics", "", "write an aggregate metrics report as JSON to this file ('-' = stderr)")
 		faultsSpec  = flag.String("faults", "", "cooperation fault plan for every unit run, e.g. 'drop=0.1,latency=0.2:1ms-10ms,outage=2@100-300' (see EXPERIMENTS.md)")
-		faultSeed   = flag.Int64("fault-seed", 0, "root seed for fault randomness (requires -faults; 0 derives it from the run seed)")
 		traceOn     = flag.Bool("trace", false, "record per-request decision spans and print the stage-latency report")
 		traceOut    = flag.String("trace-out", "", "write retained spans to this file: .jsonl = JSONL, anything else = Chrome trace-event JSON loadable in Perfetto (requires -trace)")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests traced, in [0,1]; 0 traces everything (requires -trace)")
@@ -75,7 +75,7 @@ func main() {
 	flag.Parse()
 	repeatsSet := false
 	flag.Visit(func(f *flag.Flag) { repeatsSet = repeatsSet || f.Name == "repeats" })
-	plan, err := validateFaultFlags(*faultsSpec, *faultSeed)
+	plan, err := validateFaultFlags(*faultsSpec)
 	usageIf(err)
 	tracer, err := validateTraceFlags(*traceOn, *traceOut, *traceSample, *traceCap)
 	usageIf(err)
@@ -89,7 +89,7 @@ func main() {
 	usageIf(err)
 	if err := run(os.Stdout, *exp, params{
 		scale: *scale, seed: *seed, repeats: *repeats, repeatsSet: repeatsSet, cap: *cap, csv: *csvOut, plot: *plot,
-		faultSeed: *faultSeed, windows: windows, batchDeadline: core.Time(*batchDeadl),
+		windows: windows, batchDeadline: core.Time(*batchDeadl),
 		city: cityWorkers, runner: runner,
 	}); err != nil {
 		if errors.Is(err, workload.ErrUnknownPreset) {
@@ -121,21 +121,17 @@ func usageIf(err error) {
 	}
 }
 
-// validateFaultFlags parses -faults and rejects contradictory flag
-// combinations up front — a typo'd fault key or an impossible plan must
-// be a usage error, never a silently fault-free run.
-func validateFaultFlags(spec string, faultSeed int64) (*fault.Plan, error) {
+// validateFaultFlags parses -faults up front — a typo'd fault key or an
+// impossible plan must be a usage error, never a silently fault-free
+// run. An empty spec is no plan.
+func validateFaultFlags(spec string) (*fault.Plan, error) {
 	if spec == "" {
-		if faultSeed != 0 {
-			return nil, fmt.Errorf("-fault-seed requires -faults (no fault plan to seed)")
-		}
 		return nil, nil
 	}
 	plan, err := fault.ParsePlan(spec)
 	if err != nil {
 		return nil, fmt.Errorf("-faults: %w", err)
 	}
-	plan.Seed = faultSeed
 	return plan, nil
 }
 
@@ -243,7 +239,6 @@ type params struct {
 	repeats       int
 	cap           float64
 	csv, plot     bool
-	faultSeed     int64
 	windows       []core.Time
 	batchDeadline core.Time
 	city          []int
@@ -306,7 +301,7 @@ var experimentTable = []experiment{
 		return s.show(experiments.RunVariance(g))
 	}},
 	{"faults", func(s *session) error {
-		return s.show(experiments.RunFaultSweep(experiments.FaultSweepOptions{Grid: s.grid(), FaultSeed: s.faultSeed}))
+		return s.show(experiments.RunFaultSweep(experiments.FaultSweepOptions{Grid: s.grid()}))
 	}},
 	{"window", func(s *session) error {
 		return s.show(experiments.RunWindow(experiments.WindowOptions{Grid: s.grid(), Windows: s.windows, Deadline: s.batchDeadline}))

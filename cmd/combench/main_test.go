@@ -221,21 +221,18 @@ func TestValidateFaultFlags(t *testing.T) {
 	cases := []struct {
 		name     string
 		spec     string
-		seed     int64
 		wantErr  string
 		wantPlan bool
 	}{
 		{name: "no flags", wantPlan: false},
 		{name: "plain plan", spec: "drop=0.2", wantPlan: true},
-		{name: "seed threads into plan", spec: "drop=0.2", seed: 77, wantPlan: true},
-		{name: "fault-seed without faults", seed: 7, wantErr: "-fault-seed requires -faults"},
 		{name: "unknown key", spec: "latnecy=0.2", wantErr: "unknown fault-plan key"},
 		{name: "malformed rate", spec: "drop=high", wantErr: "drop"},
 		{name: "outage plan", spec: "outage=2@100-300", wantPlan: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, err := validateFaultFlags(tc.spec, tc.seed)
+			plan, err := validateFaultFlags(tc.spec)
 			if tc.wantErr != "" {
 				if err == nil {
 					t.Fatalf("want error containing %q, got plan %v", tc.wantErr, plan)
@@ -250,9 +247,6 @@ func TestValidateFaultFlags(t *testing.T) {
 			}
 			if (plan != nil) != tc.wantPlan {
 				t.Fatalf("plan = %v, wantPlan = %v", plan, tc.wantPlan)
-			}
-			if plan != nil && plan.Seed != tc.seed {
-				t.Errorf("plan seed %d, want %d", plan.Seed, tc.seed)
 			}
 		})
 	}

@@ -3,7 +3,9 @@ package crossmatch
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"crossmatch/internal/geo"
 	"crossmatch/internal/online"
@@ -114,6 +116,21 @@ func TestNewEngineMatchesSimulateRecycled(t *testing.T) {
 func TestNewEngineUnknownAlgorithm(t *testing.T) {
 	if _, err := NewEngine([]PlatformID{1}, "Magic", 0); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Fatalf("want ErrUnknownAlgorithm, got %v", err)
+	}
+}
+
+// TestNewEngineRefusesNaNFaultRates: a NaN rate compares false with
+// every draw, so a plan holding one ran with no faults and no warning.
+func TestNewEngineRefusesNaNFaultRates(t *testing.T) {
+	nan := math.NaN()
+	for name, plan := range map[string]*FaultPlan{
+		"drop":     {DropRate: nan},
+		"claimerr": {ClaimErrorRate: nan},
+		"latency":  {LatencyRate: nan, LatencyMin: time.Millisecond, LatencyMax: 2 * time.Millisecond},
+	} {
+		if _, err := NewEngine([]PlatformID{1, 2}, DemCOM, 0, WithFaultPlan(plan)); err == nil {
+			t.Errorf("%s: a NaN rate was accepted", name)
+		}
 	}
 }
 

@@ -25,8 +25,6 @@ type FaultSweepOptions struct {
 	// probability x/2. 0 must be present to anchor the baseline and is
 	// prepended when missing. Default {0, 0.1, 0.25, 0.5, 1}.
 	Rates []float64
-	// FaultSeed roots the fault randomness (0 derives it per run).
-	FaultSeed int64
 }
 
 func (o *FaultSweepOptions) withDefaults() FaultSweepOptions {
@@ -51,12 +49,11 @@ func (o *FaultSweepOptions) withDefaults() FaultSweepOptions {
 // returns nil: the baseline runs the fault-free engine, not an
 // empty-plan engine, so the comparison covers the whole injection
 // layer.
-func planForRate(rate float64, seed int64) *fault.Plan {
+func planForRate(rate float64) *fault.Plan {
 	if rate <= 0 {
 		return nil
 	}
 	return &fault.Plan{
-		Seed:           seed,
 		DropRate:       rate,
 		LatencyRate:    rate,
 		LatencyMin:     time.Millisecond,
@@ -141,7 +138,7 @@ func RunFaultSweep(opts FaultSweepOptions) (*FaultSweepResult, error) {
 		counters metrics.Counters
 	}
 	units, err := runGrid(o.plan(3371), cells, func(ci int, u unit) (faultUnit, error) {
-		u.cfg.Faults = planForRate(res.Rows[ci].Rate, faultSeedFor(o.FaultSeed, u.cfg.Seed))
+		u.cfg.Faults = planForRate(res.Rows[ci].Rate)
 		// The unit run counts into a collector of its own, so its
 		// resilience counters can be attributed to its row, and is then
 		// folded into the runner's shared collector (if any), which
@@ -176,14 +173,4 @@ func RunFaultSweep(opts FaultSweepOptions) (*FaultSweepResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// faultSeedFor derives the per-run fault seed: an explicit study-level
-// seed wins, otherwise the run seed roots it (matching Plan.Seed == 0
-// semantics but fixed here so the row's repeats differ).
-func faultSeedFor(explicit, runSeed int64) int64 {
-	if explicit != 0 {
-		return explicit + runSeed
-	}
-	return 0 // derive from run seed inside the engine
 }

@@ -145,7 +145,7 @@ func TestGridDeterministicAcrossPoolSizes(t *testing.T) {
 			return res.Rows, err
 		}},
 		{"faults", func(r *Runner) (any, error) {
-			res, err := RunFaultSweep(FaultSweepOptions{Grid: g(r), Rates: []float64{0, 0.5}, FaultSeed: 5})
+			res, err := RunFaultSweep(FaultSweepOptions{Grid: g(r), Rates: []float64{0, 0.5}})
 			return res.Rows, err
 		}},
 		{"window", func(r *Runner) (any, error) {

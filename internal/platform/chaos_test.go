@@ -44,11 +44,9 @@ func TestZeroRatePlanBitIdenticalToNoPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulted, err := Run(stream, factory, Config{Seed: 23, Faults: &fault.Plan{
-			// All rates zero: the injector is live (probes consult it)
-			// but never injects.
-			Seed: 99,
-		}})
+		// All rates zero: the injector is live (probes consult it) but
+		// never injects.
+		faulted, err := Run(stream, factory, Config{Seed: 23, Faults: &fault.Plan{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,8 +104,6 @@ func TestBreakerCountersMatchOutageSchedule(t *testing.T) {
 		Metrics: col,
 		Faults: &fault.Plan{
 			Outages: []fault.Outage{{Platform: 1, From: 0}}, // never lifts
-			Retry:   fault.RetryPolicy{MaxAttempts: 1},
-			Breaker: fault.BreakerConfig{FailureThreshold: 5, CooldownTicks: 60},
 		},
 	})
 	if err != nil {
@@ -144,8 +140,6 @@ func TestBreakerRecoversAfterOutageLifts(t *testing.T) {
 		Metrics: col,
 		Faults: &fault.Plan{
 			Outages: []fault.Outage{{Platform: 1, From: 0, Until: 100}},
-			Retry:   fault.RetryPolicy{MaxAttempts: 1},
-			Breaker: fault.BreakerConfig{FailureThreshold: 5, CooldownTicks: 20},
 		},
 	})
 	if err != nil {
@@ -183,8 +177,6 @@ func TestChaosParallelFaultInjection(t *testing.T) {
 			{Platform: 1, From: horizon / 4, Until: horizon / 2},
 			{Platform: 2, From: horizon / 2}, // goes dark and never returns
 		},
-		Retry:   fault.RetryPolicy{MaxAttempts: 2, Deadline: 5 * time.Millisecond},
-		Breaker: fault.BreakerConfig{FailureThreshold: 3, CooldownTicks: core.Time(30)},
 	}
 	col := metrics.New()
 	for _, seed := range []int64{1, 2, 3} {

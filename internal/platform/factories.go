@@ -124,9 +124,9 @@ type Spec struct {
 	// Faults, when non-nil, injects cooperation faults (latency spikes,
 	// dropped probes, transient claim errors, scheduled outages) into the
 	// hub's probe and claim path behind a circuit breaker per partner.
-	// Fault randomness is seeded (Plan.Seed, falling back to Seed) and
-	// never touches matcher randomness; a nil plan leaves the run
-	// bit-identical to a fault-free build. See internal/fault.
+	// Fault randomness is seeded from Seed and never touches matcher
+	// randomness; a nil plan leaves the run bit-identical to a
+	// fault-free build. See internal/fault.
 	Faults *fault.Plan
 	// Window is BatchCOM's batching window in virtual ticks; Resolve
 	// turns a non-positive one into DefaultBatchWindow. BatchDeadline,

@@ -125,10 +125,10 @@ func (e *Engine) Process(ev core.Event) (online.Decided, error) {
 	return e.dec, nil
 }
 
-// check validates an event — lifecycle, time order, kind, payload,
-// platform and the payload's own fields — without touching the engine,
-// and returns its platform's slot: the clock moves only for events that
-// pass.
+// check validates an event — lifecycle, time order, platform, the event
+// itself (core.Event.Validate: kind, payload, the payload's fields and
+// its arrival) and ID — without touching the engine, and returns its
+// platform's slot: the clock moves only for events that pass.
 func (e *Engine) check(ev core.Event) (*slot, error) {
 	if e.finished {
 		return nil, fmt.Errorf("platform: %w", ErrEngineClosed)
@@ -136,44 +136,29 @@ func (e *Engine) check(ev core.Event) (*slot, error) {
 	if e.started && ev.Time < e.last {
 		return nil, fmt.Errorf("platform: %w: event at %d after %d", ErrTimeRegression, ev.Time, e.last)
 	}
+	// The platform first, so an event for one the engine does not run is
+	// refused as such; an event with no payload falls to Validate.
 	var pid core.PlatformID
-	switch {
-	case ev.Kind == core.WorkerArrival && ev.Worker != nil:
+	if ev.Worker != nil {
 		pid = ev.Worker.Platform
-	case ev.Kind == core.RequestArrival && ev.Request != nil:
+	} else if ev.Request != nil {
 		pid = ev.Request.Platform
-	case ev.Kind == core.WorkerArrival:
-		return nil, fmt.Errorf("platform: worker event with nil payload")
-	case ev.Kind == core.RequestArrival:
-		return nil, fmt.Errorf("platform: request event with nil payload")
-	default:
-		return nil, fmt.Errorf("platform: unknown event kind %d", ev.Kind)
 	}
 	s := e.slotOf(pid)
-	if s == nil {
+	if s == nil && (ev.Worker != nil || ev.Request != nil) {
 		return nil, fmt.Errorf("platform: %w: %d", ErrUnknownPlatform, pid)
-	}
-	var err error
-	if ev.Kind == core.WorkerArrival {
-		err = e.checkWorkerID(ev.Worker)
-	} else {
-		err = checkRequestID(ev.Request, s)
-	}
-	if err != nil {
-		return nil, err
 	}
 	// The pool builds a worker's pricing history on delivery and the
 	// Matching refuses a request's value on Add, both after the clock
-	// and a pool have moved; what they would refuse is refused here.
-	if ev.Kind == core.WorkerArrival {
-		err = ev.Worker.Validate()
-	} else {
-		err = ev.Request.Validate()
-	}
-	if err != nil {
+	// and a pool have moved; what they would refuse is refused here. The
+	// hub's clock is the event's time, so a request's arrival must be it.
+	if err := ev.Validate(); err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	return s, nil
+	if ev.Kind == core.WorkerArrival {
+		return s, e.checkWorkerID(ev.Worker)
+	}
+	return s, checkRequestID(ev.Request, s)
 }
 
 // checkWorkerID refuses a worker arrival whose ID has already served
@@ -228,6 +213,7 @@ func (e *Engine) apply(ev core.Event, s *slot) error {
 	}
 	start := trace.Now()
 	e.dec.Request, e.dec.At = ev.Request, ev.Time
+	e.hub.now = ev.Time
 	s.rec.Begin(ev.Request, start)
 	s.matcher.RequestArrives(ev.Request, &e.dec.Decision)
 	end := trace.Now()
@@ -281,6 +267,7 @@ func (e *Engine) settleDue(bound core.Time) error {
 		default:
 			ws := e.windowed[winIdx]
 			start := trace.Now()
+			e.hub.now = winAt
 			wds := ws.win.Advance(winAt)
 			el := trace.Now() - start
 			if err := e.foldWindow(ws, wds, el); err != nil {

@@ -241,6 +241,11 @@ func TestEngineRejectedEventLeavesState(t *testing.T) {
 			// Refused by the hub's pricing.NewHistory on delivery — after
 			// the clock had moved — until check validated the worker.
 			{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9002, Arrival: far, Radius: 1, Platform: 1, History: []float64{-1}}},
+			// A payload whose arrival is not the event's time, which
+			// core.Event.Validate refuses; the engine decided it until
+			// check called that.
+			{Kind: core.WorkerArrival, Time: far, Worker: &core.Worker{ID: 9003, Arrival: last, Radius: 1, Platform: 1, History: []float64{1}}},
+			{Kind: core.RequestArrival, Time: far, Request: &core.Request{ID: 9004, Arrival: last, Value: 3, Platform: 1}},
 		}
 		for _, ev := range rejects {
 			if _, err := eng.Process(ev); err == nil {

@@ -31,8 +31,8 @@ import (
 // that drives its engine (see Engine), which is also the only one that
 // touches the registered pools. A claim is atomic because nothing else
 // runs during it; the owner pool's removal is its commit point.
-// Registration (RegisterPlatform, SetFaults, CoopDisabled) comes before
-// the first event.
+// Registration (RegisterPlatform, CoopDisabled, the engine's fault
+// injector) comes before the first event.
 type Hub struct {
 	pools map[core.PlatformID]*online.Pool
 	order []core.PlatformID // registration order, for deterministic scans
@@ -40,20 +40,21 @@ type Hub struct {
 	// workers, degrading COM to TOTA (the W_out = empty ablation).
 	CoopDisabled bool
 	// faults, when non-nil, injects cooperation faults and guards every
-	// partner platform with a circuit breaker (see internal/fault). Set
-	// before the run via SetFaults; nil keeps the fault-free hot path
+	// partner platform with a circuit breaker (see internal/fault). The
+	// engine sets it before the run; nil keeps the fault-free hot path
 	// untouched.
 	faults *fault.Injector
+	// now is the stream time every probe and claim is placed at: the
+	// engine sets it to an event's time before a request is decided and
+	// to the flush tick before a window is, so a windowed matcher's
+	// probes and claims happen at its flush.
+	now core.Time
 }
 
 // NewHub returns an empty hub.
 func NewHub() *Hub {
 	return &Hub{pools: make(map[core.PlatformID]*online.Pool)}
 }
-
-// SetFaults attaches the fault injector guarding the cooperation path,
-// before the run starts.
-func (h *Hub) SetFaults(in *fault.Injector) { h.faults = in }
 
 // RegisterPlatform attaches a platform's waiting-list pool. Must be
 // called once per platform before its workers arrive.
@@ -87,10 +88,6 @@ func (h *Hub) ViewFor(id core.PlatformID) online.CoopView {
 type hubView struct {
 	hub  *Hub
 	self core.PlatformID
-	// now is the stream time of the request currently being decided,
-	// recorded by EligibleOuter so Claim can place faults and breaker
-	// cooldowns on the stream timeline.
-	now core.Time
 	// cands is per-view scratch, reused across requests so the hottest
 	// cooperative query performs no per-request allocation.
 	cands []online.Candidate
@@ -101,23 +98,22 @@ type hubView struct {
 // with the history its pool slot holds, partners in registration order.
 // The returned slice is valid until the next call on this view.
 //
-// With a fault injector attached, each partner platform is probed first
-// under the deadline/retry/backoff policy; a partner whose probe fails
-// (or whose circuit breaker is open) contributes no workers, so against
-// fully dark partners the matcher degrades to inner-only (TOTA)
-// matching instead of stalling.
+// With a fault injector attached, each partner platform is probed first,
+// at the hub's clock, under the fixed retry policy; a partner whose
+// probe fails (or whose circuit breaker is open) contributes no workers,
+// so against fully dark partners the matcher degrades to inner-only
+// (TOTA) matching instead of stalling.
 func (v *hubView) EligibleOuter(r *core.Request) []online.Candidate {
 	h := v.hub
 	if h.CoopDisabled {
 		return nil
 	}
-	v.now = r.Arrival
 	v.cands = v.cands[:0]
 	for _, pid := range h.order {
 		if pid == v.self {
 			continue
 		}
-		if h.faults != nil && !h.faults.ProbePartner(v.self, pid, r.Arrival) {
+		if h.faults != nil && !h.faults.ProbePartner(v.self, pid, h.now) {
 			continue
 		}
 		v.cands = h.pools[pid].AppendCandidates(v.cands, r)
@@ -139,7 +135,7 @@ func (v *hubView) Claim(workerID int64) bool {
 		if owner == v.self || !pool.Has(workerID) {
 			continue
 		}
-		if h.faults != nil && !h.faults.ClaimPartner(v.self, owner, v.now) {
+		if h.faults != nil && !h.faults.ClaimPartner(v.self, owner, h.now) {
 			// Injected transient claim error (retries exhausted) or an open
 			// breaker: the matcher moves on to the next accepting candidate.
 			return false

@@ -98,7 +98,7 @@ func TestHubClaimConflictPath(t *testing.T) {
 	if err := h.RegisterPlatform(2, p2); err != nil {
 		t.Fatal(err)
 	}
-	h.SetFaults(fault.New(&fault.Plan{ClaimErrorRate: 1}, 1, []core.PlatformID{1, 2}, col))
+	h.faults = fault.New(&fault.Plan{ClaimErrorRate: 1}, 1, []core.PlatformID{1, 2}, col, nil)
 	addAll(t, p1, &core.Worker{ID: 5, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1}})
 	addAll(t, p2, &core.Worker{ID: 7, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}})
 	// The owner assigns worker 7: its pool slot is the only record.

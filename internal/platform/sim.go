@@ -271,17 +271,9 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 		}
 	}
 
-	var inj *fault.Injector
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("platform: %w", err)
-		}
-		inj = fault.New(cfg.Faults, cfg.Seed, e.pids, cfg.Metrics)
-		e.hub.SetFaults(inj)
-	}
-
+	var recs []*trace.Recorder
 	if cfg.Trace != nil {
-		recs := make([]*trace.Recorder, len(e.pids))
+		recs = make([]*trace.Recorder, len(e.pids))
 		for i, pid := range e.pids {
 			sl := &e.slots[i]
 			recs[i] = cfg.Trace.Recorder(cfg.Seed, pid, sl.matcher.Name())
@@ -292,14 +284,14 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 				sl.rec = recs[i]
 			}
 		}
-		if inj != nil {
-			// Attribute injected faults and breaker transitions to the
-			// decision in flight on the viewing platform; observation never
-			// alters fault outcomes or RNG draws.
-			inj.SetObserver(func(viewer, partner core.PlatformID, ev fault.Event) {
-				recs[slices.Index(e.pids, viewer)].Fault(partner, string(ev.Kind), ev.Latency)
-			})
+	}
+	if cfg.Faults != nil {
+		if err := cfg.Faults.Validate(); err != nil {
+			return nil, fmt.Errorf("platform: %w", err)
 		}
+		// Injected faults land in the span of the decision in flight on
+		// the viewing platform; recording never draws.
+		e.hub.faults = fault.New(cfg.Faults, cfg.Seed, e.pids, cfg.Metrics, recs)
 	}
 
 	cfg.Metrics.Add(metrics.Runs, 1)

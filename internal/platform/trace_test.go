@@ -157,8 +157,6 @@ func TestTraceParallelChaos(t *testing.T) {
 			LatencyRate:    0.5,
 			LatencyMin:     time.Microsecond,
 			LatencyMax:     10 * time.Microsecond,
-			Retry:          fault.RetryPolicy{MaxAttempts: 2, Deadline: 5 * time.Millisecond},
-			Breaker:        fault.BreakerConfig{FailureThreshold: 4, CooldownTicks: 50},
 		},
 	})
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/fault"
 	"crossmatch/internal/geo"
+	"crossmatch/internal/metrics"
 	"crossmatch/internal/online"
 	"crossmatch/internal/pricing"
 )
@@ -282,5 +284,49 @@ func TestHistorylessPartnerIsNoOuterCandidate(t *testing.T) {
 				t.Fatalf("decisions %+v, want request 1 served inner by worker 1", got)
 			}
 		})
+	}
+}
+
+// TestBatchCOMOutageAtFlush: a windowed decision is made at its flush,
+// so its probes and claims are placed there. A partner that goes dark
+// between a request's arrival (tick 1) and its window's flush (tick 11)
+// lends no worker, and the refused probe counts as an outage hit. Until
+// the hub read the engine's clock, the flush probed at the request's
+// arrival and borrowed the worker from the dark partner.
+func TestBatchCOMOutageAtFlush(t *testing.T) {
+	plan, err := fault.ParsePlan("outage=2@5-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := FactoryConfigured(AlgBatchCOM, AlgConfig{MaxValue: 10, Window: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := metrics.New()
+	eng, err := NewEngine([]core.PlatformID{1, 2}, factory, Config{Seed: 1, Faults: plan, Metrics: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []online.Decided
+	eng.SetDecisionHandler(func(d online.Decided) { got = append(got, d) })
+	w := &core.Worker{ID: 1, Arrival: 0, Radius: 5, Platform: 2, History: []float64{1, 2}}
+	if _, err := eng.Process(core.Event{Time: 0, Kind: core.WorkerArrival, Worker: w}); err != nil {
+		t.Fatal(err)
+	}
+	r := &core.Request{ID: 1, Arrival: 1, Value: 10, Platform: 1}
+	if _, err := eng.Process(core.Event{Time: 1, Kind: core.RequestArrival, Request: r}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AdvanceTime(11); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].At != 11 {
+		t.Fatalf("decisions %+v, want one at the flush tick 11", got)
+	}
+	if got[0].Served {
+		t.Errorf("the flush borrowed worker %d from a partner in an outage", got[0].Assignment.Worker.ID)
+	}
+	if n := col.Snapshot().Counters.FaultOutageHits; n == 0 {
+		t.Error("the flush's probe of the dark partner counted no outage hit")
 	}
 }

@@ -409,7 +409,7 @@ func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
 	before := dirContents(t, dir)
 
 	plan := *opts.Faults
-	plan.Breaker.CooldownTicks = 5
+	plan.DropRate = 0.5
 	for _, tc := range []struct {
 		name, want string
 		change     func(*Options)
@@ -463,6 +463,32 @@ func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
 	}
 	if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
 		t.Fatal("the refused directory changed")
+	}
+}
+
+// TestRecoveryRefusesRetiredFaultPlanString: a checkpoint renders the
+// fault plan with %+v, so dropping the plan's retry, breaker and seed
+// fields changed the rendering of every plan. A log whose checkpoint
+// carries the string the older binary wrote for drop=0.2 re-drives to
+// other decisions only if its retry or breaker settings were not the
+// defaults, which the string no longer tells; it is refused by name.
+func TestRecoveryRefusesRetiredFaultPlanString(t *testing.T) {
+	const retired = "{Seed:0 LatencyRate:0 LatencyMin:0s LatencyMax:0s DropRate:0.2 ClaimErrorRate:0 Outages:[] " +
+		"Retry:{MaxAttempts:0 BaseBackoff:0s MaxBackoff:0s Deadline:0s} Breaker:{FailureThreshold:0 CooldownTicks:0}}"
+	dir := t.TempDir()
+	plan, err := fault.ParsePlan("drop=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 1, WALDir: dir, Faults: plan}
+	logOneWorker(t, opts)
+	forgeCheckpoint(t, dir, 0, func(c *wal.Checkpoint) { c.Faults = retired })
+	srv, err := New(opts)
+	if err == nil {
+		srv.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "faults") || !strings.Contains(err.Error(), "record 0") {
+		t.Fatalf("restart on a log with the retired fault-plan string must be refused naming faults, got %v", err)
 	}
 }
 

@@ -145,6 +145,18 @@ if git grep -n 'faultPrin[t]' -- '*.go' || git grep -nE 'case c\.[A-Z]' -- inter
 	exit 1
 fi
 
+echo "==> a fault plan is only its faults: a fixed retry and breaker policy, the run's seed, the engine's clock, no observer hop"
+# The brackets keep this line from matching itself.
+if git grep -nE 'RetryPolic[y]|BreakerConfi[g]|SetObserve[r]|fault-see[d]|FaultSee[d]' -- '*.go' '*.sh'; then
+	exit 1
+fi
+if sed -n '/^type hubView struct/,/^}/p' internal/platform/hub.go | grep -nE '^[[:space:]]*now[[:space:]]'; then
+	exit 1
+fi
+if git grep -nE 'type Observer\b' -- internal/fault; then
+	exit 1
+fi
+
 echo "==> a shard starts one way: no background recovery, no live-but-not-ready state"
 if git grep -nE 'RecoverInBackground|recover-bg|StatusRecovering|healthz/live|ResumeVTime' -- '*.go' '*.sh' Makefile .github ':!bench' ':!scripts/check.sh'; then
 	exit 1
