@@ -74,7 +74,7 @@ type (
 	// OfflineResult is the outcome of the OFF baseline.
 	OfflineResult = platform.OfflineResult
 	// Metrics is a race-free counter/latency collector; attach one with
-	// WithMetrics and read it with Snapshot after (or during) runs.
+	// WithMetrics and read it with Snapshot once runs have finished.
 	Metrics = metrics.Collector
 	// PricingStats aggregates the COM matchers' pricing-quoter counters
 	// over a run: quote counts per entry point, acceptance-probability
@@ -228,8 +228,9 @@ func WithServiceTicks(ticks Time) Option {
 }
 
 // WithMetrics attaches a collector that tallies matches, rejections,
-// acceptance probes and per-platform decision latencies. One collector
-// may be shared by concurrent runs; pass nil to disable (the default).
+// acceptance probes and per-platform decision latencies when the run
+// finishes. One collector may be shared by concurrent runs; pass nil to
+// disable (the default).
 func WithMetrics(m *Metrics) Option {
 	return func(c *simConfig) { c.metrics = m }
 }

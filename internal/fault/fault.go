@@ -161,6 +161,18 @@ func ParsePlan(spec string) (*Plan, error) {
 	return p, nil
 }
 
+// String renders the plan in ParsePlan's grammar, every rate and
+// bound included, and ParsePlan reads it back to an equal plan.
+func (p Plan) String() string {
+	rate := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	s := fmt.Sprintf("latency=%s:%v-%v,drop=%s,claimerr=%s",
+		rate(p.LatencyRate), p.LatencyMin, p.LatencyMax, rate(p.DropRate), rate(p.ClaimErrorRate))
+	for _, o := range p.Outages {
+		s += fmt.Sprintf(",outage=%d@%d-%d", o.Platform, o.From, o.Until)
+	}
+	return s
+}
+
 func parseRate(s string) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {

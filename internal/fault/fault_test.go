@@ -25,6 +25,17 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(p, want) {
 		t.Errorf("parsed %+v\nwant   %+v", p, want)
 	}
+	// String renders a plan in the same grammar, and reads back equal.
+	for _, plan := range []*Plan{p, {}, {ClaimErrorRate: 1e-9}, {LatencyRate: 1, LatencyMin: 1500 * time.Nanosecond, LatencyMax: time.Hour + time.Nanosecond},
+		{Outages: []Outage{{Platform: 7, From: 0, Until: 1}, {Platform: 1, From: 5}}}} {
+		back, err := ParsePlan(plan.String())
+		if err != nil || !reflect.DeepEqual(back, plan) {
+			t.Errorf("ParsePlan(%q) = %+v, %v; want %+v", plan.String(), back, err, plan)
+		}
+	}
+	if got := p.String(); got != "latency=0.2:1ms-10ms,drop=0.1,claimerr=0.05,outage=2@100-300,outage=3@50-0" {
+		t.Errorf("String() = %q", got)
+	}
 }
 
 func TestParsePlanRejectsUnknownKey(t *testing.T) {

@@ -96,7 +96,7 @@ func (in *Injector) spike(rng *rand.Rand) time.Duration {
 		lat += time.Duration(rng.Int63n(int64(span) + 1))
 	}
 	in.metrics.Add(metrics.FaultLatencySpikes, 1)
-	in.metrics.ObserveProbeLatency(lat)
+	in.metrics.ObserveLatency(metrics.ProbeLatencyLabel, lat)
 	return lat
 }
 

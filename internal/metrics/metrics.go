@@ -155,25 +155,28 @@ func (c *Collector) AddPricing(p pricing.Stats) {
 	c.mu.Unlock()
 }
 
-// ProbeLatencyLabel is the latency label under which injected probe
-// latency spikes are reported (see ObserveProbeLatency).
+// ProbeLatencyLabel is the latency label under which the fault layer
+// reports injected probe latency spikes, next to the decision latencies.
 const ProbeLatencyLabel = "hub/probe-latency"
 
-// ObserveProbeLatency folds one injected probe latency spike into the
-// ProbeLatencyLabel reservoir, exposing the injected-latency
-// distribution next to the real decision latencies.
-func (c *Collector) ObserveProbeLatency(d time.Duration) {
-	c.ObserveLatency(ProbeLatencyLabel, d)
-}
-
-// ObserveLatency folds one decision latency into the label's
-// distribution (labels are typically per platform, e.g. "platform-1").
+// ObserveLatency folds one latency into the label's distribution.
 func (c *Collector) ObserveLatency(label string, d time.Duration) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	c.reservoir(label).Observe(d)
+	c.mu.Unlock()
+}
+
+// MergeLatency folds a whole distribution into the label's; an empty
+// one adds nothing, not even the label.
+func (c *Collector) MergeLatency(label string, r *stats.Reservoir) {
+	if c == nil || r.Count() == 0 {
+		return
+	}
+	c.mu.Lock()
+	c.reservoir(label).Merge(r)
 	c.mu.Unlock()
 }
 
@@ -205,13 +208,11 @@ func (c *Collector) Merge(from *Collector) {
 		c.n[k].Add(from.n[k].Load())
 	}
 	from.mu.Lock()
-	c.mu.Lock()
-	c.pricing.Add(from.pricing)
+	defer from.mu.Unlock()
+	c.AddPricing(from.pricing)
 	for label, r := range from.latency {
-		c.reservoir(label).Merge(r)
+		c.MergeLatency(label, r)
 	}
-	c.mu.Unlock()
-	from.mu.Unlock()
 }
 
 // Counters is the counter section of a Report: one field per Counter

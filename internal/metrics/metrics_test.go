@@ -78,7 +78,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	}
 	c.AddPricing(pricing.Stats{ProbEvals: 1})
 	c.ObserveLatency("x", time.Millisecond)
-	c.ObserveProbeLatency(time.Millisecond)
+	c.ObserveLatency(ProbeLatencyLabel, time.Millisecond)
 	c.Merge(New())
 	if rep := c.Snapshot(); rep.Counters != (Counters{}) || rep.Pricing != (PricingStats{}) || len(rep.Latencies) != 0 {
 		t.Errorf("nil snapshot not empty: %+v", rep)

@@ -207,7 +207,7 @@ func TestChaosParallelFaultInjection(t *testing.T) {
 // run up front with a clear error instead of injecting garbage.
 func TestRunRejectsInvalidFaultPlan(t *testing.T) {
 	stream := multiStream(t, 2, 50, 10, 1)
-	_, err := Run(stream, TOTAFactory(), Config{Seed: 1, Faults: &fault.Plan{DropRate: 1.5}})
+	_, err := Run(stream, totaFactory(), Config{Seed: 1, Faults: &fault.Plan{DropRate: 1.5}})
 	if err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}

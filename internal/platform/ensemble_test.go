@@ -69,9 +69,9 @@ func TestLatencyReservoirWired(t *testing.T) {
 		name    string
 		factory MatcherFactory
 	}{
-		{"TOTA", TOTAFactory()},
+		{"TOTA", totaFactory()},
 		{"DemCOM", DemCOMFactory(pricing.DefaultMonteCarlo, false)},
-		{"BatchCOM", BatchCOMFactory(pricing.DefaultMonteCarlo, 0, 0)},
+		{"BatchCOM", batchCOMFactory()},
 	} {
 		res, err := Run(stream, alg.factory, Config{Seed: 1})
 		if err != nil {
@@ -103,7 +103,7 @@ func TestLatencyReservoirWired(t *testing.T) {
 // so the platform's latency sum is the flush's cost and its max the
 // largest share, not the flush.
 func TestFoldWindowSharesSumToFlush(t *testing.T) {
-	e, err := NewEngine([]core.PlatformID{1}, BatchCOMFactory(pricing.DefaultMonteCarlo, 0, 0), Config{})
+	e, err := NewEngine([]core.PlatformID{1}, batchCOMFactory(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +129,8 @@ func TestFoldWindowSharesSumToFlush(t *testing.T) {
 func TestResultFloatSumsIgnoreMapOrder(t *testing.T) {
 	r := &Result{Platforms: map[core.PlatformID]*PlatformResult{}}
 	for id, v := range map[core.PlatformID]float64{1: 0.1, 2: 0.2, 3: 0.3} {
-		pr := &PlatformResult{}
-		pr.Stats.Revenue, pr.Stats.PaymentRate, pr.Stats.ServedOuter = v, v, 1
+		pr := &PlatformResult{Matching: matchingWorth(t, v)}
+		pr.Stats.PaymentRate, pr.Stats.ServedOuter = v, 1
 		r.Platforms[id] = pr
 	}
 	a, b, c := 0.1, 0.2, 0.3 // variables: constant arithmetic is exact

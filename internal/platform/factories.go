@@ -34,21 +34,6 @@ const (
 // callers configuring through this package.
 const DefaultBatchWindow = online.DefaultBatchWindow
 
-// TOTAFactory builds the single-platform greedy baseline.
-func TOTAFactory() MatcherFactory {
-	return func(core.PlatformID, online.CoopView, *rand.Rand) online.Matcher {
-		return online.NewTOTAGreedy()
-	}
-}
-
-// GreedyRTFactory builds the randomized-threshold baseline of [9];
-// maxValue is the a-priori value bound Umax.
-func GreedyRTFactory(maxValue float64) MatcherFactory {
-	return func(_ core.PlatformID, _ online.CoopView, rng *rand.Rand) online.Matcher {
-		return online.NewGreedyRT(maxValue, rng)
-	}
-}
-
 // DemCOMFactory builds Algorithm 1 with the given Monte-Carlo
 // configuration; oracle switches on the exact-minimum-payment ablation.
 func DemCOMFactory(mc pricing.MonteCarlo, oracle bool) MatcherFactory {
@@ -80,16 +65,6 @@ func RamCOMFactory(maxValue float64, opts RamCOMOptions) MatcherFactory {
 		m.MinPaymentPricing = opts.MinPaymentPricing
 		m.NoInnerFallback = opts.NoInnerFallback
 		return m
-	}
-}
-
-// BatchCOMFactory builds the windowed dispatch matcher: arrivals buffer
-// for window virtual ticks (non-positive selects DefaultBatchWindow)
-// and flush as one max-weight matching; deadline, when positive, caps
-// any request's wait.
-func BatchCOMFactory(mc pricing.MonteCarlo, window, deadline core.Time) MatcherFactory {
-	return func(_ core.PlatformID, coop online.CoopView, rng *rand.Rand) online.Matcher {
-		return online.NewBatchCOM(coop, mc, rng, window, deadline)
 	}
 }
 
@@ -173,15 +148,20 @@ func (s Spec) Lower() (MatcherFactory, Config, error) {
 	cfg := Config{Seed: s.Seed, ServiceTicks: s.ServiceTicks, DisableCoop: s.DisableCoop, Faults: s.Faults}
 	switch s.Algorithm {
 	case AlgTOTA:
-		return TOTAFactory(), cfg, nil
+		return func(core.PlatformID, online.CoopView, *rand.Rand) online.Matcher { return online.NewTOTAGreedy() }, cfg, nil
 	case AlgGreedyRT:
-		return GreedyRTFactory(s.MaxValue), cfg, nil
+		// The randomized-threshold baseline of [9].
+		return func(_ core.PlatformID, _ online.CoopView, rng *rand.Rand) online.Matcher {
+			return online.NewGreedyRT(s.MaxValue, rng)
+		}, cfg, nil
 	case AlgDemCOM:
 		return DemCOMFactory(pricing.DefaultMonteCarlo, false), cfg, nil
 	case AlgRamCOM:
 		return RamCOMFactory(s.MaxValue, RamCOMOptions{}), cfg, nil
 	default:
-		return BatchCOMFactory(pricing.DefaultMonteCarlo, s.Window, s.BatchDeadline), cfg, nil
+		return func(_ core.PlatformID, coop online.CoopView, rng *rand.Rand) online.Matcher {
+			return online.NewBatchCOM(coop, pricing.DefaultMonteCarlo, rng, s.Window, s.BatchDeadline)
+		}, cfg, nil
 	}
 }
 

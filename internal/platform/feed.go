@@ -302,10 +302,10 @@ func (e *Engine) foldWindow(s *slot, wds []online.Decided, el time.Duration) err
 
 // fold books one decided record: for a served request the Matching
 // first, so an assignment it refuses is booked nowhere, then latency,
-// the CoopAttempted count, the metrics funnel, the decision handler
+// the CoopAttempted, probe and claim-retry counts, the decision handler
 // and — with ServiceTicks — the recycled worker. It is the only place a
-// decision reaches any of them; Finish reads the rest of Stats off the
-// Matching.
+// decision reaches any of them; Finish and FoldFunnel read the rest off
+// them.
 func (e *Engine) fold(s *slot, d *online.Decided, el time.Duration) error {
 	pr := s.res
 	if d.Served {
@@ -317,22 +317,8 @@ func (e *Engine) fold(s *slot, d *online.Decided, el time.Duration) error {
 	if d.CoopAttempted {
 		pr.Stats.CoopAttempted++
 	}
-	if mc := e.cfg.Metrics; mc != nil {
-		mc.ObserveLatency(s.label, el)
-		mc.Add(metrics.AcceptanceProbes, int64(d.Probes))
-		mc.Add(metrics.ClaimRetries, int64(d.ClaimRetries))
-		if d.CoopAttempted {
-			mc.Add(metrics.CoopAttempts, 1)
-		}
-		switch {
-		case d.Served && d.Assignment.Outer:
-			mc.Add(metrics.OuterMatches, 1)
-		case d.Served:
-			mc.Add(metrics.InnerMatches, 1)
-		default:
-			mc.Add(metrics.Rejections, 1)
-		}
-	}
+	s.probes += int64(d.Probes)
+	s.claimRetries += int64(d.ClaimRetries)
 	if e.onDecision != nil {
 		e.onDecision(*d)
 	}
@@ -418,8 +404,9 @@ func (e *Engine) ShardStats() []metrics.ShardSnapshot { return nil }
 // Result, its Stats and Lent read off the Matchings: Requests is the
 // latency record's exact count (fold observes one latency per decided
 // request), and a platform lends a worker for each outer assignment
-// that worker serves. The engine is closed afterwards: further Process
-// or Finish calls return an error wrapping ErrEngineClosed.
+// that worker serves; the funnel and pricing counters go to
+// Config.Metrics. The engine is closed afterwards: further Process or
+// Finish calls return an error wrapping ErrEngineClosed.
 func (e *Engine) Finish() (*Result, error) {
 	if e.finished {
 		return nil, fmt.Errorf("platform: %w", ErrEngineClosed)
@@ -440,8 +427,41 @@ func (e *Engine) Finish() (*Result, error) {
 			}
 		}
 	}
+	e.FoldFunnel(e.cfg.Metrics)
 	e.foldPricing()
 	return e.res, nil
+}
+
+// Tally returns the run's decided requests (one latency observation
+// each), served requests and revenue (Result.TotalRevenue) so far.
+func (e *Engine) Tally() (decided, served int64, revenue float64) {
+	for i := range e.slots {
+		decided += e.slots[i].res.Latency.Count()
+		served += int64(e.slots[i].res.Matching.Len())
+	}
+	return decided, served, e.res.TotalRevenue()
+}
+
+// FoldFunnel adds the run's matching funnel so far to mc, read off each
+// platform's Matching, latency record and fold's counts; the latencies
+// go under "platform-N". Finish calls it once per run.
+func (e *Engine) FoldFunnel(mc *metrics.Collector) {
+	if mc == nil {
+		return
+	}
+	for i := range e.slots {
+		sl := &e.slots[i]
+		pr := sl.res
+		var st online.Stats
+		st.Tally(pr.Matching)
+		mc.Add(metrics.InnerMatches, int64(st.ServedInner))
+		mc.Add(metrics.OuterMatches, int64(st.ServedOuter))
+		mc.Add(metrics.Rejections, pr.Latency.Count()-int64(st.Served))
+		mc.Add(metrics.CoopAttempts, int64(pr.Stats.CoopAttempted))
+		mc.Add(metrics.AcceptanceProbes, sl.probes)
+		mc.Add(metrics.ClaimRetries, sl.claimRetries)
+		mc.MergeLatency(fmt.Sprintf("platform-%d", e.pids[i]), pr.Latency)
+	}
 }
 
 // run feeds a stream's events into a fresh engine and finishes it,

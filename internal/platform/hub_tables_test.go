@@ -43,7 +43,7 @@ func TestHubEmptyAfterDrainedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, res := runForState(t, stream, TOTAFactory(), Config{Seed: 1})
+	s, res := runForState(t, stream, totaFactory(), Config{Seed: 1})
 	if res.TotalServed() != 2 {
 		t.Fatalf("served %d of 2 requests; stream not drained as designed", res.TotalServed())
 	}

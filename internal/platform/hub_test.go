@@ -202,7 +202,7 @@ func TestRecycleFlushAtEndOfStream(t *testing.T) {
 	}
 	// ServiceTicks pushes the re-arrival to t=101, far past the last
 	// event at t=1; before the flush fix this run reported Recycled: 0.
-	res, err := Run(stream, TOTAFactory(), Config{Seed: 1, ServiceTicks: 100})
+	res, err := Run(stream, totaFactory(), Config{Seed: 1, ServiceTicks: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

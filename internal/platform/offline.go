@@ -51,7 +51,8 @@ type OfflineResult struct {
 //
 // The matching is exact (match.MaxWeightFlow) at every size. A graph
 // whose min(|W|, |R|) × |E| passes offlineWorkBound is refused with an
-// error naming its sizes, never estimated.
+// error naming its sizes, never estimated, at the edge that passes it:
+// the rest of the graph is never built.
 func Offline(stream *core.Stream) (*OfflineResult, error) {
 	workers := stream.Workers()
 	requests := stream.Requests()
@@ -81,6 +82,7 @@ func Offline(stream *core.Stream) (*OfflineResult, error) {
 	for wi, w := range workers {
 		ix.Insert(index.Entry{ID: int64(wi), Circle: w.Range()}, int32(wi))
 	}
+	k := float64(min(len(workers), len(requests)))
 	var buf []int32
 	for ri, r := range requests {
 		buf = ix.AppendSlots(buf[:0], r.Loc)
@@ -90,23 +92,20 @@ func Offline(stream *core.Stream) (*OfflineResult, error) {
 			if w.Arrival > r.Arrival {
 				continue
 			}
-			if w.Platform == r.Platform {
-				g.Edges = append(g.Edges, match.Edge{Worker: wi, Request: ri, Weight: r.Value})
-				continue
+			weight := r.Value
+			// An outer edge books v - v'(w), and there is none when the
+			// worker would never accept within the value.
+			if w.Platform != r.Platform {
+				if weight = r.Value - minAccept[wi]; !(weight > 0) {
+					continue
+				}
 			}
-			pay := minAccept[wi]
-			if pay > r.Value {
-				continue // the worker would never accept within the value
-			}
-			if rev := r.Value - pay; rev > 0 {
-				g.Edges = append(g.Edges, match.Edge{Worker: wi, Request: ri, Weight: rev})
+			g.Edges = append(g.Edges, match.Edge{Worker: wi, Request: ri, Weight: weight})
+			if work := k * float64(len(g.Edges)); work > offlineWorkBound {
+				return nil, fmt.Errorf("platform: offline: exact OFF over |W|=%d, |R|=%d refused at |E|=%d: min(|W|,|R|)×|E| = %.3g, past the bound %.3g",
+					len(workers), len(requests), len(g.Edges), work, offlineWorkBound)
 			}
 		}
-	}
-
-	if work := float64(min(len(workers), len(requests))) * float64(len(g.Edges)); work > offlineWorkBound {
-		return nil, fmt.Errorf("platform: offline: exact OFF over |W|=%d, |R|=%d, |E|=%d needs min(|W|,|R|)×|E| = %.3g, past the bound %.3g",
-			len(workers), len(requests), len(g.Edges), work, offlineWorkBound)
 	}
 	solved := match.MaxWeightFlow(g)
 	if err := solved.Validate(g); err != nil {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -145,7 +146,7 @@ func TestHubCoopDisabled(t *testing.T) {
 func TestRunTOTAOnExampleOne(t *testing.T) {
 	// Only platform 1 has requests; its TOTA result must equal the
 	// hand-computed 16 (see online tests); platform 2 serves nothing.
-	res, err := Run(exampleStream(t), TOTAFactory(), Config{Seed: 1})
+	res, err := Run(exampleStream(t), totaFactory(), Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestRunDisableCoopEqualsTOTA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tota, err := Run(exampleStream(t), TOTAFactory(), Config{Seed: 9})
+	tota, err := Run(exampleStream(t), totaFactory(), Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +253,14 @@ func TestRunWorkerRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(stream, TOTAFactory(), Config{Seed: 1})
+	plain, err := Run(stream, totaFactory(), Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.TotalServed() != 1 {
 		t.Fatalf("without recycling served = %d, want 1", plain.TotalServed())
 	}
-	rec, err := Run(stream, TOTAFactory(), Config{Seed: 1, ServiceTicks: 1})
+	rec, err := Run(stream, totaFactory(), Config{Seed: 1, ServiceTicks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestOfflineDominatesOnline(t *testing.T) {
 		t.Fatal(err)
 	}
 	factories := map[string]MatcherFactory{
-		"TOTA":   TOTAFactory(),
+		"TOTA":   totaFactory(),
 		"DemCOM": DemCOMFactory(pricing.DefaultMonteCarlo, false),
 		"RamCOM": RamCOMFactory(stream.MaxValue(), RamCOMOptions{}),
 	}
@@ -390,10 +391,11 @@ func TestOfflineExactPastCutoff(t *testing.T) {
 }
 
 // TestOfflineRefusesPastWorkBound: a graph whose min(|W|, |R|) × |E|
-// passes the bound is refused with its sizes named, not estimated. The
-// stream is n isolated workers, n isolated requests and one k × k
-// cluster in which every worker covers every request: |E| = k², and
-// (n + k) · k² just passes 5e10.
+// passes the bound is refused with its sizes named, not estimated, at
+// the first edge past the bound: the rest are never built. The stream
+// is n isolated workers, n isolated requests and one k × k cluster in
+// which every worker covers every request: |E| = k², and (n + k) · k²
+// just passes 5e10, at edge ⌊5e10 / (n + k)⌋ + 1 < k².
 func TestOfflineRefusesPastWorkBound(t *testing.T) {
 	const n, k = 100_000, 710
 	events := make([]core.Event, 0, 2*(n+k))
@@ -417,7 +419,11 @@ func TestOfflineRefusesPastWorkBound(t *testing.T) {
 	if err == nil {
 		t.Fatalf("OFF past the work bound returned %v, want an error", off.TotalWeight)
 	}
-	for _, want := range []string{"|W|=100710", "|R|=100710", "|E|=504100", "5e+10"} {
+	first := int(math.Floor(offlineWorkBound/(n+k))) + 1
+	if first >= k*k {
+		t.Fatalf("the bound passes at edge %d, not before the %d edges the stream holds", first, k*k)
+	}
+	for _, want := range []string{"|W|=100710", "|R|=100710", fmt.Sprintf("|E|=%d:", first), "5e+10"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
 		}
@@ -473,10 +479,40 @@ func TestFactoryConfiguredRejectsNonFiniteMaxValue(t *testing.T) {
 	}
 }
 
+// The factories Spec.Lower builds, for tests that hand one to Run or
+// NewEngine.
+func totaFactory() MatcherFactory { return lowerFactory(Spec{Algorithm: AlgTOTA}) }
+
+func greedyRTFactory(maxValue float64) MatcherFactory {
+	return lowerFactory(Spec{Algorithm: AlgGreedyRT, MaxValue: maxValue})
+}
+
+func batchCOMFactory() MatcherFactory { return lowerFactory(Spec{Algorithm: AlgBatchCOM}) }
+
+func lowerFactory(sp Spec) MatcherFactory {
+	f, _, err := sp.Lower()
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// matchingWorth returns a Matching of one inner assignment whose
+// revenue is v.
+func matchingWorth(t *testing.T, v float64) *core.Matching {
+	t.Helper()
+	m := core.NewMatching()
+	a := core.Assignment{Request: &core.Request{ID: 1, Value: v, Platform: 1}, Worker: &core.Worker{ID: 1, Radius: 1, Platform: 1}}
+	if err := m.Add(a); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestResultAggregates(t *testing.T) {
 	res := &Result{Platforms: map[core.PlatformID]*PlatformResult{
-		1: {Stats: online.Stats{Revenue: 10, Served: 2, ServedOuter: 1, CoopAttempted: 2, PaymentRate: 0.5}},
-		2: {Stats: online.Stats{Revenue: 5, Served: 1, ServedOuter: 1, CoopAttempted: 2, PaymentRate: 0.7}},
+		1: {Matching: matchingWorth(t, 10), Stats: online.Stats{Served: 2, ServedOuter: 1, CoopAttempted: 2, PaymentRate: 0.5}},
+		2: {Matching: matchingWorth(t, 5), Stats: online.Stats{Served: 1, ServedOuter: 1, CoopAttempted: 2, PaymentRate: 0.7}},
 	}}
 	if res.TotalRevenue() != 15 || res.TotalServed() != 3 || res.CooperativeServed() != 2 {
 		t.Errorf("aggregates wrong: %v %d %d", res.TotalRevenue(), res.TotalServed(), res.CooperativeServed())

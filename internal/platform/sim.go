@@ -40,9 +40,9 @@ type Config struct {
 	Faults       *fault.Plan
 	// Metrics, when non-nil, receives the run's matching-funnel counters
 	// (inner/outer matches, cooperative attempts, acceptance probes,
-	// rejections, claim retries) and per-platform decision-latency
-	// observations. The collector is safe to share across concurrent
-	// runs.
+	// rejections, claim retries) and per-platform decision latencies
+	// from Engine.Finish. The collector is safe to share across
+	// concurrent runs.
 	Metrics *metrics.Collector
 	// ProfileLabel, when non-empty, tags the run's goroutine with a
 	// "crossmatch.run" pprof label so CPU profiles of a parallel
@@ -104,11 +104,12 @@ func (r *Result) sortedIDs() []core.PlatformID {
 	return ids
 }
 
-// TotalRevenue sums revenue across platforms.
+// TotalRevenue sums the platforms' Matching revenue, in ascending
+// platform ID: the one sum of a run's revenue.
 func (r *Result) TotalRevenue() float64 {
 	t := 0.0
 	for _, id := range r.sortedIDs() {
-		t += r.Platforms[id].Stats.Revenue
+		t += r.Platforms[id].Matching.Revenue()
 	}
 	return t
 }
@@ -216,13 +217,13 @@ func RunContext(ctx context.Context, stream *core.Stream, factory MatcherFactory
 }
 
 // slot is what the event loop reaches for one platform: its matcher,
-// its result and its latency label (empty without a collector). check
+// its result and its decisions' acceptance probes and lost claims. check
 // finds an event's slot with slotOf and the rest of the event is
 // decided and folded through it.
 type slot struct {
-	matcher online.Matcher
-	res     *PlatformResult
-	label   string
+	matcher              online.Matcher
+	res                  *PlatformResult
+	probes, claimRetries int64
 	// win is the matcher as a windowed one (BatchCOM); nil for a greedy
 	// matcher.
 	win online.WindowedMatcher
@@ -295,13 +296,6 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 	}
 
 	cfg.Metrics.Add(metrics.Runs, 1)
-	// Per-platform latency labels are built once; the hot loop must not
-	// format strings.
-	if cfg.Metrics != nil {
-		for i, pid := range e.pids {
-			e.slots[i].label = fmt.Sprintf("platform-%d", pid)
-		}
-	}
 	return e, nil
 }
 

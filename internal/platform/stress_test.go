@@ -54,8 +54,8 @@ func TestSimulationInvariantsUnderRandomConfigs(t *testing.T) {
 
 		maxV := cfg.MaxValue()
 		factories := map[string]MatcherFactory{
-			AlgTOTA:     TOTAFactory(),
-			AlgGreedyRT: GreedyRTFactory(maxV),
+			AlgTOTA:     totaFactory(),
+			AlgGreedyRT: greedyRTFactory(maxV),
 			AlgDemCOM:   DemCOMFactory(pricing.DefaultMonteCarlo, false),
 			AlgRamCOM:   RamCOMFactory(maxV, RamCOMOptions{}),
 		}
@@ -108,12 +108,12 @@ func TestRecyclingNeverBreaksInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(stream, TOTAFactory(), Config{Seed: 1})
+	plain, err := Run(stream, totaFactory(), Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ticks := range []core.Time{1, 50, 5000} {
-		rec, err := Run(stream, TOTAFactory(), Config{Seed: 1, ServiceTicks: ticks})
+		rec, err := Run(stream, totaFactory(), Config{Seed: 1, ServiceTicks: ticks})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func TestCooperationIsWinWin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tota, err := Run(stream, TOTAFactory(), Config{Seed: s})
+		tota, err := Run(stream, totaFactory(), Config{Seed: s})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,7 +102,7 @@ func TestMaxExpectedRevenueMatchesNumericScan(t *testing.T) {
 		bestScan := 0.0
 		for i := 1; i <= 4000; i++ {
 			v := value * float64(i) / 4000
-			if e := (value - v) * GroupAcceptProb(v, group); e > bestScan {
+			if e := (value - v) * groupAcceptProb(v, group); e > bestScan {
 				bestScan = e
 			}
 		}

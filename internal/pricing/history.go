@@ -145,20 +145,3 @@ func (h *History) Values() []float64 {
 	}
 	return h.values
 }
-
-// GroupAcceptProb returns pr(v', W) per Definition 4.1: the probability
-// that at least one worker of the group accepts payment v', assuming
-// independent decisions: 1 - prod_w (1 - pr(v', w)).
-func GroupAcceptProb(payment float64, group []*History) float64 {
-	if payment <= 0 || len(group) == 0 {
-		return 0
-	}
-	noneAccepts := 1.0
-	for _, h := range group {
-		noneAccepts *= 1 - h.AcceptProb(payment)
-		if noneAccepts == 0 {
-			return 1
-		}
-	}
-	return 1 - noneAccepts
-}

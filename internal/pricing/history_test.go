@@ -120,8 +120,8 @@ func TestNaNPaymentNeverAccepts(t *testing.T) {
 			t.Errorf("AcceptProb(NaN) over %v = %v, want 0", h.Values(), got)
 		}
 	}
-	if got := GroupAcceptProb(nan, group); got != 0 {
-		t.Errorf("GroupAcceptProb(NaN) = %v, want 0", got)
+	if got := groupAcceptProb(nan, group); got != 0 {
+		t.Errorf("groupAcceptProb(NaN) = %v, want 0", got)
 	}
 	rng := rand.New(rand.NewSource(1))
 	accepted := 0
@@ -153,6 +153,24 @@ func TestAcceptsSamplingFrequency(t *testing.T) {
 	}
 }
 
+// groupAcceptProb returns pr(v', W) per Definition 4.1: the probability
+// that at least one worker of the group accepts payment v', assuming
+// independent decisions: 1 - prod_w (1 - pr(v', w)). It is the tests'
+// oracle for the quoters' own evaluations (groupProb and the scans).
+func groupAcceptProb(payment float64, group []*History) float64 {
+	if payment <= 0 || len(group) == 0 {
+		return 0
+	}
+	noneAccepts := 1.0
+	for _, h := range group {
+		noneAccepts *= 1 - h.AcceptProb(payment)
+		if noneAccepts == 0 {
+			return 1
+		}
+	}
+	return 1 - noneAccepts
+}
+
 func TestGroupAcceptProb(t *testing.T) {
 	a := MustHistory([]float64{2, 4})  // pr(3) = 0.5
 	b := MustHistory([]float64{1})     // pr(3) = 1
@@ -173,8 +191,8 @@ func TestGroupAcceptProb(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := GroupAcceptProb(tt.payment, tt.group); math.Abs(got-tt.want) > 1e-12 {
-				t.Errorf("GroupAcceptProb = %v, want %v", got, tt.want)
+			if got := groupAcceptProb(tt.payment, tt.group); math.Abs(got-tt.want) > 1e-12 {
+				t.Errorf("groupAcceptProb = %v, want %v", got, tt.want)
 			}
 		})
 	}
@@ -195,13 +213,13 @@ func TestGroupAcceptProbDominance(t *testing.T) {
 			group = append(group, MustHistory(vals))
 		}
 		pay := rng.Float64() * 12
-		gp := GroupAcceptProb(pay, group)
+		gp := groupAcceptProb(pay, group)
 		for _, h := range group {
 			if h.AcceptProb(pay) > gp+1e-12 {
 				t.Fatalf("member prob exceeds group prob")
 			}
 		}
-		bigger := GroupAcceptProb(pay, append(group, MustHistory([]float64{0.1})))
+		bigger := groupAcceptProb(pay, append(group, MustHistory([]float64{0.1})))
 		if bigger < gp-1e-12 {
 			t.Fatalf("extending group decreased probability")
 		}

@@ -120,10 +120,10 @@ func exactInstanceMean(mc MonteCarlo, value float64, group []*History) float64 {
 		if !(vm-vl > mc.Xi*value) {
 			return vl
 		}
-		p := GroupAcceptProb(vm, group)
+		p := groupAcceptProb(vm, group)
 		return p*walk(vl, vm) + (1-p)*walk(vm, vh)
 	}
-	p := GroupAcceptProb(value, group)
+	p := groupAcceptProb(value, group)
 	return (1-p)*(value+epsilonFor(value)) + p*walk(0, value)
 }
 

@@ -306,15 +306,15 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 // callTimeout bounds a shard HTTP call.
 const callTimeout = 10 * time.Second
 
-// FleetHealth is the router's /healthz document.
-type FleetHealth struct {
+// fleetHealth is the router's /healthz document.
+type fleetHealth struct {
 	Status      string `json:"status"` // "ok" while ≥1 shard is ready
 	ReadyShards int    `json:"ready_shards"`
 	TotalShards int    `json:"total_shards"`
 }
 
 func (r *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	h := FleetHealth{TotalShards: len(r.names)}
+	h := fleetHealth{TotalShards: len(r.names)}
 	for _, sh := range r.shards {
 		if sh.ready.Load() {
 			h.ReadyShards++

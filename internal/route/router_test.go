@@ -316,7 +316,7 @@ func TestFleetHealthAndMetrics(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("fleet health with one ready shard: %d", rec.Code)
 	}
-	var fh FleetHealth
+	var fh fleetHealth
 	if err := json.Unmarshal(rec.Body.Bytes(), &fh); err != nil {
 		t.Fatalf("health body: %v", err)
 	}

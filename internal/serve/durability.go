@@ -110,7 +110,6 @@ func (s *Server) recover() error {
 			} else {
 				s.bumpLiveIDs(ev)
 			}
-			s.ctr.accepted.Add(1)
 			if ev.Kind == core.RequestArrival {
 				s.ctr.requestsSeen.Add(1)
 			} else {
@@ -166,7 +165,7 @@ func fingerprint(sp platform.Spec, replayEvents int) wal.Fingerprint {
 		MaxValueBits: math.Float64bits(sp.MaxValue), Window: int64(sp.Window),
 		BatchDeadline: int64(sp.BatchDeadline), PricingRev: pricing.SamplerRev}
 	if sp.Faults != nil {
-		fp.Faults = fmt.Sprintf("%+v", *sp.Faults)
+		fp.Faults = sp.Faults.String()
 	}
 	return fp
 }
@@ -255,8 +254,9 @@ func (s *Server) checkpoint() error {
 	return nil
 }
 
-// digest returns the decision counters a checkpoint pins: served,
-// matched and the bits of the accumulated revenue.
-func (s *Server) digest() (served, matched int64, revenueBits uint64) {
-	return s.ctr.served.Load(), s.ctr.matched.Load(), s.ctr.revenue.Load()
+// digest returns the decision counters a checkpoint pins: the engine's
+// Tally, revenue as bits. Only the engine's goroutine may call it.
+func (s *Server) digest() (decided, matched int64, revenueBits uint64) {
+	decided, matched, revenue := s.eng.Tally()
+	return decided, matched, math.Float64bits(revenue)
 }

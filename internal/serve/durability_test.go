@@ -128,7 +128,7 @@ func TestBatchDeadlineSparesComputedDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading response: %v", err)
 	}
-	lines := SplitLines(body2)
+	lines := splitLines(body2)
 	if len(lines) != n {
 		t.Fatalf("got %d response lines, want %d", len(lines), n)
 	}
@@ -467,28 +467,33 @@ func TestRecoveryFingerprintBeforeFirstCheckpoint(t *testing.T) {
 }
 
 // TestRecoveryRefusesRetiredFaultPlanString: a checkpoint renders the
-// fault plan with %+v, so dropping the plan's retry, breaker and seed
-// fields changed the rendering of every plan. A log whose checkpoint
-// carries the string the older binary wrote for drop=0.2 re-drives to
-// other decisions only if its retry or breaker settings were not the
-// defaults, which the string no longer tells; it is refused by name.
+// fault plan in the -faults grammar (fault.Plan.String). Older binaries
+// rendered it with %+v: first with the retry, breaker and seed fields,
+// whose settings the later string no longer told, then without them, a
+// string that changed with every field rename. A log whose checkpoint
+// carries either string the older binaries wrote for drop=0.2 is
+// refused by name.
 func TestRecoveryRefusesRetiredFaultPlanString(t *testing.T) {
-	const retired = "{Seed:0 LatencyRate:0 LatencyMin:0s LatencyMax:0s DropRate:0.2 ClaimErrorRate:0 Outages:[] " +
-		"Retry:{MaxAttempts:0 BaseBackoff:0s MaxBackoff:0s Deadline:0s} Breaker:{FailureThreshold:0 CooldownTicks:0}}"
-	dir := t.TempDir()
-	plan, err := fault.ParsePlan("drop=0.2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 1, WALDir: dir, Faults: plan}
-	logOneWorker(t, opts)
-	forgeCheckpoint(t, dir, 0, func(c *wal.Checkpoint) { c.Faults = retired })
-	srv, err := New(opts)
-	if err == nil {
-		srv.Close()
-	}
-	if err == nil || !strings.Contains(err.Error(), "faults") || !strings.Contains(err.Error(), "record 0") {
-		t.Fatalf("restart on a log with the retired fault-plan string must be refused naming faults, got %v", err)
+	for _, retired := range []string{
+		"{Seed:0 LatencyRate:0 LatencyMin:0s LatencyMax:0s DropRate:0.2 ClaimErrorRate:0 Outages:[] " +
+			"Retry:{MaxAttempts:0 BaseBackoff:0s MaxBackoff:0s Deadline:0s} Breaker:{FailureThreshold:0 CooldownTicks:0}}",
+		"{LatencyRate:0 LatencyMin:0s LatencyMax:0s DropRate:0.2 ClaimErrorRate:0 Outages:[]}",
+	} {
+		dir := t.TempDir()
+		plan, err := fault.ParsePlan("drop=0.2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Algorithm: platform.AlgDemCOM, Seed: 1, WALDir: dir, Faults: plan}
+		logOneWorker(t, opts)
+		forgeCheckpoint(t, dir, 0, func(c *wal.Checkpoint) { c.Faults = retired })
+		srv, err := New(opts)
+		if err == nil {
+			srv.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "faults") || !strings.Contains(err.Error(), "record 0") {
+			t.Fatalf("restart on a log with the retired fault-plan string %q must be refused naming faults, got %v", retired, err)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ func FuzzIngest(f *testing.F) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			req := httptest.NewRequest(http.MethodPost, IngestPath(kind), strings.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, ingestPath(kind), strings.NewReader(body))
 			req.Header.Set("Content-Type", "application/x-ndjson")
 			rec := httptest.NewRecorder()
 			srv.Handler().ServeHTTP(rec, req)

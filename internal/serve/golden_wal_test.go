@@ -227,7 +227,6 @@ func checkpointPositions(t *testing.T, dir string) []int64 {
 // decisions on these logs fails here; -update rewrites the logs from
 // the recipes.
 func TestRecoverGoldenLogs(t *testing.T) {
-	total := int64(0)
 	for _, g := range goldenLogs {
 		t.Run(g.name, func(t *testing.T) {
 			if *update {
@@ -237,7 +236,6 @@ func TestRecoverGoldenLogs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += int64(len(b))
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, logFile), b, 0o644); err != nil {
 				t.Fatal(err)
@@ -249,8 +247,8 @@ func TestRecoverGoldenLogs(t *testing.T) {
 				t.Fatalf("recovering %s: %v", g.name, err)
 			}
 			rec := srv.Recovery()
-			served, matched, revBits := srv.digest()
 			srv.crashForTest()
+			served, matched, revBits := srv.digest()
 			if rec.Events != g.events || served != g.served || matched != g.matched || revBits != g.revenueBits {
 				t.Errorf("recovered %d records, served=%d matched=%d revenue=%#x; pinned %d, %d, %d, %#x",
 					rec.Events, served, matched, revBits, g.events, g.served, g.matched, g.revenueBits)
@@ -271,7 +269,47 @@ func TestRecoverGoldenLogs(t *testing.T) {
 			}
 		})
 	}
+	logs, err := filepath.Glob(filepath.Join("testdata", "wal", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(0)
+	for _, name := range logs {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
 	if total >= 64<<10 {
-		t.Errorf("the golden logs hold %d bytes, want under 64 KB", total)
+		t.Errorf("the %d logs under testdata/wal hold %d bytes, want under 64 KB", len(logs), total)
+	}
+}
+
+// TestRecoveryRefusesDecisionOrderRevenue: a checkpoint's revenue used
+// to be summed decision by decision across platforms; it is now the
+// Matchings' revenue summed in ascending platform ID, which can differ
+// in the last bits. testdata/wal/tota-replay-decision-order.seg was
+// written by the older binary, closed cleanly (TOTA, seed 23, a replay
+// of testStream(14, 7, 23)); its final checkpoint pins the
+// decision-order sum, one ULP off. This binary refuses the log at that
+// record, and names it. No recipe rewrites the file.
+func TestRecoveryRefusesDecisionOrderRevenue(t *testing.T) {
+	b, err := os.ReadFile(goldenPath("tota-replay-decision-order"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, logFile), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := testStream(t, 14, 7, 23)
+	srv, err := New(Options{Algorithm: platform.AlgTOTA, Seed: 23, Replay: s, QueueCap: s.Len() + 1, WALDir: dir})
+	if err == nil {
+		srv.crashForTest()
+	}
+	want := fmt.Sprintf("record %d: checkpoint digest mismatch", s.Len()+1)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovering a log with a decision-order revenue checkpoint: %v, want an error containing %q", err, want)
 	}
 }

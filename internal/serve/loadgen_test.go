@@ -155,7 +155,7 @@ func TestRunLoadLedger(t *testing.T) {
 				enc := json.NewEncoder(w)
 				mu.Lock()
 				defer mu.Unlock()
-				for _, line := range SplitLines(body) {
+				for _, line := range splitLines(body) {
 					var ev WireEvent
 					if err := json.Unmarshal(line, &ev); err != nil {
 						t.Errorf("bad line %q: %v", line, err)

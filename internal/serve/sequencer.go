@@ -5,10 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"time"
 
 	"crossmatch/internal/core"
+	"crossmatch/internal/metrics"
 	"crossmatch/internal/online"
 )
 
@@ -49,6 +49,12 @@ func (s *Server) sequence() {
 		case it, ok = <-s.queue:
 		case <-tick:
 			s.tickWindows()
+			continue
+		case reply := <-s.snapshots:
+			mc := metrics.New() // the collector gets the funnel at Finish
+			mc.Merge(s.met)
+			s.eng.FoldFunnel(mc)
+			reply <- s.snapshot(mc)
 			continue
 		}
 		if !ok {
@@ -148,21 +154,13 @@ func (s *Server) tickWindows() {
 	s.maybeCheckpoint()
 }
 
-// onDecision is the engine's decision handler and the server's one
-// ledger: every request decision the engine books — on arrival for a
-// greedy matcher, at the flush for a windowed one — is counted here and
-// answers the waiter still owed it, if its handler has not already
-// given up on the HTTP deadline. It runs inside engine calls made by
-// the sequencer or, before the sequencer starts, by the recovery
-// re-drive, so it is the only writer of the decision counters and the
-// revenue bits, and it books them in the engine's fold order — the
-// order the checkpoint digest pins.
+// onDecision is the engine's decision handler: every request decision
+// the engine books — on arrival for a greedy matcher, at the flush for a
+// windowed one — answers the waiter still owed it, if its handler has
+// not already given up on the HTTP deadline. It runs inside engine calls
+// made by the sequencer or, before the sequencer starts, by the recovery
+// re-drive.
 func (s *Server) onDecision(d online.Decided) {
-	s.ctr.served.Add(1)
-	if d.Served {
-		s.ctr.matched.Add(1)
-		s.ctr.revenue.Store(math.Float64bits(math.Float64frombits(s.ctr.revenue.Load()) + d.Assignment.Revenue()))
-	}
 	if it, ok := s.waiters[d.Request]; ok {
 		delete(s.waiters, d.Request)
 		it.done <- decisionLine(core.RequestArrival, d.Request.ID, int64(d.Request.Arrival), d)
@@ -229,7 +227,7 @@ func (s *Server) process(it *ingest) {
 
 // redoEvent applies one event record to the server state: it counts the
 // record, raises the virtual-clock high-water mark, feeds the engine
-// (whose decisions onDecision books) and books the outcome. The live
+// (whose decisions onDecision answers) and counts the outcome. The live
 // sequencer calls it once the record is logged, recovery once it is
 // decoded, so a recovered server continues the pre-crash state exactly.
 func (s *Server) redoEvent(ev core.Event) error {

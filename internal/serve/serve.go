@@ -94,7 +94,8 @@ type Options struct {
 	Window        core.Time
 	BatchDeadline core.Time
 	// Metrics receives the engine's funnel counters and latency
-	// reservoirs; created internally when nil (it backs /v1/metrics).
+	// reservoirs when Close finishes the run (/v1/metrics folds them into
+	// a copy before); created internally when nil.
 	Metrics *metrics.Collector
 	// Tracer, when non-nil, records per-request decision spans; they
 	// export at /v1/trace as JSONL.
@@ -161,10 +162,11 @@ type Server struct {
 
 	draining atomic.Bool
 
-	seqDone chan struct{}
-	started time.Time
-	vbase   int64 // virtual-clock origin: 0, or the resumed high-water mark
-	vlast   int64 // sequencer-owned virtual clock high-water mark
+	seqDone   chan struct{}
+	snapshots chan chan MetricsSnapshot // Snapshot's requests to the sequencer
+	started   time.Time
+	vbase     int64 // virtual-clock origin: 0, or the resumed high-water mark
+	vlast     int64 // sequencer-owned virtual clock high-water mark
 
 	// replay state
 	replayIdx map[eventKey]int
@@ -202,14 +204,11 @@ type Server struct {
 }
 
 // counters are the server-side (pre-engine) accounting exposed at
-// /v1/metrics: admission outcomes and decision totals.
+// /v1/metrics: admission outcomes and errors.
 type counters struct {
-	accepted     atomic.Int64 // events admitted to the queue
 	applied      atomic.Int64 // events the engine has processed
-	requestsSeen atomic.Int64
-	workersSeen  atomic.Int64
-	served       atomic.Int64 // request decisions returned
-	matched      atomic.Int64 // ... of which assigned a worker
+	requestsSeen atomic.Int64 // requests admitted to the queue
+	workersSeen  atomic.Int64 // workers admitted to the queue
 	shedRate     atomic.Int64 // 429: token bucket empty
 	shedQueue    atomic.Int64 // 429: ingest queue full
 	drained      atomic.Int64 // 503: rejected during drain
@@ -217,9 +216,6 @@ type counters struct {
 	badEvents    atomic.Int64 // malformed / unknown / duplicate
 	engineErrors atomic.Int64
 	walErrors    atomic.Int64 // append/checkpoint failures (event NOT applied)
-	// revenue holds the float64 bits of the booked revenue. onDecision
-	// is its one writer, so a load and a store need no lock.
-	revenue atomic.Uint64
 }
 
 // New builds the service, re-drives the write-ahead log when WALDir is
@@ -259,14 +255,15 @@ func New(opts Options) (*Server, error) {
 	}
 
 	s := &Server{
-		opts:    opts,
-		met:     opts.Metrics,
-		eng:     eng,
-		queue:   make(chan *ingest, opts.QueueCap),
-		bucket:  newTokenBucket(opts.Rate, opts.Burst),
-		seqDone: make(chan struct{}),
-		started: time.Now(),
-		spec:    spec,
+		opts:      opts,
+		met:       opts.Metrics,
+		eng:       eng,
+		queue:     make(chan *ingest, opts.QueueCap),
+		bucket:    newTokenBucket(opts.Rate, opts.Burst),
+		seqDone:   make(chan struct{}),
+		snapshots: make(chan chan MetricsSnapshot),
+		started:   time.Now(),
+		spec:      spec,
 	}
 	s.platformOK = make(map[core.PlatformID]bool, len(spec.Platforms))
 	for _, pid := range spec.Platforms {
@@ -276,10 +273,6 @@ func New(opts Options) (*Server, error) {
 	s.nextReqID.Store(liveIDBase)
 	s.nextWorkerID.Store(liveIDBase)
 	s.waiters = make(map[*core.Request]*ingest)
-	// The decision handler must be registered before any recovery
-	// re-drive: recovered records decide requests, and those decisions
-	// must book exactly the counters they booked live or the checkpoint
-	// digest check would fail.
 	eng.SetDecisionHandler(s.onDecision)
 
 	if opts.Replay != nil {
@@ -359,7 +352,8 @@ func (s *Server) Close() (*platform.Result, error) {
 	s.closeOnce.Do(func() {
 		// The sequencer has stopped, so its WAL state is safe to touch:
 		// write the final checkpoint (unless the last one already covers
-		// every record) and release the log before finishing the engine.
+		// every record) and release the log before finishing the engine,
+		// which folds the run's funnel into the collector.
 		if s.wal != nil {
 			if s.applied != s.checkpointed {
 				if err := s.checkpoint(); err != nil {
@@ -510,7 +504,6 @@ func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision)
 	select {
 	case s.queue <- it:
 		admitted = true
-		s.ctr.accepted.Add(1)
 		if kind == core.RequestArrival {
 			s.ctr.requestsSeen.Add(1)
 		} else {
@@ -598,8 +591,23 @@ type MetricsSnapshot struct {
 	WAL    *WALStatus     `json:"wal,omitempty"`
 }
 
-// Snapshot returns the current metrics document.
+// Snapshot returns the current metrics document, built on the sequencer
+// goroutine while it runs and, once it has exited, from the finished
+// run (Close is idempotent).
 func (s *Server) Snapshot() MetricsSnapshot {
+	reply := make(chan MetricsSnapshot, 1)
+	select {
+	case s.snapshots <- reply:
+		return <-reply
+	case <-s.seqDone:
+		_, _ = s.Close()
+		return s.snapshot(s.met)
+	}
+}
+
+// snapshot builds the metrics document with mc as its engine section.
+func (s *Server) snapshot(mc *metrics.Collector) MetricsSnapshot {
+	decided, matched, revBits := s.digest()
 	snap := MetricsSnapshot{
 		Server: ServerCounters{
 			UptimeMs:      time.Since(s.started).Milliseconds(),
@@ -607,12 +615,12 @@ func (s *Server) Snapshot() MetricsSnapshot {
 			Draining:      s.draining.Load(),
 			QueueLen:      len(s.queue),
 			QueueCap:      s.opts.QueueCap,
-			Accepted:      s.ctr.accepted.Load(),
+			Accepted:      s.ctr.requestsSeen.Load() + s.ctr.workersSeen.Load(),
 			Applied:       s.ctr.applied.Load(),
 			RequestsSeen:  s.ctr.requestsSeen.Load(),
 			WorkersSeen:   s.ctr.workersSeen.Load(),
-			Served:        s.ctr.served.Load(),
-			Matched:       s.ctr.matched.Load(),
+			Served:        decided,
+			Matched:       matched,
 			ShedRateLimit: s.ctr.shedRate.Load(),
 			ShedQueueFull: s.ctr.shedQueue.Load(),
 			Drained:       s.ctr.drained.Load(),
@@ -620,9 +628,9 @@ func (s *Server) Snapshot() MetricsSnapshot {
 			BadEvents:     s.ctr.badEvents.Load(),
 			EngineErrors:  s.ctr.engineErrors.Load(),
 			WALErrors:     s.ctr.walErrors.Load(),
-			Revenue:       math.Float64frombits(s.ctr.revenue.Load()),
+			Revenue:       math.Float64frombits(revBits),
 		},
-		Engine: s.met.Snapshot(),
+		Engine: mc.Snapshot(),
 	}
 	if s.wal != nil {
 		snap.WAL = &WALStatus{

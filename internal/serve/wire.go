@@ -117,9 +117,9 @@ func KindName(k core.EventKind) string {
 // lines — far beyond any sane batch), at a shard and at the router.
 const MaxBodyBytes = 32 << 20
 
-// SplitLines cuts an NDJSON body into its non-empty trimmed lines; the
+// splitLines cuts an NDJSON body into its non-empty trimmed lines; the
 // lines alias body.
-func SplitLines(body []byte) [][]byte {
+func splitLines(body []byte) [][]byte {
 	var out [][]byte
 	for _, line := range bytes.Split(body, []byte("\n")) {
 		if t := bytes.TrimSpace(line); len(t) > 0 {
@@ -177,8 +177,8 @@ func decisionLine(kind core.EventKind, id, vtime int64, d online.Decided) WireDe
 	return out
 }
 
-// IngestPath is the ingest endpoint of an event kind.
-func IngestPath(kind core.EventKind) string {
+// ingestPath is the ingest endpoint of an event kind.
+func ingestPath(kind core.EventKind) string {
 	if kind == core.WorkerArrival {
 		return "/v1/workers"
 	}
@@ -189,7 +189,7 @@ func IngestPath(kind core.EventKind) string {
 // kind, a shard's and the fleet router's alike.
 func HandleIngest(mux *http.ServeMux, handle func(http.ResponseWriter, *http.Request, core.EventKind)) {
 	for _, kind := range []core.EventKind{core.RequestArrival, core.WorkerArrival} {
-		mux.HandleFunc("POST "+IngestPath(kind), func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("POST "+ingestPath(kind), func(w http.ResponseWriter, r *http.Request) {
 			handle(w, r, kind)
 		})
 	}
@@ -202,7 +202,7 @@ func HandleIngest(mux *http.ServeMux, handle func(http.ResponseWriter, *http.Req
 // even for a single event; any status but 200 is an error carrying the
 // reply body.
 func Post(ctx context.Context, client *http.Client, base string, kind core.EventKind, body []byte) ([][]byte, error) {
-	url := base + IngestPath(kind)
+	url := base + ingestPath(kind)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -220,7 +220,7 @@ func Post(ctx context.Context, client *http.Client, base string, kind core.Event
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("serve: POST %s: %s: %s", url, resp.Status, strings.TrimSpace(string(reply)))
 	}
-	return SplitLines(reply), nil
+	return splitLines(reply), nil
 }
 
 // ReadIngest reads an ingest POST the way every hop that takes one
@@ -234,7 +234,7 @@ func ReadIngest(w http.ResponseWriter, r *http.Request) (lines [][]byte, batch, 
 		WriteJSON(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "reading body: " + err.Error()})
 		return nil, false, false
 	}
-	lines = SplitLines(body)
+	lines = splitLines(body)
 	if len(lines) == 0 {
 		WriteJSON(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "empty body"})
 		return nil, false, false

@@ -117,43 +117,6 @@ func (m *HotspotMix) Sample(rng *rand.Rand) geo.Point {
 // Bounds implements SpatialModel.
 func (m *HotspotMix) Bounds() geo.Rect { return m.Region }
 
-// TwoRegionSkew reproduces the motivating scenario of Fig. 2: the city
-// splits into a west and an east half, and each platform's mass is
-// skewed to opposite halves — platform A's requests concentrate where
-// platform B's workers do, and vice versa. Skew in [0.5, 1] is the
-// probability of drawing from the "home" half (0.5 = uniform).
-type TwoRegionSkew struct {
-	Region geo.Rect
-	// WestBias is the probability of sampling the western half.
-	WestBias float64
-}
-
-// NewTwoRegionSkew validates and returns the model.
-func NewTwoRegionSkew(region geo.Rect, westBias float64) (*TwoRegionSkew, error) {
-	if !region.Valid() || region.Area() == 0 {
-		return nil, fmt.Errorf("workload: invalid region %v", region)
-	}
-	if westBias < 0 || westBias > 1 {
-		return nil, fmt.Errorf("workload: west bias %v outside [0,1]", westBias)
-	}
-	return &TwoRegionSkew{Region: region, WestBias: westBias}, nil
-}
-
-// Sample implements SpatialModel.
-func (m *TwoRegionSkew) Sample(rng *rand.Rand) geo.Point {
-	midX := (m.Region.Min.X + m.Region.Max.X) / 2
-	var half geo.Rect
-	if rng.Float64() < m.WestBias {
-		half = geo.Rect{Min: m.Region.Min, Max: geo.Point{X: midX, Y: m.Region.Max.Y}}
-	} else {
-		half = geo.Rect{Min: geo.Point{X: midX, Y: m.Region.Min.Y}, Max: m.Region.Max}
-	}
-	return UniformRect{half}.Sample(rng)
-}
-
-// Bounds implements SpatialModel.
-func (m *TwoRegionSkew) Bounds() geo.Rect { return m.Region }
-
 // CityPair holds complementary per-platform spatial models: platform 1's
 // requests concentrate where platform 2's workers do and vice versa —
 // the market-share geography of Fig. 2 that makes cross-platform

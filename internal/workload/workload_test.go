@@ -74,32 +74,6 @@ func TestHotspotMixConcentratesMass(t *testing.T) {
 	}
 }
 
-func TestTwoRegionSkew(t *testing.T) {
-	region := geo.NewRect(geo.Point{}, geo.Point{X: 10, Y: 10})
-	if _, err := NewTwoRegionSkew(region, 1.5); err == nil {
-		t.Error("bad bias accepted")
-	}
-	m, err := NewTwoRegionSkew(region, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	west := 0
-	const n = 5000
-	for i := 0; i < n; i++ {
-		p := m.Sample(rng)
-		if !region.Contains(p) {
-			t.Fatalf("sample outside region")
-		}
-		if p.X < 5 {
-			west++
-		}
-	}
-	if frac := float64(west) / n; math.Abs(frac-0.9) > 0.03 {
-		t.Errorf("west fraction = %v, want ~0.9", frac)
-	}
-}
-
 func TestValueModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	models := map[string]ValueModel{

@@ -126,12 +126,25 @@ echo "==> one way out of the engine, one way into the server: one decision ledge
 if git grep -n 'onWindowFlus[h]' -- ':!*.md'; then
 	exit 1
 fi
-for call in 'ctr\.served\.Add\(' '\.AdvanceTime\(' '\.Process\('; do
+for call in '\.AdvanceTime\(' '\.Process\('; do
 	if [ "$(git grep -E "$call" -- 'internal/serve/*.go' ':!*_test.go' | wc -l)" -gt 1 ]; then
 		git grep -nE "$call" -- 'internal/serve/*.go' ':!*_test.go' >&2
 		exit 1
 	fi
 done
+
+echo "==> one ledger all the way out: fold books the Matching and plain counts, serve keeps no decision counter, one revenue sum"
+if sed -n '/^func (e \*Engine) fold(/,/^}/p' internal/platform/feed.go | grep -nE 'Metrics|ObserveLatency|mc\.|Lock\('; then
+	exit 1
+fi
+if sed -n '/^type counters struct/,/^}/p' internal/serve/serve.go | grep -nE '^[[:space:]]*(served|matched|revenue)\b'; then
+	exit 1
+fi
+# OFF's optimum is its own result type; every online run's revenue is Result.TotalRevenue.
+if [ "$(git grep -nE '\+=.*Revenue\(\)' -- internal/platform internal/serve ':!*_test.go' ':!internal/platform/offline.go' | cut -d: -f1)" != "internal/platform/sim.go" ]; then
+	git grep -nE '\+=.*Revenue\(\)' -- internal/platform internal/serve ':!*_test.go' ':!internal/platform/offline.go' >&2
+	exit 1
+fi
 
 echo "==> a decision is one record: no serving copy of it, no second mark of a buffered request, no window-only record type"
 # The brackets keep this line from matching itself.
