@@ -35,9 +35,9 @@ const (
 
 func benchTable(b *testing.B, preset string) {
 	b.Helper()
-	p, ok := workload.PresetByName(preset)
-	if !ok {
-		b.Fatalf("preset %q missing", preset)
+	p, err := workload.PresetFor(preset)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"crossmatch/internal/core"
+	"crossmatch/internal/geo"
 	"crossmatch/internal/platform"
 	"crossmatch/internal/workload"
 )
@@ -12,9 +14,9 @@ import (
 // smallTable runs Table V at a tiny scale; shared by several tests.
 func smallTable(t *testing.T) *TableResult {
 	t.Helper()
-	preset, ok := workload.PresetByName("RDC10+RYC10")
-	if !ok {
-		t.Fatal("preset missing")
+	preset, err := workload.PresetFor("RDC10+RYC10")
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := RunTable(preset, TableOptions{Scale: 0.004, Seed: 11})
 	if err != nil {
@@ -92,7 +94,10 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestRunTableSkipOFF(t *testing.T) {
-	preset, _ := workload.PresetByName("RDX11+RYX11")
+	preset, err := workload.PresetFor("RDX11+RYX11")
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := RunTable(preset, TableOptions{Scale: 0.004, Seed: 3, SkipOFF: true})
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +107,58 @@ func TestRunTableSkipOFF(t *testing.T) {
 	}
 	if _, ok := res.Row(platform.AlgOFF); ok {
 		t.Error("OFF row present despite SkipOFF")
+	}
+}
+
+// TestRunTableKeepsRowsPastOFFBound: a table whose stream OFF refuses
+// (TestOfflineRefusesPastWorkBound's: n isolated workers and requests
+// and one k × k cluster, min(|W|,|R|) × |E| past the bound) reads OFF
+// as refused and still fills the three online rows.
+func TestRunTableKeepsRowsPastOFFBound(t *testing.T) {
+	const n, k = 100_000, 710
+	events := make([]core.Event, 0, 2*(n+k))
+	for i := range n + k {
+		wLoc, rLoc, radius := geo.Point{X: -1000}, geo.Point{X: 1000}, 0.1
+		if i < k {
+			wLoc, rLoc, radius = geo.Point{}, geo.Point{}, 1
+		}
+		events = append(events,
+			core.Event{Time: 0, Kind: core.WorkerArrival, Worker: &core.Worker{
+				ID: int64(i), Loc: wLoc, Radius: radius, Platform: 1, History: []float64{1}}},
+			core.Event{Time: 1, Kind: core.RequestArrival, Request: &core.Request{
+				ID: int64(i), Arrival: 1, Loc: rLoc, Value: 1, Platform: 1}},
+		)
+	}
+	stream, err := core.NewStream(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preset, err := workload.PresetFor("RDC10+RYC10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := preset.Config(0.004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runTable("bound", cfg, stream, TableOptions{Scale: 1, Seed: 1, Repeats: 1})
+	if err != nil {
+		t.Fatalf("the table failed with OFF past its bound: %v", err)
+	}
+	if off, ok := res.Row(platform.AlgOFF); !ok || !off.Refused {
+		t.Errorf("OFF row %+v, want it refused", off)
+	}
+	for _, alg := range []string{platform.AlgTOTA, platform.AlgDemCOM, platform.AlgRamCOM} {
+		if r, ok := res.Row(alg); !ok || r.Refused || r.CpRD != k {
+			t.Errorf("%s row %+v, want the %d cluster requests served", alg, r, k)
+		}
+	}
+	var buf bytes.Buffer
+	if err := res.Table().Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "refused") {
+		t.Errorf("the rendered table does not read refused:\n%s", buf.String())
 	}
 }
 

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -28,6 +29,7 @@ type TableRow struct {
 	AcpRt      float64 // acceptance ratio of cooperative requests
 	PayRate    float64 // mean v'/v over cooperative assignments
 	HasCoop    bool    // false for OFF and TOTA (their CoR/AcpRt print as "-")
+	Refused    bool    // OFF's graph passed the exact solver's bound: no numbers
 }
 
 // TableResult is a full Table V/VI/VII reproduction.
@@ -50,6 +52,10 @@ func (t *TableResult) Table() *stats.Table {
 		"Methods", "Rev_D(x10^6)", "Rev_Y(x10^6)", "Response Time (ms)", "Memory (MB)",
 		"|CpR(D)|", "|CpR(Y)|", "|CoR|", "AcpRt", "v'/v")
 	for _, r := range t.Rows {
+		if r.Refused {
+			tb.Add(r.Method, "refused", "refused", "refused", "refused", "refused", "refused", "refused", "refused", "refused")
+			continue
+		}
 		coR, acp, pay := stats.Dash, stats.Dash, stats.Dash
 		if r.HasCoop {
 			coR = stats.FormatCount(r.CoR)
@@ -92,7 +98,9 @@ type TableOptions struct {
 
 // RunTable reproduces one of Tables V-VII: it generates the preset's two
 // platforms, runs OFF, TOTA, DemCOM and RamCOM on the same stream, and
-// reports the paper's nine metrics per method.
+// reports the paper's nine metrics per method. OFF refusing a graph past
+// its bound (platform.ErrOfflineRefused) makes its row read refused; any
+// other error fails the table.
 func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 	o := opts
 	if o.Scale == 0 {
@@ -109,15 +117,20 @@ func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runTable(preset.Name, cfg, stream, o)
+}
 
+// runTable is RunTable on a given stream; cfg supplies the threshold
+// algorithms' max value.
+func runTable(name string, cfg workload.Config, stream *core.Stream, o TableOptions) (*TableResult, error) {
 	// The stream is shared by every unit run; OFF, when present, is a
 	// cell of one unit with no matcher.
 	var cells []cell
 	if !o.SkipOFF {
-		cells = append(cells, cell{label: preset.Name + "/" + platform.AlgOFF, once: true})
+		cells = append(cells, cell{label: name + "/" + platform.AlgOFF, once: true})
 	}
 	for _, alg := range onlineAlgos {
-		cells = append(cells, cell{label: preset.Name + "/" + alg, workload: cfg, spec: platform.Spec{Algorithm: alg}})
+		cells = append(cells, cell{label: name + "/" + alg, workload: cfg, spec: platform.Spec{Algorithm: alg}})
 	}
 	// A unit keeps its whole result, not just its row: the memory column
 	// below is the heap with the stream and every result live.
@@ -143,7 +156,7 @@ func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &TableResult{Dataset: preset.Name, Scale: o.Scale, Seed: o.Seed}
+	res := &TableResult{Dataset: name, Scale: o.Scale, Seed: o.Seed}
 	for ci, c := range cells {
 		if c.spec.Algorithm == "" {
 			res.Rows = append(res.Rows, units[ci][0].row)
@@ -174,6 +187,9 @@ func RunTable(preset workload.Preset, opts TableOptions) (*TableResult, error) {
 func runOff(stream *core.Stream) (TableRow, error) {
 	start := time.Now()
 	off, err := platform.Offline(stream)
+	if errors.Is(err, platform.ErrOfflineRefused) {
+		return TableRow{Method: platform.AlgOFF, Refused: true}, nil
+	}
 	if err != nil {
 		return TableRow{}, err
 	}

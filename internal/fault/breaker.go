@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"crossmatch/internal/core"
-	"crossmatch/internal/metrics"
-)
+import "crossmatch/internal/core"
 
 // state is a circuit breaker state.
 type state uint8
@@ -24,9 +21,9 @@ const (
 // half-open trial call decides whether the partner recovered. It runs on
 // the engine's goroutine: every call is settled through success or
 // failure before the next one asks allow. Its state changes count in
-// met's breaker_opened, breaker_half_opened and breaker_closed counters.
+// its injector's Stats.
 type breaker struct {
-	met *metrics.Collector
+	st *Stats
 
 	state       state
 	consecutive int
@@ -38,11 +35,11 @@ func (b *breaker) transition(to state) {
 	b.state = to
 	switch to {
 	case open:
-		b.met.Add(metrics.BreakerOpened, 1)
+		b.st.BreakerOpened++
 	case halfOpen:
-		b.met.Add(metrics.BreakerHalfOpened, 1)
+		b.st.BreakerHalfOpened++
 	case closed:
-		b.met.Add(metrics.BreakerClosed, 1)
+		b.st.BreakerClosed++
 	}
 }
 

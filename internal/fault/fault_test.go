@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"crossmatch/internal/core"
-	"crossmatch/internal/metrics"
 )
 
 func TestParsePlanRoundTrip(t *testing.T) {
@@ -109,8 +108,8 @@ func TestRetryBackoffCappedAndJittered(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	col := metrics.New()
-	b := &breaker{met: col}
+	var st Stats
+	b := &breaker{st: &st}
 
 	// Failures below the threshold keep it closed; a success resets.
 	for i := 0; i < breakerThreshold-1; i++ {
@@ -155,23 +154,22 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	// closed>open, open>half-open, half-open>open, open>half-open,
 	// half-open>closed: each transition counted once.
-	if c := col.Snapshot().Counters; c.BreakerOpened != 2 || c.BreakerHalfOpened != 2 || c.BreakerClosed != 1 {
+	if st.BreakerOpened != 2 || st.BreakerHalfOpened != 2 || st.BreakerClosed != 1 {
 		t.Fatalf("transitions counted opened=%d half-opened=%d closed=%d, want 2, 2, 1",
-			c.BreakerOpened, c.BreakerHalfOpened, c.BreakerClosed)
+			st.BreakerOpened, st.BreakerHalfOpened, st.BreakerClosed)
 	}
 }
 
-func testInjector(t *testing.T, plan *Plan, m *metrics.Collector) *Injector {
+func testInjector(t *testing.T, plan *Plan) *Injector {
 	t.Helper()
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return New(plan, 42, []core.PlatformID{1, 2}, m, nil)
+	return New(plan, 42, []core.PlatformID{1, 2}, nil)
 }
 
 func TestInjectorOutageOpensBreakerAndRecovers(t *testing.T) {
-	col := metrics.New()
-	in := testInjector(t, &Plan{Outages: []Outage{{Platform: 2, From: 0, Until: 100}}}, col)
+	in := testInjector(t, &Plan{Outages: []Outage{{Platform: 2, From: 0, Until: 100}}})
 	br := &in.parties[2].br
 
 	// Inside the outage every probe fails; the threshold-th failed call
@@ -206,10 +204,10 @@ func TestInjectorOutageOpensBreakerAndRecovers(t *testing.T) {
 		t.Fatal("probe failed after recovery")
 	}
 
-	c := col.Snapshot().Counters
+	c := in.Stats()
 	// Every failed call spent all its tries inside the outage.
-	if want := int64((breakerThreshold + 1) * maxAttempts); c.FaultOutageHits != want {
-		t.Errorf("outage hits = %d, want %d", c.FaultOutageHits, want)
+	if want := int64((breakerThreshold + 1) * maxAttempts); c.OutageHits != want {
+		t.Errorf("outage hits = %d, want %d", c.OutageHits, want)
 	}
 	if c.BreakerOpened != 2 { // initial open + reopen after failed trial
 		t.Errorf("breaker opened %d times, want 2", c.BreakerOpened)
@@ -217,58 +215,52 @@ func TestInjectorOutageOpensBreakerAndRecovers(t *testing.T) {
 	if c.BreakerHalfOpened != 2 || c.BreakerClosed != 1 {
 		t.Errorf("half-opened=%d closed=%d, want 2 and 1", c.BreakerHalfOpened, c.BreakerClosed)
 	}
-	if c.BreakerShortCircuits != 1 {
-		t.Errorf("short circuits = %d, want 1", c.BreakerShortCircuits)
+	if c.ShortCircuits != 1 {
+		t.Errorf("short circuits = %d, want 1", c.ShortCircuits)
 	}
 }
 
 func TestInjectorDropRetriesThenFails(t *testing.T) {
-	col := metrics.New()
-	in := testInjector(t, &Plan{DropRate: 1}, col) // every attempt drops
+	in := testInjector(t, &Plan{DropRate: 1}) // every attempt drops
 	if in.ProbePartner(1, 2, 0) {
 		t.Fatal("probe succeeded with 100% drop rate")
 	}
-	c := col.Snapshot().Counters
-	if c.FaultDroppedProbes != maxAttempts {
-		t.Errorf("dropped probes = %d, want %d (one per attempt)", c.FaultDroppedProbes, maxAttempts)
+	c := in.Stats()
+	if c.DroppedProbes != maxAttempts {
+		t.Errorf("dropped probes = %d, want %d (one per attempt)", c.DroppedProbes, maxAttempts)
 	}
-	if c.ProbeRetries != maxAttempts-1 {
-		t.Errorf("probe retries = %d, want %d", c.ProbeRetries, maxAttempts-1)
+	if c.Retries != maxAttempts-1 {
+		t.Errorf("probe retries = %d, want %d", c.Retries, maxAttempts-1)
+	}
+	if in.Spikes() != nil {
+		t.Error("a plan without a latency rate keeps a spike reservoir")
 	}
 }
 
 func TestInjectorLatencyBlowsDeadline(t *testing.T) {
-	col := metrics.New()
 	in := testInjector(t, &Plan{
 		LatencyRate: 1,
 		LatencyMin:  50 * time.Millisecond,
 		LatencyMax:  50 * time.Millisecond,
-	}, col)
+	})
 	if in.ProbePartner(1, 2, 0) {
 		t.Fatal("probe succeeded though every spike exceeds the deadline")
 	}
-	c := col.Snapshot().Counters
-	if c.ProbeTimeouts != 1 {
-		t.Errorf("probe timeouts = %d, want 1 (deadline kills the call on the first spike)", c.ProbeTimeouts)
+	c := in.Stats()
+	if c.Timeouts != 1 {
+		t.Errorf("probe timeouts = %d, want 1 (deadline kills the call on the first spike)", c.Timeouts)
 	}
-	if c.FaultLatencySpikes != 1 {
-		t.Errorf("latency spikes = %d, want 1", c.FaultLatencySpikes)
+	if c.LatencySpikes != 1 {
+		t.Errorf("latency spikes = %d, want 1", c.LatencySpikes)
 	}
 	// The spike distribution must be visible in the reservoir.
-	found := false
-	for _, l := range col.Snapshot().Latencies {
-		if l.Label == metrics.ProbeLatencyLabel && l.Count == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no %s reservoir entry", metrics.ProbeLatencyLabel)
+	if r := in.Spikes(); r.Count() != 1 || r.Max() != 50*time.Millisecond {
+		t.Errorf("spike reservoir holds %d spikes, max %v; want 1 of 50ms", r.Count(), r.Max())
 	}
 }
 
 func TestInjectorClaimFaults(t *testing.T) {
-	col := metrics.New()
-	in := testInjector(t, &Plan{ClaimErrorRate: 1}, col)
+	in := testInjector(t, &Plan{ClaimErrorRate: 1})
 	for i := 0; i < breakerThreshold; i++ {
 		if in.ClaimPartner(1, 2, core.Time(i)) {
 			t.Fatal("claim succeeded with 100% claim-error rate")
@@ -282,19 +274,19 @@ func TestInjectorClaimFaults(t *testing.T) {
 	if in.ProbePartner(1, 2, breakerThreshold) {
 		t.Fatal("probe succeeded against a breaker opened by claim faults")
 	}
-	c := col.Snapshot().Counters
-	if want := int64(breakerThreshold * maxAttempts); c.FaultClaimErrors != want {
-		t.Errorf("claim errors = %d, want %d", c.FaultClaimErrors, want)
+	c := in.Stats()
+	if want := int64(breakerThreshold * maxAttempts); c.ClaimErrors != want {
+		t.Errorf("claim errors = %d, want %d", c.ClaimErrors, want)
 	}
-	if c.BreakerShortCircuits != 1 {
-		t.Errorf("short circuits = %d, want 1", c.BreakerShortCircuits)
+	if c.ShortCircuits != 1 {
+		t.Errorf("short circuits = %d, want 1", c.ShortCircuits)
 	}
 }
 
 func TestInjectorDeterministicPerSeed(t *testing.T) {
 	plan := &Plan{DropRate: 0.5}
 	outcomes := func(runSeed int64) []bool {
-		in := New(plan, runSeed, []core.PlatformID{1, 2}, nil, nil)
+		in := New(plan, runSeed, []core.PlatformID{1, 2}, nil)
 		var out []bool
 		for i := 0; i < 64; i++ {
 			out = append(out, in.ProbePartner(1, 2, core.Time(i)))

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"crossmatch/internal/core"
-	"crossmatch/internal/metrics"
+	"crossmatch/internal/stats"
 	"crossmatch/internal/trace"
 )
 
@@ -22,11 +22,21 @@ import (
 // against the per-call deadline; nothing sleeps.
 //
 // An injector runs on the engine's goroutine, like the hub that calls
-// it: it starts no goroutine and takes no lock.
+// it: it starts no goroutine, takes no lock and writes no shared object
+// (the engine folds its Stats and spikes into a collector).
 type Injector struct {
 	plan    Plan
-	metrics *metrics.Collector
 	parties map[core.PlatformID]*party
+	st      Stats
+	spikes  *stats.Reservoir // injected latency spikes; nil without a latency rate
+}
+
+// Stats counts an injector's faults and the policy's answers, as the
+// fault counters of package metrics (which say what each counts).
+type Stats struct {
+	LatencySpikes, DroppedProbes, ClaimErrors, OutageHits          int64
+	Retries, Timeouts                                              int64
+	BreakerOpened, BreakerHalfOpened, BreakerClosed, ShortCircuits int64
 }
 
 // party is one platform's side of the cooperation path: as a viewer, the
@@ -57,15 +67,18 @@ const seedMix = int64(-0x61c8864680b583eb)
 
 // New builds the injector for a run over the given platforms. plan must
 // be non-nil and validated; the fault randomness is rooted at
-// runSeed ^ seedMix. m may be nil (counters become no-ops). recs holds
-// each platform's trace recorder, recs[i] pids[i]'s, or is nil untraced.
-func New(plan *Plan, runSeed int64, pids []core.PlatformID, m *metrics.Collector, recs []*trace.Recorder) *Injector {
+// runSeed ^ seedMix. recs holds each platform's trace recorder, recs[i]
+// pids[i]'s, or is nil untraced.
+func New(plan *Plan, runSeed int64, pids []core.PlatformID, recs []*trace.Recorder) *Injector {
 	p := *plan
 	p.Outages = slices.Clone(p.Outages)
 	base := runSeed ^ seedMix
-	in := &Injector{plan: p, metrics: m, parties: make(map[core.PlatformID]*party, len(pids))}
+	in := &Injector{plan: p, parties: make(map[core.PlatformID]*party, len(pids))}
+	if p.LatencyRate > 0 {
+		in.spikes = stats.NewReservoir(0, base)
+	}
 	for i, pid := range pids {
-		pt := &party{rng: rand.New(rand.NewSource(base ^ (int64(pid)+1)*seedMix)), br: breaker{met: m}}
+		pt := &party{rng: rand.New(rand.NewSource(base ^ (int64(pid)+1)*seedMix)), br: breaker{st: &in.st}}
 		if recs != nil {
 			pt.rec = recs[i]
 		}
@@ -73,6 +86,12 @@ func New(plan *Plan, runSeed int64, pids []core.PlatformID, m *metrics.Collector
 	}
 	return in
 }
+
+// Stats returns the injector's counts so far.
+func (in *Injector) Stats() Stats { return in.st }
+
+// Spikes returns the injected latency spikes so far (nil without a latency rate).
+func (in *Injector) Spikes() *stats.Reservoir { return in.spikes }
 
 // outage reports whether partner is inside a scheduled outage window at
 // stream time now.
@@ -95,8 +114,8 @@ func (in *Injector) spike(rng *rand.Rand) time.Duration {
 	if span := in.plan.LatencyMax - in.plan.LatencyMin; span > 0 {
 		lat += time.Duration(rng.Int63n(int64(span) + 1))
 	}
-	in.metrics.Add(metrics.FaultLatencySpikes, 1)
-	in.metrics.ObserveLatency(metrics.ProbeLatencyLabel, lat)
+	in.st.LatencySpikes++
+	in.spikes.Observe(lat)
 	return lat
 }
 
@@ -107,7 +126,7 @@ func (in *Injector) spike(rng *rand.Rand) time.Duration {
 // degrades to the remaining platforms (inner-only when all partners are
 // dark).
 func (in *Injector) ProbePartner(viewer, partner core.PlatformID, now core.Time) bool {
-	return in.call(viewer, partner, now, in.plan.DropRate, metrics.FaultDroppedProbes, true, kindProbeFault)
+	return in.call(viewer, partner, now, in.plan.DropRate, &in.st.DroppedProbes, true, kindProbeFault)
 }
 
 // ClaimPartner decides whether viewer's cross-platform claim against
@@ -116,19 +135,19 @@ func (in *Injector) ProbePartner(viewer, partner core.PlatformID, now core.Time)
 // owner's breaker. A false return is indistinguishable from a lost
 // claim race to the matcher: it simply tries the next candidate.
 func (in *Injector) ClaimPartner(viewer, owner core.PlatformID, now core.Time) bool {
-	return in.call(viewer, owner, now, in.plan.ClaimErrorRate, metrics.FaultClaimErrors, false, kindClaimFault)
+	return in.call(viewer, owner, now, in.plan.ClaimErrorRate, &in.st.ClaimErrors, false, kindClaimFault)
 }
 
 // call is one guarded cooperation call of viewer against partner: the
 // partner's breaker admits it or not, tries runs it, and the outcome
 // settles the breaker and lands in the viewer's span, a denial as
 // failKind. Recording never draws, so traced runs are bit-identical.
-func (in *Injector) call(viewer, partner core.PlatformID, now core.Time, rate float64, failures metrics.Counter,
+func (in *Injector) call(viewer, partner core.PlatformID, now core.Time, rate float64, failures *int64,
 	spikes bool, failKind string) bool {
 	v, br := in.parties[viewer], &in.parties[partner].br
 	before := br.state
 	if !br.allow(now) {
-		in.metrics.Add(metrics.BreakerShortCircuits, 1)
+		in.st.ShortCircuits++
 		v.rec.Fault(partner, kindShortCircuit, 0)
 		return false
 	}
@@ -158,20 +177,20 @@ func (in *Injector) call(viewer, partner core.PlatformID, now core.Time, rate fl
 // from rng in a fixed order — backoff jitter, failure, spike — which
 // keeps faulted runs bit-identical. It returns whether a try succeeded
 // within the deadline and the virtual time the call took.
-func (in *Injector) tries(rng *rand.Rand, partner core.PlatformID, now core.Time, rate float64, failures metrics.Counter,
+func (in *Injector) tries(rng *rand.Rand, partner core.PlatformID, now core.Time, rate float64, failures *int64,
 	spikes bool) (bool, time.Duration) {
 	var elapsed time.Duration
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			elapsed += backoff(attempt-1, rng)
-			in.metrics.Add(metrics.ProbeRetries, 1)
+			in.st.Retries++
 		}
 		failed := true
 		switch {
 		case in.outage(partner, now):
-			in.metrics.Add(metrics.FaultOutageHits, 1)
+			in.st.OutageHits++
 		case rate > 0 && rng.Float64() < rate:
-			in.metrics.Add(failures, 1)
+			*failures++
 		default:
 			failed = false
 			if spikes {
@@ -179,7 +198,7 @@ func (in *Injector) tries(rng *rand.Rand, partner core.PlatformID, now core.Time
 			}
 		}
 		if elapsed > callDeadline {
-			in.metrics.Add(metrics.ProbeTimeouts, 1)
+			in.st.Timeouts++
 			return false, elapsed
 		}
 		if !failed {

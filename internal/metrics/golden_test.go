@@ -27,7 +27,7 @@ func fillEveryCounter(c *Collector) {
 		RevenueQuotes: 101, ThresholdQuotes: 102, MonteCarloQuotes: 103,
 		ProbEvals: 208, TableHits: 52, ScratchReuses: 106, ScratchAllocs: 107,
 	})
-	c.ObserveLatency("platform-1", 3*time.Millisecond)
+	c.MergeLatency("platform-1", latencies(3*time.Millisecond))
 }
 
 // TestGoldenReport pins the `combench -metrics` document: every key,

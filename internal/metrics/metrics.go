@@ -1,8 +1,11 @@
 // Package metrics is the observability layer of the simulation engine:
-// lock-free counters for the matching funnel, the fault layer and the
-// write-ahead log, the pricing quoters' folded
-// statistics, and per-label decision-latency distributions built on
-// stats.Reservoir.
+// counters for the matching funnel, the fault layer and the write-ahead
+// log, the pricing quoters' statistics, and per-label latency
+// distributions built on stats.Reservoir.
+//
+// Each component keeps its own counts as plain fields, and a collector
+// is only ever folded into: by Engine.FoldFunnel and the server's
+// foldWAL, once per run or into a copy for a mid-run /v1/metrics.
 //
 // The counters are a table: a Counter constant indexes one array of
 // atomics, and Add, Merge and Snapshot are written once over that array.
@@ -10,10 +13,9 @@
 // position, its field in Counters (the JSON key); init refuses a build
 // where the two lists differ in length.
 //
-// One Collector is shared by every platform of a run — or by every run
-// of a whole experiment — so all methods are safe for concurrent use and
-// a nil *Collector is a no-op everywhere, keeping the instrumented hot
-// paths free of conditionals at the call sites.
+// One Collector may be shared by every run of a whole experiment, whose
+// runs finish on a worker pool, so all methods are safe for concurrent
+// use; a nil *Collector is a no-op everywhere.
 package metrics
 
 import (
@@ -36,7 +38,7 @@ import (
 type Counter int
 
 const (
-	// The matching funnel: simulation runs feeding the collector,
+	// The matching funnel: simulation runs folded into the collector,
 	// requests served by an inner worker, accepted cooperative requests,
 	// unserved requests, requests offered to outer workers, and worker
 	// acceptance probes.
@@ -53,8 +55,8 @@ const (
 	ClaimConflicts
 	ClaimRetries
 
-	// Fault injection and resilience (internal/fault; all zero without a
-	// fault plan): injected probe latency spikes, dropped probes,
+	// Fault injection and resilience (a fault.Injector's Stats; all zero
+	// without a fault plan): injected probe latency spikes, dropped probes,
 	// transient claim errors, and calls that landed inside a scheduled
 	// outage; retries of a cooperation call after a transient failure and
 	// calls abandoned at their virtual deadline; breaker transitions
@@ -72,11 +74,11 @@ const (
 	BreakerClosed
 	BreakerShortCircuits
 
-	// Durability (internal/wal; all zero without -wal-dir): appends and
-	// the payload bytes they logged, fsyncs and their cumulative
-	// duration, checkpoint records written (wal_snapshots), crash
-	// recoveries and the logged events they re-drove through a fresh
-	// engine.
+	// Durability (a wal.Log's Stats and the server's checkpoint and
+	// recovery counts; all zero without -wal-dir): appends and the
+	// payload bytes they logged, fsyncs and their cumulative duration,
+	// checkpoint records written (wal_snapshots), crash recoveries and
+	// the logged events they re-drove through a fresh engine.
 	WALAppends
 	WALBytes
 	WALFsyncs
@@ -143,9 +145,8 @@ type PricingStats struct {
 	TableHitRate float64 `json:"table_hit_rate"`
 }
 
-// AddPricing folds one quoter's cumulative counters into the collector.
-// The platform runtime calls it once per matcher at the end of a run;
-// mid-run snapshots therefore show the pricing section still at zero.
+// AddPricing folds one quoter's cumulative counters into the collector;
+// Engine.FoldFunnel calls it once per matcher.
 func (c *Collector) AddPricing(p pricing.Stats) {
 	if c == nil {
 		return
@@ -159,20 +160,10 @@ func (c *Collector) AddPricing(p pricing.Stats) {
 // reports injected probe latency spikes, next to the decision latencies.
 const ProbeLatencyLabel = "hub/probe-latency"
 
-// ObserveLatency folds one latency into the label's distribution.
-func (c *Collector) ObserveLatency(label string, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.reservoir(label).Observe(d)
-	c.mu.Unlock()
-}
-
-// MergeLatency folds a whole distribution into the label's; an empty
-// one adds nothing, not even the label.
+// MergeLatency folds a whole distribution into the label's; a nil or
+// empty one adds nothing, not even the label.
 func (c *Collector) MergeLatency(label string, r *stats.Reservoir) {
-	if c == nil || r.Count() == 0 {
+	if c == nil || r == nil || r.Count() == 0 {
 		return
 	}
 	c.mu.Lock()

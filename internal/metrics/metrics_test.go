@@ -9,7 +9,18 @@ import (
 	"time"
 
 	"crossmatch/internal/pricing"
+	"crossmatch/internal/stats"
 )
+
+// latencies returns a distribution of the given observations, for a
+// test to fold into a collector with MergeLatency.
+func latencies(ds ...time.Duration) *stats.Reservoir {
+	r := stats.NewReservoir(0, 1)
+	for _, d := range ds {
+		r.Observe(d)
+	}
+	return r
+}
 
 // counterNames spells every Counter constant beside the JSON key it
 // must be reported under: the enum and the Counters struct meet by
@@ -77,8 +88,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 		c.Add(k, 5)
 	}
 	c.AddPricing(pricing.Stats{ProbEvals: 1})
-	c.ObserveLatency("x", time.Millisecond)
-	c.ObserveLatency(ProbeLatencyLabel, time.Millisecond)
+	c.MergeLatency(ProbeLatencyLabel, latencies(time.Millisecond))
 	c.Merge(New())
 	if rep := c.Snapshot(); rep.Counters != (Counters{}) || rep.Pricing != (PricingStats{}) || len(rep.Latencies) != 0 {
 		t.Errorf("nil snapshot not empty: %+v", rep)
@@ -95,9 +105,11 @@ func TestCountersAndLatency(t *testing.T) {
 	c.Add(CoopAttempts, 1)
 	c.Add(AcceptanceProbes, 7)
 	c.Add(AcceptanceProbes, 0) // ignored
-	c.ObserveLatency("platform-1", 2*time.Millisecond)
-	c.ObserveLatency("platform-1", 4*time.Millisecond)
-	c.ObserveLatency("platform-2", time.Millisecond)
+	c.MergeLatency("platform-1", latencies(2*time.Millisecond))
+	c.MergeLatency("platform-1", latencies(4*time.Millisecond))
+	c.MergeLatency("platform-2", latencies(time.Millisecond))
+	c.MergeLatency("platform-3", nil)         // adds nothing
+	c.MergeLatency("platform-3", latencies()) // adds nothing
 
 	rep := c.Snapshot()
 	want := Counters{Runs: 1, InnerMatches: 2, OuterMatches: 1, Rejections: 1, CoopAttempts: 1, AcceptanceProbes: 7}
@@ -134,7 +146,7 @@ func TestConcurrentCollect(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Add(InnerMatches, 1)
 				c.Add(AcceptanceProbes, 2)
-				c.ObserveLatency(label, time.Duration(i)*time.Microsecond)
+				c.MergeLatency(label, latencies(time.Duration(i)*time.Microsecond))
 			}
 		}(g)
 	}
@@ -158,7 +170,7 @@ func TestConcurrentCollect(t *testing.T) {
 func TestWriteJSONSchema(t *testing.T) {
 	c := New()
 	c.Add(InnerMatches, 1)
-	c.ObserveLatency("platform-1", time.Millisecond)
+	c.MergeLatency("platform-1", latencies(time.Millisecond))
 	var buf bytes.Buffer
 	if err := c.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -210,7 +222,7 @@ func TestMergeCarriesEveryCounter(t *testing.T) {
 	fillEveryCounter(from)
 	into.Add(InnerMatches, 1)
 	into.AddPricing(pricing.Stats{ProbEvals: 2})
-	into.ObserveLatency("platform-1", time.Millisecond)
+	into.MergeLatency("platform-1", latencies(time.Millisecond))
 	into.Merge(from)
 	into.Merge(nil)
 	(*Collector)(nil).Merge(from)

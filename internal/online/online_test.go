@@ -180,7 +180,7 @@ func TestDemCOMInnerPriority(t *testing.T) {
 	// An outer worker sits right on the request; an inner worker is
 	// farther. DemCOM must still use the inner worker (lines 3-6).
 	coop.addWorker(&core.Worker{ID: 10, Arrival: 0, Loc: poolRequest(1, 10, 0, 0, 5).Loc, Radius: 5, Platform: 2},
-		pricing.MustHistory([]float64{0.1}))
+		mustHistory([]float64{0.1}))
 	m := NewDemCOM(coop, pricing.DefaultMonteCarlo, rand.New(rand.NewSource(1)))
 	m.Pool().Add(poolWorker(1, 0, 3, 0, 5))
 	d := arrive(m, poolRequest(1, 10, 0, 0, 5))
@@ -248,7 +248,7 @@ func TestDemCOMRejectsUnaffordableCooperation(t *testing.T) {
 	coop := newFakeCoop()
 	// The only outer worker never accepts below 100; request is worth 5.
 	coop.addWorker(&core.Worker{ID: 10, Arrival: 0, Loc: poolRequest(1, 10, 0, 0, 5).Loc, Radius: 5, Platform: 2},
-		pricing.MustHistory([]float64{100}))
+		mustHistory([]float64{100}))
 	m := NewDemCOM(coop, pricing.DefaultMonteCarlo, rand.New(rand.NewSource(1)))
 	d := arrive(m, poolRequest(1, 10, 0, 0, 5))
 	if d.Served {
@@ -265,7 +265,7 @@ func TestDemCOMRejectsUnaffordableCooperation(t *testing.T) {
 func TestDemCOMPaymentOracle(t *testing.T) {
 	coop := newFakeCoop()
 	coop.addWorker(&core.Worker{ID: 10, Arrival: 0, Loc: poolRequest(1, 10, 0, 0, 8).Loc, Radius: 5, Platform: 2},
-		pricing.MustHistory([]float64{2, 6}))
+		mustHistory([]float64{2, 6}))
 	m := NewDemCOM(coop, pricing.DefaultMonteCarlo, rand.New(rand.NewSource(5)))
 	m.PaymentOracle = true
 	d := arrive(m, poolRequest(1, 10, 0, 0, 8))
@@ -282,7 +282,7 @@ func TestDemCOMClaimRaceFallsToNextWorker(t *testing.T) {
 	loc := poolRequest(1, 10, 0, 0, 8).Loc
 	near := &core.Worker{ID: 10, Arrival: 0, Loc: loc, Radius: 5, Platform: 2}
 	far := &core.Worker{ID: 11, Arrival: 0, Loc: geo.Point{X: loc.X + 1, Y: loc.Y}, Radius: 5, Platform: 2}
-	always := pricing.MustHistory([]float64{0.01})
+	always := mustHistory([]float64{0.01})
 	coop.addWorker(near, always)
 	coop.addWorker(far, always)
 	coop.failFirstClaims = 1 // the nearest is "taken" by another platform
@@ -367,7 +367,7 @@ func TestRamCOMHighValueFallsThroughToOuter(t *testing.T) {
 	}
 	// No inner workers; outer worker accepts anything.
 	coop.addWorker(&core.Worker{ID: 10, Arrival: 0, Loc: poolRequest(1, 10, 0, 0, 8).Loc, Radius: 5, Platform: 2},
-		pricing.MustHistory([]float64{0.5, 1, 2}))
+		mustHistory([]float64{0.5, 1, 2}))
 	d := arrive(m, poolRequest(1, 10, 0, 0, 8)) // 8 > e: high value
 	if !d.Served || !d.Assignment.Outer {
 		t.Fatalf("decision = %+v, want outer service (Example 3 behaviour)", d)
@@ -604,7 +604,7 @@ func TestRequestArrivesAssignsWholeDecision(t *testing.T) {
 					if e.Worker.Platform == 1 {
 						m.Pool().Add(e.Worker)
 					} else {
-						coops[i].addWorker(e.Worker, pricing.MustHistory(e.Worker.History))
+						coops[i].addWorker(e.Worker, mustHistory(e.Worker.History))
 					}
 				}
 				continue
@@ -624,4 +624,14 @@ func TestRequestArrivesAssignsWholeDecision(t *testing.T) {
 			t.Errorf("no decision ended %q: the stream does not reach that path (reached %v)", r, seen)
 		}
 	}
+}
+
+// mustHistory is pricing.NewHistory for static test fixtures; it panics
+// on error.
+func mustHistory(values []float64) *pricing.History {
+	h, err := pricing.NewHistory(values)
+	if err != nil {
+		panic(err)
+	}
+	return h
 }

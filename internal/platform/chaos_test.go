@@ -212,3 +212,70 @@ func TestRunRejectsInvalidFaultPlan(t *testing.T) {
 		t.Fatal("invalid fault plan accepted")
 	}
 }
+
+// TestFaultCountsFoldMidRun: a faulted engine writes no collector while
+// it runs. Its fault counts stay in the injector, and a FoldFunnel into
+// a fresh collector part way through carries all ten of them and the
+// spike distribution; Finish then folds the whole run into
+// Config.Metrics.
+func TestFaultCountsFoldMidRun(t *testing.T) {
+	stream := multiStream(t, 3, 600, 120, 29)
+	plan := &fault.Plan{LatencyRate: 0.3, LatencyMin: 10 * time.Microsecond, LatencyMax: 2 * time.Millisecond,
+		DropRate: 0.2, ClaimErrorRate: 0.2}
+	col := metrics.New()
+	eng, err := NewEngine(stream.Platforms(), DemCOMFactory(pricing.DefaultMonteCarlo, false),
+		Config{Seed: 5, Faults: plan, Metrics: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := stream.Events()
+	for _, ev := range events[:len(events)/2] {
+		if _, err := eng.Process(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := col.Snapshot(); rep.Counters != (metrics.Counters{}) || len(rep.Latencies) != 0 {
+		t.Fatalf("the engine wrote its collector mid-run: %+v", rep)
+	}
+	faultCounts := func(c metrics.Counters) [10]int64 {
+		return [10]int64{c.FaultLatencySpikes, c.FaultDroppedProbes, c.FaultClaimErrors, c.FaultOutageHits,
+			c.ProbeRetries, c.ProbeTimeouts, c.BreakerOpened, c.BreakerHalfOpened, c.BreakerClosed, c.BreakerShortCircuits}
+	}
+	injected := func(st fault.Stats) [10]int64 {
+		return [10]int64{st.LatencySpikes, st.DroppedProbes, st.ClaimErrors, st.OutageHits,
+			st.Retries, st.Timeouts, st.BreakerOpened, st.BreakerHalfOpened, st.BreakerClosed, st.ShortCircuits}
+	}
+	st := eng.hub.faults.Stats()
+	want := injected(st)
+	if st.LatencySpikes == 0 || st.DroppedProbes == 0 || st.ClaimErrors == 0 || st.Retries == 0 {
+		t.Fatalf("the plan injected too little to check: %+v", st)
+	}
+	mid := metrics.New()
+	eng.FoldFunnel(mid)
+	rep := mid.Snapshot()
+	if got := faultCounts(rep.Counters); got != want || rep.Counters.Runs != 1 {
+		t.Errorf("mid-run fold: runs %d, fault counts %v; want 1 run and the injector's %v", rep.Counters.Runs, got, want)
+	}
+	spikes := int64(0)
+	for _, l := range rep.Latencies {
+		if l.Label == metrics.ProbeLatencyLabel {
+			spikes = l.Count
+		}
+	}
+	if spikes != st.LatencySpikes {
+		t.Errorf("mid-run fold: %d spikes under %s, the injector counted %d", spikes, metrics.ProbeLatencyLabel, st.LatencySpikes)
+	}
+
+	for _, ev := range events[len(events)/2:] {
+		if _, err := eng.Process(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	want = injected(eng.hub.faults.Stats())
+	if c := col.Snapshot().Counters; faultCounts(c) != want || c.Runs != 1 {
+		t.Errorf("after Finish: runs %d, fault counts %v; want 1 run and the injector's %v", c.Runs, faultCounts(c), want)
+	}
+}

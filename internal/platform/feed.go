@@ -404,9 +404,9 @@ func (e *Engine) ShardStats() []metrics.ShardSnapshot { return nil }
 // Result, its Stats and Lent read off the Matchings: Requests is the
 // latency record's exact count (fold observes one latency per decided
 // request), and a platform lends a worker for each outer assignment
-// that worker serves; the funnel and pricing counters go to
-// Config.Metrics. The engine is closed afterwards: further Process or
-// Finish calls return an error wrapping ErrEngineClosed.
+// that worker serves; FoldFunnel adds the run to Config.Metrics. The
+// engine is closed afterwards: further Process or Finish calls return an
+// error wrapping ErrEngineClosed.
 func (e *Engine) Finish() (*Result, error) {
 	if e.finished {
 		return nil, fmt.Errorf("platform: %w", ErrEngineClosed)
@@ -428,7 +428,6 @@ func (e *Engine) Finish() (*Result, error) {
 		}
 	}
 	e.FoldFunnel(e.cfg.Metrics)
-	e.foldPricing()
 	return e.res, nil
 }
 
@@ -442,15 +441,20 @@ func (e *Engine) Tally() (decided, served int64, revenue float64) {
 	return decided, served, e.res.TotalRevenue()
 }
 
-// FoldFunnel adds the run's matching funnel so far to mc, read off each
-// platform's Matching, latency record and fold's counts; the latencies
-// go under "platform-N". Finish calls it once per run.
+// FoldFunnel adds the run so far to mc: one run, the funnel read off
+// each platform's Matching, latency record ("platform-N") and fold's
+// counts, the quoters' pricing counters and the fault injector's counts
+// and spikes. Finish calls it once per run, on Config.Metrics.
 func (e *Engine) FoldFunnel(mc *metrics.Collector) {
 	if mc == nil {
 		return
 	}
+	mc.Add(metrics.Runs, 1)
 	for i := range e.slots {
 		sl := &e.slots[i]
+		if pp, ok := sl.matcher.(pricingStatsProvider); ok {
+			mc.AddPricing(pp.PricingStats())
+		}
 		pr := sl.res
 		var st online.Stats
 		st.Tally(pr.Matching)
@@ -461,6 +465,20 @@ func (e *Engine) FoldFunnel(mc *metrics.Collector) {
 		mc.Add(metrics.AcceptanceProbes, sl.probes)
 		mc.Add(metrics.ClaimRetries, sl.claimRetries)
 		mc.MergeLatency(fmt.Sprintf("platform-%d", e.pids[i]), pr.Latency)
+	}
+	if in := e.hub.faults; in != nil {
+		st := in.Stats()
+		mc.Add(metrics.FaultLatencySpikes, st.LatencySpikes)
+		mc.Add(metrics.FaultDroppedProbes, st.DroppedProbes)
+		mc.Add(metrics.FaultClaimErrors, st.ClaimErrors)
+		mc.Add(metrics.FaultOutageHits, st.OutageHits)
+		mc.Add(metrics.ProbeRetries, st.Retries)
+		mc.Add(metrics.ProbeTimeouts, st.Timeouts)
+		mc.Add(metrics.BreakerOpened, st.BreakerOpened)
+		mc.Add(metrics.BreakerHalfOpened, st.BreakerHalfOpened)
+		mc.Add(metrics.BreakerClosed, st.BreakerClosed)
+		mc.Add(metrics.BreakerShortCircuits, st.ShortCircuits)
+		mc.MergeLatency(metrics.ProbeLatencyLabel, in.Spikes())
 	}
 }
 

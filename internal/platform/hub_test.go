@@ -6,7 +6,6 @@ import (
 	"crossmatch/internal/core"
 	"crossmatch/internal/fault"
 	"crossmatch/internal/geo"
-	"crossmatch/internal/metrics"
 	"crossmatch/internal/online"
 	"crossmatch/internal/pricing"
 	"crossmatch/internal/workload"
@@ -86,10 +85,8 @@ func conflictStream(t *testing.T, workers, requestsEach int) *core.Stream {
 // TestHubClaimConflictPath exercises the losing branches of a claim: an
 // ID the viewer's own platform holds, one no pool holds, and one its
 // owner already assigned all fail before the fault layer draws anything
-// (the injector below would fail every claim it is asked about), and
-// no claim conflict is counted.
+// (the injector below would fail every claim it is asked about).
 func TestHubClaimConflictPath(t *testing.T) {
-	col := metrics.New()
 	h := NewHub()
 	p1, p2 := online.NewPool(nil), online.NewPool(nil)
 	if err := h.RegisterPlatform(1, p1); err != nil {
@@ -98,7 +95,7 @@ func TestHubClaimConflictPath(t *testing.T) {
 	if err := h.RegisterPlatform(2, p2); err != nil {
 		t.Fatal(err)
 	}
-	h.faults = fault.New(&fault.Plan{ClaimErrorRate: 1}, 1, []core.PlatformID{1, 2}, col, nil)
+	h.faults = fault.New(&fault.Plan{ClaimErrorRate: 1}, 1, []core.PlatformID{1, 2}, nil)
 	addAll(t, p1, &core.Worker{ID: 5, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 1, History: []float64{1}})
 	addAll(t, p2, &core.Worker{ID: 7, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}})
 	// The owner assigns worker 7: its pool slot is the only record.
@@ -111,16 +108,15 @@ func TestHubClaimConflictPath(t *testing.T) {
 			t.Fatalf("claim of worker %d succeeded", id)
 		}
 	}
-	c := col.Snapshot().Counters
-	if c.FaultClaimErrors != 0 || c.ProbeRetries != 0 || c.ClaimConflicts != 0 {
-		t.Fatalf("refused claims drew faults or counted conflicts: %+v", c)
+	if c := h.faults.Stats(); c != (fault.Stats{}) {
+		t.Fatalf("refused claims drew faults: %+v", c)
 	}
 	// A claim on a waiting partner worker does reach the fault layer.
 	addAll(t, p2, &core.Worker{ID: 8, Arrival: 0, Loc: geo.Point{}, Radius: 5, Platform: 2, History: []float64{1}})
 	if v1.Claim(8) {
 		t.Fatal("claim succeeded through a fault plan that fails every claim")
 	}
-	if n := col.Snapshot().Counters.FaultClaimErrors; n == 0 {
+	if n := h.faults.Stats().ClaimErrors; n == 0 {
 		t.Fatal("a claim on a waiting partner worker drew no fault")
 	}
 	if !p2.Has(8) {

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -17,6 +18,10 @@ import (
 // so every documented scale runs; Tables V and VI at -scale 0.2 (1.9e11,
 // 3.4e11) are refused.
 const offlineWorkBound = 5e10
+
+// ErrOfflineRefused is wrapped by Offline's error for a graph past
+// offlineWorkBound, which it refuses to solve.
+var ErrOfflineRefused = errors.New("exact OFF refused")
 
 // OfflineResult is the OFF baseline outcome, split per platform.
 type OfflineResult struct {
@@ -102,8 +107,8 @@ func Offline(stream *core.Stream) (*OfflineResult, error) {
 			}
 			g.Edges = append(g.Edges, match.Edge{Worker: wi, Request: ri, Weight: weight})
 			if work := k * float64(len(g.Edges)); work > offlineWorkBound {
-				return nil, fmt.Errorf("platform: offline: exact OFF over |W|=%d, |R|=%d refused at |E|=%d: min(|W|,|R|)×|E| = %.3g, past the bound %.3g",
-					len(workers), len(requests), len(g.Edges), work, offlineWorkBound)
+				return nil, fmt.Errorf("platform: offline: %w over |W|=%d, |R|=%d at |E|=%d: min(|W|,|R|)×|E| = %.3g, past the bound %.3g",
+					ErrOfflineRefused, len(workers), len(requests), len(g.Edges), work, offlineWorkBound)
 			}
 		}
 	}

@@ -416,8 +416,8 @@ func TestOfflineRefusesPastWorkBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	off, err := Offline(stream)
-	if err == nil {
-		t.Fatalf("OFF past the work bound returned %v, want an error", off.TotalWeight)
+	if !errors.Is(err, ErrOfflineRefused) {
+		t.Fatalf("OFF past the work bound returned %v, %v; want an error wrapping ErrOfflineRefused", off, err)
 	}
 	first := int(math.Floor(offlineWorkBound/(n+k))) + 1
 	if first >= k*k {

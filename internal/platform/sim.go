@@ -27,7 +27,7 @@ type MatcherFactory func(id core.PlatformID, coop online.CoopView, rng *rand.Ran
 type traceBinder interface{ BindTrace(*trace.Recorder) }
 
 // pricingStatsProvider is implemented by matchers that expose their
-// pricing quoter's counters; the run folds them into Config.Metrics.
+// pricing quoter's counters; FoldFunnel folds them into a collector.
 type pricingStatsProvider interface{ PricingStats() pricing.Stats }
 
 // Config controls a simulation run. Seed, ServiceTicks, DisableCoop and
@@ -38,11 +38,11 @@ type Config struct {
 	ServiceTicks core.Time
 	DisableCoop  bool
 	Faults       *fault.Plan
-	// Metrics, when non-nil, receives the run's matching-funnel counters
-	// (inner/outer matches, cooperative attempts, acceptance probes,
-	// rejections, claim retries) and per-platform decision latencies
-	// from Engine.Finish. The collector is safe to share across
-	// concurrent runs.
+	// Metrics, when non-nil, receives the whole run once, folded in by
+	// Engine.Finish (see FoldFunnel): the run count, the matching funnel,
+	// per-platform decision latencies, pricing and fault counts. Nothing
+	// writes it while the run goes on. The collector is safe to share
+	// across concurrent runs.
 	Metrics *metrics.Collector
 	// ProfileLabel, when non-empty, tags the run's goroutine with a
 	// "crossmatch.run" pprof label so CPU profiles of a parallel
@@ -292,10 +292,8 @@ func NewEngine(pids []core.PlatformID, factory MatcherFactory, cfg Config) (*Eng
 		}
 		// Injected faults land in the span of the decision in flight on
 		// the viewing platform; recording never draws.
-		e.hub.faults = fault.New(cfg.Faults, cfg.Seed, e.pids, cfg.Metrics, recs)
+		e.hub.faults = fault.New(cfg.Faults, cfg.Seed, e.pids, recs)
 	}
-
-	cfg.Metrics.Add(metrics.Runs, 1)
 	return e, nil
 }
 
@@ -317,19 +315,6 @@ func (e *Engine) deliver(w *core.Worker, s *slot) error {
 		return fmt.Errorf("platform: worker %d: %w", w.ID, err)
 	}
 	return nil
-}
-
-// foldPricing folds every matcher's pricing-quoter counters into the
-// run's metrics collector.
-func (e *Engine) foldPricing() {
-	if e.cfg.Metrics == nil {
-		return
-	}
-	for i := range e.slots {
-		if pp, ok := e.slots[i].matcher.(pricingStatsProvider); ok {
-			e.cfg.Metrics.AddPricing(pp.PricingStats())
-		}
-	}
 }
 
 type recycleHeap []*core.Worker

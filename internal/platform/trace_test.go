@@ -47,8 +47,8 @@ func TestTracedRunBitIdenticalToUntraced(t *testing.T) {
 			if resultKey(plain) != resultKey(res) {
 				t.Errorf("%s: tracing (sample=%g) changed the matching", alg, sample)
 			}
-			if tr.Recorded() == 0 || tr.Dropped() != 0 {
-				t.Fatalf("%s: tracer recorded %d spans and dropped %d at sample=%g", alg, tr.Recorded(), tr.Dropped(), sample)
+			if recorded(tr) == 0 || tr.Dropped() != 0 {
+				t.Fatalf("%s: tracer recorded %d spans and dropped %d at sample=%g", alg, recorded(tr), tr.Dropped(), sample)
 			}
 			spans := traced(tr)
 			if sample == 0 {
@@ -168,15 +168,12 @@ func TestTraceParallelChaos(t *testing.T) {
 	for _, p := range res.Platforms {
 		requests += p.Stats.Requests
 	}
-	if got := tr.Recorded(); got != uint64(requests) {
+	if got := recorded(tr); got != uint64(requests) {
 		t.Errorf("recorded %d spans for %d requests", got, requests)
 	}
 	spans := tr.Spans()
 	if len(spans) != 4*32 {
 		t.Errorf("retained %d spans, want 4 platforms x capacity 32", len(spans))
-	}
-	if want := tr.Recorded() - uint64(len(spans)); tr.Dropped() != want {
-		t.Errorf("dropped %d, want %d", tr.Dropped(), want)
 	}
 	faults := 0
 	for _, sp := range spans {
@@ -223,3 +220,7 @@ func TestSpansSumToLatency(t *testing.T) {
 		}
 	}
 }
+
+// recorded returns how many spans tr ever committed: those its rings
+// retain and those they evicted.
+func recorded(tr *trace.Tracer) uint64 { return uint64(len(tr.Spans())) + tr.Dropped() }

@@ -7,7 +7,6 @@ import (
 	"crossmatch/internal/core"
 	"crossmatch/internal/fault"
 	"crossmatch/internal/geo"
-	"crossmatch/internal/metrics"
 	"crossmatch/internal/online"
 	"crossmatch/internal/pricing"
 )
@@ -302,8 +301,7 @@ func TestBatchCOMOutageAtFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := metrics.New()
-	eng, err := NewEngine([]core.PlatformID{1, 2}, factory, Config{Seed: 1, Faults: plan, Metrics: col})
+	eng, err := NewEngine([]core.PlatformID{1, 2}, factory, Config{Seed: 1, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +324,7 @@ func TestBatchCOMOutageAtFlush(t *testing.T) {
 	if got[0].Served {
 		t.Errorf("the flush borrowed worker %d from a partner in an outage", got[0].Assignment.Worker.ID)
 	}
-	if n := col.Snapshot().Counters.FaultOutageHits; n == 0 {
+	if n := eng.hub.faults.Stats().OutageHits; n == 0 {
 		t.Error("the flush's probe of the dark partner counted no outage hit")
 	}
 }

@@ -12,7 +12,7 @@ func TestMaxExpectedRevenueSingleWorker(t *testing.T) {
 	//             pay 4 -> pr 2/3, E = 4
 	//             pay 8 -> pr 1,   E = 2
 	//             pay 10 -> pr 1,  E = 0
-	h := MustHistory([]float64{2, 4, 8})
+	h := mustHistory([]float64{2, 4, 8})
 	q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(10, []*History{h}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestMaxExpectedRevenuePaperExample3(t *testing.T) {
 	// acceptance curve yielding exactly those probabilities at payments
 	// 5, 4, 3, 2, 1 using ten history points.
 	// pr(1)=0.2, pr(2)=0.3, pr(3)=0.4, pr(4)=0.8, pr(5)=0.9
-	h := MustHistory([]float64{1, 1, 2, 3, 4, 4, 4, 4, 5, 100})
+	h := mustHistory([]float64{1, 1, 2, 3, 4, 4, 4, 4, 5, 100})
 	q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(6, []*History{h}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestMaxExpectedRevenueInvalidValue(t *testing.T) {
 }
 
 func TestMaxExpectedRevenueUnaffordableGroup(t *testing.T) {
-	h := MustHistory([]float64{50})
+	h := mustHistory([]float64{50})
 	q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(10, []*History{h}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestMaxExpectedRevenueMatchesNumericScan(t *testing.T) {
 			for j := 0; j <= rng.Intn(8); j++ {
 				vals = append(vals, math.Round((0.5+rng.Float64()*12)*4)/4)
 			}
-			group = append(group, MustHistory(vals))
+			group = append(group, mustHistory(vals))
 		}
 		value := 1 + rng.Float64()*15
 		q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(value, group, NewScratch())
@@ -123,7 +123,7 @@ func TestMaxExpectedRevenueConsistency(t *testing.T) {
 			for j := 0; j <= rng.Intn(5); j++ {
 				vals = append(vals, 0.5+rng.Float64()*9)
 			}
-			group = append(group, MustHistory(vals))
+			group = append(group, mustHistory(vals))
 		}
 		value := 0.5 + rng.Float64()*10
 		q, err := NewQuoter(DefaultMonteCarlo).MaxExpectedRevenue(value, group, NewScratch())
@@ -143,7 +143,7 @@ func TestMaxExpectedRevenueConsistency(t *testing.T) {
 }
 
 func TestThresholdQuote(t *testing.T) {
-	h := MustHistory([]float64{1})
+	h := mustHistory([]float64{1})
 	q, err := NewQuoter(DefaultMonteCarlo).ThresholdQuote(10, []*History{h}, 0.5, NewScratch())
 	if err != nil {
 		t.Fatal(err)

@@ -66,15 +66,6 @@ func MakeHistory(values []float64) (History, error) {
 	return History{values: sorted}, nil
 }
 
-// MustHistory is NewHistory for static test fixtures; it panics on error.
-func MustHistory(values []float64) *History {
-	h, err := NewHistory(values)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Len returns the number of completed history requests N.
 func (h *History) Len() int {
 	if h == nil {

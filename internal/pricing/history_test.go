@@ -24,7 +24,7 @@ func TestNewHistoryValidation(t *testing.T) {
 
 func TestNewHistorySortsAndCopies(t *testing.T) {
 	in := []float64{3, 1, 2}
-	h := MustHistory(in)
+	h := mustHistory(in)
 	if !sort.Float64sAreSorted(h.Values()) {
 		t.Error("values not sorted")
 	}
@@ -36,7 +36,7 @@ func TestNewHistorySortsAndCopies(t *testing.T) {
 
 func TestAcceptProbDefinition31(t *testing.T) {
 	// N = 4 history values 2, 4, 4, 8.
-	h := MustHistory([]float64{2, 4, 4, 8})
+	h := mustHistory([]float64{2, 4, 4, 8})
 	tests := []struct {
 		payment float64
 		want    float64
@@ -59,7 +59,7 @@ func TestAcceptProbDefinition31(t *testing.T) {
 }
 
 func TestAcceptProbEmptyHistoryConvention(t *testing.T) {
-	h := MustHistory(nil)
+	h := mustHistory(nil)
 	if got := h.AcceptProb(1); got != 1 {
 		t.Errorf("empty history AcceptProb(1) = %v, want 1", got)
 	}
@@ -84,7 +84,7 @@ func TestAcceptProbMonotone(t *testing.T) {
 			v = math.Abs(math.Mod(v, 50)) + 0.1
 			vals = append(vals, v)
 		}
-		h := MustHistory(vals)
+		h := mustHistory(vals)
 		pa := math.Abs(math.Mod(a, 60))
 		pb := math.Abs(math.Mod(b, 60))
 		if pa > pb {
@@ -99,11 +99,11 @@ func TestAcceptProbMonotone(t *testing.T) {
 }
 
 func TestHistoryMinMax(t *testing.T) {
-	h := MustHistory([]float64{5, 1, 9})
+	h := mustHistory([]float64{5, 1, 9})
 	if h.Min() != 1 || h.Max() != 9 {
 		t.Errorf("Min/Max = %v/%v", h.Min(), h.Max())
 	}
-	e := MustHistory(nil)
+	e := mustHistory(nil)
 	if e.Min() != 0 || e.Max() != 0 {
 		t.Error("empty history Min/Max should be 0")
 	}
@@ -114,7 +114,7 @@ func TestHistoryMinMax(t *testing.T) {
 // value, which once read as probability 1).
 func TestNaNPaymentNeverAccepts(t *testing.T) {
 	nan := math.NaN()
-	group := []*History{MustHistory([]float64{1, 2, 3}), MustHistory([]float64{0.5})}
+	group := []*History{mustHistory([]float64{1, 2, 3}), mustHistory([]float64{0.5})}
 	for _, h := range group {
 		if got := h.AcceptProb(nan); got != 0 {
 			t.Errorf("AcceptProb(NaN) over %v = %v, want 0", h.Values(), got)
@@ -138,7 +138,7 @@ func TestNaNPaymentNeverAccepts(t *testing.T) {
 func TestAcceptsSamplingFrequency(t *testing.T) {
 	// With acceptance probability 0.75, the empirical acceptance rate
 	// over many samples must concentrate near 0.75.
-	h := MustHistory([]float64{1, 2, 3, 10})
+	h := mustHistory([]float64{1, 2, 3, 10})
 	rng := rand.New(rand.NewSource(1))
 	const n = 20000
 	hits := 0
@@ -172,9 +172,9 @@ func groupAcceptProb(payment float64, group []*History) float64 {
 }
 
 func TestGroupAcceptProb(t *testing.T) {
-	a := MustHistory([]float64{2, 4})  // pr(3) = 0.5
-	b := MustHistory([]float64{1})     // pr(3) = 1
-	c := MustHistory([]float64{8, 10}) // pr(3) = 0
+	a := mustHistory([]float64{2, 4})  // pr(3) = 0.5
+	b := mustHistory([]float64{1})     // pr(3) = 1
+	c := mustHistory([]float64{8, 10}) // pr(3) = 0
 	tests := []struct {
 		name    string
 		group   []*History
@@ -210,7 +210,7 @@ func TestGroupAcceptProbDominance(t *testing.T) {
 			for j := 0; j <= rng.Intn(6); j++ {
 				vals = append(vals, 0.5+rng.Float64()*10)
 			}
-			group = append(group, MustHistory(vals))
+			group = append(group, mustHistory(vals))
 		}
 		pay := rng.Float64() * 12
 		gp := groupAcceptProb(pay, group)
@@ -219,7 +219,7 @@ func TestGroupAcceptProbDominance(t *testing.T) {
 				t.Fatalf("member prob exceeds group prob")
 			}
 		}
-		bigger := groupAcceptProb(pay, append(group, MustHistory([]float64{0.1})))
+		bigger := groupAcceptProb(pay, append(group, mustHistory([]float64{0.1})))
 		if bigger < gp-1e-12 {
 			t.Fatalf("extending group decreased probability")
 		}
@@ -412,4 +412,13 @@ func BenchmarkNewHistory(b *testing.B) {
 			}
 		})
 	}
+}
+
+// mustHistory is NewHistory for static test fixtures; it panics on error.
+func mustHistory(values []float64) *History {
+	h, err := NewHistory(values)
+	if err != nil {
+		panic(err)
+	}
+	return h
 }

@@ -21,7 +21,7 @@ func TestLemma1AccuracyBound(t *testing.T) {
 	mc := MonteCarlo{Xi: 0.2, Eta: 0.3}
 	const trueMin = 4.0
 	const value = 10.0
-	h := MustHistory([]float64{trueMin})
+	h := mustHistory([]float64{trueMin})
 	group := []*History{h}
 
 	const runs = 300
@@ -55,7 +55,7 @@ func TestLemma1AccuracyBound(t *testing.T) {
 // below 2.
 func TestLemma1ProbabilisticFrontier(t *testing.T) {
 	mc := MonteCarlo{Xi: 0.1, Eta: 0.2}
-	h := MustHistory([]float64{2, 8})
+	h := mustHistory([]float64{2, 8})
 	group := []*History{h}
 	rng := rand.New(rand.NewSource(7))
 	var sum float64

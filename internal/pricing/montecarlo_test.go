@@ -58,7 +58,7 @@ func TestMinOuterPaymentNoWorkers(t *testing.T) {
 // With a deterministic worker (accepts anything >= 3 with probability 1,
 // never below), the dichotomy must converge to ~3 in every instance.
 func TestMinOuterPaymentDeterministicWorker(t *testing.T) {
-	h := MustHistory([]float64{3}) // pr = 1 for v' >= 3, else 0
+	h := mustHistory([]float64{3}) // pr = 1 for v' >= 3, else 0
 	rng := rand.New(rand.NewSource(42))
 	mc := MonteCarlo{Xi: 0.01, Eta: 0.2}
 	got, err := NewQuoter(mc).MinOuterPayment(10, []*History{h}, rng, NewScratch())
@@ -74,7 +74,7 @@ func TestMinOuterPaymentDeterministicWorker(t *testing.T) {
 // A worker who never accepts within the value must push the estimate
 // above the value (signalling rejection).
 func TestMinOuterPaymentUnaffordableWorker(t *testing.T) {
-	h := MustHistory([]float64{50}) // only accepts >= 50
+	h := mustHistory([]float64{50}) // only accepts >= 50
 	rng := rand.New(rand.NewSource(7))
 	got, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{h}, rng, NewScratch())
 	if err != nil {
@@ -88,8 +88,8 @@ func TestMinOuterPaymentUnaffordableWorker(t *testing.T) {
 // The cheapest worker determines the frontier: adding expensive workers
 // must not raise the estimate.
 func TestMinOuterPaymentCheapestWorkerDominates(t *testing.T) {
-	cheap := MustHistory([]float64{2})
-	costly := MustHistory([]float64{9})
+	cheap := mustHistory([]float64{2})
+	costly := mustHistory([]float64{9})
 	rng1 := rand.New(rand.NewSource(5))
 	rng2 := rand.New(rand.NewSource(5))
 	mc := MonteCarlo{Xi: 0.02, Eta: 0.2}
@@ -115,7 +115,7 @@ func TestMinOuterPaymentCheapestWorkerDominates(t *testing.T) {
 // and v' >= 8 with probability 1. In each instance, the dichotomy finds a
 // point where sampled acceptance flips; the average lands between 2 and 8.
 func TestMinOuterPaymentProbabilisticBounds(t *testing.T) {
-	h := MustHistory([]float64{2, 8})
+	h := mustHistory([]float64{2, 8})
 	rng := rand.New(rand.NewSource(11))
 	got, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{h}, rng, NewScratch())
 	if err != nil {
@@ -130,7 +130,7 @@ func TestMinOuterPaymentProbabilisticBounds(t *testing.T) {
 
 // The estimator is deterministic for a fixed seed.
 func TestMinOuterPaymentDeterministicSeed(t *testing.T) {
-	h := MustHistory([]float64{1, 4, 6})
+	h := mustHistory([]float64{1, 4, 6})
 	a, err := NewQuoter(DefaultMonteCarlo).MinOuterPayment(10, []*History{h}, rand.New(rand.NewSource(99)), NewScratch())
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestMinOuterPaymentDeterministicSeed(t *testing.T) {
 // cores, and leave the caller's rng in the same state: it draws from
 // that rng alone, on the calling goroutine.
 func TestMinOuterPaymentGOMAXPROCSInvariant(t *testing.T) {
-	h := MustHistory([]float64{1, 4, 6, 9})
+	h := mustHistory([]float64{1, 4, 6, 9})
 	run := func(procs int) (est, nextDraw float64) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
@@ -176,10 +176,10 @@ func TestExactMinAcceptable(t *testing.T) {
 		group []*History
 		want  float64
 	}{
-		{"cheapest wins", 10, []*History{MustHistory([]float64{5}), MustHistory([]float64{3})}, 3},
-		{"above value signals reject", 2, []*History{MustHistory([]float64{5})}, -1}, // want > value
+		{"cheapest wins", 10, []*History{mustHistory([]float64{5}), mustHistory([]float64{3})}, 3},
+		{"above value signals reject", 2, []*History{mustHistory([]float64{5})}, -1}, // want > value
 		{"empty group rejects", 10, nil, -1},
-		{"empty history accepts anything", 10, []*History{MustHistory(nil)}, math.Nextafter(0, 1)},
+		{"empty history accepts anything", 10, []*History{mustHistory(nil)}, math.Nextafter(0, 1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -205,7 +205,7 @@ func BenchmarkMinOuterPayment(b *testing.B) {
 		for j := 0; j < 30; j++ {
 			vals = append(vals, 1+rng.Float64()*20)
 		}
-		group = append(group, MustHistory(vals))
+		group = append(group, mustHistory(vals))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

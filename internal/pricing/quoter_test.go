@@ -129,9 +129,9 @@ func TestQuoterPinnedBits(t *testing.T) {
 	}
 
 	dup := []*History{
-		MustHistory([]float64{2, 2, 2, 3, 3, 7, 7, 7, 7}),
-		MustHistory([]float64{3, 3, 3, 4, 4, 8, 8}),
-		MustHistory([]float64{7, 2, 7, 2, 5, 5}),
+		mustHistory([]float64{2, 2, 2, 3, 3, 7, 7, 7, 7}),
+		mustHistory([]float64{3, 3, 3, 4, 4, 8, 8}),
+		mustHistory([]float64{7, 2, 7, 2, 5, 5}),
 	}
 	got, err := q.MaxExpectedRevenue(9, dup, s)
 	if err != nil {
@@ -181,7 +181,7 @@ func TestQuoterMatchesLegacyEntryPoints(t *testing.T) {
 func TestQuoterStats(t *testing.T) {
 	q := NewQuoter(DefaultMonteCarlo)
 	s := NewScratch()
-	group := []*History{MustHistory([]float64{5, 10, 15})}
+	group := []*History{mustHistory([]float64{5, 10, 15})}
 	if _, err := q.MaxExpectedRevenue(20, group, s); err != nil {
 		t.Fatal(err)
 	}

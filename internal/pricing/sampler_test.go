@@ -138,14 +138,14 @@ type samplerCase struct {
 // edge cases by hand, then random groups of every size up to the
 // matchers' cap of 24.
 func samplerGroups(t *testing.T, rng *rand.Rand) []samplerCase {
-	dup := MustHistory([]float64{3, 3, 3, 7, 7, 12})
+	dup := mustHistory([]float64{3, 3, 3, 7, 7, 12})
 	cases := []samplerCase{
-		{"single", 10, []*History{MustHistory([]float64{2, 5, 8, 11})}},
-		{"single-deterministic", 10, []*History{MustHistory([]float64{4})}},
-		{"empty-history", 10, []*History{MustHistory(nil), MustHistory([]float64{6, 9})}},
-		{"all-unaffordable", 10, []*History{MustHistory([]float64{50}), MustHistory([]float64{20, 30})}},
-		{"one-affordable", 10, []*History{MustHistory([]float64{50}), MustHistory([]float64{9, 40, 60})}},
-		{"duplicate-values", 10, []*History{dup, MustHistory([]float64{7, 7})}},
+		{"single", 10, []*History{mustHistory([]float64{2, 5, 8, 11})}},
+		{"single-deterministic", 10, []*History{mustHistory([]float64{4})}},
+		{"empty-history", 10, []*History{mustHistory(nil), mustHistory([]float64{6, 9})}},
+		{"all-unaffordable", 10, []*History{mustHistory([]float64{50}), mustHistory([]float64{20, 30})}},
+		{"one-affordable", 10, []*History{mustHistory([]float64{50}), mustHistory([]float64{9, 40, 60})}},
+		{"duplicate-values", 10, []*History{dup, mustHistory([]float64{7, 7})}},
 		{"duplicate-workers", 10, []*History{dup, dup, dup}},
 	}
 	for _, n := range []int{1, 2, 5, 12, 24} {
@@ -253,7 +253,7 @@ func TestZeroProbabilityNeverAccepts(t *testing.T) {
 	if u := zero.Float64(); u != 0 {
 		t.Fatalf("stub source draws %v, want exactly 0", u)
 	}
-	unaffordable := MustHistory([]float64{50})
+	unaffordable := mustHistory([]float64{50})
 	if unaffordable.Accepts(10, zero) {
 		t.Error("a worker with acceptance probability 0 accepted on a draw of exactly 0")
 	}
@@ -269,7 +269,7 @@ func TestZeroProbabilityNeverAccepts(t *testing.T) {
 	if u := top.Float64(); u != 1-0x1p-53 {
 		t.Fatalf("stub source draws %v, want 1 - 2^-53", u)
 	}
-	certain := MustHistory([]float64{5})
+	certain := mustHistory([]float64{5})
 	for _, rng := range []*rand.Rand{zero, top} {
 		if !certain.Accepts(10, rng) {
 			t.Error("a worker with acceptance probability 1 declined")

@@ -9,17 +9,9 @@ import (
 // path run: road distances from a source point to every node within the
 // budget. It answers point probes in O(1) plus a snap.
 type DistField struct {
-	net    *Network
-	source geo.Point
-	budget float64
-	dist   map[NodeID]float64
+	net  *Network
+	dist map[NodeID]float64
 }
-
-// Source returns the field's source point.
-func (f *DistField) Source() geo.Point { return f.source }
-
-// Budget returns the distance budget the field was computed with.
-func (f *DistField) Budget() float64 { return f.budget }
 
 // DistTo returns the road distance from the source to p (snapped to its
 // nearest node), with ok=false when p is beyond the budget or
@@ -35,7 +27,7 @@ func (f *DistField) Reached() int { return len(f.dist) }
 // Within computes road distances from `from` (snapped) to every node
 // within the given budget, using Dijkstra with early cutoff.
 func (n *Network) Within(from geo.Point, budget float64) *DistField {
-	f := &DistField{net: n, source: from, budget: budget, dist: map[NodeID]float64{}}
+	f := &DistField{net: n, dist: map[NodeID]float64{}}
 	if budget < 0 {
 		return f
 	}

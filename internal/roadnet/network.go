@@ -167,9 +167,6 @@ func NewGridNetwork(region geo.Rect, opts GridOptions) (*Network, error) {
 // Len returns the number of nodes.
 func (n *Network) Len() int { return len(n.nodes) }
 
-// NodeLoc returns a node's location.
-func (n *Network) NodeLoc(id NodeID) geo.Point { return n.nodes[id] }
-
 func (n *Network) buildSnap() {
 	n.region = geo.Rect{Min: n.nodes[0], Max: n.nodes[0]}
 	for _, p := range n.nodes[1:] {

@@ -33,10 +33,10 @@ type RecoveryInfo struct {
 	DurationMs float64 `json:"duration_ms"`
 }
 
-// WALStatus is the durability section of the /v1/metrics payload. The
-// live append/fsync counters stream through the engine collector
-// (wal_appends, wal_fsyncs, wal_fsync_ns, wal_snapshots, ...); this
-// section carries the configuration and the startup recovery summary.
+// WALStatus is the durability section of the /v1/metrics payload: the
+// configuration and the startup recovery summary. The append/fsync
+// counters are the log's own Stats, which foldWAL adds to the engine
+// section as wal_appends, wal_fsyncs, wal_fsync_ns, wal_snapshots, ...
 type WALStatus struct {
 	Dir        string       `json:"dir"`
 	FsyncBatch int          `json:"fsync_batch"`
@@ -61,10 +61,7 @@ func (s *Server) Recovery() RecoveryInfo { return s.rec }
 // before the sequencer starts, so no locking is needed.
 func (s *Server) recover() error {
 	t0 := time.Now()
-	l, err := wal.Open(s.opts.WALDir, wal.Options{
-		FsyncBatch: s.opts.FsyncBatch,
-		Metrics:    s.met,
-	})
+	l, err := wal.Open(s.opts.WALDir, wal.Options{FsyncBatch: s.opts.FsyncBatch})
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
@@ -136,10 +133,6 @@ func (s *Server) recover() error {
 	s.vbase = s.vlast
 
 	s.wal = l
-	if s.applied > 0 {
-		s.met.Add(metrics.WALRecoveries, 1)
-		s.met.Add(metrics.WALRecoveredEvents, s.applied)
-	}
 	if l.Count() == 0 {
 		// A fresh log: pin the configuration at record 0.
 		if err := s.checkpoint(); err != nil {
@@ -250,8 +243,27 @@ func (s *Server) checkpoint() error {
 		return err
 	}
 	s.checkpointed = s.applied
-	s.met.Add(metrics.WALSnapshots, 1)
+	s.checkpoints++
 	return nil
+}
+
+// foldWAL adds the log's Stats, the checkpoint records this process
+// wrote and the startup recovery to mc as the wal_* counters; nothing
+// without a WAL.
+func (s *Server) foldWAL(mc *metrics.Collector) {
+	if s.wal == nil {
+		return
+	}
+	st := s.wal.Stats()
+	mc.Add(metrics.WALAppends, st.Appends)
+	mc.Add(metrics.WALBytes, st.Bytes)
+	mc.Add(metrics.WALFsyncs, st.Fsyncs)
+	mc.Add(metrics.WALFsyncNs, st.FsyncNs)
+	mc.Add(metrics.WALSnapshots, s.checkpoints)
+	if s.rec.Recovered {
+		mc.Add(metrics.WALRecoveries, 1)
+		mc.Add(metrics.WALRecoveredEvents, s.rec.Events)
+	}
 }
 
 // digest returns the decision counters a checkpoint pins: the engine's

@@ -176,3 +176,58 @@ func TestCloseCheckpointAndSnapshotEqualResult(t *testing.T) {
 	}
 	sameView(t, "Snapshot after Close", viewOfSnapshot(srv.Snapshot()), want)
 }
+
+// TestWALMetricsAreTheLogsStats: on a durable server, the engine
+// section's wal_appends, wal_bytes and wal_fsyncs are the log's own
+// Stats, and wal_snapshots the checkpoint records in the log, part way
+// through a replay (at /v1/metrics) and after Close (in Snapshot and in
+// the server's collector).
+func TestWALMetricsAreTheLogsStats(t *testing.T) {
+	stream := testStream(t, 300, 100, 5)
+	k := checkpointEvery + 10
+	if stream.Len() <= k {
+		t.Fatalf("stream of %d events, want more than %d", stream.Len(), k)
+	}
+	mc := metrics.New()
+	opts := Options{Algorithm: platform.AlgDemCOM, Seed: 5, Replay: stream, QueueCap: stream.Len() + 1,
+		WALDir: t.TempDir(), Metrics: mc}
+	srv, ts := startServer(t, opts)
+	check := func(what string, c metrics.Counters, checkpoints int) {
+		t.Helper()
+		st := srv.wal.Stats()
+		got := [4]int64{c.WALAppends, c.WALBytes, c.WALFsyncs, c.WALSnapshots}
+		want := [4]int64{st.Appends, st.Bytes, st.Fsyncs, int64(len(checkpointPositions(t, opts.WALDir)))}
+		if got != want || want[3] != int64(checkpoints) {
+			t.Errorf("%s: appends, bytes, fsyncs, snapshots %v; the log's %v (%d checkpoints expected)",
+				what, got, want, checkpoints)
+		}
+	}
+
+	postReplayPrefix(t, ts, stream.Events()[:k])
+	waitApplied(t, srv, int64(k))
+	resp, err := ts.Client().Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap MetricsSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("/v1/metrics mid-run", snap.Engine.Counters, 2) // record 0 and the periodic one
+
+	postReplayPrefix(t, ts, stream.Events()[k:])
+	waitApplied(t, srv, int64(stream.Len()))
+	if _, err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Record 0, one every checkpointEvery records, and Close's unless the
+	// last periodic one covers the log.
+	final := 1 + stream.Len()/checkpointEvery
+	if stream.Len()%checkpointEvery != 0 {
+		final++
+	}
+	check("Snapshot after Close", srv.Snapshot().Engine.Counters, final)
+	check("the server's collector after Close", mc.Snapshot().Counters, final)
+}

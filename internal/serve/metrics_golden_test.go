@@ -11,6 +11,7 @@ import (
 
 	"crossmatch/internal/metrics"
 	"crossmatch/internal/pricing"
+	"crossmatch/internal/stats"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/metrics.golden.json from this run")
@@ -26,12 +27,14 @@ func fillEveryCounter(c *metrics.Collector) {
 		RevenueQuotes: 101, ThresholdQuotes: 102, MonteCarloQuotes: 103,
 		ProbEvals: 208, TableHits: 52, ScratchReuses: 106, ScratchAllocs: 107,
 	})
-	c.ObserveLatency("platform-1", 3*time.Millisecond)
+	r := stats.NewReservoir(0, 1)
+	r.Observe(3 * time.Millisecond)
+	c.MergeLatency("platform-1", r)
 }
 
 // TestGoldenMetricsSnapshot pins the /v1/metrics document of a server
-// over a filled collector (uptime masked; runs is 11 because building
-// the engine starts one).
+// over a filled collector (uptime masked; runs is 11 because the
+// snapshot folds the run in).
 func TestGoldenMetricsSnapshot(t *testing.T) {
 	mc := metrics.New()
 	fillEveryCounter(mc)

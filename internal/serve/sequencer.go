@@ -51,9 +51,12 @@ func (s *Server) sequence() {
 			s.tickWindows()
 			continue
 		case reply := <-s.snapshots:
-			mc := metrics.New() // the collector gets the funnel at Finish
-			mc.Merge(s.met)
+			// The server's collector gets the run at Close; until then
+			// the document is a copy with the run so far folded in.
+			mc := metrics.New()
+			mc.Merge(s.opts.Metrics)
 			s.eng.FoldFunnel(mc)
+			s.foldWAL(mc)
 			reply <- s.snapshot(mc)
 			continue
 		}

@@ -93,9 +93,9 @@ type Options struct {
 	// not the HTTP handler's wait (that is Deadline).
 	Window        core.Time
 	BatchDeadline core.Time
-	// Metrics receives the engine's funnel counters and latency
-	// reservoirs when Close finishes the run (/v1/metrics folds them into
-	// a copy before); created internally when nil.
+	// Metrics receives the run once, folded in by Close: the engine's
+	// counters and latencies and the log's wal_* counters (/v1/metrics
+	// folds them into a copy before). Created internally when nil.
 	Metrics *metrics.Collector
 	// Tracer, when non-nil, records per-request decision spans; they
 	// export at /v1/trace as JSONL.
@@ -141,7 +141,6 @@ type ingest struct {
 type Server struct {
 	opts Options
 	mux  *http.ServeMux
-	met  *metrics.Collector
 	eng  *platform.Engine
 
 	queue  chan *ingest
@@ -190,6 +189,7 @@ type Server struct {
 	walBuf       []byte // reused record-encode buffer; sequencer goroutine only
 	applied      int64  // event and tick records applied, recovered ones first; sequencer-owned
 	checkpointed int64  // applied at the last checkpoint record; sequencer-owned
+	checkpoints  int64  // checkpoint records this process wrote; sequencer-owned
 	rec          RecoveryInfo
 
 	// live ID allocation
@@ -256,7 +256,6 @@ func New(opts Options) (*Server, error) {
 
 	s := &Server{
 		opts:      opts,
-		met:       opts.Metrics,
 		eng:       eng,
 		queue:     make(chan *ingest, opts.QueueCap),
 		bucket:    newTokenBucket(opts.Rate, opts.Burst),
@@ -352,8 +351,8 @@ func (s *Server) Close() (*platform.Result, error) {
 	s.closeOnce.Do(func() {
 		// The sequencer has stopped, so its WAL state is safe to touch:
 		// write the final checkpoint (unless the last one already covers
-		// every record) and release the log before finishing the engine,
-		// which folds the run's funnel into the collector.
+		// every record), release the log and fold its counts into the
+		// collector, then finish the engine, which folds the run.
 		if s.wal != nil {
 			if s.applied != s.checkpointed {
 				if err := s.checkpoint(); err != nil {
@@ -363,6 +362,7 @@ func (s *Server) Close() (*platform.Result, error) {
 			if err := s.wal.Close(); err != nil {
 				s.ctr.walErrors.Add(1)
 			}
+			s.foldWAL(s.opts.Metrics)
 		}
 		s.result, s.closeErr = s.eng.Finish()
 	})
@@ -582,8 +582,8 @@ type ServerCounters struct {
 
 // MetricsSnapshot is the /v1/metrics document: admission and decision
 // accounting plus the engine collector's matching-funnel counters and
-// latency distributions. WAL is present only on durable servers; its
-// live append/fsync counters ride in the engine section
+// latency distributions. WAL is present only on durable servers; the
+// log's append/fsync counters ride in the engine section
 // (wal_appends, wal_fsyncs, wal_fsync_ns, ...).
 type MetricsSnapshot struct {
 	Server ServerCounters `json:"server"`
@@ -601,7 +601,7 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		return <-reply
 	case <-s.seqDone:
 		_, _ = s.Close()
-		return s.snapshot(s.met)
+		return s.snapshot(s.opts.Metrics)
 	}
 }
 

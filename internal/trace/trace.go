@@ -250,30 +250,17 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Recorded returns how many spans were ever committed.
-func (t *Tracer) Recorded() uint64 {
-	total, _ := t.counts()
-	return total
-}
-
 // Dropped returns how many committed spans have been evicted by ring
 // wrap-around (bounded memory is the contract; this is its price).
 func (t *Tracer) Dropped() uint64 {
-	total, kept := t.counts()
-	return total - kept
-}
-
-// counts returns how many spans were ever committed and how many the
-// rings retain.
-func (t *Tracer) counts() (total, kept uint64) {
 	if t == nil {
-		return 0, 0
+		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var dropped uint64
 	for _, g := range t.rings {
-		total += g.total
-		kept += uint64(len(g.buf))
+		dropped += g.total - uint64(len(g.buf))
 	}
-	return total, kept
+	return dropped
 }

@@ -42,8 +42,6 @@ import (
 	"path/filepath"
 	"slices"
 	"time"
-
-	"crossmatch/internal/metrics"
 )
 
 const (
@@ -77,12 +75,10 @@ type Options struct {
 	// crash window of up to N-1 tail records for fewer fsyncs; the
 	// torn-tail truncation on Open absorbs the partial write either way.
 	FsyncBatch int
-	// Metrics, when non-nil, receives wal_appends / wal_fsyncs /
-	// wal_fsync_ns counters as the log runs.
-	Metrics *metrics.Collector
 }
 
-// Stats is a point-in-time view of a log's activity counters.
+// Stats is a point-in-time view of a log's activity counters, the one
+// place they are kept: a caller that reports them reads them here.
 type Stats struct {
 	Records int64 `json:"records"` // records in the log (recovered + appended)
 	Appends int64 `json:"appends"` // records appended by this process
@@ -181,8 +177,6 @@ func (l *Log) Append(payload []byte) error {
 	l.pending++
 	l.st.Appends++
 	l.st.Bytes += int64(len(payload))
-	l.opts.Metrics.Add(metrics.WALAppends, 1)
-	l.opts.Metrics.Add(metrics.WALBytes, int64(len(payload)))
 	if l.pending >= l.opts.FsyncBatch {
 		return l.Sync()
 	}
@@ -205,12 +199,9 @@ func (l *Log) Sync() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	d := time.Since(t0)
 	l.pending = 0
 	l.st.Fsyncs++
-	l.st.FsyncNs += d.Nanoseconds()
-	l.opts.Metrics.Add(metrics.WALFsyncs, 1)
-	l.opts.Metrics.Add(metrics.WALFsyncNs, d.Nanoseconds())
+	l.st.FsyncNs += time.Since(t0).Nanoseconds()
 	return nil
 }
 
@@ -227,10 +218,11 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Abandon closes the log WITHOUT flushing the write buffer —
-// the crash-simulation hook for recovery tests: records since the last
-// Sync are lost exactly as a SIGKILL would lose them, possibly leaving
-// a torn frame behind.
+// Abandon closes the log WITHOUT flushing the write buffer: records
+// since the last Sync are lost exactly as a SIGKILL would lose them,
+// possibly leaving a torn frame behind. No program calls it; it is the
+// crash seam internal/serve's recovery tests use in place of killing
+// the process, which a test inside the package cannot do.
 func (l *Log) Abandon() error {
 	if l.f == nil {
 		return nil

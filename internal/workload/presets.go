@@ -39,24 +39,15 @@ func Presets() []Preset {
 	}
 }
 
-// PresetByName looks a preset up by its dataset code.
-func PresetByName(name string) (Preset, bool) {
+// PresetFor looks a preset up by its dataset code: unknown codes return
+// an error wrapping ErrUnknownPreset that lists the known presets.
+func PresetFor(name string) (Preset, error) {
 	for _, p := range Presets() {
 		if p.Name == name {
-			return p, true
+			return p, nil
 		}
 	}
-	return Preset{}, false
-}
-
-// PresetFor is PresetByName with a typed error: unknown codes return an
-// error wrapping ErrUnknownPreset that lists the known presets.
-func PresetFor(name string) (Preset, error) {
-	p, ok := PresetByName(name)
-	if !ok {
-		return Preset{}, fmt.Errorf("workload: %w %q (want one of %v)", ErrUnknownPreset, name, PresetNames())
-	}
-	return p, nil
+	return Preset{}, fmt.Errorf("workload: %w %q (want one of %v)", ErrUnknownPreset, name, PresetNames())
 }
 
 // PresetNames returns the dataset codes in canonical order.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -232,24 +233,24 @@ func TestPresets(t *testing.T) {
 	if len(ps) != 3 {
 		t.Fatalf("presets = %d, want 3", len(ps))
 	}
-	if _, ok := PresetByName("RDC10+RYC10"); !ok {
-		t.Error("RDC10+RYC10 missing")
+	if _, err := PresetFor("RDC10+RYC10"); err != nil {
+		t.Error(err)
 	}
-	if _, ok := PresetByName("nope"); ok {
-		t.Error("unknown preset found")
+	if _, err := PresetFor("nope"); !errors.Is(err, ErrUnknownPreset) {
+		t.Errorf("unknown preset: %v, want ErrUnknownPreset", err)
 	}
 	if names := PresetNames(); len(names) != 3 {
 		t.Errorf("names = %v", names)
 	}
 	// Xi'an preset must have the worker-scarce ratio (~25x rather than ~10x).
-	xian, _ := PresetByName("RDX11+RYX11")
+	xian, _ := PresetFor("RDX11+RYX11")
 	if ratio := float64(xian.R1) / float64(xian.W1); ratio < 20 {
 		t.Errorf("Xi'an ratio = %v, want > 20", ratio)
 	}
 }
 
 func TestPresetConfigScaling(t *testing.T) {
-	p, _ := PresetByName("RDC10+RYC10")
+	p, _ := PresetFor("RDC10+RYC10")
 	cfg, err := p.Config(0.01)
 	if err != nil {
 		t.Fatal(err)

@@ -146,6 +146,19 @@ if [ "$(git grep -nE '\+=.*Revenue\(\)' -- internal/platform internal/serve ':!*
 	exit 1
 fi
 
+echo "==> every counter is booked where it is counted: fault and wal keep their own, a collector is only folded into"
+if git grep -n '"crossmatch/internal/metrics"' -- internal/fault internal/wal; then
+	exit 1
+fi
+# Collector writes outside internal/metrics sit in the fold functions only.
+writes='\.Add\(metrics\.|MergeLatency\(|AddPricing\('
+folded=$(cat internal/platform/feed.go internal/serve/durability.go |
+	sed -n -E '/^func \((e \*Engine\) FoldFunnel|s \*Server\) foldWAL)\(/,/^}/p' | grep -cE "$writes")
+if [ "$(git grep -hE "$writes" -- '*.go' ':!*_test.go' ':!internal/metrics' | wc -l)" -ne "$folded" ]; then
+	git grep -nE "$writes" -- '*.go' ':!*_test.go' ':!internal/metrics' >&2
+	exit 1
+fi
+
 echo "==> a decision is one record: no serving copy of it, no second mark of a buffered request, no window-only record type"
 # The brackets keep this line from matching itself.
 if git grep -nwE 'RequestDecisio[n]|Deferre[d]|WindowDecisio[n]' -- '*.go'; then
